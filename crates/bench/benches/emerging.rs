@@ -1,8 +1,8 @@
 //! Criterion benches: the emerging-alert (R4) channel end to end — the
 //! per-window observe path (streaming tokenize → encode → sparse AO-LDA
 //! → emergence scan) with and without the opt-in token budget, plus the
-//! budget sampler on its own. `ci.sh emerging-perf` runs this group
-//! before regenerating `BENCH_streaming.json`.
+//! budget sampler on its own. End-to-end timing of the channel lives
+//! in `crates/pipeline-bench` (see its README).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -3,9 +3,9 @@
 //! Before the incremental detection engine, every ingested window
 //! re-ran full detection over the flattened rolling history — O(history)
 //! per window. [`BatchRecomputeGovernor`] keeps that implementation
-//! alive so the `streaming` bench and the `streaming_bench` harness can
-//! measure the refactor's speedup against the real thing, and so the
-//! equivalence suites have an executable oracle to diff against.
+//! alive so the `streaming` criterion bench can measure the refactor's
+//! speedup against the real thing, and so the equivalence suites have
+//! an executable oracle to diff against.
 
 use std::collections::{BTreeSet, VecDeque};
 

@@ -15,14 +15,15 @@
 //!                   ▼                       └──────┬────────┘
 //!          node 0 .. node N-1                      ▼
 //!          (Ingestd daemons,            GovernanceSnapshot
-//!           defer_emerging)             (+ single AO-LDA pass)
+//!           node role)                  (+ sequential passes)
 //! ```
 //!
 //! Each node is a full [`alertops_ingestd::Ingestd`] daemon over the
 //! contiguous strategy range the [`RangeMap`](crate::RangeMap) assigns
 //! it. The cluster is the coordinator one level up: it collects each
-//! node's [`WindowDelta`] at window close and merges them with the
-//! same commutative-monoid merge the daemon uses across shards — so a
+//! node's [`alertops_core::WindowDelta`] at window close and merges
+//! them with the same commutative-monoid merge the daemon uses across
+//! shards (one [`WindowCloser`], one level up) — so a
 //! 4-node cluster, a 1-node cluster, and the batch governor publish
 //! byte-identical snapshots over the same stream.
 //!
@@ -78,13 +79,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use alertops_core::{
-    EmergingMode, GovernanceSnapshot, OnlineQoaModel, QoaCheckpoint, QoaMode, StreamingGovernor,
-    WindowDelta,
-};
+use alertops_core::{GovernanceSnapshot, QoaCheckpoint, StreamingGovernor, WindowCloser};
 use alertops_ingestd::{shard_catalog, Ingestd, IngestdConfig, IngestdHandle};
 use alertops_model::{Alert, AlertStrategy, QoaLabel, StrategyId};
-use alertops_react::EmergingAlertDetector;
 use alertops_wire::{Frame, WireDecoder, WireEncoder};
 
 use crate::metrics::ClusterMetrics;
@@ -102,17 +99,17 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Per-node daemon configuration. `tick` must be `None`: window
     /// closes are cluster-coordinated ([`AlertCluster::close_window`]),
-    /// never per-node wall clock. `streaming.emerging.mode` expresses
-    /// the *cluster's* intent — nodes are forced into the
-    /// forward-documents role and the cluster coordinator runs the one
-    /// sequential AO-LDA pass. That includes any storm-load token
-    /// budget (`streaming.emerging.config.budget`): it is applied once,
-    /// by the coordinator, after the cross-node merge, so node count
-    /// cannot change the sampled token set. `streaming.qoa.mode` works
-    /// the same way: nodes are forced into the forward-samples role
-    /// (`defer_qoa`) and the cluster coordinator owns the one
-    /// sequential `partial_fit` pass, journaling its checkpoint into
-    /// every alive node's WAL at each boundary.
+    /// never per-node wall clock. `streaming.emerging.mode` and
+    /// `streaming.qoa.mode` express the *cluster's* intent — nodes are
+    /// spawned in the node role ([`Ingestd::spawn_node`]: forward
+    /// documents and samples, run no pass) and the cluster
+    /// coordinator's [`WindowCloser`] runs the one sequential AO-LDA
+    /// pass and the one `partial_fit` pass, journaling the model
+    /// checkpoint into every alive node's WAL at each boundary. That
+    /// includes any storm-load token budget
+    /// (`streaming.emerging.config.budget`): it is applied once, by
+    /// the coordinator, after the cross-node merge, so node count
+    /// cannot change the sampled token set.
     pub node: IngestdConfig,
     /// Directory holding one WAL subdirectory per node
     /// (`<wal_root>/node-<i>/`). Created if missing; existing logs are
@@ -231,10 +228,10 @@ pub struct AlertCluster {
     /// Next cluster window sequence number.
     seq: u64,
     latest: Option<GovernanceSnapshot>,
-    emerging: Option<EmergingAlertDetector>,
-    /// The one sequential online-QoA model, when the loop is on.
-    /// Checkpointed into every alive node's WAL at each boundary.
-    qoa: Option<OnlineQoaModel>,
+    /// The topmost merge point's closer: owns the one emerging
+    /// detector and the one online-QoA model (checkpointed into every
+    /// alive node's WAL at each boundary).
+    closer: WindowCloser,
     metrics: ClusterMetrics,
 }
 
@@ -253,21 +250,7 @@ fn spawn_node(
     node_cat: &[AlertStrategy],
     make_governor: &GovernorFactory,
 ) -> io::Result<IngestdHandle> {
-    let mut config = config.clone();
-    // Node role: forward emerging documents up instead of running the
-    // sequential pass locally — the cluster coordinator owns it.
-    if config.streaming.emerging.mode != EmergingMode::Off {
-        config.streaming.emerging.mode = EmergingMode::Forward;
-        config.defer_emerging = true;
-    }
-    // Same for the QoA feedback loop: nodes extract and forward
-    // per-strategy samples; the cluster coordinator owns the one
-    // sequential model and pushes verdicts back down.
-    if config.streaming.qoa.mode != QoaMode::Off {
-        config.streaming.qoa.mode = QoaMode::Forward;
-        config.defer_qoa = true;
-    }
-    Ingestd::spawn(&config, |shard, shards| {
+    Ingestd::spawn_node(config, |shard, shards| {
         make_governor(&shard_catalog(node_cat, shards, shard))
     })
 }
@@ -356,8 +339,12 @@ impl AlertCluster {
         }
         metrics.nodes_alive.set(config.nodes as u64);
 
-        let emerging = (config.node.streaming.emerging.mode != EmergingMode::Off)
-            .then(|| EmergingAlertDetector::new(config.node.streaming.emerging.config.clone()));
+        // The QoA model stays parked during the replay below: the
+        // labels that trained it were never journaled, so re-closing
+        // the retained windows must not relearn from empty ones.
+        let streaming = &config.node.streaming;
+        let closer = WindowCloser::new(streaming.storm, streaming.emerging.unless_off(), None)
+            .with_metrics(metrics.emerging.clone(), metrics.qoa.clone());
 
         let mut cluster = Self {
             config,
@@ -368,11 +355,7 @@ impl AlertCluster {
             make_governor,
             seq: 0,
             latest: None,
-            emerging,
-            // Parked during the replay below: the labels that trained
-            // the model were never journaled, so re-closing the
-            // retained windows must not relearn from empty ones.
-            qoa: None,
+            closer,
             metrics,
         };
 
@@ -399,20 +382,20 @@ impl AlertCluster {
         // uninterrupted run, and re-journal the checkpoint into each
         // fresh open segment so even a restart before the next close
         // still finds it.
-        if cluster.config.node.streaming.qoa.mode != QoaMode::Off {
-            let qoa_config = cluster.config.node.streaming.qoa.config;
-            let model = recovered_qoa
-                .and_then(|ckpt| OnlineQoaModel::from_checkpoint(qoa_config, &ckpt))
-                .unwrap_or_else(|| OnlineQoaModel::new(qoa_config));
-            let verdicts = model.verdicts();
-            let bytes = model.checkpoint().to_bytes();
-            for slot in &cluster.slots {
-                if let Some(handle) = &slot.handle {
-                    handle.push_qoa_verdicts(&verdicts);
-                }
-                slot.wal.qoa_state(&bytes)?;
+        if let Some(qoa_config) = cluster.config.node.streaming.qoa.unless_off() {
+            if !recovered_qoa.is_some_and(|ckpt| cluster.closer.restore_qoa(qoa_config, &ckpt)) {
+                cluster.closer.start_qoa(qoa_config);
             }
-            cluster.qoa = Some(model);
+            if let Some(model) = cluster.closer.qoa_model() {
+                let verdicts = model.verdicts();
+                let bytes = model.checkpoint().to_bytes();
+                for slot in &cluster.slots {
+                    if let Some(handle) = &slot.handle {
+                        handle.push_qoa_verdicts(&verdicts);
+                    }
+                    slot.wal.qoa_state(&bytes)?;
+                }
+            }
         }
         Ok(cluster)
     }
@@ -465,11 +448,12 @@ impl AlertCluster {
     }
 
     /// Closes the cluster window: every alive node closes and returns
-    /// its [`WindowDelta`]; the deltas merge through the commutative
-    /// monoid into one [`GovernanceSnapshot`] (the same merge a single
-    /// daemon applies across its shards — cluster == 1-node == batch,
-    /// byte for byte); the cluster's single AO-LDA pass runs over the
-    /// merged window documents; and each alive node's WAL is sealed at
+    /// its [`alertops_core::WindowDelta`]; the closer merges the deltas
+    /// through the commutative monoid into one [`GovernanceSnapshot`]
+    /// (the same merge a single daemon applies across its shards —
+    /// cluster == 1-node == batch, byte for byte) and runs the
+    /// cluster's single AO-LDA pass over the merged window documents;
+    /// and each alive node's WAL is sealed at
     /// this sequence number. Dead nodes contribute nothing this window
     /// — their shards are listed in the snapshot's `degraded` (flat
     /// `node * shards + shard` encoding) and their journaled alerts
@@ -527,21 +511,11 @@ impl AlertCluster {
         }
         degraded.sort_unstable();
 
-        let merged = WindowDelta::merge_all(&deltas);
-        let mut snapshot =
-            GovernanceSnapshot::from_delta(&merged, &self.config.node.streaming.storm);
+        let closed = self.closer.close(&deltas, &labels);
+        let mut snapshot = closed.snapshot;
         snapshot.window_index = seq;
         snapshot.degraded = degraded;
-        if let Some(detector) = self.emerging.as_mut() {
-            snapshot.emerging = Some(detector.observe_docs(&merged.emerging_docs));
-        }
-        if let Some(model) = self.qoa.as_mut() {
-            let report = {
-                let _span = self.metrics.qoa.update_timer();
-                model.observe_window(&merged.qoa_samples, &labels)
-            };
-            self.metrics.qoa.record_report(&report);
-            let verdicts = model.verdicts();
+        if let (Some(verdicts), Some(model)) = (closed.verdicts, self.closer.qoa_model()) {
             let bytes = model.checkpoint().to_bytes();
             for &node in &closed_nodes {
                 let slot = &self.slots[node];
@@ -552,7 +526,6 @@ impl AlertCluster {
                 // segment carries the model state as of this close.
                 slot.wal.qoa_state(&bytes)?;
             }
-            snapshot.qoa = Some(report);
         }
 
         // Seal every alive node's log at this sequence number.
@@ -626,7 +599,7 @@ impl AlertCluster {
         // coordinator's current verdicts, exactly like its peers; the
         // fresh log is re-seeded with the model checkpoint so a
         // whole-cluster restart right after this rejoin still finds it.
-        if let Some(model) = &self.qoa {
+        if let Some(model) = self.closer.qoa_model() {
             handle.push_qoa_verdicts(&model.verdicts());
             wal.qoa_state(&model.checkpoint().to_bytes())?;
         }
@@ -831,7 +804,7 @@ impl AlertCluster {
         }
         // Same protocol as rejoin: current verdicts down, checkpoint
         // into the fresh log.
-        if let Some(model) = &self.qoa {
+        if let Some(model) = self.closer.qoa_model() {
             handle.push_qoa_verdicts(&model.verdicts());
             wal.qoa_state(&model.checkpoint().to_bytes())?;
         }
@@ -885,7 +858,7 @@ impl AlertCluster {
     /// compares across a shutdown/spawn cycle.
     #[must_use]
     pub fn qoa_model_digest(&self) -> Option<u64> {
-        self.qoa.as_ref().map(OnlineQoaModel::digest)
+        self.closer.qoa_model().map(|model| model.digest())
     }
 
     /// The sequence number the next window close will publish under —

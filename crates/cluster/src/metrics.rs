@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use alertops_core::QoaMetrics;
+use alertops_core::{EmergingMetrics, QoaMetrics};
 use alertops_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// Per-node WAL depth gauges.
@@ -56,6 +56,10 @@ pub struct ClusterMetrics {
     pub handoffs: Arc<Counter>,
     /// End-to-end handoff latency (seal, ship, respawn both ends), µs.
     pub handoff_micros: Arc<Histogram>,
+    /// The coordinator's AO-LDA pass, when the emerging channel is on
+    /// — the same `alertops_emerging_*` families a local-mode governor
+    /// or standalone daemon records into.
+    pub emerging: EmergingMetrics,
     /// The coordinator's online-QoA model update, when the feedback
     /// loop is on — the same `alertops_qoa_*` families a local-mode
     /// governor or standalone daemon records into.
@@ -151,6 +155,7 @@ impl ClusterMetrics {
                 "End-to-end range handoff latency in microseconds.",
                 &[],
             ),
+            emerging: EmergingMetrics::register(&registry),
             qoa: QoaMetrics::register(&registry),
             wal,
             registry,

@@ -13,8 +13,8 @@
 //! byte-identically — [`crate::wal::replay`] sniffs the format per
 //! segment and routes v1 segments here) and **benchmarking** (a
 //! [`crate::Wal`] opened with [`crate::WalFormat::V1Json`] appends in
-//! this format, which is how `cluster_bench` measures the journaling
-//! tax the binary format removes).
+//! this format, which is how `benches/codec.rs` measures the
+//! journaling tax the binary format removes).
 //!
 //! This module is the only place on the WAL/handoff path allowed to
 //! re-serialize records through `serde_json` — the determinism audit

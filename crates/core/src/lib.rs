@@ -54,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+mod closer;
 mod governor;
 mod guidelines;
 mod metrics;
@@ -64,6 +65,7 @@ mod streaming;
 
 pub mod prelude;
 
+pub use closer::{ClosedWindow, WindowCloser};
 pub use governor::{AlertGovernor, GovernorConfig};
 pub use guidelines::{GuidelineAspect, GuidelineContext, GuidelineLinter, GuidelineViolation};
 pub use metrics::{EmergingMetrics, GovernorMetrics, QoaMetrics};
@@ -71,8 +73,8 @@ pub use postmortem::{render_postmortem, PostmortemInput};
 pub use remediation::{apply_fixes, suggest_fixes, FixAction, RemediationConfig, StrategyFix};
 pub use reports::GovernanceReport;
 pub use streaming::{
-    merge_emerging_docs, EmergingChannel, EmergingMode, GovernanceSnapshot, QoaChannel, QoaMode,
-    StreamingCheckpoint, StreamingConfig, StreamingGovernor, WindowDelta,
+    merge_emerging_docs, Channel, ChannelMode, EmergingChannel, EmergingMode, GovernanceSnapshot,
+    QoaChannel, QoaMode, StreamingCheckpoint, StreamingConfig, StreamingGovernor, WindowDelta,
 };
 
 // Downstream layers (ingestd, cluster) speak the QoA loop's vocabulary

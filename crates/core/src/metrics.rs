@@ -10,12 +10,10 @@ use alertops_react::{EmergingReport, ReactMetrics};
 /// Metric handles for the emerging-alert (R4) channel: AO-LDA
 /// per-window wall time plus emerging-topic/alert counters.
 ///
-/// Shared by the two places the sequential AO-LDA pass can run — a
-/// [`StreamingGovernor`](crate::StreamingGovernor) in local mode and
-/// the ingestd coordinator after its merge. Registration is
-/// idempotent per registry (the `(name, labels)` dedup in
-/// `alertops-obs`), so both embedders may register against the same
-/// registry.
+/// Recorded by whichever [`WindowCloser`](crate::WindowCloser) runs
+/// the sequential AO-LDA pass. Registration is idempotent per registry
+/// (the `(name, labels)` dedup in `alertops-obs`), so a governor and
+/// its daemon may register against the same registry.
 #[derive(Debug, Clone)]
 pub struct EmergingMetrics {
     window_micros: Arc<Histogram>,
@@ -61,11 +59,10 @@ impl EmergingMetrics {
 
 /// Metric handles for the streaming QoA feedback channel: model
 /// update wall time, windows and samples absorbed, and the current
-/// verdict counts. Shared by every place the sequential `partial_fit`
-/// pass can run — a local-mode [`StreamingGovernor`]
-/// (crate::StreamingGovernor), the ingestd coordinator, or the
-/// cluster coordinator — with the same idempotent-registration rule
-/// as [`EmergingMetrics`].
+/// verdict counts. Recorded by whichever
+/// [`WindowCloser`](crate::WindowCloser) runs the sequential
+/// `partial_fit` pass, with the same idempotent-registration rule as
+/// [`EmergingMetrics`].
 #[derive(Debug, Clone)]
 pub struct QoaMetrics {
     update_micros: Arc<Histogram>,

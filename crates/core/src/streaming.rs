@@ -23,78 +23,86 @@ use alertops_qoa::{
     FeatureExtractor, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, QoaSample, QoaVerdicts,
     QoaWindowReport,
 };
-use alertops_react::{EmergingAlertDetector, EmergingConfig, EmergingDoc, EmergingReport};
+use alertops_react::{EmergingConfig, EmergingDoc, EmergingReport};
 
+use crate::closer::WindowCloser;
 use crate::governor::AlertGovernor;
 
-/// How the emerging-alert channel (R4, adaptive online LDA) runs in the
-/// streaming loop.
+/// Where a *sequential* post-merge channel runs. The emerging-alert
+/// channel (R4, AO-LDA) and the streaming QoA feedback loop share this
+/// shape: each window's pass depends on the full preceding stream
+/// (AO-LDA's adaptive prior, `partial_fit`'s order sensitivity), so the
+/// single pass must run at the topmost merge point for N-shard output
+/// to reproduce the 1-shard output byte-identically. See
+/// [`WindowCloser`](crate::WindowCloser) for who runs it where.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EmergingMode {
-    /// The channel is off: no documents extracted, no reports.
+pub enum ChannelMode {
+    /// The channel is off: nothing extracted, no reports.
     #[default]
     Off,
-    /// Extract this window's documents into
-    /// [`WindowDelta::emerging_docs`] but do not run AO-LDA locally.
-    /// A downstream coordinator merges the forwards of all shards and
-    /// runs the *single sequential* AO-LDA pass over them — the only
-    /// arrangement in which an N-shard deployment reproduces the
-    /// 1-shard emerging output byte-identically, because AO-LDA's
-    /// adaptive prior makes every window depend on the full preceding
-    /// document stream.
-    Forward,
-    /// Run AO-LDA locally per window and embed the report in
-    /// [`WindowDelta::emerging`] (single-process deployments).
-    Local,
-}
-
-/// Emerging-channel configuration carried by [`StreamingConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct EmergingChannel {
-    /// Whether and where the AO-LDA pass runs.
-    pub mode: EmergingMode,
-    /// Detector configuration (window length, topic count, seed), plus
-    /// the opt-in storm-load token budget
-    /// ([`alertops_react::EmergingBudget`]): set `config.budget` to cap
-    /// per-window tokens via seeded adaptive sampling. The budget rides
-    /// inside this config through ingestd and cluster unchanged —
-    /// whichever process runs the sequential AO-LDA pass applies it.
-    pub config: EmergingConfig,
-}
-
-/// How the streaming QoA feedback loop runs. The same
-/// Forward-to-the-coordinator arrangement as [`EmergingMode`], and for
-/// the same reason: `partial_fit` is order-sensitive, so the single
-/// sequential model update must run at the topmost merge point for
-/// N-shard output to reproduce the 1-shard output byte-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QoaMode {
-    /// The loop is off: no samples extracted, no scores, no verdicts.
-    #[default]
-    Off,
-    /// Extract this window's per-strategy feature vectors into
-    /// [`WindowDelta::qoa_samples`] but do not update a model locally;
-    /// a downstream coordinator merges the forwards, runs the single
-    /// `partial_fit` pass against the window's labels, and pushes the
+    /// Extract this window's input — documents into
+    /// [`WindowDelta::emerging_docs`], per-strategy feature vectors
+    /// into [`WindowDelta::qoa_samples`] — but do not run the pass
+    /// locally. A downstream coordinator merges the forwards of all
+    /// shards, runs the one pass over them, and (for QoA) pushes the
     /// resulting [`QoaVerdicts`] back down before the next close.
     Forward,
-    /// Run the online model locally: absorb labels, score, and embed
-    /// the [`QoaWindowReport`] in [`WindowDelta::qoa`]
+    /// Run the pass locally per window and embed the report in
+    /// [`WindowDelta::emerging`] / [`WindowDelta::qoa`]
     /// (single-process deployments).
     Local,
 }
 
-/// QoA-feedback configuration carried by [`StreamingConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct QoaChannel {
-    /// Whether and where the online model update runs.
-    pub mode: QoaMode,
-    /// Loop hyperparameters (learning rate, EMA smoothing, demotion /
-    /// escalation thresholds). Rides through ingestd and cluster
-    /// unchanged — whichever process owns the sequential model applies
-    /// it.
-    pub config: QoaFeedbackConfig,
+impl ChannelMode {
+    /// The mode a shard below a merge point runs this channel in:
+    /// shards only ever forward (or stay off) — a per-shard pass would
+    /// make the channel's output depend on the shard count.
+    fn shard_role(self) -> Self {
+        match self {
+            Self::Off => Self::Off,
+            Self::Forward | Self::Local => Self::Forward,
+        }
+    }
 }
+
+/// One sequential channel's configuration, carried by
+/// [`StreamingConfig`]: where the pass runs, plus the pass's own
+/// config. The config rides through ingestd and cluster unchanged —
+/// whichever process runs the pass applies it (including the emerging
+/// channel's opt-in storm-load token budget,
+/// [`alertops_react::EmergingBudget`]).
+#[derive(Debug, Clone, Default)]
+pub struct Channel<C> {
+    /// Whether and where the pass runs.
+    pub mode: ChannelMode,
+    /// The pass's configuration.
+    pub config: C,
+}
+
+impl<C: Clone> Channel<C> {
+    /// The config, when the channel is on at all — what the topmost
+    /// merge point's closer runs with.
+    #[must_use]
+    pub fn unless_off(&self) -> Option<C> {
+        (self.mode != ChannelMode::Off).then(|| self.config.clone())
+    }
+
+    /// The config, when the channel runs in [`ChannelMode::Local`].
+    fn if_local(&self) -> Option<C> {
+        (self.mode == ChannelMode::Local).then(|| self.config.clone())
+    }
+}
+
+/// [`ChannelMode`] of the emerging-alert (R4) channel.
+pub type EmergingMode = ChannelMode;
+/// [`ChannelMode`] of the streaming QoA feedback loop.
+pub type QoaMode = ChannelMode;
+/// Emerging-channel configuration (detector window length, topic
+/// count, seed, budget).
+pub type EmergingChannel = Channel<EmergingConfig>;
+/// QoA-feedback configuration (learning rate, EMA smoothing, demotion
+/// / escalation thresholds).
+pub type QoaChannel = Channel<QoaFeedbackConfig>;
 
 /// Configuration for [`StreamingGovernor`].
 #[derive(Debug, Clone)]
@@ -362,10 +370,11 @@ pub struct GovernanceSnapshot {
     /// the daemon's coordinator fills it in.
     pub degraded: Vec<usize>,
     /// The emerging-channel (R4) report for this window, when the
-    /// channel is enabled. [`GovernanceSnapshot::merge`] always leaves
-    /// this `None` — AO-LDA is inherently sequential (each window's
-    /// prior adapts from the previous windows' topics), so the
-    /// coordinator runs the single pass over the merged
+    /// channel is enabled. [`GovernanceSnapshot::from_delta`] passes a
+    /// report already embedded in the delta through
+    /// ([`ChannelMode::Local`]); in sharded deployments the deltas
+    /// carry only forwarded documents, and the topmost
+    /// [`WindowCloser`] runs the single AO-LDA pass over the merged
     /// [`WindowDelta::emerging_docs`] *after* merging and fills this
     /// in, keeping 1-shard and N-shard output byte-identical.
     pub emerging: Option<EmergingReport>,
@@ -373,12 +382,11 @@ pub struct GovernanceSnapshot {
     /// is QoA-promoted, sorted by alert id. Exact under sharding:
     /// promotion is per strategy and each strategy lives on one shard.
     pub escalated: Vec<AlertId>,
-    /// The QoA window report, when the feedback loop is enabled.
-    /// [`GovernanceSnapshot::from_delta`] passes a report already
-    /// embedded in the delta through ([`QoaMode::Local`]); in sharded
-    /// deployments the deltas carry only forwarded samples, and the
-    /// coordinator runs the single sequential model update *after*
-    /// merging and fills this in — same contract as `emerging`.
+    /// The QoA window report, when the feedback loop is enabled —
+    /// same contract as `emerging`: passed through from a
+    /// [`ChannelMode::Local`] delta, otherwise filled in by the
+    /// topmost [`WindowCloser`]'s model update over the merged
+    /// [`WindowDelta::qoa_samples`].
     pub qoa: Option<QoaWindowReport>,
 }
 
@@ -447,7 +455,7 @@ impl GovernanceSnapshot {
             storm_active,
             triage,
             degraded: Vec::new(),
-            emerging: None,
+            emerging: delta.emerging.clone(),
             escalated,
             qoa: delta.qoa.clone(),
         }
@@ -490,33 +498,24 @@ pub struct StreamingGovernor {
     incidents: Vec<Incident>,
     previous_flags: BTreeSet<(AntiPattern, StrategyId)>,
     windows_ingested: u64,
-    /// The local AO-LDA detector, present iff the emerging channel
-    /// runs in [`EmergingMode::Local`].
-    emerging: Option<EmergingAlertDetector>,
     /// The QoA feature extractor, present iff the feedback loop is on
     /// (either mode — Forward shards extract, too).
     qoa_extractor: Option<FeatureExtractor>,
-    /// The online QoA model, present iff the loop runs in
-    /// [`QoaMode::Local`].
-    qoa_model: Option<OnlineQoaModel>,
+    /// Runs the sequential passes of the channels in
+    /// [`ChannelMode::Local`] (none, for a shard governor).
+    closer: WindowCloser,
 }
 
 impl StreamingGovernor {
     /// Wraps a governor for streaming use.
     #[must_use]
     pub fn new(governor: AlertGovernor, config: StreamingConfig) -> Self {
-        let emerging = match config.emerging.mode {
-            EmergingMode::Local => Some(EmergingAlertDetector::new(config.emerging.config.clone())),
-            EmergingMode::Off | EmergingMode::Forward => None,
-        };
-        let qoa_extractor = match config.qoa.mode {
-            QoaMode::Off => None,
-            QoaMode::Forward | QoaMode::Local => Some(FeatureExtractor::new()),
-        };
-        let qoa_model = match config.qoa.mode {
-            QoaMode::Local => Some(OnlineQoaModel::new(config.qoa.config)),
-            QoaMode::Off | QoaMode::Forward => None,
-        };
+        let qoa_extractor = (config.qoa.mode != QoaMode::Off).then(FeatureExtractor::new);
+        let closer = WindowCloser::new(
+            config.storm,
+            config.emerging.if_local(),
+            config.qoa.if_local(),
+        );
         Self {
             governor,
             config,
@@ -524,63 +523,23 @@ impl StreamingGovernor {
             incidents: Vec::new(),
             previous_flags: BTreeSet::new(),
             windows_ingested: 0,
-            emerging,
             qoa_extractor,
-            qoa_model,
+            closer,
         }
     }
 
-    /// The emerging-channel mode this governor runs in.
+    /// Normalises this governor to the shard role below a merge point
+    /// whose channels are configured as `streaming`: each channel
+    /// forwards its input (or stays off) and any local sequential
+    /// state is dropped, however the caller built the governor. This
+    /// is what keeps N-shard output byte-identical to 1-shard.
     #[must_use]
-    pub fn emerging_mode(&self) -> EmergingMode {
-        self.config.emerging.mode
-    }
-
-    /// Overrides the emerging-channel mode. The ingestd daemon uses
-    /// this to normalize shard governors: whatever mode the caller
-    /// built them with, shards must only *forward* documents (or stay
-    /// off) — a per-shard local AO-LDA pass would make emerging output
-    /// depend on the shard count. Switching into
-    /// [`EmergingMode::Local`] (re)creates a fresh local detector; any
-    /// other switch drops it.
-    pub fn set_emerging_mode(&mut self, mode: EmergingMode) {
-        if mode == self.config.emerging.mode {
-            return;
-        }
-        self.config.emerging.mode = mode;
-        self.emerging = match mode {
-            EmergingMode::Local => Some(EmergingAlertDetector::new(
-                self.config.emerging.config.clone(),
-            )),
-            EmergingMode::Off | EmergingMode::Forward => None,
-        };
-    }
-
-    /// The QoA-loop mode this governor runs in.
-    #[must_use]
-    pub fn qoa_mode(&self) -> QoaMode {
-        self.config.qoa.mode
-    }
-
-    /// Overrides the QoA-loop mode. The ingestd daemon uses this the
-    /// same way it uses [`set_emerging_mode`](Self::set_emerging_mode):
-    /// shard governors are normalized to *forward* samples (or stay
-    /// off), because a per-shard `partial_fit` would make the model
-    /// depend on the shard count. Switching into [`QoaMode::Local`]
-    /// (re)creates a fresh model; any other switch drops it.
-    pub fn set_qoa_mode(&mut self, mode: QoaMode) {
-        if mode == self.config.qoa.mode {
-            return;
-        }
-        self.config.qoa.mode = mode;
-        self.qoa_extractor = match mode {
-            QoaMode::Off => None,
-            QoaMode::Forward | QoaMode::Local => Some(FeatureExtractor::new()),
-        };
-        self.qoa_model = match mode {
-            QoaMode::Local => Some(OnlineQoaModel::new(self.config.qoa.config)),
-            QoaMode::Off | QoaMode::Forward => None,
-        };
+    pub fn into_shard(mut self, streaming: &StreamingConfig) -> Self {
+        self.config.emerging.mode = streaming.emerging.mode.shard_role();
+        self.config.qoa.mode = streaming.qoa.mode.shard_role();
+        self.qoa_extractor = (self.config.qoa.mode != QoaMode::Off).then(FeatureExtractor::new);
+        self.closer = WindowCloser::new(self.config.storm, None, None);
+        self
     }
 
     /// Installs QoA verdicts on the wrapped governor — how a
@@ -594,14 +553,14 @@ impl StreamingGovernor {
     /// ([`QoaMode::Local`]).
     #[must_use]
     pub fn qoa_model(&self) -> Option<&OnlineQoaModel> {
-        self.qoa_model.as_ref()
+        self.closer.qoa_model()
     }
 
     /// Captures the local QoA model's state for journaling, when this
     /// governor owns one.
     #[must_use]
     pub fn qoa_checkpoint(&self) -> Option<QoaCheckpoint> {
-        self.qoa_model.as_ref().map(OnlineQoaModel::checkpoint)
+        self.qoa_model().map(OnlineQoaModel::checkpoint)
     }
 
     /// Restores the local QoA model from a checkpoint (switching the
@@ -609,16 +568,14 @@ impl StreamingGovernor {
     /// restored verdicts on the governor. Returns `false` when the
     /// checkpoint is malformed, leaving the current model untouched.
     pub fn restore_qoa(&mut self, checkpoint: &QoaCheckpoint) -> bool {
-        let Some(model) = OnlineQoaModel::from_checkpoint(self.config.qoa.config, checkpoint)
-        else {
+        if !self.closer.restore_qoa(self.config.qoa.config, checkpoint) {
             return false;
-        };
-        self.config.qoa.mode = QoaMode::Local;
-        if self.qoa_extractor.is_none() {
-            self.qoa_extractor = Some(FeatureExtractor::new());
         }
-        self.governor.set_qoa_verdicts(model.verdicts());
-        self.qoa_model = Some(model);
+        self.config.qoa.mode = QoaMode::Local;
+        self.qoa_extractor.get_or_insert_with(FeatureExtractor::new);
+        if let Some(model) = self.closer.qoa_model() {
+            self.governor.set_qoa_verdicts(model.verdicts());
+        }
         true
     }
 
@@ -634,6 +591,9 @@ impl StreamingGovernor {
     /// identical with or without metrics.
     #[must_use]
     pub fn with_metrics(mut self, metrics: crate::GovernorMetrics) -> Self {
+        self.closer = self
+            .closer
+            .with_metrics(metrics.emerging.clone(), metrics.qoa.clone());
         self.governor.set_metrics(metrics);
         self
     }
@@ -656,17 +616,7 @@ impl StreamingGovernor {
     /// detection engine (evicting windows that slide out of the rolling
     /// scope), and returns the delta.
     pub fn ingest(&mut self, window: &[Alert], incidents: &[Incident]) -> WindowDelta {
-        self.ingest_inner(window, incidents, &[])
-    }
-
-    /// Owned-window variant of [`ingest`](Self::ingest) for callers
-    /// that buffer alerts into a `Vec` they are done with (e.g. the
-    /// ingestd shard workers): the buffer is consumed instead of
-    /// borrowed, so handing it over costs nothing. Both paths share one
-    /// implementation, and with the digest-based engine neither copies
-    /// the alerts internally.
-    pub fn ingest_owned(&mut self, window: Vec<Alert>, incidents: &[Incident]) -> WindowDelta {
-        self.ingest_inner(&window, incidents, &[])
+        self.ingest_labeled(window, incidents, &[])
     }
 
     /// [`ingest`](Self::ingest) plus this window's OCE feedback
@@ -675,25 +625,6 @@ impl StreamingGovernor {
     /// they are ignored here (a Forward shard's labels travel to its
     /// coordinator out of band, alongside the window close).
     pub fn ingest_labeled(
-        &mut self,
-        window: &[Alert],
-        incidents: &[Incident],
-        labels: &[QoaLabel],
-    ) -> WindowDelta {
-        self.ingest_inner(window, incidents, labels)
-    }
-
-    /// Owned-window variant of [`ingest_labeled`](Self::ingest_labeled).
-    pub fn ingest_owned_labeled(
-        &mut self,
-        window: Vec<Alert>,
-        incidents: &[Incident],
-        labels: &[QoaLabel],
-    ) -> WindowDelta {
-        self.ingest_inner(&window, incidents, labels)
-    }
-
-    fn ingest_inner(
         &mut self,
         window: &[Alert],
         incidents: &[Incident],
@@ -800,19 +731,16 @@ impl StreamingGovernor {
             escalated
         };
 
-        // The QoA loop: extract one feature vector per strategy that
-        // alerted (canonically sorted by strategy id), then either
-        // forward the samples for a coordinator's sequential model
-        // update or run the update locally. Runs after the reaction
-        // stage so this window's verdicts only govern window N+1.
-        let (qoa_samples, qoa) = match self.qoa_extractor.as_ref() {
-            None => (Vec::new(), None),
+        // The QoA channel's input: one feature vector per strategy
+        // that alerted, canonically sorted by strategy id.
+        let qoa_samples: Vec<QoaSample> = match self.qoa_extractor.as_ref() {
+            None => Vec::new(),
             Some(extractor) => {
                 let mut by_strategy: BTreeMap<StrategyId, Vec<&Alert>> = BTreeMap::new();
                 for alert in window {
                     by_strategy.entry(alert.strategy()).or_default().push(alert);
                 }
-                let samples: Vec<QoaSample> = by_strategy
+                by_strategy
                     .iter()
                     .filter_map(|(&id, alerts)| {
                         let strategy = self.governor.strategies().iter().find(|s| s.id() == id)?;
@@ -826,47 +754,27 @@ impl StreamingGovernor {
                             ),
                         })
                     })
-                    .collect();
-                match self.qoa_model.as_mut() {
-                    Some(model) => {
-                        let report = model.observe_window(&samples, labels);
-                        self.governor.set_qoa_verdicts(model.verdicts());
-                        (Vec::new(), Some(report))
-                    }
-                    None => (samples, None),
-                }
+                    .collect()
             }
         };
 
-        // R4 — the emerging channel. The document list is canonically
-        // sorted by alert id so a local pass, a coordinator pass over
-        // merged forwards, and any shard count all see the same order
-        // (floating-point accumulation makes document order part of
-        // the byte-identical contract).
-        let (emerging_docs, emerging) = match self.config.emerging.mode {
-            EmergingMode::Off => (Vec::new(), None),
+        // R4 — the emerging channel's input. The document list is
+        // canonically sorted by alert id so a local pass, a coordinator
+        // pass over merged forwards, and any shard count all see the
+        // same order (floating-point accumulation makes document order
+        // part of the byte-identical contract).
+        let emerging_docs: Vec<EmergingDoc> = match self.config.emerging.mode {
+            EmergingMode::Off => Vec::new(),
             EmergingMode::Forward | EmergingMode::Local => {
                 let mut docs: Vec<EmergingDoc> =
                     window.iter().map(EmergingDoc::from_alert).collect();
                 docs.sort_by_key(|d| d.alert);
-                match self.emerging.as_mut() {
-                    Some(detector) => {
-                        let report = {
-                            let _span = self.governor.metrics().map(|m| m.emerging.window_timer());
-                            detector.observe_docs(&docs)
-                        };
-                        if let Some(m) = self.governor.metrics() {
-                            m.emerging.record_report(&report);
-                        }
-                        (Vec::new(), Some(report))
-                    }
-                    None => (docs, None),
-                }
+                docs
             }
         };
 
         self.previous_flags = current_flags;
-        let delta = WindowDelta {
+        let mut delta = WindowDelta {
             window_index: self.windows_ingested,
             alert_count: window.len(),
             new_findings,
@@ -876,12 +784,29 @@ impl StreamingGovernor {
             window_hours,
             triage: pipeline.triage,
             emerging_docs,
-            emerging,
+            emerging: None,
             qoa_samples,
             escalated,
-            qoa,
+            qoa: None,
         };
         self.windows_ingested += 1;
+
+        // Channels in Local mode: the closer consumes the input a
+        // Forward governor would have forwarded and the report takes
+        // its place. Runs after the reaction stage, so this window's
+        // verdicts only govern window N+1.
+        let (emerging, qoa) = self.closer.run_passes(&delta, labels);
+        if emerging.is_some() {
+            delta.emerging_docs = Vec::new();
+            delta.emerging = emerging;
+        }
+        if qoa.is_some() {
+            delta.qoa_samples = Vec::new();
+            delta.qoa = qoa;
+            if let Some(model) = self.closer.qoa_model() {
+                self.governor.set_qoa_verdicts(model.verdicts());
+            }
+        }
         delta
     }
 }
@@ -995,6 +920,7 @@ mod tests {
     use super::*;
     use crate::governor::GovernorConfig;
     use alertops_model::{AlertStrategy, Clearance, LogRule, SimDuration, SimTime, StrategyKind};
+    use alertops_react::EmergingAlertDetector;
 
     fn noisy_strategy(id: u64) -> AlertStrategy {
         AlertStrategy::builder(StrategyId(id))
@@ -1158,22 +1084,49 @@ mod tests {
 
     #[test]
     fn snapshot_merge_of_single_delta_preserves_fields() {
-        let mut s = streaming(24);
-        let delta = s.ingest(&transient_window(1_000, 2, 1, 150), &[]);
-        let snapshot =
-            GovernanceSnapshot::merge(std::slice::from_ref(&delta), &StormConfig::default());
-        assert_eq!(snapshot.window_index, delta.window_index);
-        assert_eq!(snapshot.alert_count, delta.alert_count);
-        assert_eq!(snapshot.storm_active, delta.storm_active);
-        assert!(snapshot.storm_active, "150 alerts/hour is a storm");
-        assert_eq!(snapshot.storms.len(), 1);
-        let mut triage = delta.triage.clone();
-        triage.sort_unstable();
-        assert_eq!(snapshot.triage, triage);
-        assert!(snapshot.degraded.is_empty(), "merge never marks degraded");
-        let json = serde_json::to_string(&snapshot).unwrap();
-        let back: GovernanceSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(snapshot, back);
+        let window = transient_window(1_000, 2, 1, 150);
+        // Second input: a governor running both sequential channels
+        // locally, whose delta carries the reports itself.
+        let mut local = StreamingGovernor::new(
+            AlertGovernor::new(vec![noisy_strategy(2)], GovernorConfig::default()),
+            StreamingConfig {
+                emerging: EmergingChannel {
+                    mode: EmergingMode::Local,
+                    ..EmergingChannel::default()
+                },
+                qoa: QoaChannel {
+                    mode: QoaMode::Local,
+                    ..QoaChannel::default()
+                },
+                ..StreamingConfig::default()
+            },
+        );
+        for (delta, local_reports) in [
+            (streaming(24).ingest(&window, &[]), false),
+            (
+                local.ingest_labeled(&window, &[], &labels_for(&window, true)),
+                true,
+            ),
+        ] {
+            let snapshot =
+                GovernanceSnapshot::merge(std::slice::from_ref(&delta), &StormConfig::default());
+            assert_eq!(snapshot.window_index, delta.window_index);
+            assert_eq!(snapshot.alert_count, delta.alert_count);
+            assert_eq!(snapshot.storm_active, delta.storm_active);
+            assert!(snapshot.storm_active, "150 alerts/hour is a storm");
+            assert_eq!(snapshot.storms.len(), 1);
+            let mut triage = delta.triage.clone();
+            triage.sort_unstable();
+            assert_eq!(snapshot.triage, triage);
+            assert!(snapshot.degraded.is_empty(), "merge never marks degraded");
+            assert_eq!(delta.emerging.is_some(), local_reports);
+            assert_eq!(delta.qoa.is_some(), local_reports);
+            assert_eq!(snapshot.emerging, delta.emerging);
+            assert_eq!(snapshot.qoa, delta.qoa);
+            let json = serde_json::to_string(&snapshot).unwrap();
+            let back: GovernanceSnapshot = serde_json::from_str(&json).unwrap();
+            assert_eq!(snapshot, back);
+        }
     }
 
     fn streaming_with_emerging(mode: EmergingMode) -> StreamingGovernor {
@@ -1196,7 +1149,7 @@ mod tests {
     #[test]
     fn emerging_off_emits_nothing() {
         let mut s = streaming(24);
-        assert_eq!(s.emerging_mode(), EmergingMode::Off);
+        assert_eq!(s.config.emerging.mode, EmergingMode::Off);
         let d = s.ingest(&transient_window(0, 1, 0, 5), &[]);
         assert!(d.emerging_docs.is_empty());
         assert!(d.emerging.is_none());
@@ -1346,7 +1299,7 @@ mod tests {
     #[test]
     fn qoa_off_emits_nothing() {
         let mut s = streaming(24);
-        assert_eq!(s.qoa_mode(), QoaMode::Off);
+        assert_eq!(s.config.qoa.mode, QoaMode::Off);
         let d = s.ingest(&transient_window(0, 1, 0, 5), &[]);
         assert!(d.qoa_samples.is_empty());
         assert!(d.qoa.is_none());
@@ -1373,7 +1326,9 @@ mod tests {
 
     #[test]
     fn local_mode_equals_coordinator_pass_over_merged_sample_forwards() {
-        let mut local = streaming_with_qoa(QoaMode::Local);
+        let registry = alertops_obs::MetricsRegistry::new();
+        let mut local = streaming_with_qoa(QoaMode::Local)
+            .with_metrics(crate::GovernorMetrics::register(&registry));
         let mut shard_a = streaming_with_qoa(QoaMode::Forward);
         let mut shard_b = streaming_with_qoa(QoaMode::Forward);
         let mut coordinator = OnlineQoaModel::new(QoaFeedbackConfig::default());
@@ -1405,6 +1360,11 @@ mod tests {
             local.qoa_model().expect("local model").digest(),
             coordinator.digest()
         );
+        // The local pass is observed like a coordinator's: one update
+        // span per window closed.
+        assert!(registry
+            .render()
+            .contains("alertops_qoa_update_micros_count 4\n"));
     }
 
     #[test]
@@ -1438,7 +1398,7 @@ mod tests {
         let checkpoint = original.qoa_checkpoint().expect("local model checkpoints");
         let mut restored = streaming_with_qoa(QoaMode::Off);
         assert!(restored.restore_qoa(&checkpoint));
-        assert_eq!(restored.qoa_mode(), QoaMode::Local);
+        assert_eq!(restored.config.qoa.mode, QoaMode::Local);
         assert_eq!(
             original.qoa_model().expect("model").digest(),
             restored.qoa_model().expect("model").digest()

@@ -32,13 +32,21 @@ pub struct IngestdConfig {
     /// Full-queue behaviour.
     pub overflow: OverflowPolicy,
     /// Per-shard streaming governor configuration (history depth,
-    /// storm thresholds, emerging channel). Setting
-    /// `streaming.emerging.mode` to anything but
-    /// [`alertops_core::EmergingMode::Off`] enables the emerging-alert
-    /// (R4) channel: shards forward each window's alert documents, the
-    /// coordinator runs the single sequential AO-LDA pass after its
-    /// merge, and the report is published in
-    /// [`alertops_core::GovernanceSnapshot::emerging`].
+    /// storm thresholds, the emerging and QoA channels). Setting
+    /// `streaming.emerging.mode` / `streaming.qoa.mode` to anything
+    /// but [`alertops_core::ChannelMode::Off`] enables that channel:
+    /// shards forward each window's documents / per-strategy feature
+    /// samples, and the coordinator's
+    /// [`alertops_core::WindowCloser`] runs the single sequential pass
+    /// after its merge — AO-LDA into
+    /// [`alertops_core::GovernanceSnapshot::emerging`], the online QoA
+    /// model update (against the labels handed to
+    /// [`crate::IngestdHandle::flush_labeled`]) into
+    /// [`alertops_core::GovernanceSnapshot::qoa`], its verdicts pushed
+    /// back down every shard queue before the next close. A daemon
+    /// spawned as a cluster node ([`crate::Ingestd::spawn_node`]) runs
+    /// neither pass: its merged forwards ride out in the published
+    /// window's delta for the cluster coordinator.
     pub streaming: StreamingConfig,
     /// `host:port` to accept alert ingress on. `None` disables the TCP
     /// listener (alerts arrive via [`crate::IngestdHandle::route`] or
@@ -72,38 +80,6 @@ pub struct IngestdConfig {
     /// handle methods ([`crate::IngestdHandle::inject_panic`] and
     /// friends) are not gated — they require holding the handle.
     pub chaos: bool,
-    /// Node role: this daemon is one member of a cluster, and a
-    /// cluster-level coordinator owns the single sequential AO-LDA
-    /// pass. With `true` and an enabled emerging channel, the daemon's
-    /// own coordinator does *not* run the detector after its merge —
-    /// the forwarded documents stay in the published window's
-    /// [`alertops_core::WindowDelta::emerging_docs`] for the level
-    /// above. Irrelevant when the emerging channel is off. `false`
-    /// (the default) is the standalone role: the daemon's coordinator
-    /// is the topmost merge point and runs the pass itself. A
-    /// storm-load token budget
-    /// (`streaming.emerging.config.budget`, see
-    /// [`alertops_react::EmergingBudget`]) is applied by whichever
-    /// process runs the pass — shard count still cannot change output,
-    /// because sampling happens after the merge, over the same merged
-    /// document stream.
-    pub defer_emerging: bool,
-    /// Node role for the QoA feedback channel, mirroring
-    /// [`defer_emerging`](Self::defer_emerging): the online QoA model's
-    /// `partial_fit` is a single sequential pass, so exactly one
-    /// process may run it. With `false` (standalone) and
-    /// `streaming.qoa.mode` enabled, this daemon's coordinator owns
-    /// the model: shards forward per-strategy feature samples, the
-    /// coordinator updates the model with the labels handed to
-    /// [`crate::IngestdHandle::flush_labeled`] at each close, and the
-    /// resulting verdicts are pushed back down every shard queue
-    /// before the next close. With `true` (cluster node role) the
-    /// merged samples stay in the published window's
-    /// [`alertops_core::WindowDelta::qoa_samples`] for the cluster
-    /// coordinator, which pushes verdicts back via
-    /// [`crate::IngestdHandle::push_qoa_verdicts`]. Irrelevant when
-    /// the QoA channel is off.
-    pub defer_qoa: bool,
 }
 
 impl Default for IngestdConfig {
@@ -119,8 +95,6 @@ impl Default for IngestdConfig {
             status: None,
             metrics: true,
             chaos: false,
-            defer_emerging: false,
-            defer_qoa: false,
         }
     }
 }

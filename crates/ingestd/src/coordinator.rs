@@ -6,32 +6,13 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use alertops_core::{GovernanceSnapshot, OnlineQoaModel, WindowDelta};
-use alertops_detect::StormConfig;
+use alertops_core::{ClosedWindow, GovernanceSnapshot, WindowCloser};
 use alertops_model::QoaLabel;
-use alertops_react::EmergingAlertDetector;
 
 use crate::counters::Counters;
 use crate::journal::WindowJournal;
 use crate::metrics::IngestdMetrics;
 use crate::worker::{ShardDelta, WorkerMsg};
-
-/// Everything one window close produced: the published snapshot plus
-/// the node-level [`WindowDelta`] it was built from (the fold of this
-/// daemon's per-shard deltas through the `WindowDelta` monoid). A
-/// cluster coordinator collects one `ClosedWindow` per node and merges
-/// the `delta`s again — same monoid, one level up — which is what
-/// makes N-node output byte-identical to 1-node output.
-#[derive(Debug, Clone)]
-pub struct ClosedWindow {
-    /// The merged snapshot this daemon published for the window.
-    pub snapshot: GovernanceSnapshot,
-    /// The fold of the per-shard deltas: exactly what a level above
-    /// needs to merge this node with its peers. When the daemon runs
-    /// in the deferred-emerging node role, the window's forwarded
-    /// documents ride along in `delta.emerging_docs`.
-    pub delta: WindowDelta,
-}
 
 /// Control messages for the coordinator.
 pub(crate) enum CoordMsg {
@@ -60,30 +41,15 @@ pub(crate) enum CoordMsg {
 /// synthetic empty delta for the in-flight `seq`, and the shard is
 /// listed in the published snapshot's `degraded` field.
 ///
-/// When the emerging channel is enabled and not deferred, the
-/// coordinator owns the one [`EmergingAlertDetector`]: shards only
-/// *forward* window documents (see
-/// `alertops_core::EmergingMode::Forward`), and the single sequential
-/// AO-LDA pass runs here, after the merge, over the id-sorted union of
-/// the forwards. AO-LDA's adaptive prior threads every window's model
-/// through the previous windows' topics, so any per-shard pass would
-/// diverge between shard counts; one pass at the merge point keeps
-/// 1-shard and N-shard emerging output byte-identical. The pass runs
-/// whether or not metrics are enabled. In the deferred node role the
-/// same argument moves the pass one level up: this daemon is *not*
-/// the topmost merge point, so it forwards the merged documents in
-/// its published [`ClosedWindow::delta`] instead.
-///
-/// The QoA feedback channel follows the same single-sequential-pass
-/// argument: `qoa` (when `Some`) is the one [`OnlineQoaModel`], fed
-/// the merged window's forwarded samples joined with the labels the
-/// flush carried. The model updates *after* the window's governance —
-/// window `N` is governed entirely by what window `N - 1` taught —
-/// and the fresh verdicts are pushed down every shard queue before
-/// the next close can be broadcast, so their application point is
-/// exact for any shard count. In the deferred node role
-/// (`defer_qoa`) the merged samples ride out in the published delta
-/// instead.
+/// Everything after the barrier is the [`WindowCloser`]'s: the merge,
+/// the snapshot, and — when this daemon is the topmost merge point —
+/// the sequential AO-LDA and QoA passes (shards only *forward* their
+/// input; see `alertops_core::ChannelMode::Forward`). A cluster node's
+/// closer runs no pass, so the merged documents and samples ride out
+/// in the published [`ClosedWindow::delta`] for the level above. What
+/// stays here is the verdict push-down: fresh verdicts go down every
+/// shard queue before the next close can be broadcast, so their
+/// application point is exact for any shard count.
 ///
 /// With a journal attached, [`WindowJournal::window_closed`] fires
 /// after the merge is published — the write-ahead log's cue to seal
@@ -94,9 +60,7 @@ pub(crate) fn run_coordinator(
     shard_txs: &[SyncSender<WorkerMsg>],
     deltas: &Receiver<ShardDelta>,
     tick: Option<Duration>,
-    storm: &StormConfig,
-    mut emerging: Option<EmergingAlertDetector>,
-    mut qoa: Option<OnlineQoaModel>,
+    mut closer: WindowCloser,
     journal: Option<Arc<dyn WindowJournal>>,
     snapshot_slot: &Arc<RwLock<Option<GovernanceSnapshot>>>,
     counters: &Arc<Counters>,
@@ -152,45 +116,21 @@ pub(crate) fn run_coordinator(
             m.barrier_wait_micros.observe(elapsed_micros(started));
         }
 
-        let merge_started = Instant::now();
-        let node_delta = WindowDelta::merge_all(&collected);
-        let mut snapshot = GovernanceSnapshot::from_delta(&node_delta, storm);
-        if let Some(m) = metrics {
-            m.merge_micros.observe(elapsed_micros(merge_started));
-        }
-        if let Some(detector) = emerging.as_mut() {
-            let report = {
-                let _span = metrics.map(|m| m.emerging.window_timer());
-                detector.observe_docs(&node_delta.emerging_docs)
-            };
-            if let Some(m) = metrics {
-                m.emerging.record_report(&report);
-            }
-            snapshot.emerging = Some(report);
-        }
-        if let Some(model) = qoa.as_mut() {
-            let report = {
-                let _span = metrics.map(|m| m.qoa_update_timer());
-                model.observe_window(&node_delta.qoa_samples, &labels)
-            };
-            if let Some(m) = metrics {
-                m.record_qoa(&report);
-            }
-            // Push the post-update verdicts down every shard queue
-            // *before* this loop can broadcast the next close: the
-            // per-shard queues are FIFO, so the verdicts are applied
-            // ahead of whatever window `seq + 1` governs.
-            let verdicts = model.verdicts();
+        let mut closed = closer.close(&collected, &labels);
+        if let Some(verdicts) = &closed.verdicts {
+            // Pushed down every shard queue *before* this loop can
+            // broadcast the next close: the per-shard queues are FIFO,
+            // so the verdicts are applied ahead of whatever window
+            // `seq + 1` governs.
             for tx in shard_txs {
                 let _ = tx.send(WorkerMsg::Qoa(verdicts.clone()));
             }
-            snapshot.qoa = Some(report);
         }
         degraded.sort_unstable();
         if !degraded.is_empty() {
             counters.degraded_windows.fetch_add(1, Ordering::Relaxed);
         }
-        snapshot.degraded = degraded;
+        closed.snapshot.degraded = degraded;
         let window_micros = elapsed_micros(started);
         counters
             .last_window_micros
@@ -206,12 +146,9 @@ pub(crate) fn run_coordinator(
         if let Some(journal) = &journal {
             journal.window_closed(seq);
         }
-        *snapshot_slot.write().unwrap_or_else(|e| e.into_inner()) = Some(snapshot.clone());
+        *snapshot_slot.write().unwrap_or_else(|e| e.into_inner()) = Some(closed.snapshot.clone());
         if let Some(ack) = ack {
-            let _ = ack.send(ClosedWindow {
-                snapshot,
-                delta: node_delta,
-            });
+            let _ = ack.send(closed);
         }
         seq += 1;
     }

@@ -18,11 +18,10 @@ use std::time::Duration;
 use std::{io, thread};
 
 use alertops_core::{
-    EmergingMode, GovernanceSnapshot, GovernorMetrics, OnlineQoaModel, QoaMode, QoaVerdicts,
-    StreamingGovernor,
+    ClosedWindow, EmergingMetrics, GovernanceSnapshot, GovernorMetrics, QoaMetrics, QoaVerdicts,
+    StreamingGovernor, WindowCloser,
 };
 use alertops_model::{Alert, QoaLabel};
-use alertops_react::EmergingAlertDetector;
 use alertops_wire::{AckFrame, ChaosCmd, WireDecoder, WireEncoder, WireError, WireFormat};
 
 use crate::codec::{
@@ -30,7 +29,7 @@ use crate::codec::{
     FrameError, QuarantineReason,
 };
 use crate::config::{IngestdConfig, OverflowPolicy};
-use crate::coordinator::{run_coordinator, ClosedWindow, CoordMsg};
+use crate::coordinator::{run_coordinator, CoordMsg};
 use crate::counters::{CounterSnapshot, Counters, QUEUE_ENQUEUED};
 use crate::journal::WindowJournal;
 use crate::metrics::{render_exposition, IngestdMetrics};
@@ -151,8 +150,8 @@ impl Router {
     }
 
     /// Pushes QoA verdicts down every shard queue — the cluster
-    /// coordinator's lever when this daemon runs the deferred node
-    /// role and the model lives a level up.
+    /// coordinator's lever when this daemon runs the node role and
+    /// the model lives a level up.
     fn push_qoa_verdicts(&self, verdicts: &QoaVerdicts) {
         for tx in &self.shard_txs {
             let _ = tx.send(WorkerMsg::Qoa(verdicts.clone()));
@@ -268,8 +267,44 @@ impl Ingestd {
     /// As [`Ingestd::spawn`].
     pub fn spawn_with_journal(
         config: &IngestdConfig,
+        make_governor: impl FnMut(usize, usize) -> StreamingGovernor,
+        journal: Option<Arc<dyn WindowJournal>>,
+    ) -> io::Result<IngestdHandle> {
+        // Standalone: this daemon's coordinator is the topmost merge
+        // point, so its closer runs every channel that is on.
+        let streaming = &config.streaming;
+        let closer = WindowCloser::new(
+            streaming.storm,
+            streaming.emerging.unless_off(),
+            streaming.qoa.unless_off(),
+        );
+        Self::spawn_inner(config, make_governor, journal, closer)
+    }
+
+    /// [`Ingestd::spawn`] in the cluster-node role: a cluster
+    /// coordinator one level up owns the sequential AO-LDA and QoA
+    /// passes, so this daemon's coordinator only merges. The merged
+    /// documents and samples its shards forwarded stay in each
+    /// published window's [`ClosedWindow::delta`] for the level above,
+    /// which pushes verdicts back via
+    /// [`IngestdHandle::push_qoa_verdicts`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Ingestd::spawn`].
+    pub fn spawn_node(
+        config: &IngestdConfig,
+        make_governor: impl FnMut(usize, usize) -> StreamingGovernor,
+    ) -> io::Result<IngestdHandle> {
+        let closer = WindowCloser::new(config.streaming.storm, None, None);
+        Self::spawn_inner(config, make_governor, None, closer)
+    }
+
+    fn spawn_inner(
+        config: &IngestdConfig,
         mut make_governor: impl FnMut(usize, usize) -> StreamingGovernor,
         journal: Option<Arc<dyn WindowJournal>>,
+        closer: WindowCloser,
     ) -> io::Result<IngestdHandle> {
         config
             .validate()
@@ -290,25 +325,12 @@ impl Ingestd {
         for shard in 0..config.shards {
             let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(config.queue_capacity);
             shard_txs.push(tx);
-            let mut governor = make_governor(shard, config.shards);
-            // Shard governors never run AO-LDA themselves — the
-            // coordinator owns the single sequential pass, so shards
-            // either forward window documents or keep the channel off,
-            // matching the daemon's configuration regardless of how the
-            // caller built the governor. This is what keeps N-shard
-            // emerging output byte-identical to 1-shard.
-            governor.set_emerging_mode(match config.streaming.emerging.mode {
-                EmergingMode::Off => EmergingMode::Off,
-                EmergingMode::Forward | EmergingMode::Local => EmergingMode::Forward,
-            });
-            // Same rule for the QoA channel: the online model's
-            // sequential partial_fit belongs to the (daemon or
-            // cluster) coordinator; shards only forward feature
-            // samples and apply pushed verdicts.
-            governor.set_qoa_mode(match config.streaming.qoa.mode {
-                QoaMode::Off => QoaMode::Off,
-                QoaMode::Forward | QoaMode::Local => QoaMode::Forward,
-            });
+            // Shards never run a sequential pass themselves — it
+            // belongs to a coordinator's closer — so each channel
+            // forwards or stays off, matching the daemon's
+            // configuration regardless of how the caller built the
+            // governor.
+            let mut governor = make_governor(shard, config.shards).into_shard(&config.streaming);
             if let Some(metrics) = &metrics {
                 // Shards share detect/react series: the registry hands
                 // every shard the same aggregate instruments.
@@ -338,20 +360,19 @@ impl Ingestd {
         let (coord_tx, coord_rx) = mpsc::channel::<CoordMsg>();
         {
             let shard_txs = shard_txs.clone();
-            let storm = config.streaming.storm;
             let tick = config.tick;
-            // The coordinator owns the one emerging-channel detector;
-            // it runs after every merge, metrics or not — unless this
-            // daemon is a cluster node (`defer_emerging`), in which
-            // case the pass belongs to the cluster coordinator and the
-            // merged documents ride out in the published delta.
-            let emerging = (config.streaming.emerging.mode != EmergingMode::Off
-                && !config.defer_emerging)
-                .then(|| EmergingAlertDetector::new(config.streaming.emerging.config.clone()));
-            // Likewise the one online QoA model — unless a cluster
-            // coordinator owns it (`defer_qoa`).
-            let qoa = (config.streaming.qoa.mode != QoaMode::Off && !config.defer_qoa)
-                .then(|| OnlineQoaModel::new(config.streaming.qoa.config));
+            // The closer's channel handles live on the daemon's
+            // registry: the same families a local-mode governor
+            // records into (the registry dedups by name + labels).
+            let closer = match &metrics {
+                Some(m) => closer
+                    .with_metrics(
+                        EmergingMetrics::register(m.registry()),
+                        QoaMetrics::register(m.registry()),
+                    )
+                    .with_merge_timer(Arc::clone(&m.merge_micros)),
+                None => closer,
+            };
             let snapshot = Arc::clone(&snapshot);
             let coord_counters = Arc::clone(&counters);
             let coord_metrics = metrics.clone();
@@ -365,9 +386,7 @@ impl Ingestd {
                             &shard_txs,
                             &delta_rx,
                             tick,
-                            &storm,
-                            emerging,
-                            qoa,
+                            closer,
                             coord_journal,
                             &snapshot,
                             &coord_counters,
@@ -478,7 +497,7 @@ impl IngestdHandle {
     /// [`flush`](Self::flush) with the window's OCE feedback labels:
     /// the coordinator joins them with the merged per-strategy feature
     /// samples and updates the online QoA model (standalone role), or
-    /// leaves both for the cluster coordinator (`defer_qoa`).
+    /// leaves both for the cluster coordinator (node role).
     pub fn flush_labeled(&self, labels: Vec<QoaLabel>) -> Option<GovernanceSnapshot> {
         self.router.flush(labels).map(|closed| closed.snapshot)
     }
@@ -499,8 +518,8 @@ impl IngestdHandle {
 
     /// Pushes QoA verdicts down every shard queue, to apply before the
     /// next window close. Cluster coordinators call this after their
-    /// own model update when this daemon runs with
-    /// [`IngestdConfig::defer_qoa`](crate::IngestdConfig::defer_qoa).
+    /// own model update when this daemon was spawned with
+    /// [`Ingestd::spawn_node`].
     pub fn push_qoa_verdicts(&self, verdicts: &QoaVerdicts) {
         self.router.push_qoa_verdicts(verdicts);
     }

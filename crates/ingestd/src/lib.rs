@@ -70,7 +70,6 @@ pub use codec::{
     SYNC_FRAME,
 };
 pub use config::{IngestdConfig, OverflowPolicy};
-pub use coordinator::ClosedWindow;
 pub use counters::{CounterSnapshot, Counters};
 pub use daemon::{Ingestd, IngestdHandle};
 pub use journal::WindowJournal;
@@ -79,4 +78,5 @@ pub use shard::{shard_catalog, shard_of};
 pub use status::{StatusReport, StatusRequest};
 pub use worker::CHAOS_PANIC_MSG;
 
+pub use alertops_core::ClosedWindow;
 pub use alertops_wire::WireFormat;

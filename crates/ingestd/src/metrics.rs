@@ -10,9 +10,11 @@
 //! 2. An [`alertops_obs::MetricsRegistry`] holding everything richer
 //!    than a conservation counter: stage latency histograms (window
 //!    close, barrier wait, merge, per-shard close), frame decode
-//!    counters, and — via [`alertops_core::GovernorMetrics`] registered
-//!    on the same registry — the detect/react instrumentation of each
-//!    shard's governor. Shards share series by construction: the
+//!    counters, the coordinator's [`alertops_core::WindowCloser`]
+//!    channel handles (AO-LDA pass, QoA model update), and — via
+//!    [`alertops_core::GovernorMetrics`] registered on the same
+//!    registry — the detect/react instrumentation of each shard's
+//!    governor. Shards share series by construction: the
 //!    registry returns the same handle for the same name + labels.
 //!
 //! Everything is observer-only. The chaos determinism suite runs the
@@ -21,8 +23,7 @@
 
 use std::sync::Arc;
 
-use alertops_core::{EmergingMetrics, QoaMetrics, QoaWindowReport};
-use alertops_obs::{render_sample, Counter, Gauge, Histogram, MetricsRegistry, Span};
+use alertops_obs::{render_sample, Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::codec::QuarantineReason;
 use crate::counters::{CounterSnapshot, Counters};
@@ -42,14 +43,6 @@ pub struct IngestdMetrics {
     pub(crate) barrier_wait_micros: Arc<Histogram>,
     /// Coordinator: snapshot merge proper.
     pub(crate) merge_micros: Arc<Histogram>,
-    /// Coordinator: the emerging-channel (R4) AO-LDA pass over the
-    /// merged window documents. Same families a local-mode governor
-    /// records into (the registry dedups by name + labels).
-    pub(crate) emerging: EmergingMetrics,
-    /// Coordinator: the streaming QoA feedback channel's model update
-    /// over the merged samples and flush-carried labels. Same families
-    /// a local-mode governor records into.
-    qoa: QoaMetrics,
     /// Per-shard window close (sort + detection + checkpoint).
     shard_close_micros: Vec<Arc<Histogram>>,
     /// Process resident set size, sampled at each window close (0 on
@@ -88,8 +81,6 @@ impl IngestdMetrics {
             "Merging per-shard deltas into the governance snapshot.",
             &[],
         );
-        let emerging = EmergingMetrics::register(&registry);
-        let qoa = QoaMetrics::register(&registry);
         let shard_close_micros = (0..shards)
             .map(|shard| {
                 registry.histogram(
@@ -107,21 +98,9 @@ impl IngestdMetrics {
             window_close_micros,
             barrier_wait_micros,
             merge_micros,
-            emerging,
-            qoa,
             shard_close_micros,
             rss_bytes,
         }
-    }
-
-    /// Starts a wall-time span for one online QoA model update.
-    pub(crate) fn qoa_update_timer(&self) -> Span<'_> {
-        self.qoa.update_timer()
-    }
-
-    /// Records one window's QoA report.
-    pub(crate) fn record_qoa(&self, report: &QoaWindowReport) {
-        self.qoa.record_report(report);
     }
 
     /// Samples the process RSS into the

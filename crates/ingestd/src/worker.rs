@@ -183,7 +183,7 @@ fn close_window(
         panic!("{CHAOS_PANIC_MSG} (shard {shard}, close {seq})");
     }
     let closed = window.len() as u64;
-    let delta = state.governor.ingest_owned(window, &[]);
+    let delta = state.governor.ingest(&window, &[]);
     counters.delivered.fetch_add(closed, Ordering::Relaxed);
     state.checkpoint = state.governor.clone();
     state.pending_close = None;

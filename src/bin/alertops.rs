@@ -391,17 +391,18 @@ fn main() -> ExitCode {
 fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
     let mut streaming = StreamingConfig::default();
     if args.emerging {
-        // Shards only forward documents; the coordinator runs the one
-        // sequential AO-LDA pass so shard count cannot change output.
+        // Any mode but Off: shards forward documents and the
+        // coordinator's WindowCloser runs the one sequential AO-LDA
+        // pass, so shard count cannot change output.
         streaming.emerging.mode = EmergingMode::Forward;
         if let Some(cap) = args.emerging_budget {
             streaming.emerging.config.budget = Some(EmergingBudget::new(cap, args.seed));
         }
     }
     if args.qoa {
-        // Same split as the emerging channel: shards forward QoA
-        // samples, the coordinator runs the one sequential model
-        // update so shard count cannot change output.
+        // Same split: shards forward QoA samples, the coordinator's
+        // closer runs the one sequential model update and pushes the
+        // verdicts back down.
         streaming.qoa.mode = QoaMode::Forward;
     }
     let config = IngestdConfig {
@@ -415,8 +416,6 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
         status: Some(args.status.clone()),
         metrics: args.metrics,
         chaos: args.chaos,
-        defer_emerging: false,
-        defer_qoa: false,
     };
 
     // Recover and re-arm the write-ahead log before the daemon exists.
@@ -547,24 +546,19 @@ fn run_cluster(args: &Args, out: &SimOutput) -> ExitCode {
         }
     }
     if args.qoa {
-        // spawn_node forces Forward + defer_qoa per node; the cluster
-        // coordinator owns the one model and labels come from the
-        // simulator's seeded feedback oracle below.
+        // Nodes are spawned in the node role (forward, run no pass);
+        // the cluster coordinator's closer owns the one model, and
+        // labels come from the simulator's seeded feedback oracle
+        // below.
         streaming.qoa.mode = QoaMode::Forward;
     }
     let node = IngestdConfig {
         shards: args.shards,
         queue_capacity: args.queue,
-        tick: None,
         overflow: args.overflow,
         streaming,
-        listen: None,
-        wire: WireFormat::default(),
-        status: None,
         metrics: false,
-        chaos: false,
-        defer_emerging: false,
-        defer_qoa: false,
+        ..IngestdConfig::default()
     };
     let wal_root = args.wal.clone().map_or_else(
         || std::env::temp_dir().join(format!("alertops-cluster-{}", std::process::id())),

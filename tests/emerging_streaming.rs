@@ -8,6 +8,7 @@ use std::io::Read;
 use std::net::TcpStream;
 
 use alertops::chaos::silence_panics_containing;
+use alertops::cluster::{AlertCluster, ClusterConfig, WalFormat};
 use alertops::core::prelude::*;
 use alertops::ingestd::{
     shard_catalog, shard_of, Ingestd, IngestdConfig, StatusReport, CHAOS_PANIC_MSG,
@@ -325,6 +326,48 @@ fn one_shard_equals_many_shards_under_the_ingestd_merge() {
             "{shards}-shard emerging output diverged from the 1-shard baseline"
         );
     }
+
+    // One level up: a 2-node × 2-shard cluster forwards the documents
+    // twice and its coordinator runs the one pass — same reports, and
+    // the pass is observed (one span per window closed).
+    let root = std::env::temp_dir().join(format!("alertops-emerging-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cluster = AlertCluster::spawn(
+        ClusterConfig {
+            nodes: 2,
+            node: IngestdConfig {
+                shards: 2,
+                streaming: forward_streaming(),
+                ..IngestdConfig::default()
+            },
+            wal_root: root.clone(),
+            wal_format: WalFormat::default(),
+        },
+        catalog(),
+        std::sync::Arc::new(|catalog: &[AlertStrategy]| {
+            StreamingGovernor::new(
+                AlertGovernor::new(catalog.to_vec(), GovernorConfig::default()),
+                forward_streaming(),
+            )
+        }),
+    )
+    .expect("cluster spawns");
+    for (chunk, (want, _)) in hourly_chunks().into_iter().zip(&baseline) {
+        for alert in chunk {
+            cluster.route(alert).expect("route succeeds");
+        }
+        let snapshot = cluster.close_window().expect("window closes");
+        assert_eq!(
+            serde_json::to_string(&snapshot.emerging).expect("report serializes"),
+            serde_json::to_string(want).expect("report serializes"),
+            "2-node cluster emerging output diverged from the 1-shard baseline"
+        );
+    }
+    assert!(cluster
+        .render_metrics()
+        .contains("alertops_emerging_window_micros_count 5\n"));
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Metrics are observer-only on the emerging channel as well: the same

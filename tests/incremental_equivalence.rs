@@ -223,22 +223,6 @@ fn incremental_streaming_matches_batch_recompute() {
     }
 }
 
-/// The owned-window ingest path is the same computation as the
-/// borrowed one.
-#[test]
-fn owned_and_borrowed_ingest_agree() {
-    let (strategies, _, windows) = windowed_trace(11, 32);
-    let governor = || AlertGovernor::new(strategies.clone(), GovernorConfig::default());
-    let mut borrowed = StreamingGovernor::new(governor(), StreamingConfig::default());
-    let mut owned = StreamingGovernor::new(governor(), StreamingConfig::default());
-    for (window, incidents) in &windows {
-        let a = borrowed.ingest(window, incidents);
-        let b = owned.ingest_owned(window.clone(), incidents);
-        assert_eq!(json_delta(&a), json_delta(&b));
-    }
-    assert_eq!(borrowed.history_len(), owned.history_len());
-}
-
 /// Sharded differential: route every window across N per-shard
 /// streaming governors (catalog sharded by `StrategyId`, exactly like
 /// the daemon) and merge the per-shard deltas. Incremental and batch

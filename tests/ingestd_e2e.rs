@@ -301,6 +301,7 @@ fn metrics_exposition_covers_every_instrumented_stage() {
         text.contains("alertops_window_close_micros_count 1"),
         "{text}"
     );
+    assert!(text.contains("alertops_merge_micros_count 1"), "{text}");
     assert!(
         text.contains(r#"alertops_quarantined_total{reason="invalid_json"} 1"#),
         "{text}"

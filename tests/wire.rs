@@ -212,43 +212,48 @@ fn binary_and_ndjson_publish_byte_identical_snapshots_across_topologies() {
         );
     }
 
-    // The 4-node cluster (binary WAL segments underneath) agrees too.
-    let root = std::env::temp_dir().join(format!("alertops-wire-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let config = ClusterConfig {
-        nodes: 4,
-        node: IngestdConfig {
-            shards: 1,
-            queue_capacity: 8192,
-            ..IngestdConfig::default()
-        },
-        wal_root: root.clone(),
-        wal_format: WalFormat::default(),
-    };
-    let mut cluster = AlertCluster::spawn(
-        config,
-        strategies.clone(),
-        std::sync::Arc::new(|catalog: &[AlertStrategy]| {
-            StreamingGovernor::new(
-                AlertGovernor::new(catalog.to_vec(), GovernorConfig::default()),
-                StreamingConfig::default(),
-            )
-        }),
-    )
-    .expect("cluster spawns");
-    for (window, index) in windows.iter().zip(0usize..) {
-        for alert in window {
-            cluster.route(alert.clone()).expect("route succeeds");
+    // The 4-node cluster agrees too, whichever segment format its
+    // WALs journal in.
+    for wal_format in [WalFormat::V2Binary, WalFormat::V1Json] {
+        let root = std::env::temp_dir().join(format!("alertops-wire-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let config = ClusterConfig {
+            nodes: 4,
+            node: IngestdConfig {
+                shards: 1,
+                queue_capacity: 8192,
+                ..IngestdConfig::default()
+            },
+            wal_root: root.clone(),
+            wal_format,
+        };
+        let mut cluster = AlertCluster::spawn(
+            config,
+            strategies.clone(),
+            std::sync::Arc::new(|catalog: &[AlertStrategy]| {
+                StreamingGovernor::new(
+                    AlertGovernor::new(catalog.to_vec(), GovernorConfig::default()),
+                    StreamingConfig::default(),
+                )
+            }),
+        )
+        .expect("cluster spawns");
+        for (window, index) in windows.iter().zip(0usize..) {
+            for alert in window {
+                cluster.route(alert.clone()).expect("route succeeds");
+            }
+            let snapshot = cluster.close_window().expect("window closes");
+            assert_eq!(
+                json(&comparable(&snapshot)),
+                json(&comparable(&oracle[index])),
+                "4-node cluster ({}) diverged from the oracle at {index}",
+                wal_format.label()
+            );
         }
-        let snapshot = cluster.close_window().expect("window closes");
-        assert_eq!(
-            json(&comparable(&snapshot)),
-            json(&comparable(&oracle[index])),
-            "4-node cluster diverged from the oracle at {index}"
-        );
+        assert!(cluster.counters().is_conserved());
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
     }
-    cluster.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Corruption on the binary wire is counted, not parsed: the daemon
