@@ -1,11 +1,13 @@
-//! Criterion benches: the sharded ingestion daemon — alerts/second
-//! through route → window close → merge at 1, 4, and 8 shards, plus
-//! the cost of supervised crash recovery (a chaos-injected worker
-//! panic mid-window: restart, checkpoint rehydration, degraded merge)
-//! against the fault-free baseline, plus the full observability layer
-//! (stage histograms, span timers, frame counters) against a
-//! metrics-free run — the observer-only claim says the delta should be
-//! a few relaxed atomic adds per event, a few percent at most.
+//! Criterion benches: the sharded ingestion daemon's two overhead
+//! comparisons — the cost of supervised crash recovery (a
+//! chaos-injected worker panic mid-window: restart, checkpoint
+//! rehydration, degraded merge) against the fault-free baseline, and
+//! the full observability layer (stage histograms, span timers, frame
+//! counters) against a metrics-free run — the observer-only claim says
+//! the delta should be a few relaxed atomic adds per event, a few
+//! percent at most. Plain route → close throughput is a
+//! `pipeline-bench` ledger row (`ingestd.route_us_per_alert`,
+//! `ingestd.flush_ms_p50`, `cluster.*`), not a criterion group.
 //!
 //! Sockets are left out so the numbers isolate the daemon's own
 //! pipeline (sharding, bounded queues, per-shard detection, the merge
@@ -13,49 +15,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use std::sync::Arc;
 
 use alertops_chaos::silence_panics_containing;
-use alertops_cluster::{AlertCluster, ClusterConfig, WalFormat};
 use alertops_core::{AlertGovernor, GovernorConfig, StreamingConfig, StreamingGovernor};
 use alertops_ingestd::{shard_catalog, Ingestd, IngestdConfig, CHAOS_PANIC_MSG};
 use alertops_sim::scenarios;
-
-fn bench_ingestd(c: &mut Criterion) {
-    let out = scenarios::mini_study(2022).run();
-    let strategies = out.catalog.strategies().to_vec();
-
-    let mut group = c.benchmark_group("ingestd");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(out.alerts.len() as u64));
-    for shards in [1usize, 4, 8] {
-        let config = IngestdConfig {
-            shards,
-            queue_capacity: 8192,
-            ..IngestdConfig::default()
-        };
-        let handle = Ingestd::spawn(&config, |shard, shards| {
-            StreamingGovernor::new(
-                AlertGovernor::new(
-                    shard_catalog(&strategies, shards, shard),
-                    GovernorConfig::default(),
-                ),
-                StreamingConfig::default(),
-            )
-        })
-        .expect("daemon starts");
-        group.bench_function(format!("route_and_close_{shards}_shards"), |b| {
-            b.iter(|| {
-                for alert in &out.alerts {
-                    handle.route(alert.clone());
-                }
-                black_box(handle.flush().expect("flush yields a snapshot"))
-            });
-        });
-        handle.shutdown();
-    }
-    group.finish();
-}
 
 /// Fault-free vs chaos-supervised: the same trace and window close at
 /// 4 shards, with the supervised variant forcing one worker panic
@@ -148,66 +112,5 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cluster layer at 1, 2, and 4 nodes: range routing, per-node
-/// write-ahead journaling (append + flush per alert, fsync per window
-/// boundary), the per-node daemon pipeline, and the cross-node monoid
-/// merge — so the 1-node row isolates the WAL tax over the bare daemon
-/// above, and the multi-node rows show what the topology adds.
-fn bench_cluster(c: &mut Criterion) {
-    let out = scenarios::mini_study(2022).run();
-    let catalog = out.catalog.strategies().to_vec();
-    let mut trace = out.alerts.clone();
-    trace.sort_by_key(|a| (a.raised_at(), a.id()));
-
-    let mut group = c.benchmark_group("cluster");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(trace.len() as u64));
-    for nodes in [1usize, 2, 4] {
-        let root = std::env::temp_dir().join(format!(
-            "alertops-cluster-bench-{nodes}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let config = ClusterConfig {
-            nodes,
-            node: IngestdConfig {
-                shards: 2,
-                queue_capacity: 8192,
-                ..IngestdConfig::default()
-            },
-            wal_root: root.clone(),
-            wal_format: WalFormat::default(),
-        };
-        let mut cluster = AlertCluster::spawn(
-            config,
-            catalog.clone(),
-            Arc::new(|node_catalog: &[_]| {
-                StreamingGovernor::new(
-                    AlertGovernor::new(node_catalog.to_vec(), GovernorConfig::default()),
-                    StreamingConfig::default(),
-                )
-            }),
-        )
-        .expect("cluster spawns");
-        group.bench_function(format!("route_and_close_{nodes}_nodes"), |b| {
-            b.iter(|| {
-                for alert in &trace {
-                    cluster.route(alert.clone()).expect("route succeeds");
-                }
-                black_box(cluster.close_window().expect("window closes"))
-            });
-        });
-        cluster.shutdown();
-        let _ = std::fs::remove_dir_all(&root);
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_ingestd,
-    bench_chaos_supervision,
-    bench_metrics_overhead,
-    bench_cluster
-);
+criterion_group!(benches, bench_chaos_supervision, bench_metrics_overhead);
 criterion_main!(benches);

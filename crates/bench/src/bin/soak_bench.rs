@@ -1,9 +1,8 @@
 //! Regenerates `BENCH_soak.json`: the sustained soak/load run — a
-//! statistical scenario streamed over real TCP (NDJSON lines or
-//! `alertops-wire` binary frames, per `--wire` /
-//! `ALERTOPS_SOAK_WIRE`) into a live `alertops-ingestd`, observed from
-//! the outside through the status socket's Prometheus exposition, and
-//! gated on:
+//! statistical scenario streamed over real TCP (`alertops-wire`
+//! binary frames, or NDJSON lines with `--wire ndjson`) into a live
+//! `alertops-ingestd`, observed from the outside through the status
+//! socket's Prometheus exposition, and gated on:
 //!
 //! * sustained throughput (≥ 1M alerts/hour wall-clock equivalent),
 //! * peak RSS under the asserted ceiling,
@@ -25,20 +24,16 @@ use alertops_bench::{compare, header, HARNESS_SEED};
 use alertops_load::{run_soak, SoakConfig};
 use alertops_wire::WireFormat;
 
-/// `--wire ndjson|binary` from argv, else `ALERTOPS_SOAK_WIRE`, else
-/// the NDJSON default.
-fn wire_format() -> WireFormat {
+/// `--wire ndjson|binary` from argv, if given.
+fn wire_override() -> Option<WireFormat> {
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         if flag == "--wire" {
             let value = argv.next().expect("--wire takes a value");
-            return value.parse().expect("--wire is ndjson|binary");
+            return Some(value.parse().expect("--wire is ndjson|binary"));
         }
     }
-    std::env::var("ALERTOPS_SOAK_WIRE").map_or_else(
-        |_| WireFormat::default(),
-        |v| v.parse().expect("ALERTOPS_SOAK_WIRE is ndjson|binary"),
-    )
+    None
 }
 
 fn main() {
@@ -48,7 +43,9 @@ fn main() {
     } else {
         SoakConfig::smoke(HARNESS_SEED)
     };
-    config.wire = wire_format();
+    if let Some(wire) = wire_override() {
+        config.wire = wire;
+    }
     header(&format!(
         "soak: {} over TCP ({} wire) into a live {}-shard ingestd",
         config.scenario.name,

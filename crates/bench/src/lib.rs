@@ -11,8 +11,6 @@ use std::collections::HashMap;
 
 use alertops_model::{Alert, StrategyId};
 
-pub mod oracle;
-
 /// Prints a section header.
 pub fn header(title: &str) {
     println!("\n=== {title} ===");

@@ -64,8 +64,8 @@
 //! - The emerging (AO-LDA) detector is sequential state owned by the
 //!   cluster coordinator; node kill/rejoin never touches it, but a
 //!   whole-cluster restart rebuilds it from the retained window
-//!   history only (the trade documented in
-//!   [`alertops_core::StreamingGovernor::restore`]).
+//!   history only — AO-LDA's adaptive prior depends on the full
+//!   preceding stream, which is not journaled.
 //! - The online QoA model is coordinator state of the same shape, but
 //!   it takes the other side of that trade: its checkpoint is
 //!   journaled into every alive node's WAL just before each boundary
@@ -115,9 +115,9 @@ pub struct ClusterConfig {
     /// (`<wal_root>/node-<i>/`). Created if missing; existing logs are
     /// replayed on spawn (lossless restart).
     pub wal_root: PathBuf,
-    /// Segment format new WAL appends use (binary by default). Replay
-    /// reads both formats regardless, so logs written under either
-    /// setting restart losslessly.
+    /// Frozen-bench scaffolding with one value (see [`WalFormat`]):
+    /// nothing reads it. Replay reads v1 and v2 segments alike; every
+    /// append is v2.
     pub wal_format: WalFormat,
 }
 
@@ -322,11 +322,7 @@ impl AlertCluster {
         let mut slots = Vec::with_capacity(config.nodes);
         for node in 0..config.nodes {
             let dir = config.wal_root.join(format!("node-{node}"));
-            let wal = Arc::new(Wal::open_with_format(
-                &dir,
-                config.wal_retain(),
-                config.wal_format,
-            )?);
+            let wal = Arc::new(Wal::open(&dir, config.wal_retain())?);
             let node_cat = node_catalog(&catalog, &map, node);
             let handle = spawn_node(&config.node, &node_cat, &make_governor)?;
             slots.push(NodeSlot {
@@ -578,47 +574,12 @@ impl AlertCluster {
             .add(replayed.recovered_alerts);
         self.metrics.wal_torn_records.add(replayed.torn_records);
 
-        let node_cat = node_catalog(&self.catalog, &self.map, node);
-        let handle = spawn_node(&self.config.node, &node_cat, &self.make_governor)?;
-        Wal::wipe(&self.slots[node].dir)?;
-        let wal = Arc::new(Wal::open_with_format(
-            &self.slots[node].dir,
-            self.config.wal_retain(),
-            self.config.wal_format,
-        )?);
-
-        for (seq, alerts) in &replayed.windows {
-            for alert in alerts {
-                wal.append(alert)?;
-                handle.route(alert.clone());
-            }
-            let _ = handle.flush_window();
-            wal.boundary(*seq)?;
-        }
-        // A rejoining node governs its next close with the
-        // coordinator's current verdicts, exactly like its peers; the
-        // fresh log is re-seeded with the model checkpoint so a
-        // whole-cluster restart right after this rejoin still finds it.
-        if let Some(model) = self.closer.qoa_model() {
-            handle.push_qoa_verdicts(&model.verdicts());
-            wal.qoa_state(&model.checkpoint().to_bytes())?;
-        }
-        // Shedding during history replay re-routes alerts that were
-        // already accounted at their original close; don't re-count.
-        let slot = &mut self.slots[node];
-        slot.last_dropped = handle.counters().dropped;
-
-        for alert in &replayed.tail {
-            wal.append(alert)?;
-            handle.route(alert.clone());
-        }
         let recovered_tail = replayed.tail.len() as u64;
+        self.restore_node(node, replayed.windows, replayed.tail)?;
+        let slot = &mut self.slots[node];
         let lost = slot.pending.saturating_sub(recovered_tail);
         self.metrics.dropped.add(lost);
         slot.pending = recovered_tail;
-        slot.wal = wal;
-        slot.handle = Some(handle);
-        self.metrics.nodes_alive.add(1);
         Ok(())
     }
 
@@ -789,11 +750,7 @@ impl AlertCluster {
         let node_cat = node_catalog(&self.catalog, &self.map, node);
         let handle = spawn_node(&self.config.node, &node_cat, &self.make_governor)?;
         Wal::wipe(&self.slots[node].dir)?;
-        let wal = Arc::new(Wal::open_with_format(
-            &self.slots[node].dir,
-            self.config.wal_retain(),
-            self.config.wal_format,
-        )?);
+        let wal = Arc::new(Wal::open(&self.slots[node].dir, self.config.wal_retain())?);
         for (seq, alerts) in &windows {
             for alert in alerts {
                 wal.append(alert)?;
@@ -802,12 +759,16 @@ impl AlertCluster {
             let _ = handle.flush_window();
             wal.boundary(*seq)?;
         }
-        // Same protocol as rejoin: current verdicts down, checkpoint
-        // into the fresh log.
+        // A respawned node governs its next close with the
+        // coordinator's current verdicts, exactly like its peers; the
+        // fresh log is re-seeded with the model checkpoint so a
+        // whole-cluster restart right after still finds it.
         if let Some(model) = self.closer.qoa_model() {
             handle.push_qoa_verdicts(&model.verdicts());
             wal.qoa_state(&model.checkpoint().to_bytes())?;
         }
+        // Shedding during history replay re-routes alerts that were
+        // already accounted at their original close; don't re-count.
         let slot = &mut self.slots[node];
         slot.last_dropped = handle.counters().dropped;
         for alert in &tail {

@@ -1,28 +1,28 @@
-//! The durable write-ahead log: length+CRC-framed segments, binary by
-//! default.
+//! The durable write-ahead log: length+CRC-framed binary segments.
 //!
 //! One log per node, one directory per log, one segment file per
-//! window. Two segment layouts exist ([`WalFormat`]):
+//! window. Two segment layouts exist on disk; one is written:
 //!
-//! * **v2 (binary, the default)** — the segment starts with the magic
-//!   header `AOWL` + version byte `0x02`
+//! * **v2 (binary)** — what [`Wal`] appends. The segment starts with
+//!   the magic header `AOWL` + version byte `0x02`
 //!   ([`alertops_wire::WAL_MAGIC`], [`alertops_wire::WAL_VERSION`])
 //!   and then speaks the `alertops-wire` frame codec: every record is
-//!   a `[len varint][crc32][payload]` frame (an alert, or the window
-//!   boundary that seals the segment), with the segment's own string
-//!   table turning repeated titles/services/locations into varint
-//!   back-references. The table resets at every rotation, so each
-//!   segment is self-contained and pruning stays a file unlink.
-//! * **v1 (NDJSON)** — one `<len:08x> <crc32:08x> <json>` line per
-//!   record (see [`crate::wal_v1`]). Kept for replay compatibility
-//!   and as the benchmark baseline; opt in with
-//!   [`Wal::open_with_format`].
+//!   a `[len varint][crc32][payload]` frame (an alert, a QoA
+//!   checkpoint, or the window boundary that seals the segment), with
+//!   the segment's own string table turning repeated
+//!   titles/services/locations into varint back-references. The table
+//!   resets at every rotation, so each segment is self-contained and
+//!   pruning stays a file unlink.
+//! * **v1 (NDJSON), read-only** — one `<len:08x> <crc32:08x> <json>`
+//!   line per record (see [`crate::wal_v1`]), left behind by a
+//!   pre-binary incarnation.
 //!
 //! [`replay`] sniffs the format **per segment** (the v2 magic has a
 //! non-hex byte where a v1 length field has hex digits, so the two can
-//! never be confused), which is what lets a log written by a
-//! pre-binary incarnation — or a mixed log from an upgrade
-//! mid-history — replay byte-identically.
+//! never be confused), so a v1 log — or a mixed log from an upgrade
+//! mid-history — replays byte-identically. Every restart protocol is
+//! replay → wipe → re-append, so the first restart rewrites a v1 log
+//! as v2; nothing else upgrades it and nothing needs to.
 //!
 //! Durability model: appends are flushed to the OS on every record, so
 //! a **process** crash (`kill -9` included) loses nothing; the
@@ -44,7 +44,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::wal_v1;
 
-/// One journaled record.
+/// One record of the read-only v1 layout (see [`crate::wal_v1`]); its
+/// serde shape is that format's JSON schema.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum WalRecord {
@@ -58,28 +59,16 @@ pub enum WalRecord {
     },
 }
 
-/// Which segment layout a [`Wal`] appends in. Replay reads both
-/// regardless — this only selects what new segments speak.
+/// The segment layout a [`Wal`] appends in — one variant, because v2
+/// is the only writable format. Frozen-bench scaffolding: the enum,
+/// [`Wal::open_with_format`] and `ClusterConfig::wal_format` survive
+/// only because `crates/pipeline-bench` names them, and go with the
+/// `EmergingMode`/`QoaMode` aliases when ROADMAP 3(d) unfreezes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WalFormat {
-    /// Length+CRC-framed NDJSON lines (the pre-binary layout; see
-    /// [`crate::wal_v1`]). The benchmark baseline.
-    V1Json,
     /// `alertops-wire` binary frames behind the `AOWL` magic header.
     #[default]
     V2Binary,
-}
-
-impl WalFormat {
-    /// Stable label for bench rows and reports (`v1-json` /
-    /// `v2-binary`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            WalFormat::V1Json => "v1-json",
-            WalFormat::V2Binary => "v2-binary",
-        }
-    }
 }
 
 /// Mutable writer state behind the [`Wal`]'s lock.
@@ -92,12 +81,23 @@ struct WalState {
     pending_records: u64,
     /// Sealed segments currently on disk.
     sealed: Vec<u64>,
-    /// v2: the open segment's frame encoder; its string table resets at
+    /// The open segment's frame encoder; its string table resets at
     /// every rotation, keeping segments self-contained.
     encoder: WireEncoder,
-    /// v2: reusable frame buffer, so appends allocate nothing steady
+    /// Reusable frame buffer, so appends allocate nothing steady
     /// state.
     scratch: Vec<u8>,
+}
+
+impl WalState {
+    /// Encodes one frame into the reusable scratch, writes it to the
+    /// open segment and flushes it to the OS.
+    fn write(&mut self, encode: impl FnOnce(&mut WireEncoder, &mut Vec<u8>)) -> io::Result<()> {
+        self.scratch.clear();
+        encode(&mut self.encoder, &mut self.scratch);
+        self.writer.write_all(&self.scratch)?;
+        self.writer.flush()
+    }
 }
 
 /// Point-in-time depth of a log, for gauges.
@@ -116,7 +116,6 @@ pub struct WalDepth {
 pub struct Wal {
     dir: PathBuf,
     retain: usize,
-    format: WalFormat,
     state: Mutex<WalState>,
 }
 
@@ -149,59 +148,38 @@ fn segment_indices(dir: &Path) -> io::Result<Vec<u64>> {
     Ok(indices)
 }
 
-/// Creates a fresh segment file, writing the v2 header when the log
-/// speaks binary.
-fn create_segment(dir: &Path, index: u64, format: WalFormat) -> io::Result<BufWriter<File>> {
+/// Creates a fresh segment file and writes the v2 header.
+fn create_segment(dir: &Path, index: u64) -> io::Result<BufWriter<File>> {
     let file = OpenOptions::new()
         .create_new(true)
         .append(true)
         .open(segment_path(dir, index))?;
     let mut writer = BufWriter::new(file);
-    if format == WalFormat::V2Binary {
-        writer.write_all(&WAL_MAGIC)?;
-        writer.write_all(&[WAL_VERSION])?;
-        writer.flush()?;
-    }
+    writer.write_all(&WAL_MAGIC)?;
+    writer.write_all(&[WAL_VERSION])?;
+    writer.flush()?;
     Ok(writer)
 }
 
 impl Wal {
-    /// Opens (creating if needed) the log in `dir` in the default
-    /// (binary) append format, retaining at most `retain` sealed
-    /// window segments. Existing segments are left in place and a
-    /// fresh open segment is started after them — replay first
-    /// ([`replay`]), then open, then re-append what the replay handed
-    /// back, is the restart protocol (see `AlertCluster`).
+    /// Opens (creating if needed) the log in `dir`, retaining at most
+    /// `retain` sealed window segments. Existing segments are left in
+    /// place and a fresh open segment is started after them — replay
+    /// first ([`replay`]), then open, then re-append what the replay
+    /// handed back, is the restart protocol (see `AlertCluster`).
     ///
     /// # Errors
     ///
     /// Filesystem errors pass through.
     pub fn open(dir: impl Into<PathBuf>, retain: usize) -> io::Result<Self> {
-        Self::open_with_format(dir, retain, WalFormat::default())
-    }
-
-    /// [`open`](Self::open) with an explicit append format. Replay is
-    /// format-agnostic either way; this only selects what *new*
-    /// segments speak (the v1 option exists for the format-comparison
-    /// bench and the compat tests).
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors pass through.
-    pub fn open_with_format(
-        dir: impl Into<PathBuf>,
-        retain: usize,
-        format: WalFormat,
-    ) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let existing = segment_indices(&dir)?;
         let segment = existing.last().map_or(0, |last| last + 1);
-        let writer = create_segment(&dir, segment, format)?;
+        let writer = create_segment(&dir, segment)?;
         Ok(Self {
             dir,
             retain,
-            format,
             state: Mutex::new(WalState {
                 writer,
                 segment,
@@ -211,6 +189,20 @@ impl Wal {
                 scratch: Vec::new(),
             }),
         })
+    }
+
+    /// [`open`](Self::open); the format argument has one value (see
+    /// [`WalFormat`]).
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors pass through.
+    pub fn open_with_format(
+        dir: impl Into<PathBuf>,
+        retain: usize,
+        _format: WalFormat,
+    ) -> io::Result<Self> {
+        Self::open(dir, retain)
     }
 
     /// Removes every segment file in `dir` (the consume step of
@@ -232,12 +224,6 @@ impl Wal {
         &self.dir
     }
 
-    /// The format new segments are appended in.
-    #[must_use]
-    pub fn format(&self) -> WalFormat {
-        self.format
-    }
-
     /// Appends one alert record and flushes it to the OS.
     ///
     /// # Errors
@@ -246,21 +232,7 @@ impl Wal {
     /// unjournaled if this fails.
     pub fn append(&self, alert: &Alert) -> io::Result<()> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        match self.format {
-            WalFormat::V1Json => {
-                let line = wal_v1::frame(&WalRecord::Alert(alert.clone()));
-                writeln!(state.writer, "{line}")?;
-            }
-            WalFormat::V2Binary => {
-                let mut scratch = std::mem::take(&mut state.scratch);
-                scratch.clear();
-                state.encoder.encode_alert_into(alert, &mut scratch);
-                let result = state.writer.write_all(&scratch);
-                state.scratch = scratch;
-                result?;
-            }
-        }
-        state.writer.flush()?;
+        state.write(|encoder, out| encoder.encode_alert_into(alert, out))?;
         state.pending_records += 1;
         Ok(())
     }
@@ -271,63 +243,31 @@ impl Wal {
     /// as of that window's close and a whole-cluster restart can
     /// resume the feedback loop at identical weights.
     ///
-    /// Binary-only: the v1 NDJSON layout predates the QoA loop and its
-    /// record schema is frozen, so a v1 log silently skips the
-    /// checkpoint (restart then restarts the model from scratch — the
-    /// documented v1 limitation).
-    ///
     /// # Errors
     ///
     /// Filesystem errors pass through.
     pub fn qoa_state(&self, bytes: &[u8]) -> io::Result<()> {
-        if self.format == WalFormat::V1Json {
-            return Ok(());
-        }
+        let frame = Frame::QoaState(bytes.to_vec());
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut scratch = std::mem::take(&mut state.scratch);
-        scratch.clear();
-        state
-            .encoder
-            .encode_into(&Frame::QoaState(bytes.to_vec()), &mut scratch);
-        let result = state.writer.write_all(&scratch);
-        state.scratch = scratch;
-        result?;
-        state.writer.flush()?;
-        Ok(())
+        state.write(|encoder, out| encoder.encode_into(&frame, out))
     }
 
     /// Seals the in-flight window: appends the boundary record,
     /// flushes, `fsync`s, rotates to a fresh segment (resetting the
-    /// binary format's string table), and prunes sealed segments
-    /// beyond the retained history.
+    /// string table), and prunes sealed segments beyond the retained
+    /// history.
     ///
     /// # Errors
     ///
     /// Filesystem errors pass through.
     pub fn boundary(&self, window: u64) -> io::Result<()> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        match self.format {
-            WalFormat::V1Json => {
-                let line = wal_v1::frame(&WalRecord::Boundary { window });
-                writeln!(state.writer, "{line}")?;
-            }
-            WalFormat::V2Binary => {
-                let mut scratch = std::mem::take(&mut state.scratch);
-                scratch.clear();
-                state
-                    .encoder
-                    .encode_into(&Frame::Boundary { window }, &mut scratch);
-                let result = state.writer.write_all(&scratch);
-                state.scratch = scratch;
-                result?;
-            }
-        }
-        state.writer.flush()?;
+        state.write(|encoder, out| encoder.encode_into(&Frame::Boundary { window }, out))?;
         state.writer.get_ref().sync_data()?;
 
         let sealed = state.segment;
         let next = sealed + 1;
-        state.writer = create_segment(&self.dir, next, self.format)?;
+        state.writer = create_segment(&self.dir, next)?;
         state.segment = next;
         state.pending_records = 0;
         state.encoder = WireEncoder::new();
@@ -372,9 +312,10 @@ pub struct WalReplay {
     /// Online-QoA model checkpoints recovered, in log order:
     /// `(window sequence, opaque checkpoint bytes)` — the bytes the
     /// coordinator journaled via [`Wal::qoa_state`] just before the
-    /// boundary that sealed that window. Empty for v1 logs and for
-    /// clusters with the feedback loop off. Restart restores from the
-    /// last entry (the newest model).
+    /// boundary that sealed that window. Empty for v1 segments (the
+    /// format predates the loop) and for clusters with the feedback
+    /// loop off. Restart restores from the last entry (the newest
+    /// model).
     pub qoa_states: Vec<(u64, Vec<u8>)>,
     /// A checkpoint journaled after the last boundary — the restart
     /// protocol re-journals the restored model into the fresh open
@@ -533,10 +474,10 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    fn roundtrip_in(format: WalFormat) {
-        let dir = temp_dir(&format!("roundtrip-{}", format.label()));
-        let wal = Wal::open_with_format(&dir, 8, format).unwrap();
-        assert_eq!(wal.format(), format);
+    #[test]
+    fn append_boundary_replay_roundtrips() {
+        let dir = temp_dir("roundtrip");
+        let wal = Wal::open(&dir, 8).unwrap();
         for id in 0..4 {
             wal.append(&alert(id)).unwrap();
         }
@@ -562,12 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn append_boundary_replay_roundtrips_in_both_formats() {
-        roundtrip_in(WalFormat::V2Binary);
-        roundtrip_in(WalFormat::V1Json);
-    }
-
-    #[test]
     fn v2_segments_carry_the_magic_header() {
         let dir = temp_dir("magic");
         let wal = Wal::open(&dir, 8).unwrap();
@@ -576,34 +511,6 @@ mod tests {
         let bytes = fs::read(segment_path(&dir, 0)).unwrap();
         assert_eq!(&bytes[..4], b"AOWL");
         assert_eq!(bytes[4], 2);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn mixed_format_logs_replay_as_one_history() {
-        let dir = temp_dir("mixed");
-        // A pre-binary incarnation seals window 0...
-        {
-            let wal = Wal::open_with_format(&dir, 8, WalFormat::V1Json).unwrap();
-            wal.append(&alert(1)).unwrap();
-            wal.boundary(0).unwrap();
-        }
-        // ...then the upgraded incarnation continues in binary. (Each
-        // open starts a fresh segment after the existing ones, so the
-        // v1 leftovers are untouched.)
-        {
-            let wal = Wal::open(&dir, 8).unwrap();
-            wal.append(&alert(2)).unwrap();
-            wal.boundary(1).unwrap();
-            wal.append(&alert(3)).unwrap();
-        }
-        let replayed = replay(&dir).unwrap();
-        assert_eq!(replayed.torn_records, 0);
-        assert_eq!(
-            replayed.windows,
-            vec![(0, vec![alert(1)]), (1, vec![alert(2)])]
-        );
-        assert_eq!(replayed.tail, vec![alert(3)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -631,21 +538,6 @@ mod tests {
         assert_eq!(replayed.tail_qoa, Some(vec![5]));
         assert_eq!(replayed.windows.len(), 3);
         assert_eq!(replayed.recovered_alerts, 2);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v1_logs_skip_qoa_checkpoints() {
-        let dir = temp_dir("qoa-v1");
-        let wal = Wal::open_with_format(&dir, 8, WalFormat::V1Json).unwrap();
-        wal.append(&alert(1)).unwrap();
-        wal.qoa_state(&[1, 2, 3]).unwrap();
-        wal.boundary(0).unwrap();
-        let replayed = replay(&dir).unwrap();
-        assert_eq!(replayed.torn_records, 0, "v1 segment stays well-formed");
-        assert_eq!(replayed.windows, vec![(0, vec![alert(1)])]);
-        assert!(replayed.qoa_states.is_empty());
-        assert_eq!(replayed.tail_qoa, None);
         fs::remove_dir_all(&dir).unwrap();
     }
 

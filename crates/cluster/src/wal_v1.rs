@@ -1,4 +1,4 @@
-//! WAL wire format **v1**: length+CRC-framed NDJSON lines.
+//! WAL wire format **v1**, read-only: length+CRC-framed NDJSON lines.
 //!
 //! This is the segment layout the log spoke before the binary codec
 //! (`alertops-wire`) existed — one record per line:
@@ -8,27 +8,15 @@
 //! ```
 //!
 //! where `len` is the byte length of `<json>` and `crc32` its IEEE
-//! CRC-32. It lives on for two reasons: **replay compatibility**
-//! (segments written by a pre-v2 incarnation must keep replaying
+//! CRC-32. Nothing writes it any more; [`unframe`] lives on so that
+//! segments left behind by a pre-v2 incarnation keep replaying
 //! byte-identically — [`crate::wal::replay`] sniffs the format per
-//! segment and routes v1 segments here) and **benchmarking** (a
-//! [`crate::Wal`] opened with [`crate::WalFormat::V1Json`] appends in
-//! this format, which is how `benches/codec.rs` measures the
-//! journaling tax the binary format removes).
-//!
-//! This module is the only place on the WAL/handoff path allowed to
-//! re-serialize records through `serde_json` — the determinism audit
-//! enforces that boundary.
+//! segment and routes v1 segments here, and the restart that replayed
+//! them rewrites the log as v2.
 
 use alertops_wire::crc32;
 
 use crate::wal::WalRecord;
-
-/// Frames one record as its v1 wire line (without trailing newline).
-pub(crate) fn frame(record: &WalRecord) -> String {
-    let json = serde_json::to_string(record).expect("WAL records always serialize");
-    format!("{:08x} {:08x} {json}", json.len(), crc32(json.as_bytes()))
-}
 
 /// Parses one v1 wire line back into a record. `None` means the line
 /// is torn or corrupt (bad framing, length mismatch, CRC mismatch, or
@@ -53,30 +41,44 @@ mod tests {
     use super::*;
     use alertops_model::{Alert, AlertId, SimTime, StrategyId};
 
-    fn alert(id: u64) -> Alert {
-        Alert::builder(AlertId(id), StrategyId(id % 5))
-            .raised_at(SimTime::from_secs(id * 60))
-            .build()
-    }
+    /// Lines exactly as the last v1 writer framed them (captured before
+    /// it was removed): the compatibility contract is these bytes, not
+    /// whatever today's serializer would produce.
+    const GOLDEN_ALERT: &str = concat!(
+        "000000cb 2187d45f ",
+        r#"{"alert":{"id":7,"strategy":2,"title":"","severity":"warning","service_name":"","#,
+        r#""microservice":0,"location":{"region":"","dc":"","instance":null},"raised_at":420,"#,
+        r#""state":"active","processing_time":null}}"#,
+    );
+    const GOLDEN_BOUNDARY: &str = r#"00000019 4ce0f72c {"boundary":{"window":3}}"#;
 
     #[test]
-    fn frames_roundtrip_and_reject_corruption() {
-        let record = WalRecord::Alert(alert(7));
-        let line = frame(&record);
-        assert_eq!(unframe(line.as_bytes()), Some(record));
+    fn golden_lines_unframe_and_reject_corruption() {
+        let alert = Alert::builder(AlertId(7), StrategyId(2))
+            .raised_at(SimTime::from_secs(420))
+            .build();
+        assert_eq!(
+            unframe(GOLDEN_ALERT.as_bytes()),
+            Some(WalRecord::Alert(alert))
+        );
+        assert_eq!(
+            unframe(GOLDEN_BOUNDARY.as_bytes()),
+            Some(WalRecord::Boundary { window: 3 })
+        );
         // Flip one payload byte: CRC must catch it.
-        let mut bad = line.clone().into_bytes();
+        let mut bad = GOLDEN_ALERT.as_bytes().to_vec();
         let last = bad.len() - 1;
         bad[last] ^= 0x20;
         assert_eq!(unframe(&bad), None);
         // Truncate: length must catch it.
-        assert_eq!(unframe(&line.as_bytes()[..line.len() - 1]), None);
+        let cut = &GOLDEN_ALERT.as_bytes()[..GOLDEN_ALERT.len() - 1];
+        assert_eq!(unframe(cut), None);
     }
 
     #[test]
     fn v1_lines_never_start_with_the_v2_magic() {
-        let line = frame(&WalRecord::Boundary { window: 3 });
-        assert!(!line.as_bytes().starts_with(&alertops_wire::WAL_MAGIC));
-        assert!(line.as_bytes()[..8].iter().all(u8::is_ascii_hexdigit));
+        let line = GOLDEN_BOUNDARY.as_bytes();
+        assert!(!line.starts_with(&alertops_wire::WAL_MAGIC));
+        assert!(line[..8].iter().all(u8::is_ascii_hexdigit));
     }
 }

@@ -12,12 +12,17 @@
 //!   a journal (a `Flush`) ends trust in its v2 segment;
 //! * a duplicate window sequence number is counted and merged, not
 //!   replayed as two windows.
+//!
+//! Since v2 became the only writable format this suite is also where
+//! v1 segments come from: it carries the one independent v1 framer, so
+//! the positive v1 cases (a clean upgrade, v1 replay == v2 replay) live
+//! here beside it.
 
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::PathBuf;
 
-use alertops_cluster::{crc32, replay, Wal, WalFormat, WalRecord};
+use alertops_cluster::{crc32, replay, Wal, WalRecord};
 use alertops_model::{Alert, AlertId, SimTime, StrategyId};
 use alertops_wire::{Frame, WireEncoder, WAL_MAGIC, WAL_VERSION};
 
@@ -36,8 +41,10 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Frames a record exactly as the WAL writer does (the wire format is
-/// public contract: `<len:08x> <crc32:08x> <json>`).
+/// Frames a record exactly as the removed v1 writer did (the format is
+/// public contract: `<len:08x> <crc32:08x> <json>`). Nothing in the
+/// workspace writes v1 any more, so this independent framer is what
+/// keeps v1 segments a tested replay input.
 fn frame(record: &WalRecord) -> String {
     let json = serde_json::to_string(record).expect("record serializes");
     format!("{:08x} {:08x} {json}", json.len(), crc32(json.as_bytes()))
@@ -62,19 +69,16 @@ fn write_segment(dir: &PathBuf, index: u64, lines: &[String]) {
 #[test]
 fn crc_mismatch_mid_segment_quarantines_only_that_segment() {
     let dir = temp_dir("crc-mid");
-    // The line-oriented corruption below splits on newlines, so this
-    // test pins the v1 text format explicitly.
-    let wal = Wal::open_with_format(&dir, 8, WalFormat::V1Json).expect("wal opens");
-    for id in 0..3 {
-        wal.append(&alert(id)).expect("append");
-    }
-    wal.boundary(0).expect("boundary");
-    for id in 3..5 {
-        wal.append(&alert(id)).expect("append");
-    }
-    wal.boundary(1).expect("boundary");
-    wal.append(&alert(5)).expect("append");
-    drop(wal);
+    // A v1 text log: the line-oriented corruption below splits on
+    // newlines.
+    let lines = |ids: std::ops::Range<u64>, window: Option<u64>| -> Vec<String> {
+        ids.map(|id| frame(&WalRecord::Alert(alert(id))))
+            .chain(window.map(|window| frame(&WalRecord::Boundary { window })))
+            .collect()
+    };
+    write_segment(&dir, 0, &lines(0..3, Some(0)));
+    write_segment(&dir, 1, &lines(3..5, Some(1)));
+    write_segment(&dir, 2, &lines(5..6, None));
 
     // Flip one payload byte of the SECOND record of segment 0 — a
     // mid-segment corruption, not a torn tail.
@@ -326,4 +330,69 @@ fn v1_then_corrupt_v2_replays_the_v1_history_intact() {
     );
     assert_eq!(replayed.recovered_alerts, 1);
     fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The upgrade path without corruption: a pre-binary incarnation
+/// sealed window 0 in v1, the upgraded one continues in binary (each
+/// open starts a fresh segment after the existing ones, so the v1
+/// leftovers are untouched), and replay reads one history.
+#[test]
+fn mixed_format_logs_replay_as_one_history() {
+    let dir = temp_dir("mixed");
+    write_segment(
+        &dir,
+        0,
+        &[
+            frame(&WalRecord::Alert(alert(1))),
+            frame(&WalRecord::Boundary { window: 0 }),
+        ],
+    );
+    {
+        let wal = Wal::open(&dir, 8).expect("wal opens");
+        wal.append(&alert(2)).expect("append");
+        wal.boundary(1).expect("boundary");
+        wal.append(&alert(3)).expect("append");
+    }
+    let replayed = replay(&dir).expect("replay");
+    assert_eq!(replayed.torn_records, 0);
+    assert_eq!(
+        replayed.windows,
+        vec![(0, vec![alert(1)]), (1, vec![alert(2)])]
+    );
+    assert_eq!(replayed.tail, vec![alert(3)]);
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A log in the pre-binary v1 text format and one written in the v2
+/// binary format from the same appends — a real scenario trace, every
+/// alert field in play — replay to the same history: recovery is
+/// format-blind.
+#[test]
+fn v1_and_v2_wals_replay_identically() {
+    let mut trace = alertops_sim::scenarios::quickstart(11).run().alerts;
+    trace.sort_by_key(|a| (a.raised_at(), a.id()));
+    let windows: Vec<&[Alert]> = trace.chunks(150).collect();
+
+    let v1_dir = temp_dir("identity-v1");
+    let v2_dir = temp_dir("identity-v2");
+    let wal = Wal::open(&v2_dir, 16).expect("wal opens");
+    for (window, seq) in windows.iter().zip(0u64..) {
+        let mut lines = Vec::with_capacity(window.len() + 1);
+        for alert in *window {
+            wal.append(alert).expect("append");
+            lines.push(frame(&WalRecord::Alert(alert.clone())));
+        }
+        wal.boundary(seq).expect("boundary");
+        lines.push(frame(&WalRecord::Boundary { window: seq }));
+        write_segment(&v1_dir, seq, &lines);
+    }
+    drop(wal);
+
+    let v1 = replay(&v1_dir).expect("replay");
+    let v2 = replay(&v2_dir).expect("replay");
+    assert_eq!(v1, v2, "replay must be format-blind");
+    assert_eq!(v1.torn_records, 0);
+    assert_eq!(v1.recovered_alerts, trace.len() as u64);
+    fs::remove_dir_all(&v1_dir).expect("cleanup");
+    fs::remove_dir_all(&v2_dir).expect("cleanup");
 }

@@ -20,8 +20,7 @@ use alertops_detect::storm::storms_from_histogram;
 use alertops_detect::{AlertStorm, AntiPattern, IncrementalState, StormConfig, StrategyFinding};
 use alertops_model::{Alert, AlertId, Incident, QoaLabel, RegionId, StrategyId};
 use alertops_qoa::{
-    FeatureExtractor, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, QoaSample, QoaVerdicts,
-    QoaWindowReport,
+    FeatureExtractor, OnlineQoaModel, QoaFeedbackConfig, QoaSample, QoaVerdicts, QoaWindowReport,
 };
 use alertops_react::{EmergingConfig, EmergingDoc, EmergingReport};
 
@@ -556,29 +555,6 @@ impl StreamingGovernor {
         self.closer.qoa_model()
     }
 
-    /// Captures the local QoA model's state for journaling, when this
-    /// governor owns one.
-    #[must_use]
-    pub fn qoa_checkpoint(&self) -> Option<QoaCheckpoint> {
-        self.qoa_model().map(OnlineQoaModel::checkpoint)
-    }
-
-    /// Restores the local QoA model from a checkpoint (switching the
-    /// loop into [`QoaMode::Local`] if needed) and installs the
-    /// restored verdicts on the governor. Returns `false` when the
-    /// checkpoint is malformed, leaving the current model untouched.
-    pub fn restore_qoa(&mut self, checkpoint: &QoaCheckpoint) -> bool {
-        if !self.closer.restore_qoa(self.config.qoa.config, checkpoint) {
-            return false;
-        }
-        self.config.qoa.mode = QoaMode::Local;
-        self.qoa_extractor.get_or_insert_with(FeatureExtractor::new);
-        if let Some(model) = self.closer.qoa_model() {
-            self.governor.set_qoa_verdicts(model.verdicts());
-        }
-        true
-    }
-
     /// The wrapped governor.
     #[must_use]
     pub fn governor(&self) -> &AlertGovernor {
@@ -836,52 +812,6 @@ impl StreamingCheckpoint {
     pub fn alert_count(&self) -> usize {
         self.windows.iter().map(Vec::len).sum()
     }
-
-    /// Sorts every window into the canonical `(raised_at, id)` order
-    /// the ingest path expects. Checkpoints rebuilt from a write-ahead
-    /// log hold alerts in arrival order; canonicalizing makes replay
-    /// independent of how concurrent producers interleaved.
-    pub fn canonicalize(&mut self) {
-        for window in &mut self.windows {
-            window.sort_by_key(|a| (a.raised_at(), a.id()));
-        }
-    }
-
-    /// Keeps only alerts whose strategy satisfies `keep` (window
-    /// boundaries stay in place, so indices still align). This is the
-    /// "seal and split" half of a range handoff: the source node's
-    /// checkpoint is filtered to the moved range before shipping, and
-    /// to the kept range before the source restores.
-    pub fn retain_strategies(&mut self, keep: impl Fn(StrategyId) -> bool) {
-        for window in &mut self.windows {
-            window.retain(|a| keep(a.strategy()));
-        }
-    }
-
-    /// Merges two checkpoints over disjoint strategy sets whose
-    /// windows align index-for-index (the handoff target's own
-    /// retained windows plus the shipped moved-range windows), keeping
-    /// canonical per-window order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoints disagree on window alignment — that
-    /// would mean the two nodes closed different window sequences,
-    /// which the cluster's single close barrier rules out.
-    #[must_use]
-    pub fn merged(&self, other: &Self) -> Self {
-        assert_eq!(
-            (self.start_index, self.windows.len()),
-            (other.start_index, other.windows.len()),
-            "checkpoint merge requires aligned windows"
-        );
-        let mut merged = self.clone();
-        for (window, extra) in merged.windows.iter_mut().zip(&other.windows) {
-            window.extend(extra.iter().cloned());
-        }
-        merged.canonicalize();
-        merged
-    }
 }
 
 impl StreamingGovernor {
@@ -897,9 +827,9 @@ impl StreamingGovernor {
     /// stream, not just the retained tail — which is one more reason
     /// clusters defer the emerging pass to their coordinator. The same
     /// caveat applies to [`QoaMode::Local`]: the online model's
-    /// weights depend on every label since stream start, so they are
-    /// restored separately via [`restore_qoa`](Self::restore_qoa) from
-    /// a journaled [`QoaCheckpoint`], not by window replay.
+    /// weights depend on every label since stream start, so a holder
+    /// restores them separately from a journaled [`crate::QoaCheckpoint`]
+    /// ([`WindowCloser::restore_qoa`]), not by window replay.
     #[must_use]
     pub fn restore(
         governor: AlertGovernor,
@@ -1242,24 +1172,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_split_and_merge_partition_cleanly() {
-        let mut window: Vec<Alert> = transient_window(0, 1, 0, 4);
-        window.extend(transient_window(100, 2, 0, 3));
-        window.sort_by_key(|a| (a.raised_at(), a.id()));
-        let full = StreamingCheckpoint {
-            start_index: 7,
-            windows: vec![window],
-        };
-        let mut left = full.clone();
-        left.retain_strategies(|s| s == StrategyId(1));
-        let mut right = full.clone();
-        right.retain_strategies(|s| s == StrategyId(2));
-        assert_eq!(left.alert_count(), 4);
-        assert_eq!(right.alert_count(), 3);
-        assert_eq!(left.merged(&right), full, "split + merge must roundtrip");
-    }
-
-    #[test]
     fn delta_monoid_smoke() {
         // The full law suite lives in tests/determinism.rs; this pins
         // the basics close to the implementation.
@@ -1385,32 +1297,6 @@ mod tests {
             assert_eq!(alert.strategy(), StrategyId(2));
             assert!(!triaged.contains(id), "escalated lane excludes triage");
         }
-    }
-
-    #[test]
-    fn qoa_restore_from_checkpoint_is_exact() {
-        let mut original = streaming_with_qoa(QoaMode::Local);
-        for hour in 0..5u64 {
-            let window = transient_window(hour * 100, 1 + hour % 2, hour, 5);
-            let labels = labels_for(&window, hour % 2 == 0);
-            original.ingest_labeled(&window, &[], &labels);
-        }
-        let checkpoint = original.qoa_checkpoint().expect("local model checkpoints");
-        let mut restored = streaming_with_qoa(QoaMode::Off);
-        assert!(restored.restore_qoa(&checkpoint));
-        assert_eq!(restored.config.qoa.mode, QoaMode::Local);
-        assert_eq!(
-            original.qoa_model().expect("model").digest(),
-            restored.qoa_model().expect("model").digest()
-        );
-        // Malformed checkpoints are rejected without clobbering state.
-        let mut bad = checkpoint;
-        bad.models.pop();
-        assert!(!restored.restore_qoa(&bad));
-        assert_eq!(
-            original.qoa_model().expect("model").digest(),
-            restored.qoa_model().expect("model").digest()
-        );
     }
 
     #[test]

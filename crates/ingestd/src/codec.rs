@@ -1,4 +1,9 @@
-//! The NDJSON wire protocol.
+//! The NDJSON wire encoding: a line ⇄ [`Frame`] adapter.
+//!
+//! The frame vocabulary is `alertops-wire`'s — [`Frame`], [`AckFrame`],
+//! [`ChaosCmd`] — and this module is only its text rendering: past
+//! [`FrameDecoder`] (daemon side) or [`parse_ack_line`] (client side)
+//! nothing knows which encoding a connection speaks.
 //!
 //! One frame per line. A line is either an [`Alert`] serialized as a
 //! JSON object, or a control frame `{"ctrl": "..."}`:
@@ -36,6 +41,9 @@
 use std::fmt;
 
 use alertops_model::Alert;
+use alertops_wire::{AckFrame, ChaosCmd, Frame};
+
+pub use alertops_wire::MAX_FRAME_LEN;
 
 /// The flush control frame, exactly as it appears on the wire.
 pub const FLUSH_FRAME: &str = r#"{"ctrl":"flush"}"#;
@@ -45,44 +53,6 @@ pub const SHUTDOWN_FRAME: &str = r#"{"ctrl":"shutdown"}"#;
 
 /// The sync (full queue drain) control frame.
 pub const SYNC_FRAME: &str = r#"{"ctrl":"sync"}"#;
-
-/// Hard ceiling on one frame's length in bytes. Longer lines are
-/// quarantined as [`QuarantineReason::Oversized`] and discarded
-/// without being buffered, so a producer streaming an unterminated
-/// line cannot balloon daemon memory.
-pub const MAX_FRAME_LEN: usize = 1 << 20;
-
-/// One decoded line of ingress.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// An alert record to route to its strategy's shard.
-    Alert(Box<Alert>),
-    /// Close the current window on every shard and publish the merged
-    /// snapshot.
-    Flush,
-    /// Stop the daemon.
-    Shutdown,
-    /// Drain every shard queue, then ack.
-    Sync,
-    /// Chaos: panic the shard's worker (at this queue position, or
-    /// during its next window close).
-    ChaosPanic {
-        /// Target shard.
-        shard: usize,
-        /// Panic inside the next `Close` instead of immediately.
-        on_close: bool,
-    },
-    /// Chaos: park the shard's worker until resumed.
-    ChaosStall {
-        /// Target shard.
-        shard: usize,
-    },
-    /// Chaos: unpark a stalled worker.
-    ChaosResume {
-        /// Target shard.
-        shard: usize,
-    },
-}
 
 /// Why a quarantined line was rejected. Each reason has its own
 /// counter on the status socket, so an operator can tell a buggy
@@ -162,6 +132,16 @@ impl FrameError {
             detail: detail.into(),
         }
     }
+
+    /// The quarantine bucket this error counts under; `None` for a
+    /// blank line, which is skipped rather than quarantined.
+    #[must_use]
+    pub fn reason(&self) -> Option<QuarantineReason> {
+        match self {
+            FrameError::Empty => None,
+            FrameError::Malformed { reason, .. } => Some(*reason),
+        }
+    }
 }
 
 impl fmt::Display for FrameError {
@@ -194,15 +174,15 @@ fn parse_control(value: &serde_json::Value) -> Result<Frame, FrameError> {
         Some("flush") => Ok(Frame::Flush),
         Some("shutdown") => Ok(Frame::Shutdown),
         Some("sync") => Ok(Frame::Sync),
-        Some("panic") => Ok(Frame::ChaosPanic {
+        Some("panic") => Ok(Frame::Chaos(ChaosCmd::Panic {
             shard: shard()?,
             on_close: value
                 .get("on_close")
                 .and_then(serde_json::Value::as_bool)
                 .unwrap_or(false),
-        }),
-        Some("stall") => Ok(Frame::ChaosStall { shard: shard()? }),
-        Some("resume") => Ok(Frame::ChaosResume { shard: shard()? }),
+        })),
+        Some("stall") => Ok(Frame::Chaos(ChaosCmd::Stall { shard: shard()? })),
+        Some("resume") => Ok(Frame::Chaos(ChaosCmd::Resume { shard: shard()? })),
         other => Err(FrameError::malformed(
             QuarantineReason::UnknownControl,
             format!("unknown control verb {other:?}"),
@@ -279,6 +259,13 @@ impl FrameDecoder {
     /// cleared first.
     pub fn feed_into(&mut self, bytes: &[u8], out: &mut Vec<Result<Frame, FrameError>>) {
         out.clear();
+        self.feed_with(bytes, |item| out.push(item));
+    }
+
+    /// [`feed`](Self::feed) handing each completed item to `sink` in
+    /// stream order, so a caller can fold decoding into its own item
+    /// type without an intermediate vector.
+    pub fn feed_with(&mut self, bytes: &[u8], mut sink: impl FnMut(Result<Frame, FrameError>)) {
         let mut rest = bytes;
         while !rest.is_empty() {
             match rest.iter().position(|&b| b == b'\n') {
@@ -290,18 +277,18 @@ impl FrameDecoder {
                         // was already quarantined; its newline ends it.
                         self.skipping = false;
                     } else {
-                        self.extend_checked(line_end, out);
+                        self.extend_checked(line_end, &mut sink);
                         if self.skipping {
                             self.skipping = false;
                         } else if let Some(item) = decode_line(&self.buf) {
-                            out.push(item);
+                            sink(item);
                         }
                     }
                     self.buf.clear();
                 }
                 None => {
                     if !self.skipping {
-                        self.extend_checked(rest, out);
+                        self.extend_checked(rest, &mut sink);
                     }
                     rest = &[];
                 }
@@ -323,9 +310,9 @@ impl FrameDecoder {
         item
     }
 
-    fn extend_checked(&mut self, part: &[u8], out: &mut Vec<Result<Frame, FrameError>>) {
+    fn extend_checked(&mut self, part: &[u8], sink: &mut impl FnMut(Result<Frame, FrameError>)) {
         if self.buf.len() + part.len() > MAX_FRAME_LEN {
-            out.push(Err(FrameError::malformed(
+            sink(Err(FrameError::malformed(
                 QuarantineReason::Oversized,
                 format!("frame exceeds {MAX_FRAME_LEN} bytes"),
             )));
@@ -356,29 +343,63 @@ pub fn encode_alert(alert: &Alert) -> String {
     serde_json::to_string(alert).expect("alerts always serialize")
 }
 
-/// Encodes the flush acknowledgement the daemon sends back.
+/// Renders one ingress frame as its wire line (no trailing newline) —
+/// the inverse of [`parse_frame`]. `None` for the frame kinds that
+/// only exist in WAL segments, handoff shipments and the ack lane,
+/// which NDJSON has no line for.
 #[must_use]
-pub fn encode_flush_ack(window: u64, alerts: usize) -> String {
-    format!(r#"{{"ack":"flush","window":{window},"alerts":{alerts}}}"#)
+pub fn frame_line(frame: &Frame) -> Option<String> {
+    Some(match frame {
+        Frame::Alert(alert) => encode_alert(alert),
+        Frame::Flush => FLUSH_FRAME.to_owned(),
+        Frame::Shutdown => SHUTDOWN_FRAME.to_owned(),
+        Frame::Sync => SYNC_FRAME.to_owned(),
+        Frame::Chaos(ChaosCmd::Panic { shard, on_close }) => {
+            format!(r#"{{"ctrl":"panic","shard":{shard},"on_close":{on_close}}}"#)
+        }
+        Frame::Chaos(ChaosCmd::Stall { shard }) => {
+            format!(r#"{{"ctrl":"stall","shard":{shard}}}"#)
+        }
+        Frame::Chaos(ChaosCmd::Resume { shard }) => {
+            format!(r#"{{"ctrl":"resume","shard":{shard}}}"#)
+        }
+        Frame::Boundary { .. } | Frame::Handoff(_) | Frame::Ack(_) | Frame::QoaState(_) => {
+            return None
+        }
+    })
 }
 
-/// Encodes the shutdown acknowledgement.
+/// Renders one acknowledgement as the line the daemon sends back on an
+/// NDJSON connection (no trailing newline).
 #[must_use]
-pub fn encode_shutdown_ack() -> String {
-    r#"{"ack":"shutdown"}"#.to_owned()
+pub fn ack_line(ack: &AckFrame) -> String {
+    match *ack {
+        AckFrame::Flush { window, alerts } => {
+            format!(r#"{{"ack":"flush","window":{window},"alerts":{alerts}}}"#)
+        }
+        AckFrame::Sync => r#"{"ack":"sync"}"#.to_owned(),
+        AckFrame::Shutdown => r#"{"ack":"shutdown"}"#.to_owned(),
+        AckFrame::Stall { shard } => format!(r#"{{"ack":"stall","shard":{shard}}}"#),
+    }
 }
 
-/// Encodes the sync (drain barrier) acknowledgement.
+/// Reads one acknowledgement line back; `None` if it is not one.
 #[must_use]
-pub fn encode_sync_ack() -> String {
-    r#"{"ack":"sync"}"#.to_owned()
-}
-
-/// Encodes the stall acknowledgement: sent once the shard's worker is
-/// parked and its queue drained.
-#[must_use]
-pub fn encode_stall_ack(shard: usize) -> String {
-    format!(r#"{{"ack":"stall","shard":{shard}}}"#)
+pub fn parse_ack_line(line: &str) -> Option<AckFrame> {
+    let value: serde_json::Value = serde_json::from_str(line.trim()).ok()?;
+    let field = |name| value.get(name).and_then(serde_json::Value::as_u64);
+    match value.get("ack")?.as_str()? {
+        "flush" => Some(AckFrame::Flush {
+            window: field("window")?,
+            alerts: field("alerts")?,
+        }),
+        "sync" => Some(AckFrame::Sync),
+        "shutdown" => Some(AckFrame::Shutdown),
+        "stall" => Some(AckFrame::Stall {
+            shard: usize::try_from(field("shard")?).ok()?,
+        }),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -428,32 +449,69 @@ mod tests {
             reason_of(parse_frame(r#"{"id":"not an alert"}"#)),
             QuarantineReason::InvalidAlert
         );
+        // The ack lane: each variant renders to its documented line and
+        // reads back as itself.
+        for (ack, line) in [
+            (
+                AckFrame::Flush {
+                    window: 3,
+                    alerts: 41,
+                },
+                r#"{"ack":"flush","window":3,"alerts":41}"#,
+            ),
+            (AckFrame::Sync, r#"{"ack":"sync"}"#),
+            (AckFrame::Shutdown, r#"{"ack":"shutdown"}"#),
+            (AckFrame::Stall { shard: 2 }, r#"{"ack":"stall","shard":2}"#),
+        ] {
+            assert_eq!(ack_line(&ack), line);
+            assert_eq!(parse_ack_line(&format!("{line}\n")), Some(ack));
+        }
+        assert_eq!(parse_ack_line(FLUSH_FRAME), None);
+        assert_eq!(parse_ack_line(r#"{"ack":"flush","window":3}"#), None);
     }
 
     #[test]
     fn chaos_frames_parse_with_targets() {
         assert_eq!(
             parse_frame(r#"{"ctrl":"panic","shard":2}"#),
-            Ok(Frame::ChaosPanic {
+            Ok(Frame::Chaos(ChaosCmd::Panic {
                 shard: 2,
                 on_close: false
-            })
+            }))
         );
         assert_eq!(
             parse_frame(r#"{"ctrl":"panic","shard":0,"on_close":true}"#),
-            Ok(Frame::ChaosPanic {
+            Ok(Frame::Chaos(ChaosCmd::Panic {
                 shard: 0,
                 on_close: true
-            })
+            }))
         );
         assert_eq!(
             parse_frame(r#"{"ctrl":"stall","shard":1}"#),
-            Ok(Frame::ChaosStall { shard: 1 })
+            Ok(Frame::Chaos(ChaosCmd::Stall { shard: 1 }))
         );
         assert_eq!(
             parse_frame(r#"{"ctrl":"resume","shard":1}"#),
-            Ok(Frame::ChaosResume { shard: 1 })
+            Ok(Frame::Chaos(ChaosCmd::Resume { shard: 1 }))
         );
+        // Every ingress frame renders to a line that parses back as
+        // itself; WAL-only kinds have no line.
+        for frame in [
+            Frame::Alert(Box::new(sample_alert())),
+            Frame::Flush,
+            Frame::Shutdown,
+            Frame::Sync,
+            Frame::Chaos(ChaosCmd::Panic {
+                shard: 4,
+                on_close: true,
+            }),
+            Frame::Chaos(ChaosCmd::Stall { shard: 0 }),
+            Frame::Chaos(ChaosCmd::Resume { shard: 9 }),
+        ] {
+            let line = frame_line(&frame).expect("ingress frames have a line");
+            assert_eq!(parse_frame(&line), Ok(frame));
+        }
+        assert_eq!(frame_line(&Frame::Boundary { window: 1 }), None);
         // Missing shard target: quarantined, not a parse panic.
         assert_eq!(
             reason_of(parse_frame(r#"{"ctrl":"panic"}"#)),
@@ -631,10 +689,16 @@ mod proptests {
                 1 => (SYNC_FRAME, Frame::Sync),
                 2 => (
                     r#"{"ctrl":"panic","shard":3,"on_close":true}"#,
-                    Frame::ChaosPanic { shard: 3, on_close: true },
+                    Frame::Chaos(ChaosCmd::Panic { shard: 3, on_close: true }),
                 ),
-                3 => (r#"{"ctrl":"stall","shard":1}"#, Frame::ChaosStall { shard: 1 }),
-                _ => (r#"{"ctrl":"resume","shard":0}"#, Frame::ChaosResume { shard: 0 }),
+                3 => (
+                    r#"{"ctrl":"stall","shard":1}"#,
+                    Frame::Chaos(ChaosCmd::Stall { shard: 1 }),
+                ),
+                _ => (
+                    r#"{"ctrl":"resume","shard":0}"#,
+                    Frame::Chaos(ChaosCmd::Resume { shard: 0 }),
+                ),
             };
             wire.extend_from_slice(ctrl_line.as_bytes());
             wire.push(b'\n');

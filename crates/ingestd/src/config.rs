@@ -52,9 +52,9 @@ pub struct IngestdConfig {
     /// listener (alerts arrive via [`crate::IngestdHandle::route`] or
     /// stdin instead). Use port 0 to let the OS pick.
     pub listen: Option<String>,
-    /// Ingress wire format (`--wire`): NDJSON lines (the default and
-    /// the compatibility oracle) or `alertops-wire` binary frames.
-    /// The connection speaks one protocol in *both* directions: NDJSON
+    /// Ingress wire encoding (`--wire`): NDJSON lines (the default) or
+    /// `alertops-wire` binary frames — one frame vocabulary either way.
+    /// The connection speaks one encoding in *both* directions: NDJSON
     /// connections get JSON ack lines, binary connections get
     /// [`alertops_wire::AckFrame`] frames. The governed output is
     /// byte-identical either way — the format only changes how bytes

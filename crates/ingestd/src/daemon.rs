@@ -22,12 +22,9 @@ use alertops_core::{
     StreamingGovernor, WindowCloser,
 };
 use alertops_model::{Alert, QoaLabel};
-use alertops_wire::{AckFrame, ChaosCmd, WireDecoder, WireEncoder, WireError, WireFormat};
+use alertops_wire::{AckFrame, ChaosCmd, Frame, WireDecoder, WireEncoder, WireError, WireFormat};
 
-use crate::codec::{
-    encode_flush_ack, encode_shutdown_ack, encode_stall_ack, encode_sync_ack, Frame, FrameDecoder,
-    FrameError, QuarantineReason,
-};
+use crate::codec::{ack_line, FrameDecoder, FrameError, QuarantineReason};
 use crate::config::{IngestdConfig, OverflowPolicy};
 use crate::coordinator::{run_coordinator, CoordMsg};
 use crate::counters::{CounterSnapshot, Counters, QUEUE_ENQUEUED};
@@ -646,234 +643,203 @@ fn accept_ingress(listener: &TcpListener, running: &Arc<AtomicBool>, router: &Ar
     }
 }
 
-/// One ingress connection, in the daemon's configured wire format.
-/// The connection speaks one protocol in both directions: NDJSON
-/// connections are acked with JSON text lines, binary connections
-/// with [`AckFrame`] frames.
-fn serve_ingress(stream: &TcpStream, router: &Arc<Router>) {
-    match router.wire {
-        WireFormat::Ndjson => serve_ingress_ndjson(stream, router),
-        WireFormat::Binary => serve_ingress_binary(stream, router),
+/// The two encodings a connection can speak, reduced to the three
+/// questions the serve loop asks: feed bytes, is a decode error
+/// terminal, write this ack. Past [`feed`](Self::feed) everything is
+/// `alertops-wire` [`Frame`]s; the connection speaks one encoding in
+/// both directions.
+enum IngressCodec {
+    /// One frame per line. Framing goes through [`FrameDecoder`], so a
+    /// connection dropped mid-frame quarantines its partial line
+    /// instead of losing it silently.
+    Ndjson(FrameDecoder),
+    /// Length+CRC `alertops-wire` frames. The write half gets its own
+    /// encoder: the ack stream's string table is independent of the
+    /// ingress stream's.
+    Binary {
+        decoder: WireDecoder,
+        ack_encoder: WireEncoder,
+    },
+}
+
+/// One decoded ingress item: a frame, or the bucket a malformed input
+/// is quarantined under.
+type IngressItem = Result<Frame, QuarantineReason>;
+
+impl IngressCodec {
+    fn new(wire: WireFormat) -> Self {
+        match wire {
+            WireFormat::Ndjson => IngressCodec::Ndjson(FrameDecoder::new()),
+            WireFormat::Binary => IngressCodec::Binary {
+                decoder: WireDecoder::new(),
+                ack_encoder: WireEncoder::new(),
+            },
+        }
+    }
+
+    /// Decodes one socket read into `out` (cleared first) — the
+    /// connection's one scratch vec, so the decode loop allocates
+    /// nothing in steady state.
+    fn feed(&mut self, bytes: &[u8], out: &mut Vec<IngressItem>) {
+        out.clear();
+        match self {
+            IngressCodec::Ndjson(decoder) => {
+                decoder.feed_with(bytes, |item| out.extend(ndjson_item(item)));
+            }
+            IngressCodec::Binary { decoder, .. } => {
+                decoder.feed_with(bytes, |item| out.push(item.map_err(|e| binary_reason(&e))));
+            }
+        }
+    }
+
+    /// The end-of-stream item: a stream cut mid-frame quarantines its
+    /// torn tail (which on NDJSON may still parse — a final line
+    /// without its newline).
+    fn finish(&mut self) -> Option<IngressItem> {
+        match self {
+            IngressCodec::Ndjson(decoder) => decoder.finish().and_then(ndjson_item),
+            IngressCodec::Binary { decoder, .. } => {
+                decoder.finish().map(|e| Err(binary_reason(&e)))
+            }
+        }
+    }
+
+    /// NDJSON resyncs at the next newline. A binary stream cannot: the
+    /// length prefix can no longer be trusted and the string table may
+    /// be desynced, so its first decode error closes the connection.
+    fn decode_error_is_terminal(&self) -> bool {
+        matches!(self, IngressCodec::Binary { .. })
+    }
+
+    /// Writes one ack in a single `write_all`, line terminator
+    /// included: an ack split across two small writes stalls the
+    /// client for a delayed-ACK interval under Nagle.
+    fn write_ack(&mut self, ack: AckFrame, writer: &mut impl Write) -> io::Result<()> {
+        match self {
+            IngressCodec::Ndjson(_) => {
+                let mut line = ack_line(&ack);
+                line.push('\n');
+                writer.write_all(line.as_bytes())
+            }
+            IngressCodec::Binary { ack_encoder, .. } => {
+                writer.write_all(&ack_encoder.encode(&Frame::Ack(ack)))
+            }
+        }
     }
 }
 
-/// NDJSON ingress: one frame per line. Framing goes through
-/// [`FrameDecoder`], so a connection dropped mid-frame quarantines its
-/// partial line instead of losing it silently.
-fn serve_ingress_ndjson(stream: &TcpStream, router: &Arc<Router>) {
+/// A blank line is skipped, not quarantined, so it maps to no item.
+fn ndjson_item(item: Result<Frame, FrameError>) -> Option<IngressItem> {
+    match item {
+        Ok(frame) => Some(Ok(frame)),
+        Err(err) => err.reason().map(Err),
+    }
+}
+
+/// The quarantine bucket of a binary decode failure: a declared length
+/// past the frame bound is `Oversized`, everything else (CRC, framing,
+/// torn tail) `CorruptFrame`.
+fn binary_reason(err: &WireError) -> QuarantineReason {
+    if err.is_oversized() {
+        QuarantineReason::Oversized
+    } else {
+        QuarantineReason::CorruptFrame
+    }
+}
+
+/// One ingress connection, in the daemon's configured wire format.
+fn serve_ingress(stream: &TcpStream, router: &Arc<Router>) {
     let Ok(mut read_half) = stream.try_clone() else {
         return;
     };
     let mut writer = stream;
-    let mut decoder = FrameDecoder::new();
+    let mut codec = IngressCodec::new(router.wire);
     let mut buf = [0u8; 8192];
-    // One scratch vec per connection, reused for every read: the decode
-    // loop allocates nothing in steady state.
-    let mut frames = Vec::new();
+    let mut items = Vec::new();
     loop {
         let n = match read_half.read(&mut buf) {
             Ok(0) | Err(_) => break,
             Ok(n) => n,
         };
-        decoder.feed_into(&buf[..n], &mut frames);
-        for item in frames.drain(..) {
-            if !handle_frame(item, router, &mut writer) {
+        codec.feed(&buf[..n], &mut items);
+        for item in items.drain(..) {
+            if !handle_item(item, router, &mut codec, &mut writer) {
                 return;
             }
         }
     }
-    if let Some(item) = decoder.finish() {
-        let _ = handle_frame(item, router, &mut writer);
+    if let Some(item) = codec.finish() {
+        let _ = handle_item(item, router, &mut codec, &mut writer);
     }
 }
 
-/// Binary ingress: length+CRC `alertops-wire` frames. The first
-/// decode error is terminal — the length prefix can no longer be
-/// trusted and the string table may be desynced, so the frame is
-/// quarantined ([`QuarantineReason::CorruptFrame`], or `Oversized`
-/// for a declared length past the frame bound) and the connection
-/// closed. A stream cut mid-frame quarantines the torn tail the same
-/// way NDJSON quarantines a partial line.
-fn serve_ingress_binary(stream: &TcpStream, router: &Arc<Router>) {
-    let Ok(mut read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    let mut decoder = WireDecoder::new();
-    // The write half gets its own encoder: acks are binary frames on a
-    // binary connection, and the ack stream's string table is
-    // independent of the ingress stream's.
-    let mut ack_encoder = WireEncoder::new();
-    let mut buf = [0u8; 8192];
-    let mut frames = Vec::new();
-    loop {
-        let n = match read_half.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        decoder.feed_into(&buf[..n], &mut frames);
-        for item in frames.drain(..) {
-            match item {
-                Ok(frame) => {
-                    if let Some(metrics) = &router.metrics {
-                        metrics.frames_decoded.inc();
-                    }
-                    if !handle_wire_frame(frame, router, &mut writer, &mut ack_encoder) {
-                        return;
-                    }
-                }
-                Err(err) => {
-                    quarantine_wire_error(&err, router);
-                    return;
-                }
+/// Counts one decoded item, then applies the frame or quarantines the
+/// malformed input; `false` ends the connection.
+fn handle_item(
+    item: IngressItem,
+    router: &Arc<Router>,
+    codec: &mut IngressCodec,
+    writer: &mut impl Write,
+) -> bool {
+    match item {
+        Ok(frame) => {
+            if let Some(metrics) = &router.metrics {
+                metrics.frames_decoded.inc();
             }
+            handle_frame(frame, router, |ack| codec.write_ack(ack, writer).is_ok())
+        }
+        Err(reason) => {
+            if let Some(metrics) = &router.metrics {
+                metrics.frames_rejected.inc();
+            }
+            router.counters.quarantine(reason);
+            !codec.decode_error_is_terminal()
         }
     }
-    if let Some(err) = decoder.finish() {
-        quarantine_wire_error(&err, router);
-    }
 }
 
-/// Counts one terminal binary-ingress decode failure.
-fn quarantine_wire_error(err: &WireError, router: &Arc<Router>) {
-    if let Some(metrics) = &router.metrics {
-        metrics.frames_rejected.inc();
-    }
-    let reason = if err.is_oversized() {
-        QuarantineReason::Oversized
-    } else {
-        QuarantineReason::CorruptFrame
-    };
-    router.counters.quarantine(reason);
-}
-
-/// Writes one binary ack frame; `false` means the peer is gone.
-fn write_wire_ack(ack: AckFrame, encoder: &mut WireEncoder, writer: &mut impl Write) -> bool {
-    let bytes = encoder.encode(&alertops_wire::Frame::Ack(ack));
-    writer.write_all(&bytes).is_ok()
-}
-
-/// Applies one decoded binary frame; `false` ends the connection.
-/// Control semantics match the NDJSON equivalents, but acks go back
-/// as binary [`AckFrame`] frames through `ack_encoder` — the protocol
-/// is binary in both directions. Frame kinds that only exist for WAL
-/// segments or handoff shipments are quarantined as unknown controls.
-fn handle_wire_frame(
-    frame: alertops_wire::Frame,
-    router: &Arc<Router>,
-    writer: &mut impl Write,
-    ack_encoder: &mut WireEncoder,
-) -> bool {
-    use alertops_wire::Frame as WireFrame;
+/// Applies one ingress frame, answering through `ack` (`false` from
+/// it: the peer is gone); `false` ends the connection. Frame kinds
+/// that only exist for WAL segments, handoff shipments or the ack lane
+/// are quarantined as unknown controls.
+fn handle_frame(frame: Frame, router: &Arc<Router>, mut ack: impl FnMut(AckFrame) -> bool) -> bool {
     match frame {
-        WireFrame::Alert(alert) => router.route(alert),
-        WireFrame::Flush => {
+        Frame::Alert(alert) => router.route(alert),
+        Frame::Flush => {
             if let Some(closed) = router.flush(Vec::new()) {
                 let snapshot = closed.snapshot;
-                let ack = AckFrame::Flush {
+                return ack(AckFrame::Flush {
                     window: snapshot.window_index,
                     alerts: snapshot.alert_count as u64,
-                };
-                if !write_wire_ack(ack, ack_encoder, writer) {
-                    return false;
-                }
+                });
             }
         }
-        WireFrame::Sync => {
+        Frame::Sync => {
             router.sync();
-            if !write_wire_ack(AckFrame::Sync, ack_encoder, writer) {
-                return false;
-            }
+            return ack(AckFrame::Sync);
         }
-        WireFrame::Shutdown => {
-            let _ = write_wire_ack(AckFrame::Shutdown, ack_encoder, writer);
+        Frame::Shutdown => {
+            let _ = ack(AckFrame::Shutdown);
             router.shutdown.request();
             return false;
         }
-        WireFrame::Chaos(ChaosCmd::Panic { shard, on_close }) => {
+        Frame::Chaos(cmd) => {
+            let (ChaosCmd::Panic { shard, .. }
+            | ChaosCmd::Stall { shard }
+            | ChaosCmd::Resume { shard }) = cmd;
             if chaos_target(router, shard) {
-                router.inject_panic(shard, on_close);
-            }
-        }
-        WireFrame::Chaos(ChaosCmd::Stall { shard }) => {
-            if chaos_target(router, shard) {
-                router.stall(shard);
-                if !write_wire_ack(AckFrame::Stall { shard }, ack_encoder, writer) {
-                    return false;
+                match cmd {
+                    ChaosCmd::Panic { on_close, .. } => router.inject_panic(shard, on_close),
+                    ChaosCmd::Stall { .. } => {
+                        router.stall(shard);
+                        return ack(AckFrame::Stall { shard });
+                    }
+                    ChaosCmd::Resume { .. } => router.resume(shard),
                 }
             }
         }
-        WireFrame::Chaos(ChaosCmd::Resume { shard }) => {
-            if chaos_target(router, shard) {
-                router.resume(shard);
-            }
-        }
-        WireFrame::Boundary { .. }
-        | WireFrame::Handoff(_)
-        | WireFrame::Ack(_)
-        | WireFrame::QoaState(_) => {
+        Frame::Boundary { .. } | Frame::Handoff(_) | Frame::Ack(_) | Frame::QoaState(_) => {
             router.counters.quarantine(QuarantineReason::UnknownControl);
-        }
-    }
-    true
-}
-
-/// Applies one decoded ingress item; `false` ends the connection.
-fn handle_frame(
-    item: Result<Frame, FrameError>,
-    router: &Arc<Router>,
-    writer: &mut impl Write,
-) -> bool {
-    if let Some(metrics) = &router.metrics {
-        match &item {
-            Ok(_) => metrics.frames_decoded.inc(),
-            Err(FrameError::Malformed { .. }) => metrics.frames_rejected.inc(),
-            Err(FrameError::Empty) => {}
-        }
-    }
-    match item {
-        Ok(Frame::Alert(alert)) => router.route(alert),
-        Ok(Frame::Flush) => {
-            if let Some(closed) = router.flush(Vec::new()) {
-                let snapshot = closed.snapshot;
-                let ack = encode_flush_ack(snapshot.window_index, snapshot.alert_count);
-                if writeln!(writer, "{ack}").is_err() {
-                    return false;
-                }
-            }
-        }
-        Ok(Frame::Sync) => {
-            router.sync();
-            if writeln!(writer, "{}", encode_sync_ack()).is_err() {
-                return false;
-            }
-        }
-        Ok(Frame::Shutdown) => {
-            let _ = writeln!(writer, "{}", encode_shutdown_ack());
-            router.shutdown.request();
-            return false;
-        }
-        Ok(Frame::ChaosPanic { shard, on_close }) => {
-            if chaos_target(router, shard) {
-                router.inject_panic(shard, on_close);
-            }
-        }
-        Ok(Frame::ChaosStall { shard }) => {
-            if chaos_target(router, shard) {
-                router.stall(shard);
-                if writeln!(writer, "{}", encode_stall_ack(shard)).is_err() {
-                    return false;
-                }
-            }
-        }
-        Ok(Frame::ChaosResume { shard }) => {
-            if chaos_target(router, shard) {
-                router.resume(shard);
-            }
-        }
-        Err(FrameError::Empty) => {}
-        Err(FrameError::Malformed { reason, .. }) => {
-            router.counters.quarantine(reason);
         }
     }
     true
@@ -980,6 +946,64 @@ fn read_status_request(stream: &TcpStream) -> StatusRequest {
                     return StatusRequest::Status;
                 }
                 line.push(byte[0]);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts everything, counts the calls: what a socket with Nagle
+    /// on turns into segments.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every ack, in either encoding, leaves in exactly one `write`
+    /// call, terminator included — two small writes per ack (what
+    /// `writeln!` on a bare socket does) cost the client a delayed-ACK
+    /// stall per flush.
+    #[test]
+    fn every_ack_leaves_in_one_write() {
+        let acks = [
+            AckFrame::Flush {
+                window: 7,
+                alerts: 4096,
+            },
+            AckFrame::Sync,
+            AckFrame::Shutdown,
+            AckFrame::Stall { shard: 3 },
+        ];
+        for wire in [WireFormat::Ndjson, WireFormat::Binary] {
+            let mut codec = IngressCodec::new(wire);
+            for ack in acks {
+                let mut writer = CountingWriter::default();
+                codec.write_ack(ack, &mut writer).expect("write succeeds");
+                assert_eq!(writer.writes, 1, "{wire} {ack:?}");
+                if wire == WireFormat::Ndjson {
+                    assert_eq!(writer.bytes, format!("{}\n", ack_line(&ack)).as_bytes());
+                } else {
+                    assert_eq!(
+                        WireDecoder::new().feed(&writer.bytes),
+                        vec![Ok(Frame::Ack(ack))]
+                    );
+                }
             }
         }
     }

@@ -12,9 +12,9 @@
 //! been folded into governance state, so the journal may seal the
 //! window's records and prune beyond the rolling history).
 //!
-//! The workspace's implementation is the length+CRC-framed NDJSON
-//! write-ahead log in `alertops-cluster`; tests use in-memory
-//! journals. Journal calls happen on the hot ingress path —
+//! The workspace's implementation is the write-ahead log in
+//! `alertops-cluster` (length+CRC-framed `alertops-wire` binary
+//! segments); tests use in-memory journals. Journal calls happen on the hot ingress path —
 //! implementations buffer or flush at their own risk/latency
 //! trade-off, but must be cheap and must never panic.
 

@@ -4,8 +4,10 @@
 //! The DSN'22 study's governance loop ([`alertops_core::AlertGovernor`])
 //! is batch-shaped; [`alertops_core::StreamingGovernor`] makes it
 //! incremental; this crate makes it a *service*. The daemon accepts
-//! NDJSON-encoded [`alertops_model::Alert`] records over TCP (and, in
-//! the CLI, stdin), hash-shards them by [`alertops_model::StrategyId`]
+//! [`alertops_model::Alert`] records over TCP — `alertops-wire` frames
+//! in either encoding, NDJSON lines ([`codec`]) or binary, per
+//! [`IngestdConfig::wire`]; [`IngressClient`] is the matching client
+//! — hash-shards them by [`alertops_model::StrategyId`]
 //! — so all evidence for one strategy always lands on one shard — and
 //! runs one [`alertops_core::StreamingGovernor`] per shard on its own
 //! worker thread behind a bounded queue with explicit backpressure and
@@ -54,6 +56,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod client;
 pub mod codec;
 pub mod config;
 mod coordinator;
@@ -65,8 +68,9 @@ pub mod shard;
 pub mod status;
 mod worker;
 
+pub use client::IngressClient;
 pub use codec::{
-    Frame, FrameDecoder, FrameError, QuarantineReason, FLUSH_FRAME, MAX_FRAME_LEN, SHUTDOWN_FRAME,
+    FrameDecoder, FrameError, QuarantineReason, FLUSH_FRAME, MAX_FRAME_LEN, SHUTDOWN_FRAME,
     SYNC_FRAME,
 };
 pub use config::{IngestdConfig, OverflowPolicy};

@@ -28,7 +28,7 @@
 //! only nondeterminism in a soak run is wall-clock timing, which is
 //! reported but never feeds back into outputs.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
@@ -37,12 +37,11 @@ use serde::Serialize;
 use alertops_core::{
     AlertGovernor, GovernanceSnapshot, GovernorConfig, StreamingConfig, StreamingGovernor,
 };
-use alertops_ingestd::codec::encode_alert;
-use alertops_ingestd::{shard_catalog, Ingestd, IngestdConfig, FLUSH_FRAME};
+use alertops_ingestd::{shard_catalog, Ingestd, IngestdConfig, IngressClient};
 use alertops_model::{Alert, AlertStrategy};
 use alertops_sim::scenarios::{self, Scenario};
 use alertops_sim::StatisticalStream;
-use alertops_wire::{AckFrame, Frame, WireDecoder, WireEncoder, WireFormat};
+use alertops_wire::{AckFrame, Frame, WireFormat};
 
 use crate::scrape::Exposition;
 
@@ -70,10 +69,11 @@ pub struct SoakConfig {
     /// Throughput gate in alerts per hour of wall time
     /// ([`SoakReport::check_gates`] enforces it).
     pub min_alerts_per_hour: f64,
-    /// Wire format the alerts travel in: NDJSON lines (the default and
-    /// the compatibility oracle) or `alertops-wire` binary frames. The
-    /// oracle and the identity gate are format-blind — both formats
-    /// must publish byte-identical snapshots.
+    /// Encoding the frames travel in: `alertops-wire` binary (what
+    /// [`smoke`](Self::smoke) and [`full`](Self::full) gate, the path
+    /// production uses) or NDJSON lines. The oracle and the identity
+    /// gate are format-blind — both must publish byte-identical
+    /// snapshots.
     pub wire: WireFormat,
 }
 
@@ -94,7 +94,7 @@ impl SoakConfig {
             oracle_prefix_windows: 2,
             oracle_shard_counts: vec![1, 4],
             min_alerts_per_hour: 1_000_000.0,
-            wire: WireFormat::default(),
+            wire: WireFormat::Binary,
         }
     }
 
@@ -113,7 +113,7 @@ impl SoakConfig {
             oracle_prefix_windows: 2,
             oracle_shard_counts: vec![1, 4],
             min_alerts_per_hour: 1_000_000.0,
-            wire: WireFormat::default(),
+            wire: WireFormat::Binary,
         }
     }
 }
@@ -270,114 +270,6 @@ fn oracle_snapshots(
     Ok(snapshots)
 }
 
-/// The TCP half of a soak: the open connection into the live daemon,
-/// speaking whichever wire format the daemon was spawned with — in
-/// both directions. Acks come back as JSON text lines on NDJSON
-/// connections and as [`Frame::Ack`] binary frames on binary ones.
-struct Connection {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    wire: WireFormat,
-    /// Binary mode only: the connection-scoped string table.
-    encoder: WireEncoder,
-    /// Binary mode only: decodes the daemon's binary ack frames (its
-    /// write half runs an independent encoder).
-    decoder: WireDecoder,
-    /// Binary mode only: reusable frame scratch.
-    scratch: Vec<u8>,
-    ack: String,
-}
-
-impl Connection {
-    fn open(addr: SocketAddr, wire: WireFormat) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self {
-            reader,
-            writer: BufWriter::new(stream),
-            wire,
-            encoder: WireEncoder::new(),
-            decoder: WireDecoder::new(),
-            scratch: Vec::new(),
-            ack: String::new(),
-        })
-    }
-
-    /// Reads the next binary frame off the connection. The ingest
-    /// protocol is lock-step (one ack per flush, nothing unsolicited),
-    /// so at most one frame is ever in flight toward the client.
-    fn read_binary_frame(&mut self) -> io::Result<Frame> {
-        loop {
-            let buf = self.reader.fill_buf()?;
-            if buf.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed before the ack frame",
-                ));
-            }
-            let consumed = buf.len();
-            let frames = self.decoder.feed(buf);
-            self.reader.consume(consumed);
-            if let Some(first) = frames.into_iter().next() {
-                return first.map_err(|e| io::Error::other(format!("bad ack frame: {e:?}")));
-            }
-        }
-    }
-
-    /// Streams one window of alerts (buffered; flushed to the socket at
-    /// the end so the daemon sees the whole window promptly).
-    fn send_window(&mut self, window: &[Alert]) -> io::Result<()> {
-        match self.wire {
-            WireFormat::Ndjson => {
-                for alert in window {
-                    writeln!(self.writer, "{}", encode_alert(alert))?;
-                }
-            }
-            WireFormat::Binary => {
-                for alert in window {
-                    self.scratch.clear();
-                    self.encoder.encode_alert_into(alert, &mut self.scratch);
-                    self.writer.write_all(&self.scratch)?;
-                }
-            }
-        }
-        self.writer.flush()
-    }
-
-    /// Sends the flush control frame and waits for its ack — the
-    /// window-close barrier — in the connection's own format.
-    fn flush_window(&mut self) -> io::Result<()> {
-        match self.wire {
-            WireFormat::Ndjson => {
-                writeln!(self.writer, "{FLUSH_FRAME}")?;
-                self.writer.flush()?;
-                self.ack.clear();
-                self.reader.read_line(&mut self.ack)?;
-                if self.ack.contains(r#""ack":"flush""#) {
-                    Ok(())
-                } else {
-                    Err(io::Error::other(format!(
-                        "expected a flush ack, got {:?}",
-                        self.ack
-                    )))
-                }
-            }
-            WireFormat::Binary => {
-                self.scratch.clear();
-                self.encoder.encode_into(&Frame::Flush, &mut self.scratch);
-                self.writer.write_all(&self.scratch)?;
-                self.writer.flush()?;
-                match self.read_binary_frame()? {
-                    Frame::Ack(AckFrame::Flush { .. }) => Ok(()),
-                    other => Err(io::Error::other(format!(
-                        "expected a binary flush ack, got {other:?}"
-                    ))),
-                }
-            }
-        }
-    }
-}
-
 /// Runs one soak: spawn a live daemon, stream the scenario over TCP
 /// window by window, observe it from the outside, and evaluate every
 /// gate. See the module docs for the gate list.
@@ -412,7 +304,7 @@ pub fn run_soak(config: &SoakConfig) -> io::Result<SoakReport> {
     let status_addr = handle
         .status_addr()
         .ok_or_else(|| io::Error::other("status listener not bound"))?;
-    let mut connection = Connection::open(ingest_addr, config.wire)?;
+    let mut connection = IngressClient::connect(ingest_addr, config.wire)?;
 
     let mut windows = 0usize;
     let mut alerts_sent = 0u64;
@@ -427,14 +319,21 @@ pub fn run_soak(config: &SoakConfig) -> io::Result<SoakReport> {
             break;
         }
         alerts_sent += window.len() as u64;
-        connection.send_window(&window)?;
+        connection.send_alerts(&window)?;
         // Scrape between send and close, while the shard queues are
         // live — the external view of backpressure.
         let mid = Exposition::parse(&scrape_metrics(status_addr)?);
         if let Some(depth) = mid.max_of("alertops_queue_depth") {
             max_queue_depth = max_queue_depth.max(depth);
         }
-        connection.flush_window()?;
+        // The window-close barrier: the ack arrives once the merged
+        // snapshot is published.
+        let ack = connection.request(&Frame::Flush)?;
+        if !matches!(ack, AckFrame::Flush { .. }) {
+            return Err(io::Error::other(format!(
+                "expected a flush ack, got {ack:?}"
+            )));
+        }
         if windows < config.oracle_prefix_windows {
             live_prefix.push(
                 handle
@@ -519,6 +418,7 @@ mod tests {
         config.max_windows = Some(2);
         config.min_alerts_per_hour = 1.0;
         let report = run_soak(&config).expect("soak runs");
+        assert_eq!(report.wire, "binary");
         assert_eq!(report.windows, 2);
         assert!(
             report.alerts_sent > 100,
@@ -537,24 +437,24 @@ mod tests {
         );
     }
 
-    /// The same truncated soak over binary wire frames: the daemon's
-    /// published snapshots must match the (NDJSON-blind, in-process)
-    /// oracle exactly — the wire format buys throughput, never a
-    /// different answer.
+    /// The same truncated soak over NDJSON lines (the test above runs
+    /// the binary default): the daemon's published snapshots must
+    /// match the (format-blind, in-process) oracle exactly — the
+    /// encoding buys throughput, never a different answer.
     #[test]
-    fn binary_wire_soak_matches_the_oracle() {
+    fn ndjson_wire_soak_matches_the_oracle() {
         let mut config = SoakConfig::smoke(11);
         config.scenario.range = TimeRange::new(SimTime::from_hours(0), SimTime::from_hours(8));
         config.max_windows = Some(2);
         config.min_alerts_per_hour = 1.0;
-        config.wire = WireFormat::Binary;
-        let report = run_soak(&config).expect("binary soak runs");
-        assert_eq!(report.wire, "binary");
+        config.wire = WireFormat::Ndjson;
+        let report = run_soak(&config).expect("ndjson soak runs");
+        assert_eq!(report.wire, "ndjson");
         assert_eq!(report.windows, 2);
-        assert!(report.outputs_identical, "binary wire changed the output");
+        assert!(report.outputs_identical, "ndjson wire changed the output");
         report
             .check_gates(1.0)
-            .expect("gates hold over binary wire");
+            .expect("gates hold over ndjson wire");
     }
 
     /// The soak traffic itself is deterministic: two streams of the

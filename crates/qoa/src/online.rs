@@ -527,6 +527,10 @@ mod tests {
             .expect("restores");
         assert_eq!(model.digest(), restored.digest());
         assert_eq!(model, restored);
+        // A checkpoint short one classifier is rejected, not padded.
+        let mut short = decoded;
+        short.models.pop();
+        assert!(OnlineQoaModel::from_checkpoint(QoaFeedbackConfig::default(), &short).is_none());
     }
 
     #[test]

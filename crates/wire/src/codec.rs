@@ -27,8 +27,8 @@ use crate::varint;
 /// Hard ceiling on one frame's payload length in bytes (ingress
 /// default). A length prefix above the decoder's limit is rejected
 /// before any buffering, so a hostile producer cannot balloon daemon
-/// memory with one declared-huge frame. Matches the NDJSON
-/// `MAX_FRAME_LEN` line limit.
+/// memory with one declared-huge frame. The NDJSON decoder bounds its
+/// lines with this same constant.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Distinct strings a stream's table registers before falling back to
@@ -232,6 +232,13 @@ impl WireDecoder {
     /// final item.
     pub fn feed_into(&mut self, bytes: &[u8], out: &mut Vec<Result<Frame, WireError>>) {
         out.clear();
+        self.feed_with(bytes, |item| out.push(item));
+    }
+
+    /// [`feed`](Self::feed) handing each item to `sink` in stream
+    /// order, so a caller can fold decoding into its own item type
+    /// without an intermediate vector.
+    pub fn feed_with(&mut self, bytes: &[u8], mut sink: impl FnMut(Result<Frame, WireError>)) {
         if self.poisoned {
             return;
         }
@@ -240,14 +247,14 @@ impl WireDecoder {
         loop {
             match self.next_frame(pos) {
                 Ok(Some((frame, consumed))) => {
-                    out.push(Ok(frame));
+                    sink(Ok(frame));
                     pos += consumed;
                 }
                 Ok(None) => break,
                 Err(e) => {
                     self.poisoned = true;
                     self.buf.clear();
-                    out.push(Err(e));
+                    sink(Err(e));
                     return;
                 }
             }

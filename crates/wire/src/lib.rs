@@ -1,13 +1,19 @@
-//! The versioned binary frame codec — one alert representation on
-//! every wire.
+//! One frame vocabulary, two encodings.
 //!
-//! NDJSON (see `alertops-ingestd`'s codec) stays the default ingress
-//! format and the compatibility oracle; this crate is the opt-in
-//! binary alternative threaded through ingest, the cluster's
-//! write-ahead log, and range handoff. It exists to kill the two
-//! steady-state costs of JSON re-serialization on those paths: the
-//! per-alert `String` round trip, and re-shipping the same few
-//! thousand distinct title/service/location strings once per alert.
+//! [`Frame`], [`AckFrame`] and [`ChaosCmd`] are the only frame and ack
+//! types in the system: ingress traffic, WAL segment records and
+//! range-handoff shipments are all `Frame`s. This crate also defines
+//! their **binary** encoding ([`WireEncoder`] / [`WireDecoder`]), which
+//! the WAL and handoff always speak and ingress speaks with
+//! `--wire binary`. The other encoding, **NDJSON**, is ingress-only and
+//! lives in `alertops-ingestd`'s `codec` module as a line ⇄ `Frame`
+//! adapter; past either decoder nothing knows which one a connection
+//! used ([`WireFormat`] picks it per daemon, NDJSON by default).
+//!
+//! The binary encoding exists to kill the two steady-state costs of
+//! JSON re-serialization: the per-alert `String` round trip, and
+//! re-shipping the same few thousand distinct title/service/location
+//! strings once per alert.
 //!
 //! # Frame layout
 //!
@@ -18,8 +24,8 @@
 //! ```
 //!
 //! where `len` is the payload length, `crc32` is the IEEE CRC-32 of
-//! the payload (the same [`crc32`] the JSON WAL framing uses), and
-//! the payload is a one-byte tag followed by the tag's body:
+//! the payload (the same [`crc32`] the read-only v1 WAL framing
+//! used), and the payload is a one-byte tag followed by the tag's body:
 //!
 //! | tag | frame                                     |
 //! |-----|-------------------------------------------|
@@ -44,15 +50,17 @@
 //!
 //! # Versioning
 //!
-//! This layout is **wire format v2**; v1 is the length+CRC-framed
-//! NDJSON layout (`<len:08x> <crc32:08x> <json>\n`) that predates
-//! this crate and lives on in `alertops-cluster`'s `wal_v1` module.
-//! WAL segments declare their format with a header: v2 segments
-//! start with the magic [`WAL_MAGIC`] (`AOWL`) followed by the
-//! version byte [`WAL_VERSION`]; v1 segments start with a hex
-//! length field, which can never collide with the magic (`L` is not
-//! a hex digit). Replay sniffs per segment, so logs written before
-//! the codec existed keep replaying byte-identically.
+//! This layout is **wire format v2** and the only WAL format anyone
+//! can write. v1 is the length+CRC-framed NDJSON layout
+//! (`<len:08x> <crc32:08x> <json>\n`) that predates this crate; it is
+//! read-only, through `alertops-cluster`'s `wal_v1` module, and any
+//! restart rewrites a v1 log as v2 (every restart protocol is replay →
+//! wipe → re-append). WAL segments declare their format with a header:
+//! v2 segments start with the magic [`WAL_MAGIC`] (`AOWL`) followed by
+//! the version byte [`WAL_VERSION`]; v1 segments start with a hex
+//! length field, which can never collide with the magic (`L` is not a
+//! hex digit). Replay sniffs per segment, so logs written before the
+//! codec existed keep replaying byte-identically.
 
 pub mod codec;
 pub mod frame;
@@ -67,12 +75,12 @@ pub const WAL_MAGIC: [u8; 4] = *b"AOWL";
 /// Wire/WAL format version this crate encodes.
 pub const WAL_VERSION: u8 = 2;
 
-/// Wire formats a stream can speak. NDJSON is the default everywhere;
-/// binary is opt-in (`--wire binary`).
+/// The encodings an ingress connection can speak. NDJSON is the daemon
+/// default; binary is opt-in (`--wire binary`) and what the soak
+/// harness gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WireFormat {
-    /// One JSON frame per line — human-readable, the compatibility
-    /// oracle.
+    /// One JSON frame per line — human-readable.
     #[default]
     Ndjson,
     /// The length+CRC binary framing this crate implements.

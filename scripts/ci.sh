@@ -34,14 +34,16 @@ cargo test --workspace -q
 echo "==> soak smoke: TCP load harness + BENCH_soak.json regeneration"
 cargo run --release -q -p alertops-bench --bin soak_bench
 
-# The window-close path has one owner (alertops_core::WindowCloser);
-# the options that used to steer its three copies must not come back.
-echo "==> removed close-path options stay removed"
-if grep -rnE 'defer_emerging|defer_qoa|set_emerging_mode|set_qoa_mode' \
+# The window-close path has one owner (alertops_core::WindowCloser)
+# and the ingress protocol one dispatcher, one client and one writable
+# journal format; the options and forks that used to sit beside them
+# must not come back.
+echo "==> removed options stay removed"
+if grep -rnE 'defer_emerging|defer_qoa|set_emerging_mode|set_qoa_mode|V1Json|handle_wire_frame|serve_ingress_ndjson|encode_flush_ack|ALERTOPS_SOAK_WIRE' \
     --include='*.rs' --include='*.md' --include='*.sh' --include='*.toml' \
     --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=ci.sh .; then
-    echo "a removed close-path option reappeared (see matches above)" >&2
+    echo "a removed option reappeared (see matches above)" >&2
     exit 1
 fi
 

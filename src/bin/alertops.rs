@@ -9,7 +9,7 @@
 //! alertops audit    --scenario mini-study --seed 7
 //! alertops ingestd  --scenario study --shards 4 [--listen ADDR] [--status ADDR] [--wal DIR]
 //! alertops cluster  --scenario study --nodes 3 [--shards N] [--wal DIR] [--flush-every N]
-//! alertops replay   --scenario study [--connect ADDR] [--rate N] [--shutdown]
+//! alertops replay   --scenario study [--connect ADDR] [--wire ndjson|binary] [--rate N] [--shutdown]
 //! alertops metrics  [--status ADDR]
 //! ```
 //!
@@ -26,23 +26,25 @@
 //! (see `alertops::cluster`) over the scenario trace: range routing,
 //! per-node WALs, and one merged governance snapshot per window.
 //! `replay` streams the scenario's alert trace into a running daemon
-//! over NDJSON/TCP, closing windows along the way; `metrics` scrapes a
+//! over TCP in the daemon's `--wire` format, closing windows along the
+//! way; `metrics` scrapes a
 //! running daemon's Prometheus text exposition from its status socket.
 
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use alertops::core::prelude::*;
-use alertops::ingestd::codec::encode_alert;
+use alertops::ingestd::codec::ack_line;
 use alertops::ingestd::{
-    shard_catalog, Ingestd, IngestdConfig, OverflowPolicy, WireFormat, FLUSH_FRAME, SHUTDOWN_FRAME,
+    shard_catalog, Ingestd, IngestdConfig, IngressClient, OverflowPolicy, WireFormat,
 };
 use alertops::react::{audit_blocker_with, review_queue, AuditConfig};
 use alertops::sim::scenarios::{self, Scenario};
 use alertops::sim::SimOutput;
+use alertops::wire::Frame;
 use alertops_chaos::Backoff;
 
 fn usage() -> ExitCode {
@@ -75,6 +77,7 @@ struct Args {
     listen: String,
     status: String,
     /// Ingress wire format (`--wire`): NDJSON lines or binary frames.
+    /// `ingestd` listens in it, `replay` speaks it.
     wire: WireFormat,
     chaos: bool,
     metrics: bool,
@@ -494,14 +497,10 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
         addr(handle.ingest_addr()),
         addr(handle.status_addr()),
     );
-    match args.wire {
-        WireFormat::Ndjson => {
-            println!("frames: NDJSON alerts | {FLUSH_FRAME} | {SHUTDOWN_FRAME}");
-        }
-        WireFormat::Binary => {
-            println!("frames: binary alertops-wire (acks are binary ack frames)");
-        }
-    }
+    println!(
+        "frames: alertops-wire, {} encoding (acks come back in the same encoding)",
+        args.wire
+    );
     if args.chaos {
         println!("chaos mode: panic/stall/resume control frames accepted");
     }
@@ -722,26 +721,20 @@ fn run_replay(args: &Args, out: &SimOutput) -> ExitCode {
     }
 }
 
-/// One replay connection (split read/write halves of the same stream).
-struct Connection {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
 /// Connects with capped exponential backoff and seeded jitter, so a
 /// daemon restarting mid-replay is retried instead of fatal (and
 /// reconnect storms from parallel replayers decorrelate).
-fn connect_with_backoff(addr: &str, backoff: &mut Backoff) -> std::io::Result<Connection> {
+fn connect_with_backoff(
+    addr: &str,
+    wire: WireFormat,
+    backoff: &mut Backoff,
+) -> std::io::Result<IngressClient> {
     const MAX_ATTEMPTS: u32 = 8;
     loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                let reader = BufReader::new(stream.try_clone()?);
+        match IngressClient::connect(addr, wire) {
+            Ok(client) => {
                 backoff.reset();
-                return Ok(Connection {
-                    reader,
-                    writer: BufWriter::new(stream),
-                });
+                return Ok(client);
             }
             Err(err) if backoff.attempts() + 1 < MAX_ATTEMPTS => {
                 let delay = backoff.next_delay();
@@ -758,7 +751,7 @@ fn connect_with_backoff(addr: &str, backoff: &mut Backoff) -> std::io::Result<Co
 
 fn replay_trace(args: &Args, out: &SimOutput) -> std::io::Result<()> {
     let mut backoff = Backoff::new(Duration::from_millis(25), Duration::from_secs(2), args.seed);
-    let mut conn = connect_with_backoff(&args.connect, &mut backoff)?;
+    let mut conn = connect_with_backoff(&args.connect, args.wire, &mut backoff)?;
     let started = Instant::now();
     for (index, alert) in out.alerts.iter().enumerate() {
         // Pace against the absolute schedule so encoding time does not
@@ -766,26 +759,22 @@ fn replay_trace(args: &Args, out: &SimOutput) -> std::io::Result<()> {
         if let Some(interval) = (index as u64 * 1_000_000).checked_div(args.rate) {
             let due = started + Duration::from_micros(interval);
             if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                conn.writer.flush()?;
                 std::thread::sleep(wait);
             }
         }
-        let line = encode_alert(alert);
-        if writeln!(conn.writer, "{line}").is_err() || conn.writer.flush().is_err() {
+        let alert = std::slice::from_ref(alert);
+        if conn.send_alerts(alert).is_err() {
             // Connection reset mid-stream: reconnect and resend this
             // alert (the daemon quarantines any half-written frame).
             eprintln!("connection lost at alert {index}; reconnecting");
-            conn = connect_with_backoff(&args.connect, &mut backoff)?;
-            writeln!(conn.writer, "{line}")?;
+            conn = connect_with_backoff(&args.connect, args.wire, &mut backoff)?;
+            conn.send_alerts(alert)?;
         }
         if args.flush_every > 0 && (index + 1) % args.flush_every == 0 {
-            println!(
-                "  window: {}",
-                send_frame(&mut conn.writer, &mut conn.reader, FLUSH_FRAME)?
-            );
+            println!("  window: {}", ack_line(&conn.request(&Frame::Flush)?));
         }
     }
-    let ack = send_frame(&mut conn.writer, &mut conn.reader, FLUSH_FRAME)?;
+    let ack = ack_line(&conn.request(&Frame::Flush)?);
     println!(
         "replayed {} alert(s) in {:.2}s; final {ack}",
         out.alerts.len(),
@@ -794,27 +783,8 @@ fn replay_trace(args: &Args, out: &SimOutput) -> std::io::Result<()> {
     if args.shutdown {
         println!(
             "daemon said: {}",
-            send_frame(&mut conn.writer, &mut conn.reader, SHUTDOWN_FRAME)?
+            ack_line(&conn.request(&Frame::Shutdown)?)
         );
     }
     Ok(())
-}
-
-/// Sends one control frame and reads the daemon's one-line reply.
-fn send_frame(
-    writer: &mut impl Write,
-    reader: &mut impl BufRead,
-    frame: &str,
-) -> std::io::Result<String> {
-    writeln!(writer, "{frame}")?;
-    writer.flush()?;
-    let mut reply = String::new();
-    reader.read_line(&mut reply)?;
-    if reply.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "daemon closed the connection before acknowledging",
-        ));
-    }
-    Ok(reply.trim_end().to_owned())
 }

@@ -24,7 +24,7 @@ use alertops::chaos::{
 };
 use alertops::core::prelude::*;
 use alertops::detect::StormConfig;
-use alertops::ingestd::codec::{encode_alert, encode_stall_ack, encode_sync_ack};
+use alertops::ingestd::codec::{ack_line, encode_alert};
 use alertops::ingestd::{
     shard_catalog, shard_of, Ingestd, IngestdConfig, IngestdHandle, OverflowPolicy,
     CHAOS_PANIC_MSG, SYNC_FRAME,
@@ -32,6 +32,7 @@ use alertops::ingestd::{
 use alertops::model::LogRule;
 use alertops::sim::scenarios;
 use alertops::sim::SimOutput;
+use alertops::wire::AckFrame;
 
 /// Default base seed; `CHAOS_SEED` overrides it (see `seed_from_env`).
 const BASE_SEED: u64 = 0xA1E7_0005_C4A0_05ED;
@@ -145,7 +146,7 @@ impl Conn {
     /// before the call has been consumed by its shard worker after it.
     fn sync(&mut self) {
         self.send(SYNC_FRAME.as_bytes());
-        assert_eq!(self.read_ack(), encode_sync_ack());
+        assert_eq!(self.read_ack(), ack_line(&AckFrame::Sync));
     }
 }
 
@@ -307,7 +308,7 @@ impl CellDriver {
             .send(format!(r#"{{"ctrl":"stall","shard":{target}}}"#).as_bytes());
         assert_eq!(
             self.conn.read_ack(),
-            encode_stall_ack(target),
+            ack_line(&AckFrame::Stall { shard: target }),
             "{}: stall ack",
             self.ctx
         );

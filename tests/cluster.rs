@@ -590,7 +590,9 @@ mod subprocess {
         status: std::net::SocketAddr,
     }
 
-    fn spawn_daemon(wal: &std::path::Path) -> Daemon {
+    /// `alertops ingestd` over quickstart seed 7 on ephemeral ports,
+    /// plus `extra` flags.
+    fn spawn_daemon(extra: &[&str]) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_alertops"))
             .args([
                 "ingestd",
@@ -604,9 +606,8 @@ mod subprocess {
                 "127.0.0.1:0",
                 "--status",
                 "127.0.0.1:0",
-                "--wal",
-                wal.to_str().expect("utf-8 temp path"),
             ])
+            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -667,6 +668,7 @@ mod subprocess {
         let wal =
             std::env::temp_dir().join(format!("alertops-ingestd-kill9-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&wal);
+        let wal_flags = ["--wal", wal.to_str().expect("utf-8 temp path")];
 
         let trace = {
             let out = scenarios::quickstart(7).run();
@@ -678,7 +680,7 @@ mod subprocess {
 
         // First incarnation: stream the trace, never close a window,
         // and die without ceremony.
-        let mut daemon = spawn_daemon(&wal);
+        let mut daemon = spawn_daemon(&wal_flags);
         {
             let mut stream = TcpStream::connect(daemon.ingest).expect("connect to ingress");
             for alert in &trace {
@@ -692,7 +694,7 @@ mod subprocess {
 
         // Second incarnation over the same log: the banner reports the
         // replay, and a flush delivers every accepted alert.
-        let mut daemon = spawn_daemon(&wal);
+        let mut daemon = spawn_daemon(&wal_flags);
         let counters_before = scrape_status(daemon.status).counters;
         assert_eq!(
             counters_before.ingested,
@@ -728,5 +730,39 @@ mod subprocess {
         // Drain the rest of the banner reader so the pipe closes tidily.
         for _ in daemon.lines.by_ref() {}
         let _ = std::fs::remove_dir_all(&wal);
+    }
+
+    /// The CLI can feed a daemon it started itself, in either wire
+    /// format: `replay --wire W --shutdown` against `ingestd --wire W`
+    /// streams the whole trace, prints the acks it got back as their
+    /// NDJSON lines, and both processes exit cleanly.
+    #[test]
+    fn replay_speaks_the_wire_format_its_daemon_listens_in() {
+        let alerts = scenarios::quickstart(7).run().alerts.len();
+        for wire in ["ndjson", "binary"] {
+            let mut daemon = spawn_daemon(&["--wire", wire]);
+            let replay = Command::new(env!("CARGO_BIN_EXE_alertops"))
+                .args(["replay", "--scenario", "quickstart", "--seed", "7"])
+                .args(["--connect", &daemon.ingest.to_string()])
+                .args(["--wire", wire, "--shutdown"])
+                .stderr(Stdio::null())
+                .output()
+                .expect("replay runs");
+            let stdout = String::from_utf8_lossy(&replay.stdout);
+            assert!(replay.status.success(), "{wire}: {stdout}");
+            assert!(
+                stdout.contains(&format!(
+                    r#"final {{"ack":"flush","window":0,"alerts":{alerts}}}"#
+                )),
+                "{wire}: the one flush must deliver the whole trace: {stdout}"
+            );
+            assert!(
+                stdout.contains(r#"daemon said: {"ack":"shutdown"}"#),
+                "{wire}: {stdout}"
+            );
+            let status = daemon.child.wait().expect("daemon reaped");
+            assert!(status.success(), "{wire}: daemon exits cleanly on shutdown");
+            for _ in daemon.lines.by_ref() {}
+        }
     }
 }

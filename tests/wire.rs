@@ -8,19 +8,19 @@
 //! and every published [`GovernanceSnapshot`] stream must agree —
 //! byte-for-byte where the partitioning is exact, modulo per-shard
 //! triage where it is not. A corrupt binary frame must be quarantined
-//! and counted, not parsed; and a WAL written in the pre-binary v1
-//! format must replay to exactly the history a v2 log of the same
-//! appends replays to.
+//! and counted, not parsed. (The journal-side twin — a v1 segment
+//! replays to exactly the history a v2 log of the same appends does —
+//! lives beside the independent v1 framer in
+//! `crates/cluster/tests/wal_negative.rs`.)
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::TcpStream;
 
-use alertops::cluster::{replay, AlertCluster, ClusterConfig, Wal, WalFormat};
+use alertops::cluster::{AlertCluster, ClusterConfig, WalFormat};
 use alertops::core::prelude::*;
-use alertops::ingestd::codec::encode_alert;
-use alertops::ingestd::{shard_catalog, Ingestd, IngestdConfig, IngestdHandle, FLUSH_FRAME};
+use alertops::ingestd::{shard_catalog, Ingestd, IngestdConfig, IngestdHandle, IngressClient};
 use alertops::sim::scenarios;
-use alertops::wire::{AckFrame, Frame, WireDecoder, WireEncoder, WireFormat};
+use alertops::wire::{AckFrame, Frame, WireEncoder, WireFormat};
 
 /// The quickstart trace chopped into time-sorted windows, with a
 /// trailing empty window so the differential also covers detection
@@ -60,22 +60,6 @@ fn daemon(
     .expect("daemon starts")
 }
 
-/// Reads the next binary frame off the daemon's ack lane. The ingest
-/// protocol is lock-step (one ack per flush), so nothing else is ever
-/// in flight toward the client.
-fn read_binary_frame(reader: &mut BufReader<TcpStream>, decoder: &mut WireDecoder) -> Frame {
-    loop {
-        let buf = reader.fill_buf().expect("read ack bytes");
-        assert!(!buf.is_empty(), "connection closed before the ack frame");
-        let consumed = buf.len();
-        let frames = decoder.feed(buf);
-        reader.consume(consumed);
-        if let Some(frame) = frames.into_iter().next() {
-            return frame.expect("well-formed ack frame");
-        }
-    }
-}
-
 /// Streams the windows over a real TCP connection in `wire` format and
 /// returns the per-window published snapshots.
 fn run_over_tcp(
@@ -86,52 +70,21 @@ fn run_over_tcp(
 ) -> Vec<GovernanceSnapshot> {
     let handle = daemon(strategies, shards, wire, true);
     let addr = handle.ingest_addr().expect("ingress bound");
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
-    let mut writer = stream;
-    let mut encoder = WireEncoder::new();
-    let mut decoder = WireDecoder::new();
-    let mut buf = Vec::new();
+    let mut client = IngressClient::connect(addr, wire).expect("connect");
     let mut snapshots = Vec::with_capacity(windows.len());
-    for (seq, window) in windows.iter().enumerate() {
-        // Acks come back in the connection's own format: a JSON text
+    for (window, seq) in windows.iter().zip(0u64..) {
+        client.send_alerts(window).expect("write window");
+        // Acks come back in the connection's own format — a JSON text
         // line on NDJSON connections, a binary `AckFrame` on binary
-        // ones — never a text line mid-binary-stream.
-        match wire {
-            WireFormat::Ndjson => {
-                for alert in window {
-                    writeln!(writer, "{}", encode_alert(alert)).expect("write alert");
-                }
-                writeln!(writer, "{FLUSH_FRAME}").expect("write flush");
-                writer.flush().expect("flush socket");
-                let mut ack = String::new();
-                reader.read_line(&mut ack).expect("read flush ack");
-                assert!(ack.contains(r#""ack":"flush""#), "unexpected ack: {ack:?}");
-            }
-            WireFormat::Binary => {
-                buf.clear();
-                for alert in window {
-                    encoder.encode_alert_into(alert, &mut buf);
-                }
-                encoder.encode_into(&Frame::Flush, &mut buf);
-                writer.write_all(&buf).expect("write window");
-                writer.flush().expect("flush socket");
-                match read_binary_frame(&mut reader, &mut decoder) {
-                    Frame::Ack(AckFrame::Flush {
-                        window: acked,
-                        alerts,
-                    }) => {
-                        assert_eq!(acked, seq as u64, "ack carries the window seq");
-                        assert_eq!(
-                            alerts,
-                            window.len() as u64,
-                            "ack carries the window's alert count"
-                        );
-                    }
-                    other => panic!("expected a binary flush ack, got {other:?}"),
-                }
-            }
-        }
+        // ones — and say the same thing in both.
+        assert_eq!(
+            client.request(&Frame::Flush).expect("flush acked"),
+            AckFrame::Flush {
+                window: seq,
+                alerts: window.len() as u64,
+            },
+            "ack carries the window seq and its alert count"
+        );
         snapshots.push(handle.latest_snapshot().expect("snapshot published"));
     }
     let counters = handle.counters();
@@ -140,8 +93,7 @@ fn run_over_tcp(
     assert_eq!(counters.decode_errors, 0);
     // Close the connection before shutdown: the daemon joins its
     // per-connection threads, which are parked in read() until EOF.
-    drop(reader);
-    drop(writer);
+    drop(client);
     handle.shutdown();
     snapshots
 }
@@ -212,48 +164,44 @@ fn binary_and_ndjson_publish_byte_identical_snapshots_across_topologies() {
         );
     }
 
-    // The 4-node cluster agrees too, whichever segment format its
-    // WALs journal in.
-    for wal_format in [WalFormat::V2Binary, WalFormat::V1Json] {
-        let root = std::env::temp_dir().join(format!("alertops-wire-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let config = ClusterConfig {
-            nodes: 4,
-            node: IngestdConfig {
-                shards: 1,
-                queue_capacity: 8192,
-                ..IngestdConfig::default()
-            },
-            wal_root: root.clone(),
-            wal_format,
-        };
-        let mut cluster = AlertCluster::spawn(
-            config,
-            strategies.clone(),
-            std::sync::Arc::new(|catalog: &[AlertStrategy]| {
-                StreamingGovernor::new(
-                    AlertGovernor::new(catalog.to_vec(), GovernorConfig::default()),
-                    StreamingConfig::default(),
-                )
-            }),
-        )
-        .expect("cluster spawns");
-        for (window, index) in windows.iter().zip(0usize..) {
-            for alert in window {
-                cluster.route(alert.clone()).expect("route succeeds");
-            }
-            let snapshot = cluster.close_window().expect("window closes");
-            assert_eq!(
-                json(&comparable(&snapshot)),
-                json(&comparable(&oracle[index])),
-                "4-node cluster ({}) diverged from the oracle at {index}",
-                wal_format.label()
-            );
+    // The 4-node cluster, journaling binary WAL segments, agrees too.
+    let root = std::env::temp_dir().join(format!("alertops-wire-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = ClusterConfig {
+        nodes: 4,
+        node: IngestdConfig {
+            shards: 1,
+            queue_capacity: 8192,
+            ..IngestdConfig::default()
+        },
+        wal_root: root.clone(),
+        wal_format: WalFormat::default(),
+    };
+    let mut cluster = AlertCluster::spawn(
+        config,
+        strategies.clone(),
+        std::sync::Arc::new(|catalog: &[AlertStrategy]| {
+            StreamingGovernor::new(
+                AlertGovernor::new(catalog.to_vec(), GovernorConfig::default()),
+                StreamingConfig::default(),
+            )
+        }),
+    )
+    .expect("cluster spawns");
+    for (window, index) in windows.iter().zip(0usize..) {
+        for alert in window {
+            cluster.route(alert.clone()).expect("route succeeds");
         }
-        assert!(cluster.counters().is_conserved());
-        cluster.shutdown();
-        let _ = std::fs::remove_dir_all(&root);
+        let snapshot = cluster.close_window().expect("window closes");
+        assert_eq!(
+            json(&comparable(&snapshot)),
+            json(&comparable(&oracle[index])),
+            "4-node cluster diverged from the oracle at {index}"
+        );
     }
+    assert!(cluster.counters().is_conserved());
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Corruption on the binary wire is counted, not parsed: the daemon
@@ -286,18 +234,11 @@ fn corrupt_binary_frame_is_quarantined_and_closes_the_connection() {
     // A fresh connection still works — poisoning is per-stream. Its
     // ack comes back as a binary frame, like everything else on a
     // binary connection.
-    let stream = TcpStream::connect(addr).expect("reconnect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
-    let mut writer = stream;
-    let mut flush = Vec::new();
-    WireEncoder::new().encode_into(&Frame::Flush, &mut flush);
-    writer.write_all(&flush).expect("write flush");
-    writer.flush().expect("flush socket");
-    let mut decoder = WireDecoder::new();
+    let mut client = IngressClient::connect(addr, WireFormat::Binary).expect("reconnect");
     assert!(
         matches!(
-            read_binary_frame(&mut reader, &mut decoder),
-            Frame::Ack(AckFrame::Flush { .. })
+            client.request(&Frame::Flush).expect("flush acked"),
+            AckFrame::Flush { .. }
         ),
         "binary connection acks with a binary flush frame"
     );
@@ -316,37 +257,6 @@ fn corrupt_binary_frame_is_quarantined_and_closes_the_connection() {
         "every frame before the corruption was decoded: {counters:?}"
     );
     assert!(counters.is_conserved(), "{counters:?}");
-    drop(reader);
-    drop(writer);
+    drop(client);
     handle.shutdown();
-}
-
-/// A WAL written in the pre-binary v1 text format and one written in
-/// the v2 binary format from the same appends replay to the same
-/// history — recovery is format-blind.
-#[test]
-fn v1_and_v2_wals_replay_identically() {
-    let (_, windows) = windowed_trace(11, 150);
-    let base = std::env::temp_dir().join(format!("alertops-wire-wal-{}", std::process::id()));
-    let mut replays = Vec::new();
-    for format in [WalFormat::V1Json, WalFormat::V2Binary] {
-        let dir = base.join(format.label());
-        let _ = std::fs::remove_dir_all(&dir);
-        let wal = Wal::open_with_format(&dir, 16, format).expect("wal opens");
-        for (window, seq) in windows.iter().zip(0u64..) {
-            for alert in window {
-                wal.append(alert).expect("append");
-            }
-            wal.boundary(seq).expect("boundary");
-        }
-        drop(wal);
-        replays.push(replay(&dir).expect("replay"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    assert_eq!(replays[0], replays[1], "replay must be format-blind");
-    assert_eq!(replays[0].torn_records, 0);
-    assert_eq!(
-        replays[0].recovered_alerts,
-        windows.iter().map(Vec::len).sum::<usize>() as u64
-    );
 }
