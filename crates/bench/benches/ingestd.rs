@@ -1,7 +1,7 @@
 //! Criterion benches: the sharded ingestion daemon's two overhead
 //! comparisons — the cost of supervised crash recovery (a
-//! chaos-injected worker panic mid-window: restart, checkpoint
-//! rehydration, degraded merge) against the fault-free baseline, and
+//! chaos-injected worker panic mid-window: restart, governor
+//! rollback, degraded merge) against the fault-free baseline, and
 //! the full observability layer (stage histograms, span timers, frame
 //! counters) against a metrics-free run — the observer-only claim says
 //! the delta should be a few relaxed atomic adds per event, a few
@@ -24,7 +24,7 @@ use alertops_sim::scenarios;
 /// Fault-free vs chaos-supervised: the same trace and window close at
 /// 4 shards, with the supervised variant forcing one worker panic
 /// mid-window per iteration — so the delta is exactly the price of
-/// catch_unwind supervision, the restart, and checkpoint rehydration.
+/// catch_unwind supervision, the restart, and the governor rollback.
 fn bench_chaos_supervision(c: &mut Criterion) {
     silence_panics_containing(CHAOS_PANIC_MSG);
     let out = scenarios::mini_study(2022).run();

@@ -41,7 +41,7 @@ pub enum ChaosKind {
     },
     /// Force the shard's worker to panic *inside* the next window
     /// close (mid-detection): the whole window is lost on that shard
-    /// and its governor is rehydrated from the last closed window.
+    /// and its governor is rolled back to the last closed window.
     WorkerPanicOnClose {
         /// The shard whose worker panics at close.
         shard: usize,

@@ -1,6 +1,7 @@
 //! The alert governor: detect → derive reactions → react → evaluate.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use alertops_detect::{AntiPattern, AntiPatternReport, IncrementalState};
 use alertops_model::{Alert, AlertStrategy, DependencyGraph, Incident, Sop, StrategyId};
@@ -37,7 +38,7 @@ pub struct GovernorConfig {
 pub struct AlertGovernor {
     strategies: Vec<AlertStrategy>,
     sops: HashMap<StrategyId, Sop>,
-    graph: Option<DependencyGraph>,
+    graph: Option<Arc<DependencyGraph>>,
     config: GovernorConfig,
     metrics: Option<GovernorMetrics>,
     /// The streaming QoA loop's current per-strategy verdicts; empty
@@ -93,8 +94,8 @@ impl AlertGovernor {
     /// Attaches the microservice dependency graph (enables A6 detection
     /// and topology correlation).
     #[must_use]
-    pub fn with_dependency_graph(mut self, graph: DependencyGraph) -> Self {
-        self.graph = Some(graph);
+    pub fn with_dependency_graph(mut self, graph: impl Into<Arc<DependencyGraph>>) -> Self {
+        self.graph = Some(graph.into());
         self
     }
 
@@ -107,7 +108,7 @@ impl AlertGovernor {
     /// The attached microservice dependency graph, if any.
     #[must_use]
     pub fn dependency_graph(&self) -> Option<&DependencyGraph> {
-        self.graph.as_ref()
+        self.graph.as_deref()
     }
 
     /// The SOP of one strategy, if registered.
@@ -150,8 +151,8 @@ impl AlertGovernor {
     pub fn detect(&self, alerts: &[Alert], incidents: &[Incident]) -> AntiPatternReport {
         let metrics = self.metrics.as_ref().map(|m| &m.detect);
         let mut engine = IncrementalState::default();
-        engine.observe_window(alerts, self.graph.as_ref(), metrics);
-        engine.current_findings(&self.strategies, incidents, self.graph.as_ref(), metrics)
+        engine.observe_window(alerts, self.graph.as_deref(), metrics);
+        engine.current_findings(&self.strategies, incidents, self.graph.as_deref(), metrics)
     }
 
     /// Derives R1 blocking rules from transient/toggling (A4) and
@@ -196,7 +197,7 @@ impl AlertGovernor {
     pub fn react(&self, alerts: &[Alert], blocker: AlertBlocker) -> alertops_react::PipelineReport {
         let mut correlator = AlertCorrelator::new();
         if let Some(graph) = &self.graph {
-            correlator = correlator.with_topology(graph.clone());
+            correlator = correlator.with_topology(Arc::clone(graph));
         }
         let mut pipeline = ReactionPipeline::new()
             .with_blocker(blocker)

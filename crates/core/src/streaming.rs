@@ -497,6 +497,12 @@ pub struct StreamingGovernor {
     incidents: Vec<Incident>,
     previous_flags: BTreeSet<(AntiPattern, StrategyId)>,
     windows_ingested: u64,
+    /// `previous_flags` and `windows_ingested` as of the last
+    /// [`commit`](Self::commit), present once an ingest since then has
+    /// displaced them — what [`rollback`](Self::rollback) puts back.
+    /// The flag set is carried here, not copied: an ingest builds a new
+    /// set anyway and this keeps the one it replaces.
+    committed: Option<(BTreeSet<(AntiPattern, StrategyId)>, u64)>,
     /// The QoA feature extractor, present iff the feedback loop is on
     /// (either mode — Forward shards extract, too).
     qoa_extractor: Option<FeatureExtractor>,
@@ -522,6 +528,7 @@ impl StreamingGovernor {
             incidents: Vec::new(),
             previous_flags: BTreeSet::new(),
             windows_ingested: 0,
+            committed: None,
             qoa_extractor,
             closer,
         }
@@ -600,7 +607,28 @@ impl StreamingGovernor {
     /// when the loop runs in [`QoaMode::Local`]; in the other modes
     /// they are ignored here (a Forward shard's labels travel to its
     /// coordinator out of band, alongside the window close).
+    ///
+    /// Exactly [`ingest_uncommitted`](Self::ingest_uncommitted)
+    /// followed by [`commit`](Self::commit): a holder that only ever
+    /// ingests keeps nothing around for a rollback it will never ask
+    /// for.
     pub fn ingest_labeled(
+        &mut self,
+        window: &[Alert],
+        incidents: &[Incident],
+        labels: &[QoaLabel],
+    ) -> WindowDelta {
+        let delta = self.ingest_uncommitted(window, incidents, labels);
+        self.commit();
+        delta
+    }
+
+    /// [`ingest_labeled`](Self::ingest_labeled) that leaves the window
+    /// applied but not committed: until [`commit`](Self::commit),
+    /// [`rollback`](Self::rollback) can still undo it. For a holder
+    /// that must survive a panic between a window's detection and its
+    /// hand-off (the daemon's shard worker).
+    pub fn ingest_uncommitted(
         &mut self,
         window: &[Alert],
         incidents: &[Incident],
@@ -749,7 +777,9 @@ impl StreamingGovernor {
             }
         };
 
-        self.previous_flags = current_flags;
+        let displaced = std::mem::replace(&mut self.previous_flags, current_flags);
+        self.committed
+            .get_or_insert((displaced, self.windows_ingested));
         let mut delta = WindowDelta {
             window_index: self.windows_ingested,
             alert_count: window.len(),
@@ -784,6 +814,35 @@ impl StreamingGovernor {
             }
         }
         delta
+    }
+
+    /// Makes the current state the one [`rollback`](Self::rollback)
+    /// returns to. O(1) besides dropping what was kept for the
+    /// previous commit point.
+    pub fn commit(&mut self) {
+        self.engine.commit();
+        self.committed = None;
+    }
+
+    /// Returns to the state of the last [`commit`](Self::commit) (the
+    /// governor as constructed, if there was none): the engine is
+    /// rebuilt from its own window digests
+    /// ([`IncrementalState::rollback`], O(history)) and the window
+    /// index and flag set are put back, so the next delta is the one
+    /// the governor would have emitted had the undone ingest never
+    /// started — however far it got. Exact under the conditions
+    /// [`restore`](Self::restore) documents (no channel in
+    /// [`ChannelMode::Local`], no incidents in the stream; true of
+    /// every daemon shard), because incidents and a local pass's
+    /// sequential state are not rewound. QoA verdicts are deliberately
+    /// not rewound either: they are pushed from outside, and a
+    /// recovery must not regress them.
+    pub fn rollback(&mut self) {
+        self.engine.rollback(self.governor.dependency_graph());
+        if let Some((flags, windows)) = self.committed.take() {
+            self.previous_flags = flags;
+            self.windows_ingested = windows;
+        }
     }
 }
 
@@ -941,6 +1000,23 @@ mod tests {
         }
         assert_eq!(s.windows_ingested(), 10);
         assert_eq!(s.history_len(), 15, "3 windows × 5 alerts");
+    }
+
+    #[test]
+    fn plain_ingest_keeps_nothing_for_a_rollback() {
+        // Every holder that only ever calls `ingest` (oracles,
+        // `restore`, the CLI) must stay as small as it was before
+        // rollback existed: nothing kept between calls.
+        let mut s = streaming(3);
+        for hour in 0..30u64 {
+            s.ingest(&transient_window(hour * 100, 1, hour, 5), &[]);
+            assert_eq!(s.engine.kept_digests(), 0);
+            assert!(s.committed.is_none());
+        }
+        // The uncommitted entry point is the one that keeps them.
+        s.ingest_uncommitted(&transient_window(9_000, 1, 30, 5), &[], &[]);
+        assert_eq!(s.engine.kept_digests(), 1);
+        assert!(s.committed.is_some());
     }
 
     #[test]

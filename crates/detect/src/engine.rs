@@ -5,7 +5,7 @@
 //! history into a fresh `Vec<Alert>` and re-run every detector from
 //! scratch on each ingested window — O(history × window) work plus full
 //! reallocations per tick. [`IncrementalState`] replaces that with a
-//! stateful engine exposing three operations:
+//! stateful engine exposing three rolling operations:
 //!
 //! * [`observe_window`](IncrementalState::observe_window) — fold one
 //!   window of alerts into per-strategy rolling aggregates, the storm
@@ -37,6 +37,19 @@
 //! depend on the incident list, so their cached findings are
 //! invalidated whenever the provided incidents differ from the previous
 //! evaluation.
+//!
+//! # Commit and rollback
+//!
+//! Because the rolling state is a pure function of the window digests,
+//! undoing work needs no second copy of it.
+//! [`commit`](IncrementalState::commit) marks the current scope as the
+//! one to return to — O(1); until the next commit the engine keeps the
+//! digests it evicts instead of dropping them and counts the windows it
+//! observes. [`rollback`](IncrementalState::rollback) rebuilds a fresh
+//! engine from *kept digests ++ surviving windows minus the uncommitted
+//! tail* — O(history), paid only by whoever rolls back, and exact
+//! however far an interrupted observe, evict or evaluation got, since
+//! nothing of the interrupted aggregates or caches is reused.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -158,8 +171,10 @@ struct CachedFindings {
 /// the design; see `StreamingGovernor` in `alertops-core` for the
 /// production driver.
 ///
-/// Cloning the state clones the full rolling aggregates — this is what
-/// the ingestion daemon's checkpointing relies on for crash recovery.
+/// Cloning the state clones the full rolling aggregates. Crash recovery
+/// does not need a clone: it [`commit`](Self::commit)s after each good
+/// window and [`rollback`](Self::rollback)s by rebuilding from the
+/// digests.
 #[derive(Debug, Clone)]
 pub struct IncrementalState {
     config: EngineConfig,
@@ -185,13 +200,23 @@ pub struct IncrementalState {
     a1_cache: Vec<StrategyFinding>,
     /// Cached A2–A5 findings per strategy with in-scope alerts.
     findings_cache: BTreeMap<StrategyId, CachedFindings>,
+    /// Digests of committed windows evicted since the last
+    /// [`commit`](Self::commit), oldest first — with the committed
+    /// prefix of `windows`, the scope [`rollback`](Self::rollback)
+    /// rebuilds.
+    evicted: Vec<WindowDigest>,
+    /// How many windows at the back of `windows` were observed since
+    /// the last commit.
+    uncommitted: usize,
 }
 
 impl PartialEq for IncrementalState {
     /// Compares only the *rolling state* (window digests, per-strategy
     /// aggregates, histogram, cascade edges) — not evaluation caches,
     /// which legitimately differ between a long-lived state and a fresh
-    /// rebuild until the next `current_findings` call.
+    /// rebuild until the next `current_findings` call, and not the
+    /// rollback bookkeeping, which says where the last commit was, not
+    /// what is in scope.
     fn eq(&self, other: &Self) -> bool {
         self.windows == other.windows
             && self.alerts_in_scope == other.alerts_in_scope
@@ -223,6 +248,8 @@ impl IncrementalState {
             incidents_seen: None,
             a1_cache: Vec::new(),
             findings_cache: BTreeMap::new(),
+            evicted: Vec::new(),
+            uncommitted: 0,
         }
     }
 
@@ -273,6 +300,15 @@ impl IncrementalState {
         metrics: Option<&DetectMetrics>,
     ) {
         let _span = metrics.map(DetectMetrics::engine_apply_timer);
+        let digest = self.digest(window, graph.is_some());
+        self.apply(&digest, graph);
+        self.windows.push_back(digest);
+        self.uncommitted += 1;
+    }
+
+    /// Summarises one window. Reads only the detector configuration, so
+    /// a digest means the same to whichever engine applies it.
+    fn digest(&self, window: &[Alert], with_cascade: bool) -> WindowDigest {
         let transient_cutoff = a2_transient_cutoff();
         let mut digest = WindowDigest {
             alert_count: window.len(),
@@ -296,13 +332,18 @@ impl IncrementalState {
             *region_hours
                 .entry((alert.location().region().clone(), alert.hour_bucket()))
                 .or_insert(0) += 1;
-            if graph.is_some() {
+            if with_cascade {
                 digest.cascade.push((t, alert.id(), alert.microservice()));
             }
         }
         digest.region_hours = region_hours.into_iter().collect();
+        digest
+    }
 
-        // Apply the digest to the rolling aggregates.
+    /// Adds one digest to the rolling aggregates — what
+    /// [`evict_window`](Self::evict_window) later subtracts. The caller
+    /// files the digest under `windows`.
+    fn apply(&mut self, digest: &WindowDigest, graph: Option<&DependencyGraph>) {
         self.alerts_in_scope += digest.alert_count;
         for (&strategy, slice) in &digest.per_strategy {
             let state = self.per_strategy.entry(strategy).or_default();
@@ -326,20 +367,25 @@ impl IncrementalState {
                 self.cascade.insert(t, id, ms, self.config.a6.window, graph);
             }
         }
-        self.windows.push_back(digest);
     }
 
-    /// Subtracts the oldest window from every aggregate and drops its
-    /// digest. Returns the number of alerts evicted (0 when no window
-    /// survives). `metrics` times the eviction under
-    /// `alertops_engine_evict_micros`.
+    /// Subtracts the oldest window from every aggregate. Returns the
+    /// number of alerts evicted (0 when no window survives). `metrics`
+    /// times the eviction under `alertops_engine_evict_micros`.
+    ///
+    /// The digest of a committed window is kept until the next
+    /// [`commit`](Self::commit), for [`rollback`](Self::rollback); a
+    /// window observed since the last commit was never part of the
+    /// committed scope, so its digest is dropped.
     pub fn evict_window(&mut self, metrics: Option<&DetectMetrics>) -> usize {
         let _span = metrics.map(DetectMetrics::engine_evict_timer);
-        let Some(digest) = self.windows.pop_front() else {
+        // The digest stays in `windows` while it is subtracted, so a
+        // rollback that interrupts the subtraction still finds it.
+        let Some(digest) = self.windows.front() else {
             return 0;
         };
         self.alerts_in_scope -= digest.alert_count;
-        for (strategy, slice) in digest.per_strategy {
+        for (&strategy, slice) in &digest.per_strategy {
             if let Some(state) = self.per_strategy.get_mut(&strategy) {
                 state.total -= slice.times.len();
                 for &t in &slice.times {
@@ -362,18 +408,63 @@ impl IncrementalState {
             }
             self.dirty.insert(strategy);
         }
-        for ((region, hour), count) in digest.region_hours {
-            if let Some(current) = self.histogram.get_mut(&(region.clone(), hour)) {
+        for ((region, hour), count) in &digest.region_hours {
+            let key = (region.clone(), *hour);
+            if let Some(current) = self.histogram.get_mut(&key) {
                 *current -= count;
                 if *current == 0 {
-                    self.histogram.remove(&(region, hour));
+                    self.histogram.remove(&key);
                 }
             }
         }
-        for (t, id, _) in digest.cascade {
+        for &(t, id, _) in &digest.cascade {
             self.cascade.remove(t, id);
         }
-        digest.alert_count
+        let committed = self.windows.len() > self.uncommitted;
+        let digest = self.windows.pop_front().expect("front checked above");
+        let alerts = digest.alert_count;
+        if committed {
+            self.evicted.push(digest);
+        } else {
+            self.uncommitted -= 1;
+        }
+        alerts
+    }
+
+    /// Makes the current scope the one [`rollback`](Self::rollback)
+    /// returns to, and releases the digests kept for the previous one.
+    /// O(1) besides dropping them.
+    pub fn commit(&mut self) {
+        self.evicted.clear();
+        self.uncommitted = 0;
+    }
+
+    /// Returns to the scope of the last [`commit`](Self::commit) (an
+    /// empty engine, if there was none) by applying its digests, oldest
+    /// first, to a fresh engine. A rebuild rather than a subtraction:
+    /// nothing of the current aggregates or evaluation caches is
+    /// trusted, so the result is exact even when the work being undone
+    /// was cut short by a panic. O(history). `graph` is the one the
+    /// windows were observed with; cascade edges are rebuilt against it.
+    pub fn rollback(&mut self, graph: Option<&DependencyGraph>) {
+        let mut scope = std::mem::take(&mut self.evicted);
+        let committed = self.windows.len() - self.uncommitted;
+        scope.extend(self.windows.drain(..committed));
+        // Drop the old aggregates first: the rebuild never holds two
+        // copies of the state.
+        *self = Self::new(std::mem::take(&mut self.config));
+        for digest in scope {
+            self.apply(&digest, graph);
+            self.windows.push_back(digest);
+        }
+    }
+
+    /// How many evicted digests are being kept for a rollback; zero
+    /// right after every [`commit`](Self::commit).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn kept_digests(&self) -> usize {
+        self.evicted.len()
     }
 
     /// Evaluates the current scope into an [`AntiPatternReport`] equal
@@ -713,6 +804,26 @@ mod tests {
             0,
             "no evidence may survive full eviction: {after}"
         );
+    }
+
+    #[test]
+    fn commit_releases_every_kept_digest() {
+        let history = 3;
+        let ws = windows();
+        let mut engine = IncrementalState::default();
+        for i in 0..10 * history {
+            engine.observe_window(&ws[i % ws.len()], None, None);
+            assert_eq!(engine.uncommitted, 1);
+            while engine.window_count() > history {
+                engine.evict_window(None);
+            }
+            // One committed window slid out once the scope was full.
+            assert_eq!(engine.evicted.len(), usize::from(i >= history));
+            engine.commit();
+            assert!(engine.evicted.is_empty());
+            assert_eq!(engine.uncommitted, 0);
+        }
+        assert_eq!(engine.window_count(), history);
     }
 
     #[test]

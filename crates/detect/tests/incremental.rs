@@ -5,9 +5,12 @@
 //! multisets, repeat histograms, the storm region-hour histogram, and
 //! cascade edges) and in the findings it reports. This is the property
 //! that makes O(window) streaming detection semantically equal to
-//! O(history) batch recomputation.
+//! O(history) batch recomputation — and, because the state is a pure
+//! function of the window digests, what lets `rollback` return to the
+//! last `commit` by rebuilding instead of keeping a copy.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use alertops_detect::storm::region_hour_histogram;
 use alertops_detect::IncrementalState;
@@ -113,6 +116,29 @@ fn fresh(windows: &[Vec<Alert>], graph: &DependencyGraph) -> IncrementalState {
     engine
 }
 
+/// Rolling back a copy of `engine` must land on a fresh engine fed
+/// `scope`, stay there on a second rollback, and report that engine's
+/// findings next.
+fn rolls_back_to(
+    engine: &IncrementalState,
+    scope: &[Vec<Alert>],
+    graph: &DependencyGraph,
+) -> Result<(), TestCaseError> {
+    let mut rolled = engine.clone();
+    rolled.rollback(Some(graph));
+    let mut expected = fresh(scope, graph);
+    prop_assert_eq!(&rolled, &expected, "rollback missed the committed scope");
+    let mut again = rolled.clone();
+    again.rollback(Some(graph));
+    prop_assert_eq!(&again, &rolled, "a second rollback moved the state");
+    prop_assert_eq!(
+        rolled.current_findings(&catalog(), &incidents(), Some(graph), None),
+        expected.current_findings(&catalog(), &incidents(), Some(graph), None),
+        "findings diverged after the rollback"
+    );
+    Ok(())
+}
+
 /// Deep sweep under `ALERTOPS_TEST_FULL=1`; a faster default keeps the
 /// tier-1 wall clock flat.
 fn cases(full: u32, quick: u32) -> u32 {
@@ -183,6 +209,43 @@ proptest! {
                 rebuilt.current_findings(&strategies, &incidents, Some(&graph), None),
                 "findings diverged at window {}", i
             );
+        }
+    }
+
+    /// Driven the way the streaming governor drives it (observe, evict
+    /// down to `history`, evaluate) with commits at random windows, the
+    /// engine can be interrupted after any of those steps and `rollback`
+    /// leaves it exactly where a fresh engine fed the committed scope
+    /// would be — cascade edges included — however many windows were
+    /// uncommitted, and also when `history` 0 or 1 evicted an
+    /// uncommitted window before the rollback.
+    #[test]
+    fn rollback_equals_fresh_rebuild_of_the_committed_scope(
+        windows in arb_windows(120),
+        history in 0usize..4,
+        commit_mask in 0u64..u64::MAX,
+    ) {
+        let graph = graph();
+        let strategies = catalog();
+        let incidents = incidents();
+        let mut rolling = IncrementalState::default();
+        // Window indices in scope at the last commit.
+        let mut committed = 0..0;
+        for (i, window) in windows.iter().enumerate() {
+            rolling.observe_window(window, Some(&graph), None);
+            rolls_back_to(&rolling, &windows[committed.clone()], &graph)?;
+            while rolling.window_count() > history {
+                rolling.evict_window(None);
+                rolls_back_to(&rolling, &windows[committed.clone()], &graph)?;
+            }
+            let _ = rolling.current_findings(&strategies, &incidents, Some(&graph), None);
+            rolls_back_to(&rolling, &windows[committed.clone()], &graph)?;
+            if commit_mask >> (i % 64) & 1 == 1 {
+                rolling.commit();
+                prop_assert_eq!(rolling.kept_digests(), 0);
+                committed = (i + 1).saturating_sub(history)..i + 1;
+                rolls_back_to(&rolling, &windows[committed.clone()], &graph)?;
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! The write-ahead hook: durability as a trait, policy elsewhere.
 //!
 //! The daemon itself stays storage-free — its crash story is the
-//! in-memory checkpoint rehydration of [`crate::worker`]. Deployments
+//! in-memory commit/rollback of [`crate::worker`]. Deployments
 //! that need *durable* losslessness (a node restart with no live peer
 //! holding state) hand [`crate::Ingestd::spawn_with_journal`] a
 //! [`WindowJournal`]: the router calls [`WindowJournal::record`] for

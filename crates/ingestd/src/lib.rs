@@ -42,9 +42,10 @@
 //!
 //! The daemon is built to be chaos-tested: shard workers run under a
 //! supervisor that catches panics, restarts the worker on the same
-//! queue, and rehydrates its governor from the checkpoint taken at the
-//! last successful window close (the affected window is published with
-//! the shard listed in `GovernanceSnapshot::degraded`); malformed
+//! queue, and rolls its governor back to the last successful window
+//! close by rebuilding the engine from its own window digests (the
+//! affected window is published with the shard listed in
+//! `GovernanceSnapshot::degraded`); malformed
 //! ingress is quarantined per [`QuarantineReason`] with exact
 //! accounting (`ingested == delivered + dropped + quarantined`); and
 //! with [`IngestdConfig::chaos`] enabled the wire accepts fault

@@ -43,7 +43,7 @@ pub struct IngestdMetrics {
     pub(crate) barrier_wait_micros: Arc<Histogram>,
     /// Coordinator: snapshot merge proper.
     pub(crate) merge_micros: Arc<Histogram>,
-    /// Per-shard window close (sort + detection + checkpoint).
+    /// Per-shard window close (sort + detection + commit).
     shard_close_micros: Vec<Arc<Histogram>>,
     /// Process resident set size, sampled at each window close (0 on
     /// platforms without a procfs).
@@ -85,7 +85,7 @@ impl IngestdMetrics {
             .map(|shard| {
                 registry.histogram(
                     "alertops_shard_close_micros",
-                    "One shard's window close: sort, detection, checkpoint.",
+                    "One shard's window close: sort, detection, commit.",
                     &[("shard", &shard.to_string())],
                 )
             })

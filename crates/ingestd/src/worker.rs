@@ -4,13 +4,21 @@
 //! The worker's drain loop runs inside `catch_unwind`: a panic (a
 //! detector bug, or one injected by the chaos suite) never takes the
 //! thread down. The supervisor restarts the loop in place on the same
-//! queue, restores the governor from the checkpoint cloned after the
-//! last successful window close, counts the buffered-but-unclosed
-//! alerts as dropped, and marks the shard degraded so the next merged
-//! snapshot says so. If the panic struck mid-close, a synthetic empty
-//! window is closed on the restored checkpoint so the coordinator's
-//! barrier still receives exactly one delta for that sequence number —
-//! a crashing shard must never wedge the whole daemon.
+//! queue, rolls the governor back to the last successful window close,
+//! counts the buffered-but-unclosed alerts as dropped, and marks the
+//! shard degraded so the next merged snapshot says so. If the panic
+//! struck mid-close, a synthetic empty window is closed on the
+//! rolled-back governor so the coordinator's barrier still receives
+//! exactly one delta for that sequence number — a crashing shard must
+//! never wedge the whole daemon.
+//!
+//! There is no stored checkpoint. Between closes the drain loop only
+//! buffers alerts, so the governor can differ from its state at the
+//! last close only *inside* a close; a successful close
+//! [`commit`](StreamingGovernor::commit)s (O(1)) and recovery is
+//! [`rollback`](StreamingGovernor::rollback), which rebuilds the engine
+//! from the window digests it already retains for eviction — O(history),
+//! paid once per panic instead of a deep copy per window.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -82,10 +90,9 @@ pub(crate) struct ShardDelta {
 
 /// Everything that must survive a panic of the drain loop.
 struct ShardState {
+    /// Committed at every successful close; a restart rolls it back to
+    /// the last one.
     governor: StreamingGovernor,
-    /// The governor as of the last successful close — what a restart
-    /// rehydrates from.
-    checkpoint: StreamingGovernor,
     window: Vec<Alert>,
     /// A restart happened since the last close: the next delta is
     /// incomplete.
@@ -95,11 +102,6 @@ struct ShardState {
     pending_close: Option<u64>,
     /// Armed by `WorkerMsg::Panic { on_close: true }`.
     poison_next_close: bool,
-    /// The latest coordinator-pushed QoA verdicts. Kept outside the
-    /// governor so a post-panic restore from `checkpoint` (taken at
-    /// the last close, possibly *before* a verdict push) can re-apply
-    /// them — a restart must not regress the shard's governance.
-    qoa_verdicts: QoaVerdicts,
 }
 
 /// The worker loop. Buffers routed alerts; on `Close`, feeds the
@@ -115,14 +117,15 @@ pub(crate) fn run_worker(
     metrics: Option<&IngestdMetrics>,
 ) {
     let mut state = ShardState {
-        checkpoint: governor.clone(),
         governor,
         window: Vec::new(),
         degraded: false,
         pending_close: None,
         poison_next_close: false,
-        qoa_verdicts: QoaVerdicts::default(),
     };
+    // Whatever history the governor was handed over with (a restore, a
+    // rejoin) is this shard's first rollback target.
+    state.governor.commit();
     loop {
         let finished = catch_unwind(AssertUnwindSafe(|| {
             drain(shard, &mut state, ingest, deltas, counters, metrics);
@@ -135,14 +138,17 @@ pub(crate) fn run_worker(
                     .dropped
                     .fetch_add(state.window.len() as u64, Ordering::Relaxed);
                 state.window.clear();
-                state.governor = state.checkpoint.clone();
-                state.governor.set_qoa_verdicts(state.qoa_verdicts.clone());
+                // Back to the last successful close, whatever the
+                // panic left half-done. QoA verdicts pushed since then
+                // stay: a restart must not regress the shard's
+                // governance.
+                state.governor.rollback();
                 state.degraded = true;
                 state.poison_next_close = false;
                 if let Some(seq) = state.pending_close.take() {
                     // The panic struck mid-close: the barrier still
                     // needs this shard's delta for `seq`. Close an
-                    // empty window on the restored checkpoint — the
+                    // empty window on the rolled-back governor — the
                     // shard contributes nothing this window, but the
                     // window *happened*.
                     if !close_window(shard, &mut state, seq, deltas, counters, metrics) {
@@ -154,7 +160,7 @@ pub(crate) fn run_worker(
     }
 }
 
-/// Closes the current window: sort, detect, checkpoint, report.
+/// Closes the current window: sort, detect, commit, report.
 /// Returns `false` when the coordinator is gone (shutdown).
 fn close_window(
     shard: usize,
@@ -170,22 +176,22 @@ fn close_window(
     // Detection expects time-sorted windows; TCP ingress from
     // concurrent producers does not guarantee order.
     state.window.sort_by_key(|a| (a.raised_at(), a.id()));
-    let poisoned = std::mem::take(&mut state.poison_next_close);
-    let window = std::mem::take(&mut state.window);
-    if poisoned {
-        // After detection mutated the governor: recovery must come
-        // from the checkpoint, not from "retrying" this state. The
-        // window goes back into the buffer first so the supervisor
-        // counts its alerts as dropped, exactly like any other panic
-        // between closes.
-        let _ = state.governor.ingest(&window, &[]);
-        state.window = window;
+    // Applied but not committed: a panic from here to the commit below
+    // is undone by the supervisor's rollback.
+    let delta = state.governor.ingest_uncommitted(&state.window, &[], &[]);
+    if std::mem::take(&mut state.poison_next_close) {
+        // After detection mutated the governor: recovery must roll it
+        // back, not "retry" this state. The window is still in the
+        // buffer, so the supervisor counts its alerts as dropped,
+        // exactly like any other panic between closes.
         panic!("{CHAOS_PANIC_MSG} (shard {shard}, close {seq})");
     }
-    let closed = window.len() as u64;
-    let delta = state.governor.ingest(&window, &[]);
-    counters.delivered.fetch_add(closed, Ordering::Relaxed);
-    state.checkpoint = state.governor.clone();
+    state.governor.commit();
+    counters
+        .delivered
+        .fetch_add(state.window.len() as u64, Ordering::Relaxed);
+    // Keep the buffer's capacity for the next window.
+    state.window.clear();
     state.pending_close = None;
     deltas
         .send(ShardDelta {
@@ -224,10 +230,7 @@ fn drain(
             WorkerMsg::Sync(ack) => {
                 let _ = ack.send(());
             }
-            WorkerMsg::Qoa(verdicts) => {
-                state.governor.set_qoa_verdicts(verdicts.clone());
-                state.qoa_verdicts = verdicts;
-            }
+            WorkerMsg::Qoa(verdicts) => state.governor.set_qoa_verdicts(verdicts),
             WorkerMsg::Panic { on_close } => {
                 if on_close {
                     state.poison_next_close = true;

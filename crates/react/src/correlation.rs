@@ -9,6 +9,7 @@
 //! the microservice [`DependencyGraph`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use alertops_model::MicroserviceId;
 
@@ -101,7 +102,7 @@ impl CorrelatedCluster {
 #[derive(Debug, Clone, Default)]
 pub struct AlertCorrelator {
     strategy_deps: StrategyDependencies,
-    topology: Option<DependencyGraph>,
+    topology: Option<Arc<DependencyGraph>>,
     window: SimDuration,
 }
 
@@ -131,10 +132,11 @@ impl AlertCorrelator {
         self
     }
 
-    /// Attaches the service topology.
+    /// Attaches the service topology. Shared, not copied: a holder that
+    /// builds a correlator per window passes the same `Arc` each time.
     #[must_use]
-    pub fn with_topology(mut self, graph: DependencyGraph) -> Self {
-        self.topology = Some(graph);
+    pub fn with_topology(mut self, graph: impl Into<Arc<DependencyGraph>>) -> Self {
+        self.topology = Some(graph.into());
         self
     }
 

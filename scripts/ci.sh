@@ -34,6 +34,32 @@ cargo test --workspace -q
 echo "==> soak smoke: TCP load harness + BENCH_soak.json regeneration"
 cargo run --release -q -p alertops-bench --bin soak_bench
 
+# The counts half of the bench ledger, as a ratchet. A traced N = 40
+# slice of `cluster-journal` (every node closes through
+# ingestd::worker, journals and runs both channels) takes a few seconds,
+# and on it the per-alert counts repeat to the last digit, so a ceiling
+# of "measured at the commit that last moved it + 0.1 %" only trips on a
+# real regression. Lower a ceiling when a PR lowers the count.
+echo "==> pipeline-bench counts: cluster-journal --seconds 2, traced"
+counts=$(cargo run --release -q -p pipeline-bench -- \
+    --workload cluster-journal --seed 2022 --seconds 2 --trace 1 | tail -n 1)
+if [[ "$counts" != *'"correct": true'* ]]; then
+    echo "pipeline-bench: the run did not verify: $counts" >&2
+    exit 1
+fi
+while read -r name ceiling; do
+    value=$(grep -oE "\"$name\": \{\"value\": [0-9.eE+-]+" <<<"$counts" | awk '{print $NF}' || true)
+    if ! awk -v v="$value" -v c="$ceiling" 'BEGIN { exit !(v != "" && v + 0 <= c + 0) }'; then
+        echo "pipeline-bench: $name = ${value:-missing} is above its ceiling $ceiling" >&2
+        exit 1
+    fi
+    echo "    $name $value <= $ceiling"
+done <<'CEILINGS'
+proc.allocs_per_alert 32.7705
+proc.alloc_bytes_per_alert 10494.19
+proc.write_syscalls_per_kalert 1008.01
+CEILINGS
+
 # The window-close path has one owner (alertops_core::WindowCloser)
 # and the ingress protocol one dispatcher, one client and one writable
 # journal format; the options and forks that used to sit beside them
@@ -44,6 +70,14 @@ if grep -rnE 'defer_emerging|defer_qoa|set_emerging_mode|set_qoa_mode|V1Json|han
     --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=ci.sh .; then
     echo "a removed option reappeared (see matches above)" >&2
+    exit 1
+fi
+
+# A shard recovers by rollback (StreamingGovernor::commit/rollback); a
+# stored copy of the governor must not come back beside it.
+if grep -rnE 'checkpoint: StreamingGovernor|governor\.clone\(\)' \
+    --include='*.rs' crates/ingestd/src crates/cluster/src; then
+    echo "a per-window governor clone reappeared (see matches above)" >&2
     exit 1
 fi
 

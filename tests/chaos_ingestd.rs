@@ -691,6 +691,72 @@ fn mid_window_panic_degrades_one_window_then_recovers() {
     handle.shutdown();
 }
 
+/// The same shard panics inside two consecutive closes: both times the
+/// supervisor rolls the governor back to the one commit it has (the
+/// clean window 0), publishes an empty degraded delta, and loses
+/// exactly that shard's share of the window. The window after is clean
+/// and — like every window here — equals the fault-free oracle fed the
+/// survivors, so nothing of either half-applied window leaked into the
+/// rebuilt history.
+#[test]
+fn consecutive_close_panics_roll_back_to_the_same_commit() {
+    silence_panics_containing(CHAOS_PANIC_MSG);
+    let (strategies, trace) = chaos_trace();
+    let shards = 2;
+    let target = shard_of(REPEATER, shards);
+    let config = IngestdConfig {
+        shards,
+        chaos: true,
+        listen: Some("127.0.0.1:0".to_owned()),
+        ..IngestdConfig::default()
+    };
+    let handle = Ingestd::spawn(&config, |shard, shards| {
+        shard_governor(&strategies, shards, shard)
+    })
+    .expect("daemon starts");
+    let addr = handle.ingest_addr().expect("ingress bound");
+    let mut driver = CellDriver {
+        ctx: format!("two close panics on shard {target}"),
+        addr,
+        conn: Conn::open(addr),
+        handle,
+        model: Model::new(shards),
+        oracle: shard_governor(&strategies, 1, 0),
+        rng: ChaosRng::new(0),
+        overflow: OverflowPolicy::Block,
+    };
+
+    for (index, window) in trace.chunks(TRACE_LEN / 4).enumerate() {
+        for alert in window {
+            driver.conn.send(encode_alert(alert).as_bytes());
+            driver.model.routed += 1;
+            driver.model.pending.push(alert.clone());
+        }
+        let poisoned = index == 1 || index == 2;
+        if poisoned {
+            let kind = ChaosKind::WorkerPanicOnClose { shard: target };
+            driver.apply_event(kind, 0, &window[0]);
+        }
+        let dropped_before = driver.model.dropped;
+        driver.close_window();
+        assert_eq!(
+            driver.model.dropped > dropped_before,
+            poisoned,
+            "window {index}: the target shard must own alerts in every window"
+        );
+    }
+
+    let counters = driver.handle.counters();
+    assert!(counters.is_conserved(), "{counters:?}");
+    assert_eq!(counters.windows_closed, 4);
+    assert_eq!(counters.shard_restarts, 2);
+    assert_eq!(counters.degraded_windows, 2);
+    assert_eq!(counters.dropped, driver.model.dropped);
+    assert_eq!(counters.delivered, driver.model.delivered);
+    drop(driver.conn);
+    driver.handle.shutdown();
+}
+
 /// Without `chaos: true`, fault-injection frames are inert: they are
 /// quarantined as unknown controls and the daemon keeps serving.
 #[test]

@@ -9,7 +9,8 @@
 //! as serialized JSON) to a batch oracle that recomputes detection over
 //! the flattened surviving history every window — across eviction
 //! boundaries, incident arrival and pruning, dependency graphs,
-//! N-shard merges, checkpoint rehydration, and worker crashes.
+//! N-shard merges, checkpoint rehydration, rollback, and worker
+//! crashes.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -273,8 +274,7 @@ fn n_shard_merges_are_byte_identical_to_the_batch_oracle() {
 }
 
 /// Checkpoint rehydration: cloning a streaming governor at any window
-/// boundary and continuing from the clone yields byte-identical deltas
-/// — the property the ingestd worker's crash recovery relies on.
+/// boundary and continuing from the clone yields byte-identical deltas.
 #[test]
 fn checkpoint_clone_resumes_byte_identically() {
     let (strategies, graph, windows) = windowed_trace(7, 40);
@@ -298,10 +298,52 @@ fn checkpoint_clone_resumes_byte_identically() {
     }
 }
 
+/// Rollback — what the ingestd worker's crash recovery relies on, with
+/// no clone: at every window boundary of a shard-shaped stream (graph
+/// attached, no incidents) one or two decoy windows are applied
+/// uncommitted and rolled back, and the real window's delta must be the
+/// one a governor that never saw a decoy emits. Window 0 included:
+/// A1's findings exist before any ingest but have not been announced,
+/// so the rolled-back governor must still announce them as new.
+#[test]
+fn rollback_resumes_byte_identically() {
+    for history_windows in [4, 1] {
+        let (strategies, graph, windows) = windowed_trace(7, 40);
+        let governor =
+            AlertGovernor::new(strategies, GovernorConfig::default()).with_dependency_graph(graph);
+        let config = StreamingConfig {
+            history_windows,
+            storm: StormConfig::default(),
+            ..StreamingConfig::default()
+        };
+        let mut clean = StreamingGovernor::new(governor, config);
+        let mut recovered = clean.clone();
+        for (index, (window, _)) in windows.iter().enumerate() {
+            for decoy in 0..=index % 2 {
+                let (decoy, _) = &windows[(index + 5 + decoy) % windows.len()];
+                let _ = recovered.ingest_uncommitted(decoy, &[], &[]);
+            }
+            recovered.rollback();
+            let expected = clean.ingest(window, &[]);
+            if index == 0 {
+                assert!(
+                    !expected.new_findings.is_empty(),
+                    "the trace's catalog must have A1 findings to announce at window 0"
+                );
+            }
+            assert_eq!(
+                json_delta(&recovered.ingest(window, &[])),
+                json_delta(&expected),
+                "rollback diverged when resumed at window {index} (history_windows={history_windows})"
+            );
+        }
+    }
+}
+
 /// Chaos differential: a worker panic with an empty buffer loses no
-/// alerts, so after the checkpoint-rehydrated restart the daemon's
-/// snapshots must match a crash-free run exactly — the engine state
-/// restored from the checkpoint is the engine state that was lost.
+/// alerts, so after the rolled-back restart the daemon's snapshots
+/// must match a crash-free run exactly — the engine state rebuilt by
+/// the rollback is the engine state that was lost.
 /// Only the `degraded` marker may differ, and must name the shard.
 #[test]
 fn worker_restart_without_loss_is_governance_invisible() {
@@ -343,7 +385,7 @@ fn worker_restart_without_loss_is_governance_invisible() {
         crashy_snaps.push(crashy.flush().expect("crashy daemon flushes"));
         if index == crash_after {
             // Between closes the buffer is empty: the restart drops
-            // nothing and rehydrates shard 0 from its checkpoint.
+            // nothing and rolls shard 0 back to its last commit.
             crashy.inject_panic(0, false);
             crashy.sync();
         }
