@@ -4,7 +4,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use alertops_detect::{AntiPattern, AntiPatternReport, IncrementalState};
-use alertops_model::{Alert, AlertStrategy, DependencyGraph, Incident, Sop, StrategyId};
+use alertops_model::{
+    Alert, AlertStrategy, DependencyGraph, Incident, IndexedCatalog, Sop, StrategyId,
+};
 use alertops_qoa::{QoaScorer, QoaVerdicts};
 use alertops_react::blocking::{AlertBlocker, BlockRule};
 use alertops_react::correlation::AlertCorrelator;
@@ -36,7 +38,7 @@ pub struct GovernorConfig {
 /// 3. fix the worst strategies and repeat.
 #[derive(Debug, Clone)]
 pub struct AlertGovernor {
-    strategies: Vec<AlertStrategy>,
+    strategies: IndexedCatalog,
     sops: HashMap<StrategyId, Sop>,
     graph: Option<Arc<DependencyGraph>>,
     config: GovernorConfig,
@@ -51,7 +53,7 @@ impl AlertGovernor {
     #[must_use]
     pub fn new(strategies: Vec<AlertStrategy>, config: GovernorConfig) -> Self {
         Self {
-            strategies,
+            strategies: IndexedCatalog::new(strategies),
             sops: HashMap::new(),
             graph: None,
             config,
@@ -91,8 +93,12 @@ impl AlertGovernor {
         self
     }
 
-    /// Attaches the microservice dependency graph (enables A6 detection
-    /// and topology correlation).
+    /// Attaches the microservice dependency graph: batch
+    /// [`detect`](Self::detect) reports A6 cascade groups with it, and
+    /// [`react`](Self::react) correlates by topology (R3). A
+    /// [`StreamingGovernor`](crate::StreamingGovernor) over this
+    /// governor uses it for the second only — it tracks no cascade
+    /// state.
     #[must_use]
     pub fn with_dependency_graph(mut self, graph: impl Into<Arc<DependencyGraph>>) -> Self {
         self.graph = Some(graph.into());
@@ -102,7 +108,14 @@ impl AlertGovernor {
     /// The governed strategies.
     #[must_use]
     pub fn strategies(&self) -> &[AlertStrategy] {
-        &self.strategies
+        self.strategies.rows()
+    }
+
+    /// The governed strategy with the given id, if any (the first, on
+    /// a duplicate id).
+    #[must_use]
+    pub fn strategy(&self, id: StrategyId) -> Option<&AlertStrategy> {
+        self.strategies.get(id)
     }
 
     /// The attached microservice dependency graph, if any.
@@ -136,7 +149,9 @@ impl AlertGovernor {
     #[must_use]
     pub fn lint(&self) -> Vec<crate::GuidelineViolation> {
         GuidelineLinter::new().lint_catalog(
-            self.strategies.iter().map(|s| (s, self.sops.get(&s.id()))),
+            self.strategies()
+                .iter()
+                .map(|s| (s, self.sops.get(&s.id()))),
             &self.config.guideline_context,
         )
     }
@@ -152,7 +167,7 @@ impl AlertGovernor {
         let metrics = self.metrics.as_ref().map(|m| &m.detect);
         let mut engine = IncrementalState::default();
         engine.observe_window(alerts, self.graph.as_deref(), metrics);
-        engine.current_findings(&self.strategies, incidents, self.graph.as_deref(), metrics)
+        engine.current_findings(self.strategies(), incidents, self.graph.as_deref(), metrics)
     }
 
     /// Derives R1 blocking rules from transient/toggling (A4) and
@@ -219,7 +234,7 @@ impl AlertGovernor {
         }
         let scorer = QoaScorer::new();
         let mut reports: Vec<alertops_qoa::QoaReport> = self
-            .strategies
+            .strategies()
             .iter()
             .map(|strategy| {
                 scorer.score(

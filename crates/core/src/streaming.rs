@@ -7,10 +7,14 @@
 //! subsided), and storm onsets. [`StreamingGovernor`] wraps an
 //! [`AlertGovernor`] around an
 //! [`IncrementalState`](alertops_detect::IncrementalState) engine: each
-//! window is folded into per-strategy counters, region-hour histograms,
-//! and cascade edges as a *digest*, and subtracted again when it slides
-//! out of scope — so per-window cost is O(window), not O(history), while
-//! the emitted deltas stay byte-identical to batch recomputation.
+//! window is folded into per-strategy counters and region-hour
+//! histograms as a *digest*, and subtracted again when it slides out of
+//! scope — so per-window cost is O(window), not O(history), while the
+//! emitted deltas stay byte-identical to batch recomputation. The
+//! engine tracks no cascade (A6) state here: the governor's dependency
+//! graph serves topology correlation (R3) inside
+//! [`AlertGovernor::react`] and is never handed to the engine (see
+//! [`StreamingGovernor::ingest_uncommitted`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -641,8 +645,14 @@ impl StreamingGovernor {
         let _span = metrics.as_ref().map(|m| m.ingest_timer());
         let detect_metrics = metrics.as_ref().map(|m| &m.detect);
 
-        self.engine
-            .observe_window(window, self.governor.dependency_graph(), detect_metrics);
+        // The engine never gets the governor's dependency graph, here
+        // or in `rollback`: cascade groups (A6) have no reader on this
+        // path — deltas and snapshots carry no cascade field,
+        // `derive_blocker` reads A4/A5, and R3 takes the graph inside
+        // `react` — and under strategy sharding a shard would group
+        // fragments of every cascade. Publishing them online would take
+        // a post-merge channel, not per-shard state.
+        self.engine.observe_window(window, None, detect_metrics);
         while self.engine.window_count() > self.config.history_windows {
             self.engine.evict_window(detect_metrics);
         }
@@ -668,7 +678,7 @@ impl StreamingGovernor {
         let report = self.engine.current_findings(
             self.governor.strategies(),
             &self.incidents,
-            self.governor.dependency_graph(),
+            None,
             detect_metrics,
         );
         let current_flags: BTreeSet<(AntiPattern, StrategyId)> = report
@@ -747,7 +757,7 @@ impl StreamingGovernor {
                 by_strategy
                     .iter()
                     .filter_map(|(&id, alerts)| {
-                        let strategy = self.governor.strategies().iter().find(|s| s.id() == id)?;
+                        let strategy = self.governor.strategy(id)?;
                         Some(QoaSample {
                             strategy: id,
                             features: extractor.extract(
@@ -827,18 +837,19 @@ impl StreamingGovernor {
     /// Returns to the state of the last [`commit`](Self::commit) (the
     /// governor as constructed, if there was none): the engine is
     /// rebuilt from its own window digests
-    /// ([`IncrementalState::rollback`], O(history)) and the window
-    /// index and flag set are put back, so the next delta is the one
-    /// the governor would have emitted had the undone ingest never
-    /// started — however far it got. Exact under the conditions
-    /// [`restore`](Self::restore) documents (no channel in
-    /// [`ChannelMode::Local`], no incidents in the stream; true of
+    /// ([`IncrementalState::rollback`], O(history); there are no
+    /// cascade edges to re-derive, since the engine was never given the
+    /// graph) and the window index and flag set are put back, so the
+    /// next delta is the one the governor would have emitted had the
+    /// undone ingest never started — however far it got. Exact under
+    /// the conditions [`restore`](Self::restore) documents (no channel
+    /// in [`ChannelMode::Local`], no incidents in the stream; true of
     /// every daemon shard), because incidents and a local pass's
     /// sequential state are not rewound. QoA verdicts are deliberately
     /// not rewound either: they are pushed from outside, and a
     /// recovery must not regress them.
     pub fn rollback(&mut self) {
-        self.engine.rollback(self.governor.dependency_graph());
+        self.engine.rollback(None);
         if let Some((flags, windows)) = self.committed.take() {
             self.previous_flags = flags;
             self.windows_ingested = windows;
@@ -1017,6 +1028,72 @@ mod tests {
         s.ingest_uncommitted(&transient_window(9_000, 1, 30, 5), &[], &[]);
         assert_eq!(s.engine.kept_digests(), 1);
         assert!(s.committed.is_some());
+    }
+
+    #[test]
+    fn the_graph_reaches_react_but_never_the_engine() {
+        use alertops_detect::{CascadingDetector, DetectionInput};
+        use alertops_model::{DependencyGraph, MicroserviceId};
+
+        // m0 calls m1 calls m2; a fault in m2 surfaces as one alert per
+        // tier, a minute apart, each from its own strategy.
+        let mut graph = DependencyGraph::new();
+        graph.add_edge(MicroserviceId(0), MicroserviceId(1));
+        graph.add_edge(MicroserviceId(1), MicroserviceId(2));
+        let catalog = vec![noisy_strategy(1), noisy_strategy(2), noisy_strategy(3)];
+        let windows: Vec<Vec<Alert>> = (0..3u64)
+            .map(|hour| {
+                (0..3u64)
+                    .map(|tier| {
+                        Alert::builder(AlertId(hour * 10 + tier), StrategyId(1 + tier))
+                            .title("haproxy process number warning")
+                            .microservice(MicroserviceId(2 - tier))
+                            .raised_at(SimTime::from_secs(hour * 3_600 + tier * 60))
+                            .build()
+                    })
+                    .collect()
+            })
+            .collect();
+        let input = DetectionInput::new(&catalog)
+            .with_alerts(&windows[0])
+            .with_graph(&graph);
+        assert_eq!(
+            CascadingDetector::default().detect_groups(&input).len(),
+            1,
+            "the stream must hold a cascade for the graph to matter"
+        );
+
+        let mut s = StreamingGovernor::new(
+            AlertGovernor::new(catalog, GovernorConfig::default())
+                .with_dependency_graph(graph.clone()),
+            StreamingConfig {
+                history_windows: 2,
+                ..StreamingConfig::default()
+            },
+        );
+        let mut no_graph = IncrementalState::default();
+        let mut with_graph = IncrementalState::default();
+        for window in &windows {
+            // R3 still correlates by topology: the two upstream alerts
+            // fold into the one at the faulty tier.
+            let delta = s.ingest_uncommitted(window, &[], &[]);
+            assert_eq!(delta.triage, vec![window[0].id()]);
+            for (engine, graph) in [(&mut no_graph, None), (&mut with_graph, Some(&graph))] {
+                engine.observe_window(window, graph, None);
+                while engine.window_count() > 2 {
+                    engine.evict_window(None);
+                }
+            }
+            // Engine equality covers cascade edges, so this fails if
+            // the graph is ever handed to the engine again.
+            assert_eq!(s.engine, no_graph);
+            assert_ne!(s.engine, with_graph);
+            s.commit();
+        }
+        // A rollback lands on the same graph-free engine.
+        s.ingest_uncommitted(&windows[0], &[], &[]);
+        s.rollback();
+        assert_eq!(s.engine, no_graph);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! * [`observe_window`](IncrementalState::observe_window) — fold one
 //!   window of alerts into per-strategy rolling aggregates, the storm
-//!   region-hour histogram, and the cascade edge set, remembering a
-//!   compact [`WindowDigest`] so the window can later be subtracted;
+//!   region-hour histogram, and (for a caller that hands over the
+//!   dependency graph) the cascade edge set, remembering a compact
+//!   [`WindowDigest`] so the window can later be subtracted;
 //! * [`evict_window`](IncrementalState::evict_window) — subtract the
 //!   oldest window's digest from every aggregate (the *eviction
 //!   algebra*: each aggregate is a multiset count, so subtraction is
@@ -38,6 +39,18 @@
 //! invalidated whenever the provided incidents differ from the previous
 //! evaluation.
 //!
+//! # Who attaches a graph
+//!
+//! A6 state — the alive-alert set and its derivation edges — is kept
+//! only for windows observed with a dependency graph, and cascade
+//! groups are reported only when `current_findings` is given one. The
+//! batch `AlertGovernor::detect` does both (its `report.cascades` is
+//! what the post-mortem and the figure harnesses read), as may any
+//! direct user of the engine. `StreamingGovernor` never does: nothing
+//! downstream of a window close reads cascade groups, and a shard of a
+//! strategy-sharded stream would group fragments of every cascade. For
+//! such a caller the engine's cost per window has no A6 term at all.
+//!
 //! # Commit and rollback
 //!
 //! Because the rolling state is a pure function of the window digests,
@@ -51,11 +64,11 @@
 //! however far an interrupted observe, evict or evaluation got, since
 //! nothing of the interrupted aggregates or caches is reused.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use alertops_model::{
-    Alert, AlertId, AlertStrategy, Clearance, DependencyGraph, Incident, MicroserviceId, RegionId,
-    ServiceId, SimDuration, SimTime, StrategyId,
+    Alert, AlertId, AlertStrategy, Clearance, DependencyGraph, Incident, IndexedCatalog,
+    MicroserviceId, RegionId, ServiceId, SimDuration, SimTime, StrategyId,
 };
 
 use crate::a2_severity::{a2_transient_cutoff, SeverityEvidence};
@@ -136,7 +149,8 @@ struct WindowDigest {
     region_hours: Vec<((RegionId, u64), usize)>,
     /// `(raise time, id, microservice)` of every alert, recorded only
     /// when a dependency graph was attached at observe time (the
-    /// cascade state is maintained only then).
+    /// cascade state is maintained only then — see "Who attaches a
+    /// graph" in the [module docs](self)); empty, and free, otherwise.
     cascade: Vec<(SimTime, AlertId, MicroserviceId)>,
 }
 
@@ -167,6 +181,20 @@ struct CachedFindings {
     a5: Option<StrategyFinding>,
 }
 
+/// One stale strategy, resolved for an evaluation: the catalog row and
+/// the rolling aggregates every evaluator reads, and what they make of
+/// them.
+struct Stale<'a> {
+    strategy: &'a AlertStrategy,
+    state: &'a StrategyState,
+    /// The aggregates changed since the last evaluation, so A4/A5 are
+    /// stale along with A2/A3. False for a clean strategy that only a
+    /// changed incident list made stale.
+    aggregates_changed: bool,
+    /// The evaluators' verdicts, held here until the one cache write.
+    rescored: CachedFindings,
+}
+
 /// The incremental detection engine. See the [module docs](self) for
 /// the design; see `StreamingGovernor` in `alertops-core` for the
 /// production driver.
@@ -193,7 +221,7 @@ pub struct IncrementalState {
     /// Strategies whose aggregates changed since the last evaluation.
     dirty: BTreeSet<StrategyId>,
     /// The catalog seen by the last evaluation (None before the first).
-    catalog: Option<Vec<AlertStrategy>>,
+    catalog: Option<IndexedCatalog>,
     /// The incident list seen by the last evaluation.
     incidents_seen: Option<Vec<Incident>>,
     /// A1 findings for `catalog` (valid while the catalog is unchanged).
@@ -474,6 +502,9 @@ impl IncrementalState {
     /// Only strategies whose aggregates changed since the last
     /// evaluation are re-scored; A1 is recomputed only when the catalog
     /// changes, and A2/A3 additionally when the incident list changes.
+    /// A strategy is scored against the catalog row with its id (the
+    /// first, should the catalog repeat one); one with alerts in scope
+    /// but no row has no findings.
     /// Per-pattern wall time and finding counts are recorded into
     /// `metrics` exactly as the batch
     /// [`run_instrumented`](AntiPatternReport::run_instrumented) does.
@@ -487,11 +518,12 @@ impl IncrementalState {
         if let Some(m) = metrics {
             m.record_run(self.alerts_in_scope as u64);
         }
-        let catalog_changed = self.catalog.as_deref() != Some(strategies);
+        let catalog_changed = self.catalog.as_ref().map(IndexedCatalog::rows) != Some(strategies);
         if catalog_changed {
             // Strategy attributes (severity, kind, service) feed every
             // evaluator: invalidate everything.
             self.dirty.extend(self.per_strategy.keys().copied());
+            self.catalog = Some(IndexedCatalog::new(strategies.to_vec()));
         }
         let incidents_changed = self.incidents_seen.as_deref() != Some(incidents);
 
@@ -510,115 +542,134 @@ impl IncrementalState {
         }
         findings.insert(AntiPattern::UnclearTitle, a1);
 
-        let by_id: HashMap<StrategyId, &AlertStrategy> =
-            strategies.iter().map(|s| (s.id(), s)).collect();
-        // A2/A3 consume the incident list; a changed list invalidates
-        // every strategy's cached finding for them.
-        let stale_a23: Vec<StrategyId> = if incidents_changed {
-            self.per_strategy
-                .keys()
-                .chain(self.dirty.iter())
-                .copied()
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect()
-        } else {
-            self.dirty.iter().copied().collect()
+        let Self {
+            config,
+            per_strategy,
+            dirty,
+            catalog,
+            findings_cache,
+            ..
+        } = self;
+        let catalog = catalog.as_ref().expect("the catalog was recorded above");
+
+        // Resolve every stale strategy once — its rolling state and its
+        // catalog row — so the four evaluators below share one lookup
+        // of each. One no longer in scope drops its cache entry (the
+        // cache stays congruent with `per_strategy`); one in scope but
+        // missing from the catalog has nothing to be scored against.
+        let mut stale: Vec<Stale<'_>> = Vec::with_capacity(dirty.len());
+        let mut resolve = |id: StrategyId, aggregates_changed: bool| {
+            let Some(state) = per_strategy.get(&id) else {
+                findings_cache.remove(&id);
+                return;
+            };
+            match catalog.get(id) {
+                Some(strategy) => stale.push(Stale {
+                    strategy,
+                    state,
+                    aggregates_changed,
+                    rescored: CachedFindings::default(),
+                }),
+                None => {
+                    findings_cache.insert(id, CachedFindings::default());
+                }
+            }
         };
-        let stale_a45: Vec<StrategyId> = self.dirty.iter().copied().collect();
+        if incidents_changed {
+            // A2/A3 consume the incident list; a changed list makes
+            // every in-scope strategy stale for them, the clean ones
+            // for them alone.
+            for &id in per_strategy.keys().filter(|id| !dirty.contains(id)) {
+                resolve(id, false);
+            }
+        }
+        for &id in dirty.iter() {
+            resolve(id, true);
+        }
 
         // A2 — misleading severity.
         {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::MisleadingSeverity));
-            for &id in &stale_a23 {
-                let finding = match (by_id.get(&id), self.per_strategy.get(&id)) {
-                    (Some(strategy), Some(state)) => {
-                        let evidence = SeverityEvidence {
-                            total: state.total,
-                            with_incident: with_incident(
-                                &state.times,
-                                strategy.service(),
-                                incidents,
-                                self.config.a2.incident_lookahead,
-                            ),
-                            auto_cleared: state.auto_cleared,
-                            transients: state.a2_transients,
-                        };
-                        self.config.a2.evaluate_strategy(strategy, &evidence)
-                    }
-                    _ => None,
+            for s in &mut stale {
+                let evidence = SeverityEvidence {
+                    total: s.state.total,
+                    with_incident: with_incident(
+                        &s.state.times,
+                        s.strategy.service(),
+                        incidents,
+                        config.a2.incident_lookahead,
+                    ),
+                    auto_cleared: s.state.auto_cleared,
+                    transients: s.state.a2_transients,
                 };
-                self.store_finding(id, |cache| cache.a2 = finding);
+                s.rescored.a2 = config.a2.evaluate_strategy(s.strategy, &evidence);
             }
         }
+
+        // A3 — improper rule.
+        {
+            let _span = metrics.map(|m| m.detector_timer(AntiPattern::ImproperRule));
+            for s in &mut stale {
+                s.rescored.a3 = config.a3.evaluate_strategy(
+                    s.strategy,
+                    s.state.total,
+                    with_incident(
+                        &s.state.times,
+                        s.strategy.service(),
+                        incidents,
+                        config.a3.incident_lookahead,
+                    ),
+                );
+            }
+        }
+
+        // A4 — transient/toggling — and A5 — repeating — read the
+        // aggregates alone: a strategy stale through the incident list
+        // only keeps what it has.
+        {
+            let _span = metrics.map(|m| m.detector_timer(AntiPattern::TransientToggling));
+            for s in stale.iter_mut().filter(|s| s.aggregates_changed) {
+                s.rescored.a4 = config.a4.evaluate_strategy(
+                    s.strategy.id(),
+                    s.state.total,
+                    &s.state.transient_times,
+                );
+            }
+        }
+        {
+            let _span = metrics.map(|m| m.detector_timer(AntiPattern::Repeating));
+            for s in stale.iter_mut().filter(|s| s.aggregates_changed) {
+                s.rescored.a5 =
+                    config
+                        .a5
+                        .evaluate_strategy(s.strategy.id(), s.state.total, &s.state.hours);
+            }
+        }
+
+        // One cache write per stale strategy.
+        for s in stale {
+            let cache = findings_cache.entry(s.strategy.id()).or_default();
+            (cache.a2, cache.a3) = (s.rescored.a2, s.rescored.a3);
+            if s.aggregates_changed {
+                (cache.a4, cache.a5) = (s.rescored.a4, s.rescored.a5);
+            }
+        }
+
         self.publish(
             AntiPattern::MisleadingSeverity,
             &mut findings,
             metrics,
             |c| c.a2.clone(),
         );
-
-        // A3 — improper rule.
-        {
-            let _span = metrics.map(|m| m.detector_timer(AntiPattern::ImproperRule));
-            for &id in &stale_a23 {
-                let finding = match (by_id.get(&id), self.per_strategy.get(&id)) {
-                    (Some(strategy), Some(state)) => self.config.a3.evaluate_strategy(
-                        strategy,
-                        state.total,
-                        with_incident(
-                            &state.times,
-                            strategy.service(),
-                            incidents,
-                            self.config.a3.incident_lookahead,
-                        ),
-                    ),
-                    _ => None,
-                };
-                self.store_finding(id, |cache| cache.a3 = finding);
-            }
-        }
         self.publish(AntiPattern::ImproperRule, &mut findings, metrics, |c| {
             c.a3.clone()
         });
-
-        // A4 — transient/toggling.
-        {
-            let _span = metrics.map(|m| m.detector_timer(AntiPattern::TransientToggling));
-            for &id in &stale_a45 {
-                let finding = match (by_id.get(&id), self.per_strategy.get(&id)) {
-                    (Some(_), Some(state)) => {
-                        self.config
-                            .a4
-                            .evaluate_strategy(id, state.total, &state.transient_times)
-                    }
-                    _ => None,
-                };
-                self.store_finding(id, |cache| cache.a4 = finding);
-            }
-        }
         self.publish(
             AntiPattern::TransientToggling,
             &mut findings,
             metrics,
             |c| c.a4.clone(),
         );
-
-        // A5 — repeating.
-        {
-            let _span = metrics.map(|m| m.detector_timer(AntiPattern::Repeating));
-            for &id in &stale_a45 {
-                let finding = match (by_id.get(&id), self.per_strategy.get(&id)) {
-                    (Some(_), Some(state)) => {
-                        self.config
-                            .a5
-                            .evaluate_strategy(id, state.total, &state.hours)
-                    }
-                    _ => None,
-                };
-                self.store_finding(id, |cache| cache.a5 = finding);
-            }
-        }
         self.publish(AntiPattern::Repeating, &mut findings, metrics, |c| {
             c.a5.clone()
         });
@@ -637,24 +688,10 @@ impl IncrementalState {
         }
 
         self.dirty.clear();
-        if catalog_changed {
-            self.catalog = Some(strategies.to_vec());
-        }
         if incidents_changed {
             self.incidents_seen = Some(incidents.to_vec());
         }
         AntiPatternReport { findings, cascades }
-    }
-
-    /// Stores one recomputed per-strategy finding, dropping the cache
-    /// entry entirely when the strategy no longer has in-scope alerts
-    /// (keeps the cache congruent with `per_strategy`).
-    fn store_finding(&mut self, id: StrategyId, write: impl FnOnce(&mut CachedFindings)) {
-        if self.per_strategy.contains_key(&id) {
-            write(self.findings_cache.entry(id).or_default());
-        } else {
-            self.findings_cache.remove(&id);
-        }
     }
 
     /// Collects one pattern's cached findings, sorts them with the
@@ -691,6 +728,11 @@ fn with_incident(
     incidents: &[Incident],
     lookahead: SimDuration,
 ) -> usize {
+    // No incident, no co-occurrence — and no walk over the strategy's
+    // history, which is every evaluation on a daemon shard.
+    if incidents.is_empty() {
+        return 0;
+    }
     times
         .iter()
         .filter(|(&t, _)| {

@@ -7,6 +7,13 @@
 //! [`AntiPatternReport::run_instrumented`](crate::AntiPatternReport::run_instrumented)
 //! is pure relaxed-atomic work — detection output is identical with or
 //! without metrics attached (the property suite asserts this).
+//!
+//! The `pattern="A6"` series describe whoever evaluates *with* a
+//! dependency graph — the batch `AlertGovernor::detect`. A streaming
+//! governor hands its engine none (cascade groups have no reader past a
+//! window close, and a shard would count fragments of every cascade),
+//! so on a live daemon `alertops_detector_findings_total{pattern="A6"}`
+//! stays at 0 and the A6 `alertops_detector_micros` samples read ≈ 0.
 
 use std::sync::Arc;
 

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use alertops_detect::storm::region_hour_histogram;
-use alertops_detect::IncrementalState;
+use alertops_detect::{AntiPatternReport, DetectionInput, IncrementalState};
 use alertops_model::{
     Alert, AlertId, AlertStrategy, Clearance, DependencyGraph, Incident, IncidentId, Location,
     LogRule, MicroserviceId, ServiceId, Severity, SimDuration, SimTime, StrategyId, StrategyKind,
@@ -245,6 +245,53 @@ proptest! {
                 prop_assert_eq!(rolling.kept_digests(), 0);
                 committed = (i + 1).saturating_sub(history)..i + 1;
                 rolls_back_to(&rolling, &windows[committed.clone()], &graph)?;
+            }
+        }
+    }
+
+    /// Incremental == batch where the engine's catalog lookup and its
+    /// stale-set bookkeeping could go wrong: a catalog *not* in id
+    /// order, a strategy in scope but missing from the catalog, and an
+    /// incident list that changes while in-scope strategies are clean
+    /// (A2/A3 must be re-scored for them, A4/A5 carried over).
+    #[test]
+    fn findings_equal_the_batch_detectors_over_any_catalog_and_incident_history(
+        windows in arb_windows(120),
+        scope in 1usize..5,
+        rotate in 1usize..5,
+        missing in 0u64..6,
+    ) {
+        let graph = graph();
+        let mut strategies = catalog();
+        strategies.retain(|s| s.id() != StrategyId(missing));
+        strategies.rotate_left(rotate);
+        prop_assert!(strategies.windows(2).any(|pair| pair[0].id() > pair[1].id()));
+        let incident_lists = [incidents(), incidents()[..1].to_vec(), Vec::new()];
+        let batch = |scope: &[Vec<Alert>], incidents: &[Incident]| {
+            let flat: Vec<Alert> = scope.iter().flatten().cloned().collect();
+            AntiPatternReport::run_default(
+                &DetectionInput::new(&strategies)
+                    .with_alerts(&flat)
+                    .with_incidents(incidents)
+                    .with_graph(&graph),
+            )
+        };
+        let mut rolling = IncrementalState::default();
+        for (i, window) in windows.iter().enumerate() {
+            rolling.observe_window(window, Some(&graph), None);
+            while rolling.window_count() > scope {
+                rolling.evict_window(None);
+            }
+            let in_scope = &windows[(i + 1).saturating_sub(scope)..=i];
+            // First with the previous window's last list (only this
+            // window's strategies are stale), then with a new one while
+            // every strategy is clean.
+            for incidents in [&incident_lists[i % 3], &incident_lists[(i + 1) % 3]] {
+                prop_assert_eq!(
+                    rolling.current_findings(&strategies, incidents, Some(&graph), None),
+                    batch(in_scope, incidents),
+                    "findings diverged from batch at window {}", i
+                );
             }
         }
     }

@@ -76,7 +76,7 @@ pub use oce::{ExperienceBand, Oce};
 pub use severity::Severity;
 pub use sop::{Sop, SopBuilder};
 pub use strategy::{
-    AlertStrategy, AlertStrategyBuilder, LogRule, MetricKind, MetricRule, ProbeRule, StrategyKind,
-    ThresholdOp,
+    AlertStrategy, AlertStrategyBuilder, IndexedCatalog, LogRule, MetricKind, MetricRule,
+    ProbeRule, StrategyKind, ThresholdOp,
 };
 pub use time::{SimDuration, SimTime, TimeRange, SECS_PER_DAY, SECS_PER_HOUR};

@@ -1,5 +1,6 @@
 //! Alert strategies: the policies of alert generation.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -432,6 +433,55 @@ impl AlertStrategyBuilder {
     }
 }
 
+/// A strategy catalog with a by-id lookup.
+///
+/// A catalog in strictly ascending id order — the simulator's, and any
+/// shard's or node's slice filtered from it — needs no index:
+/// [`get`](Self::get) binary-searches the rows. Any other order gets an
+/// id → row map, built once at construction; on a duplicate id the
+/// first row wins, as a linear `find` over the rows would have it.
+#[derive(Debug, Clone)]
+pub struct IndexedCatalog {
+    rows: Vec<AlertStrategy>,
+    /// `None` while `rows` is in strictly ascending id order.
+    by_id: Option<HashMap<StrategyId, usize>>,
+}
+
+impl IndexedCatalog {
+    /// Takes the rows in the order given; O(rows).
+    #[must_use]
+    pub fn new(rows: Vec<AlertStrategy>) -> Self {
+        let ascending = rows.windows(2).all(|pair| pair[0].id() < pair[1].id());
+        let by_id = (!ascending).then(|| {
+            let mut by_id = HashMap::with_capacity(rows.len());
+            for (row, strategy) in rows.iter().enumerate() {
+                by_id.entry(strategy.id()).or_insert(row);
+            }
+            by_id
+        });
+        Self { rows, by_id }
+    }
+
+    /// The rows, in the order they were given.
+    #[must_use]
+    pub fn rows(&self) -> &[AlertStrategy] {
+        &self.rows
+    }
+
+    /// The strategy with the given id, if the catalog has one.
+    #[must_use]
+    pub fn get(&self, id: StrategyId) -> Option<&AlertStrategy> {
+        let row = match &self.by_id {
+            None => self
+                .rows
+                .binary_search_by_key(&id, AlertStrategy::id)
+                .ok()?,
+            Some(by_id) => *by_id.get(&id)?,
+        };
+        Some(&self.rows[row])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,6 +559,31 @@ mod tests {
         assert_eq!(s.title_template(), "new title");
         assert_eq!(s.cooldown(), SimDuration::from_mins(10));
         assert_eq!(s.kind().category(), "probe");
+    }
+
+    #[test]
+    fn indexed_catalog_finds_what_a_linear_find_finds() {
+        let row = |id: u64, title: &str| {
+            AlertStrategy::builder(StrategyId(id))
+                .title_template(title)
+                .kind(metric_kind())
+                .build()
+                .unwrap()
+        };
+        // Ascending (binary search), shuffled (index), and shuffled
+        // with a duplicate id whose first row must win.
+        for rows in [
+            vec![row(1, "a"), row(4, "b"), row(9, "c")],
+            vec![row(9, "c"), row(1, "a"), row(4, "b")],
+            vec![row(4, "first"), row(1, "a"), row(4, "second")],
+            Vec::new(),
+        ] {
+            let catalog = IndexedCatalog::new(rows.clone());
+            assert_eq!(catalog.rows(), rows);
+            for id in (0..12).map(StrategyId) {
+                assert_eq!(catalog.get(id), rows.iter().find(|s| s.id() == id));
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! fixed tumbling windows; each group keeps a representative, the count,
 //! and the maximum severity.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use alertops_model::{Alert, AlertId, Severity, SimDuration, StrategyId, TimeRange};
@@ -76,18 +78,38 @@ pub fn aggregate(alerts: &[Alert], config: &AggregationConfig) -> Vec<AlertGroup
         !config.window.is_zero(),
         "aggregation window must be positive"
     );
-    use std::collections::BTreeMap;
+    // Bucket by the key itself and render it as text once per group,
+    // not once per alert.
+    let mut groups = match config.key {
+        GroupKey::Strategy => group_by(alerts, config.window, Alert::strategy, |id| id.to_string()),
+        GroupKey::TitleTemplate => group_by(
+            alerts,
+            config.window,
+            |alert| extract_template(alert.title()),
+            |template| template,
+        ),
+    };
+    groups.sort_by_key(|g| (g.window.start(), g.representative));
+    groups
+}
+
+/// One group per `(tumbling window, key_of(alert))`, in bucket order.
+fn group_by<K: Ord>(
+    alerts: &[Alert],
+    window: SimDuration,
+    key_of: impl Fn(&Alert) -> K,
+    render: impl Fn(K) -> String,
+) -> Vec<AlertGroup> {
     // (window index, key) → member indices.
-    let mut buckets: BTreeMap<(u64, String), Vec<usize>> = BTreeMap::new();
+    let mut buckets: BTreeMap<(u64, K), Vec<usize>> = BTreeMap::new();
     for (ix, alert) in alerts.iter().enumerate() {
-        let window_ix = alert.raised_at().as_secs() / config.window.as_secs();
-        let key = match config.key {
-            GroupKey::Strategy => alert.strategy().to_string(),
-            GroupKey::TitleTemplate => extract_template(alert.title()),
-        };
-        buckets.entry((window_ix, key)).or_default().push(ix);
+        let window_ix = alert.raised_at().as_secs() / window.as_secs();
+        buckets
+            .entry((window_ix, key_of(alert)))
+            .or_default()
+            .push(ix);
     }
-    let mut groups: Vec<AlertGroup> = buckets
+    buckets
         .into_iter()
         .map(|((_, key), ixs)| {
             let members: Vec<&Alert> = ixs.iter().map(|&i| &alerts[i]).collect();
@@ -101,7 +123,7 @@ pub fn aggregate(alerts: &[Alert], config: &AggregationConfig) -> Vec<AlertGroup
                 .max()
                 .expect("bucket is nonempty");
             AlertGroup {
-                key,
+                key: render(key),
                 strategy: first.strategy(),
                 representative: first.id(),
                 count: members.len(),
@@ -121,9 +143,7 @@ pub fn aggregate(alerts: &[Alert], config: &AggregationConfig) -> Vec<AlertGroup
                     .expect("bucket is nonempty"),
             }
         })
-        .collect();
-    groups.sort_by_key(|g| (g.window.start(), g.representative));
-    groups
+        .collect()
 }
 
 /// The volume reduction achieved: `1 - groups/alerts` (0 for empty

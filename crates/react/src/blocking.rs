@@ -141,13 +141,48 @@ impl AlertBlocker {
 
     /// Partitions `alerts` into passed and blocked. The first matching
     /// rule is credited with the hit.
+    ///
+    /// A rule that says exactly "this strategy, always" — what
+    /// [`BlockRule::for_strategy`] builds and every derived rule is —
+    /// is found by the alert's strategy id instead of by scanning, so
+    /// an alert costs a binary search plus the conditional rules, not
+    /// one test per rule.
     #[must_use]
     pub fn apply<'a>(&self, alerts: &'a [Alert]) -> BlockOutcome<'a> {
+        // `(strategy, rule)` of the first unconditional rule for each
+        // strategy, sorted by strategy; every rule that is not an
+        // unconditional strategy rule goes to `scanned`, in rule order.
+        // A later unconditional rule for an already-covered strategy
+        // goes nowhere: the first one matches whenever it would.
+        let mut by_strategy: Vec<(StrategyId, usize)> = Vec::with_capacity(self.rules.len());
+        let mut scanned: Vec<usize> = Vec::new();
+        for (ix, rule) in self.rules.iter().enumerate() {
+            match (rule.criteria.as_slice(), &rule.active_window) {
+                ([BlockCriterion::Strategy(id)], None) => by_strategy.push((*id, ix)),
+                _ => scanned.push(ix),
+            }
+        }
+        by_strategy.sort_unstable();
+        by_strategy.dedup_by_key(|&mut (strategy, _)| strategy);
+
         let mut passed = Vec::new();
         let mut blocked = Vec::new();
         let mut rule_hits = vec![0usize; self.rules.len()];
         for alert in alerts {
-            match self.rules.iter().position(|r| r.blocks(alert)) {
+            let unconditional = by_strategy
+                .binary_search_by_key(&alert.strategy(), |&(strategy, _)| strategy)
+                .ok()
+                .map(|at| by_strategy[at].1);
+            // Only a scanned rule listed before the unconditional one
+            // can take the credit from it.
+            let limit = unconditional.unwrap_or(usize::MAX);
+            let first = scanned
+                .iter()
+                .copied()
+                .take_while(|&ix| ix < limit)
+                .find(|&ix| self.rules[ix].blocks(alert))
+                .or(unconditional);
+            match first {
                 Some(ix) => {
                     rule_hits[ix] += 1;
                     blocked.push(alert);

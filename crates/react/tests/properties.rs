@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use alertops_model::{
     Alert, AlertId, DependencyGraph, Location, MicroserviceId, Severity, SimDuration, SimTime,
-    StrategyId,
+    StrategyId, TimeRange,
 };
 use alertops_obs::MetricsRegistry;
 use alertops_react::blocking::{AlertBlocker, BlockCriterion, BlockRule};
@@ -51,6 +51,46 @@ fn arb_rules() -> impl Strategy<Value = Vec<BlockRule>> {
     )
 }
 
+/// Rule lists that mix what `AlertBlocker::apply` looks up by strategy
+/// id (unconditional strategy rules — over 4 ids, so one strategy often
+/// gets two) with everything it must still try in order: a strategy
+/// rule `within` a window, multi-criterion, severity-only and
+/// empty-criteria rules.
+fn arb_mixed_rules() -> impl Strategy<Value = Vec<BlockRule>> {
+    let severity = |rank: u8| BlockCriterion::SeverityAtMost(Severity::from_rank(rank).unwrap());
+    // One `kind` draw picks the rule's shape; half the draws are the
+    // unconditional strategy rule.
+    prop::collection::vec(
+        (0u8..8, 0u64..4, 0u8..4, 0u64..50_000, 0u64..30_000).prop_map(
+            move |(kind, strategy, rank, start, len)| {
+                let strategy = StrategyId(strategy);
+                match kind {
+                    0..=3 => BlockRule::for_strategy("mute", strategy),
+                    4 => BlockRule::for_strategy("mute for a while", strategy).within(
+                        TimeRange::new(SimTime::from_secs(start), SimTime::from_secs(start + len)),
+                    ),
+                    5 => BlockRule {
+                        name: "strategy and severity".into(),
+                        criteria: vec![BlockCriterion::Strategy(strategy), severity(rank)],
+                        active_window: None,
+                    },
+                    6 => BlockRule {
+                        name: "sev".into(),
+                        criteria: vec![severity(rank / 2)],
+                        active_window: None,
+                    },
+                    _ => BlockRule {
+                        name: "vacuous".into(),
+                        criteria: Vec::new(),
+                        active_window: None,
+                    },
+                }
+            },
+        ),
+        0..12,
+    )
+}
+
 /// Deep sweep under `ALERTOPS_TEST_FULL=1`; a faster default keeps the
 /// tier-1 wall clock flat.
 fn cases(full: u32, quick: u32) -> u32 {
@@ -91,6 +131,30 @@ proptest! {
         let mut want: Vec<AlertId> = alerts.iter().map(Alert::id).collect();
         want.sort_unstable();
         prop_assert_eq!(ids, want);
+    }
+
+    #[test]
+    fn blocking_equals_a_first_match_scan(alerts in arb_alerts(150), rules in arb_mixed_rules()) {
+        // The reference: try every rule on every alert, in order, and
+        // credit the first that blocks.
+        let mut passed = Vec::new();
+        let mut blocked = Vec::new();
+        let mut rule_hits = vec![0usize; rules.len()];
+        for alert in &alerts {
+            match rules.iter().position(|r| r.blocks(alert)) {
+                Some(ix) => {
+                    rule_hits[ix] += 1;
+                    blocked.push(alert.id());
+                }
+                None => passed.push(alert.id()),
+            }
+        }
+        let blocker: AlertBlocker = rules.into_iter().collect();
+        let outcome = blocker.apply(&alerts);
+        let ids = |side: &[&Alert]| side.iter().map(|a| a.id()).collect::<Vec<AlertId>>();
+        prop_assert_eq!(ids(&outcome.passed), passed);
+        prop_assert_eq!(ids(&outcome.blocked), blocked);
+        prop_assert_eq!(outcome.rule_hits, rule_hits);
     }
 
     #[test]

@@ -34,30 +34,41 @@ cargo test --workspace -q
 echo "==> soak smoke: TCP load harness + BENCH_soak.json regeneration"
 cargo run --release -q -p alertops-bench --bin soak_bench
 
-# The counts half of the bench ledger, as a ratchet. A traced N = 40
-# slice of `cluster-journal` (every node closes through
-# ingestd::worker, journals and runs both channels) takes a few seconds,
-# and on it the per-alert counts repeat to the last digit, so a ceiling
-# of "measured at the commit that last moved it + 0.1 %" only trips on a
-# real regression. Lower a ceiling when a PR lowers the count.
-echo "==> pipeline-bench counts: cluster-journal --seconds 2, traced"
-counts=$(cargo run --release -q -p pipeline-bench -- \
-    --workload cluster-journal --seed 2022 --seconds 2 --trace 1 | tail -n 1)
-if [[ "$counts" != *'"correct": true'* ]]; then
-    echo "pipeline-bench: the run did not verify: $counts" >&2
-    exit 1
-fi
-while read -r name ceiling; do
-    value=$(grep -oE "\"$name\": \{\"value\": [0-9.eE+-]+" <<<"$counts" | awk '{print $NF}' || true)
-    if ! awk -v v="$value" -v c="$ceiling" 'BEGIN { exit !(v != "" && v + 0 <= c + 0) }'; then
-        echo "pipeline-bench: $name = ${value:-missing} is above its ceiling $ceiling" >&2
+# The counts half of the bench ledger, as a ratchet. A traced 2-second
+# slice of `cluster-journal` (N = 40; every node closes through
+# ingestd::worker, journals and runs both channels) and of
+# `governed-close` (N = 120; two shards, graph attached, both channels)
+# takes a few seconds each, and on them the per-alert counts repeat to
+# the last digit (`proc.alloc_bytes_per_alert` on `governed-close` to
+# 0.02 %), so a ceiling of "highest of five runs at the commit that last
+# moved it + 0.1 %" only trips on a real regression. Lower a ceiling
+# when a PR lowers the count.
+check_counts() {
+    local workload=$1 counts name ceiling value
+    echo "==> pipeline-bench counts: $workload --seconds 2, traced"
+    counts=$(cargo run --release -q -p pipeline-bench -- \
+        --workload "$workload" --seed 2022 --seconds 2 --trace 1 </dev/null | tail -n 1)
+    if [[ "$counts" != *'"correct": true'* ]]; then
+        echo "pipeline-bench: the run did not verify: $counts" >&2
         exit 1
     fi
-    echo "    $name $value <= $ceiling"
-done <<'CEILINGS'
-proc.allocs_per_alert 32.7705
-proc.alloc_bytes_per_alert 10494.19
+    while read -r name ceiling; do
+        value=$(grep -oE "\"$name\": \{\"value\": [0-9.eE+-]+" <<<"$counts" | awk '{print $NF}' || true)
+        if ! awk -v v="$value" -v c="$ceiling" 'BEGIN { exit !(v != "" && v + 0 <= c + 0) }'; then
+            echo "pipeline-bench: $workload $name = ${value:-missing} is above its ceiling $ceiling" >&2
+            exit 1
+        fi
+        echo "    $name $value <= $ceiling"
+    done
+}
+check_counts cluster-journal <<'CEILINGS'
+proc.allocs_per_alert 17.9824
+proc.alloc_bytes_per_alert 2554.62
 proc.write_syscalls_per_kalert 1008.01
+CEILINGS
+check_counts governed-close <<'CEILINGS'
+proc.allocs_per_alert 28.9303
+proc.alloc_bytes_per_alert 3782.67
 CEILINGS
 
 # The window-close path has one owner (alertops_core::WindowCloser)
@@ -78,6 +89,14 @@ fi
 if grep -rnE 'checkpoint: StreamingGovernor|governor\.clone\(\)' \
     --include='*.rs' crates/ingestd/src crates/cluster/src; then
     echo "a per-window governor clone reappeared (see matches above)" >&2
+    exit 1
+fi
+
+# The streaming governor's engine tracks no cascade (A6) state: the
+# dependency graph is read inside AlertGovernor::react and must not be
+# handed to the engine from the streaming path again.
+if grep -nE '\.dependency_graph\(\)' crates/core/src/streaming.rs; then
+    echo "the streaming path reads the dependency graph again (see matches above)" >&2
     exit 1
 fi
 
