@@ -164,8 +164,8 @@ struct NodeSlot {
     last_dropped: u64,
 }
 
-/// The checkpoint a range handoff ships from source to target,
-/// serialized through the `alertops-wire` binary frame codec — the
+/// What a range handoff ships from source to target, serialized
+/// through the `alertops-wire` binary frame codec — the
 /// protocol is wire-shaped even though both ends live in this
 /// process. This is [`alertops_wire::HandoffFrame`] under its
 /// cluster-side name.
@@ -584,7 +584,7 @@ impl AlertCluster {
     }
 
     /// Hands `range` off to node `to` live: the source seals its state,
-    /// ships the range's slice of its rolling checkpoint and in-flight
+    /// ships the range's slice of its retained windows and in-flight
     /// tail (serialized through the [`HandoffShipment`] wire format),
     /// the routing table is carved, and both ends respawn with their
     /// new catalogs — the source without the range's history, the
@@ -602,7 +602,7 @@ impl AlertCluster {
     ///
     /// # Panics
     ///
-    /// Panics if the shipped checkpoint fails binary-frame
+    /// Panics if the shipment fails binary-frame
     /// round-tripping — a codec bug, not an operational state.
     pub fn handoff(&mut self, range: StrategyRange, to: usize) -> io::Result<HandoffReport> {
         let from = self.map.node_of(StrategyId(range.start));
@@ -652,24 +652,18 @@ impl AlertCluster {
         // Split the source by the moving range.
         let in_range = |a: &Alert| range.contains(a.strategy());
         let mut kept_windows = Vec::with_capacity(src.windows.len());
-        let mut window_seqs = Vec::with_capacity(src.windows.len());
         let mut moved_windows = Vec::with_capacity(src.windows.len());
         for (seq, alerts) in src.windows {
             let (moved, kept): (Vec<Alert>, Vec<Alert>) = alerts.into_iter().partition(in_range);
-            window_seqs.push(seq);
-            moved_windows.push(moved);
+            moved_windows.push((seq, moved));
             kept_windows.push((seq, kept));
         }
         let (moved_tail, kept_tail): (Vec<Alert>, Vec<Alert>) =
             src.tail.into_iter().partition(in_range);
 
-        // Ship the checkpoint through its wire format.
+        // Ship the moved slice through its wire format.
         let shipment = HandoffShipment {
-            checkpoint: alertops_core::StreamingCheckpoint {
-                start_index: window_seqs.first().copied().unwrap_or(self.seq),
-                windows: moved_windows,
-            },
-            window_seqs,
+            windows: moved_windows,
             tail: moved_tail,
         };
         // A handoff frame carries whole windows, so it is exempt from
@@ -681,7 +675,12 @@ impl AlertCluster {
             (Some(Ok(Frame::Handoff(shipment))), true, None) => *shipment,
             other => panic!("shipment round-trips as one handoff frame, got {other:?}"),
         };
-        let moved_alerts = shipment.checkpoint.alert_count() as u64 + shipment.tail.len() as u64;
+        let moved_alerts = shipment
+            .windows
+            .iter()
+            .map(|(_, alerts)| alerts.len() as u64)
+            .sum::<u64>()
+            + shipment.tail.len() as u64;
 
         self.map.reassign(range, to);
 
@@ -693,11 +692,8 @@ impl AlertCluster {
         // have different retained depths or boundary gaps from past
         // faults).
         let mut merged: BTreeMap<u64, Vec<Alert>> = BTreeMap::new();
-        for (seq, alerts) in dst.windows {
+        for (seq, alerts) in dst.windows.into_iter().chain(shipment.windows) {
             merged.entry(seq).or_default().extend(alerts);
-        }
-        for (seq, alerts) in shipment.window_seqs.iter().zip(shipment.checkpoint.windows) {
-            merged.entry(*seq).or_default().extend(alerts);
         }
         let mut target_windows: Vec<(u64, Vec<Alert>)> = merged.into_iter().collect();
         for (_, alerts) in &mut target_windows {

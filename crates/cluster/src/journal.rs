@@ -17,9 +17,10 @@ use crate::wal::Wal;
 
 /// [`WindowJournal`] over a [`Wal`]. I/O errors cannot propagate
 /// through the hook (routing must not fail on a sick disk), so they
-/// are counted instead; callers alarm on
-/// [`write_errors`](Self::write_errors) going nonzero — at that point
-/// the log is no longer a complete record and replay is best-effort.
+/// are counted instead; `alertops ingestd` reports
+/// [`write_errors`](Self::write_errors) when it stops and exits
+/// nonzero on any — at that point the log is no longer a complete
+/// record and replay is best-effort.
 #[derive(Debug)]
 pub struct WalJournal {
     wal: Arc<Wal>,
@@ -86,5 +87,18 @@ mod tests {
         assert_eq!(replayed.windows, vec![(0, vec![alert.clone()])]);
         assert_eq!(replayed.tail, vec![alert]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_writes_are_counted_not_swallowed() {
+        let dir =
+            std::env::temp_dir().join(format!("alertops-waljournal-errors-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = WalJournal::new(Arc::new(Wal::open(&dir, 4).unwrap()));
+        // The disk goes away under the open log: sealing the window
+        // cannot create the next segment.
+        std::fs::remove_dir_all(&dir).unwrap();
+        journal.window_closed(0);
+        assert_eq!(journal.write_errors(), 1);
     }
 }

@@ -26,7 +26,7 @@
 //!   and a whole-cluster restart re-ingests the recovered stream
 //!   end-to-end — lossless with no live peer.
 //! - **Range handoff** ([`AlertCluster::handoff`]): a source node
-//!   seals, ships the moving range's slice of its checkpoint as a
+//!   seals, ships the moving range's slice of its retained windows as a
 //!   [`HandoffShipment`] (an `alertops-wire` binary frame on the
 //!   wire), and both ends respawn mid-stream without dropping or
 //!   double-counting a window.

@@ -10,25 +10,29 @@
 //! per window, at the topmost merge point, for N-shard and N-node
 //! output to equal 1-shard output byte for byte.
 //!
-//! [`WindowCloser`] owns that state and performs the sequence. Who
-//! holds a closer with which channels decides where the passes run:
+//! [`WindowCloser`] owns that state and performs the sequence — the
+//! passes run here and nowhere else. Who holds a closer with which
+//! channels decides where they run:
 //!
 //! | role                 | holder                         | channels it runs      |
 //! |----------------------|--------------------------------|-----------------------|
-//! | governor-local       | a [`crate::StreamingGovernor`] | those in `Local` mode |
 //! | daemon coordinator   | a standalone ingestd           | every one not `Off`   |
 //! | cluster coordinator  | `AlertCluster`                 | every one not `Off`   |
 //! | cluster node         | an ingestd below a cluster     | none (merge only)     |
+//!
+//! A [`crate::StreamingGovernor`] never holds one. A library caller
+//! with a single governor is the 1-shard case of the coordinator row,
+//! not a path of its own: `closer.close(std::slice::from_ref(&delta),
+//! labels)`, then `governor.set_qoa_verdicts(..)` with the returned
+//! verdicts before the next window.
 
 use std::sync::Arc;
 
 use alertops_detect::StormConfig;
 use alertops_model::QoaLabel;
 use alertops_obs::Histogram;
-use alertops_qoa::{
-    OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, QoaVerdicts, QoaWindowReport,
-};
-use alertops_react::{EmergingAlertDetector, EmergingConfig, EmergingReport};
+use alertops_qoa::{OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, QoaVerdicts};
+use alertops_react::{EmergingAlertDetector, EmergingConfig};
 
 use crate::metrics::{EmergingMetrics, QoaMetrics};
 use crate::streaming::{GovernanceSnapshot, WindowDelta};
@@ -98,9 +102,11 @@ impl WindowCloser {
 
     /// Closes one window: folds its deltas through the monoid, builds
     /// the snapshot (storm reconstruction included), runs this
-    /// closer's sequential passes over the merged delta and embeds
-    /// their reports in the snapshot. The model updates after the
-    /// window's governance, so window `N` is governed entirely by
+    /// closer's two sequential passes, in their fixed order, over the
+    /// merged documents and samples and embeds their reports in the
+    /// snapshot. The AO-LDA pass runs on every window, empty ones
+    /// included — its windowing counts them. The model updates after
+    /// the window's governance, so window `N` is governed entirely by
     /// what window `N - 1` taught.
     pub fn close(&mut self, deltas: &[WindowDelta], labels: &[QoaLabel]) -> ClosedWindow {
         let (delta, mut snapshot) = {
@@ -109,50 +115,32 @@ impl WindowCloser {
             let snapshot = GovernanceSnapshot::from_delta(&delta, &self.storm);
             (delta, snapshot)
         };
-        let (emerging, qoa) = self.run_passes(&delta, labels);
-        if emerging.is_some() {
-            snapshot.emerging = emerging;
-        }
-        if qoa.is_some() {
-            snapshot.qoa = qoa;
-        }
-        ClosedWindow {
-            snapshot,
-            delta,
-            verdicts: self.qoa.as_ref().map(OnlineQoaModel::verdicts),
-        }
-    }
-
-    /// The two sequential passes, in their fixed order, over the
-    /// merged window's documents and samples. The AO-LDA pass runs on
-    /// every window, empty ones included — its windowing counts them.
-    pub(crate) fn run_passes(
-        &mut self,
-        merged: &WindowDelta,
-        labels: &[QoaLabel],
-    ) -> (Option<EmergingReport>, Option<QoaWindowReport>) {
         let metrics = self.metrics.as_ref();
-        let emerging = self.emerging.as_mut().map(|detector| {
+        snapshot.emerging = self.emerging.as_mut().map(|detector| {
             let report = {
                 let _span = metrics.map(|(m, _)| m.window_timer());
-                detector.observe_docs(&merged.emerging_docs)
+                detector.observe_docs(&delta.emerging_docs)
             };
             if let Some((m, _)) = metrics {
                 m.record_report(&report);
             }
             report
         });
-        let qoa = self.qoa.as_mut().map(|model| {
+        snapshot.qoa = self.qoa.as_mut().map(|model| {
             let report = {
                 let _span = metrics.map(|(_, m)| m.update_timer());
-                model.observe_window(&merged.qoa_samples, labels)
+                model.observe_window(&delta.qoa_samples, labels)
             };
             if let Some((_, m)) = metrics {
                 m.record_report(&report);
             }
             report
         });
-        (emerging, qoa)
+        ClosedWindow {
+            snapshot,
+            delta,
+            verdicts: self.qoa.as_ref().map(OnlineQoaModel::verdicts),
+        }
     }
 
     /// The online QoA model, when this closer owns one — its

@@ -74,7 +74,7 @@ pub use remediation::{apply_fixes, suggest_fixes, FixAction, RemediationConfig, 
 pub use reports::GovernanceReport;
 pub use streaming::{
     merge_emerging_docs, Channel, ChannelMode, EmergingChannel, EmergingMode, GovernanceSnapshot,
-    QoaChannel, QoaMode, StreamingCheckpoint, StreamingConfig, StreamingGovernor, WindowDelta,
+    QoaChannel, QoaMode, StreamingConfig, StreamingGovernor, WindowDelta,
 };
 
 // Downstream layers (ingestd, cluster) speak the QoA loop's vocabulary

@@ -12,8 +12,8 @@ use alertops_react::{EmergingReport, ReactMetrics};
 ///
 /// Recorded by whichever [`WindowCloser`](crate::WindowCloser) runs
 /// the sequential AO-LDA pass. Registration is idempotent per registry
-/// (the `(name, labels)` dedup in `alertops-obs`), so a governor and
-/// its daemon may register against the same registry.
+/// (the `(name, labels)` dedup in `alertops-obs`), so several holders
+/// may register against the same registry.
 #[derive(Debug, Clone)]
 pub struct EmergingMetrics {
     window_micros: Arc<Histogram>,
@@ -134,7 +134,8 @@ impl QoaMetrics {
 
 /// The full metric bundle an instrumented [`AlertGovernor`] records
 /// into: the detect and react handles plus a streaming-ingest wall-time
-/// histogram.
+/// histogram. The sequential channels' handles ([`EmergingMetrics`],
+/// [`QoaMetrics`]) are not part of it — a governor runs neither pass.
 ///
 /// Like everything in `alertops-obs`, this is an observer: a governor
 /// with metrics attached produces byte-identical reports, deltas, and
@@ -148,10 +149,6 @@ pub struct GovernorMetrics {
     pub detect: DetectMetrics,
     /// Reaction-pipeline handles.
     pub react: ReactMetrics,
-    /// Emerging-channel (R4) handles.
-    pub emerging: EmergingMetrics,
-    /// Streaming QoA feedback-channel handles.
-    pub qoa: QoaMetrics,
     /// Wall time of one full streaming-window ingest (detection over
     /// the rolling history + reaction over the window).
     ingest_micros: Arc<Histogram>,
@@ -164,8 +161,6 @@ impl GovernorMetrics {
         Self {
             detect: DetectMetrics::register(registry),
             react: ReactMetrics::register(registry),
-            emerging: EmergingMetrics::register(registry),
-            qoa: QoaMetrics::register(registry),
             ingest_micros: registry.histogram(
                 "alertops_streaming_ingest_micros",
                 "Wall time of one streaming-window ingest (detect + react).",
@@ -194,8 +189,6 @@ mod tests {
         assert!(text.contains("alertops_streaming_ingest_micros_count 1"));
         assert!(text.contains("alertops_detector_micros"));
         assert!(text.contains("alertops_react_stage_micros"));
-        assert!(text.contains("alertops_emerging_window_micros"));
-        assert!(text.contains("alertops_qoa_update_micros"));
         alertops_obs::lint_exposition(&text).unwrap();
     }
 

@@ -15,6 +15,12 @@
 //! graph serves topology correlation (R3) inside
 //! [`AlertGovernor::react`] and is never handed to the engine (see
 //! [`StreamingGovernor::ingest_uncommitted`]).
+//!
+//! A governor governs one partition of the stream and nothing more: a
+//! [`WindowDelta`] carries mergeable *inputs* only. The two sequential
+//! passes over the whole stream (AO-LDA, the online QoA model) belong
+//! to whoever closes the window — a [`WindowCloser`](crate::WindowCloser),
+//! also when there is just one governor.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -22,22 +28,19 @@ use serde::{Deserialize, Serialize};
 
 use alertops_detect::storm::storms_from_histogram;
 use alertops_detect::{AlertStorm, AntiPattern, IncrementalState, StormConfig, StrategyFinding};
-use alertops_model::{Alert, AlertId, Incident, QoaLabel, RegionId, StrategyId};
-use alertops_qoa::{
-    FeatureExtractor, OnlineQoaModel, QoaFeedbackConfig, QoaSample, QoaVerdicts, QoaWindowReport,
-};
+use alertops_model::{Alert, AlertId, Incident, RegionId, StrategyId};
+use alertops_qoa::{FeatureExtractor, QoaFeedbackConfig, QoaSample, QoaVerdicts, QoaWindowReport};
 use alertops_react::{EmergingConfig, EmergingDoc, EmergingReport};
 
-use crate::closer::WindowCloser;
 use crate::governor::AlertGovernor;
 
-/// Where a *sequential* post-merge channel runs. The emerging-alert
+/// Whether a *sequential* post-merge channel is on. The emerging-alert
 /// channel (R4, AO-LDA) and the streaming QoA feedback loop share this
 /// shape: each window's pass depends on the full preceding stream
 /// (AO-LDA's adaptive prior, `partial_fit`'s order sensitivity), so the
 /// single pass must run at the topmost merge point for N-shard output
-/// to reproduce the 1-shard output byte-identically. See
-/// [`WindowCloser`](crate::WindowCloser) for who runs it where.
+/// to reproduce the 1-shard output byte-identically. A governor never
+/// runs it; see [`WindowCloser`](crate::WindowCloser) for who does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChannelMode {
     /// The channel is off: nothing extracted, no reports.
@@ -45,27 +48,11 @@ pub enum ChannelMode {
     Off,
     /// Extract this window's input — documents into
     /// [`WindowDelta::emerging_docs`], per-strategy feature vectors
-    /// into [`WindowDelta::qoa_samples`] — but do not run the pass
-    /// locally. A downstream coordinator merges the forwards of all
-    /// shards, runs the one pass over them, and (for QoA) pushes the
-    /// resulting [`QoaVerdicts`] back down before the next close.
+    /// into [`WindowDelta::qoa_samples`]. Whoever closes the window
+    /// merges the forwards of all its governors, runs the one pass
+    /// over them, and (for QoA) pushes the resulting [`QoaVerdicts`]
+    /// back down before the next close.
     Forward,
-    /// Run the pass locally per window and embed the report in
-    /// [`WindowDelta::emerging`] / [`WindowDelta::qoa`]
-    /// (single-process deployments).
-    Local,
-}
-
-impl ChannelMode {
-    /// The mode a shard below a merge point runs this channel in:
-    /// shards only ever forward (or stay off) — a per-shard pass would
-    /// make the channel's output depend on the shard count.
-    fn shard_role(self) -> Self {
-        match self {
-            Self::Off => Self::Off,
-            Self::Forward | Self::Local => Self::Forward,
-        }
-    }
 }
 
 /// One sequential channel's configuration, carried by
@@ -88,11 +75,6 @@ impl<C: Clone> Channel<C> {
     #[must_use]
     pub fn unless_off(&self) -> Option<C> {
         (self.mode != ChannelMode::Off).then(|| self.config.clone())
-    }
-
-    /// The config, when the channel runs in [`ChannelMode::Local`].
-    fn if_local(&self) -> Option<C> {
-        (self.mode == ChannelMode::Local).then(|| self.config.clone())
     }
 }
 
@@ -167,9 +149,6 @@ pub struct WindowDelta {
     /// so however the window was sharded, the merged forwards sort back
     /// to one canonical document list (see [`merge_emerging_docs`]).
     pub emerging_docs: Vec<EmergingDoc>,
-    /// This window's emerging report when the governor runs AO-LDA
-    /// itself ([`EmergingMode::Local`]); `None` otherwise.
-    pub emerging: Option<EmergingReport>,
     /// Per-strategy QoA feature vectors extracted from this window's
     /// alerts, sorted by strategy id, when the governor runs in
     /// [`QoaMode::Forward`]. Empty otherwise. Strategies are sharded
@@ -181,9 +160,6 @@ pub struct WindowDelta {
     /// keeps the conservation law balanced: escalated alerts are a
     /// subset of the delivered ones, never an extra count.
     pub escalated: Vec<AlertId>,
-    /// This window's QoA report when the governor runs the online
-    /// model itself ([`QoaMode::Local`]); `None` otherwise.
-    pub qoa: Option<QoaWindowReport>,
 }
 
 impl WindowDelta {
@@ -204,10 +180,8 @@ impl WindowDelta {
             window_hours: Vec::new(),
             triage: Vec::new(),
             emerging_docs: Vec::new(),
-            emerging: None,
             qoa_samples: Vec::new(),
             escalated: Vec::new(),
-            qoa: None,
         }
     }
 
@@ -218,18 +192,13 @@ impl WindowDelta {
     /// This is the commutative monoid the whole scale-out story rests
     /// on: counts and histograms sum, set-like fields union into
     /// canonical sort order, and `window_index` takes the maximum.
-    /// Associativity, commutativity, and the identity law are proven
-    /// by property tests in `tests/determinism.rs`; they are what let
-    /// a cluster coordinator fold per-node deltas (each already a
-    /// merge of per-shard deltas) in any grouping and still reproduce
-    /// the single-process governance picture byte for byte.
-    ///
-    /// The one field outside the laws is `emerging`: a local AO-LDA
-    /// report cannot be combined with another (the pass is inherently
-    /// sequential), so merging keeps a report only when exactly one
-    /// operand carries one. Deltas that flow into merges therefore run
-    /// in [`EmergingMode::Forward`] (report `None`, documents
-    /// forwarded), where the laws hold on every field.
+    /// Associativity, commutativity, and the identity law hold on
+    /// every field — a delta carries mergeable inputs only, never the
+    /// report of a sequential pass — and are proven by property tests
+    /// in `tests/determinism.rs`; they are what let a cluster
+    /// coordinator fold per-node deltas (each already a merge of
+    /// per-shard deltas) in any grouping and still reproduce the
+    /// single-process governance picture byte for byte.
     #[must_use]
     pub fn merged(&self, other: &Self) -> Self {
         Self::merge_all(&[self.clone(), other.clone()])
@@ -281,12 +250,6 @@ impl WindowDelta {
 
         let emerging_docs = merge_emerging_docs(deltas);
 
-        let mut reports = deltas.iter().filter_map(|d| d.emerging.as_ref());
-        let emerging = match (reports.next(), reports.next()) {
-            (Some(report), None) => Some(report.clone()),
-            _ => None,
-        };
-
         // Canonical sample order: by strategy id, ties broken by the
         // raw feature bits so the sort is total (shards never produce
         // duplicate strategies, but the monoid laws must hold for any
@@ -310,15 +273,6 @@ impl WindowDelta {
             .collect();
         escalated.sort_unstable();
 
-        // Like `emerging`: a local QoA report is the output of an
-        // inherently sequential pass, so it survives a merge only when
-        // exactly one operand carries one.
-        let mut qoa_reports = deltas.iter().filter_map(|d| d.qoa.as_ref());
-        let qoa = match (qoa_reports.next(), qoa_reports.next()) {
-            (Some(report), None) => Some(report.clone()),
-            _ => None,
-        };
-
         WindowDelta {
             window_index,
             alert_count,
@@ -329,10 +283,8 @@ impl WindowDelta {
             window_hours,
             triage,
             emerging_docs,
-            emerging,
             qoa_samples,
             escalated,
-            qoa,
         }
     }
 }
@@ -373,23 +325,21 @@ pub struct GovernanceSnapshot {
     /// the daemon's coordinator fills it in.
     pub degraded: Vec<usize>,
     /// The emerging-channel (R4) report for this window, when the
-    /// channel is enabled. [`GovernanceSnapshot::from_delta`] passes a
-    /// report already embedded in the delta through
-    /// ([`ChannelMode::Local`]); in sharded deployments the deltas
-    /// carry only forwarded documents, and the topmost
-    /// [`WindowCloser`] runs the single AO-LDA pass over the merged
-    /// [`WindowDelta::emerging_docs`] *after* merging and fills this
-    /// in, keeping 1-shard and N-shard output byte-identical.
+    /// channel is enabled. [`GovernanceSnapshot::from_delta`] leaves
+    /// it `None`: deltas carry only forwarded documents, and the
+    /// topmost [`WindowCloser`](crate::WindowCloser) runs the single
+    /// AO-LDA pass over the merged [`WindowDelta::emerging_docs`]
+    /// *after* merging and fills this in, keeping 1-shard and N-shard
+    /// output byte-identical.
     pub emerging: Option<EmergingReport>,
     /// Alerts escalated past storm suppression because their strategy
     /// is QoA-promoted, sorted by alert id. Exact under sharding:
     /// promotion is per strategy and each strategy lives on one shard.
     pub escalated: Vec<AlertId>,
     /// The QoA window report, when the feedback loop is enabled —
-    /// same contract as `emerging`: passed through from a
-    /// [`ChannelMode::Local`] delta, otherwise filled in by the
-    /// topmost [`WindowCloser`]'s model update over the merged
-    /// [`WindowDelta::qoa_samples`].
+    /// same contract as `emerging`: filled in by the topmost
+    /// [`WindowCloser`](crate::WindowCloser)'s model update over the
+    /// merged [`WindowDelta::qoa_samples`].
     pub qoa: Option<QoaWindowReport>,
 }
 
@@ -458,9 +408,9 @@ impl GovernanceSnapshot {
             storm_active,
             triage,
             degraded: Vec::new(),
-            emerging: delta.emerging.clone(),
+            emerging: None,
             escalated,
-            qoa: delta.qoa.clone(),
+            qoa: None,
         }
     }
 }
@@ -507,12 +457,8 @@ pub struct StreamingGovernor {
     /// The flag set is carried here, not copied: an ingest builds a new
     /// set anyway and this keeps the one it replaces.
     committed: Option<(BTreeSet<(AntiPattern, StrategyId)>, u64)>,
-    /// The QoA feature extractor, present iff the feedback loop is on
-    /// (either mode — Forward shards extract, too).
+    /// The QoA feature extractor, present iff the feedback loop is on.
     qoa_extractor: Option<FeatureExtractor>,
-    /// Runs the sequential passes of the channels in
-    /// [`ChannelMode::Local`] (none, for a shard governor).
-    closer: WindowCloser,
 }
 
 impl StreamingGovernor {
@@ -520,11 +466,6 @@ impl StreamingGovernor {
     #[must_use]
     pub fn new(governor: AlertGovernor, config: StreamingConfig) -> Self {
         let qoa_extractor = (config.qoa.mode != QoaMode::Off).then(FeatureExtractor::new);
-        let closer = WindowCloser::new(
-            config.storm,
-            config.emerging.if_local(),
-            config.qoa.if_local(),
-        );
         Self {
             governor,
             config,
@@ -534,36 +475,27 @@ impl StreamingGovernor {
             windows_ingested: 0,
             committed: None,
             qoa_extractor,
-            closer,
         }
     }
 
-    /// Normalises this governor to the shard role below a merge point
-    /// whose channels are configured as `streaming`: each channel
-    /// forwards its input (or stays off) and any local sequential
-    /// state is dropped, however the caller built the governor. This
-    /// is what keeps N-shard output byte-identical to 1-shard.
+    /// Makes this governor a shard below a merge point whose channels
+    /// are configured as `streaming`: it forwards exactly the inputs
+    /// that merge point's closer consumes, however the caller built
+    /// the governor. This is what keeps N-shard output byte-identical
+    /// to 1-shard.
     #[must_use]
     pub fn into_shard(mut self, streaming: &StreamingConfig) -> Self {
-        self.config.emerging.mode = streaming.emerging.mode.shard_role();
-        self.config.qoa.mode = streaming.qoa.mode.shard_role();
+        self.config.emerging.mode = streaming.emerging.mode;
+        self.config.qoa.mode = streaming.qoa.mode;
         self.qoa_extractor = (self.config.qoa.mode != QoaMode::Off).then(FeatureExtractor::new);
-        self.closer = WindowCloser::new(self.config.storm, None, None);
         self
     }
 
-    /// Installs QoA verdicts on the wrapped governor — how a
-    /// coordinator pushes the model's conclusions back down to
-    /// [`QoaMode::Forward`] shards between window closes.
+    /// Installs QoA verdicts on the wrapped governor — how whoever
+    /// closes the window pushes the model's conclusions back down
+    /// between closes.
     pub fn set_qoa_verdicts(&mut self, verdicts: QoaVerdicts) {
         self.governor.set_qoa_verdicts(verdicts);
-    }
-
-    /// The local online QoA model, when this governor owns one
-    /// ([`QoaMode::Local`]).
-    #[must_use]
-    pub fn qoa_model(&self) -> Option<&OnlineQoaModel> {
-        self.closer.qoa_model()
     }
 
     /// The wrapped governor.
@@ -578,9 +510,6 @@ impl StreamingGovernor {
     /// identical with or without metrics.
     #[must_use]
     pub fn with_metrics(mut self, metrics: crate::GovernorMetrics) -> Self {
-        self.closer = self
-            .closer
-            .with_metrics(metrics.emerging.clone(), metrics.qoa.clone());
         self.governor.set_metrics(metrics);
         self
     }
@@ -602,48 +531,26 @@ impl StreamingGovernor {
     /// declared during it, folds the window into the incremental
     /// detection engine (evicting windows that slide out of the rolling
     /// scope), and returns the delta.
-    pub fn ingest(&mut self, window: &[Alert], incidents: &[Incident]) -> WindowDelta {
-        self.ingest_labeled(window, incidents, &[])
-    }
-
-    /// [`ingest`](Self::ingest) plus this window's OCE feedback
-    /// labels, sorted by strategy id. Labels feed the online QoA model
-    /// when the loop runs in [`QoaMode::Local`]; in the other modes
-    /// they are ignored here (a Forward shard's labels travel to its
-    /// coordinator out of band, alongside the window close).
     ///
     /// Exactly [`ingest_uncommitted`](Self::ingest_uncommitted)
     /// followed by [`commit`](Self::commit): a holder that only ever
     /// ingests keeps nothing around for a rollback it will never ask
     /// for.
-    pub fn ingest_labeled(
-        &mut self,
-        window: &[Alert],
-        incidents: &[Incident],
-        labels: &[QoaLabel],
-    ) -> WindowDelta {
-        let delta = self.ingest_uncommitted(window, incidents, labels);
+    pub fn ingest(&mut self, window: &[Alert], incidents: &[Incident]) -> WindowDelta {
+        let delta = self.ingest_uncommitted(window, incidents);
         self.commit();
         delta
     }
 
-    /// [`ingest_labeled`](Self::ingest_labeled) that leaves the window
-    /// applied but not committed: until [`commit`](Self::commit),
+    /// [`ingest`](Self::ingest) that leaves the window applied but not
+    /// committed: until [`commit`](Self::commit),
     /// [`rollback`](Self::rollback) can still undo it. For a holder
     /// that must survive a panic between a window's detection and its
     /// hand-off (the daemon's shard worker).
-    pub fn ingest_uncommitted(
-        &mut self,
-        window: &[Alert],
-        incidents: &[Incident],
-        labels: &[QoaLabel],
-    ) -> WindowDelta {
-        // Clone the (Arc-backed) metric handles so the ingest-latency
-        // span does not pin a borrow of the governor for the whole
-        // window — the QoA block below mutates it (verdict install).
-        let metrics = self.governor.metrics().cloned();
-        let _span = metrics.as_ref().map(|m| m.ingest_timer());
-        let detect_metrics = metrics.as_ref().map(|m| &m.detect);
+    pub fn ingest_uncommitted(&mut self, window: &[Alert], incidents: &[Incident]) -> WindowDelta {
+        let metrics = self.governor.metrics();
+        let _span = metrics.map(|m| m.ingest_timer());
+        let detect_metrics = metrics.map(|m| &m.detect);
 
         // The engine never gets the governor's dependency graph, here
         // or in `rollback`: cascade groups (A6) have no reader on this
@@ -773,13 +680,13 @@ impl StreamingGovernor {
         };
 
         // R4 — the emerging channel's input. The document list is
-        // canonically sorted by alert id so a local pass, a coordinator
-        // pass over merged forwards, and any shard count all see the
-        // same order (floating-point accumulation makes document order
-        // part of the byte-identical contract).
+        // canonically sorted by alert id so the pass over merged
+        // forwards sees the same order at any shard count
+        // (floating-point accumulation makes document order part of
+        // the byte-identical contract).
         let emerging_docs: Vec<EmergingDoc> = match self.config.emerging.mode {
             EmergingMode::Off => Vec::new(),
-            EmergingMode::Forward | EmergingMode::Local => {
+            EmergingMode::Forward => {
                 let mut docs: Vec<EmergingDoc> =
                     window.iter().map(EmergingDoc::from_alert).collect();
                 docs.sort_by_key(|d| d.alert);
@@ -790,7 +697,7 @@ impl StreamingGovernor {
         let displaced = std::mem::replace(&mut self.previous_flags, current_flags);
         self.committed
             .get_or_insert((displaced, self.windows_ingested));
-        let mut delta = WindowDelta {
+        let delta = WindowDelta {
             window_index: self.windows_ingested,
             alert_count: window.len(),
             new_findings,
@@ -800,29 +707,10 @@ impl StreamingGovernor {
             window_hours,
             triage: pipeline.triage,
             emerging_docs,
-            emerging: None,
             qoa_samples,
             escalated,
-            qoa: None,
         };
         self.windows_ingested += 1;
-
-        // Channels in Local mode: the closer consumes the input a
-        // Forward governor would have forwarded and the report takes
-        // its place. Runs after the reaction stage, so this window's
-        // verdicts only govern window N+1.
-        let (emerging, qoa) = self.closer.run_passes(&delta, labels);
-        if emerging.is_some() {
-            delta.emerging_docs = Vec::new();
-            delta.emerging = emerging;
-        }
-        if qoa.is_some() {
-            delta.qoa_samples = Vec::new();
-            delta.qoa = qoa;
-            if let Some(model) = self.closer.qoa_model() {
-                self.governor.set_qoa_verdicts(model.verdicts());
-            }
-        }
         delta
     }
 
@@ -841,13 +729,11 @@ impl StreamingGovernor {
     /// cascade edges to re-derive, since the engine was never given the
     /// graph) and the window index and flag set are put back, so the
     /// next delta is the one the governor would have emitted had the
-    /// undone ingest never started — however far it got. Exact under
-    /// the conditions [`restore`](Self::restore) documents (no channel
-    /// in [`ChannelMode::Local`], no incidents in the stream; true of
-    /// every daemon shard), because incidents and a local pass's
-    /// sequential state are not rewound. QoA verdicts are deliberately
-    /// not rewound either: they are pushed from outside, and a
-    /// recovery must not regress them.
+    /// undone ingest never started — however far it got. Exact when
+    /// the stream carried no incidents (true of every daemon shard),
+    /// because the incident list is not rewound. QoA verdicts are
+    /// deliberately not rewound either: they are pushed from outside,
+    /// and a recovery must not regress them.
     pub fn rollback(&mut self) {
         self.engine.rollback(None);
         if let Some((flags, windows)) = self.committed.take() {
@@ -857,70 +743,17 @@ impl StreamingGovernor {
     }
 }
 
-/// A serializable snapshot of a [`StreamingGovernor`]'s rolling
-/// evidence: the retained history windows, oldest first, each
-/// time-sorted the way the ingest path sorts them. Because the
-/// incremental engine's state is a pure function of the retained
-/// windows (digests in, digests out), replaying a checkpoint through
-/// [`StreamingGovernor::restore`] reconstructs detection state **byte
-/// for byte** — this is the wire format a cluster ships when a
-/// strategy range is handed from one node to another, and what a
-/// write-ahead log replays after a crash.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StreamingCheckpoint {
-    /// Window index of `windows[0]` — what
-    /// [`StreamingGovernor::windows_ingested`] reads after restoring
-    /// is `start_index + windows.len()`.
-    pub start_index: u64,
-    /// The retained windows, oldest first.
-    pub windows: Vec<Vec<Alert>>,
-}
-
-impl StreamingCheckpoint {
-    /// Total alerts across all retained windows.
-    #[must_use]
-    pub fn alert_count(&self) -> usize {
-        self.windows.iter().map(Vec::len).sum()
-    }
-}
-
-impl StreamingGovernor {
-    /// Reconstructs a streaming governor from a checkpoint by
-    /// replaying the retained windows through a fresh engine. Exact
-    /// for governors whose emerging channel is [`EmergingMode::Off`]
-    /// or [`EmergingMode::Forward`] and whose stream carried no
-    /// incidents (both true of every daemon shard): detection state is
-    /// a pure function of the retained windows, so the restored
-    /// governor's subsequent deltas are byte-identical to the
-    /// original's. [`EmergingMode::Local`] is *not* restorable this
-    /// way — AO-LDA's adaptive prior depends on the full preceding
-    /// stream, not just the retained tail — which is one more reason
-    /// clusters defer the emerging pass to their coordinator. The same
-    /// caveat applies to [`QoaMode::Local`]: the online model's
-    /// weights depend on every label since stream start, so a holder
-    /// restores them separately from a journaled [`crate::QoaCheckpoint`]
-    /// ([`WindowCloser::restore_qoa`]), not by window replay.
-    #[must_use]
-    pub fn restore(
-        governor: AlertGovernor,
-        config: StreamingConfig,
-        checkpoint: &StreamingCheckpoint,
-    ) -> Self {
-        let mut streaming = Self::new(governor, config);
-        streaming.windows_ingested = checkpoint.start_index;
-        for window in &checkpoint.windows {
-            let _ = streaming.ingest(window, &[]);
-        }
-        streaming
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::governor::GovernorConfig;
-    use alertops_model::{AlertStrategy, Clearance, LogRule, SimDuration, SimTime, StrategyKind};
+    use alertops_model::{
+        AlertStrategy, Clearance, LogRule, QoaLabel, SimDuration, SimTime, StrategyKind,
+    };
+    use alertops_qoa::OnlineQoaModel;
     use alertops_react::EmergingAlertDetector;
+
+    use crate::closer::WindowCloser;
 
     fn noisy_strategy(id: u64) -> AlertStrategy {
         AlertStrategy::builder(StrategyId(id))
@@ -1015,9 +848,9 @@ mod tests {
 
     #[test]
     fn plain_ingest_keeps_nothing_for_a_rollback() {
-        // Every holder that only ever calls `ingest` (oracles,
-        // `restore`, the CLI) must stay as small as it was before
-        // rollback existed: nothing kept between calls.
+        // Every holder that only ever calls `ingest` (oracles, the
+        // CLI) must stay as small as it was before rollback existed:
+        // nothing kept between calls.
         let mut s = streaming(3);
         for hour in 0..30u64 {
             s.ingest(&transient_window(hour * 100, 1, hour, 5), &[]);
@@ -1025,7 +858,7 @@ mod tests {
             assert!(s.committed.is_none());
         }
         // The uncommitted entry point is the one that keeps them.
-        s.ingest_uncommitted(&transient_window(9_000, 1, 30, 5), &[], &[]);
+        s.ingest_uncommitted(&transient_window(9_000, 1, 30, 5), &[]);
         assert_eq!(s.engine.kept_digests(), 1);
         assert!(s.committed.is_some());
     }
@@ -1076,7 +909,7 @@ mod tests {
         for window in &windows {
             // R3 still correlates by topology: the two upstream alerts
             // fold into the one at the faulty tier.
-            let delta = s.ingest_uncommitted(window, &[], &[]);
+            let delta = s.ingest_uncommitted(window, &[]);
             assert_eq!(delta.triage, vec![window[0].id()]);
             for (engine, graph) in [(&mut no_graph, None), (&mut with_graph, Some(&graph))] {
                 engine.observe_window(window, graph, None);
@@ -1091,7 +924,7 @@ mod tests {
             s.commit();
         }
         // A rollback lands on the same graph-free engine.
-        s.ingest_uncommitted(&windows[0], &[], &[]);
+        s.ingest_uncommitted(&windows[0], &[]);
         s.rollback();
         assert_eq!(s.engine, no_graph);
     }
@@ -1167,49 +1000,68 @@ mod tests {
 
     #[test]
     fn snapshot_merge_of_single_delta_preserves_fields() {
+        let delta = streaming(24).ingest(&transient_window(1_000, 2, 1, 150), &[]);
+        let snapshot =
+            GovernanceSnapshot::merge(std::slice::from_ref(&delta), &StormConfig::default());
+        assert_eq!(snapshot.window_index, delta.window_index);
+        assert_eq!(snapshot.alert_count, delta.alert_count);
+        assert_eq!(snapshot.storm_active, delta.storm_active);
+        assert!(snapshot.storm_active, "150 alerts/hour is a storm");
+        assert_eq!(snapshot.storms.len(), 1);
+        let mut triage = delta.triage.clone();
+        triage.sort_unstable();
+        assert_eq!(snapshot.triage, triage);
+        assert!(snapshot.degraded.is_empty(), "merge never marks degraded");
+        assert!(snapshot.emerging.is_none() && snapshot.qoa.is_none());
+        let json = serde_json::to_string(&snapshot).unwrap();
+        let back: GovernanceSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(snapshot, back);
+    }
+
+    #[test]
+    fn closed_single_delta_carries_both_reports_and_roundtrips() {
+        // The 1-shard path: one Forward governor, one closer with both
+        // channels. Only the closer puts reports into the snapshot.
         let window = transient_window(1_000, 2, 1, 150);
-        // Second input: a governor running both sequential channels
-        // locally, whose delta carries the reports itself.
-        let mut local = StreamingGovernor::new(
-            AlertGovernor::new(vec![noisy_strategy(2)], GovernorConfig::default()),
-            StreamingConfig {
-                emerging: EmergingChannel {
-                    mode: EmergingMode::Local,
-                    ..EmergingChannel::default()
-                },
-                qoa: QoaChannel {
-                    mode: QoaMode::Local,
-                    ..QoaChannel::default()
-                },
-                ..StreamingConfig::default()
+        let config = StreamingConfig {
+            emerging: EmergingChannel {
+                mode: EmergingMode::Forward,
+                ..EmergingChannel::default()
             },
+            qoa: QoaChannel {
+                mode: QoaMode::Forward,
+                ..QoaChannel::default()
+            },
+            ..StreamingConfig::default()
+        };
+        let mut closer = WindowCloser::new(
+            config.storm,
+            config.emerging.unless_off(),
+            config.qoa.unless_off(),
         );
-        for (delta, local_reports) in [
-            (streaming(24).ingest(&window, &[]), false),
-            (
-                local.ingest_labeled(&window, &[], &labels_for(&window, true)),
-                true,
-            ),
-        ] {
-            let snapshot =
-                GovernanceSnapshot::merge(std::slice::from_ref(&delta), &StormConfig::default());
-            assert_eq!(snapshot.window_index, delta.window_index);
-            assert_eq!(snapshot.alert_count, delta.alert_count);
-            assert_eq!(snapshot.storm_active, delta.storm_active);
-            assert!(snapshot.storm_active, "150 alerts/hour is a storm");
-            assert_eq!(snapshot.storms.len(), 1);
-            let mut triage = delta.triage.clone();
-            triage.sort_unstable();
-            assert_eq!(snapshot.triage, triage);
-            assert!(snapshot.degraded.is_empty(), "merge never marks degraded");
-            assert_eq!(delta.emerging.is_some(), local_reports);
-            assert_eq!(delta.qoa.is_some(), local_reports);
-            assert_eq!(snapshot.emerging, delta.emerging);
-            assert_eq!(snapshot.qoa, delta.qoa);
-            let json = serde_json::to_string(&snapshot).unwrap();
-            let back: GovernanceSnapshot = serde_json::from_str(&json).unwrap();
-            assert_eq!(snapshot, back);
-        }
+        let delta = StreamingGovernor::new(
+            AlertGovernor::new(vec![noisy_strategy(2)], GovernorConfig::default()),
+            config,
+        )
+        .ingest(&window, &[]);
+        assert!(!delta.emerging_docs.is_empty() && !delta.qoa_samples.is_empty());
+        let closed = closer.close(std::slice::from_ref(&delta), &labels_for(&window, true));
+        assert_eq!(closed.delta, delta);
+        let merged = GovernanceSnapshot::merge(&[delta], &StormConfig::default());
+        let snapshot = closed.snapshot;
+        assert!(snapshot.emerging.is_some() && snapshot.qoa.is_some());
+        assert_eq!(
+            GovernanceSnapshot {
+                emerging: None,
+                qoa: None,
+                ..snapshot.clone()
+            },
+            merged,
+            "the passes add the two reports and change nothing else"
+        );
+        let json = serde_json::to_string(&snapshot).unwrap();
+        let back: GovernanceSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(snapshot, back);
     }
 
     fn streaming_with_emerging(mode: EmergingMode) -> StreamingGovernor {
@@ -1235,7 +1087,6 @@ mod tests {
         assert_eq!(s.config.emerging.mode, EmergingMode::Off);
         let d = s.ingest(&transient_window(0, 1, 0, 5), &[]);
         assert!(d.emerging_docs.is_empty());
-        assert!(d.emerging.is_none());
     }
 
     #[test]
@@ -1244,10 +1095,6 @@ mod tests {
         let d = s.ingest(&transient_window(10, 1, 0, 5), &[]);
         assert_eq!(d.emerging_docs.len(), 5);
         assert!(d.emerging_docs.windows(2).all(|w| w[0].alert < w[1].alert));
-        assert!(
-            d.emerging.is_none(),
-            "forward mode defers AO-LDA to the coordinator"
-        );
         // An empty window still forwards (an empty list) so the
         // coordinator sees every wall-clock window.
         let empty = s.ingest(&[], &[]);
@@ -1255,17 +1102,23 @@ mod tests {
     }
 
     #[test]
-    fn local_mode_equals_coordinator_pass_over_merged_forwards() {
-        let mut local = streaming_with_emerging(EmergingMode::Local);
+    fn one_closed_governor_equals_two_merged_shards_under_a_bare_detector() {
+        let mut single = streaming_with_emerging(EmergingMode::Forward);
+        let mut closer = WindowCloser::new(
+            StormConfig::default(),
+            Some(EmergingConfig::default()),
+            None,
+        );
         let mut shard_a = streaming_with_emerging(EmergingMode::Forward);
         let mut shard_b = streaming_with_emerging(EmergingMode::Forward);
         let mut coordinator = EmergingAlertDetector::new(EmergingConfig::default());
         for hour in 0..3u64 {
             let window = transient_window(hour * 100, 1, hour, 6);
-            let local_report = local
-                .ingest(&window, &[])
+            let closed_report = closer
+                .close(&[single.ingest(&window, &[])], &[])
+                .snapshot
                 .emerging
-                .expect("local mode embeds a report");
+                .expect("the closer embeds a report");
             // Partition the window across two "shards" by id parity.
             let (wa, wb): (Vec<Alert>, Vec<Alert>) =
                 window.iter().cloned().partition(|a| a.id().0 % 2 == 0);
@@ -1273,54 +1126,7 @@ mod tests {
             let db = shard_b.ingest(&wb, &[]);
             let docs = merge_emerging_docs(&[da, db]);
             let merged_report = coordinator.observe_docs(&docs);
-            assert_eq!(local_report, merged_report);
-        }
-    }
-
-    #[test]
-    fn restore_from_checkpoint_is_byte_identical_going_forward() {
-        // Run one governor nine windows deep, checkpoint its last
-        // three retained windows, restore a sibling from the
-        // checkpoint, and require identical deltas ever after.
-        let mut original = streaming(3);
-        let mut retained: Vec<Vec<Alert>> = Vec::new();
-        for hour in 0..9u64 {
-            let window = transient_window(hour * 100, 1 + hour % 2, hour, 5 + hour as usize);
-            original.ingest(&window, &[]);
-            retained.push(window);
-            if retained.len() > 3 {
-                retained.remove(0);
-            }
-        }
-        let checkpoint = StreamingCheckpoint {
-            start_index: original.windows_ingested() - retained.len() as u64,
-            windows: retained,
-        };
-        let json = serde_json::to_string(&checkpoint).unwrap();
-        let shipped: StreamingCheckpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(checkpoint, shipped, "checkpoint must survive the wire");
-
-        let governor = AlertGovernor::new(
-            vec![noisy_strategy(1), noisy_strategy(2)],
-            GovernorConfig::default(),
-        );
-        let mut restored = StreamingGovernor::restore(
-            governor,
-            StreamingConfig {
-                history_windows: 3,
-                ..StreamingConfig::default()
-            },
-            &shipped,
-        );
-        assert_eq!(restored.windows_ingested(), original.windows_ingested());
-        assert_eq!(restored.history_len(), original.history_len());
-        for hour in 9..14u64 {
-            let window = transient_window(hour * 100, 1 + hour % 2, hour, 4);
-            assert_eq!(
-                original.ingest(&window, &[]),
-                restored.ingest(&window, &[]),
-                "restored governor diverged at window {hour}"
-            );
+            assert_eq!(closed_report, merged_report);
         }
     }
 
@@ -1367,7 +1173,6 @@ mod tests {
         assert_eq!(s.config.qoa.mode, QoaMode::Off);
         let d = s.ingest(&transient_window(0, 1, 0, 5), &[]);
         assert!(d.qoa_samples.is_empty());
-        assert!(d.qoa.is_none());
         assert!(d.escalated.is_empty());
     }
 
@@ -1383,17 +1188,24 @@ mod tests {
             .qoa_samples
             .windows(2)
             .all(|w| w[0].strategy < w[1].strategy));
-        assert!(d.qoa.is_none(), "forward mode defers the model update");
         for sample in &d.qoa_samples {
             assert_eq!(sample.features.len(), alertops_qoa::FEATURE_NAMES.len());
         }
     }
 
     #[test]
-    fn local_mode_equals_coordinator_pass_over_merged_sample_forwards() {
+    fn one_closed_governor_equals_two_merged_shards_under_a_bare_model() {
         let registry = alertops_obs::MetricsRegistry::new();
-        let mut local = streaming_with_qoa(QoaMode::Local)
-            .with_metrics(crate::GovernorMetrics::register(&registry));
+        let mut single = streaming_with_qoa(QoaMode::Forward);
+        let mut closer = WindowCloser::new(
+            StormConfig::default(),
+            None,
+            Some(QoaFeedbackConfig::default()),
+        )
+        .with_metrics(
+            crate::EmergingMetrics::register(&registry),
+            crate::QoaMetrics::register(&registry),
+        );
         let mut shard_a = streaming_with_qoa(QoaMode::Forward);
         let mut shard_b = streaming_with_qoa(QoaMode::Forward);
         let mut coordinator = OnlineQoaModel::new(QoaFeedbackConfig::default());
@@ -1402,10 +1214,9 @@ mod tests {
             window.extend(transient_window(hour * 1_000 + 500, 2, hour, 4));
             window.sort_by_key(|a| (a.raised_at(), a.id()));
             let labels = labels_for(&window, hour % 2 == 0);
-            let local_report = local
-                .ingest_labeled(&window, &[], &labels)
-                .qoa
-                .expect("local mode embeds a report");
+            let closed = closer.close(&[single.ingest(&window, &[])], &labels);
+            let closed_report = closed.snapshot.qoa.expect("the closer embeds a report");
+            single.set_qoa_verdicts(closed.verdicts.expect("the closer ran the model"));
             // Shard by strategy id — the daemon's partitioning.
             let (wa, wb): (Vec<Alert>, Vec<Alert>) = window
                 .iter()
@@ -1415,18 +1226,17 @@ mod tests {
             let db = shard_b.ingest(&wb, &[]);
             let merged = da.merged(&db);
             let merged_report = coordinator.observe_window(&merged.qoa_samples, &labels);
-            assert_eq!(local_report, merged_report, "diverged at window {hour}");
+            assert_eq!(closed_report, merged_report, "diverged at window {hour}");
             // Push the verdicts back down, as the daemon coordinator
             // does between closes.
             shard_a.set_qoa_verdicts(coordinator.verdicts());
             shard_b.set_qoa_verdicts(coordinator.verdicts());
         }
         assert_eq!(
-            local.qoa_model().expect("local model").digest(),
+            closer.qoa_model().expect("the closer's model").digest(),
             coordinator.digest()
         );
-        // The local pass is observed like a coordinator's: one update
-        // span per window closed.
+        // One update span per window closed.
         assert!(registry
             .render()
             .contains("alertops_qoa_update_micros_count 4\n"));

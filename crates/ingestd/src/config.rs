@@ -33,8 +33,8 @@ pub struct IngestdConfig {
     pub overflow: OverflowPolicy,
     /// Per-shard streaming governor configuration (history depth,
     /// storm thresholds, the emerging and QoA channels). Setting
-    /// `streaming.emerging.mode` / `streaming.qoa.mode` to anything
-    /// but [`alertops_core::ChannelMode::Off`] enables that channel:
+    /// `streaming.emerging.mode` / `streaming.qoa.mode` to
+    /// [`alertops_core::ChannelMode::Forward`] enables that channel:
     /// shards forward each window's documents / per-strategy feature
     /// samples, and the coordinator's
     /// [`alertops_core::WindowCloser`] runs the single sequential pass

@@ -123,8 +123,8 @@ pub(crate) fn run_worker(
         pending_close: None,
         poison_next_close: false,
     };
-    // Whatever history the governor was handed over with (a restore, a
-    // rejoin) is this shard's first rollback target.
+    // Whatever history the governor was handed over with is this
+    // shard's first rollback target.
     state.governor.commit();
     loop {
         let finished = catch_unwind(AssertUnwindSafe(|| {
@@ -178,7 +178,7 @@ fn close_window(
     state.window.sort_by_key(|a| (a.raised_at(), a.id()));
     // Applied but not committed: a panic from here to the commit below
     // is undone by the supervisor's rollback.
-    let delta = state.governor.ingest_uncommitted(&state.window, &[], &[]);
+    let delta = state.governor.ingest_uncommitted(&state.window, &[]);
     if std::mem::take(&mut state.poison_next_close) {
         // After detection mutated the governor: recovery must roll it
         // back, not "retry" this state. The window is still in the

@@ -323,7 +323,6 @@ impl WireDecoder {
 mod tests {
     use super::*;
     use crate::frame::{AckFrame, ChaosCmd, HandoffFrame};
-    use alertops_core::StreamingCheckpoint;
     use alertops_model::{
         Alert, AlertId, Clearance, Location, Severity, SimDuration, SimTime, StrategyId,
     };
@@ -359,12 +358,9 @@ mod tests {
         }));
         frames.push(Frame::Chaos(ChaosCmd::Stall { shard: 1 }));
         frames.push(Frame::Chaos(ChaosCmd::Resume { shard: 1 }));
+        // A gap in the sequence numbers: what past faults leave behind.
         frames.push(Frame::Handoff(Box::new(HandoffFrame {
-            window_seqs: vec![3, 4],
-            checkpoint: StreamingCheckpoint {
-                start_index: 3,
-                windows: vec![vec![alert(100), alert(101)], vec![alert(102)]],
-            },
+            windows: vec![(3, vec![alert(100), alert(101)]), (5, vec![alert(102)])],
             tail: vec![alert(103)],
         })));
         frames.push(Frame::Flush);
@@ -388,6 +384,15 @@ mod tests {
         for frame in frames {
             encoder.encode_into(frame, &mut wire);
         }
+        wire
+    }
+
+    /// Frames a hand-built payload: `[len][crc32][payload]`.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        varint::encode(payload.len() as u64, &mut wire);
+        wire.extend_from_slice(&crc32(payload).to_le_bytes());
+        wire.extend_from_slice(payload);
         wire
     }
 
@@ -551,12 +556,8 @@ mod tests {
         varint::encode(1, &mut payload); // strategy
         payload.push(0x01); // STR_BACKREF
         varint::encode(42, &mut payload); // unassigned id
-        let mut wire = Vec::new();
-        varint::encode(payload.len() as u64, &mut wire);
-        wire.extend_from_slice(&crc32(&payload).to_le_bytes());
-        wire.extend_from_slice(&payload);
         let mut decoder = WireDecoder::new();
-        let got = decoder.feed(&wire);
+        let got = decoder.feed(&framed(&payload));
         assert!(
             matches!(got.as_slice(), [Err(WireError::Malformed(_))]),
             "got {got:?}"
@@ -565,15 +566,25 @@ mod tests {
     }
 
     #[test]
+    fn handoff_window_count_beyond_the_payload_is_malformed() {
+        // A window count no payload could hold, then nothing: the
+        // decode must fail on the first missing field without
+        // reserving room for the claimed windows.
+        let mut payload = vec![crate::frame::TAG_HANDOFF];
+        varint::encode(u64::MAX >> 1, &mut payload);
+        let got = WireDecoder::with_max_frame_len(usize::MAX).feed(&framed(&payload));
+        assert!(
+            matches!(got.as_slice(), [Err(WireError::Malformed(_))]),
+            "got {got:?}"
+        );
+    }
+
+    #[test]
     fn handoff_frames_can_exceed_the_ingress_bound() {
         let big = Frame::Handoff(Box::new(HandoffFrame {
-            window_seqs: (0..4).collect(),
-            checkpoint: StreamingCheckpoint {
-                start_index: 0,
-                windows: (0..4)
-                    .map(|w| (0..2000).map(|i| alert(w * 2000 + i)).collect())
-                    .collect(),
-            },
+            windows: (0..4)
+                .map(|w| (w, (0..2000).map(|i| alert(w * 2000 + i)).collect()))
+                .collect(),
             tail: Vec::new(),
         }));
         let mut encoder = WireEncoder::new();

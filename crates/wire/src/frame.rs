@@ -7,12 +7,10 @@
 //! [`codec::WireDecoder`](crate::WireDecoder) add the outer
 //! length+CRC framing around what is encoded here.
 
-use alertops_core::StreamingCheckpoint;
 use alertops_model::{
     Alert, AlertId, AlertState, Clearance, Location, MicroserviceId, Severity, SimDuration,
     SimTime, StrTable, StrategyId,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::codec::WireError;
 use crate::varint;
@@ -125,19 +123,17 @@ pub enum ChaosCmd {
     },
 }
 
-/// The checkpoint a range handoff ships from source to target: the
-/// moved strategies' slice of the source's rolling history and
-/// in-flight window. `alertops-cluster` re-exports this as its
-/// `HandoffShipment`. The serde derives keep the JSON shape the
-/// pre-binary protocol had, as a debugging/compatibility view; the
-/// live handoff path ships it through the binary codec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// What a range handoff ships from source to target: the moved
+/// strategies' slice of the source's rolling history and in-flight
+/// window. `alertops-cluster` re-exports this as its
+/// `HandoffShipment`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct HandoffFrame {
-    /// Cluster window sequence numbers of the shipped sealed windows,
-    /// aligned with `checkpoint.windows`.
-    pub window_seqs: Vec<u64>,
-    /// The moved strategies' slice of the source's rolling history.
-    pub checkpoint: StreamingCheckpoint,
+    /// The moved strategies' slice of each sealed window the source
+    /// retains, oldest first, keyed by cluster window sequence number
+    /// (past faults may have left gaps) — the shape a WAL replay
+    /// yields.
+    pub windows: Vec<(u64, Vec<Alert>)>,
     /// The moved strategies' slice of the source's in-flight window.
     pub tail: Vec<Alert>,
 }
@@ -398,13 +394,9 @@ fn decode_chaos_body(cursor: &mut Cursor<'_>) -> Result<ChaosCmd, WireError> {
 }
 
 fn encode_handoff_body(handoff: &HandoffFrame, table: &mut StrTable, out: &mut Vec<u8>) {
-    varint::encode(handoff.window_seqs.len() as u64, out);
-    for seq in &handoff.window_seqs {
+    varint::encode(handoff.windows.len() as u64, out);
+    for (seq, window) in &handoff.windows {
         varint::encode(*seq, out);
-    }
-    varint::encode(handoff.checkpoint.start_index, out);
-    varint::encode(handoff.checkpoint.windows.len() as u64, out);
-    for window in &handoff.checkpoint.windows {
         varint::encode(window.len() as u64, out);
         for alert in window {
             encode_alert_body(alert, table, out);
@@ -423,35 +415,23 @@ fn decode_handoff_body(
     // Counts bound allocation by what the payload could actually hold
     // (the frame length is already capped), so a corrupt count cannot
     // reserve unbounded memory before the field decode fails.
-    let seqs = cursor.usize()?;
-    let mut window_seqs = Vec::with_capacity(seqs.min(cursor.remaining()));
-    for _ in 0..seqs {
-        window_seqs.push(cursor.varint()?);
-    }
-    let start_index = cursor.varint()?;
-    let windows = cursor.usize()?;
-    let mut checkpoint = StreamingCheckpoint {
-        start_index,
-        windows: Vec::with_capacity(windows.min(cursor.remaining())),
-    };
-    for _ in 0..windows {
+    let count = cursor.usize()?;
+    let mut windows = Vec::with_capacity(count.min(cursor.remaining()));
+    for _ in 0..count {
+        let seq = cursor.varint()?;
         let len = cursor.usize()?;
         let mut window = Vec::with_capacity(len.min(cursor.remaining()));
         for _ in 0..len {
             window.push(decode_alert_body(cursor, table)?);
         }
-        checkpoint.windows.push(window);
+        windows.push((seq, window));
     }
     let tail_len = cursor.usize()?;
     let mut tail = Vec::with_capacity(tail_len.min(cursor.remaining()));
     for _ in 0..tail_len {
         tail.push(decode_alert_body(cursor, table)?);
     }
-    Ok(HandoffFrame {
-        window_seqs,
-        checkpoint,
-        tail,
-    })
+    Ok(HandoffFrame { windows, tail })
 }
 
 /// Appends an alert payload (`[TAG_ALERT][body]`) without requiring

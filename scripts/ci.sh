@@ -84,6 +84,24 @@ if grep -rnE 'defer_emerging|defer_qoa|set_emerging_mode|set_qoa_mode|V1Json|han
     exit 1
 fi
 
+# A governor only governs its partition: the sequential passes live in
+# WindowCloser::close, a WindowDelta carries inputs only, and recovery
+# state is (seq, window) pairs. Scoped to *.rs so the docs may name what
+# was removed.
+if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs' \
+    --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
+    echo "a governor-local pass or a second recovery spelling reappeared (see matches above)" >&2
+    exit 1
+fi
+
+# The codec crate builds from the data model alone.
+echo "==> alertops-wire depends on alertops-model only"
+wire_deps=$(cargo tree --offline -p alertops-wire -e normal --prefix none)
+if grep -vE '^(alertops-(wire|model)|serde[a-z_]*) ' <<<"$wire_deps"; then
+    echo "alertops-wire grew a dependency beyond alertops-model and serde (see above)" >&2
+    exit 1
+fi
+
 # A shard recovers by rollback (StreamingGovernor::commit/rollback); a
 # stored copy of the governor must not come back beside it.
 if grep -rnE 'checkpoint: StreamingGovernor|governor\.clone\(\)' \

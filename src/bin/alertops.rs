@@ -394,9 +394,9 @@ fn main() -> ExitCode {
 fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
     let mut streaming = StreamingConfig::default();
     if args.emerging {
-        // Any mode but Off: shards forward documents and the
-        // coordinator's WindowCloser runs the one sequential AO-LDA
-        // pass, so shard count cannot change output.
+        // Shards forward documents and the coordinator's WindowCloser
+        // runs the one sequential AO-LDA pass, so shard count cannot
+        // change output.
         streaming.emerging.mode = EmergingMode::Forward;
         if let Some(cap) = args.emerging_budget {
             streaming.emerging.config.budget = Some(EmergingBudget::new(cap, args.seed));
@@ -423,7 +423,7 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
 
     // Recover and re-arm the write-ahead log before the daemon exists.
     let mut recovered = None;
-    let journal: Option<std::sync::Arc<dyn alertops::ingestd::WindowJournal>> = match &args.wal {
+    let journal: Option<std::sync::Arc<alertops::cluster::WalJournal>> = match &args.wal {
         Some(dir) => {
             let dir = std::path::PathBuf::from(dir);
             let wal = match alertops::cluster::replay(&dir)
@@ -460,7 +460,9 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
             let catalog = shard_catalog(out.catalog.strategies(), shards, shard);
             StreamingGovernor::new(governor_over(out, catalog), config.streaming.clone())
         },
-        journal,
+        journal
+            .clone()
+            .map(|journal| journal as std::sync::Arc<dyn alertops::ingestd::WindowJournal>),
     ) {
         Ok(handle) => handle,
         Err(err) => {
@@ -518,15 +520,33 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
             "qoa feedback loop on: online model updates per window close \
              (labels arrive with labeled flushes; unlabeled windows still score)"
         );
+        if journal.is_some() {
+            println!(
+                "qoa + wal: the standalone journal does not carry the QoA model — \
+                 a restart begins from a fresh one (the cluster journals it)"
+            );
+        }
     }
     handle.wait_for_shutdown_request();
     let counters = handle.counters();
     handle.shutdown();
+    // A sick disk must not be silent: past the first failed write the
+    // log is no longer a complete record of what was accepted.
+    let wal_write_errors = journal.map_or(0, |journal| journal.write_errors());
     println!(
-        "ingestd stopped: {} ingested, {} dropped, {} decode error(s), {} window(s) closed",
-        counters.ingested, counters.dropped, counters.decode_errors, counters.windows_closed
+        "ingestd stopped: {} ingested, {} dropped, {} decode error(s), {} window(s) closed, \
+         {} wal write error(s)",
+        counters.ingested,
+        counters.dropped,
+        counters.decode_errors,
+        counters.windows_closed,
+        wal_write_errors
     );
-    ExitCode::SUCCESS
+    if wal_write_errors > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// Runs the scenario trace through an N-node in-process cluster:

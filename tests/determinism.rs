@@ -318,7 +318,9 @@ fn exposition_value(text: &str, name: &str) -> u64 {
 /// nodes equals one flat merge), with [`WindowDelta::identity`] as the
 /// unit (an empty shard contributes nothing). Checked as properties
 /// over governor-produced deltas from random disjoint-catalog traces —
-/// the actual domain the merge runs on.
+/// the actual domain the merge runs on — with both sequential channels
+/// forwarding and the escalation lane engaged, so the laws are
+/// exercised on every field of the delta, none of them vacuously.
 mod merge_monoid {
     use super::*;
     use proptest::prelude::*;
@@ -340,13 +342,19 @@ mod merge_monoid {
     }
 
     /// One same-window delta per shard: each shard's governor over its
-    /// own slice of the catalog, fed its own slice of the trace.
+    /// own slice of the catalog, fed its own slice of the trace. Every
+    /// trace starts from a fixed floor — two alerts per strategy inside
+    /// one aggregation window — and every strategy is promoted, so one
+    /// alert of each pair is folded out of triage and escalates:
+    /// `emerging_docs`, `qoa_samples` and `escalated` are populated on
+    /// every shard, whatever the random picks add.
     fn shard_deltas(picks: &[(u64, u64, u64)], shards: usize) -> Vec<WindowDelta> {
         let strategies = catalog(6);
-        let mut trace: Vec<Alert> = picks
-            .iter()
+        let floor = (0..12u64).map(|i| (i % 6, 0, i));
+        let mut trace: Vec<Alert> = floor
+            .chain(picks.iter().copied())
             .enumerate()
-            .map(|(i, &(strategy, hour, offset))| {
+            .map(|(i, (strategy, hour, offset))| {
                 Alert::builder(AlertId(i as u64), StrategyId(strategy))
                     .title("service latency is abnormal")
                     .raised_at(SimTime::from_secs(hour * 3_600 + offset % 3_600))
@@ -361,16 +369,38 @@ mod merge_monoid {
                     .filter(|a| shard_of(a.strategy(), shards) == shard)
                     .cloned()
                     .collect();
-                StreamingGovernor::new(
+                let mut governor = StreamingGovernor::new(
                     AlertGovernor::new(
                         shard_catalog(&strategies, shards, shard),
                         GovernorConfig::default(),
                     ),
-                    StreamingConfig::default(),
-                )
-                .ingest(&window, &[])
+                    StreamingConfig {
+                        emerging: EmergingChannel {
+                            mode: EmergingMode::Forward,
+                            ..EmergingChannel::default()
+                        },
+                        qoa: QoaChannel {
+                            mode: QoaMode::Forward,
+                            ..QoaChannel::default()
+                        },
+                        ..StreamingConfig::default()
+                    },
+                );
+                governor.set_qoa_verdicts(QoaVerdicts {
+                    demoted: Vec::new(),
+                    promoted: strategies.iter().map(AlertStrategy::id).collect(),
+                });
+                governor.ingest(&window, &[])
             })
             .collect()
+    }
+
+    /// Whether the channel inputs and the escalation lane are all
+    /// non-empty in every operand.
+    fn populated(deltas: &[WindowDelta]) -> bool {
+        deltas.iter().all(|d| {
+            !d.emerging_docs.is_empty() && !d.qoa_samples.is_empty() && !d.escalated.is_empty()
+        })
     }
 
     fn json(delta: &WindowDelta) -> String {
@@ -385,6 +415,7 @@ mod merge_monoid {
             picks in proptest::collection::vec((0u64..6, 0u64..48, 0u64..3_600), 1..120),
         ) {
             let d = shard_deltas(&picks, 3);
+            prop_assert!(populated(&d));
             prop_assert_eq!(json(&d[0].merged(&d[1])), json(&d[1].merged(&d[0])));
             prop_assert_eq!(
                 json(&WindowDelta::merge_all(&[d[0].clone(), d[1].clone(), d[2].clone()])),
@@ -397,6 +428,7 @@ mod merge_monoid {
             picks in proptest::collection::vec((0u64..6, 0u64..48, 0u64..3_600), 1..120),
         ) {
             let d = shard_deltas(&picks, 3);
+            prop_assert!(populated(&d));
             prop_assert_eq!(
                 json(&d[0].merged(&d[1]).merged(&d[2])),
                 json(&d[0].merged(&d[1].merged(&d[2])))
@@ -414,6 +446,7 @@ mod merge_monoid {
             picks in proptest::collection::vec((0u64..6, 0u64..48, 0u64..3_600), 1..120),
         ) {
             let d = shard_deltas(&picks, 3);
+            prop_assert!(populated(&d));
             // merge_all canonicalizes ordering, so compare against the
             // delta's canonical form (merge of the singleton).
             let canonical = WindowDelta::merge_all(&d[..1]);

@@ -168,9 +168,9 @@ fn streaming_with_preagreed_vocab_reproduces_the_offline_run() {
 ///    on the recorded seed;
 /// 4. the cap trims tokens, never documents: per-window alert counts are
 ///    unchanged;
-/// 5. the budget survives the governor plumbing: a Local-mode streaming
-///    governor with the same budgeted config matches the standalone
-///    detector window for window.
+/// 5. the budget survives the governor plumbing: a budgeted detector
+///    fed a streaming governor's forwarded documents matches the
+///    standalone detector window for window.
 #[test]
 fn emerging_budget_is_seed_replayable_and_exact_under_the_cap() {
     let chunks = hourly_chunks();
@@ -226,26 +226,22 @@ fn emerging_budget_is_seed_replayable_and_exact_under_the_cap() {
         );
     }
 
-    // Same budgeted config through the streaming governor's local pass.
+    // Same budgeted config over a streaming governor's forwards.
     let mut governor = StreamingGovernor::new(
         AlertGovernor::new(catalog(), GovernorConfig::default()),
-        StreamingConfig {
-            emerging: EmergingChannel {
-                mode: EmergingMode::Local,
-                config: EmergingConfig {
-                    budget: tight,
-                    ..emerging_config()
-                },
-            },
-            ..StreamingConfig::default()
-        },
+        forward_streaming(),
     );
+    let mut detector = EmergingAlertDetector::new(EmergingConfig {
+        budget: tight,
+        ..emerging_config()
+    });
     for (chunk, expected) in chunks.iter().zip(&tight_a) {
         let delta = governor.ingest(chunk, &[]);
         assert_eq!(
-            serde_json::to_string(&delta.emerging).expect("delta serializes"),
-            serde_json::to_string(&Some(expected)).expect("report serializes"),
-            "governor's budgeted local pass diverged from the standalone detector"
+            serde_json::to_string(&detector.observe_docs(&delta.emerging_docs))
+                .expect("report serializes"),
+            serde_json::to_string(expected).expect("report serializes"),
+            "budgeted pass over the governor's forwards diverged from the standalone detector"
         );
     }
 }

@@ -125,10 +125,8 @@ impl BatchOracle {
             window_hours,
             triage: pipeline.triage,
             emerging_docs: Vec::new(),
-            emerging: None,
             qoa_samples: Vec::new(),
             escalated: Vec::new(),
-            qoa: None,
         };
         self.windows_ingested += 1;
         delta
@@ -321,7 +319,7 @@ fn rollback_resumes_byte_identically() {
         for (index, (window, _)) in windows.iter().enumerate() {
             for decoy in 0..=index % 2 {
                 let (decoy, _) = &windows[(index + 5 + decoy) % windows.len()];
-                let _ = recovered.ingest_uncommitted(decoy, &[], &[]);
+                let _ = recovered.ingest_uncommitted(decoy, &[]);
             }
             recovered.rollback();
             let expected = clean.ingest(window, &[]);

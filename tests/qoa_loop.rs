@@ -2,9 +2,10 @@
 //! oracle's label stream drives one online model to the same bits no
 //! matter how the pipeline is partitioned.
 //!
-//! - A Local-mode streaming governor, a 1-shard daemon, and a 4-shard
-//!   daemon fed the same windows and labels publish byte-identical QoA
-//!   reports (weights, scores, EMAs, verdicts via `model_digest`).
+//! - One governor under a bare `OnlineQoaModel`, a 1-shard daemon, and
+//!   a 4-shard daemon fed the same windows and labels publish
+//!   byte-identical QoA reports (weights, scores, EMAs, verdicts via
+//!   `model_digest`).
 //! - The verdicts actually govern: low-quality strategies demote into
 //!   the blocker, high-quality strategies' alerts ride the escalation
 //!   lane, and escalated alerts stay a subset of the delivered window
@@ -39,10 +40,10 @@ fn qoa_feedback_config() -> QoaFeedbackConfig {
     }
 }
 
-fn streaming(mode: QoaMode) -> StreamingConfig {
+fn streaming() -> StreamingConfig {
     StreamingConfig {
         qoa: QoaChannel {
-            mode,
+            mode: QoaMode::Forward,
             config: qoa_feedback_config(),
         },
         ..StreamingConfig::default()
@@ -81,24 +82,41 @@ fn wire(windows: &[QoaWindow]) -> String {
     serde_json::to_string(&windows).expect("qoa windows serialize")
 }
 
-/// The batch baseline: one full-catalog governor running the model
-/// locally, fed the same windows and labels the daemons get.
-fn local_windows(
+/// The batch baseline, written from the primitives so it shares no
+/// close path with the daemons it is compared against: one
+/// full-catalog governor forwards its samples, a bare model absorbs
+/// them with the window's labels, and its verdicts are installed
+/// before the next window.
+fn reference_loop(
     out: &SimOutput,
     windows: &[Vec<Alert>],
     labels: &[Vec<QoaLabel>],
-) -> Vec<QoaWindow> {
+) -> Vec<(WindowDelta, QoaWindowReport)> {
     let mut governor = StreamingGovernor::new(
         AlertGovernor::new(out.catalog.strategies().to_vec(), GovernorConfig::default()),
-        streaming(QoaMode::Local),
+        streaming(),
     );
+    let mut model = OnlineQoaModel::new(qoa_feedback_config());
     windows
         .iter()
         .zip(labels)
         .map(|(window, labels)| {
-            let delta = governor.ingest_labeled(window, &[], labels);
-            (delta.qoa, delta.escalated)
+            let delta = governor.ingest(window, &[]);
+            let report = model.observe_window(&delta.qoa_samples, labels);
+            governor.set_qoa_verdicts(model.verdicts());
+            (delta, report)
         })
+        .collect()
+}
+
+fn reference_windows(
+    out: &SimOutput,
+    windows: &[Vec<Alert>],
+    labels: &[Vec<QoaLabel>],
+) -> Vec<QoaWindow> {
+    reference_loop(out, windows, labels)
+        .into_iter()
+        .map(|(delta, report)| (Some(report), delta.escalated))
         .collect()
 }
 
@@ -114,7 +132,7 @@ fn daemon_windows(
     let strategies = out.catalog.strategies().to_vec();
     let config = IngestdConfig {
         shards,
-        streaming: streaming(QoaMode::Forward),
+        streaming: streaming(),
         ..IngestdConfig::default()
     };
     let handle = Ingestd::spawn(&config, |shard, shards| {
@@ -123,7 +141,7 @@ fn daemon_windows(
                 shard_catalog(&strategies, shards, shard),
                 GovernorConfig::default(),
             ),
-            streaming(QoaMode::Forward),
+            streaming(),
         )
     })
     .expect("daemon starts");
@@ -150,14 +168,14 @@ fn batch_one_shard_and_many_shards_publish_identical_qoa_streams() {
     let (out, windows) = windowed_trace(7);
     let labels = label_stream(&out, &windows, 0.0);
 
-    let local = local_windows(&out, &windows, &labels);
+    let reference = reference_windows(&out, &windows, &labels);
     let single = daemon_windows(&out, &windows, &labels, 1);
     let sharded = daemon_windows(&out, &windows, &labels, 4);
 
     assert_eq!(
-        wire(&local),
+        wire(&reference),
         wire(&single),
-        "1-shard daemon diverged from the local-mode baseline"
+        "1-shard daemon diverged from the bare-model baseline"
     );
     assert_eq!(
         wire(&single),
@@ -167,7 +185,7 @@ fn batch_one_shard_and_many_shards_publish_identical_qoa_streams() {
 
     // The loop actually closed: labels were absorbed, the model left
     // its initial state, and both governance lanes engaged somewhere.
-    let reports: Vec<&QoaWindowReport> = local
+    let reports: Vec<&QoaWindowReport> = reference
         .iter()
         .filter_map(|(report, _)| report.as_ref())
         .collect();
@@ -191,7 +209,7 @@ fn batch_one_shard_and_many_shards_publish_identical_qoa_streams() {
         "no strategy ever demoted — the loop is decorative"
     );
     assert!(
-        local.iter().any(|(_, escalated)| !escalated.is_empty()),
+        reference.iter().any(|(_, escalated)| !escalated.is_empty()),
         "no alert ever escalated — the loop is decorative"
     );
 
@@ -218,11 +236,11 @@ fn noisy_label_streams_are_seed_replayable() {
     let replay = label_stream(&out, &windows, 0.25);
     assert_eq!(noisy, replay, "same (seed, noise) must replay identically");
 
-    let a = local_windows(&out, &windows, &noisy);
-    let b = local_windows(&out, &windows, &replay);
+    let a = reference_windows(&out, &windows, &noisy);
+    let b = reference_windows(&out, &windows, &replay);
     assert_eq!(wire(&a), wire(&b), "noisy runs with one seed must agree");
 
-    let clean = local_windows(&out, &windows, &label_stream(&out, &windows, 0.0));
+    let clean = reference_windows(&out, &windows, &label_stream(&out, &windows, 0.0));
     assert_ne!(
         wire(&a),
         wire(&clean),
@@ -238,13 +256,8 @@ fn escalated_alerts_are_a_subset_of_the_delivered_window() {
     let (out, windows) = windowed_trace(7);
     let labels = label_stream(&out, &windows, 0.0);
 
-    let mut governor = StreamingGovernor::new(
-        AlertGovernor::new(out.catalog.strategies().to_vec(), GovernorConfig::default()),
-        streaming(QoaMode::Local),
-    );
     let mut escalated_total = 0usize;
-    for (window, labels) in windows.iter().zip(&labels) {
-        let delta = governor.ingest_labeled(window, &[], labels);
+    for (window, (delta, _)) in windows.iter().zip(reference_loop(&out, &windows, &labels)) {
         let window_ids: std::collections::BTreeSet<AlertId> =
             window.iter().map(Alert::id).collect();
         for id in &delta.escalated {
@@ -276,7 +289,7 @@ fn spawn_cluster(nodes: usize, root: PathBuf, out: &SimOutput) -> AlertCluster {
         node: IngestdConfig {
             shards: 2,
             queue_capacity: 8192,
-            streaming: streaming(QoaMode::Forward),
+            streaming: streaming(),
             ..IngestdConfig::default()
         },
         wal_root: root,
@@ -285,7 +298,7 @@ fn spawn_cluster(nodes: usize, root: PathBuf, out: &SimOutput) -> AlertCluster {
     let factory: GovernorFactory = Arc::new(|catalog: &[AlertStrategy]| {
         StreamingGovernor::new(
             AlertGovernor::new(catalog.to_vec(), GovernorConfig::default()),
-            streaming(QoaMode::Forward),
+            streaming(),
         )
     });
     AlertCluster::spawn(config, out.catalog.strategies().to_vec(), factory).expect("cluster spawns")
