@@ -67,21 +67,24 @@
 //!   history only — AO-LDA's adaptive prior depends on the full
 //!   preceding stream, which is not journaled.
 //! - The online QoA model is coordinator state of the same shape, but
-//!   it takes the other side of that trade: its checkpoint is
-//!   journaled into every alive node's WAL just before each boundary
-//!   (`Frame::QoaState`), so a whole-cluster restart restores the
-//!   exact weights and EMAs instead of relearning — labels are not
-//!   journaled, so the replayed windows could not reproduce them.
+//!   it takes the other side of that trade: labels are not journaled,
+//!   so replayed windows could not relearn it, and the coordinator
+//!   checkpoints it instead — one file,
+//!   `<wal_root>/coordinator/qoa.ckpt`, replaced at every close before
+//!   any node's boundary for that close is written, nodes alive or
+//!   not. A whole-cluster restart restores the exact weights and EMAs
+//!   from it. Node logs hold node state only.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::PathBuf;
+use std::fs::{self, File};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use alertops_core::{GovernanceSnapshot, QoaCheckpoint, StreamingGovernor, WindowCloser};
 use alertops_ingestd::{shard_catalog, Ingestd, IngestdConfig, IngestdHandle};
-use alertops_model::{Alert, AlertStrategy, QoaLabel, StrategyId};
+use alertops_model::{Alert, AlertStrategy, IndexedCatalog, QoaLabel, StrategyId};
 use alertops_wire::{Frame, WireDecoder, WireEncoder};
 
 use crate::metrics::ClusterMetrics;
@@ -99,21 +102,23 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Per-node daemon configuration. `tick` must be `None`: window
     /// closes are cluster-coordinated ([`AlertCluster::close_window`]),
-    /// never per-node wall clock. `streaming.emerging.mode` and
+    /// never per-node wall clock. `listen` and `status` must be `None`
+    /// too: [`AlertCluster::route`] is the only way in, because it is
+    /// what journals. `streaming.emerging.mode` and
     /// `streaming.qoa.mode` express the *cluster's* intent — nodes are
     /// spawned in the node role ([`Ingestd::spawn_node`]: forward
     /// documents and samples, run no pass) and the cluster
     /// coordinator's [`WindowCloser`] runs the one sequential AO-LDA
-    /// pass and the one `partial_fit` pass, journaling the model
-    /// checkpoint into every alive node's WAL at each boundary. That
-    /// includes any storm-load token budget
-    /// (`streaming.emerging.config.budget`): it is applied once, by
-    /// the coordinator, after the cross-node merge, so node count
-    /// cannot change the sampled token set.
+    /// pass and the one `partial_fit` pass, checkpointing the model to
+    /// its own file at each close. That includes any storm-load token
+    /// budget (`streaming.emerging.config.budget`): it is applied
+    /// once, by the coordinator, after the cross-node merge, so node
+    /// count cannot change the sampled token set.
     pub node: IngestdConfig,
     /// Directory holding one WAL subdirectory per node
-    /// (`<wal_root>/node-<i>/`). Created if missing; existing logs are
-    /// replayed on spawn (lossless restart).
+    /// (`<wal_root>/node-<i>/`) and the coordinator's own
+    /// (`<wal_root>/coordinator/`). Created if missing; existing logs
+    /// are replayed on spawn (lossless restart).
     pub wal_root: PathBuf,
     /// Frozen-bench scaffolding with one value (see [`WalFormat`]):
     /// nothing reads it. Replay reads v1 and v2 segments alike; every
@@ -123,7 +128,7 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Validates cluster invariants (node count, per-node config, no
-    /// per-node tick).
+    /// per-node tick, no per-node socket).
     ///
     /// # Errors
     ///
@@ -134,6 +139,14 @@ impl ClusterConfig {
         }
         if self.node.tick.is_some() {
             return Err("cluster nodes must not tick; closes are cluster-coordinated".into());
+        }
+        // An alert entering a node's own socket would reach its shards
+        // without being journaled or counted at the cluster edge.
+        if self.node.listen.is_some() {
+            return Err("cluster nodes must not listen; alerts enter through route()".into());
+        }
+        if self.node.status.is_some() {
+            return Err("cluster nodes must not serve a status socket of their own".into());
         }
         self.node.validate()
     }
@@ -156,20 +169,57 @@ struct NodeSlot {
     dir: PathBuf,
     wal: Arc<Wal>,
     handle: Option<IngestdHandle>,
-    /// Alerts journaled for this node since its last boundary — the
-    /// in-flight window, including alerts routed while dead.
-    pending: u64,
     /// The node-internal `dropped` counter at the last close, so each
     /// close surfaces only the new overflow shedding.
     last_dropped: u64,
 }
 
-/// What a range handoff ships from source to target, serialized
-/// through the `alertops-wire` binary frame codec — the
-/// protocol is wire-shaped even though both ends live in this
-/// process. This is [`alertops_wire::HandoffFrame`] under its
-/// cluster-side name.
-pub use alertops_wire::HandoffFrame as HandoffShipment;
+impl NodeSlot {
+    /// Alerts journaled for this node since its last boundary — the
+    /// in-flight window, including alerts routed while dead. The log
+    /// is the only count.
+    fn in_flight(&self) -> u64 {
+        self.wal.depth().pending_records
+    }
+}
+
+/// The coordinator's directory under `wal_root`.
+const COORDINATOR_DIR: &str = "coordinator";
+/// The online QoA model's checkpoint inside it: one `Frame::QoaState`
+/// frame, so the wire codec's length + CRC is the integrity check.
+const QOA_CHECKPOINT: &str = "qoa.ckpt";
+const QOA_CHECKPOINT_TMP: &str = "qoa.ckpt.tmp";
+
+/// Replaces the checkpoint file atomically: a reader finds the old
+/// checkpoint or the new one, never a mix.
+fn write_qoa_checkpoint(dir: &Path, checkpoint: &QoaCheckpoint) -> io::Result<()> {
+    let frame = WireEncoder::new().encode(&Frame::QoaState(checkpoint.to_bytes()));
+    let tmp = dir.join(QOA_CHECKPOINT_TMP);
+    let mut file = File::create(&tmp)?;
+    file.write_all(&frame)?;
+    file.sync_data()?;
+    fs::rename(&tmp, dir.join(QOA_CHECKPOINT))?;
+    // The rename is durable once its directory is.
+    File::open(dir)?.sync_all()
+}
+
+/// Reads the checkpoint file back. Anything but exactly one intact
+/// `QoaState` frame holding a decodable checkpoint — no file, a torn or
+/// rotted one, a log from before the file existed — is `None`: the
+/// model starts fresh and the next close replaces the file.
+fn read_qoa_checkpoint(dir: &Path) -> io::Result<Option<QoaCheckpoint>> {
+    let bytes = match fs::read(dir.join(QOA_CHECKPOINT)) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    let mut decoder = WireDecoder::new();
+    let mut frames = decoder.feed(&bytes);
+    Ok(match (frames.pop(), frames.is_empty(), decoder.finish()) {
+        (Some(Ok(Frame::QoaState(bytes))), true, None) => QoaCheckpoint::from_bytes(&bytes),
+        _ => None,
+    })
+}
 
 /// What a completed handoff did, for callers and benches.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,9 +269,8 @@ impl ClusterCounters {
 /// barrier and the merge deterministic.
 pub struct AlertCluster {
     config: ClusterConfig,
-    catalog: Vec<AlertStrategy>,
-    /// Catalog membership for edge quarantine.
-    known: std::collections::BTreeSet<u64>,
+    /// The whole catalog; membership is the edge quarantine test.
+    catalog: IndexedCatalog,
     map: RangeMap,
     slots: Vec<NodeSlot>,
     make_governor: GovernorFactory,
@@ -229,9 +278,11 @@ pub struct AlertCluster {
     seq: u64,
     latest: Option<GovernanceSnapshot>,
     /// The topmost merge point's closer: owns the one emerging
-    /// detector and the one online-QoA model (checkpointed into every
-    /// alive node's WAL at each boundary).
+    /// detector and the one online-QoA model (checkpointed into
+    /// `coordinator_dir` at each close).
     closer: WindowCloser,
+    /// `<wal_root>/coordinator`.
+    coordinator_dir: PathBuf,
     metrics: ClusterMetrics,
 }
 
@@ -261,8 +312,10 @@ impl AlertCluster {
     /// incarnation's logs, they are replayed through the full pipeline
     /// first — sealed windows are re-ingested and re-published in
     /// order (restoring the latest snapshot, the detection history,
-    /// and the window sequence), and in-flight tails come back as
-    /// pending work. Restart is lossless with no live peer.
+    /// and the window sequence), in-flight tails come back as
+    /// pending work, and the online QoA model resumes from the
+    /// coordinator's checkpoint file. Restart is lossless with no live
+    /// peer.
     ///
     /// # Errors
     ///
@@ -285,11 +338,6 @@ impl AlertCluster {
         // recovery survives topology changes between runs.
         let mut recovered_windows: BTreeMap<u64, Vec<Alert>> = BTreeMap::new();
         let mut recovered_tail: Vec<Alert> = Vec::new();
-        // The newest decodable QoA checkpoint across every node's log.
-        // Every alive node journals the same bytes at each boundary,
-        // but a node killed mid-history carries stale ones — the
-        // checkpoint's own absorbed-window count disambiguates.
-        let mut recovered_qoa: Option<QoaCheckpoint> = None;
         for node in 0..config.nodes {
             let dir = config.wal_root.join(format!("node-{node}"));
             let replayed = wal::replay(&dir)?;
@@ -299,26 +347,12 @@ impl AlertCluster {
                 recovered_windows.entry(seq).or_default().extend(alerts);
             }
             recovered_tail.extend(replayed.tail);
-            for bytes in replayed
-                .qoa_states
-                .iter()
-                .map(|(_, bytes)| bytes)
-                .chain(replayed.tail_qoa.iter())
-            {
-                if let Some(ckpt) = QoaCheckpoint::from_bytes(bytes) {
-                    if recovered_qoa
-                        .as_ref()
-                        .is_none_or(|best| best.windows_absorbed <= ckpt.windows_absorbed)
-                    {
-                        recovered_qoa = Some(ckpt);
-                    }
-                }
-            }
             Wal::wipe(&dir)?;
         }
+        let coordinator_dir = config.wal_root.join(COORDINATOR_DIR);
+        fs::create_dir_all(&coordinator_dir)?;
 
         let map = RangeMap::partition(&catalog, config.nodes);
-        let known = catalog.iter().map(|s| s.id().0).collect();
         let mut slots = Vec::with_capacity(config.nodes);
         for node in 0..config.nodes {
             let dir = config.wal_root.join(format!("node-{node}"));
@@ -329,7 +363,6 @@ impl AlertCluster {
                 dir,
                 wal,
                 handle: Some(handle),
-                pending: 0,
                 last_dropped: 0,
             });
         }
@@ -344,14 +377,14 @@ impl AlertCluster {
 
         let mut cluster = Self {
             config,
-            catalog,
-            known,
+            catalog: IndexedCatalog::new(catalog),
             map,
             slots,
             make_governor,
             seq: 0,
             latest: None,
             closer,
+            coordinator_dir,
             metrics,
         };
 
@@ -372,24 +405,20 @@ impl AlertCluster {
             cluster.route(alert)?;
         }
 
-        // Bring the feedback loop back: restore the journaled model
-        // (exact weights, not a relearn), push its current verdicts
+        // Bring the feedback loop back: restore the checkpointed model
+        // (exact weights, not a relearn) and push its current verdicts
         // down so the next close is governed identically to an
-        // uninterrupted run, and re-journal the checkpoint into each
-        // fresh open segment so even a restart before the next close
-        // still finds it.
+        // uninterrupted run. The file already holds what was restored;
+        // nothing is written until the next close.
         if let Some(qoa_config) = cluster.config.node.streaming.qoa.unless_off() {
-            if !recovered_qoa.is_some_and(|ckpt| cluster.closer.restore_qoa(qoa_config, &ckpt)) {
+            let checkpoint = read_qoa_checkpoint(&cluster.coordinator_dir)?;
+            if !checkpoint.is_some_and(|ckpt| cluster.closer.restore_qoa(qoa_config, &ckpt)) {
                 cluster.closer.start_qoa(qoa_config);
             }
             if let Some(model) = cluster.closer.qoa_model() {
                 let verdicts = model.verdicts();
-                let bytes = model.checkpoint().to_bytes();
-                for slot in &cluster.slots {
-                    if let Some(handle) = &slot.handle {
-                        handle.push_qoa_verdicts(&verdicts);
-                    }
-                    slot.wal.qoa_state(&bytes)?;
+                for handle in cluster.slots.iter().filter_map(|slot| slot.handle.as_ref()) {
+                    handle.push_qoa_verdicts(&verdicts);
                 }
             }
         }
@@ -426,17 +455,16 @@ impl AlertCluster {
     /// `ingested` and then `dropped`; nothing unaccounted).
     pub fn route(&mut self, alert: Alert) -> io::Result<()> {
         self.metrics.ingested.inc();
-        if !self.known.contains(&alert.strategy().0) {
+        if self.catalog.get(alert.strategy()).is_none() {
             self.metrics.quarantined.inc();
             return Ok(());
         }
         let node = self.map.node_of(alert.strategy());
-        let slot = &mut self.slots[node];
+        let slot = &self.slots[node];
         if let Err(e) = slot.wal.append(&alert) {
             self.metrics.dropped.inc();
             return Err(e);
         }
-        slot.pending += 1;
         if let Some(handle) = &slot.handle {
             handle.route(alert);
         }
@@ -469,12 +497,13 @@ impl AlertCluster {
     /// [`alertops_core::QoaWindowReport`] in the snapshot, pushes the
     /// updated verdicts down every alive node (to govern from the
     /// *next* close — the one-window feedback lag that keeps cluster
-    /// == 1-node == batch byte-identical), and journals the model
-    /// checkpoint into each alive node's sealing WAL segment.
+    /// == 1-node == batch byte-identical), and replaces the model's
+    /// checkpoint file before any node's log is sealed — with every
+    /// node dead too, since the model still moved.
     ///
     /// # Errors
     ///
-    /// WAL checkpoint/boundary failures pass through.
+    /// Checkpoint and WAL boundary failures pass through.
     pub fn close_window_labeled(
         &mut self,
         labels: Vec<QoaLabel>,
@@ -512,23 +541,19 @@ impl AlertCluster {
         snapshot.window_index = seq;
         snapshot.degraded = degraded;
         if let (Some(verdicts), Some(model)) = (closed.verdicts, self.closer.qoa_model()) {
-            let bytes = model.checkpoint().to_bytes();
+            // Coordinator state first: the model as of this close is
+            // durable before any log says the window closed.
+            write_qoa_checkpoint(&self.coordinator_dir, &model.checkpoint())?;
             for &node in &closed_nodes {
-                let slot = &self.slots[node];
-                if let Some(handle) = &slot.handle {
+                if let Some(handle) = &self.slots[node].handle {
                     handle.push_qoa_verdicts(&verdicts);
                 }
-                // Journaled before the boundary below, so the sealing
-                // segment carries the model state as of this close.
-                slot.wal.qoa_state(&bytes)?;
             }
         }
 
         // Seal every alive node's log at this sequence number.
         for &node in &closed_nodes {
-            let slot = &mut self.slots[node];
-            slot.wal.boundary(seq)?;
-            slot.pending = 0;
+            self.slots[node].wal.boundary(seq)?;
         }
 
         self.metrics.delivered.add(snapshot.alert_count as u64);
@@ -574,36 +599,28 @@ impl AlertCluster {
             .add(replayed.recovered_alerts);
         self.metrics.wal_torn_records.add(replayed.torn_records);
 
-        let recovered_tail = replayed.tail.len() as u64;
+        let journaled = self.slots[node].in_flight();
         self.restore_node(node, replayed.windows, replayed.tail)?;
-        let slot = &mut self.slots[node];
-        let lost = slot.pending.saturating_sub(recovered_tail);
+        let lost = journaled.saturating_sub(self.slots[node].in_flight());
         self.metrics.dropped.add(lost);
-        slot.pending = recovered_tail;
         Ok(())
     }
 
-    /// Hands `range` off to node `to` live: the source seals its state,
-    /// ships the range's slice of its retained windows and in-flight
-    /// tail (serialized through the [`HandoffShipment`] wire format),
-    /// the routing table is carved, and both ends respawn with their
-    /// new catalogs — the source without the range's history, the
-    /// target with its own history merged window-by-window with the
-    /// shipped one. Mid-stream safe: in-flight alerts for the range
-    /// move with it, so the handoff window closes byte-identical to a
-    /// run that never rebalanced, with nothing dropped or
-    /// double-counted.
+    /// Hands `range` off to node `to` live: both ends seal, the range's
+    /// slice of the source's retained windows and in-flight tail moves
+    /// to the target, the routing table is carved, and both ends
+    /// respawn with their new catalogs — the source without the
+    /// range's history, the target with its own history merged
+    /// window-by-window with the moved one. Mid-stream safe: in-flight
+    /// alerts for the range move with it, so the handoff window closes
+    /// byte-identical to a run that never rebalanced, with nothing
+    /// dropped or double-counted.
     ///
     /// # Errors
     ///
     /// Requires the whole range to be owned by one alive source node
     /// and `to` to be alive ([`io::ErrorKind::InvalidInput`]
     /// otherwise); WAL and spawn errors pass through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shipment fails binary-frame
-    /// round-tripping — a codec bug, not an operational state.
     pub fn handoff(&mut self, range: StrategyRange, to: usize) -> io::Result<HandoffReport> {
         let from = self.map.node_of(StrategyId(range.start));
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
@@ -631,6 +648,8 @@ impl AlertCluster {
             });
         }
         let started = Instant::now();
+
+        let journaled = self.slots[from].in_flight() + self.slots[to].in_flight();
 
         // Seal both ends: in-memory state is discarded, the WALs are
         // the (complete) truth.
@@ -661,26 +680,11 @@ impl AlertCluster {
         let (moved_tail, kept_tail): (Vec<Alert>, Vec<Alert>) =
             src.tail.into_iter().partition(in_range);
 
-        // Ship the moved slice through its wire format.
-        let shipment = HandoffShipment {
-            windows: moved_windows,
-            tail: moved_tail,
-        };
-        // A handoff frame carries whole windows, so it is exempt from
-        // the ingress frame bound — trust stays with the CRC.
-        let wire = WireEncoder::new().encode(&Frame::Handoff(Box::new(shipment)));
-        let mut decoder = WireDecoder::with_max_frame_len(usize::MAX);
-        let mut frames = decoder.feed(&wire);
-        let shipment = match (frames.pop(), frames.is_empty(), decoder.finish()) {
-            (Some(Ok(Frame::Handoff(shipment))), true, None) => *shipment,
-            other => panic!("shipment round-trips as one handoff frame, got {other:?}"),
-        };
-        let moved_alerts = shipment
-            .windows
+        let moved_alerts = moved_windows
             .iter()
             .map(|(_, alerts)| alerts.len() as u64)
             .sum::<u64>()
-            + shipment.tail.len() as u64;
+            + moved_tail.len() as u64;
 
         self.map.reassign(range, to);
 
@@ -688,11 +692,11 @@ impl AlertCluster {
         self.restore_node(from, kept_windows, kept_tail)?;
 
         // Respawn the target with its history merged window-by-window
-        // with the shipment (keyed by sequence number: the two ends may
-        // have different retained depths or boundary gaps from past
+        // with the moved slice (keyed by sequence number: the two ends
+        // may have different retained depths or boundary gaps from past
         // faults).
         let mut merged: BTreeMap<u64, Vec<Alert>> = BTreeMap::new();
-        for (seq, alerts) in dst.windows.into_iter().chain(shipment.windows) {
+        for (seq, alerts) in dst.windows.into_iter().chain(moved_windows) {
             merged.entry(seq).or_default().extend(alerts);
         }
         let mut target_windows: Vec<(u64, Vec<Alert>)> = merged.into_iter().collect();
@@ -700,19 +704,14 @@ impl AlertCluster {
             alerts.sort_by_key(|a| (a.raised_at(), a.id()));
         }
         let mut target_tail = dst.tail;
-        target_tail.extend(shipment.tail);
+        target_tail.extend(moved_tail);
         target_tail.sort_by_key(|a| (a.raised_at(), a.id()));
         self.restore_node(to, target_windows, target_tail)?;
 
-        // Pending moves with the alerts: total in-flight is conserved,
+        // In-flight moves with the alerts: the total is conserved,
         // minus anything a truncated log could not give back.
-        let pending_before = self.slots[from].pending + self.slots[to].pending;
-        let kept_pending = self.restored_pending(from);
-        let target_pending = self.restored_pending(to);
-        let lost = pending_before.saturating_sub(kept_pending + target_pending);
-        self.metrics.dropped.add(lost);
-        self.slots[from].pending = kept_pending;
-        self.slots[to].pending = target_pending;
+        let restored = self.slots[from].in_flight() + self.slots[to].in_flight();
+        self.metrics.dropped.add(journaled.saturating_sub(restored));
 
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.metrics.handoffs.inc();
@@ -726,13 +725,6 @@ impl AlertCluster {
         })
     }
 
-    /// Tail length restored for `node` by the last `restore_node` call
-    /// (its open-segment depth: everything re-journaled past the last
-    /// boundary).
-    fn restored_pending(&self, node: usize) -> u64 {
-        self.slots[node].wal.depth().pending_records
-    }
-
     /// Respawns `node` from explicit recovered state: re-journals and
     /// re-ingests each sealed window at its original sequence
     /// (publishing nothing — the windows were already published), then
@@ -743,7 +735,7 @@ impl AlertCluster {
         windows: Vec<(u64, Vec<Alert>)>,
         tail: Vec<Alert>,
     ) -> io::Result<()> {
-        let node_cat = node_catalog(&self.catalog, &self.map, node);
+        let node_cat = node_catalog(self.catalog.rows(), &self.map, node);
         let handle = spawn_node(&self.config.node, &node_cat, &self.make_governor)?;
         Wal::wipe(&self.slots[node].dir)?;
         let wal = Arc::new(Wal::open(&self.slots[node].dir, self.config.wal_retain())?);
@@ -756,12 +748,9 @@ impl AlertCluster {
             wal.boundary(*seq)?;
         }
         // A respawned node governs its next close with the
-        // coordinator's current verdicts, exactly like its peers; the
-        // fresh log is re-seeded with the model checkpoint so a
-        // whole-cluster restart right after still finds it.
+        // coordinator's current verdicts, exactly like its peers.
         if let Some(model) = self.closer.qoa_model() {
             handle.push_qoa_verdicts(&model.verdicts());
-            wal.qoa_state(&model.checkpoint().to_bytes())?;
         }
         // Shedding during history replay re-routes alerts that were
         // already accounted at their original close; don't re-count.
@@ -834,7 +823,7 @@ impl AlertCluster {
             delivered: self.metrics.delivered.get(),
             dropped: self.metrics.dropped.get(),
             quarantined: self.metrics.quarantined.get(),
-            in_flight: self.slots.iter().map(|s| s.pending).sum(),
+            in_flight: self.slots.iter().map(NodeSlot::in_flight).sum(),
             windows_closed: self.metrics.windows_closed.get(),
         }
     }
@@ -850,14 +839,14 @@ impl AlertCluster {
     /// in-flight total) first.
     #[must_use]
     pub fn render_metrics(&self) -> String {
+        let mut in_flight = 0;
         for (slot, gauges) in self.slots.iter().zip(&self.metrics.wal) {
             let depth = slot.wal.depth();
             gauges.sealed_segments.set(depth.sealed_segments);
             gauges.pending_records.set(depth.pending_records);
+            in_flight += depth.pending_records;
         }
-        self.metrics
-            .in_flight
-            .set(self.slots.iter().map(|s| s.pending).sum());
+        self.metrics.in_flight.set(in_flight);
         self.metrics.render()
     }
 
@@ -870,5 +859,38 @@ impl AlertCluster {
                 handle.shutdown();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(node: IngestdConfig) -> ClusterConfig {
+        ClusterConfig {
+            nodes: 2,
+            node,
+            wal_root: PathBuf::from("unused"),
+            wal_format: WalFormat::default(),
+        }
+    }
+
+    #[test]
+    fn a_listening_node_is_rejected() {
+        assert_eq!(config(IngestdConfig::default()).validate(), Ok(()));
+        let listening = config(IngestdConfig {
+            listen: Some("127.0.0.1:0".into()),
+            ..IngestdConfig::default()
+        });
+        assert!(listening.validate().unwrap_err().contains("listen"));
+    }
+
+    #[test]
+    fn a_node_status_socket_is_rejected() {
+        let serving = config(IngestdConfig {
+            status: Some("127.0.0.1:0".into()),
+            ..IngestdConfig::default()
+        });
+        assert!(serving.validate().unwrap_err().contains("status"));
     }
 }

@@ -19,17 +19,21 @@
 //!   to its owner's length+CRC-framed log (binary `alertops-wire`
 //!   frames by default, the pre-v2 NDJSON layout still replayable)
 //!   before it is routed; window boundaries seal segments with an
-//!   `fsync`. A killed node loses its memory, never its log.
+//!   `fsync`. A killed node loses its memory, never its log. A node's
+//!   log holds that node's alerts and boundaries; the one piece of
+//!   coordinator state that must outlive a restart, the online QoA
+//!   model, has one file of its own (`<wal_root>/coordinator/qoa.ckpt`),
+//!   replaced at every close.
 //! - **Rejoin replay** ([`AlertCluster::rejoin`],
 //!   [`AlertCluster::spawn`]): sealed windows rebuild the rolling
 //!   detection history, the in-flight tail comes back as pending work,
 //!   and a whole-cluster restart re-ingests the recovered stream
 //!   end-to-end — lossless with no live peer.
-//! - **Range handoff** ([`AlertCluster::handoff`]): a source node
-//!   seals, ships the moving range's slice of its retained windows as a
-//!   [`HandoffShipment`] (an `alertops-wire` binary frame on the
-//!   wire), and both ends respawn mid-stream without dropping or
-//!   double-counting a window.
+//! - **Range handoff** ([`AlertCluster::handoff`]): both ends seal, the
+//!   moving range's slice of the source's retained windows and
+//!   in-flight tail is re-journaled into the target's log, and both
+//!   ends respawn mid-stream without dropping or double-counting a
+//!   window.
 //!
 //! Everything is accounted: the cluster-level conservation law
 //! `ingested == delivered + dropped + quarantined + in_flight`
@@ -51,9 +55,7 @@ pub(crate) mod wal_v1;
 
 mod metrics;
 
-pub use cluster::{
-    AlertCluster, ClusterConfig, ClusterCounters, GovernorFactory, HandoffReport, HandoffShipment,
-};
+pub use cluster::{AlertCluster, ClusterConfig, ClusterCounters, GovernorFactory, HandoffReport};
 pub use journal::WalJournal;
 pub use metrics::ClusterMetrics;
 pub use range::{node_catalog, RangeMap, StrategyRange};

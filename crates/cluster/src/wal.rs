@@ -7,9 +7,9 @@
 //!   the magic header `AOWL` + version byte `0x02`
 //!   ([`alertops_wire::WAL_MAGIC`], [`alertops_wire::WAL_VERSION`])
 //!   and then speaks the `alertops-wire` frame codec: every record is
-//!   a `[len varint][crc32][payload]` frame (an alert, a QoA
-//!   checkpoint, or the window boundary that seals the segment), with
-//!   the segment's own string table turning repeated
+//!   a `[len varint][crc32][payload]` frame (an alert, or the window
+//!   boundary that seals the segment), with the segment's own string
+//!   table turning repeated
 //!   titles/services/locations into varint back-references. The table
 //!   resets at every rotation, so each segment is self-contained and
 //!   pruning stays a file unlink.
@@ -31,6 +31,11 @@
 //! the first framing/CRC failure and reports what it discarded —
 //! callers account those alerts as dropped rather than resurrecting
 //! guesses.
+//!
+//! A node's log holds that node's state and nothing else. The online
+//! QoA model is the coordinator's and lives in its own file (see
+//! `AlertCluster`); logs written before that carry a `QoaState` frame
+//! ahead of each boundary, which replay steps over.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -237,21 +242,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Journals an opaque online-QoA model checkpoint
-    /// (`alertops_core::QoaCheckpoint::to_bytes`) into the open
-    /// segment, so the boundary that seals it carries the model state
-    /// as of that window's close and a whole-cluster restart can
-    /// resume the feedback loop at identical weights.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors pass through.
-    pub fn qoa_state(&self, bytes: &[u8]) -> io::Result<()> {
-        let frame = Frame::QoaState(bytes.to_vec());
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.write(|encoder, out| encoder.encode_into(&frame, out))
-    }
-
     /// Seals the in-flight window: appends the boundary record,
     /// flushes, `fsync`s, rotates to a fresh segment (resetting the
     /// string table), and prunes sealed segments beyond the retained
@@ -309,18 +299,6 @@ pub struct WalReplay {
     pub duplicate_boundaries: u64,
     /// Total alerts recovered (windows plus tail).
     pub recovered_alerts: u64,
-    /// Online-QoA model checkpoints recovered, in log order:
-    /// `(window sequence, opaque checkpoint bytes)` — the bytes the
-    /// coordinator journaled via [`Wal::qoa_state`] just before the
-    /// boundary that sealed that window. Empty for v1 segments (the
-    /// format predates the loop) and for clusters with the feedback
-    /// loop off. Restart restores from the last entry (the newest
-    /// model).
-    pub qoa_states: Vec<(u64, Vec<u8>)>,
-    /// A checkpoint journaled after the last boundary — the restart
-    /// protocol re-journals the restored model into the fresh open
-    /// segment, so a second restart before any close still finds it.
-    pub tail_qoa: Option<Vec<u8>>,
 }
 
 /// The accumulating replay state shared by the v1 and v2 segment
@@ -328,10 +306,6 @@ pub struct WalReplay {
 struct ReplayState {
     windows: Vec<(u64, Vec<Alert>)>,
     current: Vec<Alert>,
-    /// A QoA checkpoint seen since the last boundary; attached to the
-    /// window that seals it.
-    pending_qoa: Option<Vec<u8>>,
-    qoa_states: Vec<(u64, Vec<u8>)>,
     torn_records: u64,
     duplicate_boundaries: u64,
 }
@@ -339,9 +313,6 @@ struct ReplayState {
 impl ReplayState {
     fn seal(&mut self, window: u64) {
         let alerts = std::mem::take(&mut self.current);
-        if let Some(bytes) = self.pending_qoa.take() {
-            self.qoa_states.push((window, bytes));
-        }
         if let Some((_, existing)) = self.windows.iter_mut().find(|(w, _)| *w == window) {
             // A window seq sealed twice: keep one window, keep every
             // alert, count the anomaly.
@@ -377,10 +348,10 @@ impl ReplayState {
             match item {
                 Ok(Frame::Alert(alert)) => self.current.push(*alert),
                 Ok(Frame::Boundary { window }) => self.seal(window),
-                // The coordinator journals the online-QoA model just
-                // before the sealing boundary; the checkpoint belongs
-                // to whichever window seals next.
-                Ok(Frame::QoaState(bytes)) => self.pending_qoa = Some(bytes),
+                // A pre-coordinator-file log journaled the QoA model
+                // ahead of each boundary. Nothing reads it any more,
+                // and it is a well-formed frame: skipped, not torn.
+                Ok(Frame::QoaState(_)) => {}
                 // Any other frame kind has no business in a WAL
                 // segment; treat it exactly like corruption.
                 Ok(_) | Err(_) => {
@@ -411,8 +382,6 @@ pub fn replay(dir: &Path) -> io::Result<WalReplay> {
     let mut state = ReplayState {
         windows: Vec::new(),
         current: Vec::new(),
-        pending_qoa: None,
-        qoa_states: Vec::new(),
         torn_records: 0,
         duplicate_boundaries: 0,
     };
@@ -443,8 +412,6 @@ pub fn replay(dir: &Path) -> io::Result<WalReplay> {
         torn_records: state.torn_records,
         duplicate_boundaries: state.duplicate_boundaries,
         recovered_alerts,
-        qoa_states: state.qoa_states,
-        tail_qoa: state.pending_qoa,
     })
 }
 
@@ -515,29 +482,23 @@ mod tests {
     }
 
     #[test]
-    fn qoa_checkpoints_ride_the_sealing_boundary() {
-        let dir = temp_dir("qoa-state");
-        let wal = Wal::open(&dir, 8).unwrap();
-        wal.append(&alert(1)).unwrap();
-        wal.qoa_state(&[9, 8, 7]).unwrap();
-        wal.boundary(0).unwrap();
-        wal.append(&alert(2)).unwrap();
-        wal.boundary(1).unwrap();
-        wal.qoa_state(&[1, 2]).unwrap();
-        wal.boundary(2).unwrap();
-        // A checkpoint in the open (unsealed) segment is never
-        // attributed to a window; it surfaces as the tail checkpoint.
-        wal.qoa_state(&[5]).unwrap();
+    fn a_qoa_record_in_an_old_segment_is_skipped_not_torn() {
+        // The layout written before the model moved to the
+        // coordinator's file: [alert, QoaState, boundary].
+        let dir = temp_dir("old-qoa");
+        fs::create_dir_all(&dir).unwrap();
+        let mut bytes = WAL_MAGIC.to_vec();
+        bytes.push(WAL_VERSION);
+        let mut encoder = WireEncoder::new();
+        encoder.encode_alert_into(&alert(1), &mut bytes);
+        encoder.encode_into(&Frame::QoaState(vec![9, 8, 7]), &mut bytes);
+        encoder.encode_into(&Frame::Boundary { window: 4 }, &mut bytes);
+        fs::write(segment_path(&dir, 0), bytes).unwrap();
 
         let replayed = replay(&dir).unwrap();
+        assert_eq!(replayed.windows, vec![(4, vec![alert(1)])]);
+        assert!(replayed.tail.is_empty());
         assert_eq!(replayed.torn_records, 0);
-        assert_eq!(
-            replayed.qoa_states,
-            vec![(0, vec![9, 8, 7]), (2, vec![1, 2])]
-        );
-        assert_eq!(replayed.tail_qoa, Some(vec![5]));
-        assert_eq!(replayed.windows.len(), 3);
-        assert_eq!(replayed.recovered_alerts, 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -156,7 +156,7 @@ impl WindowCloser {
         self.qoa = Some(OnlineQoaModel::new(config));
     }
 
-    /// Starts the QoA channel from a journaled checkpoint — exact
+    /// Starts the QoA channel from a stored checkpoint — exact
     /// weights, not a relearn. Returns `false` when the checkpoint is
     /// malformed, leaving the current model (or its absence) untouched.
     pub fn restore_qoa(&mut self, config: QoaFeedbackConfig, checkpoint: &QoaCheckpoint) -> bool {

@@ -96,7 +96,10 @@ pub struct StreamingConfig {
     /// older than this slides out of scope (bounded memory, and stale
     /// noise stops tainting fixed strategies).
     pub history_windows: usize,
-    /// Storm detection configuration for the onset flag.
+    /// Storm detection configuration. A governor never reads it — a
+    /// partition cannot know the global storm state — the holder's
+    /// [`WindowCloser`](crate::WindowCloser) does, over the merged
+    /// histogram.
     pub storm: StormConfig,
     /// The emerging-alert (R4) channel.
     pub emerging: EmergingChannel,
@@ -128,8 +131,6 @@ pub struct WindowDelta {
     /// `(pattern, strategy)` pairs flagged after the previous window but
     /// clear now — fixes taking effect (or evidence sliding out).
     pub resolved: Vec<(AntiPattern, StrategyId)>,
-    /// Whether any region is inside a storm given the current history.
-    pub storm_active: bool,
     /// `(region, hour, count)` histogram over the *rolling history*
     /// scope this delta was computed from. Histograms from shards that
     /// partition the stream sum key-wise to the unsharded histogram,
@@ -175,7 +176,6 @@ impl WindowDelta {
             alert_count: 0,
             new_findings: Vec::new(),
             resolved: Vec::new(),
-            storm_active: false,
             region_hours: Vec::new(),
             window_hours: Vec::new(),
             triage: Vec::new(),
@@ -278,7 +278,6 @@ impl WindowDelta {
             alert_count,
             new_findings,
             resolved,
-            storm_active: deltas.iter().any(|d| d.storm_active),
             region_hours,
             window_hours,
             triage,
@@ -607,8 +606,9 @@ impl StreamingGovernor {
             .copied()
             .collect();
 
-        let histogram = self.engine.histogram();
-        let region_hours: Vec<(RegionId, u64, usize)> = histogram
+        let region_hours: Vec<(RegionId, u64, usize)> = self
+            .engine
+            .histogram()
             .iter()
             .map(|(key, count)| (key.0.clone(), key.1, *count))
             .collect();
@@ -618,13 +618,6 @@ impl StreamingGovernor {
             .collect::<BTreeSet<u64>>()
             .into_iter()
             .collect();
-        let storm_active = storms_from_histogram(histogram.clone(), &self.config.storm)
-            .iter()
-            .any(|s| {
-                s.hours
-                    .iter()
-                    .any(|h| window_hours.binary_search(h).is_ok())
-            });
 
         let blocker = self.governor.derive_blocker(&report);
         let pipeline = self.governor.react(window, blocker);
@@ -702,7 +695,6 @@ impl StreamingGovernor {
             alert_count: window.len(),
             new_findings,
             resolved,
-            storm_active,
             region_hours,
             window_hours,
             triage: pipeline.triage,
@@ -942,11 +934,14 @@ mod tests {
     #[test]
     fn storm_flag_follows_volume() {
         let mut s = streaming(24);
+        let storm_active = |delta: &WindowDelta| {
+            GovernanceSnapshot::from_delta(delta, &StormConfig::default()).storm_active
+        };
         let calm = s.ingest(&transient_window(0, 1, 0, 10), &[]);
-        assert!(!calm.storm_active);
+        assert!(!storm_active(&calm));
         // 150 alerts in one hour: above the 100/region/hour bar.
         let stormy = s.ingest(&transient_window(1_000, 2, 1, 150), &[]);
-        assert!(stormy.storm_active);
+        assert!(storm_active(&stormy));
     }
 
     #[test]
@@ -984,7 +979,7 @@ mod tests {
         let d = s.ingest(&[], &[]);
         assert_eq!(d.alert_count, 0);
         assert!(d.triage.is_empty());
-        assert!(!d.storm_active);
+        assert!(d.region_hours.is_empty() && d.window_hours.is_empty());
     }
 
     #[test]
@@ -1005,7 +1000,6 @@ mod tests {
             GovernanceSnapshot::merge(std::slice::from_ref(&delta), &StormConfig::default());
         assert_eq!(snapshot.window_index, delta.window_index);
         assert_eq!(snapshot.alert_count, delta.alert_count);
-        assert_eq!(snapshot.storm_active, delta.storm_active);
         assert!(snapshot.storm_active, "150 alerts/hour is a storm");
         assert_eq!(snapshot.storms.len(), 1);
         let mut triage = delta.triage.clone();
@@ -1270,7 +1264,10 @@ mod tests {
         let mut shard_b = streaming(24);
         let da = shard_a.ingest(&transient_window(0, 1, 0, 80), &[]);
         let db = shard_b.ingest(&transient_window(500, 2, 0, 80), &[]);
-        assert!(!da.storm_active && !db.storm_active);
+        for alone in [&da, &db] {
+            let alone = GovernanceSnapshot::from_delta(alone, &StormConfig::default());
+            assert!(!alone.storm_active, "80 alerts/hour is below the bar");
+        }
         let merged = GovernanceSnapshot::merge(&[da, db], &StormConfig::default());
         assert!(merged.storm_active, "shards must sum to a global storm");
         assert_eq!(merged.alert_count, 160);

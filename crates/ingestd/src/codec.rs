@@ -345,8 +345,8 @@ pub fn encode_alert(alert: &Alert) -> String {
 
 /// Renders one ingress frame as its wire line (no trailing newline) —
 /// the inverse of [`parse_frame`]. `None` for the frame kinds that
-/// only exist in WAL segments, handoff shipments and the ack lane,
-/// which NDJSON has no line for.
+/// only exist in WAL segments, the cluster's checkpoint file and the
+/// ack lane, which NDJSON has no line for.
 #[must_use]
 pub fn frame_line(frame: &Frame) -> Option<String> {
     Some(match frame {
@@ -363,9 +363,7 @@ pub fn frame_line(frame: &Frame) -> Option<String> {
         Frame::Chaos(ChaosCmd::Resume { shard }) => {
             format!(r#"{{"ctrl":"resume","shard":{shard}}}"#)
         }
-        Frame::Boundary { .. } | Frame::Handoff(_) | Frame::Ack(_) | Frame::QoaState(_) => {
-            return None
-        }
+        Frame::Boundary { .. } | Frame::Ack(_) | Frame::QoaState(_) => return None,
     })
 }
 

@@ -800,8 +800,8 @@ fn handle_item(
 
 /// Applies one ingress frame, answering through `ack` (`false` from
 /// it: the peer is gone); `false` ends the connection. Frame kinds
-/// that only exist for WAL segments, handoff shipments or the ack lane
-/// are quarantined as unknown controls.
+/// that only exist for WAL segments, the cluster's checkpoint file or
+/// the ack lane are quarantined as unknown controls.
 fn handle_frame(frame: Frame, router: &Arc<Router>, mut ack: impl FnMut(AckFrame) -> bool) -> bool {
     match frame {
         Frame::Alert(alert) => router.route(alert),
@@ -838,7 +838,7 @@ fn handle_frame(frame: Frame, router: &Arc<Router>, mut ack: impl FnMut(AckFrame
                 }
             }
         }
-        Frame::Boundary { .. } | Frame::Handoff(_) | Frame::Ack(_) | Frame::QoaState(_) => {
+        Frame::Boundary { .. } | Frame::Ack(_) | Frame::QoaState(_) => {
             router.counters.quarantine(QuarantineReason::UnknownControl);
         }
     }

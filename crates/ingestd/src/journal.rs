@@ -12,11 +12,11 @@
 //! been folded into governance state, so the journal may seal the
 //! window's records and prune beyond the rolling history).
 //!
-//! The workspace's implementation is the write-ahead log in
-//! `alertops-cluster` (length+CRC-framed `alertops-wire` binary
-//! segments); tests use in-memory journals. Journal calls happen on the hot ingress path —
-//! implementations buffer or flush at their own risk/latency
-//! trade-off, but must be cheap and must never panic.
+//! The workspace's one implementation is `alertops-cluster`'s
+//! `WalJournal` over its write-ahead log (length+CRC-framed
+//! `alertops-wire` binary segments). Journal calls happen on the hot
+//! ingress path — implementations buffer or flush at their own
+//! risk/latency trade-off, but must be cheap and must never panic.
 
 use alertops_model::Alert;
 

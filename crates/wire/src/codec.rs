@@ -24,11 +24,10 @@ use alertops_model::StrTable;
 use crate::frame::{decode_payload, encode_payload, Frame};
 use crate::varint;
 
-/// Hard ceiling on one frame's payload length in bytes (ingress
-/// default). A length prefix above the decoder's limit is rejected
-/// before any buffering, so a hostile producer cannot balloon daemon
-/// memory with one declared-huge frame. The NDJSON decoder bounds its
-/// lines with this same constant.
+/// Hard ceiling on one frame's payload length in bytes. A length
+/// prefix above it is rejected before any buffering, so a hostile
+/// producer cannot balloon daemon memory with one declared-huge frame.
+/// The NDJSON decoder bounds its lines with this same constant.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Distinct strings a stream's table registers before falling back to
@@ -65,11 +64,11 @@ pub enum WireError {
         /// The CRC of the payload as received.
         found: u32,
     },
-    /// A frame declared a payload longer than the decoder's limit.
+    /// A frame declared a payload longer than [`MAX_FRAME_LEN`].
     Oversized {
         /// The declared payload length.
         len: u64,
-        /// The decoder's limit.
+        /// The limit it exceeded.
         max: usize,
     },
     /// The payload passed its CRC but does not decode: bad tag, bad
@@ -181,7 +180,6 @@ impl WireEncoder {
 pub struct WireDecoder {
     buf: Vec<u8>,
     table: StrTable,
-    max_frame_len: usize,
     poisoned: bool,
 }
 
@@ -192,21 +190,13 @@ impl Default for WireDecoder {
 }
 
 impl WireDecoder {
-    /// A fresh decoder bounded at [`MAX_FRAME_LEN`].
+    /// A fresh decoder with an empty string table; frames are bounded
+    /// at [`MAX_FRAME_LEN`].
     #[must_use]
     pub fn new() -> Self {
-        Self::with_max_frame_len(MAX_FRAME_LEN)
-    }
-
-    /// A decoder accepting payloads up to `max_frame_len` bytes — the
-    /// handoff path raises the bound, since one shipment frame carries
-    /// a whole checkpoint.
-    #[must_use]
-    pub fn with_max_frame_len(max_frame_len: usize) -> Self {
         Self {
             buf: Vec::new(),
             table: StrTable::with_capacity(WIRE_TABLE_CAP),
-            max_frame_len,
             poisoned: false,
         }
     }
@@ -293,10 +283,10 @@ impl WireDecoder {
             }
             return Ok(None);
         };
-        if len > self.max_frame_len as u64 {
+        if len > MAX_FRAME_LEN as u64 {
             return Err(WireError::Oversized {
                 len,
-                max: self.max_frame_len,
+                max: MAX_FRAME_LEN,
             });
         }
         let len = len as usize;
@@ -322,7 +312,7 @@ impl WireDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{AckFrame, ChaosCmd, HandoffFrame};
+    use crate::frame::{AckFrame, ChaosCmd};
     use alertops_model::{
         Alert, AlertId, Clearance, Location, Severity, SimDuration, SimTime, StrategyId,
     };
@@ -358,11 +348,6 @@ mod tests {
         }));
         frames.push(Frame::Chaos(ChaosCmd::Stall { shard: 1 }));
         frames.push(Frame::Chaos(ChaosCmd::Resume { shard: 1 }));
-        // A gap in the sequence numbers: what past faults leave behind.
-        frames.push(Frame::Handoff(Box::new(HandoffFrame {
-            windows: vec![(3, vec![alert(100), alert(101)]), (5, vec![alert(102)])],
-            tail: vec![alert(103)],
-        })));
         frames.push(Frame::Flush);
         frames.push(Frame::Shutdown);
         frames.push(Frame::Sync);
@@ -536,9 +521,9 @@ mod tests {
 
     #[test]
     fn oversized_declaration_is_rejected_without_buffering() {
-        let mut decoder = WireDecoder::with_max_frame_len(64);
+        let mut decoder = WireDecoder::new();
         let mut wire = Vec::new();
-        varint::encode(1 << 30, &mut wire); // declared length, no payload
+        varint::encode(MAX_FRAME_LEN as u64 + 1, &mut wire); // declared length, no payload
         let got = decoder.feed(&wire);
         assert_eq!(got.len(), 1);
         match got.into_iter().next().unwrap() {
@@ -566,33 +551,14 @@ mod tests {
     }
 
     #[test]
-    fn handoff_window_count_beyond_the_payload_is_malformed() {
-        // A window count no payload could hold, then nothing: the
-        // decode must fail on the first missing field without
-        // reserving room for the claimed windows.
-        let mut payload = vec![crate::frame::TAG_HANDOFF];
-        varint::encode(u64::MAX >> 1, &mut payload);
-        let got = WireDecoder::with_max_frame_len(usize::MAX).feed(&framed(&payload));
+    fn the_retired_tag_is_malformed() {
+        // Tag 4 stays unassigned: an old producer's frame is rejected,
+        // never misread as a newer kind.
+        let got = WireDecoder::new().feed(&framed(&[4, 0, 0]));
         assert!(
             matches!(got.as_slice(), [Err(WireError::Malformed(_))]),
             "got {got:?}"
         );
-    }
-
-    #[test]
-    fn handoff_frames_can_exceed_the_ingress_bound() {
-        let big = Frame::Handoff(Box::new(HandoffFrame {
-            windows: (0..4)
-                .map(|w| (w, (0..2000).map(|i| alert(w * 2000 + i)).collect()))
-                .collect(),
-            tail: Vec::new(),
-        }));
-        let mut encoder = WireEncoder::new();
-        let wire = encoder.encode(&big);
-        let mut decoder = WireDecoder::with_max_frame_len(usize::MAX);
-        let got = decoder.feed(&wire);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got.into_iter().next().unwrap().unwrap(), big);
     }
 }
 

@@ -21,8 +21,8 @@ pub(crate) const TAG_ALERT: u8 = 1;
 pub(crate) const TAG_BOUNDARY: u8 = 2;
 /// Payload tag: a chaos fault-injection command.
 pub(crate) const TAG_CHAOS: u8 = 3;
-/// Payload tag: a range-handoff shipment.
-pub(crate) const TAG_HANDOFF: u8 = 4;
+// Tag 4 is retired and stays unassigned, so a frame from an old
+// producer is rejected as malformed rather than misread.
 /// Payload tag: close the current window.
 pub(crate) const TAG_FLUSH: u8 = 5;
 /// Payload tag: stop the daemon.
@@ -31,7 +31,8 @@ pub(crate) const TAG_SHUTDOWN: u8 = 6;
 pub(crate) const TAG_SYNC: u8 = 7;
 /// Payload tag: a daemon→client acknowledgement.
 pub(crate) const TAG_ACK: u8 = 8;
-/// Payload tag: an opaque QoA model checkpoint (journaled in the WAL).
+/// Payload tag: an opaque QoA model checkpoint (the cluster
+/// coordinator's checkpoint file).
 pub(crate) const TAG_QOA_STATE: u8 = 9;
 
 /// String marker: literal, registered in the table (assigns the next
@@ -45,7 +46,8 @@ const STR_UNCACHED: u8 = 0x02;
 
 /// One decoded binary frame. The superset of the NDJSON protocol's
 /// line frames: ingress uses `Alert`/`Flush`/`Shutdown`/`Sync`/
-/// `Chaos`, the WAL adds `Boundary`, range handoff adds `Handoff`.
+/// `Chaos`, the WAL adds `Boundary`, the cluster coordinator's
+/// checkpoint file is one `QoaState`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// An alert record.
@@ -59,9 +61,6 @@ pub enum Frame {
     /// Chaos fault injection, gated exactly like the NDJSON chaos
     /// verbs.
     Chaos(ChaosCmd),
-    /// A range-handoff shipment (sealed history slice plus in-flight
-    /// tail).
-    Handoff(Box<HandoffFrame>),
     /// Close the current window across all shards now.
     Flush,
     /// Stop the daemon.
@@ -73,8 +72,9 @@ pub enum Frame {
     Ack(AckFrame),
     /// An opaque QoA model checkpoint (`QoaCheckpoint::to_bytes`
     /// bytes). The wire layer does not interpret the body — the
-    /// cluster WAL journals it at window boundaries so a restart can
-    /// replay the online model to identical weights.
+    /// cluster coordinator writes it as its checkpoint file at every
+    /// window close so a restart resumes the online model at identical
+    /// weights.
     QoaState(Vec<u8>),
 }
 
@@ -121,21 +121,6 @@ pub enum ChaosCmd {
         /// Target shard.
         shard: usize,
     },
-}
-
-/// What a range handoff ships from source to target: the moved
-/// strategies' slice of the source's rolling history and in-flight
-/// window. `alertops-cluster` re-exports this as its
-/// `HandoffShipment`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HandoffFrame {
-    /// The moved strategies' slice of each sealed window the source
-    /// retains, oldest first, keyed by cluster window sequence number
-    /// (past faults may have left gaps) — the shape a WAL replay
-    /// yields.
-    pub windows: Vec<(u64, Vec<Alert>)>,
-    /// The moved strategies' slice of the source's in-flight window.
-    pub tail: Vec<Alert>,
 }
 
 /// A read cursor over one payload's bytes.
@@ -393,47 +378,6 @@ fn decode_chaos_body(cursor: &mut Cursor<'_>) -> Result<ChaosCmd, WireError> {
     }
 }
 
-fn encode_handoff_body(handoff: &HandoffFrame, table: &mut StrTable, out: &mut Vec<u8>) {
-    varint::encode(handoff.windows.len() as u64, out);
-    for (seq, window) in &handoff.windows {
-        varint::encode(*seq, out);
-        varint::encode(window.len() as u64, out);
-        for alert in window {
-            encode_alert_body(alert, table, out);
-        }
-    }
-    varint::encode(handoff.tail.len() as u64, out);
-    for alert in &handoff.tail {
-        encode_alert_body(alert, table, out);
-    }
-}
-
-fn decode_handoff_body(
-    cursor: &mut Cursor<'_>,
-    table: &mut StrTable,
-) -> Result<HandoffFrame, WireError> {
-    // Counts bound allocation by what the payload could actually hold
-    // (the frame length is already capped), so a corrupt count cannot
-    // reserve unbounded memory before the field decode fails.
-    let count = cursor.usize()?;
-    let mut windows = Vec::with_capacity(count.min(cursor.remaining()));
-    for _ in 0..count {
-        let seq = cursor.varint()?;
-        let len = cursor.usize()?;
-        let mut window = Vec::with_capacity(len.min(cursor.remaining()));
-        for _ in 0..len {
-            window.push(decode_alert_body(cursor, table)?);
-        }
-        windows.push((seq, window));
-    }
-    let tail_len = cursor.usize()?;
-    let mut tail = Vec::with_capacity(tail_len.min(cursor.remaining()));
-    for _ in 0..tail_len {
-        tail.push(decode_alert_body(cursor, table)?);
-    }
-    Ok(HandoffFrame { windows, tail })
-}
-
 /// Appends an alert payload (`[TAG_ALERT][body]`) without requiring
 /// the alert to be boxed into a [`Frame`] first — the WAL's
 /// per-append hot path.
@@ -457,10 +401,6 @@ pub(crate) fn encode_payload(frame: &Frame, table: &mut StrTable, out: &mut Vec<
         Frame::Chaos(cmd) => {
             out.push(TAG_CHAOS);
             encode_chaos_body(cmd, out);
-        }
-        Frame::Handoff(handoff) => {
-            out.push(TAG_HANDOFF);
-            encode_handoff_body(handoff, table, out);
         }
         Frame::Flush => out.push(TAG_FLUSH),
         Frame::Shutdown => out.push(TAG_SHUTDOWN),
@@ -487,7 +427,6 @@ pub(crate) fn decode_payload(bytes: &[u8], table: &mut StrTable) -> Result<Frame
             window: cursor.varint()?,
         },
         TAG_CHAOS => Frame::Chaos(decode_chaos_body(&mut cursor)?),
-        TAG_HANDOFF => Frame::Handoff(Box::new(decode_handoff_body(&mut cursor, table)?)),
         TAG_FLUSH => Frame::Flush,
         TAG_SHUTDOWN => Frame::Shutdown,
         TAG_SYNC => Frame::Sync,

@@ -1,14 +1,15 @@
 //! One frame vocabulary, two encodings.
 //!
 //! [`Frame`], [`AckFrame`] and [`ChaosCmd`] are the only frame and ack
-//! types in the system: ingress traffic, WAL segment records and
-//! range-handoff shipments are all `Frame`s. This crate also defines
-//! their **binary** encoding ([`WireEncoder`] / [`WireDecoder`]), which
-//! the WAL and handoff always speak and ingress speaks with
-//! `--wire binary`. The other encoding, **NDJSON**, is ingress-only and
-//! lives in `alertops-ingestd`'s `codec` module as a line ⇄ `Frame`
-//! adapter; past either decoder nothing knows which one a connection
-//! used ([`WireFormat`] picks it per daemon, NDJSON by default).
+//! types in the system: ingress traffic, WAL segment records and the
+//! cluster coordinator's checkpoint file are all `Frame`s. This crate
+//! also defines their **binary** encoding ([`WireEncoder`] /
+//! [`WireDecoder`]), which the WAL and the checkpoint file always speak
+//! and ingress speaks with `--wire binary`. The other encoding,
+//! **NDJSON**, is ingress-only and lives in `alertops-ingestd`'s
+//! `codec` module as a line ⇄ `Frame` adapter; past either decoder
+//! nothing knows which one a connection used ([`WireFormat`] picks it
+//! per daemon, NDJSON by default).
 //!
 //! The binary encoding exists to kill the two steady-state costs of
 //! JSON re-serialization: the per-alert `String` round trip, and
@@ -32,7 +33,7 @@
 //! | 1   | [`Frame::Alert`]                          |
 //! | 2   | [`Frame::Boundary`] (WAL window seal)     |
 //! | 3   | [`Frame::Chaos`] ([`ChaosCmd`] sub-tag)   |
-//! | 4   | [`Frame::Handoff`] ([`HandoffFrame`])     |
+//! | 4   | reserved: decodes as malformed            |
 //! | 5   | [`Frame::Flush`]                          |
 //! | 6   | [`Frame::Shutdown`]                       |
 //! | 7   | [`Frame::Sync`]                           |
@@ -67,7 +68,7 @@ pub mod frame;
 pub mod varint;
 
 pub use codec::{crc32, WireDecoder, WireEncoder, WireError, MAX_FRAME_LEN, WIRE_TABLE_CAP};
-pub use frame::{AckFrame, ChaosCmd, Frame, HandoffFrame};
+pub use frame::{AckFrame, ChaosCmd, Frame};
 
 /// Magic prefix of a binary (v2) WAL segment.
 pub const WAL_MAGIC: [u8; 4] = *b"AOWL";

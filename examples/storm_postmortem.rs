@@ -34,11 +34,15 @@ fn main() {
             .cloned()
             .collect();
         let delta = streaming.ingest(&window, &incidents);
-        if !delta.new_findings.is_empty() || delta.storm_active {
+        // One governor is the whole stream, so its delta's histogram is
+        // the global one and the snapshot's storm flag is exact.
+        let storm_active =
+            GovernanceSnapshot::from_delta(&delta, &StormConfig::default()).storm_active;
+        if !delta.new_findings.is_empty() || storm_active {
             println!(
                 "hour {hour:02}: {} alerts{}{}",
                 delta.alert_count,
-                if delta.storm_active { " ⛈ STORM" } else { "" },
+                if storm_active { " ⛈ STORM" } else { "" },
                 if delta.new_findings.is_empty() {
                     String::new()
                 } else {
@@ -46,7 +50,7 @@ fn main() {
                 }
             );
         }
-        if delta.storm_active {
+        if storm_active {
             storm_hours.push(hour);
         }
     }

@@ -523,7 +523,7 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
         if journal.is_some() {
             println!(
                 "qoa + wal: the standalone journal does not carry the QoA model — \
-                 a restart begins from a fresh one (the cluster journals it)"
+                 a restart begins from a fresh one (the cluster checkpoints it)"
             );
         }
     }

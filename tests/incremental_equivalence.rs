@@ -34,6 +34,10 @@ struct BatchOracle {
     incidents: Vec<Incident>,
     previous_flags: BTreeSet<(AntiPattern, StrategyId)>,
     windows_ingested: u64,
+    /// Whether a storm over the current scope touches the last window,
+    /// from the histogram directly — what the merge point must read
+    /// back out of a delta.
+    storm_active: bool,
 }
 
 impl BatchOracle {
@@ -45,6 +49,7 @@ impl BatchOracle {
             incidents: Vec::new(),
             previous_flags: BTreeSet::new(),
             windows_ingested: 0,
+            storm_active: false,
         }
     }
 
@@ -103,7 +108,7 @@ impl BatchOracle {
             .collect::<BTreeSet<u64>>()
             .into_iter()
             .collect();
-        let storm_active = storms_from_histogram(histogram, &self.config.storm)
+        self.storm_active = storms_from_histogram(histogram, &self.config.storm)
             .iter()
             .any(|s| {
                 s.hours
@@ -120,7 +125,6 @@ impl BatchOracle {
             alert_count: window.len(),
             new_findings,
             resolved,
-            storm_active,
             region_hours,
             window_hours,
             triage: pipeline.triage,
@@ -212,6 +216,11 @@ fn incremental_streaming_matches_batch_recompute() {
                 json_delta(&fast),
                 json_delta(&slow),
                 "delta diverged at window {index} (history_windows={history_windows}, graph={with_graph})"
+            );
+            assert_eq!(
+                GovernanceSnapshot::from_delta(&fast, &config.storm).storm_active,
+                oracle.storm_active,
+                "storm flag diverged at window {index}"
             );
             assert_eq!(
                 incremental.history_len(),

@@ -10,11 +10,13 @@
 //!   the blocker, high-quality strategies' alerts ride the escalation
 //!   lane, and escalated alerts stay a subset of the delivered window
 //!   (the conservation law is untouched).
-//! - A cluster restart from the WALs restores the model bit-for-bit
-//!   (checkpoint replay, not relearning) and the post-restart stream
-//!   matches an uninterrupted run.
+//! - A cluster restart restores the model bit-for-bit from the
+//!   coordinator's checkpoint file (not relearning) and the
+//!   post-restart stream matches an uninterrupted run; the file is
+//!   written with every node dead, and a damaged one means a fresh
+//!   model, never an error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use alertops::cluster::{AlertCluster, ClusterConfig, GovernorFactory, WalFormat};
@@ -276,7 +278,7 @@ fn escalated_alerts_are_a_subset_of_the_delivered_window() {
 }
 
 // ---------------------------------------------------------------------
-// Cluster: the model is journaled state, not relearned state.
+// Cluster: the model is checkpointed state, not relearned state.
 // ---------------------------------------------------------------------
 
 fn wal_root(tag: &str) -> PathBuf {
@@ -323,7 +325,7 @@ fn close_labeled(
 }
 
 /// `kill -9` the whole cluster, respawn from the WALs: the model comes
-/// back bit-identical (from its journaled checkpoint — labels are not
+/// back bit-identical (from its checkpoint file — labels are not
 /// journaled, so relearning is impossible by construction) and the
 /// windows closed *after* the restart match an uninterrupted run byte
 /// for byte.
@@ -385,4 +387,97 @@ fn cluster_restart_restores_the_model_from_its_checkpoint() {
     assert!(cluster.counters().is_conserved());
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The model is the coordinator's: a close with no node alive to seal
+/// it still moves the model, so it must still checkpoint it.
+#[test]
+fn a_close_with_every_node_dead_still_checkpoints_the_model() {
+    let (out, windows) = windowed_trace(7);
+    let root = wal_root("qoa-all-dead");
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cluster = spawn_cluster(2, root.clone(), &out);
+    for window in &windows[..3] {
+        close_labeled(&mut cluster, &out, window, 0.0);
+    }
+    let last_sealed = cluster.qoa_model_digest().expect("qoa loop is on");
+
+    cluster.kill(0);
+    cluster.kill(1);
+    let snapshot = close_labeled(&mut cluster, &out, &windows[3], 0.0);
+    assert_eq!(snapshot.alert_count, 0, "nobody was alive to deliver");
+    let all_dead = cluster.qoa_model_digest().expect("qoa loop is on");
+    assert_ne!(all_dead, last_sealed, "the close moved the model");
+    assert!(cluster.counters().is_conserved());
+    cluster.shutdown();
+
+    let cluster = spawn_cluster(2, root.clone(), &out);
+    assert_eq!(
+        cluster.qoa_model_digest(),
+        Some(all_dead),
+        "restart must restore the model of the last close, sealed by a node or not"
+    );
+    assert!(cluster.counters().is_conserved());
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The checkpoint file's integrity check is its frame's length + CRC.
+/// Whatever fails it — a torn write, bit rot, a crash before the first
+/// rename — costs the learned weights, not the restart, and the next
+/// close puts a good file back.
+#[test]
+fn a_damaged_checkpoint_file_means_a_fresh_model_not_an_error() {
+    let (out, windows) = windowed_trace(7);
+    let fresh_root = wal_root("qoa-fresh");
+    let _ = std::fs::remove_dir_all(&fresh_root);
+    let fresh = spawn_cluster(2, fresh_root.clone(), &out);
+    let fresh_digest = fresh.qoa_model_digest().expect("qoa loop is on");
+    fresh.shutdown();
+    let _ = std::fs::remove_dir_all(&fresh_root);
+
+    fn truncate(ckpt: &Path) {
+        let len = std::fs::metadata(ckpt).unwrap().len();
+        let file = std::fs::OpenOptions::new().write(true).open(ckpt).unwrap();
+        file.set_len(len / 2).unwrap();
+    }
+    fn flip_a_crc_byte(ckpt: &Path) {
+        let mut bytes = std::fs::read(ckpt).unwrap();
+        // [len varint][crc32 LE][payload]: the CRC starts after the
+        // varint's last byte, the first one without the high bit.
+        let crc_at = bytes.iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+        bytes[crc_at] ^= 0xff;
+        std::fs::write(ckpt, bytes).unwrap();
+    }
+    fn leave_only_the_tmp(ckpt: &Path) {
+        std::fs::rename(ckpt, ckpt.with_extension("ckpt.tmp")).unwrap();
+    }
+    let restart_over = |tag: &str, damage: fn(&Path)| {
+        let root = wal_root(&format!("qoa-damaged-{tag}"));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut cluster = spawn_cluster(2, root.clone(), &out);
+        for window in &windows[..2] {
+            close_labeled(&mut cluster, &out, window, 0.0);
+        }
+        assert_ne!(cluster.qoa_model_digest(), Some(fresh_digest), "{tag}");
+        cluster.shutdown();
+
+        let coordinator = root.join("coordinator");
+        damage(&coordinator.join("qoa.ckpt"));
+        let mut cluster = spawn_cluster(2, root.clone(), &out);
+        assert_eq!(cluster.qoa_model_digest(), Some(fresh_digest), "{tag}");
+        assert_eq!(cluster.next_window_seq(), 2, "{tag}: the logs still replay");
+
+        close_labeled(&mut cluster, &out, &windows[2], 0.0);
+        let relearned = cluster.qoa_model_digest();
+        cluster.shutdown();
+        assert!(!coordinator.join("qoa.ckpt.tmp").exists(), "{tag}");
+        let cluster = spawn_cluster(2, root.clone(), &out);
+        assert_eq!(cluster.qoa_model_digest(), relearned, "{tag}");
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    };
+    restart_over("truncated", truncate);
+    restart_over("crc", flip_a_crc_byte);
+    restart_over("tmp", leave_only_the_tmp);
 }
