@@ -1,31 +1,32 @@
-//! The cluster driver: N in-process `ingestd` nodes behind one
-//! range-routing front door, merged into one global governance
-//! snapshot per window.
+//! The cluster driver: N in-process nodes behind one range-routing
+//! front door, merged into one global governance snapshot per window.
 //!
 //! # Shape
 //!
 //! ```text
-//!              route(alert)                 close_window()
-//!                   │                             │
-//!                   ▼                             ▼
-//!            ┌─────────────┐   WindowDelta  ┌───────────────┐
-//!  WAL ◀──── │  RangeMap    │ ◀──per node───│  coordinator:  │
-//!  append    │  node_of(id) │               │  merge_all +   │
-//!            └──────┬──────┘                │  from_delta    │
-//!                   ▼                       └──────┬────────┘
-//!          node 0 .. node N-1                      ▼
-//!          (Ingestd daemons,            GovernanceSnapshot
-//!           node role)                  (+ sequential passes)
+//!              route(alert)                   close_window()
+//!                   │                               │
+//!                   ▼                               ▼
+//!            ┌─────────────┐  Close{seq} to   ┌────────────────┐
+//!  WAL ◀──── │  RangeMap    │  every node's   │  coordinator:   │
+//!  append    │  node_of(id) │  shards, then   │  one closer,    │
+//!            └──────┬──────┘  one delta per   │  one close over │
+//!                   ▼         shard back      │  all of them    │
+//!          node 0 .. node N-1 ───────────────▶└──────┬─────────┘
+//!          (a range, a log,                          ▼
+//!           a ShardPool)                    GovernanceSnapshot
 //! ```
 //!
-//! Each node is a full [`alertops_ingestd::Ingestd`] daemon over the
-//! contiguous strategy range the [`RangeMap`](crate::RangeMap) assigns
-//! it. The cluster is the coordinator one level up: it collects each
-//! node's [`alertops_core::WindowDelta`] at window close and merges
-//! them with the same commutative-monoid merge the daemon uses across
-//! shards (one [`WindowCloser`], one level up) — so a
-//! 4-node cluster, a 1-node cluster, and the batch governor publish
-//! byte-identical snapshots over the same stream.
+//! A node is the contiguous strategy range the
+//! [`RangeMap`](crate::RangeMap) assigns it, a write-ahead log, and an
+//! [`alertops_ingestd::ShardPool`] over that range: a fault and
+//! durability domain inside one process, with no coordinator, closer or
+//! merge of its own. The cluster is the process's one merge point. A
+//! close sends `Close{seq}` to every alive node's shards before waiting
+//! on any, then hands every shard's [`alertops_core::WindowDelta`] to
+//! one [`WindowCloser`] — the merge a daemon applies across its shards,
+//! so a 4-node cluster, a 1-node cluster, and the batch governor
+//! publish byte-identical snapshots over the same stream.
 //!
 //! # Durability
 //!
@@ -33,7 +34,7 @@
 //! write-ahead log *before* routing it ([`crate::wal`]), and writes the
 //! window boundary to each **alive** node's log at close. A killed
 //! node's in-memory state is gone, but its log is not: rejoin replays
-//! the retained windows through a fresh daemon (rebuilding the rolling
+//! the retained windows through a fresh pool (rebuilding the rolling
 //! detection history), rewrites the log, and restores the in-flight
 //! tail as pending work. A node that dies with no live peer is the
 //! same story at cluster scale: [`AlertCluster::spawn`] finds the old
@@ -79,11 +80,12 @@ use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use alertops_core::{GovernanceSnapshot, QoaCheckpoint, StreamingGovernor, WindowCloser};
-use alertops_ingestd::{shard_catalog, Ingestd, IngestdConfig, IngestdHandle};
+use alertops_ingestd::{shard_catalog, IngestdConfig, ShardPool};
 use alertops_model::{Alert, AlertStrategy, IndexedCatalog, QoaLabel, StrategyId};
 use alertops_wire::{Frame, WireDecoder, WireEncoder};
 
@@ -98,22 +100,20 @@ pub type GovernorFactory = Arc<dyn Fn(&[AlertStrategy]) -> StreamingGovernor + S
 /// Cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of ingestd nodes. Each owns a contiguous strategy range.
+    /// Number of nodes. Each owns a contiguous strategy range.
     pub nodes: usize,
-    /// Per-node daemon configuration. `tick` must be `None`: window
-    /// closes are cluster-coordinated ([`AlertCluster::close_window`]),
-    /// never per-node wall clock. `listen` and `status` must be `None`
-    /// too: [`AlertCluster::route`] is the only way in, because it is
-    /// what journals. `streaming.emerging.mode` and
-    /// `streaming.qoa.mode` express the *cluster's* intent — nodes are
-    /// spawned in the node role ([`Ingestd::spawn_node`]: forward
-    /// documents and samples, run no pass) and the cluster
-    /// coordinator's [`WindowCloser`] runs the one sequential AO-LDA
-    /// pass and the one `partial_fit` pass, checkpointing the model to
-    /// its own file at each close. That includes any storm-load token
-    /// budget (`streaming.emerging.config.budget`): it is applied
-    /// once, by the coordinator, after the cross-node merge, so node
-    /// count cannot change the sampled token set.
+    /// Per-node shard pool configuration. The daemon-only fields must
+    /// stay unset: `tick` (closes are cluster-coordinated,
+    /// [`AlertCluster::close_window`], never wall clock) and `listen` /
+    /// `status` ([`AlertCluster::route`] is the only way in, because it
+    /// is what journals).
+    /// `streaming.emerging.mode` and `streaming.qoa.mode` switch the
+    /// *cluster's* channels: every shard forwards documents and
+    /// samples, and the coordinator's [`WindowCloser`] runs the one
+    /// AO-LDA pass and the one `partial_fit` pass, checkpointing the
+    /// model to its own file at each close. Any storm-load token budget
+    /// (`streaming.emerging.config.budget`) is likewise applied once,
+    /// after the merge, so node count cannot change the sampled tokens.
     pub node: IngestdConfig,
     /// Directory holding one WAL subdirectory per node
     /// (`<wal_root>/node-<i>/`) and the coordinator's own
@@ -127,8 +127,8 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Validates cluster invariants (node count, per-node config, no
-    /// per-node tick, no per-node socket).
+    /// Validates cluster invariants (node count, pool config, no
+    /// daemon-only field set on a node).
     ///
     /// # Errors
     ///
@@ -137,18 +137,14 @@ impl ClusterConfig {
         if self.nodes == 0 {
             return Err("a cluster needs at least one node".into());
         }
-        if self.node.tick.is_some() {
-            return Err("cluster nodes must not tick; closes are cluster-coordinated".into());
+        // A node is shards and a log, not a daemon: closes are
+        // cluster-coordinated, and an alert entering a socket would
+        // reach the shards without being journaled or counted.
+        let node = &self.node;
+        if node.tick.is_some() || node.listen.is_some() || node.status.is_some() {
+            return Err("cluster nodes must not tick, listen or serve a status socket".into());
         }
-        // An alert entering a node's own socket would reach its shards
-        // without being journaled or counted at the cluster edge.
-        if self.node.listen.is_some() {
-            return Err("cluster nodes must not listen; alerts enter through route()".into());
-        }
-        if self.node.status.is_some() {
-            return Err("cluster nodes must not serve a status socket of their own".into());
-        }
-        self.node.validate()
+        node.validate()
     }
 
     /// Sealed-segment retention per node: one more than the governor's
@@ -162,15 +158,15 @@ impl ClusterConfig {
     }
 }
 
-/// One node slot: its log (always present) and its daemon (absent
+/// One node slot: its log (always present) and its shards (absent
 /// while killed).
 #[derive(Debug)]
 struct NodeSlot {
     dir: PathBuf,
     wal: Arc<Wal>,
-    handle: Option<IngestdHandle>,
-    /// The node-internal `dropped` counter at the last close, so each
-    /// close surfaces only the new overflow shedding.
+    pool: Option<ShardPool>,
+    /// The pool's `dropped` counter at the last close, so each close
+    /// surfaces only the new overflow shedding.
     last_dropped: u64,
 }
 
@@ -296,12 +292,12 @@ impl std::fmt::Debug for AlertCluster {
     }
 }
 
-fn spawn_node(
+fn spawn_pool(
     config: &IngestdConfig,
     node_cat: &[AlertStrategy],
     make_governor: &GovernorFactory,
-) -> io::Result<IngestdHandle> {
-    Ingestd::spawn_node(config, |shard, shards| {
+) -> io::Result<ShardPool> {
+    ShardPool::spawn(config, |shard, shards| {
         make_governor(&shard_catalog(node_cat, shards, shard))
     })
 }
@@ -358,11 +354,11 @@ impl AlertCluster {
             let dir = config.wal_root.join(format!("node-{node}"));
             let wal = Arc::new(Wal::open(&dir, config.wal_retain())?);
             let node_cat = node_catalog(&catalog, &map, node);
-            let handle = spawn_node(&config.node, &node_cat, &make_governor)?;
+            let pool = spawn_pool(&config.node, &node_cat, &make_governor)?;
             slots.push(NodeSlot {
                 dir,
                 wal,
-                handle: Some(handle),
+                pool: Some(pool),
                 last_dropped: 0,
             });
         }
@@ -417,8 +413,8 @@ impl AlertCluster {
             }
             if let Some(model) = cluster.closer.qoa_model() {
                 let verdicts = model.verdicts();
-                for handle in cluster.slots.iter().filter_map(|slot| slot.handle.as_ref()) {
-                    handle.push_qoa_verdicts(&verdicts);
+                for pool in cluster.slots.iter().filter_map(|slot| slot.pool.as_ref()) {
+                    pool.push_qoa_verdicts(&verdicts);
                 }
             }
         }
@@ -434,18 +430,18 @@ impl AlertCluster {
     /// Nodes currently running.
     #[must_use]
     pub fn alive_nodes(&self) -> usize {
-        self.slots.iter().filter(|s| s.handle.is_some()).count()
+        self.slots.iter().filter(|s| s.pool.is_some()).count()
     }
 
     /// Whether `node` is currently running.
     #[must_use]
     pub fn is_alive(&self, node: usize) -> bool {
-        self.slots.get(node).is_some_and(|s| s.handle.is_some())
+        self.slots.get(node).is_some_and(|s| s.pool.is_some())
     }
 
     /// Routes one alert: quarantines unknown strategies at the edge,
     /// journals the rest to the owning node's WAL (write-ahead), and
-    /// hands it to the node's daemon if the node is alive. Routing to
+    /// hands it to the node's shards if the node is alive. Routing to
     /// a dead node succeeds — the alert is durable and pending, and is
     /// delivered in the first window closed after the node rejoins.
     ///
@@ -465,23 +461,24 @@ impl AlertCluster {
             self.metrics.dropped.inc();
             return Err(e);
         }
-        if let Some(handle) = &slot.handle {
-            handle.route(alert);
+        if let Some(pool) = &slot.pool {
+            pool.route(Box::new(alert));
         }
         Ok(())
     }
 
-    /// Closes the cluster window: every alive node closes and returns
-    /// its [`alertops_core::WindowDelta`]; the closer merges the deltas
-    /// through the commutative monoid into one [`GovernanceSnapshot`]
-    /// (the same merge a single daemon applies across its shards —
-    /// cluster == 1-node == batch, byte for byte) and runs the
-    /// cluster's single AO-LDA pass over the merged window documents;
-    /// and each alive node's WAL is sealed at
-    /// this sequence number. Dead nodes contribute nothing this window
-    /// — their shards are listed in the snapshot's `degraded` (flat
+    /// Closes the cluster window: every alive node's shards close and
+    /// return their [`alertops_core::WindowDelta`]s; the closer merges
+    /// them all, once, through the commutative monoid into one
+    /// [`GovernanceSnapshot`] (the same merge a single daemon applies
+    /// across its shards — cluster == 1-node == batch, byte for byte)
+    /// and runs the cluster's single AO-LDA pass over the merged window
+    /// documents; and each alive node's WAL is sealed at this sequence
+    /// number. Dead nodes contribute nothing this window — their
+    /// shards are listed in the snapshot's `degraded` (flat
     /// `node * shards + shard` encoding) and their journaled alerts
-    /// stay in flight.
+    /// stay in flight. A node whose workers are found gone is killed
+    /// on the spot and is a dead node from this window on.
     ///
     /// # Errors
     ///
@@ -492,7 +489,7 @@ impl AlertCluster {
 
     /// [`close_window`](Self::close_window) with the window's OCE
     /// feedback labels attached. When the QoA loop is on, the
-    /// coordinator joins the labels with the merged per-node feature
+    /// coordinator joins the labels with the merged feature
     /// samples, runs the one sequential `partial_fit` pass, embeds the
     /// [`alertops_core::QoaWindowReport`] in the snapshot, pushes the
     /// updated verdicts down every alive node (to govern from the
@@ -512,50 +509,43 @@ impl AlertCluster {
         self.seq += 1;
         let shards = self.config.node.shards;
 
-        let mut deltas = Vec::with_capacity(self.slots.len());
-        let mut degraded = Vec::new();
-        let mut closed_nodes = Vec::with_capacity(self.slots.len());
-        for (node, slot) in self.slots.iter_mut().enumerate() {
-            let Some(handle) = &slot.handle else {
-                degraded.extend((0..shards).map(|s| node * shards + s));
-                continue;
-            };
-            let closed = handle
-                .flush_window()
-                .expect("node coordinator alive while handle held");
-            degraded.extend(closed.snapshot.degraded.iter().map(|s| node * shards + s));
-            deltas.push(closed.delta);
+        let alive = self.slots.iter().filter_map(|slot| slot.pool.as_ref());
+        let pools: Vec<&ShardPool> = alive.collect();
+        let (closed, delivered) = ShardPool::close_window(&pools, seq, &mut self.closer, &labels);
 
-            // Surface node-internal overflow shedding since the last
-            // close; everything else pending was just delivered.
-            let node_dropped = handle.counters().dropped;
-            let shed = node_dropped.saturating_sub(slot.last_dropped);
-            slot.last_dropped = node_dropped;
-            self.metrics.dropped.add(shed);
-            closed_nodes.push(node);
-        }
-        degraded.sort_unstable();
-
-        let closed = self.closer.close(&deltas, &labels);
-        let mut snapshot = closed.snapshot;
-        snapshot.window_index = seq;
-        snapshot.degraded = degraded;
-        if let (Some(verdicts), Some(model)) = (closed.verdicts, self.closer.qoa_model()) {
+        if let Some(model) = self.closer.qoa_model() {
             // Coordinator state first: the model as of this close is
             // durable before any log says the window closed.
             write_qoa_checkpoint(&self.coordinator_dir, &model.checkpoint())?;
-            for &node in &closed_nodes {
-                if let Some(handle) = &self.slots[node].handle {
-                    handle.push_qoa_verdicts(&verdicts);
-                }
-            }
         }
 
-        // Seal every alive node's log at this sequence number.
-        for &node in &closed_nodes {
-            self.slots[node].wal.boundary(seq)?;
+        let mut delivered = delivered.into_iter();
+        let mut degraded = Vec::new();
+        for node in 0..self.slots.len() {
+            let slot = &mut self.slots[node];
+            // `delivered` has one entry per pool that was alive.
+            let pool_degraded = slot.pool.as_ref().and_then(|_| delivered.next().flatten());
+            let (Some(pool), Some(pool_degraded)) = (&slot.pool, pool_degraded) else {
+                // Dead, or found dead by this close: the same path.
+                self.kill(node);
+                degraded.extend((0..shards).map(|s| node * shards + s));
+                continue;
+            };
+            degraded.extend(pool_degraded.iter().map(|s| node * shards + s));
+
+            // Surface pool-internal overflow shedding since the last
+            // close; everything else pending was just delivered.
+            let pool_dropped = pool.counters().dropped.load(Ordering::Relaxed);
+            let shed = pool_dropped.saturating_sub(slot.last_dropped);
+            slot.last_dropped = pool_dropped;
+            self.metrics.dropped.add(shed);
+            // Seal the node's log at this sequence number.
+            slot.wal.boundary(seq)?;
         }
 
+        let mut snapshot = closed.snapshot;
+        snapshot.window_index = seq;
+        snapshot.degraded = degraded;
         self.metrics.delivered.add(snapshot.alert_count as u64);
         self.metrics.windows_closed.inc();
         if !snapshot.degraded.is_empty() {
@@ -565,19 +555,19 @@ impl AlertCluster {
         Ok(snapshot)
     }
 
-    /// Kills `node`: its daemon stops and every alert it held in
-    /// memory is discarded — the in-process model of `kill -9`. The
+    /// Kills `node`: its shard workers stop and every alert they held
+    /// in memory is discarded — the in-process model of `kill -9`. The
     /// node's WAL survives untouched; [`rejoin`](Self::rejoin) brings
     /// the state back from it. No-op if already dead.
     pub fn kill(&mut self, node: usize) {
-        if let Some(handle) = self.slots[node].handle.take() {
-            handle.shutdown();
+        // Dropping the pool stops and joins its workers.
+        if self.slots[node].pool.take().is_some() {
             self.metrics.nodes_alive.sub(1);
         }
     }
 
     /// Rejoins a killed `node`: replays its WAL, rewrites the log, and
-    /// respawns the daemon — sealed windows rebuild the rolling
+    /// respawns its shards — sealed windows rebuild the rolling
     /// detection history (closes discarded: those windows were already
     /// published and counted), the in-flight tail is re-routed as
     /// pending. If the log was truncated while dead, the unrecoverable
@@ -590,7 +580,7 @@ impl AlertCluster {
     /// Replay, WAL, and spawn failures pass through; the node stays
     /// dead on error.
     pub fn rejoin(&mut self, node: usize) -> io::Result<()> {
-        if self.slots[node].handle.is_some() {
+        if self.slots[node].pool.is_some() {
             return Ok(());
         }
         let replayed = wal::replay(&self.slots[node].dir)?;
@@ -654,10 +644,7 @@ impl AlertCluster {
         // Seal both ends: in-memory state is discarded, the WALs are
         // the (complete) truth.
         for node in [from, to] {
-            if let Some(handle) = self.slots[node].handle.take() {
-                handle.shutdown();
-            }
-            self.metrics.nodes_alive.sub(1);
+            self.kill(node);
         }
         let src = wal::replay(&self.slots[from].dir)?;
         let dst = wal::replay(&self.slots[to].dir)?;
@@ -736,32 +723,35 @@ impl AlertCluster {
         tail: Vec<Alert>,
     ) -> io::Result<()> {
         let node_cat = node_catalog(self.catalog.rows(), &self.map, node);
-        let handle = spawn_node(&self.config.node, &node_cat, &self.make_governor)?;
+        let pool = spawn_pool(&self.config.node, &node_cat, &self.make_governor)?;
         Wal::wipe(&self.slots[node].dir)?;
         let wal = Arc::new(Wal::open(&self.slots[node].dir, self.config.wal_retain())?);
         for (seq, alerts) in &windows {
             for alert in alerts {
                 wal.append(alert)?;
-                handle.route(alert.clone());
+                pool.route(Box::new(alert.clone()));
             }
-            let _ = handle.flush_window();
+            // History only: the deltas are dropped unmerged.
+            if !pool.begin_close(*seq) || pool.collect(*seq, &mut Vec::new()).is_none() {
+                return Err(io::Error::other("shard workers died during WAL replay"));
+            }
             wal.boundary(*seq)?;
         }
         // A respawned node governs its next close with the
         // coordinator's current verdicts, exactly like its peers.
         if let Some(model) = self.closer.qoa_model() {
-            handle.push_qoa_verdicts(&model.verdicts());
+            pool.push_qoa_verdicts(&model.verdicts());
         }
         // Shedding during history replay re-routes alerts that were
         // already accounted at their original close; don't re-count.
         let slot = &mut self.slots[node];
-        slot.last_dropped = handle.counters().dropped;
+        slot.last_dropped = pool.counters().dropped.load(Ordering::Relaxed);
         for alert in &tail {
             wal.append(alert)?;
-            handle.route(alert.clone());
+            pool.route(Box::new(alert.clone()));
         }
         slot.wal = wal;
-        slot.handle = Some(handle);
+        slot.pool = Some(pool);
         self.metrics.nodes_alive.add(1);
         Ok(())
     }
@@ -853,12 +843,8 @@ impl AlertCluster {
     /// Stops every node. The WALs stay on disk; a later
     /// [`spawn`](Self::spawn) over the same `wal_root` restarts
     /// losslessly.
-    pub fn shutdown(mut self) {
-        for slot in &mut self.slots {
-            if let Some(handle) = slot.handle.take() {
-                handle.shutdown();
-            }
-        }
+    pub fn shutdown(self) {
+        drop(self); // each pool stops and joins its workers
     }
 }
 

@@ -1,17 +1,19 @@
-//! `alertops-cluster`: a multi-node `ingestd` cluster with durable
-//! write-ahead logs and live range rebalancing.
+//! `alertops-cluster`: a multi-node cluster of shard pools with
+//! durable write-ahead logs and live range rebalancing.
 //!
 //! The DSN'22 governance loop scaled from batch
 //! ([`alertops_core::AlertGovernor`]) to incremental
 //! ([`alertops_core::StreamingGovernor`]) to a sharded daemon
 //! ([`alertops_ingestd`]); this crate takes the last step to a
-//! *topology*. N daemon nodes each own a contiguous
-//! [`alertops_model::StrategyId`] range ([`RangeMap`]); a cluster
-//! coordinator ([`AlertCluster`]) routes alerts by range, collects one
-//! [`alertops_core::WindowDelta`] per node at window close, and merges
-//! them through the same commutative monoid the daemon uses across
-//! shards — so a 4-node cluster, a 1-node cluster, and the batch
-//! governor publish **byte-identical** snapshots over the same stream.
+//! *topology*. N nodes — each a contiguous
+//! [`alertops_model::StrategyId`] range ([`RangeMap`]), a log and an
+//! [`alertops_ingestd::ShardPool`], a fault and durability domain
+//! inside one process — sit under one coordinator ([`AlertCluster`])
+//! that routes alerts by range, collects one
+//! [`alertops_core::WindowDelta`] per shard at window close, and merges
+//! them all, once, through the same commutative monoid the daemon uses
+//! — so a 4-node cluster, a 1-node cluster, and the batch governor
+//! publish **byte-identical** snapshots over the same stream.
 //!
 //! Three mechanisms make the topology survivable:
 //!

@@ -2,8 +2,8 @@
 //! and the cluster conservation counters, as one `alertops-obs`
 //! registry rendered in Prometheus text exposition.
 //!
-//! Naming mirrors the daemon's `alertops_ingestd_*` families one level
-//! up: every series here is `alertops_cluster_*`. Node-scoped series
+//! Every series here is `alertops_cluster_*`, beside the daemon's
+//! unprefixed `alertops_*` families. Node-scoped series
 //! (WAL depth) carry a `node="<index>"` label so a 4-node cluster
 //! scrapes as 4 labelled series per family, not 4 families.
 
@@ -57,12 +57,12 @@ pub struct ClusterMetrics {
     /// End-to-end handoff latency (seal, ship, respawn both ends), µs.
     pub handoff_micros: Arc<Histogram>,
     /// The coordinator's AO-LDA pass, when the emerging channel is on
-    /// — the same `alertops_emerging_*` families a local-mode governor
-    /// or standalone daemon records into.
+    /// — the same `alertops_emerging_*` families a standalone daemon
+    /// records into.
     pub emerging: EmergingMetrics,
     /// The coordinator's online-QoA model update, when the feedback
-    /// loop is on — the same `alertops_qoa_*` families a local-mode
-    /// governor or standalone daemon records into.
+    /// loop is on — the same `alertops_qoa_*` families a standalone
+    /// daemon records into.
     pub qoa: QoaMetrics,
     pub(crate) wal: Vec<NodeWalGauges>,
 }

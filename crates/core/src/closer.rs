@@ -11,20 +11,21 @@
 //! output to equal 1-shard output byte for byte.
 //!
 //! [`WindowCloser`] owns that state and performs the sequence — the
-//! passes run here and nowhere else. Who holds a closer with which
-//! channels decides where they run:
+//! passes run here and nowhere else. A process has one closer, at its
+//! one merge point, and it runs every channel that is not `Off`:
 //!
-//! | role                 | holder                         | channels it runs      |
-//! |----------------------|--------------------------------|-----------------------|
-//! | daemon coordinator   | a standalone ingestd           | every one not `Off`   |
-//! | cluster coordinator  | `AlertCluster`                 | every one not `Off`   |
-//! | cluster node         | an ingestd below a cluster     | none (merge only)     |
+//! | role                 | holder               | closes over                       |
+//! |----------------------|----------------------|-----------------------------------|
+//! | daemon coordinator   | a standalone ingestd | its shards' deltas                |
+//! | cluster coordinator  | `AlertCluster`       | every alive node's shards' deltas |
 //!
-//! A [`crate::StreamingGovernor`] never holds one. A library caller
-//! with a single governor is the 1-shard case of the coordinator row,
-//! not a path of its own: `closer.close(std::slice::from_ref(&delta),
-//! labels)`, then `governor.set_qoa_verdicts(..)` with the returned
-//! verdicts before the next window.
+//! A cluster node is shards and a log, not a merge point: nothing
+//! below a closer merges. A [`crate::StreamingGovernor`] never holds
+//! one. A library caller with a single governor is the 1-shard case of
+//! the coordinator row, not a path of its own:
+//! `closer.close(std::slice::from_ref(&delta), labels)`, then
+//! `governor.set_qoa_verdicts(..)` with the returned verdicts before
+//! the next window.
 
 use std::sync::Arc;
 
@@ -42,11 +43,6 @@ use crate::streaming::{GovernanceSnapshot, WindowDelta};
 pub struct ClosedWindow {
     /// The published governance picture of the window.
     pub snapshot: GovernanceSnapshot,
-    /// The fold of the closed deltas through the [`WindowDelta`]
-    /// monoid: exactly what a merge point one level up needs to merge
-    /// this one with its peers. Documents and samples a merge-only
-    /// closer did not consume ride along in it.
-    pub delta: WindowDelta,
     /// The QoA verdicts as of this close, when this closer ran the
     /// model update. They govern from the *next* window on, so the
     /// holder pushes them down to its shards before the next close.
@@ -66,8 +62,7 @@ pub struct WindowCloser {
 
 impl WindowCloser {
     /// A closer that runs the AO-LDA pass when `emerging` is given and
-    /// the QoA model update when `qoa` is given. With neither it only
-    /// merges — the cluster-node role.
+    /// the QoA model update when `qoa` is given.
     #[must_use]
     pub fn new(
         storm: StormConfig,
@@ -138,7 +133,6 @@ impl WindowCloser {
         });
         ClosedWindow {
             snapshot,
-            delta,
             verdicts: self.qoa.as_ref().map(OnlineQoaModel::verdicts),
         }
     }

@@ -196,9 +196,9 @@ impl WindowDelta {
     /// every field — a delta carries mergeable inputs only, never the
     /// report of a sequential pass — and are proven by property tests
     /// in `tests/determinism.rs`; they are what let a cluster
-    /// coordinator fold per-node deltas (each already a merge of
-    /// per-shard deltas) in any grouping and still reproduce the
-    /// single-process governance picture byte for byte.
+    /// coordinator fold every node's shard deltas in one merge, in
+    /// arrival order, and still reproduce the single-process
+    /// governance picture byte for byte.
     #[must_use]
     pub fn merged(&self, other: &Self) -> Self {
         Self::merge_all(&[self.clone(), other.clone()])
@@ -1040,7 +1040,6 @@ mod tests {
         .ingest(&window, &[]);
         assert!(!delta.emerging_docs.is_empty() && !delta.qoa_samples.is_empty());
         let closed = closer.close(std::slice::from_ref(&delta), &labels_for(&window, true));
-        assert_eq!(closed.delta, delta);
         let merged = GovernanceSnapshot::merge(&[delta], &StormConfig::default());
         let snapshot = closed.snapshot;
         assert!(snapshot.emerging.is_some() && snapshot.qoa.is_some());

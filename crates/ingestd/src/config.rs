@@ -17,7 +17,9 @@ pub enum OverflowPolicy {
     Drop,
 }
 
-/// Configuration for [`crate::Ingestd`].
+/// Configuration for [`crate::Ingestd`]. A bare [`crate::ShardPool`]
+/// reads `shards`, `queue_capacity`, `overflow`, `streaming` and
+/// `metrics`; the rest is the daemon's.
 #[derive(Debug, Clone)]
 pub struct IngestdConfig {
     /// Number of worker shards (each runs its own streaming governor).
@@ -36,17 +38,14 @@ pub struct IngestdConfig {
     /// `streaming.emerging.mode` / `streaming.qoa.mode` to
     /// [`alertops_core::ChannelMode::Forward`] enables that channel:
     /// shards forward each window's documents / per-strategy feature
-    /// samples, and the coordinator's
-    /// [`alertops_core::WindowCloser`] runs the single sequential pass
-    /// after its merge — AO-LDA into
-    /// [`alertops_core::GovernanceSnapshot::emerging`], the online QoA
-    /// model update (against the labels handed to
+    /// samples, and the [`alertops_core::WindowCloser`] of whoever
+    /// holds the [`crate::ShardPool`] — the daemon's coordinator, or a
+    /// cluster's — runs the single sequential pass after its merge:
+    /// AO-LDA into [`alertops_core::GovernanceSnapshot::emerging`], the
+    /// online QoA model update (against the labels handed to
     /// [`crate::IngestdHandle::flush_labeled`]) into
     /// [`alertops_core::GovernanceSnapshot::qoa`], its verdicts pushed
-    /// back down every shard queue before the next close. A daemon
-    /// spawned as a cluster node ([`crate::Ingestd::spawn_node`]) runs
-    /// neither pass: its merged forwards ride out in the published
-    /// window's delta for the cluster coordinator.
+    /// back down every shard queue before the next close.
     pub streaming: StreamingConfig,
     /// `host:port` to accept alert ingress on. `None` disables the TCP
     /// listener (alerts arrive via [`crate::IngestdHandle::route`] or

@@ -1,5 +1,5 @@
-//! The coordinator: closes windows, barriers on per-shard deltas, and
-//! publishes merged snapshots.
+//! The daemon's coordinator: closes windows over its shard pool on a
+//! tick or on request, and publishes merged snapshots.
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -9,10 +9,8 @@ use std::time::{Duration, Instant};
 use alertops_core::{ClosedWindow, GovernanceSnapshot, WindowCloser};
 use alertops_model::QoaLabel;
 
-use crate::counters::Counters;
 use crate::journal::WindowJournal;
-use crate::metrics::IngestdMetrics;
-use crate::worker::{ShardDelta, WorkerMsg};
+use crate::pool::{elapsed_micros, ShardPool};
 
 /// Control messages for the coordinator.
 pub(crate) enum CoordMsg {
@@ -24,109 +22,53 @@ pub(crate) enum CoordMsg {
         ack: Option<SyncSender<ClosedWindow>>,
         labels: Vec<QoaLabel>,
     },
-    /// Stop coordinating; acked when the loop is about to exit.
-    Shutdown { ack: SyncSender<()> },
+    /// Stop coordinating. Closes are not interruptible, so joining the
+    /// thread afterwards waits out one in flight.
+    Shutdown,
 }
 
 /// The coordinator loop.
 ///
 /// Each cycle waits for a control message — or, with a tick
-/// configured, times out into an automatic close. A close broadcasts
-/// `WorkerMsg::Close{seq}` through every shard's ingest queue, then
-/// barriers on exactly one [`ShardDelta`] per shard for that `seq`
-/// before merging. Workers process closes in queue order and the
-/// coordinator never issues `seq + 1` before collecting all of `seq`,
-/// so the barrier cannot interleave windows. A panicking worker does
-/// not wedge the barrier either: its supervisor contributes a
-/// synthetic empty delta for the in-flight `seq`, and the shard is
-/// listed in the published snapshot's `degraded` field.
-///
-/// Everything after the barrier is the [`WindowCloser`]'s: the merge,
-/// the snapshot, and — when this daemon is the topmost merge point —
-/// the sequential AO-LDA and QoA passes (shards only *forward* their
-/// input; see `alertops_core::ChannelMode::Forward`). A cluster node's
-/// closer runs no pass, so the merged documents and samples ride out
-/// in the published [`ClosedWindow::delta`] for the level above. What
-/// stays here is the verdict push-down: fresh verdicts go down every
-/// shard queue before the next close can be broadcast, so their
-/// application point is exact for any shard count.
+/// configured, times out into an automatic close — and then runs
+/// [`ShardPool::close_window`] over the daemon's one pool: broadcast,
+/// barrier, the [`WindowCloser`]'s merge and sequential passes (shards
+/// only *forward* their input; see
+/// `alertops_core::ChannelMode::Forward`), verdict push-down. The
+/// loop never begins `seq + 1` before that returns, so windows cannot
+/// interleave. What stays here is what only a daemon has: the tick,
+/// the counters, the published snapshot slot and the ack.
 ///
 /// With a journal attached, [`WindowJournal::window_closed`] fires
 /// after the merge is published — the write-ahead log's cue to seal
 /// the window's records and prune beyond the rolling history.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_coordinator(
     control: &Receiver<CoordMsg>,
-    shard_txs: &[SyncSender<WorkerMsg>],
-    deltas: &Receiver<ShardDelta>,
+    pool: &ShardPool,
     tick: Option<Duration>,
     mut closer: WindowCloser,
     journal: Option<Arc<dyn WindowJournal>>,
     snapshot_slot: &Arc<RwLock<Option<GovernanceSnapshot>>>,
-    counters: &Arc<Counters>,
-    metrics: Option<&IngestdMetrics>,
 ) {
+    let counters = pool.counters();
     let mut seq: u64 = 0;
     loop {
         let msg = match tick {
-            Some(interval) => match control.recv_timeout(interval) {
-                Ok(msg) => Some(msg),
-                Err(RecvTimeoutError::Timeout) => None, // tick: close now
-                Err(RecvTimeoutError::Disconnected) => return,
-            },
-            None => match control.recv() {
-                Ok(msg) => Some(msg),
-                Err(_) => return,
-            },
+            Some(interval) => control.recv_timeout(interval),
+            None => control.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
-
         let (ack, labels) = match msg {
-            Some(CoordMsg::CloseNow { ack, labels }) => (ack, labels),
-            Some(CoordMsg::Shutdown { ack }) => {
-                let _ = ack.send(());
-                return;
-            }
-            None => (None, Vec::new()),
+            Ok(CoordMsg::CloseNow { ack, labels }) => (ack, labels),
+            Err(RecvTimeoutError::Timeout) => (None, Vec::new()), // tick: close now
+            Ok(CoordMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
         };
 
         let started = Instant::now();
-        for tx in shard_txs {
-            if tx.send(WorkerMsg::Close { seq }).is_err() {
-                return; // a worker died: shutting down
-            }
-        }
-        let mut collected = Vec::with_capacity(shard_txs.len());
-        let mut degraded: Vec<usize> = Vec::new();
-        while collected.len() < shard_txs.len() {
-            match deltas.recv() {
-                Ok(shard_delta) => {
-                    debug_assert_eq!(shard_delta.seq, seq, "barrier interleaved windows");
-                    if shard_delta.degraded {
-                        degraded.push(shard_delta.shard);
-                    }
-                    collected.push(shard_delta.delta);
-                }
-                Err(_) => return,
-            }
-        }
-        if let Some(m) = metrics {
-            // Barrier wait spans broadcast to last delta: it includes
-            // the shards' own close work, so it bounds the critical
-            // path a straggling shard puts on the window.
-            m.barrier_wait_micros.observe(elapsed_micros(started));
-        }
-
-        let mut closed = closer.close(&collected, &labels);
-        if let Some(verdicts) = &closed.verdicts {
-            // Pushed down every shard queue *before* this loop can
-            // broadcast the next close: the per-shard queues are FIFO,
-            // so the verdicts are applied ahead of whatever window
-            // `seq + 1` governs.
-            for tx in shard_txs {
-                let _ = tx.send(WorkerMsg::Qoa(verdicts.clone()));
-            }
-        }
-        degraded.sort_unstable();
+        let (mut closed, mut degraded) =
+            ShardPool::close_window(&[pool], seq, &mut closer, &labels);
+        let Some(degraded) = degraded.pop().flatten() else {
+            return; // a worker died: shutting down
+        };
         if !degraded.is_empty() {
             counters.degraded_windows.fetch_add(1, Ordering::Relaxed);
         }
@@ -136,7 +78,7 @@ pub(crate) fn run_coordinator(
             .last_window_micros
             .store(window_micros, Ordering::Relaxed);
         counters.windows_closed.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = metrics {
+        if let Some(m) = pool.metrics() {
             m.window_close_micros.observe(window_micros);
             // Per-window RSS sample: the soak harness scrapes this to
             // enforce its memory ceiling. Observer-only, one procfs
@@ -152,8 +94,4 @@ pub(crate) fn run_coordinator(
         }
         seq += 1;
     }
-}
-
-fn elapsed_micros(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }

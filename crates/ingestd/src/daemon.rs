@@ -11,28 +11,26 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use std::{io, thread};
 
 use alertops_core::{
-    ClosedWindow, EmergingMetrics, GovernanceSnapshot, GovernorMetrics, QoaMetrics, QoaVerdicts,
-    StreamingGovernor, WindowCloser,
+    ClosedWindow, EmergingMetrics, GovernanceSnapshot, QoaMetrics, StreamingGovernor, WindowCloser,
 };
 use alertops_model::{Alert, QoaLabel};
 use alertops_wire::{AckFrame, ChaosCmd, Frame, WireDecoder, WireEncoder, WireError, WireFormat};
 
 use crate::codec::{ack_line, FrameDecoder, FrameError, QuarantineReason};
-use crate::config::{IngestdConfig, OverflowPolicy};
+use crate::config::IngestdConfig;
 use crate::coordinator::{run_coordinator, CoordMsg};
-use crate::counters::{CounterSnapshot, Counters, QUEUE_ENQUEUED};
+use crate::counters::CounterSnapshot;
 use crate::journal::WindowJournal;
 use crate::metrics::{render_exposition, IngestdMetrics};
-use crate::shard::shard_of;
+use crate::pool::ShardPool;
 use crate::status::{StatusReport, StatusRequest};
-use crate::worker::{run_worker, WorkerMsg};
 
 /// How long a status connection may stay silent before it is treated
 /// as a legacy bare connection and served the default status document.
@@ -70,16 +68,10 @@ impl ShutdownSignal {
 /// Shared ingress state: everything a connection needs to route frames.
 #[derive(Debug)]
 struct Router {
-    shard_txs: Vec<SyncSender<WorkerMsg>>,
+    pool: Arc<ShardPool>,
     coord_tx: Sender<CoordMsg>,
-    counters: Arc<Counters>,
-    overflow: OverflowPolicy,
     chaos: bool,
-    /// One slot per shard holding the resume sender of an in-flight
-    /// stall (see [`Router::stall`]).
-    resume_slots: Vec<Mutex<Option<Sender<()>>>>,
-    shutdown: Arc<ShutdownSignal>,
-    metrics: Option<Arc<IngestdMetrics>>,
+    shutdown: ShutdownSignal,
     /// Write-ahead journal, recorded before any enqueue.
     journal: Option<Arc<dyn WindowJournal>>,
     /// Ingress wire format every connection speaks.
@@ -87,11 +79,7 @@ struct Router {
 }
 
 impl Router {
-    /// Routes one alert to its strategy's shard, applying the overflow
-    /// policy when the bounded queue is full. Every alert entering
-    /// here counts as ingested — including ones the overflow policy
-    /// then sheds — so `ingested == delivered + dropped + quarantined`
-    /// stays exact.
+    /// Journals, then routes, one alert.
     fn route(&self, alert: Box<Alert>) {
         if let Some(journal) = &self.journal {
             // Write-ahead: journaled before the alert can be in any
@@ -101,34 +89,7 @@ impl Router {
             // the durable log being *more* complete than the live run.
             journal.record(&alert);
         }
-        self.counters.ingested.fetch_add(1, Ordering::Relaxed);
-        let shard = shard_of(alert.strategy(), self.shard_txs.len());
-        // Enqueue tally: high half of the packed gauge (see
-        // `Counters::queue_depths`).
-        let queue_depth = &self.counters.queue_depths[shard];
-        match self.shard_txs[shard].try_send(WorkerMsg::Alert(alert)) {
-            Ok(()) => {
-                queue_depth.fetch_add(QUEUE_ENQUEUED, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(msg)) => match self.overflow {
-                OverflowPolicy::Block => {
-                    self.counters
-                        .backpressure_waits
-                        .fetch_add(1, Ordering::Relaxed);
-                    if self.shard_txs[shard].send(msg).is_ok() {
-                        queue_depth.fetch_add(QUEUE_ENQUEUED, Ordering::Relaxed);
-                    } else {
-                        self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                OverflowPolicy::Drop => {
-                    self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            },
-            Err(TrySendError::Disconnected(_)) => {
-                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.pool.route(alert);
     }
 
     /// Closes the window on every shard and returns the close result,
@@ -145,76 +106,6 @@ impl Router {
             .ok()?;
         ack_rx.recv().ok()
     }
-
-    /// Pushes QoA verdicts down every shard queue — the cluster
-    /// coordinator's lever when this daemon runs the node role and
-    /// the model lives a level up.
-    fn push_qoa_verdicts(&self, verdicts: &QoaVerdicts) {
-        for tx in &self.shard_txs {
-            let _ = tx.send(WorkerMsg::Qoa(verdicts.clone()));
-        }
-    }
-
-    /// Drain barrier: returns once every message enqueued on any shard
-    /// before this call has been consumed by its worker. (Blocks
-    /// indefinitely if a shard is stalled — resume first.)
-    fn sync(&self) {
-        let (ack_tx, ack_rx) = mpsc::sync_channel(self.shard_txs.len());
-        let mut expected = 0;
-        for tx in &self.shard_txs {
-            if tx.send(WorkerMsg::Sync(ack_tx.clone())).is_ok() {
-                expected += 1;
-            }
-        }
-        drop(ack_tx);
-        for _ in 0..expected {
-            if ack_rx.recv().is_err() {
-                break;
-            }
-        }
-    }
-
-    /// Enqueues a chaos panic for `shard` (a later queue position, or
-    /// its next window close). No-op for out-of-range shards.
-    fn inject_panic(&self, shard: usize, on_close: bool) {
-        if let Some(tx) = self.shard_txs.get(shard) {
-            let _ = tx.send(WorkerMsg::Panic { on_close });
-        }
-    }
-
-    /// Parks `shard`'s worker, returning only once it is parked (by
-    /// queue order, everything enqueued before this call has then been
-    /// consumed). A stall replacing an unresumed earlier stall drops
-    /// the old resume sender, which resumes the earlier parked state.
-    fn stall(&self, shard: usize) {
-        let Some(tx) = self.shard_txs.get(shard) else {
-            return;
-        };
-        let (entered_tx, entered_rx) = mpsc::sync_channel(1);
-        let (resume_tx, resume_rx) = mpsc::channel();
-        *self.resume_slots[shard]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(resume_tx);
-        if tx
-            .send(WorkerMsg::Stall {
-                entered: entered_tx,
-                resume: resume_rx,
-            })
-            .is_ok()
-        {
-            let _ = entered_rx.recv();
-        }
-    }
-
-    /// Unparks `shard`'s stalled worker. No-op if it is not stalled.
-    fn resume(&self, shard: usize) {
-        let Some(slot) = self.resume_slots.get(shard) else {
-            return;
-        };
-        if let Some(tx) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            let _ = tx.send(());
-        }
-    }
 }
 
 /// A running daemon. Dropping the handle without calling
@@ -222,22 +113,17 @@ impl Router {
 #[derive(Debug)]
 pub struct IngestdHandle {
     router: Arc<Router>,
-    counters: Arc<Counters>,
     snapshot: Arc<RwLock<Option<GovernanceSnapshot>>>,
     running: Arc<AtomicBool>,
-    shutdown: Arc<ShutdownSignal>,
-    metrics: Option<Arc<IngestdMetrics>>,
     ingest_addr: Option<SocketAddr>,
     status_addr: Option<SocketAddr>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl Ingestd {
-    /// Starts the daemon: workers, coordinator, and (if configured)
-    /// the ingress and status listeners. `make_governor(shard, shards)`
-    /// is called once per shard to build that shard's streaming
-    /// governor — typically over [`crate::shard_catalog`] of a shared
-    /// strategy catalog.
+    /// Starts the daemon: a [`ShardPool`] (see [`ShardPool::spawn`]
+    /// for `make_governor`), the coordinator, and (if configured) the
+    /// ingress and status listeners.
     ///
     /// # Errors
     ///
@@ -267,101 +153,25 @@ impl Ingestd {
         make_governor: impl FnMut(usize, usize) -> StreamingGovernor,
         journal: Option<Arc<dyn WindowJournal>>,
     ) -> io::Result<IngestdHandle> {
-        // Standalone: this daemon's coordinator is the topmost merge
-        // point, so its closer runs every channel that is on.
-        let streaming = &config.streaming;
-        let closer = WindowCloser::new(
-            streaming.storm,
-            streaming.emerging.unless_off(),
-            streaming.qoa.unless_off(),
-        );
-        Self::spawn_inner(config, make_governor, journal, closer)
-    }
-
-    /// [`Ingestd::spawn`] in the cluster-node role: a cluster
-    /// coordinator one level up owns the sequential AO-LDA and QoA
-    /// passes, so this daemon's coordinator only merges. The merged
-    /// documents and samples its shards forwarded stay in each
-    /// published window's [`ClosedWindow::delta`] for the level above,
-    /// which pushes verdicts back via
-    /// [`IngestdHandle::push_qoa_verdicts`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Ingestd::spawn`].
-    pub fn spawn_node(
-        config: &IngestdConfig,
-        make_governor: impl FnMut(usize, usize) -> StreamingGovernor,
-    ) -> io::Result<IngestdHandle> {
-        let closer = WindowCloser::new(config.streaming.storm, None, None);
-        Self::spawn_inner(config, make_governor, None, closer)
-    }
-
-    fn spawn_inner(
-        config: &IngestdConfig,
-        mut make_governor: impl FnMut(usize, usize) -> StreamingGovernor,
-        journal: Option<Arc<dyn WindowJournal>>,
-        closer: WindowCloser,
-    ) -> io::Result<IngestdHandle> {
-        config
-            .validate()
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
-
-        let counters = Arc::new(Counters::new(config.shards));
+        let pool = Arc::new(ShardPool::spawn(config, make_governor)?);
         let snapshot: Arc<RwLock<Option<GovernanceSnapshot>>> = Arc::new(RwLock::new(None));
         let running = Arc::new(AtomicBool::new(true));
-        let shutdown = Arc::new(ShutdownSignal::default());
-        let metrics = config
-            .metrics
-            .then(|| Arc::new(IngestdMetrics::new(config.shards)));
         let mut threads = Vec::new();
 
-        // Workers, each behind its bounded queue.
-        let (delta_tx, delta_rx) = mpsc::channel();
-        let mut shard_txs = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(config.queue_capacity);
-            shard_txs.push(tx);
-            // Shards never run a sequential pass themselves — it
-            // belongs to a coordinator's closer — so each channel
-            // forwards or stays off, matching the daemon's
-            // configuration regardless of how the caller built the
-            // governor.
-            let mut governor = make_governor(shard, config.shards).into_shard(&config.streaming);
-            if let Some(metrics) = &metrics {
-                // Shards share detect/react series: the registry hands
-                // every shard the same aggregate instruments.
-                governor = governor.with_metrics(GovernorMetrics::register(metrics.registry()));
-            }
-            let deltas = delta_tx.clone();
-            let worker_counters = Arc::clone(&counters);
-            let worker_metrics = metrics.clone();
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("ingestd-worker-{shard}"))
-                    .spawn(move || {
-                        run_worker(
-                            shard,
-                            governor,
-                            &rx,
-                            &deltas,
-                            &worker_counters,
-                            worker_metrics.as_deref(),
-                        );
-                    })?,
-            );
-        }
-        drop(delta_tx);
-
-        // Coordinator.
+        // Coordinator. It is the daemon's one merge point, so its
+        // closer runs every channel that is on.
         let (coord_tx, coord_rx) = mpsc::channel::<CoordMsg>();
         {
-            let shard_txs = shard_txs.clone();
-            let tick = config.tick;
-            // The closer's channel handles live on the daemon's
-            // registry: the same families a local-mode governor
-            // records into (the registry dedups by name + labels).
-            let closer = match &metrics {
+            let streaming = &config.streaming;
+            let closer = WindowCloser::new(
+                streaming.storm,
+                streaming.emerging.unless_off(),
+                streaming.qoa.unless_off(),
+            );
+            // The closer's channel handles live on the pool's
+            // registry, beside the shard governors' families (the
+            // registry dedups by name + labels).
+            let closer = match pool.metrics() {
                 Some(m) => closer
                     .with_metrics(
                         EmergingMetrics::register(m.registry()),
@@ -370,39 +180,24 @@ impl Ingestd {
                     .with_merge_timer(Arc::clone(&m.merge_micros)),
                 None => closer,
             };
+            let pool = Arc::clone(&pool);
+            let tick = config.tick;
             let snapshot = Arc::clone(&snapshot);
-            let coord_counters = Arc::clone(&counters);
-            let coord_metrics = metrics.clone();
             let coord_journal = journal.clone();
             threads.push(
                 thread::Builder::new()
                     .name("ingestd-coordinator".to_owned())
                     .spawn(move || {
-                        run_coordinator(
-                            &coord_rx,
-                            &shard_txs,
-                            &delta_rx,
-                            tick,
-                            closer,
-                            coord_journal,
-                            &snapshot,
-                            &coord_counters,
-                            coord_metrics.as_deref(),
-                        );
+                        run_coordinator(&coord_rx, &pool, tick, closer, coord_journal, &snapshot);
                     })?,
             );
         }
 
-        let resume_slots = (0..config.shards).map(|_| Mutex::new(None)).collect();
         let router = Arc::new(Router {
-            shard_txs,
+            pool,
             coord_tx,
-            counters: Arc::clone(&counters),
-            overflow: config.overflow,
             chaos: config.chaos,
-            resume_slots,
-            shutdown: Arc::clone(&shutdown),
-            metrics: metrics.clone(),
+            shutdown: ShutdownSignal::default(),
             journal,
             wire: config.wire,
         });
@@ -430,21 +225,12 @@ impl Ingestd {
                 let listener = TcpListener::bind(addr.as_str())?;
                 let local = listener.local_addr()?;
                 let running = Arc::clone(&running);
-                let counters = Arc::clone(&counters);
+                let pool = Arc::clone(&router.pool);
                 let snapshot = Arc::clone(&snapshot);
-                let status_metrics = metrics.clone();
                 threads.push(
                     thread::Builder::new()
                         .name("ingestd-status".to_owned())
-                        .spawn(move || {
-                            accept_status(
-                                &listener,
-                                &running,
-                                &counters,
-                                &snapshot,
-                                &status_metrics,
-                            );
-                        })?,
+                        .spawn(move || accept_status(&listener, &running, &pool, &snapshot))?,
                 );
                 Some(local)
             }
@@ -453,11 +239,8 @@ impl Ingestd {
 
         Ok(IngestdHandle {
             router,
-            counters,
             snapshot,
             running,
-            shutdown,
-            metrics,
             ingest_addr,
             status_addr,
             threads,
@@ -493,62 +276,39 @@ impl IngestdHandle {
 
     /// [`flush`](Self::flush) with the window's OCE feedback labels:
     /// the coordinator joins them with the merged per-strategy feature
-    /// samples and updates the online QoA model (standalone role), or
-    /// leaves both for the cluster coordinator (node role).
+    /// samples and updates the online QoA model.
     pub fn flush_labeled(&self, labels: Vec<QoaLabel>) -> Option<GovernanceSnapshot> {
         self.router.flush(labels).map(|closed| closed.snapshot)
     }
 
-    /// Like [`flush`](Self::flush), but returns the full
-    /// [`ClosedWindow`]: the snapshot plus the node-level
-    /// [`alertops_core::WindowDelta`] a cluster coordinator merges
-    /// with this node's peers.
-    pub fn flush_window(&self) -> Option<ClosedWindow> {
-        self.router.flush(Vec::new())
-    }
-
-    /// [`flush_window`](Self::flush_window) with OCE feedback labels
-    /// attached; see [`flush_labeled`](Self::flush_labeled).
+    /// [`flush_labeled`](Self::flush_labeled), but returns the full
+    /// [`ClosedWindow`]: the snapshot plus the verdicts the close
+    /// pushed down.
     pub fn flush_window_labeled(&self, labels: Vec<QoaLabel>) -> Option<ClosedWindow> {
         self.router.flush(labels)
     }
 
-    /// Pushes QoA verdicts down every shard queue, to apply before the
-    /// next window close. Cluster coordinators call this after their
-    /// own model update when this daemon was spawned with
-    /// [`Ingestd::spawn_node`].
-    pub fn push_qoa_verdicts(&self, verdicts: &QoaVerdicts) {
-        self.router.push_qoa_verdicts(verdicts);
-    }
-
-    /// Drain barrier: returns once every shard has consumed everything
-    /// enqueued before this call. The chaos suite uses it to pace
-    /// deterministically; blocks while a shard is stalled.
+    /// Drain barrier ([`ShardPool::sync`]). The chaos suite uses it to
+    /// pace deterministically; blocks while a shard is stalled.
     pub fn sync(&self) {
-        self.router.sync();
+        self.router.pool.sync();
     }
 
-    /// Chaos instrumentation: make `shard`'s worker panic at this
-    /// point in its queue (`on_close = false`), or during its next
-    /// window close after detection already mutated governor state
-    /// (`on_close = true`). The supervisor restarts the worker either
-    /// way. No-op for out-of-range shards.
+    /// Chaos instrumentation: [`ShardPool::inject_panic`].
     pub fn inject_panic(&self, shard: usize, on_close: bool) {
-        self.router.inject_panic(shard, on_close);
+        self.router.pool.inject_panic(shard, on_close);
     }
 
-    /// Chaos instrumentation: park `shard`'s worker, returning once it
-    /// is parked with its queue drained. Pair with
+    /// Chaos instrumentation: [`ShardPool::stall`]. Pair with
     /// [`resume_shard`](Self::resume_shard); a flush while stalled
     /// blocks until resumed.
     pub fn stall_shard(&self, shard: usize) {
-        self.router.stall(shard);
+        self.router.pool.stall(shard);
     }
 
-    /// Chaos instrumentation: unpark a worker parked by
-    /// [`stall_shard`](Self::stall_shard). No-op if not stalled.
+    /// Chaos instrumentation: [`ShardPool::resume`].
     pub fn resume_shard(&self, shard: usize) {
-        self.router.resume(shard);
+        self.router.pool.resume(shard);
     }
 
     /// The most recently merged snapshot, if any window closed yet.
@@ -563,14 +323,14 @@ impl IngestdHandle {
     /// Point-in-time counter values.
     #[must_use]
     pub fn counters(&self) -> CounterSnapshot {
-        self.counters.snapshot()
+        self.router.pool.counters().snapshot()
     }
 
     /// The daemon's metric handles, if [`IngestdConfig::metrics`] is
     /// enabled.
     #[must_use]
     pub fn metrics(&self) -> Option<&Arc<IngestdMetrics>> {
-        self.metrics.as_ref()
+        self.router.pool.metrics()
     }
 
     /// Renders the Prometheus text exposition: the conservation
@@ -579,19 +339,20 @@ impl IngestdHandle {
     /// serves for a `metrics` request.
     #[must_use]
     pub fn render_metrics(&self) -> String {
-        render_exposition(&self.counters, self.metrics.as_deref())
+        let pool = &self.router.pool;
+        render_exposition(pool.counters(), pool.metrics().map(Arc::as_ref))
     }
 
     /// Blocks until some connection sends `{"ctrl":"shutdown"}` (or
     /// [`IngestdHandle::request_shutdown`] is called).
     pub fn wait_for_shutdown_request(&self) {
-        self.shutdown.wait();
+        self.router.shutdown.wait();
     }
 
     /// Raises the shutdown request flag (as the shutdown control frame
     /// does), unblocking [`IngestdHandle::wait_for_shutdown_request`].
     pub fn request_shutdown(&self) {
-        self.shutdown.request();
+        self.router.shutdown.request();
     }
 
     /// Stops the daemon: coordinator first, then listeners, then
@@ -599,33 +360,26 @@ impl IngestdHandle {
     /// closed by their peers for their detached handler threads to
     /// exit, but this method does not wait for those.
     pub fn shutdown(self) {
-        self.shutdown.request();
+        self.router.shutdown.request();
         self.running.store(false, Ordering::Release);
 
-        // Stop the coordinator (acked so no close is mid-flight).
-        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        if self
-            .router
-            .coord_tx
-            .send(CoordMsg::Shutdown { ack: ack_tx })
-            .is_ok()
-        {
-            let _ = ack_rx.recv();
-        }
+        // Stop the coordinator; the join below waits out a close in
+        // flight.
+        let _ = self.router.coord_tx.send(CoordMsg::Shutdown);
 
         // Wake the accept loops so they observe `running == false`.
         for addr in [self.ingest_addr, self.status_addr].into_iter().flatten() {
             let _ = TcpStream::connect(addr);
         }
 
-        // Workers exit once every sender into their queues is gone:
-        // the coordinator's clones died with it, and the router's die
-        // here (accept loops drop their clones as they exit).
-        drop(self.router);
-
         for handle in self.threads {
             let _ = handle.join();
         }
+
+        // The pool stops and joins its workers once its last holder
+        // lets go: the coordinator and the accept loops just did, so
+        // that is here unless a connection handler is still open.
+        drop(self.router);
     }
 }
 
@@ -783,16 +537,16 @@ fn handle_item(
 ) -> bool {
     match item {
         Ok(frame) => {
-            if let Some(metrics) = &router.metrics {
+            if let Some(metrics) = router.pool.metrics() {
                 metrics.frames_decoded.inc();
             }
             handle_frame(frame, router, |ack| codec.write_ack(ack, writer).is_ok())
         }
         Err(reason) => {
-            if let Some(metrics) = &router.metrics {
+            if let Some(metrics) = router.pool.metrics() {
                 metrics.frames_rejected.inc();
             }
-            router.counters.quarantine(reason);
+            router.pool.counters().quarantine(reason);
             !codec.decode_error_is_terminal()
         }
     }
@@ -815,7 +569,7 @@ fn handle_frame(frame: Frame, router: &Arc<Router>, mut ack: impl FnMut(AckFrame
             }
         }
         Frame::Sync => {
-            router.sync();
+            router.pool.sync();
             return ack(AckFrame::Sync);
         }
         Frame::Shutdown => {
@@ -829,17 +583,20 @@ fn handle_frame(frame: Frame, router: &Arc<Router>, mut ack: impl FnMut(AckFrame
             | ChaosCmd::Resume { shard }) = cmd;
             if chaos_target(router, shard) {
                 match cmd {
-                    ChaosCmd::Panic { on_close, .. } => router.inject_panic(shard, on_close),
+                    ChaosCmd::Panic { on_close, .. } => router.pool.inject_panic(shard, on_close),
                     ChaosCmd::Stall { .. } => {
-                        router.stall(shard);
+                        router.pool.stall(shard);
                         return ack(AckFrame::Stall { shard });
                     }
-                    ChaosCmd::Resume { .. } => router.resume(shard),
+                    ChaosCmd::Resume { .. } => router.pool.resume(shard),
                 }
             }
         }
         Frame::Boundary { .. } | Frame::Ack(_) | Frame::QoaState(_) => {
-            router.counters.quarantine(QuarantineReason::UnknownControl);
+            router
+                .pool
+                .counters()
+                .quarantine(QuarantineReason::UnknownControl);
         }
     }
     true
@@ -849,10 +606,13 @@ fn handle_frame(frame: Frame, router: &Arc<Router>, mut ack: impl FnMut(AckFrame
 /// the shard in range; otherwise the frame is quarantined as an
 /// unknown control and ignored.
 fn chaos_target(router: &Arc<Router>, shard: usize) -> bool {
-    if router.chaos && shard < router.shard_txs.len() {
+    if router.chaos && shard < router.pool.shards() {
         true
     } else {
-        router.counters.quarantine(QuarantineReason::UnknownControl);
+        router
+            .pool
+            .counters()
+            .quarantine(QuarantineReason::UnknownControl);
         false
     }
 }
@@ -862,21 +622,19 @@ fn chaos_target(router: &Arc<Router>, shard: usize) -> bool {
 fn accept_status(
     listener: &TcpListener,
     running: &Arc<AtomicBool>,
-    counters: &Arc<Counters>,
+    pool: &Arc<ShardPool>,
     snapshot: &Arc<RwLock<Option<GovernanceSnapshot>>>,
-    metrics: &Option<Arc<IngestdMetrics>>,
 ) {
     for stream in listener.incoming() {
         if !running.load(Ordering::Acquire) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let counters = Arc::clone(counters);
+        let pool = Arc::clone(pool);
         let snapshot = Arc::clone(snapshot);
-        let metrics = metrics.clone();
         let _ = thread::Builder::new()
             .name("ingestd-status-conn".to_owned())
-            .spawn(move || serve_status(&stream, &counters, &snapshot, metrics.as_deref()));
+            .spawn(move || serve_status(&stream, &pool, &snapshot));
     }
 }
 
@@ -884,11 +642,11 @@ fn accept_status(
 /// selected document, close. See [`crate::status`] for the protocol.
 fn serve_status(
     stream: &TcpStream,
-    counters: &Arc<Counters>,
+    pool: &ShardPool,
     snapshot: &Arc<RwLock<Option<GovernanceSnapshot>>>,
-    metrics: Option<&IngestdMetrics>,
 ) {
     let request = read_status_request(stream);
+    let counters = pool.counters();
     let mut writer = stream;
     match request {
         StatusRequest::Status => {
@@ -899,6 +657,7 @@ fn serve_status(
             let _ = writeln!(writer, "{}", report.to_json());
         }
         StatusRequest::Metrics => {
+            let metrics = pool.metrics().map(Arc::as_ref);
             let _ = writer.write_all(render_exposition(counters, metrics).as_bytes());
         }
         StatusRequest::Healthz => {

@@ -11,7 +11,8 @@
 //! — so all evidence for one strategy always lands on one shard — and
 //! runs one [`alertops_core::StreamingGovernor`] per shard on its own
 //! worker thread behind a bounded queue with explicit backpressure and
-//! drop accounting.
+//! drop accounting. Those workers and queues are a [`ShardPool`], which
+//! `alertops-cluster` also holds directly, one per node.
 //!
 //! A coordinator thread closes the time window on a tick (or on an
 //! explicit `{"ctrl":"flush"}` frame), barriers on one
@@ -65,6 +66,7 @@ pub mod counters;
 mod daemon;
 pub mod journal;
 pub mod metrics;
+mod pool;
 pub mod shard;
 pub mod status;
 mod worker;
@@ -79,6 +81,7 @@ pub use counters::{CounterSnapshot, Counters};
 pub use daemon::{Ingestd, IngestdHandle};
 pub use journal::WindowJournal;
 pub use metrics::{render_exposition, IngestdMetrics};
+pub use pool::ShardPool;
 pub use shard::{shard_catalog, shard_of};
 pub use status::{StatusReport, StatusRequest};
 pub use worker::CHAOS_PANIC_MSG;

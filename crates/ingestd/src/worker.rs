@@ -8,9 +8,9 @@
 //! counts the buffered-but-unclosed alerts as dropped, and marks the
 //! shard degraded so the next merged snapshot says so. If the panic
 //! struck mid-close, a synthetic empty window is closed on the
-//! rolled-back governor so the coordinator's barrier still receives
-//! exactly one delta for that sequence number — a crashing shard must
-//! never wedge the whole daemon.
+//! rolled-back governor so the pool's barrier still receives exactly
+//! one delta for that sequence number — a crashing shard must never
+//! wedge a window close.
 //!
 //! There is no stored checkpoint. Between closes the drain loop only
 //! buffers alerts, so the governor can differ from its state at the
@@ -48,7 +48,7 @@ pub(crate) enum WorkerMsg {
     Alert(Box<Alert>),
     /// Close the current window and report the delta tagged with `seq`.
     Close {
-        /// The coordinator's window sequence number, echoed back.
+        /// The holder's window sequence number, echoed back.
         seq: u64,
     },
     /// Drain barrier: ack once every message queued before this one
@@ -64,9 +64,9 @@ pub(crate) enum WorkerMsg {
     /// Fresh QoA verdicts from whichever coordinator runs the online
     /// model. Rides the ingest queue so ordering against `Close` is
     /// exact: verdicts pushed after close `N` apply to everything the
-    /// shard governs from window `N + 1` on — the same cadence a
-    /// local-mode governor gets by updating its own model at each
-    /// window boundary.
+    /// shard governs from window `N + 1` on — the cadence a library
+    /// caller gets by installing its closer's verdicts on its one
+    /// governor at each window boundary.
     Qoa(QoaVerdicts),
     /// Chaos: park the worker. `entered` is acked once parked (the
     /// queue ahead of this message is fully drained by then); the
@@ -98,7 +98,7 @@ struct ShardState {
     /// incomplete.
     degraded: bool,
     /// The close sequence in flight when a panic struck, if any; the
-    /// supervisor owes the coordinator a delta for it.
+    /// supervisor owes the barrier a delta for it.
     pending_close: Option<u64>,
     /// Armed by `WorkerMsg::Panic { on_close: true }`.
     poison_next_close: bool,
@@ -151,17 +151,16 @@ pub(crate) fn run_worker(
                     // empty window on the rolled-back governor — the
                     // shard contributes nothing this window, but the
                     // window *happened*.
-                    if !close_window(shard, &mut state, seq, deltas, counters, metrics) {
-                        return;
-                    }
+                    close_window(shard, &mut state, seq, deltas, counters, metrics);
                 }
             }
         }
     }
 }
 
-/// Closes the current window: sort, detect, commit, report.
-/// Returns `false` when the coordinator is gone (shutdown).
+/// Closes the current window: sort, detect, commit, report. The pool
+/// joins its workers before it drops the reply lane, so the report
+/// always has a receiver.
 fn close_window(
     shard: usize,
     state: &mut ShardState,
@@ -169,7 +168,7 @@ fn close_window(
     deltas: &Sender<ShardDelta>,
     counters: &Arc<Counters>,
     metrics: Option<&IngestdMetrics>,
-) -> bool {
+) {
     // If a chaos panic interrupts the close, the span still records on
     // unwind — metrics observe the attempt, never alter recovery.
     let _span = metrics.map(|m| m.shard_close(shard).time());
@@ -193,14 +192,12 @@ fn close_window(
     // Keep the buffer's capacity for the next window.
     state.window.clear();
     state.pending_close = None;
-    deltas
-        .send(ShardDelta {
-            seq,
-            shard,
-            degraded: std::mem::take(&mut state.degraded),
-            delta,
-        })
-        .is_ok()
+    let _ = deltas.send(ShardDelta {
+        seq,
+        shard,
+        degraded: std::mem::take(&mut state.degraded),
+        delta,
+    });
 }
 
 /// The drain loop proper; every panic inside it is caught by the
@@ -223,9 +220,7 @@ fn drain(
             }
             WorkerMsg::Close { seq } => {
                 state.pending_close = Some(seq);
-                if !close_window(shard, state, seq, deltas, counters, metrics) {
-                    return; // coordinator gone: shutting down
-                }
+                close_window(shard, state, seq, deltas, counters, metrics);
             }
             WorkerMsg::Sync(ack) => {
                 let _ = ack.send(());

@@ -35,8 +35,8 @@ echo "==> soak smoke: TCP load harness + BENCH_soak.json regeneration"
 cargo run --release -q -p alertops-bench --bin soak_bench
 
 # The counts half of the bench ledger, as a ratchet. A traced 2-second
-# slice of `cluster-journal` (N = 40; every node closes through
-# ingestd::worker, journals and runs both channels) and of
+# slice of `cluster-journal` (N = 40; every node's shards close through
+# ingestd::worker, the cluster journals and runs both channels) and of
 # `governed-close` (N = 120; two shards, graph attached, both channels)
 # takes a few seconds each, and on them the per-alert counts repeat to
 # the last digit (`proc.alloc_bytes_per_alert` on `governed-close` to
@@ -62,8 +62,8 @@ check_counts() {
     done
 }
 check_counts cluster-journal <<'CEILINGS'
-proc.allocs_per_alert 17.9393
-proc.alloc_bytes_per_alert 2544.43
+proc.allocs_per_alert 16.3294
+proc.alloc_bytes_per_alert 2288.11
 proc.write_syscalls_per_kalert 1006.85
 CEILINGS
 check_counts governed-close <<'CEILINGS'
@@ -88,10 +88,16 @@ fi
 # WindowCloser::close, a WindowDelta carries inputs only, and recovery
 # state is (seq, window) pairs. Node logs hold node state: the QoA
 # checkpoint is one coordinator file and a handoff is a function call,
-# not a frame. Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states' \
+# not a frame. One merge point per process: a cluster node is a shard
+# pool and a log, not a daemon in a node role. Scoped to *.rs so the
+# docs may name what was removed.
+if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling or a node-log copy of coordinator state reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state or the node-role daemon reappeared (see matches above)" >&2
+    exit 1
+fi
+if grep -rn IngestdHandle crates/cluster/src; then
+    echo "the cluster holds a daemon again; a node is a ShardPool (see matches above)" >&2
     exit 1
 fi
 

@@ -565,10 +565,9 @@ fn run_cluster(args: &Args, out: &SimOutput) -> ExitCode {
         }
     }
     if args.qoa {
-        // Nodes are spawned in the node role (forward, run no pass);
-        // the cluster coordinator's closer owns the one model, and
-        // labels come from the simulator's seeded feedback oracle
-        // below.
+        // Every node's shards forward samples and run no pass; the
+        // cluster coordinator's closer owns the one model, and labels
+        // come from the simulator's seeded feedback oracle below.
         streaming.qoa.mode = QoaMode::Forward;
     }
     let node = IngestdConfig {

@@ -6,6 +6,8 @@
 //!   full-catalog streaming governor over the same windowed trace.
 //! - A mid-window node kill + rejoin is byte-invisible: the WAL replay
 //!   rebuilds exactly the state `kill -9` destroyed.
+//! - A close across a dead node lists its shards `degraded` (flat
+//!   `node * shards + shard`), and the close after its rejoin lists none.
 //! - A live range handoff mid-window neither drops nor double-counts.
 //! - WAL truncation while a node is dead surfaces as `dropped`, never
 //!   as a silent leak — the conservation law holds from the scrape.
@@ -98,7 +100,8 @@ fn json(snapshot: &GovernanceSnapshot) -> String {
 /// Strips the fields different partitions are *not* exact for: triage
 /// (cross-strategy correlation runs within each shard only, and node
 /// count changes the sharding) and the degraded list (asserted
-/// separately where a test injects faults). Same-topology comparisons
+/// separately, in `a_close_across_a_dead_node_lists_its_shards_degraded`).
+/// Same-topology comparisons
 /// skip this and demand full byte equality.
 fn comparable(snapshot: &GovernanceSnapshot) -> GovernanceSnapshot {
     GovernanceSnapshot {
@@ -265,6 +268,51 @@ fn mid_window_kill_and_rejoin_is_byte_invisible() {
             "kill+rejoin run diverged from the fault-free run at window {index}"
         );
     }
+}
+
+/// A window closed *across* a dead node says so, in the flat
+/// `node * shards + shard` encoding: with node 1 of a 3-node × 2-shard
+/// cluster down, the close lists exactly shards 2 and 3 degraded and
+/// node 1's journaled alerts stay in flight; the first close after the
+/// rejoin lists none and delivers them. Conservation holds at both.
+#[test]
+fn a_close_across_a_dead_node_lists_its_shards_degraded() {
+    let (catalog, windows) = windowed_trace(7, 48);
+    let root = wal_root("degraded-flat");
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cluster = spawn(3, 2, &root, &catalog);
+
+    cluster.kill(1);
+    for alert in &windows[0] {
+        cluster.route(alert.clone()).expect("route succeeds");
+    }
+    let across = cluster.close_window().expect("window closes");
+    assert_eq!(across.degraded, vec![2, 3]);
+    let counters = cluster.counters();
+    assert!(counters.is_conserved(), "{counters:?}");
+    assert!(counters.in_flight > 0, "node 1 owns part of the window");
+    assert_eq!(
+        across.alert_count as u64 + counters.in_flight,
+        windows[0].len() as u64
+    );
+    assert_scrape_conserved(&cluster);
+
+    cluster.rejoin(1).expect("rejoin replays the WAL");
+    for alert in &windows[1] {
+        cluster.route(alert.clone()).expect("route succeeds");
+    }
+    let after = cluster.close_window().expect("window closes");
+    assert_eq!(after.degraded, Vec::<usize>::new());
+    let counters = cluster.counters();
+    assert!(counters.is_conserved(), "{counters:?}");
+    assert_eq!((counters.in_flight, counters.dropped), (0, 0));
+    assert_eq!(
+        counters.delivered,
+        (windows[0].len() + windows[1].len()) as u64
+    );
+    assert_scrape_conserved(&cluster);
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A live range handoff in the middle of a window: the moved range's
