@@ -12,9 +12,8 @@
 //! strategies whose alert history is dominated by transients or exhibits
 //! toggling runs.
 
-use alertops_model::{Clearance, SimDuration, StrategyId};
+use alertops_model::{Clearance, SimDuration, SimTime, StrategyId};
 
-use crate::engine::TimeMultiset;
 use crate::input::DetectionInput;
 use crate::types::{AntiPattern, Detector, StrategyFinding};
 
@@ -62,7 +61,7 @@ impl TransientTogglingDetector {
     /// alerts of one strategy falling within any
     /// [`oscillation_window`](Self::oscillation_window)-long span.
     /// `times` must be sorted ascending.
-    fn max_oscillation(&self, times: &[alertops_model::SimTime]) -> usize {
+    fn max_oscillation(&self, times: &[SimTime]) -> usize {
         let mut best = 0;
         let mut lo = 0;
         for hi in 0..times.len() {
@@ -74,32 +73,35 @@ impl TransientTogglingDetector {
         best
     }
 
-    /// Evaluates one strategy from its rolling aggregates: `total`
-    /// in-scope alerts, of which the multiset `transient_times` were
-    /// transient. This is the single scoring formula shared by the
-    /// batch [`Detector`] pass and the incremental engine
+    /// Whether a strategy with `total` in-scope alerts, `transients` of
+    /// them transient, can be flagged at all — the counts-only gate
+    /// [`evaluate_strategy`](Self::evaluate_strategy) opens with. The
+    /// incremental engine checks it on its rolling counters before
+    /// gathering any raise time.
+    pub(crate) fn may_flag(&self, total: usize, transients: usize) -> bool {
+        total > 0
+            && transients >= self.min_transients
+            && transients as f64 / total as f64 >= self.min_transient_share
+    }
+
+    /// Evaluates one strategy: `total` in-scope alerts, of which those
+    /// raised at `transient_times` (sorted ascending, one entry per
+    /// alert) were transient. This is the single scoring formula shared
+    /// by the batch [`Detector`] pass and the incremental engine
     /// ([`crate::IncrementalState`]) — both paths reduce a strategy's
-    /// evidence to exactly these aggregates, so their findings agree
-    /// byte for byte.
+    /// evidence to exactly these inputs, so their findings agree byte
+    /// for byte.
     pub(crate) fn evaluate_strategy(
         &self,
         strategy: StrategyId,
         total: usize,
-        transient_times: &TimeMultiset,
+        transient_times: &[SimTime],
     ) -> Option<StrategyFinding> {
-        if total == 0 {
+        let transients = transient_times.len();
+        if !self.may_flag(total, transients) {
             return None;
         }
-        let transients: usize = transient_times.values().sum();
-        let share = transients as f64 / total as f64;
-        if transients < self.min_transients || share < self.min_transient_share {
-            return None;
-        }
-        let flat: Vec<alertops_model::SimTime> = transient_times
-            .iter()
-            .flat_map(|(&t, &count)| std::iter::repeat_n(t, count))
-            .collect();
-        let oscillation = self.max_oscillation(&flat);
+        let oscillation = self.max_oscillation(transient_times);
         let toggling = oscillation > self.oscillation_threshold;
         Some(StrategyFinding {
             strategy,
@@ -125,12 +127,12 @@ impl Detector for TransientTogglingDetector {
         let mut findings = Vec::new();
         for strategy in input.strategies() {
             let total = input.alert_count_of(strategy.id());
-            let mut transient_times = TimeMultiset::new();
-            for alert in input.alerts_of(strategy.id()) {
-                if self.is_transient(alert) {
-                    *transient_times.entry(alert.raised_at()).or_insert(0) += 1;
-                }
-            }
+            let mut transient_times: Vec<SimTime> = input
+                .alerts_of(strategy.id())
+                .filter(|alert| self.is_transient(alert))
+                .map(alertops_model::Alert::raised_at)
+                .collect();
+            transient_times.sort_unstable();
             if let Some(finding) = self.evaluate_strategy(strategy.id(), total, &transient_times) {
                 findings.push(finding);
             }

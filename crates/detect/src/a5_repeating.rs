@@ -11,8 +11,6 @@
 //! its alert count reaches `hourly_threshold` in at least
 //! `min_repeat_hours` (possibly non-consecutive) hours.
 
-use std::collections::BTreeMap;
-
 use alertops_model::StrategyId;
 
 use crate::input::DetectionInput;
@@ -45,36 +43,55 @@ impl Default for RepeatingDetector {
     }
 }
 
+/// Appends the `(hour, count)` run-length encoding of `sorted_hours`
+/// (hour buckets, ascending, one per alert) to `runs` — the histogram
+/// shape [`RepeatingDetector::evaluate_strategy`] reads, built the same
+/// way by the batch pass and the incremental engine.
+pub(crate) fn push_hour_runs(sorted_hours: &[u64], runs: &mut Vec<(u64, usize)>) {
+    for bucket in sorted_hours.chunk_by(|a, b| a == b) {
+        runs.push((bucket[0], bucket.len()));
+    }
+}
+
 impl RepeatingDetector {
-    /// Evaluates one strategy from its rolling aggregates: `total`
-    /// in-scope alerts bucketed into the `per_hour` histogram. The
-    /// single scoring formula shared by the batch [`Detector`] pass and
-    /// the incremental engine ([`crate::IncrementalState`]).
+    /// Whether a strategy with `total` in-scope alerts can be flagged
+    /// at all — the counts-only gate
+    /// [`evaluate_strategy`](Self::evaluate_strategy) opens with. The
+    /// incremental engine checks it on its rolling counters before
+    /// building any hour histogram.
+    pub(crate) fn may_flag(&self, total: usize) -> bool {
+        total >= self.hourly_threshold || total >= self.min_sustained_total
+    }
+
+    /// Evaluates one strategy: `total` in-scope alerts bucketed into the
+    /// `per_hour` histogram, as `(hour, count)` runs in ascending hour
+    /// order (see [`push_hour_runs`]). The single scoring formula shared
+    /// by the batch [`Detector`] pass and the incremental engine
+    /// ([`crate::IncrementalState`]).
     pub(crate) fn evaluate_strategy(
         &self,
         strategy: StrategyId,
         total: usize,
-        per_hour: &BTreeMap<u64, usize>,
+        per_hour: &[(u64, usize)],
     ) -> Option<StrategyFinding> {
-        if total < self.hourly_threshold && total < self.min_sustained_total {
+        if !self.may_flag(total) {
             return None;
         }
         let repeat_hours = per_hour
-            .values()
-            .filter(|&&c| c >= self.hourly_threshold)
+            .iter()
+            .filter(|&&(_, c)| c >= self.hourly_threshold)
             .count();
-        let peak = per_hour.values().copied().max().unwrap_or(0);
+        let peak = per_hour.iter().map(|&(_, c)| c).max().unwrap_or(0);
         let burst = repeat_hours >= self.min_repeat_hours;
         // Sustained: sliding 24h span over the sorted hour buckets.
         let sustained = {
-            let hours: Vec<(u64, usize)> = per_hour.iter().map(|(&h, &c)| (h, c)).collect();
             let mut best = false;
             let mut lo = 0;
             let mut span_alerts = 0usize;
-            for hi in 0..hours.len() {
-                span_alerts += hours[hi].1;
-                while hours[hi].0 - hours[lo].0 >= self.sustained_span_hours {
-                    span_alerts -= hours[lo].1;
+            for hi in 0..per_hour.len() {
+                span_alerts += per_hour[hi].1;
+                while per_hour[hi].0 - per_hour[lo].0 >= self.sustained_span_hours {
+                    span_alerts -= per_hour[lo].1;
                     lo += 1;
                 }
                 if hi - lo + 1 >= self.min_active_hours && span_alerts >= self.min_sustained_total {
@@ -117,10 +134,13 @@ impl Detector for RepeatingDetector {
         let mut findings = Vec::new();
         for strategy in input.strategies() {
             let total = input.alert_count_of(strategy.id());
-            let mut per_hour: BTreeMap<u64, usize> = BTreeMap::new();
-            for alert in input.alerts_of(strategy.id()) {
-                *per_hour.entry(alert.hour_bucket()).or_insert(0) += 1;
-            }
+            let mut hours: Vec<u64> = input
+                .alerts_of(strategy.id())
+                .map(alertops_model::Alert::hour_bucket)
+                .collect();
+            hours.sort_unstable();
+            let mut per_hour = Vec::new();
+            push_hour_runs(&hours, &mut per_hour);
             if let Some(finding) = self.evaluate_strategy(strategy.id(), total, &per_hour) {
                 findings.push(finding);
             }

@@ -8,14 +8,14 @@
 //! stateful engine exposing three rolling operations:
 //!
 //! * [`observe_window`](IncrementalState::observe_window) — fold one
-//!   window of alerts into per-strategy rolling aggregates, the storm
+//!   window of alerts into per-strategy rolling counters, the storm
 //!   region-hour histogram, and (for a caller that hands over the
 //!   dependency graph) the cascade edge set, remembering a compact
 //!   [`WindowDigest`] so the window can later be subtracted;
 //! * [`evict_window`](IncrementalState::evict_window) — subtract the
 //!   oldest window's digest from every aggregate (the *eviction
-//!   algebra*: each aggregate is a multiset count, so subtraction is
-//!   exact and order-independent);
+//!   algebra*: each aggregate is a count, so subtraction is exact and
+//!   order-independent);
 //! * [`current_findings`](IncrementalState::current_findings) — produce
 //!   an [`AntiPatternReport`] equal to running the batch detectors over
 //!   the flattened surviving history, re-evaluating only strategies
@@ -24,11 +24,11 @@
 //! # Exactness
 //!
 //! Every detector's scoring was refactored into a per-strategy
-//! `evaluate_strategy` function of *aggregates* (counts, time
-//! multisets, hour histograms); both the batch [`Detector`] passes and
-//! this engine reduce a strategy's evidence to exactly those aggregates
-//! and call the same function, so findings agree byte for byte. The
-//! aggregates themselves are order-independent and support exact
+//! `evaluate_strategy` function of *aggregates* (counts, sorted
+//! transient times, `(hour, count)` runs); both the batch [`Detector`]
+//! passes and this engine reduce a strategy's evidence to exactly those
+//! inputs and call the same function, so findings agree byte for byte.
+//! The rolling counters are order-independent and support exact
 //! subtraction, with empty entries removed eagerly so a long-lived
 //! state is structurally identical to one freshly built from only the
 //! surviving windows (the property suite asserts this).
@@ -38,6 +38,20 @@
 //! depend on the incident list, so their cached findings are
 //! invalidated whenever the provided incidents differ from the previous
 //! evaluation.
+//!
+//! # Memory: each raise time held once
+//!
+//! A window's raise times live in its digest and nowhere else: a digest
+//! is two exactly-sized vectors, one [`Slice`] of counters per strategy
+//! and every alert's raise time, both in strategy-id order. A
+//! strategy's rolling state is four counters. The times an evaluator
+//! reads — A2/A3's co-occurrence count, A4's sorted transient times,
+//! A5's hour runs — are gathered from the surviving digests when it
+//! runs, into buffers the engine reuses, and only where they can change
+//! the verdict: A2/A3 only when there are incidents, A4 and A5 only for
+//! a strategy whose counters say it `may_flag` at all. The
+//! `held_raise_times` probe states the bound and the property suite
+//! checks it after every operation.
 //!
 //! # Who attaches a graph
 //!
@@ -64,7 +78,9 @@
 //! however far an interrupted observe, evict or evaluation got, since
 //! nothing of the interrupted aggregates or caches is reused.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 
 use alertops_model::{
     Alert, AlertId, AlertStrategy, Clearance, DependencyGraph, Incident, IndexedCatalog,
@@ -72,6 +88,7 @@ use alertops_model::{
 };
 
 use crate::a2_severity::{a2_transient_cutoff, SeverityEvidence};
+use crate::a5_repeating::push_hour_runs;
 use crate::a6_cascading::{CascadeGroup, CascadeState};
 use crate::input::DetectionInput;
 use crate::metrics::DetectMetrics;
@@ -81,27 +98,6 @@ use crate::{
     CascadingDetector, ImproperRuleDetector, MisleadingSeverityDetector, RepeatingDetector,
     TransientTogglingDetector, UnclearTitleDetector,
 };
-
-/// A multiset of simulation instants: time → occurrence count.
-///
-/// The engine's basic aggregate. Order-independent (it's a map), and
-/// subtractable: removing the same times that were added restores the
-/// previous value exactly. Entries are dropped at count zero so two
-/// multisets over the same surviving alerts always compare equal.
-pub(crate) type TimeMultiset = BTreeMap<SimTime, usize>;
-
-fn multiset_add(ms: &mut TimeMultiset, t: SimTime) {
-    *ms.entry(t).or_insert(0) += 1;
-}
-
-fn multiset_sub(ms: &mut TimeMultiset, t: SimTime) {
-    if let Some(count) = ms.get_mut(&t) {
-        *count -= 1;
-        if *count == 0 {
-            ms.remove(&t);
-        }
-    }
-}
 
 /// Detector configurations the engine evaluates with. Defaults match
 /// [`AntiPatternReport::run_default`], so an engine with a default
@@ -122,29 +118,35 @@ pub struct EngineConfig {
     pub a6: CascadingDetector,
 }
 
-/// One strategy's contribution to one window — everything eviction
-/// needs to subtract the window from [`StrategyState`].
-#[derive(Debug, Clone, Default, PartialEq)]
-struct StrategyWindowDigest {
-    /// Raise times of the strategy's alerts in the window.
-    times: Vec<SimTime>,
-    /// Raise times of the transient ones (A4's definition).
-    transient_times: Vec<SimTime>,
+/// One strategy's run of a [`WindowDigest`]: its raise times are
+/// `times[previous slice's end..end]`, the first `transients` of them
+/// those of transient alerts (A4's definition).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Slice {
+    strategy: StrategyId,
+    /// One past the slice's last entry in [`WindowDigest::times`].
+    end: u32,
+    /// Leading entries of the slice that are transient.
+    transients: u32,
     /// Alerts that auto-cleared.
-    auto_cleared: usize,
+    auto_cleared: u32,
     /// Alerts that auto-cleared within A2's transient cutoff.
-    a2_transients: usize,
+    a2_transients: u32,
 }
 
-/// The compact per-window summary retained instead of cloned alerts.
+/// The compact per-window summary retained instead of cloned alerts,
+/// and the one place the engine keeps a raise time.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct WindowDigest {
     /// Alerts ingested in the window.
     alert_count: usize,
     /// Earliest raise time in the window, if any alerts.
     oldest: Option<SimTime>,
-    /// Per-strategy slices of the window.
-    per_strategy: BTreeMap<StrategyId, StrategyWindowDigest>,
+    /// One slice per strategy with alerts in the window, in id order.
+    slices: Vec<Slice>,
+    /// Every alert's raise time, slice by slice; within a slice the
+    /// transient ones first, each group ascending.
+    times: Vec<SimTime>,
     /// `(region, hour) → count` contribution to the storm histogram.
     region_hours: Vec<((RegionId, u64), usize)>,
     /// `(raise time, id, microservice)` of every alert, recorded only
@@ -154,22 +156,98 @@ struct WindowDigest {
     cascade: Vec<(SimTime, AlertId, MicroserviceId)>,
 }
 
-/// Rolling aggregates for one strategy over the surviving windows.
-#[derive(Debug, Clone, Default, PartialEq)]
+impl WindowDigest {
+    /// The range of slice `i`'s raise times in `times`.
+    fn range(&self, i: usize) -> Range<usize> {
+        let start = i.checked_sub(1).map_or(0, |p| self.slices[p].end as usize);
+        start..self.slices[i].end as usize
+    }
+
+    /// Each slice's contribution to the rolling counters, in id order.
+    fn counts(&self) -> impl Iterator<Item = (StrategyId, StrategyState)> + '_ {
+        self.slices.iter().enumerate().map(|(i, slice)| {
+            let counts = StrategyState {
+                total: self.range(i).len(),
+                transients: slice.transients as usize,
+                auto_cleared: slice.auto_cleared as usize,
+                a2_transients: slice.a2_transients as usize,
+            };
+            (slice.strategy, counts)
+        })
+    }
+
+    /// One step of a merge-walk over the id-ordered slices: moves
+    /// `cursor` past every slice ordered before `id` and returns `id`'s
+    /// slice and its raise times, if the window has one.
+    fn seek(&self, cursor: &mut usize, id: StrategyId) -> Option<(&Slice, &[SimTime])> {
+        while self.slices.get(*cursor).is_some_and(|s| s.strategy < id) {
+            *cursor += 1;
+        }
+        let slice = self.slices.get(*cursor).filter(|s| s.strategy == id)?;
+        Some((slice, &self.times[self.range(*cursor)]))
+    }
+}
+
+/// One alert of the window being digested, ordered the way its digest
+/// lays it out: by strategy, transients first, then by raise time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct DigestRow {
+    strategy: StrategyId,
+    /// Not transient — `false` sorts the transient alerts first.
+    lasting: bool,
+    raised_at: SimTime,
+    auto_cleared: bool,
+    a2_transient: bool,
+}
+
+/// Rolling counters for one strategy over the surviving windows — no
+/// raise time: those stay in the digests.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct StrategyState {
     /// Total in-scope alerts.
     total: usize,
-    /// Raise-time multiset of every alert (drives A2/A3 incident
-    /// co-occurrence counting).
-    times: TimeMultiset,
-    /// Raise-time multiset of A4-transient alerts.
-    transient_times: TimeMultiset,
+    /// A4-transient alerts.
+    transients: usize,
     /// Auto-cleared alerts.
     auto_cleared: usize,
     /// Auto-cleared within A2's transient cutoff.
     a2_transients: usize,
-    /// Alerts per hour bucket (drives A5).
-    hours: BTreeMap<u64, usize>,
+}
+
+impl StrategyState {
+    fn add(&mut self, other: &Self) {
+        self.total += other.total;
+        self.transients += other.transients;
+        self.auto_cleared += other.auto_cleared;
+        self.a2_transients += other.a2_transients;
+    }
+
+    fn sub(&mut self, other: &Self) {
+        self.total -= other.total;
+        self.transients -= other.transients;
+        self.auto_cleared -= other.auto_cleared;
+        self.a2_transients -= other.a2_transients;
+    }
+}
+
+/// Buffers the engine reuses across windows and evaluations, so that
+/// once grown neither a digest build nor an evaluation allocates for
+/// them. Empty between calls; only their capacity persists.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The window being digested, one row per alert, sorted.
+    rows: Vec<DigestRow>,
+    /// Per surviving window, the evaluation's merge-walk position.
+    cursors: Vec<usize>,
+    /// A4: the sorted transient times of every stale strategy A4
+    /// `may_flag`, back to back.
+    transient_times: Vec<SimTime>,
+    /// A5: one strategy's hour buckets, before they are run-length
+    /// encoded into `hour_runs`.
+    hours: Vec<u64>,
+    /// A5: the `(hour, count)` runs of every stale strategy A5
+    /// `may_flag`, back to back.
+    hour_runs: Vec<(u64, usize)>,
 }
 
 /// Cached per-strategy findings of the four history-driven detectors.
@@ -181,9 +259,9 @@ struct CachedFindings {
     a5: Option<StrategyFinding>,
 }
 
-/// One stale strategy, resolved for an evaluation: the catalog row and
-/// the rolling aggregates every evaluator reads, and what they make of
-/// them.
+/// One stale strategy, resolved for an evaluation: the catalog row, the
+/// rolling counters, the raise-time evidence gathered for it, and what
+/// the evaluators make of them.
 struct Stale<'a> {
     strategy: &'a AlertStrategy,
     state: &'a StrategyState,
@@ -191,6 +269,16 @@ struct Stale<'a> {
     /// stale along with A2/A3. False for a clean strategy that only a
     /// changed incident list made stale.
     aggregates_changed: bool,
+    /// Alerts that indicated an incident on the strategy's service,
+    /// under A2's and A3's lookaheads (both 0 without incidents).
+    a2_with_incident: usize,
+    a3_with_incident: usize,
+    /// Its sorted transient times in [`Scratch::transient_times`];
+    /// `None` unless A4 is stale and `may_flag` on the counters.
+    transient_times: Option<Range<usize>>,
+    /// Its hour runs in [`Scratch::hour_runs`]; `None` unless A5 is
+    /// stale and `may_flag` on the counters.
+    hour_runs: Option<Range<usize>>,
     /// The evaluators' verdicts, held here until the one cache write.
     rescored: CachedFindings,
 }
@@ -210,7 +298,7 @@ pub struct IncrementalState {
     windows: VecDeque<WindowDigest>,
     /// Total alerts across surviving windows (O(1) scope size).
     alerts_in_scope: usize,
-    /// Per-strategy rolling aggregates; entries are removed when a
+    /// Per-strategy rolling counters; entries are removed when a
     /// strategy's last alert is evicted.
     per_strategy: BTreeMap<StrategyId, StrategyState>,
     /// The storm `(region, hour) → count` histogram, incrementally
@@ -236,11 +324,13 @@ pub struct IncrementalState {
     /// How many windows at the back of `windows` were observed since
     /// the last commit.
     uncommitted: usize,
+    /// Reused digest-build and evaluation buffers.
+    scratch: Scratch,
 }
 
 impl PartialEq for IncrementalState {
     /// Compares only the *rolling state* (window digests, per-strategy
-    /// aggregates, histogram, cascade edges) — not evaluation caches,
+    /// counters, histogram, cascade edges) — not evaluation caches,
     /// which legitimately differ between a long-lived state and a fresh
     /// rebuild until the next `current_findings` call, and not the
     /// rollback bookkeeping, which says where the last commit was, not
@@ -278,6 +368,7 @@ impl IncrementalState {
             findings_cache: BTreeMap::new(),
             evicted: Vec::new(),
             uncommitted: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -334,10 +425,12 @@ impl IncrementalState {
         self.uncommitted += 1;
     }
 
-    /// Summarises one window. Reads only the detector configuration, so
-    /// a digest means the same to whichever engine applies it.
-    fn digest(&self, window: &[Alert], with_cascade: bool) -> WindowDigest {
+    /// Summarises one window, sorting it through the engine's reused
+    /// row buffer. Reads only the detector configuration, so a digest
+    /// means the same to whichever engine applies it.
+    fn digest(&mut self, window: &[Alert], with_cascade: bool) -> WindowDigest {
         let transient_cutoff = a2_transient_cutoff();
+        let rows = &mut self.scratch.rows;
         let mut digest = WindowDigest {
             alert_count: window.len(),
             ..WindowDigest::default()
@@ -346,17 +439,15 @@ impl IncrementalState {
         for alert in window {
             let t = alert.raised_at();
             digest.oldest = Some(digest.oldest.map_or(t, |o| o.min(t)));
-            let slice = digest.per_strategy.entry(alert.strategy()).or_default();
-            slice.times.push(t);
-            if self.config.a4.is_transient(alert) {
-                slice.transient_times.push(t);
-            }
-            if alert.clearance() == Some(Clearance::Auto) {
-                slice.auto_cleared += 1;
-                if alert.duration().is_some_and(|d| d < transient_cutoff) {
-                    slice.a2_transients += 1;
-                }
-            }
+            let auto_cleared = alert.clearance() == Some(Clearance::Auto);
+            rows.push(DigestRow {
+                strategy: alert.strategy(),
+                lasting: !self.config.a4.is_transient(alert),
+                raised_at: t,
+                auto_cleared,
+                a2_transient: auto_cleared
+                    && alert.duration().is_some_and(|d| d < transient_cutoff),
+            });
             *region_hours
                 .entry((alert.location().region().clone(), alert.hour_bucket()))
                 .or_insert(0) += 1;
@@ -364,6 +455,23 @@ impl IncrementalState {
                 digest.cascade.push((t, alert.id(), alert.microservice()));
             }
         }
+        rows.sort_unstable();
+        digest.times = rows.iter().map(|row| row.raised_at).collect();
+        let runs = rows.chunk_by(|a, b| a.strategy == b.strategy);
+        digest.slices = Vec::with_capacity(runs.clone().count());
+        let mut end = 0;
+        for run in runs {
+            end += run.len();
+            let count = |of: fn(&DigestRow) -> bool| to_u32(run.iter().filter(|r| of(r)).count());
+            digest.slices.push(Slice {
+                strategy: run[0].strategy,
+                end: to_u32(end),
+                transients: count(|r| !r.lasting),
+                auto_cleared: count(|r| r.auto_cleared),
+                a2_transients: count(|r| r.a2_transient),
+            });
+        }
+        rows.clear();
         digest.region_hours = region_hours.into_iter().collect();
         digest
     }
@@ -373,18 +481,8 @@ impl IncrementalState {
     /// files the digest under `windows`.
     fn apply(&mut self, digest: &WindowDigest, graph: Option<&DependencyGraph>) {
         self.alerts_in_scope += digest.alert_count;
-        for (&strategy, slice) in &digest.per_strategy {
-            let state = self.per_strategy.entry(strategy).or_default();
-            state.total += slice.times.len();
-            for &t in &slice.times {
-                multiset_add(&mut state.times, t);
-                *state.hours.entry(t.hour_bucket()).or_insert(0) += 1;
-            }
-            for &t in &slice.transient_times {
-                multiset_add(&mut state.transient_times, t);
-            }
-            state.auto_cleared += slice.auto_cleared;
-            state.a2_transients += slice.a2_transients;
+        for (strategy, counts) in digest.counts() {
+            self.per_strategy.entry(strategy).or_default().add(&counts);
             self.dirty.insert(strategy);
         }
         for ((region, hour), count) in &digest.region_hours {
@@ -413,25 +511,11 @@ impl IncrementalState {
             return 0;
         };
         self.alerts_in_scope -= digest.alert_count;
-        for (&strategy, slice) in &digest.per_strategy {
-            if let Some(state) = self.per_strategy.get_mut(&strategy) {
-                state.total -= slice.times.len();
-                for &t in &slice.times {
-                    multiset_sub(&mut state.times, t);
-                    if let Some(count) = state.hours.get_mut(&t.hour_bucket()) {
-                        *count -= 1;
-                        if *count == 0 {
-                            state.hours.remove(&t.hour_bucket());
-                        }
-                    }
-                }
-                for &t in &slice.transient_times {
-                    multiset_sub(&mut state.transient_times, t);
-                }
-                state.auto_cleared -= slice.auto_cleared;
-                state.a2_transients -= slice.a2_transients;
-                if state.total == 0 {
-                    self.per_strategy.remove(&strategy);
+        for (strategy, counts) in digest.counts() {
+            if let Entry::Occupied(mut state) = self.per_strategy.entry(strategy) {
+                state.get_mut().sub(&counts);
+                if state.get().total == 0 {
+                    state.remove();
                 }
             }
             self.dirty.insert(strategy);
@@ -495,6 +579,37 @@ impl IncrementalState {
         self.evicted.len()
     }
 
+    /// How many raise times the engine holds, wherever it holds them.
+    /// Each is held once, in the digest of its window, so this is
+    /// [`alert_count`](Self::alert_count) plus the alerts of the
+    /// [kept digests](Self::kept_digests). A6's cascade tuples, recorded
+    /// only for windows observed with a graph, are that detector's own
+    /// state and not counted.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn held_raise_times(&self) -> usize {
+        // Named field by field, so a field added to the engine has to
+        // be classified here.
+        let Self {
+            config: _,
+            windows,
+            alerts_in_scope: _,
+            per_strategy: _, // counters only
+            histogram: _,
+            cascade: _,
+            dirty: _,
+            catalog: _,
+            incidents_seen: _,
+            a1_cache: _,
+            findings_cache: _,
+            evicted,
+            uncommitted: _,
+            scratch,
+        } = self;
+        let digests: usize = windows.iter().chain(evicted).map(|d| d.times.len()).sum();
+        digests + scratch.rows.len() + scratch.transient_times.len()
+    }
+
     /// Evaluates the current scope into an [`AntiPatternReport`] equal
     /// to running the batch detectors over the flattened surviving
     /// history with `strategies`, `incidents`, and `graph` attached.
@@ -507,7 +622,9 @@ impl IncrementalState {
     /// but no row has no findings.
     /// Per-pattern wall time and finding counts are recorded into
     /// `metrics` exactly as the batch
-    /// [`run_instrumented`](AntiPatternReport::run_instrumented) does.
+    /// [`run_instrumented`](AntiPatternReport::run_instrumented) does;
+    /// gathering the stale strategies' raise times from the digests is
+    /// one pass before the evaluators and timed under none of them.
     pub fn current_findings(
         &mut self,
         strategies: &[AlertStrategy],
@@ -544,10 +661,12 @@ impl IncrementalState {
 
         let Self {
             config,
+            windows,
             per_strategy,
             dirty,
             catalog,
             findings_cache,
+            scratch,
             ..
         } = self;
         let catalog = catalog.as_ref().expect("the catalog was recorded above");
@@ -568,6 +687,10 @@ impl IncrementalState {
                     strategy,
                     state,
                     aggregates_changed,
+                    a2_with_incident: 0,
+                    a3_with_incident: 0,
+                    transient_times: None,
+                    hour_runs: None,
                     rescored: CachedFindings::default(),
                 }),
                 None => {
@@ -586,6 +709,59 @@ impl IncrementalState {
         for &id in dirty.iter() {
             resolve(id, true);
         }
+        stale.sort_unstable_by_key(|s| s.strategy.id());
+
+        // Gather the raise times the evaluators read, with one
+        // merge-walk per surviving window over the id-ordered stale
+        // list, and only where they can change a verdict.
+        let Scratch {
+            cursors,
+            transient_times,
+            hours,
+            hour_runs,
+            ..
+        } = scratch;
+        cursors.clear();
+        cursors.resize(windows.len(), 0);
+        let co_occurrence = !incidents.is_empty();
+        for s in &mut stale {
+            let a4 = s.aggregates_changed && config.a4.may_flag(s.state.total, s.state.transients);
+            let a5 = s.aggregates_changed && config.a5.may_flag(s.state.total);
+            if !(co_occurrence || a4 || a5) {
+                continue;
+            }
+            let id = s.strategy.id();
+            let transients_from = transient_times.len();
+            for (digest, cursor) in windows.iter().zip(cursors.iter_mut()) {
+                let Some((slice, times)) = digest.seek(cursor, id) else {
+                    continue;
+                };
+                if co_occurrence {
+                    let service = s.strategy.service();
+                    s.a2_with_incident +=
+                        with_incident(times, service, incidents, config.a2.incident_lookahead);
+                    s.a3_with_incident +=
+                        with_incident(times, service, incidents, config.a3.incident_lookahead);
+                }
+                if a4 {
+                    transient_times.extend_from_slice(&times[..slice.transients as usize]);
+                }
+                if a5 {
+                    hours.extend(times.iter().map(|t| t.hour_bucket()));
+                }
+            }
+            if a4 {
+                transient_times[transients_from..].sort_unstable();
+                s.transient_times = Some(transients_from..transient_times.len());
+            }
+            if a5 {
+                hours.sort_unstable();
+                let runs_from = hour_runs.len();
+                push_hour_runs(hours, hour_runs);
+                hours.clear();
+                s.hour_runs = Some(runs_from..hour_runs.len());
+            }
+        }
 
         // A2 — misleading severity.
         {
@@ -593,12 +769,7 @@ impl IncrementalState {
             for s in &mut stale {
                 let evidence = SeverityEvidence {
                     total: s.state.total,
-                    with_incident: with_incident(
-                        &s.state.times,
-                        s.strategy.service(),
-                        incidents,
-                        config.a2.incident_lookahead,
-                    ),
+                    with_incident: s.a2_with_incident,
                     auto_cleared: s.state.auto_cleared,
                     transients: s.state.a2_transients,
                 };
@@ -610,39 +781,38 @@ impl IncrementalState {
         {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::ImproperRule));
             for s in &mut stale {
-                s.rescored.a3 = config.a3.evaluate_strategy(
-                    s.strategy,
-                    s.state.total,
-                    with_incident(
-                        &s.state.times,
-                        s.strategy.service(),
-                        incidents,
-                        config.a3.incident_lookahead,
-                    ),
-                );
+                s.rescored.a3 =
+                    config
+                        .a3
+                        .evaluate_strategy(s.strategy, s.state.total, s.a3_with_incident);
             }
         }
 
         // A4 — transient/toggling — and A5 — repeating — read the
         // aggregates alone: a strategy stale through the incident list
-        // only keeps what it has.
+        // only keeps what it has. One the gather skipped because the
+        // evaluator may not flag it has no evidence, and the evaluator
+        // would say `None` on the same counts.
         {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::TransientToggling));
             for s in stale.iter_mut().filter(|s| s.aggregates_changed) {
-                s.rescored.a4 = config.a4.evaluate_strategy(
-                    s.strategy.id(),
-                    s.state.total,
-                    &s.state.transient_times,
-                );
+                s.rescored.a4 = s.transient_times.clone().and_then(|range| {
+                    config.a4.evaluate_strategy(
+                        s.strategy.id(),
+                        s.state.total,
+                        &transient_times[range],
+                    )
+                });
             }
         }
         {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::Repeating));
             for s in stale.iter_mut().filter(|s| s.aggregates_changed) {
-                s.rescored.a5 =
+                s.rescored.a5 = s.hour_runs.clone().and_then(|range| {
                     config
                         .a5
-                        .evaluate_strategy(s.strategy.id(), s.state.total, &s.state.hours);
+                        .evaluate_strategy(s.strategy.id(), s.state.total, &hour_runs[range])
+                });
             }
         }
 
@@ -654,6 +824,8 @@ impl IncrementalState {
                 (cache.a4, cache.a5) = (s.rescored.a4, s.rescored.a5);
             }
         }
+        transient_times.clear();
+        hour_runs.clear();
 
         self.publish(
             AntiPattern::MisleadingSeverity,
@@ -719,29 +891,29 @@ impl IncrementalState {
     }
 }
 
-/// How many occurrences in `times` indicated an incident on `service`
-/// (one was ongoing, or began within `lookahead` after the instant) —
-/// the shared co-occurrence count behind A2 and A3.
+/// A digest count: a window's alerts, and so any count of them, fit a
+/// `u32`.
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("a window holds fewer than 2^32 alerts")
+}
+
+/// How many of the raise times `times` indicated an incident on
+/// `service` (one was ongoing, or began within `lookahead` after the
+/// instant) — the shared co-occurrence count behind A2 and A3.
 fn with_incident(
-    times: &TimeMultiset,
+    times: &[SimTime],
     service: ServiceId,
     incidents: &[Incident],
     lookahead: SimDuration,
 ) -> usize {
-    // No incident, no co-occurrence — and no walk over the strategy's
-    // history, which is every evaluation on a daemon shard.
-    if incidents.is_empty() {
-        return 0;
-    }
     times
         .iter()
-        .filter(|(&t, _)| {
+        .filter(|&&t| {
             incidents
                 .iter()
                 .any(|inc| inc.service() == service && inc.covers_or_follows(t, lookahead))
         })
-        .map(|(_, &count)| count)
-        .sum()
+        .count()
 }
 
 #[cfg(test)]
@@ -846,6 +1018,87 @@ mod tests {
             0,
             "no evidence may survive full eviction: {after}"
         );
+    }
+
+    /// Sixteen hourly windows: strategy 1 toggles (six 30-second
+    /// transients four minutes apart) in hour 2; strategy 2 bursts (20
+    /// alerts an hour) in hours 0 and 1; strategy 3 fires twice an hour
+    /// throughout — 32 alerts over 16 hours, A5's sustained branch.
+    fn a4_a5_windows() -> Vec<Vec<Alert>> {
+        let lasting = |id: u64, strategy: u64, t: u64| {
+            let mut a = Alert::builder(AlertId(id), StrategyId(strategy))
+                .raised_at(SimTime::from_secs(t))
+                .build();
+            a.clear(SimTime::from_secs(t + 900), Clearance::Auto)
+                .unwrap();
+            a
+        };
+        (0..16u64)
+            .map(|hour| {
+                let base = hour * 3_600;
+                let id = |i: u64| hour * 1_000 + i;
+                let mut window = vec![lasting(id(0), 3, base), lasting(id(1), 3, base + 1_800)];
+                if hour < 2 {
+                    window.extend((0..20).map(|i| lasting(id(10 + i), 2, base + i * 150)));
+                }
+                if hour == 2 {
+                    window.extend((0..6).map(|i| alert(id(100 + i), 1, base + 600 + i * 240)));
+                }
+                window
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a4_and_a5_findings_survive_eviction_and_rollback() {
+        let strategies = vec![strategy(1), strategy(2), strategy(3)];
+        let ws = a4_a5_windows();
+        let batch = |scope: &[Vec<Alert>]| {
+            let flat = scope.concat();
+            AntiPatternReport::run_default(&DetectionInput::new(&strategies).with_alerts(&flat))
+        };
+        let evidence = |report: &AntiPatternReport, pattern: AntiPattern, id: u64| {
+            report.findings[&pattern]
+                .iter()
+                .find(|f| f.strategy == StrategyId(id))
+                .map(|f| f.evidence.clone())
+        };
+        let mut engine = IncrementalState::default();
+        for w in &ws {
+            engine.observe_window(w, None, None);
+        }
+        engine.commit();
+        let full = engine.current_findings(&strategies, &[], None, None);
+        assert_eq!(full, batch(&ws));
+        let toggling = evidence(&full, AntiPattern::TransientToggling, 1).expect("A4 flags 1");
+        assert!(toggling.contains("TOGGLING"), "{toggling}");
+        let burst = evidence(&full, AntiPattern::Repeating, 2).expect("A5 flags 2");
+        assert!(burst.starts_with("reached"), "{burst}");
+        let sustained = evidence(&full, AntiPattern::Repeating, 3).expect("A5 flags 3");
+        assert!(
+            sustained.starts_with("fired in 16 distinct hours"),
+            "{sustained}"
+        );
+
+        // Evicting the burst hours and then the toggling run clears
+        // those findings, in step with batch; strategy 3 still repeats.
+        for k in 1..=3 {
+            engine.evict_window(None);
+            assert_eq!(
+                engine.current_findings(&strategies, &[], None, None),
+                batch(&ws[k..])
+            );
+            assert_eq!(engine.held_raise_times(), ws.concat().len());
+        }
+        let evicted = engine.current_findings(&strategies, &[], None, None);
+        assert_eq!(evidence(&evicted, AntiPattern::TransientToggling, 1), None);
+        assert_eq!(evidence(&evicted, AntiPattern::Repeating, 2), None);
+        assert!(evidence(&evicted, AntiPattern::Repeating, 3).is_some());
+
+        // Rolling back to the commit brings every finding back.
+        engine.rollback(None);
+        assert_eq!(engine.current_findings(&strategies, &[], None, None), full);
+        assert_eq!(engine.held_raise_times(), engine.alert_count());
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property tests over the incremental detection engine's eviction
 //! algebra: observing windows and then evicting some prefix must leave
 //! the engine *exactly* where a fresh engine fed only the surviving
-//! windows would be — structurally (rolling counters, transient
-//! multisets, repeat histograms, the storm region-hour histogram, and
-//! cascade edges) and in the findings it reports. This is the property
-//! that makes O(window) streaming detection semantically equal to
-//! O(history) batch recomputation — and, because the state is a pure
-//! function of the window digests, what lets `rollback` return to the
-//! last `commit` by rebuilding instead of keeping a copy.
+//! windows would be — structurally (window digests, per-strategy
+//! rolling counters, the storm region-hour histogram, and cascade
+//! edges) and in the findings it reports. This is the property that
+//! makes O(window) streaming detection semantically equal to O(history)
+//! batch recomputation — and, because the state is a pure function of
+//! the window digests, what lets `rollback` return to the last `commit`
+//! by rebuilding instead of keeping a copy. Along the way every test
+//! checks the memory bound: the engine holds each raise time once, in
+//! the digest of its window (`held_raise_times`).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -66,8 +68,11 @@ fn incidents() -> Vec<Incident> {
 /// Random alert windows: each alert gets a strategy, region, hour,
 /// microservice tied to the strategy (so the dependency graph applies),
 /// and an optional auto-clearance — short enough to count as transient
-/// for some draws, exercising the A4 multiset and the A2 evidence
-/// counters in both directions.
+/// for some draws, exercising A4's transient times and the A2 evidence
+/// counters in both directions. On top of up to `max_alerts` such
+/// alerts, one chatty strategy fires 18–30 times in each of 2–4 hours,
+/// some of them auto-clearing within 5 minutes, so A5's hour runs (and
+/// A4's toggling scan) see evidence that flags them.
 fn arb_windows(max_alerts: usize) -> impl Strategy<Value = Vec<Vec<Alert>>> {
     (
         prop::collection::vec(
@@ -81,8 +86,30 @@ fn arb_windows(max_alerts: usize) -> impl Strategy<Value = Vec<Vec<Alert>>> {
             0..max_alerts,
         ),
         2usize..20, // window length
+        (
+            0u64..6,  // chatty strategy
+            0u64..10, // its first busy hour
+            1u64..4,  // hours between its busy hours
+            prop::collection::vec(
+                prop::collection::vec(
+                    (
+                        0u64..3_600,                     // offset in hour
+                        prop::option::of(10u64..300u64), // auto-clear after seconds
+                    ),
+                    18..31,
+                ),
+                2..5,
+            ),
+        ),
     )
-        .prop_map(|(rows, window_len)| {
+        .prop_map(|(mut rows, window_len, (chatty, first, step, busy))| {
+            for (k, hour) in (0u64..).zip(busy) {
+                // At most 3 steps of at most 3 hours: distinct hours.
+                let hour_ix = (first + k * step) % 10;
+                for (offset, clear_after) in hour {
+                    rows.push((chatty, hour_ix, offset, offset % 2, clear_after));
+                }
+            }
             let mut alerts: Vec<Alert> = rows
                 .into_iter()
                 .enumerate()
@@ -116,6 +143,18 @@ fn fresh(windows: &[Vec<Alert>], graph: &DependencyGraph) -> IncrementalState {
     engine
 }
 
+/// The memory bound: `engine` holds each raise time once — those of
+/// the windows in scope plus the `kept` alerts of the committed windows
+/// it evicted since its last commit, and not one more.
+fn holds_each_time_once(engine: &IncrementalState, kept: usize) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        engine.held_raise_times(),
+        engine.alert_count() + kept,
+        "the engine holds a raise time twice, or lost one"
+    );
+    Ok(())
+}
+
 /// Rolling back a copy of `engine` must land on a fresh engine fed
 /// `scope`, stay there on a second rollback, and report that engine's
 /// findings next.
@@ -126,6 +165,7 @@ fn rolls_back_to(
 ) -> Result<(), TestCaseError> {
     let mut rolled = engine.clone();
     rolled.rollback(Some(graph));
+    holds_each_time_once(&rolled, 0)?;
     let mut expected = fresh(scope, graph);
     prop_assert_eq!(&rolled, &expected, "rollback missed the committed scope");
     let mut again = rolled.clone();
@@ -161,9 +201,11 @@ proptest! {
         let incidents = incidents();
         for k in 0..=windows.len() {
             let mut evicted = fresh(&windows, &graph);
+            holds_each_time_once(&evicted, 0)?;
             let mut removed = 0;
             for _ in 0..k {
                 removed += evicted.evict_window(None);
+                holds_each_time_once(&evicted, 0)?;
             }
             let survivors: usize = windows[k..].iter().map(Vec::len).sum();
             prop_assert_eq!(removed + survivors, windows.iter().map(Vec::len).sum::<usize>());
@@ -180,6 +222,7 @@ proptest! {
             let from_rebuilt =
                 rebuilt.current_findings(&strategies, &incidents, Some(&graph), None);
             prop_assert_eq!(from_evicted, from_rebuilt, "findings diverged at k={}", k);
+            holds_each_time_once(&evicted, 0)?;
         }
     }
 
@@ -198,8 +241,10 @@ proptest! {
         let mut rolling = IncrementalState::default();
         for (i, window) in windows.iter().enumerate() {
             rolling.observe_window(window, Some(&graph), None);
+            holds_each_time_once(&rolling, 0)?;
             while rolling.window_count() > scope {
                 rolling.evict_window(None);
+                holds_each_time_once(&rolling, 0)?;
             }
             let start = (i + 1).saturating_sub(scope);
             let mut rebuilt = fresh(&windows[start..=i], &graph);
@@ -209,6 +254,7 @@ proptest! {
                 rebuilt.current_findings(&strategies, &incidents, Some(&graph), None),
                 "findings diverged at window {}", i
             );
+            holds_each_time_once(&rolling, 0)?;
         }
     }
 
@@ -231,18 +277,29 @@ proptest! {
         let mut rolling = IncrementalState::default();
         // Window indices in scope at the last commit.
         let mut committed = 0..0;
+        // Alerts of the committed windows evicted since the last commit.
+        let mut kept = 0;
         for (i, window) in windows.iter().enumerate() {
             rolling.observe_window(window, Some(&graph), None);
+            holds_each_time_once(&rolling, kept)?;
             rolls_back_to(&rolling, &windows[committed.clone()], &graph)?;
             while rolling.window_count() > history {
+                let front = i + 1 - rolling.window_count();
                 rolling.evict_window(None);
+                if committed.contains(&front) {
+                    kept += windows[front].len();
+                }
+                holds_each_time_once(&rolling, kept)?;
                 rolls_back_to(&rolling, &windows[committed.clone()], &graph)?;
             }
             let _ = rolling.current_findings(&strategies, &incidents, Some(&graph), None);
+            holds_each_time_once(&rolling, kept)?;
             rolls_back_to(&rolling, &windows[committed.clone()], &graph)?;
             if commit_mask >> (i % 64) & 1 == 1 {
                 rolling.commit();
                 prop_assert_eq!(rolling.kept_digests(), 0);
+                kept = 0;
+                holds_each_time_once(&rolling, kept)?;
                 committed = (i + 1).saturating_sub(history)..i + 1;
                 rolls_back_to(&rolling, &windows[committed.clone()], &graph)?;
             }
@@ -282,6 +339,7 @@ proptest! {
             while rolling.window_count() > scope {
                 rolling.evict_window(None);
             }
+            holds_each_time_once(&rolling, 0)?;
             let in_scope = &windows[(i + 1).saturating_sub(scope)..=i];
             // First with the previous window's last list (only this
             // window's strategies are stale), then with a new one while
@@ -292,6 +350,7 @@ proptest! {
                     batch(in_scope, incidents),
                     "findings diverged from batch at window {}", i
                 );
+                holds_each_time_once(&rolling, 0)?;
             }
         }
     }
@@ -303,6 +362,7 @@ proptest! {
         let mut engine = fresh(&windows, &graph);
         while engine.window_count() > 0 {
             engine.evict_window(None);
+            holds_each_time_once(&engine, 0)?;
         }
         prop_assert_eq!(engine.alert_count(), 0);
         prop_assert!(engine.histogram().is_empty());

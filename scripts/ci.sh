@@ -62,13 +62,13 @@ check_counts() {
     done
 }
 check_counts cluster-journal <<'CEILINGS'
-proc.allocs_per_alert 16.3294
-proc.alloc_bytes_per_alert 2288.11
+proc.allocs_per_alert 14.2117
+proc.alloc_bytes_per_alert 1882.04
 proc.write_syscalls_per_kalert 1006.85
 CEILINGS
 check_counts governed-close <<'CEILINGS'
-proc.allocs_per_alert 28.77
-proc.alloc_bytes_per_alert 3737.9
+proc.allocs_per_alert 26.8471
+proc.alloc_bytes_per_alert 3526.78
 CEILINGS
 
 # The window-close path has one owner (alertops_core::WindowCloser)
@@ -89,11 +89,13 @@ fi
 # state is (seq, window) pairs. Node logs hold node state: the QoA
 # checkpoint is one coordinator file and a handoff is a function call,
 # not a frame. One merge point per process: a cluster node is a shard
-# pool and a log, not a daemon in a node role. Scoped to *.rs so the
-# docs may name what was removed.
-if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)' \
+# pool and a log, not a daemon in a node role. Each raise time is held
+# once, in its window's digest: no per-strategy time multiset and no
+# map-of-Vecs digest. Scoped to *.rs so the docs may name what was
+# removed.
+if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state or the node-role daemon reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon or a second copy of the engine's raise times reappeared (see matches above)" >&2
     exit 1
 fi
 if grep -rn IngestdHandle crates/cluster/src; then
