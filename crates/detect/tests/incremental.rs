@@ -18,20 +18,39 @@ use alertops_detect::storm::region_hour_histogram;
 use alertops_detect::{AntiPatternReport, DetectionInput, IncrementalState};
 use alertops_model::{
     Alert, AlertId, AlertStrategy, Clearance, DependencyGraph, Incident, IncidentId, Location,
-    LogRule, MicroserviceId, ServiceId, Severity, SimDuration, SimTime, StrategyId, StrategyKind,
+    LogRule, MetricKind, MetricRule, MicroserviceId, ServiceId, Severity, SimDuration, SimTime,
+    StrategyId, StrategyKind, ThresholdOp,
 };
 
-/// A dense-id log catalog covering every strategy the generator emits.
+/// The catalog's one infrastructure-metric strategy, the only kind A3
+/// judges. It belongs to service 0, so its alerts in hours 0–1 overlap
+/// the mitigated incident and later ones do not: A3 flags it when at
+/// least 5 of its alerts are in scope and at most 12 % overlap, and
+/// spares it above that rate.
+const INFRA: u64 = 5;
+
+/// A dense-id catalog covering every strategy the generator emits: log
+/// rules, plus a disk-usage rule at [`INFRA`].
 fn catalog() -> Vec<AlertStrategy> {
     (0..6u64)
         .map(|id| {
-            AlertStrategy::builder(StrategyId(id))
-                .title_template("service latency is abnormal")
-                .kind(StrategyKind::Log(LogRule {
+            let kind = if id == INFRA {
+                StrategyKind::Metric(MetricRule {
+                    metric: MetricKind::DiskUsage,
+                    op: ThresholdOp::Above,
+                    threshold: 90.0,
+                    consecutive_samples: 1,
+                })
+            } else {
+                StrategyKind::Log(LogRule {
                     keyword: "ERROR".into(),
                     min_count: 1,
                     window: SimDuration::from_mins(5),
-                }))
+                })
+            };
+            AlertStrategy::builder(StrategyId(id))
+                .title_template("service latency is abnormal")
+                .kind(kind)
                 .build()
                 .expect("catalog strategy is well-formed")
         })

@@ -80,9 +80,8 @@ pub(crate) fn run_coordinator(
         counters.windows_closed.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = pool.metrics() {
             m.window_close_micros.observe(window_micros);
-            // Per-window RSS sample: the soak harness scrapes this to
-            // enforce its memory ceiling. Observer-only, one procfs
-            // read per window close.
+            // Per-window RSS sample: an operator gauge on the status
+            // socket. Observer-only, one procfs read per window close.
             m.sample_rss();
         }
         if let Some(journal) = &journal {

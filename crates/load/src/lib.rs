@@ -1,28 +1,14 @@
-//! `alertops-load`: the soak and load harness.
+//! `alertops-load`: reads a live daemon's metrics from the outside.
 //!
-//! The governance pipeline's correctness story is differential — batch
-//! == streaming == sharded == clustered, byte for byte. This crate adds
-//! the *endurance* story on top: does that identity, and the memory and
-//! latency behaviour behind it, survive production-scale traffic
-//! sustained over a real socket for hours?
-//!
-//! Two modules:
-//!
-//! - [`driver`] — spawns a live [`alertops_ingestd::Ingestd`], streams a
-//!   statistical scenario into it as NDJSON over TCP at full speed, and
-//!   evaluates the soak gates (memory ceiling, conservation law,
-//!   oracle identity on a sampled prefix, sustained rate). The entry
-//!   point is [`run_soak`]; `cargo bench --bench soak_bench` wraps it
-//!   into `BENCH_soak.json` for CI.
-//! - [`scrape`] — a Prometheus text-exposition parser that reads the
-//!   daemon's metrics the way an external monitoring stack would,
-//!   including histogram quantiles that agree exactly with the
-//!   in-process [`alertops_obs::HistogramSnapshot::quantile`].
+//! One module, [`scrape`]: a Prometheus text-exposition parser that
+//! reads the status socket's `metrics` document the way an external
+//! monitoring stack would, including histogram quantiles that agree
+//! exactly with the in-process
+//! [`alertops_obs::HistogramSnapshot::quantile`]. `pipeline-bench`
+//! reads the daemon's internal waits through it.
 
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod driver;
 pub mod scrape;
 
-pub use driver::{run_soak, SoakConfig, SoakReport};
 pub use scrape::Exposition;

@@ -1,9 +1,9 @@
 //! Prometheus text-exposition scraping.
 //!
-//! The soak driver watches a live daemon the same way an operator's
-//! monitoring stack would: by scraping the status socket's `metrics`
-//! document and reading the families back out of the text format. This
-//! parser covers exactly the subset `alertops-obs` emits — integer
+//! Reads a live daemon the same way an operator's monitoring stack
+//! would: by scraping the status socket's `metrics` document and
+//! reading the families back out of the text format. This parser
+//! covers exactly the subset `alertops-obs` emits — integer
 //! samples, `{k="v"}` label sets, and cumulative `_bucket{le=...}`
 //! histogram series — and mirrors
 //! [`alertops_obs::HistogramSnapshot::quantile`] bit for bit over the
@@ -57,37 +57,6 @@ impl Exposition {
     #[must_use]
     pub fn value(&self, series: &str) -> Option<u64> {
         self.samples.get(series).copied()
-    }
-
-    /// Every series of `family` (prefix match on `family` alone or
-    /// `family{`), yielding `(full_series_key, value)`.
-    pub fn series_of<'a>(&'a self, family: &'a str) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.samples
-            .iter()
-            .filter(move |(k, _)| {
-                k.as_str() == family
-                    || (k.starts_with(family) && k.as_bytes().get(family.len()) == Some(&b'{'))
-            })
-            .map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// The maximum value across every series of `family` (e.g. peak
-    /// per-shard queue depth), or `None` when the family is absent.
-    #[must_use]
-    pub fn max_of(&self, family: &str) -> Option<u64> {
-        self.series_of(family).map(|(_, v)| v).max()
-    }
-
-    /// Total observation count of a histogram family (its `_count`
-    /// series). `family` may carry labels (`name{shard="2"}`); the
-    /// suffix goes on the name, as the exposition renders it.
-    #[must_use]
-    pub fn histogram_count(&self, family: &str) -> Option<u64> {
-        let key = match family.split_once('{') {
-            Some((name, labels)) => format!("{name}_count{{{labels}"),
-            None => format!("{family}_count"),
-        };
-        self.value(&key)
     }
 
     /// The `q`-quantile upper bound of an unlabelled histogram family,
@@ -162,14 +131,17 @@ alertops_queue_depth{shard=\"1\"} 9
             exposition.value("alertops_queue_depth{shard=\"1\"}"),
             Some(9)
         );
-        assert_eq!(exposition.max_of("alertops_queue_depth"), Some(9));
-        assert_eq!(exposition.max_of("alertops_queue"), None, "no prefix leaks");
+        assert_eq!(
+            exposition.value("alertops_queue_depth"),
+            None,
+            "a labelled series answers to its full key only"
+        );
         assert_eq!(exposition.value("missing"), None);
     }
 
     /// The scraped quantile must agree with the in-process snapshot
-    /// quantile on real histogram output — the soak gate depends on
-    /// this round-trip.
+    /// quantile on real histogram output — `pipeline-bench` reads the
+    /// daemon's close-latency p99 through this round-trip.
     #[test]
     fn scraped_quantiles_match_inprocess_snapshots() {
         let registry = MetricsRegistry::new();
@@ -180,7 +152,7 @@ alertops_queue_depth{shard=\"1\"} 9
         let exposition = Exposition::parse(&registry.render());
         let snapshot = histogram.snapshot();
         assert_eq!(
-            exposition.histogram_count("demo_close_micros"),
+            exposition.value("demo_close_micros_count"),
             Some(snapshot.count())
         );
         for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
@@ -200,7 +172,7 @@ alertops_queue_depth{shard=\"1\"} 9
         histogram.observe(100);
         let exposition = Exposition::parse(&registry.render());
         assert_eq!(
-            exposition.histogram_count("demo_shard_micros{shard=\"2\"}"),
+            exposition.value("demo_shard_micros_count{shard=\"2\"}"),
             Some(1)
         );
         assert!(exposition

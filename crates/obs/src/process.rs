@@ -1,10 +1,10 @@
 //! Process-level resource observation: resident set size.
 //!
-//! The soak harness's memory gate needs the process's RSS from inside
-//! the process, with no external tooling and no new dependencies. On
-//! Linux that is one line of `/proc/self/status`; elsewhere the probe
-//! degrades to `None` and callers treat the ceiling check as
-//! unsupported rather than failing spuriously.
+//! An operator gauge: the daemon publishes its own RSS on the status
+//! socket's `metrics` document, so memory growth is visible from the
+//! running process with no external tooling. On Linux that is one line
+//! of `/proc/self/status`; elsewhere the probe degrades to `None` and
+//! the gauge is left untouched.
 //!
 //! Like everything in this crate the probe is an observer: reading it
 //! never perturbs the governed outputs, it only costs one small procfs

@@ -422,8 +422,9 @@ pub fn mini_study(seed: u64) -> Scenario {
 /// with a diurnal load curve, eight deployments a day, daily gray
 /// cascades, and storms every ~12 hours. Drive it through
 /// [`crate::workload::StatisticalStream`] (hour-at-a-time, bounded
-/// memory) rather than [`Scenario::run`] — materializing the whole
-/// range at once is exactly what the soak harness exists to avoid.
+/// memory) rather than [`Scenario::run`], which materializes the whole
+/// range at once. `pipeline-bench`'s `steady-wire` workload streams it
+/// over binary TCP.
 #[must_use]
 pub fn soak(seed: u64) -> Scenario {
     Scenario {
@@ -462,8 +463,8 @@ pub fn soak(seed: u64) -> Scenario {
 /// The soak world shrunk to smoke-test size (8 services, 96
 /// microservices, 800 strategies, one day) with every [`LoadShape`]
 /// phenomenon still active — same code paths as [`soak`], seconds of
-/// wall clock. This is what the CI `soak-smoke` gate and
-/// `tests/soak_smoke.rs` drive.
+/// wall clock. `pipeline-bench`'s `governed-close` and `storm-paced`
+/// workloads build their worlds from it.
 #[must_use]
 pub fn soak_smoke(seed: u64) -> Scenario {
     Scenario {

@@ -3,8 +3,7 @@
 //! The statistical engine ([`Engine::Statistical`](crate::scenarios::Engine))
 //! originally lived inside [`crate::scenarios`] as a batch function that
 //! materialized every alert for the whole range at once. This module is
-//! its generalization along two axes the soak harness
-//! (`alertops-load`) needs:
+//! its generalization along two axes production-shaped traffic needs:
 //!
 //! * **Shape** — [`LoadShape`] layers the phenomena production traffic
 //!   actually has on top of the per-profile Poisson baseline: a diurnal

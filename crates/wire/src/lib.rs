@@ -77,8 +77,8 @@ pub const WAL_MAGIC: [u8; 4] = *b"AOWL";
 pub const WAL_VERSION: u8 = 2;
 
 /// The encodings an ingress connection can speak. NDJSON is the daemon
-/// default; binary is opt-in (`--wire binary`) and what the soak
-/// harness gates.
+/// default; binary is opt-in (`--wire binary`) and what
+/// `pipeline-bench`'s `steady-wire` workload drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WireFormat {
     /// One JSON frame per line — human-readable.

@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # The repo's CI gate, runnable locally: formatting, lints, the tier-1
-# build+test pass, the full workspace test suite, and the soak smoke.
+# build+test pass, the full workspace test suite, and a verified,
+# count-ratcheted pipeline-bench slice of all four workloads.
 #
 # Opt-ins and replay hints (none run by default):
 #   CHAOS_SEED=<seed from a failure message> cargo test --test chaos_ingestd
 #       replays one fault-injection schedule in isolation.
 #   ALERTOPS_TEST_FULL=1 scripts/ci.sh
 #       restores the deep property-test sweeps (128/64/48 cases).
-#   ALERTOPS_SOAK_FULL=1 scripts/ci.sh
-#       runs the hours-long production soak instead of the smoke slice.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,23 +25,21 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test --workspace -q
 
-# Seeded production-shaped traffic over real TCP into a live 4-shard
-# ingestd. The binary writes BENCH_soak.json, then asserts its own
-# gates (sampled-prefix byte-identity vs 1- and 4-shard batch oracles,
-# conservation, zero drops, RSS ceiling, >= 1M alerts/hour), so under
-# `set -e` its exit code is the gate.
-echo "==> soak smoke: TCP load harness + BENCH_soak.json regeneration"
-cargo run --release -q -p alertops-bench --bin soak_bench
-
-# The counts half of the bench ledger, as a ratchet. A traced 2-second
-# slice of `cluster-journal` (N = 40; every node's shards close through
-# ingestd::worker, the cluster journals and runs both channels) and of
-# `governed-close` (N = 120; two shards, graph attached, both channels)
-# takes a few seconds each, and on them the per-alert counts repeat to
-# the last digit (`proc.alloc_bytes_per_alert` on `governed-close` to
-# 0.02 %), so a ceiling of "highest of five runs at the commit that last
-# moved it + 0.1 %" only trips on a real regression. Lower a ceiling
-# when a PR lowers the count.
+# Every workload's verdict, plus the counts half of the bench ledger as
+# a ratchet. A traced 2-second slice takes a few seconds per workload
+# and fails unless it prints `"correct": true`: the first published
+# snapshots byte-identical to an in-process 1-shard oracle, the
+# conservation law, contiguous window indices. That is the shaped
+# traffic check: `steady-wire` (N = 45) streams the `soak` world
+# (diurnal load, deploy waves, gray cascades) as binary frames over TCP
+# into a live 2-shard daemon, and `storm-paced` (N = 80) a stormy smoke
+# world as paced NDJSON lines. `cluster-journal` (N = 40) closes every
+# node's shards through ingestd::worker, journals and runs both
+# channels; `governed-close` (N = 400) has two shards, the graph and
+# both channels. On all four the per-alert counts repeat within 0.1 %
+# (to the last digit on `cluster-journal`), so a ceiling of "highest of
+# five runs at the commit that last moved it + 0.1 %" only trips on a
+# real regression. Lower a ceiling when a PR lowers the count.
 check_counts() {
     local workload=$1 counts name ceiling value
     echo "==> pipeline-bench counts: $workload --seconds 2, traced"
@@ -70,6 +67,14 @@ check_counts governed-close <<'CEILINGS'
 proc.allocs_per_alert 26.8471
 proc.alloc_bytes_per_alert 3526.78
 CEILINGS
+check_counts steady-wire <<'CEILINGS'
+proc.allocs_per_alert 6.3666
+proc.alloc_bytes_per_alert 1380.24
+CEILINGS
+check_counts storm-paced <<'CEILINGS'
+proc.allocs_per_alert 41.8329
+proc.alloc_bytes_per_alert 4605.57
+CEILINGS
 
 # The window-close path has one owner (alertops_core::WindowCloser)
 # and the ingress protocol one dispatcher, one client and one writable
@@ -81,6 +86,18 @@ if grep -rnE 'defer_emerging|defer_qoa|set_emerging_mode|set_qoa_mode|V1Json|han
     --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=ci.sh .; then
     echo "a removed option reappeared (see matches above)" >&2
+    exit 1
+fi
+
+# One harness per question: pipeline-bench measures and verifies the
+# binary-TCP path, so the soak driver, its bin, its report and its
+# opt-in must not come back beside it. Scoped so the docs may name what
+# was removed.
+if grep -rnE 'run_soak|SoakConfig|SoakReport|soak_bench|BENCH_soak|ALERTOPS_SOAK_FULL' \
+    --include='*.rs' --include='*.sh' --include='*.toml' \
+    --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build \
+    --exclude=ci.sh .; then
+    echo "a second harness for the steady-wire path reappeared (see matches above)" >&2
     exit 1
 fi
 
@@ -108,6 +125,15 @@ echo "==> alertops-wire depends on alertops-model only"
 wire_deps=$(cargo tree --offline -p alertops-wire -e normal --prefix none)
 if grep -vE '^(alertops-(wire|model)|serde[a-z_]*) ' <<<"$wire_deps"; then
     echo "alertops-wire grew a dependency beyond alertops-model and serde (see above)" >&2
+    exit 1
+fi
+
+# The exposition parser is a leaf: what is left of alertops-load
+# reads text, not the stack it scrapes.
+echo "==> alertops-load depends on alertops-obs only"
+load_deps=$(cargo tree --offline -p alertops-load -e normal --prefix none)
+if grep -vE '^alertops-(load|obs) ' <<<"$load_deps"; then
+    echo "alertops-load grew a dependency beyond alertops-obs (see above)" >&2
     exit 1
 fi
 

@@ -6,7 +6,10 @@
 //! a full reproduction of *"Characterizing and Mitigating Anti-patterns
 //! of Alerts in Industrial Cloud Systems"* (DSN 2022).
 //!
-//! This umbrella crate re-exports the whole workspace:
+//! This umbrella crate re-exports the workspace's library crates. The
+//! harness crates are not re-exported: `alertops-bench`,
+//! `pipeline-bench` and `alertops-load`, the exposition parser
+//! `pipeline-bench` scrapes the daemon with.
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
@@ -21,7 +24,6 @@
 //! | [`core`] | `alertops-core` | The [`AlertGovernor`](core::AlertGovernor) facade |
 //! | [`ingestd`] | `alertops-ingestd` | The sharded streaming ingestion daemon |
 //! | [`cluster`] | `alertops-cluster` | Multi-node clustering, write-ahead logs, range handoff |
-//! | [`load`] | `alertops-load` | Soak/load harness: sustained TCP load with hard gates |
 //! | [`obs`] | `alertops-obs` | Metrics registry, histograms, spans, Prometheus text |
 //! | [`chaos`] | `alertops-chaos` | Seeded fault schedules, frame corruption, backoff |
 //!
@@ -54,7 +56,6 @@ pub use alertops_cluster as cluster;
 pub use alertops_core as core;
 pub use alertops_detect as detect;
 pub use alertops_ingestd as ingestd;
-pub use alertops_load as load;
 pub use alertops_model as model;
 pub use alertops_obs as obs;
 pub use alertops_qoa as qoa;
