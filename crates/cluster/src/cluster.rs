@@ -121,8 +121,7 @@ pub struct ClusterConfig {
     /// are replayed on spawn (lossless restart).
     pub wal_root: PathBuf,
     /// Frozen-bench scaffolding with one value (see [`WalFormat`]):
-    /// nothing reads it. Replay reads v1 and v2 segments alike; every
-    /// append is v2.
+    /// nothing reads it. Every append is v2, and replay reads v2 only.
     pub wal_format: WalFormat,
 }
 

@@ -19,9 +19,9 @@
 //!
 //! - **Write-ahead log** ([`wal`]): every accepted alert is journaled
 //!   to its owner's length+CRC-framed log (binary `alertops-wire`
-//!   frames by default, the pre-v2 NDJSON layout still replayable)
-//!   before it is routed; window boundaries seal segments with an
-//!   `fsync`. A killed node loses its memory, never its log. A node's
+//!   frames, the one layout it writes and replays) before it is
+//!   routed; window boundaries seal segments with an `fsync`. A killed
+//!   node loses its memory, never its log. A node's
 //!   log holds that node's alerts and boundaries; the one piece of
 //!   coordinator state that must outlive a restart, the online QoA
 //!   model, has one file of its own (`<wal_root>/coordinator/qoa.ckpt`),
@@ -53,7 +53,6 @@ mod cluster;
 pub mod journal;
 pub mod range;
 pub mod wal;
-pub(crate) mod wal_v1;
 
 mod metrics;
 
@@ -61,4 +60,4 @@ pub use cluster::{AlertCluster, ClusterConfig, ClusterCounters, GovernorFactory,
 pub use journal::WalJournal;
 pub use metrics::ClusterMetrics;
 pub use range::{node_catalog, RangeMap, StrategyRange};
-pub use wal::{crc32, replay, Wal, WalDepth, WalFormat, WalRecord, WalReplay};
+pub use wal::{replay, Wal, WalDepth, WalFormat, WalReplay};

@@ -1,41 +1,32 @@
 //! The durable write-ahead log: length+CRC-framed binary segments.
 //!
 //! One log per node, one directory per log, one segment file per
-//! window. Two segment layouts exist on disk; one is written:
+//! window, one segment layout. A segment starts with the magic header
+//! `AOWL` + version byte `0x02` ([`alertops_wire::WAL_MAGIC`],
+//! [`alertops_wire::WAL_VERSION`]) and then speaks the `alertops-wire`
+//! frame codec: every record is a `[len varint][crc32][payload]` frame
+//! (an alert, or the window boundary that seals the segment), with the
+//! segment's own string table turning repeated
+//! titles/services/locations into varint back-references. The table
+//! resets at every rotation, so each segment is self-contained and
+//! pruning stays a file unlink.
 //!
-//! * **v2 (binary)** — what [`Wal`] appends. The segment starts with
-//!   the magic header `AOWL` + version byte `0x02`
-//!   ([`alertops_wire::WAL_MAGIC`], [`alertops_wire::WAL_VERSION`])
-//!   and then speaks the `alertops-wire` frame codec: every record is
-//!   a `[len varint][crc32][payload]` frame (an alert, or the window
-//!   boundary that seals the segment), with the segment's own string
-//!   table turning repeated
-//!   titles/services/locations into varint back-references. The table
-//!   resets at every rotation, so each segment is self-contained and
-//!   pruning stays a file unlink.
-//! * **v1 (NDJSON), read-only** — one `<len:08x> <crc32:08x> <json>`
-//!   line per record (see [`crate::wal_v1`]), left behind by a
-//!   pre-binary incarnation.
-//!
-//! [`replay`] sniffs the format **per segment** (the v2 magic has a
-//! non-hex byte where a v1 length field has hex digits, so the two can
-//! never be confused), so a v1 log — or a mixed log from an upgrade
-//! mid-history — replays byte-identically. Every restart protocol is
-//! replay → wipe → re-append, so the first restart rewrites a v1 log
-//! as v2; nothing else upgrades it and nothing needs to.
+//! [`replay`] reads exactly that layout. A non-empty segment without
+//! the header is one torn record, and inside a segment any frame other
+//! than an alert or a boundary ends trust in the rest of it.
 //!
 //! Durability model: appends are flushed to the OS on every record, so
 //! a **process** crash (`kill -9` included) loses nothing; the
-//! `fsync` on window boundaries is what bounds loss on a **power**
-//! failure to the in-flight window. Replay stops trusting a segment at
-//! the first framing/CRC failure and reports what it discarded —
-//! callers account those alerts as dropped rather than resurrecting
-//! guesses.
+//! `fsync` on window boundaries — of the sealed segment, then of the
+//! log directory, so the segment's creation and the prune's unlinks
+//! are durable too — is what bounds loss on a **power** failure to the
+//! in-flight window. Replay stops trusting a segment at the first
+//! framing/CRC failure and reports what it discarded — callers account
+//! those alerts as dropped rather than resurrecting guesses.
 //!
 //! A node's log holds that node's state and nothing else. The online
 //! QoA model is the coordinator's and lives in its own file (see
-//! `AlertCluster`); logs written before that carry a `QoaState` frame
-//! ahead of each boundary, which replay steps over.
+//! `AlertCluster`).
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -43,29 +34,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use alertops_model::Alert;
-pub use alertops_wire::crc32;
 use alertops_wire::{Frame, WireDecoder, WireEncoder, WAL_MAGIC, WAL_VERSION};
-use serde::{Deserialize, Serialize};
-
-use crate::wal_v1;
-
-/// One record of the read-only v1 layout (see [`crate::wal_v1`]); its
-/// serde shape is that format's JSON schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum WalRecord {
-    /// An accepted alert, written before it was routed.
-    Alert(Alert),
-    /// The window with this cluster sequence number closed; seals the
-    /// segment it ends.
-    Boundary {
-        /// The cluster coordinator's window sequence number.
-        window: u64,
-    },
-}
 
 /// The segment layout a [`Wal`] appends in — one variant, because v2
-/// is the only writable format. Frozen-bench scaffolding: the enum,
+/// is the only format. Frozen-bench scaffolding: the enum,
 /// [`Wal::open_with_format`] and `ClusterConfig::wal_format` survive
 /// only because `crates/pipeline-bench` names them, and go with the
 /// `EmergingMode`/`QoaMode` aliases when ROADMAP 3(d) unfreezes it.
@@ -167,9 +139,10 @@ fn create_segment(dir: &Path, index: u64) -> io::Result<BufWriter<File>> {
 }
 
 impl Wal {
-    /// Opens (creating if needed) the log in `dir`, retaining at most
-    /// `retain` sealed window segments. Existing segments are left in
-    /// place and a fresh open segment is started after them — replay
+    /// Opens (creating if needed, then `fsync`ing its parent) the log
+    /// in `dir`, retaining at most `retain` sealed window segments.
+    /// Existing segments are left in place and a fresh open segment is
+    /// started after them — replay
     /// first ([`replay`]), then open, then re-append what the replay
     /// handed back, is the restart protocol (see `AlertCluster`).
     ///
@@ -178,7 +151,15 @@ impl Wal {
     /// Filesystem errors pass through.
     pub fn open(dir: impl Into<PathBuf>, retain: usize) -> io::Result<Self> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)?;
+        if !dir.is_dir() {
+            fs::create_dir_all(&dir)?;
+            // The new directory's entry is durable once its parent is.
+            let parent = dir
+                .parent()
+                .filter(|p| !p.as_os_str().is_empty())
+                .unwrap_or(Path::new("."));
+            File::open(parent)?.sync_all()?;
+        }
         let existing = segment_indices(&dir)?;
         let segment = existing.last().map_or(0, |last| last + 1);
         let writer = create_segment(&dir, segment)?;
@@ -244,8 +225,8 @@ impl Wal {
 
     /// Seals the in-flight window: appends the boundary record,
     /// flushes, `fsync`s, rotates to a fresh segment (resetting the
-    /// string table), and prunes sealed segments beyond the retained
-    /// history.
+    /// string table), prunes sealed segments beyond the retained
+    /// history, and `fsync`s the log directory.
     ///
     /// # Errors
     ///
@@ -266,7 +247,9 @@ impl Wal {
             let oldest = state.sealed.remove(0);
             fs::remove_file(segment_path(&self.dir, oldest))?;
         }
-        Ok(())
+        // The segments' creations and the prune's unlinks are durable
+        // once the directory is.
+        File::open(&self.dir)?.sync_all()
     }
 
     /// Current depth, for the cluster's WAL gauges.
@@ -301,8 +284,7 @@ pub struct WalReplay {
     pub recovered_alerts: u64,
 }
 
-/// The accumulating replay state shared by the v1 and v2 segment
-/// readers.
+/// The accumulating replay state, carried from segment to segment.
 struct ReplayState {
     windows: Vec<(u64, Vec<Alert>)>,
     current: Vec<Alert>,
@@ -323,35 +305,26 @@ impl ReplayState {
         }
     }
 
-    /// Reads one v1 (NDJSON-line) segment.
-    fn replay_v1_segment(&mut self, bytes: &[u8]) {
-        for line in bytes.split(|&b| b == b'\n') {
-            if line.is_empty() {
-                continue;
-            }
-            match wal_v1::unframe(line) {
-                Some(WalRecord::Alert(alert)) => self.current.push(alert),
-                Some(WalRecord::Boundary { window }) => self.seal(window),
-                None => {
-                    self.torn_records += 1;
-                    return; // rest of this segment is untrustworthy
-                }
-            }
+    /// Reads one segment file. An empty one is a crash between its
+    /// creation and its header write, and holds nothing; any other
+    /// without the header — a short header, an unknown version, a
+    /// layout this reader does not speak — is one torn record.
+    fn replay_segment(&mut self, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
         }
-    }
-
-    /// Reads one v2 (binary) segment; `bytes` excludes the 5-byte
-    /// header.
-    fn replay_v2_segment(&mut self, bytes: &[u8]) {
+        let Some(frames) = bytes
+            .strip_prefix(WAL_MAGIC.as_slice())
+            .and_then(|rest| rest.strip_prefix(&[WAL_VERSION]))
+        else {
+            self.torn_records += 1;
+            return;
+        };
         let mut decoder = WireDecoder::new();
-        for item in decoder.feed(bytes) {
+        for item in decoder.feed(frames) {
             match item {
                 Ok(Frame::Alert(alert)) => self.current.push(*alert),
                 Ok(Frame::Boundary { window }) => self.seal(window),
-                // A pre-coordinator-file log journaled the QoA model
-                // ahead of each boundary. Nothing reads it any more,
-                // and it is a well-formed frame: skipped, not torn.
-                Ok(Frame::QoaState(_)) => {}
                 // Any other frame kind has no business in a WAL
                 // segment; treat it exactly like corruption.
                 Ok(_) | Err(_) => {
@@ -369,11 +342,9 @@ impl ReplayState {
 }
 
 /// Reads every segment in `dir` and reconstructs the journaled
-/// windows, sniffing each segment's format from its header — v1 and
-/// v2 segments can coexist in one log (an upgrade mid-history).
-/// Tolerant by design: a missing directory is an empty log; a torn or
-/// corrupt record ends trust in its segment (counted, the rest of that
-/// segment skipped) but later segments are still read.
+/// windows. Tolerant by design: a missing directory is an empty log; a
+/// torn or corrupt record ends trust in its segment (counted, the rest
+/// of that segment skipped) but later segments are still read.
 ///
 /// # Errors
 ///
@@ -386,19 +357,7 @@ pub fn replay(dir: &Path) -> io::Result<WalReplay> {
         duplicate_boundaries: 0,
     };
     for index in segment_indices(dir)? {
-        let bytes = fs::read(segment_path(dir, index))?;
-        if bytes.starts_with(&WAL_MAGIC) {
-            if bytes.get(WAL_MAGIC.len()) == Some(&WAL_VERSION) {
-                state.replay_v2_segment(&bytes[WAL_MAGIC.len() + 1..]);
-            } else {
-                // A magic header with an unknown (or missing) version
-                // byte: written by a future incarnation or torn inside
-                // the header — either way, untrustworthy.
-                state.torn_records += 1;
-            }
-        } else {
-            state.replay_v1_segment(&bytes);
-        }
+        state.replay_segment(&fs::read(segment_path(dir, index))?);
     }
     let recovered_alerts = state
         .windows
@@ -432,13 +391,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("alertops-wal-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic zlib check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -482,9 +434,11 @@ mod tests {
     }
 
     #[test]
-    fn a_qoa_record_in_an_old_segment_is_skipped_not_torn() {
+    fn a_qoa_record_in_an_old_segment_is_torn() {
         // The layout written before the model moved to the
-        // coordinator's file: [alert, QoaState, boundary].
+        // coordinator's file: [alert, QoaState, boundary]. A node log
+        // holds alerts and boundaries only, so the model frame ends
+        // trust in the segment like any other stray frame kind.
         let dir = temp_dir("old-qoa");
         fs::create_dir_all(&dir).unwrap();
         let mut bytes = WAL_MAGIC.to_vec();
@@ -496,9 +450,9 @@ mod tests {
         fs::write(segment_path(&dir, 0), bytes).unwrap();
 
         let replayed = replay(&dir).unwrap();
-        assert_eq!(replayed.windows, vec![(4, vec![alert(1)])]);
-        assert!(replayed.tail.is_empty());
-        assert_eq!(replayed.torn_records, 0);
+        assert!(replayed.windows.is_empty(), "the boundary is past the tear");
+        assert_eq!(replayed.tail, vec![alert(1)]);
+        assert_eq!(replayed.torn_records, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

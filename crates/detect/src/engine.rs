@@ -259,6 +259,13 @@ struct CachedFindings {
     a5: Option<StrategyFinding>,
 }
 
+impl CachedFindings {
+    /// No detector flagged the strategy.
+    fn is_empty(&self) -> bool {
+        self.a2.is_none() && self.a3.is_none() && self.a4.is_none() && self.a5.is_none()
+    }
+}
+
 /// One stale strategy, resolved for an evaluation: the catalog row, the
 /// rolling counters, the raise-time evidence gathered for it, and what
 /// the evaluators make of them.
@@ -314,7 +321,8 @@ pub struct IncrementalState {
     incidents_seen: Option<Vec<Incident>>,
     /// A1 findings for `catalog` (valid while the catalog is unchanged).
     a1_cache: Vec<StrategyFinding>,
-    /// Cached A2–A5 findings per strategy with in-scope alerts.
+    /// Cached A2–A5 findings per in-scope strategy that holds at least
+    /// one; a strategy with none has no entry.
     findings_cache: BTreeMap<StrategyId, CachedFindings>,
     /// Digests of committed windows evicted since the last
     /// [`commit`](Self::commit), oldest first — with the committed
@@ -673,9 +681,9 @@ impl IncrementalState {
 
         // Resolve every stale strategy once — its rolling state and its
         // catalog row — so the four evaluators below share one lookup
-        // of each. One no longer in scope drops its cache entry (the
-        // cache stays congruent with `per_strategy`); one in scope but
-        // missing from the catalog has nothing to be scored against.
+        // of each. One no longer in scope, or in scope but missing from
+        // the catalog (nothing to score it against), drops its cache
+        // entry: it has no findings.
         let mut stale: Vec<Stale<'_>> = Vec::with_capacity(dirty.len());
         let mut resolve = |id: StrategyId, aggregates_changed: bool| {
             let Some(state) = per_strategy.get(&id) else {
@@ -694,7 +702,7 @@ impl IncrementalState {
                     rescored: CachedFindings::default(),
                 }),
                 None => {
-                    findings_cache.insert(id, CachedFindings::default());
+                    findings_cache.remove(&id);
                 }
             }
         };
@@ -816,12 +824,27 @@ impl IncrementalState {
             }
         }
 
-        // One cache write per stale strategy.
+        // One cache write per stale strategy; an entry is kept only
+        // while it holds a finding.
         for s in stale {
-            let cache = findings_cache.entry(s.strategy.id()).or_default();
-            (cache.a2, cache.a3) = (s.rescored.a2, s.rescored.a3);
-            if s.aggregates_changed {
-                (cache.a4, cache.a5) = (s.rescored.a4, s.rescored.a5);
+            match findings_cache.entry(s.strategy.id()) {
+                Entry::Occupied(mut entry) => {
+                    let cache = entry.get_mut();
+                    (cache.a2, cache.a3) = (s.rescored.a2, s.rescored.a3);
+                    if s.aggregates_changed {
+                        (cache.a4, cache.a5) = (s.rescored.a4, s.rescored.a5);
+                    }
+                    if cache.is_empty() {
+                        entry.remove();
+                    }
+                }
+                // No entry means no kept A4/A5 findings: the rescored
+                // ones are the whole verdict.
+                Entry::Vacant(entry) => {
+                    if !s.rescored.is_empty() {
+                        entry.insert(s.rescored);
+                    }
+                }
             }
         }
         transient_times.clear();
@@ -1099,6 +1122,57 @@ mod tests {
         engine.rollback(None);
         assert_eq!(engine.current_findings(&strategies, &[], None, None), full);
         assert_eq!(engine.held_raise_times(), engine.alert_count());
+    }
+
+    #[test]
+    fn findings_cache_holds_findings_only() {
+        // Strategy 4 fires once in each of the first four hours and
+        // never flags; strategy 9 fires every hour but has no catalog
+        // row.
+        let strategies = vec![strategy(1), strategy(2), strategy(3), strategy(4)];
+        let mut ws = a4_a5_windows();
+        for (hour, window) in (0u64..).zip(&mut ws) {
+            let base = hour * 3_600;
+            if hour < 4 {
+                let mut quiet = Alert::builder(AlertId(hour * 1_000 + 500), StrategyId(4))
+                    .raised_at(SimTime::from_secs(base + 1_200))
+                    .build();
+                quiet
+                    .clear(SimTime::from_secs(base + 2_100), Clearance::Auto)
+                    .unwrap();
+                window.push(quiet);
+            }
+            window.push(alert(hour * 1_000 + 501, 9, base + 2_400));
+        }
+        let assert_findings_only = |engine: &IncrementalState, step: &str| {
+            assert!(
+                engine.findings_cache.values().all(|c| !c.is_empty()),
+                "{step}: an entry without a finding"
+            );
+        };
+
+        let mut engine = IncrementalState::default();
+        for w in &ws {
+            engine.observe_window(w, None, None);
+        }
+        engine.commit();
+        let full = engine.current_findings(&strategies, &[], None, None);
+        assert!(
+            full.findings
+                .values()
+                .flatten()
+                .all(|f| f.strategy != StrategyId(4)),
+            "strategy 4 is quiet: {full}"
+        );
+        assert_findings_only(&engine, "observe");
+        for k in 1..=3 {
+            engine.evict_window(None);
+            engine.current_findings(&strategies, &[], None, None);
+            assert_findings_only(&engine, &format!("evict {k}"));
+        }
+        engine.rollback(None);
+        assert_eq!(engine.current_findings(&strategies, &[], None, None), full);
+        assert_findings_only(&engine, "rollback");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub const WIRE_TABLE_CAP: usize = 1 << 16;
 
 /// IEEE CRC-32 (reflected, polynomial `0xEDB8_8320`) — the ubiquitous
 /// zlib/PNG variant, implemented here because the workspace is
-/// std-only. Shared by this codec and the v1 JSON WAL framing.
+/// std-only.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;

@@ -25,8 +25,8 @@
 //! ```
 //!
 //! where `len` is the payload length, `crc32` is the IEEE CRC-32 of
-//! the payload (the same [`crc32`] the read-only v1 WAL framing
-//! used), and the payload is a one-byte tag followed by the tag's body:
+//! the payload ([`crc32`]), and the payload is a one-byte tag followed
+//! by the tag's body:
 //!
 //! | tag | frame                                     |
 //! |-----|-------------------------------------------|
@@ -51,17 +51,10 @@
 //!
 //! # Versioning
 //!
-//! This layout is **wire format v2** and the only WAL format anyone
-//! can write. v1 is the length+CRC-framed NDJSON layout
-//! (`<len:08x> <crc32:08x> <json>\n`) that predates this crate; it is
-//! read-only, through `alertops-cluster`'s `wal_v1` module, and any
-//! restart rewrites a v1 log as v2 (every restart protocol is replay →
-//! wipe → re-append). WAL segments declare their format with a header:
-//! v2 segments start with the magic [`WAL_MAGIC`] (`AOWL`) followed by
-//! the version byte [`WAL_VERSION`]; v1 segments start with a hex
-//! length field, which can never collide with the magic (`L` is not a
-//! hex digit). Replay sniffs per segment, so logs written before the
-//! codec existed keep replaying byte-identically.
+//! This layout is **wire format v2** and the one WAL format. Every WAL
+//! segment starts with the magic [`WAL_MAGIC`] (`AOWL`) followed by the
+//! version byte [`WAL_VERSION`]; replay treats a segment with any other
+//! start as torn.
 
 pub mod codec;
 pub mod frame;
@@ -121,14 +114,6 @@ impl std::fmt::Display for WireFormat {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wal_magic_cannot_collide_with_v1_framing() {
-        // A v1 segment starts with eight lowercase-hex length digits;
-        // the magic has a non-hex byte inside its first four.
-        assert!(WAL_MAGIC.iter().any(|b| !b.is_ascii_hexdigit()));
-        assert_eq!(WAL_VERSION, 2);
-    }
 
     #[test]
     fn wire_format_labels_roundtrip() {

@@ -59,13 +59,13 @@ check_counts() {
     done
 }
 check_counts cluster-journal <<'CEILINGS'
-proc.allocs_per_alert 14.2117
-proc.alloc_bytes_per_alert 1882.04
+proc.allocs_per_alert 14.2114
+proc.alloc_bytes_per_alert 1881.37
 proc.write_syscalls_per_kalert 1006.85
 CEILINGS
 check_counts governed-close <<'CEILINGS'
-proc.allocs_per_alert 26.8471
-proc.alloc_bytes_per_alert 3526.78
+proc.allocs_per_alert 26.8443
+proc.alloc_bytes_per_alert 3520.84
 CEILINGS
 check_counts steady-wire <<'CEILINGS'
 proc.allocs_per_alert 6.3666
@@ -108,11 +108,12 @@ fi
 # not a frame. One merge point per process: a cluster node is a shard
 # pool and a log, not a daemon in a node role. Each raise time is held
 # once, in its window's digest: no per-strategy time multiset and no
-# map-of-Vecs digest. Scoped to *.rs so the docs may name what was
+# map-of-Vecs digest. A log replays in the one layout Wal writes: no
+# second segment reader. Scoped to *.rs so the docs may name what was
 # removed.
-if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest' \
+if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon or a second copy of the engine's raise times reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times or a second journal reader reappeared (see matches above)" >&2
     exit 1
 fi
 if grep -rn IngestdHandle crates/cluster/src; then
@@ -125,6 +126,16 @@ echo "==> alertops-wire depends on alertops-model only"
 wire_deps=$(cargo tree --offline -p alertops-wire -e normal --prefix none)
 if grep -vE '^(alertops-(wire|model)|serde[a-z_]*) ' <<<"$wire_deps"; then
     echo "alertops-wire grew a dependency beyond alertops-model and serde (see above)" >&2
+    exit 1
+fi
+
+# The journal is binary only: with the text reader gone, the cluster
+# crate parses no JSON. Direct dependencies only: serde_json still
+# reaches it through alertops-ingestd's NDJSON ingress adapter.
+echo "==> alertops-cluster does not depend on serde_json"
+cluster_deps=$(cargo tree --offline -p alertops-cluster -e normal --prefix none --depth 1)
+if grep -E '^serde_json ' <<<"$cluster_deps"; then
+    echo "alertops-cluster depends on serde_json again (see above)" >&2
     exit 1
 fi
 

@@ -541,12 +541,12 @@ fn no_wall_clocks_or_unseeded_rngs_outside_vendor() {
 }
 
 /// Static wire audit: the cluster's WAL/handoff path is binary-framed
-/// and nothing in the crate writes JSON — the v1 compatibility shim
-/// (`wal_v1.rs`) only *reads* pre-binary logs. A
+/// and nothing in the crate writes JSON — the pre-binary text reader
+/// this test was once named for is gone too. A
 /// `serde_json::to_string` anywhere in `crates/cluster/src` means a
-/// JSON copy crept back onto the hot path (or a v1 writer came back).
-/// The banned token is assembled at runtime so this file does not trip
-/// its own tripwire.
+/// JSON copy crept back onto the hot path (or a text journal came
+/// back). The banned token is assembled at runtime so this file does
+/// not trip its own tripwire.
 #[test]
 fn cluster_wal_path_stays_binary_outside_the_v1_shim() {
     let banned = format!("serde_json::{}", "to_string");

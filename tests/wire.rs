@@ -8,9 +8,8 @@
 //! and every published [`GovernanceSnapshot`] stream must agree —
 //! byte-for-byte where the partitioning is exact, modulo per-shard
 //! triage where it is not. A corrupt binary frame must be quarantined
-//! and counted, not parsed. (The journal-side twin — a v1 segment
-//! replays to exactly the history a v2 log of the same appends does —
-//! lives beside the independent v1 framer in
+//! and counted, not parsed. (The journal-side twin — a rotted, cut or
+//! headerless WAL segment is torn, never parsed — lives in
 //! `crates/cluster/tests/wal_negative.rs`.)
 
 use std::io::Write;
