@@ -1,9 +1,9 @@
 //! The alert governor: detect → derive reactions → react → evaluate.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use alertops_detect::{AntiPattern, AntiPatternReport, IncrementalState};
+use alertops_detect::{AntiPattern, AntiPatternReport, FlagTransitions, IncrementalState};
 use alertops_model::{
     Alert, AlertStrategy, DependencyGraph, Incident, IndexedCatalog, Sop, StrategyId,
 };
@@ -38,7 +38,9 @@ pub struct GovernorConfig {
 /// 3. fix the worst strategies and repeat.
 #[derive(Debug, Clone)]
 pub struct AlertGovernor {
-    strategies: IndexedCatalog,
+    /// Shared with the detection engine of a streaming governor over
+    /// this one: the catalog is held once.
+    strategies: Arc<IndexedCatalog>,
     sops: HashMap<StrategyId, Sop>,
     graph: Option<Arc<DependencyGraph>>,
     config: GovernorConfig,
@@ -53,7 +55,7 @@ impl AlertGovernor {
     #[must_use]
     pub fn new(strategies: Vec<AlertStrategy>, config: GovernorConfig) -> Self {
         Self {
-            strategies: IndexedCatalog::new(strategies),
+            strategies: Arc::new(IndexedCatalog::new(strategies)),
             sops: HashMap::new(),
             graph: None,
             config,
@@ -109,6 +111,12 @@ impl AlertGovernor {
     #[must_use]
     pub fn strategies(&self) -> &[AlertStrategy] {
         self.strategies.rows()
+    }
+
+    /// The governed catalog, as the detection engine borrows it.
+    #[must_use]
+    pub fn catalog(&self) -> &Arc<IndexedCatalog> {
+        &self.strategies
     }
 
     /// The governed strategy with the given id, if any (the first, on
@@ -167,7 +175,7 @@ impl AlertGovernor {
         let metrics = self.metrics.as_ref().map(|m| &m.detect);
         let mut engine = IncrementalState::default();
         engine.observe_window(alerts, self.graph.as_deref(), metrics);
-        engine.current_findings(self.strategies(), incidents, self.graph.as_deref(), metrics)
+        engine.report(&self.strategies, incidents, self.graph.as_deref(), metrics)
     }
 
     /// Derives R1 blocking rules from transient/toggling (A4) and
@@ -175,53 +183,49 @@ impl AlertGovernor {
     /// auto-tunes them with the QoA verdicts: strategies the feedback
     /// loop *promoted* (consistently high quality) are spared the
     /// A4/A5 rules, and strategies it *demoted* (consistently low
-    /// quality) are blocked outright even without a finding.
+    /// quality) are blocked outright even without a finding. One rule
+    /// per A4 finding, then per A5 finding, then per demotion, in that
+    /// order: R1's rule set folded over the whole report.
     #[must_use]
     pub fn derive_blocker(&self, report: &AntiPatternReport) -> AlertBlocker {
-        let mut blocker = AlertBlocker::new();
-        for pattern in [AntiPattern::TransientToggling, AntiPattern::Repeating] {
-            if let Some(findings) = report.findings.get(&pattern) {
-                for finding in findings {
-                    if self
-                        .qoa_verdicts
-                        .promoted
-                        .binary_search(&finding.strategy)
-                        .is_ok()
-                    {
-                        continue;
-                    }
-                    blocker.add_rule(BlockRule::for_strategy(
-                        format!("{} per {}", finding.strategy, pattern.code()),
-                        finding.strategy,
-                    ));
-                }
+        let mut rules = BlockingRules::default();
+        for pattern in NOISE {
+            for finding in report.findings.get(&pattern).into_iter().flatten() {
+                rules.set_flag(pattern, finding.strategy, true, &self.qoa_verdicts);
             }
         }
         for &strategy in &self.qoa_verdicts.demoted {
-            blocker.add_rule(BlockRule::for_strategy(
-                format!("{strategy} per qoa-demotion"),
-                strategy,
-            ));
+            rules.set_demoted(strategy, true);
         }
-        blocker
+        rules.blocker
     }
 
     /// Stage 2 (React): runs the reaction pipeline with the given
     /// blocker.
     #[must_use]
     pub fn react(&self, alerts: &[Alert], blocker: AlertBlocker) -> alertops_react::PipelineReport {
+        self.react_with(alerts, &blocker)
+    }
+
+    /// [`react`](Self::react) with a borrowed blocker — how a streaming
+    /// governor runs the R1 rules it keeps across windows.
+    #[must_use]
+    pub fn react_with(
+        &self,
+        alerts: &[Alert],
+        blocker: &AlertBlocker,
+    ) -> alertops_react::PipelineReport {
         let mut correlator = AlertCorrelator::new();
         if let Some(graph) = &self.graph {
             correlator = correlator.with_topology(Arc::clone(graph));
         }
         let mut pipeline = ReactionPipeline::new()
-            .with_blocker(blocker)
             .with_aggregation(self.config.aggregation.clone())
             .with_correlator(correlator);
         if let Some(metrics) = &self.metrics {
             pipeline = pipeline.with_metrics(metrics.react.clone());
         }
-        pipeline.run(alerts)
+        pipeline.run_with_blocker(alerts, blocker)
     }
 
     /// Evidence-based QoA scores for every strategy, worst overall
@@ -276,6 +280,129 @@ impl AlertGovernor {
             qoa_worst_first: qoa,
         }
     }
+}
+
+/// The two anti-patterns R1 blocks: the paper's noise.
+const NOISE: [AntiPattern; 2] = [AntiPattern::TransientToggling, AntiPattern::Repeating];
+
+/// The cause named in a demotion rule.
+const DEMOTION: &str = "qoa-demotion";
+
+/// R1's rule set, `(A4 ∪ A5 − promoted) ∪ demoted`: a blocking rule per
+/// A4 or A5 flag of a strategy the QoA loop has not promoted, and one
+/// per demoted strategy. As in the paper, where on-call engineers keep
+/// the rules, a rule is added when its anti-pattern is confirmed and
+/// retired when it is fixed.
+///
+/// [`AlertGovernor::derive_blocker`] folds a whole report into a fresh
+/// set. A [`StreamingGovernor`](crate::StreamingGovernor) keeps one set
+/// across windows and folds in each window's flag transitions and each
+/// verdict change: O(log rules) per change, nothing per unchanged rule.
+/// Every update sets a flag or a verdict to a value rather than
+/// toggling it, so folding in the same change twice is harmless.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockingRules {
+    /// Which of [`NOISE`] flag each strategy either flags, promoted or
+    /// not.
+    noisy: BTreeMap<StrategyId, [bool; 2]>,
+    blocker: AlertBlocker,
+}
+
+impl BlockingRules {
+    /// The rules, as the blocker R1 runs.
+    pub(crate) fn blocker(&self) -> &AlertBlocker {
+        &self.blocker
+    }
+
+    /// Folds in one evaluation's (or rollback's) flag transitions. The
+    /// rules must be current with `verdicts`.
+    pub(crate) fn apply(&mut self, transitions: &FlagTransitions, verdicts: &QoaVerdicts) {
+        for finding in &transitions.raised {
+            self.set_flag(finding.pattern, finding.strategy, true, verdicts);
+        }
+        for &(pattern, strategy) in &transitions.cleared {
+            self.set_flag(pattern, strategy, false, verdicts);
+        }
+    }
+
+    /// Sets whether `pattern` flags `strategy`; patterns other than
+    /// [`NOISE`] make no rule. The rules must be current with
+    /// `verdicts`.
+    fn set_flag(
+        &mut self,
+        pattern: AntiPattern,
+        strategy: StrategyId,
+        flagged: bool,
+        verdicts: &QoaVerdicts,
+    ) {
+        let Some(slot) = NOISE.iter().position(|&noise| noise == pattern) else {
+            return;
+        };
+        let mut flags = self.noisy.get(&strategy).copied().unwrap_or_default();
+        if flags[slot] == flagged {
+            return;
+        }
+        flags[slot] = flagged;
+        if flags == [false; 2] {
+            self.noisy.remove(&strategy);
+        } else {
+            self.noisy.insert(strategy, flags);
+        }
+        if !is_listed(&verdicts.promoted, strategy) {
+            self.set_rule(strategy, pattern.code(), flagged);
+        }
+    }
+
+    /// Sets whether the QoA loop demoted `strategy`.
+    fn set_demoted(&mut self, strategy: StrategyId, demoted: bool) {
+        self.set_rule(strategy, DEMOTION, demoted);
+    }
+
+    /// Moves the rules from the verdicts `old` to `new`: O(verdicts),
+    /// plus O(log rules) per strategy whose verdict changed.
+    pub(crate) fn set_verdicts(&mut self, old: &QoaVerdicts, new: &QoaVerdicts) {
+        for strategy in listed_in_one(&old.promoted, &new.promoted) {
+            let promoted = is_listed(&new.promoted, strategy);
+            let flags = self.noisy.get(&strategy).copied().unwrap_or_default();
+            for (pattern, flagged) in NOISE.into_iter().zip(flags) {
+                if flagged {
+                    self.set_rule(strategy, pattern.code(), !promoted);
+                }
+            }
+        }
+        for strategy in listed_in_one(&old.demoted, &new.demoted) {
+            self.set_demoted(strategy, is_listed(&new.demoted, strategy));
+        }
+    }
+
+    /// Adds or retires the rule blocking `strategy` for `cause`.
+    fn set_rule(&mut self, strategy: StrategyId, cause: &str, on: bool) {
+        let name = format!("{strategy} per {cause}");
+        match self.blocker.strategy_rule(strategy, &name) {
+            None if on => self
+                .blocker
+                .add_rule(BlockRule::for_strategy(name, strategy)),
+            Some(ix) if !on => {
+                self.blocker.remove_rule(ix);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Whether `strategy` is in the sorted verdict list `list`.
+fn is_listed(list: &[StrategyId], strategy: StrategyId) -> bool {
+    list.binary_search(&strategy).is_ok()
+}
+
+/// The strategies in exactly one of two sorted verdict lists.
+fn listed_in_one<'a>(
+    old: &'a [StrategyId],
+    new: &'a [StrategyId],
+) -> impl Iterator<Item = StrategyId> + 'a {
+    let dropped = old.iter().filter(|&&s| !is_listed(new, s));
+    let added = new.iter().filter(|&&s| !is_listed(old, s));
+    dropped.chain(added).copied()
 }
 
 #[cfg(test)]

@@ -16,6 +16,16 @@
 //! [`AlertGovernor::react`] and is never handed to the engine (see
 //! [`StreamingGovernor::ingest_uncommitted`]).
 //!
+//! A close reads only what changed. The engine hands over the
+//! `(pattern, strategy)` flags that flipped
+//! ([`FlagTransitions`](alertops_detect::FlagTransitions)), which are
+//! the delta's `new_findings` and `resolved` as they stand. R1's
+//! blocking rules are one set kept across windows, moved by those flips
+//! and by each QoA verdict change. So beyond scoring the strategies the
+//! window touched, a close costs nothing per held finding, per rule or
+//! per catalog row. The engine evaluates against the governor's own
+//! `Arc<IndexedCatalog>`: a shard holds its catalog once.
+//!
 //! A governor governs one partition of the stream and nothing more: a
 //! [`WindowDelta`] carries mergeable *inputs* only. The two sequential
 //! passes over the whole stream (AO-LDA, the online QoA model) belong
@@ -30,9 +40,9 @@ use alertops_detect::storm::storms_from_histogram;
 use alertops_detect::{AlertStorm, AntiPattern, IncrementalState, StormConfig, StrategyFinding};
 use alertops_model::{Alert, AlertId, Incident, RegionId, StrategyId};
 use alertops_qoa::{FeatureExtractor, QoaFeedbackConfig, QoaSample, QoaVerdicts, QoaWindowReport};
-use alertops_react::{EmergingConfig, EmergingDoc, EmergingReport};
+use alertops_react::{AlertBlocker, EmergingConfig, EmergingDoc, EmergingReport};
 
-use crate::governor::AlertGovernor;
+use crate::governor::{AlertGovernor, BlockingRules};
 
 /// Whether a *sequential* post-merge channel is on. The emerging-alert
 /// channel (R4, AO-LDA) and the streaming QoA feedback loop share this
@@ -446,16 +456,16 @@ impl GovernanceSnapshot {
 pub struct StreamingGovernor {
     governor: AlertGovernor,
     config: StreamingConfig,
+    /// Holds the flags announced so far, and evaluates against the
+    /// governor's catalog allocation.
     engine: IncrementalState,
     incidents: Vec<Incident>,
-    previous_flags: BTreeSet<(AntiPattern, StrategyId)>,
+    /// R1, current with the engine's flags and the QoA verdicts.
+    rules: BlockingRules,
     windows_ingested: u64,
-    /// `previous_flags` and `windows_ingested` as of the last
-    /// [`commit`](Self::commit), present once an ingest since then has
-    /// displaced them — what [`rollback`](Self::rollback) puts back.
-    /// The flag set is carried here, not copied: an ingest builds a new
-    /// set anyway and this keeps the one it replaces.
-    committed: Option<(BTreeSet<(AntiPattern, StrategyId)>, u64)>,
+    /// `windows_ingested` as of the last [`commit`](Self::commit) —
+    /// what [`rollback`](Self::rollback) puts back.
+    windows_committed: u64,
     /// The QoA feature extractor, present iff the feedback loop is on.
     qoa_extractor: Option<FeatureExtractor>,
 }
@@ -465,14 +475,16 @@ impl StreamingGovernor {
     #[must_use]
     pub fn new(governor: AlertGovernor, config: StreamingConfig) -> Self {
         let qoa_extractor = (config.qoa.mode != QoaMode::Off).then(FeatureExtractor::new);
+        let mut rules = BlockingRules::default();
+        rules.set_verdicts(&QoaVerdicts::default(), governor.qoa_verdicts());
         Self {
             governor,
             config,
             engine: IncrementalState::default(),
             incidents: Vec::new(),
-            previous_flags: BTreeSet::new(),
+            rules,
             windows_ingested: 0,
-            committed: None,
+            windows_committed: 0,
             qoa_extractor,
         }
     }
@@ -492,8 +504,10 @@ impl StreamingGovernor {
 
     /// Installs QoA verdicts on the wrapped governor — how whoever
     /// closes the window pushes the model's conclusions back down
-    /// between closes.
+    /// between closes — and moves R1's rules with them.
     pub fn set_qoa_verdicts(&mut self, verdicts: QoaVerdicts) {
+        self.rules
+            .set_verdicts(self.governor.qoa_verdicts(), &verdicts);
         self.governor.set_qoa_verdicts(verdicts);
     }
 
@@ -501,6 +515,20 @@ impl StreamingGovernor {
     #[must_use]
     pub fn governor(&self) -> &AlertGovernor {
         &self.governor
+    }
+
+    /// Every `(pattern, strategy)` flag announced and not yet resolved
+    /// — none before the first window.
+    pub fn flags(&self) -> impl Iterator<Item = (AntiPattern, StrategyId)> + '_ {
+        self.engine.flags()
+    }
+
+    /// R1's blocking rules as they stand: a rule per A4/A5 flag in
+    /// [`flags`](Self::flags) of a strategy the installed QoA verdicts
+    /// do not promote, and one per demoted strategy.
+    #[must_use]
+    pub fn blocker(&self) -> &AlertBlocker {
+        self.rules.blocker()
     }
 
     /// Attaches metric handles to the wrapped governor: detector and
@@ -553,11 +581,11 @@ impl StreamingGovernor {
 
         // The engine never gets the governor's dependency graph, here
         // or in `rollback`: cascade groups (A6) have no reader on this
-        // path — deltas and snapshots carry no cascade field,
-        // `derive_blocker` reads A4/A5, and R3 takes the graph inside
-        // `react` — and under strategy sharding a shard would group
-        // fragments of every cascade. Publishing them online would take
-        // a post-merge channel, not per-shard state.
+        // path — deltas and snapshots carry no cascade field, R1 reads
+        // A4/A5, and R3 takes the graph inside `react_with` — and under
+        // strategy sharding a shard would group fragments of every
+        // cascade. Publishing them online would take a post-merge
+        // channel, not per-shard state.
         self.engine.observe_window(window, None, detect_metrics);
         while self.engine.window_count() > self.config.history_windows {
             self.engine.evict_window(detect_metrics);
@@ -581,30 +609,12 @@ impl StreamingGovernor {
             None => self.incidents.retain(Incident::is_open),
         }
 
-        let report = self.engine.current_findings(
-            self.governor.strategies(),
-            &self.incidents,
-            None,
-            detect_metrics,
-        );
-        let current_flags: BTreeSet<(AntiPattern, StrategyId)> = report
-            .findings
-            .iter()
-            .flat_map(|(&pattern, findings)| findings.iter().map(move |f| (pattern, f.strategy)))
-            .collect();
-
-        let new_findings: Vec<StrategyFinding> = report
-            .findings
-            .values()
-            .flatten()
-            .filter(|f| !self.previous_flags.contains(&(f.pattern, f.strategy)))
-            .cloned()
-            .collect();
-        let resolved: Vec<(AntiPattern, StrategyId)> = self
-            .previous_flags
-            .difference(&current_flags)
-            .copied()
-            .collect();
+        // What changed is all this close reads: the engine hands over
+        // its flag transitions, and R1 moves by them.
+        let transitions =
+            self.engine
+                .evaluate(self.governor.catalog(), &self.incidents, detect_metrics);
+        self.rules.apply(&transitions, self.governor.qoa_verdicts());
 
         let region_hours: Vec<(RegionId, u64, usize)> = self
             .engine
@@ -619,13 +629,12 @@ impl StreamingGovernor {
             .into_iter()
             .collect();
 
-        let blocker = self.governor.derive_blocker(&report);
-        let pipeline = self.governor.react(window, blocker);
+        let pipeline = self.governor.react_with(window, self.rules.blocker());
 
         // The escalation lane: alerts of QoA-promoted strategies that
         // the reaction pipeline did NOT surface in triage ride past
         // storm suppression explicitly. Uses the verdicts installed at
-        // the previous window boundary — like the blocker above, so
+        // the previous window boundary — like R1 above, so
         // window N is governed entirely by what window N-1 taught the
         // model. Escalated alerts are a subset of this window's
         // delivered alerts, so the conservation law is untouched.
@@ -687,14 +696,11 @@ impl StreamingGovernor {
             }
         };
 
-        let displaced = std::mem::replace(&mut self.previous_flags, current_flags);
-        self.committed
-            .get_or_insert((displaced, self.windows_ingested));
         let delta = WindowDelta {
             window_index: self.windows_ingested,
             alert_count: window.len(),
-            new_findings,
-            resolved,
+            new_findings: transitions.raised,
+            resolved: transitions.cleared,
             region_hours,
             window_hours,
             triage: pipeline.triage,
@@ -711,33 +717,35 @@ impl StreamingGovernor {
     /// previous commit point.
     pub fn commit(&mut self) {
         self.engine.commit();
-        self.committed = None;
+        self.windows_committed = self.windows_ingested;
     }
 
     /// Returns to the state of the last [`commit`](Self::commit) (the
-    /// governor as constructed, if there was none): the engine is
+    /// governor as constructed, if there was none). The engine is
     /// rebuilt from its own window digests
     /// ([`IncrementalState::rollback`], O(history); there are no
     /// cascade edges to re-derive, since the engine was never given the
-    /// graph) and the window index and flag set are put back, so the
-    /// next delta is the one the governor would have emitted had the
-    /// undone ingest never started — however far it got. Exact when
-    /// the stream carried no incidents (true of every daemon shard),
-    /// because the incident list is not rewound. QoA verdicts are
-    /// deliberately not rewound either: they are pushed from outside,
-    /// and a recovery must not regress them.
+    /// graph) and goes back to the flags announced as of the commit —
+    /// none before the first window, though A1 already has findings
+    /// then. R1 moves back by the flags that restored, and the window
+    /// index is put back. The next delta is the one the governor would
+    /// have emitted had the undone ingest never started, however far it
+    /// got. Exact when the stream carried no incidents
+    /// (true of every daemon shard), because the incident list is not
+    /// rewound. QoA verdicts are deliberately not rewound either: they
+    /// are pushed from outside, and a recovery must not regress them.
     pub fn rollback(&mut self) {
-        self.engine.rollback(None);
-        if let Some((flags, windows)) = self.committed.take() {
-            self.previous_flags = flags;
-            self.windows_ingested = windows;
-        }
+        let restored = self.engine.rollback(None);
+        self.rules.apply(&restored, self.governor.qoa_verdicts());
+        self.windows_ingested = self.windows_committed;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::governor::GovernorConfig;
     use alertops_model::{
         AlertStrategy, Clearance, LogRule, QoaLabel, SimDuration, SimTime, StrategyKind,
@@ -847,12 +855,12 @@ mod tests {
         for hour in 0..30u64 {
             s.ingest(&transient_window(hour * 100, 1, hour, 5), &[]);
             assert_eq!(s.engine.kept_digests(), 0);
-            assert!(s.committed.is_none());
+            assert_eq!(s.windows_committed, s.windows_ingested);
         }
         // The uncommitted entry point is the one that keeps them.
         s.ingest_uncommitted(&transient_window(9_000, 1, 30, 5), &[]);
         assert_eq!(s.engine.kept_digests(), 1);
-        assert!(s.committed.is_some());
+        assert_eq!(s.windows_committed + 1, s.windows_ingested);
     }
 
     #[test]
@@ -1271,5 +1279,30 @@ mod tests {
         assert!(merged.storm_active, "shards must sum to a global storm");
         assert_eq!(merged.alert_count, 160);
         assert_eq!(merged.storms[0].total_alerts, 160);
+    }
+
+    /// A shard holds its catalog once: the engine evaluates against the
+    /// governor's own allocation after any number of windows and after
+    /// a rollback, and holds none when rolled back before any window.
+    #[test]
+    fn the_engine_borrows_the_governors_catalog() {
+        let shares = |s: &StreamingGovernor| {
+            s.engine
+                .catalog()
+                .is_some_and(|held| Arc::ptr_eq(held, s.governor().catalog()))
+        };
+        let mut s = streaming(3);
+        s.ingest_uncommitted(&transient_window(0, 1, 0, 8), &[]);
+        assert!(shares(&s));
+        s.rollback();
+        assert!(s.engine.catalog().is_none());
+        for hour in 0..6u64 {
+            s.ingest(&transient_window(hour * 100, 1 + hour % 2, hour, 8), &[]);
+            assert!(shares(&s), "window {hour}");
+        }
+        s.ingest_uncommitted(&transient_window(900, 2, 6, 8), &[]);
+        s.rollback();
+        assert!(shares(&s), "after a rollback");
+        assert!(shares(&s.clone()), "a clone shares it too");
     }
 }

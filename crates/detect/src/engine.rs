@@ -16,10 +16,20 @@
 //!   oldest window's digest from every aggregate (the *eviction
 //!   algebra*: each aggregate is a count, so subtraction is exact and
 //!   order-independent);
-//! * [`current_findings`](IncrementalState::current_findings) — produce
-//!   an [`AntiPatternReport`] equal to running the batch detectors over
-//!   the flattened surviving history, re-evaluating only strategies
-//!   whose aggregates changed.
+//! * [`evaluate`](IncrementalState::evaluate) — bring the cached
+//!   findings up to date, re-evaluating only strategies whose
+//!   aggregates changed, and hand back the `(pattern, strategy)` flags
+//!   that flipped as [`FlagTransitions`]. This is all a streaming close
+//!   reads, and it costs O(change): nothing per held finding or per
+//!   catalog row.
+//!
+//! [`report`](IncrementalState::report) (and
+//! [`current_findings`](IncrementalState::current_findings), its form
+//! for a caller holding catalog rows rather than an
+//! `Arc<IndexedCatalog>`) evaluates and then renders everything held
+//! into an [`AntiPatternReport`] equal to running the batch detectors
+//! over the flattened surviving history — O(findings) more, for the
+//! batch callers.
 //!
 //! # Exactness
 //!
@@ -34,12 +44,15 @@
 //! surviving windows (the property suite asserts this).
 //!
 //! A1 (unclear title) depends only on the catalog; it is computed once
-//! and re-derived only when the catalog changes. A2/A3 additionally
-//! depend on the incident list, so their cached findings are
-//! invalidated whenever the provided incidents differ from the previous
-//! evaluation.
+//! and re-derived only when the catalog changes — and then contributes
+//! transitions like any other pattern. A catalog is told apart from
+//! the last one by its allocation (`Arc::ptr_eq`), not by comparing
+//! rows; a new allocation also rescores every strategy in scope. A2/A3
+//! additionally depend on the incident list, so their cached findings
+//! are invalidated whenever the provided incidents differ from the
+//! previous evaluation.
 //!
-//! # Memory: each raise time held once
+//! # Memory: each raise time held once, the catalog not at all
 //!
 //! A window's raise times live in its digest and nowhere else: a digest
 //! is two exactly-sized vectors, one [`Slice`] of counters per strategy
@@ -53,11 +66,17 @@
 //! `held_raise_times` probe states the bound and the property suite
 //! checks it after every operation.
 //!
+//! The catalog is the caller's: the engine keeps a clone of the
+//! caller's `Arc<IndexedCatalog>`, so a streaming governor and its
+//! engine share one allocation. Only the slice entry point
+//! [`current_findings`](IncrementalState::current_findings) copies rows
+//! into a catalog of its own, and only when they differ from the last.
+//!
 //! # Who attaches a graph
 //!
 //! A6 state — the alive-alert set and its derivation edges — is kept
 //! only for windows observed with a dependency graph, and cascade
-//! groups are reported only when `current_findings` is given one. The
+//! groups are reported only when `report` is given one. The
 //! batch `AlertGovernor::detect` does both (its `report.cascades` is
 //! what the post-mortem and the figure harnesses read), as may any
 //! direct user of the engine. `StreamingGovernor` never does: nothing
@@ -72,15 +91,27 @@
 //! [`commit`](IncrementalState::commit) marks the current scope as the
 //! one to return to — O(1); until the next commit the engine keeps the
 //! digests it evicts instead of dropping them and counts the windows it
-//! observes. [`rollback`](IncrementalState::rollback) rebuilds a fresh
-//! engine from *kept digests ++ surviving windows minus the uncommitted
-//! tail* — O(history), paid only by whoever rolls back, and exact
-//! however far an interrupted observe, evict or evaluation got, since
-//! nothing of the interrupted aggregates or caches is reused.
+//! observes. [`rollback`](IncrementalState::rollback) rebuilds the
+//! aggregates from *kept digests ++ surviving windows minus the
+//! uncommitted tail* — O(history), paid only by whoever rolls back, and
+//! exact however far an interrupted observe, evict or evaluation got,
+//! since nothing of the interrupted aggregates is reused.
+//!
+//! The flags need the same care, since transitions are relative to
+//! what was announced: the flags after a rollback must be the ones
+//! announced as of the commit (none before the first, though A1
+//! already has findings then). An evaluation keeps, until the next
+//! commit, what each strategy held as of the commit the first time one
+//! of its flags flips — O(flips), not a copy of the caches — and the
+//! catalog and A1 findings it replaces. Rollback puts those back,
+//! returns the flips that took as [`FlagTransitions`], and has the next
+//! evaluation rescore every strategy in scope or cached, so no other
+//! cached value is trusted.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
+use std::sync::Arc;
 
 use alertops_model::{
     Alert, AlertId, AlertStrategy, Clearance, DependencyGraph, Incident, IndexedCatalog,
@@ -264,6 +295,162 @@ impl CachedFindings {
     fn is_empty(&self) -> bool {
         self.a2.is_none() && self.a3.is_none() && self.a4.is_none() && self.a5.is_none()
     }
+
+    /// The findings, in [`CACHED`] order.
+    fn findings(&self) -> [Option<&StrategyFinding>; 4] {
+        [
+            self.a2.as_ref(),
+            self.a3.as_ref(),
+            self.a4.as_ref(),
+            self.a5.as_ref(),
+        ]
+    }
+
+    /// Which of A2–A5 flag the strategy.
+    fn flags(&self) -> [bool; 4] {
+        self.findings().map(|finding| finding.is_some())
+    }
+}
+
+/// The patterns a [`CachedFindings`] holds, in field order.
+const CACHED: [AntiPattern; 4] = [
+    AntiPattern::MisleadingSeverity,
+    AntiPattern::ImproperRule,
+    AntiPattern::TransientToggling,
+    AntiPattern::Repeating,
+];
+
+/// The cached A2–A5 findings: an entry per in-scope strategy that holds
+/// at least one — a strategy with none has no entry — and how many
+/// entries hold each pattern's.
+#[derive(Debug, Clone, Default)]
+struct FindingsCache {
+    entries: BTreeMap<StrategyId, CachedFindings>,
+    /// Flags held per pattern, A2–A5.
+    counts: [usize; 4],
+}
+
+impl FindingsCache {
+    /// Replaces `id`'s findings, recording every flag that flips into
+    /// `transitions`. Returns what it held when a flag flipped.
+    fn put(
+        &mut self,
+        id: StrategyId,
+        findings: CachedFindings,
+        transitions: &mut FlagTransitions,
+    ) -> Option<CachedFindings> {
+        let entry = self.entries.entry(id);
+        let before = match &entry {
+            Entry::Occupied(held) => held.get().flags(),
+            Entry::Vacant(_) => [false; 4],
+        };
+        let after = findings.flags();
+        for ((pattern, finding), was) in CACHED.into_iter().zip(findings.findings()).zip(before) {
+            transitions.flip(pattern, id, was, finding);
+        }
+        for (count, (was, is)) in self.counts.iter_mut().zip(before.into_iter().zip(after)) {
+            *count = *count + usize::from(is) - usize::from(was);
+        }
+        let held = match entry {
+            Entry::Occupied(mut held) if !findings.is_empty() => {
+                std::mem::replace(held.get_mut(), findings)
+            }
+            Entry::Occupied(held) => held.remove(),
+            Entry::Vacant(slot) => {
+                if !findings.is_empty() {
+                    slot.insert(findings);
+                }
+                CachedFindings::default()
+            }
+        };
+        (before != after).then_some(held)
+    }
+}
+
+/// What the caches reported as of the last commit, kept only for what
+/// an evaluation has changed since — what
+/// [`rollback`](IncrementalState::rollback) puts back.
+#[derive(Debug, Clone, Default)]
+struct Undo {
+    /// Each strategy an evaluation flipped a flag of, with its findings
+    /// as of the commit.
+    findings: BTreeMap<StrategyId, CachedFindings>,
+    /// The catalog and its A1 findings as of the commit, once an
+    /// evaluation replaced them.
+    a1: Option<(Option<Arc<IndexedCatalog>>, Vec<StrategyFinding>)>,
+}
+
+impl Undo {
+    /// Keeps what a strategy `held` before a flip of its flags, if this
+    /// is the first since the commit.
+    fn keep(&mut self, id: StrategyId, held: Option<CachedFindings>) {
+        if let Some(held) = held {
+            self.findings.entry(id).or_insert(held);
+        }
+    }
+}
+
+/// What one evaluation changed in the set of `(pattern, strategy)`
+/// flags: the findings it raised and the flags it cleared. From a
+/// [`rollback`](IncrementalState::rollback), what returning to the last
+/// commit changed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FlagTransitions {
+    /// Findings whose `(pattern, strategy)` was not flagged before, in
+    /// [`AntiPatternReport`] order: by pattern, then as that pattern's
+    /// detector sorts its findings.
+    pub raised: Vec<StrategyFinding>,
+    /// `(pattern, strategy)` pairs that were flagged before and are
+    /// clear now, sorted.
+    pub cleared: Vec<(AntiPattern, StrategyId)>,
+}
+
+impl FlagTransitions {
+    /// Records the flip, if any, of one flag that was (`before`) or was
+    /// not set and now holds `after`.
+    fn flip(
+        &mut self,
+        pattern: AntiPattern,
+        strategy: StrategyId,
+        before: bool,
+        after: Option<&StrategyFinding>,
+    ) {
+        match (before, after) {
+            (false, Some(finding)) => self.raised.push(finding.clone()),
+            (true, None) => self.cleared.push((pattern, strategy)),
+            _ => {}
+        }
+    }
+
+    /// Records the A1 flips from the findings `before` to `after`, in
+    /// the order the A1 detector put `after` in.
+    fn flip_a1(&mut self, before: &[StrategyFinding], after: &[StrategyFinding]) {
+        let ids = |findings: &[StrategyFinding]| -> BTreeSet<StrategyId> {
+            findings.iter().map(|f| f.strategy).collect()
+        };
+        let (was, is) = (ids(before), ids(after));
+        self.raised
+            .extend(after.iter().filter(|f| !was.contains(&f.strategy)).cloned());
+        self.cleared.extend(
+            was.difference(&is)
+                .map(|&id| (AntiPattern::UnclearTitle, id)),
+        );
+    }
+
+    /// Puts both lists in their documented order. Each pattern's raised
+    /// findings were recorded in strategy-id order (A2–A5) or in the A1
+    /// detector's order, so a stable sort on score keeps the detectors'
+    /// tie order.
+    fn sorted(mut self) -> Self {
+        self.raised.sort_by(|a, b| {
+            a.pattern
+                .cmp(&b.pattern)
+                .then(b.score.partial_cmp(&a.score).expect("scores are finite"))
+        });
+        self.cleared.sort_unstable();
+        self.cleared.dedup();
+        self
+    }
 }
 
 /// One stale strategy, resolved for an evaluation: the catalog row, the
@@ -315,15 +502,18 @@ pub struct IncrementalState {
     cascade: CascadeState,
     /// Strategies whose aggregates changed since the last evaluation.
     dirty: BTreeSet<StrategyId>,
-    /// The catalog seen by the last evaluation (None before the first).
-    catalog: Option<IndexedCatalog>,
+    /// The catalog of the last evaluation (None before the first) —
+    /// the caller's allocation, shared, not a copy.
+    catalog: Option<Arc<IndexedCatalog>>,
     /// The incident list seen by the last evaluation.
     incidents_seen: Option<Vec<Incident>>,
     /// A1 findings for `catalog` (valid while the catalog is unchanged).
     a1_cache: Vec<StrategyFinding>,
-    /// Cached A2–A5 findings per in-scope strategy that holds at least
-    /// one; a strategy with none has no entry.
-    findings_cache: BTreeMap<StrategyId, CachedFindings>,
+    /// Cached A2–A5 findings.
+    findings_cache: FindingsCache,
+    /// The flags as of the last commit, where an evaluation has
+    /// changed them since.
+    undo: Undo,
     /// Digests of committed windows evicted since the last
     /// [`commit`](Self::commit), oldest first — with the committed
     /// prefix of `windows`, the scope [`rollback`](Self::rollback)
@@ -373,7 +563,8 @@ impl IncrementalState {
             catalog: None,
             incidents_seen: None,
             a1_cache: Vec::new(),
-            findings_cache: BTreeMap::new(),
+            findings_cache: FindingsCache::default(),
+            undo: Undo::default(),
             evicted: Vec::new(),
             uncommitted: 0,
             scratch: Scratch::default(),
@@ -551,32 +742,59 @@ impl IncrementalState {
         alerts
     }
 
-    /// Makes the current scope the one [`rollback`](Self::rollback)
-    /// returns to, and releases the digests kept for the previous one.
-    /// O(1) besides dropping them.
+    /// Makes the current scope, and the flags evaluated over it, the
+    /// ones [`rollback`](Self::rollback) returns to, and releases what
+    /// was kept for the previous commit. O(1) besides dropping it.
     pub fn commit(&mut self) {
         self.evicted.clear();
         self.uncommitted = 0;
+        self.undo = Undo::default();
     }
 
     /// Returns to the scope of the last [`commit`](Self::commit) (an
     /// empty engine, if there was none) by applying its digests, oldest
-    /// first, to a fresh engine. A rebuild rather than a subtraction:
-    /// nothing of the current aggregates or evaluation caches is
-    /// trusted, so the result is exact even when the work being undone
-    /// was cut short by a panic. O(history). `graph` is the one the
-    /// windows were observed with; cascade edges are rebuilt against it.
-    pub fn rollback(&mut self, graph: Option<&DependencyGraph>) {
+    /// first, to fresh aggregates, and returns what that did to the
+    /// flags. A rebuild rather than a subtraction, so the result is
+    /// exact even when the work being undone was cut short by a panic.
+    /// O(history). `graph` is the one the windows were observed with;
+    /// cascade edges are rebuilt against it.
+    ///
+    /// Of the evaluation caches only the flags are kept: every one an
+    /// evaluation flipped since the commit is put back, with the
+    /// catalog and A1 findings, so the flags are the ones last
+    /// committed — none at all before the first commit. The next
+    /// evaluation then rescores every strategy in scope or cached
+    /// against them, so nothing else the caches held is trusted.
+    pub fn rollback(&mut self, graph: Option<&DependencyGraph>) -> FlagTransitions {
         let mut scope = std::mem::take(&mut self.evicted);
         let committed = self.windows.len() - self.uncommitted;
         scope.extend(self.windows.drain(..committed));
+        let mut restored = FlagTransitions::default();
+        let Undo { findings, a1 } = std::mem::take(&mut self.undo);
+        for (id, committed) in findings {
+            self.findings_cache.put(id, committed, &mut restored);
+        }
+        if let Some((catalog, a1)) = a1 {
+            restored.flip_a1(&self.a1_cache, &a1);
+            (self.catalog, self.a1_cache) = (catalog, a1);
+        }
         // Drop the old aggregates first: the rebuild never holds two
         // copies of the state.
-        *self = Self::new(std::mem::take(&mut self.config));
+        *self = Self {
+            catalog: self.catalog.take(),
+            incidents_seen: self.incidents_seen.take(),
+            a1_cache: std::mem::take(&mut self.a1_cache),
+            findings_cache: std::mem::take(&mut self.findings_cache),
+            ..Self::new(std::mem::take(&mut self.config))
+        };
         for digest in scope {
             self.apply(&digest, graph);
             self.windows.push_back(digest);
         }
+        // `apply` marked every strategy in scope dirty.
+        self.dirty
+            .extend(self.findings_cache.entries.keys().copied());
+        restored.sorted()
     }
 
     /// How many evicted digests are being kept for a rollback; zero
@@ -610,6 +828,7 @@ impl IncrementalState {
             incidents_seen: _,
             a1_cache: _,
             findings_cache: _,
+            undo: _, // findings only
             evicted,
             uncommitted: _,
             scratch,
@@ -618,92 +837,110 @@ impl IncrementalState {
         digests + scratch.rows.len() + scratch.transient_times.len()
     }
 
-    /// Evaluates the current scope into an [`AntiPatternReport`] equal
-    /// to running the batch detectors over the flattened surviving
-    /// history with `strategies`, `incidents`, and `graph` attached.
+    /// The catalog of the last evaluation: the allocation the caller
+    /// passed, not a copy.
+    #[must_use]
+    pub fn catalog(&self) -> Option<&Arc<IndexedCatalog>> {
+        self.catalog.as_ref()
+    }
+
+    /// Every `(pattern, strategy)` flag reported so far — by the last
+    /// evaluation, or after a [`rollback`](Self::rollback) as of the
+    /// last commit — A1's first, then by strategy.
+    pub fn flags(&self) -> impl Iterator<Item = (AntiPattern, StrategyId)> + '_ {
+        let a1 = self.a1_cache.iter().map(|f| (f.pattern, f.strategy));
+        let rest = self
+            .findings_cache
+            .entries
+            .iter()
+            .flat_map(|(&id, cached)| {
+                CACHED
+                    .into_iter()
+                    .zip(cached.flags())
+                    .filter(|&(_, flagged)| flagged)
+                    .map(move |(pattern, _)| (pattern, id))
+            });
+        a1.chain(rest)
+    }
+
+    /// Evaluates the current scope against `catalog` and `incidents`
+    /// and returns the flags that flipped since the last evaluation —
+    /// O(stale strategies + flips), whatever the catalog's size and
+    /// however many findings are held.
     ///
     /// Only strategies whose aggregates changed since the last
-    /// evaluation are re-scored; A1 is recomputed only when the catalog
-    /// changes, and A2/A3 additionally when the incident list changes.
+    /// evaluation are re-scored. A new `catalog` — told apart from the
+    /// last one by identity, not by content — re-runs A1 and rescores
+    /// every strategy in scope; a changed incident list rescores A2/A3.
     /// A strategy is scored against the catalog row with its id (the
     /// first, should the catalog repeat one); one with alerts in scope
-    /// but no row has no findings.
-    /// Per-pattern wall time and finding counts are recorded into
-    /// `metrics` exactly as the batch
+    /// but no row has no findings. Per-pattern wall time and finding
+    /// counts are recorded into `metrics` as the batch
     /// [`run_instrumented`](AntiPatternReport::run_instrumented) does;
     /// gathering the stale strategies' raise times from the digests is
     /// one pass before the evaluators and timed under none of them.
-    pub fn current_findings(
+    pub fn evaluate(
         &mut self,
-        strategies: &[AlertStrategy],
+        catalog: &Arc<IndexedCatalog>,
         incidents: &[Incident],
-        graph: Option<&DependencyGraph>,
         metrics: Option<&DetectMetrics>,
-    ) -> AntiPatternReport {
+    ) -> FlagTransitions {
         if let Some(m) = metrics {
             m.record_run(self.alerts_in_scope as u64);
         }
-        let catalog_changed = self.catalog.as_ref().map(IndexedCatalog::rows) != Some(strategies);
-        if catalog_changed {
+        let mut transitions = FlagTransitions::default();
+
+        // A1 — pure function of the catalog.
+        if !self
+            .catalog
+            .as_ref()
+            .is_some_and(|held| Arc::ptr_eq(held, catalog))
+        {
+            let _span = metrics.map(|m| m.detector_timer(AntiPattern::UnclearTitle));
             // Strategy attributes (severity, kind, service) feed every
             // evaluator: invalidate everything.
             self.dirty.extend(self.per_strategy.keys().copied());
-            self.catalog = Some(IndexedCatalog::new(strategies.to_vec()));
+            let a1 = self.config.a1.detect(&DetectionInput::new(catalog.rows()));
+            transitions.flip_a1(&self.a1_cache, &a1);
+            let held = self.catalog.replace(Arc::clone(catalog));
+            let before = std::mem::replace(&mut self.a1_cache, a1);
+            self.undo.a1.get_or_insert((held, before));
         }
         let incidents_changed = self.incidents_seen.as_deref() != Some(incidents);
-
-        let mut findings: BTreeMap<AntiPattern, Vec<StrategyFinding>> = BTreeMap::new();
-
-        // A1 — pure function of the catalog.
-        let a1 = {
-            let _span = metrics.map(|m| m.detector_timer(AntiPattern::UnclearTitle));
-            if catalog_changed {
-                self.a1_cache = self.config.a1.detect(&DetectionInput::new(strategies));
-            }
-            self.a1_cache.clone()
-        };
-        if let Some(m) = metrics {
-            m.record_findings(AntiPattern::UnclearTitle, a1.len() as u64);
-        }
-        findings.insert(AntiPattern::UnclearTitle, a1);
 
         let Self {
             config,
             windows,
             per_strategy,
             dirty,
-            catalog,
             findings_cache,
+            undo,
             scratch,
             ..
         } = self;
-        let catalog = catalog.as_ref().expect("the catalog was recorded above");
 
         // Resolve every stale strategy once — its rolling state and its
         // catalog row — so the four evaluators below share one lookup
         // of each. One no longer in scope, or in scope but missing from
-        // the catalog (nothing to score it against), drops its cache
-        // entry: it has no findings.
+        // the catalog (nothing to score it against), has no findings.
         let mut stale: Vec<Stale<'_>> = Vec::with_capacity(dirty.len());
-        let mut resolve = |id: StrategyId, aggregates_changed: bool| {
-            let Some(state) = per_strategy.get(&id) else {
-                findings_cache.remove(&id);
-                return;
-            };
-            match catalog.get(id) {
-                Some(strategy) => stale.push(Stale {
-                    strategy,
-                    state,
-                    aggregates_changed,
-                    a2_with_incident: 0,
-                    a3_with_incident: 0,
-                    transient_times: None,
-                    hour_runs: None,
-                    rescored: CachedFindings::default(),
-                }),
-                None => {
-                    findings_cache.remove(&id);
-                }
+        let mut resolve = |id: StrategyId, aggregates_changed: bool| match per_strategy
+            .get(&id)
+            .zip(catalog.get(id))
+        {
+            Some((state, strategy)) => stale.push(Stale {
+                strategy,
+                state,
+                aggregates_changed,
+                a2_with_incident: 0,
+                a3_with_incident: 0,
+                transient_times: None,
+                hour_runs: None,
+                rescored: CachedFindings::default(),
+            }),
+            None => {
+                let held = findings_cache.put(id, CachedFindings::default(), &mut transitions);
+                undo.keep(id, held);
             }
         };
         if incidents_changed {
@@ -824,50 +1061,67 @@ impl IncrementalState {
             }
         }
 
-        // One cache write per stale strategy; an entry is kept only
-        // while it holds a finding.
+        // One cache write per stale strategy, in id order. A strategy
+        // stale through the incident list only keeps its A4/A5.
         for s in stale {
-            match findings_cache.entry(s.strategy.id()) {
-                Entry::Occupied(mut entry) => {
-                    let cache = entry.get_mut();
-                    (cache.a2, cache.a3) = (s.rescored.a2, s.rescored.a3);
-                    if s.aggregates_changed {
-                        (cache.a4, cache.a5) = (s.rescored.a4, s.rescored.a5);
-                    }
-                    if cache.is_empty() {
-                        entry.remove();
-                    }
-                }
-                // No entry means no kept A4/A5 findings: the rescored
-                // ones are the whole verdict.
-                Entry::Vacant(entry) => {
-                    if !s.rescored.is_empty() {
-                        entry.insert(s.rescored);
-                    }
+            let id = s.strategy.id();
+            let mut findings = s.rescored;
+            if !s.aggregates_changed {
+                if let Some(kept) = findings_cache.entries.get(&id) {
+                    (findings.a4, findings.a5) = (kept.a4.clone(), kept.a5.clone());
                 }
             }
+            let held = findings_cache.put(id, findings, &mut transitions);
+            undo.keep(id, held);
         }
         transient_times.clear();
         hour_runs.clear();
 
-        self.publish(
-            AntiPattern::MisleadingSeverity,
-            &mut findings,
-            metrics,
-            |c| c.a2.clone(),
-        );
-        self.publish(AntiPattern::ImproperRule, &mut findings, metrics, |c| {
-            c.a3.clone()
-        });
-        self.publish(
-            AntiPattern::TransientToggling,
-            &mut findings,
-            metrics,
-            |c| c.a4.clone(),
-        );
-        self.publish(AntiPattern::Repeating, &mut findings, metrics, |c| {
-            c.a5.clone()
-        });
+        if let Some(m) = metrics {
+            m.record_findings(AntiPattern::UnclearTitle, self.a1_cache.len() as u64);
+            for (pattern, count) in CACHED.into_iter().zip(self.findings_cache.counts) {
+                m.record_findings(pattern, count as u64);
+            }
+        }
+        self.dirty.clear();
+        if incidents_changed {
+            self.incidents_seen = Some(incidents.to_vec());
+        }
+        transitions.sorted()
+    }
+
+    /// [`evaluate`](Self::evaluate)s the current scope, then renders
+    /// everything held into an [`AntiPatternReport`] equal to running
+    /// the batch detectors over the flattened surviving history with
+    /// `catalog`, `incidents` and `graph` attached: O(findings) on top
+    /// of the evaluation, for the callers that want the whole picture.
+    /// Cascade groups (A6) are reported only when `graph` is given.
+    pub fn report(
+        &mut self,
+        catalog: &Arc<IndexedCatalog>,
+        incidents: &[Incident],
+        graph: Option<&DependencyGraph>,
+        metrics: Option<&DetectMetrics>,
+    ) -> AntiPatternReport {
+        self.evaluate(catalog, incidents, metrics);
+        let mut findings = BTreeMap::from([(AntiPattern::UnclearTitle, self.a1_cache.clone())]);
+        for (slot, pattern) in CACHED.into_iter().enumerate() {
+            let mut found: Vec<StrategyFinding> = self
+                .findings_cache
+                .entries
+                .values()
+                .filter_map(|cached| cached.findings()[slot].cloned())
+                .collect();
+            // The detectors' shared comparator: score descending, then
+            // strategy.
+            found.sort_by(|a, b| {
+                b.score
+                    .partial_cmp(&a.score)
+                    .expect("scores are finite")
+                    .then(a.strategy.cmp(&b.strategy))
+            });
+            findings.insert(pattern, found);
+        }
 
         // A6 — cascades come straight off the maintained edge set.
         let cascades: Vec<CascadeGroup> = {
@@ -881,36 +1135,26 @@ impl IncrementalState {
         if let Some(m) = metrics {
             m.record_findings(AntiPattern::Cascading, cascades.len() as u64);
         }
-
-        self.dirty.clear();
-        if incidents_changed {
-            self.incidents_seen = Some(incidents.to_vec());
-        }
         AntiPatternReport { findings, cascades }
     }
 
-    /// Collects one pattern's cached findings, sorts them with the
-    /// detectors' shared comparator (score descending, then strategy),
-    /// records the count, and files them under `pattern`.
-    fn publish(
-        &self,
-        pattern: AntiPattern,
-        findings: &mut BTreeMap<AntiPattern, Vec<StrategyFinding>>,
+    /// [`report`](Self::report) over the catalog `strategies`, for a
+    /// caller that holds the rows rather than an
+    /// `Arc<IndexedCatalog>`: the rows are compared with the last
+    /// evaluation's (O(catalog)), and copied into a new catalog only
+    /// when they differ.
+    pub fn current_findings(
+        &mut self,
+        strategies: &[AlertStrategy],
+        incidents: &[Incident],
+        graph: Option<&DependencyGraph>,
         metrics: Option<&DetectMetrics>,
-        select: impl Fn(&CachedFindings) -> Option<StrategyFinding>,
-    ) {
-        let mut found: Vec<StrategyFinding> =
-            self.findings_cache.values().filter_map(select).collect();
-        found.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("scores are finite")
-                .then(a.strategy.cmp(&b.strategy))
-        });
-        if let Some(m) = metrics {
-            m.record_findings(pattern, found.len() as u64);
-        }
-        findings.insert(pattern, found);
+    ) -> AntiPatternReport {
+        let catalog = match &self.catalog {
+            Some(held) if held.rows() == strategies => Arc::clone(held),
+            _ => Arc::new(IndexedCatalog::new(strategies.to_vec())),
+        };
+        self.report(&catalog, incidents, graph, metrics)
     }
 }
 
@@ -942,7 +1186,7 @@ fn with_incident(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alertops_model::{LogRule, StrategyKind};
+    use alertops_model::{LogRule, Severity, StrategyKind};
 
     fn strategy(id: u64) -> AlertStrategy {
         AlertStrategy::builder(StrategyId(id))
@@ -1146,7 +1390,11 @@ mod tests {
         }
         let assert_findings_only = |engine: &IncrementalState, step: &str| {
             assert!(
-                engine.findings_cache.values().all(|c| !c.is_empty()),
+                engine
+                    .findings_cache
+                    .entries
+                    .values()
+                    .all(|c| !c.is_empty()),
                 "{step}: an entry without a finding"
             );
         };
@@ -1200,5 +1448,138 @@ mod tests {
         let mut engine = IncrementalState::default();
         assert_eq!(engine.evict_window(None), 0);
         assert_eq!(engine, IncrementalState::default());
+    }
+
+    /// [`strategy`] with a title A1 flags.
+    fn vague(id: u64) -> AlertStrategy {
+        strategy(id).with_title_template("Instance x is abnormal")
+    }
+
+    type FlagSet = BTreeSet<(AntiPattern, StrategyId)>;
+
+    fn flag_set(report: &AntiPatternReport) -> FlagSet {
+        report
+            .findings
+            .iter()
+            .flat_map(|(&pattern, found)| found.iter().map(move |f| (pattern, f.strategy)))
+            .collect()
+    }
+
+    fn raised_and_cleared(transitions: &FlagTransitions) -> (FlagSet, FlagSet) {
+        let raised = transitions
+            .raised
+            .iter()
+            .map(|f| (f.pattern, f.strategy))
+            .collect();
+        (raised, transitions.cleared.iter().copied().collect())
+    }
+
+    /// A catalog is told apart by its allocation: the same `Arc` again
+    /// flips nothing, while a new one — strategy 1 with a clearer title,
+    /// strategy 2 gone, strategy 3 now Critical — re-runs A1 and
+    /// rescores every strategy in scope, the clean ones included,
+    /// exactly as batch detection over the new rows would.
+    #[test]
+    fn a_new_catalog_reruns_a1_and_rescores_everything() {
+        let scope = a4_a5_windows().concat();
+        let batch = |rows: &[AlertStrategy]| {
+            AntiPatternReport::run_default(&DetectionInput::new(rows).with_alerts(&scope))
+        };
+        let old_rows = vec![vague(1), strategy(2), strategy(3)];
+        let new_rows = vec![strategy(1), strategy(3).with_severity(Severity::Critical)];
+        let (old, new) = (
+            Arc::new(IndexedCatalog::new(old_rows.clone())),
+            Arc::new(IndexedCatalog::new(new_rows.clone())),
+        );
+        let mut engine = IncrementalState::default();
+        engine.observe_window(&scope, None, None);
+        assert_eq!(engine.report(&old, &[], None, None), batch(&old_rows));
+        assert_eq!(engine.evaluate(&old, &[], None), FlagTransitions::default());
+
+        let (raised, cleared) = raised_and_cleared(&engine.evaluate(&new, &[], None));
+        let (before, after) = (flag_set(&batch(&old_rows)), flag_set(&batch(&new_rows)));
+        assert_eq!(raised, &after - &before);
+        assert_eq!(cleared, &before - &after);
+        for flip in [
+            (AntiPattern::UnclearTitle, StrategyId(1)),
+            (AntiPattern::Repeating, StrategyId(2)),
+        ] {
+            assert!(cleared.contains(&flip), "{flip:?} should clear");
+        }
+        let clean = (AntiPattern::MisleadingSeverity, StrategyId(3));
+        assert!(raised.contains(&clean), "clean strategy 3 was not rescored");
+        assert_eq!(engine.report(&new, &[], None, None), batch(&new_rows));
+        assert!(Arc::ptr_eq(engine.catalog().expect("evaluated"), &new));
+    }
+
+    /// An evaluation raises findings in report order — by pattern, then
+    /// as each detector sorts, A1's equal scores in catalog order — so
+    /// the first one raises the whole report, finding for finding.
+    #[test]
+    fn raised_findings_come_in_report_order() {
+        let catalog = Arc::new(IndexedCatalog::new(vec![vague(3), vague(1), strategy(2)]));
+        let mut engine = IncrementalState::default();
+        for w in &a4_a5_windows() {
+            engine.observe_window(w, None, None);
+        }
+        let raised = engine.evaluate(&catalog, &[], None).raised;
+        let report = engine.report(&catalog, &[], None, None);
+        let a1: Vec<StrategyId> = raised.iter().take(2).map(|f| f.strategy).collect();
+        assert_eq!(a1, [StrategyId(3), StrategyId(1)]);
+        assert_eq!(
+            raised,
+            report.findings.into_values().flatten().collect::<Vec<_>>()
+        );
+    }
+
+    /// What `rollback` reports is exactly the way back to the last
+    /// commit's flags — to none at all before the first commit, A1's
+    /// included. Afterwards the engine reports those flags, the next
+    /// evaluation finds them current, and a commit keeps nothing.
+    #[test]
+    fn rollback_returns_to_the_committed_flags() {
+        let catalog = Arc::new(IndexedCatalog::new(vec![
+            vague(1),
+            strategy(2),
+            strategy(3),
+        ]));
+        let ws = a4_a5_windows();
+        let flags = |engine: &IncrementalState| engine.flags().collect::<FlagSet>();
+        let mut engine = IncrementalState::default();
+        engine.observe_window(&ws[0], None, None);
+        let (first, _) = raised_and_cleared(&engine.evaluate(&catalog, &[], None));
+        assert!(first.contains(&(AntiPattern::UnclearTitle, StrategyId(1))));
+        let (raised, cleared) = raised_and_cleared(&engine.rollback(None));
+        assert_eq!((raised, cleared), (FlagSet::new(), first));
+        assert!(flags(&engine).is_empty() && engine.catalog().is_none());
+
+        // Commit after the burst and toggling hours, then slide them
+        // out: A4 on 1 and A5 on 2 clear before the rollback.
+        for w in &ws[..3] {
+            engine.observe_window(w, None, None);
+        }
+        engine.evaluate(&catalog, &[], None);
+        engine.commit();
+        let committed = flags(&engine);
+        for w in &ws[3..8] {
+            engine.observe_window(w, None, None);
+            while engine.window_count() > 3 {
+                engine.evict_window(None);
+            }
+            engine.evaluate(&catalog, &[], None);
+        }
+        let moved = flags(&engine);
+        assert!(!engine.undo.findings.is_empty());
+        let (raised, cleared) = raised_and_cleared(&engine.rollback(None));
+        assert_eq!(raised, &committed - &moved);
+        assert_eq!(cleared, &moved - &committed);
+        assert!(cleared.is_empty() && !raised.is_empty());
+        assert_eq!(flags(&engine), committed);
+        assert_eq!(
+            engine.evaluate(&catalog, &[], None),
+            FlagTransitions::default()
+        );
+        engine.commit();
+        assert!(engine.undo.findings.is_empty() && engine.undo.a1.is_none());
     }
 }

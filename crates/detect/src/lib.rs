@@ -72,7 +72,7 @@ pub use a3_improper::ImproperRuleDetector;
 pub use a4_transient::TransientTogglingDetector;
 pub use a5_repeating::RepeatingDetector;
 pub use a6_cascading::{CascadeGroup, CascadingDetector};
-pub use engine::{EngineConfig, IncrementalState};
+pub use engine::{EngineConfig, FlagTransitions, IncrementalState};
 pub use input::DetectionInput;
 pub use metrics::DetectMetrics;
 pub use report::{evaluate_sets, AntiPatternReport, PrecisionRecall};

@@ -8,12 +8,15 @@
 //! is pure relaxed-atomic work — detection output is identical with or
 //! without metrics attached (the property suite asserts this).
 //!
-//! The `pattern="A6"` series describe whoever evaluates *with* a
-//! dependency graph — the batch `AlertGovernor::detect`. A streaming
-//! governor hands its engine none (cascade groups have no reader past a
-//! window close, and a shard would count fragments of every cascade),
-//! so on a live daemon `alertops_detector_findings_total{pattern="A6"}`
-//! stays at 0 and the A6 `alertops_detector_micros` samples read ≈ 0.
+//! The `pattern="A6"` series describe whoever asks the engine for a
+//! whole report — the batch `AlertGovernor::detect`. A streaming
+//! governor only evaluates (cascade groups have no reader past a window
+//! close, and a shard would count fragments of every cascade), so on a
+//! live daemon `alertops_detector_findings_total{pattern="A6"}` stays
+//! at 0 and the A6 `alertops_detector_micros` histogram records no
+//! samples. The A1 histogram records one sample per A1 pass, which the
+//! engine runs only for a new catalog: once per shard. The findings
+//! counters still add every finding held after each evaluation.
 
 use std::sync::Arc;
 

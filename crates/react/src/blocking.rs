@@ -8,6 +8,8 @@
 //! after service updates — windows make stale rules expire instead of
 //! silently eating real alerts).
 
+use std::collections::BTreeSet;
+
 use serde::{Deserialize, Serialize};
 
 use alertops_model::{Alert, RegionId, Severity, StrategyId, TimeRange};
@@ -115,10 +117,31 @@ impl BlockOutcome<'_> {
     }
 }
 
-/// A rule-based alert blocker.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// A rule-based alert blocker: an ordered rule list in which the first
+/// matching rule is credited with a hit.
+///
+/// A rule that says exactly "this strategy, always" — what
+/// [`BlockRule::for_strategy`] builds and every derived rule is — is
+/// found by the alert's strategy id instead of by scanning. The blocker
+/// keeps that index as rules are added and removed, so an alert costs
+/// one index lookup plus the conditional rules, not one test per rule,
+/// and a long-lived blocker never rebuilds it.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlertBlocker {
     rules: Vec<BlockRule>,
+    /// `(strategy, position)` of every unconditional strategy rule.
+    by_strategy: BTreeSet<(StrategyId, usize)>,
+    /// Positions of every other rule.
+    scanned: BTreeSet<usize>,
+}
+
+/// The strategy `rule` blocks unconditionally, if it says exactly
+/// "this strategy, always".
+fn unconditional_strategy(rule: &BlockRule) -> Option<StrategyId> {
+    match (rule.criteria.as_slice(), &rule.active_window) {
+        ([BlockCriterion::Strategy(id)], None) => Some(*id),
+        _ => None,
+    }
 }
 
 impl AlertBlocker {
@@ -128,9 +151,38 @@ impl AlertBlocker {
         Self::default()
     }
 
-    /// Adds a rule.
+    /// Adds a rule after every existing one. O(log rules).
     pub fn add_rule(&mut self, rule: BlockRule) {
         self.rules.push(rule);
+        self.index(self.rules.len() - 1);
+    }
+
+    /// Removes the rule at position `ix` of [`rules`](Self::rules) and
+    /// returns it. The last rule moves into the freed position — so
+    /// this is O(log rules), and that rule now comes earlier in the
+    /// first-match order.
+    ///
+    /// # Panics
+    ///
+    /// If there is no rule at `ix`.
+    pub fn remove_rule(&mut self, ix: usize) -> BlockRule {
+        assert!(ix < self.rules.len(), "no blocking rule at position {ix}");
+        let last = self.rules.len() - 1;
+        self.unindex(ix);
+        self.unindex(last);
+        let rule = self.rules.swap_remove(ix);
+        if ix < last {
+            self.index(ix);
+        }
+        rule
+    }
+
+    /// The position of the unconditional rule for `strategy` named
+    /// `name`, if the blocker has one.
+    #[must_use]
+    pub fn strategy_rule(&self, strategy: StrategyId, name: &str) -> Option<usize> {
+        self.unconditional(strategy)
+            .find(|&ix| self.rules[ix].name == name)
     }
 
     /// The configured rules.
@@ -139,50 +191,48 @@ impl AlertBlocker {
         &self.rules
     }
 
+    fn index(&mut self, ix: usize) {
+        match unconditional_strategy(&self.rules[ix]) {
+            Some(strategy) => self.by_strategy.insert((strategy, ix)),
+            None => self.scanned.insert(ix),
+        };
+    }
+
+    fn unindex(&mut self, ix: usize) {
+        match unconditional_strategy(&self.rules[ix]) {
+            Some(strategy) => self.by_strategy.remove(&(strategy, ix)),
+            None => self.scanned.remove(&ix),
+        };
+    }
+
+    /// Positions of `strategy`'s unconditional rules, ascending.
+    fn unconditional(&self, strategy: StrategyId) -> impl Iterator<Item = usize> + '_ {
+        self.by_strategy
+            .range((strategy, 0)..=(strategy, usize::MAX))
+            .map(|&(_, ix)| ix)
+    }
+
+    /// The position of the first rule that blocks `alert`.
+    fn first_match(&self, alert: &Alert) -> Option<usize> {
+        let unconditional = self.unconditional(alert.strategy()).next();
+        // Only a scanned rule listed before the unconditional one can
+        // take the credit from it.
+        self.scanned
+            .range(..unconditional.unwrap_or(usize::MAX))
+            .copied()
+            .find(|&ix| self.rules[ix].blocks(alert))
+            .or(unconditional)
+    }
+
     /// Partitions `alerts` into passed and blocked. The first matching
     /// rule is credited with the hit.
-    ///
-    /// A rule that says exactly "this strategy, always" — what
-    /// [`BlockRule::for_strategy`] builds and every derived rule is —
-    /// is found by the alert's strategy id instead of by scanning, so
-    /// an alert costs a binary search plus the conditional rules, not
-    /// one test per rule.
     #[must_use]
     pub fn apply<'a>(&self, alerts: &'a [Alert]) -> BlockOutcome<'a> {
-        // `(strategy, rule)` of the first unconditional rule for each
-        // strategy, sorted by strategy; every rule that is not an
-        // unconditional strategy rule goes to `scanned`, in rule order.
-        // A later unconditional rule for an already-covered strategy
-        // goes nowhere: the first one matches whenever it would.
-        let mut by_strategy: Vec<(StrategyId, usize)> = Vec::with_capacity(self.rules.len());
-        let mut scanned: Vec<usize> = Vec::new();
-        for (ix, rule) in self.rules.iter().enumerate() {
-            match (rule.criteria.as_slice(), &rule.active_window) {
-                ([BlockCriterion::Strategy(id)], None) => by_strategy.push((*id, ix)),
-                _ => scanned.push(ix),
-            }
-        }
-        by_strategy.sort_unstable();
-        by_strategy.dedup_by_key(|&mut (strategy, _)| strategy);
-
         let mut passed = Vec::new();
         let mut blocked = Vec::new();
         let mut rule_hits = vec![0usize; self.rules.len()];
         for alert in alerts {
-            let unconditional = by_strategy
-                .binary_search_by_key(&alert.strategy(), |&(strategy, _)| strategy)
-                .ok()
-                .map(|at| by_strategy[at].1);
-            // Only a scanned rule listed before the unconditional one
-            // can take the credit from it.
-            let limit = unconditional.unwrap_or(usize::MAX);
-            let first = scanned
-                .iter()
-                .copied()
-                .take_while(|&ix| ix < limit)
-                .find(|&ix| self.rules[ix].blocks(alert))
-                .or(unconditional);
-            match first {
+            match self.first_match(alert) {
                 Some(ix) => {
                     rule_hits[ix] += 1;
                     blocked.push(alert);
@@ -200,9 +250,11 @@ impl AlertBlocker {
 
 impl FromIterator<BlockRule> for AlertBlocker {
     fn from_iter<I: IntoIterator<Item = BlockRule>>(iter: I) -> Self {
-        Self {
-            rules: iter.into_iter().collect(),
+        let mut blocker = Self::new();
+        for rule in iter {
+            blocker.add_rule(rule);
         }
+        blocker
     }
 }
 

@@ -100,6 +100,14 @@ impl ReactionPipeline {
     /// Runs the pipeline over a time-sorted alert stream.
     #[must_use]
     pub fn run(&self, alerts: &[Alert]) -> PipelineReport {
+        self.run_with_blocker(alerts, &self.blocker)
+    }
+
+    /// [`run`](Self::run) with R1's rules borrowed from `blocker`
+    /// instead of the pipeline's own — for a holder that keeps one
+    /// blocker current across many runs.
+    #[must_use]
+    pub fn run_with_blocker(&self, alerts: &[Alert], blocker: &AlertBlocker) -> PipelineReport {
         let input = alerts.len();
         let mut stages = vec![StageStat {
             stage: "input".to_owned(),
@@ -109,7 +117,7 @@ impl ReactionPipeline {
         // R1 — blocking.
         let outcome = {
             let _span = self.metrics.as_ref().map(|m| m.stage_timer(0));
-            self.blocker.apply(alerts)
+            blocker.apply(alerts)
         };
         let passed: Vec<Alert> = outcome.passed.iter().map(|&a| a.clone()).collect();
         stages.push(StageStat {

@@ -158,6 +158,48 @@ proptest! {
     }
 
     #[test]
+    fn blocking_after_removals_equals_a_first_match_scan(
+        alerts in arb_alerts(150),
+        rules in arb_mixed_rules(),
+        removals in prop::collection::vec(0usize..12, 0..8),
+    ) {
+        // The reference: the rule list with each removal made by
+        // `Vec::swap_remove`, scanned in order for the first rule that
+        // blocks.
+        let mut expected = rules.clone();
+        let mut blocker: AlertBlocker = rules.into_iter().collect();
+        for ix in removals {
+            if expected.is_empty() {
+                break;
+            }
+            let ix = ix % expected.len();
+            prop_assert_eq!(blocker.remove_rule(ix), expected.swap_remove(ix));
+        }
+        prop_assert_eq!(blocker.rules(), expected.as_slice());
+        prop_assert_eq!(&blocker, &expected.iter().cloned().collect::<AlertBlocker>());
+        let mut rule_hits = vec![0usize; expected.len()];
+        let mut blocked = Vec::new();
+        for alert in &alerts {
+            if let Some(ix) = expected.iter().position(|r| r.blocks(alert)) {
+                rule_hits[ix] += 1;
+                blocked.push(alert.id());
+            }
+        }
+        let outcome = blocker.apply(&alerts);
+        prop_assert_eq!(outcome.blocked.iter().map(|a| a.id()).collect::<Vec<_>>(), blocked);
+        prop_assert_eq!(outcome.rule_hits, rule_hits);
+        // A strategy's unconditional rule is found by its name.
+        for strategy in (0..4).map(StrategyId) {
+            let first = expected.iter().position(|r| {
+                r.name == "mute"
+                    && r.active_window.is_none()
+                    && r.criteria == [BlockCriterion::Strategy(strategy)]
+            });
+            prop_assert_eq!(blocker.strategy_rule(strategy, "mute"), first);
+        }
+    }
+
+    #[test]
     fn pipeline_with_metrics_is_observer_only(
         alerts in arb_alerts(150),
         rules in arb_rules(),

@@ -59,21 +59,21 @@ check_counts() {
     done
 }
 check_counts cluster-journal <<'CEILINGS'
-proc.allocs_per_alert 14.2114
-proc.alloc_bytes_per_alert 1881.37
+proc.allocs_per_alert 10.6580
+proc.alloc_bytes_per_alert 1301.15
 proc.write_syscalls_per_kalert 1006.85
 CEILINGS
 check_counts governed-close <<'CEILINGS'
-proc.allocs_per_alert 26.8443
-proc.alloc_bytes_per_alert 3520.84
+proc.allocs_per_alert 22.1328
+proc.alloc_bytes_per_alert 2835.84
 CEILINGS
 check_counts steady-wire <<'CEILINGS'
-proc.allocs_per_alert 6.3666
-proc.alloc_bytes_per_alert 1380.24
+proc.allocs_per_alert 3.5045
+proc.alloc_bytes_per_alert 929.49
 CEILINGS
 check_counts storm-paced <<'CEILINGS'
-proc.allocs_per_alert 41.8329
-proc.alloc_bytes_per_alert 4605.57
+proc.allocs_per_alert 39.7554
+proc.alloc_bytes_per_alert 4299.00
 CEILINGS
 
 # The window-close path has one owner (alertops_core::WindowCloser)
@@ -161,6 +161,15 @@ fi
 # handed to the engine from the streaming path again.
 if grep -nE '\.dependency_graph\(\)' crates/core/src/streaming.rs; then
     echo "the streaming path reads the dependency graph again (see matches above)" >&2
+    exit 1
+fi
+
+# A window close is O(change): the streaming path reads the engine's
+# flag transitions and moves one persistent R1 rule set by them, so it
+# must not ask for a whole report, re-derive the blocker, or diff a
+# rebuilt flag set again.
+if grep -nE 'current_findings\(|derive_blocker\(|previous_flags' crates/core/src/streaming.rs; then
+    echo "the streaming close rebuilds the whole flag picture again (see matches above)" >&2
     exit 1
 fi
 
