@@ -31,9 +31,10 @@
 //! # Durability
 //!
 //! The cluster appends every accepted alert to the owning node's
-//! write-ahead log *before* routing it ([`crate::wal`]), and writes the
-//! window boundary to each **alive** node's log at close. A killed
-//! node's in-memory state is gone, but its log is not: rejoin replays
+//! write-ahead log *before* routing it ([`alertops_wire::wal`], the log
+//! a standalone daemon keeps too), and writes the window boundary to
+//! each **alive** node's log at close. A killed node's in-memory state
+//! is gone, but its log is not: rejoin replays
 //! the retained windows through a fresh pool (rebuilding the rolling
 //! detection history), rewrites the log, and restores the in-flight
 //! tail as pending work. A node that dies with no live peer is the
@@ -77,21 +78,20 @@
 //!   from it. Node logs hold node state only.
 
 use std::collections::BTreeMap;
-use std::fs::{self, File};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::fs;
+use std::io;
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use alertops_core::{GovernanceSnapshot, QoaCheckpoint, StreamingGovernor, WindowCloser};
-use alertops_ingestd::{shard_catalog, IngestdConfig, ShardPool};
+use alertops_core::{GovernanceSnapshot, StreamingGovernor, WindowCloser};
+use alertops_ingestd::{resume_qoa, shard_catalog, IngestdConfig, ShardPool};
 use alertops_model::{Alert, AlertStrategy, IndexedCatalog, QoaLabel, StrategyId};
-use alertops_wire::{Frame, WireDecoder, WireEncoder};
+use alertops_wire::wal::{replay, write_qoa_checkpoint, Wal, WalFormat};
 
 use crate::metrics::ClusterMetrics;
 use crate::range::{node_catalog, RangeMap, StrategyRange};
-use crate::wal::{self, Wal, WalFormat};
 
 /// Builds one node's per-shard streaming governor from that shard's
 /// sub-catalog. Shared by spawn, rejoin, and handoff respawns.
@@ -120,8 +120,9 @@ pub struct ClusterConfig {
     /// (`<wal_root>/coordinator/`). Created if missing; existing logs
     /// are replayed on spawn (lossless restart).
     pub wal_root: PathBuf,
-    /// Frozen-bench scaffolding with one value (see [`WalFormat`]):
-    /// nothing reads it. Every append is v2, and replay reads v2 only.
+    /// Frozen-bench scaffolding with one value until ROADMAP item 1(b)
+    /// (see [`WalFormat`]): nothing reads it. Every append is v2, and
+    /// replay reads v2 only.
     pub wal_format: WalFormat,
 }
 
@@ -144,16 +145,6 @@ impl ClusterConfig {
             return Err("cluster nodes must not tick, listen or serve a status socket".into());
         }
         node.validate()
-    }
-
-    /// Sealed-segment retention per node: one more than the governor's
-    /// rolling history depth. Replay needs the *previous* window's full
-    /// scope as well as the current one, so that the last re-published
-    /// window's new/resolved findings (deltas against that previous
-    /// scope) come back byte-identical, not just the end state.
-    #[must_use]
-    pub fn wal_retain(&self) -> usize {
-        self.node.streaming.history_windows.max(1) + 1
     }
 }
 
@@ -178,43 +169,9 @@ impl NodeSlot {
     }
 }
 
-/// The coordinator's directory under `wal_root`.
+/// The coordinator's directory under `wal_root`: it holds the online
+/// QoA model's checkpoint file.
 const COORDINATOR_DIR: &str = "coordinator";
-/// The online QoA model's checkpoint inside it: one `Frame::QoaState`
-/// frame, so the wire codec's length + CRC is the integrity check.
-const QOA_CHECKPOINT: &str = "qoa.ckpt";
-const QOA_CHECKPOINT_TMP: &str = "qoa.ckpt.tmp";
-
-/// Replaces the checkpoint file atomically: a reader finds the old
-/// checkpoint or the new one, never a mix.
-fn write_qoa_checkpoint(dir: &Path, checkpoint: &QoaCheckpoint) -> io::Result<()> {
-    let frame = WireEncoder::new().encode(&Frame::QoaState(checkpoint.to_bytes()));
-    let tmp = dir.join(QOA_CHECKPOINT_TMP);
-    let mut file = File::create(&tmp)?;
-    file.write_all(&frame)?;
-    file.sync_data()?;
-    fs::rename(&tmp, dir.join(QOA_CHECKPOINT))?;
-    // The rename is durable once its directory is.
-    File::open(dir)?.sync_all()
-}
-
-/// Reads the checkpoint file back. Anything but exactly one intact
-/// `QoaState` frame holding a decodable checkpoint — no file, a torn or
-/// rotted one, a log from before the file existed — is `None`: the
-/// model starts fresh and the next close replaces the file.
-fn read_qoa_checkpoint(dir: &Path) -> io::Result<Option<QoaCheckpoint>> {
-    let bytes = match fs::read(dir.join(QOA_CHECKPOINT)) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let mut decoder = WireDecoder::new();
-    let mut frames = decoder.feed(&bytes);
-    Ok(match (frames.pop(), frames.is_empty(), decoder.finish()) {
-        (Some(Ok(Frame::QoaState(bytes))), true, None) => QoaCheckpoint::from_bytes(&bytes),
-        _ => None,
-    })
-}
 
 /// What a completed handoff did, for callers and benches.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -335,7 +292,7 @@ impl AlertCluster {
         let mut recovered_tail: Vec<Alert> = Vec::new();
         for node in 0..config.nodes {
             let dir = config.wal_root.join(format!("node-{node}"));
-            let replayed = wal::replay(&dir)?;
+            let replayed = replay(&dir)?;
             metrics.wal_replayed_alerts.add(replayed.recovered_alerts);
             metrics.wal_torn_records.add(replayed.torn_records);
             for (seq, alerts) in replayed.windows {
@@ -351,7 +308,7 @@ impl AlertCluster {
         let mut slots = Vec::with_capacity(config.nodes);
         for node in 0..config.nodes {
             let dir = config.wal_root.join(format!("node-{node}"));
-            let wal = Arc::new(Wal::open(&dir, config.wal_retain())?);
+            let wal = Arc::new(Wal::open(&dir, config.node.wal_retain())?);
             let node_cat = node_catalog(&catalog, &map, node);
             let pool = spawn_pool(&config.node, &node_cat, &make_governor)?;
             slots.push(NodeSlot {
@@ -400,21 +357,14 @@ impl AlertCluster {
             cluster.route(alert)?;
         }
 
-        // Bring the feedback loop back: restore the checkpointed model
-        // (exact weights, not a relearn) and push its current verdicts
-        // down so the next close is governed identically to an
-        // uninterrupted run. The file already holds what was restored;
-        // nothing is written until the next close.
+        // Bring the feedback loop back and push its verdicts down, so
+        // the next close is governed as an uninterrupted run's would be;
+        // nothing is written until that close.
         if let Some(qoa_config) = cluster.config.node.streaming.qoa.unless_off() {
-            let checkpoint = read_qoa_checkpoint(&cluster.coordinator_dir)?;
-            if !checkpoint.is_some_and(|ckpt| cluster.closer.restore_qoa(qoa_config, &ckpt)) {
-                cluster.closer.start_qoa(qoa_config);
-            }
-            if let Some(model) = cluster.closer.qoa_model() {
-                let verdicts = model.verdicts();
-                for pool in cluster.slots.iter().filter_map(|slot| slot.pool.as_ref()) {
-                    pool.push_qoa_verdicts(&verdicts);
-                }
+            let dir = Some(cluster.coordinator_dir.as_path());
+            let verdicts = resume_qoa(&mut cluster.closer, qoa_config, dir)?;
+            for pool in cluster.slots.iter().filter_map(|slot| slot.pool.as_ref()) {
+                pool.push_qoa_verdicts(&verdicts);
             }
         }
         Ok(cluster)
@@ -515,7 +465,7 @@ impl AlertCluster {
         if let Some(model) = self.closer.qoa_model() {
             // Coordinator state first: the model as of this close is
             // durable before any log says the window closed.
-            write_qoa_checkpoint(&self.coordinator_dir, &model.checkpoint())?;
+            write_qoa_checkpoint(&self.coordinator_dir, model.checkpoint().to_bytes())?;
         }
 
         let mut delivered = delivered.into_iter();
@@ -582,7 +532,7 @@ impl AlertCluster {
         if self.slots[node].pool.is_some() {
             return Ok(());
         }
-        let replayed = wal::replay(&self.slots[node].dir)?;
+        let replayed = replay(&self.slots[node].dir)?;
         self.metrics
             .wal_replayed_alerts
             .add(replayed.recovered_alerts);
@@ -645,8 +595,8 @@ impl AlertCluster {
         for node in [from, to] {
             self.kill(node);
         }
-        let src = wal::replay(&self.slots[from].dir)?;
-        let dst = wal::replay(&self.slots[to].dir)?;
+        let src = replay(&self.slots[from].dir)?;
+        let dst = replay(&self.slots[to].dir)?;
         self.metrics
             .wal_replayed_alerts
             .add(src.recovered_alerts + dst.recovered_alerts);
@@ -724,7 +674,10 @@ impl AlertCluster {
         let node_cat = node_catalog(self.catalog.rows(), &self.map, node);
         let pool = spawn_pool(&self.config.node, &node_cat, &self.make_governor)?;
         Wal::wipe(&self.slots[node].dir)?;
-        let wal = Arc::new(Wal::open(&self.slots[node].dir, self.config.wal_retain())?);
+        let wal = Arc::new(Wal::open(
+            &self.slots[node].dir,
+            self.config.node.wal_retain(),
+        )?);
         for (seq, alerts) in &windows {
             for alert in alerts {
                 wal.append(alert)?;

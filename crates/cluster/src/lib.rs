@@ -17,7 +17,8 @@
 //!
 //! Three mechanisms make the topology survivable:
 //!
-//! - **Write-ahead log** ([`wal`]): every accepted alert is journaled
+//! - **Write-ahead log** ([`alertops_wire::wal`], the same log a
+//!   standalone `ingestd --wal` keeps): every accepted alert is journaled
 //!   to its owner's length+CRC-framed log (binary `alertops-wire`
 //!   frames, the one layout it writes and replays) before it is
 //!   routed; window boundaries seal segments with an `fsync`. A killed
@@ -50,14 +51,11 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod cluster;
-pub mod journal;
 pub mod range;
-pub mod wal;
 
 mod metrics;
 
+pub use alertops_wire::wal::{replay, Wal, WalDepth, WalFormat, WalReplay};
 pub use cluster::{AlertCluster, ClusterConfig, ClusterCounters, GovernorFactory, HandoffReport};
-pub use journal::WalJournal;
 pub use metrics::ClusterMetrics;
 pub use range::{node_catalog, RangeMap, StrategyRange};
-pub use wal::{replay, Wal, WalDepth, WalFormat, WalReplay};

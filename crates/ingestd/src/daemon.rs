@@ -10,7 +10,8 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -21,13 +22,13 @@ use alertops_core::{
     ClosedWindow, EmergingMetrics, GovernanceSnapshot, QoaMetrics, StreamingGovernor, WindowCloser,
 };
 use alertops_model::{Alert, QoaLabel};
+use alertops_wire::wal::{replay, Wal};
 use alertops_wire::{AckFrame, ChaosCmd, Frame, WireDecoder, WireEncoder, WireError, WireFormat};
 
 use crate::codec::{ack_line, FrameDecoder, FrameError, QuarantineReason};
 use crate::config::IngestdConfig;
-use crate::coordinator::{run_coordinator, CoordMsg};
+use crate::coordinator::{resume_qoa, CoordMsg, Coordinator, Journal, WalRecovery};
 use crate::counters::CounterSnapshot;
-use crate::journal::WindowJournal;
 use crate::metrics::{render_exposition, IngestdMetrics};
 use crate::pool::ShardPool;
 use crate::status::{StatusReport, StatusRequest};
@@ -72,8 +73,8 @@ struct Router {
     coord_tx: Sender<CoordMsg>,
     chaos: bool,
     shutdown: ShutdownSignal,
-    /// Write-ahead journal, recorded before any enqueue.
-    journal: Option<Arc<dyn WindowJournal>>,
+    /// Write-ahead log, appended before any enqueue.
+    journal: Option<Arc<Journal>>,
     /// Ingress wire format every connection speaks.
     wire: WireFormat,
 }
@@ -87,7 +88,7 @@ impl Router {
             // Recorded even if the overflow policy then sheds it —
             // under `Drop`, replay may resurrect shed alerts, which is
             // the durable log being *more* complete than the live run.
-            journal.record(&alert);
+            journal.count(journal.wal.append(&alert));
         }
         self.pool.route(alert);
     }
@@ -117,6 +118,7 @@ pub struct IngestdHandle {
     running: Arc<AtomicBool>,
     ingest_addr: Option<SocketAddr>,
     status_addr: Option<SocketAddr>,
+    recovery: Option<WalRecovery>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -134,65 +136,68 @@ impl Ingestd {
         config: &IngestdConfig,
         make_governor: impl FnMut(usize, usize) -> StreamingGovernor,
     ) -> io::Result<IngestdHandle> {
-        Self::spawn_with_journal(config, make_governor, None)
+        Self::spawn_with_wal(config, make_governor, None)
     }
 
-    /// [`Ingestd::spawn`] with a write-ahead journal attached: the
-    /// router records every accepted alert before enqueueing it and
-    /// the coordinator reports each window close — see
-    /// [`crate::journal`] for the durability contract. The daemon
-    /// never reads the journal back; replay is the *caller's* startup
-    /// move (load the log, re-route the retained windows, flush at
-    /// each recorded boundary).
+    /// [`Ingestd::spawn`] over the write-ahead log in `wal`, restarting
+    /// as a cluster does: replay, wipe and re-open the log, spawn the
+    /// pool, re-close each sealed window at its recorded sequence
+    /// number, re-route the tail, resume the QoA model
+    /// ([`crate::resume_qoa`]), and only then start the coordinator and
+    /// bind the listeners. Failed log writes are counted
+    /// ([`IngestdHandle::wal_write_errors`]).
     ///
     /// # Errors
     ///
-    /// As [`Ingestd::spawn`].
-    pub fn spawn_with_journal(
+    /// As [`Ingestd::spawn`]; replay and filesystem errors pass
+    /// through. The config is validated before the log is touched.
+    pub fn spawn_with_wal(
         config: &IngestdConfig,
         make_governor: impl FnMut(usize, usize) -> StreamingGovernor,
-        journal: Option<Arc<dyn WindowJournal>>,
+        wal: Option<&Path>,
     ) -> io::Result<IngestdHandle> {
+        config
+            .validate()
+            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
+        let (replayed, journal) = match wal {
+            Some(dir) => {
+                let replayed = replay(dir)?;
+                Wal::wipe(dir)?;
+                let journal = Journal {
+                    wal: Wal::open(dir, config.wal_retain())?,
+                    write_errors: AtomicU64::new(0),
+                };
+                (Some(replayed), Some(Arc::new(journal)))
+            }
+            None => (None, None),
+        };
         let pool = Arc::new(ShardPool::spawn(config, make_governor)?);
+
+        // The daemon's one merge point, so its closer runs every
+        // channel that is on — the QoA model once the replay is done.
+        let streaming = &config.streaming;
+        let closer = WindowCloser::new(streaming.storm, streaming.emerging.unless_off(), None);
+        // The closer's channel handles live on the pool's registry,
+        // beside the shard governors' families (the registry dedups by
+        // name + labels).
+        let closer = match pool.metrics() {
+            Some(m) => closer
+                .with_metrics(
+                    EmergingMetrics::register(m.registry()),
+                    QoaMetrics::register(m.registry()),
+                )
+                .with_merge_timer(Arc::clone(&m.merge_micros)),
+            None => closer,
+        };
         let snapshot: Arc<RwLock<Option<GovernanceSnapshot>>> = Arc::new(RwLock::new(None));
-        let running = Arc::new(AtomicBool::new(true));
-        let mut threads = Vec::new();
-
-        // Coordinator. It is the daemon's one merge point, so its
-        // closer runs every channel that is on.
+        let mut coordinator = Coordinator {
+            pool: Arc::clone(&pool),
+            closer,
+            journal: journal.clone(),
+            snapshot_slot: Arc::clone(&snapshot),
+            seq: 0,
+        };
         let (coord_tx, coord_rx) = mpsc::channel::<CoordMsg>();
-        {
-            let streaming = &config.streaming;
-            let closer = WindowCloser::new(
-                streaming.storm,
-                streaming.emerging.unless_off(),
-                streaming.qoa.unless_off(),
-            );
-            // The closer's channel handles live on the pool's
-            // registry, beside the shard governors' families (the
-            // registry dedups by name + labels).
-            let closer = match pool.metrics() {
-                Some(m) => closer
-                    .with_metrics(
-                        EmergingMetrics::register(m.registry()),
-                        QoaMetrics::register(m.registry()),
-                    )
-                    .with_merge_timer(Arc::clone(&m.merge_micros)),
-                None => closer,
-            };
-            let pool = Arc::clone(&pool);
-            let tick = config.tick;
-            let snapshot = Arc::clone(&snapshot);
-            let coord_journal = journal.clone();
-            threads.push(
-                thread::Builder::new()
-                    .name("ingestd-coordinator".to_owned())
-                    .spawn(move || {
-                        run_coordinator(&coord_rx, &pool, tick, closer, coord_journal, &snapshot);
-                    })?,
-            );
-        }
-
         let router = Arc::new(Router {
             pool,
             coord_tx,
@@ -201,6 +206,46 @@ impl Ingestd {
             journal,
             wire: config.wire,
         });
+
+        // Each sealed window re-closes at its recorded sequence number
+        // through the coordinator's own close, so counters, metrics, the
+        // snapshot slot and the fresh log move as for a live close. The
+        // QoA model stays parked until after the tail: labels are never
+        // journaled, so unlabeled re-closes must not relearn it.
+        let recovery = match replayed {
+            Some(replayed) => {
+                let mut recovery = WalRecovery {
+                    recovered_alerts: replayed.recovered_alerts,
+                    windows: replayed.windows.len() as u64,
+                    in_flight: replayed.tail.len() as u64,
+                    torn_records: replayed.torn_records,
+                    snapshot: None,
+                };
+                for (seq, alerts) in replayed.windows {
+                    coordinator.seq = seq;
+                    alerts.into_iter().for_each(|a| router.route(Box::new(a)));
+                    let closed = coordinator
+                        .close(&[])
+                        .ok_or_else(|| io::Error::other("shard workers died during WAL replay"))?;
+                    recovery.snapshot = Some(closed.snapshot);
+                }
+                for alert in replayed.tail {
+                    router.route(Box::new(alert));
+                }
+                Some(recovery)
+            }
+            None => None,
+        };
+        if let Some(qoa) = streaming.qoa.unless_off() {
+            let verdicts = resume_qoa(&mut coordinator.closer, qoa, wal)?;
+            router.pool.push_qoa_verdicts(&verdicts);
+        }
+
+        let running = Arc::new(AtomicBool::new(true));
+        let tick = config.tick;
+        let mut threads = vec![thread::Builder::new()
+            .name("ingestd-coordinator".to_owned())
+            .spawn(move || coordinator.run(&coord_rx, tick))?];
 
         // Ingress listener.
         let ingest_addr = match &config.listen {
@@ -243,6 +288,7 @@ impl Ingestd {
             running,
             ingest_addr,
             status_addr,
+            recovery,
             threads,
         })
     }
@@ -259,6 +305,19 @@ impl IngestdHandle {
     #[must_use]
     pub fn status_addr(&self) -> Option<SocketAddr> {
         self.status_addr
+    }
+
+    /// What [`Ingestd::spawn_with_wal`] recovered; `None` without a log.
+    #[must_use]
+    pub fn wal_recovery(&self) -> Option<&WalRecovery> {
+        self.recovery.as_ref()
+    }
+
+    /// Log appends, seals and QoA checkpoint writes that failed since
+    /// startup (0 without a log).
+    #[must_use]
+    pub fn wal_write_errors(&self) -> u64 {
+        (self.router.journal.as_ref()).map_or(0, |j| j.write_errors.load(Ordering::Relaxed))
     }
 
     /// Routes one alert directly (no socket); used by the stdin path

@@ -41,6 +41,10 @@
 //! Everything is `std`-only: threads, `mpsc::sync_channel`, and plain
 //! TCP sockets.
 //!
+//! [`Ingestd::spawn_with_wal`] makes the daemon durable with a cluster
+//! node's write-ahead log ([`alertops_wire::wal`]) and the cluster's
+//! restart protocol, QoA checkpoint included.
+//!
 //! The daemon is built to be chaos-tested: shard workers run under a
 //! supervisor that catches panics, restarts the worker on the same
 //! queue, and rolls its governor back to the last successful window
@@ -64,7 +68,6 @@ pub mod config;
 mod coordinator;
 pub mod counters;
 mod daemon;
-pub mod journal;
 pub mod metrics;
 mod pool;
 pub mod shard;
@@ -77,9 +80,9 @@ pub use codec::{
     SYNC_FRAME,
 };
 pub use config::{IngestdConfig, OverflowPolicy};
+pub use coordinator::{resume_qoa, WalRecovery};
 pub use counters::{CounterSnapshot, Counters};
 pub use daemon::{Ingestd, IngestdHandle};
-pub use journal::WindowJournal;
 pub use metrics::{render_exposition, IngestdMetrics};
 pub use pool::ShardPool;
 pub use shard::{shard_catalog, shard_of};

@@ -2,10 +2,11 @@
 //!
 //! [`Frame`], [`AckFrame`] and [`ChaosCmd`] are the only frame and ack
 //! types in the system: ingress traffic, WAL segment records and the
-//! cluster coordinator's checkpoint file are all `Frame`s. This crate
-//! also defines their **binary** encoding ([`WireEncoder`] /
-//! [`WireDecoder`]), which the WAL and the checkpoint file always speak
-//! and ingress speaks with `--wire binary`. The other encoding,
+//! QoA checkpoint file are all `Frame`s. This crate also defines their
+//! **binary** encoding ([`WireEncoder`] / [`WireDecoder`]), which the
+//! log ([`wal`], kept by a daemon and by each cluster node alike) and
+//! the checkpoint file always speak and ingress speaks with
+//! `--wire binary`. The other encoding,
 //! **NDJSON**, is ingress-only and lives in `alertops-ingestd`'s
 //! `codec` module as a line ⇄ `Frame` adapter; past either decoder
 //! nothing knows which one a connection used ([`WireFormat`] picks it
@@ -59,6 +60,7 @@
 pub mod codec;
 pub mod frame;
 pub mod varint;
+pub mod wal;
 
 pub use codec::{crc32, WireDecoder, WireEncoder, WireError, MAX_FRAME_LEN, WIRE_TABLE_CAP};
 pub use frame::{AckFrame, ChaosCmd, Frame};

@@ -1,9 +1,9 @@
 //! The durable write-ahead log: length+CRC-framed binary segments.
 //!
-//! One log per node, one directory per log, one segment file per
-//! window, one segment layout. A segment starts with the magic header
-//! `AOWL` + version byte `0x02` ([`alertops_wire::WAL_MAGIC`],
-//! [`alertops_wire::WAL_VERSION`]) and then speaks the `alertops-wire`
+//! One log per cluster node or standalone daemon, one directory per
+//! log, one segment file per window, one segment layout. A segment
+//! starts with the magic header `AOWL` + version byte `0x02`
+//! ([`WAL_MAGIC`], [`WAL_VERSION`]) and then speaks this crate's
 //! frame codec: every record is a `[len varint][crc32][payload]` frame
 //! (an alert, or the window boundary that seals the segment), with the
 //! segment's own string table turning repeated
@@ -24,9 +24,10 @@
 //! framing/CRC failure and reports what it discarded — callers account
 //! those alerts as dropped rather than resurrecting guesses.
 //!
-//! A node's log holds that node's state and nothing else. The online
-//! QoA model is the coordinator's and lives in its own file (see
-//! `AlertCluster`).
+//! A log holds alerts and boundaries and nothing else. The online QoA
+//! model belongs to whoever merges (a daemon's coordinator, a
+//! cluster's) and lives in its own file beside the logs
+//! ([`write_qoa_checkpoint`], [`read_qoa_checkpoint`]).
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -34,13 +35,15 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use alertops_model::Alert;
-use alertops_wire::{Frame, WireDecoder, WireEncoder, WAL_MAGIC, WAL_VERSION};
+
+use crate::{Frame, WireDecoder, WireEncoder, WAL_MAGIC, WAL_VERSION};
 
 /// The segment layout a [`Wal`] appends in — one variant, because v2
 /// is the only format. Frozen-bench scaffolding: the enum,
 /// [`Wal::open_with_format`] and `ClusterConfig::wal_format` survive
 /// only because `crates/pipeline-bench` names them, and go with the
-/// `EmergingMode`/`QoaMode` aliases when ROADMAP 3(d) unfreezes it.
+/// `EmergingMode`/`QoaMode` aliases when ROADMAP item 1(b) unfreezes
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WalFormat {
     /// `alertops-wire` binary frames behind the `AOWL` magic header.
@@ -86,9 +89,10 @@ pub struct WalDepth {
     pub pending_records: u64,
 }
 
-/// A node's write-ahead log. Appends are serialized by an internal
-/// lock; the cluster calls from its single driver thread, the
-/// standalone daemon from its router/coordinator threads.
+/// A cluster node's or a standalone daemon's write-ahead log. Appends
+/// are serialized by an internal lock; the cluster calls from the one
+/// thread that owns it, the daemon from its router/coordinator
+/// threads.
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
@@ -142,9 +146,10 @@ impl Wal {
     /// Opens (creating if needed, then `fsync`ing its parent) the log
     /// in `dir`, retaining at most `retain` sealed window segments.
     /// Existing segments are left in place and a fresh open segment is
-    /// started after them — replay
-    /// first ([`replay`]), then open, then re-append what the replay
-    /// handed back, is the restart protocol (see `AlertCluster`).
+    /// started after them — replay first ([`replay`]), then
+    /// [`wipe`](Self::wipe), open, and re-append what the replay handed
+    /// back, is the restart protocol (`AlertCluster::spawn`,
+    /// `Ingestd::spawn_with_wal`).
     ///
     /// # Errors
     ///
@@ -371,6 +376,52 @@ pub fn replay(dir: &Path) -> io::Result<WalReplay> {
         torn_records: state.torn_records,
         duplicate_boundaries: state.duplicate_boundaries,
         recovered_alerts,
+    })
+}
+
+/// The online QoA model's checkpoint inside its directory: one
+/// `Frame::QoaState` frame, so the codec's length + CRC is the
+/// integrity check.
+const QOA_CHECKPOINT: &str = "qoa.ckpt";
+const QOA_CHECKPOINT_TMP: &str = "qoa.ckpt.tmp";
+
+/// Replaces `dir`'s QoA checkpoint file with `checkpoint` (a
+/// serialized model) atomically: a reader finds the old checkpoint or
+/// the new one, never a mix.
+///
+/// # Errors
+///
+/// Filesystem errors pass through.
+pub fn write_qoa_checkpoint(dir: &Path, checkpoint: Vec<u8>) -> io::Result<()> {
+    let frame = WireEncoder::new().encode(&Frame::QoaState(checkpoint));
+    let tmp = dir.join(QOA_CHECKPOINT_TMP);
+    let mut file = File::create(&tmp)?;
+    file.write_all(&frame)?;
+    file.sync_data()?;
+    fs::rename(&tmp, dir.join(QOA_CHECKPOINT))?;
+    // The rename is durable once its directory is.
+    File::open(dir)?.sync_all()
+}
+
+/// Reads `dir`'s QoA checkpoint file back. Anything but exactly one
+/// intact `QoaState` frame — no file, a torn or rotted one — is `None`:
+/// the caller starts a fresh model and its next close replaces the
+/// file.
+///
+/// # Errors
+///
+/// Filesystem errors other than a missing file pass through.
+pub fn read_qoa_checkpoint(dir: &Path) -> io::Result<Option<Vec<u8>>> {
+    let bytes = match fs::read(dir.join(QOA_CHECKPOINT)) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    let mut decoder = WireDecoder::new();
+    let mut frames = decoder.feed(&bytes);
+    Ok(match (frames.pop(), frames.is_empty(), decoder.finish()) {
+        (Some(Ok(Frame::QoaState(checkpoint))), true, None) => Some(checkpoint),
+        _ => None,
     })
 }
 

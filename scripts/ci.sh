@@ -109,11 +109,13 @@ fi
 # pool and a log, not a daemon in a node role. Each raise time is held
 # once, in its window's digest: no per-strategy time multiset and no
 # map-of-Vecs digest. A log replays in the one layout Wal writes: no
-# second segment reader. Scoped to *.rs so the docs may name what was
-# removed.
-if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment' \
+# second segment reader. A standalone daemon journals and restarts
+# through Ingestd::spawn_with_wal, the cluster's protocol: no journal
+# hook trait, no adapter for it, no recovery written in the CLI.
+# Scoped to *.rs so the docs may name what was removed.
+if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times or a second journal reader reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader or a second daemon restart path reappeared (see matches above)" >&2
     exit 1
 fi
 if grep -rn IngestdHandle crates/cluster/src; then

@@ -22,7 +22,7 @@
 //! with per-shard streaming governors built from the scenario's catalog;
 //! with `--wal DIR` it journals every accepted alert to a durable
 //! write-ahead log and replays the log on startup (lossless restart,
-//! `kill -9` included). `cluster` runs an N-node in-process cluster
+//! `kill -9` included, QoA model kept). `cluster` runs an N-node in-process cluster
 //! (see `alertops::cluster`) over the scenario trace: range routing,
 //! per-node WALs, and one merged governance snapshot per window.
 //! `replay` streams the scenario's alert trace into a running daemon
@@ -385,12 +385,9 @@ fn main() -> ExitCode {
 /// Runs the sharded ingestion daemon until a connection sends
 /// `{"ctrl":"shutdown"}` (or the process is killed).
 ///
-/// With `--wal DIR` the daemon journals write-ahead: any log left in
-/// `DIR` by a previous incarnation (clean exit or `kill -9` alike) is
-/// replayed through normal ingestion first — sealed windows are
-/// re-closed, the in-flight tail is re-routed — and the log is
-/// rewritten, so restart is lossless and the log never grows past the
-/// governor's rolling history.
+/// With `--wal DIR` the daemon journals write-ahead and restarts from
+/// `DIR` through `Ingestd::spawn_with_wal`: lossless after a clean exit
+/// or a `kill -9`, QoA model included.
 fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
     let mut streaming = StreamingConfig::default();
     if args.emerging {
@@ -421,48 +418,13 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
         chaos: args.chaos,
     };
 
-    // Recover and re-arm the write-ahead log before the daemon exists.
-    let mut recovered = None;
-    let journal: Option<std::sync::Arc<alertops::cluster::WalJournal>> = match &args.wal {
-        Some(dir) => {
-            let dir = std::path::PathBuf::from(dir);
-            let wal = match alertops::cluster::replay(&dir)
-                .and_then(|replayed| {
-                    alertops::cluster::Wal::wipe(&dir)?;
-                    Ok(replayed)
-                })
-                .and_then(|replayed| {
-                    // One past the rolling history: replay needs the
-                    // previous window's full scope too, so the last
-                    // re-published snapshot is byte-exact.
-                    let retain = config.streaming.history_windows.max(1) + 1;
-                    Ok((replayed, alertops::cluster::Wal::open(&dir, retain)?))
-                }) {
-                Ok((replayed, wal)) => {
-                    recovered = Some(replayed);
-                    wal
-                }
-                Err(err) => {
-                    eprintln!("wal at {} unusable: {err}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            Some(std::sync::Arc::new(alertops::cluster::WalJournal::new(
-                std::sync::Arc::new(wal),
-            )))
-        }
-        None => None,
-    };
-
-    let handle = match Ingestd::spawn_with_journal(
+    let handle = match Ingestd::spawn_with_wal(
         &config,
         |shard, shards| {
             let catalog = shard_catalog(out.catalog.strategies(), shards, shard);
             StreamingGovernor::new(governor_over(out, catalog), config.streaming.clone())
         },
-        journal
-            .clone()
-            .map(|journal| journal as std::sync::Arc<dyn alertops::ingestd::WindowJournal>),
+        args.wal.as_deref().map(std::path::Path::new),
     ) {
         Ok(handle) => handle,
         Err(err) => {
@@ -470,25 +432,13 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    // Replay-through-ingestion: routing re-journals each alert and the
-    // per-window flushes re-seal segments, so this is also compaction.
-    if let Some(replayed) = recovered {
-        for (_, alerts) in &replayed.windows {
-            for alert in alerts {
-                handle.route(alert.clone());
-            }
-            let _ = handle.flush();
-        }
-        for alert in &replayed.tail {
-            handle.route(alert.clone());
-        }
+    if let Some(recovery) = handle.wal_recovery() {
         println!(
             "wal replay: {} alert(s) recovered ({} sealed window(s), {} in flight), {} torn record(s)",
-            replayed.recovered_alerts,
-            replayed.windows.len(),
-            replayed.tail.len(),
-            replayed.torn_records
+            recovery.recovered_alerts,
+            recovery.windows,
+            recovery.in_flight,
+            recovery.torn_records
         );
     }
 
@@ -520,19 +470,13 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
             "qoa feedback loop on: online model updates per window close \
              (labels arrive with labeled flushes; unlabeled windows still score)"
         );
-        if journal.is_some() {
-            println!(
-                "qoa + wal: the standalone journal does not carry the QoA model — \
-                 a restart begins from a fresh one (the cluster checkpoints it)"
-            );
-        }
     }
     handle.wait_for_shutdown_request();
     let counters = handle.counters();
-    handle.shutdown();
     // A sick disk must not be silent: past the first failed write the
     // log is no longer a complete record of what was accepted.
-    let wal_write_errors = journal.map_or(0, |journal| journal.write_errors());
+    let wal_write_errors = handle.wal_write_errors();
+    handle.shutdown();
     println!(
         "ingestd stopped: {} ingested, {} dropped, {} decode error(s), {} window(s) closed, \
          {} wal write error(s)",

@@ -540,25 +540,28 @@ fn no_wall_clocks_or_unseeded_rngs_outside_vendor() {
     }
 }
 
-/// Static wire audit: the cluster's WAL/handoff path is binary-framed
-/// and nothing in the crate writes JSON — the pre-binary text reader
-/// this test was once named for is gone too. A
-/// `serde_json::to_string` anywhere in `crates/cluster/src` means a
-/// JSON copy crept back onto the hot path (or a text journal came
-/// back). The banned token is assembled at runtime so this file does
-/// not trip its own tripwire.
+/// Static wire audit: the write-ahead log (`crates/wire/src/wal.rs`,
+/// the one log a cluster node and a standalone daemon both keep) and
+/// the cluster's handoff path are binary-framed, and nothing in either
+/// writes JSON — the pre-binary text reader this test was once named
+/// for is gone too. A `serde_json::to_string` in the log or anywhere in
+/// `crates/cluster/src` means a JSON copy crept back onto the hot path
+/// (or a text journal came back). The banned token is assembled at
+/// runtime so this file does not trip its own tripwire.
 #[test]
 fn cluster_wal_path_stays_binary_outside_the_v1_shim() {
     let banned = format!("serde_json::{}", "to_string");
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let src = root.join("crates/cluster/src");
-    let mut offenders = Vec::new();
-    for entry in std::fs::read_dir(&src).expect("readable cluster src") {
+    let mut sources = vec![root.join("crates/wire/src/wal.rs")];
+    for entry in std::fs::read_dir(root.join("crates/cluster/src")).expect("readable cluster src") {
         let path = entry.expect("dir entry").path();
-        if path.extension().is_none_or(|e| e != "rs") {
-            continue;
+        if path.extension().is_some_and(|e| e == "rs") {
+            sources.push(path);
         }
-        let text = std::fs::read_to_string(&path).expect("readable source file");
+    }
+    let mut offenders = Vec::new();
+    for path in &sources {
+        let text = std::fs::read_to_string(path).expect("readable source file");
         if text.contains(banned.as_str()) {
             offenders.push(path.display().to_string());
         }

@@ -15,13 +15,18 @@
 //!   post-restart stream matches an uninterrupted run; the file is
 //!   written with every node dead, and a damaged one means a fresh
 //!   model, never an error.
+//! - A journaled standalone daemon restarts the same way: its model
+//!   and window sequence come back from its log directory, and a
+//!   ticking restart re-publishes its last window before the first
+//!   tick.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use alertops::cluster::{AlertCluster, ClusterConfig, GovernorFactory, WalFormat};
 use alertops::core::prelude::*;
-use alertops::ingestd::{shard_catalog, Ingestd, IngestdConfig};
+use alertops::ingestd::{shard_catalog, Ingestd, IngestdConfig, IngestdHandle};
 use alertops::sim::{scenarios, FeedbackOracle, SimOutput};
 
 const ORACLE_SEED: u64 = 7;
@@ -480,4 +485,169 @@ fn a_damaged_checkpoint_file_means_a_fresh_model_not_an_error() {
     restart_over("truncated", truncate);
     restart_over("crc", flip_a_crc_byte);
     restart_over("tmp", leave_only_the_tmp);
+}
+
+// ---------------------------------------------------------------------
+// Daemon: the same restart protocol, standalone.
+// ---------------------------------------------------------------------
+
+/// A 2-shard daemon journaling into `wal`.
+fn spawn_journaled(
+    out: &SimOutput,
+    wal: &Path,
+    streaming: &StreamingConfig,
+    tick: Option<Duration>,
+) -> IngestdHandle {
+    let strategies = out.catalog.strategies().to_vec();
+    let config = IngestdConfig {
+        shards: 2,
+        tick,
+        streaming: streaming.clone(),
+        ..IngestdConfig::default()
+    };
+    Ingestd::spawn_with_wal(
+        &config,
+        |shard, shards| {
+            StreamingGovernor::new(
+                AlertGovernor::new(
+                    shard_catalog(&strategies, shards, shard),
+                    GovernorConfig::default(),
+                ),
+                streaming.clone(),
+            )
+        },
+        Some(wal),
+    )
+    .expect("daemon spawns")
+}
+
+fn deliver_window(
+    handle: &IngestdHandle,
+    window: &[Alert],
+    labels: &[QoaLabel],
+) -> GovernanceSnapshot {
+    for alert in window {
+        handle.route(alert.clone());
+    }
+    handle
+        .flush_labeled(labels.to_vec())
+        .expect("window closes")
+}
+
+fn json(snapshot: &GovernanceSnapshot) -> String {
+    serde_json::to_string(snapshot).expect("snapshot serializes")
+}
+
+/// The daemon twin of `cluster_restart_restores_the_model_from_its_checkpoint`:
+/// a journaled daemon shut down halfway and respawned over the same
+/// directory publishes, from then on, exactly what an uninterrupted
+/// one does — every snapshot byte for byte, `window_index` and each
+/// report's `model_digest` included, so the model came back from its
+/// checkpoint and the window sequence resumed where it stopped.
+#[test]
+fn daemon_restart_restores_the_model_and_the_window_sequence() {
+    let (out, windows) = windowed_trace(7);
+    let labels = label_stream(&out, &windows, 0.0);
+    let split = windows.len() / 2;
+
+    let control_dir = wal_root("daemon-control");
+    let _ = std::fs::remove_dir_all(&control_dir);
+    let control = spawn_journaled(&out, &control_dir, &streaming(), None);
+    let control_snapshots: Vec<GovernanceSnapshot> = windows
+        .iter()
+        .zip(&labels)
+        .map(|(window, labels)| deliver_window(&control, window, labels))
+        .collect();
+    control.shutdown();
+    let _ = std::fs::remove_dir_all(&control_dir);
+
+    let dir = wal_root("daemon-restart");
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon = spawn_journaled(&out, &dir, &streaming(), None);
+    for (window, labels) in windows[..split].iter().zip(&labels) {
+        deliver_window(&daemon, window, labels);
+    }
+    assert_eq!(daemon.wal_write_errors(), 0);
+    daemon.shutdown();
+
+    let daemon = spawn_journaled(&out, &dir, &streaming(), None);
+    let recovery = daemon.wal_recovery().expect("spawned over a log");
+    assert_eq!(recovery.torn_records, 0);
+    assert_eq!(
+        recovery.snapshot.as_ref().map(|s| s.window_index),
+        Some(split as u64 - 1),
+        "replay must re-close the last window at its recorded sequence"
+    );
+    for ((window, labels), want) in windows[split..]
+        .iter()
+        .zip(&labels[split..])
+        .zip(&control_snapshots[split..])
+    {
+        let got = deliver_window(&daemon, window, labels);
+        assert!(got.qoa.is_some(), "the loop is on after the restart");
+        assert_eq!(
+            json(&got),
+            json(want),
+            "post-restart window diverged from the uninterrupted daemon"
+        );
+    }
+    assert!(daemon.counters().is_conserved());
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// No tick can split a replayed window: respawned with a 1 ms tick
+/// over a log holding sealed windows, the daemon re-closes them before
+/// its coordinator exists, so the last one re-published equals the
+/// snapshot published last before the restart, byte for byte. The
+/// ticks then close empty windows numbered on from there.
+#[test]
+fn a_ticking_restart_republishes_the_last_window_before_any_tick() {
+    let (out, windows) = windowed_trace(7);
+    let plain = StreamingConfig {
+        history_windows: 2,
+        ..StreamingConfig::default()
+    };
+    let sealed = 6;
+    let dir = wal_root("daemon-tick");
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon = spawn_journaled(&out, &dir, &plain, None);
+    let mut last = None;
+    for window in &windows[..sealed] {
+        last = Some(deliver_window(&daemon, window, &[]));
+    }
+    let last = last.expect("windows closed");
+    daemon.shutdown();
+
+    let daemon = spawn_journaled(&out, &dir, &plain, Some(Duration::from_millis(1)));
+    let recovery = daemon.wal_recovery().expect("spawned over a log");
+    let retained = plain.history_windows as u64 + 1;
+    assert_eq!(recovery.windows, retained, "the log keeps history + 1");
+    assert_eq!(recovery.in_flight, 0);
+    assert_eq!(
+        recovery.snapshot.as_ref().map(json),
+        Some(json(&last)),
+        "the last re-published window must equal the pre-restart one"
+    );
+
+    // Let the tick close a few windows, then pin one close with a
+    // flush: every close since the restart is counted once and took
+    // the next sequence number.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while daemon
+        .latest_snapshot()
+        .is_none_or(|s| s.window_index <= last.window_index)
+    {
+        assert!(Instant::now() < deadline, "the tick never closed a window");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let before = daemon.counters().windows_closed;
+    let flushed = daemon.flush().expect("window closes");
+    let after = daemon.counters().windows_closed;
+    let closes_through_flush = retained + (flushed.window_index - last.window_index);
+    assert!(before < closes_through_flush && closes_through_flush <= after);
+    assert_eq!(flushed.alert_count, 0, "nothing arrived after the restart");
+    assert!(daemon.counters().is_conserved());
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
