@@ -1,8 +1,9 @@
 //! Standard Operating Procedures (SOPs).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{ModelError, StrategyId};
 
@@ -12,6 +13,12 @@ use crate::{ModelError, StrategyId};
 /// Structure follows the paper's Fig. 5 example
 /// (`nginx_cpu_usage_over_80`): alert name, description, generation rule,
 /// potential impact, possible causes, and steps to diagnose.
+///
+/// A SOP is static reference data, so a `Sop` is a handle: its clones
+/// share one immutable body, and cloning one costs a refcount bump.
+/// Every holder of a catalog's SOPs (the simulator's catalog, each
+/// shard's governor, a cluster's governor factory) points at the same
+/// bodies.
 ///
 /// # Example
 ///
@@ -34,8 +41,13 @@ use crate::{ModelError, StrategyId};
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone, PartialEq, Eq)]
+pub struct Sop(Arc<SopBody>);
+
+/// The immutable sections of a [`Sop`], wrapped once by
+/// [`SopBuilder::build`]. Serialized as the SOP itself.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Sop {
+struct SopBody {
     alert_name: String,
     strategy: StrategyId,
     description: String,
@@ -51,7 +63,7 @@ impl Sop {
     #[must_use]
     pub fn builder(alert_name: impl Into<String>, strategy: StrategyId) -> SopBuilder {
         SopBuilder {
-            sop: Sop {
+            body: SopBody {
                 alert_name: alert_name.into(),
                 strategy,
                 description: String::new(),
@@ -66,43 +78,43 @@ impl Sop {
     /// The alert name the OCE looks up to find this SOP.
     #[must_use]
     pub fn alert_name(&self) -> &str {
-        &self.alert_name
+        &self.0.alert_name
     }
 
     /// The strategy this SOP belongs to.
     #[must_use]
     pub fn strategy(&self) -> StrategyId {
-        self.strategy
+        self.0.strategy
     }
 
     /// Human-readable description of the alert condition.
     #[must_use]
     pub fn description(&self) -> &str {
-        &self.description
+        &self.0.description
     }
 
     /// Description of the generation rule (the alert strategy).
     #[must_use]
     pub fn generation_rule(&self) -> &str {
-        &self.generation_rule
+        &self.0.generation_rule
     }
 
     /// The potential impact on the cloud system.
     #[must_use]
     pub fn potential_impact(&self) -> &str {
-        &self.potential_impact
+        &self.0.potential_impact
     }
 
     /// Possible root causes, most likely first.
     #[must_use]
     pub fn possible_causes(&self) -> &[String] {
-        &self.possible_causes
+        &self.0.possible_causes
     }
 
     /// The diagnosis steps, in order.
     #[must_use]
     pub fn steps(&self) -> &[String] {
-        &self.steps
+        &self.0.steps
     }
 
     /// A crude completeness score in `[0, 1]`: fraction of the six SOP
@@ -113,75 +125,117 @@ impl Sop {
     /// criterion, and this score is the feature that captures it.
     #[must_use]
     pub fn completeness(&self) -> f64 {
+        let body = &*self.0;
         let sections = [
-            !self.alert_name.trim().is_empty(),
-            !self.description.trim().is_empty(),
-            !self.generation_rule.trim().is_empty(),
-            !self.potential_impact.trim().is_empty(),
-            !self.possible_causes.is_empty(),
-            !self.steps.is_empty(),
+            !body.alert_name.trim().is_empty(),
+            !body.description.trim().is_empty(),
+            !body.generation_rule.trim().is_empty(),
+            !body.potential_impact.trim().is_empty(),
+            !body.possible_causes.is_empty(),
+            !body.steps.is_empty(),
         ];
         sections.iter().filter(|&&s| s).count() as f64 / sections.len() as f64
     }
 }
 
+impl fmt::Debug for Sop {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let body = &*self.0;
+        f.debug_struct("Sop")
+            .field("alert_name", &body.alert_name)
+            .field("strategy", &body.strategy)
+            .field("description", &body.description)
+            .field("generation_rule", &body.generation_rule)
+            .field("potential_impact", &body.potential_impact)
+            .field("possible_causes", &body.possible_causes)
+            .field("steps", &body.steps)
+            .finish()
+    }
+}
+
 impl fmt::Display for Sop {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "SOP for alert {}", self.alert_name)?;
-        writeln!(f, "  Description:       {}", self.description)?;
-        writeln!(f, "  Generation Rule:   {}", self.generation_rule)?;
-        writeln!(f, "  Potential Impact:  {}", self.potential_impact)?;
+        let body = &*self.0;
+        writeln!(f, "SOP for alert {}", body.alert_name)?;
+        writeln!(f, "  Description:       {}", body.description)?;
+        writeln!(f, "  Generation Rule:   {}", body.generation_rule)?;
+        writeln!(f, "  Potential Impact:  {}", body.potential_impact)?;
         writeln!(f, "  Possible Causes:")?;
-        for (i, cause) in self.possible_causes.iter().enumerate() {
-            writeln!(f, "    {}) {cause}", (b'a' + i as u8) as char)?;
+        for (i, cause) in body.possible_causes.iter().enumerate() {
+            f.write_str("    ")?;
+            write_cause_label(f, i)?;
+            writeln!(f, ") {cause}")?;
         }
         writeln!(f, "  Steps to Diagnose:")?;
-        for (i, step) in self.steps.iter().enumerate() {
+        for (i, step) in body.steps.iter().enumerate() {
             writeln!(f, "    Step {}: {step}", i + 1)?;
         }
         Ok(())
     }
 }
 
+/// Writes the label of the `i`-th possible cause (0-based): `a` … `z`,
+/// then `aa`, `ab`, … — bijective base 26, the way spreadsheet columns
+/// are named, so no count of causes runs out of letters.
+fn write_cause_label(f: &mut fmt::Formatter<'_>, i: usize) -> fmt::Result {
+    if i >= 26 {
+        write_cause_label(f, i / 26 - 1)?;
+    }
+    // `i % 26 < 26`: the sum stays inside `b'a'..=b'z'`.
+    f.write_char(char::from(b'a' + (i % 26) as u8))
+}
+
+impl Serialize for Sop {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for Sop {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        SopBody::from_value(value).map(|body| Sop(Arc::new(body)))
+    }
+}
+
 /// Builder for [`Sop`]; see [`Sop::builder`].
 #[derive(Debug, Clone)]
 pub struct SopBuilder {
-    sop: Sop,
+    body: SopBody,
 }
 
 impl SopBuilder {
     /// Sets the description section.
     #[must_use]
     pub fn description(mut self, text: impl Into<String>) -> Self {
-        self.sop.description = text.into();
+        self.body.description = text.into();
         self
     }
 
     /// Sets the generation-rule section.
     #[must_use]
     pub fn generation_rule(mut self, text: impl Into<String>) -> Self {
-        self.sop.generation_rule = text.into();
+        self.body.generation_rule = text.into();
         self
     }
 
     /// Sets the potential-impact section.
     #[must_use]
     pub fn potential_impact(mut self, text: impl Into<String>) -> Self {
-        self.sop.potential_impact = text.into();
+        self.body.potential_impact = text.into();
         self
     }
 
     /// Appends a possible cause.
     #[must_use]
     pub fn possible_cause(mut self, text: impl Into<String>) -> Self {
-        self.sop.possible_causes.push(text.into());
+        self.body.possible_causes.push(text.into());
         self
     }
 
     /// Appends a diagnosis step.
     #[must_use]
     pub fn step(mut self, text: impl Into<String>) -> Self {
-        self.sop.steps.push(text.into());
+        self.body.steps.push(text.into());
         self
     }
 
@@ -193,10 +247,10 @@ impl SopBuilder {
     /// other sections may legitimately be empty — that is exactly the
     /// low-quality SOP the handleability criterion penalizes.
     pub fn build(self) -> Result<Sop, ModelError> {
-        if self.sop.alert_name.trim().is_empty() {
+        if self.body.alert_name.trim().is_empty() {
             return Err(ModelError::EmptyTitle);
         }
-        Ok(self.sop)
+        Ok(Sop(Arc::new(self.body)))
     }
 }
 
@@ -248,6 +302,41 @@ mod tests {
         assert!(text.contains("b) A runaway worker process."));
         assert!(text.contains("Step 1: execute command top -bn1 in the instance"));
         assert!(text.contains("Step 2: check nginx worker count"));
+    }
+
+    #[test]
+    fn cause_labels_run_past_z_without_overflow() {
+        let labels = |causes: usize| -> Vec<String> {
+            let sop = (0..causes)
+                .fold(Sop::builder("x", StrategyId(1)), |b, i| {
+                    b.possible_cause(format!("cause {i}"))
+                })
+                .build()
+                .unwrap();
+            sop.to_string()
+                .lines()
+                .filter_map(|line| {
+                    let (label, rest) = line.trim_start().split_once(") ")?;
+                    rest.starts_with("cause ").then(|| label.to_owned())
+                })
+                .collect()
+        };
+        let thirty = labels(30);
+        assert_eq!(thirty.len(), 30);
+        assert_eq!(thirty[0], "a");
+        assert_eq!(thirty[25], "z");
+        assert_eq!(thirty[26..], ["aa", "ab", "ac", "ad"]);
+        // 200 causes: past the 158th the old `b'a' + i as u8` overflowed.
+        let two_hundred = labels(200);
+        assert_eq!(two_hundred.len(), 200);
+        assert_eq!(two_hundred[51], "az");
+        assert_eq!(two_hundred[52], "ba");
+        assert_eq!(two_hundred[199], "gr");
+        assert!(two_hundred
+            .iter()
+            .all(|label| label.bytes().all(|b| b.is_ascii_lowercase())));
+        let distinct: std::collections::BTreeSet<_> = two_hundred.iter().collect();
+        assert_eq!(distinct.len(), 200, "every label names one cause");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{IStr, MicroserviceId, ModelError, ServiceId, Severity, SimDuration, StrategyId};
 
@@ -126,8 +127,9 @@ pub struct ProbeRule {
 /// contain 5 ERRORs in the past 2 minutes, THEN generate an alert".
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LogRule {
-    /// The keyword matched in log lines (case-insensitive).
-    pub keyword: String,
+    /// The keyword matched in log lines (case-insensitive). Interned:
+    /// a catalog holds a handful of distinct keywords.
+    pub keyword: IStr,
     /// The minimum number of matches within the window to fire.
     pub min_count: u32,
     /// The sliding-window length.
@@ -191,6 +193,10 @@ impl StrategyKind {
 ///
 /// Construct with [`AlertStrategy::builder`].
 ///
+/// A strategy is catalog reference data, copied into every shard and
+/// node that governs it, so its strings are interned: cloning a row is
+/// a few refcount bumps and allocates nothing.
+///
 /// # Example
 ///
 /// ```
@@ -226,7 +232,30 @@ pub struct AlertStrategy {
     microservice: MicroserviceId,
     kind: StrategyKind,
     cooldown: SimDuration,
-    notify: Vec<String>,
+    notify: NotifyTargets,
+}
+
+/// A strategy's notification targets: one shared, immutable list, so a
+/// cloned row shares it. Serialized as a plain JSON array of strings.
+#[derive(Clone, PartialEq)]
+struct NotifyTargets(Arc<[IStr]>);
+
+impl fmt::Debug for NotifyTargets {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl Serialize for NotifyTargets {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for NotifyTargets {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        Vec::<IStr>::from_value(value).map(|targets| NotifyTargets(targets.into()))
+    }
 }
 
 impl AlertStrategy {
@@ -300,8 +329,8 @@ impl AlertStrategy {
 
     /// Notification targets (e-mail addresses, pager groups, ...).
     #[must_use]
-    pub fn notify(&self) -> &[String] {
-        &self.notify
+    pub fn notify(&self) -> &[IStr] {
+        &self.notify.0
     }
 
     /// Replaces the configured severity, returning the updated strategy.
@@ -352,7 +381,7 @@ pub struct AlertStrategyBuilder {
     microservice: MicroserviceId,
     kind: Option<StrategyKind>,
     cooldown: SimDuration,
-    notify: Vec<String>,
+    notify: Vec<IStr>,
 }
 
 impl AlertStrategyBuilder {
@@ -400,7 +429,7 @@ impl AlertStrategyBuilder {
 
     /// Adds a notification target.
     #[must_use]
-    pub fn notify(mut self, target: impl Into<String>) -> Self {
+    pub fn notify(mut self, target: impl Into<IStr>) -> Self {
         self.notify.push(target.into());
         self
     }
@@ -428,7 +457,7 @@ impl AlertStrategyBuilder {
             microservice: self.microservice,
             kind,
             cooldown: self.cooldown,
-            notify: self.notify,
+            notify: NotifyTargets(self.notify.into()),
         })
     }
 }

@@ -170,7 +170,7 @@ impl Scenario {
                 .service(host.service)
                 .microservice(host.id)
                 .kind(alertops_model::StrategyKind::Log(alertops_model::LogRule {
-                    keyword: "WARN".to_owned(),
+                    keyword: "WARN".into(),
                     // min_count 2 keeps the baseline chatter mostly
                     // sub-threshold; the host fault pushes it hot.
                     min_count: 2,

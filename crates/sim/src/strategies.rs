@@ -216,13 +216,13 @@ impl StrategyCatalog {
                     profile.chatty = chatty;
                     let rule = if chatty {
                         LogRule {
-                            keyword: "WARN".to_owned(),
+                            keyword: "WARN".into(),
                             min_count: 1,
                             window: SimDuration::from_mins(5),
                         }
                     } else {
                         LogRule {
-                            keyword: "ERROR".to_owned(),
+                            keyword: "ERROR".into(),
                             min_count: 5,
                             window: SimDuration::from_mins(2),
                         }

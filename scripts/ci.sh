@@ -40,17 +40,21 @@ cargo test --workspace -q
 # (to the last digit on `cluster-journal`), so a ceiling of "highest of
 # five runs at the commit that last moved it + 0.1 %" only trips on a
 # real regression. Lower a ceiling when a PR lowers the count.
-check_counts() {
-    local workload=$1 counts name ceiling value
-    echo "==> pipeline-bench counts: $workload --seconds 2, traced"
-    counts=$(cargo run --release -q -p pipeline-bench -- \
-        --workload "$workload" --seed 2022 --seconds 2 --trace 1 </dev/null | tail -n 1)
-    if [[ "$counts" != *'"correct": true'* ]]; then
-        echo "pipeline-bench: the run did not verify: $counts" >&2
+#
+# check_run WORKLOAD TRACE reads `name ceiling` lines on stdin and
+# fails unless the run verifies and every named metric is at or below
+# its ceiling.
+check_run() {
+    local workload=$1 trace=$2 line name ceiling value
+    echo "==> pipeline-bench: $workload --seconds 2, trace $trace"
+    line=$(cargo run --release -q -p pipeline-bench -- \
+        --workload "$workload" --seed 2022 --seconds 2 --trace "$trace" </dev/null | tail -n 1)
+    if [[ "$line" != *'"correct": true'* ]]; then
+        echo "pipeline-bench: the run did not verify: $line" >&2
         exit 1
     fi
     while read -r name ceiling; do
-        value=$(grep -oE "\"$name\": \{\"value\": [0-9.eE+-]+" <<<"$counts" | awk '{print $NF}' || true)
+        value=$(grep -oE "\"$name\": \{\"value\": [0-9.eE+-]+" <<<"$line" | awk '{print $NF}' || true)
         if ! awk -v v="$value" -v c="$ceiling" 'BEGIN { exit !(v != "" && v + 0 <= c + 0) }'; then
             echo "pipeline-bench: $workload $name = ${value:-missing} is above its ceiling $ceiling" >&2
             exit 1
@@ -58,6 +62,7 @@ check_counts() {
         echo "    $name $value <= $ceiling"
     done
 }
+check_counts() { check_run "$1" 1; }
 check_counts cluster-journal <<'CEILINGS'
 proc.allocs_per_alert 10.6580
 proc.alloc_bytes_per_alert 1301.15
@@ -74,6 +79,21 @@ CEILINGS
 check_counts storm-paced <<'CEILINGS'
 proc.allocs_per_alert 39.7554
 proc.alloc_bytes_per_alert 4299.00
+CEILINGS
+
+# Peak RSS, ratcheted: reference data (SOPs, strategy rows) is held once
+# per process, so a deep copy per holder coming back shows here first.
+# An untraced 2-second run repeats `rss_peak_mb` within 2 % (13 runs
+# read 30.32 – 30.88 MB on `steady-wire`, 5 read 17.72 – 17.87 MB on
+# `cluster-journal`), so the ceiling is the highest of five runs at the
+# commit that last moved it + 2 %. A deep copy of the SOPs alone is
+# ≈ 5 MB. Lower a ceiling when a PR lowers the peak.
+check_rss() { check_run "$1" 0; }
+check_rss steady-wire <<'CEILINGS'
+rss_peak_mb 31.49
+CEILINGS
+check_rss cluster-journal <<'CEILINGS'
+rss_peak_mb 18.23
 CEILINGS
 
 # The window-close path has one owner (alertops_core::WindowCloser)

@@ -30,10 +30,11 @@
 //! way; `metrics` scrapes a
 //! running daemon's Prometheus text exposition from its status socket.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::io::Write;
 use std::net::TcpStream;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use alertops::core::prelude::*;
@@ -201,34 +202,61 @@ fn scenario_by_name(name: &str, seed: u64) -> Option<Scenario> {
     })
 }
 
-/// A governor over `strategies` (any sub-catalog of the scenario's),
-/// configured exactly as the full-catalog one: same guideline context,
-/// the sub-catalog's SOPs, and the scenario's dependency graph.
-fn governor_over(out: &SimOutput, strategies: Vec<AlertStrategy>) -> AlertGovernor {
-    let fault_tolerant: BTreeSet<MicroserviceId> = out
-        .topology
-        .microservices()
-        .iter()
-        .filter(|ms| ms.fault_tolerant)
-        .map(|ms| ms.id)
-        .collect();
-    let sops: Vec<Sop> = strategies
-        .iter()
-        .filter_map(|s| out.catalog.sop(s.id()).cloned())
-        .collect();
-    AlertGovernor::new(
-        strategies,
-        GovernorConfig {
+/// What every governor of one run shares, built once per process: the
+/// scenario's SOPs by strategy, the guideline context, and one
+/// dependency graph. Each governor built from it holds refcounts to the
+/// SOPs and the graph, not copies.
+struct GovernorParts {
+    sops: HashMap<StrategyId, Sop>,
+    guideline_context: GuidelineContext,
+    graph: Arc<DependencyGraph>,
+}
+
+impl GovernorParts {
+    fn new(out: &SimOutput) -> Self {
+        let fault_tolerant: BTreeSet<MicroserviceId> = out
+            .topology
+            .microservices()
+            .iter()
+            .filter(|ms| ms.fault_tolerant)
+            .map(|ms| ms.id)
+            .collect();
+        let sops = out
+            .catalog
+            .strategies()
+            .iter()
+            .filter_map(|s| Some((s.id(), out.catalog.sop(s.id())?.clone())))
+            .collect();
+        Self {
+            sops,
             guideline_context: GuidelineContext { fault_tolerant },
-            ..GovernorConfig::default()
-        },
-    )
-    .with_sops(sops)
-    .with_dependency_graph(out.topology.dependency_graph())
+            graph: Arc::new(out.topology.dependency_graph()),
+        }
+    }
+
+    /// A governor over `strategies` (any sub-catalog of the scenario's),
+    /// configured exactly as the full-catalog one: same guideline
+    /// context, the sub-catalog's SOPs, and the scenario's dependency
+    /// graph.
+    fn governor(&self, strategies: Vec<AlertStrategy>) -> AlertGovernor {
+        let sops: Vec<Sop> = strategies
+            .iter()
+            .filter_map(|s| self.sops.get(&s.id()).cloned())
+            .collect();
+        AlertGovernor::new(
+            strategies,
+            GovernorConfig {
+                guideline_context: self.guideline_context.clone(),
+                ..GovernorConfig::default()
+            },
+        )
+        .with_sops(sops)
+        .with_dependency_graph(Arc::clone(&self.graph))
+    }
 }
 
 fn build_governor(out: &SimOutput) -> AlertGovernor {
-    governor_over(out, out.catalog.strategies().to_vec())
+    GovernorParts::new(out).governor(out.catalog.strategies().to_vec())
 }
 
 fn main() -> ExitCode {
@@ -418,11 +446,12 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
         chaos: args.chaos,
     };
 
+    let parts = GovernorParts::new(out);
     let handle = match Ingestd::spawn_with_wal(
         &config,
         |shard, shards| {
             let catalog = shard_catalog(out.catalog.strategies(), shards, shard);
-            StreamingGovernor::new(governor_over(out, catalog), config.streaming.clone())
+            StreamingGovernor::new(parts.governor(catalog), config.streaming.clone())
         },
         args.wal.as_deref().map(std::path::Path::new),
     ) {
@@ -533,13 +562,10 @@ fn run_cluster(args: &Args, out: &SimOutput) -> ExitCode {
         wal_format: alertops::cluster::WalFormat::default(),
     };
 
-    let factory_out = std::sync::Arc::new(out.clone());
+    let parts = GovernorParts::new(out);
     let factory_streaming = config.node.streaming.clone();
-    let factory: alertops::cluster::GovernorFactory = std::sync::Arc::new(move |catalog| {
-        StreamingGovernor::new(
-            governor_over(&factory_out, catalog.to_vec()),
-            factory_streaming.clone(),
-        )
+    let factory: alertops::cluster::GovernorFactory = Arc::new(move |catalog| {
+        StreamingGovernor::new(parts.governor(catalog.to_vec()), factory_streaming.clone())
     });
 
     let mut cluster = match AlertCluster::spawn(config, out.catalog.strategies().to_vec(), factory)
