@@ -379,40 +379,43 @@ impl QoaCheckpoint {
 
     /// Decodes [`to_bytes`](Self::to_bytes) output. Returns `None` on
     /// any malformed input (wrong version, truncation, trailing bytes).
+    /// A declared length reserves no more than the remaining bytes can
+    /// hold, so a corrupt count fails on its first missing entry instead
+    /// of asking the allocator for it.
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut rest = bytes;
-        let mut take = |n: usize| -> Option<&[u8]> {
+        fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
             if rest.len() < n {
                 return None;
             }
             let (head, tail) = rest.split_at(n);
-            rest = tail;
+            *rest = tail;
             Some(head)
-        };
+        }
         let u64_at = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
         let u32_at = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("four bytes"));
 
-        if *take(1)?.first()? != CHECKPOINT_VERSION {
+        let mut rest = bytes;
+        if *take(&mut rest, 1)?.first()? != CHECKPOINT_VERSION {
             return None;
         }
-        let windows_absorbed = u64_at(take(8)?);
-        let model_count = usize::from(*take(1)?.first()?);
+        let windows_absorbed = u64_at(take(&mut rest, 8)?);
+        let model_count = usize::from(*take(&mut rest, 1)?.first()?);
         let mut models = Vec::with_capacity(model_count);
         for _ in 0..model_count {
-            let dim = u32_at(take(4)?) as usize;
-            let mut weights = Vec::with_capacity(dim);
+            let dim = u32_at(take(&mut rest, 4)?) as usize;
+            let mut weights = Vec::with_capacity(dim.min(rest.len() / 8));
             for _ in 0..dim {
-                weights.push(f64::from_bits(u64_at(take(8)?)));
+                weights.push(f64::from_bits(u64_at(take(&mut rest, 8)?)));
             }
-            let bias = f64::from_bits(u64_at(take(8)?));
+            let bias = f64::from_bits(u64_at(take(&mut rest, 8)?));
             models.push((weights, bias));
         }
-        let ema_count = u32_at(take(4)?) as usize;
-        let mut emas = Vec::with_capacity(ema_count);
+        let ema_count = u32_at(take(&mut rest, 4)?) as usize;
+        let mut emas = Vec::with_capacity(ema_count.min(rest.len() / 16));
         for _ in 0..ema_count {
-            let strategy = StrategyId(u64_at(take(8)?));
-            emas.push((strategy, f64::from_bits(u64_at(take(8)?))));
+            let strategy = StrategyId(u64_at(take(&mut rest, 8)?));
+            emas.push((strategy, f64::from_bits(u64_at(take(&mut rest, 8)?))));
         }
         if !rest.is_empty() {
             return None;
@@ -546,6 +549,28 @@ mod tests {
         let mut trailing = bytes;
         trailing.push(0);
         assert!(QoaCheckpoint::from_bytes(&trailing).is_none());
+    }
+
+    #[test]
+    fn a_huge_declared_count_is_rejected_without_reserving_it() {
+        let checkpoint = QoaCheckpoint {
+            windows_absorbed: 3,
+            models: vec![(vec![0.25, -1.5], 0.5)],
+            emas: vec![(StrategyId(7), 0.75), (StrategyId(9), 0.125)],
+        };
+        let bytes = checkpoint.to_bytes();
+        assert_eq!(QoaCheckpoint::from_bytes(&bytes), Some(checkpoint));
+        // version, windows_absorbed, model count, then the first dim.
+        let dim_at = 1 + 8 + 1;
+        // The dim, two weights and the bias, then the ema count.
+        let ema_count_at = dim_at + 4 + 2 * 8 + 8;
+        for at in [dim_at, ema_count_at] {
+            let mut crafted = bytes.clone();
+            crafted[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            // Reserving what the count claims would ask for 34–68 GB
+            // and abort the process before the first entry ran out.
+            assert_eq!(QoaCheckpoint::from_bytes(&crafted), None, "count at {at}");
+        }
     }
 
     proptest! {

@@ -8,14 +8,21 @@
 //! same scores — across seeded corpora. It is not meant for production
 //! use: every update pays dense `[topics × vocab]` digamma sweeps.
 
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use alertops_text::BagOfWords;
+use alertops_text::{BagOfWords, FxBuildHasher};
 
-use crate::lda::WarmGamma;
 use crate::math::{digamma, dirichlet_expectation, normalize_in_place};
 use crate::LdaConfig;
+
+/// Cross-pass warm-start memo: converged γ per document content, valid
+/// for one window fit (see [`DenseOnlineLda::fit_window`], which starts a
+/// fresh one). Never iterated, so the unkeyed hasher's bucket order
+/// cannot reach any output.
+type WarmGamma = HashMap<BagOfWords, Vec<f64>, FxBuildHasher>;
 
 /// Dense online variational-Bayes LDA — the differential oracle for
 /// [`crate::OnlineLda`]. Same public surface, same semantics, kept

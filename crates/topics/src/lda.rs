@@ -26,22 +26,22 @@
 //! * Absent columns decay as `(1−ρ)·λ + ρ·η`, which is IEEE-754-exactly
 //!   the dense `(1−ρ)·λ + ρ·(η + scale·0.0)`.
 //! * Sufficient statistics accumulate in the dense order (document-major,
-//!   position-major, topic-major), even when a duplicate document's
-//!   contribution is replayed from the per-batch memo.
+//!   position-major, topic-major). Each call indexes its documents once:
+//!   a distinct document is solved at its first occurrence, and every
+//!   occurrence replays that outcome in its own position through the
+//!   index table.
 //!
 //! Scratch buffers live in [`LdaWorkspace`] and are reused across
 //! documents, iterations, and batches — the hot loop performs no
 //! per-iteration allocation.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use alertops_text::{BagOfWords, FxBuildHasher};
+use alertops_text::BagOfWords;
 
-use crate::math::{dirichlet_expectation_sparse, normalize_in_place, DigammaCache};
+use crate::math::{digamma, dirichlet_expectation_sparse, normalize_in_place};
 
 /// Configuration for [`OnlineLda`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -87,41 +87,33 @@ impl Default for LdaConfig {
 }
 
 /// The converged E-step outcome for one distinct document within a
-/// batch. Batches of alert text are highly redundant, so outcomes are
-/// memoized per document content and their contributions *replayed* in
-/// the original document order — replaying a previously computed value
-/// adds the same bits the dense path would add.
-#[derive(Debug, Clone)]
+/// batch. Batches of alert text are highly redundant, so a document is
+/// solved once and its contributions *replayed* in every occurrence's
+/// position — replaying a previously computed value adds the same bits
+/// the dense path would add.
+#[derive(Debug, Clone, Default)]
 struct DocOutcome {
-    /// In-vocabulary word ids of the document, in position order.
-    invocab: Vec<usize>,
     /// `φ_kw · n_w` per in-vocab position (outer) and topic (inner).
     contribs: Vec<f64>,
     /// `doc_log_likelihood` at the converged γ.
     loglik: f64,
     /// Total token count, out-of-vocabulary positions included.
     words: u64,
-    /// The converged (unnormalized) γ, harvested into the warm-start
-    /// memo at the end of a [`OnlineLda::fit_window_with`] pass.
-    gamma: Vec<f64>,
 }
 
-/// Cross-pass warm-start memo: converged γ per document content, valid
-/// for one window fit. See [`OnlineLda::fit_window_with`], which clears
-/// it at entry — warmth never leaks across windows, so the memo is
-/// scratch, not model state. Keyed with the fast unkeyed hasher: the
-/// memo is never iterated, so its bucket order cannot reach any output.
-pub(crate) type WarmGamma = HashMap<BagOfWords, Vec<f64>, FxBuildHasher>;
+/// `doc_slot` entry of an empty document.
+const EMPTY: u32 = u32::MAX;
 
 /// Reusable scratch space for the sparse E/M-steps.
 ///
 /// Holding one of these across calls is what removes per-document and
 /// per-iteration allocation from the hot loop: the slot map, the sparse
-/// β table, sufficient statistics, the γ/θ/φ-norm vectors, and the
-/// digamma memo all keep their capacity between batches. A workspace
-/// carries no model state — any workspace (including a fresh
-/// `LdaWorkspace::default()`) produces bit-identical results with any
-/// model; reuse only changes how often the allocator runs.
+/// β table, sufficient statistics, the γ/θ/φ-norm vectors, the document
+/// index and the per-document outcomes all keep their capacity between
+/// batches. A workspace carries no model state — any workspace
+/// (including a fresh `LdaWorkspace::default()`) produces bit-identical
+/// results with any model; reuse only changes how often the allocator
+/// runs. What it holds is bounded by the largest batch it has seen.
 #[derive(Debug, Clone, Default)]
 pub struct LdaWorkspace {
     /// `slot_of[id]` is `slot + 1` into the current batch's β table, or
@@ -146,20 +138,22 @@ pub struct LdaWorkspace {
     norms: Vec<f64>,
     /// Normalized-θ scratch for the per-document likelihood (length K).
     theta: Vec<f64>,
-    /// Bit-exact ψ memo for the γ-side digammas (see [`DigammaCache`]).
-    digamma: DigammaCache,
-    /// Converged outcomes per distinct document within one batch. Fast
-    /// unkeyed hasher: iterated only for the warm-memo write-back, whose
-    /// writes land on distinct keys — bucket order cannot reach outputs.
-    train_memo: HashMap<BagOfWords, DocOutcome, FxBuildHasher>,
-    /// Normalized mixtures per distinct document within one inference
-    /// batch. Read back per document in batch order, never iterated.
-    infer_memo: HashMap<BagOfWords, Vec<f64>, FxBuildHasher>,
-    /// Warm-start memo for [`OnlineLda::fit_window_with`]: converged γ
-    /// per document content, cleared at the start of every window fit
-    /// (cross-pass warmth only — so the workspace invariant holds: a
-    /// fresh workspace produces bit-identical results).
-    warm: WarmGamma,
+    /// Batch position of the first occurrence of each distinct non-empty
+    /// document (ordered by content); the document's index is its
+    /// position here.
+    first: Vec<u32>,
+    /// Per batch position, the index of its document in `first`, or
+    /// [`EMPTY`].
+    doc_slot: Vec<u32>,
+    /// Outcome per distinct document of the current pass. Entries at and
+    /// past `first.len()` are leftovers of a larger batch, kept for
+    /// their capacity and never read.
+    outcomes: Vec<DocOutcome>,
+    /// Warm-start γ for [`OnlineLda::fit_window_with`], `first.len()` × K
+    /// (row = document index): each pass starts from the previous pass's
+    /// converged γ. Cleared at the start of every window fit, so it is
+    /// empty on pass 0 and warmth never crosses windows.
+    warm: Vec<f64>,
 }
 
 impl LdaWorkspace {
@@ -169,12 +163,74 @@ impl LdaWorkspace {
         Self::default()
     }
 
-    /// `(hits, misses)` of the workspace's ψ memo since construction —
-    /// perf introspection only; the memo is bit-exact either way (see
-    /// [`DigammaCache`]).
+    /// Bytes of heap the workspace holds, counted by capacity — a probe
+    /// for memory-bound tests.
+    #[doc(hidden)]
     #[must_use]
-    pub fn digamma_stats(&self) -> (u64, u64) {
-        self.digamma.stats()
+    pub fn retained_bytes(&self) -> usize {
+        fn held<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        // Named field by field, so a field added to the workspace has to
+        // be counted here.
+        let Self {
+            slot_of,
+            unique_ids,
+            beta,
+            sstats,
+            gamma,
+            last_gamma,
+            exp_elog_theta,
+            dots,
+            norms,
+            theta,
+            first,
+            doc_slot,
+            outcomes,
+            warm,
+        } = self;
+        held(slot_of)
+            + held(unique_ids)
+            + held(beta)
+            + held(sstats)
+            + held(gamma)
+            + held(last_gamma)
+            + held(exp_elog_theta)
+            + held(dots)
+            + held(norms)
+            + held(theta)
+            + held(first)
+            + held(doc_slot)
+            + held(outcomes)
+            + outcomes.iter().map(|o| held(&o.contribs)).sum::<usize>()
+            + held(warm)
+    }
+
+    /// Indexes `batch`: fills `first` and `doc_slot` so that equal
+    /// documents share one index.
+    ///
+    /// The non-empty positions are sorted by content, ties by position,
+    /// so each run of equal documents starts at its first occurrence;
+    /// `first` is then compacted in place to one position per run. No
+    /// hashing (alert text is outside input) and, once `first` has
+    /// grown to the largest batch, no allocation.
+    fn index_docs(&mut self, batch: &[BagOfWords]) {
+        let first = &mut self.first;
+        first.clear();
+        first.extend((0..batch.len() as u32).filter(|&pos| !batch[pos as usize].is_empty()));
+        first.sort_unstable_by(|&a, &b| batch[a as usize].cmp(&batch[b as usize]).then(a.cmp(&b)));
+        self.doc_slot.clear();
+        self.doc_slot.resize(batch.len(), EMPTY);
+        let mut distinct = 0;
+        for i in 0..first.len() {
+            let pos = first[i] as usize;
+            if distinct == 0 || batch[first[distinct - 1] as usize] != batch[pos] {
+                first[distinct] = pos as u32;
+                distinct += 1;
+            }
+            self.doc_slot[pos] = (distinct - 1) as u32;
+        }
+        first.truncate(distinct);
     }
 
     /// Resets the per-batch registration state, keeping capacity.
@@ -188,8 +244,6 @@ impl LdaWorkspace {
         }
         self.beta.clear();
         self.sstats.clear();
-        self.train_memo.clear();
-        self.infer_memo.clear();
     }
 
     /// Adds `id` (< vocab size) to the batch support if new.
@@ -301,24 +355,22 @@ impl OnlineLda {
     /// [`update_batch`](Self::update_batch) with caller-owned scratch.
     /// Bit-identical to the dense sweep for any workspace state.
     pub fn update_batch_with(&mut self, batch: &[BagOfWords], ws: &mut LdaWorkspace) -> f64 {
-        self.update_pass(batch, None, ws)
+        ws.index_docs(batch);
+        self.update_pass(batch, false, ws)
     }
 
-    /// One online update, optionally warm-started from `warm`.
+    /// One online update over an indexed `batch`, warm-started from
+    /// `ws.warm` when `warm` is set.
     ///
-    /// With `warm`, each distinct document's γ is initialized from the
-    /// memo (falling back to the cold `α+1` init) and the converged γ is
-    /// written back *after* the document loop — the memo is read-only
-    /// while the batch runs, so every occurrence of a document sees the
-    /// same init and duplicate replay stays bit-identical to solving
-    /// each occurrence independently.
-    fn update_pass(
-        &mut self,
-        batch: &[BagOfWords],
-        mut warm: Option<&mut WarmGamma>,
-        ws: &mut LdaWorkspace,
-    ) -> f64 {
+    /// Each distinct document is solved once, at its first occurrence.
+    /// With `warm`, its γ starts from its `ws.warm` row (the cold `α+1`
+    /// init while the rows are empty, on pass 0) and the converged γ is
+    /// written back to that row. Only that document reads the row in
+    /// this pass, so every occurrence sees the same init — the dense
+    /// oracle's read-only-memo discipline.
+    fn update_pass(&mut self, batch: &[BagOfWords], warm: bool, ws: &mut LdaWorkspace) -> f64 {
         let k = self.config.num_topics;
+        let w = self.config.vocab_size;
         let nonempty_count = batch.iter().filter(|d| !d.is_empty()).count();
         if nonempty_count == 0 {
             return 0.0;
@@ -328,45 +380,51 @@ impl OnlineLda {
         let u = ws.unique_ids.len();
         ws.sstats.resize(k * u, 0.0);
 
+        // Detached so the E-steps can borrow the rest of the workspace;
+        // reattached below to keep their capacity.
+        let distinct = ws.first.len();
+        let mut outcomes = std::mem::take(&mut ws.outcomes);
+        if outcomes.len() < distinct {
+            outcomes.resize_with(distinct, DocOutcome::default);
+        }
+        let mut warm_gamma = std::mem::take(&mut ws.warm);
+        let cold = warm_gamma.is_empty();
+        if warm && cold {
+            warm_gamma.resize(distinct * k, 0.0);
+        }
+
         let mut bound = 0.0;
         let mut word_total = 0u64;
-        for doc in batch.iter().filter(|d| !d.is_empty()) {
-            if !ws.train_memo.contains_key(doc.as_slice()) {
-                let init = warm
-                    .as_deref()
-                    .and_then(|m| m.get(doc.as_slice()))
-                    .map(Vec::as_slice);
-                let outcome = self.e_step_train(doc, init, ws);
-                ws.train_memo.insert(doc.clone(), outcome);
+        for (pos, doc) in batch.iter().enumerate() {
+            let index = ws.doc_slot[pos];
+            if index == EMPTY {
+                continue;
             }
-            // Replay the (possibly memoized) contribution in this
-            // document's position, preserving the dense accumulation
-            // order: document-major, position-major, topic-major.
-            let outcome = &ws.train_memo[doc.as_slice()];
-            let mut contrib = outcome.contribs.iter();
-            for &id in &outcome.invocab {
+            let index = index as usize;
+            let row = index * k..(index + 1) * k;
+            if ws.first[index] as usize == pos {
+                let init = (warm && !cold).then(|| &warm_gamma[row.clone()]);
+                self.e_step_train(doc, init, ws, &mut outcomes[index]);
+                if warm {
+                    warm_gamma[row].copy_from_slice(&ws.gamma);
+                }
+            }
+            // Replay the document's contribution in this position,
+            // preserving the dense accumulation order: document-major,
+            // position-major, topic-major.
+            let outcome = &outcomes[index];
+            let in_vocab = doc.iter().filter(|&&(id, _)| id < w);
+            for (&(id, _), contrib) in in_vocab.zip(outcome.contribs.chunks_exact(k)) {
                 let slot = ws.slot(id);
-                for topic in 0..k {
-                    ws.sstats[topic * u + slot] += *contrib.next().expect("contribs shape");
+                for (topic, &c) in contrib.iter().enumerate() {
+                    ws.sstats[topic * u + slot] += c;
                 }
             }
             bound += outcome.loglik;
             word_total += outcome.words;
         }
-
-        // End-of-pass write-back: the next pass (or window) warm-starts
-        // from this pass's converged γ. Map iteration order is
-        // irrelevant — writes go to distinct keys.
-        if let Some(m) = warm.as_mut() {
-            for (doc, outcome) in &ws.train_memo {
-                match m.get_mut(doc.as_slice()) {
-                    Some(slot) => slot.clone_from(&outcome.gamma),
-                    None => {
-                        m.insert(doc.clone(), outcome.gamma.clone());
-                    }
-                }
-            }
-        }
+        ws.outcomes = outcomes;
+        ws.warm = warm_gamma;
 
         // M-step: blend λ toward the batch estimate with step ρ. Absent
         // columns see `ρ·η`, which equals the dense `ρ·(η + scale·0.0)`
@@ -425,25 +483,31 @@ impl OnlineLda {
     }
 
     /// Infers the mixtures of every document in `batch`, sharing one
-    /// sparse β table across the batch and memoizing duplicate documents.
+    /// sparse β table across the batch and solving each distinct
+    /// document once (a repeat copies its first occurrence's mixture).
     /// Each result is bit-identical to [`infer`](Self::infer) on that
     /// document alone — documents do not influence one another.
     pub fn infer_batch_with(&self, batch: &[BagOfWords], ws: &mut LdaWorkspace) -> Vec<Vec<f64>> {
         let k = self.config.num_topics;
+        ws.index_docs(batch);
         self.prepare_beta(batch, ws);
-        let mut out = Vec::with_capacity(batch.len());
-        for doc in batch {
-            if doc.is_empty() {
-                out.push(vec![1.0 / k as f64; k]);
-                continue;
-            }
-            if !ws.infer_memo.contains_key(doc.as_slice()) {
-                self.e_step_gamma(doc, None, ws);
-                let mut mixture = ws.gamma.clone();
-                normalize_in_place(&mut mixture);
-                ws.infer_memo.insert(doc.clone(), mixture);
-            }
-            out.push(ws.infer_memo[doc.as_slice()].clone());
+        let mut out: Vec<Vec<f64>> = Vec::with_capacity(batch.len());
+        for (pos, doc) in batch.iter().enumerate() {
+            let index = ws.doc_slot[pos];
+            let mixture = if index == EMPTY {
+                vec![1.0 / k as f64; k]
+            } else {
+                let first = ws.first[index as usize] as usize;
+                if first == pos {
+                    self.e_step_gamma(doc, None, ws);
+                    let mut mixture = ws.gamma.clone();
+                    normalize_in_place(&mut mixture);
+                    mixture
+                } else {
+                    out[first].clone()
+                }
+            };
+            out.push(mixture);
         }
         out
     }
@@ -453,11 +517,12 @@ impl OnlineLda {
     /// variational bound stops moving, returning each document's
     /// normalized topic mixture from the final pass.
     ///
-    /// The warm-start memo (converged γ per document content, owned by
-    /// the workspace) is cleared at entry, read during each pass, and
-    /// refreshed after it: pass `p`'s E-steps start from pass `p−1`'s
-    /// converged γ instead of the cold `α+1` init, so after the first
-    /// pass each document's E-step typically converges in one or two
+    /// The documents are indexed once for all passes. The warm-start
+    /// rows (converged γ per distinct document, owned by the workspace)
+    /// are cleared at entry and refreshed by each pass: pass `p`'s
+    /// E-steps start from pass `p−1`'s converged γ instead of the cold
+    /// `α+1` init, so after the first pass each document's E-step
+    /// typically converges in one or two
     /// iterations instead of re-walking the whole trajectory — this is
     /// where most of the speedup over naive repeated
     /// [`update_batch_with`](Self::update_batch_with) calls comes from.
@@ -488,13 +553,11 @@ impl OnlineLda {
         pass_tol: f64,
         ws: &mut LdaWorkspace,
     ) -> Vec<Vec<f64>> {
-        // Detach the memo so the passes can borrow it alongside the rest
-        // of the workspace; reattached below to keep its capacity.
-        let mut warm = std::mem::take(&mut ws.warm);
-        warm.clear();
+        ws.index_docs(docs);
+        ws.warm.clear();
         let mut prev: Option<f64> = None;
         for _ in 0..passes.max(1) {
-            let bound = self.update_pass(docs, Some(&mut warm), ws);
+            let bound = self.update_pass(docs, true, ws);
             if let Some(p) = prev {
                 if pass_tol > 0.0 && (bound - p).abs() <= pass_tol * p.abs() {
                     break;
@@ -502,23 +565,22 @@ impl OnlineLda {
             }
             prev = Some(bound);
         }
-        // After the last pass's write-back the memo holds every
-        // non-empty document's final converged γ.
+        // After the last pass the warm rows hold every non-empty
+        // document's final converged γ.
         let k = self.config.num_topics;
-        let out = docs
+        ws.doc_slot
             .iter()
-            .map(|doc| {
-                if doc.is_empty() {
+            .map(|&index| {
+                if index == EMPTY {
                     vec![1.0 / k as f64; k]
                 } else {
-                    let mut mixture = warm[doc.as_slice()].clone();
+                    let row = index as usize * k;
+                    let mut mixture = ws.warm[row..row + k].to_vec();
                     normalize_in_place(&mut mixture);
                     mixture
                 }
             })
-            .collect();
-        ws.warm = warm;
-        out
+            .collect()
     }
 
     /// The current topic-word distributions: K rows, each a length-W
@@ -598,7 +660,8 @@ impl OnlineLda {
     }
 
     /// Variational E-step for one document, training flavor: converges γ
-    /// and captures the φ·n contributions plus the per-doc likelihood.
+    /// (left in `ws.gamma`) and captures the φ·n contributions plus the
+    /// per-doc likelihood into `out`, reusing its buffer.
     ///
     /// The iteration order — γ init at `α+1` (or the warm-start `init`
     /// when given), θ refresh, φ-norm refresh, then the mean-change
@@ -609,7 +672,8 @@ impl OnlineLda {
         doc: &BagOfWords,
         init: Option<&[f64]>,
         ws: &mut LdaWorkspace,
-    ) -> DocOutcome {
+        out: &mut DocOutcome,
+    ) {
         let k = self.config.num_topics;
         let w = self.config.vocab_size;
         let u = ws.unique_ids.len();
@@ -620,7 +684,7 @@ impl OnlineLda {
             None => ws.gamma.resize(k, self.config.alpha + 1.0),
         }
         debug_assert_eq!(ws.gamma.len(), k, "warm-start γ has the wrong arity");
-        exp_dirichlet_into(&ws.gamma, &mut ws.digamma, &mut ws.exp_elog_theta);
+        exp_dirichlet_into(&ws.gamma, &mut ws.exp_elog_theta);
         phinorm_into(
             doc,
             w,
@@ -634,7 +698,7 @@ impl OnlineLda {
         for _ in 0..self.config.max_e_steps {
             ws.last_gamma.clone_from(&ws.gamma);
             gamma_update(self.config.alpha, doc, w, u, ws);
-            exp_dirichlet_into(&ws.gamma, &mut ws.digamma, &mut ws.exp_elog_theta);
+            exp_dirichlet_into(&ws.gamma, &mut ws.exp_elog_theta);
             phinorm_into(
                 doc,
                 w,
@@ -650,12 +714,8 @@ impl OnlineLda {
         }
 
         // Final responsibilities φ·n for sufficient statistics, in
-        // position order over the in-vocab positions. Capacity up front:
-        // these vectors are built once per distinct document per pass,
-        // so letting them grow geometrically would dominate the
-        // allocator traffic of the whole window fit.
-        let mut invocab = Vec::with_capacity(doc.len());
-        let mut contribs = Vec::with_capacity(doc.len() * k);
+        // position order over the in-vocab positions.
+        out.contribs.clear();
         let mut words = 0u64;
         for (&(id, count), &norm) in doc.iter().zip(&ws.norms) {
             words += u64::from(count);
@@ -663,21 +723,14 @@ impl OnlineLda {
                 continue;
             }
             let slot = ws.slot(id);
-            invocab.push(id);
             let count = f64::from(count);
             for topic in 0..k {
                 let p = ws.exp_elog_theta[topic] * ws.beta[topic * u + slot] / norm;
-                contribs.push(p * count);
+                out.contribs.push(p * count);
             }
         }
-        let loglik = self.doc_log_likelihood(doc, &ws.gamma, &mut ws.theta);
-        DocOutcome {
-            invocab,
-            contribs,
-            loglik,
-            words,
-            gamma: ws.gamma.clone(),
-        }
+        out.loglik = self.doc_log_likelihood(doc, &ws.gamma, &mut ws.theta);
+        out.words = words;
     }
 
     /// Variational E-step, inference flavor: converges γ only.
@@ -698,7 +751,7 @@ impl OnlineLda {
             None => ws.gamma.resize(k, self.config.alpha + 1.0),
         }
         debug_assert_eq!(ws.gamma.len(), k, "warm-start γ has the wrong arity");
-        exp_dirichlet_into(&ws.gamma, &mut ws.digamma, &mut ws.exp_elog_theta);
+        exp_dirichlet_into(&ws.gamma, &mut ws.exp_elog_theta);
         phinorm_into(
             doc,
             w,
@@ -715,7 +768,7 @@ impl OnlineLda {
             if mean_change(&ws.gamma, &ws.last_gamma) < self.config.e_step_tol {
                 break;
             }
-            exp_dirichlet_into(&ws.gamma, &mut ws.digamma, &mut ws.exp_elog_theta);
+            exp_dirichlet_into(&ws.gamma, &mut ws.exp_elog_theta);
             phinorm_into(
                 doc,
                 w,
@@ -804,15 +857,14 @@ fn gamma_update(alpha: f64, doc: &BagOfWords, w: usize, u: usize, ws: &mut LdaWo
     }
 }
 
-/// `exp(E[log θ])` into `out`, digammas served through the bit-exact
-/// memo.
-fn exp_dirichlet_into(gamma: &[f64], cache: &mut DigammaCache, out: &mut Vec<f64>) {
+/// `exp(E[log θ])` into `out`.
+fn exp_dirichlet_into(gamma: &[f64], out: &mut Vec<f64>) {
     let total: f64 = gamma.iter().sum();
-    let psi_total = cache.eval(total);
+    let psi_total = digamma(total);
     out.clear();
     out.reserve(gamma.len());
     for &g in gamma {
-        out.push((cache.eval(g) - psi_total).exp());
+        out.push((digamma(g) - psi_total).exp());
     }
 }
 
@@ -1108,7 +1160,8 @@ mod tests {
         for _ in 0..5 {
             lda.update_batch(&synthetic_corpus());
         }
-        // Duplicates exercise the memo; the empty doc the uniform branch.
+        // Duplicates exercise the solve-once copy; the empty doc the
+        // uniform branch.
         let batch: Vec<BagOfWords> = vec![
             vec![(0, 2), (3, 1)],
             Vec::new(),
@@ -1124,13 +1177,10 @@ mod tests {
 
     #[test]
     fn duplicate_docs_memoized_batch_matches_unmemoized_order() {
-        // A batch full of duplicates must produce the same λ as the same
-        // batch handed to a model that never hits the memo (fresh
-        // workspaces can't dodge it — the memo is per-batch — so compare
-        // against a batch with bitwise-equal but separately-allocated
-        // docs, which still hits the memo by content; the real oracle
-        // comparison lives in tests/properties.rs against the dense
-        // implementation).
+        // A batch full of duplicates, solved once and replayed three
+        // times, gives the same λ through a throwaway and a caller-owned
+        // workspace. The oracle comparison (against solving every
+        // occurrence) lives in tests/properties.rs.
         let doc = vec![(1, 2), (6, 3)];
         let batch = vec![doc.clone(), doc.clone(), doc.clone()];
         let mut a = OnlineLda::new(config(2));
@@ -1138,5 +1188,48 @@ mod tests {
         a.update_batch(&batch);
         b.update_batch_with(&batch, &mut LdaWorkspace::new());
         assert_eq!(a.lambda(), b.lambda());
+    }
+
+    #[test]
+    fn workspace_holds_a_linear_bound_of_its_largest_window() {
+        const K: usize = 4;
+        const W: usize = 64;
+        let mut lda = OnlineLda::new(LdaConfig {
+            num_topics: K,
+            vocab_size: W,
+            ..LdaConfig::default()
+        });
+        let mut ws = LdaWorkspace::new();
+        // Two-word documents over the whole vocabulary, mostly distinct.
+        let doc = |i: usize| -> BagOfWords {
+            let a = i % W;
+            let b = (a + 1 + (i / W) % (W - 1)) % W;
+            let mut d = vec![(a, 1), (b, 2)];
+            d.sort_unstable();
+            d
+        };
+        let big: Vec<BagOfWords> = (0..2_000).map(doc).collect();
+        lda.fit_window_with(&big, 3, 1e-2, &mut ws);
+        let (distinct, support) = (ws.first.len(), ws.unique_ids.len());
+        assert!(
+            distinct > 1_900 && support == W,
+            "{distinct} docs, {support} ids"
+        );
+        // Eight f64s per cell of the window's γ rows and β table covers
+        // the index, the outcomes and the growth slack, with no
+        // fixed-size term. A 65,536-entry hash table (≈ 2 MB) would not
+        // fit under it.
+        let bound = 8 * std::mem::size_of::<f64>() * (distinct * K + support * K);
+        let after_big = ws.retained_bytes();
+        assert!(after_big <= bound, "{after_big} B held, bound {bound} B");
+        for w in 0..200 {
+            let small = vec![doc(w), Vec::new(), doc(w + 7)];
+            lda.fit_window_with(&small, 3, 1e-2, &mut ws);
+            let held = ws.retained_bytes();
+            assert!(
+                held <= after_big,
+                "window {w}: {held} B held, more than the largest window's {after_big} B"
+            );
+        }
     }
 }

@@ -1,9 +1,5 @@
 //! Special functions and distribution utilities for variational LDA.
 
-use std::collections::HashMap;
-
-use alertops_text::FxBuildHasher;
-
 /// The digamma function ψ(x) = d/dx ln Γ(x), for x > 0.
 ///
 /// Uses the standard recurrence to push the argument to at least 7, then
@@ -169,74 +165,6 @@ pub fn js_divergence_prepared(p: &[f64], p_plogp: f64, q: &[f64], q_plogp: f64) 
     0.5 * (p_plogp + q_plogp) - cross
 }
 
-/// A memoization layer over [`digamma`], keyed on the exact bit pattern
-/// of the argument.
-///
-/// # Accuracy bound
-///
-/// The cache is **exact — 0 ULP**: `eval(x)` returns the bit-identical
-/// `f64` that [`digamma`] returns for the same `x`, because a hit simply
-/// replays the previously computed value for an argument with the same
-/// bit pattern and a miss calls [`digamma`] itself. `digamma` is a pure
-/// function of its argument's bits, so memoization cannot change any
-/// result — only how often the recurrence + Bernoulli series actually
-/// runs. This is what lets the sparse AO-LDA kernel use the cache inside
-/// differential tests that compare serialized output byte-for-byte.
-///
-/// The map is bounded: once it holds [`DigammaCache::MAX_ENTRIES`]
-/// distinct arguments it is cleared before the next insert. Clearing
-/// affects hit rate, never values, so eviction policy is irrelevant to
-/// determinism. The map hashes its `u64` keys with
-/// [`FxBuildHasher`] — at thousands of probes per window the keyed
-/// default hasher would cost more than many of the ψ evaluations it
-/// saves, and a lookup table is exactly the place where hash choice
-/// cannot leak into results.
-#[derive(Debug, Clone, Default)]
-pub struct DigammaCache {
-    map: HashMap<u64, f64, FxBuildHasher>,
-    hits: u64,
-    misses: u64,
-}
-
-impl DigammaCache {
-    /// Entry bound after which the map is cleared (≈1 MiB of table).
-    pub const MAX_ENTRIES: usize = 65_536;
-
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// ψ(x), memoized. Bit-identical to [`digamma`] (see the type-level
-    /// accuracy bound).
-    pub fn eval(&mut self, x: f64) -> f64 {
-        let key = x.to_bits();
-        if let Some(&v) = self.map.get(&key) {
-            self.hits += 1;
-            return v;
-        }
-        self.misses += 1;
-        if self.map.len() >= Self::MAX_ENTRIES {
-            self.map.clear();
-        }
-        let v = digamma(x);
-        self.map.insert(key, v);
-        v
-    }
-
-    /// `(hits, misses)` since construction; perf introspection only.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Drops all memoized entries (keeps the hit/miss counters).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-}
-
 /// Appends `exp(ψ(row[id]) − ψ(row_sum))` for each `id` in `ids` to
 /// `out` — the sparse counterpart of exponentiating
 /// [`dirichlet_expectation`] over one λ row, touching only the columns a
@@ -333,32 +261,6 @@ mod tests {
         assert!(kl_divergence(&p, &q) > 0.0);
         // Not symmetric in general.
         assert!((kl_divergence(&p, &q) - kl_divergence(&q, &p)).abs() > 1e-6);
-    }
-
-    #[test]
-    fn digamma_cache_is_bit_identical_and_counts() {
-        let mut cache = DigammaCache::new();
-        let args = [0.11, 1.0, 2.5, 16.75, 1.0, 0.11, 1024.0];
-        for &x in &args {
-            let cached = cache.eval(x);
-            assert_eq!(
-                cached.to_bits(),
-                digamma(x).to_bits(),
-                "cache diverged from digamma at {x}"
-            );
-        }
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits, 2, "1.0 and 0.11 repeat once each");
-        assert_eq!(misses, 5);
-    }
-
-    #[test]
-    fn digamma_cache_clear_does_not_change_values() {
-        let mut cache = DigammaCache::new();
-        let before = cache.eval(3.25);
-        cache.clear();
-        let after = cache.eval(3.25);
-        assert_eq!(before.to_bits(), after.to_bits());
     }
 
     #[test]

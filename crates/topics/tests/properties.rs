@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use alertops_topics::dense::DenseOnlineLda;
 use alertops_topics::math::{
     digamma, dirichlet_expectation, dirichlet_expectation_sparse, js_divergence,
-    js_divergence_prepared, neg_entropy, normalize_in_place, DigammaCache,
+    js_divergence_prepared, neg_entropy, normalize_in_place,
 };
 use alertops_topics::{LdaConfig, LdaWorkspace, OnlineLda};
 
@@ -128,8 +128,8 @@ proptest! {
     /// The tentpole guarantee: the sparse kernel's λ trajectory is
     /// bit-identical to the dense sweep's across seeded corpora and
     /// multiple sequential updates, with a shared workspace in play the
-    /// whole time (duplicate docs exercise the per-batch memo, ids ≥ 12
-    /// the out-of-vocab path).
+    /// whole time (duplicate docs exercise the replay of a distinct doc's
+    /// outcome, ids ≥ 12 the out-of-vocab path).
     #[test]
     fn sparse_update_batch_is_bit_identical_to_dense(
         corpus in corpus_strategy(),
@@ -159,7 +159,7 @@ proptest! {
     }
 
     /// Inference and scoring agree bitwise with the dense oracle, via
-    /// both the per-doc and the batched (β-sharing, memoizing) paths.
+    /// both the per-doc and the batched (β-sharing, solve-once) paths.
     #[test]
     fn sparse_infer_and_score_match_dense(
         corpus in corpus_strategy(),
@@ -277,7 +277,7 @@ proptest! {
         prop_assert_eq!(&sm, &dm, "window mixtures diverged");
         prop_assert_eq!(sparse.lambda(), dense.lambda(), "post-window λ diverged");
 
-        // A second window through the same workspace: the warm memo must
+        // A second window through the same workspace: the warm rows must
         // reset cleanly, so back-to-back fits stay on the oracle too.
         let second: Vec<Vec<(usize, u32)>> = docs
             .iter()
@@ -289,6 +289,59 @@ proptest! {
         prop_assert_eq!(sparse.updates(), dense.updates());
         prop_assert_eq!(&sm2, &dm2, "second-window mixtures diverged");
         prop_assert_eq!(sparse.lambda(), dense.lambda());
+    }
+
+    /// A workspace that fitted a larger window carries outcomes and warm
+    /// γ rows past the next window's distinct documents. None of them
+    /// may be read: a smaller, heavily duplicated window with empty
+    /// documents first, in the middle and last, then an update and a
+    /// batched inference through the same workspace, all stay on the
+    /// dense oracle bit-for-bit.
+    #[test]
+    fn leftovers_of_a_larger_window_never_leak(
+        corpus in corpus_strategy(),
+        seed in 0u64..50,
+        passes in 1usize..6,
+        pick_a in 0usize..16,
+        pick_b in 0usize..16,
+    ) {
+        let config = LdaConfig {
+            num_topics: 3,
+            vocab_size: 12,
+            seed,
+            ..LdaConfig::default()
+        };
+        // At least three distinct documents in the first window.
+        let mut big = corpus;
+        big.extend([vec![(0, 1)], vec![(1, 2)], vec![(2, 3), (13, 1)]]);
+        let a = big[pick_a % big.len()].clone();
+        let b = big[pick_b % big.len()].clone();
+        let e = Vec::new();
+        let small = vec![
+            e.clone(), a.clone(), a.clone(), b.clone(), e.clone(),
+            a.clone(), b.clone(), b.clone(), a.clone(), e,
+        ];
+
+        let mut sparse = OnlineLda::new(config.clone());
+        let mut dense = DenseOnlineLda::new(config);
+        let mut ws = LdaWorkspace::new();
+        for (name, window) in [("larger", &big), ("smaller", &small)] {
+            let sm = sparse.fit_window_with(window, passes, 1e-2, &mut ws);
+            let dm = dense.fit_window(window, passes, 1e-2);
+            prop_assert_eq!(sparse.updates(), dense.updates(), "{} window: pass count", name);
+            prop_assert_eq!(&sm, &dm, "{} window: mixtures diverged", name);
+            prop_assert_eq!(sparse.lambda(), dense.lambda(), "{} window: λ diverged", name);
+        }
+
+        let sb = sparse.update_batch_with(&small, &mut ws);
+        let db = dense.update_batch(&small);
+        prop_assert_eq!(sb.to_bits(), db.to_bits(), "update bound diverged");
+        prop_assert_eq!(sparse.lambda(), dense.lambda(), "update λ diverged");
+
+        let batched = sparse.infer_batch_with(&small, &mut ws);
+        for (doc, via_batch) in small.iter().zip(&batched) {
+            prop_assert_eq!(via_batch, &dense.infer(doc), "infer_batch_with diverged");
+        }
     }
 
     /// Growing the vocabulary (η-padded λ via `set_lambda`, what
@@ -360,21 +413,6 @@ proptest! {
             (plain - prepared).abs() < 1e-9,
             "prepared {} vs plain {}", prepared, plain
         );
-    }
-
-    /// The digamma memo is exact: any eval sequence returns the same bits
-    /// as the uncached function, hits and misses alike.
-    #[test]
-    fn cached_digamma_is_bit_identical(
-        xs in prop::collection::vec(0.001f64..500.0, 1..40),
-        repeat in 1usize..4,
-    ) {
-        let mut cache = DigammaCache::new();
-        for _ in 0..repeat {
-            for &x in &xs {
-                prop_assert_eq!(cache.eval(x).to_bits(), digamma(x).to_bits());
-            }
-        }
     }
 
     /// The batched sparse Dirichlet expectation equals the dense

@@ -69,31 +69,38 @@ proc.alloc_bytes_per_alert 1301.15
 proc.write_syscalls_per_kalert 1006.85
 CEILINGS
 check_counts governed-close <<'CEILINGS'
-proc.allocs_per_alert 22.1328
-proc.alloc_bytes_per_alert 2835.84
+proc.allocs_per_alert 16.8067
+proc.alloc_bytes_per_alert 2252.99
 CEILINGS
 check_counts steady-wire <<'CEILINGS'
 proc.allocs_per_alert 3.5045
 proc.alloc_bytes_per_alert 929.49
 CEILINGS
 check_counts storm-paced <<'CEILINGS'
-proc.allocs_per_alert 39.7554
-proc.alloc_bytes_per_alert 4299.00
+proc.allocs_per_alert 36.3907
+proc.alloc_bytes_per_alert 3929.73
 CEILINGS
 
 # Peak RSS, ratcheted: reference data (SOPs, strategy rows) is held once
-# per process, so a deep copy per holder coming back shows here first.
-# An untraced 2-second run repeats `rss_peak_mb` within 2 % (13 runs
-# read 30.32 – 30.88 MB on `steady-wire`, 5 read 17.72 – 17.87 MB on
-# `cluster-journal`), so the ceiling is the highest of five runs at the
-# commit that last moved it + 2 %. A deep copy of the SOPs alone is
-# ≈ 5 MB. Lower a ceiling when a PR lowers the peak.
+# per process, so a deep copy per holder coming back shows here first;
+# AO-LDA keeps no table beyond its largest window's scratch, so a
+# long-lived one coming back shows on `governed-close`, where that
+# scratch is most of the heap. An untraced 2-second run repeats
+# `rss_peak_mb` within 2–3 % (13 runs read 30.32 – 30.88 MB on
+# `steady-wire`, 5 read 15.34 – 15.64 MB on `cluster-journal` and 13
+# read 9.66 – 9.96 MB on `governed-close`), so the ceiling is the
+# highest of those runs at the commit that last moved it + 2 %. A deep
+# copy of the SOPs alone is ≈ 5 MB, the old ψ memo's table ≈ 2.2 MB.
+# Lower a ceiling when a PR lowers the peak.
 check_rss() { check_run "$1" 0; }
 check_rss steady-wire <<'CEILINGS'
 rss_peak_mb 31.49
 CEILINGS
 check_rss cluster-journal <<'CEILINGS'
-rss_peak_mb 18.23
+rss_peak_mb 15.96
+CEILINGS
+check_rss governed-close <<'CEILINGS'
+rss_peak_mb 10.16
 CEILINGS
 
 # The window-close path has one owner (alertops_core::WindowCloser)
@@ -132,10 +139,12 @@ fi
 # second segment reader. A standalone daemon journals and restarts
 # through Ingestd::spawn_with_wal, the cluster's protocol: no journal
 # hook trait, no adapter for it, no recovery written in the CLI.
+# AO-LDA evaluates ψ directly and indexes a batch's documents once per
+# call: no ψ memo, no per-pass hash memo of outcomes or mixtures.
 # Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal' \
+if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader or a second daemon restart path reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path or an AO-LDA hash memo reappeared (see matches above)" >&2
     exit 1
 fi
 if grep -rn IngestdHandle crates/cluster/src; then
