@@ -411,7 +411,7 @@ impl AlertCluster {
             return Err(e);
         }
         if let Some(pool) = &slot.pool {
-            pool.route(Box::new(alert));
+            pool.route(alert);
         }
         Ok(())
     }
@@ -678,16 +678,16 @@ impl AlertCluster {
             &self.slots[node].dir,
             self.config.node.wal_retain(),
         )?);
-        for (seq, alerts) in &windows {
+        for (seq, alerts) in windows {
             for alert in alerts {
-                wal.append(alert)?;
-                pool.route(Box::new(alert.clone()));
+                wal.append(&alert)?;
+                pool.route(alert);
             }
             // History only: the deltas are dropped unmerged.
-            if !pool.begin_close(*seq) || pool.collect(*seq, &mut Vec::new()).is_none() {
+            if !pool.begin_close(seq) || pool.collect(seq, &mut Vec::new()).is_none() {
                 return Err(io::Error::other("shard workers died during WAL replay"));
             }
-            wal.boundary(*seq)?;
+            wal.boundary(seq)?;
         }
         // A respawned node governs its next close with the
         // coordinator's current verdicts, exactly like its peers.
@@ -698,9 +698,9 @@ impl AlertCluster {
         // already accounted at their original close; don't re-count.
         let slot = &mut self.slots[node];
         slot.last_dropped = pool.counters().dropped.load(Ordering::Relaxed);
-        for alert in &tail {
-            wal.append(alert)?;
-            pool.route(Box::new(alert.clone()));
+        for alert in tail {
+            wal.append(&alert)?;
+            pool.route(alert);
         }
         slot.wal = wal;
         slot.pool = Some(pool);

@@ -5,7 +5,8 @@ use std::time::Duration;
 use alertops_core::StreamingConfig;
 use alertops_wire::WireFormat;
 
-/// What the router does when a shard's bounded queue is full.
+/// What the router does when a shard's bounded queue holds
+/// [`IngestdConfig::queue_capacity`] alerts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverflowPolicy {
     /// Block the producing connection until the worker catches up —
@@ -24,7 +25,10 @@ pub enum OverflowPolicy {
 pub struct IngestdConfig {
     /// Number of worker shards (each runs its own streaming governor).
     pub shards: usize,
-    /// Capacity of each shard's bounded ingest queue.
+    /// Capacity of each shard's bounded ingest queue, in alerts.
+    /// Control messages (closes, syncs, verdicts, chaos markers) are
+    /// never refused for it. A producer wakes the shard's worker once
+    /// half of it is queued.
     pub queue_capacity: usize,
     /// Wall-clock interval between automatic window closes. `None`
     /// disables the tick: windows close only on `{"ctrl":"flush"}`

@@ -16,7 +16,7 @@
 //! unaccounted for — that exactness is what makes fault injection
 //! checkable.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -66,26 +66,19 @@ pub struct Counters {
     /// the coordinator issuing the close to the merged snapshot being
     /// published (includes every shard's detection pass).
     pub last_window_micros: AtomicU64,
-    /// Per-shard packed enqueue/dequeue tallies: producers add
-    /// `1 << 32` (high half) per enqueue, workers add `1` (low half)
-    /// per dequeue, and the queue depth is read as the saturating
-    /// difference of the halves — one atomic, so a racing reader can
-    /// never observe an enqueue-without-dequeue ordering artifact.
-    /// Read through [`Counters::queue_depth`]; the raw cell is public
-    /// only for the producer/worker increments.
-    pub queue_depths: Vec<AtomicU64>,
+    /// Per-shard queue depth as one signed counter: producers add
+    /// what they enqueue, the worker subtracts what it takes. One
+    /// atomic, so a racing reader never sees an enqueue without its
+    /// dequeue; read through [`Counters::queue_depth`].
+    queue_depths: Vec<AtomicI64>,
 }
-
-/// Producers add this per enqueue (the high half of the packed
-/// per-shard queue gauge); workers add plain `1` per dequeue.
-pub(crate) const QUEUE_ENQUEUED: u64 = 1 << 32;
 
 impl Counters {
     /// Creates counters for `shards` shards.
     #[must_use]
     pub fn new(shards: usize) -> Self {
         Self {
-            queue_depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            queue_depths: (0..shards).map(|_| AtomicI64::new(0)).collect(),
             ..Self::default()
         }
     }
@@ -115,20 +108,23 @@ impl Counters {
         }
     }
 
-    /// Current depth of `shard`'s queue: enqueued minus dequeued,
-    /// saturating at zero. Both tallies live in one packed atomic, so
-    /// the difference is taken from a single load — a mid-handoff race
-    /// (worker consumed, producer not yet counted) reads as briefly
+    /// Records `n` alerts routed into `shard`'s queue.
+    pub(crate) fn enqueued(&self, shard: usize, n: u64) {
+        self.queue_depths[shard].fetch_add(signed(n), Ordering::Relaxed);
+    }
+
+    /// Records `n` alerts taken from `shard`'s queue by its worker.
+    pub(crate) fn dequeued(&self, shard: usize, n: u64) {
+        self.queue_depths[shard].fetch_sub(signed(n), Ordering::Relaxed);
+    }
+
+    /// Alerts routed into `shard`'s queue and not yet taken by its
+    /// worker. A worker that counts its take before the producer counts
+    /// the enqueue leaves the counter briefly negative, which reads as
     /// zero, never as a garbage depth.
     #[must_use]
     pub fn queue_depth(&self, shard: usize) -> u64 {
-        let packed = self.queue_depths[shard].load(Ordering::Relaxed);
-        let enqueued = (packed >> 32) as u32;
-        let dequeued = packed as u32;
-        // Signed difference: a worker that counted its dequeue before
-        // the producer counted the enqueue reads negative → clamp to 0.
-        let depth = enqueued.wrapping_sub(dequeued) as i32;
-        u64::from(depth.max(0).unsigned_abs())
+        u64::try_from(self.queue_depths[shard].load(Ordering::Relaxed)).unwrap_or(0)
     }
 
     /// A consistent-enough point-in-time copy for reporting.
@@ -155,6 +151,12 @@ impl Counters {
                 .collect(),
         }
     }
+}
+
+/// A tally as a signed step. A step past `i64::MAX` cannot come from
+/// a queue that lives in memory.
+fn signed(n: u64) -> i64 {
+    i64::try_from(n).expect("a queue tally step fits in i64")
 }
 
 /// Serializable point-in-time copy of [`Counters`] (see its fields for
@@ -207,7 +209,8 @@ mod tests {
         let counters = Counters::new(2);
         counters.ingested.fetch_add(5, Ordering::Relaxed);
         // Five enqueues, two dequeues: depth 3.
-        counters.queue_depths[1].store(5 * QUEUE_ENQUEUED + 2, Ordering::Relaxed);
+        counters.enqueued(1, 5);
+        counters.dequeued(1, 2);
         let snap = counters.snapshot();
         assert_eq!(snap.ingested, 5);
         assert_eq!(snap.queue_depths, vec![0, 3]);
@@ -221,12 +224,25 @@ mod tests {
         // A worker can count its dequeue before the producer counts the
         // enqueue; the reader must see 0, never a wrapped garbage depth.
         let counters = Counters::new(1);
-        counters.queue_depths[0].fetch_add(1, Ordering::Relaxed);
+        counters.dequeued(0, 1);
         assert_eq!(counters.queue_depth(0), 0);
-        counters.queue_depths[0].fetch_add(QUEUE_ENQUEUED, Ordering::Relaxed);
+        counters.enqueued(0, 1);
         assert_eq!(counters.queue_depth(0), 0);
-        counters.queue_depths[0].fetch_add(QUEUE_ENQUEUED, Ordering::Relaxed);
+        counters.enqueued(0, 1);
         assert_eq!(counters.queue_depth(0), 1);
+    }
+
+    #[test]
+    fn queue_depth_survives_four_billion_dequeues() {
+        // Past 2^32 dequeues a tally packed into 32-bit halves carries
+        // into the enqueue half and reads one too deep.
+        let counters = Counters::new(1);
+        for _ in 0..4 {
+            counters.enqueued(0, 1 << 30);
+            counters.dequeued(0, 1 << 30);
+        }
+        counters.enqueued(0, 3);
+        assert_eq!(counters.queue_depth(0), 3);
     }
 
     #[test]

@@ -81,7 +81,7 @@ struct Router {
 
 impl Router {
     /// Journals, then routes, one alert.
-    fn route(&self, alert: Box<Alert>) {
+    fn route(&self, alert: Alert) {
         if let Some(journal) = &self.journal {
             // Write-ahead: journaled before the alert can be in any
             // queue, so a crash never holds an unjournaled alert.
@@ -223,14 +223,14 @@ impl Ingestd {
                 };
                 for (seq, alerts) in replayed.windows {
                     coordinator.seq = seq;
-                    alerts.into_iter().for_each(|a| router.route(Box::new(a)));
+                    alerts.into_iter().for_each(|a| router.route(a));
                     let closed = coordinator
                         .close(&[])
                         .ok_or_else(|| io::Error::other("shard workers died during WAL replay"))?;
                     recovery.snapshot = Some(closed.snapshot);
                 }
                 for alert in replayed.tail {
-                    router.route(Box::new(alert));
+                    router.route(alert);
                 }
                 Some(recovery)
             }
@@ -324,7 +324,7 @@ impl IngestdHandle {
     /// and benches. Applies the same sharding and overflow policy as
     /// TCP ingress.
     pub fn route(&self, alert: Alert) {
-        self.router.route(Box::new(alert));
+        self.router.route(alert);
     }
 
     /// Closes the current window on every shard and returns the merged
@@ -617,7 +617,7 @@ fn handle_item(
 /// the ack lane are quarantined as unknown controls.
 fn handle_frame(frame: Frame, router: &Arc<Router>, mut ack: impl FnMut(AckFrame) -> bool) -> bool {
     match frame {
-        Frame::Alert(alert) => router.route(alert),
+        Frame::Alert(alert) => router.route(*alert),
         Frame::Flush => {
             if let Some(closed) = router.flush(Vec::new()) {
                 let snapshot = closed.snapshot;

@@ -38,8 +38,8 @@
 //!                 GovernanceSnapshot ──▶ status socket (JSON)
 //! ```
 //!
-//! Everything is `std`-only: threads, `mpsc::sync_channel`, and plain
-//! TCP sockets.
+//! Everything is `std`-only: threads, a mutex-and-condvar run queue
+//! per shard, and plain TCP sockets.
 //!
 //! [`Ingestd::spawn_with_wal`] makes the daemon durable with a cluster
 //! node's write-ahead log ([`alertops_wire::wal`]) and the cluster's
@@ -70,6 +70,7 @@ pub mod counters;
 mod daemon;
 pub mod metrics;
 mod pool;
+mod queue;
 pub mod shard;
 pub mod status;
 mod worker;

@@ -235,7 +235,9 @@ pub fn render_counter_snapshot(snap: &CounterSnapshot) -> String {
         snap.last_window_micros,
     );
 
-    out.push_str("# HELP alertops_queue_depth Alerts queued but not yet processed, per shard.\n");
+    out.push_str(
+        "# HELP alertops_queue_depth Alerts routed but not yet taken by the shard's worker, per shard.\n",
+    );
     out.push_str("# TYPE alertops_queue_depth gauge\n");
     for (shard, depth) in snap.queue_depths.iter().enumerate() {
         out.push_str(&render_sample(

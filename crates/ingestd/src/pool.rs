@@ -9,7 +9,7 @@
 //! ([`ShardPool::close_window`]).
 
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -21,8 +21,9 @@ use alertops_core::{
 use alertops_model::{Alert, QoaLabel};
 
 use crate::config::{IngestdConfig, OverflowPolicy};
-use crate::counters::{Counters, QUEUE_ENQUEUED};
+use crate::counters::Counters;
 use crate::metrics::IngestdMetrics;
+use crate::queue::ShardQueue;
 use crate::shard::shard_of;
 use crate::worker::{run_worker, ShardDelta, WorkerMsg};
 
@@ -30,7 +31,8 @@ use crate::worker::{run_worker, ShardDelta, WorkerMsg};
 /// stops and joins the workers; whatever they held in memory is gone.
 #[derive(Debug)]
 pub struct ShardPool {
-    shard_txs: Vec<SyncSender<WorkerMsg>>,
+    /// One per shard, shared with its worker.
+    queues: Vec<Arc<ShardQueue>>,
     /// Every worker's reply lane. Only [`collect`](Self::collect)
     /// reads it; the lock is what lets routing threads share the pool.
     deltas: Mutex<Receiver<ShardDelta>>,
@@ -67,11 +69,11 @@ impl ShardPool {
             .metrics
             .then(|| Arc::new(IngestdMetrics::new(config.shards)));
         let (delta_tx, delta_rx) = mpsc::channel();
-        let mut shard_txs = Vec::with_capacity(config.shards);
+        let mut queues = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
-            let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(config.queue_capacity);
-            shard_txs.push(tx);
+            let queue = Arc::new(ShardQueue::new(config.queue_capacity));
+            queues.push(Arc::clone(&queue));
             // Shards never run a sequential pass themselves — it
             // belongs to the holder's closer — so each channel
             // forwards or stays off, matching the configuration
@@ -88,12 +90,19 @@ impl ShardPool {
                 thread::Builder::new()
                     .name(format!("ingestd-worker-{shard}"))
                     .spawn(move || {
-                        run_worker(shard, governor, &rx, &deltas, &counters, metrics.as_deref());
+                        run_worker(
+                            shard,
+                            governor,
+                            &queue,
+                            &deltas,
+                            &counters,
+                            metrics.as_deref(),
+                        );
                     })?,
             );
         }
         Ok(Self {
-            shard_txs,
+            queues,
             deltas: Mutex::new(delta_rx),
             counters,
             overflow: config.overflow,
@@ -106,7 +115,7 @@ impl ShardPool {
     /// Number of shards.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.shard_txs.len()
+        self.queues.len()
     }
 
     /// The live counters the router and the workers record into.
@@ -125,35 +134,19 @@ impl ShardPool {
     /// policy when the bounded queue is full. Every alert entering
     /// here counts as ingested — including ones the overflow policy
     /// then sheds — so `ingested == delivered + dropped + quarantined`
-    /// stays exact.
-    pub fn route(&self, alert: Box<Alert>) {
+    /// stays exact. Routing wakes no worker (see [`ShardQueue`]).
+    pub fn route(&self, alert: Alert) {
         self.counters.ingested.fetch_add(1, Ordering::Relaxed);
-        let shard = shard_of(alert.strategy(), self.shard_txs.len());
-        // Enqueue tally: high half of the packed gauge (see
-        // `Counters::queue_depths`).
-        let queue_depth = &self.counters.queue_depths[shard];
-        match self.shard_txs[shard].try_send(WorkerMsg::Alert(alert)) {
-            Ok(()) => {
-                queue_depth.fetch_add(QUEUE_ENQUEUED, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(msg)) => match self.overflow {
-                OverflowPolicy::Block => {
-                    self.counters
-                        .backpressure_waits
-                        .fetch_add(1, Ordering::Relaxed);
-                    if self.shard_txs[shard].send(msg).is_ok() {
-                        queue_depth.fetch_add(QUEUE_ENQUEUED, Ordering::Relaxed);
-                    } else {
-                        self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                OverflowPolicy::Drop => {
-                    self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            },
-            Err(TrySendError::Disconnected(_)) => {
-                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+        let shard = shard_of(alert.strategy(), self.queues.len());
+        let queued = self.queues[shard].push_alert(alert, self.overflow, || {
+            self.counters
+                .backpressure_waits
+                .fetch_add(1, Ordering::Relaxed);
+        });
+        if queued {
+            self.counters.enqueued(shard, 1);
+        } else {
+            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -165,8 +158,9 @@ impl ShardPool {
     /// the close cannot complete; do not collect.
     #[must_use]
     pub fn begin_close(&self, seq: u64) -> bool {
-        let close = |tx: &SyncSender<WorkerMsg>| tx.send(WorkerMsg::Close { seq }).is_ok();
-        self.shard_txs.iter().all(close)
+        self.queues
+            .iter()
+            .all(|queue| queue.push_control(WorkerMsg::Close { seq }))
     }
 
     /// Second half: barriers on exactly one delta per shard for the
@@ -181,7 +175,7 @@ impl ShardPool {
     pub fn collect(&self, seq: u64, deltas: &mut Vec<WindowDelta>) -> Option<Vec<usize>> {
         let lane = self.deltas.lock().unwrap_or_else(|e| e.into_inner());
         let mut degraded = Vec::new();
-        for _ in 0..self.shard_txs.len() {
+        for _ in 0..self.queues.len() {
             let shard_delta = lane.recv().ok()?;
             debug_assert_eq!(shard_delta.seq, seq, "barrier interleaved windows");
             if shard_delta.degraded {
@@ -239,8 +233,8 @@ impl ShardPool {
     /// Pushes QoA verdicts down every shard queue, to apply before the
     /// next window close.
     pub fn push_qoa_verdicts(&self, verdicts: &QoaVerdicts) {
-        for tx in &self.shard_txs {
-            let _ = tx.send(WorkerMsg::Qoa(verdicts.clone()));
+        for queue in &self.queues {
+            queue.push_control(WorkerMsg::Qoa(verdicts.clone()));
         }
     }
 
@@ -248,9 +242,9 @@ impl ShardPool {
     /// before this call has been consumed by its worker. (Blocks
     /// indefinitely if a shard is stalled — resume first.)
     pub fn sync(&self) {
-        let (ack_tx, ack_rx) = mpsc::sync_channel(self.shard_txs.len());
-        for tx in &self.shard_txs {
-            let _ = tx.send(WorkerMsg::Sync(ack_tx.clone()));
+        let (ack_tx, ack_rx) = mpsc::sync_channel(self.queues.len());
+        for queue in &self.queues {
+            queue.push_control(WorkerMsg::Sync(ack_tx.clone()));
         }
         drop(ack_tx);
         // Each worker acks and lets go of its sender (a dead queue
@@ -264,8 +258,8 @@ impl ShardPool {
     /// (`on_close = true`). The supervisor restarts the worker either
     /// way. No-op for out-of-range shards.
     pub fn inject_panic(&self, shard: usize, on_close: bool) {
-        if let Some(tx) = self.shard_txs.get(shard) {
-            let _ = tx.send(WorkerMsg::Panic { on_close });
+        if let Some(queue) = self.queues.get(shard) {
+            queue.push_control(WorkerMsg::Panic { on_close });
         }
     }
 
@@ -276,7 +270,7 @@ impl ShardPool {
     /// resumes the earlier parked state. A close while stalled blocks
     /// until [`resume`](Self::resume).
     pub fn stall(&self, shard: usize) {
-        let Some(tx) = self.shard_txs.get(shard) else {
+        let Some(queue) = self.queues.get(shard) else {
             return;
         };
         let (entered_tx, entered_rx) = mpsc::sync_channel(1);
@@ -284,9 +278,9 @@ impl ShardPool {
         *self.resume_slots[shard]
             .lock()
             .unwrap_or_else(|e| e.into_inner()) = Some(resume_tx);
-        // Unsent (dead queue), the message takes `entered_tx` with it
-        // and the wait returns at once.
-        let _ = tx.send(WorkerMsg::Stall {
+        // Unqueued (closed queue), the message takes `entered_tx` with
+        // it and the wait returns at once.
+        queue.push_control(WorkerMsg::Stall {
             entered: entered_tx,
             resume: resume_rx,
         });
@@ -307,9 +301,11 @@ impl ShardPool {
 
 impl Drop for ShardPool {
     fn drop(&mut self) {
-        // Workers exit once every sender into their queues is gone; a
-        // parked one first needs its resume sender gone too.
-        self.shard_txs.clear();
+        // Workers drain their closed queues and exit; a stalled one
+        // first needs its resume sender gone too.
+        for queue in &self.queues {
+            queue.close();
+        }
         self.resume_slots.clear();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -325,8 +321,39 @@ pub(crate) fn elapsed_micros(since: Instant) -> u64 {
 mod tests {
     use super::*;
     use crate::shard::shard_catalog;
+    use crate::worker::CHAOS_PANIC_MSG;
     use alertops_core::{AlertGovernor, GovernorConfig, StreamingConfig};
-    use alertops_sim::scenarios;
+    use alertops_sim::scenarios::{self, SimOutput};
+
+    fn spawn(config: &IngestdConfig, out: &SimOutput) -> ShardPool {
+        ShardPool::spawn(config, |shard, shards| {
+            let catalog = shard_catalog(out.catalog.strategies(), shards, shard);
+            StreamingGovernor::new(
+                AlertGovernor::new(catalog, GovernorConfig::default()),
+                StreamingConfig::default(),
+            )
+        })
+        .expect("pool starts")
+    }
+
+    /// One shard behind a queue of `queue_capacity` alerts.
+    fn one_shard(queue_capacity: usize, overflow: OverflowPolicy) -> IngestdConfig {
+        IngestdConfig {
+            shards: 1,
+            queue_capacity,
+            overflow,
+            ..IngestdConfig::default()
+        }
+    }
+
+    /// Closes `seq` on a lone pool: its delta's alert count and its
+    /// degraded shards.
+    fn close(pool: &ShardPool, seq: u64) -> (usize, Vec<usize>) {
+        assert!(pool.begin_close(seq), "workers alive");
+        let mut deltas = Vec::new();
+        let degraded = pool.collect(seq, &mut deltas).expect("workers alive");
+        (deltas.iter().map(|d| d.alert_count).sum(), degraded)
+    }
 
     /// A holder of several pools overlaps their closes: both pools are
     /// begun before either is waited on, and collecting them in the
@@ -340,20 +367,10 @@ mod tests {
             shards: 2,
             ..IngestdConfig::default()
         };
-        let spawn = || {
-            ShardPool::spawn(&config, |shard, shards| {
-                let catalog = shard_catalog(out.catalog.strategies(), shards, shard);
-                StreamingGovernor::new(
-                    AlertGovernor::new(catalog, GovernorConfig::default()),
-                    StreamingConfig::default(),
-                )
-            })
-            .expect("pool starts")
-        };
-        let (first, second) = (spawn(), spawn());
+        let (first, second) = (spawn(&config, &out), spawn(&config, &out));
         for (pool, alerts) in [(&first, &out.alerts[..30]), (&second, &out.alerts[..50])] {
             for alert in alerts {
-                pool.route(Box::new(alert.clone()));
+                pool.route(alert.clone());
             }
         }
 
@@ -372,5 +389,67 @@ mod tests {
             assert_eq!(deltas.iter().map(|d| d.alert_count).sum::<usize>(), routed);
             assert_eq!(degraded, Vec::<usize>::new());
         }
+    }
+
+    /// The worker takes the five alerts, the panic marker and the seven
+    /// alerts after it in one batch (the stall holds it until all three
+    /// are queued). The panic loses the five it buffered; the seven wait
+    /// in the worker's inbox and the restarted loop resumes there.
+    #[test]
+    fn a_panic_spares_the_rest_of_a_taken_batch() {
+        alertops_chaos::silence_panics_containing(CHAOS_PANIC_MSG);
+        let out = scenarios::quickstart(7).run();
+        let pool = spawn(&one_shard(1024, OverflowPolicy::Block), &out);
+        pool.stall(0);
+        out.alerts[..5].iter().for_each(|a| pool.route(a.clone()));
+        pool.inject_panic(0, false);
+        out.alerts[5..12].iter().for_each(|a| pool.route(a.clone()));
+        pool.resume(0);
+        // A sync lost with the batch would not hang: its ack sender
+        // goes with it.
+        pool.sync();
+
+        assert_eq!(close(&pool, 1), (7, vec![0]));
+        let counters = pool.counters().snapshot();
+        assert_eq!((counters.delivered, counters.dropped), (7, 5));
+        assert_eq!(counters.shard_restarts, 1);
+    }
+
+    /// A window three times the queue's capacity, routed under `Block`
+    /// to a worker that only a wake can start: the half-capacity wake
+    /// and the wake of a producer about to block must keep it moving.
+    #[test]
+    fn a_window_past_capacity_neither_deadlocks_nor_drops_under_block() {
+        let out = scenarios::quickstart(7).run();
+        let capacity = 4;
+        let pool = spawn(&one_shard(capacity, OverflowPolicy::Block), &out);
+        let window = &out.alerts[..3 * capacity];
+        window.iter().for_each(|a| pool.route(a.clone()));
+
+        assert_eq!(close(&pool, 1), (window.len(), vec![]));
+        let counters = pool.counters().snapshot();
+        assert_eq!((counters.delivered, counters.dropped), (12, 0));
+        assert!(counters.is_conserved(), "{counters:?}");
+    }
+
+    /// The bound counts alerts: a stalled worker's queue keeps exactly
+    /// `capacity` of a longer burst, though the burst is a single run.
+    #[test]
+    fn capacity_counts_alerts_not_runs() {
+        let out = scenarios::quickstart(7).run();
+        let capacity = 6;
+        let pool = spawn(&one_shard(capacity, OverflowPolicy::Drop), &out);
+        pool.stall(0);
+        out.alerts[..capacity + 5]
+            .iter()
+            .for_each(|a| pool.route(a.clone()));
+        assert_eq!(pool.counters().queue_depth(0), capacity as u64);
+        pool.resume(0);
+        pool.sync();
+
+        assert_eq!(close(&pool, 1), (capacity, vec![]));
+        let counters = pool.counters().snapshot();
+        assert_eq!((counters.delivered, counters.dropped), (6, 5));
+        assert_eq!(counters.backpressure_waits, 0);
     }
 }

@@ -6,11 +6,13 @@
 //! thread down. The supervisor restarts the loop in place on the same
 //! queue, rolls the governor back to the last successful window close,
 //! counts the buffered-but-unclosed alerts as dropped, and marks the
-//! shard degraded so the next merged snapshot says so. If the panic
-//! struck mid-close, a synthetic empty window is closed on the
-//! rolled-back governor so the pool's barrier still receives exactly
-//! one delta for that sequence number — a crashing shard must never
-//! wedge a window close.
+//! shard degraded so the next merged snapshot says so. The loop takes
+//! its queue in batches; what a batch held behind the panic waits in
+//! the shard state's inbox, and the restarted loop resumes there. If
+//! the panic struck mid-close, a synthetic empty window is closed on
+//! the rolled-back governor so the pool's barrier still receives
+//! exactly one delta for that sequence number — a crashing shard must
+//! never wedge a window close.
 //!
 //! There is no stored checkpoint. Between closes the drain loop only
 //! buffers alerts, so the governor can differ from its state at the
@@ -20,6 +22,7 @@
 //! from the window digests it already retains for eviction — O(history),
 //! paid once per panic instead of a deep copy per window.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
@@ -30,6 +33,7 @@ use alertops_model::Alert;
 
 use crate::counters::Counters;
 use crate::metrics::IngestdMetrics;
+use crate::queue::ShardQueue;
 
 /// The panic message marker every chaos-injected worker panic carries.
 /// Test harnesses silence expected panics by matching on it (e.g. via
@@ -44,8 +48,8 @@ pub const CHAOS_PANIC_MSG: &str = "chaos: injected worker panic";
 /// alerts lost to an injected panic is exactly the alerts enqueued
 /// between the last close and the panic message, nothing racy.
 pub(crate) enum WorkerMsg {
-    /// An alert routed to this shard.
-    Alert(Box<Alert>),
+    /// Consecutive alerts routed to this shard, in routing order.
+    Alerts(Vec<Alert>),
     /// Close the current window and report the delta tagged with `seq`.
     Close {
         /// The holder's window sequence number, echoed back.
@@ -94,6 +98,8 @@ struct ShardState {
     /// the last one.
     governor: StreamingGovernor,
     window: Vec<Alert>,
+    /// Messages taken from the queue but not yet handled.
+    inbox: VecDeque<WorkerMsg>,
     /// A restart happened since the last close: the next delta is
     /// incomplete.
     degraded: bool,
@@ -111,14 +117,26 @@ struct ShardState {
 pub(crate) fn run_worker(
     shard: usize,
     governor: StreamingGovernor,
-    ingest: &Receiver<WorkerMsg>,
+    ingest: &ShardQueue,
     deltas: &Sender<ShardDelta>,
     counters: &Arc<Counters>,
     metrics: Option<&IngestdMetrics>,
 ) {
+    /// Hangs the queue up however the thread ends, a panic the
+    /// supervisor cannot catch included: a producer, a close or a sync
+    /// is then refused instead of waiting on a dead worker.
+    struct HangUp<'a>(&'a ShardQueue);
+    impl Drop for HangUp<'_> {
+        fn drop(&mut self) {
+            self.0.hang_up();
+        }
+    }
+    let _hang_up = HangUp(ingest);
+
     let mut state = ShardState {
         governor,
         window: Vec::new(),
+        inbox: VecDeque::new(),
         degraded: false,
         pending_close: None,
         poison_next_close: false,
@@ -205,18 +223,27 @@ fn close_window(
 fn drain(
     shard: usize,
     state: &mut ShardState,
-    ingest: &Receiver<WorkerMsg>,
+    ingest: &ShardQueue,
     deltas: &Sender<ShardDelta>,
     counters: &Arc<Counters>,
     metrics: Option<&IngestdMetrics>,
 ) {
-    while let Ok(msg) = ingest.recv() {
+    loop {
+        let Some(msg) = state.inbox.pop_front() else {
+            match ingest.take(&mut state.inbox) {
+                Some(alerts) => counters.dequeued(shard, alerts as u64),
+                None => return,
+            }
+            continue;
+        };
         match msg {
-            WorkerMsg::Alert(alert) => {
-                // Dequeue tally: low half of the packed gauge (see
-                // `Counters::queue_depths`).
-                counters.queue_depths[shard].fetch_add(1, Ordering::Relaxed);
-                state.window.push(*alert);
+            WorkerMsg::Alerts(mut run) => {
+                if state.window.is_empty() {
+                    std::mem::swap(&mut state.window, &mut run);
+                } else {
+                    state.window.append(&mut run);
+                }
+                ingest.recycle(run);
             }
             WorkerMsg::Close { seq } => {
                 state.pending_close = Some(seq);
