@@ -81,7 +81,6 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -362,7 +361,8 @@ impl AlertCluster {
         // nothing is written until that close.
         if let Some(qoa_config) = cluster.config.node.streaming.qoa.unless_off() {
             let dir = Some(cluster.coordinator_dir.as_path());
-            let verdicts = resume_qoa(&mut cluster.closer, qoa_config, dir)?;
+            let discarded = &cluster.metrics.qoa_checkpoints_discarded;
+            let verdicts = resume_qoa(&mut cluster.closer, qoa_config, dir, discarded)?;
             for pool in cluster.slots.iter().filter_map(|slot| slot.pool.as_ref()) {
                 pool.push_qoa_verdicts(&verdicts);
             }
@@ -484,7 +484,7 @@ impl AlertCluster {
 
             // Surface pool-internal overflow shedding since the last
             // close; everything else pending was just delivered.
-            let pool_dropped = pool.counters().dropped.load(Ordering::Relaxed);
+            let pool_dropped = pool.counters().dropped.get();
             let shed = pool_dropped.saturating_sub(slot.last_dropped);
             slot.last_dropped = pool_dropped;
             self.metrics.dropped.add(shed);
@@ -697,7 +697,7 @@ impl AlertCluster {
         // Shedding during history replay re-routes alerts that were
         // already accounted at their original close; don't re-count.
         let slot = &mut self.slots[node];
-        slot.last_dropped = pool.counters().dropped.load(Ordering::Relaxed);
+        slot.last_dropped = pool.counters().dropped.get();
         for alert in tail {
             wal.append(&alert)?;
             pool.route(alert);

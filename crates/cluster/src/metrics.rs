@@ -52,6 +52,9 @@ pub struct ClusterMetrics {
     pub wal_replayed_alerts: Arc<Counter>,
     /// Torn/corrupt WAL records detected at replay.
     pub wal_torn_records: Arc<Counter>,
+    /// QoA checkpoint files found damaged at restart: the model
+    /// started fresh instead.
+    pub qoa_checkpoints_discarded: Arc<Counter>,
     /// Completed range handoffs.
     pub handoffs: Arc<Counter>,
     /// End-to-end handoff latency (seal, ship, respawn both ends), µs.
@@ -143,6 +146,11 @@ impl ClusterMetrics {
             wal_torn_records: registry.counter(
                 "alertops_cluster_wal_torn_records_total",
                 "Torn or corrupt WAL records detected at replay.",
+                &[],
+            ),
+            qoa_checkpoints_discarded: registry.counter(
+                "alertops_cluster_qoa_checkpoints_discarded_total",
+                "QoA checkpoint files found damaged at restart (the model started fresh).",
                 &[],
             ),
             handoffs: registry.counter(

@@ -112,9 +112,9 @@ pub struct StreamingConfig {
     /// histogram.
     pub storm: StormConfig,
     /// The emerging-alert (R4) channel.
-    pub emerging: EmergingChannel,
+    pub emerging: Channel<EmergingConfig>,
     /// The streaming QoA feedback loop.
-    pub qoa: QoaChannel,
+    pub qoa: Channel<QoaFeedbackConfig>,
 }
 
 impl Default for StreamingConfig {
@@ -122,8 +122,8 @@ impl Default for StreamingConfig {
         Self {
             history_windows: 24,
             storm: StormConfig::default(),
-            emerging: EmergingChannel::default(),
-            qoa: QoaChannel::default(),
+            emerging: Channel::default(),
+            qoa: Channel::default(),
         }
     }
 }
@@ -156,13 +156,13 @@ pub struct WindowDelta {
     pub triage: Vec<AlertId>,
     /// Emerging-channel documents extracted from this window's alerts,
     /// sorted by alert id, when the governor runs in
-    /// [`EmergingMode::Forward`]. Empty otherwise. Alert ids are unique,
+    /// [`ChannelMode::Forward`]. Empty otherwise. Alert ids are unique,
     /// so however the window was sharded, the merged forwards sort back
     /// to one canonical document list (see [`merge_emerging_docs`]).
     pub emerging_docs: Vec<EmergingDoc>,
     /// Per-strategy QoA feature vectors extracted from this window's
     /// alerts, sorted by strategy id, when the governor runs in
-    /// [`QoaMode::Forward`]. Empty otherwise. Strategies are sharded
+    /// [`ChannelMode::Forward`]. Empty otherwise. Strategies are sharded
     /// disjointly, so merged forwards sort back to one canonical
     /// sample list with unique keys.
     pub qoa_samples: Vec<QoaSample>,
@@ -474,7 +474,7 @@ impl StreamingGovernor {
     /// Wraps a governor for streaming use.
     #[must_use]
     pub fn new(governor: AlertGovernor, config: StreamingConfig) -> Self {
-        let qoa_extractor = (config.qoa.mode != QoaMode::Off).then(FeatureExtractor::new);
+        let qoa_extractor = (config.qoa.mode != ChannelMode::Off).then(FeatureExtractor::new);
         let mut rules = BlockingRules::default();
         rules.set_verdicts(&QoaVerdicts::default(), governor.qoa_verdicts());
         Self {
@@ -498,7 +498,7 @@ impl StreamingGovernor {
     pub fn into_shard(mut self, streaming: &StreamingConfig) -> Self {
         self.config.emerging.mode = streaming.emerging.mode;
         self.config.qoa.mode = streaming.qoa.mode;
-        self.qoa_extractor = (self.config.qoa.mode != QoaMode::Off).then(FeatureExtractor::new);
+        self.qoa_extractor = (self.config.qoa.mode != ChannelMode::Off).then(FeatureExtractor::new);
         self
     }
 
@@ -687,8 +687,8 @@ impl StreamingGovernor {
         // (floating-point accumulation makes document order part of
         // the byte-identical contract).
         let emerging_docs: Vec<EmergingDoc> = match self.config.emerging.mode {
-            EmergingMode::Off => Vec::new(),
-            EmergingMode::Forward => {
+            ChannelMode::Off => Vec::new(),
+            ChannelMode::Forward => {
                 let mut docs: Vec<EmergingDoc> =
                     window.iter().map(EmergingDoc::from_alert).collect();
                 docs.sort_by_key(|d| d.alert);
@@ -1026,13 +1026,13 @@ mod tests {
         // channels. Only the closer puts reports into the snapshot.
         let window = transient_window(1_000, 2, 1, 150);
         let config = StreamingConfig {
-            emerging: EmergingChannel {
-                mode: EmergingMode::Forward,
-                ..EmergingChannel::default()
+            emerging: Channel {
+                mode: ChannelMode::Forward,
+                ..Channel::default()
             },
-            qoa: QoaChannel {
-                mode: QoaMode::Forward,
-                ..QoaChannel::default()
+            qoa: Channel {
+                mode: ChannelMode::Forward,
+                ..Channel::default()
             },
             ..StreamingConfig::default()
         };
@@ -1065,7 +1065,7 @@ mod tests {
         assert_eq!(snapshot, back);
     }
 
-    fn streaming_with_emerging(mode: EmergingMode) -> StreamingGovernor {
+    fn streaming_with_emerging(mode: ChannelMode) -> StreamingGovernor {
         let governor = AlertGovernor::new(
             vec![noisy_strategy(1), noisy_strategy(2)],
             GovernorConfig::default(),
@@ -1073,7 +1073,7 @@ mod tests {
         StreamingGovernor::new(
             governor,
             StreamingConfig {
-                emerging: EmergingChannel {
+                emerging: Channel {
                     mode,
                     config: EmergingConfig::default(),
                 },
@@ -1085,14 +1085,14 @@ mod tests {
     #[test]
     fn emerging_off_emits_nothing() {
         let mut s = streaming(24);
-        assert_eq!(s.config.emerging.mode, EmergingMode::Off);
+        assert_eq!(s.config.emerging.mode, ChannelMode::Off);
         let d = s.ingest(&transient_window(0, 1, 0, 5), &[]);
         assert!(d.emerging_docs.is_empty());
     }
 
     #[test]
     fn forward_mode_extracts_docs_sorted_by_id() {
-        let mut s = streaming_with_emerging(EmergingMode::Forward);
+        let mut s = streaming_with_emerging(ChannelMode::Forward);
         let d = s.ingest(&transient_window(10, 1, 0, 5), &[]);
         assert_eq!(d.emerging_docs.len(), 5);
         assert!(d.emerging_docs.windows(2).all(|w| w[0].alert < w[1].alert));
@@ -1104,14 +1104,14 @@ mod tests {
 
     #[test]
     fn one_closed_governor_equals_two_merged_shards_under_a_bare_detector() {
-        let mut single = streaming_with_emerging(EmergingMode::Forward);
+        let mut single = streaming_with_emerging(ChannelMode::Forward);
         let mut closer = WindowCloser::new(
             StormConfig::default(),
             Some(EmergingConfig::default()),
             None,
         );
-        let mut shard_a = streaming_with_emerging(EmergingMode::Forward);
-        let mut shard_b = streaming_with_emerging(EmergingMode::Forward);
+        let mut shard_a = streaming_with_emerging(ChannelMode::Forward);
+        let mut shard_b = streaming_with_emerging(ChannelMode::Forward);
         let mut coordinator = EmergingAlertDetector::new(EmergingConfig::default());
         for hour in 0..3u64 {
             let window = transient_window(hour * 100, 1, hour, 6);
@@ -1144,7 +1144,7 @@ mod tests {
         assert_eq!(da.merged(&db), WindowDelta::merge_all(&[da, db]));
     }
 
-    fn streaming_with_qoa(mode: QoaMode) -> StreamingGovernor {
+    fn streaming_with_qoa(mode: ChannelMode) -> StreamingGovernor {
         let governor = AlertGovernor::new(
             vec![noisy_strategy(1), noisy_strategy(2)],
             GovernorConfig::default(),
@@ -1152,7 +1152,7 @@ mod tests {
         StreamingGovernor::new(
             governor,
             StreamingConfig {
-                qoa: QoaChannel {
+                qoa: Channel {
                     mode,
                     config: QoaFeedbackConfig::default(),
                 },
@@ -1171,7 +1171,7 @@ mod tests {
     #[test]
     fn qoa_off_emits_nothing() {
         let mut s = streaming(24);
-        assert_eq!(s.config.qoa.mode, QoaMode::Off);
+        assert_eq!(s.config.qoa.mode, ChannelMode::Off);
         let d = s.ingest(&transient_window(0, 1, 0, 5), &[]);
         assert!(d.qoa_samples.is_empty());
         assert!(d.escalated.is_empty());
@@ -1179,7 +1179,7 @@ mod tests {
 
     #[test]
     fn forward_mode_extracts_one_sample_per_strategy() {
-        let mut s = streaming_with_qoa(QoaMode::Forward);
+        let mut s = streaming_with_qoa(ChannelMode::Forward);
         let mut window = transient_window(0, 1, 0, 5);
         window.extend(transient_window(100, 2, 0, 3));
         window.sort_by_key(|a| (a.raised_at(), a.id()));
@@ -1197,7 +1197,7 @@ mod tests {
     #[test]
     fn one_closed_governor_equals_two_merged_shards_under_a_bare_model() {
         let registry = alertops_obs::MetricsRegistry::new();
-        let mut single = streaming_with_qoa(QoaMode::Forward);
+        let mut single = streaming_with_qoa(ChannelMode::Forward);
         let mut closer = WindowCloser::new(
             StormConfig::default(),
             None,
@@ -1207,8 +1207,8 @@ mod tests {
             crate::EmergingMetrics::register(&registry),
             crate::QoaMetrics::register(&registry),
         );
-        let mut shard_a = streaming_with_qoa(QoaMode::Forward);
-        let mut shard_b = streaming_with_qoa(QoaMode::Forward);
+        let mut shard_a = streaming_with_qoa(ChannelMode::Forward);
+        let mut shard_b = streaming_with_qoa(ChannelMode::Forward);
         let mut coordinator = OnlineQoaModel::new(QoaFeedbackConfig::default());
         for hour in 0..4u64 {
             let mut window = transient_window(hour * 1_000, 1, hour, 6);
@@ -1245,7 +1245,7 @@ mod tests {
 
     #[test]
     fn promoted_strategies_escalate_untriaged_alerts() {
-        let mut s = streaming_with_qoa(QoaMode::Forward);
+        let mut s = streaming_with_qoa(ChannelMode::Forward);
         s.set_qoa_verdicts(QoaVerdicts {
             demoted: Vec::new(),
             promoted: vec![StrategyId(2)],

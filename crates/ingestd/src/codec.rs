@@ -31,7 +31,7 @@
 //! - `{"ctrl":"resume","shard":N}` — unpark a stalled worker.
 //!
 //! Blank lines are ignored. Malformed lines are *quarantined*: counted
-//! per [`QuarantineReason`] (with [`crate::Counters::decode_errors`]
+//! per [`QuarantineReason`] (with [`crate::CounterSnapshot::decode_errors`]
 //! as the total) and skipped — one bad producer must not poison the
 //! stream. [`FrameDecoder`] performs the byte-level framing: it
 //! carries partial lines across reads, quarantines frames cut short by

@@ -52,8 +52,8 @@ pub struct IngestdConfig {
     /// back down every shard queue before the next close.
     pub streaming: StreamingConfig,
     /// `host:port` to accept alert ingress on. `None` disables the TCP
-    /// listener (alerts arrive via [`crate::IngestdHandle::route`] or
-    /// stdin instead). Use port 0 to let the OS pick.
+    /// listener (alerts arrive via [`crate::IngestdHandle::route`]
+    /// instead). Use port 0 to let the OS pick.
     pub listen: Option<String>,
     /// Ingress wire encoding (`--wire`): NDJSON lines (the default) or
     /// `alertops-wire` binary frames — one frame vocabulary either way.

@@ -14,6 +14,7 @@ use alertops_core::{
     QoaVerdicts, WindowCloser,
 };
 use alertops_model::QoaLabel;
+use alertops_obs::Counter;
 use alertops_wire::wal::{read_qoa_checkpoint, write_qoa_checkpoint, Wal};
 
 use crate::pool::{elapsed_micros, ShardPool};
@@ -53,8 +54,10 @@ impl Journal {
 /// Starts `closer`'s QoA model — from the checkpoint file in `dir`
 /// when there is an intact one (exact weights, not a relearn), else
 /// fresh — and returns the verdicts to push down before the next
-/// close. The resume step of both merge points, a daemon's and a
-/// cluster's.
+/// close. A checkpoint file that exists but does not restore (torn,
+/// rotted, the wrong shape) still means a fresh model, and counts one
+/// on `discarded`; a missing file is a first start. The resume step of
+/// both merge points, a daemon's and a cluster's.
 ///
 /// # Errors
 ///
@@ -63,10 +66,17 @@ pub fn resume_qoa(
     closer: &mut WindowCloser,
     config: QoaFeedbackConfig,
     dir: Option<&Path>,
+    discarded: &Counter,
 ) -> io::Result<QoaVerdicts> {
-    let checkpoint = dir.map(read_qoa_checkpoint).transpose()?.flatten();
-    let checkpoint = checkpoint.and_then(|bytes| QoaCheckpoint::from_bytes(&bytes));
+    let file = dir.map(read_qoa_checkpoint).transpose()?.flatten();
+    let found = file.is_some();
+    let checkpoint = file
+        .flatten()
+        .and_then(|bytes| QoaCheckpoint::from_bytes(&bytes));
     if !checkpoint.is_some_and(|ckpt| closer.restore_qoa(config, &ckpt)) {
+        if found {
+            discarded.inc();
+        }
         closer.start_qoa(config);
     }
     Ok(closer
@@ -115,15 +125,13 @@ impl Coordinator {
             ShardPool::close_window(&[self.pool.as_ref()], seq, &mut self.closer, labels);
         let degraded = degraded.pop().flatten()?;
         if !degraded.is_empty() {
-            counters.degraded_windows.fetch_add(1, Ordering::Relaxed);
+            counters.degraded_windows.inc();
         }
         closed.snapshot.window_index = seq;
         closed.snapshot.degraded = degraded;
         let window_micros = elapsed_micros(started);
-        counters
-            .last_window_micros
-            .store(window_micros, Ordering::Relaxed);
-        counters.windows_closed.fetch_add(1, Ordering::Relaxed);
+        counters.last_window_micros.set(window_micros);
+        counters.windows_closed.inc();
         if let Some(m) = self.pool.metrics() {
             m.window_close_micros.observe(window_micros);
             // Per-window RSS sample: an operator gauge on the status

@@ -29,7 +29,7 @@ use crate::codec::{ack_line, FrameDecoder, FrameError, QuarantineReason};
 use crate::config::IngestdConfig;
 use crate::coordinator::{resume_qoa, CoordMsg, Coordinator, Journal, WalRecovery};
 use crate::counters::CounterSnapshot;
-use crate::metrics::{render_exposition, IngestdMetrics};
+use crate::metrics::IngestdMetrics;
 use crate::pool::ShardPool;
 use crate::status::{StatusReport, StatusRequest};
 
@@ -183,8 +183,8 @@ impl Ingestd {
         let closer = match pool.metrics() {
             Some(m) => closer
                 .with_metrics(
-                    EmergingMetrics::register(m.registry()),
-                    QoaMetrics::register(m.registry()),
+                    EmergingMetrics::register(pool.registry()),
+                    QoaMetrics::register(pool.registry()),
                 )
                 .with_merge_timer(Arc::clone(&m.merge_micros)),
             None => closer,
@@ -237,7 +237,12 @@ impl Ingestd {
             None => None,
         };
         if let Some(qoa) = streaming.qoa.unless_off() {
-            let verdicts = resume_qoa(&mut coordinator.closer, qoa, wal)?;
+            let discarded = router.pool.registry().counter(
+                "alertops_qoa_checkpoints_discarded_total",
+                "QoA checkpoint files found damaged at restart (the model started fresh).",
+                &[],
+            );
+            let verdicts = resume_qoa(&mut coordinator.closer, qoa, wal, &discarded)?;
             router.pool.push_qoa_verdicts(&verdicts);
         }
 
@@ -320,9 +325,9 @@ impl IngestdHandle {
         (self.router.journal.as_ref()).map_or(0, |j| j.write_errors.load(Ordering::Relaxed))
     }
 
-    /// Routes one alert directly (no socket); used by the stdin path
-    /// and benches. Applies the same sharding and overflow policy as
-    /// TCP ingress.
+    /// Routes one alert directly (no socket); used by in-process
+    /// callers such as tests and benches. Applies the same sharding and
+    /// overflow policy as TCP ingress.
     pub fn route(&self, alert: Alert) {
         self.router.route(alert);
     }
@@ -382,7 +387,7 @@ impl IngestdHandle {
     /// Point-in-time counter values.
     #[must_use]
     pub fn counters(&self) -> CounterSnapshot {
-        self.router.pool.counters().snapshot()
+        self.router.pool.counter_snapshot()
     }
 
     /// The daemon's metric handles, if [`IngestdConfig::metrics`] is
@@ -398,8 +403,7 @@ impl IngestdHandle {
     /// serves for a `metrics` request.
     #[must_use]
     pub fn render_metrics(&self) -> String {
-        let pool = &self.router.pool;
-        render_exposition(pool.counters(), pool.metrics().map(Arc::as_ref))
+        self.router.pool.render_metrics()
     }
 
     /// Blocks until some connection sends `{"ctrl":"shutdown"}` (or
@@ -705,26 +709,25 @@ fn serve_status(
     snapshot: &Arc<RwLock<Option<GovernanceSnapshot>>>,
 ) {
     let request = read_status_request(stream);
-    let counters = pool.counters();
     let mut writer = stream;
     match request {
         StatusRequest::Status => {
             let report = StatusReport {
-                counters: counters.snapshot(),
+                counters: pool.counter_snapshot(),
                 snapshot: snapshot.read().unwrap_or_else(|e| e.into_inner()).clone(),
             };
             let _ = writeln!(writer, "{}", report.to_json());
         }
         StatusRequest::Metrics => {
-            let metrics = pool.metrics().map(Arc::as_ref);
-            let _ = writer.write_all(render_exposition(counters, metrics).as_bytes());
+            let _ = writer.write_all(pool.render_metrics().as_bytes());
         }
         StatusRequest::Healthz => {
             // Liveness must stay cheap: two atomic loads and one small
             // write, no JSON, no snapshot clone. The counters give a
             // probe something monotone to watch.
-            let windows = counters.windows_closed.load(Ordering::Relaxed);
-            let ingested = counters.ingested.load(Ordering::Relaxed);
+            let counters = pool.counters();
+            let windows = counters.windows_closed.get();
+            let ingested = counters.ingested.get();
             let _ = writeln!(writer, "ok windows={windows} ingested={ingested}");
         }
         StatusRequest::Unknown(verb) => {

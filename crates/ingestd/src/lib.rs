@@ -20,14 +20,16 @@
 //! global [`alertops_core::GovernanceSnapshot`]: newly flagged
 //! findings, resolved flags, exact global storm state (reconstructed
 //! from summed per-shard region-hour histograms), and the triage list.
-//! The latest snapshot plus ingestion counters are served as one JSON
-//! document per connection on a plaintext status socket.
+//! A plaintext status socket answers one request per connection
+//! ([`StatusRequest`]): `status`, the latest snapshot plus ingestion
+//! counters as one JSON document; `metrics`, the Prometheus exposition
+//! of the pool's registry; or `healthz`, one liveness line.
 //!
 //! ```text
 //!                    ┌────────────┐   bounded    ┌──────────────────┐
-//!  TCP/stdin ──────▶ │   router    │ ──queues──▶ │ worker 0..N-1     │
-//!  NDJSON alerts     │ shard by    │             │ StreamingGovernor │
-//!                    │ StrategyId  │             └────────┬─────────┘
+//!  TCP ────────────▶ │   router    │ ──queues──▶ │ worker 0..N-1     │
+//!  NDJSON or binary  │ shard by    │             │ StreamingGovernor │
+//!  alert frames      │ StrategyId  │             └────────┬─────────┘
 //!                    └─────┬──────┘                WindowDelta per tick
 //!                          │ flush                        │
 //!                          ▼                              ▼
@@ -35,7 +37,7 @@
 //!                    │ coordinator │ ◀─────────│ barrier: one delta │
 //!                    └─────┬──────┘            │ per shard per seq  │
 //!                          ▼                   └────────────────────┘
-//!                 GovernanceSnapshot ──▶ status socket (JSON)
+//!                 GovernanceSnapshot ──▶ status socket
 //! ```
 //!
 //! Everything is `std`-only: threads, a mutex-and-condvar run queue
@@ -84,7 +86,7 @@ pub use config::{IngestdConfig, OverflowPolicy};
 pub use coordinator::{resume_qoa, WalRecovery};
 pub use counters::{CounterSnapshot, Counters};
 pub use daemon::{Ingestd, IngestdHandle};
-pub use metrics::{render_exposition, IngestdMetrics};
+pub use metrics::IngestdMetrics;
 pub use pool::ShardPool;
 pub use shard::{shard_catalog, shard_of};
 pub use status::{StatusReport, StatusRequest};

@@ -3,12 +3,12 @@
 //! This is what every holder of shards shares — a daemon's coordinator
 //! (one pool) and `alertops-cluster`'s `AlertCluster` (one pool per
 //! node): routing under the overflow policy with its counters, the two
-//! halves of a window close, the QoA verdict push-down, and the drain
-//! and chaos hooks. A pool merges nothing and owns no [`WindowCloser`]:
+//! halves of a window close, the QoA verdict push-down, the drain and
+//! chaos hooks, and the one metrics registry every series of the pool
+//! lives on. A pool merges nothing and owns no [`WindowCloser`]:
 //! its holder runs one close over every pool it holds
 //! ([`ShardPool::close_window`]).
 
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -19,9 +19,10 @@ use alertops_core::{
     ClosedWindow, GovernorMetrics, QoaVerdicts, StreamingGovernor, WindowCloser, WindowDelta,
 };
 use alertops_model::{Alert, QoaLabel};
+use alertops_obs::MetricsRegistry;
 
 use crate::config::{IngestdConfig, OverflowPolicy};
-use crate::counters::Counters;
+use crate::counters::{CounterSnapshot, Counters};
 use crate::metrics::IngestdMetrics;
 use crate::queue::ShardQueue;
 use crate::shard::shard_of;
@@ -36,6 +37,9 @@ pub struct ShardPool {
     /// Every worker's reply lane. Only [`collect`](Self::collect)
     /// reads it; the lock is what lets routing threads share the pool.
     deltas: Mutex<Receiver<ShardDelta>>,
+    /// Every series of the pool: the conservation families always, the
+    /// stage and governor families when metrics are on.
+    registry: MetricsRegistry,
     counters: Arc<Counters>,
     overflow: OverflowPolicy,
     /// One slot per shard holding the resume sender of an in-flight
@@ -64,10 +68,11 @@ impl ShardPool {
             .validate()
             .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
 
-        let counters = Arc::new(Counters::new(config.shards));
+        let registry = MetricsRegistry::new();
+        let counters = Arc::new(Counters::register(&registry, config.shards));
         let metrics = config
             .metrics
-            .then(|| Arc::new(IngestdMetrics::new(config.shards)));
+            .then(|| Arc::new(IngestdMetrics::register(&registry, config.shards)));
         let (delta_tx, delta_rx) = mpsc::channel();
         let mut queues = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
@@ -79,10 +84,10 @@ impl ShardPool {
             // forwards or stays off, matching the configuration
             // regardless of how the caller built the governor.
             let mut governor = make_governor(shard, config.shards).into_shard(&config.streaming);
-            if let Some(metrics) = &metrics {
+            if metrics.is_some() {
                 // Shards share detect/react series: the registry hands
                 // every shard the same aggregate instruments.
-                governor = governor.with_metrics(GovernorMetrics::register(metrics.registry()));
+                governor = governor.with_metrics(GovernorMetrics::register(&registry));
             }
             let (deltas, counters, metrics) =
                 (delta_tx.clone(), Arc::clone(&counters), metrics.clone());
@@ -104,6 +109,7 @@ impl ShardPool {
         Ok(Self {
             queues,
             deltas: Mutex::new(delta_rx),
+            registry,
             counters,
             overflow: config.overflow,
             resume_slots: (0..config.shards).map(|_| Mutex::new(None)).collect(),
@@ -120,8 +126,38 @@ impl ShardPool {
 
     /// The live counters the router and the workers record into.
     #[must_use]
-    pub fn counters(&self) -> &Arc<Counters> {
+    pub fn counters(&self) -> &Counters {
         &self.counters
+    }
+
+    /// The registry every series of the pool lives on; a holder
+    /// registers its own families (a closer's channels) here too.
+    #[must_use]
+    pub(crate) fn registry(&self) -> &MetricsRegistry {
+        &self.registry
+    }
+
+    /// Point-in-time counters, queue depths read from the queues.
+    #[must_use]
+    pub(crate) fn counter_snapshot(&self) -> CounterSnapshot {
+        self.refresh_queue_depths();
+        self.counters.snapshot()
+    }
+
+    /// The Prometheus exposition of every series on the pool's
+    /// registry, queue depths read from the queues.
+    #[must_use]
+    pub(crate) fn render_metrics(&self) -> String {
+        self.refresh_queue_depths();
+        self.registry.render()
+    }
+
+    /// Sets each depth gauge from its queue's count, read under the
+    /// queue's lock.
+    fn refresh_queue_depths(&self) {
+        for (queue, depth) in self.queues.iter().zip(&self.counters.depth_gauges) {
+            depth.set(queue.depth() as u64);
+        }
     }
 
     /// The pool's metric handles, when [`IngestdConfig::metrics`] is on.
@@ -136,17 +172,13 @@ impl ShardPool {
     /// then sheds — so `ingested == delivered + dropped + quarantined`
     /// stays exact. Routing wakes no worker (see [`ShardQueue`]).
     pub fn route(&self, alert: Alert) {
-        self.counters.ingested.fetch_add(1, Ordering::Relaxed);
+        self.counters.ingested.inc();
         let shard = shard_of(alert.strategy(), self.queues.len());
         let queued = self.queues[shard].push_alert(alert, self.overflow, || {
-            self.counters
-                .backpressure_waits
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.backpressure_waits.inc();
         });
-        if queued {
-            self.counters.enqueued(shard, 1);
-        } else {
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+        if !queued {
+            self.counters.dropped.inc();
         }
     }
 
@@ -410,7 +442,7 @@ mod tests {
         pool.sync();
 
         assert_eq!(close(&pool, 1), (7, vec![0]));
-        let counters = pool.counters().snapshot();
+        let counters = pool.counter_snapshot();
         assert_eq!((counters.delivered, counters.dropped), (7, 5));
         assert_eq!(counters.shard_restarts, 1);
     }
@@ -427,7 +459,7 @@ mod tests {
         window.iter().for_each(|a| pool.route(a.clone()));
 
         assert_eq!(close(&pool, 1), (window.len(), vec![]));
-        let counters = pool.counters().snapshot();
+        let counters = pool.counter_snapshot();
         assert_eq!((counters.delivered, counters.dropped), (12, 0));
         assert!(counters.is_conserved(), "{counters:?}");
     }
@@ -443,12 +475,12 @@ mod tests {
         out.alerts[..capacity + 5]
             .iter()
             .for_each(|a| pool.route(a.clone()));
-        assert_eq!(pool.counters().queue_depth(0), capacity as u64);
+        assert_eq!(pool.counter_snapshot().queue_depths, [capacity as u64]);
         pool.resume(0);
         pool.sync();
 
         assert_eq!(close(&pool, 1), (capacity, vec![]));
-        let counters = pool.counters().snapshot();
+        let counters = pool.counter_snapshot();
         assert_eq!((counters.delivered, counters.dropped), (6, 5));
         assert_eq!(counters.backpressure_waits, 0);
     }

@@ -153,10 +153,9 @@ impl ShardQueue {
     }
 
     /// The worker's side: waits until it is wanted (or the queue is
-    /// closed), then moves everything queued into the empty `inbox`
-    /// and returns how many alerts that was. `None` once the queue is
-    /// closed and drained.
-    pub(crate) fn take(&self, inbox: &mut VecDeque<WorkerMsg>) -> Option<usize> {
+    /// closed), then moves everything queued into the empty `inbox`.
+    /// `false` once the queue is closed and drained.
+    pub(crate) fn take(&self, inbox: &mut VecDeque<WorkerMsg>) -> bool {
         debug_assert!(inbox.is_empty(), "the worker takes only when idle");
         let mut state = self.lock();
         while !state.wanted && !state.closed {
@@ -170,15 +169,20 @@ impl ShardQueue {
         if state.msgs.is_empty() {
             // Only a closed queue gets here empty: every wake queued
             // something first.
-            return None;
+            return false;
         }
         std::mem::swap(inbox, &mut state.msgs);
         state.wanted = false;
-        let taken = std::mem::take(&mut state.alerts);
+        state.alerts = 0;
         if state.blocked > 0 {
             self.room.notify_all();
         }
-        Some(taken)
+        true
+    }
+
+    /// Alerts queued and not yet taken by the worker.
+    pub(crate) fn depth(&self) -> usize {
+        self.lock().alerts
     }
 
     /// Hands an emptied run buffer back as the next run's storage,

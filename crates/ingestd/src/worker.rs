@@ -24,9 +24,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
-use std::sync::Arc;
 
 use alertops_core::{QoaVerdicts, StreamingGovernor, WindowDelta};
 use alertops_model::Alert;
@@ -119,7 +117,7 @@ pub(crate) fn run_worker(
     governor: StreamingGovernor,
     ingest: &ShardQueue,
     deltas: &Sender<ShardDelta>,
-    counters: &Arc<Counters>,
+    counters: &Counters,
     metrics: Option<&IngestdMetrics>,
 ) {
     /// Hangs the queue up however the thread ends, a panic the
@@ -151,10 +149,8 @@ pub(crate) fn run_worker(
         match finished {
             Ok(()) => return, // queue closed: clean shutdown
             Err(_) => {
-                counters.shard_restarts.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .dropped
-                    .fetch_add(state.window.len() as u64, Ordering::Relaxed);
+                counters.shard_restarts.inc();
+                counters.dropped.add(state.window.len() as u64);
                 state.window.clear();
                 // Back to the last successful close, whatever the
                 // panic left half-done. QoA verdicts pushed since then
@@ -184,7 +180,7 @@ fn close_window(
     state: &mut ShardState,
     seq: u64,
     deltas: &Sender<ShardDelta>,
-    counters: &Arc<Counters>,
+    counters: &Counters,
     metrics: Option<&IngestdMetrics>,
 ) {
     // If a chaos panic interrupts the close, the span still records on
@@ -204,9 +200,7 @@ fn close_window(
         panic!("{CHAOS_PANIC_MSG} (shard {shard}, close {seq})");
     }
     state.governor.commit();
-    counters
-        .delivered
-        .fetch_add(state.window.len() as u64, Ordering::Relaxed);
+    counters.delivered.add(state.window.len() as u64);
     // Keep the buffer's capacity for the next window.
     state.window.clear();
     state.pending_close = None;
@@ -225,14 +219,13 @@ fn drain(
     state: &mut ShardState,
     ingest: &ShardQueue,
     deltas: &Sender<ShardDelta>,
-    counters: &Arc<Counters>,
+    counters: &Counters,
     metrics: Option<&IngestdMetrics>,
 ) {
     loop {
         let Some(msg) = state.inbox.pop_front() else {
-            match ingest.take(&mut state.inbox) {
-                Some(alerts) => counters.dequeued(shard, alerts as u64),
-                None => return,
+            if !ingest.take(&mut state.inbox) {
+                return;
             }
             continue;
         };

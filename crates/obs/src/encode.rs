@@ -12,14 +12,11 @@ use std::fmt::Write as _;
 
 use crate::registry::{Family, Instrument};
 
-/// Formats one exposition sample line (no trailing newline).
-///
-/// This is the same formatter the registry renderer uses; components
-/// that expose pre-existing atomic counters (e.g. the ingestd
-/// conservation counters) call it so their hand-rendered lines are
-/// byte-compatible with registry output.
+/// Formats one exposition sample line (no trailing newline). Every
+/// series this workspace exposes lives on a [`crate::MetricsRegistry`],
+/// so the registry renderer is its only caller.
 #[must_use]
-pub fn render_sample(name: &str, labels: &[(&str, &str)], value: u64) -> String {
+pub(crate) fn render_sample(name: &str, labels: &[(&str, &str)], value: u64) -> String {
     let mut line = String::with_capacity(name.len() + 24);
     line.push_str(name);
     push_labels(&mut line, labels.iter().map(|(k, v)| (*k, *v)));

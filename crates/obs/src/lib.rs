@@ -54,7 +54,7 @@ pub mod process;
 mod registry;
 mod span;
 
-pub use encode::{lint_exposition, render_sample};
+pub use encode::lint_exposition;
 pub use histogram::{Histogram, HistogramSnapshot, HISTOGRAM_SUB_BUCKETS};
 pub use metrics::{milli, Counter, Gauge};
 pub use registry::MetricsRegistry;

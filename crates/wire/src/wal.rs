@@ -403,15 +403,15 @@ pub fn write_qoa_checkpoint(dir: &Path, checkpoint: Vec<u8>) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Reads `dir`'s QoA checkpoint file back. Anything but exactly one
-/// intact `QoaState` frame — no file, a torn or rotted one — is `None`:
-/// the caller starts a fresh model and its next close replaces the
-/// file.
+/// Reads `dir`'s QoA checkpoint file back: `None` when there is no
+/// file (a first start), `Some(None)` when it is anything but exactly
+/// one intact `QoaState` frame — a torn or rotted one. Either way the
+/// caller starts a fresh model and its next close replaces the file.
 ///
 /// # Errors
 ///
 /// Filesystem errors other than a missing file pass through.
-pub fn read_qoa_checkpoint(dir: &Path) -> io::Result<Option<Vec<u8>>> {
+pub fn read_qoa_checkpoint(dir: &Path) -> io::Result<Option<Option<Vec<u8>>>> {
     let bytes = match fs::read(dir.join(QOA_CHECKPOINT)) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -419,10 +419,12 @@ pub fn read_qoa_checkpoint(dir: &Path) -> io::Result<Option<Vec<u8>>> {
     };
     let mut decoder = WireDecoder::new();
     let mut frames = decoder.feed(&bytes);
-    Ok(match (frames.pop(), frames.is_empty(), decoder.finish()) {
-        (Some(Ok(Frame::QoaState(checkpoint))), true, None) => Some(checkpoint),
-        _ => None,
-    })
+    Ok(Some(
+        match (frames.pop(), frames.is_empty(), decoder.finish()) {
+            (Some(Ok(Frame::QoaState(checkpoint))), true, None) => Some(checkpoint),
+            _ => None,
+        },
+    ))
 }
 
 #[cfg(test)]

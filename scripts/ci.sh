@@ -148,11 +148,20 @@ fi
 # AO-LDA evaluates ψ directly and indexes a batch's documents once per
 # call: no ψ memo, no per-pass hash memo of outcomes or mixtures.
 # Alerts reach a shard in runs on its ShardQueue: no boxed alert per
-# message, no channel per shard, no packed queue-depth gauge.
+# message, no channel per shard, no packed queue-depth gauge. The
+# daemon's accounting lives on its pool's metrics registry: no second
+# Prometheus encoder for the conservation families and no per-shard
+# depth mirrored beside the queue that holds the count.
 # Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>' \
+if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo or a per-alert shard message reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder or a mirrored queue depth reappeared (see matches above)" >&2
+    exit 1
+fi
+# The registry is the only exposition encoder, so its sample formatter
+# stays private to alertops-obs.
+if grep -n render_sample crates/obs/src/lib.rs; then
+    echo "alertops-obs re-exports render_sample again: a hand-written exposition can come back (see matches above)" >&2
     exit 1
 fi
 if grep -rn IngestdHandle crates/cluster/src; then

@@ -422,7 +422,7 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
         // Shards forward documents and the coordinator's WindowCloser
         // runs the one sequential AO-LDA pass, so shard count cannot
         // change output.
-        streaming.emerging.mode = EmergingMode::Forward;
+        streaming.emerging.mode = ChannelMode::Forward;
         if let Some(cap) = args.emerging_budget {
             streaming.emerging.config.budget = Some(EmergingBudget::new(cap, args.seed));
         }
@@ -431,7 +431,7 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
         // Same split: shards forward QoA samples, the coordinator's
         // closer runs the one sequential model update and pushes the
         // verdicts back down.
-        streaming.qoa.mode = QoaMode::Forward;
+        streaming.qoa.mode = ChannelMode::Forward;
     }
     let config = IngestdConfig {
         shards: args.shards,
@@ -532,7 +532,7 @@ fn run_cluster(args: &Args, out: &SimOutput) -> ExitCode {
 
     let mut streaming = StreamingConfig::default();
     if args.emerging {
-        streaming.emerging.mode = EmergingMode::Forward;
+        streaming.emerging.mode = ChannelMode::Forward;
         if let Some(cap) = args.emerging_budget {
             streaming.emerging.config.budget = Some(EmergingBudget::new(cap, args.seed));
         }
@@ -541,7 +541,7 @@ fn run_cluster(args: &Args, out: &SimOutput) -> ExitCode {
         // Every node's shards forward samples and run no pass; the
         // cluster coordinator's closer owns the one model, and labels
         // come from the simulator's seeded feedback oracle below.
-        streaming.qoa.mode = QoaMode::Forward;
+        streaming.qoa.mode = ChannelMode::Forward;
     }
     let node = IngestdConfig {
         shards: args.shards,

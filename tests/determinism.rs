@@ -5,7 +5,8 @@
 use alertops::chaos::{silence_panics_containing, ChaosConfig, ChaosKind, ChaosSchedule};
 use alertops::core::prelude::*;
 use alertops::ingestd::{
-    shard_catalog, shard_of, Ingestd, IngestdConfig, OverflowPolicy, CHAOS_PANIC_MSG,
+    shard_catalog, shard_of, CounterSnapshot, Ingestd, IngestdConfig, OverflowPolicy,
+    QuarantineReason, CHAOS_PANIC_MSG,
 };
 use alertops::model::LogRule;
 use alertops::react::{EmergingAlertDetector, EmergingConfig};
@@ -260,30 +261,36 @@ fn chaos_run(seed: u64, metrics: bool) -> Vec<String> {
             outputs.push(serde_json::to_string(&snapshot).expect("snapshot serializes"));
         }
     }
-    let mut counters = handle.counters();
+    let counters = handle.counters();
     assert_eq!(
         counters.shard_restarts, 3,
         "two panics + one poisoned close"
     );
     assert!(counters.dropped >= 12, "the burst overflowed: {counters:?}");
     assert!(counters.is_conserved(), "{counters:?}");
-    if metrics {
-        // Re-assert the conservation law from the *exposition* — the
-        // scrape a real monitoring system would see must carry the
-        // same accounting the in-process counters do.
-        let text = handle.render_metrics();
-        alertops::obs::lint_exposition(&text).expect("chaos-run exposition lints");
-        let quarantined: u64 = exposition_values(&text, "alertops_quarantined_total")
-            .iter()
-            .sum();
-        assert_eq!(
-            exposition_value(&text, "alertops_ingested_total"),
-            exposition_value(&text, "alertops_delivered_total")
-                + exposition_value(&text, "alertops_dropped_total")
-                + quarantined,
-            "exposition violates ingested == delivered + dropped + quarantined:\n{text}"
-        );
+    // The scrape a real monitoring system would see carries the same
+    // accounting as the in-process counters, field by field, with or
+    // without the rest of the metrics — read while a parked shard
+    // holds three alerts, so the depths are not all zero.
+    let held = 0;
+    handle.stall_shard(held);
+    for alert in trace
+        .iter()
+        .filter(|a| shard_of(a.strategy(), CHAOS_SHARDS) == held)
+        .take(3)
+    {
+        handle.route(alert.clone());
     }
+    let text = handle.render_metrics();
+    let mut counters = handle.counters();
+    handle.resume_shard(held);
+    assert_eq!(counters.queue_depths[held], 3);
+    alertops::obs::lint_exposition(&text).expect("chaos-run exposition lints");
+    assert_eq!(
+        counters_from_exposition(&text, CHAOS_SHARDS),
+        counters,
+        "the exposition disagrees with the counters:\n{text}"
+    );
     counters.last_window_micros = 0; // the one wall-clock field
     outputs.push(serde_json::to_string(&counters).expect("counters serialize"));
     handle.shutdown();
@@ -303,11 +310,51 @@ fn exposition_values(text: &str, name: &str) -> Vec<u64> {
         .collect()
 }
 
-/// The single value of an unlabelled family.
-fn exposition_value(text: &str, name: &str) -> u64 {
-    let values = exposition_values(text, name);
-    assert_eq!(values.len(), 1, "{name} should be a single series");
+/// The value of one series, named with its labels as the exposition
+/// prints them.
+fn series_value(text: &str, series: &str) -> u64 {
+    let values: Vec<u64> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .map(|value| value.parse().expect("metric values are integers"))
+        .collect();
+    assert_eq!(values.len(), 1, "{series} should be one series");
     values[0]
+}
+
+/// The daemon's counters as its exposition reports them:
+/// `decode_errors` is the sum of the `alertops_quarantined_total`
+/// family, and shard `i`'s depth is `alertops_queue_depth{shard="i"}`.
+fn counters_from_exposition(text: &str, shards: usize) -> CounterSnapshot {
+    let value = |series: &str| series_value(text, series);
+    let quarantined = |reason: QuarantineReason| {
+        value(&format!(
+            "alertops_quarantined_total{{reason=\"{}\"}}",
+            reason.label()
+        ))
+    };
+    CounterSnapshot {
+        ingested: value("alertops_ingested_total"),
+        delivered: value("alertops_delivered_total"),
+        dropped: value("alertops_dropped_total"),
+        backpressure_waits: value("alertops_backpressure_waits_total"),
+        decode_errors: exposition_values(text, "alertops_quarantined_total")
+            .iter()
+            .sum(),
+        quarantined_invalid_json: quarantined(QuarantineReason::InvalidJson),
+        quarantined_invalid_utf8: quarantined(QuarantineReason::InvalidUtf8),
+        quarantined_unknown_control: quarantined(QuarantineReason::UnknownControl),
+        quarantined_invalid_alert: quarantined(QuarantineReason::InvalidAlert),
+        quarantined_oversized: quarantined(QuarantineReason::Oversized),
+        quarantined_corrupt_frame: quarantined(QuarantineReason::CorruptFrame),
+        windows_closed: value("alertops_windows_closed_total"),
+        degraded_windows: value("alertops_degraded_windows_total"),
+        shard_restarts: value("alertops_shard_restarts_total"),
+        last_window_micros: value("alertops_last_window_micros"),
+        queue_depths: (0..shards)
+            .map(|shard| value(&format!("alertops_queue_depth{{shard=\"{shard}\"}}")))
+            .collect(),
+    }
 }
 
 /// The window-merge algebra the whole topology stands on: cluster and
@@ -375,13 +422,13 @@ mod merge_monoid {
                         GovernorConfig::default(),
                     ),
                     StreamingConfig {
-                        emerging: EmergingChannel {
-                            mode: EmergingMode::Forward,
-                            ..EmergingChannel::default()
+                        emerging: Channel {
+                            mode: ChannelMode::Forward,
+                            ..Channel::default()
                         },
-                        qoa: QoaChannel {
-                            mode: QoaMode::Forward,
-                            ..QoaChannel::default()
+                        qoa: Channel {
+                            mode: ChannelMode::Forward,
+                            ..Channel::default()
                         },
                         ..StreamingConfig::default()
                     },

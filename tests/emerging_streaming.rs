@@ -74,8 +74,8 @@ fn emerging_config() -> EmergingConfig {
 /// documents; the coordinator owns the AO-LDA pass.
 fn forward_streaming() -> StreamingConfig {
     StreamingConfig {
-        emerging: EmergingChannel {
-            mode: EmergingMode::Forward,
+        emerging: Channel {
+            mode: ChannelMode::Forward,
             config: emerging_config(),
         },
         ..StreamingConfig::default()

@@ -49,8 +49,8 @@ fn qoa_feedback_config() -> QoaFeedbackConfig {
 
 fn streaming() -> StreamingConfig {
     StreamingConfig {
-        qoa: QoaChannel {
-            mode: QoaMode::Forward,
+        qoa: Channel {
+            mode: ChannelMode::Forward,
             config: qoa_feedback_config(),
         },
         ..StreamingConfig::default()
@@ -438,6 +438,8 @@ fn a_damaged_checkpoint_file_means_a_fresh_model_not_an_error() {
     let _ = std::fs::remove_dir_all(&fresh_root);
     let fresh = spawn_cluster(2, fresh_root.clone(), &out);
     let fresh_digest = fresh.qoa_model_digest().expect("qoa loop is on");
+    let discarded = |cluster: &AlertCluster| cluster.metrics().qoa_checkpoints_discarded.get();
+    assert_eq!(discarded(&fresh), 0, "a missing file is a first start");
     fresh.shutdown();
     let _ = std::fs::remove_dir_all(&fresh_root);
 
@@ -446,18 +448,10 @@ fn a_damaged_checkpoint_file_means_a_fresh_model_not_an_error() {
         let file = std::fs::OpenOptions::new().write(true).open(ckpt).unwrap();
         file.set_len(len / 2).unwrap();
     }
-    fn flip_a_crc_byte(ckpt: &Path) {
-        let mut bytes = std::fs::read(ckpt).unwrap();
-        // [len varint][crc32 LE][payload]: the CRC starts after the
-        // varint's last byte, the first one without the high bit.
-        let crc_at = bytes.iter().position(|b| b & 0x80 == 0).unwrap() + 1;
-        bytes[crc_at] ^= 0xff;
-        std::fs::write(ckpt, bytes).unwrap();
-    }
     fn leave_only_the_tmp(ckpt: &Path) {
         std::fs::rename(ckpt, ckpt.with_extension("ckpt.tmp")).unwrap();
     }
-    let restart_over = |tag: &str, damage: fn(&Path)| {
+    let restart_over = |tag: &str, damage: fn(&Path), counted: u64| {
         let root = wal_root(&format!("qoa-damaged-{tag}"));
         let _ = std::fs::remove_dir_all(&root);
         let mut cluster = spawn_cluster(2, root.clone(), &out);
@@ -471,6 +465,7 @@ fn a_damaged_checkpoint_file_means_a_fresh_model_not_an_error() {
         damage(&coordinator.join("qoa.ckpt"));
         let mut cluster = spawn_cluster(2, root.clone(), &out);
         assert_eq!(cluster.qoa_model_digest(), Some(fresh_digest), "{tag}");
+        assert_eq!(discarded(&cluster), counted, "{tag}");
         assert_eq!(cluster.next_window_seq(), 2, "{tag}: the logs still replay");
 
         close_labeled(&mut cluster, &out, &windows[2], 0.0);
@@ -479,12 +474,25 @@ fn a_damaged_checkpoint_file_means_a_fresh_model_not_an_error() {
         assert!(!coordinator.join("qoa.ckpt.tmp").exists(), "{tag}");
         let cluster = spawn_cluster(2, root.clone(), &out);
         assert_eq!(cluster.qoa_model_digest(), relearned, "{tag}");
+        assert_eq!(discarded(&cluster), 0, "{tag}: the file was put back");
         cluster.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     };
-    restart_over("truncated", truncate);
-    restart_over("crc", flip_a_crc_byte);
-    restart_over("tmp", leave_only_the_tmp);
+    restart_over("truncated", truncate, 1);
+    restart_over("crc", flip_a_crc_byte, 1);
+    // A crash before the first rename leaves no `qoa.ckpt`: a first start.
+    restart_over("tmp", leave_only_the_tmp, 0);
+}
+
+/// Flips the first byte of the checkpoint frame's CRC, which the
+/// length + CRC check then rejects.
+fn flip_a_crc_byte(ckpt: &Path) {
+    let mut bytes = std::fs::read(ckpt).unwrap();
+    // [len varint][crc32 LE][payload]: the CRC starts after the
+    // varint's last byte, the first one without the high bit.
+    let crc_at = bytes.iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+    bytes[crc_at] ^= 0xff;
+    std::fs::write(ckpt, bytes).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -594,6 +602,61 @@ fn daemon_restart_restores_the_model_and_the_window_sequence() {
     assert!(daemon.counters().is_conserved());
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The daemon twin of `a_damaged_checkpoint_file_means_a_fresh_model_not_an_error`:
+/// respawned over a log whose `qoa.ckpt` fails its CRC, a daemon
+/// replays its windows and starts a fresh model, exactly as one whose
+/// checkpoint file is missing — it publishes the same next window byte
+/// for byte — but counts the discarded file on its scrape.
+#[test]
+fn a_damaged_daemon_checkpoint_means_a_fresh_model_and_a_count() {
+    let (out, windows) = windowed_trace(7);
+    let labels = label_stream(&out, &windows, 0.0);
+    let damaged = wal_root("daemon-damaged");
+    let missing = wal_root("daemon-missing");
+    for dir in [&damaged, &missing] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let daemon = spawn_journaled(&out, &damaged, &streaming(), None);
+    for (window, labels) in windows[..2].iter().zip(&labels) {
+        deliver_window(&daemon, window, labels);
+    }
+    daemon.shutdown();
+    std::fs::create_dir_all(&missing).unwrap();
+    for entry in std::fs::read_dir(&damaged).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, missing.join(path.file_name().unwrap())).unwrap();
+    }
+    flip_a_crc_byte(&damaged.join("qoa.ckpt"));
+    std::fs::remove_file(missing.join("qoa.ckpt")).unwrap();
+
+    let next: Vec<String> = [(&damaged, 1), (&missing, 0)]
+        .into_iter()
+        .map(|(dir, counted)| {
+            let daemon = spawn_journaled(&out, dir, &streaming(), None);
+            let recovery = daemon.wal_recovery().expect("spawned over a log");
+            assert_eq!(recovery.windows, 2, "the log still replays");
+            let discarded = checkpoints_discarded(&daemon.render_metrics());
+            assert_eq!(discarded, counted, "{}", dir.display());
+            let snapshot = deliver_window(&daemon, &windows[2], &labels[2]);
+            assert!(snapshot.qoa.is_some(), "the loop is on after the restart");
+            daemon.shutdown();
+            let _ = std::fs::remove_dir_all(dir);
+            json(&snapshot)
+        })
+        .collect();
+    assert_eq!(next[0], next[1], "a damaged checkpoint is a fresh start");
+}
+
+/// The daemon's discarded-checkpoint count, read off its exposition.
+fn checkpoints_discarded(exposition: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|line| line.strip_prefix("alertops_qoa_checkpoints_discarded_total "))
+        .expect("the family is registered when the QoA loop is on")
+        .parse()
+        .expect("counter values are integers")
 }
 
 /// No tick can split a replayed window: respawned with a 1 ms tick
