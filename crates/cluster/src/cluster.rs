@@ -152,7 +152,7 @@ impl ClusterConfig {
 #[derive(Debug)]
 struct NodeSlot {
     dir: PathBuf,
-    wal: Arc<Wal>,
+    wal: Wal,
     pool: Option<ShardPool>,
     /// The pool's `dropped` counter at the last close, so each close
     /// surfaces only the new overflow shedding.
@@ -307,7 +307,7 @@ impl AlertCluster {
         let mut slots = Vec::with_capacity(config.nodes);
         for node in 0..config.nodes {
             let dir = config.wal_root.join(format!("node-{node}"));
-            let wal = Arc::new(Wal::open(&dir, config.node.wal_retain())?);
+            let wal = Wal::open(&dir, config.node.wal_retain())?;
             let node_cat = node_catalog(&catalog, &map, node);
             let pool = spawn_pool(&config.node, &node_cat, &make_governor)?;
             slots.push(NodeSlot {
@@ -674,10 +674,7 @@ impl AlertCluster {
         let node_cat = node_catalog(self.catalog.rows(), &self.map, node);
         let pool = spawn_pool(&self.config.node, &node_cat, &self.make_governor)?;
         Wal::wipe(&self.slots[node].dir)?;
-        let wal = Arc::new(Wal::open(
-            &self.slots[node].dir,
-            self.config.node.wal_retain(),
-        )?);
+        let wal = Wal::open(&self.slots[node].dir, self.config.node.wal_retain())?;
         for (seq, alerts) in windows {
             for alert in alerts {
                 wal.append(&alert)?;

@@ -30,10 +30,10 @@ pub struct IngestdConfig {
     /// never refused for it. A producer wakes the shard's worker once
     /// half of it is queued.
     pub queue_capacity: usize,
-    /// Wall-clock interval between automatic window closes. `None`
-    /// disables the tick: windows close only on `{"ctrl":"flush"}`
-    /// frames or [`crate::IngestdHandle::flush`] — the deterministic
-    /// mode tests and replay use.
+    /// `Some(d)`: a tick thread closes a window once `d` has passed
+    /// since the last close by any caller (a flush defers the tick).
+    /// `None`: windows close only on `{"ctrl":"flush"}` frames or
+    /// [`crate::IngestdHandle::flush`] — the mode tests and replay use.
     pub tick: Option<Duration>,
     /// Full-queue behaviour.
     pub overflow: OverflowPolicy,

@@ -1,13 +1,16 @@
-//! The daemon's coordinator: closes windows over its shard pool on a
-//! tick or on request, publishes merged snapshots, and journals each
-//! close when the daemon keeps a write-ahead log.
+//! The daemon's coordinator: the state of its one merge point. A
+//! window close runs on the thread that asks for it — a connection
+//! handler answering a flush frame, a caller of
+//! [`crate::IngestdHandle::flush`], or the tick thread — under the one
+//! lock that holds this state, so closes never interleave. Each close
+//! publishes the merged snapshot and, when the daemon keeps a
+//! write-ahead log, journals itself.
 
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::RwLock;
+use std::time::Instant;
 
 use alertops_core::{
     ClosedWindow, GovernanceSnapshot, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig,
@@ -18,21 +21,6 @@ use alertops_obs::Counter;
 use alertops_wire::wal::{read_qoa_checkpoint, write_qoa_checkpoint, Wal};
 
 use crate::pool::{elapsed_micros, ShardPool};
-
-/// Control messages for the coordinator.
-pub(crate) enum CoordMsg {
-    /// Close the current window now. If `ack` is set, the close result
-    /// is sent once published (this is the flush path). `labels` is
-    /// the window's OCE feedback for the online QoA model — empty when
-    /// the caller has none (plain flushes, tick closes).
-    CloseNow {
-        ack: Option<SyncSender<ClosedWindow>>,
-        labels: Vec<QoaLabel>,
-    },
-    /// Stop coordinating. Closes are not interruptible, so joining the
-    /// thread afterwards waits out one in flight.
-    Shutdown,
-}
 
 /// A daemon's write-ahead log. Routing and closing must not fail on a
 /// sick disk, so failed writes are counted, not propagated; past the
@@ -100,30 +88,46 @@ pub struct WalRecovery {
     pub snapshot: Option<GovernanceSnapshot>,
 }
 
-/// The daemon's one merge point and what only a daemon keeps around
-/// it: the counters, the published snapshot slot and the log.
+/// The daemon's one merge point: what a close mutates, held behind the
+/// daemon's merge lock. The pool, the log and the snapshot slot it
+/// closes over are the daemon's, lent to each [`close`](Self::close).
+#[derive(Debug)]
 pub(crate) struct Coordinator {
-    pub(crate) pool: Arc<ShardPool>,
     pub(crate) closer: WindowCloser,
-    pub(crate) journal: Option<Arc<Journal>>,
-    pub(crate) snapshot_slot: Arc<RwLock<Option<GovernanceSnapshot>>>,
     /// Sequence number of the next close.
     pub(crate) seq: u64,
+    /// When the last close returned; a tick is due one interval later.
+    pub(crate) last_close: Instant,
+    /// No close runs again: the daemon shut down or a worker is gone.
+    pub(crate) stopped: bool,
 }
 
 impl Coordinator {
-    /// Closes window `seq` over the daemon's one pool
+    /// Closes window `seq` over the daemon's one `pool`
     /// ([`ShardPool::close_window`]: barrier, the [`WindowCloser`]'s
     /// merge and sequential passes, verdict push-down), moves the
-    /// counters, writes the QoA checkpoint *before* sealing the log —
-    /// a cluster's order — and publishes. `None`: a worker died.
-    pub(crate) fn close(&mut self, labels: &[QoaLabel]) -> Option<ClosedWindow> {
+    /// counters, writes the QoA checkpoint *before* sealing `journal` —
+    /// a cluster's order — and publishes to `published`. `None` once
+    /// stopped; a close that finds a worker gone stops the coordinator.
+    pub(crate) fn close(
+        &mut self,
+        pool: &ShardPool,
+        journal: Option<&Journal>,
+        published: &RwLock<Option<GovernanceSnapshot>>,
+        labels: &[QoaLabel],
+    ) -> Option<ClosedWindow> {
+        if self.stopped {
+            return None;
+        }
         let seq = self.seq;
-        let counters = self.pool.counters();
+        let counters = pool.counters();
         let started = Instant::now();
         let (mut closed, mut degraded) =
-            ShardPool::close_window(&[self.pool.as_ref()], seq, &mut self.closer, labels);
-        let degraded = degraded.pop().flatten()?;
+            ShardPool::close_window(&[pool], seq, &mut self.closer, labels);
+        let Some(degraded) = degraded.pop().flatten() else {
+            self.stopped = true;
+            return None;
+        };
         if !degraded.is_empty() {
             counters.degraded_windows.inc();
         }
@@ -132,49 +136,23 @@ impl Coordinator {
         let window_micros = elapsed_micros(started);
         counters.last_window_micros.set(window_micros);
         counters.windows_closed.inc();
-        if let Some(m) = self.pool.metrics() {
+        if let Some(m) = pool.metrics() {
             m.window_close_micros.observe(window_micros);
             // Per-window RSS sample: an operator gauge on the status
             // socket. Observer-only, one procfs read per window close.
             m.sample_rss();
         }
-        if let Some(journal) = &self.journal {
+        if let Some(journal) = journal {
             if let Some(model) = self.closer.qoa_model() {
                 let checkpoint = model.checkpoint().to_bytes();
                 journal.count(write_qoa_checkpoint(journal.wal.dir(), checkpoint));
             }
             journal.count(journal.wal.boundary(seq));
         }
-        *self
-            .snapshot_slot
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = Some(closed.snapshot.clone());
+        *published.write().unwrap_or_else(|e| e.into_inner()) = Some(closed.snapshot.clone());
         self.seq += 1;
+        self.last_close = Instant::now();
         Some(closed)
-    }
-
-    /// The coordinator loop: waits for a control message — or, with a
-    /// tick, times out into an automatic close — and runs one
-    /// [`close`](Self::close), never beginning `seq + 1` before it
-    /// returns, so windows cannot interleave.
-    pub(crate) fn run(mut self, control: &Receiver<CoordMsg>, tick: Option<Duration>) {
-        loop {
-            let msg = match tick {
-                Some(interval) => control.recv_timeout(interval),
-                None => control.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            let (ack, labels) = match msg {
-                Ok(CoordMsg::CloseNow { ack, labels }) => (ack, labels),
-                Err(RecvTimeoutError::Timeout) => (None, Vec::new()), // tick: close now
-                Ok(CoordMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
-            };
-            let Some(closed) = self.close(&labels) else {
-                return; // a worker died: shutting down
-            };
-            if let Some(ack) = ack {
-                let _ = ack.send(closed);
-            }
-        }
     }
 }
 

@@ -4,18 +4,19 @@
 //! peers can misbehave. Shared locks recover from poisoning instead of
 //! cascading panics (`unwrap_or_else(PoisonError::into_inner)` —
 //! counters and snapshots are monotonic data, so observing a value
-//! written just before a panic is safe); ingress framing quarantines
-//! malformed bytes instead of trusting line iterators; and shard
-//! workers are supervised (see [`crate::worker`]'s module docs).
+//! written just before a panic is safe) — except the merge lock: a
+//! close that panicked may have left its closer half updated, so once
+//! that lock is poisoned no close runs again. Ingress framing
+//! quarantines malformed bytes instead of trusting line iterators, and
+//! shard workers are supervised (see [`crate::worker`]'s module docs).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use std::{io, thread};
 
 use alertops_core::{
@@ -27,7 +28,7 @@ use alertops_wire::{AckFrame, ChaosCmd, Frame, WireDecoder, WireEncoder, WireErr
 
 use crate::codec::{ack_line, FrameDecoder, FrameError, QuarantineReason};
 use crate::config::IngestdConfig;
-use crate::coordinator::{resume_qoa, CoordMsg, Coordinator, Journal, WalRecovery};
+use crate::coordinator::{resume_qoa, Coordinator, Journal, WalRecovery};
 use crate::counters::CounterSnapshot;
 use crate::metrics::IngestdMetrics;
 use crate::pool::ShardPool;
@@ -36,6 +37,11 @@ use crate::status::{StatusReport, StatusRequest};
 /// How long a status connection may stay silent before it is treated
 /// as a legacy bare connection and served the default status document.
 const STATUS_REQUEST_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Thread names of the ingress accept loop and of its connections.
+const INGEST: [&str; 2] = ["ingestd-ingress", "ingestd-conn"];
+/// Thread names of the status accept loop and of its connections.
+const STATUS: [&str; 2] = ["ingestd-status", "ingestd-status-conn"];
 
 /// Constructor namespace for the daemon; see [`Ingestd::spawn`].
 #[derive(Debug)]
@@ -66,15 +72,25 @@ impl ShutdownSignal {
     }
 }
 
-/// Shared ingress state: everything a connection needs to route frames.
+/// The daemon's shared state: everything a connection needs to route
+/// frames and close windows, and what the status socket reads.
 #[derive(Debug)]
 struct Router {
-    pool: Arc<ShardPool>,
-    coord_tx: Sender<CoordMsg>,
+    pool: ShardPool,
+    /// The merge lock. Whoever holds it runs the one close in flight;
+    /// poisoned (a close panicked halfway) it reads as stopped.
+    coordinator: Mutex<Coordinator>,
+    /// Wakes the tick thread at shutdown.
+    tick_wake: Condvar,
+    /// The latest merged snapshot, locked apart from the merge lock so
+    /// a status scrape never waits on a close in flight.
+    snapshot: RwLock<Option<GovernanceSnapshot>>,
+    /// Write-ahead log, appended before any enqueue.
+    journal: Option<Journal>,
+    /// Cleared at shutdown; the accept loops stop on it.
+    running: AtomicBool,
     chaos: bool,
     shutdown: ShutdownSignal,
-    /// Write-ahead log, appended before any enqueue.
-    journal: Option<Arc<Journal>>,
     /// Ingress wire format every connection speaks.
     wire: WireFormat,
 }
@@ -93,19 +109,46 @@ impl Router {
         self.pool.route(alert);
     }
 
-    /// Closes the window on every shard and returns the close result,
-    /// or `None` if the coordinator is gone (shutdown race). `labels`
-    /// is the window's OCE feedback for the online QoA model (empty
-    /// when the caller has none).
-    fn flush(&self, labels: Vec<QoaLabel>) -> Option<ClosedWindow> {
-        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        self.coord_tx
-            .send(CoordMsg::CloseNow {
-                ack: Some(ack_tx),
-                labels,
-            })
-            .ok()?;
-        ack_rx.recv().ok()
+    /// Closes the window on every shard, on the calling thread, and
+    /// returns the close result; `None` once the coordinator has
+    /// stopped. `labels` is the window's OCE feedback for the online
+    /// QoA model (empty when the caller has none).
+    fn flush(&self, labels: &[QoaLabel]) -> Option<ClosedWindow> {
+        let mut coordinator = self.coordinator.lock().ok()?;
+        self.close(&mut coordinator, labels)
+    }
+
+    /// One close under the merge lock `coordinator`.
+    fn close(&self, coordinator: &mut Coordinator, labels: &[QoaLabel]) -> Option<ClosedWindow> {
+        coordinator.close(&self.pool, self.journal.as_ref(), &self.snapshot, labels)
+    }
+
+    /// The most recently merged snapshot, if any window closed yet.
+    fn latest(&self) -> Option<GovernanceSnapshot> {
+        self.snapshot
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+    }
+
+    /// The tick thread: closes a window once `interval` has passed
+    /// since the last close by any caller, so a flush defers the next
+    /// tick. Waiting releases the merge lock; shutdown wakes the wait.
+    fn tick(&self, interval: Duration) {
+        let Ok(mut coordinator) = self.coordinator.lock() else {
+            return;
+        };
+        while !coordinator.stopped {
+            let due = coordinator.last_close + interval;
+            let wait = due.saturating_duration_since(Instant::now());
+            if wait.is_zero() {
+                self.close(&mut coordinator, &[]);
+            } else if let Ok((guard, _)) = self.tick_wake.wait_timeout(coordinator, wait) {
+                coordinator = guard;
+            } else {
+                return;
+            }
+        }
     }
 }
 
@@ -114,8 +157,6 @@ impl Router {
 #[derive(Debug)]
 pub struct IngestdHandle {
     router: Arc<Router>,
-    snapshot: Arc<RwLock<Option<GovernanceSnapshot>>>,
-    running: Arc<AtomicBool>,
     ingest_addr: Option<SocketAddr>,
     status_addr: Option<SocketAddr>,
     recovery: Option<WalRecovery>,
@@ -124,7 +165,7 @@ pub struct IngestdHandle {
 
 impl Ingestd {
     /// Starts the daemon: a [`ShardPool`] (see [`ShardPool::spawn`]
-    /// for `make_governor`), the coordinator, and (if configured) the
+    /// for `make_governor`) and, if configured, the tick thread and the
     /// ingress and status listeners.
     ///
     /// # Errors
@@ -143,7 +184,7 @@ impl Ingestd {
     /// as a cluster does: replay, wipe and re-open the log, spawn the
     /// pool, re-close each sealed window at its recorded sequence
     /// number, re-route the tail, resume the QoA model
-    /// ([`crate::resume_qoa`]), and only then start the coordinator and
+    /// ([`crate::resume_qoa`]), and only then start the tick thread and
     /// bind the listeners. Failed log writes are counted
     /// ([`IngestdHandle::wal_write_errors`]).
     ///
@@ -167,11 +208,11 @@ impl Ingestd {
                     wal: Wal::open(dir, config.wal_retain())?,
                     write_errors: AtomicU64::new(0),
                 };
-                (Some(replayed), Some(Arc::new(journal)))
+                (Some(replayed), Some(journal))
             }
             None => (None, None),
         };
-        let pool = Arc::new(ShardPool::spawn(config, make_governor)?);
+        let pool = ShardPool::spawn(config, make_governor)?;
 
         // The daemon's one merge point, so its closer runs every
         // channel that is on — the QoA model once the replay is done.
@@ -189,29 +230,29 @@ impl Ingestd {
                 .with_merge_timer(Arc::clone(&m.merge_micros)),
             None => closer,
         };
-        let snapshot: Arc<RwLock<Option<GovernanceSnapshot>>> = Arc::new(RwLock::new(None));
-        let mut coordinator = Coordinator {
-            pool: Arc::clone(&pool),
-            closer,
-            journal: journal.clone(),
-            snapshot_slot: Arc::clone(&snapshot),
-            seq: 0,
-        };
-        let (coord_tx, coord_rx) = mpsc::channel::<CoordMsg>();
-        let router = Arc::new(Router {
+        let router = Router {
             pool,
-            coord_tx,
+            coordinator: Mutex::new(Coordinator {
+                closer,
+                seq: 0,
+                last_close: Instant::now(),
+                stopped: false,
+            }),
+            tick_wake: Condvar::new(),
+            snapshot: RwLock::new(None),
+            journal,
+            running: AtomicBool::new(true),
             chaos: config.chaos,
             shutdown: ShutdownSignal::default(),
-            journal,
             wire: config.wire,
-        });
+        };
 
         // Each sealed window re-closes at its recorded sequence number
         // through the coordinator's own close, so counters, metrics, the
         // snapshot slot and the fresh log move as for a live close. The
         // QoA model stays parked until after the tail: labels are never
         // journaled, so unlabeled re-closes must not relearn it.
+        let mut coordinator = router.coordinator.lock().expect("no close has run yet");
         let recovery = match replayed {
             Some(replayed) => {
                 let mut recovery = WalRecovery {
@@ -224,8 +265,8 @@ impl Ingestd {
                 for (seq, alerts) in replayed.windows {
                     coordinator.seq = seq;
                     alerts.into_iter().for_each(|a| router.route(a));
-                    let closed = coordinator
-                        .close(&[])
+                    let closed = router
+                        .close(&mut coordinator, &[])
                         .ok_or_else(|| io::Error::other("shard workers died during WAL replay"))?;
                     recovery.snapshot = Some(closed.snapshot);
                 }
@@ -245,52 +286,24 @@ impl Ingestd {
             let verdicts = resume_qoa(&mut coordinator.closer, qoa, wal, &discarded)?;
             router.pool.push_qoa_verdicts(&verdicts);
         }
+        drop(coordinator);
 
-        let running = Arc::new(AtomicBool::new(true));
-        let tick = config.tick;
-        let mut threads = vec![thread::Builder::new()
-            .name("ingestd-coordinator".to_owned())
-            .spawn(move || coordinator.run(&coord_rx, tick))?];
+        let router = Arc::new(router);
+        let mut threads = Vec::new();
+        if let Some(interval) = config.tick {
+            let router = Arc::clone(&router);
+            threads.push(
+                thread::Builder::new()
+                    .name("ingestd-tick".to_owned())
+                    .spawn(move || router.tick(interval))?,
+            );
+        }
 
-        // Ingress listener.
-        let ingest_addr = match &config.listen {
-            Some(addr) => {
-                let listener = TcpListener::bind(addr.as_str())?;
-                let local = listener.local_addr()?;
-                let router = Arc::clone(&router);
-                let running = Arc::clone(&running);
-                threads.push(
-                    thread::Builder::new()
-                        .name("ingestd-ingress".to_owned())
-                        .spawn(move || accept_ingress(&listener, &running, &router))?,
-                );
-                Some(local)
-            }
-            None => None,
-        };
-
-        // Status listener.
-        let status_addr = match &config.status {
-            Some(addr) => {
-                let listener = TcpListener::bind(addr.as_str())?;
-                let local = listener.local_addr()?;
-                let running = Arc::clone(&running);
-                let pool = Arc::clone(&router.pool);
-                let snapshot = Arc::clone(&snapshot);
-                threads.push(
-                    thread::Builder::new()
-                        .name("ingestd-status".to_owned())
-                        .spawn(move || accept_status(&listener, &running, &pool, &snapshot))?,
-                );
-                Some(local)
-            }
-            None => None,
-        };
+        let ingest_addr = listen(&config.listen, INGEST, serve_ingress, &router, &mut threads)?;
+        let status_addr = listen(&config.status, STATUS, serve_status, &router, &mut threads)?;
 
         Ok(IngestdHandle {
             router,
-            snapshot,
-            running,
             ingest_addr,
             status_addr,
             recovery,
@@ -332,24 +345,25 @@ impl IngestdHandle {
         self.router.route(alert);
     }
 
-    /// Closes the current window on every shard and returns the merged
-    /// snapshot (`None` only during shutdown races).
+    /// Closes the current window on every shard, on this thread, and
+    /// returns the merged snapshot; `None` once closes have stopped
+    /// (shutdown, a worker gone, or a close that panicked).
     pub fn flush(&self) -> Option<GovernanceSnapshot> {
-        self.router.flush(Vec::new()).map(|closed| closed.snapshot)
+        self.router.flush(&[]).map(|closed| closed.snapshot)
     }
 
     /// [`flush`](Self::flush) with the window's OCE feedback labels:
     /// the coordinator joins them with the merged per-strategy feature
     /// samples and updates the online QoA model.
     pub fn flush_labeled(&self, labels: Vec<QoaLabel>) -> Option<GovernanceSnapshot> {
-        self.router.flush(labels).map(|closed| closed.snapshot)
+        self.router.flush(&labels).map(|closed| closed.snapshot)
     }
 
     /// [`flush_labeled`](Self::flush_labeled), but returns the full
     /// [`ClosedWindow`]: the snapshot plus the verdicts the close
     /// pushed down.
     pub fn flush_window_labeled(&self, labels: Vec<QoaLabel>) -> Option<ClosedWindow> {
-        self.router.flush(labels)
+        self.router.flush(&labels)
     }
 
     /// Drain barrier ([`ShardPool::sync`]). The chaos suite uses it to
@@ -378,10 +392,7 @@ impl IngestdHandle {
     /// The most recently merged snapshot, if any window closed yet.
     #[must_use]
     pub fn latest_snapshot(&self) -> Option<GovernanceSnapshot> {
-        self.snapshot
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.router.latest()
     }
 
     /// Point-in-time counter values.
@@ -418,17 +429,21 @@ impl IngestdHandle {
         self.router.shutdown.request();
     }
 
-    /// Stops the daemon: coordinator first, then listeners, then
-    /// workers; joins every thread. Open ingress connections must be
-    /// closed by their peers for their detached handler threads to
-    /// exit, but this method does not wait for those.
+    /// Stops the daemon: closes first, then the tick and the
+    /// listeners, then the workers; joins every thread. Open ingress
+    /// connections must be closed by their peers for their detached
+    /// handler threads to exit, but this method does not wait for
+    /// those; a flush they send from here on is not answered.
     pub fn shutdown(self) {
         self.router.shutdown.request();
-        self.running.store(false, Ordering::Release);
+        self.router.running.store(false, Ordering::Release);
 
-        // Stop the coordinator; the join below waits out a close in
-        // flight.
-        let _ = self.router.coord_tx.send(CoordMsg::Shutdown);
+        // Stop closing: taking the merge lock waits out a close in
+        // flight, and the tick thread wakes to find it stopped.
+        if let Ok(mut coordinator) = self.router.coordinator.lock() {
+            coordinator.stopped = true;
+        }
+        self.router.tick_wake.notify_all();
 
         // Wake the accept loops so they observe `running == false`.
         for addr in [self.ingest_addr, self.status_addr].into_iter().flatten() {
@@ -439,25 +454,45 @@ impl IngestdHandle {
             let _ = handle.join();
         }
 
-        // The pool stops and joins its workers once its last holder
-        // lets go: the coordinator and the accept loops just did, so
-        // that is here unless a connection handler is still open.
+        // The pool stops and joins its workers once the router's last
+        // holder lets go: the tick and the accept loops just did, so
+        // that is here unless a connection is still open.
         drop(self.router);
     }
 }
 
-/// Ingress accept loop: one detached handler thread per connection.
-fn accept_ingress(listener: &TcpListener, running: &Arc<AtomicBool>, router: &Arc<Router>) {
-    for stream in listener.incoming() {
-        if !running.load(Ordering::Acquire) {
-            break;
+/// Binds `addr`, if one is configured, and serves it from an accept
+/// loop thread named `names[0]`: one detached handler thread, named
+/// `names[1]`, per connection, so a slow peer cannot block the next.
+fn listen(
+    addr: &Option<String>,
+    names: [&'static str; 2],
+    serve: fn(&TcpStream, &Router),
+    router: &Arc<Router>,
+    threads: &mut Vec<JoinHandle<()>>,
+) -> io::Result<Option<SocketAddr>> {
+    let Some(addr) = addr else { return Ok(None) };
+    let listener = TcpListener::bind(addr.as_str())?;
+    let local = listener.local_addr()?;
+    let router = Arc::clone(router);
+    let accept = move || {
+        for stream in listener.incoming() {
+            if !router.running.load(Ordering::Acquire) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let router = Arc::clone(&router);
+            let _ = thread::Builder::new()
+                .name(names[1].to_owned())
+                .spawn(move || serve(&stream, &router));
         }
-        let Ok(stream) = stream else { continue };
-        let router = Arc::clone(router);
-        let _ = thread::Builder::new()
-            .name("ingestd-conn".to_owned())
-            .spawn(move || serve_ingress(&stream, &router));
-    }
+    };
+    threads.push(
+        thread::Builder::new()
+            .name(names[0].to_owned())
+            .spawn(accept)?,
+    );
+    Ok(Some(local))
 }
 
 /// The two encodings a connection can speak, reduced to the three
@@ -565,7 +600,7 @@ fn binary_reason(err: &WireError) -> QuarantineReason {
 }
 
 /// One ingress connection, in the daemon's configured wire format.
-fn serve_ingress(stream: &TcpStream, router: &Arc<Router>) {
+fn serve_ingress(stream: &TcpStream, router: &Router) {
     let Ok(mut read_half) = stream.try_clone() else {
         return;
     };
@@ -594,7 +629,7 @@ fn serve_ingress(stream: &TcpStream, router: &Arc<Router>) {
 /// malformed input; `false` ends the connection.
 fn handle_item(
     item: IngressItem,
-    router: &Arc<Router>,
+    router: &Router,
     codec: &mut IngressCodec,
     writer: &mut impl Write,
 ) -> bool {
@@ -619,11 +654,11 @@ fn handle_item(
 /// it: the peer is gone); `false` ends the connection. Frame kinds
 /// that only exist for WAL segments, the cluster's checkpoint file or
 /// the ack lane are quarantined as unknown controls.
-fn handle_frame(frame: Frame, router: &Arc<Router>, mut ack: impl FnMut(AckFrame) -> bool) -> bool {
+fn handle_frame(frame: Frame, router: &Router, mut ack: impl FnMut(AckFrame) -> bool) -> bool {
     match frame {
         Frame::Alert(alert) => router.route(*alert),
         Frame::Flush => {
-            if let Some(closed) = router.flush(Vec::new()) {
+            if let Some(closed) = router.flush(&[]) {
                 let snapshot = closed.snapshot;
                 return ack(AckFrame::Flush {
                     window: snapshot.window_index,
@@ -668,7 +703,7 @@ fn handle_frame(frame: Frame, router: &Arc<Router>, mut ack: impl FnMut(AckFrame
 /// Gate for wire-level chaos frames: chaos mode must be enabled and
 /// the shard in range; otherwise the frame is quarantined as an
 /// unknown control and ignored.
-fn chaos_target(router: &Arc<Router>, shard: usize) -> bool {
+fn chaos_target(router: &Router, shard: usize) -> bool {
     if router.chaos && shard < router.pool.shards() {
         true
     } else {
@@ -680,41 +715,17 @@ fn chaos_target(router: &Arc<Router>, shard: usize) -> bool {
     }
 }
 
-/// Status accept loop: one detached handler thread per connection, so
-/// a slow scraper cannot block the next one.
-fn accept_status(
-    listener: &TcpListener,
-    running: &Arc<AtomicBool>,
-    pool: &Arc<ShardPool>,
-    snapshot: &Arc<RwLock<Option<GovernanceSnapshot>>>,
-) {
-    for stream in listener.incoming() {
-        if !running.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let pool = Arc::clone(pool);
-        let snapshot = Arc::clone(snapshot);
-        let _ = thread::Builder::new()
-            .name("ingestd-status-conn".to_owned())
-            .spawn(move || serve_status(&stream, &pool, &snapshot));
-    }
-}
-
 /// One status connection: read the optional request line, serve the
 /// selected document, close. See [`crate::status`] for the protocol.
-fn serve_status(
-    stream: &TcpStream,
-    pool: &ShardPool,
-    snapshot: &Arc<RwLock<Option<GovernanceSnapshot>>>,
-) {
+fn serve_status(stream: &TcpStream, router: &Router) {
+    let pool = &router.pool;
     let request = read_status_request(stream);
     let mut writer = stream;
     match request {
         StatusRequest::Status => {
             let report = StatusReport {
                 counters: pool.counter_snapshot(),
-                snapshot: snapshot.read().unwrap_or_else(|e| e.into_inner()).clone(),
+                snapshot: router.latest(),
             };
             let _ = writeln!(writer, "{}", report.to_json());
         }
@@ -775,6 +786,61 @@ fn read_status_request(stream: &TcpStream) -> StatusRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alertops_core::{AlertGovernor, GovernorConfig, StreamingConfig};
+
+    fn spawn_empty(config: &IngestdConfig) -> IngestdHandle {
+        Ingestd::spawn(config, |_, _| {
+            StreamingGovernor::new(
+                AlertGovernor::new(Vec::new(), GovernorConfig::default()),
+                StreamingConfig::default(),
+            )
+        })
+        .expect("daemon starts")
+    }
+
+    /// Besides its shard workers the daemon starts a thread only for
+    /// what it is configured with: a tick and each listener. Closes run
+    /// on their callers.
+    #[test]
+    fn only_a_tick_and_listeners_get_threads() {
+        let bare = spawn_empty(&IngestdConfig::default());
+        assert!(bare.threads.is_empty());
+        assert_eq!(bare.flush().map(|s| s.window_index), Some(0));
+        bare.shutdown();
+
+        let full = spawn_empty(&IngestdConfig {
+            tick: Some(Duration::from_secs(3_600)),
+            listen: Some("127.0.0.1:0".to_owned()),
+            status: Some("127.0.0.1:0".to_owned()),
+            ..IngestdConfig::default()
+        });
+        let names: Vec<_> = full.threads.iter().map(|t| t.thread().name()).collect();
+        let want = ["ingestd-tick", "ingestd-ingress", "ingestd-status"];
+        assert_eq!(names, want.map(Some));
+        full.shutdown();
+    }
+
+    /// A close that panicked may have left the closer half updated, so
+    /// a poisoned merge lock stops the daemon's closes. Shutdown cannot
+    /// set `stopped` under it, so its join of the tick thread returning
+    /// shows the tick read the poison as stopped too.
+    #[test]
+    fn a_poisoned_merge_lock_reads_as_stopped() {
+        let handle = spawn_empty(&IngestdConfig {
+            tick: Some(Duration::from_millis(1)),
+            ..IngestdConfig::default()
+        });
+        let router = Arc::clone(&handle.router);
+        alertops_chaos::silence_panics_containing("a close panics halfway");
+        let panicked = thread::spawn(move || {
+            let _merge = router.coordinator.lock();
+            panic!("a close panics halfway");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(handle.flush().is_none());
+        handle.shutdown();
+    }
 
     /// Accepts everything, counts the calls: what a socket with Nagle
     /// on turns into segments.

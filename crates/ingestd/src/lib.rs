@@ -14,12 +14,14 @@
 //! drop accounting. Those workers and queues are a [`ShardPool`], which
 //! `alertops-cluster` also holds directly, one per node.
 //!
-//! A coordinator thread closes the time window on a tick (or on an
-//! explicit `{"ctrl":"flush"}` frame), barriers on one
-//! [`alertops_core::WindowDelta`] per shard, and merges them into a
-//! global [`alertops_core::GovernanceSnapshot`]: newly flagged
-//! findings, resolved flags, exact global storm state (reconstructed
-//! from summed per-shard region-hour histograms), and the triage list.
+//! A window closes on the thread that asks for it — a connection
+//! handler answering a `{"ctrl":"flush"}` frame, a caller of
+//! [`IngestdHandle::flush`], or the [`IngestdConfig::tick`] thread —
+//! under one merge lock: it barriers on one
+//! [`alertops_core::WindowDelta`] per shard and merges them into a
+//! global [`alertops_core::GovernanceSnapshot`]: newly flagged findings,
+//! resolved flags, exact global storm state (reconstructed from summed
+//! per-shard region-hour histograms), and the triage list.
 //! A plaintext status socket answers one request per connection
 //! ([`StatusRequest`]): `status`, the latest snapshot plus ingestion
 //! counters as one JSON document; `metrics`, the Prometheus exposition
@@ -30,11 +32,11 @@
 //!  TCP ────────────▶ │   router    │ ──queues──▶ │ worker 0..N-1     │
 //!  NDJSON or binary  │ shard by    │             │ StreamingGovernor │
 //!  alert frames      │ StrategyId  │             └────────┬─────────┘
-//!                    └─────┬──────┘                WindowDelta per tick
-//!                          │ flush                        │
+//!                    └─────┬──────┘               WindowDelta per close
+//!                          │ flush or tick                │
 //!                          ▼                              ▼
 //!                    ┌────────────┐   merge    ┌────────────────────┐
-//!                    │ coordinator │ ◀─────────│ barrier: one delta │
+//!                    │ merge lock  │ ◀─────────│ barrier: one delta │
 //!                    └─────┬──────┘            │ per shard per seq  │
 //!                          ▼                   └────────────────────┘
 //!                 GovernanceSnapshot ──▶ status socket

@@ -6,7 +6,7 @@
 //! ```text
 //! $ printf 'status\n'  | nc 127.0.0.1 4502   # JSON status document
 //! $ printf 'metrics\n' | nc 127.0.0.1 4502   # Prometheus exposition
-//! $ printf 'healthz\n' | nc 127.0.0.1 4502   # "ok <windows_closed>" liveness line
+//! $ printf 'healthz\n' | nc 127.0.0.1 4502   # "ok windows=N ingested=M" liveness line
 //! ```
 //!
 //! Backward compatibility: clients that connect and read without
@@ -29,7 +29,7 @@ pub enum StatusRequest {
     Status,
     /// Serve the Prometheus text exposition.
     Metrics,
-    /// Serve the one-line liveness answer (`ok <windows_closed>`).
+    /// Serve the one-line liveness answer (`ok windows=N ingested=M`).
     /// Deliberately cheap: no JSON serialization, no snapshot clone —
     /// a load balancer probing every node of a cluster each second
     /// should cost two atomic loads, not a serialized governance

@@ -26,13 +26,13 @@ use alertops::core::prelude::*;
 use alertops::detect::StormConfig;
 use alertops::ingestd::codec::{ack_line, encode_alert};
 use alertops::ingestd::{
-    shard_catalog, shard_of, Ingestd, IngestdConfig, IngestdHandle, OverflowPolicy,
-    CHAOS_PANIC_MSG, SYNC_FRAME,
+    shard_catalog, shard_of, Ingestd, IngestdConfig, IngestdHandle, IngressClient, OverflowPolicy,
+    WireFormat, CHAOS_PANIC_MSG, SYNC_FRAME,
 };
 use alertops::model::LogRule;
 use alertops::sim::scenarios;
 use alertops::sim::SimOutput;
-use alertops::wire::AckFrame;
+use alertops::wire::{AckFrame, Frame, WireDecoder, WireEncoder};
 
 /// Default base seed; `CHAOS_SEED` overrides it (see `seed_from_env`).
 const BASE_SEED: u64 = 0xA1E7_0005_C4A0_05ED;
@@ -791,5 +791,122 @@ fn chaos_frames_are_quarantined_when_chaos_mode_is_off() {
     assert_eq!(snapshot.alert_count, 1, "the real alert got through");
     assert!(handle.counters().is_conserved());
     drop(conn);
+    handle.shutdown();
+}
+
+/// Hostile bytes on the binary wire — seeded byte soup and bit-flipped
+/// valid frames — over several connections into a live 2-shard daemon.
+/// The ingress path runs closes on its own threads, so a panic there
+/// could poison the merge lock; instead each stream's good prefix is
+/// routed, its first bad frame quarantined, no worker restarts, every
+/// alert is accounted, and the windows after equal the socketless
+/// 1-shard oracle.
+#[test]
+fn hostile_binary_bytes_leave_a_live_daemon_exact() {
+    const CONNECTIONS: usize = 12;
+    const FRAMES: usize = 10;
+    const CLEAN_WINDOW: usize = 120;
+    let (strategies, trace) = chaos_trace();
+    let seed = cell_seed(seed_from_env(BASE_SEED), "hostile_bytes", 0);
+    let ctx = format!("hostile bytes (seed {seed})");
+    let mut rng = ChaosRng::new(seed);
+    let config = IngestdConfig {
+        shards: 2,
+        wire: WireFormat::Binary,
+        listen: Some("127.0.0.1:0".to_owned()),
+        ..IngestdConfig::default()
+    };
+    let handle = Ingestd::spawn(&config, |shard, shards| {
+        shard_governor(&strategies, shards, shard)
+    })
+    .expect("daemon starts");
+    let addr = handle.ingest_addr().expect("ingress bound");
+
+    let (hostile, rest) = trace.split_at(CONNECTIONS * FRAMES);
+    let clean = &rest[..CLEAN_WINDOW];
+    let mut routed = Vec::new();
+    let mut quarantined = 0u64;
+    for (conn, alerts) in hostile.chunks(FRAMES).enumerate() {
+        let bytes: Vec<u8> = if conn % 2 == 0 {
+            let len = rng.range_usize(1, 512);
+            (0..len).map(|_| rng.next_u64() as u8).collect()
+        } else {
+            let mut encoder = WireEncoder::new();
+            let mut bytes = Vec::new();
+            for alert in alerts {
+                encoder.encode_alert_into(alert, &mut bytes);
+            }
+            for _ in 0..rng.range_usize(1, 4) {
+                let bit = rng.range_usize(0, bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            bytes
+        };
+        // What the daemon must make of the stream: a fresh decoder's
+        // frames up to the first error, and that error.
+        let mut decoder = WireDecoder::new();
+        let mut items = decoder.feed(&bytes);
+        items.extend(decoder.finish().map(Err));
+        for item in items {
+            match item {
+                Ok(Frame::Alert(alert)) => routed.push(*alert),
+                Ok(other) => panic!("{ctx}: connection {conn} decodes to {other:?}"),
+                Err(_) => quarantined += 1,
+            }
+        }
+        // The daemon may hang up at the first bad frame; what it has
+        // not read by then does not count.
+        let _ = TcpStream::connect(addr)
+            .expect("connect to ingress")
+            .write_all(&bytes);
+    }
+    assert!(
+        quarantined >= (CONNECTIONS / 2) as u64,
+        "{ctx}: every soup stream is bad"
+    );
+    let want_ingested = routed.len() as u64 + quarantined;
+    poll_until("hostile streams to settle", &ctx, || {
+        let c = handle.counters();
+        c.ingested == want_ingested && c.decode_errors == quarantined
+    });
+
+    // The hostile streams' good prefixes close as one window, then a
+    // clean connection sends one window and its flush.
+    let mut oracle = shard_governor(&strategies, 1, 0);
+    let mut expect = |window: &[Alert]| {
+        let mut window = window.to_vec();
+        window.sort_by_key(|a| (a.raised_at(), a.id()));
+        let delta = oracle.ingest(&window, &[]);
+        comparable(&GovernanceSnapshot::merge(
+            &[delta],
+            &StormConfig::default(),
+        ))
+    };
+    let hostile_window = handle.flush().expect("hostile window closes");
+    assert_eq!(comparable(&hostile_window), expect(&routed), "{ctx}");
+    let mut client = IngressClient::connect(addr, WireFormat::Binary).expect("connect");
+    client.send_alerts(clean).expect("send the clean window");
+    assert_eq!(
+        client.request(&Frame::Flush).expect("flush acked"),
+        AckFrame::Flush {
+            window: 1,
+            alerts: CLEAN_WINDOW as u64
+        },
+        "{ctx}"
+    );
+    let snapshot = handle.latest_snapshot().expect("clean window published");
+    assert_eq!(comparable(&snapshot), expect(clean), "{ctx}: clean window");
+
+    let counters = handle.counters();
+    assert!(counters.is_conserved(), "{ctx}: {counters:?}");
+    assert_eq!(counters.shard_restarts, 0, "{ctx}");
+    assert_eq!(counters.windows_closed, 2, "{ctx}");
+    assert_eq!(counters.ingested, want_ingested + CLEAN_WINDOW as u64);
+    assert_eq!(
+        counters.delivered,
+        (routed.len() + CLEAN_WINDOW) as u64,
+        "{ctx}"
+    );
+    drop(client);
     handle.shutdown();
 }

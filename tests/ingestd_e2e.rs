@@ -5,16 +5,20 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 use alertops::core::prelude::*;
 use alertops::detect::StormConfig;
 use alertops::ingestd::codec::encode_alert;
 use alertops::ingestd::{
-    shard_catalog, Ingestd, IngestdConfig, StatusReport, FLUSH_FRAME, SHUTDOWN_FRAME,
+    shard_catalog, Ingestd, IngestdConfig, IngressClient, StatusReport, WireFormat, FLUSH_FRAME,
+    SHUTDOWN_FRAME,
 };
 use alertops::model::LogRule;
 use alertops::sim::scenarios;
 use alertops::sim::SimOutput;
+use alertops::wire::{AckFrame, Frame};
 
 /// The injected A5 strategy: not part of any scenario catalog.
 const REPEATER: StrategyId = StrategyId(9001);
@@ -388,6 +392,123 @@ fn healthz_answers_one_cheap_liveness_line() {
         "verbs are case-insensitive"
     );
     handle.shutdown();
+}
+
+/// A close runs on whichever thread asks for it, and the merge lock
+/// serializes them: four in-process flushers and two TCP connections
+/// sending `Flush` frames, with alerts routed between their flushes,
+/// get one distinct window index each, the indices are exactly `0..n`,
+/// and every routed alert is delivered by exactly one window.
+#[test]
+fn concurrent_flushes_take_consecutive_windows() {
+    const ROUNDS: usize = 12;
+    let out = scenarios::quickstart(7).run();
+    let strategies = full_catalog(&out);
+    let config = IngestdConfig {
+        shards: 2,
+        listen: Some("127.0.0.1:0".to_owned()),
+        ..IngestdConfig::default()
+    };
+    let handle = Ingestd::spawn(&config, |shard, shards| {
+        shard_governor(&strategies, shards, shard)
+    })
+    .expect("daemon starts");
+    let addr = handle.ingest_addr().expect("ingress bound");
+    // Six callers, each with its own slice of the trace to route.
+    let slices: Vec<&[Alert]> = out.alerts.chunks(out.alerts.len().div_ceil(6)).collect();
+    assert_eq!(slices.len(), 6);
+
+    let start = Barrier::new(slices.len());
+    let windows: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let (handle, start) = (&handle, &start);
+        let mut callers = Vec::new();
+        for slice in &slices[..4] {
+            callers.push(scope.spawn(move || {
+                start.wait();
+                let mut windows = Vec::new();
+                for batch in slice.chunks(slice.len().div_ceil(ROUNDS)) {
+                    for alert in batch {
+                        handle.route(alert.clone());
+                    }
+                    let snapshot = handle.flush().expect("window closes");
+                    windows.push((snapshot.window_index, snapshot.alert_count as u64));
+                }
+                windows
+            }));
+        }
+        for slice in &slices[4..] {
+            callers.push(scope.spawn(move || {
+                let mut client = IngressClient::connect(addr, WireFormat::Ndjson).expect("connect");
+                start.wait();
+                let mut windows = Vec::new();
+                for batch in slice.chunks(slice.len().div_ceil(ROUNDS)) {
+                    client.send_alerts(batch).expect("send alerts");
+                    match client.request(&Frame::Flush).expect("flush acked") {
+                        AckFrame::Flush { window, alerts } => windows.push((window, alerts)),
+                        other => panic!("expected a flush ack, got {other:?}"),
+                    }
+                }
+                windows
+            }));
+        }
+        callers
+            .into_iter()
+            .flat_map(|caller| caller.join().expect("caller finishes"))
+            .collect()
+    });
+
+    let n = windows.len() as u64;
+    let mut indices: Vec<u64> = windows.iter().map(|&(window, _)| window).collect();
+    indices.sort_unstable();
+    indices.dedup();
+    assert_eq!(indices.len() as u64, n, "two closes shared a window index");
+    assert_eq!(indices, (0..n).collect::<Vec<_>>());
+    let counters = handle.counters();
+    assert_eq!(counters.windows_closed, n);
+    assert!(counters.is_conserved(), "{counters:?}");
+    assert_eq!(counters.ingested, out.alerts.len() as u64);
+    assert_eq!(counters.delivered, out.alerts.len() as u64);
+    let published: u64 = windows.iter().map(|&(_, alerts)| alerts).sum();
+    assert_eq!(
+        published,
+        out.alerts.len() as u64,
+        "each alert in one window"
+    );
+    handle.shutdown();
+}
+
+/// A ticking daemon stops at once: shutdown wakes the tick thread
+/// instead of waiting out its interval.
+#[test]
+fn shutdown_does_not_wait_out_the_tick() {
+    let config = IngestdConfig {
+        shards: 2,
+        tick: Some(Duration::from_secs(3_600)),
+        ..IngestdConfig::default()
+    };
+    let handle = Ingestd::spawn(&config, |shard, shards| {
+        shard_governor(&[repeater_strategy()], shards, shard)
+    })
+    .expect("daemon starts");
+    for alert in repeater_alerts() {
+        handle.route(alert);
+    }
+    let snapshot = handle.flush().expect("a flush closes between ticks");
+    assert_eq!(snapshot.window_index, 0);
+    // Shut down on a thread of its own, so a shutdown that sleeps out
+    // the hour fails here instead of hanging the suite.
+    let started = Instant::now();
+    let (stopped_tx, stopped) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = stopped_tx.send(());
+    });
+    assert!(
+        stopped.recv_timeout(Duration::from_secs(5)).is_ok(),
+        "shutdown still waiting after {:?}",
+        started.elapsed()
+    );
+    stopper.join().expect("shutdown does not panic");
 }
 
 mod properties {
