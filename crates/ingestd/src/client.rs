@@ -13,7 +13,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use alertops_model::Alert;
 use alertops_wire::{AckFrame, Frame, WireDecoder, WireEncoder, WireFormat};
 
-use crate::codec::{encode_alert, frame_line, parse_ack_line};
+use crate::codec::{frame_line, parse_ack_line, write_alert_line};
 
 /// One open ingress connection into a live daemon.
 #[derive(Debug)]
@@ -28,8 +28,9 @@ pub struct IngressClient {
     decoder: WireDecoder,
     /// Binary mode only: reusable frame scratch.
     scratch: Vec<u8>,
-    /// NDJSON mode only: reusable ack-line scratch.
-    ack: String,
+    /// NDJSON mode only: reusable line scratch, for alert lines out
+    /// and ack lines in.
+    line: String,
 }
 
 impl IngressClient {
@@ -49,7 +50,7 @@ impl IngressClient {
             encoder: WireEncoder::new(),
             decoder: WireDecoder::new(),
             scratch: Vec::new(),
-            ack: String::new(),
+            line: String::new(),
         })
     }
 
@@ -63,7 +64,10 @@ impl IngressClient {
         match self.wire {
             WireFormat::Ndjson => {
                 for alert in alerts {
-                    writeln!(self.writer, "{}", encode_alert(alert))?;
+                    self.line.clear();
+                    write_alert_line(alert, &mut self.line);
+                    self.line.push('\n');
+                    self.writer.write_all(self.line.as_bytes())?;
                 }
             }
             WireFormat::Binary => {
@@ -126,12 +130,12 @@ impl IngressClient {
         let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
         match self.wire {
             WireFormat::Ndjson => {
-                self.ack.clear();
-                if self.reader.read_line(&mut self.ack)? == 0 {
+                self.line.clear();
+                if self.reader.read_line(&mut self.line)? == 0 {
                     return Err(closed());
                 }
-                parse_ack_line(&self.ack)
-                    .ok_or_else(|| invalid(format!("expected an ack line, got {:?}", self.ack)))
+                parse_ack_line(&self.line)
+                    .ok_or_else(|| invalid(format!("expected an ack line, got {:?}", self.line)))
             }
             WireFormat::Binary => loop {
                 let buf = self.reader.fill_buf()?;

@@ -507,9 +507,10 @@ enum IngressCodec {
     Ndjson(FrameDecoder),
     /// Length+CRC `alertops-wire` frames. The write half gets its own
     /// encoder: the ack stream's string table is independent of the
-    /// ingress stream's.
+    /// ingress stream's. The decoder is boxed so an NDJSON connection
+    /// does not carry room for two string tables.
     Binary {
-        decoder: WireDecoder,
+        decoder: Box<WireDecoder>,
         ack_encoder: WireEncoder,
     },
 }
@@ -523,7 +524,7 @@ impl IngressCodec {
         match wire {
             WireFormat::Ndjson => IngressCodec::Ndjson(FrameDecoder::new()),
             WireFormat::Binary => IngressCodec::Binary {
-                decoder: WireDecoder::new(),
+                decoder: Box::new(WireDecoder::new()),
                 ack_encoder: WireEncoder::new(),
             },
         }

@@ -12,12 +12,16 @@
 //! headerless WAL segment is torn, never parsed — lives in
 //! `crates/cluster/tests/wal_negative.rs`.)
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 
 use alertops::cluster::{AlertCluster, ClusterConfig, WalFormat};
 use alertops::core::prelude::*;
-use alertops::ingestd::{shard_catalog, Ingestd, IngestdConfig, IngestdHandle, IngressClient};
+use alertops::ingestd::codec::{parse_ack_line, scan_alert};
+use alertops::ingestd::{
+    shard_catalog, Ingestd, IngestdConfig, IngestdHandle, IngressClient, FLUSH_FRAME,
+};
 use alertops::sim::scenarios;
 use alertops::wire::{AckFrame, Frame, WireEncoder, WireFormat};
 
@@ -59,8 +63,73 @@ fn daemon(
     .expect("daemon starts")
 }
 
+/// The window an NDJSON run sends half of as [`noncanonical_line`]s.
+const NONCANONICAL_WINDOW: u64 = 0;
+
+/// `alert` as an NDJSON line the daemon's scanner defers on: every
+/// object's keys in reverse order, whitespace around every `:` and `,`,
+/// and every string character `\u`-escaped. Only the classifying path
+/// decodes it.
+fn noncanonical_line(alert: &Alert) -> String {
+    fn render(value: &serde_json::Value, out: &mut String) {
+        match value {
+            serde_json::Value::Object(map) => {
+                let entries: Vec<_> = map.iter().collect();
+                out.push_str("{ ");
+                for (i, (key, value)) in entries.into_iter().rev().enumerate() {
+                    if i > 0 {
+                        out.push_str(" , ");
+                    }
+                    escaped(key, out);
+                    out.push_str(" : ");
+                    render(value, out);
+                }
+                out.push_str(" }");
+            }
+            serde_json::Value::String(s) => escaped(s, out),
+            other => out.push_str(&other.to_string()),
+        }
+    }
+    fn escaped(s: &str, out: &mut String) {
+        out.push('"');
+        for unit in s.encode_utf16() {
+            write!(out, "\\u{unit:04x}").expect("writing to a String");
+        }
+        out.push('"');
+    }
+    let value = serde_json::from_str(&serde_json::to_string(alert).expect("alert serializes"))
+        .expect("alert JSON parses");
+    let mut line = String::new();
+    render(&value, &mut line);
+    line
+}
+
+/// Sends `alerts` as [`noncanonical_line`]s and a flush on a
+/// connection of its own, returning the flush's ack.
+fn send_noncanonical(addr: SocketAddr, alerts: &[Alert]) -> AckFrame {
+    assert!(!alerts.is_empty(), "the non-canonical lines carry alerts");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut text = String::new();
+    for alert in alerts {
+        let line = noncanonical_line(alert);
+        assert_eq!(scan_alert(&line), None, "{line}");
+        text.push_str(&line);
+        text.push('\n');
+    }
+    text.push_str(FLUSH_FRAME);
+    text.push('\n');
+    stream.write_all(text.as_bytes()).expect("write window");
+    let mut ack = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut ack)
+        .expect("read ack");
+    parse_ack_line(&ack).expect("an ack line")
+}
+
 /// Streams the windows over a real TCP connection in `wire` format and
-/// returns the per-window published snapshots.
+/// returns the per-window published snapshots. An NDJSON run sends the
+/// second half of window [`NONCANONICAL_WINDOW`] as
+/// [`noncanonical_line`]s instead.
 fn run_over_tcp(
     strategies: &[AlertStrategy],
     windows: &[Vec<Alert>],
@@ -72,12 +141,26 @@ fn run_over_tcp(
     let mut client = IngressClient::connect(addr, wire).expect("connect");
     let mut snapshots = Vec::with_capacity(windows.len());
     for (window, seq) in windows.iter().zip(0u64..) {
-        client.send_alerts(window).expect("write window");
+        let ack = if wire == WireFormat::Ndjson && seq == NONCANONICAL_WINDOW {
+            // The sync routes the first half before the second half
+            // arrives on its own connection, so the window keeps its
+            // order.
+            let (head, tail) = window.split_at(window.len() / 2);
+            client.send_alerts(head).expect("write window");
+            assert_eq!(
+                client.request(&Frame::Sync).expect("sync acked"),
+                AckFrame::Sync
+            );
+            send_noncanonical(addr, tail)
+        } else {
+            client.send_alerts(window).expect("write window");
+            client.request(&Frame::Flush).expect("flush acked")
+        };
         // Acks come back in the connection's own format — a JSON text
         // line on NDJSON connections, a binary `AckFrame` on binary
         // ones — and say the same thing in both.
         assert_eq!(
-            client.request(&Frame::Flush).expect("flush acked"),
+            ack,
             AckFrame::Flush {
                 window: seq,
                 alerts: window.len() as u64,
