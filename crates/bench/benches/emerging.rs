@@ -1,13 +1,14 @@
 //! Criterion benches: the emerging-alert (R4) channel end to end — the
-//! per-window observe path (streaming tokenize → encode → sparse AO-LDA
-//! → emergence scan) with and without the opt-in token budget, plus the
-//! budget sampler on its own. End-to-end timing of the channel lives
+//! per-window observe path (group by text → tokenize each distinct text
+//! once → sparse AO-LDA over the distinct bags → emergence scan) with
+//! and without the opt-in token budget, plus the budget sampler on its
+//! own. End-to-end timing of the channel lives
 //! in `crates/pipeline-bench` (see its README).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use alertops_model::{AlertId, SimTime};
+use alertops_model::{AlertId, IStr, SimTime};
 use alertops_react::{
     apply_budget, EmergingAlertDetector, EmergingBudget, EmergingConfig, EmergingDoc,
 };
@@ -20,13 +21,15 @@ const THEMES: [&str; 4] = [
     "network packet retransmission rate abnormal on edge router",
 ];
 
-/// One wall-clock hour of alert-title documents cycling the themes.
+/// One wall-clock hour of alert-title documents cycling the themes
+/// (no service name, so the text is the title alone).
 fn window(hour: u64, len: usize) -> Vec<EmergingDoc> {
     (0..len)
         .map(|i| EmergingDoc {
             alert: AlertId(hour * len as u64 + i as u64),
             raised_at: SimTime::from_secs(hour * 3_600 + i as u64 * 40),
-            text: THEMES[i % THEMES.len()].to_owned(),
+            title: THEMES[i % THEMES.len()].into(),
+            service: IStr::empty(),
         })
         .collect()
 }
@@ -69,7 +72,7 @@ fn bench_emerging(c: &mut Criterion) {
         let mut vocab = Vocabulary::new();
         let bows: Vec<BagOfWords> = windows[0]
             .iter()
-            .map(|d| vocab.encode_and_update(&tokenizer.tokenize(&d.text)))
+            .map(|d| vocab.encode_and_update(&tokenizer.tokenize(&d.title)))
             .collect();
         b.iter(|| {
             let mut sampled = bows.clone();

@@ -48,13 +48,14 @@ fn bench_topics(c: &mut Criterion) {
         b.iter(|| black_box(lda.infer(&docs[0])));
     });
     group.bench_function("aolda_process_window", |b| {
+        let identity: Vec<u32> = (0..docs.len() as u32).collect();
         b.iter(|| {
             let mut aolda = AdaptiveOnlineLda::new(AoldaConfig {
                 lda: config.clone(),
                 passes_per_window: 5,
                 ..AoldaConfig::default()
             });
-            black_box(aolda.process_window(&docs).doc_count)
+            black_box(aolda.process_window(&docs, &identity).doc_count)
         });
     });
     group.finish();

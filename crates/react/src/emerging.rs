@@ -14,6 +14,11 @@
 //! [`AdaptiveOnlineLda`] window by window, and reports alerts whose
 //! dominant topic has no counterpart in recent history.
 //!
+//! Storms repeat a few templates, so a window is handled per distinct
+//! text: each distinct (title, service) pair is tokenized once and
+//! AO-LDA fits the distinct bags plus one bag index per alert, with
+//! every float what a per-alert pass would compute.
+//!
 //! Two driving modes share one window-processing core:
 //!
 //! * **offline** — [`run`](EmergingAlertDetector::run) fits the
@@ -30,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use alertops_model::{Alert, AlertId, SimDuration, SimTime};
+use alertops_model::{Alert, AlertId, IStr, SimDuration, SimTime};
 use alertops_text::{BagOfWords, OovPolicy, Tokenizer, Vocabulary};
 use alertops_topics::{AdaptiveOnlineLda, AoldaConfig, LdaConfig};
 
@@ -161,16 +166,20 @@ impl Default for EmergingConfig {
 ///
 /// This is what ingestd shards forward to the coordinator for the
 /// emerging channel: the id (to name flagged alerts), the raise time
-/// (to place the window on the wall clock), and the raw text AO-LDA
-/// tokenizes — nothing else crosses the shard boundary.
+/// (to place the window on the wall clock), and the text AO-LDA
+/// tokenizes — nothing else crosses the shard boundary. The text is
+/// the alert's own interned title and service, so extracting, cloning
+/// and merging documents copies no string.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EmergingDoc {
     /// The alert this document was extracted from.
     pub alert: AlertId,
     /// When the alert was raised.
     pub raised_at: SimTime,
-    /// The text fed to the tokenizer (title + service).
-    pub text: String,
+    /// The alert's title; tokenized first.
+    pub title: IStr,
+    /// The alert's service name; tokenized after the title.
+    pub service: IStr,
 }
 
 impl EmergingDoc {
@@ -180,9 +189,29 @@ impl EmergingDoc {
         Self {
             alert: alert.id(),
             raised_at: alert.raised_at(),
-            text: format!("{} {}", alert.title(), alert.service_name()),
+            title: alert.title_interned().clone(),
+            service: alert.service_name_interned().clone(),
         }
     }
+
+    /// Whether `self` and `other` carry the same text.
+    fn same_text(&self, other: &Self) -> bool {
+        self.title == other.title && self.service == other.service
+    }
+}
+
+/// Visits the tokens of an alert's text: its title's, then its
+/// service's. These are exactly the tokens of `"{title} {service}"`,
+/// because the tokenizer splits on the space between them.
+fn for_each_text_token(
+    tokenizer: &Tokenizer,
+    title: &str,
+    service: &str,
+    scratch: &mut String,
+    mut f: impl FnMut(&str),
+) {
+    tokenizer.for_each_token(title, scratch, &mut f);
+    tokenizer.for_each_token(service, scratch, f);
 }
 
 /// The verdict for one processed window.
@@ -261,11 +290,18 @@ impl EmergingAlertDetector {
     /// corpus behaves exactly like a fresh detector.
     pub fn fit(&mut self, alerts: &[Alert]) {
         self.vocab.clear();
+        let mut scratch = String::new();
         for alert in alerts {
-            let tokens = self.tokenize(alert);
-            for token in &tokens {
-                self.vocab.intern(token);
-            }
+            let vocab = &mut self.vocab;
+            for_each_text_token(
+                &self.tokenizer,
+                alert.title(),
+                alert.service_name(),
+                &mut scratch,
+                |token| {
+                    vocab.intern(token);
+                },
+            );
         }
         // Guard against a degenerate empty vocabulary.
         if self.vocab.is_empty() {
@@ -297,6 +333,9 @@ impl EmergingAlertDetector {
     /// [`observe_window`](Self::observe_window) over pre-extracted
     /// documents — the form ingestd's coordinator consumes after
     /// merging the per-shard forwards.
+    ///
+    /// Each distinct text is tokenized once and fitted once; the report
+    /// is the one a pass over every document would give.
     pub fn observe_docs(&mut self, docs: &[EmergingDoc]) -> EmergingReport {
         let window_start = docs
             .iter()
@@ -306,31 +345,21 @@ impl EmergingAlertDetector {
             .or(self.next_window_start)
             .unwrap_or(SimTime::from_secs(0));
 
-        // Allocation-light encode: tokens stream through one reused
-        // scratch buffer straight into the interner, skipping the
-        // per-token `String` and per-document counting map the batch
-        // `tokenize` + `encode` pair would allocate. The stream visits
-        // the same tokens in the same order (both differentially tested
-        // in alertops-text), so word ids, counts, and therefore every
-        // downstream topic are byte-identical to the batch path.
-        let mut scratch = String::new();
-        let mut bows: Vec<BagOfWords> = Vec::with_capacity(docs.len());
-        let oov = self.oov;
-        for d in docs {
-            let mut doc = BagOfWords::new();
-            let vocab = &mut self.vocab;
-            self.tokenizer.for_each_token(&d.text, &mut scratch, |tok| {
-                vocab.count_token(tok, oov, &mut doc);
-            });
-            doc.sort_unstable_by_key(|&(id, _)| id);
-            bows.push(doc);
-        }
+        let (mut bags, mut positions) = self.encode_distinct(docs);
 
         // Storm-load token budget (opt-in; see `EmergingBudget`).
         // Applied *after* encoding so vocabulary interning — and thus
         // word ids — never depends on which tokens the sampler keeps.
+        // The sampler draws per token occurrence in document order, so
+        // it gets the window expanded to one bag per document, and the
+        // fit the identity index.
         if let Some(budget) = self.config.budget {
-            apply_budget(&mut bows, &budget, self.windows_processed);
+            bags = positions
+                .iter()
+                .map(|&b| bags[b as usize].clone())
+                .collect();
+            apply_budget(&mut bags, &budget, self.windows_processed);
+            positions = (0..bags.len() as u32).collect();
         }
 
         // Lazily create the model, or widen it if interning grew the
@@ -346,7 +375,7 @@ impl EmergingAlertDetector {
         }
         let aolda = self.aolda.as_mut().expect("model just ensured");
 
-        let window = aolda.process_window(&bows);
+        let window = aolda.process_window(&bags, &positions);
         let emerging_alerts = window
             .emerging_doc_indices()
             .into_iter()
@@ -432,9 +461,61 @@ impl EmergingAlertDetector {
         SimTime::from_secs(t.as_secs() - t.as_secs() % window_secs)
     }
 
-    fn tokenize(&self, alert: &Alert) -> Vec<String> {
-        self.tokenizer
-            .tokenize(&format!("{} {}", alert.title(), alert.service_name()))
+    /// Encodes `docs` once per distinct text: returns one bag per
+    /// distinct (title, service) pair, in the order of the pair's first
+    /// document, and each document's bag index.
+    ///
+    /// Documents are grouped by content with a sort, not a hash (alert
+    /// text is outside input), ties by position so each group starts at
+    /// its first document. Tokens stream through one reused scratch
+    /// buffer straight into the interner. Visiting the pairs in
+    /// first-document order interns every word at the same point of the
+    /// stream as tokenizing every document in order would (a repeated
+    /// text interns nothing new), so word ids, counts and every
+    /// downstream topic are those of the per-document encode.
+    fn encode_distinct(&mut self, docs: &[EmergingDoc]) -> (Vec<BagOfWords>, Vec<u32>) {
+        let mut order: Vec<u32> = (0..docs.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let (x, y) = (&docs[a as usize], &docs[b as usize]);
+            x.title
+                .cmp(&y.title)
+                .then_with(|| x.service.cmp(&y.service))
+                .then(a.cmp(&b))
+        });
+        // `bag_of[pos]` first names the first document with pos's text;
+        // the walk below turns it into pos's bag index. A group's first
+        // document opens a bag, every later one copies the index its
+        // first document (an earlier position) already holds.
+        let mut bag_of = vec![0u32; docs.len()];
+        for group in order.chunk_by(|&a, &b| docs[a as usize].same_text(&docs[b as usize])) {
+            for &pos in group {
+                bag_of[pos as usize] = group[0];
+            }
+        }
+        let mut bags: Vec<BagOfWords> = Vec::new();
+        let mut scratch = String::new();
+        let oov = self.oov;
+        for pos in 0..docs.len() {
+            let first = bag_of[pos] as usize;
+            bag_of[pos] = if first == pos {
+                let doc = &docs[pos];
+                let mut bag = BagOfWords::new();
+                let vocab = &mut self.vocab;
+                for_each_text_token(
+                    &self.tokenizer,
+                    &doc.title,
+                    &doc.service,
+                    &mut scratch,
+                    |token| vocab.count_token(token, oov, &mut bag),
+                );
+                bag.sort_unstable_by_key(|&(id, _)| id);
+                bags.push(bag);
+                (bags.len() - 1) as u32
+            } else {
+                bag_of[first]
+            };
+        }
+        (bags, bag_of)
     }
 }
 
@@ -662,6 +743,94 @@ mod tests {
             .filter(|id| id.0 >= 48)
             .count();
         assert!(novel_hits * 2 >= reports[3].emerging_alerts.len());
+    }
+
+    fn doc(id: u64, title: &str, service: &str) -> EmergingDoc {
+        EmergingDoc {
+            alert: AlertId(id),
+            raised_at: SimTime::from_secs(id * 60),
+            title: title.into(),
+            service: service.into(),
+        }
+    }
+
+    /// Repeated pairs, titles that differ only in digits (the tokenizer
+    /// drops numbers, so their bags collide), and a text that tokenizes
+    /// to nothing.
+    fn mixed_window() -> Vec<EmergingDoc> {
+        vec![
+            doc(0, "disk usage of node 7 over threshold", "Storage"),
+            doc(1, "the 42 of", "--"),
+            doc(2, "cpu utilization high on worker", "Compute"),
+            doc(3, "disk usage of node 7 over threshold", "Storage"),
+            doc(4, "disk usage of node 12 over threshold", "Storage"),
+            doc(5, "cpu utilization high on worker", "Compute"),
+            doc(6, "the 42 of", "--"),
+            doc(7, "cpu utilization high on worker", "Storage"),
+        ]
+    }
+
+    #[test]
+    fn each_distinct_text_is_encoded_once_in_first_document_order() {
+        let docs = mixed_window();
+        let mut detector = EmergingAlertDetector::new(EmergingConfig::default());
+        let (bags, positions) = detector.encode_distinct(&docs);
+        assert_eq!(positions, [0, 1, 2, 0, 3, 2, 1, 4]);
+        assert_eq!(bags.len(), 5, "one bag per distinct (title, service)");
+        assert!(bags[1].is_empty());
+        assert_eq!(bags[0], bags[3], "titles differing in digits collide");
+
+        // The per-document encode of the joined text gives the same
+        // word ids and the same bag at every position.
+        let tokenizer = Tokenizer::new().drop_numbers();
+        let mut vocab = Vocabulary::new();
+        for (d, &bag) in docs.iter().zip(&positions) {
+            let tokens = tokenizer.tokenize(&format!("{} {}", d.title, d.service));
+            assert_eq!(vocab.encode_and_update(&tokens), bags[bag as usize]);
+        }
+        let words =
+            |v: &Vocabulary| -> Vec<String> { v.iter().map(|(_, w)| w.to_owned()).collect() };
+        assert_eq!(words(&vocab), words(detector.vocabulary()));
+    }
+
+    /// An unengaged budget expands the window to one bag per document
+    /// and fits it through the identity index, so it is the per-document
+    /// reference for the distinct-text path.
+    #[test]
+    fn distinct_text_path_reports_as_the_per_document_path() {
+        let windows: Vec<Vec<EmergingDoc>> = (0..4u64)
+            .map(|hour| {
+                let mut window = mixed_window();
+                for (i, d) in window.iter_mut().enumerate() {
+                    d.alert = AlertId(hour * 100 + i as u64);
+                    d.raised_at = SimTime::from_secs(hour * 3_600 + i as u64);
+                }
+                if hour == 3 {
+                    window.push(doc(399, "certificate rotation deadlock", "Security"));
+                    window.push(doc(398, "certificate rotation deadlock", "Security"));
+                }
+                window
+            })
+            .collect();
+        let config = EmergingConfig {
+            num_topics: 3,
+            ..EmergingConfig::default()
+        };
+        let mut distinct = EmergingAlertDetector::new(config.clone());
+        let mut per_document = EmergingAlertDetector::new(EmergingConfig {
+            budget: Some(EmergingBudget::new(1_000_000, 1)),
+            ..config
+        });
+        for window in &windows {
+            assert_eq!(
+                distinct.observe_docs(window),
+                per_document.observe_docs(window)
+            );
+        }
+        let words = |d: &EmergingAlertDetector| -> Vec<String> {
+            d.vocabulary().iter().map(|(_, w)| w.to_owned()).collect()
+        };
+        assert_eq!(words(&distinct), words(&per_document));
     }
 
     fn total_tokens(bows: &[BagOfWords]) -> usize {

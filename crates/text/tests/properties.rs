@@ -7,6 +7,17 @@ use alertops_text::similarity::{
 };
 use alertops_text::{extract_template, TitleScorer, Tokenizer, Vocabulary};
 
+/// Alert-like text: arbitrary Unicode, camelCase and acronym runs,
+/// digits glued to letters, and punctuation at either end.
+fn alert_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        ".{0,40}",
+        "[A-Za-z0-9]{0,24}",
+        "[.,:;!?_()-]{0,2}([A-Z]{0,3}[a-z]{0,6}[0-9]{0,3}){1,4}[.,:;!?_()-]{0,2}",
+        "[a-zé中]{0,6}[A-ZÉ]{0,3}[0-9]{0,2} ?[a-z]{0,6}",
+    ]
+}
+
 proptest! {
     #[test]
     fn tokenizer_never_emits_empty_or_uppercase(s in ".{0,120}") {
@@ -21,6 +32,27 @@ proptest! {
     fn tokenizer_is_deterministic(s in ".{0,120}") {
         let t = Tokenizer::new();
         prop_assert_eq!(t.tokenize(&s), t.tokenize(&s));
+    }
+
+    /// The emerging channel tokenizes an alert's title and service
+    /// separately instead of their `"{title} {service}"` join; the space
+    /// is a split point, so the join's tokens are the title's followed
+    /// by the service's — whatever either side ends or starts with.
+    #[test]
+    fn tokens_of_a_space_join_are_the_tokens_of_each_side(
+        a in alert_text(),
+        b in alert_text(),
+        drop_numbers in any::<bool>(),
+    ) {
+        let t = if drop_numbers { Tokenizer::new().drop_numbers() } else { Tokenizer::new() };
+        let mut scratch = String::new();
+        let mut joined = Vec::new();
+        t.for_each_token(&format!("{a} {b}"), &mut scratch, |tok| joined.push(tok.to_owned()));
+        let mut separate = Vec::new();
+        for side in [&a, &b] {
+            t.for_each_token(side, &mut scratch, |tok| separate.push(tok.to_owned()));
+        }
+        prop_assert_eq!(joined, separate);
     }
 
     #[test]

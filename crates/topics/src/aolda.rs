@@ -95,13 +95,31 @@ pub struct TopicWindow {
     pub doc_count: usize,
     /// Per-topic summaries.
     pub topics: Vec<WindowTopic>,
-    /// Per-document topic mixtures, parallel to the input slice.
+    /// One topic mixture per bag of the fitted window, parallel to the
+    /// `bags` slice [`AdaptiveOnlineLda::process_window`] was given.
+    /// Emptied once a newer window is processed: only the newest
+    /// window's documents are ever asked for.
     pub doc_mixtures: Vec<Vec<f64>>,
+    /// Per document (position) of the window, the index of its mixture
+    /// in [`doc_mixtures`](Self::doc_mixtures). Emptied with them.
+    pub doc_bags: Vec<u32>,
 }
 
 impl TopicWindow {
-    /// Indices of documents whose dominant topic is emerging — the
-    /// "emerging alerts" R4 surfaces to OCEs.
+    /// The topic mixture of the window's `position`-th document.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position` is past the window's last document, or the
+    /// window's mixtures were dropped because a newer window exists.
+    #[must_use]
+    pub fn doc_mixture(&self, position: usize) -> &[f64] {
+        &self.doc_mixtures[self.doc_bags[position] as usize]
+    }
+
+    /// Indices (positions) of documents whose dominant topic is
+    /// emerging — the "emerging alerts" R4 surfaces to OCEs. The
+    /// dominance test runs once per mixture, not once per position.
     #[must_use]
     pub fn emerging_doc_indices(&self) -> Vec<usize> {
         let emerging: Vec<usize> = self
@@ -113,18 +131,16 @@ impl TopicWindow {
         if emerging.is_empty() {
             return Vec::new();
         }
-        self.doc_mixtures
+        let flagged: Vec<bool> = self
+            .doc_mixtures
+            .iter()
+            .map(|mixture| dominant_topic(mixture).is_some_and(|d| emerging.contains(&d)))
+            .collect();
+        self.doc_bags
             .iter()
             .enumerate()
-            .filter(|(_, mixture)| {
-                let dominant = mixture
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(i, _)| i);
-                dominant.is_some_and(|d| emerging.contains(&d))
-            })
-            .map(|(i, _)| i)
+            .filter(|&(_, &bag)| flagged[bag as usize])
+            .map(|(position, _)| position)
             .collect()
     }
 
@@ -133,6 +149,17 @@ impl TopicWindow {
     pub fn emerging_topics(&self) -> Vec<&WindowTopic> {
         self.topics.iter().filter(|t| t.emerging).collect()
     }
+}
+
+/// The index of `mixture`'s largest component, the last one on a tie;
+/// `None` when it is empty. `total_cmp` orders AO-LDA's strictly
+/// positive mixtures as `partial_cmp` would, and cannot panic.
+fn dominant_topic(mixture: &[f64]) -> Option<usize> {
+    mixture
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| i)
 }
 
 /// Adaptive online LDA over a stream of time windows.
@@ -146,10 +173,13 @@ impl TopicWindow {
 ///     lda: LdaConfig { num_topics: 2, vocab_size: 6, ..LdaConfig::default() },
 ///     ..AoldaConfig::default()
 /// });
-/// let window0 = vec![vec![(0, 2), (1, 1)], vec![(0, 1), (2, 2)]];
-/// let summary = aolda.process_window(&window0);
+/// // Three documents, the first and the last with the same text.
+/// let bags = vec![vec![(0, 2), (1, 1)], vec![(0, 1), (2, 2)]];
+/// let summary = aolda.process_window(&bags, &[0, 1, 0]);
 /// assert_eq!(summary.index, 0);
+/// assert_eq!(summary.doc_count, 3);
 /// assert_eq!(summary.topics.len(), 2);
+/// assert_eq!(summary.doc_mixture(0), summary.doc_mixture(2));
 /// ```
 #[derive(Debug, Clone)]
 pub struct AdaptiveOnlineLda {
@@ -253,15 +283,27 @@ impl AdaptiveOnlineLda {
         self.config.lda.vocab_size = vocab_size;
     }
 
-    /// Fits the next window over `docs` and returns its summary.
+    /// Fits the next window — whose `i`-th document is
+    /// `bags[positions[i]]` — and returns its summary.
+    ///
+    /// A caller with one bag per document passes the identity index
+    /// `0..n`; one that holds each distinct text once passes it with
+    /// every position's bag, and the fit solves distinct documents only
+    /// (see [`OnlineLda::fit_window_with`]). Either way the summary is
+    /// bit-identical to fitting the window expanded to one bag per
+    /// position.
     ///
     /// The window's model is seeded from a blend of a fresh prior and the
     /// mean λ of the last [`history`](AoldaConfig::history) windows,
     /// weighted by [`adaptation_weight`](AoldaConfig::adaptation_weight).
-    pub fn process_window(&mut self, docs: &[BagOfWords]) -> &TopicWindow {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position names a bag past the end of `bags`.
+    pub fn process_window(&mut self, bags: &[BagOfWords], positions: &[u32]) -> &TopicWindow {
         let window_index = self.windows_processed;
         let lda_config = LdaConfig {
-            corpus_size: Some(docs.len().max(1)),
+            corpus_size: Some(positions.len().max(1)),
             // Vary the seed per window so non-adapted topics don't line up
             // by construction; determinism is preserved.
             seed: self.config.lda.seed.wrapping_add(window_index as u64),
@@ -298,7 +340,8 @@ impl AdaptiveOnlineLda {
         }
 
         let doc_mixtures: Vec<Vec<f64>> = model.fit_window_with(
-            docs,
+            bags,
+            positions,
             self.config.passes_per_window,
             self.config.pass_tol,
             &mut self.workspace,
@@ -306,14 +349,15 @@ impl AdaptiveOnlineLda {
         let topics_dist = model.topics();
         let k = topics_dist.len();
 
-        // Topic weights: average share of document mass.
+        // Topic weights: average share of document mass, summed per
+        // position in position order.
         let mut weights = vec![0.0; k];
-        for mixture in &doc_mixtures {
-            for (slot, &p) in weights.iter_mut().zip(mixture) {
+        for &bag in positions {
+            for (slot, &p) in weights.iter_mut().zip(&doc_mixtures[bag as usize]) {
                 *slot += p;
             }
         }
-        let denom = doc_mixtures.len().max(1) as f64;
+        let denom = positions.len().max(1) as f64;
         for slot in &mut weights {
             *slot /= denom;
         }
@@ -368,11 +412,21 @@ impl AdaptiveOnlineLda {
             let excess = self.lambda_history.len() - self.config.history;
             self.lambda_history.drain(..excess);
         }
+        // Nothing reads an older window's documents; only its topics
+        // feed the emergence baseline.
+        if let Some(previous) = self.windows.last_mut() {
+            previous.doc_mixtures = Vec::new();
+            previous.doc_bags = Vec::new();
+        }
         self.windows.push(TopicWindow {
             index: window_index,
-            doc_count: docs.iter().filter(|d| !d.is_empty()).count(),
+            doc_count: positions
+                .iter()
+                .filter(|&&bag| !bags[bag as usize].is_empty())
+                .count(),
             topics,
             doc_mixtures,
+            doc_bags: positions.to_vec(),
         });
         let retain = self.config.history.max(1);
         if self.windows.len() > retain {
@@ -400,6 +454,12 @@ mod tests {
             .collect()
     }
 
+    /// Processes a window that holds one bag per document.
+    fn fit<'a>(aolda: &'a mut AdaptiveOnlineLda, docs: &[BagOfWords]) -> &'a TopicWindow {
+        let identity: Vec<u32> = (0..docs.len() as u32).collect();
+        aolda.process_window(docs, &identity)
+    }
+
     fn config(k: usize) -> AoldaConfig {
         AoldaConfig {
             lda: LdaConfig {
@@ -415,7 +475,7 @@ mod tests {
     #[test]
     fn first_window_is_never_emerging() {
         let mut aolda = AdaptiveOnlineLda::new(config(2));
-        let win = aolda.process_window(&storage_docs(10));
+        let win = fit(&mut aolda, &storage_docs(10));
         assert!(win.topics.iter().all(|t| !t.emerging));
         assert!(win.topics.iter().all(|t| t.novelty == 0.0));
         assert!(win.emerging_doc_indices().is_empty());
@@ -424,8 +484,8 @@ mod tests {
     #[test]
     fn stable_theme_stays_non_emerging() {
         let mut aolda = AdaptiveOnlineLda::new(config(2));
-        aolda.process_window(&storage_docs(10));
-        let win = aolda.process_window(&storage_docs(10));
+        fit(&mut aolda, &storage_docs(10));
+        let win = fit(&mut aolda, &storage_docs(10));
         // Same theme again: topics should find close historical
         // counterparts.
         assert!(
@@ -438,12 +498,12 @@ mod tests {
     #[test]
     fn novel_theme_is_flagged_emerging() {
         let mut aolda = AdaptiveOnlineLda::new(config(2));
-        aolda.process_window(&storage_docs(10));
-        aolda.process_window(&storage_docs(10));
+        fit(&mut aolda, &storage_docs(10));
+        fit(&mut aolda, &storage_docs(10));
         // Third window: half old theme, half brand-new vocabulary.
         let mut docs = storage_docs(6);
         docs.extend(novel_docs(6));
-        let win = aolda.process_window(&docs);
+        let win = fit(&mut aolda, &docs);
         assert!(
             win.topics.iter().any(|t| t.emerging),
             "novel theme not flagged: novelties {:?}",
@@ -462,7 +522,7 @@ mod tests {
     #[test]
     fn topic_weights_sum_to_one_per_window() {
         let mut aolda = AdaptiveOnlineLda::new(config(3));
-        let win = aolda.process_window(&storage_docs(8));
+        let win = fit(&mut aolda, &storage_docs(8));
         let total: f64 = win.topics.iter().map(|t| t.weight).sum();
         assert!((total - 1.0).abs() < 1e-6, "weights sum to {total}");
     }
@@ -471,7 +531,7 @@ mod tests {
     fn window_indices_increment() {
         let mut aolda = AdaptiveOnlineLda::new(config(2));
         for i in 0..3 {
-            let win = aolda.process_window(&storage_docs(4));
+            let win = fit(&mut aolda, &storage_docs(4));
             assert_eq!(win.index, i);
         }
         assert_eq!(aolda.windows().len(), 3);
@@ -484,7 +544,7 @@ mod tests {
             ..config(2)
         });
         for _ in 0..5 {
-            aolda.process_window(&storage_docs(4));
+            fit(&mut aolda, &storage_docs(4));
         }
         assert!(aolda.lambda_history.len() <= 2);
     }
@@ -495,8 +555,8 @@ mod tests {
             adaptation_weight: 0.0,
             ..config(2)
         });
-        aolda.process_window(&storage_docs(4));
-        aolda.process_window(&storage_docs(4));
+        fit(&mut aolda, &storage_docs(4));
+        fit(&mut aolda, &storage_docs(4));
         assert_eq!(aolda.windows().len(), 2);
     }
 
@@ -512,9 +572,101 @@ mod tests {
     #[test]
     fn empty_window_is_handled() {
         let mut aolda = AdaptiveOnlineLda::new(config(2));
-        let win = aolda.process_window(&[]);
+        let win = fit(&mut aolda, &[]);
         assert_eq!(win.doc_count, 0);
         assert_eq!(win.doc_mixtures.len(), 0);
+        assert_eq!(win.doc_bags.len(), 0);
+    }
+
+    /// A window of distinct bags plus a bag per position summarizes
+    /// exactly as the same window with one bag per position.
+    #[test]
+    fn indexed_window_summarizes_as_its_expansion() {
+        let mut bags = storage_docs(3);
+        bags.extend(novel_docs(2));
+        bags.push(Vec::new());
+        bags.push(bags[0].clone());
+        let positions = [0u32, 1, 5, 0, 3, 6, 2, 4, 4, 1, 5, 3];
+        let expanded: Vec<BagOfWords> = positions
+            .iter()
+            .map(|&b| bags[b as usize].clone())
+            .collect();
+        let mut indexed = AdaptiveOnlineLda::new(config(2));
+        let mut flat = AdaptiveOnlineLda::new(config(2));
+        for _ in 0..3 {
+            let a = indexed.process_window(&bags, &positions).clone();
+            let b = fit(&mut flat, &expanded).clone();
+            assert_eq!(a.topics, b.topics);
+            assert_eq!(a.doc_count, b.doc_count);
+            assert_eq!(a.emerging_doc_indices(), b.emerging_doc_indices());
+            for position in 0..positions.len() {
+                assert_eq!(a.doc_mixture(position), b.doc_mixture(position));
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_newest_window_keeps_its_mixtures() {
+        let mut aolda = AdaptiveOnlineLda::new(config(2));
+        for _ in 0..3 {
+            fit(&mut aolda, &storage_docs(4));
+        }
+        let (newest, older) = aolda.windows().split_last().unwrap();
+        assert_eq!(newest.doc_mixtures.len(), 4);
+        assert_eq!(newest.doc_bags, [0, 1, 2, 3]);
+        for window in older {
+            assert!(window.doc_mixtures.is_empty() && window.doc_bags.is_empty());
+            assert_eq!(window.topics.len(), 2, "topics stay for the baseline");
+        }
+    }
+
+    #[test]
+    fn dominant_topic_orders_positive_mixtures_as_partial_cmp_did() {
+        let partial = |m: &[f64]| {
+            m.iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .map(|(i, _)| i)
+        };
+        // Strictly positive components, coarse enough to tie often.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..2_000 {
+            let mixture: Vec<f64> = (0..4)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % 8 + 1) as f64 / 8.0
+                })
+                .collect();
+            assert_eq!(dominant_topic(&mixture), partial(&mixture), "{mixture:?}");
+        }
+        assert_eq!(dominant_topic(&[f64::MIN_POSITIVE, 1e-300]), Some(1));
+        // Ties still resolve to the last maximum.
+        assert_eq!(dominant_topic(&[0.4, 0.2, 0.4]), Some(2));
+        assert_eq!(dominant_topic(&[0.25; 4]), Some(3));
+        assert_eq!(dominant_topic(&[]), None);
+        // A NaN cannot panic the close that asks.
+        assert!(dominant_topic(&[0.5, f64::NAN]).is_some());
+    }
+
+    #[test]
+    fn emerging_doc_indices_take_the_last_of_tied_topics() {
+        let topic = |topic: usize, emerging: bool| WindowTopic {
+            topic,
+            distribution: vec![0.5, 0.5],
+            novelty: 0.0,
+            emerging,
+            weight: 0.5,
+        };
+        let window = TopicWindow {
+            index: 0,
+            doc_count: 4,
+            topics: vec![topic(0, false), topic(1, true)],
+            doc_mixtures: vec![vec![0.5, 0.5], vec![0.7, 0.3], vec![0.2, 0.8]],
+            doc_bags: vec![0, 1, 2, 0],
+        };
+        assert_eq!(window.emerging_doc_indices(), [0, 2, 3]);
     }
 
     #[test]
@@ -524,7 +676,7 @@ mod tests {
             ..config(2)
         });
         for i in 0..5 {
-            let win = aolda.process_window(&storage_docs(4));
+            let win = fit(&mut aolda, &storage_docs(4));
             assert_eq!(win.index, i, "index counts all windows ever processed");
         }
         assert_eq!(aolda.windows_processed(), 5);
@@ -556,7 +708,7 @@ mod tests {
         // λ snapshot matches the new width, and probabilities still
         // normalize (zero padding adds no mass).
         let mut grown = AdaptiveOnlineLda::new(small);
-        grown.process_window(&storage_docs(8));
+        fit(&mut grown, &storage_docs(8));
         grown.grow_vocab(12);
         assert_eq!(grown.config().lda.vocab_size, 12);
         for win in grown.windows() {
@@ -569,8 +721,8 @@ mod tests {
 
         // Windows processed after growth use the full width, and a novel
         // theme living entirely in the new columns is flagged emerging.
-        grown.process_window(&storage_docs(8));
-        let win = grown.process_window(&novel_docs(8));
+        fit(&mut grown, &storage_docs(8));
+        let win = fit(&mut grown, &novel_docs(8));
         assert_eq!(win.topics[0].distribution.len(), 12);
         assert!(
             win.topics.iter().any(|t| t.emerging),
@@ -583,13 +735,10 @@ mod tests {
     fn grow_vocab_to_same_size_is_a_no_op() {
         let mut a = AdaptiveOnlineLda::new(config(2));
         let mut b = AdaptiveOnlineLda::new(config(2));
-        a.process_window(&storage_docs(6));
-        b.process_window(&storage_docs(6));
+        fit(&mut a, &storage_docs(6));
+        fit(&mut b, &storage_docs(6));
         a.grow_vocab(12);
-        assert_eq!(
-            a.process_window(&storage_docs(6)),
-            b.process_window(&storage_docs(6))
-        );
+        assert_eq!(fit(&mut a, &storage_docs(6)), fit(&mut b, &storage_docs(6)));
     }
 
     #[test]
@@ -602,7 +751,7 @@ mod tests {
     #[test]
     fn doc_mixtures_are_normalized() {
         let mut aolda = AdaptiveOnlineLda::new(config(2));
-        let win = aolda.process_window(&storage_docs(5));
+        let win = fit(&mut aolda, &storage_docs(5));
         for m in &win.doc_mixtures {
             assert!((m.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }

@@ -26,10 +26,12 @@
 //! * Absent columns decay as `(1−ρ)·λ + ρ·η`, which is IEEE-754-exactly
 //!   the dense `(1−ρ)·λ + ρ·(η + scale·0.0)`.
 //! * Sufficient statistics accumulate in the dense order (document-major,
-//!   position-major, topic-major). Each call indexes its documents once:
-//!   a distinct document is solved at its first occurrence, and every
-//!   occurrence replays that outcome in its own position through the
-//!   index table.
+//!   position-major, topic-major). A window arrives as *indexed*
+//!   documents — distinct bags plus one bag index per position — and
+//!   each call indexes the bags by content once: a distinct document is
+//!   solved once per pass, and every position replays that outcome in
+//!   its own place through the index table, so the floats are those of
+//!   the dense sweep over the window expanded to one bag per position.
 //!
 //! Scratch buffers live in [`LdaWorkspace`] and are reused across
 //! documents, iterations, and batches — the hot loop performs no
@@ -138,12 +140,10 @@ pub struct LdaWorkspace {
     norms: Vec<f64>,
     /// Normalized-θ scratch for the per-document likelihood (length K).
     theta: Vec<f64>,
-    /// Batch position of the first occurrence of each distinct non-empty
-    /// document (ordered by content); the document's index is its
-    /// position here.
+    /// Bag of the first occurrence of each distinct non-empty document
+    /// (ordered by content); the document's index is its position here.
     first: Vec<u32>,
-    /// Per batch position, the index of its document in `first`, or
-    /// [`EMPTY`].
+    /// Per bag, the index of its document in `first`, or [`EMPTY`].
     doc_slot: Vec<u32>,
     /// Outcome per distinct document of the current pass. Entries at and
     /// past `first.len()` are leftovers of a larger batch, kept for
@@ -209,9 +209,9 @@ impl LdaWorkspace {
     /// Indexes `batch`: fills `first` and `doc_slot` so that equal
     /// documents share one index.
     ///
-    /// The non-empty positions are sorted by content, ties by position,
-    /// so each run of equal documents starts at its first occurrence;
-    /// `first` is then compacted in place to one position per run. No
+    /// The non-empty bags are sorted by content, ties by index, so
+    /// each run of equal documents starts at its first occurrence;
+    /// `first` is then compacted in place to one bag per run. No
     /// hashing (alert text is outside input) and, once `first` has
     /// grown to the largest batch, no allocation.
     fn index_docs(&mut self, batch: &[BagOfWords]) {
@@ -356,27 +356,39 @@ impl OnlineLda {
     /// Bit-identical to the dense sweep for any workspace state.
     pub fn update_batch_with(&mut self, batch: &[BagOfWords], ws: &mut LdaWorkspace) -> f64 {
         ws.index_docs(batch);
-        self.update_pass(batch, false, ws)
+        let identity: Vec<u32> = (0..batch.len() as u32).collect();
+        self.update_pass(batch, &identity, false, ws)
     }
 
-    /// One online update over an indexed `batch`, warm-started from
-    /// `ws.warm` when `warm` is set.
+    /// One online update over the window whose `i`-th document is
+    /// `bags[positions[i]]`, with `bags` already indexed into `ws`;
+    /// warm-started from `ws.warm` when `warm` is set.
     ///
-    /// Each distinct document is solved once, at its first occurrence.
-    /// With `warm`, its γ starts from its `ws.warm` row (the cold `α+1`
-    /// init while the rows are empty, on pass 0) and the converged γ is
-    /// written back to that row. Only that document reads the row in
-    /// this pass, so every occurrence sees the same init — the dense
-    /// oracle's read-only-memo discipline.
-    fn update_pass(&mut self, batch: &[BagOfWords], warm: bool, ws: &mut LdaWorkspace) -> f64 {
+    /// Each distinct document is solved once, before any position reads
+    /// it: a solve depends only on λ and its own warm row, never on the
+    /// order of solves. With `warm`, its γ starts from its `ws.warm` row
+    /// (the cold `α+1` init while the rows are empty, on pass 0) and the
+    /// converged γ is written back to that row. Only that document reads
+    /// the row in this pass, so every occurrence sees the same init —
+    /// the dense oracle's read-only-memo discipline.
+    fn update_pass(
+        &mut self,
+        bags: &[BagOfWords],
+        positions: &[u32],
+        warm: bool,
+        ws: &mut LdaWorkspace,
+    ) -> f64 {
         let k = self.config.num_topics;
         let w = self.config.vocab_size;
-        let nonempty_count = batch.iter().filter(|d| !d.is_empty()).count();
+        let nonempty_count = positions
+            .iter()
+            .filter(|&&bag| ws.doc_slot[bag as usize] != EMPTY)
+            .count();
         if nonempty_count == 0 {
             return 0.0;
         }
 
-        self.prepare_beta(batch, ws);
+        self.prepare_beta(bags, ws);
         let u = ws.unique_ids.len();
         ws.sstats.resize(k * u, 0.0);
 
@@ -393,27 +405,27 @@ impl OnlineLda {
             warm_gamma.resize(distinct * k, 0.0);
         }
 
+        for (index, outcome) in outcomes[..distinct].iter_mut().enumerate() {
+            let row = index * k..(index + 1) * k;
+            let init = (warm && !cold).then(|| &warm_gamma[row.clone()]);
+            self.e_step_train(&bags[ws.first[index] as usize], init, ws, outcome);
+            if warm {
+                warm_gamma[row].copy_from_slice(&ws.gamma);
+            }
+        }
+
         let mut bound = 0.0;
         let mut word_total = 0u64;
-        for (pos, doc) in batch.iter().enumerate() {
-            let index = ws.doc_slot[pos];
+        for &bag in positions {
+            let index = ws.doc_slot[bag as usize];
             if index == EMPTY {
                 continue;
-            }
-            let index = index as usize;
-            let row = index * k..(index + 1) * k;
-            if ws.first[index] as usize == pos {
-                let init = (warm && !cold).then(|| &warm_gamma[row.clone()]);
-                self.e_step_train(doc, init, ws, &mut outcomes[index]);
-                if warm {
-                    warm_gamma[row].copy_from_slice(&ws.gamma);
-                }
             }
             // Replay the document's contribution in this position,
             // preserving the dense accumulation order: document-major,
             // position-major, topic-major.
-            let outcome = &outcomes[index];
-            let in_vocab = doc.iter().filter(|&&(id, _)| id < w);
+            let outcome = &outcomes[index as usize];
+            let in_vocab = bags[bag as usize].iter().filter(|&&(id, _)| id < w);
             for (&(id, _), contrib) in in_vocab.zip(outcome.contribs.chunks_exact(k)) {
                 let slot = ws.slot(id);
                 for (topic, &c) in contrib.iter().enumerate() {
@@ -512,12 +524,19 @@ impl OnlineLda {
         out
     }
 
-    /// Fits one window: up to `passes` online updates over `docs` with
-    /// cross-pass warm-started γ and a cheap early exit once the
-    /// variational bound stops moving, returning each document's
-    /// normalized topic mixture from the final pass.
+    /// Fits one window: up to `passes` online updates over the window
+    /// whose `i`-th document is `bags[positions[i]]`, with cross-pass
+    /// warm-started γ and a cheap early exit once the variational bound
+    /// stops moving, returning each bag's normalized topic mixture from
+    /// the final pass (parallel to `bags`).
     ///
-    /// The documents are indexed once for all passes. The warm-start
+    /// This is the one fit path. A caller that holds one bag per
+    /// document passes the identity index `0..n`; one that holds each
+    /// distinct text once passes its bags and every position's bag, and
+    /// pays for the distinct documents only. Bags need not be distinct:
+    /// equal bags are solved once and share their mixture's bits.
+    ///
+    /// The bags are indexed once for all passes. The warm-start
     /// rows (converged γ per distinct document, owned by the workspace)
     /// are cleared at entry and refreshed by each pass: pass `p`'s
     /// E-steps start from pass `p−1`'s converged γ instead of the cold
@@ -543,21 +562,27 @@ impl OnlineLda {
     /// has.
     ///
     /// Every float is ordered exactly as
-    /// [`crate::dense::DenseOnlineLda::fit_window`] orders it, so the
-    /// results are bit-identical to the dense sweep — asserted in
-    /// `tests/properties.rs`.
+    /// [`crate::dense::DenseOnlineLda::fit_window`] orders it over the
+    /// expanded window (`positions.map(|b| bags[b])`), so λ, the update
+    /// count and every position's mixture are bit-identical to the
+    /// dense sweep — asserted in `tests/properties.rs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position names a bag past the end of `bags`.
     pub fn fit_window_with(
         &mut self,
-        docs: &[BagOfWords],
+        bags: &[BagOfWords],
+        positions: &[u32],
         passes: usize,
         pass_tol: f64,
         ws: &mut LdaWorkspace,
     ) -> Vec<Vec<f64>> {
-        ws.index_docs(docs);
+        ws.index_docs(bags);
         ws.warm.clear();
         let mut prev: Option<f64> = None;
         for _ in 0..passes.max(1) {
-            let bound = self.update_pass(docs, true, ws);
+            let bound = self.update_pass(bags, positions, true, ws);
             if let Some(p) = prev {
                 if pass_tol > 0.0 && (bound - p).abs() <= pass_tol * p.abs() {
                     break;
@@ -566,12 +591,14 @@ impl OnlineLda {
             prev = Some(bound);
         }
         // After the last pass the warm rows hold every non-empty
-        // document's final converged γ.
+        // document's final converged γ. With no non-empty position no
+        // pass ran and the rows stay empty; every bag is then empty or
+        // read by no position, and reads uniform.
         let k = self.config.num_topics;
         ws.doc_slot
             .iter()
             .map(|&index| {
-                if index == EMPTY {
+                if index == EMPTY || ws.warm.is_empty() {
                     vec![1.0 / k as f64; k]
                 } else {
                     let row = index as usize * k;
@@ -922,6 +949,11 @@ mod tests {
         docs
     }
 
+    /// The index of a window that holds one bag per document.
+    fn identity(n: usize) -> Vec<u32> {
+        (0..n as u32).collect()
+    }
+
     fn config(k: usize) -> LdaConfig {
         LdaConfig {
             num_topics: k,
@@ -1013,7 +1045,7 @@ mod tests {
         let run = || {
             let mut lda = OnlineLda::new(config(2));
             let mut ws = LdaWorkspace::new();
-            let mix = lda.fit_window_with(&corpus, 10, 1e-2, &mut ws);
+            let mix = lda.fit_window_with(&corpus, &identity(corpus.len()), 10, 1e-2, &mut ws);
             (mix, lda.lambda().to_vec())
         };
         let (ma, la) = run();
@@ -1030,7 +1062,7 @@ mod tests {
     fn fit_window_pass_tol_zero_runs_every_pass() {
         let mut lda = OnlineLda::new(config(2));
         let mut ws = LdaWorkspace::new();
-        lda.fit_window_with(&synthetic_corpus(), 7, 0.0, &mut ws);
+        lda.fit_window_with(&synthetic_corpus(), &identity(20), 7, 0.0, &mut ws);
         assert_eq!(lda.updates(), 7, "disabled early exit must run all passes");
     }
 
@@ -1041,7 +1073,7 @@ mod tests {
         // (`p ≥ 2`) allows.
         let mut lda = OnlineLda::new(config(2));
         let mut ws = LdaWorkspace::new();
-        lda.fit_window_with(&synthetic_corpus(), 9, 1e9, &mut ws);
+        lda.fit_window_with(&synthetic_corpus(), &identity(20), 9, 1e9, &mut ws);
         assert_eq!(lda.updates(), 2, "maximal tolerance must exit after pass 2");
     }
 
@@ -1051,7 +1083,7 @@ mod tests {
         docs.insert(1, Vec::new());
         let mut lda = OnlineLda::new(config(3));
         let mut ws = LdaWorkspace::new();
-        let mix = lda.fit_window_with(&docs, 5, 1e-2, &mut ws);
+        let mix = lda.fit_window_with(&docs, &identity(docs.len()), 5, 1e-2, &mut ws);
         assert_eq!(mix.len(), docs.len());
         assert!(mix[1].iter().all(|&p| (p - 1.0 / 3.0).abs() < 1e-12));
     }
@@ -1062,12 +1094,53 @@ mod tests {
         docs.push(docs[0].clone());
         let mut lda = OnlineLda::new(config(2));
         let mut ws = LdaWorkspace::new();
-        let mix = lda.fit_window_with(&docs, 5, 1e-2, &mut ws);
+        let mix = lda.fit_window_with(&docs, &identity(docs.len()), 5, 1e-2, &mut ws);
         let last = mix.len() - 1;
         assert_eq!(
             mix[0], mix[last],
             "same content must yield the same mixture"
         );
+    }
+
+    #[test]
+    fn indexed_window_matches_its_expansion() {
+        // Bag 0 and bag 3 collide, bag 2 is empty and bag 4 is read by
+        // no position.
+        let bags: Vec<BagOfWords> = vec![
+            vec![(0, 2), (3, 1)],
+            vec![(5, 4)],
+            Vec::new(),
+            vec![(0, 2), (3, 1)],
+            vec![(7, 1)],
+        ];
+        let positions = [1u32, 0, 2, 3, 1, 1, 0, 2];
+        let expanded: Vec<BagOfWords> = positions
+            .iter()
+            .map(|&b| bags[b as usize].clone())
+            .collect();
+        let mut indexed = OnlineLda::new(config(3));
+        let mut flat = OnlineLda::new(config(3));
+        let mut ws = LdaWorkspace::new();
+        let per_bag = indexed.fit_window_with(&bags, &positions, 6, 1e-2, &mut ws);
+        let per_doc = flat.fit_window_with(&expanded, &identity(expanded.len()), 6, 1e-2, &mut ws);
+        assert_eq!(per_bag.len(), bags.len());
+        assert_eq!(per_bag[0], per_bag[3], "colliding bags share their mixture");
+        for (&bag, mixture) in positions.iter().zip(&per_doc) {
+            assert_eq!(&per_bag[bag as usize], mixture);
+        }
+        assert_eq!(indexed.lambda(), flat.lambda());
+        assert_eq!(indexed.updates(), flat.updates());
+    }
+
+    #[test]
+    fn window_of_empty_positions_is_a_no_op() {
+        let bags: Vec<BagOfWords> = vec![Vec::new(), vec![(1, 1)]];
+        let mut lda = OnlineLda::new(config(2));
+        let before = lda.lambda().to_vec();
+        let mix = lda.fit_window_with(&bags, &[0, 0], 4, 1e-2, &mut LdaWorkspace::new());
+        assert_eq!(lda.updates(), 0);
+        assert_eq!(lda.lambda(), &before[..]);
+        assert!(mix.iter().flatten().all(|&p| p == 0.5));
     }
 
     #[test]
@@ -1209,7 +1282,7 @@ mod tests {
             d
         };
         let big: Vec<BagOfWords> = (0..2_000).map(doc).collect();
-        lda.fit_window_with(&big, 3, 1e-2, &mut ws);
+        lda.fit_window_with(&big, &identity(big.len()), 3, 1e-2, &mut ws);
         let (distinct, support) = (ws.first.len(), ws.unique_ids.len());
         assert!(
             distinct > 1_900 && support == W,
@@ -1224,7 +1297,7 @@ mod tests {
         assert!(after_big <= bound, "{after_big} B held, bound {bound} B");
         for w in 0..200 {
             let small = vec![doc(w), Vec::new(), doc(w + 7)];
-            lda.fit_window_with(&small, 3, 1e-2, &mut ws);
+            lda.fit_window_with(&small, &identity(small.len()), 3, 1e-2, &mut ws);
             let held = ws.retained_bytes();
             assert!(
                 held <= after_big,

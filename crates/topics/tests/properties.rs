@@ -29,6 +29,11 @@ fn to_bows(docs: Vec<Vec<(usize, u32)>>) -> Vec<Vec<(usize, u32)>> {
         .collect()
 }
 
+/// The index of a window that holds one bag per document.
+fn identity(n: usize) -> Vec<u32> {
+    (0..n as u32).collect()
+}
+
 /// A corpus strategy with some out-of-vocab ids mixed in (vocab is 12).
 fn corpus_strategy() -> impl Strategy<Value = Vec<Vec<(usize, u32)>>> {
     prop::collection::vec(prop::collection::vec((0usize..15, 1u32..4), 1..7), 1..10)
@@ -268,7 +273,7 @@ proptest! {
         let mut sparse = OnlineLda::new(config.clone());
         let mut dense = DenseOnlineLda::new(config);
         let mut ws = LdaWorkspace::new();
-        let sm = sparse.fit_window_with(&docs, passes, pass_tol, &mut ws);
+        let sm = sparse.fit_window_with(&docs, &identity(docs.len()), passes, pass_tol, &mut ws);
         let dm = dense.fit_window(&docs, passes, pass_tol);
         prop_assert_eq!(
             sparse.updates(), dense.updates(),
@@ -284,11 +289,60 @@ proptest! {
             .map(|d| d.iter().map(|&(id, c)| ((id + 3) % 14, c)).collect())
             .collect();
         let second = to_bows(second);
-        let sm2 = sparse.fit_window_with(&second, passes, pass_tol, &mut ws);
+        let sm2 = sparse.fit_window_with(&second, &identity(second.len()), passes, pass_tol, &mut ws);
         let dm2 = dense.fit_window(&second, passes, pass_tol);
         prop_assert_eq!(sparse.updates(), dense.updates());
         prop_assert_eq!(&sm2, &dm2, "second-window mixtures diverged");
         prop_assert_eq!(sparse.lambda(), dense.lambda());
+    }
+
+    /// The indexed fit — distinct bags plus a bag per position — against
+    /// the dense oracle fitting the window expanded to one bag per
+    /// position. The bags hold a duplicate of another bag (bags collide
+    /// the way two titles differing only in digits do) and an empty bag;
+    /// the positions repeat, skip and reorder bags freely. λ, the pass
+    /// count and every position's mixture must match bit-for-bit, over
+    /// two windows through one workspace.
+    #[test]
+    fn indexed_fit_window_is_bit_identical_to_dense(
+        corpus in corpus_strategy(),
+        picks in prop::collection::vec(0usize..64, 0..24),
+        seed in 0u64..50,
+        passes in 1usize..8,
+        tol_exp in 0i32..4,
+    ) {
+        let pass_tol = if tol_exp == 0 { 0.0 } else { 10f64.powi(-tol_exp) };
+        let config = LdaConfig {
+            num_topics: 3,
+            vocab_size: 12,
+            seed,
+            ..LdaConfig::default()
+        };
+        let mut bags = corpus.clone();
+        bags.push(Vec::new());
+        bags.push(corpus[corpus.len() - 1].clone());
+        let positions: Vec<u32> = picks.iter().map(|&p| (p % bags.len()) as u32).collect();
+
+        let mut sparse = OnlineLda::new(config.clone());
+        let mut dense = DenseOnlineLda::new(config);
+        let mut ws = LdaWorkspace::new();
+        for shift in [0usize, 5] {
+            let bags: Vec<Vec<(usize, u32)>> = to_bows(
+                bags.iter()
+                    .map(|d| d.iter().map(|&(id, c)| ((id + shift) % 14, c)).collect())
+                    .collect(),
+            );
+            let expanded: Vec<Vec<(usize, u32)>> =
+                positions.iter().map(|&b| bags[b as usize].clone()).collect();
+            let sm = sparse.fit_window_with(&bags, &positions, passes, pass_tol, &mut ws);
+            let dm = dense.fit_window(&expanded, passes, pass_tol);
+            prop_assert_eq!(sm.len(), bags.len(), "one mixture per bag");
+            prop_assert_eq!(sparse.updates(), dense.updates(), "pass counts diverged");
+            for (&bag, want) in positions.iter().zip(&dm) {
+                prop_assert_eq!(&sm[bag as usize], want, "a position's mixture diverged");
+            }
+            prop_assert_eq!(sparse.lambda(), dense.lambda(), "λ diverged");
+        }
     }
 
     /// A workspace that fitted a larger window carries outcomes and warm
@@ -326,7 +380,7 @@ proptest! {
         let mut dense = DenseOnlineLda::new(config);
         let mut ws = LdaWorkspace::new();
         for (name, window) in [("larger", &big), ("smaller", &small)] {
-            let sm = sparse.fit_window_with(window, passes, 1e-2, &mut ws);
+            let sm = sparse.fit_window_with(window, &identity(window.len()), passes, 1e-2, &mut ws);
             let dm = dense.fit_window(window, passes, 1e-2);
             prop_assert_eq!(sparse.updates(), dense.updates(), "{} window: pass count", name);
             prop_assert_eq!(&sm, &dm, "{} window: mixtures diverged", name);
@@ -384,7 +438,7 @@ proptest! {
             .map(|d| d.iter().map(|&(id, c)| (id + 8, c)).collect())
             .collect();
         let mut ws = LdaWorkspace::new();
-        let sm = sparse.fit_window_with(&wide_docs, passes, 1e-2, &mut ws);
+        let sm = sparse.fit_window_with(&wide_docs, &identity(wide_docs.len()), passes, 1e-2, &mut ws);
         let dm = dense.fit_window(&wide_docs, passes, 1e-2);
         prop_assert_eq!(sparse.updates(), dense.updates());
         prop_assert_eq!(&sm, &dm, "post-growth window mixtures diverged");

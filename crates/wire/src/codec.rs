@@ -38,17 +38,62 @@ pub const WIRE_TABLE_CAP: usize = 1 << 16;
 /// IEEE CRC-32 (reflected, polynomial `0xEDB8_8320`) — the ubiquitous
 /// zlib/PNG variant, implemented here because the workspace is
 /// std-only.
+///
+/// Slicing-by-8: eight bytes per step through [`CRC_TABLES`], the tail
+/// byte by byte through its first table. Same polynomial, same output
+/// as the bit-at-a-time form (a property test holds the two together).
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
+}
+
+/// `CRC_TABLES[0][b]` is the CRC register after shifting byte `b`
+/// through eight zero bits; `CRC_TABLES[s][b]` is that value advanced
+/// by `s` more zero bytes, so one lookup per table folds eight input
+/// bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut s = 1;
+    while s < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[s - 1][b];
+            t[s][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        s += 1;
+    }
+    t
 }
 
 /// Why a binary stream failed to decode. Any error is terminal for
@@ -385,6 +430,40 @@ mod tests {
     fn crc32_matches_known_vectors() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    /// The bit-at-a-time CRC-32 the table-driven form replaced.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = 0u32.wrapping_sub(crc & 1);
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        /// Lengths 0 to 4096, from every start offset within an 8-byte
+        /// step, read the same CRC both ways.
+        #[test]
+        fn crc32_matches_the_bitwise_form(
+            bytes in proptest::collection::vec(
+                proptest::strategy::Strategy::prop_map(0u64..256, |b| b as u8),
+                0..4096 + 8,
+            ),
+            start in 0usize..8,
+        ) {
+            let bytes = &bytes[start.min(bytes.len())..];
+            let bytes = &bytes[..bytes.len().min(4096)];
+            proptest::prop_assert_eq!(crc32(bytes), crc32_bitwise(bytes));
+        }
     }
 
     #[test]

@@ -44,7 +44,8 @@ cargo test --workspace -q
 # allocations are not counted, and a daemon close runs on its caller,
 # so that workload's counts leave the close out (ROADMAP 1(a)). The
 # generator thread is not counted either, so `storm-paced`'s counts
-# are the daemon's NDJSON decode, not the client's encode.
+# are the daemon's — NDJSON decode, routing, and the close a connection
+# thread runs for each flush — not the client's encode.
 # `proc.ctx_switches_per_kalert` on `cluster-journal` is a scheduler
 # count, not a repeatable one (five runs read 8.5 – 17.7), so its
 # ceiling is five times the highest of five runs: a worker woken per
@@ -73,22 +74,22 @@ check_run() {
 }
 check_counts() { check_run "$1" 1; }
 check_counts cluster-journal <<'CEILINGS'
-proc.allocs_per_alert 10.6580
-proc.alloc_bytes_per_alert 1301.15
+proc.allocs_per_alert 8.6560
+proc.alloc_bytes_per_alert 1156.67
 proc.write_syscalls_per_kalert 1006.85
 proc.ctx_switches_per_kalert 88.69
 CEILINGS
 check_counts governed-close <<'CEILINGS'
-proc.allocs_per_alert 11.0572
-proc.alloc_bytes_per_alert 1410.60
+proc.allocs_per_alert 9.0552
+proc.alloc_bytes_per_alert 1260.26
 CEILINGS
 check_counts steady-wire <<'CEILINGS'
 proc.allocs_per_alert 3.5036
 proc.alloc_bytes_per_alert 929.16
 CEILINGS
 check_counts storm-paced <<'CEILINGS'
-proc.allocs_per_alert 9.3843
-proc.alloc_bytes_per_alert 1622.81
+proc.allocs_per_alert 4.1946
+proc.alloc_bytes_per_alert 1237.18
 CEILINGS
 
 # Peak RSS, ratcheted: reference data (SOPs, strategy rows) is held once
@@ -97,8 +98,8 @@ CEILINGS
 # long-lived one coming back shows on `governed-close`, where that
 # scratch is most of the heap. An untraced 2-second run repeats
 # `rss_peak_mb` within 2–3 % (five runs read 29.42 – 29.69 MB on
-# `steady-wire`, 14.53 – 14.94 MB on `cluster-journal`, 8.27 –
-# 8.49 MB on `governed-close` and 11.94 – 12.05 MB on `storm-paced`),
+# `steady-wire`, 14.49 – 14.82 MB on `cluster-journal`, 8.27 –
+# 8.49 MB on `governed-close` and 11.35 – 11.44 MB on `storm-paced`),
 # so the ceiling is the highest of five runs at the commit that last
 # moved it + 2 %. A deep copy of the SOPs
 # alone is ≈ 5 MB, the old ψ memo's table ≈ 2.2 MB, a shard's old
@@ -109,13 +110,13 @@ check_rss steady-wire <<'CEILINGS'
 rss_peak_mb 30.29
 CEILINGS
 check_rss cluster-journal <<'CEILINGS'
-rss_peak_mb 15.28
+rss_peak_mb 15.12
 CEILINGS
 check_rss governed-close <<'CEILINGS'
 rss_peak_mb 8.66
 CEILINGS
 check_rss storm-paced <<'CEILINGS'
-rss_peak_mb 12.29
+rss_peak_mb 11.68
 CEILINGS
 
 # The window-close path has one owner (alertops_core::WindowCloser)

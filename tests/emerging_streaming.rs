@@ -22,9 +22,22 @@ const THEMES: [&str; 3] = [
 ];
 const NOVEL: &str = "certificate rotation deadlock renewal stuck handshake expired";
 
-/// One chunk per wall-clock hour 0..=4. Hours 0–2 carry routine themes,
-/// hour 3 is silent (the gap a streaming deployment actually sees), and
-/// hour 4 mixes the routine load with a brand-new theme. Ids are
+/// Hour 2's extra (title, service) pairs, each raised twice. The
+/// channel encodes and fits each distinct text once, so this window
+/// holds every way texts can coincide: repeated pairs, titles that
+/// differ only in digits (the tokenizer drops numbers, so their bags
+/// collide with each other and with `THEMES[0]`), and a title and
+/// service that tokenize to nothing.
+const COINCIDING: [(&str, &str); 3] = [
+    ("disk usage of storage node 7 over threshold", "Storage"),
+    ("disk usage of storage node 12 over threshold", "Storage"),
+    ("the 42 of", "--"),
+];
+
+/// One chunk per wall-clock hour 0..=4. Hours 0–2 carry routine themes
+/// (hour 2 also the [`COINCIDING`] texts), hour 3 is silent (the gap a
+/// streaming deployment actually sees), and hour 4 mixes the routine
+/// load with a brand-new theme. Ids are
 /// assigned in generation order, so id order is the canonical document
 /// order the ingestd coordinator reconstructs after merging shards.
 fn hourly_chunks() -> Vec<Vec<Alert>> {
@@ -45,6 +58,19 @@ fn hourly_chunks() -> Vec<Vec<Alert>> {
                     .build(),
             );
             id += 1;
+        }
+        if hour == 2 {
+            for i in 0..6u64 {
+                let (title, service) = COINCIDING[(i % 3) as usize];
+                chunk.push(
+                    Alert::builder(AlertId(id), StrategyId(i % 6))
+                        .title(title)
+                        .service(service)
+                        .raised_at(SimTime::from_secs(hour * 3_600 + 120 + i * 420))
+                        .build(),
+                );
+                id += 1;
+            }
         }
         if hour == 4 {
             for i in 0..10u64 {
@@ -143,6 +169,11 @@ fn streaming_with_preagreed_vocab_reproduces_the_offline_run() {
         serde_json::to_string(&offline_reports).expect("offline reports serialize"),
         serde_json::to_string(&streaming_reports).expect("streaming reports serialize"),
         "reports must be byte-identical on the wire too"
+    );
+
+    assert_eq!(
+        streaming_reports[2].alert_count, 18,
+        "hour 2 carries the coinciding texts"
     );
 
     // The silent hour is an explicit empty window, on the wall clock.
