@@ -8,25 +8,25 @@
 //!                   │                               │
 //!                   ▼                               ▼
 //!            ┌─────────────┐  Close{seq} to   ┌────────────────┐
-//!  WAL ◀──── │  RangeMap    │  every node's   │  coordinator:   │
+//!  WAL ◀──── │  RangeMap    │  every node's   │  MergePoint:    │
 //!  append    │  node_of(id) │  shards, then   │  one closer,    │
 //!            └──────┬──────┘  one delta per   │  one close over │
 //!                   ▼         shard back      │  all of them    │
 //!          node 0 .. node N-1 ───────────────▶└──────┬─────────┘
 //!          (a range, a log,                          ▼
-//!           a ShardPool)                    GovernanceSnapshot
+//!           a ShardPool)            qoa.ckpt, boundaries, snapshot
 //! ```
 //!
 //! A node is the contiguous strategy range the
 //! [`RangeMap`](crate::RangeMap) assigns it, a write-ahead log, and an
 //! [`alertops_ingestd::ShardPool`] over that range: a fault and
-//! durability domain inside one process, with no coordinator, closer or
-//! merge of its own. The cluster is the process's one merge point. A
-//! close sends `Close{seq}` to every alive node's shards before waiting
-//! on any, then hands every shard's [`alertops_core::WindowDelta`] to
-//! one [`WindowCloser`] — the merge a daemon applies across its shards,
-//! so a 4-node cluster, a 1-node cluster, and the batch governor
-//! publish byte-identical snapshots over the same stream.
+//! durability domain inside one process that merges nothing. The
+//! cluster holds the process's one [`MergePoint`], as a standalone
+//! daemon does: its close sends `Close{seq}` to every alive node's
+//! shards before waiting on any and hands every shard's
+//! [`alertops_core::WindowDelta`] to one [`WindowCloser`], so a 4-node
+//! cluster, a 1-node cluster, and the batch governor publish
+//! byte-identical snapshots over the same stream.
 //!
 //! # Durability
 //!
@@ -64,30 +64,34 @@
 //!   complete than the lossy live run. Clusters that need exact
 //!   history equivalence under faults use `Block` (the default).
 //! - The emerging (AO-LDA) detector is sequential state owned by the
-//!   cluster coordinator; node kill/rejoin never touches it, but a
+//!   merge point; node kill/rejoin never touches it, but a
 //!   whole-cluster restart rebuilds it from the retained window
 //!   history only — AO-LDA's adaptive prior depends on the full
 //!   preceding stream, which is not journaled.
-//! - The online QoA model is coordinator state of the same shape, but
+//! - The online QoA model is merge-point state of the same shape, but
 //!   it takes the other side of that trade: labels are not journaled,
-//!   so replayed windows could not relearn it, and the coordinator
+//!   so replayed windows could not relearn it, and the merge point
 //!   checkpoints it instead — one file,
 //!   `<wal_root>/coordinator/qoa.ckpt`, replaced at every close before
 //!   any node's boundary for that close is written, nodes alive or
 //!   not. A whole-cluster restart restores the exact weights and EMAs
 //!   from it. Node logs hold node state only.
+//! - A failed checkpoint or boundary write is counted and the close
+//!   completes; a failed append sheds its alert, counted `dropped`.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use alertops_core::{GovernanceSnapshot, StreamingGovernor, WindowCloser};
-use alertops_ingestd::{resume_qoa, shard_catalog, IngestdConfig, ShardPool};
+use alertops_ingestd::{
+    shard_catalog, IngestdConfig, MergeCounters, MergeHolder, MergePoint, ShardPool,
+};
 use alertops_model::{Alert, AlertStrategy, IndexedCatalog, QoaLabel, StrategyId};
-use alertops_wire::wal::{replay, write_qoa_checkpoint, Wal, WalFormat};
+use alertops_wire::wal::{replay, Wal, WalFormat, WalReplay};
 
 use crate::metrics::ClusterMetrics;
 use crate::range::{node_catalog, RangeMap, StrategyRange};
@@ -108,14 +112,14 @@ pub struct ClusterConfig {
     /// is what journals).
     /// `streaming.emerging.mode` and `streaming.qoa.mode` switch the
     /// *cluster's* channels: every shard forwards documents and
-    /// samples, and the coordinator's [`WindowCloser`] runs the one
+    /// samples, and the merge point's [`WindowCloser`] runs the one
     /// AO-LDA pass and the one `partial_fit` pass, checkpointing the
     /// model to its own file at each close. Any storm-load token budget
     /// (`streaming.emerging.config.budget`) is likewise applied once,
     /// after the merge, so node count cannot change the sampled tokens.
     pub node: IngestdConfig,
     /// Directory holding one WAL subdirectory per node
-    /// (`<wal_root>/node-<i>/`) and the coordinator's own
+    /// (`<wal_root>/node-<i>/`) and the merge point's QoA checkpoint
     /// (`<wal_root>/coordinator/`). Created if missing; existing logs
     /// are replayed on spawn (lossless restart).
     pub wal_root: PathBuf,
@@ -168,10 +172,6 @@ impl NodeSlot {
     }
 }
 
-/// The coordinator's directory under `wal_root`: it holds the online
-/// QoA model's checkpoint file.
-const COORDINATOR_DIR: &str = "coordinator";
-
 /// What a completed handoff did, for callers and benches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HandoffReport {
@@ -194,7 +194,8 @@ pub struct ClusterCounters {
     pub ingested: u64,
     /// Alerts folded into published window closes.
     pub delivered: u64,
-    /// Alerts lost: node overflow shedding plus WAL truncation losses.
+    /// Alerts lost: node overflow shedding, failed WAL appends and WAL
+    /// truncation losses.
     pub dropped: u64,
     /// Alerts rejected at the edge (strategy outside the catalog).
     pub quarantined: u64,
@@ -225,15 +226,9 @@ pub struct AlertCluster {
     map: RangeMap,
     slots: Vec<NodeSlot>,
     make_governor: GovernorFactory,
-    /// Next cluster window sequence number.
-    seq: u64,
     latest: Option<GovernanceSnapshot>,
-    /// The topmost merge point's closer: owns the one emerging
-    /// detector and the one online-QoA model (checkpointed into
-    /// `coordinator_dir` at each close).
-    closer: WindowCloser,
-    /// `<wal_root>/coordinator`.
-    coordinator_dir: PathBuf,
+    /// The process's one merge point: its window sequence and closer.
+    merge: MergePoint,
     metrics: ClusterMetrics,
 }
 
@@ -241,10 +236,18 @@ impl std::fmt::Debug for AlertCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AlertCluster")
             .field("nodes", &self.config.nodes)
-            .field("seq", &self.seq)
+            .field("seq", &self.merge.next_seq())
             .field("alive", &self.alive_nodes())
             .finish_non_exhaustive()
     }
+}
+
+/// Replays the log in `dir`, counting what it read back.
+fn replay_counted(metrics: &ClusterMetrics, dir: &Path) -> io::Result<WalReplay> {
+    let replayed = replay(dir)?;
+    metrics.wal_replayed_alerts.add(replayed.recovered_alerts);
+    metrics.wal_torn_records.add(replayed.torn_records);
+    Ok(replayed)
 }
 
 fn spawn_pool(
@@ -261,12 +264,12 @@ impl AlertCluster {
     /// Starts (or restarts) the cluster over `catalog`. If the WAL
     /// directories under [`ClusterConfig::wal_root`] hold a previous
     /// incarnation's logs, they are replayed through the full pipeline
-    /// first — sealed windows are re-ingested and re-published in
-    /// order (restoring the latest snapshot, the detection history,
-    /// and the window sequence), in-flight tails come back as
-    /// pending work, and the online QoA model resumes from the
-    /// coordinator's checkpoint file. Restart is lossless with no live
-    /// peer.
+    /// first ([`MergePoint::restart`], the daemon's restart too) —
+    /// sealed windows are re-ingested and re-published in order
+    /// (restoring the latest snapshot, the detection history, and the
+    /// window sequence), in-flight tails come back as pending work, and
+    /// the online QoA model resumes from the checkpoint file. Restart
+    /// is lossless with no live peer.
     ///
     /// # Errors
     ///
@@ -284,29 +287,21 @@ impl AlertCluster {
         let metrics = ClusterMetrics::new(config.nodes);
         metrics.nodes.set(config.nodes as u64);
 
-        // Recover any previous incarnation's logs before the fresh
-        // partition exists: replay routes alerts by the *new* map, so
-        // recovery survives topology changes between runs.
+        // Every previous incarnation's log is read back before anything
+        // is routed, and re-routed by the *new* map, so recovery
+        // survives topology changes between runs.
         let mut recovered_windows: BTreeMap<u64, Vec<Alert>> = BTreeMap::new();
         let mut recovered_tail: Vec<Alert> = Vec::new();
+        let map = RangeMap::partition(&catalog, config.nodes);
+        let mut slots = Vec::with_capacity(config.nodes);
         for node in 0..config.nodes {
             let dir = config.wal_root.join(format!("node-{node}"));
-            let replayed = replay(&dir)?;
-            metrics.wal_replayed_alerts.add(replayed.recovered_alerts);
-            metrics.wal_torn_records.add(replayed.torn_records);
+            let replayed = replay_counted(&metrics, &dir)?;
             for (seq, alerts) in replayed.windows {
                 recovered_windows.entry(seq).or_default().extend(alerts);
             }
             recovered_tail.extend(replayed.tail);
             Wal::wipe(&dir)?;
-        }
-        let coordinator_dir = config.wal_root.join(COORDINATOR_DIR);
-        fs::create_dir_all(&coordinator_dir)?;
-
-        let map = RangeMap::partition(&catalog, config.nodes);
-        let mut slots = Vec::with_capacity(config.nodes);
-        for node in 0..config.nodes {
-            let dir = config.wal_root.join(format!("node-{node}"));
             let wal = Wal::open(&dir, config.node.wal_retain())?;
             let node_cat = node_catalog(&catalog, &map, node);
             let pool = spawn_pool(&config.node, &node_cat, &make_governor)?;
@@ -318,55 +313,40 @@ impl AlertCluster {
             });
         }
         metrics.nodes_alive.set(config.nodes as u64);
+        let coordinator_dir = config.wal_root.join("coordinator");
+        fs::create_dir_all(&coordinator_dir)?;
 
-        // The QoA model stays parked during the replay below: the
-        // labels that trained it were never journaled, so re-closing
-        // the retained windows must not relearn from empty ones.
         let streaming = &config.node.streaming;
         let closer = WindowCloser::new(streaming.storm, streaming.emerging.unless_off(), None)
             .with_metrics(metrics.emerging.clone(), metrics.qoa.clone());
-
+        let counters = MergeCounters {
+            windows_closed: Arc::clone(&metrics.windows_closed),
+            degraded_windows: Arc::clone(&metrics.degraded_windows),
+            write_errors: Arc::clone(&metrics.wal_write_errors),
+            checkpoints_discarded: Arc::clone(&metrics.qoa_checkpoints_discarded),
+        };
+        let merge = MergePoint::new(closer, &config.node, Some(coordinator_dir), counters);
         let mut cluster = Self {
             config,
             catalog: IndexedCatalog::new(catalog),
             map,
             slots,
             make_governor,
-            seq: 0,
             latest: None,
-            closer,
-            coordinator_dir,
+            merge,
             metrics,
         };
 
-        // Re-ingest the recovered stream: each sealed window routes and
+        // Each sealed window, time-sorted across its nodes, routes and
         // closes at its original sequence number, so counters, the
         // published snapshot, and per-node boundaries all line up with
         // where the previous incarnation stopped.
-        for (seq, mut window) in recovered_windows {
+        for window in recovered_windows.values_mut() {
             window.sort_by_key(|a| (a.raised_at(), a.id()));
-            cluster.seq = seq;
-            for alert in window {
-                cluster.route(alert)?;
-            }
-            cluster.close_window()?;
         }
         recovered_tail.sort_by_key(|a| (a.raised_at(), a.id()));
-        for alert in recovered_tail {
-            cluster.route(alert)?;
-        }
-
-        // Bring the feedback loop back and push its verdicts down, so
-        // the next close is governed as an uninterrupted run's would be;
-        // nothing is written until that close.
-        if let Some(qoa_config) = cluster.config.node.streaming.qoa.unless_off() {
-            let dir = Some(cluster.coordinator_dir.as_path());
-            let discarded = &cluster.metrics.qoa_checkpoints_discarded;
-            let verdicts = resume_qoa(&mut cluster.closer, qoa_config, dir, discarded)?;
-            for pool in cluster.slots.iter().filter_map(|slot| slot.pool.as_ref()) {
-                pool.push_qoa_verdicts(&verdicts);
-            }
-        }
+        let mut spawning = Spawning(&mut cluster);
+        MergePoint::restart(&mut spawning, recovered_windows, recovered_tail)?;
         Ok(cluster)
     }
 
@@ -396,8 +376,10 @@ impl AlertCluster {
     ///
     /// # Errors
     ///
-    /// A WAL append failure rejects the alert (it was counted
-    /// `ingested` and then `dropped`; nothing unaccounted).
+    /// A failed WAL append sheds the alert — counted `dropped` and a
+    /// write error ([`wal_write_errors`](Self::wal_write_errors)), it
+    /// reaches no shard — and its error is returned. Nothing else
+    /// fails.
     pub fn route(&mut self, alert: Alert) -> io::Result<()> {
         self.metrics.ingested.inc();
         if self.catalog.get(alert.strategy()).is_none() {
@@ -408,6 +390,7 @@ impl AlertCluster {
         let slot = &self.slots[node];
         if let Err(e) = slot.wal.append(&alert) {
             self.metrics.dropped.inc();
+            self.metrics.wal_write_errors.inc();
             return Err(e);
         }
         if let Some(pool) = &slot.pool {
@@ -416,90 +399,61 @@ impl AlertCluster {
         Ok(())
     }
 
-    /// Closes the cluster window: every alive node's shards close and
-    /// return their [`alertops_core::WindowDelta`]s; the closer merges
-    /// them all, once, through the commutative monoid into one
-    /// [`GovernanceSnapshot`] (the same merge a single daemon applies
-    /// across its shards — cluster == 1-node == batch, byte for byte)
-    /// and runs the cluster's single AO-LDA pass over the merged window
-    /// documents; and each alive node's WAL is sealed at this sequence
-    /// number. Dead nodes contribute nothing this window — their
-    /// shards are listed in the snapshot's `degraded` (flat
-    /// `node * shards + shard` encoding) and their journaled alerts
-    /// stay in flight. A node whose workers are found gone is killed
-    /// on the spot and is a dead node from this window on.
+    /// Closes the cluster window through the merge point
+    /// ([`MergePoint::close`], a daemon's close too): every alive node's
+    /// shards close; the closer merges all their
+    /// [`alertops_core::WindowDelta`]s once into one
+    /// [`GovernanceSnapshot`] (cluster == 1-node == batch, byte for
+    /// byte) and runs the single AO-LDA pass; each alive node's WAL is
+    /// sealed at this sequence number. Dead nodes contribute nothing —
+    /// their shards are listed `degraded` (flat `node * shards + shard`)
+    /// and their journaled alerts stay in flight. A node whose workers
+    /// are found gone is killed on the spot.
     ///
     /// # Errors
     ///
-    /// WAL boundary failures pass through.
+    /// None: a failed checkpoint or boundary write is counted
+    /// ([`wal_write_errors`](Self::wal_write_errors)) and the close
+    /// completes, published and counted.
     pub fn close_window(&mut self) -> io::Result<GovernanceSnapshot> {
         self.close_window_labeled(Vec::new())
     }
 
     /// [`close_window`](Self::close_window) with the window's OCE
-    /// feedback labels attached. When the QoA loop is on, the
-    /// coordinator joins the labels with the merged feature
-    /// samples, runs the one sequential `partial_fit` pass, embeds the
-    /// [`alertops_core::QoaWindowReport`] in the snapshot, pushes the
-    /// updated verdicts down every alive node (to govern from the
-    /// *next* close — the one-window feedback lag that keeps cluster
-    /// == 1-node == batch byte-identical), and replaces the model's
-    /// checkpoint file before any node's log is sealed — with every
-    /// node dead too, since the model still moved.
+    /// feedback labels attached. When the QoA loop is on, the merge
+    /// point joins the labels with the merged feature samples, runs the
+    /// one sequential `partial_fit` pass, embeds the
+    /// [`alertops_core::QoaWindowReport`] in the snapshot, and replaces
+    /// the model's checkpoint file before any node's log is sealed —
+    /// with every node dead too. Its verdicts govern from the *next*
+    /// close on, every alive node's.
     ///
     /// # Errors
     ///
-    /// Checkpoint and WAL boundary failures pass through.
+    /// None, as [`close_window`](Self::close_window).
     pub fn close_window_labeled(
         &mut self,
         labels: Vec<QoaLabel>,
     ) -> io::Result<GovernanceSnapshot> {
-        let seq = self.seq;
-        self.seq += 1;
-        let shards = self.config.node.shards;
-
-        let alive = self.slots.iter().filter_map(|slot| slot.pool.as_ref());
-        let pools: Vec<&ShardPool> = alive.collect();
-        let (closed, delivered) = ShardPool::close_window(&pools, seq, &mut self.closer, &labels);
-
-        if let Some(model) = self.closer.qoa_model() {
-            // Coordinator state first: the model as of this close is
-            // durable before any log says the window closed.
-            write_qoa_checkpoint(&self.coordinator_dir, model.checkpoint().to_bytes())?;
+        let nodes: Vec<_> = (self.slots.iter())
+            .map(|slot| (slot.pool.as_ref(), Some(&slot.wal)))
+            .collect();
+        let (closed, dead) = self.merge.close(&nodes, &labels);
+        for node in dead {
+            self.kill(node);
         }
-
-        let mut delivered = delivered.into_iter();
-        let mut degraded = Vec::new();
-        for node in 0..self.slots.len() {
-            let slot = &mut self.slots[node];
-            // `delivered` has one entry per pool that was alive.
-            let pool_degraded = slot.pool.as_ref().and_then(|_| delivered.next().flatten());
-            let (Some(pool), Some(pool_degraded)) = (&slot.pool, pool_degraded) else {
-                // Dead, or found dead by this close: the same path.
-                self.kill(node);
-                degraded.extend((0..shards).map(|s| node * shards + s));
-                continue;
-            };
-            degraded.extend(pool_degraded.iter().map(|s| node * shards + s));
-
-            // Surface pool-internal overflow shedding since the last
-            // close; everything else pending was just delivered.
-            let pool_dropped = pool.counters().dropped.get();
-            let shed = pool_dropped.saturating_sub(slot.last_dropped);
-            slot.last_dropped = pool_dropped;
-            self.metrics.dropped.add(shed);
-            // Seal the node's log at this sequence number.
-            slot.wal.boundary(seq)?;
+        // Surface pool-internal overflow shedding since the last close;
+        // everything else pending was just delivered.
+        for slot in &mut self.slots {
+            if let Some(pool) = &slot.pool {
+                let dropped = pool.counters().dropped.get();
+                let shed = dropped.saturating_sub(slot.last_dropped);
+                self.metrics.dropped.add(shed);
+                slot.last_dropped = dropped;
+            }
         }
-
-        let mut snapshot = closed.snapshot;
-        snapshot.window_index = seq;
-        snapshot.degraded = degraded;
+        let snapshot = closed.snapshot;
         self.metrics.delivered.add(snapshot.alert_count as u64);
-        self.metrics.windows_closed.inc();
-        if !snapshot.degraded.is_empty() {
-            self.metrics.degraded_windows.inc();
-        }
         self.latest = Some(snapshot.clone());
         Ok(snapshot)
     }
@@ -532,12 +486,7 @@ impl AlertCluster {
         if self.slots[node].pool.is_some() {
             return Ok(());
         }
-        let replayed = replay(&self.slots[node].dir)?;
-        self.metrics
-            .wal_replayed_alerts
-            .add(replayed.recovered_alerts);
-        self.metrics.wal_torn_records.add(replayed.torn_records);
-
+        let replayed = replay_counted(&self.metrics, &self.slots[node].dir)?;
         let journaled = self.slots[node].in_flight();
         self.restore_node(node, replayed.windows, replayed.tail)?;
         let lost = journaled.saturating_sub(self.slots[node].in_flight());
@@ -592,17 +541,10 @@ impl AlertCluster {
 
         // Seal both ends: in-memory state is discarded, the WALs are
         // the (complete) truth.
-        for node in [from, to] {
-            self.kill(node);
-        }
-        let src = replay(&self.slots[from].dir)?;
-        let dst = replay(&self.slots[to].dir)?;
-        self.metrics
-            .wal_replayed_alerts
-            .add(src.recovered_alerts + dst.recovered_alerts);
-        self.metrics
-            .wal_torn_records
-            .add(src.torn_records + dst.torn_records);
+        self.kill(from);
+        self.kill(to);
+        let src = replay_counted(&self.metrics, &self.slots[from].dir)?;
+        let dst = replay_counted(&self.metrics, &self.slots[to].dir)?;
 
         // Split the source by the moving range.
         let in_range = |a: &Alert| range.contains(a.strategy());
@@ -616,11 +558,8 @@ impl AlertCluster {
         let (moved_tail, kept_tail): (Vec<Alert>, Vec<Alert>) =
             src.tail.into_iter().partition(in_range);
 
-        let moved_alerts = moved_windows
-            .iter()
-            .map(|(_, alerts)| alerts.len() as u64)
-            .sum::<u64>()
-            + moved_tail.len() as u64;
+        let moved = moved_windows.iter().map(|(_, alerts)| alerts.len());
+        let moved_alerts = (moved.sum::<usize>() + moved_tail.len()) as u64;
 
         self.map.reassign(range, to);
 
@@ -686,11 +625,6 @@ impl AlertCluster {
             }
             wal.boundary(seq)?;
         }
-        // A respawned node governs its next close with the
-        // coordinator's current verdicts, exactly like its peers.
-        if let Some(model) = self.closer.qoa_model() {
-            pool.push_qoa_verdicts(&model.verdicts());
-        }
         // Shedding during history replay re-routes alerts that were
         // already accounted at their original close; don't re-count.
         let slot = &mut self.slots[node];
@@ -743,7 +677,7 @@ impl AlertCluster {
     /// compares across a shutdown/spawn cycle.
     #[must_use]
     pub fn qoa_model_digest(&self) -> Option<u64> {
-        self.closer.qoa_model().map(|model| model.digest())
+        self.merge.qoa_model().map(|model| model.digest())
     }
 
     /// The sequence number the next window close will publish under —
@@ -751,7 +685,14 @@ impl AlertCluster {
     /// Starts past any windows recovered from WAL replay at spawn.
     #[must_use]
     pub fn next_window_seq(&self) -> u64 {
-        self.seq
+        self.merge.next_seq()
+    }
+
+    /// WAL appends, seals and QoA checkpoint writes that failed since
+    /// spawn.
+    #[must_use]
+    pub fn wal_write_errors(&self) -> u64 {
+        self.metrics.wal_write_errors.get()
     }
 
     /// Point-in-time conservation counters.
@@ -794,6 +735,23 @@ impl AlertCluster {
     /// losslessly.
     pub fn shutdown(self) {
         drop(self); // each pool stops and joins its workers
+    }
+}
+
+/// A spawning cluster: the one way in to its merge point's restart.
+struct Spawning<'a>(&'a mut AlertCluster);
+
+impl MergeHolder for Spawning<'_> {
+    fn merge_point(&mut self) -> &mut MergePoint {
+        &mut self.0.merge
+    }
+
+    fn route_recovered(&mut self, alert: Alert) {
+        let _ = self.0.route(alert); // a failed append is counted and shed
+    }
+
+    fn close_recovered(&mut self) -> io::Result<()> {
+        self.0.close_window().map(drop)
     }
 }
 

@@ -8,8 +8,9 @@
 //! *topology*. N nodes — each a contiguous
 //! [`alertops_model::StrategyId`] range ([`RangeMap`]), a log and an
 //! [`alertops_ingestd::ShardPool`], a fault and durability domain
-//! inside one process — sit under one coordinator ([`AlertCluster`])
-//! that routes alerts by range, collects one
+//! inside one process — sit under one [`AlertCluster`], which routes
+//! alerts by range and, through its [`alertops_ingestd::MergePoint`]
+//! (the daemon's too), collects one
 //! [`alertops_core::WindowDelta`] per shard at window close, and merges
 //! them all, once, through the same commutative monoid the daemon uses
 //! — so a 4-node cluster, a 1-node cluster, and the batch governor
@@ -24,7 +25,7 @@
 //!   routed; window boundaries seal segments with an `fsync`. A killed
 //!   node loses its memory, never its log. A node's
 //!   log holds that node's alerts and boundaries; the one piece of
-//!   coordinator state that must outlive a restart, the online QoA
+//!   merge-point state that must outlive a restart, the online QoA
 //!   model, has one file of its own (`<wal_root>/coordinator/qoa.ckpt`),
 //!   replaced at every close.
 //! - **Rejoin replay** ([`AlertCluster::rejoin`],

@@ -34,8 +34,8 @@ pub struct ClusterMetrics {
     /// Conservation: alerts folded into a published window close.
     pub delivered: Arc<Counter>,
     /// Conservation: alerts lost for good — node-internal overflow
-    /// shedding surfaced at window close, plus WAL truncation losses
-    /// discovered at replay.
+    /// shedding surfaced at window close, alerts a failed WAL append
+    /// shed, plus WAL truncation losses discovered at replay.
     pub dropped: Arc<Counter>,
     /// Conservation: alerts rejected at the cluster edge (strategy id
     /// outside the catalog — nothing would ever govern them).
@@ -52,6 +52,9 @@ pub struct ClusterMetrics {
     pub wal_replayed_alerts: Arc<Counter>,
     /// Torn/corrupt WAL records detected at replay.
     pub wal_torn_records: Arc<Counter>,
+    /// Failed WAL appends (each shed, counted `dropped` too), seals and
+    /// QoA checkpoint writes.
+    pub wal_write_errors: Arc<Counter>,
     /// QoA checkpoint files found damaged at restart: the model
     /// started fresh instead.
     pub qoa_checkpoints_discarded: Arc<Counter>,
@@ -59,11 +62,11 @@ pub struct ClusterMetrics {
     pub handoffs: Arc<Counter>,
     /// End-to-end handoff latency (seal, ship, respawn both ends), µs.
     pub handoff_micros: Arc<Histogram>,
-    /// The coordinator's AO-LDA pass, when the emerging channel is on
+    /// The merge point's AO-LDA pass, when the emerging channel is on
     /// — the same `alertops_emerging_*` families a standalone daemon
     /// records into.
     pub emerging: EmergingMetrics,
-    /// The coordinator's online-QoA model update, when the feedback
+    /// The merge point's online-QoA model update, when the feedback
     /// loop is on — the same `alertops_qoa_*` families a standalone
     /// daemon records into.
     pub qoa: QoaMetrics,
@@ -75,6 +78,8 @@ impl ClusterMetrics {
     #[must_use]
     pub fn new(nodes: usize) -> Self {
         let registry = MetricsRegistry::new();
+        let counter = |name, help| registry.counter(name, help, &[]);
+        let gauge = |name, help| registry.gauge(name, help, &[]);
         let wal = (0..nodes)
             .map(|node| {
                 let label = node.to_string();
@@ -93,70 +98,58 @@ impl ClusterMetrics {
             })
             .collect();
         Self {
-            nodes: registry.gauge(
-                "alertops_cluster_nodes",
-                "Configured cluster node count.",
-                &[],
-            ),
-            nodes_alive: registry.gauge(
+            nodes: gauge("alertops_cluster_nodes", "Configured cluster node count."),
+            nodes_alive: gauge(
                 "alertops_cluster_nodes_alive",
                 "Nodes currently running (kill decrements, rejoin increments).",
-                &[],
             ),
-            ingested: registry.counter(
+            ingested: counter(
                 "alertops_cluster_ingested_total",
                 "Alerts accepted at the cluster edge (quarantined included).",
-                &[],
             ),
-            delivered: registry.counter(
+            delivered: counter(
                 "alertops_cluster_delivered_total",
                 "Alerts folded into published cluster window closes.",
-                &[],
             ),
-            dropped: registry.counter(
+            dropped: counter(
                 "alertops_cluster_dropped_total",
-                "Alerts lost: node overflow shedding plus WAL truncation losses.",
-                &[],
+                "Alerts lost: overflow shedding, failed WAL appends and WAL truncation losses.",
             ),
-            quarantined: registry.counter(
+            quarantined: counter(
                 "alertops_cluster_quarantined_total",
                 "Alerts rejected at the cluster edge (strategy outside the catalog).",
-                &[],
             ),
-            in_flight: registry.gauge(
+            in_flight: gauge(
                 "alertops_cluster_in_flight",
                 "Alerts journaled but not yet part of a closed window.",
-                &[],
             ),
-            windows_closed: registry.counter(
+            windows_closed: counter(
                 "alertops_cluster_windows_closed_total",
                 "Cluster windows merged and published.",
-                &[],
             ),
-            degraded_windows: registry.counter(
+            degraded_windows: counter(
                 "alertops_cluster_degraded_windows_total",
                 "Published windows carrying at least one degraded shard.",
-                &[],
             ),
-            wal_replayed_alerts: registry.counter(
+            wal_replayed_alerts: counter(
                 "alertops_cluster_wal_replayed_alerts_total",
                 "Alerts recovered from write-ahead-log replay.",
-                &[],
             ),
-            wal_torn_records: registry.counter(
+            wal_torn_records: counter(
                 "alertops_cluster_wal_torn_records_total",
                 "Torn or corrupt WAL records detected at replay.",
-                &[],
             ),
-            qoa_checkpoints_discarded: registry.counter(
+            wal_write_errors: counter(
+                "alertops_cluster_wal_write_errors_total",
+                "Failed WAL appends, seals and QoA checkpoint writes.",
+            ),
+            qoa_checkpoints_discarded: counter(
                 "alertops_cluster_qoa_checkpoints_discarded_total",
                 "QoA checkpoint files found damaged at restart (the model started fresh).",
-                &[],
             ),
-            handoffs: registry.counter(
+            handoffs: counter(
                 "alertops_cluster_handoffs_total",
                 "Completed live range handoffs.",
-                &[],
             ),
             handoff_micros: registry.histogram(
                 "alertops_cluster_handoff_micros",

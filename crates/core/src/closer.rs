@@ -14,15 +14,15 @@
 //! passes run here and nowhere else. A process has one closer, at its
 //! one merge point, and it runs every channel that is not `Off`:
 //!
-//! | role                 | holder               | closes over                       |
-//! |----------------------|----------------------|-----------------------------------|
-//! | daemon coordinator   | a standalone ingestd | its shards' deltas                |
-//! | cluster coordinator  | `AlertCluster`       | every alive node's shards' deltas |
+//! | role                 | holder of the `MergePoint` | closes over                       |
+//! |----------------------|----------------------------|-----------------------------------|
+//! | daemon merge point   | a standalone ingestd       | its shards' deltas                |
+//! | cluster merge point  | `AlertCluster`             | every alive node's shards' deltas |
 //!
 //! A cluster node is shards and a log, not a merge point: nothing
 //! below a closer merges. A [`crate::StreamingGovernor`] never holds
 //! one. A library caller with a single governor is the 1-shard case of
-//! the coordinator row, not a path of its own:
+//! the daemon row, not a path of its own:
 //! `closer.close(std::slice::from_ref(&delta), labels)`, then
 //! `governor.set_qoa_verdicts(..)` with the returned verdicts before
 //! the next window.

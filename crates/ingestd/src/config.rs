@@ -42,14 +42,14 @@ pub struct IngestdConfig {
     /// `streaming.emerging.mode` / `streaming.qoa.mode` to
     /// [`alertops_core::ChannelMode::Forward`] enables that channel:
     /// shards forward each window's documents / per-strategy feature
-    /// samples, and the [`alertops_core::WindowCloser`] of whoever
-    /// holds the [`crate::ShardPool`] — the daemon's coordinator, or a
-    /// cluster's — runs the single sequential pass after its merge:
-    /// AO-LDA into [`alertops_core::GovernanceSnapshot::emerging`], the
-    /// online QoA model update (against the labels handed to
+    /// samples, and the process's one [`crate::MergePoint`] — the
+    /// daemon's, or a cluster's — runs the single sequential pass after
+    /// its merge: AO-LDA into
+    /// [`alertops_core::GovernanceSnapshot::emerging`], the online QoA
+    /// model update (against the labels handed to
     /// [`crate::IngestdHandle::flush_labeled`]) into
     /// [`alertops_core::GovernanceSnapshot::qoa`], its verdicts pushed
-    /// back down every shard queue before the next close.
+    /// back down every shard queue ahead of the next close.
     pub streaming: StreamingConfig,
     /// `host:port` to accept alert ingress on. `None` disables the TCP
     /// listener (alerts arrive via [`crate::IngestdHandle::route`]

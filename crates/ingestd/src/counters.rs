@@ -53,7 +53,7 @@ pub struct Counters {
     /// Shard workers restarted by the supervisor after a panic.
     pub shard_restarts: Arc<Counter>,
     /// Latency of the most recent window close, in microseconds: from
-    /// the coordinator issuing the close to the merged snapshot being
+    /// the merge point issuing the close to the merged snapshot being
     /// published (includes every shard's detection pass).
     pub last_window_micros: Arc<Gauge>,
     /// Per-shard queue depth, set from the queues by the pool right

@@ -13,7 +13,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -23,15 +23,16 @@ use alertops_core::{
     ClosedWindow, EmergingMetrics, GovernanceSnapshot, QoaMetrics, StreamingGovernor, WindowCloser,
 };
 use alertops_model::{Alert, QoaLabel};
+use alertops_obs::Counter;
 use alertops_wire::wal::{replay, Wal};
 use alertops_wire::{AckFrame, ChaosCmd, Frame, WireDecoder, WireEncoder, WireError, WireFormat};
 
 use crate::codec::{ack_line, FrameDecoder, FrameError, QuarantineReason};
 use crate::config::IngestdConfig;
-use crate::coordinator::{resume_qoa, Coordinator, Journal, WalRecovery};
 use crate::counters::CounterSnapshot;
+use crate::merge::{MergeCounters, MergeHolder, MergePoint};
 use crate::metrics::IngestdMetrics;
-use crate::pool::ShardPool;
+use crate::pool::{elapsed_micros, ShardPool};
 use crate::status::{StatusReport, StatusRequest};
 
 /// How long a status connection may stay silent before it is treated
@@ -72,6 +73,32 @@ impl ShutdownSignal {
     }
 }
 
+/// What [`Ingestd::spawn_with_wal`] recovered from its log.
+#[derive(Debug, Clone)]
+pub struct WalRecovery {
+    /// Alerts read back: sealed windows plus the in-flight tail.
+    pub recovered_alerts: u64,
+    /// Sealed windows re-closed at their recorded sequence numbers.
+    pub windows: u64,
+    /// Alerts re-routed as the in-flight window.
+    pub in_flight: u64,
+    /// Records that failed framing or CRC validation.
+    pub torn_records: u64,
+    /// What the last re-closed window published; `None` if no window
+    /// was sealed.
+    pub snapshot: Option<GovernanceSnapshot>,
+}
+
+/// What the merge lock guards: the merge point and the tick's state.
+#[derive(Debug)]
+struct Closing {
+    merge: MergePoint,
+    /// When the last close returned; a tick is due one interval later.
+    last_close: Instant,
+    /// No close runs again: the daemon shut down or a worker is gone.
+    stopped: bool,
+}
+
 /// The daemon's shared state: everything a connection needs to route
 /// frames and close windows, and what the status socket reads.
 #[derive(Debug)]
@@ -79,14 +106,16 @@ struct Router {
     pool: ShardPool,
     /// The merge lock. Whoever holds it runs the one close in flight;
     /// poisoned (a close panicked halfway) it reads as stopped.
-    coordinator: Mutex<Coordinator>,
+    closing: Mutex<Closing>,
     /// Wakes the tick thread at shutdown.
     tick_wake: Condvar,
     /// The latest merged snapshot, locked apart from the merge lock so
     /// a status scrape never waits on a close in flight.
     snapshot: RwLock<Option<GovernanceSnapshot>>,
     /// Write-ahead log, appended before any enqueue.
-    journal: Option<Journal>,
+    wal: Option<Wal>,
+    /// Failed appends, seals and checkpoint writes.
+    write_errors: Arc<Counter>,
     /// Cleared at shutdown; the accept loops stop on it.
     running: AtomicBool,
     chaos: bool,
@@ -96,31 +125,54 @@ struct Router {
 }
 
 impl Router {
-    /// Journals, then routes, one alert.
+    /// Journals, then routes, one alert: journaled before it can be in
+    /// any queue, so a crash never holds an unjournaled alert (under
+    /// `Drop`, a replay may resurrect one the queue then shed); one the
+    /// log could not hold is shed, `dropped` and a write error.
     fn route(&self, alert: Alert) {
-        if let Some(journal) = &self.journal {
-            // Write-ahead: journaled before the alert can be in any
-            // queue, so a crash never holds an unjournaled alert.
-            // Recorded even if the overflow policy then sheds it —
-            // under `Drop`, replay may resurrect shed alerts, which is
-            // the durable log being *more* complete than the live run.
-            journal.count(journal.wal.append(&alert));
+        let journaled = self.wal.as_ref().map_or(Ok(()), |wal| wal.append(&alert));
+        if journaled.is_err() {
+            self.write_errors.inc();
+            let counters = self.pool.counters();
+            counters.ingested.inc();
+            counters.dropped.inc();
+            return;
         }
         self.pool.route(alert);
     }
 
     /// Closes the window on every shard, on the calling thread, and
-    /// returns the close result; `None` once the coordinator has
-    /// stopped. `labels` is the window's OCE feedback for the online
-    /// QoA model (empty when the caller has none).
+    /// returns the close result; `None` once closes have stopped.
+    /// `labels` is the window's OCE feedback for the online QoA model
+    /// (empty when the caller has none).
     fn flush(&self, labels: &[QoaLabel]) -> Option<ClosedWindow> {
-        let mut coordinator = self.coordinator.lock().ok()?;
-        self.close(&mut coordinator, labels)
+        let mut closing = self.closing.lock().ok()?;
+        self.close(&mut closing, labels)
     }
 
-    /// One close under the merge lock `coordinator`.
-    fn close(&self, coordinator: &mut Coordinator, labels: &[QoaLabel]) -> Option<ClosedWindow> {
-        coordinator.close(&self.pool, self.journal.as_ref(), &self.snapshot, labels)
+    /// One close under the merge lock `closing`: the merge point's
+    /// close over the daemon's one node, then the close timing and the
+    /// published snapshot. A close that finds a worker gone publishes
+    /// every shard degraded, and no close runs after it.
+    fn close(&self, closing: &mut Closing, labels: &[QoaLabel]) -> Option<ClosedWindow> {
+        if closing.stopped {
+            return None;
+        }
+        let started = Instant::now();
+        let node = (Some(&self.pool), self.wal.as_ref());
+        let (closed, dead) = closing.merge.close(&[node], labels);
+        closing.stopped = !dead.is_empty();
+        let window_micros = elapsed_micros(started);
+        self.pool.counters().last_window_micros.set(window_micros);
+        if let Some(m) = self.pool.metrics() {
+            m.window_close_micros.observe(window_micros);
+            // Per-window RSS sample: an operator gauge on the status
+            // socket. Observer-only, one procfs read per window close.
+            m.sample_rss();
+        }
+        *self.snapshot.write().unwrap_or_else(|e| e.into_inner()) = Some(closed.snapshot.clone());
+        closing.last_close = Instant::now();
+        Some(closed)
     }
 
     /// The most recently merged snapshot, if any window closed yet.
@@ -135,20 +187,37 @@ impl Router {
     /// since the last close by any caller, so a flush defers the next
     /// tick. Waiting releases the merge lock; shutdown wakes the wait.
     fn tick(&self, interval: Duration) {
-        let Ok(mut coordinator) = self.coordinator.lock() else {
+        let Ok(mut closing) = self.closing.lock() else {
             return;
         };
-        while !coordinator.stopped {
-            let due = coordinator.last_close + interval;
+        while !closing.stopped {
+            let due = closing.last_close + interval;
             let wait = due.saturating_duration_since(Instant::now());
             if wait.is_zero() {
-                self.close(&mut coordinator, &[]);
-            } else if let Ok((guard, _)) = self.tick_wake.wait_timeout(coordinator, wait) {
-                coordinator = guard;
+                self.close(&mut closing, &[]);
+            } else if let Ok((guard, _)) = self.tick_wake.wait_timeout(closing, wait) {
+                closing = guard;
             } else {
                 return;
             }
         }
+    }
+}
+
+/// A restart runs before the router is shared, so it needs no lock.
+impl MergeHolder for Router {
+    fn merge_point(&mut self) -> &mut MergePoint {
+        let closing = self.closing.get_mut();
+        &mut closing.expect("no other thread holds the lock yet").merge
+    }
+
+    fn route_recovered(&mut self, alert: Alert) {
+        self.route(alert);
+    }
+
+    fn close_recovered(&mut self) -> io::Result<()> {
+        let gone = || io::Error::other("shard workers died during WAL replay");
+        self.flush(&[]).map(drop).ok_or_else(gone)
     }
 }
 
@@ -182,10 +251,9 @@ impl Ingestd {
 
     /// [`Ingestd::spawn`] over the write-ahead log in `wal`, restarting
     /// as a cluster does: replay, wipe and re-open the log, spawn the
-    /// pool, re-close each sealed window at its recorded sequence
-    /// number, re-route the tail, resume the QoA model
-    /// ([`crate::resume_qoa`]), and only then start the tick thread and
-    /// bind the listeners. Failed log writes are counted
+    /// pool, [`MergePoint::restart`] (the sealed windows, the tail, the
+    /// QoA model from `wal/qoa.ckpt`), and only then start the tick
+    /// thread and bind the listeners. Failed log writes are counted
     /// ([`IngestdHandle::wal_write_errors`]).
     ///
     /// # Errors
@@ -200,93 +268,73 @@ impl Ingestd {
         config
             .validate()
             .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
-        let (replayed, journal) = match wal {
+        let (replayed, wal) = match wal {
             Some(dir) => {
                 let replayed = replay(dir)?;
                 Wal::wipe(dir)?;
-                let journal = Journal {
-                    wal: Wal::open(dir, config.wal_retain())?,
-                    write_errors: AtomicU64::new(0),
-                };
-                (Some(replayed), Some(journal))
+                (Some(replayed), Some(Wal::open(dir, config.wal_retain())?))
             }
             None => (None, None),
         };
         let pool = ShardPool::spawn(config, make_governor)?;
 
-        // The daemon's one merge point, so its closer runs every
-        // channel that is on — the QoA model once the replay is done.
+        // The process's one closer runs every channel that is on; its
+        // handles live on the pool's registry (deduped by name + labels).
         let streaming = &config.streaming;
         let closer = WindowCloser::new(streaming.storm, streaming.emerging.unless_off(), None);
-        // The closer's channel handles live on the pool's registry,
-        // beside the shard governors' families (the registry dedups by
-        // name + labels).
+        let registry = pool.registry();
         let closer = match pool.metrics() {
             Some(m) => closer
                 .with_metrics(
-                    EmergingMetrics::register(pool.registry()),
-                    QoaMetrics::register(pool.registry()),
+                    EmergingMetrics::register(registry),
+                    QoaMetrics::register(registry),
                 )
                 .with_merge_timer(Arc::clone(&m.merge_micros)),
             None => closer,
         };
-        let router = Router {
-            pool,
-            coordinator: Mutex::new(Coordinator {
-                closer,
-                seq: 0,
+        let counters = MergeCounters {
+            windows_closed: Arc::clone(&pool.counters().windows_closed),
+            degraded_windows: Arc::clone(&pool.counters().degraded_windows),
+            write_errors: Arc::default(),
+            checkpoints_discarded: match streaming.qoa.unless_off() {
+                Some(_) => registry.counter(
+                    "alertops_qoa_checkpoints_discarded_total",
+                    "QoA checkpoint files found damaged at restart (the model started fresh).",
+                    &[],
+                ),
+                None => Arc::default(),
+            },
+        };
+        let dir = wal.as_ref().map(|wal| wal.dir().to_path_buf());
+        let mut router = Router {
+            write_errors: Arc::clone(&counters.write_errors),
+            closing: Mutex::new(Closing {
+                merge: MergePoint::new(closer, config, dir, counters),
                 last_close: Instant::now(),
                 stopped: false,
             }),
+            pool,
             tick_wake: Condvar::new(),
             snapshot: RwLock::new(None),
-            journal,
+            wal,
             running: AtomicBool::new(true),
             chaos: config.chaos,
             shutdown: ShutdownSignal::default(),
             wire: config.wire,
         };
 
-        // Each sealed window re-closes at its recorded sequence number
-        // through the coordinator's own close, so counters, metrics, the
-        // snapshot slot and the fresh log move as for a live close. The
-        // QoA model stays parked until after the tail: labels are never
-        // journaled, so unlabeled re-closes must not relearn it.
-        let mut coordinator = router.coordinator.lock().expect("no close has run yet");
-        let recovery = match replayed {
-            Some(replayed) => {
-                let mut recovery = WalRecovery {
-                    recovered_alerts: replayed.recovered_alerts,
-                    windows: replayed.windows.len() as u64,
-                    in_flight: replayed.tail.len() as u64,
-                    torn_records: replayed.torn_records,
-                    snapshot: None,
-                };
-                for (seq, alerts) in replayed.windows {
-                    coordinator.seq = seq;
-                    alerts.into_iter().for_each(|a| router.route(a));
-                    let closed = router
-                        .close(&mut coordinator, &[])
-                        .ok_or_else(|| io::Error::other("shard workers died during WAL replay"))?;
-                    recovery.snapshot = Some(closed.snapshot);
-                }
-                for alert in replayed.tail {
-                    router.route(alert);
-                }
-                Some(recovery)
-            }
-            None => None,
-        };
-        if let Some(qoa) = streaming.qoa.unless_off() {
-            let discarded = router.pool.registry().counter(
-                "alertops_qoa_checkpoints_discarded_total",
-                "QoA checkpoint files found damaged at restart (the model started fresh).",
-                &[],
-            );
-            let verdicts = resume_qoa(&mut coordinator.closer, qoa, wal, &discarded)?;
-            router.pool.push_qoa_verdicts(&verdicts);
+        let mut recovery = replayed.as_ref().map(|replayed| WalRecovery {
+            recovered_alerts: replayed.recovered_alerts,
+            windows: replayed.windows.len() as u64,
+            in_flight: replayed.tail.len() as u64,
+            torn_records: replayed.torn_records,
+            snapshot: None,
+        });
+        let (windows, tail) = replayed.map_or_else(Default::default, |r| (r.windows, r.tail));
+        MergePoint::restart(&mut router, windows, tail)?;
+        if let Some(recovery) = &mut recovery {
+            recovery.snapshot = router.latest();
         }
-        drop(coordinator);
 
         let router = Arc::new(router);
         let mut threads = Vec::new();
@@ -335,7 +383,7 @@ impl IngestdHandle {
     /// startup (0 without a log).
     #[must_use]
     pub fn wal_write_errors(&self) -> u64 {
-        (self.router.journal.as_ref()).map_or(0, |j| j.write_errors.load(Ordering::Relaxed))
+        self.router.write_errors.get()
     }
 
     /// Routes one alert directly (no socket); used by in-process
@@ -353,7 +401,7 @@ impl IngestdHandle {
     }
 
     /// [`flush`](Self::flush) with the window's OCE feedback labels:
-    /// the coordinator joins them with the merged per-strategy feature
+    /// the merge point joins them with the merged per-strategy feature
     /// samples and updates the online QoA model.
     pub fn flush_labeled(&self, labels: Vec<QoaLabel>) -> Option<GovernanceSnapshot> {
         self.router.flush(&labels).map(|closed| closed.snapshot)
@@ -440,8 +488,8 @@ impl IngestdHandle {
 
         // Stop closing: taking the merge lock waits out a close in
         // flight, and the tick thread wakes to find it stopped.
-        if let Ok(mut coordinator) = self.router.coordinator.lock() {
-            coordinator.stopped = true;
+        if let Ok(mut closing) = self.router.closing.lock() {
+            closing.stopped = true;
         }
         self.router.tick_wake.notify_all();
 
@@ -787,7 +835,66 @@ fn read_status_request(stream: &TcpStream) -> StatusRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard_catalog;
     use alertops_core::{AlertGovernor, GovernorConfig, StreamingConfig};
+    use alertops_sim::{scenarios, SimOutput};
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("alertops-daemon-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn spawn_over(dir: &Path, out: &SimOutput) -> IngestdHandle {
+        let config = IngestdConfig {
+            shards: 2,
+            ..IngestdConfig::default()
+        };
+        Ingestd::spawn_with_wal(
+            &config,
+            |shard, shards| {
+                let catalog = shard_catalog(out.catalog.strategies(), shards, shard);
+                StreamingGovernor::new(
+                    AlertGovernor::new(catalog, GovernorConfig::default()),
+                    StreamingConfig::default(),
+                )
+            },
+            Some(dir),
+        )
+        .expect("daemon starts")
+    }
+
+    #[test]
+    fn daemon_hook_writes_the_same_log_format() {
+        let dir = temp_dir("log-format");
+        let out = scenarios::quickstart(7).run();
+        let handle = spawn_over(&dir, &out);
+        let alert = out.alerts[0].clone();
+        handle.route(alert.clone());
+        handle.flush().expect("window closes");
+        handle.route(alert.clone());
+        assert_eq!(handle.wal_write_errors(), 0);
+        handle.shutdown();
+
+        let replayed = replay(&dir).unwrap();
+        assert_eq!(replayed.windows, vec![(0, vec![alert.clone()])]);
+        assert_eq!(replayed.tail, vec![alert]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_writes_are_counted_not_swallowed() {
+        let dir = temp_dir("write-errors");
+        let out = scenarios::quickstart(7).run();
+        let handle = spawn_over(&dir, &out);
+        // The disk goes away under the open log: sealing the window
+        // cannot create the next segment.
+        std::fs::remove_dir_all(&dir).unwrap();
+        handle.flush().expect("the close itself completes");
+        assert_eq!(handle.wal_write_errors(), 1);
+        handle.shutdown();
+    }
 
     fn spawn_empty(config: &IngestdConfig) -> IngestdHandle {
         Ingestd::spawn(config, |_, _| {
@@ -834,7 +941,7 @@ mod tests {
         let router = Arc::clone(&handle.router);
         alertops_chaos::silence_panics_containing("a close panics halfway");
         let panicked = thread::spawn(move || {
-            let _merge = router.coordinator.lock();
+            let _merge = router.closing.lock();
             panic!("a close panics halfway");
         })
         .join();

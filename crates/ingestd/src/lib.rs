@@ -12,12 +12,13 @@
 //! runs one [`alertops_core::StreamingGovernor`] per shard on its own
 //! worker thread behind a bounded queue with explicit backpressure and
 //! drop accounting. Those workers and queues are a [`ShardPool`], which
-//! `alertops-cluster` also holds directly, one per node.
+//! `alertops-cluster` also holds directly, one per node, under the same
+//! [`MergePoint`].
 //!
 //! A window closes on the thread that asks for it — a connection
 //! handler answering a `{"ctrl":"flush"}` frame, a caller of
 //! [`IngestdHandle::flush`], or the [`IngestdConfig::tick`] thread —
-//! under one merge lock: it barriers on one
+//! through its one [`MergePoint`] under a merge lock: it barriers on one
 //! [`alertops_core::WindowDelta`] per shard and merges them into a
 //! global [`alertops_core::GovernanceSnapshot`]: newly flagged findings,
 //! resolved flags, exact global storm state (reconstructed from summed
@@ -36,7 +37,7 @@
 //!                          │ flush or tick                │
 //!                          ▼                              ▼
 //!                    ┌────────────┐   merge    ┌────────────────────┐
-//!                    │ merge lock  │ ◀─────────│ barrier: one delta │
+//!                    │ MergePoint  │ ◀─────────│ barrier: one delta │
 //!                    └─────┬──────┘            │ per shard per seq  │
 //!                          ▼                   └────────────────────┘
 //!                 GovernanceSnapshot ──▶ status socket
@@ -47,7 +48,7 @@
 //!
 //! [`Ingestd::spawn_with_wal`] makes the daemon durable with a cluster
 //! node's write-ahead log ([`alertops_wire::wal`]) and the cluster's
-//! restart protocol, QoA checkpoint included.
+//! restart ([`MergePoint::restart`]), QoA checkpoint included.
 //!
 //! The daemon is built to be chaos-tested: shard workers run under a
 //! supervisor that catches panics, restarts the worker on the same
@@ -69,9 +70,9 @@
 pub mod client;
 pub mod codec;
 pub mod config;
-mod coordinator;
 pub mod counters;
 mod daemon;
+mod merge;
 pub mod metrics;
 mod pool;
 mod queue;
@@ -85,9 +86,9 @@ pub use codec::{
     SYNC_FRAME,
 };
 pub use config::{IngestdConfig, OverflowPolicy};
-pub use coordinator::{resume_qoa, WalRecovery};
 pub use counters::{CounterSnapshot, Counters};
-pub use daemon::{Ingestd, IngestdHandle};
+pub use daemon::{Ingestd, IngestdHandle, WalRecovery};
+pub use merge::{MergeCounters, MergeHolder, MergePoint};
 pub use metrics::IngestdMetrics;
 pub use pool::ShardPool;
 pub use shard::{shard_catalog, shard_of};

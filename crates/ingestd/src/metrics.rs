@@ -5,7 +5,7 @@
 //! [`crate::Counters`] always, and — when [`crate::IngestdConfig::metrics`]
 //! is on — everything richer than a conservation counter: the stage
 //! latency histograms registered here (window close, barrier wait,
-//! merge, per-shard close), frame decode counters, the coordinator's
+//! merge, per-shard close), frame decode counters, the merge point's
 //! [`alertops_core::WindowCloser`] channel handles (AO-LDA pass, QoA
 //! model update), and — via [`alertops_core::GovernorMetrics`]
 //! registered on the same registry — the detect/react instrumentation

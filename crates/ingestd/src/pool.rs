@@ -1,13 +1,11 @@
 //! The shard pool: supervised workers behind their bounded queues.
 //!
-//! This is what every holder of shards shares — a daemon's coordinator
-//! (one pool) and `alertops-cluster`'s `AlertCluster` (one pool per
-//! node): routing under the overflow policy with its counters, the two
+//! What a daemon (one pool) and `alertops-cluster` (one per node)
+//! share: routing under the overflow policy with its counters, the two
 //! halves of a window close, the QoA verdict push-down, the drain and
 //! chaos hooks, and the one metrics registry every series of the pool
-//! lives on. A pool merges nothing and owns no [`WindowCloser`]:
-//! its holder runs one close over every pool it holds
-//! ([`ShardPool::close_window`]).
+//! lives on. A pool merges nothing: its holder's [`crate::MergePoint`]
+//! runs one close over every pool it holds.
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -15,10 +13,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use std::{io, thread};
 
-use alertops_core::{
-    ClosedWindow, GovernorMetrics, QoaVerdicts, StreamingGovernor, WindowCloser, WindowDelta,
-};
-use alertops_model::{Alert, QoaLabel};
+use alertops_core::{GovernorMetrics, QoaVerdicts, StreamingGovernor, WindowDelta};
+use alertops_model::Alert;
 use alertops_obs::MetricsRegistry;
 
 use crate::config::{IngestdConfig, OverflowPolicy};
@@ -184,10 +180,9 @@ impl ShardPool {
 
     /// First half of a window close: broadcasts `Close{seq}` through
     /// every shard's ingest queue, so each shard closes over exactly
-    /// the alerts routed before this call, and returns without waiting
-    /// — a holder of several pools begins them all before it
-    /// [`collect`](Self::collect)s any. `false`: a worker is gone and
-    /// the close cannot complete; do not collect.
+    /// the alerts routed before this call, and returns without waiting,
+    /// so several pools' closes overlap. `false`: a worker is gone and
+    /// the close cannot complete; do not [`collect`](Self::collect).
     #[must_use]
     pub fn begin_close(&self, seq: u64) -> bool {
         self.queues
@@ -219,52 +214,9 @@ impl ShardPool {
         Some(degraded)
     }
 
-    /// One window close over every pool its holder has: `Close{seq}`
-    /// goes down every pool's queues before any pool is waited on,
-    /// `closer` closes **once** over every shard's delta, and fresh
-    /// verdicts are pushed down every queue before the holder can begin
-    /// the next close — the queues are FIFO, so the verdicts apply
-    /// ahead of whatever window `seq + 1` governs, for any shard or
-    /// pool count.
-    ///
-    /// Returns the closed window and, per pool, its degraded shards —
-    /// `None` for a pool whose workers are gone: the close went without
-    /// it.
-    pub fn close_window(
-        pools: &[&ShardPool],
-        seq: u64,
-        closer: &mut WindowCloser,
-        labels: &[QoaLabel],
-    ) -> (ClosedWindow, Vec<Option<Vec<usize>>>) {
-        let started = Instant::now();
-        let mut degraded: Vec<Option<Vec<usize>>> = pools
-            .iter()
-            .map(|pool| pool.begin_close(seq).then(Vec::new))
-            .collect();
-        let mut deltas = Vec::with_capacity(pools.iter().map(|pool| pool.shards()).sum());
-        for (pool, degraded) in pools.iter().zip(&mut degraded) {
-            if degraded.is_some() {
-                *degraded = pool.collect(seq, &mut deltas);
-            }
-            if let Some(m) = &pool.metrics {
-                // Barrier wait spans broadcast to last delta: it
-                // includes the shards' own close work, so it bounds the
-                // critical path a straggling shard puts on the window.
-                m.barrier_wait_micros.observe(elapsed_micros(started));
-            }
-        }
-        let closed = closer.close(&deltas, labels);
-        if let Some(verdicts) = &closed.verdicts {
-            for pool in pools {
-                pool.push_qoa_verdicts(verdicts);
-            }
-        }
-        (closed, degraded)
-    }
-
-    /// Pushes QoA verdicts down every shard queue, to apply before the
-    /// next window close.
-    pub fn push_qoa_verdicts(&self, verdicts: &QoaVerdicts) {
+    /// Pushes QoA verdicts down every shard queue, to apply from the
+    /// next window close on.
+    pub(crate) fn push_qoa_verdicts(&self, verdicts: &QoaVerdicts) {
         for queue in &self.queues {
             queue.push_control(WorkerMsg::Qoa(verdicts.clone()));
         }

@@ -63,12 +63,12 @@ pub(crate) enum WorkerMsg {
         /// Defer the panic into the next `Close`.
         on_close: bool,
     },
-    /// Fresh QoA verdicts from whichever coordinator runs the online
-    /// model. Rides the ingest queue so ordering against `Close` is
-    /// exact: verdicts pushed after close `N` apply to everything the
-    /// shard governs from window `N + 1` on — the cadence a library
-    /// caller gets by installing its closer's verdicts on its one
-    /// governor at each window boundary.
+    /// The QoA verdicts as of the last close, from the merge point that
+    /// runs the online model. Rides the ingest queue so ordering against
+    /// `Close` is exact: pushed just before close `N + 1`, they apply to
+    /// everything the shard governs in that window — the cadence a
+    /// library caller gets by installing its closer's verdicts on its
+    /// one governor at each window boundary.
     Qoa(QoaVerdicts),
     /// Chaos: park the worker. `entered` is acked once parked (the
     /// queue ahead of this message is fully drained by then); the

@@ -31,8 +31,8 @@ pub(crate) const TAG_SHUTDOWN: u8 = 6;
 pub(crate) const TAG_SYNC: u8 = 7;
 /// Payload tag: a daemon→client acknowledgement.
 pub(crate) const TAG_ACK: u8 = 8;
-/// Payload tag: an opaque QoA model checkpoint (the cluster
-/// coordinator's checkpoint file).
+/// Payload tag: an opaque QoA model checkpoint (the merge point's
+/// checkpoint file).
 pub(crate) const TAG_QOA_STATE: u8 = 9;
 
 /// String marker: literal, registered in the table (assigns the next
@@ -46,8 +46,8 @@ const STR_UNCACHED: u8 = 0x02;
 
 /// One decoded binary frame. The superset of the NDJSON protocol's
 /// line frames: ingress uses `Alert`/`Flush`/`Shutdown`/`Sync`/
-/// `Chaos`, the WAL adds `Boundary`, the cluster coordinator's
-/// checkpoint file is one `QoaState`.
+/// `Chaos`, the WAL adds `Boundary`, the merge point's checkpoint
+/// file is one `QoaState`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// An alert record.
@@ -55,7 +55,7 @@ pub enum Frame {
     /// The window with this cluster sequence number closed; in a WAL
     /// segment this seals the segment it ends.
     Boundary {
-        /// The cluster coordinator's window sequence number.
+        /// The merge point's window sequence number.
         window: u64,
     },
     /// Chaos fault injection, gated exactly like the NDJSON chaos
@@ -71,10 +71,9 @@ pub enum Frame {
     /// travel as frames, mirroring the NDJSON `{"ack":...}` lines.
     Ack(AckFrame),
     /// An opaque QoA model checkpoint (`QoaCheckpoint::to_bytes`
-    /// bytes). The wire layer does not interpret the body — the
-    /// cluster coordinator writes it as its checkpoint file at every
-    /// window close so a restart resumes the online model at identical
-    /// weights.
+    /// bytes). The wire layer does not interpret the body — the merge
+    /// point writes it as its checkpoint file at every window close so
+    /// a restart resumes the online model at identical weights.
     QoaState(Vec<u8>),
 }
 

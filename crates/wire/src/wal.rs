@@ -25,7 +25,7 @@
 //! those alerts as dropped rather than resurrecting guesses.
 //!
 //! A log holds alerts and boundaries and nothing else. The online QoA
-//! model belongs to whoever merges (a daemon's coordinator, a
+//! model belongs to the process's one merge point (a daemon's, a
 //! cluster's) and lives in its own file beside the logs
 //! ([`write_qoa_checkpoint`], [`read_qoa_checkpoint`]).
 
@@ -90,9 +90,9 @@ pub struct WalDepth {
 }
 
 /// A cluster node's or a standalone daemon's write-ahead log. Appends
-/// are serialized by an internal lock; the cluster calls from the one
-/// thread that owns it, the daemon from its router/coordinator
-/// threads.
+/// are serialized by an internal lock: the cluster calls from the one
+/// thread that drives it, the daemon from whichever thread routes an
+/// alert or runs a close.
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
@@ -231,13 +231,16 @@ impl Wal {
     /// Seals the in-flight window: appends the boundary record,
     /// flushes, `fsync`s, rotates to a fresh segment (resetting the
     /// string table), prunes sealed segments beyond the retained
-    /// history, and `fsync`s the log directory.
+    /// history, and `fsync`s the log directory. The window's records
+    /// leave [`WalDepth::pending_records`] first: the caller closed the
+    /// window, whether or not its seal reaches the disk.
     ///
     /// # Errors
     ///
     /// Filesystem errors pass through.
     pub fn boundary(&self, window: u64) -> io::Result<()> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.pending_records = 0;
         state.write(|encoder, out| encoder.encode_into(&Frame::Boundary { window }, out))?;
         state.writer.get_ref().sync_data()?;
 
@@ -245,7 +248,6 @@ impl Wal {
         let next = sealed + 1;
         state.writer = create_segment(&self.dir, next)?;
         state.segment = next;
-        state.pending_records = 0;
         state.encoder = WireEncoder::new();
         state.sealed.push(sealed);
         while state.sealed.len() > self.retain {

@@ -162,13 +162,26 @@ fi
 # daemon's accounting lives on its pool's metrics registry: no second
 # Prometheus encoder for the conservation families and no per-shard
 # depth mirrored beside the queue that holds the count. A daemon close
-# runs on its caller; no coordinator thread.
+# runs on its caller; no coordinator thread. The daemon and the cluster
+# close, checkpoint, seal and restart through one MergePoint: no
+# daemon-only coordinator or journal, no pool-level multi-pool close,
+# no separate QoA resume step.
 # Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError' \
+if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth or a coordinator thread reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread or a second merge point reappeared (see matches above)" >&2
     exit 1
 fi
+# The QoA checkpoint has one writer and one reader, the merge point:
+# neither the cluster nor the daemon's assembly touches the file. Scoped
+# to the code above each file's first test module.
+for file in crates/cluster/src/*.rs crates/ingestd/src/daemon.rs; do
+    if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' "$file" |
+        grep -E 'write_qoa_checkpoint|read_qoa_checkpoint'; then
+        echo "the QoA checkpoint is written or read outside MergePoint (see matches above)" >&2
+        exit 1
+    fi
+done
 # The registry is the only exposition encoder, so its sample formatter
 # stays private to alertops-obs.
 if grep -n render_sample crates/obs/src/lib.rs; then

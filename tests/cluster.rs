@@ -14,6 +14,8 @@
 //! - Chaos-scheduled node faults (kill/rejoin/truncate) are replayable
 //!   from `CHAOS_SEED`.
 //! - A whole-cluster restart from the logs resumes byte-identically.
+//! - A close whose checkpoint or boundary write fails is counted and
+//!   completes; the conservation law holds after it.
 //! - The real binary survives `kill -9` mid-window via `--wal` (in
 //!   `ingestd_wal_replay_survives_kill_dash_nine`).
 
@@ -588,6 +590,52 @@ fn whole_cluster_restart_from_wal_is_lossless() {
             json(want),
             "restarted cluster diverged from the uninterrupted run at window {index}"
         );
+    }
+}
+
+/// One failed-write policy: a close whose QoA checkpoint write fails
+/// (the coordinator directory is gone) or whose boundary write fails
+/// (a node's log directory is gone, so the next segment cannot be
+/// created) is counted and still completes — published under the next
+/// window index, its alerts delivered and out of flight — and the
+/// conservation law holds from the scrape after that close and after
+/// the next one.
+#[test]
+fn a_failed_log_write_is_counted_and_the_close_completes() {
+    let (catalog, windows) = windowed_trace(7, 64);
+    for (tag, qoa, victim) in [
+        ("ckpt-fails", true, "coordinator"),
+        ("seal-fails", false, "node-0"),
+    ] {
+        let root = wal_root(tag);
+        let _ = std::fs::remove_dir_all(&root);
+        let mut config = cluster_config(2, 2, root.clone());
+        if qoa {
+            config.node.streaming.qoa.mode = ChannelMode::Forward;
+        }
+        let mut cluster =
+            AlertCluster::spawn(config, catalog.clone(), factory()).expect("cluster spawns");
+        for (seq, window) in windows[..3].iter().enumerate() {
+            if seq == 1 {
+                std::fs::remove_dir_all(root.join(victim)).unwrap();
+            }
+            for alert in window {
+                cluster.route(alert.clone()).expect("route succeeds");
+            }
+            let snapshot = cluster.close_window().expect("the close completes");
+            assert_eq!(snapshot.window_index, seq as u64, "{tag}");
+            assert_eq!(snapshot.alert_count, window.len(), "{tag}");
+            assert_eq!(cluster.wal_write_errors(), seq as u64, "{tag}");
+            let text = cluster.render_metrics();
+            let errors = exposition_value(&text, "alertops_cluster_wal_write_errors_total");
+            assert_eq!(errors, seq as u64, "{tag}");
+            assert_scrape_conserved(&cluster);
+            let counters = cluster.counters();
+            assert_eq!((counters.in_flight, counters.dropped), (0, 0), "{tag}");
+            assert_eq!(counters.windows_closed, seq as u64 + 1, "{tag}");
+        }
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 

@@ -2,10 +2,11 @@
 //! oracle's label stream drives one online model to the same bits no
 //! matter how the pipeline is partitioned.
 //!
-//! - One governor under a bare `OnlineQoaModel`, a 1-shard daemon, and
-//!   a 4-shard daemon fed the same windows and labels publish
-//!   byte-identical QoA reports (weights, scores, EMAs, verdicts via
-//!   `model_digest`).
+//! - One governor under a bare `OnlineQoaModel`, a 1-shard daemon, a
+//!   4-shard daemon and a 2-node cluster fed the same windows and
+//!   labels publish byte-identical QoA reports (weights, scores, EMAs,
+//!   verdicts via `model_digest`), and a journaled daemon and the
+//!   cluster leave byte-identical checkpoint files.
 //! - The verdicts actually govern: low-quality strategies demote into
 //!   the blocker, high-quality strategies' alerts ride the escalation
 //!   lane, and escalated alerts stay a subset of the delivered window
@@ -127,14 +128,16 @@ fn reference_windows(
         .collect()
 }
 
-/// An N-shard daemon in the standalone role: shards forward samples,
-/// the coordinator joins them with the labels handed to each flush and
-/// runs the one sequential model update.
+/// An N-shard daemon in the standalone role, journaling into `wal`
+/// when given one: shards forward samples, the merge point joins them
+/// with the labels handed to each flush and runs the one sequential
+/// model update.
 fn daemon_windows(
     out: &SimOutput,
     windows: &[Vec<Alert>],
     labels: &[Vec<QoaLabel>],
     shards: usize,
+    wal: Option<&Path>,
 ) -> Vec<QoaWindow> {
     let strategies = out.catalog.strategies().to_vec();
     let config = IngestdConfig {
@@ -142,7 +145,7 @@ fn daemon_windows(
         streaming: streaming(),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
+    let make_governor = |shard, shards| {
         StreamingGovernor::new(
             AlertGovernor::new(
                 shard_catalog(&strategies, shards, shard),
@@ -150,8 +153,8 @@ fn daemon_windows(
             ),
             streaming(),
         )
-    })
-    .expect("daemon starts");
+    };
+    let handle = Ingestd::spawn_with_wal(&config, make_governor, wal).expect("daemon starts");
     let mut published = Vec::with_capacity(windows.len());
     for (window, labels) in windows.iter().zip(labels) {
         for alert in window {
@@ -166,18 +169,47 @@ fn daemon_windows(
     published
 }
 
-/// The tentpole differential: batch == 1 shard == 4 shards, byte for
-/// byte, on every published QoA report and every escalation lane —
-/// and the loop is *live*, not decorative: the model moves, strategies
-/// demote, and alerts escalate within the trace.
+/// A 2-node journaled cluster over the same windows and labels.
+fn cluster_windows(
+    out: &SimOutput,
+    windows: &[Vec<Alert>],
+    labels: &[Vec<QoaLabel>],
+    root: PathBuf,
+) -> Vec<QoaWindow> {
+    let mut cluster = spawn_cluster(2, root, out);
+    let mut published = Vec::with_capacity(windows.len());
+    for (window, labels) in windows.iter().zip(labels) {
+        for alert in window {
+            cluster.route(alert.clone()).expect("route succeeds");
+        }
+        let snapshot = cluster
+            .close_window_labeled(labels.clone())
+            .expect("window closes");
+        published.push((snapshot.qoa, snapshot.escalated));
+    }
+    cluster.shutdown();
+    published
+}
+
+/// The tentpole differential: batch == 1 shard == 4 shards == 2 nodes,
+/// byte for byte, on every published QoA report and every escalation
+/// lane — one merge point, one QoA stream, down to the checkpoint file
+/// a journaled daemon and the cluster leave behind — and the loop is
+/// *live*, not decorative: the model moves, strategies demote, and
+/// alerts escalate within the trace.
 #[test]
 fn batch_one_shard_and_many_shards_publish_identical_qoa_streams() {
     let (out, windows) = windowed_trace(7);
     let labels = label_stream(&out, &windows, 0.0);
+    let (daemon_wal, cluster_root) = (wal_root("stream-daemon"), wal_root("stream-cluster"));
+    for dir in [&daemon_wal, &cluster_root] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 
     let reference = reference_windows(&out, &windows, &labels);
-    let single = daemon_windows(&out, &windows, &labels, 1);
-    let sharded = daemon_windows(&out, &windows, &labels, 4);
+    let single = daemon_windows(&out, &windows, &labels, 1, Some(&daemon_wal));
+    let sharded = daemon_windows(&out, &windows, &labels, 4, None);
+    let cluster = cluster_windows(&out, &windows, &labels, cluster_root.clone());
 
     assert_eq!(
         wire(&reference),
@@ -189,6 +221,20 @@ fn batch_one_shard_and_many_shards_publish_identical_qoa_streams() {
         wire(&sharded),
         "4-shard daemon diverged from the 1-shard daemon"
     );
+    assert_eq!(
+        wire(&single),
+        wire(&cluster),
+        "2-node cluster diverged from the 1-shard daemon"
+    );
+    let checkpoint = |dir: &Path| std::fs::read(dir.join("qoa.ckpt")).expect("checkpoint written");
+    assert_eq!(
+        checkpoint(&daemon_wal),
+        checkpoint(&cluster_root.join("coordinator")),
+        "the daemon's and the cluster's last checkpoints differ"
+    );
+    for dir in [&daemon_wal, &cluster_root] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 
     // The loop actually closed: labels were absorbed, the model left
     // its initial state, and both governance lanes engaged somewhere.
