@@ -18,66 +18,17 @@
 //! ```
 //!
 //! A node is the contiguous strategy range the
-//! [`RangeMap`](crate::RangeMap) assigns it, a write-ahead log, and an
-//! [`alertops_ingestd::ShardPool`] over that range: a fault and
+//! [`RangeMap`](crate::RangeMap) assigns it plus an
+//! [`alertops_ingestd::Node`] over that range (a write-ahead log and a
+//! shard pool, the node a standalone daemon holds too): a fault and
 //! durability domain inside one process that merges nothing. The
-//! cluster holds the process's one [`MergePoint`], as a standalone
-//! daemon does: its close sends `Close{seq}` to every alive node's
-//! shards before waiting on any and hands every shard's
+//! cluster holds the process's one [`MergePoint`], as a daemon does:
+//! its close sends `Close{seq}` to every alive node's shards before
+//! waiting on any and hands every shard's
 //! [`alertops_core::WindowDelta`] to one [`WindowCloser`], so a 4-node
 //! cluster, a 1-node cluster, and the batch governor publish
-//! byte-identical snapshots over the same stream.
-//!
-//! # Durability
-//!
-//! The cluster appends every accepted alert to the owning node's
-//! write-ahead log *before* routing it ([`alertops_wire::wal`], the log
-//! a standalone daemon keeps too), and writes the window boundary to
-//! each **alive** node's log at close. A killed node's in-memory state
-//! is gone, but its log is not: rejoin replays
-//! the retained windows through a fresh pool (rebuilding the rolling
-//! detection history), rewrites the log, and restores the in-flight
-//! tail as pending work. A node that dies with no live peer is the
-//! same story at cluster scale: [`AlertCluster::spawn`] finds the old
-//! logs and re-ingests them through the full pipeline before accepting
-//! new traffic.
-//!
-//! Because boundaries are only written to alive nodes, alerts routed
-//! to a dead node keep accumulating in its open segment; they are
-//! delivered in the first window closed after rejoin. Within one
-//! window (kill and rejoin between two closes) this is invisible —
-//! snapshots stay byte-identical to the no-fault run. Across a close
-//! the affected alerts shift one window later (and the dead node's
-//! shards are published in [`GovernanceSnapshot::degraded`]), then the
-//! stream reconverges; nothing is dropped or double-counted either
-//! way, which the conservation law checks end to end:
-//!
-//! ```text
-//! ingested == delivered + dropped + quarantined + in_flight
-//! ```
-//!
-//! # Caveats (deliberate)
-//!
-//! - Under [`alertops_ingestd::OverflowPolicy::Drop`], a shed alert is
-//!   already journaled (write-ahead), so replay can resurrect it into
-//!   the rebuilt detection history — the durable log being *more*
-//!   complete than the lossy live run. Clusters that need exact
-//!   history equivalence under faults use `Block` (the default).
-//! - The emerging (AO-LDA) detector is sequential state owned by the
-//!   merge point; node kill/rejoin never touches it, but a
-//!   whole-cluster restart rebuilds it from the retained window
-//!   history only — AO-LDA's adaptive prior depends on the full
-//!   preceding stream, which is not journaled.
-//! - The online QoA model is merge-point state of the same shape, but
-//!   it takes the other side of that trade: labels are not journaled,
-//!   so replayed windows could not relearn it, and the merge point
-//!   checkpoints it instead — one file,
-//!   `<wal_root>/coordinator/qoa.ckpt`, replaced at every close before
-//!   any node's boundary for that close is written, nodes alive or
-//!   not. A whole-cluster restart restores the exact weights and EMAs
-//!   from it. Node logs hold node state only.
-//! - A failed checkpoint or boundary write is counted and the close
-//!   completes; a failed append sheds its alert, counted `dropped`.
+//! byte-identical snapshots over the same stream. The crate docs give
+//! the durability contract and its deliberate caveats.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -88,7 +39,7 @@ use std::time::Instant;
 
 use alertops_core::{GovernanceSnapshot, StreamingGovernor, WindowCloser};
 use alertops_ingestd::{
-    shard_catalog, IngestdConfig, MergeCounters, MergeHolder, MergePoint, ShardPool,
+    shard_catalog, IngestdConfig, MergeCounters, MergeHolder, MergePoint, Node,
 };
 use alertops_model::{Alert, AlertStrategy, IndexedCatalog, QoaLabel, StrategyId};
 use alertops_wire::wal::{replay, Wal, WalFormat, WalReplay};
@@ -105,18 +56,13 @@ pub type GovernorFactory = Arc<dyn Fn(&[AlertStrategy]) -> StreamingGovernor + S
 pub struct ClusterConfig {
     /// Number of nodes. Each owns a contiguous strategy range.
     pub nodes: usize,
-    /// Per-node shard pool configuration. The daemon-only fields must
-    /// stay unset: `tick` (closes are cluster-coordinated,
-    /// [`AlertCluster::close_window`], never wall clock) and `listen` /
-    /// `status` ([`AlertCluster::route`] is the only way in, because it
-    /// is what journals).
-    /// `streaming.emerging.mode` and `streaming.qoa.mode` switch the
-    /// *cluster's* channels: every shard forwards documents and
-    /// samples, and the merge point's [`WindowCloser`] runs the one
-    /// AO-LDA pass and the one `partial_fit` pass, checkpointing the
-    /// model to its own file at each close. Any storm-load token budget
-    /// (`streaming.emerging.config.budget`) is likewise applied once,
-    /// after the merge, so node count cannot change the sampled tokens.
+    /// Per-node shard pool configuration, with the daemon-only `tick`,
+    /// `listen` and `status` unset: closes are the cluster's
+    /// ([`AlertCluster::close_window`]) and [`AlertCluster::route`] is
+    /// the only way in. `streaming.emerging.mode` and
+    /// `streaming.qoa.mode` switch the *cluster's* channels, run once
+    /// per close by the merge point's [`WindowCloser`] (token budget
+    /// included), so node count cannot change what they see.
     pub node: IngestdConfig,
     /// Directory holding one WAL subdirectory per node
     /// (`<wal_root>/node-<i>/`) and the merge point's QoA checkpoint
@@ -148,27 +94,6 @@ impl ClusterConfig {
             return Err("cluster nodes must not tick, listen or serve a status socket".into());
         }
         node.validate()
-    }
-}
-
-/// One node slot: its log (always present) and its shards (absent
-/// while killed).
-#[derive(Debug)]
-struct NodeSlot {
-    dir: PathBuf,
-    wal: Wal,
-    pool: Option<ShardPool>,
-    /// The pool's `dropped` counter at the last close, so each close
-    /// surfaces only the new overflow shedding.
-    last_dropped: u64,
-}
-
-impl NodeSlot {
-    /// Alerts journaled for this node since its last boundary — the
-    /// in-flight window, including alerts routed while dead. The log
-    /// is the only count.
-    fn in_flight(&self) -> u64 {
-        self.wal.depth().pending_records
     }
 }
 
@@ -216,15 +141,21 @@ impl ClusterCounters {
     }
 }
 
-/// A running cluster. Single-threaded driver: all mutation goes
-/// through `&mut self`, which is what makes window closes a true
-/// barrier and the merge deterministic.
+/// A running cluster. Routing takes `&self` (each node's log and
+/// queues serialize their own writers), so a routing front can share
+/// the cluster; closes, `kill`, `rejoin` and `handoff` take `&mut
+/// self`, which is what makes a window close a true barrier and the
+/// merge deterministic.
 pub struct AlertCluster {
     config: ClusterConfig,
     /// The whole catalog; membership is the edge quarantine test.
     catalog: IndexedCatalog,
     map: RangeMap,
-    slots: Vec<NodeSlot>,
+    /// One per range: a log (always) and shards (while alive).
+    nodes: Vec<Node>,
+    /// Each node's pool `dropped` counter at the last close, so each
+    /// close surfaces only the new overflow shedding.
+    last_dropped: Vec<u64>,
     make_governor: GovernorFactory,
     latest: Option<GovernanceSnapshot>,
     /// The process's one merge point: its window sequence and closer.
@@ -242,34 +173,62 @@ impl std::fmt::Debug for AlertCluster {
     }
 }
 
-/// Replays the log in `dir`, counting what it read back.
-fn replay_counted(metrics: &ClusterMetrics, dir: &Path) -> io::Result<WalReplay> {
-    let replayed = replay(dir)?;
-    metrics.wal_replayed_alerts.add(replayed.recovered_alerts);
-    metrics.wal_torn_records.add(replayed.torn_records);
-    Ok(replayed)
+fn node_dir(wal_root: &Path, node: usize) -> PathBuf {
+    wal_root.join(format!("node-{node}"))
 }
 
-fn spawn_pool(
-    config: &IngestdConfig,
-    node_cat: &[AlertStrategy],
-    make_governor: &GovernorFactory,
-) -> io::Result<ShardPool> {
-    ShardPool::spawn(config, |shard, shards| {
-        make_governor(&shard_catalog(node_cat, shards, shard))
-    })
+/// Reads back the logs of `nodes` ([`replay`]), every one before any
+/// node starts over its directory and wipes it.
+fn read_logs(
+    metrics: &ClusterMetrics,
+    wal_root: &Path,
+    nodes: impl IntoIterator<Item = usize>,
+) -> io::Result<Vec<WalReplay>> {
+    let read = |node| {
+        let replayed = replay(&node_dir(wal_root, node))?;
+        metrics.wal_replayed_alerts.add(replayed.recovered_alerts);
+        metrics.wal_torn_records.add(replayed.torn_records);
+        Ok(replayed)
+    };
+    nodes.into_iter().map(read).collect()
+}
+
+/// Sealed windows as a replay yields them: `(seq, alerts)` in order.
+type Windows = Vec<(u64, Vec<Alert>)>;
+
+/// Merges windows of one sequence number into one, each time-sorted.
+fn merge_windows(windows: impl IntoIterator<Item = (u64, Vec<Alert>)>) -> Windows {
+    let mut merged: BTreeMap<u64, Vec<Alert>> = BTreeMap::new();
+    for (seq, alerts) in windows {
+        merged.entry(seq).or_default().extend(alerts);
+    }
+    merged.values_mut().for_each(|alerts| by_time(alerts));
+    merged.into_iter().collect()
+}
+
+fn by_time(alerts: &mut [Alert]) {
+    alerts.sort_by_key(|a| (a.raised_at(), a.id()));
+}
+
+/// A cluster node's log: every cluster node journals.
+fn log(node: &Node) -> &Wal {
+    node.wal().expect("a cluster node always keeps a log")
+}
+
+/// Alerts journaled for `node` since its last boundary: the in-flight
+/// window, including alerts routed while dead. The log is the only
+/// count.
+fn in_flight(node: &Node) -> u64 {
+    log(node).depth().pending_records
 }
 
 impl AlertCluster {
-    /// Starts (or restarts) the cluster over `catalog`. If the WAL
-    /// directories under [`ClusterConfig::wal_root`] hold a previous
-    /// incarnation's logs, they are replayed through the full pipeline
-    /// first ([`MergePoint::restart`], the daemon's restart too) —
-    /// sealed windows are re-ingested and re-published in order
-    /// (restoring the latest snapshot, the detection history, and the
-    /// window sequence), in-flight tails come back as pending work, and
-    /// the online QoA model resumes from the checkpoint file. Restart
-    /// is lossless with no live peer.
+    /// Starts (or restarts) the cluster over `catalog`: reads back every
+    /// node log under [`ClusterConfig::wal_root`], starts each node, and
+    /// re-ingests what the logs held through [`MergePoint::restart`]
+    /// (the daemon's restart too). Sealed windows re-publish in order,
+    /// tails come back in flight and the QoA model resumes from its
+    /// checkpoint: lossless with no live peer.
     ///
     /// # Errors
     ///
@@ -286,33 +245,10 @@ impl AlertCluster {
 
         let metrics = ClusterMetrics::new(config.nodes);
         metrics.nodes.set(config.nodes as u64);
-
-        // Every previous incarnation's log is read back before anything
-        // is routed, and re-routed by the *new* map, so recovery
-        // survives topology changes between runs.
-        let mut recovered_windows: BTreeMap<u64, Vec<Alert>> = BTreeMap::new();
-        let mut recovered_tail: Vec<Alert> = Vec::new();
-        let map = RangeMap::partition(&catalog, config.nodes);
-        let mut slots = Vec::with_capacity(config.nodes);
-        for node in 0..config.nodes {
-            let dir = config.wal_root.join(format!("node-{node}"));
-            let replayed = replay_counted(&metrics, &dir)?;
-            for (seq, alerts) in replayed.windows {
-                recovered_windows.entry(seq).or_default().extend(alerts);
-            }
-            recovered_tail.extend(replayed.tail);
-            Wal::wipe(&dir)?;
-            let wal = Wal::open(&dir, config.node.wal_retain())?;
-            let node_cat = node_catalog(&catalog, &map, node);
-            let pool = spawn_pool(&config.node, &node_cat, &make_governor)?;
-            slots.push(NodeSlot {
-                dir,
-                wal,
-                pool: Some(pool),
-                last_dropped: 0,
-            });
-        }
-        metrics.nodes_alive.set(config.nodes as u64);
+        // Every previous incarnation's log is read back before any is
+        // wiped, and re-routed by the *new* map, so recovery survives
+        // topology changes between runs.
+        let logs = read_logs(&metrics, &config.wal_root, 0..config.nodes)?;
         let coordinator_dir = config.wal_root.join("coordinator");
         fs::create_dir_all(&coordinator_dir)?;
 
@@ -327,27 +263,64 @@ impl AlertCluster {
         };
         let merge = MergePoint::new(closer, &config.node, Some(coordinator_dir), counters);
         let mut cluster = Self {
-            config,
+            map: RangeMap::partition(&catalog, config.nodes),
             catalog: IndexedCatalog::new(catalog),
-            map,
-            slots,
+            nodes: Vec::with_capacity(config.nodes),
+            last_dropped: vec![0; config.nodes],
+            config,
             make_governor,
             latest: None,
             merge,
             metrics,
         };
+        for node in 0..cluster.config.nodes {
+            let started = cluster.start_node(node)?;
+            cluster.nodes.push(started);
+        }
 
         // Each sealed window, time-sorted across its nodes, routes and
         // closes at its original sequence number, so counters, the
         // published snapshot, and per-node boundaries all line up with
         // where the previous incarnation stopped.
-        for window in recovered_windows.values_mut() {
-            window.sort_by_key(|a| (a.raised_at(), a.id()));
-        }
-        recovered_tail.sort_by_key(|a| (a.raised_at(), a.id()));
-        let mut spawning = Spawning(&mut cluster);
-        MergePoint::restart(&mut spawning, recovered_windows, recovered_tail)?;
+        let (windows, tails): (Vec<_>, Vec<_>) =
+            logs.into_iter().map(|r| (r.windows, r.tail)).unzip();
+        let windows = merge_windows(windows.into_iter().flatten());
+        let mut tail = tails.concat();
+        by_time(&mut tail);
+        MergePoint::restart(&mut Spawning(&mut cluster), windows, tail)?;
         Ok(cluster)
+    }
+
+    /// Starts `node` of the current map over its log directory
+    /// ([`Node::start`]); its log must have been read back already.
+    fn start_node(&self, node: usize) -> io::Result<Node> {
+        let node_cat = node_catalog(self.catalog.rows(), &self.map, node);
+        let dir = node_dir(&self.config.wal_root, node);
+        Node::start(&self.config.node, Some(&dir), &mut |shard, shards| {
+            (self.make_governor)(&shard_catalog(&node_cat, shards, shard))
+        })
+    }
+
+    /// Restarts each `(node, windows, tail)`: starts the node afresh
+    /// over its log, read back already, and re-ingests `windows` as
+    /// history and `tail` as in flight ([`Node::restore_history`]). What
+    /// the restarted nodes no longer hold in flight (a truncated log
+    /// could not give it back, or a failed append shed it) is counted
+    /// `dropped`. On error the node that failed stays as it was.
+    fn respawn(&mut self, restarts: Vec<(usize, Windows, Vec<Alert>)>) -> io::Result<()> {
+        let ids: Vec<usize> = restarts.iter().map(|restart| restart.0).collect();
+        let pending = |nodes: &[Node]| ids.iter().map(|&id| in_flight(&nodes[id])).sum::<u64>();
+        let journaled = pending(&self.nodes);
+        for (node, windows, tail) in restarts {
+            let fresh = self.start_node(node)?;
+            let restored = fresh.restore_history(windows, tail)?;
+            self.nodes[node] = fresh;
+            self.last_dropped[node] = restored.history_dropped;
+            self.metrics.wal_write_errors.add(restored.write_errors);
+        }
+        let restored = pending(&self.nodes);
+        self.metrics.dropped.add(journaled.saturating_sub(restored));
+        Ok(())
     }
 
     /// The routing table.
@@ -359,56 +332,43 @@ impl AlertCluster {
     /// Nodes currently running.
     #[must_use]
     pub fn alive_nodes(&self) -> usize {
-        self.slots.iter().filter(|s| s.pool.is_some()).count()
+        self.nodes.iter().filter(|node| node.is_alive()).count()
     }
 
     /// Whether `node` is currently running.
     #[must_use]
     pub fn is_alive(&self, node: usize) -> bool {
-        self.slots.get(node).is_some_and(|s| s.pool.is_some())
+        self.nodes.get(node).is_some_and(Node::is_alive)
     }
 
-    /// Routes one alert: quarantines unknown strategies at the edge,
-    /// journals the rest to the owning node's WAL (write-ahead), and
-    /// hands it to the node's shards if the node is alive. Routing to
-    /// a dead node succeeds — the alert is durable and pending, and is
-    /// delivered in the first window closed after the node rejoins.
+    /// Routes one alert: quarantines unknown strategies at the edge and
+    /// hands the rest to the owning node ([`Node::route`]), which
+    /// journals it and, if alive, queues it; a dead node's alerts are
+    /// delivered in the first close after its rejoin.
     ///
     /// # Errors
     ///
-    /// A failed WAL append sheds the alert — counted `dropped` and a
-    /// write error ([`wal_write_errors`](Self::wal_write_errors)), it
-    /// reaches no shard — and its error is returned. Nothing else
-    /// fails.
-    pub fn route(&mut self, alert: Alert) -> io::Result<()> {
+    /// A failed WAL append sheds the alert, counted `dropped` and a
+    /// write error. Nothing else fails.
+    pub fn route(&self, alert: Alert) -> io::Result<()> {
         self.metrics.ingested.inc();
         if self.catalog.get(alert.strategy()).is_none() {
             self.metrics.quarantined.inc();
             return Ok(());
         }
-        let node = self.map.node_of(alert.strategy());
-        let slot = &self.slots[node];
-        if let Err(e) = slot.wal.append(&alert) {
+        let node = &self.nodes[self.map.node_of(alert.strategy())];
+        node.route(alert).inspect_err(|_| {
             self.metrics.dropped.inc();
             self.metrics.wal_write_errors.inc();
-            return Err(e);
-        }
-        if let Some(pool) = &slot.pool {
-            pool.route(alert);
-        }
-        Ok(())
+        })
     }
 
     /// Closes the cluster window through the merge point
-    /// ([`MergePoint::close`], a daemon's close too): every alive node's
-    /// shards close; the closer merges all their
-    /// [`alertops_core::WindowDelta`]s once into one
-    /// [`GovernanceSnapshot`] (cluster == 1-node == batch, byte for
-    /// byte) and runs the single AO-LDA pass; each alive node's WAL is
-    /// sealed at this sequence number. Dead nodes contribute nothing —
-    /// their shards are listed `degraded` (flat `node * shards + shard`)
-    /// and their journaled alerts stay in flight. A node whose workers
-    /// are found gone is killed on the spot.
+    /// ([`MergePoint::close`], a daemon's close too): one merge over
+    /// every alive node's shards (cluster == 1-node == batch, byte for
+    /// byte), each alive node's log sealed at this sequence number.
+    /// Dead nodes' shards are listed `degraded` and their alerts stay
+    /// in flight; a node whose workers are found gone is killed.
     ///
     /// # Errors
     ///
@@ -420,13 +380,10 @@ impl AlertCluster {
     }
 
     /// [`close_window`](Self::close_window) with the window's OCE
-    /// feedback labels attached. When the QoA loop is on, the merge
-    /// point joins the labels with the merged feature samples, runs the
-    /// one sequential `partial_fit` pass, embeds the
-    /// [`alertops_core::QoaWindowReport`] in the snapshot, and replaces
-    /// the model's checkpoint file before any node's log is sealed —
-    /// with every node dead too. Its verdicts govern from the *next*
-    /// close on, every alive node's.
+    /// feedback labels: with the QoA loop on, the merge point updates
+    /// the model once and replaces its checkpoint before any log is
+    /// sealed (with every node dead too); its verdicts govern from the
+    /// *next* close on.
     ///
     /// # Errors
     ///
@@ -435,21 +392,17 @@ impl AlertCluster {
         &mut self,
         labels: Vec<QoaLabel>,
     ) -> io::Result<GovernanceSnapshot> {
-        let nodes: Vec<_> = (self.slots.iter())
-            .map(|slot| (slot.pool.as_ref(), Some(&slot.wal)))
-            .collect();
-        let (closed, dead) = self.merge.close(&nodes, &labels);
+        let (closed, dead) = self.merge.close(&self.nodes, &labels);
         for node in dead {
             self.kill(node);
         }
         // Surface pool-internal overflow shedding since the last close;
         // everything else pending was just delivered.
-        for slot in &mut self.slots {
-            if let Some(pool) = &slot.pool {
+        for (node, last) in self.nodes.iter().zip(&mut self.last_dropped) {
+            if let Some(pool) = node.pool() {
                 let dropped = pool.counters().dropped.get();
-                let shed = dropped.saturating_sub(slot.last_dropped);
-                self.metrics.dropped.add(shed);
-                slot.last_dropped = dropped;
+                self.metrics.dropped.add(dropped.saturating_sub(*last));
+                *last = dropped;
             }
         }
         let snapshot = closed.snapshot;
@@ -463,46 +416,32 @@ impl AlertCluster {
     /// node's WAL survives untouched; [`rejoin`](Self::rejoin) brings
     /// the state back from it. No-op if already dead.
     pub fn kill(&mut self, node: usize) {
-        // Dropping the pool stops and joins its workers.
-        if self.slots[node].pool.take().is_some() {
-            self.metrics.nodes_alive.sub(1);
-        }
+        self.nodes[node].kill();
     }
 
-    /// Rejoins a killed `node`: replays its WAL, rewrites the log, and
-    /// respawns its shards — sealed windows rebuild the rolling
-    /// detection history (closes discarded: those windows were already
-    /// published and counted), the in-flight tail is re-routed as
-    /// pending. If the log was truncated while dead, the unrecoverable
-    /// alerts are counted `dropped` so conservation stays exact.
-    /// No-op if the node is already running (chaos schedules shuffle
-    /// kill/rejoin order freely).
+    /// Rejoins a killed `node`: reads its log back, then starts it
+    /// afresh over it and re-ingests the sealed windows as history and
+    /// the tail as pending ([`Node::restore_history`]). Alerts a log
+    /// truncated while dead cannot give back are counted `dropped`.
+    /// No-op if the node is running.
     ///
     /// # Errors
     ///
     /// Replay, WAL, and spawn failures pass through; the node stays
     /// dead on error.
     pub fn rejoin(&mut self, node: usize) -> io::Result<()> {
-        if self.slots[node].pool.is_some() {
+        if self.is_alive(node) {
             return Ok(());
         }
-        let replayed = replay_counted(&self.metrics, &self.slots[node].dir)?;
-        let journaled = self.slots[node].in_flight();
-        self.restore_node(node, replayed.windows, replayed.tail)?;
-        let lost = journaled.saturating_sub(self.slots[node].in_flight());
-        self.metrics.dropped.add(lost);
-        Ok(())
+        let replayed = read_logs(&self.metrics, &self.config.wal_root, [node])?.remove(0);
+        self.respawn(vec![(node, replayed.windows, replayed.tail)])
     }
 
-    /// Hands `range` off to node `to` live: both ends seal, the range's
-    /// slice of the source's retained windows and in-flight tail moves
-    /// to the target, the routing table is carved, and both ends
-    /// respawn with their new catalogs — the source without the
-    /// range's history, the target with its own history merged
-    /// window-by-window with the moved one. Mid-stream safe: in-flight
-    /// alerts for the range move with it, so the handoff window closes
-    /// byte-identical to a run that never rebalanced, with nothing
-    /// dropped or double-counted.
+    /// Hands `range` off to node `to` live: both ends are killed and
+    /// their logs read back, the range's slice of the source's windows
+    /// and tail moves to the target (merged by sequence number), the
+    /// map is carved, and both ends restart. The handoff window closes
+    /// byte-identical to a run that never rebalanced.
     ///
     /// # Errors
     ///
@@ -518,7 +457,7 @@ impl AlertCluster {
                 range.start, range.end
             )));
         }
-        if to >= self.slots.len() {
+        if to >= self.nodes.len() {
             return Err(invalid(format!("target node {to} outside cluster")));
         }
         if !self.is_alive(from) || !self.is_alive(to) {
@@ -537,56 +476,41 @@ impl AlertCluster {
         }
         let started = Instant::now();
 
-        let journaled = self.slots[from].in_flight() + self.slots[to].in_flight();
-
         // Seal both ends: in-memory state is discarded, the WALs are
-        // the (complete) truth.
+        // the (complete) truth, and both are read before either is
+        // wiped.
         self.kill(from);
         self.kill(to);
-        let src = replay_counted(&self.metrics, &self.slots[from].dir)?;
-        let dst = replay_counted(&self.metrics, &self.slots[to].dir)?;
+        let logs = read_logs(&self.metrics, &self.config.wal_root, [from, to])?;
+        let [src, dst] = <[WalReplay; 2]>::try_from(logs).expect("one log per node read");
 
         // Split the source by the moving range.
         let in_range = |a: &Alert| range.contains(a.strategy());
-        let mut kept_windows = Vec::with_capacity(src.windows.len());
-        let mut moved_windows = Vec::with_capacity(src.windows.len());
-        for (seq, alerts) in src.windows {
-            let (moved, kept): (Vec<Alert>, Vec<Alert>) = alerts.into_iter().partition(in_range);
-            moved_windows.push((seq, moved));
-            kept_windows.push((seq, kept));
-        }
-        let (moved_tail, kept_tail): (Vec<Alert>, Vec<Alert>) =
-            src.tail.into_iter().partition(in_range);
+        let (moved_windows, kept_windows): (Vec<_>, Vec<_>) = (src.windows.into_iter())
+            .map(|(seq, alerts)| {
+                let (moved, kept): (Vec<_>, Vec<_>) = alerts.into_iter().partition(in_range);
+                ((seq, moved), (seq, kept))
+            })
+            .unzip();
+        let (moved_tail, kept_tail): (Vec<_>, Vec<_>) = src.tail.into_iter().partition(in_range);
 
         let moved = moved_windows.iter().map(|(_, alerts)| alerts.len());
         let moved_alerts = (moved.sum::<usize>() + moved_tail.len()) as u64;
 
+        // The source restarts without the range; the target with its
+        // history merged window-by-window with the moved slice (keyed by
+        // sequence number: the two ends may have different retained
+        // depths or boundary gaps from past faults). In-flight alerts
+        // move with the range.
         self.map.reassign(range, to);
-
-        // Respawn the source without the range.
-        self.restore_node(from, kept_windows, kept_tail)?;
-
-        // Respawn the target with its history merged window-by-window
-        // with the moved slice (keyed by sequence number: the two ends
-        // may have different retained depths or boundary gaps from past
-        // faults).
-        let mut merged: BTreeMap<u64, Vec<Alert>> = BTreeMap::new();
-        for (seq, alerts) in dst.windows.into_iter().chain(moved_windows) {
-            merged.entry(seq).or_default().extend(alerts);
-        }
-        let mut target_windows: Vec<(u64, Vec<Alert>)> = merged.into_iter().collect();
-        for (_, alerts) in &mut target_windows {
-            alerts.sort_by_key(|a| (a.raised_at(), a.id()));
-        }
+        let target_windows = merge_windows(dst.windows.into_iter().chain(moved_windows));
         let mut target_tail = dst.tail;
         target_tail.extend(moved_tail);
-        target_tail.sort_by_key(|a| (a.raised_at(), a.id()));
-        self.restore_node(to, target_windows, target_tail)?;
-
-        // In-flight moves with the alerts: the total is conserved,
-        // minus anything a truncated log could not give back.
-        let restored = self.slots[from].in_flight() + self.slots[to].in_flight();
-        self.metrics.dropped.add(journaled.saturating_sub(restored));
+        by_time(&mut target_tail);
+        self.respawn(vec![
+            (from, kept_windows, kept_tail),
+            (to, target_windows, target_tail),
+        ])?;
 
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.metrics.handoffs.inc();
@@ -600,45 +524,6 @@ impl AlertCluster {
         })
     }
 
-    /// Respawns `node` from explicit recovered state: re-journals and
-    /// re-ingests each sealed window at its original sequence
-    /// (publishing nothing — the windows were already published), then
-    /// restores `tail` as the in-flight window.
-    fn restore_node(
-        &mut self,
-        node: usize,
-        windows: Vec<(u64, Vec<Alert>)>,
-        tail: Vec<Alert>,
-    ) -> io::Result<()> {
-        let node_cat = node_catalog(self.catalog.rows(), &self.map, node);
-        let pool = spawn_pool(&self.config.node, &node_cat, &self.make_governor)?;
-        Wal::wipe(&self.slots[node].dir)?;
-        let wal = Wal::open(&self.slots[node].dir, self.config.node.wal_retain())?;
-        for (seq, alerts) in windows {
-            for alert in alerts {
-                wal.append(&alert)?;
-                pool.route(alert);
-            }
-            // History only: the deltas are dropped unmerged.
-            if !pool.begin_close(seq) || pool.collect(seq, &mut Vec::new()).is_none() {
-                return Err(io::Error::other("shard workers died during WAL replay"));
-            }
-            wal.boundary(seq)?;
-        }
-        // Shedding during history replay re-routes alerts that were
-        // already accounted at their original close; don't re-count.
-        let slot = &mut self.slots[node];
-        slot.last_dropped = pool.counters().dropped.get();
-        for alert in tail {
-            wal.append(&alert)?;
-            pool.route(alert);
-        }
-        slot.wal = wal;
-        slot.pool = Some(pool);
-        self.metrics.nodes_alive.add(1);
-        Ok(())
-    }
-
     /// Chaos hook: chops `bytes` off the end of `node`'s newest WAL
     /// segment, simulating a torn write or disk corruption. The damage
     /// surfaces at the next replay (rejoin or restart) as torn
@@ -648,7 +533,7 @@ impl AlertCluster {
     ///
     /// Filesystem errors pass through; no segment is a no-op.
     pub fn truncate_wal_tail(&mut self, node: usize, bytes: u64) -> io::Result<()> {
-        let dir = &self.slots[node].dir;
+        let dir = log(&self.nodes[node]).dir();
         let mut newest: Option<PathBuf> = None;
         for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
@@ -703,7 +588,7 @@ impl AlertCluster {
             delivered: self.metrics.delivered.get(),
             dropped: self.metrics.dropped.get(),
             quarantined: self.metrics.quarantined.get(),
-            in_flight: self.slots.iter().map(NodeSlot::in_flight).sum(),
+            in_flight: self.nodes.iter().map(in_flight).sum(),
             windows_closed: self.metrics.windows_closed.get(),
         }
     }
@@ -715,18 +600,19 @@ impl AlertCluster {
     }
 
     /// Renders the `alertops_cluster_*` Prometheus exposition,
-    /// refreshing the point-in-time gauges (WAL depth per node,
-    /// in-flight total) first.
+    /// refreshing the point-in-time gauges (nodes alive, WAL depth per
+    /// node, in-flight total) first.
     #[must_use]
     pub fn render_metrics(&self) -> String {
         let mut in_flight = 0;
-        for (slot, gauges) in self.slots.iter().zip(&self.metrics.wal) {
-            let depth = slot.wal.depth();
+        for (node, gauges) in self.nodes.iter().zip(&self.metrics.wal) {
+            let depth = log(node).depth();
             gauges.sealed_segments.set(depth.sealed_segments);
             gauges.pending_records.set(depth.pending_records);
             in_flight += depth.pending_records;
         }
         self.metrics.in_flight.set(in_flight);
+        self.metrics.nodes_alive.set(self.alive_nodes() as u64);
         self.metrics.render()
     }
 

@@ -6,47 +6,55 @@
 //! ([`alertops_core::StreamingGovernor`]) to a sharded daemon
 //! ([`alertops_ingestd`]); this crate takes the last step to a
 //! *topology*. N nodes — each a contiguous
-//! [`alertops_model::StrategyId`] range ([`RangeMap`]), a log and an
-//! [`alertops_ingestd::ShardPool`], a fault and durability domain
-//! inside one process — sit under one [`AlertCluster`], which routes
-//! alerts by range and, through its [`alertops_ingestd::MergePoint`]
-//! (the daemon's too), collects one
-//! [`alertops_core::WindowDelta`] per shard at window close, and merges
-//! them all, once, through the same commutative monoid the daemon uses
-//! — so a 4-node cluster, a 1-node cluster, and the batch governor
-//! publish **byte-identical** snapshots over the same stream.
+//! [`alertops_model::StrategyId`] range ([`RangeMap`]) over an
+//! [`alertops_ingestd::Node`] (a log and a shard pool, the node a
+//! daemon holds too), a fault and durability domain inside one process
+//! — sit under one [`AlertCluster`]. It routes alerts by range and
+//! closes every window through its [`alertops_ingestd::MergePoint`]
+//! (the daemon's too): one merge of every shard's
+//! [`alertops_core::WindowDelta`], so a 4-node cluster, a 1-node
+//! cluster, and the batch governor publish **byte-identical** snapshots
+//! over the same stream.
 //!
 //! Three mechanisms make the topology survivable:
 //!
 //! - **Write-ahead log** ([`alertops_wire::wal`], the same log a
-//!   standalone `ingestd --wal` keeps): every accepted alert is journaled
-//!   to its owner's length+CRC-framed log (binary `alertops-wire`
-//!   frames, the one layout it writes and replays) before it is
-//!   routed; window boundaries seal segments with an `fsync`. A killed
-//!   node loses its memory, never its log. A node's
-//!   log holds that node's alerts and boundaries; the one piece of
-//!   merge-point state that must outlive a restart, the online QoA
-//!   model, has one file of its own (`<wal_root>/coordinator/qoa.ckpt`),
-//!   replaced at every close.
+//!   standalone `ingestd --wal` keeps): a node journals every accepted
+//!   alert before it queues it ([`alertops_ingestd::Node::route`]), and
+//!   each close seals every alive node's log with an `fsync`. A killed
+//!   node loses its memory, never its log. Logs hold alerts and
+//!   boundaries only; the online QoA model has one file of its own
+//!   (`<wal_root>/coordinator/qoa.ckpt`), replaced at every close
+//!   before any log is sealed. A failed checkpoint or seal is counted
+//!   and the close completes; a failed append sheds its alert, counted
+//!   `dropped`.
 //! - **Rejoin replay** ([`AlertCluster::rejoin`],
-//!   [`AlertCluster::spawn`]): sealed windows rebuild the rolling
-//!   detection history, the in-flight tail comes back as pending work,
-//!   and a whole-cluster restart re-ingests the recovered stream
-//!   end-to-end — lossless with no live peer.
-//! - **Range handoff** ([`AlertCluster::handoff`]): both ends seal, the
-//!   moving range's slice of the source's retained windows and
-//!   in-flight tail is re-journaled into the target's log, and both
-//!   ends respawn mid-stream without dropping or double-counting a
-//!   window.
+//!   [`AlertCluster::spawn`]): every restart reads back each log it
+//!   needs before it starts any node over one
+//!   ([`alertops_ingestd::Node::start`] wipes and reopens a log).
+//!   Sealed windows rebuild the detection history and the tail comes
+//!   back in flight, so a whole-cluster restart is lossless with no
+//!   live peer. A dead node's alerts wait in its log and are delivered
+//!   in the first close after its rejoin.
+//! - **Range handoff** ([`AlertCluster::handoff`]): the moving range's
+//!   slice of the source's windows and tail is re-journaled into the
+//!   target's log and both ends restart mid-stream, dropping and
+//!   double-counting nothing.
 //!
-//! Everything is accounted: the cluster-level conservation law
+//! The conservation law
 //! `ingested == delivered + dropped + quarantined + in_flight`
 //! ([`ClusterCounters::is_conserved`]) holds at every quiescent point,
-//! nodes dead or alive, and the whole topology is observable as
-//! `alertops_cluster_*` Prometheus series ([`ClusterMetrics`]).
-//! Fault schedules come from `alertops-chaos` (node kills, rejoins,
-//! WAL truncation) and the scenario matrix lives in
-//! `tests/cluster.rs` at the workspace root.
+//! nodes dead or alive, and is scraped as `alertops_cluster_*` series
+//! ([`ClusterMetrics`]). Fault schedules come from `alertops-chaos`;
+//! the scenario matrix is `tests/cluster.rs` at the workspace root.
+//!
+//! Caveats, on purpose: under [`alertops_ingestd::OverflowPolicy::Drop`]
+//! a shed alert is already journaled, so replay can resurrect it into
+//! the rebuilt detection history (`Block`, the default, keeps history
+//! exact under faults); and a whole-cluster restart rebuilds the AO-LDA
+//! detector from the retained windows only (its adaptive prior depends
+//! on a stream that is not journaled), while the QoA model comes back
+//! exactly from its checkpoint.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -26,7 +26,8 @@ pub struct ClusterMetrics {
     registry: MetricsRegistry,
     /// Configured node count (static topology gauge).
     pub nodes: Arc<Gauge>,
-    /// Nodes currently alive (falls on kill, rises on rejoin).
+    /// Nodes currently alive, read from the nodes at each
+    /// [`crate::AlertCluster::render_metrics`].
     pub nodes_alive: Arc<Gauge>,
     /// Conservation: alerts accepted by [`crate::AlertCluster::route`]
     /// (including quarantined ones, mirroring the daemon convention).

@@ -205,8 +205,8 @@ impl WindowDelta {
     /// Associativity, commutativity, and the identity law hold on
     /// every field — a delta carries mergeable inputs only, never the
     /// report of a sequential pass — and are proven by property tests
-    /// in `tests/determinism.rs`; they are what let a cluster
-    /// coordinator fold every node's shard deltas in one merge, in
+    /// in `tests/determinism.rs`; they are what let a cluster's
+    /// merge point fold every node's shard deltas in one merge, in
     /// arrival order, and still reproduce the single-process
     /// governance picture byte for byte.
     #[must_use]
@@ -331,7 +331,7 @@ pub struct GovernanceSnapshot {
     /// that were buffered (or mid-detection) at the time of the crash
     /// are missing from this window's picture. Empty in healthy
     /// windows; [`GovernanceSnapshot::merge`] always starts empty and
-    /// the daemon's coordinator fills it in.
+    /// the merge point fills it in.
     pub degraded: Vec<usize>,
     /// The emerging-channel (R4) report for this window, when the
     /// channel is enabled. [`GovernanceSnapshot::from_delta`] leaves
@@ -353,7 +353,7 @@ pub struct GovernanceSnapshot {
 }
 
 /// Collects the emerging-channel documents forwarded in one closed
-/// window's deltas into the canonical order the coordinator feeds
+/// window's deltas into the canonical order the merge point feeds
 /// AO-LDA: sorted by alert id. Since alert ids are unique and sharding
 /// only partitions the window, every shard count concatenates and sorts
 /// to the same list.
@@ -370,7 +370,7 @@ pub fn merge_emerging_docs(deltas: &[WindowDelta]) -> Vec<EmergingDoc> {
 impl GovernanceSnapshot {
     /// Merges one closed window's per-shard deltas into the global
     /// picture. Deltas must come from the same window index (the
-    /// coordinator's barrier guarantees this); with a single delta this
+    /// merge point's barrier guarantees this); with a single delta this
     /// is the identity on its fields plus full storm reconstruction.
     #[must_use]
     pub fn merge(deltas: &[WindowDelta], storm: &StormConfig) -> Self {
@@ -381,8 +381,8 @@ impl GovernanceSnapshot {
     /// delta: sorts the per-window lists into their canonical orders
     /// and reconstructs exact global storm state from the delta's
     /// region-hour histogram. `merge` is exactly
-    /// `from_delta(&WindowDelta::merge_all(deltas), storm)`; a cluster
-    /// coordinator that folds node deltas through the
+    /// `from_delta(&WindowDelta::merge_all(deltas), storm)`; a merge
+    /// point that folds node deltas through the
     /// [`WindowDelta`] monoid calls this on the fold's result.
     #[must_use]
     pub fn from_delta(delta: &WindowDelta, storm: &StormConfig) -> Self {

@@ -122,16 +122,6 @@ impl IngestdConfig {
         }
         Ok(())
     }
-
-    /// Sealed-segment retention of a daemon's or a cluster node's log:
-    /// one more than the governor's rolling history depth. Replay needs
-    /// the *previous* window's full scope as well as the current one, so
-    /// that the last re-published window's new/resolved findings
-    /// (deltas against that previous scope) come back byte-identical.
-    #[must_use]
-    pub fn wal_retain(&self) -> usize {
-        self.streaming.history_windows.max(1) + 1
-    }
 }
 
 #[cfg(test)]

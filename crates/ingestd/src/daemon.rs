@@ -24,7 +24,7 @@ use alertops_core::{
 };
 use alertops_model::{Alert, QoaLabel};
 use alertops_obs::Counter;
-use alertops_wire::wal::{replay, Wal};
+use alertops_wire::wal::replay;
 use alertops_wire::{AckFrame, ChaosCmd, Frame, WireDecoder, WireEncoder, WireError, WireFormat};
 
 use crate::codec::{ack_line, FrameDecoder, FrameError, QuarantineReason};
@@ -32,6 +32,7 @@ use crate::config::IngestdConfig;
 use crate::counters::CounterSnapshot;
 use crate::merge::{MergeCounters, MergeHolder, MergePoint};
 use crate::metrics::IngestdMetrics;
+use crate::node::Node;
 use crate::pool::{elapsed_micros, ShardPool};
 use crate::status::{StatusReport, StatusRequest};
 
@@ -103,7 +104,8 @@ struct Closing {
 /// frames and close windows, and what the status socket reads.
 #[derive(Debug)]
 struct Router {
-    pool: ShardPool,
+    /// The daemon's one node: its log, if any, and its shards.
+    node: Node,
     /// The merge lock. Whoever holds it runs the one close in flight;
     /// poisoned (a close panicked halfway) it reads as stopped.
     closing: Mutex<Closing>,
@@ -112,8 +114,6 @@ struct Router {
     /// The latest merged snapshot, locked apart from the merge lock so
     /// a status scrape never waits on a close in flight.
     snapshot: RwLock<Option<GovernanceSnapshot>>,
-    /// Write-ahead log, appended before any enqueue.
-    wal: Option<Wal>,
     /// Failed appends, seals and checkpoint writes.
     write_errors: Arc<Counter>,
     /// Cleared at shutdown; the accept loops stop on it.
@@ -125,20 +125,20 @@ struct Router {
 }
 
 impl Router {
-    /// Journals, then routes, one alert: journaled before it can be in
-    /// any queue, so a crash never holds an unjournaled alert (under
-    /// `Drop`, a replay may resurrect one the queue then shed); one the
-    /// log could not hold is shed, `dropped` and a write error.
+    fn pool(&self) -> &ShardPool {
+        shards(&self.node)
+    }
+
+    /// Routes one alert through the node ([`Node::route`]); one the log
+    /// could not hold is shed, counted ingested, `dropped` and a write
+    /// error.
     fn route(&self, alert: Alert) {
-        let journaled = self.wal.as_ref().map_or(Ok(()), |wal| wal.append(&alert));
-        if journaled.is_err() {
+        if self.node.route(alert).is_err() {
             self.write_errors.inc();
-            let counters = self.pool.counters();
+            let counters = self.pool().counters();
             counters.ingested.inc();
             counters.dropped.inc();
-            return;
         }
-        self.pool.route(alert);
     }
 
     /// Closes the window on every shard, on the calling thread, and
@@ -159,12 +159,13 @@ impl Router {
             return None;
         }
         let started = Instant::now();
-        let node = (Some(&self.pool), self.wal.as_ref());
-        let (closed, dead) = closing.merge.close(&[node], labels);
+        let (closed, dead) = closing
+            .merge
+            .close(std::slice::from_ref(&self.node), labels);
         closing.stopped = !dead.is_empty();
         let window_micros = elapsed_micros(started);
-        self.pool.counters().last_window_micros.set(window_micros);
-        if let Some(m) = self.pool.metrics() {
+        self.pool().counters().last_window_micros.set(window_micros);
+        if let Some(m) = self.pool().metrics() {
             m.window_close_micros.observe(window_micros);
             // Per-window RSS sample: an operator gauge on the status
             // socket. Observer-only, one procfs read per window close.
@@ -202,6 +203,12 @@ impl Router {
             }
         }
     }
+}
+
+/// A daemon's shards, its node's pool: there from the node's start to
+/// its drop, because a daemon never kills its node.
+fn shards(node: &Node) -> &ShardPool {
+    node.pool().expect("a daemon never kills its node")
 }
 
 /// A restart runs before the router is shared, so it needs no lock.
@@ -250,33 +257,24 @@ impl Ingestd {
     }
 
     /// [`Ingestd::spawn`] over the write-ahead log in `wal`, restarting
-    /// as a cluster does: replay, wipe and re-open the log, spawn the
-    /// pool, [`MergePoint::restart`] (the sealed windows, the tail, the
-    /// QoA model from `wal/qoa.ckpt`), and only then start the tick
-    /// thread and bind the listeners. Failed log writes are counted
+    /// as a cluster does: read the log back, [`Node::start`] over it,
+    /// [`MergePoint::restart`] (the sealed windows, the tail, the QoA
+    /// model from `wal/qoa.ckpt`), and only then start the tick thread
+    /// and bind the listeners. Failed log writes are counted
     /// ([`IngestdHandle::wal_write_errors`]).
     ///
     /// # Errors
     ///
     /// As [`Ingestd::spawn`]; replay and filesystem errors pass
-    /// through. The config is validated before the log is touched.
+    /// through. The config is validated before the log is wiped.
     pub fn spawn_with_wal(
         config: &IngestdConfig,
-        make_governor: impl FnMut(usize, usize) -> StreamingGovernor,
+        mut make_governor: impl FnMut(usize, usize) -> StreamingGovernor,
         wal: Option<&Path>,
     ) -> io::Result<IngestdHandle> {
-        config
-            .validate()
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
-        let (replayed, wal) = match wal {
-            Some(dir) => {
-                let replayed = replay(dir)?;
-                Wal::wipe(dir)?;
-                (Some(replayed), Some(Wal::open(dir, config.wal_retain())?))
-            }
-            None => (None, None),
-        };
-        let pool = ShardPool::spawn(config, make_governor)?;
+        let replayed = wal.map(replay).transpose()?;
+        let node = Node::start(config, wal, &mut make_governor)?;
+        let pool = shards(&node);
 
         // The process's one closer runs every channel that is on; its
         // handles live on the pool's registry (deduped by name + labels).
@@ -305,18 +303,16 @@ impl Ingestd {
                 None => Arc::default(),
             },
         };
-        let dir = wal.as_ref().map(|wal| wal.dir().to_path_buf());
         let mut router = Router {
             write_errors: Arc::clone(&counters.write_errors),
             closing: Mutex::new(Closing {
-                merge: MergePoint::new(closer, config, dir, counters),
+                merge: MergePoint::new(closer, config, wal.map(Path::to_path_buf), counters),
                 last_close: Instant::now(),
                 stopped: false,
             }),
-            pool,
+            node,
             tick_wake: Condvar::new(),
             snapshot: RwLock::new(None),
-            wal,
             running: AtomicBool::new(true),
             chaos: config.chaos,
             shutdown: ShutdownSignal::default(),
@@ -417,24 +413,24 @@ impl IngestdHandle {
     /// Drain barrier ([`ShardPool::sync`]). The chaos suite uses it to
     /// pace deterministically; blocks while a shard is stalled.
     pub fn sync(&self) {
-        self.router.pool.sync();
+        self.router.pool().sync();
     }
 
     /// Chaos instrumentation: [`ShardPool::inject_panic`].
     pub fn inject_panic(&self, shard: usize, on_close: bool) {
-        self.router.pool.inject_panic(shard, on_close);
+        self.router.pool().inject_panic(shard, on_close);
     }
 
     /// Chaos instrumentation: [`ShardPool::stall`]. Pair with
     /// [`resume_shard`](Self::resume_shard); a flush while stalled
     /// blocks until resumed.
     pub fn stall_shard(&self, shard: usize) {
-        self.router.pool.stall(shard);
+        self.router.pool().stall(shard);
     }
 
     /// Chaos instrumentation: [`ShardPool::resume`].
     pub fn resume_shard(&self, shard: usize) {
-        self.router.pool.resume(shard);
+        self.router.pool().resume(shard);
     }
 
     /// The most recently merged snapshot, if any window closed yet.
@@ -446,14 +442,14 @@ impl IngestdHandle {
     /// Point-in-time counter values.
     #[must_use]
     pub fn counters(&self) -> CounterSnapshot {
-        self.router.pool.counter_snapshot()
+        self.router.pool().counter_snapshot()
     }
 
     /// The daemon's metric handles, if [`IngestdConfig::metrics`] is
     /// enabled.
     #[must_use]
     pub fn metrics(&self) -> Option<&Arc<IngestdMetrics>> {
-        self.router.pool.metrics()
+        self.router.pool().metrics()
     }
 
     /// Renders the Prometheus text exposition: the conservation
@@ -462,7 +458,7 @@ impl IngestdHandle {
     /// serves for a `metrics` request.
     #[must_use]
     pub fn render_metrics(&self) -> String {
-        self.router.pool.render_metrics()
+        self.router.pool().render_metrics()
     }
 
     /// Blocks until some connection sends `{"ctrl":"shutdown"}` (or
@@ -684,16 +680,16 @@ fn handle_item(
 ) -> bool {
     match item {
         Ok(frame) => {
-            if let Some(metrics) = router.pool.metrics() {
+            if let Some(metrics) = router.pool().metrics() {
                 metrics.frames_decoded.inc();
             }
             handle_frame(frame, router, |ack| codec.write_ack(ack, writer).is_ok())
         }
         Err(reason) => {
-            if let Some(metrics) = router.pool.metrics() {
+            if let Some(metrics) = router.pool().metrics() {
                 metrics.frames_rejected.inc();
             }
-            router.pool.counters().quarantine(reason);
+            router.pool().counters().quarantine(reason);
             !codec.decode_error_is_terminal()
         }
     }
@@ -716,7 +712,7 @@ fn handle_frame(frame: Frame, router: &Router, mut ack: impl FnMut(AckFrame) -> 
             }
         }
         Frame::Sync => {
-            router.pool.sync();
+            router.pool().sync();
             return ack(AckFrame::Sync);
         }
         Frame::Shutdown => {
@@ -730,18 +726,18 @@ fn handle_frame(frame: Frame, router: &Router, mut ack: impl FnMut(AckFrame) -> 
             | ChaosCmd::Resume { shard }) = cmd;
             if chaos_target(router, shard) {
                 match cmd {
-                    ChaosCmd::Panic { on_close, .. } => router.pool.inject_panic(shard, on_close),
+                    ChaosCmd::Panic { on_close, .. } => router.pool().inject_panic(shard, on_close),
                     ChaosCmd::Stall { .. } => {
-                        router.pool.stall(shard);
+                        router.pool().stall(shard);
                         return ack(AckFrame::Stall { shard });
                     }
-                    ChaosCmd::Resume { .. } => router.pool.resume(shard),
+                    ChaosCmd::Resume { .. } => router.pool().resume(shard),
                 }
             }
         }
         Frame::Boundary { .. } | Frame::Ack(_) | Frame::QoaState(_) => {
             router
-                .pool
+                .pool()
                 .counters()
                 .quarantine(QuarantineReason::UnknownControl);
         }
@@ -753,11 +749,11 @@ fn handle_frame(frame: Frame, router: &Router, mut ack: impl FnMut(AckFrame) -> 
 /// the shard in range; otherwise the frame is quarantined as an
 /// unknown control and ignored.
 fn chaos_target(router: &Router, shard: usize) -> bool {
-    if router.chaos && shard < router.pool.shards() {
+    if router.chaos && shard < router.pool().shards() {
         true
     } else {
         router
-            .pool
+            .pool()
             .counters()
             .quarantine(QuarantineReason::UnknownControl);
         false
@@ -767,7 +763,7 @@ fn chaos_target(router: &Router, shard: usize) -> bool {
 /// One status connection: read the optional request line, serve the
 /// selected document, close. See [`crate::status`] for the protocol.
 fn serve_status(stream: &TcpStream, router: &Router) {
-    let pool = &router.pool;
+    let pool = router.pool();
     let request = read_status_request(stream);
     let mut writer = stream;
     match request {

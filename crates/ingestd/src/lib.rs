@@ -11,9 +11,11 @@
 //! — so all evidence for one strategy always lands on one shard — and
 //! runs one [`alertops_core::StreamingGovernor`] per shard on its own
 //! worker thread behind a bounded queue with explicit backpressure and
-//! drop accounting. Those workers and queues are a [`ShardPool`], which
-//! `alertops-cluster` also holds directly, one per node, under the same
-//! [`MergePoint`].
+//! drop accounting. Those workers and queues are a [`ShardPool`]; a
+//! pool and a write-ahead log make a [`Node`], which starts over its
+//! log, journals then queues each alert, and re-ingests history. The
+//! daemon holds one node and `alertops-cluster` one per range, each
+//! under one [`MergePoint`].
 //!
 //! A window closes on the thread that asks for it — a connection
 //! handler answering a `{"ctrl":"flush"}` frame, a caller of
@@ -47,8 +49,9 @@
 //! per shard, and plain TCP sockets.
 //!
 //! [`Ingestd::spawn_with_wal`] makes the daemon durable with a cluster
-//! node's write-ahead log ([`alertops_wire::wal`]) and the cluster's
-//! restart ([`MergePoint::restart`]), QoA checkpoint included.
+//! node's write-ahead log ([`alertops_wire::wal`]): it reads the log
+//! back, starts its [`Node`] over it, and restarts as a cluster does
+//! ([`MergePoint::restart`]), QoA checkpoint included.
 //!
 //! The daemon is built to be chaos-tested: shard workers run under a
 //! supervisor that catches panics, restarts the worker on the same
@@ -74,6 +77,7 @@ pub mod counters;
 mod daemon;
 mod merge;
 pub mod metrics;
+mod node;
 mod pool;
 mod queue;
 pub mod shard;
@@ -90,6 +94,7 @@ pub use counters::{CounterSnapshot, Counters};
 pub use daemon::{Ingestd, IngestdHandle, WalRecovery};
 pub use merge::{MergeCounters, MergeHolder, MergePoint};
 pub use metrics::IngestdMetrics;
+pub use node::{Node, Restored};
 pub use pool::ShardPool;
 pub use shard::{shard_catalog, shard_of};
 pub use status::{StatusReport, StatusRequest};

@@ -12,10 +12,11 @@ use std::time::Instant;
 use alertops_core::{ClosedWindow, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, WindowCloser};
 use alertops_model::{Alert, QoaLabel};
 use alertops_obs::Counter;
-use alertops_wire::wal::{read_qoa_checkpoint, write_qoa_checkpoint, Wal};
+use alertops_wire::wal::{read_qoa_checkpoint, write_qoa_checkpoint};
 
 use crate::config::IngestdConfig;
-use crate::pool::{elapsed_micros, ShardPool};
+use crate::node::Node;
+use crate::pool::elapsed_micros;
 
 /// The counters a merge point moves: handles on its holder's registry.
 #[derive(Debug)]
@@ -33,7 +34,8 @@ pub struct MergeCounters {
 /// A process's one merge point: the [`WindowCloser`], the sequence
 /// number of the next close, and the QoA checkpoint's directory (`dir/`
 /// for a journaled daemon, `<wal_root>/coordinator/` for a cluster). A
-/// daemon holds it under its merge lock, a cluster behind `&mut self`.
+/// daemon holds it under its merge lock, a cluster behind the `&mut
+/// self` of its closes.
 #[derive(Debug)]
 pub struct MergePoint {
     closer: WindowCloser,
@@ -89,20 +91,17 @@ impl MergePoint {
         self.closer.qoa_model()
     }
 
-    /// The one close, over each node's pool (`None` while dead) and log
-    /// (`None` for a daemon without one). The verdicts as of the last
-    /// close, then `Close{seq}`, go down every alive pool before any is
-    /// waited on, and the closer closes **once** over every shard's
-    /// delta. The QoA checkpoint is replaced before any log is sealed;
-    /// each node that delivered seals its log at `seq`. The snapshot
-    /// carries `window_index = seq` and the flat `node * shards +
-    /// shard` degraded list, a dead node's every shard included. Also
-    /// returns the nodes found dead (workers gone), closed without.
-    pub fn close(
-        &mut self,
-        nodes: &[(Option<&ShardPool>, Option<&Wal>)],
-        labels: &[QoaLabel],
-    ) -> (ClosedWindow, Vec<usize>) {
+    /// The one close, over each [`Node`]: its pool (`None` while dead)
+    /// and its log (`None` for a daemon without one). The verdicts as
+    /// of the last close, then `Close{seq}`, go down every alive pool
+    /// before any is waited on, and the closer closes **once** over
+    /// every shard's delta. The QoA checkpoint is replaced before any
+    /// log is sealed; each node that delivered seals its log at `seq`.
+    /// The snapshot carries `window_index = seq` and the flat `node *
+    /// shards + shard` degraded list, a dead node's every shard
+    /// included. Also returns the nodes found dead (workers gone),
+    /// closed without.
+    pub fn close(&mut self, nodes: &[Node], labels: &[QoaLabel]) -> (ClosedWindow, Vec<usize>) {
         let seq = self.seq;
         self.seq += 1;
         let started = Instant::now();
@@ -110,7 +109,7 @@ impl MergePoint {
         // refuses has lost its workers.
         let verdicts = self.closer.qoa_model().map(OnlineQoaModel::verdicts);
         let mut dead = Vec::new();
-        for (node, (pool, _)) in nodes.iter().enumerate() {
+        for (node, pool) in nodes.iter().map(Node::pool).enumerate() {
             let Some(pool) = pool else { continue };
             verdicts.iter().for_each(|v| pool.push_qoa_verdicts(v));
             if !pool.begin_close(seq) {
@@ -119,7 +118,7 @@ impl MergePoint {
         }
         let mut deltas = Vec::with_capacity(nodes.len() * self.shards);
         let mut degraded = Vec::new();
-        for (node, &(pool, _)) in nodes.iter().enumerate() {
+        for (node, pool) in nodes.iter().map(Node::pool).enumerate() {
             let begun = pool.filter(|_| !dead.contains(&node));
             let collected = begun.and_then(|pool| {
                 let collected = pool.collect(seq, &mut deltas);
@@ -145,8 +144,8 @@ impl MergePoint {
         if let (Some(dir), Some(model)) = (&self.dir, self.closer.qoa_model()) {
             failed += u64::from(write_qoa_checkpoint(dir, model.checkpoint().to_bytes()).is_err());
         }
-        for (node, &(pool, wal)) in nodes.iter().enumerate() {
-            if let (Some(_), Some(wal), false) = (pool, wal, dead.contains(&node)) {
+        for (index, node) in nodes.iter().enumerate() {
+            if let (Some(_), Some(wal), false) = (node.pool(), node.wal(), dead.contains(&index)) {
                 failed += u64::from(wal.boundary(seq).is_err());
             }
         }

@@ -27,11 +27,11 @@ pub struct IngestdMetrics {
     pub(crate) frames_decoded: Arc<Counter>,
     /// Ingress lines rejected by the decoder.
     pub(crate) frames_rejected: Arc<Counter>,
-    /// Coordinator: full window close, broadcast → published snapshot.
+    /// Merge point: full window close, broadcast → published snapshot.
     pub(crate) window_close_micros: Arc<Histogram>,
-    /// Coordinator: barrier wait, broadcast → last shard delta.
+    /// Merge point: barrier wait, broadcast → last shard delta.
     pub(crate) barrier_wait_micros: Arc<Histogram>,
-    /// Coordinator: snapshot merge proper.
+    /// Merge point: snapshot merge proper.
     pub(crate) merge_micros: Arc<Histogram>,
     /// Per-shard window close (sort + detection + commit).
     shard_close_micros: Vec<Arc<Histogram>>,

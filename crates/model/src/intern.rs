@@ -321,6 +321,16 @@ impl StrTable {
         self.by_id.get(id as usize)
     }
 
+    /// Forgets every string assigned an id of `len` or more, so ids
+    /// resume at `len`: how an encoder takes back the strings of a
+    /// frame its reader never got.
+    pub fn truncate(&mut self, len: usize) {
+        for s in self.by_id.drain(len.min(self.by_id.len())..) {
+            self.bytes -= s.len();
+            self.ids.remove(&s);
+        }
+    }
+
     fn remember(&mut self, interned: IStr) {
         if !self.has_room(&interned) {
             return;
@@ -430,6 +440,20 @@ mod tests {
         assert_eq!(table.insert(&long), None);
         table.clear();
         assert_eq!(table.bytes, 0);
+    }
+
+    #[test]
+    fn truncate_takes_back_the_newest_ids() {
+        let mut t = StrTable::new();
+        t.insert("a");
+        t.insert("b");
+        t.insert("c");
+        t.truncate(1);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.insert("a"), Some((0, false)));
+        assert_eq!(t.insert("c"), Some((1, true)), "ids resume at the cut");
+        t.truncate(9);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

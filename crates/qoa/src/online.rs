@@ -59,7 +59,7 @@ impl Default for QoaFeedbackConfig {
 }
 
 /// One strategy's feature vector for one window — what a shard emits
-/// upward so the coordinator's single sequential model can score it.
+/// upward so the merge point's single sequential model can score it.
 ///
 /// Sample streams are always sorted by [`QoaSample::strategy`] within a
 /// window and carry at most one entry per strategy.

@@ -164,7 +164,7 @@ impl Default for EmergingConfig {
 
 /// The text of one alert, detached from the full [`Alert`] record.
 ///
-/// This is what ingestd shards forward to the coordinator for the
+/// This is what ingestd shards forward to the merge point for the
 /// emerging channel: the id (to name flagged alerts), the raise time
 /// (to place the window on the wall clock), and the text AO-LDA
 /// tokenizes — nothing else crosses the shard boundary. The text is
@@ -331,7 +331,7 @@ impl EmergingAlertDetector {
     }
 
     /// [`observe_window`](Self::observe_window) over pre-extracted
-    /// documents — the form ingestd's coordinator consumes after
+    /// documents — the form ingestd's merge point consumes after
     /// merging the per-shard forwards.
     ///
     /// Each distinct text is tokenized once and fitted once; the report

@@ -213,6 +213,14 @@ impl WireEncoder {
     pub fn table_len(&self) -> usize {
         self.table.len()
     }
+
+    /// Takes back the strings registered since the table held `len`
+    /// ([`table_len`](Self::table_len)), for frames encoded but never
+    /// delivered: the next frame spells them out again instead of
+    /// referring to ids its decoder never saw.
+    pub fn truncate_table(&mut self, len: usize) {
+        self.table.truncate(len);
+    }
 }
 
 /// The decoding half of a stream.

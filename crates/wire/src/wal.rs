@@ -15,14 +15,18 @@
 //! the header is one torn record, and inside a segment any frame other
 //! than an alert or a boundary ends trust in the rest of it.
 //!
-//! Durability model: appends are flushed to the OS on every record, so
-//! a **process** crash (`kill -9` included) loses nothing; the
+//! Durability model: every record reaches the OS in one `write` of its
+//! own, with no user-space buffer in between, so a **process** crash
+//! (`kill -9` included) loses nothing; the
 //! `fsync` on window boundaries — of the sealed segment, then of the
 //! log directory, so the segment's creation and the prune's unlinks
 //! are durable too — is what bounds loss on a **power** failure to the
-//! in-flight window. Replay stops trusting a segment at the first
-//! framing/CRC failure and reports what it discarded — callers account
-//! those alerts as dropped rather than resurrecting guesses.
+//! in-flight window. A write that fails is cut back off the segment,
+//! so a failed append leaves neither a torn frame nor a leftover that
+//! could land ahead of the next record: the log holds exactly the
+//! appends that returned `Ok`. Replay stops trusting a segment at the
+//! first framing/CRC failure and reports what it discarded — callers
+//! account those alerts as dropped rather than resurrecting guesses.
 //!
 //! A log holds alerts and boundaries and nothing else. The online QoA
 //! model belongs to the process's one merge point (a daemon's, a
@@ -30,7 +34,7 @@
 //! ([`write_qoa_checkpoint`], [`read_qoa_checkpoint`]).
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -54,7 +58,11 @@ pub enum WalFormat {
 /// Mutable writer state behind the [`Wal`]'s lock.
 #[derive(Debug)]
 struct WalState {
-    writer: BufWriter<File>,
+    /// The open segment, opened for appending.
+    file: File,
+    /// The open segment's length up to the end of its last whole
+    /// record: where a failed write is cut back to.
+    len: u64,
     /// Index of the open segment file.
     segment: u64,
     /// Records appended to the open segment so far.
@@ -70,13 +78,24 @@ struct WalState {
 }
 
 impl WalState {
-    /// Encodes one frame into the reusable scratch, writes it to the
-    /// open segment and flushes it to the OS.
+    /// Encodes one frame into the reusable scratch and writes it to the
+    /// open segment in one `write_all`. A failed write is cut back off
+    /// the segment and its new strings out of the encoder's table, so
+    /// the segment ends on its last whole record and the next frame
+    /// refers only to strings its reader has seen.
     fn write(&mut self, encode: impl FnOnce(&mut WireEncoder, &mut Vec<u8>)) -> io::Result<()> {
         self.scratch.clear();
+        let table = self.encoder.table_len();
         encode(&mut self.encoder, &mut self.scratch);
-        self.writer.write_all(&self.scratch)?;
-        self.writer.flush()
+        if let Err(e) = self.file.write_all(&self.scratch) {
+            self.encoder.truncate_table(table);
+            // Shrinking a file does not grow it, so this holds where
+            // the write did not; the write's error is the one to report.
+            let _ = self.file.set_len(self.len);
+            return Err(e);
+        }
+        self.len += self.scratch.len() as u64;
+        Ok(())
     }
 }
 
@@ -129,27 +148,31 @@ fn segment_indices(dir: &Path) -> io::Result<Vec<u64>> {
     Ok(indices)
 }
 
-/// Creates a fresh segment file and writes the v2 header.
-fn create_segment(dir: &Path, index: u64) -> io::Result<BufWriter<File>> {
-    let file = OpenOptions::new()
+/// The v2 segment header: the magic, then the version byte.
+const HEADER: [u8; 5] = {
+    let [a, o, w, l] = WAL_MAGIC;
+    [a, o, w, l, WAL_VERSION]
+};
+
+/// Creates a fresh segment file and writes the v2 header in one write.
+fn create_segment(dir: &Path, index: u64) -> io::Result<File> {
+    let mut file = OpenOptions::new()
         .create_new(true)
         .append(true)
         .open(segment_path(dir, index))?;
-    let mut writer = BufWriter::new(file);
-    writer.write_all(&WAL_MAGIC)?;
-    writer.write_all(&[WAL_VERSION])?;
-    writer.flush()?;
-    Ok(writer)
+    file.write_all(&HEADER)?;
+    Ok(file)
 }
 
 impl Wal {
     /// Opens (creating if needed, then `fsync`ing its parent) the log
     /// in `dir`, retaining at most `retain` sealed window segments.
     /// Existing segments are left in place and a fresh open segment is
-    /// started after them — replay first ([`replay`]), then
-    /// [`wipe`](Self::wipe), open, and re-append what the replay handed
-    /// back, is the restart protocol (`AlertCluster::spawn`,
-    /// `Ingestd::spawn_with_wal`).
+    /// started after them. The restart protocol is: read back every log
+    /// the restart needs ([`replay`]), then [`wipe`](Self::wipe) and
+    /// open each and re-append what its replay handed back. One place
+    /// runs the wipe and the open, `alertops_ingestd::Node::start`, for
+    /// a daemon's restart and a cluster's spawn, rejoin and handoff.
     ///
     /// # Errors
     ///
@@ -167,12 +190,13 @@ impl Wal {
         }
         let existing = segment_indices(&dir)?;
         let segment = existing.last().map_or(0, |last| last + 1);
-        let writer = create_segment(&dir, segment)?;
+        let file = create_segment(&dir, segment)?;
         Ok(Self {
             dir,
             retain,
             state: Mutex::new(WalState {
-                writer,
+                file,
+                len: HEADER.len() as u64,
                 segment,
                 pending_records: 0,
                 sealed: existing,
@@ -215,12 +239,12 @@ impl Wal {
         &self.dir
     }
 
-    /// Appends one alert record and flushes it to the OS.
+    /// Appends one alert record, handing it to the OS in one write.
     ///
     /// # Errors
     ///
-    /// Filesystem errors pass through; the record must be considered
-    /// unjournaled if this fails.
+    /// Filesystem errors pass through. A failed append leaves nothing
+    /// of the record in the log: it is unjournaled.
     pub fn append(&self, alert: &Alert) -> io::Result<()> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.write(|encoder, out| encoder.encode_alert_into(alert, out))?;
@@ -229,7 +253,7 @@ impl Wal {
     }
 
     /// Seals the in-flight window: appends the boundary record,
-    /// flushes, `fsync`s, rotates to a fresh segment (resetting the
+    /// `fsync`s, rotates to a fresh segment (resetting the
     /// string table), prunes sealed segments beyond the retained
     /// history, and `fsync`s the log directory. The window's records
     /// leave [`WalDepth::pending_records`] first: the caller closed the
@@ -242,11 +266,12 @@ impl Wal {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.pending_records = 0;
         state.write(|encoder, out| encoder.encode_into(&Frame::Boundary { window }, out))?;
-        state.writer.get_ref().sync_data()?;
+        state.file.sync_data()?;
 
         let sealed = state.segment;
         let next = sealed + 1;
-        state.writer = create_segment(&self.dir, next)?;
+        state.file = create_segment(&self.dir, next)?;
+        state.len = HEADER.len() as u64;
         state.segment = next;
         state.encoder = WireEncoder::new();
         state.sealed.push(sealed);
@@ -560,6 +585,82 @@ mod tests {
         assert_eq!(replayed.torn_records, 1);
         assert_eq!(replayed.recovered_alerts, 0);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Set in the child half of [`a_failed_write_leaves_no_torn_frame`]
+    /// to the log directory it fills.
+    const CAPPED_DIR: &str = "ALERTOPS_WAL_CAPPED_DIR";
+
+    fn alert_with(id: u64, title: &str, service: &str) -> Alert {
+        Alert::builder(AlertId(id), StrategyId(id % 5))
+            .title(title)
+            .service(service)
+            .raised_at(SimTime::from_secs(id * 60))
+            .build()
+    }
+
+    /// A failed write leaves the log as if it had never been tried: no
+    /// torn frame, no leftover landing ahead of the next record, no
+    /// back-reference to a string only the failed frame carried. The
+    /// test re-runs itself as a child whose files are capped at 512
+    /// bytes (`ulimit -f 1`, in 512-byte blocks) with `SIGXFSZ`
+    /// ignored, so a write past the cap fails with `EFBIG` instead of
+    /// killing the process.
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_write_leaves_no_torn_frame() {
+        if let Some(dir) = std::env::var_os(CAPPED_DIR) {
+            return fill_past_the_cap(Path::new(&dir));
+        }
+        let dir = temp_dir("capped");
+        let out = std::process::Command::new("sh")
+            .args(["-c", r#"trap '' XFSZ; ulimit -f 1; exec "$0" "$@""#])
+            .arg(std::env::current_exe().expect("the test binary's path"))
+            .args(["--exact", "wal::tests::a_failed_write_leaves_no_torn_frame"])
+            .args(["--nocapture", "--test-threads=1"])
+            .env(CAPPED_DIR, &dir)
+            .output()
+            .expect("sh runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "the capped child failed:\n{stdout}\n{stderr}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The child half: appends under the 512-byte cap until appends
+    /// fail, then replays exactly the appends that returned `Ok`.
+    fn fill_past_the_cap(dir: &Path) {
+        let wal = Wal::open(dir, 8).unwrap();
+        let mut journaled = Vec::new();
+        let mut append = |alert: Alert| {
+            let ok = wal.append(&alert).is_ok();
+            if ok {
+                journaled.push(alert);
+            }
+            ok
+        };
+        for id in 0..4 {
+            assert!(append(alert_with(id, "disk full", "svc")));
+        }
+        // A ~470-byte frame crosses the cap part-way through its write,
+        // registering two new strings on the way.
+        assert!(!append(alert_with(4, &"x".repeat(450), "fresh")));
+        // A short frame naming one of them fits in what is left.
+        assert!(append(alert_with(5, "disk full", "fresh")));
+        // Then short frames until one crosses the cap again.
+        let mut id = 6;
+        while append(alert_with(id, "disk full", "svc")) {
+            id += 1;
+            assert!(id < 100, "the cap never bit");
+        }
+        let replayed = replay(dir).unwrap();
+        assert_eq!(replayed.torn_records, 0);
+        assert!(replayed.windows.is_empty());
+        assert_eq!(replayed.tail, journaled);
+        assert!(fs::metadata(segment_path(dir, 0)).unwrap().len() <= 512);
     }
 
     #[test]

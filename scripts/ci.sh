@@ -165,11 +165,13 @@ fi
 # runs on its caller; no coordinator thread. The daemon and the cluster
 # close, checkpoint, seal and restart through one MergePoint: no
 # daemon-only coordinator or journal, no pool-level multi-pool close,
-# no separate QoA resume step.
+# no separate QoA resume step. Both start, journal, route and re-ingest
+# history through one ingestd::Node: no cluster-only node slot, pool
+# spawner, history replay or counted replay beside it.
 # Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError' \
+if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread or a second merge point reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point or a second node type reappeared (see matches above)" >&2
     exit 1
 fi
 # The QoA checkpoint has one writer and one reader, the merge point:
@@ -182,6 +184,25 @@ for file in crates/cluster/src/*.rs crates/ingestd/src/daemon.rs; do
         exit 1
     fi
 done
+# A log is wiped, opened and appended to in one place, Node::start and
+# Node::route, so the start sequence and the journal-then-route order
+# with its failed-append policy are written once. Scoped to the code
+# above each file's first test module; `.append(&mut` is Vec::append.
+for file in crates/ingestd/src/*.rs crates/cluster/src/*.rs; do
+    [[ "$file" == crates/ingestd/src/node.rs ]] && continue
+    if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' "$file" |
+        grep -E 'Wal::wipe\(|Wal::open\(|\.append\(&' | grep -v '\.append(&mut '; then
+        echo "a log is wiped, opened or appended to outside ingestd::Node (see matches above)" >&2
+        exit 1
+    fi
+done
+# A log record reaches the OS in one write of its own: a user-space
+# buffer keeps the unwritten part of a failed write and lands it ahead
+# of the next record.
+if grep -n BufWriter crates/wire/src/wal.rs; then
+    echo "the write-ahead log writes through a BufWriter again (see matches above)" >&2
+    exit 1
+fi
 # The registry is the only exposition encoder, so its sample formatter
 # stays private to alertops-obs.
 if grep -n render_sample crates/obs/src/lib.rs; then

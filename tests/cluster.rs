@@ -16,14 +16,19 @@
 //! - A whole-cluster restart from the logs resumes byte-identically.
 //! - A close whose checkpoint or boundary write fails is counted and
 //!   completes; the conservation law holds after it.
+//! - A spawn reads every node's log before it wipes any, so a log it
+//!   cannot read costs no other node its journal; a handoff whose
+//!   target's log refuses part of the moved tail sheds it, counted.
 //! - The real binary survives `kill -9` mid-window via `--wal` (in
-//!   `ingestd_wal_replay_survives_kill_dash_nine`).
+//!   `ingestd_wal_replay_survives_kill_dash_nine`), and sheds what its
+//!   log cannot hold with exact accounting (in
+//!   `a_daemon_sheds_what_its_log_cannot_hold`).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use alertops::chaos::{seed_from_env, ChaosConfig, ChaosKind, ChaosSchedule};
-use alertops::cluster::{AlertCluster, ClusterConfig, GovernorFactory, WalFormat};
+use alertops::cluster::{replay, AlertCluster, ClusterConfig, GovernorFactory, WalFormat};
 use alertops::core::prelude::*;
 use alertops::detect::StormConfig;
 use alertops::ingestd::IngestdConfig;
@@ -639,6 +644,143 @@ fn a_failed_log_write_is_counted_and_the_close_completes() {
     }
 }
 
+/// A restart reads back every node's log before it wipes any: a log it
+/// cannot read (here `node-1` is a regular file) fails the spawn with
+/// `node-0`'s journal still on disk, and once the fault is gone a
+/// second spawn recovers every alert.
+#[test]
+fn spawn_reads_every_log_before_wiping_any() {
+    let (catalog, windows) = windowed_trace(7, 64);
+    let root = wal_root("read-before-wipe");
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cluster = spawn(2, 2, &root, &catalog);
+    for alert in &windows[0] {
+        cluster.route(alert.clone()).expect("route succeeds");
+    }
+    cluster.close_window().expect("window closes");
+    for alert in &windows[1] {
+        cluster.route(alert.clone()).expect("route succeeds");
+    }
+    cluster.shutdown();
+
+    let (node0, node1) = (root.join("node-0"), root.join("node-1"));
+    let journaled = replay(&node0).expect("node-0's log reads").recovered_alerts;
+    assert!(journaled > 0, "node-0 must own part of the trace");
+    let aside = root.join("node-1.aside");
+    std::fs::rename(&node1, &aside).unwrap();
+    std::fs::write(&node1, b"not a log directory").unwrap();
+    AlertCluster::spawn(
+        cluster_config(2, 2, root.clone()),
+        catalog.clone(),
+        factory(),
+    )
+    .expect_err("a log that cannot be read fails the spawn");
+    assert_eq!(
+        replay(&node0).expect("node-0's log reads").recovered_alerts,
+        journaled,
+        "a failed spawn must leave node-0's journal on disk"
+    );
+
+    std::fs::remove_file(&node1).unwrap();
+    std::fs::rename(&aside, &node1).unwrap();
+    let cluster = spawn(2, 2, &root, &catalog);
+    let recovered = (windows[0].len() + windows[1].len()) as u64;
+    assert_eq!(cluster.metrics().wal_replayed_alerts.get(), recovered);
+    let snapshot = cluster
+        .latest_snapshot()
+        .expect("the sealed window re-publishes");
+    assert_eq!(snapshot.alert_count, windows[0].len());
+    let counters = cluster.counters();
+    assert_eq!(counters.in_flight, windows[1].len() as u64);
+    assert!(counters.is_conserved(), "{counters:?}");
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Set in the child half of `a_handoff_sheds_what_its_target_log_cannot_hold`
+/// to the WAL root the child fills.
+const CAPPED_ROOT: &str = "ALERTOPS_CLUSTER_CAPPED_ROOT";
+
+/// One failed-write policy through a restart: a handoff whose target's
+/// log cannot take the moved tail sheds what it cannot re-journal (one
+/// write error per failed append, `dropped` through the handoff's
+/// journaled − restored count), completes, and keeps the law exact. The
+/// test re-runs itself as a child whose files are capped at 512 bytes
+/// (`ulimit -f 1`, in 512-byte blocks) with `SIGXFSZ` ignored, so a
+/// write past the cap fails with `EFBIG` instead of killing it.
+#[cfg(unix)]
+#[test]
+fn a_handoff_sheds_what_its_target_log_cannot_hold() {
+    if let Some(root) = std::env::var_os(CAPPED_ROOT) {
+        return handoff_past_the_cap(Path::new(&root));
+    }
+    let root = wal_root("capped-handoff");
+    let _ = std::fs::remove_dir_all(&root);
+    let out = std::process::Command::new("sh")
+        .args(["-c", r#"trap '' XFSZ; ulimit -f 1; exec "$0" "$@""#])
+        .arg(std::env::current_exe().expect("the test binary's path"))
+        .args(["--exact", "a_handoff_sheds_what_its_target_log_cannot_hold"])
+        .args(["--nocapture", "--test-threads=1"])
+        .env(CAPPED_ROOT, &root)
+        .output()
+        .expect("sh runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "the capped child failed:\n{stdout}\n{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The child half. Each node seals a window that fits its log but not
+/// both together, then node 1 journals a tail until its log refuses an
+/// append; node 0's range then moves to node 1, whose restart
+/// re-journals the merged window and both tails past the cap.
+fn handoff_past_the_cap(root: &Path) {
+    let (catalog, windows) = windowed_trace(7, 64);
+    let mut cluster = spawn(2, 1, root, &catalog);
+    let owner = |alert: &Alert| cluster.range_map().node_of(alert.strategy());
+    let (to_0, to_1): (Vec<Alert>, Vec<Alert>) =
+        windows.concat().into_iter().partition(|a| owner(a) == 0);
+    let (mut to_0, mut to_1) = (to_0.into_iter(), to_1.into_iter());
+    // Each node's window fills its log past 384 of the 512 bytes.
+    let journaled = |node: usize| {
+        let segment = root.join(format!("node-{node}/seg-0000000000.wal"));
+        std::fs::metadata(segment).map_or(0, |m| m.len())
+    };
+    for (node, alerts) in [(0, &mut to_0), (1, &mut to_1)] {
+        while journaled(node) < 384 {
+            let alert = alerts.next().expect("the trace outlasts the cap");
+            cluster.route(alert).expect("a sealed window's alerts fit");
+        }
+    }
+    cluster.close_window().expect("the close completes");
+    for alert in to_0.take(3) {
+        cluster.route(alert).expect("node 0's tail fits");
+    }
+    let refused = to_1.map(|alert| cluster.route(alert)).find(Result::is_err);
+    assert!(refused.is_some(), "node 1's log never filled");
+    let before = cluster.counters();
+    let errors = cluster.wal_write_errors();
+    assert_eq!(before.dropped, errors, "each refused append is shed once");
+
+    let range = cluster.range_map().ranges_of(0)[0];
+    cluster.handoff(range, 1).expect("the handoff completes");
+    let after = cluster.counters();
+    assert!(
+        cluster.wal_write_errors() > errors,
+        "the target's log refused nothing"
+    );
+    assert!(after.is_conserved(), "{after:?}");
+
+    let snapshot = cluster.close_window().expect("the close completes");
+    assert_eq!(snapshot.alert_count as u64, after.in_flight);
+    let counters = cluster.counters();
+    assert!(counters.is_conserved(), "{counters:?}");
+    cluster.shutdown();
+}
+
 /// Alerts outside the catalog are quarantined at the cluster edge and
 /// still accounted by the conservation law.
 #[test]
@@ -686,10 +828,35 @@ mod subprocess {
         status: std::net::SocketAddr,
     }
 
+    /// A test that fails half-way must not leave its daemon running.
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+
     /// `alertops ingestd` over quickstart seed 7 on ephemeral ports,
     /// plus `extra` flags.
     fn spawn_daemon(extra: &[&str]) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_alertops"))
+        start_daemon(Command::new(env!("CARGO_BIN_EXE_alertops")), extra)
+    }
+
+    /// The binary run through `sh` with every file it writes capped at
+    /// 512 bytes (`ulimit -f 1`, in 512-byte blocks) and `SIGXFSZ`
+    /// ignored, so a write past the cap fails with `EFBIG` instead of
+    /// killing the process.
+    fn file_size_capped() -> Command {
+        let mut sh = Command::new("sh");
+        sh.args(["-c", r#"trap '' XFSZ; ulimit -f 1; exec "$0" "$@""#])
+            .arg(env!("CARGO_BIN_EXE_alertops"));
+        sh
+    }
+
+    /// `program` (the binary, or a wrapper that execs it) started as
+    /// [`spawn_daemon`] starts the binary.
+    fn start_daemon(mut program: Command, extra: &[&str]) -> Daemon {
+        let mut child = program
             .args([
                 "ingestd",
                 "--scenario",
@@ -824,6 +991,61 @@ mod subprocess {
         reader.read_line(&mut ack).expect("read shutdown ack");
         daemon.child.wait().expect("clean exit");
         // Drain the rest of the banner reader so the pipe closes tidily.
+        for _ in daemon.lines.by_ref() {}
+        let _ = std::fs::remove_dir_all(&wal);
+    }
+
+    /// One failed-write policy, in the real binary: a daemon whose log
+    /// stops taking writes part-way through a window sheds each alert
+    /// it cannot journal — counted `dropped` and a write error, never
+    /// queued — so the flush delivers exactly the rest, the status
+    /// scrape stays conserved, and the exit status reports the errors.
+    #[test]
+    fn a_daemon_sheds_what_its_log_cannot_hold() {
+        let wal =
+            std::env::temp_dir().join(format!("alertops-ingestd-capped-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&wal);
+        let wal_flags = ["--wal", wal.to_str().expect("utf-8 temp path")];
+        let trace = scenarios::quickstart(7).run().alerts;
+        let trace = &trace[..120];
+
+        let mut daemon = start_daemon(file_size_capped(), &wal_flags);
+        let stream = TcpStream::connect(daemon.ingest).expect("connect to ingress");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
+        let mut writer = stream;
+        for alert in trace {
+            writeln!(writer, "{}", encode_alert(alert)).expect("write alert");
+        }
+        wait_until_journaled(daemon.status, trace.len() as u64);
+        writeln!(writer, "{}", alertops::ingestd::FLUSH_FRAME).expect("write flush");
+        let mut ack = String::new();
+        reader.read_line(&mut ack).expect("read flush ack");
+
+        let counters = scrape_status(daemon.status).counters;
+        assert_eq!(counters.ingested, trace.len() as u64);
+        assert!(counters.dropped > 0, "the cap never bit: {counters:?}");
+        assert!(counters.is_conserved(), "{counters:?}");
+        let delivered = counters.ingested - counters.dropped;
+        assert!(
+            ack.contains(&format!(r#""alerts":{delivered}"#)),
+            "the flush must deliver exactly what was journaled: {ack:?} vs {counters:?}"
+        );
+
+        writeln!(writer, "{}", alertops::ingestd::SHUTDOWN_FRAME).expect("write shutdown");
+        let mut ack = String::new();
+        reader.read_line(&mut ack).expect("read shutdown ack");
+        let status = daemon.child.wait().expect("daemon reaped");
+        let stopped = daemon
+            .lines
+            .by_ref()
+            .map_while(Result::ok)
+            .find(|line| line.starts_with("ingestd stopped:"))
+            .expect("the daemon reports its stop");
+        assert!(!stopped.contains(" 0 wal write error"), "{stopped}");
+        assert!(
+            !status.success(),
+            "write errors turn the exit status nonzero"
+        );
         for _ in daemon.lines.by_ref() {}
         let _ = std::fs::remove_dir_all(&wal);
     }
