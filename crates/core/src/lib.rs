@@ -65,7 +65,7 @@ mod streaming;
 
 pub mod prelude;
 
-pub use closer::{ClosedWindow, WindowCloser};
+pub use closer::{ClosedWindow, EmergingPass, WindowCloser};
 pub use governor::{AlertGovernor, GovernorConfig};
 pub use guidelines::{GuidelineAspect, GuidelineContext, GuidelineLinter, GuidelineViolation};
 pub use metrics::{EmergingMetrics, GovernorMetrics, QoaMetrics};

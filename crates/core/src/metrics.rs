@@ -1,6 +1,7 @@
 //! Governor-level metric handles.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use alertops_detect::DetectMetrics;
 use alertops_obs::{milli, Counter, Gauge, Histogram, MetricsRegistry, Span};
@@ -44,10 +45,11 @@ impl EmergingMetrics {
         }
     }
 
-    /// Starts a wall-time span for one AO-LDA window pass.
-    #[must_use]
-    pub fn window_timer(&self) -> Span<'_> {
-        self.window_micros.time()
+    /// Records the wall time of one window's AO-LDA pass: its
+    /// speculative fit, any redo, and its commit, as one observation.
+    pub fn observe_window(&self, took: Duration) {
+        self.window_micros
+            .observe(u64::try_from(took.as_micros()).unwrap_or(u64::MAX));
     }
 
     /// Records one window's emerging report into the counters.
@@ -228,7 +230,7 @@ mod tests {
     fn emerging_metrics_record_reports() {
         let registry = MetricsRegistry::new();
         let metrics = EmergingMetrics::register(&registry);
-        drop(metrics.window_timer());
+        metrics.observe_window(Duration::from_micros(40));
         metrics.record_report(&EmergingReport {
             window_index: 0,
             window_start: alertops_model::SimTime::from_secs(0),

@@ -491,12 +491,15 @@ impl StreamingGovernor {
 
     /// Makes this governor a shard below a merge point whose channels
     /// are configured as `streaming`: it forwards exactly the inputs
-    /// that merge point's closer consumes, however the caller built
-    /// the governor. This is what keeps N-shard output byte-identical
-    /// to 1-shard.
+    /// that merge point's closer consumes from its deltas, however the
+    /// caller built the governor. This is what keeps N-shard output
+    /// byte-identical to 1-shard. The QoA channel's samples are
+    /// forwarded; the emerging channel's documents are not, because a
+    /// shard queue records them as it queues the alerts and hands them
+    /// to the merge point with the close.
     #[must_use]
     pub fn into_shard(mut self, streaming: &StreamingConfig) -> Self {
-        self.config.emerging.mode = streaming.emerging.mode;
+        self.config.emerging.mode = ChannelMode::Off;
         self.config.qoa.mode = streaming.qoa.mode;
         self.qoa_extractor = (self.config.qoa.mode != ChannelMode::Off).then(FeatureExtractor::new);
         self

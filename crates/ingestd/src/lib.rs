@@ -96,6 +96,7 @@ pub use merge::{MergeCounters, MergeHolder, MergePoint};
 pub use metrics::IngestdMetrics;
 pub use node::{Node, Restored};
 pub use pool::ShardPool;
+pub use queue::ShardDocs;
 pub use shard::{shard_catalog, shard_of};
 pub use status::{StatusReport, StatusRequest};
 pub use worker::CHAOS_PANIC_MSG;

@@ -3,20 +3,35 @@
 //! cluster over every alive node's pool alike. A close never fails on
 //! a sick disk: a failed checkpoint or boundary write counts one write
 //! error and the close completes, published and counted as usual.
+//!
+//! A close overlaps its one sequential pass with its barrier: the
+//! shard queues hand over the window's emerging documents with
+//! `Close{seq}`, and AO-LDA runs over them on the closing thread while
+//! the workers close. The pass is speculative. It is committed when
+//! the deltas show every queued alert was delivered, and otherwise
+//! discarded, which truncates the detector back to where it was, and
+//! run again over the documents the deltas say were delivered.
+//!
+//! [`ShardPool`]: crate::ShardPool
 
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use alertops_core::{ClosedWindow, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, WindowCloser};
+use alertops_core::{
+    ClosedWindow, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, QoaVerdicts, WindowCloser,
+    WindowDelta,
+};
 use alertops_model::{Alert, QoaLabel};
 use alertops_obs::Counter;
+use alertops_react::EmergingDoc;
 use alertops_wire::wal::{read_qoa_checkpoint, write_qoa_checkpoint};
 
 use crate::config::IngestdConfig;
 use crate::node::Node;
 use crate::pool::elapsed_micros;
+use crate::queue::ShardDocs;
 
 /// The counters a merge point moves: handles on its holder's registry.
 #[derive(Debug)]
@@ -44,6 +59,9 @@ pub struct MergePoint {
     /// Shards per node, for the flat degraded list.
     shards: usize,
     qoa: Option<QoaFeedbackConfig>,
+    /// The QoA verdicts the next close pushes down: computed by the
+    /// last close's model update, or at restart from the resumed model.
+    verdicts: Option<QoaVerdicts>,
     counters: MergeCounters,
 }
 
@@ -75,6 +93,7 @@ impl MergePoint {
             dir,
             shards: config.shards,
             qoa: config.streaming.qoa.unless_off(),
+            verdicts: None,
             counters,
         }
     }
@@ -92,10 +111,15 @@ impl MergePoint {
     }
 
     /// The one close, over each [`Node`]: its pool (`None` while dead)
-    /// and its log (`None` for a daemon without one). The verdicts as
-    /// of the last close, then `Close{seq}`, go down every alive pool
-    /// before any is waited on, and the closer closes **once** over
-    /// every shard's delta. The QoA checkpoint is replaced before any
+    /// and its log (`None` for a daemon without one). `Close{seq}`,
+    /// carrying the verdicts as of the last close, goes down every
+    /// alive pool before any is waited on, and each shard queue hands
+    /// back the window's emerging documents with it. AO-LDA then runs
+    /// over them on this thread while the shards close, and the closer
+    /// closes **once** over every shard's delta: the pass is committed
+    /// if the barrier shows every document's alert was delivered, and
+    /// redone over the delivered ones otherwise (see
+    /// [`delivered_docs`]). The QoA checkpoint is replaced before any
     /// log is sealed; each node that delivered seals its log at `seq`.
     /// The snapshot carries `window_index = seq` and the flat `node *
     /// shards + shard` degraded list, a dead node's every shard
@@ -107,37 +131,62 @@ impl MergePoint {
         let started = Instant::now();
         // Every alive pool is begun before any is waited on; one that
         // refuses has lost its workers.
-        let verdicts = self.closer.qoa_model().map(OnlineQoaModel::verdicts);
-        let mut dead = Vec::new();
-        for (node, pool) in nodes.iter().map(Node::pool).enumerate() {
-            let Some(pool) = pool else { continue };
-            verdicts.iter().for_each(|v| pool.push_qoa_verdicts(v));
-            if !pool.begin_close(seq) {
-                dead.push(node);
-            }
-        }
+        let queued: Vec<Option<Vec<ShardDocs>>> = nodes
+            .iter()
+            .map(|node| node.pool()?.begin_close(seq, self.verdicts.as_ref()))
+            .collect();
+        // AO-LDA runs here, over every queued document in alert id
+        // order, while the workers close.
+        let mut pass = {
+            let mut docs: Vec<&EmergingDoc> = queued
+                .iter()
+                .flatten()
+                .flatten()
+                .flat_map(ShardDocs::iter)
+                .collect();
+            docs.sort_unstable_by_key(|d| d.alert);
+            self.closer.begin(&docs)
+        };
+
         let mut deltas = Vec::with_capacity(nodes.len() * self.shards);
         let mut degraded = Vec::new();
+        let mut dead = Vec::new();
+        // Per node, where its deltas start in `deltas`: `None` for a
+        // node that delivered nothing.
+        let mut delivered = Vec::with_capacity(nodes.len());
         for (node, pool) in nodes.iter().map(Node::pool).enumerate() {
-            let begun = pool.filter(|_| !dead.contains(&node));
+            let begun = pool.filter(|_| queued[node].is_some());
+            let base = deltas.len();
             let collected = begun.and_then(|pool| {
                 let collected = pool.collect(seq, &mut deltas);
                 if let Some(m) = pool.metrics() {
                     // Broadcast to last delta: the critical path a
-                    // straggling shard puts on the window.
+                    // straggling shard, or the AO-LDA pass run ahead of
+                    // the barrier, puts on the window.
                     m.barrier_wait_micros.observe(elapsed_micros(started));
                 }
                 collected
             });
-            let base = node * self.shards;
+            let first = node * self.shards;
             if let Some(shards) = collected {
-                degraded.extend(shards.iter().map(|shard| base + shard));
+                degraded.extend(shards.iter().map(|shard| first + shard));
+                delivered.push(Some(base));
             } else {
-                degraded.extend(base..base + self.shards);
-                dead.extend(begun.map(|_| node));
+                degraded.extend(first..first + self.shards);
+                delivered.push(None);
+                if pool.is_some() {
+                    dead.push(node);
+                }
             }
         }
-        let mut closed = self.closer.close(&deltas, labels);
+        if let Some(docs) = delivered_docs(&queued, &delivered, &deltas, &degraded, self.shards) {
+            self.closer.redo(&mut pass, &docs);
+        }
+        // The pass is settled: the window's documents go now, before
+        // the merge and the QoA update allocate.
+        drop(queued);
+        let mut closed = self.closer.finish(pass, &deltas, labels);
+        self.verdicts.clone_from(&closed.verdicts);
         // The model as of this close is durable before any log says
         // the window closed.
         let mut failed = 0;
@@ -194,7 +243,138 @@ impl MergePoint {
                 merge.counters.checkpoints_discarded.add(u64::from(found));
                 merge.closer.start_qoa(config);
             }
+            merge.verdicts = merge.closer.qoa_model().map(OnlineQoaModel::verdicts);
         }
         Ok(())
+    }
+}
+
+/// The documents a window's AO-LDA pass must run over when they are
+/// not the ones the shard queues handed over at `begin_close`, sorted
+/// by alert id; `None` when they are, and the speculative pass stands.
+///
+/// A shard's queued documents are exactly its window's alerts unless a
+/// worker restart lost some: such a shard is degraded, and its delta
+/// lists the documents of the alerts that survived. So the queued
+/// documents stand when every node that was begun delivered, and every
+/// delivered shard is clean — not degraded, and its delta counts as
+/// many alerts as its queue recorded documents. Otherwise the window's
+/// documents are the clean shards' queued ones plus the survivors of
+/// the others; a node that delivered nothing contributes none.
+fn delivered_docs<'a>(
+    queued: &'a [Option<Vec<ShardDocs>>],
+    delivered: &[Option<usize>],
+    deltas: &'a [WindowDelta],
+    degraded: &[usize],
+    shards: usize,
+) -> Option<Vec<&'a EmergingDoc>> {
+    // Per shard of a begun node: its queue's documents, if they stand,
+    // else the ones its delta lists (none for a node that delivered
+    // nothing).
+    let shard_docs = queued
+        .iter()
+        .zip(delivered)
+        .enumerate()
+        .flat_map(|(node, (queued, base))| {
+            queued
+                .iter()
+                .flatten()
+                .enumerate()
+                .map(move |(shard, taken)| {
+                    let Some(delta) = base.map(|base| &deltas[base + shard]) else {
+                        return (None, &[][..]);
+                    };
+                    let degraded = degraded.contains(&(node * shards + shard));
+                    if delta.alert_count == taken.len() && !degraded {
+                        (Some(taken), &[][..])
+                    } else {
+                        (None, delta.emerging_docs.as_slice())
+                    }
+                })
+        });
+    if shard_docs.clone().all(|(queue, _)| queue.is_some()) {
+        return None;
+    }
+    let mut docs: Vec<&EmergingDoc> = shard_docs
+        .flat_map(|(queue, delta)| queue.into_iter().flat_map(ShardDocs::iter).chain(delta))
+        .collect();
+    docs.sort_unstable_by_key(|d| d.alert);
+    Some(docs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alertops_model::{AlertId, StrategyId};
+
+    fn doc(id: u64) -> EmergingDoc {
+        let alert = Alert::builder(AlertId(id), StrategyId(0))
+            .title("disk full")
+            .build();
+        EmergingDoc::from_alert(&alert)
+    }
+
+    /// A shard's delta: `alerts` delivered, carrying `docs` (what a
+    /// degraded shard lists).
+    fn delta(alerts: usize, docs: &[u64]) -> WindowDelta {
+        WindowDelta {
+            alert_count: alerts,
+            emerging_docs: docs.iter().copied().map(doc).collect(),
+            ..WindowDelta::identity()
+        }
+    }
+
+    fn ids(docs: &[&EmergingDoc]) -> Vec<u64> {
+        docs.iter().map(|d| d.alert.0).collect()
+    }
+
+    fn shard(ids: &[u64]) -> ShardDocs {
+        ids.iter().copied().map(doc).collect()
+    }
+
+    /// Two nodes of two shards; node 0's shards queued alerts 4, 1 and
+    /// 3, node 1's alerts 2 and 5.
+    fn queued() -> Vec<Option<Vec<ShardDocs>>> {
+        vec![
+            Some(vec![shard(&[4, 1]), shard(&[3])]),
+            Some(vec![shard(&[2]), shard(&[5])]),
+        ]
+    }
+
+    #[test]
+    fn clean_shards_keep_the_speculative_pass() {
+        let queued = queued();
+        let deltas = [delta(2, &[]), delta(1, &[]), delta(1, &[]), delta(1, &[])];
+        let found = delivered_docs(&queued, &[Some(0), Some(2)], &deltas, &[], 2);
+        assert!(found.is_none());
+    }
+
+    #[test]
+    fn a_degraded_shard_contributes_its_survivors() {
+        // Shard 0 of node 0 lost alert 4 to a restart; node 1's shard 1
+        // lost its whole window mid-close.
+        let queued = queued();
+        let deltas = [delta(1, &[1]), delta(1, &[]), delta(1, &[]), delta(0, &[])];
+        let found = delivered_docs(&queued, &[Some(0), Some(2)], &deltas, &[0, 3], 2);
+        assert_eq!(ids(&found.expect("the pass is redone")), [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_count_mismatch_alone_redoes_the_pass() {
+        let queued = queued();
+        let deltas = [delta(2, &[]), delta(0, &[]), delta(1, &[]), delta(1, &[])];
+        let found = delivered_docs(&queued, &[Some(0), Some(2)], &deltas, &[], 2);
+        assert_eq!(ids(&found.expect("the pass is redone")), [1, 2, 4, 5]);
+    }
+
+    #[test]
+    fn a_node_that_delivered_nothing_contributes_nothing() {
+        let queued = queued();
+        let deltas = [delta(2, &[]), delta(1, &[])];
+        let found = delivered_docs(&queued, &[Some(0), None], &deltas, &[2, 3], 2);
+        assert_eq!(ids(&found.expect("the pass is redone")), [1, 3, 4]);
+        // A node never begun was never in the pass.
+        let unbegun = [queued.into_iter().next().flatten(), None];
+        assert!(delivered_docs(&unbegun, &[Some(0), None], &deltas, &[2, 3], 2).is_none());
     }
 }

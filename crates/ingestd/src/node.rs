@@ -119,7 +119,9 @@ impl Node {
             for alert in alerts {
                 write_errors += u64::from(self.route(alert).is_err());
             }
-            if !pool.begin_close(seq) || pool.collect(seq, &mut Vec::new()).is_none() {
+            // The window's documents were read at its original close.
+            if pool.begin_close(seq, None).is_none() || pool.collect(seq, &mut Vec::new()).is_none()
+            {
                 return Err(gone());
             }
             let sealed = self.wal.as_ref().map_or(Ok(()), |wal| wal.boundary(seq));

@@ -2,10 +2,17 @@
 //!
 //! What a daemon (one pool) and `alertops-cluster` (one per node)
 //! share: routing under the overflow policy with its counters, the two
-//! halves of a window close, the QoA verdict push-down, the drain and
-//! chaos hooks, and the one metrics registry every series of the pool
-//! lives on. A pool merges nothing: its holder's [`crate::MergePoint`]
-//! runs one close over every pool it holds.
+//! halves of a window close, the drain and chaos hooks, and the one
+//! metrics registry every series of the pool lives on. A pool merges
+//! nothing: its holder's [`crate::MergePoint`] runs one close over
+//! every pool it holds.
+//!
+//! The first half, [`ShardPool::begin_close`], queues each shard's
+//! `Close{seq}` together with the QoA verdicts that govern the window,
+//! and hands the holder the window's emerging documents straight from
+//! the shard queues ([`ShardDocs`]), so the holder runs AO-LDA
+//! while the workers close. The second, [`ShardPool::collect`], is the
+//! barrier on their deltas.
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -13,14 +20,14 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use std::{io, thread};
 
-use alertops_core::{GovernorMetrics, QoaVerdicts, StreamingGovernor, WindowDelta};
+use alertops_core::{ChannelMode, GovernorMetrics, QoaVerdicts, StreamingGovernor, WindowDelta};
 use alertops_model::Alert;
 use alertops_obs::MetricsRegistry;
 
 use crate::config::{IngestdConfig, OverflowPolicy};
 use crate::counters::{CounterSnapshot, Counters};
 use crate::metrics::IngestdMetrics;
-use crate::queue::ShardQueue;
+use crate::queue::{ShardDocs, ShardQueue};
 use crate::shard::shard_of;
 use crate::worker::{run_worker, ShardDelta, WorkerMsg};
 
@@ -70,15 +77,17 @@ impl ShardPool {
             .metrics
             .then(|| Arc::new(IngestdMetrics::register(&registry, config.shards)));
         let (delta_tx, delta_rx) = mpsc::channel();
+        let documents = config.streaming.emerging.mode != ChannelMode::Off;
         let mut queues = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
-            let queue = Arc::new(ShardQueue::new(config.queue_capacity));
+            let queue = Arc::new(ShardQueue::new(config.queue_capacity, documents));
             queues.push(Arc::clone(&queue));
             // Shards never run a sequential pass themselves — it
-            // belongs to the holder's closer — so each channel
-            // forwards or stays off, matching the configuration
-            // regardless of how the caller built the governor.
+            // belongs to the holder's closer — so each channel's input
+            // reaches it as the configuration says, regardless of how
+            // the caller built the governor: QoA samples in the deltas,
+            // emerging documents from the queues.
             let mut governor = make_governor(shard, config.shards).into_shard(&config.streaming);
             if metrics.is_some() {
                 // Shards share detect/react series: the registry hands
@@ -94,6 +103,7 @@ impl ShardPool {
                         run_worker(
                             shard,
                             governor,
+                            documents,
                             &queue,
                             &deltas,
                             &counters,
@@ -178,29 +188,36 @@ impl ShardPool {
         }
     }
 
-    /// First half of a window close: broadcasts `Close{seq}` through
-    /// every shard's ingest queue, so each shard closes over exactly
-    /// the alerts routed before this call, and returns without waiting,
-    /// so several pools' closes overlap. `false`: a worker is gone and
-    /// the close cannot complete; do not [`collect`](Self::collect).
+    /// First half of a window close: queues `Close{seq}` on every
+    /// shard, with `verdicts` (the QoA verdicts as of the last close)
+    /// to govern the window it closes, so each shard closes over
+    /// exactly the alerts routed before this call. Returns without
+    /// waiting, so several pools' closes overlap, and hands back, per
+    /// shard, the emerging documents of the alerts queued ahead of its
+    /// `Close` (all empty when the channel is off). `None`: a worker is
+    /// gone and the close cannot complete; do not
+    /// [`collect`](Self::collect).
     #[must_use]
-    pub fn begin_close(&self, seq: u64) -> bool {
+    pub fn begin_close(&self, seq: u64, verdicts: Option<&QoaVerdicts>) -> Option<Vec<ShardDocs>> {
         self.queues
             .iter()
-            .all(|queue| queue.push_control(WorkerMsg::Close { seq }))
+            .map(|queue| queue.push_close(seq, verdicts.cloned()))
+            .collect()
     }
 
     /// Second half: barriers on exactly one delta per shard for the
-    /// `seq` begun, appends them to `deltas`, and returns the (sorted)
-    /// shards that lost alerts to a worker restart during the window.
-    /// Workers close in queue order, so a holder that collects `seq`
-    /// before beginning `seq + 1` cannot interleave windows. A
-    /// panicking worker does not wedge the barrier: its supervisor
-    /// contributes a synthetic empty delta for the in-flight `seq` and
-    /// the shard is listed degraded. `None`: the workers are gone.
+    /// `seq` begun, appends them to `deltas` in shard order, and
+    /// returns the (sorted) shards that lost alerts to a worker restart
+    /// during the window. Workers close in queue order, so a holder
+    /// that collects `seq` before beginning `seq + 1` cannot interleave
+    /// windows. A panicking worker does not wedge the barrier: its
+    /// supervisor contributes a synthetic empty delta for the in-flight
+    /// `seq` and the shard is listed degraded. `None`: the workers are
+    /// gone, and nothing is appended.
     #[must_use]
     pub fn collect(&self, seq: u64, deltas: &mut Vec<WindowDelta>) -> Option<Vec<usize>> {
         let lane = self.deltas.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slots: Vec<Option<WindowDelta>> = self.queues.iter().map(|_| None).collect();
         let mut degraded = Vec::new();
         for _ in 0..self.queues.len() {
             let shard_delta = lane.recv().ok()?;
@@ -208,18 +225,12 @@ impl ShardPool {
             if shard_delta.degraded {
                 degraded.push(shard_delta.shard);
             }
-            deltas.push(shard_delta.delta);
+            let slot = slots[shard_delta.shard].replace(shard_delta.delta);
+            debug_assert!(slot.is_none(), "one delta per shard per close");
         }
+        deltas.extend(slots.into_iter().flatten());
         degraded.sort_unstable();
         Some(degraded)
-    }
-
-    /// Pushes QoA verdicts down every shard queue, to apply from the
-    /// next window close on.
-    pub(crate) fn push_qoa_verdicts(&self, verdicts: &QoaVerdicts) {
-        for queue in &self.queues {
-            queue.push_control(WorkerMsg::Qoa(verdicts.clone()));
-        }
     }
 
     /// Drain barrier: returns once every message enqueued on any shard
@@ -307,6 +318,7 @@ mod tests {
     use crate::shard::shard_catalog;
     use crate::worker::CHAOS_PANIC_MSG;
     use alertops_core::{AlertGovernor, GovernorConfig, StreamingConfig};
+    use alertops_model::AlertId;
     use alertops_sim::scenarios::{self, SimOutput};
 
     fn spawn(config: &IngestdConfig, out: &SimOutput) -> ShardPool {
@@ -333,7 +345,7 @@ mod tests {
     /// Closes `seq` on a lone pool: its delta's alert count and its
     /// degraded shards.
     fn close(pool: &ShardPool, seq: u64) -> (usize, Vec<usize>) {
-        assert!(pool.begin_close(seq), "workers alive");
+        assert!(pool.begin_close(seq, None).is_some(), "workers alive");
         let mut deltas = Vec::new();
         let degraded = pool.collect(seq, &mut deltas).expect("workers alive");
         (deltas.iter().map(|d| d.alert_count).sum(), degraded)
@@ -358,7 +370,7 @@ mod tests {
             }
         }
 
-        assert!(first.begin_close(7) && second.begin_close(9));
+        assert!(first.begin_close(7, None).is_some() && second.begin_close(9, None).is_some());
         let (mut first_deltas, mut second_deltas) = (Vec::new(), Vec::new());
         let second_degraded = second
             .collect(9, &mut second_deltas)
@@ -372,6 +384,46 @@ mod tests {
             assert_eq!(deltas.len(), config.shards);
             assert_eq!(deltas.iter().map(|d| d.alert_count).sum::<usize>(), routed);
             assert_eq!(degraded, Vec::<usize>::new());
+        }
+    }
+
+    /// With the emerging channel on, `begin_close` hands back one
+    /// document per alert queued on each shard since the previous
+    /// close, in routing order; with it off, none is recorded.
+    #[test]
+    fn documents_leave_with_the_close_only_when_the_channel_is_on() {
+        let out = scenarios::quickstart(7).run();
+        for mode in [ChannelMode::Off, ChannelMode::Forward] {
+            let mut config = IngestdConfig {
+                shards: 2,
+                ..IngestdConfig::default()
+            };
+            config.streaming.emerging.mode = mode;
+            let pool = spawn(&config, &out);
+            for (seq, window) in out.alerts[..40].chunks(20).enumerate() {
+                window.iter().for_each(|a| pool.route(a.clone()));
+                let docs = pool.begin_close(seq as u64, None).expect("workers alive");
+                let mut deltas = Vec::new();
+                assert_eq!(pool.collect(seq as u64, &mut deltas), Some(vec![]));
+                for (shard, (docs, delta)) in docs.iter().zip(&deltas).enumerate() {
+                    let queued: Vec<AlertId> = window
+                        .iter()
+                        .filter(|a| shard_of(a.strategy(), 2) == shard)
+                        .map(Alert::id)
+                        .collect();
+                    let taken: Vec<AlertId> = docs.iter().map(|d| d.alert).collect();
+                    assert_eq!(docs.len(), taken.len());
+                    match mode {
+                        ChannelMode::Off => assert!(taken.is_empty()),
+                        ChannelMode::Forward => assert_eq!(taken, queued),
+                    }
+                    assert_eq!(delta.alert_count, queued.len());
+                    assert!(
+                        delta.emerging_docs.is_empty(),
+                        "a clean shard forwards none"
+                    );
+                }
+            }
         }
     }
 

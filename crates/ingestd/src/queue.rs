@@ -16,12 +16,26 @@
 //! thousand. The worker hands each emptied run back as the next run's
 //! storage ([`ShardQueue::recycle`]), so a steady stream of windows
 //! allocates no run buffers.
+//!
+//! With the emerging channel on, the queue also records each queued
+//! alert's [`EmergingDoc`], under the lock it already holds, and
+//! [`ShardQueue::push_close`] hands every document recorded since the
+//! previous close back in the critical section that queues the
+//! `Close`. So a shard's documents are exactly the alerts queued ahead
+//! of its close, known to the merge point before the worker has read
+//! them: the merge point runs AO-LDA over them while the shards close.
+//! A worker that loses alerts to a restart marks its delta degraded,
+//! and the merge point then redoes the pass over what survived. A
+//! window's documents are held once, in the chunks the queue recorded
+//! them in ([`ShardDocs`]), and only until its close ends.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
+use alertops_core::QoaVerdicts;
 use alertops_model::Alert;
+use alertops_react::EmergingDoc;
 
 use crate::config::OverflowPolicy;
 use crate::worker::WorkerMsg;
@@ -38,6 +52,9 @@ pub(crate) struct ShardQueue {
     capacity: usize,
     /// Queued alerts at which a producer wakes the worker.
     wake_at: usize,
+    /// Record an [`EmergingDoc`] per queued alert (the emerging
+    /// channel is on).
+    documents: bool,
 }
 
 struct State {
@@ -55,11 +72,68 @@ struct State {
     /// Producers waiting on `room`.
     blocked: usize,
     closed: bool,
+    /// The documents of the alerts queued since the last `Close`.
+    docs: ShardDocs,
+}
+
+/// One shard's emerging documents for a window, as its queue recorded
+/// them, in queue order. They are kept in fixed-size chunks: a chunk is
+/// never reallocated, so recording a window, interleaved with the
+/// allocations of the alerts themselves, leaves no trail of outgrown
+/// buffers behind, and nothing outlives the window.
+#[derive(Debug, Default)]
+pub struct ShardDocs {
+    chunks: Vec<Vec<EmergingDoc>>,
+    len: usize,
+}
+
+impl ShardDocs {
+    /// Documents per chunk.
+    const CHUNK: usize = 128;
+
+    fn push(&mut self, doc: EmergingDoc) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < Self::CHUNK => chunk.push(doc),
+            _ => {
+                let mut chunk = Vec::with_capacity(Self::CHUNK);
+                chunk.push(doc);
+                self.chunks.push(chunk);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Documents recorded.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether none was recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The documents, in queue order.
+    pub fn iter(&self) -> impl Iterator<Item = &EmergingDoc> + Clone {
+        self.chunks.iter().flatten()
+    }
+}
+
+#[cfg(test)]
+impl FromIterator<EmergingDoc> for ShardDocs {
+    fn from_iter<I: IntoIterator<Item = EmergingDoc>>(iter: I) -> Self {
+        let mut docs = Self::default();
+        iter.into_iter().for_each(|doc| docs.push(doc));
+        docs
+    }
 }
 
 impl ShardQueue {
-    /// An open queue bounded at `capacity` alerts (at least 1).
-    pub(crate) fn new(capacity: usize) -> Self {
+    /// An open queue bounded at `capacity` alerts (at least 1), that
+    /// records each queued alert's document when `documents` is set.
+    pub(crate) fn new(capacity: usize, documents: bool) -> Self {
         Self {
             state: Mutex::new(State {
                 msgs: VecDeque::new(),
@@ -69,11 +143,13 @@ impl ShardQueue {
                 parked: false,
                 blocked: 0,
                 closed: false,
+                docs: ShardDocs::default(),
             }),
             work: Condvar::new(),
             room: Condvar::new(),
             capacity,
             wake_at: (capacity / 2).max(1),
+            documents,
         }
     }
 
@@ -114,6 +190,9 @@ impl ShardQueue {
         if state.closed {
             return false;
         }
+        if self.documents {
+            state.docs.push(EmergingDoc::from_alert(&alert));
+        }
         match state.msgs.back_mut() {
             Some(WorkerMsg::Alerts(run)) => run.push(alert),
             _ => {
@@ -127,6 +206,20 @@ impl ShardQueue {
             self.want(&mut state);
         }
         true
+    }
+
+    /// Queues `Close{seq}`, carrying `verdicts` to govern the window it
+    /// closes, behind every alert routed before it, wakes the worker
+    /// once, and hands back the documents recorded since the previous
+    /// close: one critical section. `None` when the queue is closed.
+    pub(crate) fn push_close(&self, seq: u64, verdicts: Option<QoaVerdicts>) -> Option<ShardDocs> {
+        let mut state = self.lock();
+        if state.closed {
+            return None;
+        }
+        state.msgs.push_back(WorkerMsg::Close { seq, verdicts });
+        self.want(&mut state);
+        Some(std::mem::take(&mut state.docs))
     }
 
     /// Queues a control message behind every alert routed before it
@@ -205,10 +298,13 @@ impl ShardQueue {
     }
 
     /// The worker is gone, however it went: closes the queue and drops
-    /// what is still queued, so neither a close nor a sync waits on it.
+    /// what is still queued, documents included, so neither a close nor
+    /// a sync waits on it.
     pub(crate) fn hang_up(&self) {
         self.close();
-        self.lock().msgs.clear();
+        let mut state = self.lock();
+        state.msgs.clear();
+        state.docs = ShardDocs::default();
     }
 }
 
@@ -217,5 +313,27 @@ impl fmt::Debug for ShardQueue {
         f.debug_struct("ShardQueue")
             .field("capacity", &self.capacity)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alertops_model::{AlertId, StrategyId};
+
+    /// Documents keep their queue order across chunks, and no chunk
+    /// outgrows its fixed size.
+    #[test]
+    fn shard_docs_keep_queue_order_across_chunks() {
+        let n = 2 * ShardDocs::CHUNK + 3;
+        let docs: ShardDocs = (0..n as u64)
+            .rev()
+            .map(|id| EmergingDoc::from_alert(&Alert::builder(AlertId(id), StrategyId(0)).build()))
+            .collect();
+        assert_eq!(docs.len(), n);
+        assert_eq!(docs.chunks.len(), 3);
+        assert!(docs.chunks.iter().all(|c| c.capacity() == ShardDocs::CHUNK));
+        let ids: Vec<u64> = docs.iter().map(|d| d.alert.0).collect();
+        assert_eq!(ids, (0..n as u64).rev().collect::<Vec<_>>());
     }
 }

@@ -6,7 +6,11 @@
 //! thread down. The supervisor restarts the loop in place on the same
 //! queue, rolls the governor back to the last successful window close,
 //! counts the buffered-but-unclosed alerts as dropped, and marks the
-//! shard degraded so the next merged snapshot says so. The loop takes
+//! shard degraded so the next merged snapshot says so. The queue has
+//! already handed the merge point a document for every alert it queued,
+//! lost ones included, so a degraded delta lists the emerging documents
+//! of the alerts that survived, and the merge point redoes its AO-LDA
+//! pass over those (see [`crate::MergePoint::close`]). The loop takes
 //! its queue in batches; what a batch held behind the panic waits in
 //! the shard state's inbox, and the restarted loop resumes there. If
 //! the panic struck mid-close, a synthetic empty window is closed on
@@ -28,6 +32,7 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender};
 
 use alertops_core::{QoaVerdicts, StreamingGovernor, WindowDelta};
 use alertops_model::Alert;
+use alertops_react::EmergingDoc;
 
 use crate::counters::Counters;
 use crate::metrics::IngestdMetrics;
@@ -52,6 +57,13 @@ pub(crate) enum WorkerMsg {
     Close {
         /// The holder's window sequence number, echoed back.
         seq: u64,
+        /// The QoA verdicts as of the last close, from the merge point
+        /// that runs the online model, installed before this window is
+        /// governed. Riding with `Close` makes the cadence exact: they
+        /// apply to everything the shard governs in this window — the
+        /// cadence a library caller gets by installing its closer's
+        /// verdicts on its one governor at each window boundary.
+        verdicts: Option<QoaVerdicts>,
     },
     /// Drain barrier: ack once every message queued before this one
     /// has been consumed.
@@ -63,13 +75,6 @@ pub(crate) enum WorkerMsg {
         /// Defer the panic into the next `Close`.
         on_close: bool,
     },
-    /// The QoA verdicts as of the last close, from the merge point that
-    /// runs the online model. Rides the ingest queue so ordering against
-    /// `Close` is exact: pushed just before close `N + 1`, they apply to
-    /// everything the shard governs in that window — the cadence a
-    /// library caller gets by installing its closer's verdicts on its
-    /// one governor at each window boundary.
-    Qoa(QoaVerdicts),
     /// Chaos: park the worker. `entered` is acked once parked (the
     /// queue ahead of this message is fully drained by then); the
     /// worker then blocks until `resume` yields or disconnects.
@@ -106,6 +111,9 @@ struct ShardState {
     pending_close: Option<u64>,
     /// Armed by `WorkerMsg::Panic { on_close: true }`.
     poison_next_close: bool,
+    /// The emerging channel is on: a degraded delta carries the
+    /// documents of the alerts that survived.
+    documents: bool,
 }
 
 /// The worker loop. Buffers routed alerts; on `Close`, feeds the
@@ -115,6 +123,7 @@ struct ShardState {
 pub(crate) fn run_worker(
     shard: usize,
     governor: StreamingGovernor,
+    documents: bool,
     ingest: &ShardQueue,
     deltas: &Sender<ShardDelta>,
     counters: &Counters,
@@ -138,6 +147,7 @@ pub(crate) fn run_worker(
         degraded: false,
         pending_close: None,
         poison_next_close: false,
+        documents,
     };
     // Whatever history the governor was handed over with is this
     // shard's first rollback target.
@@ -191,7 +201,7 @@ fn close_window(
     state.window.sort_by_key(|a| (a.raised_at(), a.id()));
     // Applied but not committed: a panic from here to the commit below
     // is undone by the supervisor's rollback.
-    let delta = state.governor.ingest_uncommitted(&state.window, &[]);
+    let mut delta = state.governor.ingest_uncommitted(&state.window, &[]);
     if std::mem::take(&mut state.poison_next_close) {
         // After detection mutated the governor: recovery must roll it
         // back, not "retry" this state. The window is still in the
@@ -200,6 +210,14 @@ fn close_window(
         panic!("{CHAOS_PANIC_MSG} (shard {shard}, close {seq})");
     }
     state.governor.commit();
+    let degraded = std::mem::take(&mut state.degraded);
+    if degraded && state.documents {
+        // The queue recorded a document per alert it queued, and a
+        // restart lost some of those alerts: the merge point redoes its
+        // AO-LDA pass over the ones that survived, listed here.
+        delta.emerging_docs = state.window.iter().map(EmergingDoc::from_alert).collect();
+        delta.emerging_docs.sort_by_key(|d| d.alert);
+    }
     counters.delivered.add(state.window.len() as u64);
     // Keep the buffer's capacity for the next window.
     state.window.clear();
@@ -207,7 +225,7 @@ fn close_window(
     let _ = deltas.send(ShardDelta {
         seq,
         shard,
-        degraded: std::mem::take(&mut state.degraded),
+        degraded,
         delta,
     });
 }
@@ -238,14 +256,16 @@ fn drain(
                 }
                 ingest.recycle(run);
             }
-            WorkerMsg::Close { seq } => {
+            WorkerMsg::Close { seq, verdicts } => {
                 state.pending_close = Some(seq);
+                if let Some(verdicts) = verdicts {
+                    state.governor.set_qoa_verdicts(verdicts);
+                }
                 close_window(shard, state, seq, deltas, counters, metrics);
             }
             WorkerMsg::Sync(ack) => {
                 let _ = ack.send(());
             }
-            WorkerMsg::Qoa(verdicts) => state.governor.set_qoa_verdicts(verdicts),
             WorkerMsg::Panic { on_close } => {
                 if on_close {
                     state.poison_next_close = true;

@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 
 use alertops_model::{Alert, AlertId, IStr, SimDuration, SimTime};
 use alertops_text::{BagOfWords, OovPolicy, Tokenizer, Vocabulary};
-use alertops_topics::{AdaptiveOnlineLda, AoldaConfig, LdaConfig};
+use alertops_topics::{AdaptiveOnlineLda, AoldaConfig, LdaConfig, PreparedWindow};
 
 /// An opt-in per-window token budget for the emerging channel.
 ///
@@ -232,6 +232,23 @@ pub struct EmergingReport {
     pub emerging_alerts: Vec<AlertId>,
 }
 
+/// One window's AO-LDA pass, fitted by
+/// [`EmergingAlertDetector::prepare_docs`] but not yet part of the
+/// detector's history: [`EmergingAlertDetector::commit`] makes it so
+/// and returns its report, [`EmergingAlertDetector::discard`] undoes
+/// it.
+#[derive(Debug)]
+#[must_use = "a prepared pass is committed or discarded"]
+pub struct PreparedPass {
+    report: EmergingReport,
+    fit: PreparedWindow,
+    /// The vocabulary's length before the pass interned its words.
+    vocab_len: usize,
+    /// The model's width before the pass; `None` when the pass made
+    /// the model.
+    model_width: Option<usize>,
+}
+
 /// Emerging-alert detection over consecutive time windows.
 ///
 /// Fit-free streaming use needs no setup: construct and call
@@ -332,11 +349,27 @@ impl EmergingAlertDetector {
 
     /// [`observe_window`](Self::observe_window) over pre-extracted
     /// documents — the form ingestd's merge point consumes after
-    /// merging the per-shard forwards.
+    /// merging the per-shard forwards: exactly
+    /// [`prepare_docs`](Self::prepare_docs) then
+    /// [`commit`](Self::commit).
     ///
     /// Each distinct text is tokenized once and fitted once; the report
     /// is the one a pass over every document would give.
     pub fn observe_docs(&mut self, docs: &[EmergingDoc]) -> EmergingReport {
+        let docs: Vec<&EmergingDoc> = docs.iter().collect();
+        let pass = self.prepare_docs(&docs);
+        self.commit(pass)
+    }
+
+    /// Runs the AO-LDA pass over one window's documents without making
+    /// it part of the detector's history, so it can be run before the
+    /// window is known to be complete. Only the vocabulary (new words
+    /// interned) and the model's width (widened to match) move, and
+    /// [`discard`](Self::discard) puts both back; the window counters,
+    /// the λ history and the emergence baseline move at
+    /// [`commit`](Self::commit). Commit or discard a pass before
+    /// preparing the next one.
+    pub fn prepare_docs(&mut self, docs: &[&EmergingDoc]) -> PreparedPass {
         let window_start = docs
             .iter()
             .map(|d| d.raised_at)
@@ -344,6 +377,8 @@ impl EmergingAlertDetector {
             .map(|t| self.align_down(t))
             .or(self.next_window_start)
             .unwrap_or(SimTime::from_secs(0));
+        let vocab_len = self.vocab.len();
+        let model_width = self.aolda.as_ref().map(|a| a.config().lda.vocab_size);
 
         let (mut bags, mut positions) = self.encode_distinct(docs);
 
@@ -375,8 +410,9 @@ impl EmergingAlertDetector {
         }
         let aolda = self.aolda.as_mut().expect("model just ensured");
 
-        let window = aolda.process_window(&bags, &positions);
-        let emerging_alerts = window
+        let fit = aolda.prepare_window(&bags, &positions);
+        let emerging_alerts = fit
+            .window()
             .emerging_doc_indices()
             .into_iter()
             .map(|ix| docs[ix].alert)
@@ -385,12 +421,45 @@ impl EmergingAlertDetector {
             window_index: self.windows_processed,
             window_start,
             alert_count: docs.len(),
-            emerging_topics: window.emerging_topics().len(),
+            emerging_topics: fit.window().emerging_topics().len(),
             emerging_alerts,
         };
+        PreparedPass {
+            report,
+            fit,
+            vocab_len,
+            model_width,
+        }
+    }
+
+    /// Makes a prepared pass the newest window of the detector's
+    /// history and returns its report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another pass was committed since `pass` was prepared.
+    pub fn commit(&mut self, pass: PreparedPass) -> EmergingReport {
+        let aolda = self.aolda.as_mut().expect("a prepared pass made the model");
+        aolda.commit_window(pass.fit);
         self.windows_processed += 1;
-        self.next_window_start = Some(window_start + self.config.window);
-        report
+        self.next_window_start = Some(pass.report.window_start + self.config.window);
+        pass.report
+    }
+
+    /// Undoes a prepared pass by truncation: the words it interned are
+    /// forgotten and the model is cut back to its width before the pass
+    /// (or dropped, if the pass created it). The detector is then bit
+    /// for bit the one that never prepared it.
+    pub fn discard(&mut self, pass: PreparedPass) {
+        self.vocab.truncate(pass.vocab_len);
+        match pass.model_width {
+            None => self.aolda = None,
+            Some(width) => {
+                if let Some(aolda) = self.aolda.as_mut() {
+                    aolda.truncate_vocab(width);
+                }
+            }
+        }
     }
 
     /// Processes one window of alerts against the *fitted* model (the
@@ -473,10 +542,10 @@ impl EmergingAlertDetector {
     /// stream as tokenizing every document in order would (a repeated
     /// text interns nothing new), so word ids, counts and every
     /// downstream topic are those of the per-document encode.
-    fn encode_distinct(&mut self, docs: &[EmergingDoc]) -> (Vec<BagOfWords>, Vec<u32>) {
+    fn encode_distinct(&mut self, docs: &[&EmergingDoc]) -> (Vec<BagOfWords>, Vec<u32>) {
         let mut order: Vec<u32> = (0..docs.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| {
-            let (x, y) = (&docs[a as usize], &docs[b as usize]);
+            let (x, y) = (docs[a as usize], docs[b as usize]);
             x.title
                 .cmp(&y.title)
                 .then_with(|| x.service.cmp(&y.service))
@@ -487,7 +556,7 @@ impl EmergingAlertDetector {
         // document opens a bag, every later one copies the index its
         // first document (an earlier position) already holds.
         let mut bag_of = vec![0u32; docs.len()];
-        for group in order.chunk_by(|&a, &b| docs[a as usize].same_text(&docs[b as usize])) {
+        for group in order.chunk_by(|&a, &b| docs[a as usize].same_text(docs[b as usize])) {
             for &pos in group {
                 bag_of[pos as usize] = group[0];
             }
@@ -498,7 +567,7 @@ impl EmergingAlertDetector {
         for pos in 0..docs.len() {
             let first = bag_of[pos] as usize;
             bag_of[pos] = if first == pos {
-                let doc = &docs[pos];
+                let doc = docs[pos];
                 let mut bag = BagOfWords::new();
                 let vocab = &mut self.vocab;
                 for_each_text_token(
@@ -774,7 +843,7 @@ mod tests {
     fn each_distinct_text_is_encoded_once_in_first_document_order() {
         let docs = mixed_window();
         let mut detector = EmergingAlertDetector::new(EmergingConfig::default());
-        let (bags, positions) = detector.encode_distinct(&docs);
+        let (bags, positions) = detector.encode_distinct(&docs.iter().collect::<Vec<_>>());
         assert_eq!(positions, [0, 1, 2, 0, 3, 2, 1, 4]);
         assert_eq!(bags.len(), 5, "one bag per distinct (title, service)");
         assert!(bags[1].is_empty());

@@ -57,7 +57,7 @@ pub use blocking::{AlertBlocker, BlockCriterion, BlockOutcome, BlockRule};
 pub use correlation::{AlertCorrelator, CorrelatedCluster, StrategyDependencies};
 pub use emerging::{
     apply_budget, EmergingAlertDetector, EmergingBudget, EmergingConfig, EmergingDoc,
-    EmergingReport,
+    EmergingReport, PreparedPass,
 };
 pub use escalation::{propose_incidents, EscalationConfig, EscalationReason, IncidentProposal};
 pub use metrics::ReactMetrics;

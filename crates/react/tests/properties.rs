@@ -1,5 +1,6 @@
 //! Property-based tests over the reactions: blocking partitions,
-//! aggregation preserves counts, correlation partitions.
+//! aggregation preserves counts, correlation partitions, and a
+//! discarded emerging pass leaves no trace.
 
 use proptest::prelude::*;
 
@@ -11,7 +12,8 @@ use alertops_obs::MetricsRegistry;
 use alertops_react::blocking::{AlertBlocker, BlockCriterion, BlockRule};
 use alertops_react::correlation::AlertCorrelator;
 use alertops_react::{
-    aggregate, audit_blocker, propose_incidents, AggregationConfig, AuditConfig, EscalationConfig,
+    aggregate, audit_blocker, propose_incidents, AggregationConfig, AuditConfig,
+    EmergingAlertDetector, EmergingConfig, EmergingDoc, EmergingReport, EscalationConfig,
     ReactMetrics, ReactionPipeline,
 };
 
@@ -366,5 +368,114 @@ proptest! {
                 prop_assert!(time_of(cluster.source) <= time_of(*d));
             }
         }
+    }
+}
+
+/// The words emerging-channel documents are drawn from: the first
+/// [`COMMON`] are routine, the rest turn up only where a window draws
+/// past them.
+const WORDS: [&str; 14] = [
+    "disk",
+    "usage",
+    "storage",
+    "node",
+    "cpu",
+    "high",
+    "worker",
+    "network",
+    "quorum",
+    "lease",
+    "expired",
+    "handshake",
+    "rotation",
+    "deadlock",
+];
+const COMMON: usize = 8;
+
+/// One window of documents: per document, the word indices of its
+/// title and the word index of its service.
+type DocWindow = Vec<(Vec<usize>, usize)>;
+
+fn arb_window(words: usize) -> impl Strategy<Value = DocWindow> {
+    prop::collection::vec((prop::collection::vec(0..words, 1..5), 0..words), 0..10)
+}
+
+/// `window` as the documents of wall-clock hour `hour`, sorted by
+/// alert id, with ids continuing from `next_id`.
+fn hour_docs(window: &DocWindow, hour: u64, next_id: &mut u64) -> Vec<EmergingDoc> {
+    window
+        .iter()
+        .enumerate()
+        .map(|(i, (title, service))| {
+            let title: Vec<&str> = title.iter().map(|&w| WORDS[w]).collect();
+            let alert = Alert::builder(AlertId(*next_id), StrategyId(i as u64 % 3))
+                .title(title.join(" "))
+                .service(WORDS[*service])
+                .raised_at(SimTime::from_secs(hour * 3_600 + i as u64 * 60))
+                .build();
+            *next_id += 1;
+            EmergingDoc::from_alert(&alert)
+        })
+        .collect()
+}
+
+fn words_of(detector: &EmergingAlertDetector) -> Vec<(usize, String)> {
+    detector
+        .vocabulary()
+        .iter()
+        .map(|(id, word)| (id, word.to_owned()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(48, 16)))]
+
+    /// Preparing window A and discarding it, then observing B in its
+    /// place, is observing B: the same report, the same vocabulary, and
+    /// the same report for every later window as a detector that only
+    /// ever saw B — though A interned words nobody had seen, and with or
+    /// without a model before it.
+    #[test]
+    fn a_discarded_pass_leaves_no_trace(
+        history in prop::collection::vec(arb_window(COMMON), 0..3),
+        a in arb_window(WORDS.len()),
+        novel in COMMON..WORDS.len(),
+        b in arb_window(WORDS.len()),
+        later in prop::collection::vec(arb_window(WORDS.len()), 0..3),
+    ) {
+        let config = EmergingConfig {
+            num_topics: 3,
+            passes_per_window: 5,
+            ..EmergingConfig::default()
+        };
+        let mut tried = EmergingAlertDetector::new(config.clone());
+        let mut clean = EmergingAlertDetector::new(config);
+        let mut next_id = 0;
+        let mut hour = 0;
+        for window in &history {
+            let docs = hour_docs(window, hour, &mut next_id);
+            prop_assert_eq!(tried.observe_docs(&docs), clean.observe_docs(&docs));
+            hour += 1;
+        }
+
+        let mut a = a;
+        a.push((vec![novel], novel));
+        let a_docs = hour_docs(&a, hour, &mut next_id);
+        let pass = tried.prepare_docs(&a_docs.iter().collect::<Vec<_>>());
+        prop_assert!(tried.vocabulary().len() > clean.vocabulary().len(), "A interns new words");
+        tried.discard(pass);
+        prop_assert_eq!(words_of(&tried), words_of(&clean));
+        prop_assert_eq!(tried.is_fitted(), clean.is_fitted());
+
+        let b_docs = hour_docs(&b, hour, &mut next_id);
+        let report: EmergingReport = tried.observe_docs(&b_docs);
+        prop_assert_eq!(report, clean.observe_docs(&b_docs));
+        prop_assert_eq!(words_of(&tried), words_of(&clean));
+        for window in &later {
+            hour += 1;
+            let docs = hour_docs(window, hour, &mut next_id);
+            prop_assert_eq!(tried.observe_docs(&docs), clean.observe_docs(&docs));
+        }
+        prop_assert_eq!(words_of(&tried), words_of(&clean));
     }
 }

@@ -165,6 +165,17 @@ impl Vocabulary {
         self.id_to_word.clear();
     }
 
+    /// Forgets every word with an id of `len` or more, returning the
+    /// vocabulary to the moment it held `len` words: ids are dense and
+    /// only ever appended, so the survivors keep their ids and the next
+    /// word interned gets id `len` again. A no-op when it holds `len`
+    /// words or fewer. Undoes the interning of a speculative pass.
+    pub fn truncate(&mut self, len: usize) {
+        for word in self.id_to_word.drain(len.min(self.id_to_word.len())..) {
+            self.word_to_id.remove(&word);
+        }
+    }
+
     /// Iterates over `(id, word)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &str)> {
         self.id_to_word
@@ -291,6 +302,18 @@ mod tests {
             }
             assert_eq!(stream_vocab.len(), batch_vocab.len());
         }
+    }
+
+    #[test]
+    fn truncate_forgets_the_newest_words_only() {
+        let mut v: Vocabulary = ["a", "b", "c", "d"].into_iter().collect();
+        v.truncate(2);
+        assert_eq!(v.iter().collect::<Vec<_>>(), [(0, "a"), (1, "b")]);
+        assert_eq!((v.id("c"), v.id("d")), (None, None));
+        // The next word takes the first forgotten id.
+        assert_eq!(v.intern("e"), 2);
+        v.truncate(9);
+        assert_eq!(v.len(), 3, "truncating past the end changes nothing");
     }
 
     #[test]

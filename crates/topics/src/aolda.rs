@@ -151,6 +151,24 @@ impl TopicWindow {
     }
 }
 
+/// A window fitted by [`AdaptiveOnlineLda::prepare_window`] but not
+/// yet part of the history: its summary, and the λ it leaves for the
+/// next windows' prior. [`AdaptiveOnlineLda::commit_window`] takes it;
+/// dropping it is how a speculative fit is undone.
+#[derive(Debug)]
+pub struct PreparedWindow {
+    window: TopicWindow,
+    lambda: Vec<Vec<f64>>,
+}
+
+impl PreparedWindow {
+    /// The window's summary, as committing it would return it.
+    #[must_use]
+    pub fn window(&self) -> &TopicWindow {
+        &self.window
+    }
+}
+
 /// The index of `mixture`'s largest component, the last one on a tie;
 /// `None` when it is empty. `total_cmp` orders AO-LDA's strictly
 /// positive mixtures as `partial_cmp` would, and cannot panic.
@@ -283,8 +301,34 @@ impl AdaptiveOnlineLda {
         self.config.lda.vocab_size = vocab_size;
     }
 
+    /// Undoes a [`grow_vocab`](Self::grow_vocab) to `vocab_size`
+    /// words: cuts the padded columns off every λ snapshot and retained
+    /// topic distribution, so the model is bit for bit what it was
+    /// before the growth. Only for a growth no window has been
+    /// committed over since (a discarded [`prepare_window`](Self::prepare_window)),
+    /// whose columns still hold nothing but padding. A no-op when the
+    /// model is no wider than `vocab_size`.
+    pub fn truncate_vocab(&mut self, vocab_size: usize) {
+        if vocab_size >= self.config.lda.vocab_size {
+            return;
+        }
+        for lambda in &mut self.lambda_history {
+            for row in lambda.iter_mut() {
+                row.truncate(vocab_size);
+            }
+        }
+        for window in &mut self.windows {
+            for topic in &mut window.topics {
+                topic.distribution.truncate(vocab_size);
+            }
+        }
+        self.config.lda.vocab_size = vocab_size;
+    }
+
     /// Fits the next window — whose `i`-th document is
-    /// `bags[positions[i]]` — and returns its summary.
+    /// `bags[positions[i]]` — and returns its summary: exactly
+    /// [`prepare_window`](Self::prepare_window) then
+    /// [`commit_window`](Self::commit_window).
     ///
     /// A caller with one bag per document passes the identity index
     /// `0..n`; one that holds each distinct text once passes it with
@@ -293,6 +337,19 @@ impl AdaptiveOnlineLda {
     /// bit-identical to fitting the window expanded to one bag per
     /// position.
     ///
+    /// # Panics
+    ///
+    /// Panics if a position names a bag past the end of `bags`.
+    pub fn process_window(&mut self, bags: &[BagOfWords], positions: &[u32]) -> &TopicWindow {
+        let prepared = self.prepare_window(bags, positions);
+        self.commit_window(prepared)
+    }
+
+    /// Fits the next window without making it part of the history: the
+    /// returned [`PreparedWindow`] holds its summary and its λ, and the
+    /// model is unchanged until [`commit_window`](Self::commit_window)
+    /// takes it. Dropping it instead leaves no trace.
+    ///
     /// The window's model is seeded from a blend of a fresh prior and the
     /// mean λ of the last [`history`](AoldaConfig::history) windows,
     /// weighted by [`adaptation_weight`](AoldaConfig::adaptation_weight).
@@ -300,7 +357,7 @@ impl AdaptiveOnlineLda {
     /// # Panics
     ///
     /// Panics if a position names a bag past the end of `bags`.
-    pub fn process_window(&mut self, bags: &[BagOfWords], positions: &[u32]) -> &TopicWindow {
+    pub fn prepare_window(&mut self, bags: &[BagOfWords], positions: &[u32]) -> PreparedWindow {
         let window_index = self.windows_processed;
         let lda_config = LdaConfig {
             corpus_size: Some(positions.len().max(1)),
@@ -320,8 +377,8 @@ impl AdaptiveOnlineLda {
                 .rev()
                 .take(self.config.history)
                 .collect();
-            let fresh = model.lambda().to_vec();
-            let blended: Vec<Vec<f64>> = fresh
+            let blended: Vec<Vec<f64>> = model
+                .lambda()
                 .iter()
                 .enumerate()
                 .map(|(k, fresh_row)| {
@@ -407,7 +464,36 @@ impl AdaptiveOnlineLda {
             })
             .collect();
 
-        self.lambda_history.push(model.lambda().to_vec());
+        PreparedWindow {
+            window: TopicWindow {
+                index: window_index,
+                doc_count: positions
+                    .iter()
+                    .filter(|&&bag| !bags[bag as usize].is_empty())
+                    .count(),
+                topics,
+                doc_mixtures,
+                doc_bags: positions.to_vec(),
+            },
+            lambda: model.into_lambda(),
+        }
+    }
+
+    /// Makes a prepared window the newest of the history: its λ feeds
+    /// the next windows' prior and its topics their emergence baseline,
+    /// and the window count advances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another window was committed since `prepared` was
+    /// prepared: it was fitted against a history that is gone.
+    pub fn commit_window(&mut self, prepared: PreparedWindow) -> &TopicWindow {
+        let PreparedWindow { window, lambda } = prepared;
+        assert_eq!(
+            window.index, self.windows_processed,
+            "a prepared window commits over the history it was fitted on"
+        );
+        self.lambda_history.push(lambda);
         if self.lambda_history.len() > self.config.history {
             let excess = self.lambda_history.len() - self.config.history;
             self.lambda_history.drain(..excess);
@@ -418,16 +504,7 @@ impl AdaptiveOnlineLda {
             previous.doc_mixtures = Vec::new();
             previous.doc_bags = Vec::new();
         }
-        self.windows.push(TopicWindow {
-            index: window_index,
-            doc_count: positions
-                .iter()
-                .filter(|&&bag| !bags[bag as usize].is_empty())
-                .count(),
-            topics,
-            doc_mixtures,
-            doc_bags: positions.to_vec(),
-        });
+        self.windows.push(window);
         let retain = self.config.history.max(1);
         if self.windows.len() > retain {
             let excess = self.windows.len() - retain;
@@ -739,6 +816,45 @@ mod tests {
         fit(&mut b, &storage_docs(6));
         a.grow_vocab(12);
         assert_eq!(fit(&mut a, &storage_docs(6)), fit(&mut b, &storage_docs(6)));
+    }
+
+    /// A prepared window dropped, with the growth it needed undone,
+    /// leaves no trace: later windows fit bit for bit as on a model
+    /// that never saw it.
+    #[test]
+    fn a_dropped_prepared_window_leaves_no_trace() {
+        let narrow = AoldaConfig {
+            lda: LdaConfig {
+                vocab_size: 8,
+                ..config(2).lda
+            },
+            ..config(2)
+        };
+        let mut tried = AdaptiveOnlineLda::new(narrow.clone());
+        let mut clean = AdaptiveOnlineLda::new(narrow);
+        fit(&mut tried, &storage_docs(6));
+        fit(&mut clean, &storage_docs(6));
+        tried.grow_vocab(12);
+        let prepared = tried.prepare_window(&novel_docs(5), &[0, 1, 2, 3, 4]);
+        assert_eq!(prepared.window().index, 1);
+        drop(prepared);
+        tried.truncate_vocab(8);
+        assert_eq!(tried.windows_processed(), 1);
+        for _ in 0..3 {
+            assert_eq!(
+                fit(&mut tried, &storage_docs(6)),
+                fit(&mut clean, &storage_docs(6))
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "over the history it was fitted on")]
+    fn a_stale_prepared_window_cannot_commit() {
+        let mut aolda = AdaptiveOnlineLda::new(config(2));
+        let stale = aolda.prepare_window(&storage_docs(4), &[0, 1, 2, 3]);
+        fit(&mut aolda, &storage_docs(4));
+        aolda.commit_window(stale);
     }
 
     #[test]

@@ -837,6 +837,12 @@ impl OnlineLda {
         &self.lambda
     }
 
+    /// The model's λ, taken without a copy.
+    #[must_use]
+    pub fn into_lambda(self) -> Vec<Vec<f64>> {
+        self.lambda
+    }
+
     /// Replaces λ wholesale (dimensions must match) and refreshes the
     /// cached row sums. Used by AOLDA to seed a window's model from
     /// adapted priors.

@@ -59,5 +59,5 @@ pub mod math;
 mod aolda;
 mod lda;
 
-pub use aolda::{AdaptiveOnlineLda, AoldaConfig, TopicWindow, WindowTopic};
+pub use aolda::{AdaptiveOnlineLda, AoldaConfig, PreparedWindow, TopicWindow, WindowTopic};
 pub use lda::{LdaConfig, LdaWorkspace, OnlineLda};

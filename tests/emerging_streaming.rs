@@ -8,7 +8,7 @@ use std::io::Read;
 use std::net::TcpStream;
 
 use alertops::chaos::silence_panics_containing;
-use alertops::cluster::{AlertCluster, ClusterConfig, WalFormat};
+use alertops::cluster::{AlertCluster, ClusterConfig, RangeMap, WalFormat};
 use alertops::core::prelude::*;
 use alertops::ingestd::{
     shard_catalog, shard_of, Ingestd, IngestdConfig, StatusReport, CHAOS_PANIC_MSG,
@@ -460,4 +460,233 @@ fn status_socket_exposes_the_emerging_report() {
     assert_eq!(emerging.window_index, 0);
     assert_eq!(emerging.alert_count, 12);
     handle.shutdown();
+}
+
+/// A fault injected into one window of a daemon run.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// The shard's worker panics halfway through the window's routing,
+    /// losing the alerts it had buffered.
+    BetweenCloses(usize),
+    /// The shard's worker panics in the window's close, after detection
+    /// mutated its governor, losing the whole window.
+    MidClose(usize),
+}
+
+/// Drives a `shards`-shard daemon over `chunks`, one flush per chunk,
+/// with `faults[hour]` injected into window `hour`. Returns each
+/// window's emerging report and degraded list, and the alerts each
+/// window delivered: what survived the faults.
+#[allow(clippy::type_complexity)]
+fn faulted_daemon_run(
+    shards: usize,
+    chunks: Vec<Vec<Alert>>,
+    faults: &[Option<Fault>],
+) -> (Vec<(Option<EmergingReport>, Vec<usize>)>, Vec<Vec<Alert>>) {
+    let strategies = catalog();
+    let config = IngestdConfig {
+        shards,
+        streaming: forward_streaming(),
+        ..IngestdConfig::default()
+    };
+    let handle = Ingestd::spawn(&config, |shard, shards| {
+        shard_governor(&strategies, shards, shard)
+    })
+    .expect("daemon starts");
+    let (mut windows, mut survivors) = (Vec::new(), Vec::new());
+    for (hour, chunk) in chunks.into_iter().enumerate() {
+        let fault = faults.get(hour).copied().flatten();
+        let half = chunk.len() / 2;
+        let mut delivered = Vec::new();
+        for (i, alert) in chunk.into_iter().enumerate() {
+            if i == half {
+                match fault {
+                    Some(Fault::BetweenCloses(shard)) => {
+                        handle.sync();
+                        handle.inject_panic(shard, false);
+                    }
+                    Some(Fault::MidClose(shard)) => handle.inject_panic(shard, true),
+                    None => {}
+                }
+            }
+            let shard = shard_of(alert.strategy(), shards);
+            let lost = match fault {
+                Some(Fault::BetweenCloses(target)) => shard == target && i < half,
+                Some(Fault::MidClose(target)) => shard == target,
+                None => false,
+            };
+            if !lost {
+                delivered.push(alert.clone());
+            }
+            handle.route(alert);
+        }
+        let snapshot = handle.flush().expect("flush yields a snapshot");
+        windows.push((snapshot.emerging, snapshot.degraded));
+        survivors.push(delivered);
+    }
+    // A redone pass is still one observation of its window.
+    assert!(handle.render_metrics().contains(&format!(
+        "alertops_emerging_window_micros_count {}\n",
+        windows.len()
+    )));
+    handle.shutdown();
+    (windows, survivors)
+}
+
+/// Two distinct shards of a 4-shard daemon that own catalog strategies.
+fn two_shards() -> (usize, usize) {
+    let first = shard_of(StrategyId(0), 4);
+    let second = (1..6)
+        .map(|id| shard_of(StrategyId(id), 4))
+        .find(|&shard| shard != first)
+        .expect("the catalog spans two shards");
+    (first, second)
+}
+
+/// The emerging channel is exact under worker faults: a 4-shard daemon
+/// whose windows suffer `faults` reports, in every window (the later
+/// ones included, which carry the faulted windows' vocabulary and topic
+/// history), exactly what a 1-shard daemon fed only the surviving
+/// alerts reports. The merge point ran AO-LDA over every alert the
+/// queues held ahead of the close; where the barrier says some were
+/// lost, that pass must be discarded without a trace and run again.
+fn assert_faulted_run_matches_the_survivors(faults: &[Option<Fault>]) {
+    silence_panics_containing(CHAOS_PANIC_MSG);
+    let (faulted, survivors) = faulted_daemon_run(4, hourly_chunks(), faults);
+    for (hour, (_, degraded)) in faulted.iter().enumerate() {
+        let want: Vec<usize> = match faults.get(hour).copied().flatten() {
+            Some(Fault::BetweenCloses(shard) | Fault::MidClose(shard)) => vec![shard],
+            None => Vec::new(),
+        };
+        assert_eq!(
+            degraded, &want,
+            "window {hour}: each fault degrades its own window only"
+        );
+    }
+    let clean: usize = hourly_chunks().iter().map(Vec::len).sum();
+    assert!(
+        survivors.iter().map(Vec::len).sum::<usize>() < clean,
+        "the faults must cost documents"
+    );
+
+    let (reference, _) = faulted_daemon_run(1, survivors, &[]);
+    for (hour, (got, want)) in faulted.iter().zip(&reference).enumerate() {
+        assert_eq!(
+            serde_json::to_string(&got.0).expect("report serializes"),
+            serde_json::to_string(&want.0).expect("report serializes"),
+            "window {hour}: the faulted 4-shard daemon diverged from a 1-shard daemon fed the survivors"
+        );
+    }
+}
+
+/// A worker panic between closes loses the alerts its shard had
+/// buffered; the shard's delta lists the ones routed after it.
+#[test]
+fn a_between_close_panic_reports_as_one_shard_fed_the_survivors() {
+    let (first, second) = two_shards();
+    assert_faulted_run_matches_the_survivors(&[
+        None,
+        Some(Fault::BetweenCloses(first)),
+        Some(Fault::BetweenCloses(second)),
+        None,
+        Some(Fault::BetweenCloses(first)),
+    ]);
+}
+
+/// A worker panic mid-close loses the shard's whole window, though its
+/// queue handed every document of it to the merge point.
+#[test]
+fn a_mid_close_panic_reports_as_one_shard_fed_the_survivors() {
+    let (first, second) = two_shards();
+    assert_faulted_run_matches_the_survivors(&[
+        None,
+        Some(Fault::MidClose(first)),
+        Some(Fault::MidClose(second)),
+        None,
+        Some(Fault::MidClose(first)),
+    ]);
+}
+
+/// Runs a `nodes`-node × 2-shard cluster over `windows`, one close per
+/// window. With `kill_at = Some(w)`, node 1 is killed halfway through
+/// window `w`'s routing, the window closes without it, and it rejoins
+/// before window `w + 1`. Returns each window's emerging report.
+fn cluster_emerging_run(
+    nodes: usize,
+    windows: &[Vec<Alert>],
+    kill_at: Option<usize>,
+    name: &str,
+) -> Vec<Option<EmergingReport>> {
+    let root =
+        std::env::temp_dir().join(format!("alertops-emerging-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cluster = AlertCluster::spawn(
+        ClusterConfig {
+            nodes,
+            node: IngestdConfig {
+                shards: 2,
+                streaming: forward_streaming(),
+                ..IngestdConfig::default()
+            },
+            wal_root: root.clone(),
+            wal_format: WalFormat::default(),
+        },
+        catalog(),
+        std::sync::Arc::new(|catalog: &[AlertStrategy]| {
+            StreamingGovernor::new(
+                AlertGovernor::new(catalog.to_vec(), GovernorConfig::default()),
+                forward_streaming(),
+            )
+        }),
+    )
+    .expect("cluster spawns");
+    let mut reports = Vec::new();
+    for (index, window) in windows.iter().enumerate() {
+        if index > 0 && kill_at == Some(index - 1) {
+            cluster.rejoin(1).expect("rejoin replays the log");
+        }
+        for (i, alert) in window.iter().enumerate() {
+            if kill_at == Some(index) && i == window.len() / 2 {
+                cluster.kill(1);
+            }
+            cluster.route(alert.clone()).expect("route succeeds");
+        }
+        reports.push(cluster.close_window().expect("window closes").emerging);
+    }
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+    reports
+}
+
+/// The cluster case: node 1 of two is killed halfway through window 1,
+/// the window closes without it, it rejoins and the next window
+/// delivers its window-1 alerts from its log. Every window's report
+/// equals a 1-node run fed the alerts in the windows they were
+/// delivered in.
+#[test]
+fn a_cluster_node_killed_mid_window_reports_as_one_node_fed_the_delivered_windows() {
+    let chunks = hourly_chunks();
+    let map = RangeMap::partition(&catalog(), 2);
+    let faulted = cluster_emerging_run(2, &chunks, Some(1), "kill");
+    // Window 1 delivers node 0's alerts; node 1's come back from its
+    // log in window 2.
+    let (held, kept): (Vec<Alert>, Vec<Alert>) = chunks[1]
+        .iter()
+        .cloned()
+        .partition(|alert| map.node_of(alert.strategy()) == 1);
+    assert!(
+        !held.is_empty() && !kept.is_empty(),
+        "both nodes own part of window 1"
+    );
+    let mut delivered = chunks.clone();
+    delivered[1] = kept;
+    delivered[2].extend(held);
+    let reference = cluster_emerging_run(1, &delivered, None, "kill-ref");
+    for (index, (got, want)) in faulted.iter().zip(&reference).enumerate() {
+        assert_eq!(
+            serde_json::to_string(got).expect("report serializes"),
+            serde_json::to_string(want).expect("report serializes"),
+            "window {index}: the killed-node cluster diverged from a 1-node run"
+        );
+    }
 }
