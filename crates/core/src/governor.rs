@@ -252,11 +252,12 @@ impl AlertGovernor {
                 )
             })
             .collect();
+        // The criteria are sums and differences of non-negative rates:
+        // finite and never -0.0, so this is the `partial_cmp` order.
         reports.sort_by(|a, b| {
             a.scores
                 .overall()
-                .partial_cmp(&b.scores.overall())
-                .expect("scores are finite")
+                .total_cmp(&b.scores.overall())
                 .then(a.strategy.cmp(&b.strategy))
         });
         reports

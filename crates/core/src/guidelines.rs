@@ -19,10 +19,11 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use alertops_detect::UNCLEAR_TITLE_THRESHOLD;
 use alertops_model::{
     AlertStrategy, MicroserviceId, Severity, SimDuration, Sop, StrategyId, StrategyKind,
 };
-use alertops_text::TitleScorer;
+use alertops_text::title_report;
 
 /// Which guideline aspect a violation falls under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -75,9 +76,6 @@ pub struct GuidelineContext {
 /// The configuration-time guideline linter.
 #[derive(Debug, Clone)]
 pub struct GuidelineLinter {
-    scorer: TitleScorer,
-    /// Minimum acceptable title informativeness.
-    pub min_title_score: f64,
     /// Minimum acceptable SOP completeness.
     pub min_sop_completeness: f64,
 }
@@ -85,8 +83,6 @@ pub struct GuidelineLinter {
 impl Default for GuidelineLinter {
     fn default() -> Self {
         Self {
-            scorer: TitleScorer::new(),
-            min_title_score: 0.45,
             min_sop_completeness: 0.8,
         }
     }
@@ -184,15 +180,15 @@ impl GuidelineLinter {
         }
 
         // --- Presentation ---
-        let title_score = self.scorer.score(strategy.title_template());
-        if title_score < self.min_title_score {
+        let title_score = title_report(strategy.title_template()).score;
+        if title_score < UNCLEAR_TITLE_THRESHOLD {
             push(
                 GuidelineAspect::Presentation,
                 format!(
                     "title {:?} scores {title_score:.2} informativeness (< {:.2}); name the \
                      affected component and the failure manifestation",
                     strategy.title_template(),
-                    self.min_title_score
+                    UNCLEAR_TITLE_THRESHOLD
                 ),
             );
         }

@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 use alertops_detect::storm::storms_from_histogram;
 use alertops_detect::{AlertStorm, AntiPattern, IncrementalState, StormConfig, StrategyFinding};
 use alertops_model::{Alert, AlertId, Incident, RegionId, StrategyId};
-use alertops_qoa::{FeatureExtractor, QoaFeedbackConfig, QoaSample, QoaVerdicts, QoaWindowReport};
+use alertops_qoa::{extract_features, QoaFeedbackConfig, QoaSample, QoaVerdicts, QoaWindowReport};
 use alertops_react::{AlertBlocker, EmergingConfig, EmergingDoc, EmergingReport};
 
 use crate::governor::{AlertGovernor, BlockingRules};
@@ -466,15 +466,12 @@ pub struct StreamingGovernor {
     /// `windows_ingested` as of the last [`commit`](Self::commit) —
     /// what [`rollback`](Self::rollback) puts back.
     windows_committed: u64,
-    /// The QoA feature extractor, present iff the feedback loop is on.
-    qoa_extractor: Option<FeatureExtractor>,
 }
 
 impl StreamingGovernor {
     /// Wraps a governor for streaming use.
     #[must_use]
     pub fn new(governor: AlertGovernor, config: StreamingConfig) -> Self {
-        let qoa_extractor = (config.qoa.mode != ChannelMode::Off).then(FeatureExtractor::new);
         let mut rules = BlockingRules::default();
         rules.set_verdicts(&QoaVerdicts::default(), governor.qoa_verdicts());
         Self {
@@ -485,7 +482,6 @@ impl StreamingGovernor {
             rules,
             windows_ingested: 0,
             windows_committed: 0,
-            qoa_extractor,
         }
     }
 
@@ -501,7 +497,6 @@ impl StreamingGovernor {
     pub fn into_shard(mut self, streaming: &StreamingConfig) -> Self {
         self.config.emerging.mode = ChannelMode::Off;
         self.config.qoa.mode = streaming.qoa.mode;
-        self.qoa_extractor = (self.config.qoa.mode != ChannelMode::Off).then(FeatureExtractor::new);
         self
     }
 
@@ -658,22 +653,24 @@ impl StreamingGovernor {
         };
 
         // The QoA channel's input: one feature vector per strategy
-        // that alerted, canonically sorted by strategy id.
-        let qoa_samples: Vec<QoaSample> = match self.qoa_extractor.as_ref() {
-            None => Vec::new(),
-            Some(extractor) => {
+        // that alerted, canonically sorted by strategy id. The title
+        // score is read from the catalog, which scores each row once.
+        let qoa_samples: Vec<QoaSample> = match self.config.qoa.mode {
+            ChannelMode::Off => Vec::new(),
+            ChannelMode::Forward => {
                 let mut by_strategy: BTreeMap<StrategyId, Vec<&Alert>> = BTreeMap::new();
                 for alert in window {
                     by_strategy.entry(alert.strategy()).or_default().push(alert);
                 }
+                let catalog = self.governor.catalog();
                 by_strategy
                     .iter()
                     .filter_map(|(&id, alerts)| {
-                        let strategy = self.governor.strategy(id)?;
                         Some(QoaSample {
                             strategy: id,
-                            features: extractor.extract(
-                                strategy,
+                            features: extract_features(
+                                catalog.get(id)?,
+                                catalog.title_score(id)?,
                                 self.governor.sop(id),
                                 alerts,
                                 &self.incidents,

@@ -3,19 +3,23 @@
 //! "Typical unclear alert names describe the system state in a very
 //! general way with vague words, e.g. *Elastic Computing Service is
 //! abnormal*" (§III-A1). The detector scores every strategy's title
-//! template with [`TitleScorer`] and flags those below an
+//! template with [`title_report`] and flags those below an
 //! informativeness threshold.
 
-use alertops_text::TitleScorer;
+use alertops_text::title_report;
 
 use crate::input::DetectionInput;
 use crate::types::{AntiPattern, Detector, StrategyFinding};
+
+/// The informativeness below which a title is unclear: the paper's
+/// example vague titles score ≤ 0.4 while its clear samples score
+/// ≥ 0.5. A1's default threshold and the guideline linter's title check.
+pub const UNCLEAR_TITLE_THRESHOLD: f64 = 0.45;
 
 /// Detector for unclear titles. This detector needs no alert history —
 /// the title is a static property of the strategy.
 #[derive(Debug, Clone)]
 pub struct UnclearTitleDetector {
-    scorer: TitleScorer,
     /// Titles scoring strictly below this are flagged.
     threshold: f64,
 }
@@ -26,7 +30,6 @@ impl UnclearTitleDetector {
     #[must_use]
     pub fn new(threshold: f64) -> Self {
         Self {
-            scorer: TitleScorer::new(),
             threshold: threshold.clamp(0.0, 1.0),
         }
     }
@@ -39,10 +42,9 @@ impl UnclearTitleDetector {
 }
 
 impl Default for UnclearTitleDetector {
-    /// Threshold 0.45: the paper's example vague titles score ≤ 0.4 with
-    /// the standard lexicon while its clear samples score ≥ 0.5.
+    /// Threshold [`UNCLEAR_TITLE_THRESHOLD`].
     fn default() -> Self {
-        Self::new(0.45)
+        Self::new(UNCLEAR_TITLE_THRESHOLD)
     }
 }
 
@@ -56,7 +58,7 @@ impl Detector for UnclearTitleDetector {
             .strategies()
             .iter()
             .filter_map(|strategy| {
-                let report = self.scorer.report(strategy.title_template());
+                let report = title_report(strategy.title_template());
                 (report.score < self.threshold).then(|| StrategyFinding {
                     strategy: strategy.id(),
                     pattern: AntiPattern::UnclearTitle,
@@ -74,7 +76,9 @@ impl Detector for UnclearTitleDetector {
                 })
             })
             .collect();
-        findings.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("scores are finite"));
+        // Scores lie in (0, 1]: no NaN or -0.0, so this is the
+        // `partial_cmp` order.
+        findings.sort_by(|a, b| b.score.total_cmp(&a.score));
         findings
     }
 }

@@ -99,18 +99,6 @@ impl<'a> DetectionInput<'a> {
         self.by_strategy.get(&strategy).map_or(0, Vec::len)
     }
 
-    /// Whether any incident on `service` covered instant `t`.
-    #[must_use]
-    pub fn incident_active(
-        &self,
-        service: alertops_model::ServiceId,
-        t: alertops_model::SimTime,
-    ) -> bool {
-        self.incidents
-            .iter()
-            .any(|inc| inc.service() == service && inc.covers(t))
-    }
-
     /// Whether an alert at `t` on `service` indicates an incident: one
     /// was ongoing at `t`, or began within `lookahead` after it (alerts
     /// are early warnings by design).
@@ -130,9 +118,7 @@ impl<'a> DetectionInput<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alertops_model::{
-        AlertId, IncidentId, LogRule, ServiceId, Severity, SimDuration, SimTime, StrategyKind,
-    };
+    use alertops_model::{AlertId, LogRule, SimDuration, SimTime, StrategyKind};
 
     fn strategy(id: u64) -> AlertStrategy {
         AlertStrategy::builder(StrategyId(id))
@@ -165,23 +151,6 @@ mod tests {
             .map(|a| a.raised_at().as_secs())
             .collect();
         assert_eq!(times, vec![10, 30]);
-    }
-
-    #[test]
-    fn incident_activity_lookup() {
-        let strategies = [strategy(1)];
-        let mut incident = Incident::new(
-            IncidentId(1),
-            ServiceId(4),
-            Severity::Critical,
-            SimTime::from_secs(100),
-        );
-        incident.mitigate(SimTime::from_secs(200));
-        let incidents = [incident];
-        let input = DetectionInput::new(&strategies).with_incidents(&incidents);
-        assert!(input.incident_active(ServiceId(4), SimTime::from_secs(150)));
-        assert!(!input.incident_active(ServiceId(4), SimTime::from_secs(250)));
-        assert!(!input.incident_active(ServiceId(5), SimTime::from_secs(150)));
     }
 
     #[test]

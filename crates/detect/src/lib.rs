@@ -66,7 +66,7 @@ mod engine;
 mod input;
 mod types;
 
-pub use a1_unclear::UnclearTitleDetector;
+pub use a1_unclear::{UnclearTitleDetector, UNCLEAR_TITLE_THRESHOLD};
 pub use a2_severity::MisleadingSeverityDetector;
 pub use a3_improper::ImproperRuleDetector;
 pub use a4_transient::TransientTogglingDetector;

@@ -81,16 +81,6 @@ impl AntiPatternReport {
             .unwrap_or_default()
     }
 
-    /// All flagged strategies across strategy-level anti-patterns.
-    #[must_use]
-    pub fn all_flagged(&self) -> BTreeSet<StrategyId> {
-        self.findings
-            .values()
-            .flatten()
-            .map(|f| f.strategy)
-            .collect()
-    }
-
     /// Total number of strategy-level findings.
     #[must_use]
     pub fn finding_count(&self) -> usize {
@@ -208,7 +198,6 @@ mod tests {
         let report = AntiPatternReport::run_default(&input);
         assert_eq!(report.finding_count(), 0);
         assert!(report.cascades.is_empty());
-        assert!(report.all_flagged().is_empty());
         let display = report.to_string();
         assert!(display.contains("A1"));
         assert!(display.contains("cascade groups"));

@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use alertops_text::title_report;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{IStr, MicroserviceId, ModelError, ServiceId, Severity, SimDuration, StrategyId};
@@ -462,16 +463,27 @@ impl AlertStrategyBuilder {
     }
 }
 
-/// A strategy catalog with a by-id lookup.
+/// A strategy catalog with a by-id lookup and each title's
+/// informativeness score.
 ///
 /// A catalog in strictly ascending id order — the simulator's, and any
 /// shard's or node's slice filtered from it — needs no index:
 /// [`get`](Self::get) binary-searches the rows. Any other order gets an
 /// id → row map, built once at construction; on a duplicate id the
 /// first row wins, as a linear `find` over the rows would have it.
+///
+/// A title's score is a fixed property of its strategy, so each row's
+/// is computed once per catalog, and the per-window QoA samples read it
+/// with [`title_score`](Self::title_score) instead of re-tokenizing the
+/// title at every close.
 #[derive(Debug, Clone)]
 pub struct IndexedCatalog {
     rows: Vec<AlertStrategy>,
+    /// `title_report(title).score` of each row, row-aligned with `rows`.
+    /// Filled by the first [`title_score`](Self::title_score) call: only
+    /// a holder with the QoA channel on reads it, and a process holds
+    /// several catalogs (8 B per row each) that never do.
+    title_scores: OnceLock<Vec<f64>>,
     /// `None` while `rows` is in strictly ascending id order.
     by_id: Option<HashMap<StrategyId, usize>>,
 }
@@ -488,7 +500,11 @@ impl IndexedCatalog {
             }
             by_id
         });
-        Self { rows, by_id }
+        Self {
+            rows,
+            title_scores: OnceLock::new(),
+            by_id,
+        }
     }
 
     /// The rows, in the order they were given.
@@ -500,14 +516,30 @@ impl IndexedCatalog {
     /// The strategy with the given id, if the catalog has one.
     #[must_use]
     pub fn get(&self, id: StrategyId) -> Option<&AlertStrategy> {
-        let row = match &self.by_id {
-            None => self
-                .rows
-                .binary_search_by_key(&id, AlertStrategy::id)
-                .ok()?,
-            Some(by_id) => *by_id.get(&id)?,
-        };
-        Some(&self.rows[row])
+        self.row(id).map(|row| &self.rows[row])
+    }
+
+    /// The informativeness score of the title of the strategy
+    /// [`get`](Self::get) returns for `id`: exactly
+    /// `alertops_text::title_report(title).score`. The first call scores
+    /// every row, O(rows); every call after it is one row lookup.
+    #[must_use]
+    pub fn title_score(&self, id: StrategyId) -> Option<f64> {
+        let row = self.row(id)?;
+        let scores = self.title_scores.get_or_init(|| {
+            self.rows
+                .iter()
+                .map(|strategy| title_report(strategy.title_template()).score)
+                .collect()
+        });
+        Some(scores[row])
+    }
+
+    fn row(&self, id: StrategyId) -> Option<usize> {
+        match &self.by_id {
+            None => self.rows.binary_search_by_key(&id, AlertStrategy::id).ok(),
+            Some(by_id) => by_id.get(&id).copied(),
+        }
     }
 }
 
@@ -600,17 +632,30 @@ mod tests {
                 .unwrap()
         };
         // Ascending (binary search), shuffled (index), and shuffled
-        // with a duplicate id whose first row must win.
+        // with a duplicate id whose first row must win. Every title
+        // scores differently (1.0, 0.13, 0.5, 0.6), so a cached score
+        // read from the wrong row shows.
+        let (a, b, c) = (
+            "disk full on vm-42 at 80%",
+            "Instance x is abnormal",
+            "nginx latency",
+        );
         for rows in [
-            vec![row(1, "a"), row(4, "b"), row(9, "c")],
-            vec![row(9, "c"), row(1, "a"), row(4, "b")],
-            vec![row(4, "first"), row(1, "a"), row(4, "second")],
+            vec![row(1, a), row(4, b), row(9, c)],
+            vec![row(9, c), row(1, a), row(4, b)],
+            vec![row(4, "service down"), row(1, a), row(4, b)],
             Vec::new(),
         ] {
             let catalog = IndexedCatalog::new(rows.clone());
             assert_eq!(catalog.rows(), rows);
             for id in (0..12).map(StrategyId) {
                 assert_eq!(catalog.get(id), rows.iter().find(|s| s.id() == id));
+                assert_eq!(
+                    catalog.title_score(id).map(f64::to_bits),
+                    catalog
+                        .get(id)
+                        .map(|s| title_report(s.title_template()).score.to_bits()),
+                );
             }
         }
     }

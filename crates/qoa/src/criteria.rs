@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use alertops_model::{Alert, AlertStrategy, Clearance, Incident, Severity, SimDuration, Sop};
-use alertops_text::TitleScorer;
+use alertops_text::title_report;
 
 /// The three QoA criteria for one strategy, each in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -54,7 +54,6 @@ pub struct QoaReport {
 /// SOP when no alerts exist.
 #[derive(Debug, Clone)]
 pub struct QoaScorer {
-    title_scorer: TitleScorer,
     /// How far after an alert an incident may begin and still count as
     /// indicated by it.
     pub incident_lookahead: SimDuration,
@@ -65,7 +64,6 @@ pub struct QoaScorer {
 impl Default for QoaScorer {
     fn default() -> Self {
         Self {
-            title_scorer: TitleScorer::new(),
             incident_lookahead: SimDuration::from_mins(30),
             min_evidence: 10,
         }
@@ -73,7 +71,7 @@ impl Default for QoaScorer {
 }
 
 impl QoaScorer {
-    /// Creates a scorer with the standard title lexicon.
+    /// Creates a scorer with the default lookahead and evidence floor.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -115,7 +113,7 @@ impl QoaScorer {
                 instance_level += 1;
             }
         }
-        let title = self.title_scorer.score(strategy.title_template());
+        let title = title_report(strategy.title_template()).score;
         let sop_completeness = sop.map_or(0.0, Sop::completeness);
 
         // Confidence in the behavioural evidence: 0 with no alerts, 1

@@ -1,15 +1,19 @@
 //! Feature extraction for learned QoA models.
 //!
-//! Ten per-strategy features in `[0, 1]` (or standardized ratios), drawn
-//! from the strategy definition, its SOP, and its alert history — the
-//! observable signals an OCE implicitly weighs when labelling an alert's
-//! quality.
+//! Eleven per-strategy features in `[0, 1]`, drawn from the strategy
+//! definition, its SOP, and its alert history — the observable signals
+//! an OCE implicitly weighs when labelling an alert's quality.
+//!
+//! [`extract_features`] takes the title's informativeness score as an
+//! argument rather than scoring the title itself: the score is a fixed
+//! property of the strategy, so a streaming shard reads it from its
+//! `IndexedCatalog`, where it was computed once, while a batch caller
+//! passes `alertops_text::title_report(title).score`.
 
 use alertops_model::{Alert, AlertStrategy, Clearance, Incident, SimDuration, Sop, StrategyKind};
-use alertops_text::TitleScorer;
 
 /// Names of the extracted features, index-aligned with
-/// [`FeatureExtractor::extract`].
+/// [`extract_features`].
 pub const FEATURE_NAMES: [&str; 11] = [
     "title_informativeness",
     "sop_completeness",
@@ -24,118 +28,88 @@ pub const FEATURE_NAMES: [&str; 11] = [
     "severity_evidence_gap",
 ];
 
-/// Extracts feature vectors for QoA learning.
-#[derive(Debug, Clone)]
-pub struct FeatureExtractor {
-    title_scorer: TitleScorer,
-    /// Alerts-per-strategy count that maps to feature value 1.0
-    /// (volumes above it saturate).
-    pub volume_ceiling: f64,
-    /// Duration below which an auto-cleared alert counts as transient.
-    pub intermittent_threshold: SimDuration,
-}
+/// Alerts-per-strategy count that maps to feature value 1.0 (volumes
+/// above it saturate).
+const VOLUME_CEILING: f64 = 200.0;
 
-impl Default for FeatureExtractor {
-    fn default() -> Self {
-        Self {
-            title_scorer: TitleScorer::new(),
-            volume_ceiling: 200.0,
-            intermittent_threshold: SimDuration::from_mins(5),
-        }
-    }
-}
+/// Duration below which an auto-cleared alert counts as transient.
+const INTERMITTENT_THRESHOLD: SimDuration = SimDuration::from_mins(5);
 
-impl FeatureExtractor {
-    /// Creates an extractor with default normalization constants.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of features produced.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        FEATURE_NAMES.len()
-    }
-
-    /// Extracts the feature vector of one strategy.
-    #[must_use]
-    pub fn extract(
-        &self,
-        strategy: &AlertStrategy,
-        sop: Option<&Sop>,
-        alerts: &[&Alert],
-        incidents: &[Incident],
-    ) -> Vec<f64> {
-        let total = alerts.len();
-        let mut auto = 0usize;
-        let mut transient = 0usize;
-        let mut with_incident = 0usize;
-        let mut instance_level = 0usize;
-        for alert in alerts {
-            if alert.clearance() == Some(Clearance::Auto) {
-                auto += 1;
-                if alert
-                    .duration()
-                    .is_some_and(|d| d < self.intermittent_threshold)
-                {
-                    transient += 1;
-                }
-            }
-            if incidents.iter().any(|inc| {
-                inc.service() == strategy.service()
-                    && inc.covers_or_follows(alert.raised_at(), SimDuration::from_mins(30))
-            }) {
-                with_incident += 1;
-            }
-            if alert.location().is_instance_level() {
-                instance_level += 1;
+/// Extracts the feature vector of one strategy, given its title's
+/// informativeness score.
+#[must_use]
+pub fn extract_features(
+    strategy: &AlertStrategy,
+    title_score: f64,
+    sop: Option<&Sop>,
+    alerts: &[&Alert],
+    incidents: &[Incident],
+) -> Vec<f64> {
+    let total = alerts.len();
+    let mut auto = 0usize;
+    let mut transient = 0usize;
+    let mut with_incident = 0usize;
+    let mut instance_level = 0usize;
+    for alert in alerts {
+        if alert.clearance() == Some(Clearance::Auto) {
+            auto += 1;
+            if alert.duration().is_some_and(|d| d < INTERMITTENT_THRESHOLD) {
+                transient += 1;
             }
         }
-        let rate = |count: usize| {
-            if total == 0 {
-                0.0
-            } else {
-                count as f64 / total as f64
-            }
-        };
-        // The severity-vs-evidence gap: distance between the configured
-        // severity and the rank the incident/auto-clear evidence implies
-        // (the A2 detector's signal, exposed as a learnable feature).
-        let severity_gap = if total == 0 {
+        if incidents.iter().any(|inc| {
+            inc.service() == strategy.service()
+                && inc.covers_or_follows(alert.raised_at(), SimDuration::from_mins(30))
+        }) {
+            with_incident += 1;
+        }
+        if alert.location().is_instance_level() {
+            instance_level += 1;
+        }
+    }
+    let rate = |count: usize| {
+        if total == 0 {
             0.0
         } else {
-            let incident_rate = rate(with_incident);
-            let auto_rate = rate(auto);
-            let self_clearing = auto_rate > 0.8;
-            let implied: u8 = if incident_rate > 0.5 && !self_clearing {
-                3
-            } else if (incident_rate > 0.3 && !self_clearing) || incident_rate > 0.5 {
-                2
-            } else if self_clearing && incident_rate <= 0.3 {
-                0
-            } else {
-                1
-            };
-            f64::from(strategy.severity().rank().abs_diff(implied)) / 3.0
+            count as f64 / total as f64
+        }
+    };
+    // The severity-vs-evidence gap: distance between the configured
+    // severity and the rank the incident/auto-clear evidence implies
+    // (the A2 detector's signal, exposed as a learnable feature).
+    let severity_gap = if total == 0 {
+        0.0
+    } else {
+        let incident_rate = rate(with_incident);
+        let auto_rate = rate(auto);
+        let self_clearing = auto_rate > 0.8;
+        let implied: u8 = if incident_rate > 0.5 && !self_clearing {
+            3
+        } else if (incident_rate > 0.3 && !self_clearing) || incident_rate > 0.5 {
+            2
+        } else if self_clearing && incident_rate <= 0.3 {
+            0
+        } else {
+            1
         };
-        vec![
-            self.title_scorer.score(strategy.title_template()),
-            sop.map_or(0.0, Sop::completeness),
-            f64::from(strategy.severity().rank()) / 3.0,
-            f64::from(matches!(
-                strategy.kind(),
-                StrategyKind::Metric(rule) if rule.metric.is_infrastructure()
-            )),
-            f64::from(matches!(strategy.kind(), StrategyKind::Probe(_))),
-            (total as f64 / self.volume_ceiling).min(1.0),
-            rate(auto),
-            rate(transient),
-            rate(with_incident),
-            rate(instance_level),
-            severity_gap,
-        ]
-    }
+        f64::from(strategy.severity().rank().abs_diff(implied)) / 3.0
+    };
+    vec![
+        title_score,
+        sop.map_or(0.0, Sop::completeness),
+        f64::from(strategy.severity().rank()) / 3.0,
+        f64::from(matches!(
+            strategy.kind(),
+            StrategyKind::Metric(rule) if rule.metric.is_infrastructure()
+        )),
+        f64::from(matches!(strategy.kind(), StrategyKind::Probe(_))),
+        (total as f64 / VOLUME_CEILING).min(1.0),
+        rate(auto),
+        rate(transient),
+        rate(with_incident),
+        rate(instance_level),
+        severity_gap,
+    ]
 }
 
 #[cfg(test)]
@@ -145,6 +119,7 @@ mod tests {
         AlertId, Location, LogRule, MetricKind, MetricRule, Severity, SimTime, StrategyId,
         ThresholdOp,
     };
+    use alertops_text::title_report;
 
     fn metric_strategy(infra: bool) -> AlertStrategy {
         AlertStrategy::builder(StrategyId(1))
@@ -186,20 +161,23 @@ mod tests {
         a
     }
 
+    /// The features as a batch caller gets them.
+    fn extract(strategy: &AlertStrategy, alerts: &[&Alert]) -> Vec<f64> {
+        let title_score = title_report(strategy.title_template()).score;
+        extract_features(strategy, title_score, None, alerts, &[])
+    }
+
     #[test]
     fn dimension_matches_names() {
-        let x = FeatureExtractor::new();
-        assert_eq!(x.dim(), FEATURE_NAMES.len());
-        let features = x.extract(&metric_strategy(true), None, &[], &[]);
-        assert_eq!(features.len(), x.dim());
+        let features = extract(&metric_strategy(true), &[]);
+        assert_eq!(features.len(), FEATURE_NAMES.len());
     }
 
     #[test]
     fn all_features_bounded() {
-        let x = FeatureExtractor::new();
         let alerts: Vec<Alert> = (0..300).map(transient_alert).collect();
         let refs: Vec<&Alert> = alerts.iter().collect();
-        let features = x.extract(&metric_strategy(true), None, &refs, &[]);
+        let features = extract(&metric_strategy(true), &refs);
         for (name, value) in FEATURE_NAMES.iter().zip(&features) {
             assert!(
                 (0.0..=1.0).contains(value),
@@ -210,23 +188,21 @@ mod tests {
 
     #[test]
     fn kind_flags() {
-        let x = FeatureExtractor::new();
-        let infra = x.extract(&metric_strategy(true), None, &[], &[]);
+        let infra = extract(&metric_strategy(true), &[]);
         assert_eq!(infra[3], 1.0);
         assert_eq!(infra[4], 0.0);
-        let service = x.extract(&metric_strategy(false), None, &[], &[]);
+        let service = extract(&metric_strategy(false), &[]);
         assert_eq!(service[3], 0.0);
-        let log = x.extract(&log_strategy(), None, &[], &[]);
+        let log = extract(&log_strategy(), &[]);
         assert_eq!(log[3], 0.0);
         assert_eq!(log[4], 0.0);
     }
 
     #[test]
     fn transient_and_auto_rates() {
-        let x = FeatureExtractor::new();
         let alerts: Vec<Alert> = (0..10).map(transient_alert).collect();
         let refs: Vec<&Alert> = alerts.iter().collect();
-        let features = x.extract(&metric_strategy(true), None, &refs, &[]);
+        let features = extract(&metric_strategy(true), &refs);
         assert_eq!(features[6], 1.0); // auto clear rate
         assert_eq!(features[7], 1.0); // transient rate
         assert_eq!(features[9], 1.0); // instance location rate
@@ -234,17 +210,15 @@ mod tests {
 
     #[test]
     fn volume_saturates_at_ceiling() {
-        let x = FeatureExtractor::new();
         let alerts: Vec<Alert> = (0..500).map(transient_alert).collect();
         let refs: Vec<&Alert> = alerts.iter().collect();
-        let features = x.extract(&metric_strategy(true), None, &refs, &[]);
+        let features = extract(&metric_strategy(true), &refs);
         assert_eq!(features[5], 1.0);
     }
 
     #[test]
     fn severity_rank_scaling() {
-        let x = FeatureExtractor::new();
-        let features = x.extract(&metric_strategy(true), None, &[], &[]);
+        let features = extract(&metric_strategy(true), &[]);
         assert!((features[2] - 2.0 / 3.0).abs() < 1e-12); // Major = rank 2
     }
 }

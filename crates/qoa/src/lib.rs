@@ -49,7 +49,7 @@ mod model;
 
 pub use criteria::{QoaReport, QoaScorer, QoaScores};
 pub use eval::{auc, BinaryMetrics};
-pub use features::{FeatureExtractor, FEATURE_NAMES};
+pub use features::{extract_features, FEATURE_NAMES};
 pub use labels::flip_labels;
 pub use logreg::{LogisticRegression, TrainConfig};
 pub use model::{Criterion, QoaModel};

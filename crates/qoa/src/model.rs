@@ -5,8 +5,9 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use alertops_model::{Alert, AlertStrategy, Incident, Sop, StrategyId};
+use alertops_text::title_report;
 
-use crate::features::FeatureExtractor;
+use crate::features::{extract_features, FEATURE_NAMES};
 use crate::logreg::{LogisticRegression, TrainConfig};
 
 /// The three QoA criteria as a selectable axis.
@@ -35,7 +36,6 @@ impl Criterion {
 /// quality on that criterion).
 #[derive(Debug)]
 pub struct QoaModel {
-    extractor: FeatureExtractor,
     classifiers: HashMap<Criterion, LogisticRegression>,
 }
 
@@ -49,15 +49,11 @@ impl QoaModel {
     /// Creates an untrained model.
     #[must_use]
     pub fn new() -> Self {
-        let extractor = FeatureExtractor::new();
         let classifiers = Criterion::ALL
             .into_iter()
-            .map(|c| (c, LogisticRegression::new(extractor.dim())))
+            .map(|c| (c, LogisticRegression::new(FEATURE_NAMES.len())))
             .collect();
-        Self {
-            extractor,
-            classifiers,
-        }
+        Self { classifiers }
     }
 
     /// Extracts the model's feature vector for one strategy.
@@ -69,7 +65,8 @@ impl QoaModel {
         alerts: &[&Alert],
         incidents: &[Incident],
     ) -> Vec<f64> {
-        self.extractor.extract(strategy, sop, alerts, incidents)
+        let title_score = title_report(strategy.title_template()).score;
+        extract_features(strategy, title_score, sop, alerts, incidents)
     }
 
     /// Trains the classifier of one criterion from feature vectors and
@@ -108,15 +105,6 @@ impl QoaModel {
             .get(&criterion)
             .expect("all criteria are initialized")
             .predict_proba(x)
-    }
-
-    /// Scores P(high) on all three criteria at once, keyed for reports.
-    #[must_use]
-    pub fn predict_all(&self, x: &[f64]) -> HashMap<Criterion, f64> {
-        Criterion::ALL
-            .into_iter()
-            .map(|c| (c, self.predict_proba(c, x)))
-            .collect()
     }
 
     /// Ranks strategies by predicted quality on a criterion, worst
@@ -168,14 +156,6 @@ mod tests {
         assert!(model.predict_proba(Criterion::Handleability, &bad) < 0.3);
         // Untrained criterion stays at 0.5.
         assert!((model.predict_proba(Criterion::Precision, &good) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn predict_all_covers_every_criterion() {
-        let model = QoaModel::new();
-        let x = vec![0.5; crate::features::FEATURE_NAMES.len()];
-        let all = model.predict_all(&x);
-        assert_eq!(all.len(), 3);
     }
 
     #[test]

@@ -220,15 +220,6 @@ impl AlertCorrelator {
             })
             .collect()
     }
-
-    /// Convenience: just the source alerts the OCE should diagnose.
-    #[must_use]
-    pub fn root_alerts(&self, alerts: &[Alert]) -> Vec<AlertId> {
-        self.correlate(alerts)
-            .into_iter()
-            .map(|c| c.source)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -282,7 +273,6 @@ mod tests {
         assert_eq!(clusters.len(), 1);
         assert_eq!(clusters[0].source, AlertId(0));
         assert_eq!(clusters[0].derived.len(), 2);
-        assert_eq!(correlator.root_alerts(&alerts), vec![AlertId(0)]);
     }
 
     #[test]

@@ -356,12 +356,6 @@ impl StatisticalStream {
         &self.planned_faults
     }
 
-    /// Simulated hours not yet drained.
-    #[must_use]
-    pub fn hours_remaining(&self) -> u64 {
-        self.end_hour.saturating_sub(self.next_hour)
-    }
-
     /// Total simulated hours in the scenario range.
     #[must_use]
     pub fn total_hours(&self) -> u64 {

@@ -8,12 +8,14 @@
 //! by contrast, should contain the affected (micro)service and the
 //! manifestation of the failure (§II-B2).
 //!
-//! [`TitleScorer`] operationalizes exactly that: it combines a vague-word
-//! density with the presence of a failure manifestation and a concrete
-//! subject, producing an informativeness score in `[0, 1]` that the A1
-//! detector thresholds.
+//! [`title_report`] operationalizes exactly that: it combines a
+//! vague-word density with the presence of a failure manifestation and a
+//! concrete subject, producing an informativeness score in `[0, 1]` that
+//! the A1 detector thresholds. The word lists are fixed, so a title's
+//! score is a fixed property of its strategy: a catalog scores each title
+//! once (`IndexedCatalog` in `alertops-model` caches the score per row).
 
-use std::collections::BTreeSet;
+use std::sync::LazyLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -21,7 +23,7 @@ use crate::Tokenizer;
 
 /// Words that describe system state "in a very general way" without
 /// naming a concrete manifestation.
-const DEFAULT_VAGUE_WORDS: &[&str] = &[
+const VAGUE_WORDS: &[&str] = &[
     "abnormal",
     "abnormality",
     "anomalous",
@@ -51,7 +53,7 @@ const DEFAULT_VAGUE_WORDS: &[&str] = &[
 ];
 
 /// Words that name a concrete failure manifestation (what happened).
-const DEFAULT_MANIFESTATION_WORDS: &[&str] = &[
+const MANIFESTATION_WORDS: &[&str] = &[
     "full",
     "leak",
     "timeout",
@@ -93,7 +95,7 @@ const DEFAULT_MANIFESTATION_WORDS: &[&str] = &[
 
 /// Generic placeholder subjects that do *not* count as naming the
 /// affected component ("Instance x", "Component y", "cluster").
-const DEFAULT_GENERIC_SUBJECTS: &[&str] = &[
+const GENERIC_SUBJECTS: &[&str] = &[
     "instance",
     "component",
     "cluster",
@@ -110,65 +112,7 @@ const DEFAULT_GENERIC_SUBJECTS: &[&str] = &[
     "z",
 ];
 
-/// A configurable lexicon of vague words, manifestation words, and
-/// generic subjects.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct VagueLexicon {
-    vague: BTreeSet<String>,
-    manifestation: BTreeSet<String>,
-    generic_subjects: BTreeSet<String>,
-}
-
-impl VagueLexicon {
-    /// The built-in lexicon distilled from the paper's A1 examples.
-    #[must_use]
-    pub fn standard() -> Self {
-        fn set(words: &[&str]) -> BTreeSet<String> {
-            words.iter().map(|w| (*w).to_owned()).collect()
-        }
-        Self {
-            vague: set(DEFAULT_VAGUE_WORDS),
-            manifestation: set(DEFAULT_MANIFESTATION_WORDS),
-            generic_subjects: set(DEFAULT_GENERIC_SUBJECTS),
-        }
-    }
-
-    /// Adds a vague word (lowercased).
-    pub fn add_vague(&mut self, word: impl Into<String>) {
-        self.vague.insert(word.into().to_ascii_lowercase());
-    }
-
-    /// Adds a manifestation word (lowercased).
-    pub fn add_manifestation(&mut self, word: impl Into<String>) {
-        self.manifestation.insert(word.into().to_ascii_lowercase());
-    }
-
-    /// Whether `token` (already lowercased) is a vague word.
-    #[must_use]
-    pub fn is_vague(&self, token: &str) -> bool {
-        self.vague.contains(token)
-    }
-
-    /// Whether `token` names a concrete manifestation.
-    #[must_use]
-    pub fn is_manifestation(&self, token: &str) -> bool {
-        self.manifestation.contains(token)
-    }
-
-    /// Whether `token` is a generic placeholder subject.
-    #[must_use]
-    pub fn is_generic_subject(&self, token: &str) -> bool {
-        self.generic_subjects.contains(token)
-    }
-}
-
-impl Default for VagueLexicon {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
-/// The per-title breakdown produced by [`TitleScorer::report`].
+/// The per-title breakdown produced by [`title_report`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InformativenessReport {
     /// Total (non-stopword) tokens in the title.
@@ -187,7 +131,10 @@ pub struct InformativenessReport {
     pub score: f64,
 }
 
-/// Scores alert titles for informativeness.
+/// Built once per process: [`Tokenizer::new`] builds its stopword set.
+static TOKENIZER: LazyLock<Tokenizer> = LazyLock::new(Tokenizer::new);
+
+/// Scores an alert title for informativeness.
 ///
 /// The score starts from the non-vague token fraction and is then gated
 /// by the two attributes the paper requires of a good title — naming the
@@ -204,103 +151,65 @@ pub struct InformativenessReport {
 /// # Example
 ///
 /// ```
-/// use alertops_text::TitleScorer;
+/// use alertops_text::title_report;
 ///
-/// let scorer = TitleScorer::new();
-/// let clear = scorer.score("Failed to allocate new blocks, disk full");
-/// let vague = scorer.score("Instance x is abnormal");
-/// assert!(clear > 0.6);
-/// assert!(vague < 0.3);
+/// let clear = title_report("Failed to allocate new blocks, disk full");
+/// let vague = title_report("Instance x is abnormal");
+/// assert!(clear.score > 0.6);
+/// assert!(vague.score < 0.3);
+/// assert_eq!(vague.vague_count, 1);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct TitleScorer {
-    lexicon: VagueLexicon,
-    tokenizer: Tokenizer,
-}
-
-impl TitleScorer {
-    /// Creates a scorer with the standard lexicon and tokenizer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            lexicon: VagueLexicon::standard(),
-            tokenizer: Tokenizer::new(),
-        }
-    }
-
-    /// Creates a scorer with a custom lexicon.
-    #[must_use]
-    pub fn with_lexicon(lexicon: VagueLexicon) -> Self {
-        Self {
-            lexicon,
-            tokenizer: Tokenizer::new(),
-        }
-    }
-
-    /// The informativeness score of `title`, in `[0, 1]`.
-    #[must_use]
-    pub fn score(&self, title: &str) -> f64 {
-        self.report(title).score
-    }
-
-    /// The full per-title breakdown.
-    #[must_use]
-    pub fn report(&self, title: &str) -> InformativenessReport {
-        let tokens = self.tokenizer.tokenize(title);
-        if tokens.is_empty() {
-            return InformativenessReport {
-                token_count: 0,
-                vague_count: 0,
-                has_manifestation: false,
-                has_concrete_subject: false,
-                has_quantity: false,
-                score: 0.0,
-            };
-        }
-        let mut vague_count = 0;
-        let mut has_manifestation = false;
-        let mut has_concrete_subject = false;
-        let mut has_quantity = false;
-        for token in &tokens {
-            let is_number = token.bytes().all(|b| b.is_ascii_digit());
-            if is_number {
-                has_quantity = true;
-                continue;
-            }
-            if self.lexicon.is_vague(token) {
-                vague_count += 1;
-            } else if self.lexicon.is_manifestation(token) {
-                has_manifestation = true;
-            } else if !self.lexicon.is_generic_subject(token) {
-                has_concrete_subject = true;
-            }
-        }
-        if title.contains('%') {
+#[must_use]
+pub fn title_report(title: &str) -> InformativenessReport {
+    let mut token_count = 0;
+    let mut vague_count = 0;
+    let mut has_manifestation = false;
+    let mut has_concrete_subject = false;
+    let mut has_quantity = false;
+    let mut scratch = String::new();
+    TOKENIZER.for_each_token(title, &mut scratch, |token| {
+        token_count += 1;
+        if token.bytes().all(|b| b.is_ascii_digit()) {
             has_quantity = true;
+        } else if VAGUE_WORDS.contains(&token) {
+            vague_count += 1;
+        } else if MANIFESTATION_WORDS.contains(&token) {
+            has_manifestation = true;
+        } else if !GENERIC_SUBJECTS.contains(&token) {
+            has_concrete_subject = true;
         }
-        let base = 1.0 - vague_count as f64 / tokens.len() as f64;
-        let gate = 0.2
-            + 0.4 * f64::from(has_manifestation)
-            + 0.3 * f64::from(has_concrete_subject)
-            + 0.1 * f64::from(has_quantity);
-        InformativenessReport {
-            token_count: tokens.len(),
-            vague_count,
-            has_manifestation,
-            has_concrete_subject,
-            has_quantity,
-            score: (base * gate).min(1.0),
-        }
+    });
+    if token_count == 0 {
+        return InformativenessReport {
+            token_count: 0,
+            vague_count: 0,
+            has_manifestation: false,
+            has_concrete_subject: false,
+            has_quantity: false,
+            score: 0.0,
+        };
+    }
+    if title.contains('%') {
+        has_quantity = true;
+    }
+    let base = 1.0 - vague_count as f64 / token_count as f64;
+    let gate = 0.2
+        + 0.4 * f64::from(has_manifestation)
+        + 0.3 * f64::from(has_concrete_subject)
+        + 0.1 * f64::from(has_quantity);
+    InformativenessReport {
+        token_count,
+        vague_count,
+        has_manifestation,
+        has_concrete_subject,
+        has_quantity,
+        score: (base * gate).min(1.0),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scorer() -> TitleScorer {
-        TitleScorer::new()
-    }
 
     #[test]
     fn paper_unclear_examples_score_low() {
@@ -312,7 +221,7 @@ mod tests {
             "Computing cluster has risks",
         ];
         for title in examples {
-            let score = scorer().score(title);
+            let score = title_report(title).score;
             assert!(score < 0.45, "{title:?} scored {score}");
         }
     }
@@ -326,27 +235,27 @@ mod tests {
             "Failed to commit changes",
         ];
         for title in examples {
-            let score = scorer().score(title);
+            let score = title_report(title).score;
             assert!(score >= 0.5, "{title:?} scored {score}");
         }
     }
 
     #[test]
     fn clear_titles_beat_vague_titles() {
-        let clear = scorer().score("Failed to allocate new blocks, disk full");
-        let vague = scorer().score("Instance x is abnormal");
+        let clear = title_report("Failed to allocate new blocks, disk full").score;
+        let vague = title_report("Instance x is abnormal").score;
         assert!(clear > 2.0 * vague);
     }
 
     #[test]
     fn empty_title_scores_zero() {
-        assert_eq!(scorer().score(""), 0.0);
-        assert_eq!(scorer().score("   "), 0.0);
+        assert_eq!(title_report("").score, 0.0);
+        assert_eq!(title_report("   ").score, 0.0);
     }
 
     #[test]
     fn report_fields_for_clear_title() {
-        let r = scorer().report("CPU usage of nginx instance is higher than 80%");
+        let r = title_report("CPU usage of nginx instance is higher than 80%");
         assert!(r.has_manifestation); // "higher"
         assert!(r.has_concrete_subject); // "nginx", "cpu", "usage"
         assert!(r.has_quantity); // "80" and '%'
@@ -355,7 +264,7 @@ mod tests {
 
     #[test]
     fn report_fields_for_vague_title() {
-        let r = scorer().report("Instance x is abnormal");
+        let r = title_report("Instance x is abnormal");
         assert_eq!(r.vague_count, 1);
         assert!(!r.has_manifestation);
         assert!(!r.has_concrete_subject);
@@ -364,7 +273,7 @@ mod tests {
 
     #[test]
     fn quantity_detection_via_percent_sign() {
-        let r = scorer().report("disk usage over threshold %");
+        let r = title_report("disk usage over threshold %");
         assert!(r.has_quantity);
     }
 
@@ -377,27 +286,16 @@ mod tests {
             "disk full on vm-42 at 80%",
             "a very long title with many concrete words like disk full timeout leak",
         ] {
-            let s = scorer().score(title);
+            let s = title_report(title).score;
             assert!((0.0..=1.0).contains(&s), "{title:?} scored {s}");
         }
     }
 
     #[test]
-    fn custom_lexicon_changes_verdict() {
-        let mut lex = VagueLexicon::standard();
-        lex.add_vague("warning");
-        let custom = TitleScorer::with_lexicon(lex);
-        let std_score = scorer().score("haproxy process number warning");
-        let custom_score = custom.score("haproxy process number warning");
-        assert!(custom_score < std_score);
-    }
-
-    #[test]
     fn lexicon_membership() {
-        let lex = VagueLexicon::standard();
-        assert!(lex.is_vague("abnormal"));
-        assert!(lex.is_manifestation("full"));
-        assert!(lex.is_generic_subject("instance"));
-        assert!(!lex.is_vague("disk"));
+        assert!(VAGUE_WORDS.contains(&"abnormal"));
+        assert!(MANIFESTATION_WORDS.contains(&"full"));
+        assert!(GENERIC_SUBJECTS.contains(&"instance"));
+        assert!(!VAGUE_WORDS.contains(&"disk"));
     }
 }

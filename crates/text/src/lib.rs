@@ -5,14 +5,16 @@
 //! "`nginx_cpu_usage_over_80`"). Several parts of the DSN'22 reproduction
 //! need light-weight NLP over them:
 //!
-//! * the **A1 (unclear name or description)** detector scores how vague a
-//!   title is ([`lexicon`]);
+//! * the **A1 (unclear name or description)** detector, the QoA
+//!   handleability criterion and the guideline linter score how
+//!   informative a title is with one stateless function,
+//!   [`title_report`] ([`lexicon`]);
 //! * **alert aggregation (R2)** and **repeating-alert detection (A5)**
 //!   group alerts by title template ([`template`]);
 //! * **emerging alert detection (R4)** feeds bag-of-words documents into
 //!   an online LDA ([`Tokenizer`], [`Vocabulary`]);
-//! * the **QoA** feature extractor uses TF-IDF weights and similarity
-//!   measures ([`TfIdf`], [`similarity`]).
+//! * TF-IDF weights and similarity measures compare alert texts
+//!   ([`TfIdf`], [`similarity`]).
 //!
 //! Everything is implemented from scratch — no external NLP dependencies —
 //! which is both a supply-chain decision and a consequence of the thin
@@ -46,7 +48,7 @@ mod token;
 mod vocab;
 
 pub use hash::{FxBuildHasher, FxHasher};
-pub use lexicon::{InformativenessReport, TitleScorer, VagueLexicon};
+pub use lexicon::{title_report, InformativenessReport};
 pub use template::extract_template;
 pub use tfidf::TfIdf;
 pub use token::Tokenizer;

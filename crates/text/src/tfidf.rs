@@ -87,20 +87,6 @@ impl TfIdf {
             .map(|&(id, count)| (id, count as f64 * self.idf(id)))
             .collect()
     }
-
-    /// Transforms and L2-normalizes a document. Returns an empty vector
-    /// for an empty document.
-    #[must_use]
-    pub fn transform_normalized(&self, doc: &BagOfWords) -> Vec<(usize, f64)> {
-        let mut weights = self.transform(doc);
-        let norm: f64 = weights.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
-        if norm > 0.0 {
-            for (_, w) in &mut weights {
-                *w /= norm;
-            }
-        }
-        weights
-    }
 }
 
 #[cfg(test)]
@@ -143,20 +129,6 @@ mod tests {
         let weights = model.transform(&vec![(1, 2)]);
         assert_eq!(weights.len(), 1);
         assert!((weights[0].1 - 2.0 * model.idf(1)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalized_has_unit_norm() {
-        let model = TfIdf::fit(3, &corpus());
-        let weights = model.transform_normalized(&corpus()[0]);
-        let norm: f64 = weights.iter().map(|(_, w)| w * w).sum::<f64>();
-        assert!((norm - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_doc_normalizes_to_empty() {
-        let model = TfIdf::fit(3, &corpus());
-        assert!(model.transform_normalized(&Vec::new()).is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Tokenization of alert titles, descriptions, and log lines.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 use crate::hash::FxBuildHasher;
 
@@ -44,28 +44,16 @@ pub struct Tokenizer {
     /// never matters.
     stopwords: HashSet<String, FxBuildHasher>,
     keep_numbers: bool,
-    min_len: usize,
 }
 
 impl Tokenizer {
     /// Creates a tokenizer with the default stopword list, keeping
-    /// numeric tokens, with a minimum token length of 1.
+    /// numeric tokens.
     #[must_use]
     pub fn new() -> Self {
         Self {
             stopwords: DEFAULT_STOPWORDS.iter().map(|s| (*s).to_owned()).collect(),
             keep_numbers: true,
-            min_len: 1,
-        }
-    }
-
-    /// Creates a tokenizer with no stopword filtering at all.
-    #[must_use]
-    pub fn without_stopwords() -> Self {
-        Self {
-            stopwords: HashSet::default(),
-            keep_numbers: true,
-            min_len: 1,
         }
     }
 
@@ -74,20 +62,6 @@ impl Tokenizer {
     #[must_use]
     pub fn drop_numbers(mut self) -> Self {
         self.keep_numbers = false;
-        self
-    }
-
-    /// Sets the minimum kept token length.
-    #[must_use]
-    pub fn min_token_len(mut self, len: usize) -> Self {
-        self.min_len = len.max(1);
-        self
-    }
-
-    /// Adds an extra stopword.
-    #[must_use]
-    pub fn with_stopword(mut self, word: impl Into<String>) -> Self {
-        self.stopwords.insert(word.into().to_ascii_lowercase());
         self
     }
 
@@ -125,9 +99,6 @@ impl Tokenizer {
                 for ch in piece.chars() {
                     scratch.push(ch.to_ascii_lowercase());
                 }
-                if scratch.len() < self.min_len {
-                    return;
-                }
                 if self.stopwords.contains(scratch.as_str()) {
                     return;
                 }
@@ -137,17 +108,6 @@ impl Tokenizer {
                 f(scratch);
             });
         }
-    }
-
-    /// Tokenizes and deduplicates, preserving first-seen order. Useful
-    /// for set-based similarity.
-    #[must_use]
-    pub fn tokenize_unique(&self, text: &str) -> Vec<String> {
-        let mut seen = BTreeSet::new();
-        self.tokenize(text)
-            .into_iter()
-            .filter(|t| seen.insert(t.clone()))
-            .collect()
     }
 }
 
@@ -237,31 +197,9 @@ mod tests {
     }
 
     #[test]
-    fn without_stopwords_keeps_everything() {
-        let t = Tokenizer::without_stopwords();
-        assert_eq!(
-            t.tokenize("Failed to commit"),
-            vec!["failed", "to", "commit"]
-        );
-    }
-
-    #[test]
     fn drop_numbers_removes_pure_numerics_only() {
         let t = Tokenizer::new().drop_numbers();
         assert_eq!(t.tokenize("disk 80 vm42"), vec!["disk", "vm"]);
-    }
-
-    #[test]
-    fn min_len_filters_short_tokens() {
-        let t = Tokenizer::without_stopwords().min_token_len(3);
-        assert!(t.tokenize("io is up").is_empty());
-        assert_eq!(t.tokenize("disk full ok"), vec!["disk", "full"]);
-    }
-
-    #[test]
-    fn custom_stopword() {
-        let t = Tokenizer::new().with_stopword("Alert");
-        assert_eq!(t.tokenize("alert disk ALERT"), vec!["disk"]);
     }
 
     #[test]
@@ -273,15 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn unique_preserves_first_seen_order() {
-        let t = Tokenizer::new();
-        assert_eq!(
-            t.tokenize_unique("disk full disk error full"),
-            vec!["disk", "full", "error"]
-        );
-    }
-
-    #[test]
     fn handles_non_ascii_without_panicking() {
         let t = Tokenizer::new();
         let tokens = t.tokenize("磁盘 full déjà vu");
@@ -290,13 +219,7 @@ mod tests {
 
     #[test]
     fn for_each_token_matches_tokenize() {
-        let configs = [
-            Tokenizer::new(),
-            Tokenizer::without_stopwords(),
-            Tokenizer::new().drop_numbers(),
-            Tokenizer::without_stopwords().min_token_len(3),
-            Tokenizer::new().with_stopword("alert"),
-        ];
+        let configs = [Tokenizer::new(), Tokenizer::new().drop_numbers()];
         let texts = [
             "nginx_cpu_usage_over_80: CPU usage > 80%",
             "HaproxyProcessNumber warning",

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use alertops_text::similarity::{
     cosine_sparse, jaccard, levenshtein, levenshtein_similarity, overlap_coefficient,
 };
-use alertops_text::{extract_template, TitleScorer, Tokenizer, Vocabulary};
+use alertops_text::{extract_template, title_report, Tokenizer, Vocabulary};
 
 /// Alert-like text: arbitrary Unicode, camelCase and acronym runs,
 /// digits glued to letters, and punctuation at either end.
@@ -63,7 +63,7 @@ proptest! {
 
     #[test]
     fn title_scores_are_bounded(s in ".{0,160}") {
-        let score = TitleScorer::new().score(&s);
+        let score = title_report(&s).score;
         prop_assert!((0.0..=1.0).contains(&score), "score {}", score);
     }
 

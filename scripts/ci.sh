@@ -75,14 +75,14 @@ check_run() {
 }
 check_counts() { check_run "$1" 1; }
 check_counts cluster-journal <<'CEILINGS'
-proc.allocs_per_alert 8.6523
-proc.alloc_bytes_per_alert 1060.59
+proc.allocs_per_alert 3.9699
+proc.alloc_bytes_per_alert 907.61
 proc.write_syscalls_per_kalert 1006.85
 proc.ctx_switches_per_kalert 34.29
 CEILINGS
 check_counts governed-close <<'CEILINGS'
-proc.allocs_per_alert 9.0396
-proc.alloc_bytes_per_alert 1182.02
+proc.allocs_per_alert 4.6735
+proc.alloc_bytes_per_alert 1043.07
 CEILINGS
 check_counts steady-wire <<'CEILINGS'
 proc.allocs_per_alert 3.5036
@@ -243,12 +243,29 @@ if grep -rn IngestdHandle crates/cluster/src; then
     echo "the cluster holds a daemon again; a node is a ShardPool (see matches above)" >&2
     exit 1
 fi
+# A title is scored by one stateless function, alertops_text::title_report,
+# over fixed word lists: no scorer type, no field holding one, no custom
+# lexicon and none of the removed tokenizer knobs. Scoped to *.rs so the docs may name what was removed.
+if grep -rnE 'TitleScorer|VagueLexicon|FeatureExtractor|title_scorer|with_lexicon|tokenize_unique|without_stopwords|min_token_len|with_stopword' \
+    --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
+    echo "a title scorer type, a field holding one or a removed tokenizer knob reappeared (see matches above)" >&2
+    exit 1
+fi
+# A shard close reads each title's score from its IndexedCatalog, which
+# scored every row once: the per-close path does not tokenize titles.
+# Scoped to the code above the file's first test module.
+if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' crates/core/src/streaming.rs |
+    grep -F 'title_report('; then
+    echo "the streaming close scores titles again instead of reading the catalog's cache (see matches above)" >&2
+    exit 1
+fi
 
-# The codec crate builds from the data model alone.
+# The codec crate builds from the data model alone (the model scores
+# each catalog row's title with alertops-text, a leaf crate).
 echo "==> alertops-wire depends on alertops-model only"
 wire_deps=$(cargo tree --offline -p alertops-wire -e normal --prefix none)
-if grep -vE '^(alertops-(wire|model)|serde[a-z_]*) ' <<<"$wire_deps"; then
-    echo "alertops-wire grew a dependency beyond alertops-model and serde (see above)" >&2
+if grep -vE '^(alertops-(wire|model|text)|serde[a-z_]*) ' <<<"$wire_deps"; then
+    echo "alertops-wire grew a dependency beyond alertops-model (and its alertops-text) and serde (see above)" >&2
     exit 1
 fi
 
