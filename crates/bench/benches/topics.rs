@@ -1,12 +1,12 @@
-//! Criterion benches: the topic-model substrate — online LDA minibatch
-//! updates, inference, and a full AOLDA window — at alert-title corpus
-//! scale (R4 runs hourly over each window's alerts).
+//! Criterion benches: the topic-model substrate — one online-LDA window
+//! fit and a full AOLDA window — at alert-title corpus scale (R4 runs
+//! hourly over each window's alerts).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use alertops_text::{BagOfWords, Tokenizer, Vocabulary};
-use alertops_topics::{AdaptiveOnlineLda, AoldaConfig, LdaConfig, OnlineLda};
+use alertops_topics::{AdaptiveOnlineLda, AoldaConfig, LdaConfig, LdaWorkspace, OnlineLda};
 
 /// A synthetic alert-title corpus: 200 docs, 3 underlying themes.
 fn corpus() -> (Vocabulary, Vec<BagOfWords>) {
@@ -28,27 +28,20 @@ fn bench_topics(c: &mut Criterion) {
     let config = LdaConfig {
         num_topics: 6,
         vocab_size: vocab.len(),
-        corpus_size: Some(docs.len()),
         ..LdaConfig::default()
     };
+    let identity: Vec<u32> = (0..docs.len() as u32).collect();
 
     let mut group = c.benchmark_group("topics");
     group.sample_size(20);
-    group.bench_function("lda_update_batch_200_docs", |b| {
+    group.bench_function("lda_fit_window_200_docs_5_passes", |b| {
+        let mut workspace = LdaWorkspace::new();
         b.iter(|| {
             let mut lda = OnlineLda::new(config.clone());
-            black_box(lda.update_batch(&docs))
+            black_box(lda.fit_window_with(&docs, &identity, 5, 0.0, &mut workspace))
         });
     });
-    group.bench_function("lda_infer_one_doc", |b| {
-        let mut lda = OnlineLda::new(config.clone());
-        for _ in 0..5 {
-            lda.update_batch(&docs);
-        }
-        b.iter(|| black_box(lda.infer(&docs[0])));
-    });
     group.bench_function("aolda_process_window", |b| {
-        let identity: Vec<u32> = (0..docs.len() as u32).collect();
         b.iter(|| {
             let mut aolda = AdaptiveOnlineLda::new(AoldaConfig {
                 lda: config.clone(),

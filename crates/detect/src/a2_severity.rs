@@ -205,10 +205,11 @@ impl Detector for MisleadingSeverityDetector {
                 findings.push(finding);
             }
         }
+        // Scores are severity distances, small whole numbers: no NaN or
+        // -0.0, so this is the `partial_cmp` order.
         findings.sort_by(|a, b| {
             b.score
-                .partial_cmp(&a.score)
-                .expect("scores are finite")
+                .total_cmp(&a.score)
                 .then(a.strategy.cmp(&b.strategy))
         });
         findings

@@ -54,7 +54,8 @@ impl ImproperRuleDetector {
         if !rule.metric.is_infrastructure() {
             return None;
         }
-        if total < self.min_alerts {
+        // A strategy with no alerts has no incident rate to judge.
+        if total == 0 || total < self.min_alerts {
             return None;
         }
         let incident_rate = with_incident as f64 / total as f64;
@@ -99,10 +100,11 @@ impl Detector for ImproperRuleDetector {
                 findings.push(finding);
             }
         }
+        // Scores are alert counts times a rate in [0, 1], over at least
+        // one alert: no NaN or -0.0, so this is the `partial_cmp` order.
         findings.sort_by(|a, b| {
             b.score
-                .partial_cmp(&a.score)
-                .expect("scores are finite")
+                .total_cmp(&a.score)
                 .then(a.strategy.cmp(&b.strategy))
         });
         findings

@@ -137,10 +137,11 @@ impl Detector for TransientTogglingDetector {
                 findings.push(finding);
             }
         }
+        // Scores are transient counts, doubled when toggling: no NaN or
+        // -0.0, so this is the `partial_cmp` order.
         findings.sort_by(|a, b| {
             b.score
-                .partial_cmp(&a.score)
-                .expect("scores are finite")
+                .total_cmp(&a.score)
                 .then(a.strategy.cmp(&b.strategy))
         });
         findings

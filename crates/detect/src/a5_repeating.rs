@@ -145,10 +145,11 @@ impl Detector for RepeatingDetector {
                 findings.push(finding);
             }
         }
+        // Scores are sums of hour counts and tenths of them: no NaN or
+        // -0.0, so this is the `partial_cmp` order.
         findings.sort_by(|a, b| {
             b.score
-                .partial_cmp(&a.score)
-                .expect("scores are finite")
+                .total_cmp(&a.score)
                 .then(a.strategy.cmp(&b.strategy))
         });
         findings

@@ -442,11 +442,10 @@ impl FlagTransitions {
     /// detector's order, so a stable sort on score keeps the detectors'
     /// tie order.
     fn sorted(mut self) -> Self {
-        self.raised.sort_by(|a, b| {
-            a.pattern
-                .cmp(&b.pattern)
-                .then(b.score.partial_cmp(&a.score).expect("scores are finite"))
-        });
+        // A1–A5 scores are finite and never -0.0 (see each detector's
+        // sort), so this is the `partial_cmp` order.
+        self.raised
+            .sort_by(|a, b| a.pattern.cmp(&b.pattern).then(b.score.total_cmp(&a.score)));
         self.cleared.sort_unstable();
         self.cleared.dedup();
         self
@@ -1113,11 +1112,11 @@ impl IncrementalState {
                 .filter_map(|cached| cached.findings()[slot].cloned())
                 .collect();
             // The detectors' shared comparator: score descending, then
-            // strategy.
+            // strategy. A2–A5 scores are finite and never -0.0, so
+            // `total_cmp` is the `partial_cmp` order.
             found.sort_by(|a, b| {
                 b.score
-                    .partial_cmp(&a.score)
-                    .expect("scores are finite")
+                    .total_cmp(&a.score)
                     .then(a.strategy.cmp(&b.strategy))
             });
             findings.insert(pattern, found);

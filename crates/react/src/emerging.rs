@@ -136,8 +136,6 @@ pub struct EmergingConfig {
     pub num_topics: usize,
     /// AOLDA adaptation weight (see [`AoldaConfig`]).
     pub adaptation_weight: f64,
-    /// Emerging-topic JS-divergence threshold.
-    pub emerging_threshold: f64,
     /// LDA passes per window.
     pub passes_per_window: usize,
     /// Seed.
@@ -154,7 +152,6 @@ impl Default for EmergingConfig {
             window: SimDuration::from_hours(1),
             num_topics: 6,
             adaptation_weight: 0.5,
-            emerging_threshold: 0.25,
             passes_per_window: 15,
             seed: 17,
             budget: None,
@@ -516,12 +513,9 @@ impl EmergingAlertDetector {
                 num_topics: self.config.num_topics,
                 vocab_size,
                 seed: self.config.seed,
-                ..LdaConfig::default()
             },
             adaptation_weight: self.config.adaptation_weight,
-            emerging_threshold: self.config.emerging_threshold,
             passes_per_window: self.config.passes_per_window,
-            ..AoldaConfig::default()
         })
     }
 

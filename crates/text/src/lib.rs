@@ -12,9 +12,7 @@
 //! * **alert aggregation (R2)** and **repeating-alert detection (A5)**
 //!   group alerts by title template ([`template`]);
 //! * **emerging alert detection (R4)** feeds bag-of-words documents into
-//!   an online LDA ([`Tokenizer`], [`Vocabulary`]);
-//! * TF-IDF weights and similarity measures compare alert texts
-//!   ([`TfIdf`], [`similarity`]).
+//!   an online LDA ([`Tokenizer`], [`Vocabulary`]).
 //!
 //! Everything is implemented from scratch — no external NLP dependencies —
 //! which is both a supply-chain decision and a consequence of the thin
@@ -40,16 +38,13 @@
 
 pub mod hash;
 pub mod lexicon;
-pub mod similarity;
 pub mod template;
 
-mod tfidf;
 mod token;
 mod vocab;
 
 pub use hash::{FxBuildHasher, FxHasher};
 pub use lexicon::{title_report, InformativenessReport};
 pub use template::extract_template;
-pub use tfidf::TfIdf;
 pub use token::Tokenizer;
-pub use vocab::{doc_len, BagOfWords, OovPolicy, Vocabulary};
+pub use vocab::{BagOfWords, OovPolicy, Vocabulary};

@@ -195,12 +195,6 @@ impl<S: AsRef<str>> FromIterator<S> for Vocabulary {
     }
 }
 
-/// Returns the total token count of a bag-of-words document.
-#[must_use]
-pub fn doc_len(doc: &BagOfWords) -> u32 {
-    doc.iter().map(|&(_, c)| c).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +225,6 @@ mod tests {
         let doc = v.encode_and_update(&["b", "a", "b", "b"]);
         // "b" interned first (id 0), then "a" (id 1); output sorted by id.
         assert_eq!(doc, vec![(0, 3), (1, 1)]);
-        assert_eq!(doc_len(&doc), 4);
     }
 
     #[test]
@@ -248,7 +241,6 @@ mod tests {
         let doc = v.encode_and_update::<&str>(&[]);
         assert!(doc.is_empty());
         assert!(v.is_empty());
-        assert_eq!(doc_len(&doc), 0);
     }
 
     #[test]

@@ -2,9 +2,6 @@
 
 use proptest::prelude::*;
 
-use alertops_text::similarity::{
-    cosine_sparse, jaccard, levenshtein, levenshtein_similarity, overlap_coefficient,
-};
 use alertops_text::{extract_template, title_report, Tokenizer, Vocabulary};
 
 /// Alert-like text: arbitrary Unicode, camelCase and acronym runs,
@@ -65,61 +62,6 @@ proptest! {
     fn title_scores_are_bounded(s in ".{0,160}") {
         let score = title_report(&s).score;
         prop_assert!((0.0..=1.0).contains(&score), "score {}", score);
-    }
-
-    #[test]
-    fn jaccard_bounds_and_symmetry(
-        a in prop::collection::vec("[a-z]{1,6}", 0..12),
-        b in prop::collection::vec("[a-z]{1,6}", 0..12),
-    ) {
-        let ab = jaccard(&a, &b);
-        let ba = jaccard(&b, &a);
-        prop_assert!((0.0..=1.0).contains(&ab));
-        prop_assert!((ab - ba).abs() < 1e-12);
-        prop_assert!((jaccard(&a, &a) - 1.0).abs() < 1e-12 || a.is_empty());
-    }
-
-    #[test]
-    fn overlap_at_least_jaccard(
-        a in prop::collection::vec("[a-z]{1,6}", 1..12),
-        b in prop::collection::vec("[a-z]{1,6}", 1..12),
-    ) {
-        prop_assert!(overlap_coefficient(&a, &b) + 1e-12 >= jaccard(&a, &b));
-    }
-
-    #[test]
-    fn levenshtein_metric_properties(
-        a in "[a-z]{0,24}",
-        b in "[a-z]{0,24}",
-        c in "[a-z]{0,24}",
-    ) {
-        // Symmetry, identity, triangle inequality.
-        prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
-        prop_assert_eq!(levenshtein(&a, &a), 0);
-        prop_assert!(
-            levenshtein(&a, &c) <= levenshtein(&a, &b) + levenshtein(&b, &c)
-        );
-        let sim = levenshtein_similarity(&a, &b);
-        prop_assert!((0.0..=1.0).contains(&sim));
-    }
-
-    #[test]
-    fn cosine_bounds(
-        a in prop::collection::vec((0usize..50, 0.0f64..10.0), 0..12),
-        b in prop::collection::vec((0usize..50, 0.0f64..10.0), 0..12),
-    ) {
-        // Deduplicate and sort ids as the contract requires.
-        let normalize = |v: Vec<(usize, f64)>| {
-            let mut m = std::collections::BTreeMap::new();
-            for (id, w) in v {
-                m.insert(id, w);
-            }
-            m.into_iter().collect::<Vec<_>>()
-        };
-        let a = normalize(a);
-        let b = normalize(b);
-        let cos = cosine_sparse(&a, &b);
-        prop_assert!((-1e-12..=1.0 + 1e-12).contains(&cos), "cos {}", cos);
     }
 
     #[test]

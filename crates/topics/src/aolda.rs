@@ -15,45 +15,46 @@ use serde::{Deserialize, Serialize};
 
 use alertops_text::BagOfWords;
 
-use crate::lda::{LdaConfig, LdaWorkspace, OnlineLda};
+use crate::lda::{LdaConfig, LdaWorkspace, OnlineLda, ETA};
 use crate::math::{js_divergence_prepared, neg_entropy};
 
-/// Configuration for [`AdaptiveOnlineLda`].
+/// How many previous windows feed the adaptive prior and the emergence
+/// baseline.
+const HISTORY: usize = 3;
+/// Relative tolerance for the per-window pass loop's early exit: after
+/// pass `p ≥ 2`, fitting stops once the variational bound satisfies
+/// `|b_p − b_{p−1}| ≤ PASS_TOL · |b_{p−1}|` — the window has converged
+/// and further passes would only re-derive the same λ. Measured on our
+/// alert workloads the bound's per-pass delta decays geometrically, so
+/// `1e-2` keeps topics visually and behaviourally indistinguishable from
+/// running every pass while cutting the typical window to roughly three
+/// passes out of the configured fifteen-plus.
+const PASS_TOL: f64 = 1e-2;
+/// Minimum weight a historical topic needs to serve as an emergence
+/// baseline, and a window's topic to count as emerging. Topics that
+/// never described real documents (weight ≈ 0) are spread-out junk
+/// whose moderate divergence to everything would otherwise mask
+/// genuinely new themes.
+const MIN_BASELINE_WEIGHT: f64 = 0.05;
+/// JS-divergence threshold above which a topic counts as emerging
+/// (bounded by ln 2 ≈ 0.693). 0.25 separates re-learned stable themes
+/// (novelty ≲ 0.05 with adaptation on) from genuinely new vocabulary
+/// (novelty ≳ 0.3 in our alert workloads).
+const EMERGING_THRESHOLD: f64 = 0.25;
+
+/// Configuration for [`AdaptiveOnlineLda`]. The history length, the
+/// pass loop's early-exit tolerance, the baseline weight floor and the
+/// emerging threshold are fixed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AoldaConfig {
-    /// Base LDA configuration (topics, vocabulary, priors, seed).
+    /// Base LDA configuration (topics, vocabulary, seed).
     pub lda: LdaConfig,
     /// Weight of historical topics when seeding a window's prior, in
     /// `[0, 1)`. `0` disables adaptation (plain per-window LDA).
     pub adaptation_weight: f64,
-    /// How many previous windows feed the adaptive prior and the
-    /// emergence baseline.
-    pub history: usize,
-    /// Full passes over the window's documents when fitting its model.
+    /// Most passes over the window's documents when fitting its model;
+    /// the fit stops earlier once the variational bound settles.
     pub passes_per_window: usize,
-    /// Relative tolerance for the per-window pass loop's early exit:
-    /// after pass `p ≥ 2`, fitting stops once the variational bound
-    /// satisfies `|b_p − b_{p−1}| ≤ pass_tol · |b_{p−1}|` — the window
-    /// has converged and further passes would only re-derive the same λ.
-    /// Measured on our alert workloads the bound's per-pass delta decays
-    /// geometrically, so the default of `1e-2` keeps topics visually and
-    /// behaviourally indistinguishable from running all
-    /// [`passes_per_window`](Self::passes_per_window) passes while
-    /// cutting the typical window to roughly three passes out of the
-    /// configured fifteen-plus. Tighten toward `1e-3` (≈ 4–5 passes) if
-    /// a corpus shows bound oscillation; set `0.0` (or negative) to
-    /// always run every pass.
-    pub pass_tol: f64,
-    /// Minimum weight a historical topic needs to serve as an emergence
-    /// baseline. Topics that never described real documents (weight ≈ 0)
-    /// are spread-out junk whose moderate divergence to everything would
-    /// otherwise mask genuinely new themes.
-    pub min_baseline_weight: f64,
-    /// JS-divergence threshold above which a topic counts as emerging
-    /// (bounded by ln 2 ≈ 0.693). The default of 0.25 separates re-learned
-    /// stable themes (novelty ≲ 0.05 with adaptation on) from genuinely
-    /// new vocabulary (novelty ≳ 0.3 in our alert workloads).
-    pub emerging_threshold: f64,
 }
 
 impl Default for AoldaConfig {
@@ -61,11 +62,7 @@ impl Default for AoldaConfig {
         Self {
             lda: LdaConfig::default(),
             adaptation_weight: 0.5,
-            history: 3,
             passes_per_window: 20,
-            pass_tol: 1e-2,
-            min_baseline_weight: 0.05,
-            emerging_threshold: 0.25,
         }
     }
 }
@@ -202,12 +199,13 @@ fn dominant_topic(mixture: &[f64]) -> Option<usize> {
 #[derive(Debug, Clone)]
 pub struct AdaptiveOnlineLda {
     config: AoldaConfig,
-    /// Recent window summaries, newest last, bounded by
-    /// [`history`](AoldaConfig::history) — older windows can no longer
-    /// influence the adaptive prior or the emergence baseline, so a
-    /// long-running stream does not accumulate them.
+    /// Recent window summaries, newest last, bounded by [`HISTORY`] —
+    /// older windows can no longer influence the adaptive prior or the
+    /// emergence baseline, so a long-running stream does not accumulate
+    /// them.
     windows: Vec<TopicWindow>,
-    /// Unnormalized λ snapshots of recent windows, newest last.
+    /// Unnormalized λ snapshots of recent windows, newest last, bounded
+    /// by [`HISTORY`].
     lambda_history: Vec<Vec<Vec<f64>>>,
     /// Total windows ever processed (not bounded by retention).
     windows_processed: usize,
@@ -222,17 +220,12 @@ impl AdaptiveOnlineLda {
     ///
     /// # Panics
     ///
-    /// Panics if `adaptation_weight` is outside `[0, 1)` or
-    /// `emerging_threshold` is not positive.
+    /// Panics if `adaptation_weight` is outside `[0, 1)`.
     #[must_use]
     pub fn new(config: AoldaConfig) -> Self {
         assert!(
             (0.0..1.0).contains(&config.adaptation_weight),
             "adaptation_weight must lie in [0, 1)"
-        );
-        assert!(
-            config.emerging_threshold > 0.0,
-            "emerging_threshold must be positive"
         );
         Self {
             config,
@@ -249,8 +242,8 @@ impl AdaptiveOnlineLda {
         &self.config
     }
 
-    /// The retained recent windows (at most
-    /// [`history`](AoldaConfig::history) of them), oldest first.
+    /// The retained recent windows (at most three of them), oldest
+    /// first.
     #[must_use]
     pub fn windows(&self) -> &[TopicWindow] {
         &self.windows
@@ -287,10 +280,9 @@ impl AdaptiveOnlineLda {
         if vocab_size == current {
             return;
         }
-        let eta = self.config.lda.eta;
         for lambda in &mut self.lambda_history {
             for row in lambda.iter_mut() {
-                row.resize(vocab_size, eta);
+                row.resize(vocab_size, ETA);
             }
         }
         for window in &mut self.windows {
@@ -351,8 +343,8 @@ impl AdaptiveOnlineLda {
     /// takes it. Dropping it instead leaves no trace.
     ///
     /// The window's model is seeded from a blend of a fresh prior and the
-    /// mean λ of the last [`history`](AoldaConfig::history) windows,
-    /// weighted by [`adaptation_weight`](AoldaConfig::adaptation_weight).
+    /// mean λ of the last three windows, weighted by
+    /// [`adaptation_weight`](AoldaConfig::adaptation_weight).
     ///
     /// # Panics
     ///
@@ -360,7 +352,6 @@ impl AdaptiveOnlineLda {
     pub fn prepare_window(&mut self, bags: &[BagOfWords], positions: &[u32]) -> PreparedWindow {
         let window_index = self.windows_processed;
         let lda_config = LdaConfig {
-            corpus_size: Some(positions.len().max(1)),
             // Vary the seed per window so non-adapted topics don't line up
             // by construction; determinism is preserved.
             seed: self.config.lda.seed.wrapping_add(window_index as u64),
@@ -371,12 +362,7 @@ impl AdaptiveOnlineLda {
         // Adaptive prior: blend fresh λ with historical mean λ.
         let w = self.config.adaptation_weight;
         if w > 0.0 && !self.lambda_history.is_empty() {
-            let hist: Vec<&Vec<Vec<f64>>> = self
-                .lambda_history
-                .iter()
-                .rev()
-                .take(self.config.history)
-                .collect();
+            let hist: Vec<&Vec<Vec<f64>>> = self.lambda_history.iter().rev().collect();
             let blended: Vec<Vec<f64>> = model
                 .lambda()
                 .iter()
@@ -400,7 +386,7 @@ impl AdaptiveOnlineLda {
             bags,
             positions,
             self.config.passes_per_window,
-            self.config.pass_tol,
+            PASS_TOL,
             &mut self.workspace,
         );
         let topics_dist = model.topics();
@@ -426,11 +412,10 @@ impl AdaptiveOnlineLda {
             .windows
             .iter()
             .rev()
-            .take(self.config.history)
             .flat_map(|win| {
                 win.topics
                     .iter()
-                    .filter(|t| t.weight >= self.config.min_baseline_weight)
+                    .filter(|t| t.weight >= MIN_BASELINE_WEIGHT)
                     .map(|t| (&t.distribution, neg_entropy(&t.distribution)))
             })
             .collect();
@@ -455,8 +440,8 @@ impl AdaptiveOnlineLda {
                     // actually describe documents in this window; junk
                     // topics (weight ≈ 0) are never "emerging".
                     emerging: !baseline.is_empty()
-                        && novelty > self.config.emerging_threshold
-                        && weights[topic] >= self.config.min_baseline_weight,
+                        && novelty > EMERGING_THRESHOLD
+                        && weights[topic] >= MIN_BASELINE_WEIGHT,
                     novelty,
                     distribution,
                     weight: weights[topic],
@@ -494,8 +479,8 @@ impl AdaptiveOnlineLda {
             "a prepared window commits over the history it was fitted on"
         );
         self.lambda_history.push(lambda);
-        if self.lambda_history.len() > self.config.history {
-            let excess = self.lambda_history.len() - self.config.history;
+        if self.lambda_history.len() > HISTORY {
+            let excess = self.lambda_history.len() - HISTORY;
             self.lambda_history.drain(..excess);
         }
         // Nothing reads an older window's documents; only its topics
@@ -505,9 +490,8 @@ impl AdaptiveOnlineLda {
             previous.doc_bags = Vec::new();
         }
         self.windows.push(window);
-        let retain = self.config.history.max(1);
-        if self.windows.len() > retain {
-            let excess = self.windows.len() - retain;
+        if self.windows.len() > HISTORY {
+            let excess = self.windows.len() - HISTORY;
             self.windows.drain(..excess);
         }
         self.windows_processed += 1;
@@ -616,14 +600,11 @@ mod tests {
 
     #[test]
     fn lambda_history_is_bounded() {
-        let mut aolda = AdaptiveOnlineLda::new(AoldaConfig {
-            history: 2,
-            ..config(2)
-        });
+        let mut aolda = AdaptiveOnlineLda::new(config(2));
         for _ in 0..5 {
             fit(&mut aolda, &storage_docs(4));
         }
-        assert!(aolda.lambda_history.len() <= 2);
+        assert_eq!(aolda.lambda_history.len(), HISTORY);
     }
 
     #[test]
@@ -748,16 +729,13 @@ mod tests {
 
     #[test]
     fn windows_retention_is_bounded_but_indices_keep_counting() {
-        let mut aolda = AdaptiveOnlineLda::new(AoldaConfig {
-            history: 2,
-            ..config(2)
-        });
+        let mut aolda = AdaptiveOnlineLda::new(config(2));
         for i in 0..5 {
             let win = fit(&mut aolda, &storage_docs(4));
             assert_eq!(win.index, i, "index counts all windows ever processed");
         }
         assert_eq!(aolda.windows_processed(), 5);
-        assert!(aolda.windows().len() <= 2);
+        assert_eq!(aolda.windows().len(), HISTORY);
         assert_eq!(aolda.windows().last().unwrap().index, 4);
     }
 

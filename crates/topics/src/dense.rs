@@ -3,10 +3,10 @@
 //! This is a verbatim preservation of the pre-sparse kernel: every float
 //! operation (order included) is exactly what `OnlineLda` computed before
 //! the sparse rewrite. It exists so the differential property tests in
-//! `tests/properties.rs` can assert that the sparse kernel in
-//! [`crate::lda`] is **bit-identical** — same λ, same inferred mixtures,
-//! same scores — across seeded corpora. It is not meant for production
-//! use: every update pays dense `[topics × vocab]` digamma sweeps.
+//! `tests/properties.rs` can assert that the sparse window fit in
+//! [`crate::lda`] is **bit-identical** — same λ, same pass count, same
+//! mixtures — across seeded corpora. It is not meant for production
+//! use: every pass pays dense `[topics × vocab]` digamma sweeps.
 
 use std::collections::HashMap;
 
@@ -15,6 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use alertops_text::{BagOfWords, FxBuildHasher};
 
+use crate::lda::{ALPHA, ETA, E_STEP_TOL, KAPPA, MAX_E_STEPS, TAU0};
 use crate::math::{digamma, dirichlet_expectation, normalize_in_place};
 use crate::LdaConfig;
 
@@ -25,8 +26,8 @@ use crate::LdaConfig;
 type WarmGamma = HashMap<BagOfWords, Vec<f64>, FxBuildHasher>;
 
 /// Dense online variational-Bayes LDA — the differential oracle for
-/// [`crate::OnlineLda`]. Same public surface, same semantics, kept
-/// deliberately unoptimized.
+/// [`crate::OnlineLda`]. It mirrors the window fit, with the same
+/// semantics, kept deliberately unoptimized.
 #[derive(Debug, Clone)]
 pub struct DenseOnlineLda {
     config: LdaConfig,
@@ -34,10 +35,8 @@ pub struct DenseOnlineLda {
     lambda: Vec<Vec<f64>>,
     /// exp(E[log β]), K×W, kept in sync with λ.
     exp_elog_beta: Vec<Vec<f64>>,
-    /// Number of minibatch updates applied so far.
+    /// Number of online updates (passes) applied so far.
     updates: u64,
-    /// Number of documents seen so far.
-    docs_seen: usize,
 }
 
 impl DenseOnlineLda {
@@ -47,17 +46,11 @@ impl DenseOnlineLda {
     ///
     /// # Panics
     ///
-    /// Panics if `num_topics` or `vocab_size` is zero, or if `kappa` is
-    /// outside `(0.5, 1.0]`.
+    /// Panics if `num_topics` or `vocab_size` is zero.
     #[must_use]
     pub fn new(config: LdaConfig) -> Self {
         assert!(config.num_topics > 0, "num_topics must be positive");
         assert!(config.vocab_size > 0, "vocab_size must be positive");
-        assert!(
-            config.kappa > 0.5 && config.kappa <= 1.0,
-            "kappa must lie in (0.5, 1] for convergence, got {}",
-            config.kappa
-        );
         let mut rng = StdRng::seed_from_u64(config.seed);
         let lambda: Vec<Vec<f64>> = (0..config.num_topics)
             .map(|_| {
@@ -72,40 +65,26 @@ impl DenseOnlineLda {
             lambda,
             exp_elog_beta,
             updates: 0,
-            docs_seen: 0,
         }
     }
 
-    /// The configuration this model was built with.
-    #[must_use]
-    pub fn config(&self) -> &LdaConfig {
-        &self.config
-    }
-
-    /// The number of minibatch updates applied.
+    /// The number of online updates (passes) applied.
     #[must_use]
     pub fn updates(&self) -> u64 {
         self.updates
     }
 
     /// The current learning rate ρ_t = (τ₀ + t)^{−κ}.
-    #[must_use]
-    pub fn learning_rate(&self) -> f64 {
-        (self.config.tau0 + self.updates as f64).powf(-self.config.kappa)
+    fn learning_rate(&self) -> f64 {
+        (TAU0 + self.updates as f64).powf(-KAPPA)
     }
 
-    /// Applies one online update from a minibatch of documents; the dense
-    /// original of [`crate::OnlineLda::update_batch`].
-    pub fn update_batch(&mut self, batch: &[BagOfWords]) -> f64 {
-        self.update_pass(batch, None)
-    }
-
-    /// One online update, optionally warm-started from `warm`; the dense
-    /// original of the sparse kernel's private `update_pass`. The memo is
-    /// read-only while the batch runs and refreshed after the document
-    /// loop, so duplicate documents see the same init — the same
-    /// discipline the sparse side follows, making the two bit-identical.
-    fn update_pass(&mut self, batch: &[BagOfWords], mut warm: Option<&mut WarmGamma>) -> f64 {
+    /// One online update warm-started from `warm`; the dense original of
+    /// the sparse kernel's private `update_pass`. The memo is read-only
+    /// while the window runs and refreshed after the document loop, so
+    /// duplicate documents see the same init — the same discipline the
+    /// sparse side follows, making the two bit-identical.
+    fn update_pass(&mut self, batch: &[BagOfWords], warm: &mut WarmGamma) -> f64 {
         let nonempty: Vec<&BagOfWords> = batch.iter().filter(|d| !d.is_empty()).collect();
         if nonempty.is_empty() {
             return 0.0;
@@ -118,10 +97,7 @@ impl DenseOnlineLda {
         let mut converged: Vec<(&BagOfWords, Vec<f64>)> = Vec::new();
 
         for doc in &nonempty {
-            let init = warm
-                .as_deref()
-                .and_then(|m| m.get(doc.as_slice()))
-                .map(Vec::as_slice);
+            let init = warm.get(doc.as_slice()).map(Vec::as_slice);
             let (gamma, phi_contrib) = self.e_step(doc, init);
             // Accumulate sufficient statistics: sstats[k][w] += phi_kw * n_w.
             for (slot, &(id, count)) in phi_contrib.iter().zip(doc.iter()) {
@@ -134,33 +110,28 @@ impl DenseOnlineLda {
             }
             bound += self.doc_log_likelihood(doc, &gamma);
             word_total += doc.iter().map(|&(_, c)| u64::from(c)).sum::<u64>();
-            if warm.is_some() {
-                converged.push((*doc, gamma));
-            }
+            converged.push((*doc, gamma));
         }
 
         // End-of-pass write-back. Duplicate occurrences converged to the
         // same bits (same init, same β), so writing each is identical to
         // the sparse side's one-write-per-distinct-document.
-        if let Some(m) = warm.as_mut() {
-            for (doc, gamma) in converged {
-                match m.get_mut(doc.as_slice()) {
-                    Some(slot) => slot.clone_from(&gamma),
-                    None => {
-                        m.insert((*doc).clone(), gamma);
-                    }
+        for (doc, gamma) in converged {
+            match warm.get_mut(doc.as_slice()) {
+                Some(slot) => slot.clone_from(&gamma),
+                None => {
+                    warm.insert((*doc).clone(), gamma);
                 }
             }
         }
 
-        // M-step: blend λ toward the batch estimate with step ρ.
+        // M-step: blend λ toward the batch estimate with step ρ, the
+        // statistics scaled to the window's length.
         let rho = self.learning_rate();
-        self.docs_seen += nonempty.len();
-        let d = self.config.corpus_size.unwrap_or(self.docs_seen) as f64;
-        let scale = d / nonempty.len() as f64;
+        let scale = batch.len() as f64 / nonempty.len() as f64;
         for (lam_row, ss_row) in self.lambda.iter_mut().zip(&sstats) {
             for (lam, &ss) in lam_row.iter_mut().zip(ss_row) {
-                *lam = (1.0 - rho) * *lam + rho * (self.config.eta + scale * ss);
+                *lam = (1.0 - rho) * *lam + rho * (ETA + scale * ss);
             }
         }
         for (beta_row, lam_row) in self.exp_elog_beta.iter_mut().zip(&self.lambda) {
@@ -172,19 +143,6 @@ impl DenseOnlineLda {
         } else {
             bound / word_total as f64
         }
-    }
-
-    /// Infers the topic mixture θ of a document against the current
-    /// topics; the dense original of [`crate::OnlineLda::infer`].
-    #[must_use]
-    pub fn infer(&self, doc: &BagOfWords) -> Vec<f64> {
-        let k = self.config.num_topics;
-        if doc.is_empty() {
-            return vec![1.0 / k as f64; k];
-        }
-        let (mut gamma, _) = self.e_step(doc, None);
-        normalize_in_place(&mut gamma);
-        gamma
     }
 
     /// Fits one window: up to `passes` updates over `docs` with warm-started
@@ -200,11 +158,10 @@ impl DenseOnlineLda {
         passes: usize,
         pass_tol: f64,
     ) -> Vec<Vec<f64>> {
-        let mut memo = WarmGamma::default();
-        let warm = &mut memo;
+        let mut warm = WarmGamma::default();
         let mut prev: Option<f64> = None;
         for _ in 0..passes.max(1) {
-            let bound = self.update_pass(docs, Some(warm));
+            let bound = self.update_pass(docs, &mut warm);
             if let Some(p) = prev {
                 if pass_tol > 0.0 && (bound - p).abs() <= pass_tol * p.abs() {
                     break;
@@ -242,38 +199,6 @@ impl DenseOnlineLda {
             .collect()
     }
 
-    /// The `n` highest-probability word ids of topic `topic`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topic >= num_topics`.
-    #[must_use]
-    pub fn top_words(&self, topic: usize, n: usize) -> Vec<usize> {
-        let row = &self.lambda[topic];
-        let mut ids: Vec<usize> = (0..row.len()).collect();
-        ids.sort_unstable_by(|&a, &b| row[b].partial_cmp(&row[a]).unwrap());
-        ids.truncate(n);
-        ids
-    }
-
-    /// Per-word log likelihood of `corpus` under the current model; the
-    /// dense original of [`crate::OnlineLda::score`].
-    #[must_use]
-    pub fn score(&self, corpus: &[BagOfWords]) -> f64 {
-        let mut total = 0.0;
-        let mut words = 0u64;
-        for doc in corpus.iter().filter(|d| !d.is_empty()) {
-            let (gamma, _) = self.e_step(doc, None);
-            total += self.doc_log_likelihood(doc, &gamma);
-            words += doc.iter().map(|&(_, c)| u64::from(c)).sum::<u64>();
-        }
-        if words == 0 {
-            0.0
-        } else {
-            total / words as f64
-        }
-    }
-
     /// Variational E-step for one document, starting γ from `init` (the
     /// warm-start memo) or the cold `α + 1`. Returns the converged γ and,
     /// per word position, the topic responsibilities φ.
@@ -281,7 +206,7 @@ impl DenseOnlineLda {
         let k = self.config.num_topics;
         let mut gamma = match init {
             Some(g) => g.to_vec(),
-            None => vec![self.config.alpha + 1.0; k],
+            None => vec![ALPHA + 1.0; k],
         };
         let mut exp_elog_theta: Vec<f64> = dirichlet_expectation(&gamma)
             .into_iter()
@@ -306,7 +231,7 @@ impl DenseOnlineLda {
         };
         let mut norms = phinorm(&exp_elog_theta);
 
-        for _ in 0..self.config.max_e_steps {
+        for _ in 0..MAX_E_STEPS {
             let last_gamma = gamma.clone();
             for (topic, g) in gamma.iter_mut().enumerate() {
                 let mut dot = 0.0;
@@ -315,7 +240,7 @@ impl DenseOnlineLda {
                         dot += count / norm * self.exp_elog_beta[topic][id];
                     }
                 }
-                *g = self.config.alpha + exp_elog_theta[topic] * dot;
+                *g = ALPHA + exp_elog_theta[topic] * dot;
             }
             exp_elog_theta = dirichlet_expectation(&gamma)
                 .into_iter()
@@ -328,7 +253,7 @@ impl DenseOnlineLda {
                 .map(|(a, b)| (a - b).abs())
                 .sum::<f64>()
                 / k as f64;
-            if mean_change < self.config.e_step_tol {
+            if mean_change < E_STEP_TOL {
                 break;
             }
         }

@@ -4,7 +4,8 @@
 //! Latent Dirichlet Allocation* (NIPS 2010): stochastic variational
 //! inference where each minibatch contributes a noisy natural-gradient
 //! step on the topic-word variational parameter λ with step size
-//! `ρ_t = (τ₀ + t)^{−κ}`.
+//! `ρ_t = (τ₀ + t)^{−κ}`. Here the minibatch is one window, the whole
+//! corpus of a model AO-LDA fits, and each pass over it is one step.
 //!
 //! # Sparsity, bit-for-bit
 //!
@@ -34,7 +35,7 @@
 //!   the dense sweep over the window expanded to one bag per position.
 //!
 //! Scratch buffers live in [`LdaWorkspace`] and are reused across
-//! documents, iterations, and batches — the hot loop performs no
+//! documents, iterations, passes and windows — the hot loop performs no
 //! per-iteration allocation.
 
 use rand::rngs::StdRng;
@@ -45,28 +46,30 @@ use alertops_text::BagOfWords;
 
 use crate::math::{digamma, dirichlet_expectation_sparse, normalize_in_place};
 
-/// Configuration for [`OnlineLda`].
+/// Dirichlet prior on per-document topic mixtures (symmetric).
+pub(crate) const ALPHA: f64 = 0.1;
+/// Dirichlet prior on per-topic word distributions (symmetric); also the
+/// mass AO-LDA pads a widened λ with.
+pub(crate) const ETA: f64 = 0.01;
+/// Learning-rate offset τ₀: the step after `t` updates is
+/// `ρ_t = (τ₀ + t)^{−κ}`.
+pub(crate) const TAU0: f64 = 1.0;
+/// Learning-rate decay κ ∈ (0.5, 1], the range that guarantees
+/// convergence.
+pub(crate) const KAPPA: f64 = 0.7;
+/// Maximum E-step iterations per document.
+pub(crate) const MAX_E_STEPS: usize = 100;
+/// E-step convergence threshold on the mean |Δγ|.
+pub(crate) const E_STEP_TOL: f64 = 1e-3;
+
+/// Configuration for [`OnlineLda`]: the model's shape and seed. The
+/// priors and the E-step settings are fixed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LdaConfig {
     /// Number of topics K.
     pub num_topics: usize,
     /// Vocabulary size W. Word ids ≥ `vocab_size` are ignored.
     pub vocab_size: usize,
-    /// Dirichlet prior on per-document topic mixtures (symmetric).
-    pub alpha: f64,
-    /// Dirichlet prior on per-topic word distributions (symmetric).
-    pub eta: f64,
-    /// Learning-rate offset τ₀ (≥ 0); larger slows early updates.
-    pub tau0: f64,
-    /// Learning-rate decay κ ∈ (0.5, 1] for convergence guarantees.
-    pub kappa: f64,
-    /// Maximum E-step iterations per document.
-    pub max_e_steps: usize,
-    /// E-step convergence threshold on mean |Δγ|.
-    pub e_step_tol: f64,
-    /// Expected total corpus size D used to scale minibatch statistics.
-    /// `None` uses the cumulative number of documents seen so far.
-    pub corpus_size: Option<usize>,
     /// RNG seed for the λ initialization.
     pub seed: u64,
 }
@@ -76,13 +79,6 @@ impl Default for LdaConfig {
         Self {
             num_topics: 10,
             vocab_size: 0,
-            alpha: 0.1,
-            eta: 0.01,
-            tau0: 1.0,
-            kappa: 0.7,
-            max_e_steps: 100,
-            e_step_tol: 1e-3,
-            corpus_size: None,
             seed: 42,
         }
     }
@@ -261,17 +257,13 @@ impl LdaWorkspace {
     }
 }
 
-/// Online variational-Bayes LDA.
+/// Online variational-Bayes LDA, fitted one window at a time.
 ///
-/// See the [crate-level example](crate) for typical usage: create with a
-/// config, feed minibatches via [`update_batch`](Self::update_batch),
-/// query topic mixtures with [`infer`](Self::infer) and topic-word
-/// distributions with [`topics`](Self::topics).
-///
-/// The convenience entry points (`update_batch`, `infer`, `score`)
-/// allocate a fresh [`LdaWorkspace`] per call; hot paths should hold a
-/// workspace and use the `_with` variants. Results are bit-identical
-/// either way.
+/// Create it with a config (and, for AO-LDA's adaptive prior, seed λ
+/// with [`set_lambda`](Self::set_lambda)), fit a window with
+/// [`fit_window_with`](Self::fit_window_with), and read the
+/// topic-word distributions with [`topics`](Self::topics). See the
+/// [crate-level example](crate).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnlineLda {
     config: LdaConfig,
@@ -281,10 +273,8 @@ pub struct OnlineLda {
     /// λ mutation. Always the full left-to-right sum so ψ(Σλ) is
     /// bit-identical to a freshly computed one.
     lambda_row_sums: Vec<f64>,
-    /// Number of minibatch updates applied so far.
+    /// Number of online updates (passes) applied so far.
     updates: u64,
-    /// Number of documents seen so far.
-    docs_seen: usize,
 }
 
 impl OnlineLda {
@@ -294,17 +284,11 @@ impl OnlineLda {
     ///
     /// # Panics
     ///
-    /// Panics if `num_topics` or `vocab_size` is zero, or if `kappa` is
-    /// outside `(0.5, 1.0]`.
+    /// Panics if `num_topics` or `vocab_size` is zero.
     #[must_use]
     pub fn new(config: LdaConfig) -> Self {
         assert!(config.num_topics > 0, "num_topics must be positive");
         assert!(config.vocab_size > 0, "vocab_size must be positive");
-        assert!(
-            config.kappa > 0.5 && config.kappa <= 1.0,
-            "kappa must lie in (0.5, 1] for convergence, got {}",
-            config.kappa
-        );
         let mut rng = StdRng::seed_from_u64(config.seed);
         let lambda: Vec<Vec<f64>> = (0..config.num_topics)
             .map(|_| {
@@ -319,7 +303,6 @@ impl OnlineLda {
             lambda,
             lambda_row_sums,
             updates: 0,
-            docs_seen: 0,
         }
     }
 
@@ -329,53 +312,37 @@ impl OnlineLda {
         &self.config
     }
 
-    /// The number of minibatch updates applied.
+    /// The number of online updates (passes) applied.
     #[must_use]
     pub fn updates(&self) -> u64 {
         self.updates
     }
 
     /// The current learning rate ρ_t = (τ₀ + t)^{−κ}.
-    #[must_use]
-    pub fn learning_rate(&self) -> f64 {
-        (self.config.tau0 + self.updates as f64).powf(-self.config.kappa)
+    fn learning_rate(&self) -> f64 {
+        (TAU0 + self.updates as f64).powf(-KAPPA)
     }
 
-    /// Applies one online update from a minibatch of documents and
-    /// returns the batch's variational bound per word (higher is better),
-    /// computed *before* the update — useful for convergence monitoring.
-    ///
-    /// Empty documents are skipped; an entirely empty batch is a no-op
-    /// returning 0. Allocates a throwaway workspace; hot paths should
-    /// call [`update_batch_with`](Self::update_batch_with).
-    pub fn update_batch(&mut self, batch: &[BagOfWords]) -> f64 {
-        self.update_batch_with(batch, &mut LdaWorkspace::new())
-    }
-
-    /// [`update_batch`](Self::update_batch) with caller-owned scratch.
-    /// Bit-identical to the dense sweep for any workspace state.
-    pub fn update_batch_with(&mut self, batch: &[BagOfWords], ws: &mut LdaWorkspace) -> f64 {
-        ws.index_docs(batch);
-        let identity: Vec<u32> = (0..batch.len() as u32).collect();
-        self.update_pass(batch, &identity, false, ws)
-    }
-
-    /// One online update over the window whose `i`-th document is
-    /// `bags[positions[i]]`, with `bags` already indexed into `ws`;
-    /// warm-started from `ws.warm` when `warm` is set.
+    /// One warm-started online update over the window whose `i`-th
+    /// document is `bags[positions[i]]`, with `bags` already indexed
+    /// into `ws`. Returns the window's variational bound per word
+    /// (higher is better), computed before the update; 0 when no
+    /// position holds a non-empty document, in which case nothing moves.
     ///
     /// Each distinct document is solved once, before any position reads
     /// it: a solve depends only on λ and its own warm row, never on the
-    /// order of solves. With `warm`, its γ starts from its `ws.warm` row
-    /// (the cold `α+1` init while the rows are empty, on pass 0) and the
-    /// converged γ is written back to that row. Only that document reads
-    /// the row in this pass, so every occurrence sees the same init —
-    /// the dense oracle's read-only-memo discipline.
+    /// order of solves. Its γ starts from its `ws.warm` row (the cold
+    /// `α+1` init while the rows are empty, on pass 0) and the converged
+    /// γ is written back to that row. Only that document reads the row
+    /// in this pass, so every occurrence sees the same init — the dense
+    /// oracle's read-only-memo discipline.
+    ///
+    /// The minibatch statistics are scaled to the window's length: the
+    /// window is the whole corpus this model is fitted on.
     fn update_pass(
         &mut self,
         bags: &[BagOfWords],
         positions: &[u32],
-        warm: bool,
         ws: &mut LdaWorkspace,
     ) -> f64 {
         let k = self.config.num_topics;
@@ -399,19 +366,17 @@ impl OnlineLda {
         if outcomes.len() < distinct {
             outcomes.resize_with(distinct, DocOutcome::default);
         }
-        let mut warm_gamma = std::mem::take(&mut ws.warm);
-        let cold = warm_gamma.is_empty();
-        if warm && cold {
-            warm_gamma.resize(distinct * k, 0.0);
+        let mut warm = std::mem::take(&mut ws.warm);
+        let cold = warm.is_empty();
+        if cold {
+            warm.resize(distinct * k, 0.0);
         }
 
         for (index, outcome) in outcomes[..distinct].iter_mut().enumerate() {
             let row = index * k..(index + 1) * k;
-            let init = (warm && !cold).then(|| &warm_gamma[row.clone()]);
-            self.e_step_train(&bags[ws.first[index] as usize], init, ws, outcome);
-            if warm {
-                warm_gamma[row].copy_from_slice(&ws.gamma);
-            }
+            let init = (!cold).then(|| &warm[row.clone()]);
+            self.e_step(&bags[ws.first[index] as usize], init, ws, outcome);
+            warm[row].copy_from_slice(&ws.gamma);
         }
 
         let mut bound = 0.0;
@@ -436,16 +401,14 @@ impl OnlineLda {
             word_total += outcome.words;
         }
         ws.outcomes = outcomes;
-        ws.warm = warm_gamma;
+        ws.warm = warm;
 
         // M-step: blend λ toward the batch estimate with step ρ. Absent
         // columns see `ρ·η`, which equals the dense `ρ·(η + scale·0.0)`
         // exactly (scale·0.0 == 0.0 and η + 0.0 == η in IEEE 754).
         let rho = self.learning_rate();
-        self.docs_seen += nonempty_count;
-        let d = self.config.corpus_size.unwrap_or(self.docs_seen) as f64;
-        let scale = d / nonempty_count as f64;
-        let absent = rho * self.config.eta;
+        let scale = positions.len() as f64 / nonempty_count as f64;
+        let absent = rho * ETA;
         for (topic, lam_row) in self.lambda.iter_mut().enumerate() {
             for (word, lam) in lam_row.iter_mut().enumerate() {
                 let slot = ws.slot_of[word];
@@ -453,8 +416,7 @@ impl OnlineLda {
                     (1.0 - rho) * *lam + absent
                 } else {
                     (1.0 - rho) * *lam
-                        + rho
-                            * (self.config.eta + scale * ws.sstats[topic * u + (slot - 1) as usize])
+                        + rho * (ETA + scale * ws.sstats[topic * u + (slot - 1) as usize])
                 };
             }
         }
@@ -467,61 +429,6 @@ impl OnlineLda {
         } else {
             bound / word_total as f64
         }
-    }
-
-    /// Infers the topic mixture θ of a document against the current
-    /// topics (frozen; does not update the model). Returns a length-K
-    /// probability vector; uniform for an empty document.
-    ///
-    /// Allocates a throwaway workspace; hot paths should call
-    /// [`infer_with`](Self::infer_with) or
-    /// [`infer_batch_with`](Self::infer_batch_with).
-    #[must_use]
-    pub fn infer(&self, doc: &BagOfWords) -> Vec<f64> {
-        self.infer_with(doc, &mut LdaWorkspace::new())
-    }
-
-    /// [`infer`](Self::infer) with caller-owned scratch.
-    pub fn infer_with(&self, doc: &BagOfWords, ws: &mut LdaWorkspace) -> Vec<f64> {
-        let k = self.config.num_topics;
-        if doc.is_empty() {
-            return vec![1.0 / k as f64; k];
-        }
-        self.prepare_beta(std::slice::from_ref(doc), ws);
-        self.e_step_gamma(doc, None, ws);
-        let mut gamma = ws.gamma.clone();
-        normalize_in_place(&mut gamma);
-        gamma
-    }
-
-    /// Infers the mixtures of every document in `batch`, sharing one
-    /// sparse β table across the batch and solving each distinct
-    /// document once (a repeat copies its first occurrence's mixture).
-    /// Each result is bit-identical to [`infer`](Self::infer) on that
-    /// document alone — documents do not influence one another.
-    pub fn infer_batch_with(&self, batch: &[BagOfWords], ws: &mut LdaWorkspace) -> Vec<Vec<f64>> {
-        let k = self.config.num_topics;
-        ws.index_docs(batch);
-        self.prepare_beta(batch, ws);
-        let mut out: Vec<Vec<f64>> = Vec::with_capacity(batch.len());
-        for (pos, doc) in batch.iter().enumerate() {
-            let index = ws.doc_slot[pos];
-            let mixture = if index == EMPTY {
-                vec![1.0 / k as f64; k]
-            } else {
-                let first = ws.first[index as usize] as usize;
-                if first == pos {
-                    self.e_step_gamma(doc, None, ws);
-                    let mut mixture = ws.gamma.clone();
-                    normalize_in_place(&mut mixture);
-                    mixture
-                } else {
-                    out[first].clone()
-                }
-            };
-            out.push(mixture);
-        }
-        out
     }
 
     /// Fits one window: up to `passes` online updates over the window
@@ -541,25 +448,20 @@ impl OnlineLda {
     /// are cleared at entry and refreshed by each pass: pass `p`'s
     /// E-steps start from pass `p−1`'s converged γ instead of the cold
     /// `α+1` init, so after the first pass each document's E-step
-    /// typically converges in one or two
-    /// iterations instead of re-walking the whole trajectory — this is
-    /// where most of the speedup over naive repeated
-    /// [`update_batch_with`](Self::update_batch_with) calls comes from.
-    /// Warmth is strictly per-window (the entry clear): fitting a
-    /// window is a pure function of `(model, docs, passes, pass_tol)`,
-    /// never of earlier windows' scratch, so the workspace invariant
-    /// — any workspace produces bit-identical results — still holds.
+    /// typically converges in one or two iterations instead of
+    /// re-walking the whole trajectory. Warmth is strictly per-window
+    /// (the entry clear): fitting a window is a pure function of
+    /// `(model, docs, passes, pass_tol)`, never of earlier windows'
+    /// scratch, so the workspace invariant — any workspace produces
+    /// bit-identical results — still holds.
     ///
     /// `pass_tol` is the relative bound tolerance: after pass `p ≥ 2`,
     /// the loop stops when `|b_p − b_{p−1}| ≤ pass_tol · |b_{p−1}|`.
     /// Pass `0.0` (or negative) to always run all `passes`.
     ///
     /// The returned mixtures are the final pass's converged γ,
-    /// normalized (uniform for empty documents) — inference is folded
-    /// into the fit instead of paying one more full E-step sweep
-    /// against the post-update topics, which a converged window would
-    /// only use to re-derive (within `e_step_tol`) the γ it already
-    /// has.
+    /// normalized (uniform for empty documents): inference is folded
+    /// into the fit, with no E-step sweep of its own.
     ///
     /// Every float is ordered exactly as
     /// [`crate::dense::DenseOnlineLda::fit_window`] orders it over the
@@ -582,7 +484,7 @@ impl OnlineLda {
         ws.warm.clear();
         let mut prev: Option<f64> = None;
         for _ in 0..passes.max(1) {
-            let bound = self.update_pass(bags, positions, true, ws);
+            let bound = self.update_pass(bags, positions, ws);
             if let Some(p) = prev {
                 if pass_tol > 0.0 && (bound - p).abs() <= pass_tol * p.abs() {
                     break;
@@ -624,44 +526,6 @@ impl OnlineLda {
             .collect()
     }
 
-    /// The `n` highest-probability word ids of topic `topic`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topic >= num_topics`.
-    #[must_use]
-    pub fn top_words(&self, topic: usize, n: usize) -> Vec<usize> {
-        let row = &self.lambda[topic];
-        let mut ids: Vec<usize> = (0..row.len()).collect();
-        ids.sort_unstable_by(|&a, &b| row[b].partial_cmp(&row[a]).unwrap());
-        ids.truncate(n);
-        ids
-    }
-
-    /// Per-word log likelihood of `corpus` under the current model
-    /// (higher is better). Returns 0 for an empty corpus.
-    #[must_use]
-    pub fn score(&self, corpus: &[BagOfWords]) -> f64 {
-        self.score_with(corpus, &mut LdaWorkspace::new())
-    }
-
-    /// [`score`](Self::score) with caller-owned scratch.
-    pub fn score_with(&self, corpus: &[BagOfWords], ws: &mut LdaWorkspace) -> f64 {
-        self.prepare_beta(corpus, ws);
-        let mut total = 0.0;
-        let mut words = 0u64;
-        for doc in corpus.iter().filter(|d| !d.is_empty()) {
-            self.e_step_gamma(doc, None, ws);
-            total += self.doc_log_likelihood(doc, &ws.gamma, &mut ws.theta);
-            words += doc.iter().map(|&(_, c)| u64::from(c)).sum::<u64>();
-        }
-        if words == 0 {
-            0.0
-        } else {
-            total / words as f64
-        }
-    }
-
     /// Builds the sparse β table for the union of word ids in `batch`:
     /// registers every in-vocab id (first-seen order) and fills
     /// `ws.beta[topic·U + slot] = exp(ψ(λ_kw) − ψ(Σλ_k))` — the exact
@@ -686,15 +550,15 @@ impl OnlineLda {
         }
     }
 
-    /// Variational E-step for one document, training flavor: converges γ
-    /// (left in `ws.gamma`) and captures the φ·n contributions plus the
-    /// per-doc likelihood into `out`, reusing its buffer.
+    /// Variational E-step for one document: converges γ (left in
+    /// `ws.gamma`) and captures the φ·n contributions plus the per-doc
+    /// likelihood into `out`, reusing its buffer.
     ///
     /// The iteration order — γ init at `α+1` (or the warm-start `init`
     /// when given), θ refresh, φ-norm refresh, then the mean-change
     /// test — mirrors the dense implementation statement for statement
     /// so the γ trajectory and the break decision are identical.
-    fn e_step_train(
+    fn e_step(
         &self,
         doc: &BagOfWords,
         init: Option<&[f64]>,
@@ -708,7 +572,7 @@ impl OnlineLda {
         ws.gamma.clear();
         match init {
             Some(g) => ws.gamma.extend_from_slice(g),
-            None => ws.gamma.resize(k, self.config.alpha + 1.0),
+            None => ws.gamma.resize(k, ALPHA + 1.0),
         }
         debug_assert_eq!(ws.gamma.len(), k, "warm-start γ has the wrong arity");
         exp_dirichlet_into(&ws.gamma, &mut ws.exp_elog_theta);
@@ -722,9 +586,9 @@ impl OnlineLda {
             &mut ws.norms,
         );
 
-        for _ in 0..self.config.max_e_steps {
+        for _ in 0..MAX_E_STEPS {
             ws.last_gamma.clone_from(&ws.gamma);
-            gamma_update(self.config.alpha, doc, w, u, ws);
+            gamma_update(doc, w, u, ws);
             exp_dirichlet_into(&ws.gamma, &mut ws.exp_elog_theta);
             phinorm_into(
                 doc,
@@ -735,7 +599,7 @@ impl OnlineLda {
                 &ws.exp_elog_theta,
                 &mut ws.norms,
             );
-            if mean_change(&ws.gamma, &ws.last_gamma) < self.config.e_step_tol {
+            if mean_change(&ws.gamma, &ws.last_gamma) < E_STEP_TOL {
                 break;
             }
         }
@@ -760,56 +624,8 @@ impl OnlineLda {
         out.words = words;
     }
 
-    /// Variational E-step, inference flavor: converges γ only.
-    ///
-    /// Identical γ trajectory to the training flavor — the convergence
-    /// test runs on the same values — but once the mean-change test
-    /// passes it skips the final θ/φ-norm refresh the training path
-    /// needs for sufficient statistics. This is the
-    /// "gamma-only" split: inference no longer pays for φ it discards.
-    fn e_step_gamma(&self, doc: &BagOfWords, init: Option<&[f64]>, ws: &mut LdaWorkspace) {
-        let w = self.config.vocab_size;
-        let k = self.config.num_topics;
-        let u = ws.unique_ids.len();
-
-        ws.gamma.clear();
-        match init {
-            Some(g) => ws.gamma.extend_from_slice(g),
-            None => ws.gamma.resize(k, self.config.alpha + 1.0),
-        }
-        debug_assert_eq!(ws.gamma.len(), k, "warm-start γ has the wrong arity");
-        exp_dirichlet_into(&ws.gamma, &mut ws.exp_elog_theta);
-        phinorm_into(
-            doc,
-            w,
-            u,
-            &ws.slot_of,
-            &ws.beta,
-            &ws.exp_elog_theta,
-            &mut ws.norms,
-        );
-
-        for _ in 0..self.config.max_e_steps {
-            ws.last_gamma.clone_from(&ws.gamma);
-            gamma_update(self.config.alpha, doc, w, u, ws);
-            if mean_change(&ws.gamma, &ws.last_gamma) < self.config.e_step_tol {
-                break;
-            }
-            exp_dirichlet_into(&ws.gamma, &mut ws.exp_elog_theta);
-            phinorm_into(
-                doc,
-                w,
-                u,
-                &ws.slot_of,
-                &ws.beta,
-                &ws.exp_elog_theta,
-                &mut ws.norms,
-            );
-        }
-    }
-
     /// log p(doc | θ̂, β̂) with θ̂ the normalized γ and β̂ the normalized λ —
-    /// a cheap likelihood proxy adequate for monitoring and tests. Uses
+    /// the cheap likelihood proxy behind a pass's bound. Uses
     /// the cached λ row sums instead of recomputing K×W sums per call;
     /// `theta` is caller-owned scratch (the workspace's) so the
     /// normalization never allocates.
@@ -871,7 +687,7 @@ impl OnlineLda {
 /// the same per-topic addition sequence as the dense loop — with the
 /// `n_w / norm_w` quotient hoisted out of the topic loop (it is the same
 /// bits whether computed once or K times).
-fn gamma_update(alpha: f64, doc: &BagOfWords, w: usize, u: usize, ws: &mut LdaWorkspace) {
+fn gamma_update(doc: &BagOfWords, w: usize, u: usize, ws: &mut LdaWorkspace) {
     let k = ws.gamma.len();
     ws.dots.clear();
     ws.dots.resize(k, 0.0);
@@ -886,7 +702,7 @@ fn gamma_update(alpha: f64, doc: &BagOfWords, w: usize, u: usize, ws: &mut LdaWo
         }
     }
     for (topic, g) in ws.gamma.iter_mut().enumerate() {
-        *g = alpha + ws.exp_elog_theta[topic] * ws.dots[topic];
+        *g = ALPHA + ws.exp_elog_theta[topic] * ws.dots[topic];
     }
 }
 
@@ -964,17 +780,21 @@ mod tests {
         LdaConfig {
             num_topics: k,
             vocab_size: 8,
-            corpus_size: Some(20),
             ..LdaConfig::default()
         }
+    }
+
+    /// Fits the synthetic corpus as one window of `passes` passes.
+    fn fit(lda: &mut OnlineLda, passes: usize) -> Vec<Vec<f64>> {
+        let corpus = synthetic_corpus();
+        let positions = identity(corpus.len());
+        lda.fit_window_with(&corpus, &positions, passes, 0.0, &mut LdaWorkspace::new())
     }
 
     #[test]
     fn topics_are_probability_distributions() {
         let mut lda = OnlineLda::new(config(2));
-        for _ in 0..5 {
-            lda.update_batch(&synthetic_corpus());
-        }
+        fit(&mut lda, 5);
         for row in lda.topics() {
             let sum: f64 = row.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9);
@@ -985,14 +805,17 @@ mod tests {
     #[test]
     fn separates_disjoint_clusters() {
         let mut lda = OnlineLda::new(config(2));
-        for _ in 0..30 {
-            lda.update_batch(&synthetic_corpus());
-        }
-        // The top-4 words of the two topics should be the two clusters.
-        let mut t0: Vec<usize> = lda.top_words(0, 4);
-        let mut t1: Vec<usize> = lda.top_words(1, 4);
-        t0.sort_unstable();
-        t1.sort_unstable();
+        fit(&mut lda, 30);
+        // The four most probable words of each topic are one cluster.
+        let top4 = |row: &[f64]| {
+            let mut ids: Vec<usize> = (0..row.len()).collect();
+            ids.sort_by(|&a, &b| row[b].total_cmp(&row[a]));
+            ids.truncate(4);
+            ids.sort_unstable();
+            ids
+        };
+        let topics = lda.topics();
+        let (t0, t1) = (top4(&topics[0]), top4(&topics[1]));
         let clusters = [vec![0, 1, 2, 3], vec![4, 5, 6, 7]];
         assert!(
             (t0 == clusters[0] && t1 == clusters[1]) || (t0 == clusters[1] && t1 == clusters[0]),
@@ -1001,48 +824,19 @@ mod tests {
     }
 
     #[test]
-    fn inference_assigns_doc_to_its_cluster_topic() {
+    fn a_document_lands_in_its_cluster_topic() {
         let mut lda = OnlineLda::new(config(2));
-        for _ in 0..30 {
-            lda.update_batch(&synthetic_corpus());
-        }
-        let storage_doc = vec![(0, 3), (2, 2)];
-        let memory_doc = vec![(5, 3), (7, 2)];
-        let ts = lda.infer(&storage_doc);
-        let tm = lda.infer(&memory_doc);
+        // Documents 0 and 1 are a "storage" and a "memory" document.
+        let mix = fit(&mut lda, 30);
         let dominant = |v: &[f64]| {
             v.iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .max_by(|a, b| a.1.total_cmp(b.1))
                 .unwrap()
                 .0
         };
-        assert_ne!(dominant(&ts), dominant(&tm));
-        assert!(ts.iter().cloned().fold(f64::MIN, f64::max) > 0.8);
-    }
-
-    #[test]
-    fn training_improves_score() {
-        let corpus = synthetic_corpus();
-        let mut lda = OnlineLda::new(config(2));
-        let before = lda.score(&corpus);
-        for _ in 0..30 {
-            lda.update_batch(&corpus);
-        }
-        let after = lda.score(&corpus);
-        assert!(after > before, "score did not improve: {before} -> {after}");
-    }
-
-    #[test]
-    fn infer_returns_normalized_mixture() {
-        let lda = OnlineLda::new(config(3));
-        let doc = vec![(1, 2), (6, 1)];
-        let theta = lda.infer(&doc);
-        assert_eq!(theta.len(), 3);
-        assert!((theta.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        // Empty doc → uniform.
-        let theta = lda.infer(&Vec::new());
-        assert!(theta.iter().all(|&p| (p - 1.0 / 3.0).abs() < 1e-12));
+        assert_ne!(dominant(&mix[0]), dominant(&mix[1]));
+        assert!(mix[0].iter().cloned().fold(f64::MIN, f64::max) > 0.8);
     }
 
     #[test]
@@ -1150,22 +944,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_is_noop() {
-        let mut lda = OnlineLda::new(config(2));
-        let lambda_before = lda.lambda().to_vec();
-        let bound = lda.update_batch(&[]);
-        assert_eq!(bound, 0.0);
-        assert_eq!(lda.updates(), 0);
-        assert_eq!(lda.lambda(), &lambda_before[..]);
-    }
-
-    #[test]
-    fn learning_rate_decays() {
+    fn learning_rate_falls_as_passes_run() {
         let mut lda = OnlineLda::new(config(2));
         let r0 = lda.learning_rate();
-        lda.update_batch(&synthetic_corpus());
-        let r1 = lda.learning_rate();
-        assert!(r1 < r0);
+        fit(&mut lda, 3);
+        assert_eq!(lda.updates(), 3);
+        assert!(lda.learning_rate() < r0);
         assert!(r0 <= 1.0);
     }
 
@@ -1173,33 +957,26 @@ mod tests {
     fn deterministic_given_seed() {
         let mut a = OnlineLda::new(config(2));
         let mut b = OnlineLda::new(config(2));
-        a.update_batch(&synthetic_corpus());
-        b.update_batch(&synthetic_corpus());
+        assert_eq!(fit(&mut a, 3), fit(&mut b, 3));
         assert_eq!(a.lambda(), b.lambda());
         let mut c = OnlineLda::new(LdaConfig {
             seed: 7,
             ..config(2)
         });
-        c.update_batch(&synthetic_corpus());
+        fit(&mut c, 3);
         assert_ne!(a.lambda(), c.lambda());
     }
 
     #[test]
     fn out_of_vocab_ids_are_ignored() {
         let mut lda = OnlineLda::new(config(2));
-        let weird = vec![vec![(0, 1), (999, 5)]];
-        lda.update_batch(&weird); // must not panic
-        let theta = lda.infer(&vec![(999, 3)]);
-        assert!((theta.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "kappa")]
-    fn rejects_bad_kappa() {
-        let _ = OnlineLda::new(LdaConfig {
-            kappa: 0.3,
-            ..config(2)
-        });
+        let weird = vec![vec![(0, 1), (999, 5)], vec![(999, 3)]];
+        // Must not panic.
+        let mix = lda.fit_window_with(&weird, &[0, 1], 3, 0.0, &mut LdaWorkspace::new());
+        assert_eq!(lda.updates(), 3);
+        for theta in &mix {
+            assert!((theta.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -1221,52 +998,16 @@ mod tests {
     #[test]
     fn workspace_reuse_is_bit_identical_to_fresh_workspaces() {
         let corpus = synthetic_corpus();
+        let positions = identity(corpus.len());
         let mut reused = OnlineLda::new(config(2));
         let mut fresh = OnlineLda::new(config(2));
         let mut ws = LdaWorkspace::new();
         for _ in 0..10 {
-            reused.update_batch_with(&corpus, &mut ws);
-            fresh.update_batch(&corpus);
+            let a = reused.fit_window_with(&corpus, &positions, 2, 0.0, &mut ws);
+            let b = fit(&mut fresh, 2);
+            assert_eq!(a, b);
         }
         assert_eq!(reused.lambda(), fresh.lambda());
-        let doc = vec![(0, 3), (5, 1)];
-        assert_eq!(reused.infer_with(&doc, &mut ws), fresh.infer(&doc));
-    }
-
-    #[test]
-    fn infer_batch_matches_per_doc_infer() {
-        let mut lda = OnlineLda::new(config(2));
-        for _ in 0..5 {
-            lda.update_batch(&synthetic_corpus());
-        }
-        // Duplicates exercise the solve-once copy; the empty doc the
-        // uniform branch.
-        let batch: Vec<BagOfWords> = vec![
-            vec![(0, 2), (3, 1)],
-            Vec::new(),
-            vec![(5, 4)],
-            vec![(0, 2), (3, 1)],
-        ];
-        let mut ws = LdaWorkspace::new();
-        let got = lda.infer_batch_with(&batch, &mut ws);
-        for (doc, mix) in batch.iter().zip(&got) {
-            assert_eq!(mix, &lda.infer(doc));
-        }
-    }
-
-    #[test]
-    fn duplicate_docs_memoized_batch_matches_unmemoized_order() {
-        // A batch full of duplicates, solved once and replayed three
-        // times, gives the same λ through a throwaway and a caller-owned
-        // workspace. The oracle comparison (against solving every
-        // occurrence) lives in tests/properties.rs.
-        let doc = vec![(1, 2), (6, 3)];
-        let batch = vec![doc.clone(), doc.clone(), doc.clone()];
-        let mut a = OnlineLda::new(config(2));
-        let mut b = OnlineLda::new(config(2));
-        a.update_batch(&batch);
-        b.update_batch_with(&batch, &mut LdaWorkspace::new());
-        assert_eq!(a.lambda(), b.lambda());
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!
 //! This crate implements that machinery from scratch:
 //!
-//! * [`math`] — the special functions (digamma, log-gamma) and
-//!   distribution utilities variational LDA needs;
+//! * [`math`] — the special function (digamma) and distribution
+//!   utilities variational LDA needs;
 //! * [`OnlineLda`] — online variational-Bayes LDA (Hoffman, Blei & Bach,
-//!   NIPS 2010): minibatch updates with decaying learning rate, so the
-//!   model ingests an alert stream without re-touching history;
+//!   NIPS 2010) fitted one window at a time: warm-started passes with a
+//!   decaying learning rate and an early exit once the bound settles;
 //! * [`AdaptiveOnlineLda`] — the AOLDA variant (Gao et al., ICSE 2018):
 //!   one topic snapshot per time window, each window's prior adapted from
 //!   the previous windows' topics, plus per-window *emerging topic*
@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use alertops_text::{Tokenizer, Vocabulary};
-//! use alertops_topics::{LdaConfig, OnlineLda};
+//! use alertops_topics::{LdaConfig, LdaWorkspace, OnlineLda};
 //!
 //! let tokenizer = Tokenizer::new();
 //! let mut vocab = Vocabulary::new();
@@ -41,13 +41,14 @@
 //!     vocab_size: vocab.len(),
 //!     ..LdaConfig::default()
 //! });
-//! for _ in 0..20 {
-//!     lda.update_batch(&docs);
-//! }
-//! let mixture = lda.infer(&docs[0]);
-//! assert_eq!(mixture.len(), 2);
-//! let sum: f64 = mixture.iter().sum();
+//! // One bag per document: the identity index. At most 20 passes, with
+//! // an early exit once the bound moves by under 1 %.
+//! let mut workspace = LdaWorkspace::new();
+//! let mixtures = lda.fit_window_with(&docs, &[0, 1, 2, 3], 20, 1e-2, &mut workspace);
+//! assert_eq!(mixtures.len(), 4);
+//! let sum: f64 = mixtures[0].iter().sum();
 //! assert!((sum - 1.0).abs() < 1e-9);
+//! assert_eq!(lda.topics().len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -43,39 +43,6 @@ pub fn digamma(mut x: f64) -> f64 {
                                         - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0))))))
 }
 
-/// The natural log of the gamma function, ln Γ(x), for x > 0.
-///
-/// Lanczos approximation (g = 7, n = 9); relative error below 1e-13 on
-/// the positive axis.
-#[must_use]
-pub fn ln_gamma(x: f64) -> f64 {
-    assert!(x > 0.0, "ln_gamma requires a positive argument, got {x}");
-    const G: f64 = 7.0;
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_81,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_312e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula keeps precision near zero.
-        let pi = std::f64::consts::PI;
-        return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
-    }
-    let x = x - 1.0;
-    let mut a = COEF[0];
-    let t = x + G + 0.5;
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        a += c / (x + i as f64);
-    }
-    0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-}
-
 /// Computes `E[log θ]` under a Dirichlet with parameter vector `gamma`:
 /// `ψ(γ_k) − ψ(Σ γ)` for each component.
 ///
@@ -214,23 +181,6 @@ mod tests {
     #[should_panic(expected = "positive argument")]
     fn digamma_rejects_nonpositive() {
         let _ = digamma(0.0);
-    }
-
-    #[test]
-    fn ln_gamma_known_values() {
-        // Γ(1) = Γ(2) = 1; Γ(5) = 24; Γ(1/2) = √π.
-        assert!(ln_gamma(1.0).abs() < 1e-12);
-        assert!(ln_gamma(2.0).abs() < 1e-12);
-        assert!((ln_gamma(5.0) - 24.0_f64.ln()).abs() < 1e-11);
-        assert!((ln_gamma(0.5) - std::f64::consts::PI.sqrt().ln()).abs() < 1e-11);
-    }
-
-    #[test]
-    fn ln_gamma_recurrence_holds() {
-        // ln Γ(x+1) = ln Γ(x) + ln x.
-        for x in [0.3, 1.5, 7.2, 100.0] {
-            assert!((ln_gamma(x + 1.0) - ln_gamma(x) - x.ln()).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -117,133 +117,49 @@ proptest! {
             num_topics: 3,
             vocab_size: 12,
             seed,
-            ..LdaConfig::default()
         });
-        lda.update_batch(&docs);
+        let mixtures =
+            lda.fit_window_with(&docs, &identity(docs.len()), 1, 0.0, &mut LdaWorkspace::new());
         for row in lda.topics() {
             let sum: f64 = row.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-6, "topic sums to {}", sum);
             prop_assert!(row.iter().all(|&p| p >= 0.0));
         }
-        // Inference also yields a distribution.
-        let theta = lda.infer(&docs[0]);
-        prop_assert!((theta.iter().sum::<f64>() - 1.0).abs() < 1e-6);
+        // Every document's mixture is a distribution too.
+        for theta in &mixtures {
+            prop_assert!((theta.iter().sum::<f64>() - 1.0).abs() < 1e-6);
+        }
     }
 
     /// The tentpole guarantee: the sparse kernel's λ trajectory is
     /// bit-identical to the dense sweep's across seeded corpora and
-    /// multiple sequential updates, with a shared workspace in play the
+    /// consecutive one-pass windows, with a shared workspace in play the
     /// whole time (duplicate docs exercise the replay of a distinct doc's
     /// outcome, ids ≥ 12 the out-of-vocab path).
     #[test]
-    fn sparse_update_batch_is_bit_identical_to_dense(
+    fn sparse_one_pass_windows_are_bit_identical_to_dense(
         corpus in corpus_strategy(),
         seed in 0u64..50,
-        updates in 1usize..6,
+        windows in 1usize..6,
     ) {
         let config = LdaConfig {
             num_topics: 3,
             vocab_size: 12,
             seed,
-            ..LdaConfig::default()
         };
         let mut sparse = OnlineLda::new(config.clone());
         let mut dense = DenseOnlineLda::new(config);
         prop_assert_eq!(sparse.lambda(), dense.lambda(), "seeded init diverged");
         let mut ws = LdaWorkspace::new();
-        for round in 0..updates {
-            let sb = sparse.update_batch_with(&corpus, &mut ws);
-            let db = dense.update_batch(&corpus);
-            prop_assert_eq!(
-                sb.to_bits(), db.to_bits(),
-                "bound diverged at round {}: {} vs {}", round, sb, db
-            );
+        let positions = identity(corpus.len());
+        for round in 0..windows {
+            let sm = sparse.fit_window_with(&corpus, &positions, 1, 0.0, &mut ws);
+            let dm = dense.fit_window(&corpus, 1, 0.0);
+            prop_assert_eq!(&sm, &dm, "mixtures diverged at round {}", round);
             prop_assert_eq!(sparse.lambda(), dense.lambda(), "λ diverged at round {}", round);
+            prop_assert_eq!(sparse.updates(), dense.updates(), "update count at round {}", round);
         }
         prop_assert_eq!(sparse.topics(), dense.topics());
-    }
-
-    /// Inference and scoring agree bitwise with the dense oracle, via
-    /// both the per-doc and the batched (β-sharing, solve-once) paths.
-    #[test]
-    fn sparse_infer_and_score_match_dense(
-        corpus in corpus_strategy(),
-        seed in 0u64..50,
-    ) {
-        let config = LdaConfig {
-            num_topics: 3,
-            vocab_size: 12,
-            seed,
-            ..LdaConfig::default()
-        };
-        let mut sparse = OnlineLda::new(config.clone());
-        let mut dense = DenseOnlineLda::new(config);
-        let mut ws = LdaWorkspace::new();
-        sparse.update_batch_with(&corpus, &mut ws);
-        dense.update_batch(&corpus);
-
-        let batched = sparse.infer_batch_with(&corpus, &mut ws);
-        for (doc, via_batch) in corpus.iter().zip(&batched) {
-            let d = dense.infer(doc);
-            prop_assert_eq!(&sparse.infer(doc), &d, "infer diverged");
-            prop_assert_eq!(&sparse.infer_with(doc, &mut ws), &d, "infer_with diverged");
-            prop_assert_eq!(via_batch, &d, "infer_batch_with diverged");
-        }
-        let ss = sparse.score_with(&corpus, &mut ws);
-        let ds = dense.score(&corpus);
-        prop_assert_eq!(ss.to_bits(), ds.to_bits(), "score diverged: {} vs {}", ss, ds);
-    }
-
-    /// The grow-vocab path: η-padding a λ snapshot (what
-    /// `AdaptiveOnlineLda::grow_vocab` does to history) and seeding a
-    /// wider model via `set_lambda`, then updating with docs that reach
-    /// the new columns, stays bit-identical to the dense oracle given the
-    /// same padded prior.
-    #[test]
-    fn sparse_grow_vocab_then_update_matches_dense(
-        corpus_small in corpus_strategy(),
-        corpus_wide in corpus_strategy(),
-        seed in 0u64..50,
-    ) {
-        let small = LdaConfig {
-            num_topics: 3,
-            vocab_size: 12,
-            seed,
-            ..LdaConfig::default()
-        };
-        let mut narrow = OnlineLda::new(small.clone());
-        narrow.update_batch(&corpus_small);
-
-        // Widen the learned λ with the η padding growth uses.
-        let wide_config = LdaConfig { vocab_size: 20, ..small };
-        let padded: Vec<Vec<f64>> = narrow
-            .lambda()
-            .iter()
-            .map(|row| {
-                let mut r = row.clone();
-                r.resize(20, wide_config.eta);
-                r
-            })
-            .collect();
-
-        let mut sparse = OnlineLda::new(wide_config.clone());
-        let mut dense = DenseOnlineLda::new(wide_config);
-        sparse.set_lambda(padded.clone());
-        dense.set_lambda(padded);
-        prop_assert_eq!(sparse.lambda(), dense.lambda());
-
-        // Shift some ids up so the new columns 12..20 are exercised.
-        let wide_docs: Vec<Vec<(usize, u32)>> = corpus_wide
-            .iter()
-            .map(|d| d.iter().map(|&(id, c)| (id + 8, c)).collect())
-            .collect();
-        let mut ws = LdaWorkspace::new();
-        sparse.update_batch_with(&wide_docs, &mut ws);
-        dense.update_batch(&wide_docs);
-        prop_assert_eq!(sparse.lambda(), dense.lambda(), "post-growth λ diverged");
-        for doc in &wide_docs {
-            prop_assert_eq!(sparse.infer(doc), dense.infer(doc));
-        }
     }
 
     /// The window-fit fast path — warm-started passes, bound early exit,
@@ -264,7 +180,6 @@ proptest! {
             num_topics: 3,
             vocab_size: 12,
             seed,
-            ..LdaConfig::default()
         };
         let mut docs = corpus.clone();
         docs.push(corpus[0].clone());
@@ -316,7 +231,6 @@ proptest! {
             num_topics: 3,
             vocab_size: 12,
             seed,
-            ..LdaConfig::default()
         };
         let mut bags = corpus.clone();
         bags.push(Vec::new());
@@ -348,9 +262,9 @@ proptest! {
     /// A workspace that fitted a larger window carries outcomes and warm
     /// γ rows past the next window's distinct documents. None of them
     /// may be read: a smaller, heavily duplicated window with empty
-    /// documents first, in the middle and last, then an update and a
-    /// batched inference through the same workspace, all stay on the
-    /// dense oracle bit-for-bit.
+    /// documents first, in the middle and last, then a smaller window
+    /// still through the same workspace, all stay on the dense oracle
+    /// bit-for-bit.
     #[test]
     fn leftovers_of_a_larger_window_never_leak(
         corpus in corpus_strategy(),
@@ -363,7 +277,6 @@ proptest! {
             num_topics: 3,
             vocab_size: 12,
             seed,
-            ..LdaConfig::default()
         };
         // At least three distinct documents in the first window.
         let mut big = corpus;
@@ -387,15 +300,14 @@ proptest! {
             prop_assert_eq!(sparse.lambda(), dense.lambda(), "{} window: λ diverged", name);
         }
 
-        let sb = sparse.update_batch_with(&small, &mut ws);
-        let db = dense.update_batch(&small);
-        prop_assert_eq!(sb.to_bits(), db.to_bits(), "update bound diverged");
-        prop_assert_eq!(sparse.lambda(), dense.lambda(), "update λ diverged");
-
-        let batched = sparse.infer_batch_with(&small, &mut ws);
-        for (doc, via_batch) in small.iter().zip(&batched) {
-            prop_assert_eq!(via_batch, &dense.infer(doc), "infer_batch_with diverged");
-        }
+        // A second, still smaller window: the leftovers of both larger
+        // fits stay unread.
+        let smaller = &small[3..7];
+        let sm = sparse.fit_window_with(smaller, &identity(smaller.len()), passes, 1e-2, &mut ws);
+        let dm = dense.fit_window(smaller, passes, 1e-2);
+        prop_assert_eq!(sparse.updates(), dense.updates(), "smallest window: pass count");
+        prop_assert_eq!(&sm, &dm, "smallest window: mixtures diverged");
+        prop_assert_eq!(sparse.lambda(), dense.lambda(), "smallest window: λ diverged");
     }
 
     /// Growing the vocabulary (η-padded λ via `set_lambda`, what
@@ -413,18 +325,20 @@ proptest! {
             num_topics: 3,
             vocab_size: 12,
             seed,
-            ..LdaConfig::default()
         };
         let mut narrow = OnlineLda::new(small.clone());
-        narrow.update_batch(&corpus_small);
+        let mut ws = LdaWorkspace::new();
+        narrow.fit_window_with(&corpus_small, &identity(corpus_small.len()), 1, 0.0, &mut ws);
 
+        // Widen the learned λ with the padding growth uses, the
+        // topic-word prior η = 0.01.
         let wide_config = LdaConfig { vocab_size: 20, ..small };
         let padded: Vec<Vec<f64>> = narrow
             .lambda()
             .iter()
             .map(|row| {
                 let mut r = row.clone();
-                r.resize(20, wide_config.eta);
+                r.resize(20, 0.01);
                 r
             })
             .collect();
@@ -437,7 +351,6 @@ proptest! {
             .iter()
             .map(|d| d.iter().map(|&(id, c)| (id + 8, c)).collect())
             .collect();
-        let mut ws = LdaWorkspace::new();
         let sm = sparse.fit_window_with(&wide_docs, &identity(wide_docs.len()), passes, 1e-2, &mut ws);
         let dm = dense.fit_window(&wide_docs, passes, 1e-2);
         prop_assert_eq!(sparse.updates(), dense.updates());

@@ -251,6 +251,17 @@ if grep -rnE 'TitleScorer|VagueLexicon|FeatureExtractor|title_scorer|with_lexico
     echo "a title scorer type, a field holding one or a removed tokenizer knob reappeared (see matches above)" >&2
     exit 1
 fi
+# R4's topic model has one entry point, the window fit: no batch update,
+# inference, scoring or top-words call beside it, no second E-step and
+# no unused log-gamma. The settings with one live value are constants
+# (the corpus size is the window's length), and alertops-text keeps no
+# TF-IDF or string-similarity measure nothing calls. Scoped to *.rs so
+# the docs may name what was removed.
+if grep -rnE 'update_batch|infer_batch_with|infer_with|score_with|e_step_gamma|top_words|ln_gamma|TfIdf|cosine_sparse|levenshtein|corpus_size|max_e_steps|e_step_tol|tau0|min_baseline_weight|docs_seen' \
+    --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
+    echo "a removed LDA entry point, text measure or fixed LDA / AO-LDA setting reappeared (see matches above)" >&2
+    exit 1
+fi
 # A shard close reads each title's score from its IndexedCatalog, which
 # scored every row once: the per-close path does not tokenize titles.
 # Scoped to the code above the file's first test module.

@@ -14,7 +14,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`model`] | `alertops-model` | Alerts, strategies, SOPs, incidents, ids, time |
-//! | [`text`] | `alertops-text` | Tokenizer, TF-IDF, similarity, title scoring, templates |
+//! | [`text`] | `alertops-text` | Tokenizer, vocabulary, title scoring, templates |
 //! | [`topics`] | `alertops-topics` | Online LDA and adaptive online LDA |
 //! | [`sim`] | `alertops-sim` | The cloud/monitoring simulator and scenario presets |
 //! | [`detect`] | `alertops-detect` | Anti-pattern detectors A1–A6, storms, candidate mining |
