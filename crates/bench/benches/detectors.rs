@@ -25,15 +25,15 @@ fn bench_detectors(c: &mut Criterion) {
     let mut group = c.benchmark_group("detectors");
     group.sample_size(20);
     group.bench_function("a1_unclear_titles", |b| {
-        let detector = UnclearTitleDetector::default();
+        let detector = UnclearTitleDetector;
         b.iter(|| black_box(detector.detect(&input)));
     });
     group.bench_function("a2_misleading_severity", |b| {
-        let detector = MisleadingSeverityDetector::default();
+        let detector = MisleadingSeverityDetector;
         b.iter(|| black_box(detector.detect(&input)));
     });
     group.bench_function("a3_improper_rule", |b| {
-        let detector = ImproperRuleDetector::default();
+        let detector = ImproperRuleDetector;
         b.iter(|| black_box(detector.detect(&input)));
     });
     group.bench_function("a4_transient_toggling", |b| {
@@ -41,7 +41,7 @@ fn bench_detectors(c: &mut Criterion) {
         b.iter(|| black_box(detector.detect(&input)));
     });
     group.bench_function("a5_repeating", |b| {
-        let detector = RepeatingDetector::default();
+        let detector = RepeatingDetector;
         b.iter(|| black_box(detector.detect(&input)));
     });
     group.bench_function("a6_cascading_groups", |b| {

@@ -1,7 +1,7 @@
 //! Ablations over the design choices DESIGN.md calls out:
 //!
-//! 1. A4 thresholds (intermittent-interruption, oscillation);
-//! 2. the storm threshold (100/region/hour) and hour merging;
+//! 1. the A4 intermittent-interruption threshold;
+//! 2. the storm threshold (100/region/hour);
 //! 3. the R2 aggregation window;
 //! 4. adaptive vs non-adaptive online LDA for emerging detection;
 //! 5. the QoA evidence-confidence floor (`QoaScorer::min_evidence`).
@@ -37,7 +37,6 @@ fn main() {
     for mins in [1, 2, 5, 10, 30] {
         let detector = TransientTogglingDetector {
             intermittent_threshold: SimDuration::from_mins(mins),
-            ..TransientTogglingDetector::default()
         };
         let input = DetectionInput::new(out.catalog.strategies()).with_alerts(&out.alerts);
         let flagged: BTreeSet<StrategyId> = detector
@@ -171,7 +170,9 @@ fn main() {
                 (strategy.id(), r.scores.overall())
             })
             .collect();
-        reports.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        // Overall QoA scores are means of rates in [0, 1]: finite and
+        // never -0.0, so this is the `partial_cmp` order.
+        reports.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let offenders = reports
             .iter()
             .take(60)

@@ -114,7 +114,7 @@ fn main() {
 
     // The A5 detector must flag the dominant strategy.
     let input = DetectionInput::new(out.catalog.strategies()).with_alerts(&out.alerts);
-    let findings = RepeatingDetector::default().detect(&input);
+    let findings = RepeatingDetector.detect(&input);
     let flagged = findings.iter().any(|f| f.strategy == top2[0]);
     compare(
         "A5 flags the dominant repeater",

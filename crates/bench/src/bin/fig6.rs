@@ -10,7 +10,7 @@
 
 use alertops_bench::{compare, header, pct, HARNESS_SEED};
 use alertops_core::prelude::*;
-use alertops_core::{apply_fixes, suggest_fixes, RemediationConfig};
+use alertops_core::{apply_fixes, suggest_fixes};
 use alertops_sim::scenarios;
 use std::collections::BTreeSet;
 
@@ -69,12 +69,7 @@ fn main() {
             .with_alerts(&out.alerts)
             .with_incidents(&out.incidents)
             .with_graph(&graph);
-        let fixes = suggest_fixes(
-            out.catalog.strategies(),
-            &report.anti_patterns,
-            &input,
-            &RemediationConfig::default(),
-        );
+        let fixes = suggest_fixes(out.catalog.strategies(), &report.anti_patterns, &input);
         let mechanical = fixes.iter().filter(|f| f.revised.is_some()).count();
         let advisories = fixes.len() - mechanical;
         println!(

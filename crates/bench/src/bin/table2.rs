@@ -36,7 +36,6 @@ fn main() {
         .with_graph(&graph);
     let detector = CascadingDetector {
         window: SimDuration::from_mins(5),
-        ..CascadingDetector::default()
     };
     let groups = detector.detect_groups(&input);
     let containing = groups

@@ -70,7 +70,7 @@ pub use governor::{AlertGovernor, GovernorConfig};
 pub use guidelines::{GuidelineAspect, GuidelineContext, GuidelineLinter, GuidelineViolation};
 pub use metrics::{EmergingMetrics, GovernorMetrics, QoaMetrics};
 pub use postmortem::{render_postmortem, PostmortemInput};
-pub use remediation::{apply_fixes, suggest_fixes, FixAction, RemediationConfig, StrategyFix};
+pub use remediation::{apply_fixes, suggest_fixes, FixAction, StrategyFix};
 pub use reports::GovernanceReport;
 pub use streaming::{
     merge_emerging_docs, Channel, ChannelMode, EmergingChannel, EmergingMode, GovernanceSnapshot,

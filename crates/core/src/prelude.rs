@@ -8,7 +8,7 @@ pub use crate::{
 };
 
 pub use alertops_detect::{
-    AntiPattern, AntiPatternReport, CascadingDetector, DetectionInput, Detector, EngineConfig,
+    AntiPattern, AntiPatternReport, CascadingDetector, DetectionInput, Detector,
     ImproperRuleDetector, IncrementalState, MisleadingSeverityDetector, RepeatingDetector,
     StrategyFinding, TransientTogglingDetector, UnclearTitleDetector,
 };

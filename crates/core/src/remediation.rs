@@ -67,23 +67,12 @@ pub struct StrategyFix {
     pub revised: Option<AlertStrategy>,
 }
 
-/// Remediation thresholds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RemediationConfig {
-    /// Debounce applied to over-sensitive metric rules.
-    pub target_debounce: u32,
-    /// Cooldown applied to repeating strategies.
-    pub target_cooldown: SimDuration,
-}
+/// Debounce (consecutive samples) a fix gives an over-sensitive metric
+/// rule.
+const TARGET_DEBOUNCE: u32 = 3;
 
-impl Default for RemediationConfig {
-    fn default() -> Self {
-        Self {
-            target_debounce: 3,
-            target_cooldown: SimDuration::from_mins(30),
-        }
-    }
-}
+/// Cooldown a fix gives a repeating strategy.
+const TARGET_COOLDOWN: SimDuration = SimDuration::from_mins(30);
 
 /// Derives fixes from a detection report.
 ///
@@ -95,10 +84,8 @@ pub fn suggest_fixes(
     strategies: &[AlertStrategy],
     report: &AntiPatternReport,
     input: &DetectionInput<'_>,
-    config: &RemediationConfig,
 ) -> Vec<StrategyFix> {
     let mut fixes = Vec::new();
-    let severity_detector = MisleadingSeverityDetector::default();
     // Materialize the flag sets once instead of per strategy.
     let toggling = report.flagged(AntiPattern::TransientToggling);
     let repeating = report.flagged(AntiPattern::Repeating);
@@ -109,15 +96,15 @@ pub fn suggest_fixes(
         // A4: raise debounce on over-sensitive metric rules.
         if toggling.contains(&strategy.id()) {
             if let StrategyKind::Metric(rule) = strategy.kind() {
-                if rule.consecutive_samples < config.target_debounce {
+                if rule.consecutive_samples < TARGET_DEBOUNCE {
                     let mut revised_rule = rule.clone();
-                    revised_rule.consecutive_samples = config.target_debounce;
+                    revised_rule.consecutive_samples = TARGET_DEBOUNCE;
                     fixes.push(StrategyFix {
                         strategy: strategy.id(),
                         pattern: AntiPattern::TransientToggling,
                         action: FixAction::RaiseDebounce {
                             from: rule.consecutive_samples,
-                            to: config.target_debounce,
+                            to: TARGET_DEBOUNCE,
                         },
                         revised: Some(
                             strategy
@@ -129,20 +116,20 @@ pub fn suggest_fixes(
             }
         }
         // A5: extend cooldown on repeating strategies.
-        if repeating.contains(&strategy.id()) && strategy.cooldown() < config.target_cooldown {
+        if repeating.contains(&strategy.id()) && strategy.cooldown() < TARGET_COOLDOWN {
             fixes.push(StrategyFix {
                 strategy: strategy.id(),
                 pattern: AntiPattern::Repeating,
                 action: FixAction::ExtendCooldown {
                     from: strategy.cooldown(),
-                    to: config.target_cooldown,
+                    to: TARGET_COOLDOWN,
                 },
-                revised: Some(strategy.clone().with_cooldown(config.target_cooldown)),
+                revised: Some(strategy.clone().with_cooldown(TARGET_COOLDOWN)),
             });
         }
         // A2: adjust severity toward the evidence.
         if misleading.contains(&strategy.id()) {
-            if let Some(implied) = severity_detector.implied_for(input, strategy) {
+            if let Some(implied) = MisleadingSeverityDetector.implied_for(input, strategy) {
                 if implied != strategy.severity() {
                     fixes.push(StrategyFix {
                         strategy: strategy.id(),
@@ -254,7 +241,7 @@ mod tests {
         assert!(report
             .flagged(AntiPattern::TransientToggling)
             .contains(&StrategyId(1)));
-        let fixes = suggest_fixes(&strategies, &report, &input, &RemediationConfig::default());
+        let fixes = suggest_fixes(&strategies, &report, &input);
         assert!(fixes
             .iter()
             .any(|f| matches!(f.action, FixAction::RaiseDebounce { from: 1, to: 3 })));
@@ -281,7 +268,7 @@ mod tests {
         let strategies = vec![oversensitive_strategy(1)];
         let report = AntiPatternReport::default();
         let input = DetectionInput::new(&strategies);
-        let fixes = suggest_fixes(&strategies, &report, &input, &RemediationConfig::default());
+        let fixes = suggest_fixes(&strategies, &report, &input);
         assert!(fixes.is_empty());
         assert_eq!(apply_fixes(&strategies, &fixes), strategies);
     }
@@ -302,7 +289,7 @@ mod tests {
         let strategies = vec![vague];
         let input = DetectionInput::new(&strategies);
         let report = AntiPatternReport::run_default(&input);
-        let fixes = suggest_fixes(&strategies, &report, &input, &RemediationConfig::default());
+        let fixes = suggest_fixes(&strategies, &report, &input);
         assert!(fixes
             .iter()
             .any(|f| f.action == FixAction::RewriteTitle && f.revised.is_none()));

@@ -3,8 +3,8 @@
 //! "Typical unclear alert names describe the system state in a very
 //! general way with vague words, e.g. *Elastic Computing Service is
 //! abnormal*" (§III-A1). The detector scores every strategy's title
-//! template with [`title_report`] and flags those below an
-//! informativeness threshold.
+//! template with [`title_report`] and flags those below
+//! [`UNCLEAR_TITLE_THRESHOLD`].
 
 use alertops_text::title_report;
 
@@ -13,40 +13,14 @@ use crate::types::{AntiPattern, Detector, StrategyFinding};
 
 /// The informativeness below which a title is unclear: the paper's
 /// example vague titles score ≤ 0.4 while its clear samples score
-/// ≥ 0.5. A1's default threshold and the guideline linter's title check.
+/// ≥ 0.5. A1's threshold and the guideline linter's title check.
 pub const UNCLEAR_TITLE_THRESHOLD: f64 = 0.45;
 
-/// Detector for unclear titles. This detector needs no alert history —
-/// the title is a static property of the strategy.
-#[derive(Debug, Clone)]
-pub struct UnclearTitleDetector {
-    /// Titles scoring strictly below this are flagged.
-    threshold: f64,
-}
-
-impl UnclearTitleDetector {
-    /// Creates a detector with the given informativeness threshold
-    /// (clamped to `[0, 1]`).
-    #[must_use]
-    pub fn new(threshold: f64) -> Self {
-        Self {
-            threshold: threshold.clamp(0.0, 1.0),
-        }
-    }
-
-    /// The active threshold.
-    #[must_use]
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-}
-
-impl Default for UnclearTitleDetector {
-    /// Threshold [`UNCLEAR_TITLE_THRESHOLD`].
-    fn default() -> Self {
-        Self::new(UNCLEAR_TITLE_THRESHOLD)
-    }
-}
+/// Detector for unclear titles: flags every strategy whose title scores
+/// strictly below [`UNCLEAR_TITLE_THRESHOLD`]. This detector needs no
+/// alert history — the title is a static property of the strategy.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UnclearTitleDetector;
 
 impl Detector for UnclearTitleDetector {
     fn pattern(&self) -> AntiPattern {
@@ -59,7 +33,7 @@ impl Detector for UnclearTitleDetector {
             .iter()
             .filter_map(|strategy| {
                 let report = title_report(strategy.title_template());
-                (report.score < self.threshold).then(|| StrategyFinding {
+                (report.score < UNCLEAR_TITLE_THRESHOLD).then(|| StrategyFinding {
                     strategy: strategy.id(),
                     pattern: AntiPattern::UnclearTitle,
                     // Higher score = worse: invert informativeness.
@@ -111,7 +85,7 @@ mod tests {
             strategy(5, "CPU usage of nginx instance is higher than 80%"),
         ];
         let input = DetectionInput::new(&strategies);
-        let findings = UnclearTitleDetector::default().detect(&input);
+        let findings = UnclearTitleDetector.detect(&input);
         let flagged: Vec<u64> = {
             let mut v: Vec<u64> = findings.iter().map(|f| f.strategy.0).collect();
             v.sort_unstable();
@@ -127,32 +101,18 @@ mod tests {
             strategy(1, "database replicator has risks sometimes maybe"),
         ];
         let input = DetectionInput::new(&strategies);
-        let findings = UnclearTitleDetector::default().detect(&input);
+        let findings = UnclearTitleDetector.detect(&input);
         for w in findings.windows(2) {
             assert!(w[0].score >= w[1].score);
         }
     }
 
     #[test]
-    fn threshold_zero_flags_nothing() {
-        let strategies = [strategy(0, "Instance x is abnormal")];
-        let input = DetectionInput::new(&strategies);
-        let findings = UnclearTitleDetector::new(0.0).detect(&input);
-        assert!(findings.is_empty());
-    }
-
-    #[test]
     fn evidence_mentions_title() {
         let strategies = [strategy(0, "Instance x is abnormal")];
         let input = DetectionInput::new(&strategies);
-        let findings = UnclearTitleDetector::default().detect(&input);
+        let findings = UnclearTitleDetector.detect(&input);
         assert!(findings[0].evidence.contains("Instance x is abnormal"));
         assert_eq!(findings[0].pattern, AntiPattern::UnclearTitle);
-    }
-
-    #[test]
-    fn threshold_is_clamped() {
-        assert_eq!(UnclearTitleDetector::new(7.0).threshold(), 1.0);
-        assert_eq!(UnclearTitleDetector::new(-1.0).threshold(), 0.0);
     }
 }

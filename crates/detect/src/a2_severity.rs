@@ -8,34 +8,24 @@
 //! they simply auto-clear — and flags strategies whose configured
 //! severity sits at least two ranks away.
 
-use alertops_model::{Clearance, Severity};
+use alertops_model::{indicates_incident, AlertStrategy, Clearance, Severity, StrategyKind};
 
 use crate::input::DetectionInput;
 use crate::types::{AntiPattern, Detector, StrategyFinding};
 
-/// Detector for misleading severities. Needs alert *and* incident
-/// history; strategies with fewer than `min_alerts` alerts are skipped
-/// (not enough evidence).
-#[derive(Debug, Clone)]
-pub struct MisleadingSeverityDetector {
-    /// Minimum alert count before judging a strategy.
-    pub min_alerts: usize,
-    /// Minimum rank distance between configured and implied severity.
-    pub min_distance: u8,
-    /// How far after an alert an incident may begin and still count as
-    /// indicated by it (alerts are early warnings).
-    pub incident_lookahead: alertops_model::SimDuration,
-}
+/// Alerts a strategy needs before A2 judges it (fewer is not enough
+/// evidence).
+const MIN_ALERTS: usize = 10;
 
-impl Default for MisleadingSeverityDetector {
-    fn default() -> Self {
-        Self {
-            min_alerts: 10,
-            min_distance: 2,
-            incident_lookahead: alertops_model::SimDuration::from_mins(30),
-        }
-    }
-}
+/// Rank distance between the configured and the implied severity that
+/// A2 flags.
+const MIN_DISTANCE: u8 = 2;
+
+/// Detector for misleading severities. Needs alert *and* incident
+/// history; strategies with fewer than ten alerts are skipped (not
+/// enough evidence).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MisleadingSeverityDetector;
 
 impl MisleadingSeverityDetector {
     /// Estimates the severity a strategy's impact evidence implies.
@@ -74,31 +64,43 @@ impl MisleadingSeverityDetector {
 pub(crate) struct SeverityEvidence {
     /// In-scope alerts of the strategy.
     pub total: usize,
-    /// Alerts whose raise time indicated an incident on the strategy's
-    /// service (within the detector's lookahead).
+    /// Alerts that indicated an incident on the strategy's service.
     pub with_incident: usize,
     /// Alerts that auto-cleared.
     pub auto_cleared: usize,
-    /// Alerts that auto-cleared within [`a2_transient_cutoff`].
+    /// Transient alerts ([`Alert::is_transient`](alertops_model::Alert::is_transient)).
     pub transients: usize,
 }
 
-/// A2's transient cutoff: auto-cleared alerts shorter than this are
-/// deferred to the A4 detector rather than judged for severity.
-pub(crate) fn a2_transient_cutoff() -> alertops_model::SimDuration {
-    alertops_model::SimDuration::from_mins(5)
+impl SeverityEvidence {
+    /// Reduces one strategy's alerts in `input` to its aggregates.
+    fn of(input: &DetectionInput<'_>, strategy: &AlertStrategy) -> Self {
+        let mut evidence = Self {
+            total: input.alert_count_of(strategy.id()),
+            ..Self::default()
+        };
+        for alert in input.alerts_of(strategy.id()) {
+            evidence.with_incident += usize::from(indicates_incident(
+                input.incidents(),
+                strategy.service(),
+                alert.raised_at(),
+            ));
+            evidence.auto_cleared += usize::from(alert.clearance() == Some(Clearance::Auto));
+            evidence.transients += usize::from(alert.is_transient());
+        }
+        evidence
+    }
 }
 
 impl MisleadingSeverityDetector {
     /// Evaluates one strategy from its [`SeverityEvidence`] aggregates —
     /// the single scoring formula behind both detection paths.
     pub(crate) fn evaluate_strategy(
-        &self,
-        strategy: &alertops_model::AlertStrategy,
+        strategy: &AlertStrategy,
         evidence: &SeverityEvidence,
     ) -> Option<StrategyFinding> {
         let total = evidence.total;
-        if total < self.min_alerts {
+        if total < MIN_ALERTS {
             return None;
         }
         // Transient-dominated strategies are A4's finding, not A2's:
@@ -113,13 +115,11 @@ impl MisleadingSeverityDetector {
         // noisy probe with no observed impact has a *timing/threshold*
         // problem, not a severity one — don't flag Critical probes
         // down to noise levels.
-        if matches!(strategy.kind(), alertops_model::StrategyKind::Probe(_))
-            && implied <= Severity::Minor
-        {
+        if matches!(strategy.kind(), StrategyKind::Probe(_)) && implied <= Severity::Minor {
             return None;
         }
         let distance = strategy.severity().distance(implied);
-        if distance < self.min_distance {
+        if distance < MIN_DISTANCE {
             return None;
         }
         Some(StrategyFinding {
@@ -138,38 +138,23 @@ impl MisleadingSeverityDetector {
     }
 
     /// The severity this detector's evidence implies for one strategy,
-    /// or `None` when there is not enough history (fewer than
-    /// `min_alerts` alerts). Exposed so governance remediation can
-    /// propose the corrected severity without re-deriving the evidence
-    /// rules.
+    /// or `None` when there is not enough history (fewer than ten
+    /// alerts). Exposed so governance remediation can propose the
+    /// corrected severity without re-deriving the evidence rules.
     #[must_use]
     pub fn implied_for(
         &self,
         input: &DetectionInput<'_>,
-        strategy: &alertops_model::AlertStrategy,
+        strategy: &AlertStrategy,
     ) -> Option<Severity> {
-        let total = input.alert_count_of(strategy.id());
-        if total < self.min_alerts {
-            return None;
-        }
-        let mut with_incident = 0usize;
-        let mut auto_cleared = 0usize;
-        for alert in input.alerts_of(strategy.id()) {
-            if input.incident_indicated(
-                strategy.service(),
-                alert.raised_at(),
-                self.incident_lookahead,
-            ) {
-                with_incident += 1;
-            }
-            if alert.clearance() == Some(Clearance::Auto) {
-                auto_cleared += 1;
-            }
-        }
-        Some(Self::implied_severity(
-            with_incident as f64 / total as f64,
-            auto_cleared as f64 / total as f64,
-        ))
+        let evidence = SeverityEvidence::of(input, strategy);
+        let total = evidence.total as f64;
+        (evidence.total >= MIN_ALERTS).then(|| {
+            Self::implied_severity(
+                evidence.with_incident as f64 / total,
+                evidence.auto_cleared as f64 / total,
+            )
+        })
     }
 }
 
@@ -179,32 +164,13 @@ impl Detector for MisleadingSeverityDetector {
     }
 
     fn detect(&self, input: &DetectionInput<'_>) -> Vec<StrategyFinding> {
-        let mut findings = Vec::new();
-        let transient_cutoff = a2_transient_cutoff();
-        for strategy in input.strategies() {
-            let mut evidence = SeverityEvidence {
-                total: input.alert_count_of(strategy.id()),
-                ..SeverityEvidence::default()
-            };
-            for alert in input.alerts_of(strategy.id()) {
-                if input.incident_indicated(
-                    strategy.service(),
-                    alert.raised_at(),
-                    self.incident_lookahead,
-                ) {
-                    evidence.with_incident += 1;
-                }
-                if alert.clearance() == Some(Clearance::Auto) {
-                    evidence.auto_cleared += 1;
-                    if alert.duration().is_some_and(|d| d < transient_cutoff) {
-                        evidence.transients += 1;
-                    }
-                }
-            }
-            if let Some(finding) = self.evaluate_strategy(strategy, &evidence) {
-                findings.push(finding);
-            }
-        }
+        let mut findings: Vec<StrategyFinding> = input
+            .strategies()
+            .iter()
+            .filter_map(|strategy| {
+                Self::evaluate_strategy(strategy, &SeverityEvidence::of(input, strategy))
+            })
+            .collect();
         // Scores are severity distances, small whole numbers: no NaN or
         // -0.0, so this is the `partial_cmp` order.
         findings.sort_by(|a, b| {
@@ -303,7 +269,7 @@ mod tests {
         let input = DetectionInput::new(&strategies)
             .with_alerts(&alerts)
             .with_incidents(&incidents);
-        let findings = MisleadingSeverityDetector::default().detect(&input);
+        let findings = MisleadingSeverityDetector.detect(&input);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].strategy, StrategyId(1));
         assert_eq!(findings[0].score, 3.0);
@@ -315,7 +281,7 @@ mod tests {
         let strategies = [strategy(2, Severity::Critical, 4)];
         let alerts: Vec<Alert> = (0..12).map(|i| alert(i, 2, 100 + i * 10, true)).collect();
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = MisleadingSeverityDetector::default().detect(&input);
+        let findings = MisleadingSeverityDetector.detect(&input);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].evidence.contains("auto-cleared"));
     }
@@ -335,7 +301,7 @@ mod tests {
             })
             .collect();
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = MisleadingSeverityDetector::default().detect(&input);
+        let findings = MisleadingSeverityDetector.detect(&input);
         assert!(findings.is_empty(), "transient flapping is A4's finding");
     }
 
@@ -349,7 +315,7 @@ mod tests {
         let input = DetectionInput::new(&strategies)
             .with_alerts(&alerts)
             .with_incidents(&incidents);
-        let findings = MisleadingSeverityDetector::default().detect(&input);
+        let findings = MisleadingSeverityDetector.detect(&input);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -361,7 +327,7 @@ mod tests {
         let input = DetectionInput::new(&strategies)
             .with_alerts(&alerts)
             .with_incidents(&incidents);
-        let findings = MisleadingSeverityDetector::default().detect(&input);
+        let findings = MisleadingSeverityDetector.detect(&input);
         assert!(findings.is_empty());
     }
 
@@ -373,7 +339,7 @@ mod tests {
         let input = DetectionInput::new(&strategies)
             .with_alerts(&alerts)
             .with_incidents(&incidents);
-        let findings = MisleadingSeverityDetector::default().detect(&input);
+        let findings = MisleadingSeverityDetector.detect(&input);
         // No incident co-occurrence, no auto-clear → implied Minor,
         // distance from Warning = 1 < 2.
         assert!(findings.is_empty());

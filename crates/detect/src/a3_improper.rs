@@ -7,31 +7,21 @@
 //! strategies that keep firing without their alerts ever coinciding with
 //! user-visible impact (incidents on the owning service).
 
-use alertops_model::StrategyKind;
+use alertops_model::{indicates_incident, AlertStrategy, StrategyKind};
 
 use crate::input::DetectionInput;
 use crate::types::{AntiPattern, Detector, StrategyFinding};
 
-/// Detector for improper/outdated generation rules.
-#[derive(Debug, Clone)]
-pub struct ImproperRuleDetector {
-    /// Minimum alert count before judging a strategy.
-    pub min_alerts: usize,
-    /// Maximum incident co-occurrence rate for an "improper" verdict.
-    pub max_incident_rate: f64,
-    /// How far after an alert an incident may begin and still count.
-    pub incident_lookahead: alertops_model::SimDuration,
-}
+/// Alerts a strategy needs before A3 judges it.
+const MIN_ALERTS: usize = 5;
 
-impl Default for ImproperRuleDetector {
-    fn default() -> Self {
-        Self {
-            min_alerts: 5,
-            max_incident_rate: 0.12,
-            incident_lookahead: alertops_model::SimDuration::from_mins(30),
-        }
-    }
-}
+/// The incident co-occurrence rate at or below which an
+/// infrastructure-metric rule is improper.
+const MAX_INCIDENT_RATE: f64 = 0.12;
+
+/// Detector for improper/outdated generation rules.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ImproperRuleDetector;
 
 impl ImproperRuleDetector {
     /// Evaluates one strategy from its rolling aggregates: `total`
@@ -41,8 +31,7 @@ impl ImproperRuleDetector {
     /// ([`crate::IncrementalState`]). Returns `None` for strategies
     /// that are not infrastructure-metric rules.
     pub(crate) fn evaluate_strategy(
-        &self,
-        strategy: &alertops_model::AlertStrategy,
+        strategy: &AlertStrategy,
         total: usize,
         with_incident: usize,
     ) -> Option<StrategyFinding> {
@@ -51,15 +40,11 @@ impl ImproperRuleDetector {
         let StrategyKind::Metric(rule) = strategy.kind() else {
             return None;
         };
-        if !rule.metric.is_infrastructure() {
-            return None;
-        }
-        // A strategy with no alerts has no incident rate to judge.
-        if total == 0 || total < self.min_alerts {
+        if !rule.metric.is_infrastructure() || total < MIN_ALERTS {
             return None;
         }
         let incident_rate = with_incident as f64 / total as f64;
-        if incident_rate > self.max_incident_rate {
+        if incident_rate > MAX_INCIDENT_RATE {
             return None;
         }
         Some(StrategyFinding {
@@ -89,14 +74,10 @@ impl Detector for ImproperRuleDetector {
             let with_incident = input
                 .alerts_of(strategy.id())
                 .filter(|a| {
-                    input.incident_indicated(
-                        strategy.service(),
-                        a.raised_at(),
-                        self.incident_lookahead,
-                    )
+                    indicates_incident(input.incidents(), strategy.service(), a.raised_at())
                 })
                 .count();
-            if let Some(finding) = self.evaluate_strategy(strategy, total, with_incident) {
+            if let Some(finding) = Self::evaluate_strategy(strategy, total, with_incident) {
                 findings.push(finding);
             }
         }
@@ -144,7 +125,7 @@ mod tests {
         let strategies = [metric_strategy(1, MetricKind::DiskUsage, 0)];
         let alerts: Vec<Alert> = (0..20).map(|i| alert(i, 1, i * 100)).collect();
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = ImproperRuleDetector::default().detect(&input);
+        let findings = ImproperRuleDetector.detect(&input);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].evidence.contains("disk_usage"));
         assert!(findings[0].score >= 19.0);
@@ -165,7 +146,7 @@ mod tests {
         let input = DetectionInput::new(&strategies)
             .with_alerts(&alerts)
             .with_incidents(&incidents);
-        let findings = ImproperRuleDetector::default().detect(&input);
+        let findings = ImproperRuleDetector.detect(&input);
         assert!(findings.is_empty());
     }
 
@@ -174,7 +155,7 @@ mod tests {
         let strategies = [metric_strategy(1, MetricKind::Latency, 0)];
         let alerts: Vec<Alert> = (0..20).map(|i| alert(i, 1, i * 100)).collect();
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = ImproperRuleDetector::default().detect(&input);
+        let findings = ImproperRuleDetector.detect(&input);
         assert!(findings.is_empty(), "latency is not an infra metric");
     }
 
@@ -183,7 +164,7 @@ mod tests {
         let strategies = [metric_strategy(1, MetricKind::DiskUsage, 0)];
         let alerts: Vec<Alert> = (0..3).map(|i| alert(i, 1, i * 100)).collect();
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = ImproperRuleDetector::default().detect(&input);
+        let findings = ImproperRuleDetector.detect(&input);
         assert!(findings.is_empty(), "3 alerts is not enough evidence");
     }
 
@@ -196,7 +177,7 @@ mod tests {
         let mut alerts: Vec<Alert> = (0..20).map(|i| alert(i, 1, i * 100)).collect();
         alerts.extend((20..26).map(|i| alert(i, 2, i * 100)));
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = ImproperRuleDetector::default().detect(&input);
+        let findings = ImproperRuleDetector.detect(&input);
         assert_eq!(findings.len(), 2);
         assert_eq!(findings[0].strategy, StrategyId(1));
     }

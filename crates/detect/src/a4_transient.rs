@@ -12,39 +12,54 @@
 //! strategies whose alert history is dominated by transients or exhibits
 //! toggling runs.
 
-use alertops_model::{Clearance, SimDuration, SimTime, StrategyId};
+use alertops_model::{Clearance, SimDuration, SimTime, StrategyId, INTERMITTENT_THRESHOLD};
 
 use crate::input::DetectionInput;
 use crate::types::{AntiPattern, Detector, StrategyFinding};
+
+/// The paper's *oscillation threshold*: more than this many transient
+/// alerts of one strategy within [`OSCILLATION_WINDOW`] make it toggling.
+const OSCILLATION_THRESHOLD: usize = 3;
+
+/// The span oscillations are counted in.
+const OSCILLATION_WINDOW: SimDuration = SimDuration::from_mins(30);
+
+/// Transient alerts a strategy needs before A4 flags it.
+const MIN_TRANSIENTS: usize = 4;
+
+/// The share of a strategy's alerts that must be transient.
+const MIN_TRANSIENT_SHARE: f64 = 0.3;
 
 /// Detector for transient and toggling alerts.
 #[derive(Debug, Clone)]
 pub struct TransientTogglingDetector {
     /// The intermittent interruption threshold: auto-cleared alerts with
-    /// a shorter duration are transient.
+    /// a shorter duration are transient. Defaults to
+    /// [`INTERMITTENT_THRESHOLD`], the one the incremental engine uses.
     pub intermittent_threshold: SimDuration,
-    /// The oscillation threshold: this many transient alerts of one
-    /// strategy within [`oscillation_window`](Self::oscillation_window)
-    /// make the strategy toggling.
-    pub oscillation_threshold: usize,
-    /// Window for counting oscillations.
-    pub oscillation_window: SimDuration,
-    /// Minimum transient count (and share) before flagging a strategy.
-    pub min_transients: usize,
-    /// Minimum fraction of a strategy's alerts that must be transient.
-    pub min_transient_share: f64,
 }
 
 impl Default for TransientTogglingDetector {
     fn default() -> Self {
         Self {
-            intermittent_threshold: SimDuration::from_mins(5),
-            oscillation_threshold: 3,
-            oscillation_window: SimDuration::from_mins(30),
-            min_transients: 4,
-            min_transient_share: 0.3,
+            intermittent_threshold: INTERMITTENT_THRESHOLD,
         }
     }
+}
+
+/// The longest oscillation run: the maximum number of transient alerts
+/// of one strategy falling within any [`OSCILLATION_WINDOW`]-long span.
+/// `times` must be sorted ascending.
+fn max_oscillation(times: &[SimTime]) -> usize {
+    let mut best = 0;
+    let mut lo = 0;
+    for hi in 0..times.len() {
+        while times[hi].duration_since(times[lo]) > OSCILLATION_WINDOW {
+            lo += 1;
+        }
+        best = best.max(hi - lo + 1);
+    }
+    best
 }
 
 impl TransientTogglingDetector {
@@ -57,31 +72,15 @@ impl TransientTogglingDetector {
                 .is_some_and(|d| d < self.intermittent_threshold)
     }
 
-    /// The longest oscillation run: the maximum number of transient
-    /// alerts of one strategy falling within any
-    /// [`oscillation_window`](Self::oscillation_window)-long span.
-    /// `times` must be sorted ascending.
-    fn max_oscillation(&self, times: &[SimTime]) -> usize {
-        let mut best = 0;
-        let mut lo = 0;
-        for hi in 0..times.len() {
-            while times[hi].duration_since(times[lo]) > self.oscillation_window {
-                lo += 1;
-            }
-            best = best.max(hi - lo + 1);
-        }
-        best
-    }
-
     /// Whether a strategy with `total` in-scope alerts, `transients` of
     /// them transient, can be flagged at all — the counts-only gate
     /// [`evaluate_strategy`](Self::evaluate_strategy) opens with. The
     /// incremental engine checks it on its rolling counters before
     /// gathering any raise time.
-    pub(crate) fn may_flag(&self, total: usize, transients: usize) -> bool {
+    pub(crate) fn may_flag(total: usize, transients: usize) -> bool {
         total > 0
-            && transients >= self.min_transients
-            && transients as f64 / total as f64 >= self.min_transient_share
+            && transients >= MIN_TRANSIENTS
+            && transients as f64 / total as f64 >= MIN_TRANSIENT_SHARE
     }
 
     /// Evaluates one strategy: `total` in-scope alerts, of which those
@@ -98,11 +97,11 @@ impl TransientTogglingDetector {
         transient_times: &[SimTime],
     ) -> Option<StrategyFinding> {
         let transients = transient_times.len();
-        if !self.may_flag(total, transients) {
+        if !Self::may_flag(total, transients) {
             return None;
         }
-        let oscillation = self.max_oscillation(transient_times);
-        let toggling = oscillation > self.oscillation_threshold;
+        let oscillation = max_oscillation(transient_times);
+        let toggling = oscillation > OSCILLATION_THRESHOLD;
         Some(StrategyFinding {
             strategy,
             pattern: AntiPattern::TransientToggling,
@@ -111,7 +110,7 @@ impl TransientTogglingDetector {
                 "{transients}/{total} alerts transient (< {}); max oscillation {} in {}{}",
                 self.intermittent_threshold,
                 oscillation,
-                self.oscillation_window,
+                OSCILLATION_WINDOW,
                 if toggling { " — TOGGLING" } else { "" },
             ),
         })
@@ -230,6 +229,37 @@ mod tests {
     }
 
     #[test]
+    fn toggling_is_strictly_above_the_threshold() {
+        let strategies = [strategy(1)];
+        // OSCILLATION_THRESHOLD transients within 10 minutes, one more
+        // hours later: flagged as transient, not toggling.
+        let mut alerts: Vec<Alert> = (0..OSCILLATION_THRESHOLD as u64)
+            .map(|i| transient(i, 1, 1_000 + i * 300, 30))
+            .collect();
+        alerts.push(transient(9, 1, 20_000, 30));
+        let input = DetectionInput::new(&strategies).with_alerts(&alerts);
+        let findings = TransientTogglingDetector::default().detect(&input);
+        assert!(
+            findings[0]
+                .evidence
+                .contains(&format!("max oscillation {OSCILLATION_THRESHOLD} in"))
+                && !findings[0].evidence.contains("TOGGLING"),
+            "{}",
+            findings[0].evidence
+        );
+        // One more inside the window tips it over.
+        alerts.push(transient(10, 1, 1_100, 30));
+        alerts.sort_by_key(Alert::raised_at);
+        let input = DetectionInput::new(&strategies).with_alerts(&alerts);
+        let findings = TransientTogglingDetector::default().detect(&input);
+        assert!(
+            findings[0].evidence.contains("TOGGLING"),
+            "{}",
+            findings[0].evidence
+        );
+    }
+
+    #[test]
     fn spares_solid_strategies() {
         let strategies = [strategy(1)];
         let alerts: Vec<Alert> = (0..10).map(|i| solid(i, 1, i * 1_000)).collect();
@@ -267,13 +297,12 @@ mod tests {
 
     #[test]
     fn max_oscillation_window_logic() {
-        let det = TransientTogglingDetector::default();
         let t = |s: u64| SimTime::from_secs(s);
-        assert_eq!(det.max_oscillation(&[]), 0);
-        assert_eq!(det.max_oscillation(&[t(0)]), 1);
+        assert_eq!(max_oscillation(&[]), 0);
+        assert_eq!(max_oscillation(&[t(0)]), 1);
         // 0, 10m, 20m, 29m → all within 30m window.
-        assert_eq!(det.max_oscillation(&[t(0), t(600), t(1_200), t(1_740)]), 4);
+        assert_eq!(max_oscillation(&[t(0), t(600), t(1_200), t(1_740)]), 4);
         // 0 and 31m → never together.
-        assert_eq!(det.max_oscillation(&[t(0), t(1_860)]), 1);
+        assert_eq!(max_oscillation(&[t(0), t(1_860)]), 1);
     }
 }

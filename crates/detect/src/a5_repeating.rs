@@ -7,41 +7,36 @@
 //! WARNING-level strategy ("haproxy process number warning") produced
 //! ≈30% of the 2751 alerts, hour after hour.
 //!
-//! The detector flags strategies by hourly volume: a strategy repeats if
-//! its alert count reaches `hourly_threshold` in at least
-//! `min_repeat_hours` (possibly non-consecutive) hours.
+//! The detector flags a strategy on either of two signatures: a *burst*,
+//! [`HOURLY_THRESHOLD`] alerts or more in each of at least
+//! [`MIN_REPEAT_HOURS`] (possibly non-consecutive) hours, or *sustained*
+//! repetition, [`MIN_SUSTAINED_TOTAL`] alerts spread over at least
+//! [`MIN_ACTIVE_HOURS`] distinct hours within a [`SUSTAINED_SPAN_HOURS`]
+//! span.
 
 use alertops_model::StrategyId;
 
 use crate::input::DetectionInput;
 use crate::types::{AntiPattern, Detector, StrategyFinding};
 
-/// Detector for repeating alerts.
-#[derive(Debug, Clone)]
-pub struct RepeatingDetector {
-    /// Alerts per hour from one strategy that count as "repeating".
-    pub hourly_threshold: usize,
-    /// How many such hours are required to flag the strategy.
-    pub min_repeat_hours: usize,
-    /// Distinct active hours for the sustained-repetition signature.
-    pub min_active_hours: usize,
-    /// Minimum total alerts for the sustained-repetition signature.
-    pub min_sustained_total: usize,
-    /// Span (in hours) within which the sustained signature must occur.
-    pub sustained_span_hours: u64,
-}
+/// Alerts per hour from one strategy that count as a repeating hour.
+const HOURLY_THRESHOLD: usize = 18;
 
-impl Default for RepeatingDetector {
-    fn default() -> Self {
-        Self {
-            hourly_threshold: 18,
-            min_repeat_hours: 2,
-            min_active_hours: 12,
-            min_sustained_total: 24,
-            sustained_span_hours: 24,
-        }
-    }
-}
+/// Repeating hours that make a burst.
+const MIN_REPEAT_HOURS: usize = 2;
+
+/// Distinct active hours for the sustained signature.
+const MIN_ACTIVE_HOURS: usize = 12;
+
+/// Alerts the sustained signature needs within its span.
+const MIN_SUSTAINED_TOTAL: usize = 24;
+
+/// The span, in hours, the sustained signature must fit in.
+const SUSTAINED_SPAN_HOURS: u64 = 24;
+
+/// Detector for repeating alerts.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RepeatingDetector;
 
 /// Appends the `(hour, count)` run-length encoding of `sorted_hours`
 /// (hour buckets, ascending, one per alert) to `runs` — the histogram
@@ -59,8 +54,8 @@ impl RepeatingDetector {
     /// [`evaluate_strategy`](Self::evaluate_strategy) opens with. The
     /// incremental engine checks it on its rolling counters before
     /// building any hour histogram.
-    pub(crate) fn may_flag(&self, total: usize) -> bool {
-        total >= self.hourly_threshold || total >= self.min_sustained_total
+    pub(crate) fn may_flag(total: usize) -> bool {
+        total >= HOURLY_THRESHOLD || total >= MIN_SUSTAINED_TOTAL
     }
 
     /// Evaluates one strategy: `total` in-scope alerts bucketed into the
@@ -69,20 +64,19 @@ impl RepeatingDetector {
     /// by the batch [`Detector`] pass and the incremental engine
     /// ([`crate::IncrementalState`]).
     pub(crate) fn evaluate_strategy(
-        &self,
         strategy: StrategyId,
         total: usize,
         per_hour: &[(u64, usize)],
     ) -> Option<StrategyFinding> {
-        if !self.may_flag(total) {
+        if !Self::may_flag(total) {
             return None;
         }
         let repeat_hours = per_hour
             .iter()
-            .filter(|&&(_, c)| c >= self.hourly_threshold)
+            .filter(|&&(_, c)| c >= HOURLY_THRESHOLD)
             .count();
         let peak = per_hour.iter().map(|&(_, c)| c).max().unwrap_or(0);
-        let burst = repeat_hours >= self.min_repeat_hours;
+        let burst = repeat_hours >= MIN_REPEAT_HOURS;
         // Sustained: sliding 24h span over the sorted hour buckets.
         let sustained = {
             let mut best = false;
@@ -90,11 +84,11 @@ impl RepeatingDetector {
             let mut span_alerts = 0usize;
             for hi in 0..per_hour.len() {
                 span_alerts += per_hour[hi].1;
-                while per_hour[hi].0 - per_hour[lo].0 >= self.sustained_span_hours {
+                while per_hour[hi].0 - per_hour[lo].0 >= SUSTAINED_SPAN_HOURS {
                     span_alerts -= per_hour[lo].1;
                     lo += 1;
                 }
-                if hi - lo + 1 >= self.min_active_hours && span_alerts >= self.min_sustained_total {
+                if hi - lo + 1 >= MIN_ACTIVE_HOURS && span_alerts >= MIN_SUSTAINED_TOTAL {
                     best = true;
                     break;
                 }
@@ -110,8 +104,7 @@ impl RepeatingDetector {
             score: peak as f64 + repeat_hours as f64 + per_hour.len() as f64 * 0.1,
             evidence: if burst {
                 format!(
-                    "reached ≥{}/hour in {} hours (peak {}/hour, {} total alerts)",
-                    self.hourly_threshold, repeat_hours, peak, total,
+                    "reached ≥{HOURLY_THRESHOLD}/hour in {repeat_hours} hours (peak {peak}/hour, {total} total alerts)",
                 )
             } else {
                 format!(
@@ -141,7 +134,7 @@ impl Detector for RepeatingDetector {
             hours.sort_unstable();
             let mut per_hour = Vec::new();
             push_hour_runs(&hours, &mut per_hour);
-            if let Some(finding) = self.evaluate_strategy(strategy.id(), total, &per_hour) {
+            if let Some(finding) = Self::evaluate_strategy(strategy.id(), total, &per_hour) {
                 findings.push(finding);
             }
         }
@@ -195,7 +188,7 @@ mod tests {
         alerts.extend(hour_of_alerts(100, 1, 8, 19));
         alerts.extend(hour_of_alerts(200, 1, 9, 18));
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = RepeatingDetector::default().detect(&input);
+        let findings = RepeatingDetector.detect(&input);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].evidence.contains("3 hours"));
         assert!(findings[0].evidence.contains("peak 22/hour"));
@@ -206,15 +199,8 @@ mod tests {
         let strategies = [strategy(1)];
         let alerts = hour_of_alerts(0, 1, 7, 30);
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = RepeatingDetector::default().detect(&input);
-        assert!(findings.is_empty(), "needs min_repeat_hours hours");
-        // But with min_repeat_hours = 1 it is flagged.
-        let findings = RepeatingDetector {
-            min_repeat_hours: 1,
-            ..RepeatingDetector::default()
-        }
-        .detect(&input);
-        assert_eq!(findings.len(), 1);
+        let findings = RepeatingDetector.detect(&input);
+        assert!(findings.is_empty(), "needs MIN_REPEAT_HOURS hours");
     }
 
     #[test]
@@ -229,7 +215,7 @@ mod tests {
             })
             .collect();
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = RepeatingDetector::default().detect(&input);
+        let findings = RepeatingDetector.detect(&input);
         assert!(findings.is_empty());
     }
 
@@ -243,7 +229,7 @@ mod tests {
             alerts.extend(hour_of_alerts(h * 10, 1, h, 2));
         }
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = RepeatingDetector::default().detect(&input);
+        let findings = RepeatingDetector.detect(&input);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].evidence.contains("distinct hours"));
     }
@@ -259,7 +245,7 @@ mod tests {
             alerts.extend(hour_of_alerts(d * 10 + 5, 1, d * 24 + 9, 1));
         }
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = RepeatingDetector::default().detect(&input);
+        let findings = RepeatingDetector.detect(&input);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -272,7 +258,7 @@ mod tests {
         alerts.extend(hour_of_alerts(300, 2, 8, 19));
         alerts.sort_by_key(Alert::raised_at);
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let findings = RepeatingDetector::default().detect(&input);
+        let findings = RepeatingDetector.detect(&input);
         assert_eq!(findings.len(), 2);
         assert_eq!(findings[0].strategy, StrategyId(1));
     }
@@ -281,6 +267,6 @@ mod tests {
     fn no_alerts_no_findings() {
         let strategies = [strategy(1)];
         let input = DetectionInput::new(&strategies);
-        assert!(RepeatingDetector::default().detect(&input).is_empty());
+        assert!(RepeatingDetector.detect(&input).is_empty());
     }
 }

@@ -12,7 +12,7 @@
 //! alert *b* is **derived from** alert *a* when (1) *b* occurred within a
 //! time window after *a*, and (2) *b*'s microservice transitively
 //! depends on *a*'s. Derivation edges are grouped into connected
-//! components; components spanning at least `min_group` alerts and two
+//! components; components spanning at least [`MIN_GROUP`] alerts and two
 //! microservices are reported as cascades, rooted at their earliest
 //! bottom-most alert.
 
@@ -61,21 +61,22 @@ impl CascadeGroup {
     }
 }
 
+/// The fewest alerts a cascade group has.
+const MIN_GROUP: usize = 3;
+
 /// Detector for cascading alerts. Requires the dependency graph; without
 /// one, [`detect_groups`](Self::detect_groups) returns nothing.
 #[derive(Debug, Clone)]
 pub struct CascadingDetector {
-    /// Maximum delay between a cause alert and a derived alert.
+    /// Maximum delay between a cause alert and a derived alert. The
+    /// incremental engine uses the default, 10 minutes.
     pub window: SimDuration,
-    /// Minimum component size to report.
-    pub min_group: usize,
 }
 
 impl Default for CascadingDetector {
     fn default() -> Self {
         Self {
             window: SimDuration::from_mins(10),
-            min_group: 3,
         }
     }
 }
@@ -108,7 +109,7 @@ impl CascadingDetector {
                 graph,
             );
         }
-        state.groups(self.min_group, graph)
+        state.groups(graph)
     }
 }
 
@@ -210,14 +211,10 @@ impl CascadeState {
     }
 
     /// Connected components of the derivation edges, filtered and
-    /// rooted exactly as the paper describes: at least `min_group`
+    /// rooted exactly as the paper describes: at least [`MIN_GROUP`]
     /// alerts spanning ≥ 2 microservices, rooted at the earliest alert
     /// whose microservice depends on no other member's.
-    pub(crate) fn groups(
-        &mut self,
-        min_group: usize,
-        graph: &DependencyGraph,
-    ) -> Vec<CascadeGroup> {
+    pub(crate) fn groups(&mut self, graph: &DependencyGraph) -> Vec<CascadeGroup> {
         let mut visited: BTreeSet<(SimTime, AlertId)> = BTreeSet::new();
         let mut groups = Vec::new();
         let nodes: Vec<(SimTime, AlertId)> = self.adj.keys().copied().collect();
@@ -239,7 +236,7 @@ impl CascadeState {
                     }
                 }
             }
-            if members.len() < min_group {
+            if members.len() < MIN_GROUP {
                 continue;
             }
             let ms_of = |k: &(SimTime, AlertId)| self.alive.get(k).copied();
@@ -369,23 +366,27 @@ mod tests {
 
     #[test]
     fn min_group_size_is_enforced() {
-        let strategies = [strategy(0), strategy(1)];
-        let alerts = [alert(0, 1, 0), alert(1, 2, 60)];
+        let strategies = [strategy(0), strategy(1), strategy(2)];
         let g = graph();
+        let pair = [alert(0, 1, 0), alert(1, 2, 60)];
         let input = DetectionInput::new(&strategies)
-            .with_alerts(&alerts)
+            .with_alerts(&pair)
             .with_graph(&g);
         assert!(
             CascadingDetector::default()
                 .detect_groups(&input)
                 .is_empty(),
-            "2 alerts < min_group 3"
+            "2 alerts < MIN_GROUP 3"
         );
-        let loose = CascadingDetector {
-            min_group: 2,
-            ..CascadingDetector::default()
-        };
-        assert_eq!(loose.detect_groups(&input).len(), 1);
+        // A third alert deriving from the storage one makes a
+        // three-alert chain, which is flagged.
+        let chain = [alert(0, 1, 0), alert(1, 2, 60), alert(2, 3, 90)];
+        let input = DetectionInput::new(&strategies)
+            .with_alerts(&chain)
+            .with_graph(&g);
+        let groups = CascadingDetector::default().detect_groups(&input);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].len(), MIN_GROUP);
     }
 
     #[test]

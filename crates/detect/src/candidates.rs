@@ -71,10 +71,11 @@ pub fn individual_candidates(alerts: &[Alert], fraction: f64) -> Vec<IndividualC
             alert_count: count,
         })
         .collect();
+    // Averages of non-negative processing times are finite and never
+    // -0.0, so this is the `partial_cmp` order.
     candidates.sort_by(|a, b| {
         b.avg_processing_mins
-            .partial_cmp(&a.avg_processing_mins)
-            .expect("averages are finite")
+            .total_cmp(&a.avg_processing_mins)
             .then(a.strategy.cmp(&b.strategy))
     });
     let keep = ((candidates.len() as f64) * fraction).ceil() as usize;

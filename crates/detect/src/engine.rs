@@ -57,7 +57,7 @@
 //! A window's raise times live in its digest and nowhere else: a digest
 //! is two exactly-sized vectors, one [`Slice`] of counters per strategy
 //! and every alert's raise time, both in strategy-id order. A
-//! strategy's rolling state is four counters. The times an evaluator
+//! strategy's rolling state is three counters. The times an evaluator
 //! reads — A2/A3's co-occurrence count, A4's sorted transient times,
 //! A5's hour runs — are gathered from the surviving digests when it
 //! runs, into buffers the engine reuses, and only where they can change
@@ -114,11 +114,11 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use alertops_model::{
-    Alert, AlertId, AlertStrategy, Clearance, DependencyGraph, Incident, IndexedCatalog,
-    MicroserviceId, RegionId, ServiceId, SimDuration, SimTime, StrategyId,
+    indicates_incident, Alert, AlertId, AlertStrategy, Clearance, DependencyGraph, Incident,
+    IndexedCatalog, MicroserviceId, RegionId, SimTime, StrategyId,
 };
 
-use crate::a2_severity::{a2_transient_cutoff, SeverityEvidence};
+use crate::a2_severity::SeverityEvidence;
 use crate::a5_repeating::push_hour_runs;
 use crate::a6_cascading::{CascadeGroup, CascadeState};
 use crate::input::DetectionInput;
@@ -130,28 +130,10 @@ use crate::{
     TransientTogglingDetector, UnclearTitleDetector,
 };
 
-/// Detector configurations the engine evaluates with. Defaults match
-/// [`AntiPatternReport::run_default`], so an engine with a default
-/// config reproduces the batch pipeline exactly.
-#[derive(Debug, Clone, Default)]
-pub struct EngineConfig {
-    /// A1 — unclear title.
-    pub a1: UnclearTitleDetector,
-    /// A2 — misleading severity.
-    pub a2: MisleadingSeverityDetector,
-    /// A3 — improper/outdated rule.
-    pub a3: ImproperRuleDetector,
-    /// A4 — transient/toggling.
-    pub a4: TransientTogglingDetector,
-    /// A5 — repeating.
-    pub a5: RepeatingDetector,
-    /// A6 — cascading.
-    pub a6: CascadingDetector,
-}
-
 /// One strategy's run of a [`WindowDigest`]: its raise times are
 /// `times[previous slice's end..end]`, the first `transients` of them
-/// those of transient alerts (A4's definition).
+/// those of transient alerts ([`Alert::is_transient`], the one
+/// definition A2 and A4 share).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Slice {
     strategy: StrategyId,
@@ -161,8 +143,6 @@ struct Slice {
     transients: u32,
     /// Alerts that auto-cleared.
     auto_cleared: u32,
-    /// Alerts that auto-cleared within A2's transient cutoff.
-    a2_transients: u32,
 }
 
 /// The compact per-window summary retained instead of cloned alerts,
@@ -201,7 +181,6 @@ impl WindowDigest {
                 total: self.range(i).len(),
                 transients: slice.transients as usize,
                 auto_cleared: slice.auto_cleared as usize,
-                a2_transients: slice.a2_transients as usize,
             };
             (slice.strategy, counts)
         })
@@ -228,7 +207,6 @@ struct DigestRow {
     lasting: bool,
     raised_at: SimTime,
     auto_cleared: bool,
-    a2_transient: bool,
 }
 
 /// Rolling counters for one strategy over the surviving windows — no
@@ -237,12 +215,10 @@ struct DigestRow {
 struct StrategyState {
     /// Total in-scope alerts.
     total: usize,
-    /// A4-transient alerts.
+    /// Transient alerts, read by A2 and A4.
     transients: usize,
     /// Auto-cleared alerts.
     auto_cleared: usize,
-    /// Auto-cleared within A2's transient cutoff.
-    a2_transients: usize,
 }
 
 impl StrategyState {
@@ -250,14 +226,12 @@ impl StrategyState {
         self.total += other.total;
         self.transients += other.transients;
         self.auto_cleared += other.auto_cleared;
-        self.a2_transients += other.a2_transients;
     }
 
     fn sub(&mut self, other: &Self) {
         self.total -= other.total;
         self.transients -= other.transients;
         self.auto_cleared -= other.auto_cleared;
-        self.a2_transients -= other.a2_transients;
     }
 }
 
@@ -462,10 +436,9 @@ struct Stale<'a> {
     /// stale along with A2/A3. False for a clean strategy that only a
     /// changed incident list made stale.
     aggregates_changed: bool,
-    /// Alerts that indicated an incident on the strategy's service,
-    /// under A2's and A3's lookaheads (both 0 without incidents).
-    a2_with_incident: usize,
-    a3_with_incident: usize,
+    /// Alerts that indicated an incident on the strategy's service, the
+    /// count A2 and A3 share (0 without incidents).
+    with_incident: usize,
     /// Its sorted transient times in [`Scratch::transient_times`];
     /// `None` unless A4 is stale and `may_flag` on the counters.
     transient_times: Option<Range<usize>>,
@@ -484,9 +457,8 @@ struct Stale<'a> {
 /// does not need a clone: it [`commit`](Self::commit)s after each good
 /// window and [`rollback`](Self::rollback)s by rebuilding from the
 /// digests.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IncrementalState {
-    config: EngineConfig,
     /// Digests of the surviving windows, oldest first.
     windows: VecDeque<WindowDigest>,
     /// Total alerts across surviving windows (O(1) scope size).
@@ -541,41 +513,7 @@ impl PartialEq for IncrementalState {
     }
 }
 
-impl Default for IncrementalState {
-    fn default() -> Self {
-        Self::new(EngineConfig::default())
-    }
-}
-
 impl IncrementalState {
-    /// Creates an empty engine with the given detector configurations.
-    #[must_use]
-    pub fn new(config: EngineConfig) -> Self {
-        Self {
-            config,
-            windows: VecDeque::new(),
-            alerts_in_scope: 0,
-            per_strategy: BTreeMap::new(),
-            histogram: BTreeMap::new(),
-            cascade: CascadeState::default(),
-            dirty: BTreeSet::new(),
-            catalog: None,
-            incidents_seen: None,
-            a1_cache: Vec::new(),
-            findings_cache: FindingsCache::default(),
-            undo: Undo::default(),
-            evicted: Vec::new(),
-            uncommitted: 0,
-            scratch: Scratch::default(),
-        }
-    }
-
-    /// The detector configurations.
-    #[must_use]
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Total alerts across the surviving windows — O(1).
     #[must_use]
     pub fn alert_count(&self) -> usize {
@@ -624,10 +562,9 @@ impl IncrementalState {
     }
 
     /// Summarises one window, sorting it through the engine's reused
-    /// row buffer. Reads only the detector configuration, so a digest
-    /// means the same to whichever engine applies it.
+    /// row buffer. Reads nothing else of the engine, so a digest means
+    /// the same to whichever engine applies it.
     fn digest(&mut self, window: &[Alert], with_cascade: bool) -> WindowDigest {
-        let transient_cutoff = a2_transient_cutoff();
         let rows = &mut self.scratch.rows;
         let mut digest = WindowDigest {
             alert_count: window.len(),
@@ -637,14 +574,11 @@ impl IncrementalState {
         for alert in window {
             let t = alert.raised_at();
             digest.oldest = Some(digest.oldest.map_or(t, |o| o.min(t)));
-            let auto_cleared = alert.clearance() == Some(Clearance::Auto);
             rows.push(DigestRow {
                 strategy: alert.strategy(),
-                lasting: !self.config.a4.is_transient(alert),
+                lasting: !alert.is_transient(),
                 raised_at: t,
-                auto_cleared,
-                a2_transient: auto_cleared
-                    && alert.duration().is_some_and(|d| d < transient_cutoff),
+                auto_cleared: alert.clearance() == Some(Clearance::Auto),
             });
             *region_hours
                 .entry((alert.location().region().clone(), alert.hour_bucket()))
@@ -666,7 +600,6 @@ impl IncrementalState {
                 end: to_u32(end),
                 transients: count(|r| !r.lasting),
                 auto_cleared: count(|r| r.auto_cleared),
-                a2_transients: count(|r| r.a2_transient),
             });
         }
         rows.clear();
@@ -687,8 +620,9 @@ impl IncrementalState {
             *self.histogram.entry((region.clone(), *hour)).or_insert(0) += count;
         }
         if let Some(graph) = graph {
+            let window = CascadingDetector::default().window;
             for &(t, id, ms) in &digest.cascade {
-                self.cascade.insert(t, id, ms, self.config.a6.window, graph);
+                self.cascade.insert(t, id, ms, window, graph);
             }
         }
     }
@@ -784,7 +718,7 @@ impl IncrementalState {
             incidents_seen: self.incidents_seen.take(),
             a1_cache: std::mem::take(&mut self.a1_cache),
             findings_cache: std::mem::take(&mut self.findings_cache),
-            ..Self::new(std::mem::take(&mut self.config))
+            ..Self::default()
         };
         for digest in scope {
             self.apply(&digest, graph);
@@ -816,7 +750,6 @@ impl IncrementalState {
         // Named field by field, so a field added to the engine has to
         // be classified here.
         let Self {
-            config: _,
             windows,
             alerts_in_scope: _,
             per_strategy: _, // counters only
@@ -899,7 +832,7 @@ impl IncrementalState {
             // Strategy attributes (severity, kind, service) feed every
             // evaluator: invalidate everything.
             self.dirty.extend(self.per_strategy.keys().copied());
-            let a1 = self.config.a1.detect(&DetectionInput::new(catalog.rows()));
+            let a1 = UnclearTitleDetector.detect(&DetectionInput::new(catalog.rows()));
             transitions.flip_a1(&self.a1_cache, &a1);
             let held = self.catalog.replace(Arc::clone(catalog));
             let before = std::mem::replace(&mut self.a1_cache, a1);
@@ -908,7 +841,6 @@ impl IncrementalState {
         let incidents_changed = self.incidents_seen.as_deref() != Some(incidents);
 
         let Self {
-            config,
             windows,
             per_strategy,
             dirty,
@@ -931,8 +863,7 @@ impl IncrementalState {
                 strategy,
                 state,
                 aggregates_changed,
-                a2_with_incident: 0,
-                a3_with_incident: 0,
+                with_incident: 0,
                 transient_times: None,
                 hour_runs: None,
                 rescored: CachedFindings::default(),
@@ -969,8 +900,9 @@ impl IncrementalState {
         cursors.resize(windows.len(), 0);
         let co_occurrence = !incidents.is_empty();
         for s in &mut stale {
-            let a4 = s.aggregates_changed && config.a4.may_flag(s.state.total, s.state.transients);
-            let a5 = s.aggregates_changed && config.a5.may_flag(s.state.total);
+            let a4 = s.aggregates_changed
+                && TransientTogglingDetector::may_flag(s.state.total, s.state.transients);
+            let a5 = s.aggregates_changed && RepeatingDetector::may_flag(s.state.total);
             if !(co_occurrence || a4 || a5) {
                 continue;
             }
@@ -982,10 +914,10 @@ impl IncrementalState {
                 };
                 if co_occurrence {
                     let service = s.strategy.service();
-                    s.a2_with_incident +=
-                        with_incident(times, service, incidents, config.a2.incident_lookahead);
-                    s.a3_with_incident +=
-                        with_incident(times, service, incidents, config.a3.incident_lookahead);
+                    s.with_incident += times
+                        .iter()
+                        .filter(|&&t| indicates_incident(incidents, service, t))
+                        .count();
                 }
                 if a4 {
                     transient_times.extend_from_slice(&times[..slice.transients as usize]);
@@ -1013,11 +945,12 @@ impl IncrementalState {
             for s in &mut stale {
                 let evidence = SeverityEvidence {
                     total: s.state.total,
-                    with_incident: s.a2_with_incident,
+                    with_incident: s.with_incident,
                     auto_cleared: s.state.auto_cleared,
-                    transients: s.state.a2_transients,
+                    transients: s.state.transients,
                 };
-                s.rescored.a2 = config.a2.evaluate_strategy(s.strategy, &evidence);
+                s.rescored.a2 =
+                    MisleadingSeverityDetector::evaluate_strategy(s.strategy, &evidence);
             }
         }
 
@@ -1025,10 +958,11 @@ impl IncrementalState {
         {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::ImproperRule));
             for s in &mut stale {
-                s.rescored.a3 =
-                    config
-                        .a3
-                        .evaluate_strategy(s.strategy, s.state.total, s.a3_with_incident);
+                s.rescored.a3 = ImproperRuleDetector::evaluate_strategy(
+                    s.strategy,
+                    s.state.total,
+                    s.with_incident,
+                );
             }
         }
 
@@ -1039,13 +973,10 @@ impl IncrementalState {
         // would say `None` on the same counts.
         {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::TransientToggling));
+            let a4 = TransientTogglingDetector::default();
             for s in stale.iter_mut().filter(|s| s.aggregates_changed) {
                 s.rescored.a4 = s.transient_times.clone().and_then(|range| {
-                    config.a4.evaluate_strategy(
-                        s.strategy.id(),
-                        s.state.total,
-                        &transient_times[range],
-                    )
+                    a4.evaluate_strategy(s.strategy.id(), s.state.total, &transient_times[range])
                 });
             }
         }
@@ -1053,9 +984,11 @@ impl IncrementalState {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::Repeating));
             for s in stale.iter_mut().filter(|s| s.aggregates_changed) {
                 s.rescored.a5 = s.hour_runs.clone().and_then(|range| {
-                    config
-                        .a5
-                        .evaluate_strategy(s.strategy.id(), s.state.total, &hour_runs[range])
+                    RepeatingDetector::evaluate_strategy(
+                        s.strategy.id(),
+                        s.state.total,
+                        &hour_runs[range],
+                    )
                 });
             }
         }
@@ -1125,9 +1058,8 @@ impl IncrementalState {
         // A6 — cascades come straight off the maintained edge set.
         let cascades: Vec<CascadeGroup> = {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::Cascading));
-            let min_group = self.config.a6.min_group;
             match graph {
-                Some(graph) => self.cascade.groups(min_group, graph),
+                Some(graph) => self.cascade.groups(graph),
                 None => Vec::new(),
             }
         };
@@ -1163,29 +1095,10 @@ fn to_u32(n: usize) -> u32 {
     u32::try_from(n).expect("a window holds fewer than 2^32 alerts")
 }
 
-/// How many of the raise times `times` indicated an incident on
-/// `service` (one was ongoing, or began within `lookahead` after the
-/// instant) — the shared co-occurrence count behind A2 and A3.
-fn with_incident(
-    times: &[SimTime],
-    service: ServiceId,
-    incidents: &[Incident],
-    lookahead: SimDuration,
-) -> usize {
-    times
-        .iter()
-        .filter(|&&t| {
-            incidents
-                .iter()
-                .any(|inc| inc.service() == service && inc.covers_or_follows(t, lookahead))
-        })
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alertops_model::{LogRule, Severity, StrategyKind};
+    use alertops_model::{LogRule, Severity, SimDuration, StrategyKind};
 
     fn strategy(id: u64) -> AlertStrategy {
         AlertStrategy::builder(StrategyId(id))

@@ -98,21 +98,6 @@ impl<'a> DetectionInput<'a> {
     pub fn alert_count_of(&self, strategy: StrategyId) -> usize {
         self.by_strategy.get(&strategy).map_or(0, Vec::len)
     }
-
-    /// Whether an alert at `t` on `service` indicates an incident: one
-    /// was ongoing at `t`, or began within `lookahead` after it (alerts
-    /// are early warnings by design).
-    #[must_use]
-    pub fn incident_indicated(
-        &self,
-        service: alertops_model::ServiceId,
-        t: alertops_model::SimTime,
-        lookahead: alertops_model::SimDuration,
-    ) -> bool {
-        self.incidents
-            .iter()
-            .any(|inc| inc.service() == service && inc.covers_or_follows(t, lookahead))
-    }
 }
 
 #[cfg(test)]

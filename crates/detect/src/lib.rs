@@ -41,7 +41,7 @@
 //!     .build()?;
 //! let strategies = [vague];
 //! let input = DetectionInput::new(&strategies);
-//! let findings = UnclearTitleDetector::default().detect(&input);
+//! let findings = UnclearTitleDetector.detect(&input);
 //! assert_eq!(findings.len(), 1);
 //! # Ok(())
 //! # }
@@ -72,7 +72,7 @@ pub use a3_improper::ImproperRuleDetector;
 pub use a4_transient::TransientTogglingDetector;
 pub use a5_repeating::RepeatingDetector;
 pub use a6_cascading::{CascadeGroup, CascadingDetector};
-pub use engine::{EngineConfig, FlagTransitions, IncrementalState};
+pub use engine::{FlagTransitions, IncrementalState};
 pub use input::DetectionInput;
 pub use metrics::DetectMetrics;
 pub use report::{evaluate_sets, AntiPatternReport, PrecisionRecall};

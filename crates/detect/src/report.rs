@@ -27,7 +27,7 @@ pub struct AntiPatternReport {
 }
 
 impl AntiPatternReport {
-    /// Runs all six detectors with default configurations.
+    /// Runs all six detectors, A4 and A6 at their default settings.
     #[must_use]
     pub fn run_default(input: &DetectionInput<'_>) -> Self {
         Self::run_instrumented(input, None)
@@ -44,11 +44,11 @@ impl AntiPatternReport {
             m.record_run(input.alerts().len() as u64);
         }
         let detectors: Vec<Box<dyn Detector>> = vec![
-            Box::new(UnclearTitleDetector::default()),
-            Box::new(MisleadingSeverityDetector::default()),
-            Box::new(ImproperRuleDetector::default()),
+            Box::new(UnclearTitleDetector),
+            Box::new(MisleadingSeverityDetector),
+            Box::new(ImproperRuleDetector),
             Box::new(TransientTogglingDetector::default()),
-            Box::new(RepeatingDetector::default()),
+            Box::new(RepeatingDetector),
         ];
         let mut findings: BTreeMap<AntiPattern, Vec<StrategyFinding>> = BTreeMap::new();
         for detector in detectors {

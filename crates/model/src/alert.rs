@@ -30,6 +30,12 @@ impl fmt::Display for Clearance {
     }
 }
 
+/// The paper's *intermittent interruption threshold* (§III-A1): an alert
+/// auto-cleared sooner than this after it was raised is transient. A4
+/// judges toggling with it, A2 defers transient-dominated strategies to
+/// A4 with it, and QoA counts it as a feature.
+pub const INTERMITTENT_THRESHOLD: SimDuration = SimDuration::from_mins(5);
+
 /// The lifecycle state of an alert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
@@ -187,6 +193,14 @@ impl Alert {
     pub fn duration(&self) -> Option<SimDuration> {
         self.cleared_at()
             .map(|at| at.duration_since(self.raised_at))
+    }
+
+    /// Whether the alert is *transient*: auto-cleared less than
+    /// [`INTERMITTENT_THRESHOLD`] after it was raised.
+    #[must_use]
+    pub fn is_transient(&self) -> bool {
+        self.clearance() == Some(Clearance::Auto)
+            && self.duration().is_some_and(|d| d < INTERMITTENT_THRESHOLD)
     }
 
     /// The OCE processing time recorded for this alert, if any.
@@ -361,6 +375,20 @@ mod tests {
         assert_eq!(a.cleared_at(), Some(SimTime::from_secs(400)));
         assert_eq!(a.clearance(), Some(Clearance::Auto));
         assert_eq!(a.duration(), Some(SimDuration::from_secs(300)));
+    }
+
+    #[test]
+    fn transient_means_auto_cleared_within_the_intermittent_threshold() {
+        let cleared = |secs: u64, by: Clearance| {
+            let mut a = sample();
+            a.clear(SimTime::from_secs(100 + secs), by).unwrap();
+            a
+        };
+        assert!(cleared(4 * 60 + 59, Clearance::Auto).is_transient());
+        // Exactly the threshold is not below it.
+        assert!(!cleared(INTERMITTENT_THRESHOLD.as_secs(), Clearance::Auto).is_transient());
+        assert!(!cleared(60, Clearance::Manual).is_transient());
+        assert!(!sample().is_transient());
     }
 
     #[test]

@@ -4,7 +4,24 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{AlertId, IncidentId, ServiceId, Severity, SimTime};
+use crate::{AlertId, IncidentId, ServiceId, Severity, SimDuration, SimTime};
+
+/// How long after an alert an incident may begin and still count as
+/// indicated by it: alerts are early warnings of the impact they report.
+/// The one lookahead of every indicativeness check — A2, A3, the
+/// blocking-rule audits, QoA scoring and features, and the feedback
+/// oracle.
+pub const INCIDENT_LOOKAHEAD: SimDuration = SimDuration::from_mins(30);
+
+/// Whether an alert raised at `t` on `service` indicates an incident: one
+/// on that service was ongoing at `t`, or began within
+/// [`INCIDENT_LOOKAHEAD`] after it.
+#[must_use]
+pub fn indicates_incident(incidents: &[Incident], service: ServiceId, t: SimTime) -> bool {
+    incidents
+        .iter()
+        .any(|inc| inc.service() == service && inc.covers_or_follows(t, INCIDENT_LOOKAHEAD))
+}
 
 /// The lifecycle status of an incident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -136,7 +153,7 @@ impl Incident {
     /// user-visible impact they indicate (that is their whole purpose),
     /// so indicativeness checks use this rather than [`covers`](Self::covers).
     #[must_use]
-    pub fn covers_or_follows(&self, t: SimTime, lookahead: crate::SimDuration) -> bool {
+    pub fn covers_or_follows(&self, t: SimTime, lookahead: SimDuration) -> bool {
         if self.covers(t) {
             return true;
         }
@@ -228,7 +245,6 @@ mod tests {
 
     #[test]
     fn covers_or_follows_adds_lookahead() {
-        use crate::SimDuration;
         let inc = incident(); // starts at hour 1
         let lookahead = SimDuration::from_mins(30);
         // 20 minutes before the incident: early warning.
@@ -239,6 +255,43 @@ mod tests {
         assert!(!inc.covers_or_follows(SimTime::from_secs(0), lookahead));
         // During the incident: still covered.
         assert!(inc.covers_or_follows(SimTime::from_hours(2), lookahead));
+    }
+
+    #[test]
+    fn indicates_incident_on_the_alerts_service_within_the_lookahead() {
+        let t = SimTime::from_hours(5);
+        let starting = |offset: u64| {
+            Incident::new(
+                IncidentId(1),
+                ServiceId(2),
+                Severity::Major,
+                t.saturating_add(SimDuration::from_secs(offset)),
+            )
+        };
+        // Ongoing at `t`: started an hour before it, still open.
+        let ongoing = Incident::new(
+            IncidentId(1),
+            ServiceId(2),
+            Severity::Major,
+            SimTime::from_hours(4),
+        );
+        assert!(indicates_incident(
+            std::slice::from_ref(&ongoing),
+            ServiceId(2),
+            t
+        ));
+        // Starting exactly INCIDENT_LOOKAHEAD after `t` counts; one second
+        // later does not.
+        let edge = INCIDENT_LOOKAHEAD.as_secs();
+        assert!(indicates_incident(&[starting(edge)], ServiceId(2), t));
+        assert!(!indicates_incident(&[starting(edge + 1)], ServiceId(2), t));
+        // An incident on another service never counts.
+        assert!(!indicates_incident(
+            &[ongoing, starting(0)],
+            ServiceId(3),
+            t
+        ));
+        assert!(!indicates_incident(&[], ServiceId(2), t));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use alertops_model::{Alert, AlertStrategy, Clearance, Incident, Severity, SimDuration, Sop};
+use alertops_model::{
+    indicates_incident, Alert, AlertStrategy, Clearance, Incident, Severity, Sop,
+};
 use alertops_text::title_report;
 
 /// The three QoA criteria for one strategy, each in `[0, 1]`.
@@ -37,8 +39,9 @@ pub struct QoaReport {
 
 /// Computes evidence-based QoA scores.
 ///
-/// * `indicativeness` = fraction of the strategy's alerts that co-occur
-///   with an incident on the owning service;
+/// * `indicativeness` = fraction of the strategy's alerts that indicate
+///   an incident on the owning service
+///   ([`indicates_incident`]);
 /// * `precision` = `1 − severity_distance/3`, where the implied severity
 ///   comes from the same incident/auto-clear evidence the A2 detector
 ///   uses;
@@ -54,24 +57,18 @@ pub struct QoaReport {
 /// SOP when no alerts exist.
 #[derive(Debug, Clone)]
 pub struct QoaScorer {
-    /// How far after an alert an incident may begin and still count as
-    /// indicated by it.
-    pub incident_lookahead: SimDuration,
     /// Alert count at which behavioural evidence gets full weight.
     pub min_evidence: usize,
 }
 
 impl Default for QoaScorer {
     fn default() -> Self {
-        Self {
-            incident_lookahead: SimDuration::from_mins(30),
-            min_evidence: 10,
-        }
+        Self { min_evidence: 10 }
     }
 }
 
 impl QoaScorer {
-    /// Creates a scorer with the default lookahead and evidence floor.
+    /// Creates a scorer with the default evidence floor.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -100,10 +97,7 @@ impl QoaScorer {
         let mut auto_cleared = 0usize;
         let mut instance_level = 0usize;
         for alert in alerts {
-            if incidents.iter().any(|inc| {
-                inc.service() == strategy.service()
-                    && inc.covers_or_follows(alert.raised_at(), self.incident_lookahead)
-            }) {
+            if indicates_incident(incidents, strategy.service(), alert.raised_at()) {
                 with_incident += 1;
             }
             if alert.clearance() == Some(Clearance::Auto) {
@@ -148,9 +142,13 @@ impl QoaScorer {
     }
 }
 
-/// The impact-implied severity (shared logic with the A2 detector,
-/// duplicated here to keep the crates independent; the thresholds are
-/// part of the published methodology, not incidental code).
+/// The impact-implied severity QoA's precision criterion is judged
+/// against. Deliberately not A2's
+/// `MisleadingSeverityDetector::implied_severity`: its bands (0.15
+/// incident rate for `Major`, 0.7 auto-clear for `Warning`) are looser
+/// than A2's (0.3 and 0.8, with A2's self-clearing cap), so a score
+/// grades a severity A2 would not yet flag. Merging the two would change
+/// every QoA score.
 fn implied_severity(incident_rate: f64, auto_clear_rate: f64) -> Severity {
     if incident_rate > 0.5 {
         Severity::Critical

@@ -66,18 +66,22 @@ impl BinaryMetrics {
 
 /// Area under the ROC curve, computed via the rank-sum (Mann–Whitney)
 /// formulation with midrank tie handling. Returns `None` when either
-/// class is absent.
+/// class is absent, or when a score is not finite (NaN or infinite):
+/// such a score has no rank.
 #[must_use]
 pub fn auc(scores: &[f64], truth: &[bool]) -> Option<f64> {
     assert_eq!(scores.len(), truth.len(), "length mismatch");
     let positives = truth.iter().filter(|&&t| t).count();
     let negatives = truth.len() - positives;
-    if positives == 0 || negatives == 0 {
+    if positives == 0 || negatives == 0 || !scores.iter().all(|s| s.is_finite()) {
         return None;
     }
-    // Rank scores ascending with midranks for ties.
+    // Rank scores ascending with midranks for ties. The scores are
+    // finite, so `total_cmp` is the `partial_cmp` order except that it
+    // puts -0.0 just before 0.0; the tie scan below compares with `==`,
+    // so the two still share one midrank.
     let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite scores"));
+    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
     let mut ranks = vec![0.0f64; scores.len()];
     let mut i = 0;
     while i < order.len() {
@@ -147,6 +151,15 @@ mod tests {
         ];
         let a = auc(&scores, &truth).unwrap();
         assert!((a - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn auc_of_a_non_finite_score_is_none() {
+        let truth = [true, false, true];
+        assert_eq!(auc(&[0.9, f64::NAN, 0.1], &truth), None);
+        assert_eq!(auc(&[0.9, 0.2, f64::INFINITY], &truth), None);
+        // Signed zeros tie: one midrank for both.
+        assert_eq!(auc(&[0.0, -0.0, 1.0], &truth), Some(0.75));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! `IndexedCatalog`, where it was computed once, while a batch caller
 //! passes `alertops_text::title_report(title).score`.
 
-use alertops_model::{Alert, AlertStrategy, Clearance, Incident, SimDuration, Sop, StrategyKind};
+use alertops_model::{
+    indicates_incident, Alert, AlertStrategy, Clearance, Incident, Sop, StrategyKind,
+};
 
 /// Names of the extracted features, index-aligned with
 /// [`extract_features`].
@@ -32,9 +34,6 @@ pub const FEATURE_NAMES: [&str; 11] = [
 /// above it saturate).
 const VOLUME_CEILING: f64 = 200.0;
 
-/// Duration below which an auto-cleared alert counts as transient.
-const INTERMITTENT_THRESHOLD: SimDuration = SimDuration::from_mins(5);
-
 /// Extracts the feature vector of one strategy, given its title's
 /// informativeness score.
 #[must_use]
@@ -51,18 +50,13 @@ pub fn extract_features(
     let mut with_incident = 0usize;
     let mut instance_level = 0usize;
     for alert in alerts {
-        if alert.clearance() == Some(Clearance::Auto) {
-            auto += 1;
-            if alert.duration().is_some_and(|d| d < INTERMITTENT_THRESHOLD) {
-                transient += 1;
-            }
-        }
-        if incidents.iter().any(|inc| {
-            inc.service() == strategy.service()
-                && inc.covers_or_follows(alert.raised_at(), SimDuration::from_mins(30))
-        }) {
-            with_incident += 1;
-        }
+        auto += usize::from(alert.clearance() == Some(Clearance::Auto));
+        transient += usize::from(alert.is_transient());
+        with_incident += usize::from(indicates_incident(
+            incidents,
+            strategy.service(),
+            alert.raised_at(),
+        ));
         if alert.location().is_instance_level() {
             instance_level += 1;
         }
@@ -116,8 +110,8 @@ pub fn extract_features(
 mod tests {
     use super::*;
     use alertops_model::{
-        AlertId, Location, LogRule, MetricKind, MetricRule, Severity, SimTime, StrategyId,
-        ThresholdOp,
+        AlertId, Location, LogRule, MetricKind, MetricRule, Severity, SimDuration, SimTime,
+        StrategyId, ThresholdOp,
     };
     use alertops_text::title_report;
 

@@ -119,7 +119,9 @@ impl QoaModel {
             .iter()
             .map(|(id, x)| (*id, self.predict_proba(criterion, x)))
             .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite probabilities"));
+        // A sigmoid of finite features lies in [0, 1], never -0.0, so
+        // this is the `partial_cmp` order (and a NaN no longer panics).
+        scored.sort_by(|a, b| a.1.total_cmp(&b.1));
         scored
     }
 }

@@ -9,29 +9,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use alertops_model::{Alert, Incident, SimDuration};
+use alertops_model::{Alert, Incident, INCIDENT_LOOKAHEAD};
 
 use crate::blocking::AlertBlocker;
 
-/// Configuration for [`audit_blocker`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AuditConfig {
-    /// A rule with zero hits in the trailing `stale_after_days` of the
-    /// audited period is reported stale.
-    pub stale_after_days: u64,
-    /// Lookahead when deciding whether a blocked alert indicated an
-    /// incident (same early-warning semantics as the detectors).
-    pub incident_lookahead: SimDuration,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        Self {
-            stale_after_days: 7,
-            incident_lookahead: SimDuration::from_mins(30),
-        }
-    }
-}
+/// A rule with zero hits in this many trailing days of the audited
+/// period is reported stale.
+pub const STALE_AFTER_DAYS: u64 = 7;
 
 /// The health verdict for one blocking rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,8 +47,9 @@ impl RuleAudit {
 /// order.
 ///
 /// The harm check here is *time-overlap only* (an incident somewhere in
-/// the system covered the suppressed alert's raise window) because the
-/// alert alone does not identify its service. When the caller can map an
+/// the system was ongoing at the suppressed alert's raise time or began
+/// within [`INCIDENT_LOOKAHEAD`] after it) because the alert alone does
+/// not identify its service. When the caller can map an
 /// alert to its service, [`audit_blocker_with`] takes a precise
 /// indicativeness predicate instead.
 ///
@@ -77,23 +62,21 @@ pub fn audit_blocker(
     blocker: &AlertBlocker,
     alerts: &[Alert],
     incidents: &[Incident],
-    config: &AuditConfig,
 ) -> Vec<RuleAudit> {
-    audit_blocker_with(blocker, alerts, config, |alert| {
+    audit_blocker_with(blocker, alerts, |alert| {
         incidents
             .iter()
-            .any(|inc| inc.covers_or_follows(alert.raised_at(), config.incident_lookahead))
+            .any(|inc| inc.covers_or_follows(alert.raised_at(), INCIDENT_LOOKAHEAD))
     })
 }
 
 /// [`audit_blocker`] with a caller-supplied indicativeness predicate —
-/// typically "an incident on *this alert's service* covered it", built
-/// from the strategy catalog.
+/// typically [`alertops_model::indicates_incident`] on the alert's own
+/// service, looked up in the strategy catalog.
 #[must_use]
 pub fn audit_blocker_with(
     blocker: &AlertBlocker,
     alerts: &[Alert],
-    config: &AuditConfig,
     is_indicative: impl Fn(&Alert) -> bool,
 ) -> Vec<RuleAudit> {
     // Scan for the day range rather than trusting first/last order, so
@@ -149,7 +132,7 @@ pub fn audit_blocker_with(
         }
     }
 
-    let stale_window = config.stale_after_days.min(days as u64) as usize;
+    let stale_window = STALE_AFTER_DAYS.min(days as u64) as usize;
     for audit in &mut audits {
         let tail = &audit.daily_hits[days - stale_window..];
         audit.stale = tail.iter().all(|&h| h == 0);
@@ -201,7 +184,7 @@ mod tests {
             alert(2, 1, 2, 100),
             alert(3, 9, 2, 200), // unmatched
         ];
-        let audits = audit_blocker(&blocker, &alerts, &[], &AuditConfig::default());
+        let audits = audit_blocker(&blocker, &alerts, &[]);
         assert_eq!(audits.len(), 1);
         assert_eq!(audits[0].total_hits, 3);
         assert_eq!(audits[0].daily_hits, vec![2, 0, 1]);
@@ -211,16 +194,22 @@ mod tests {
 
     #[test]
     fn rule_with_quiet_tail_is_stale() {
-        let blocker = blocker(&[1, 2]);
-        // 10-day history: rule 1 hits early only; rule 2 hits daily.
+        let blocker = blocker(&[1, 2, 3, 4]);
+        // 10-day history: rule 1 hits early only; rule 2 hits daily;
+        // rule 3 is quiet for exactly the trailing STALE_AFTER_DAYS, and
+        // rule 4 for one day fewer.
         let mut alerts = vec![alert(0, 1, 0, 100), alert(1, 1, 1, 100)];
         for day in 0..10 {
             alerts.push(alert(100 + day, 2, day, 500));
         }
+        alerts.push(alert(200, 3, 10 - STALE_AFTER_DAYS - 1, 100));
+        alerts.push(alert(201, 4, 10 - STALE_AFTER_DAYS, 100));
         alerts.sort_by_key(Alert::raised_at);
-        let audits = audit_blocker(&blocker, &alerts, &[], &AuditConfig::default());
+        let audits = audit_blocker(&blocker, &alerts, &[]);
         assert!(audits[0].stale, "rule 1 stopped matching 8 days ago");
         assert!(!audits[1].stale);
+        assert!(audits[2].stale);
+        assert!(!audits[3].stale);
         assert!(audits[0].needs_review());
         assert!(!audits[1].needs_review());
     }
@@ -236,7 +225,7 @@ mod tests {
             SimTime::from_secs(500),
         );
         incident.mitigate(SimTime::from_secs(5_000));
-        let audits = audit_blocker(&blocker, &alerts, &[incident], &AuditConfig::default());
+        let audits = audit_blocker(&blocker, &alerts, &[incident]);
         assert_eq!(audits[0].suppressed_indicative, 1);
         assert!(audits[0].needs_review());
     }
@@ -244,7 +233,7 @@ mod tests {
     #[test]
     fn empty_history_marks_everything_stale() {
         let blocker = blocker(&[1, 2, 3]);
-        let audits = audit_blocker(&blocker, &[], &[], &AuditConfig::default());
+        let audits = audit_blocker(&blocker, &[], &[]);
         assert_eq!(audits.len(), 3);
         assert!(audits.iter().all(|a| a.stale && a.total_hits == 0));
     }
@@ -285,7 +274,7 @@ mod tests {
         let blocker = blocker(&[1]);
         // Later day first: the day range must still be computed correctly.
         let alerts = vec![alert(0, 1, 5, 10), alert(1, 1, 1, 10)];
-        let audits = audit_blocker(&blocker, &alerts, &[], &AuditConfig::default());
+        let audits = audit_blocker(&blocker, &alerts, &[]);
         assert_eq!(audits[0].total_hits, 2);
         assert_eq!(audits[0].daily_hits.len(), 5);
         assert_eq!(audits[0].daily_hits[0], 1); // day 1
@@ -298,7 +287,7 @@ mod tests {
         // configured window is 7 days.
         let blocker = blocker(&[1]);
         let alerts = vec![alert(0, 1, 0, 100), alert(1, 1, 1, 100)];
-        let audits = audit_blocker(&blocker, &alerts, &[], &AuditConfig::default());
+        let audits = audit_blocker(&blocker, &alerts, &[]);
         assert!(!audits[0].stale);
     }
 }

@@ -13,25 +13,13 @@ use alertops_model::{Alert, AlertId, Severity, SimTime};
 
 use crate::correlation::CorrelatedCluster;
 
-/// Thresholds for proposing incidents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EscalationConfig {
-    /// A cluster with at least this many alerts escalates regardless of
-    /// severity (volume alone marks a broad failure).
-    pub min_cluster_size: usize,
-    /// A cluster containing an alert at or above this severity escalates
-    /// regardless of size.
-    pub severity_floor: Severity,
-}
+/// A cluster with at least this many alerts escalates regardless of
+/// severity (volume alone marks a broad failure).
+const MIN_CLUSTER_SIZE: usize = 5;
 
-impl Default for EscalationConfig {
-    fn default() -> Self {
-        Self {
-            min_cluster_size: 5,
-            severity_floor: Severity::Critical,
-        }
-    }
-}
+/// A cluster containing an alert at or above this severity escalates
+/// regardless of size.
+const SEVERITY_FLOOR: Severity = Severity::Critical;
 
 /// A proposed incident, ready for the incident-management system.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,7 +61,6 @@ pub enum EscalationReason {
 pub fn propose_incidents(
     clusters: &[CorrelatedCluster],
     alerts: &[Alert],
-    config: &EscalationConfig,
 ) -> Vec<IncidentProposal> {
     let by_id: std::collections::HashMap<AlertId, &Alert> =
         alerts.iter().map(|a| (a.id(), a)).collect();
@@ -87,10 +74,8 @@ pub fn propose_incidents(
         if members.is_empty() {
             continue;
         }
-        let severe = members
-            .iter()
-            .any(|a| a.severity() >= config.severity_floor);
-        let voluminous = members.len() >= config.min_cluster_size;
+        let severe = members.iter().any(|a| a.severity() >= SEVERITY_FLOOR);
+        let voluminous = members.len() >= MIN_CLUSTER_SIZE;
         let reason = match (severe, voluminous) {
             (true, true) => EscalationReason::Both,
             (true, false) => EscalationReason::SevereAlert,
@@ -147,8 +132,7 @@ mod tests {
     #[test]
     fn severe_singleton_escalates() {
         let alerts = vec![alert(0, Severity::Critical, 100)];
-        let proposals =
-            propose_incidents(&[cluster(0, &[])], &alerts, &EscalationConfig::default());
+        let proposals = propose_incidents(&[cluster(0, &[])], &alerts);
         assert_eq!(proposals.len(), 1);
         assert_eq!(proposals[0].reason, EscalationReason::SevereAlert);
         assert_eq!(proposals[0].severity, Severity::Critical);
@@ -158,11 +142,7 @@ mod tests {
     #[test]
     fn large_mild_cluster_escalates_on_volume() {
         let alerts: Vec<Alert> = (0..6).map(|i| alert(i, Severity::Minor, 100 + i)).collect();
-        let proposals = propose_incidents(
-            &[cluster(0, &[1, 2, 3, 4, 5])],
-            &alerts,
-            &EscalationConfig::default(),
-        );
+        let proposals = propose_incidents(&[cluster(0, &[1, 2, 3, 4, 5])], &alerts);
         assert_eq!(proposals.len(), 1);
         assert_eq!(proposals[0].reason, EscalationReason::ClusterVolume);
         assert_eq!(proposals[0].alerts.len(), 6);
@@ -172,11 +152,7 @@ mod tests {
     #[test]
     fn small_mild_cluster_does_not_escalate() {
         let alerts: Vec<Alert> = (0..3).map(|i| alert(i, Severity::Minor, 100)).collect();
-        let proposals = propose_incidents(
-            &[cluster(0, &[1, 2])],
-            &alerts,
-            &EscalationConfig::default(),
-        );
+        let proposals = propose_incidents(&[cluster(0, &[1, 2])], &alerts);
         assert!(proposals.is_empty());
     }
 
@@ -184,22 +160,14 @@ mod tests {
     fn both_reason_when_severe_and_large() {
         let mut alerts: Vec<Alert> = (0..5).map(|i| alert(i, Severity::Minor, 100)).collect();
         alerts.push(alert(5, Severity::Critical, 105));
-        let proposals = propose_incidents(
-            &[cluster(0, &[1, 2, 3, 4, 5])],
-            &alerts,
-            &EscalationConfig::default(),
-        );
+        let proposals = propose_incidents(&[cluster(0, &[1, 2, 3, 4, 5])], &alerts);
         assert_eq!(proposals[0].reason, EscalationReason::Both);
     }
 
     #[test]
     fn unknown_ids_are_skipped_defensively() {
         let alerts = vec![alert(0, Severity::Critical, 100)];
-        let proposals = propose_incidents(
-            &[cluster(0, &[99, 100])],
-            &alerts,
-            &EscalationConfig::default(),
-        );
+        let proposals = propose_incidents(&[cluster(0, &[99, 100])], &alerts);
         assert_eq!(proposals.len(), 1);
         assert_eq!(proposals[0].alerts, vec![AlertId(0)]);
     }
@@ -210,11 +178,7 @@ mod tests {
             alert(0, Severity::Critical, 500),
             alert(1, Severity::Critical, 100),
         ];
-        let proposals = propose_incidents(
-            &[cluster(0, &[]), cluster(1, &[])],
-            &alerts,
-            &EscalationConfig::default(),
-        );
+        let proposals = propose_incidents(&[cluster(0, &[]), cluster(1, &[])], &alerts);
         assert_eq!(proposals[0].source, AlertId(1));
         assert_eq!(proposals[1].source, AlertId(0));
     }

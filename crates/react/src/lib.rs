@@ -52,13 +52,13 @@ pub mod metrics;
 pub mod pipeline;
 
 pub use aggregation::{aggregate, reduction_ratio, AggregationConfig, AlertGroup, GroupKey};
-pub use audit::{audit_blocker, audit_blocker_with, review_queue, AuditConfig, RuleAudit};
+pub use audit::{audit_blocker, audit_blocker_with, review_queue, RuleAudit, STALE_AFTER_DAYS};
 pub use blocking::{AlertBlocker, BlockCriterion, BlockOutcome, BlockRule};
 pub use correlation::{AlertCorrelator, CorrelatedCluster, StrategyDependencies};
 pub use emerging::{
     apply_budget, EmergingAlertDetector, EmergingBudget, EmergingConfig, EmergingDoc,
     EmergingReport, PreparedPass,
 };
-pub use escalation::{propose_incidents, EscalationConfig, EscalationReason, IncidentProposal};
+pub use escalation::{propose_incidents, EscalationReason, IncidentProposal};
 pub use metrics::ReactMetrics;
 pub use pipeline::{PipelineReport, ReactionPipeline, StageStat};

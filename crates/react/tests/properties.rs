@@ -12,9 +12,8 @@ use alertops_obs::MetricsRegistry;
 use alertops_react::blocking::{AlertBlocker, BlockCriterion, BlockRule};
 use alertops_react::correlation::AlertCorrelator;
 use alertops_react::{
-    aggregate, audit_blocker, propose_incidents, AggregationConfig, AuditConfig,
-    EmergingAlertDetector, EmergingConfig, EmergingDoc, EmergingReport, EscalationConfig,
-    ReactMetrics, ReactionPipeline,
+    aggregate, audit_blocker, propose_incidents, AggregationConfig, EmergingAlertDetector,
+    EmergingConfig, EmergingDoc, EmergingReport, ReactMetrics, ReactionPipeline, STALE_AFTER_DAYS,
 };
 
 fn arb_alerts(max: usize) -> impl Strategy<Value = Vec<Alert>> {
@@ -272,7 +271,7 @@ proptest! {
     #[test]
     fn audit_accounting_is_exact(alerts in arb_alerts(150), rules in arb_rules()) {
         let blocker: AlertBlocker = rules.into_iter().collect();
-        let audits = audit_blocker(&blocker, &alerts, &[], &AuditConfig::default());
+        let audits = audit_blocker(&blocker, &alerts, &[]);
         prop_assert_eq!(audits.len(), blocker.rules().len());
         // Total audited hits equals what apply() actually blocks.
         let blocked = blocker.apply(&alerts).blocked.len();
@@ -284,8 +283,7 @@ proptest! {
             prop_assert_eq!(daily, audit.total_hits);
             // Staleness is consistent with the trailing window.
             if !audit.daily_hits.is_empty() {
-                let window = (AuditConfig::default().stale_after_days as usize)
-                    .min(audit.daily_hits.len());
+                let window = (STALE_AFTER_DAYS as usize).min(audit.daily_hits.len());
                 let tail_hits: usize = audit.daily_hits
                     [audit.daily_hits.len() - window..]
                     .iter()
@@ -296,39 +294,16 @@ proptest! {
     }
 
     #[test]
-    fn escalation_is_monotone_in_thresholds(
+    fn escalation_proposals_keep_their_contract(
         alerts in arb_alerts(100),
         edges in prop::collection::vec((0u64..10, 0u64..10), 0..15),
-        size_lo in 2usize..4,
-        size_delta in 1usize..4,
     ) {
         let graph: DependencyGraph = edges
             .into_iter()
             .map(|(a, b)| (MicroserviceId(a), MicroserviceId(b)))
             .collect();
         let clusters = AlertCorrelator::new().with_topology(graph).correlate(&alerts);
-        let loose = propose_incidents(
-            &clusters,
-            &alerts,
-            &EscalationConfig { min_cluster_size: size_lo, severity_floor: Severity::Major },
-        );
-        let strict = propose_incidents(
-            &clusters,
-            &alerts,
-            &EscalationConfig {
-                min_cluster_size: size_lo + size_delta,
-                severity_floor: Severity::Critical,
-            },
-        );
-        // Tightening both thresholds can only remove proposals.
-        prop_assert!(strict.len() <= loose.len());
-        let loose_sources: std::collections::BTreeSet<_> =
-            loose.iter().map(|p| p.source).collect();
-        for proposal in &strict {
-            prop_assert!(loose_sources.contains(&proposal.source));
-        }
-        // Every proposal's contract holds.
-        for proposal in &loose {
+        for proposal in &propose_incidents(&clusters, &alerts) {
             prop_assert!(proposal.alerts.contains(&proposal.source));
             let max = proposal
                 .alerts

@@ -5,9 +5,9 @@
 //! it is derived from the simulator's *ground truth*:
 //!
 //! * **indicativeness** — at least one of the strategy's alerts in the
-//!   window co-occurs with an incident of its service (same co-occurrence
-//!   rule the feature extractor uses: incident covers or follows the
-//!   alert within 30 minutes);
+//!   window indicates an incident of its service
+//!   ([`alertops_model::indicates_incident`], the rule the feature
+//!   extractor uses);
 //! * **precision** — the strategy was injected without severity-
 //!   corrupting anti-patterns (no misleading severity, over-sensitive
 //!   threshold, or chatty rule);
@@ -24,13 +24,9 @@ use std::collections::BTreeSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use alertops_model::{Alert, Incident, QoaLabel, SimDuration, StrategyId, QOA_CRITERIA};
+use alertops_model::{indicates_incident, Alert, Incident, QoaLabel, StrategyId, QOA_CRITERIA};
 
 use crate::strategies::StrategyCatalog;
-
-/// How far after an alert an incident may start and still count as
-/// co-occurring — mirrors the QoA feature extractor's window.
-const INCIDENT_LOOKAHEAD: SimDuration = SimDuration::from_mins(30);
 
 /// A seeded, replayable source of per-window OCE feedback.
 #[derive(Debug, Clone)]
@@ -78,10 +74,7 @@ impl FeedbackOracle {
             let profile = catalog.profile(id);
             let indicative = window.iter().any(|alert| {
                 alert.strategy() == id
-                    && incidents.iter().any(|inc| {
-                        inc.service() == strategy.service()
-                            && inc.covers_or_follows(alert.raised_at(), INCIDENT_LOOKAHEAD)
-                    })
+                    && indicates_incident(incidents, strategy.service(), alert.raised_at())
             });
             let precise = !(profile.misleading_severity || profile.oversensitive || profile.chatty);
             let handleable = catalog.sop(id).is_some() && !profile.vague_title;

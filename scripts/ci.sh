@@ -262,6 +262,31 @@ if grep -rnE 'update_batch|infer_batch_with|infer_with|score_with|e_step_gamma|t
     echo "a removed LDA entry point, text measure or fixed LDA / AO-LDA setting reappeared (see matches above)" >&2
     exit 1
 fi
+# Each paper threshold is one constant in the module that owns the
+# decision: no detector, audit, escalation or remediation setting with
+# one live value is settable again, the engine takes no detector
+# configuration, and it counts A2's transients and incident
+# co-occurrences once, not under names of A2's or A3's own. Scoped to
+# *.rs so the docs may name what was removed.
+if grep -rnE 'EngineConfig|AuditConfig|RemediationConfig|EscalationConfig|incident_lookahead|a2_transient|a2_with_incident|a3_with_incident|min_sustained_total|sustained_span_hours|min_active_hours|min_repeat_hours|oscillation_threshold|min_transient_share|max_incident_rate|target_debounce|target_cooldown|stale_after_days|min_cluster_size|severity_floor' \
+    --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
+    echo "a removed threshold setting, the engine's detector configuration or a second A2 count reappeared (see matches above)" >&2
+    exit 1
+fi
+# An alert indicates an incident by one predicate,
+# alertops_model::indicates_incident, over one lookahead: only the model
+# (which defines it) and the blocking-rule audit (whose overlap check is
+# service-blind on purpose) call `covers_or_follows` directly. Scoped to
+# the program code above each file's first test module; test files may
+# call it.
+for file in $(find crates/*/src src examples -name '*.rs'); do
+    [[ "$file" == crates/model/src/incident.rs || "$file" == crates/react/src/audit.rs ]] && continue
+    if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' "$file" |
+        grep -F 'covers_or_follows('; then
+        echo "an indicativeness check bypasses indicates_incident (see matches above)" >&2
+        exit 1
+    fi
+done
 # A shard close reads each title's score from its IndexedCatalog, which
 # scored every row once: the per-close path does not tokenize titles.
 # Scoped to the code above the file's first test module.

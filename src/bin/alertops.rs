@@ -42,7 +42,8 @@ use alertops::ingestd::codec::ack_line;
 use alertops::ingestd::{
     shard_catalog, Ingestd, IngestdConfig, IngressClient, OverflowPolicy, WireFormat,
 };
-use alertops::react::{audit_blocker_with, review_queue, AuditConfig};
+use alertops::model::indicates_incident;
+use alertops::react::{audit_blocker_with, review_queue};
 use alertops::sim::scenarios::{self, Scenario};
 use alertops::sim::SimOutput;
 use alertops::wire::Frame;
@@ -378,17 +379,14 @@ fn main() -> ExitCode {
             let governor = build_governor(&out);
             let findings = governor.detect(&out.alerts, &out.incidents);
             let blocker = governor.derive_blocker(&findings);
-            let config = AuditConfig::default();
-            let audits = audit_blocker_with(&blocker, &out.alerts, &config, |alert| {
-                // Precise harm check: an incident on the alert's own
-                // service (via the catalog) covered its raise window.
-                let Some(strategy) = out.catalog.strategy(alert.strategy()) else {
-                    return false;
-                };
-                out.incidents.iter().any(|inc| {
-                    inc.service() == strategy.service()
-                        && inc.covers_or_follows(alert.raised_at(), config.incident_lookahead)
-                })
+            let audits = audit_blocker_with(&blocker, &out.alerts, |alert| {
+                // Precise harm check: the alert indicated an incident on
+                // its own service (via the catalog).
+                out.catalog
+                    .strategy(alert.strategy())
+                    .is_some_and(|strategy| {
+                        indicates_incident(&out.incidents, strategy.service(), alert.raised_at())
+                    })
             });
             println!(
                 "{} derived blocking rules; {} need review:",

@@ -3,9 +3,8 @@
 //! simulated data.
 
 use alertops::core::prelude::*;
-use alertops::react::{
-    audit_blocker_with, propose_incidents, review_queue, AuditConfig, EscalationConfig,
-};
+use alertops::model::indicates_incident;
+use alertops::react::{audit_blocker_with, propose_incidents, review_queue};
 use alertops::sim::scenarios;
 
 #[test]
@@ -17,14 +16,10 @@ fn derived_rules_are_auditable_and_reviewable() {
     let blocker = governor.derive_blocker(&findings);
     assert!(!blocker.rules().is_empty());
 
-    let config = AuditConfig::default();
-    let audits = audit_blocker_with(&blocker, &out.alerts, &config, |alert| {
-        out.catalog.strategy(alert.strategy()).is_some_and(|s| {
-            out.incidents.iter().any(|inc| {
-                inc.service() == s.service()
-                    && inc.covers_or_follows(alert.raised_at(), config.incident_lookahead)
-            })
-        })
+    let audits = audit_blocker_with(&blocker, &out.alerts, |alert| {
+        out.catalog
+            .strategy(alert.strategy())
+            .is_some_and(|s| indicates_incident(&out.incidents, s.service(), alert.raised_at()))
     });
     assert_eq!(audits.len(), blocker.rules().len());
     // Derived rules target live noise: total hits must match what the
@@ -44,7 +39,7 @@ fn escalation_proposes_incidents_from_storm_clusters() {
     let out = scenarios::mini_study(13).run();
     let correlator = AlertCorrelator::new().with_topology(out.topology.dependency_graph());
     let clusters = correlator.correlate(&out.alerts);
-    let proposals = propose_incidents(&clusters, &out.alerts, &EscalationConfig::default());
+    let proposals = propose_incidents(&clusters, &out.alerts);
     assert!(
         !proposals.is_empty(),
         "a study with storms should yield escalation proposals"

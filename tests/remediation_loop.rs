@@ -6,7 +6,7 @@
 use std::collections::BTreeSet;
 
 use alertops::core::prelude::*;
-use alertops::core::{apply_fixes, suggest_fixes, RemediationConfig};
+use alertops::core::{apply_fixes, suggest_fixes};
 use alertops::model::StrategyKind;
 use alertops::sim::telemetry::Telemetry;
 use alertops::sim::{scenarios, MonitorConfig, MonitoringSystem, StrategyCatalog};
@@ -26,12 +26,7 @@ fn remediation_cuts_noise_without_blinding_the_monitor() {
         .with_alerts(&out.alerts)
         .with_incidents(&out.incidents)
         .with_graph(&graph);
-    let fixes = suggest_fixes(
-        out.catalog.strategies(),
-        &report,
-        &input,
-        &RemediationConfig::default(),
-    );
+    let fixes = suggest_fixes(out.catalog.strategies(), &report, &input);
     assert!(!fixes.is_empty(), "a noisy world should yield fixes");
     let mechanical: BTreeSet<StrategyId> = fixes
         .iter()
@@ -109,12 +104,7 @@ fn severity_fixes_move_toward_evidence() {
         .with_incidents(&out.incidents)
         .with_graph(&graph);
     let report = AntiPatternReport::run_default(&input);
-    let fixes = suggest_fixes(
-        out.catalog.strategies(),
-        &report,
-        &input,
-        &RemediationConfig::default(),
-    );
+    let fixes = suggest_fixes(out.catalog.strategies(), &report, &input);
     let severity_fixes: Vec<_> = fixes
         .iter()
         .filter_map(|f| match f.action {
@@ -148,12 +138,7 @@ fn debounce_fixes_only_touch_metric_rules() {
         .with_incidents(&out.incidents)
         .with_graph(&graph);
     let report = AntiPatternReport::run_default(&input);
-    let fixes = suggest_fixes(
-        out.catalog.strategies(),
-        &report,
-        &input,
-        &RemediationConfig::default(),
-    );
+    let fixes = suggest_fixes(out.catalog.strategies(), &report, &input);
     for fix in &fixes {
         if matches!(fix.action, alertops::core::FixAction::RaiseDebounce { .. }) {
             let revised = fix.revised.as_ref().unwrap();
