@@ -9,9 +9,9 @@
 //!                   ▼                               ▼
 //!            ┌─────────────┐  Close{seq} to   ┌────────────────┐
 //!  WAL ◀──── │  RangeMap    │  every node's   │  MergePoint:    │
-//!  append    │  node_of(id) │  shards, then   │  one closer,    │
-//!            └──────┬──────┘  one delta per   │  one close over │
-//!                   ▼         shard back      │  all of them    │
+//!  append    │  node_of(id) │  shards, then   │  one close over │
+//!            └──────┬──────┘  one delta per   │  all of them,   │
+//!                   ▼         shard back      │  AO-LDA and QoA │
 //!          node 0 .. node N-1 ───────────────▶└──────┬─────────┘
 //!          (a range, a log,                          ▼
 //!           a ShardPool)            qoa.ckpt, boundaries, snapshot
@@ -24,9 +24,9 @@
 //! durability domain inside one process that merges nothing. The
 //! cluster holds the process's one [`MergePoint`], as a daemon does:
 //! its close sends `Close{seq}` to every alive node's shards before
-//! waiting on any and hands every shard's
-//! [`alertops_core::WindowDelta`] to one [`WindowCloser`], so a 4-node
-//! cluster, a 1-node cluster, and the batch governor publish
+//! waiting on any, merges every shard's [`alertops_core::WindowDelta`]
+//! and runs the two sequential passes once over the merged window, so
+//! a 4-node cluster, a 1-node cluster, and the batch governor publish
 //! byte-identical snapshots over the same stream. The crate docs give
 //! the durability contract and its deliberate caveats.
 
@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use alertops_core::{GovernanceSnapshot, StreamingGovernor, WindowCloser};
+use alertops_core::{GovernanceSnapshot, StreamingGovernor};
 use alertops_ingestd::{
     shard_catalog, IngestdConfig, MergeCounters, MergeHolder, MergePoint, Node,
 };
@@ -61,8 +61,8 @@ pub struct ClusterConfig {
     /// ([`AlertCluster::close_window`]) and [`AlertCluster::route`] is
     /// the only way in. `streaming.emerging.mode` and
     /// `streaming.qoa.mode` switch the *cluster's* channels, run once
-    /// per close by the merge point's [`WindowCloser`] (token budget
-    /// included), so node count cannot change what they see.
+    /// per close by the [`MergePoint`] (token budget included), so
+    /// node count cannot change what they see.
     pub node: IngestdConfig,
     /// Directory holding one WAL subdirectory per node
     /// (`<wal_root>/node-<i>/`) and the merge point's QoA checkpoint
@@ -158,7 +158,8 @@ pub struct AlertCluster {
     last_dropped: Vec<u64>,
     make_governor: GovernorFactory,
     latest: Option<GovernanceSnapshot>,
-    /// The process's one merge point: its window sequence and closer.
+    /// The process's one merge point: its window sequence, AO-LDA
+    /// detector and QoA model.
     merge: MergePoint,
     metrics: ClusterMetrics,
 }
@@ -252,16 +253,16 @@ impl AlertCluster {
         let coordinator_dir = config.wal_root.join("coordinator");
         fs::create_dir_all(&coordinator_dir)?;
 
-        let streaming = &config.node.streaming;
-        let closer = WindowCloser::new(streaming.storm, streaming.emerging.unless_off(), None)
-            .with_metrics(metrics.emerging.clone(), metrics.qoa.clone());
         let counters = MergeCounters {
             windows_closed: Arc::clone(&metrics.windows_closed),
             degraded_windows: Arc::clone(&metrics.degraded_windows),
             write_errors: Arc::clone(&metrics.wal_write_errors),
             checkpoints_discarded: Arc::clone(&metrics.qoa_checkpoints_discarded),
+            emerging: Some(metrics.emerging.clone()),
+            qoa: Some(metrics.qoa.clone()),
+            merge_timer: None,
         };
-        let merge = MergePoint::new(closer, &config.node, Some(coordinator_dir), counters);
+        let merge = MergePoint::new(&config.node, Some(coordinator_dir), counters);
         let mut cluster = Self {
             map: RangeMap::partition(&catalog, config.nodes),
             catalog: IndexedCatalog::new(catalog),

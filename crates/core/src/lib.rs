@@ -54,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod closer;
 mod governor;
 mod guidelines;
 mod metrics;
@@ -65,7 +64,6 @@ mod streaming;
 
 pub mod prelude;
 
-pub use closer::{ClosedWindow, EmergingPass, WindowCloser};
 pub use governor::{AlertGovernor, GovernorConfig};
 pub use guidelines::{GuidelineAspect, GuidelineContext, GuidelineLinter, GuidelineViolation};
 pub use metrics::{EmergingMetrics, GovernorMetrics, QoaMetrics};
@@ -73,8 +71,8 @@ pub use postmortem::{render_postmortem, PostmortemInput};
 pub use remediation::{apply_fixes, suggest_fixes, FixAction, StrategyFix};
 pub use reports::GovernanceReport;
 pub use streaming::{
-    merge_emerging_docs, Channel, ChannelMode, EmergingChannel, EmergingMode, GovernanceSnapshot,
-    QoaChannel, QoaMode, StreamingConfig, StreamingGovernor, WindowDelta,
+    Channel, ChannelMode, EmergingChannel, EmergingMode, GovernanceSnapshot, QoaChannel, QoaMode,
+    StreamingConfig, StreamingGovernor, WindowDelta,
 };
 
 // Downstream layers (ingestd, cluster) speak the QoA loop's vocabulary

@@ -11,10 +11,10 @@ use alertops_react::{EmergingReport, ReactMetrics};
 /// Metric handles for the emerging-alert (R4) channel: AO-LDA
 /// per-window wall time plus emerging-topic/alert counters.
 ///
-/// Recorded by whichever [`WindowCloser`](crate::WindowCloser) runs
-/// the sequential AO-LDA pass. Registration is idempotent per registry
-/// (the `(name, labels)` dedup in `alertops-obs`), so several holders
-/// may register against the same registry.
+/// Recorded by the merge point that runs the sequential AO-LDA pass
+/// (`alertops_ingestd::MergePoint`). Registration is idempotent per
+/// registry (the `(name, labels)` dedup in `alertops-obs`), so several
+/// holders may register against the same registry.
 #[derive(Debug, Clone)]
 pub struct EmergingMetrics {
     window_micros: Arc<Histogram>,
@@ -61,10 +61,9 @@ impl EmergingMetrics {
 
 /// Metric handles for the streaming QoA feedback channel: model
 /// update wall time, windows and samples absorbed, and the current
-/// verdict counts. Recorded by whichever
-/// [`WindowCloser`](crate::WindowCloser) runs the sequential
-/// `partial_fit` pass, with the same idempotent-registration rule as
-/// [`EmergingMetrics`].
+/// verdict counts. Recorded by the merge point that runs the
+/// sequential `partial_fit` pass, with the same idempotent-registration
+/// rule as [`EmergingMetrics`].
 #[derive(Debug, Clone)]
 pub struct QoaMetrics {
     update_micros: Arc<Histogram>,

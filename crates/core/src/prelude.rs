@@ -2,9 +2,9 @@
 //! governor plus the most commonly used types of every layer.
 
 pub use crate::{
-    merge_emerging_docs, AlertGovernor, Channel, ChannelMode, GovernanceReport, GovernanceSnapshot,
-    GovernorConfig, GovernorMetrics, GuidelineAspect, GuidelineContext, GuidelineLinter,
-    GuidelineViolation, StreamingConfig, StreamingGovernor, WindowDelta,
+    AlertGovernor, Channel, ChannelMode, GovernanceReport, GovernanceSnapshot, GovernorConfig,
+    GovernorMetrics, GuidelineAspect, GuidelineContext, GuidelineLinter, GuidelineViolation,
+    StreamingConfig, StreamingGovernor, WindowDelta,
 };
 
 pub use alertops_detect::{

@@ -29,8 +29,9 @@
 //! A governor governs one partition of the stream and nothing more: a
 //! [`WindowDelta`] carries mergeable *inputs* only. The two sequential
 //! passes over the whole stream (AO-LDA, the online QoA model) belong
-//! to whoever closes the window — a [`WindowCloser`](crate::WindowCloser),
-//! also when there is just one governor.
+//! to whoever closes the window: a daemon's or cluster's merge point
+//! (`alertops_ingestd::MergePoint`), or a library caller running the
+//! two bare passes over its one governor's delta.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -50,7 +51,7 @@ use crate::governor::{AlertGovernor, BlockingRules};
 /// (AO-LDA's adaptive prior, `partial_fit`'s order sensitivity), so the
 /// single pass must run at the topmost merge point for N-shard output
 /// to reproduce the 1-shard output byte-identically. A governor never
-/// runs it; see [`WindowCloser`](crate::WindowCloser) for who does.
+/// runs it; see the module docs for who does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChannelMode {
     /// The channel is off: nothing extracted, no reports.
@@ -81,7 +82,7 @@ pub struct Channel<C> {
 
 impl<C: Clone> Channel<C> {
     /// The config, when the channel is on at all — what the topmost
-    /// merge point's closer runs with.
+    /// merge point runs the pass with.
     #[must_use]
     pub fn unless_off(&self) -> Option<C> {
         (self.mode != ChannelMode::Off).then(|| self.config.clone())
@@ -107,9 +108,8 @@ pub struct StreamingConfig {
     /// noise stops tainting fixed strategies).
     pub history_windows: usize,
     /// Storm detection configuration. A governor never reads it — a
-    /// partition cannot know the global storm state — the holder's
-    /// [`WindowCloser`](crate::WindowCloser) does, over the merged
-    /// histogram.
+    /// partition cannot know the global storm state — the merge point
+    /// does, over the merged histogram.
     pub storm: StormConfig,
     /// The emerging-alert (R4) channel.
     pub emerging: Channel<EmergingConfig>,
@@ -158,7 +158,7 @@ pub struct WindowDelta {
     /// sorted by alert id, when the governor runs in
     /// [`ChannelMode::Forward`]. Empty otherwise. Alert ids are unique,
     /// so however the window was sharded, the merged forwards sort back
-    /// to one canonical document list (see [`merge_emerging_docs`]).
+    /// to one canonical document list ([`WindowDelta::merge_all`]).
     pub emerging_docs: Vec<EmergingDoc>,
     /// Per-strategy QoA feature vectors extracted from this window's
     /// alerts, sorted by strategy id, when the governor runs in
@@ -336,19 +336,18 @@ pub struct GovernanceSnapshot {
     /// The emerging-channel (R4) report for this window, when the
     /// channel is enabled. [`GovernanceSnapshot::from_delta`] leaves
     /// it `None`: deltas carry only forwarded documents, and the
-    /// topmost [`WindowCloser`](crate::WindowCloser) runs the single
-    /// AO-LDA pass over the merged [`WindowDelta::emerging_docs`]
-    /// *after* merging and fills this in, keeping 1-shard and N-shard
-    /// output byte-identical.
+    /// topmost merge point runs the single AO-LDA pass over the
+    /// window's merged documents *after* merging and fills this in,
+    /// keeping 1-shard and N-shard output byte-identical.
     pub emerging: Option<EmergingReport>,
     /// Alerts escalated past storm suppression because their strategy
     /// is QoA-promoted, sorted by alert id. Exact under sharding:
     /// promotion is per strategy and each strategy lives on one shard.
     pub escalated: Vec<AlertId>,
     /// The QoA window report, when the feedback loop is enabled —
-    /// same contract as `emerging`: filled in by the topmost
-    /// [`WindowCloser`](crate::WindowCloser)'s model update over the
-    /// merged [`WindowDelta::qoa_samples`].
+    /// same contract as `emerging`: filled in by the topmost merge
+    /// point's model update over the merged
+    /// [`WindowDelta::qoa_samples`].
     pub qoa: Option<QoaWindowReport>,
 }
 
@@ -357,8 +356,7 @@ pub struct GovernanceSnapshot {
 /// AO-LDA: sorted by alert id. Since alert ids are unique and sharding
 /// only partitions the window, every shard count concatenates and sorts
 /// to the same list.
-#[must_use]
-pub fn merge_emerging_docs(deltas: &[WindowDelta]) -> Vec<EmergingDoc> {
+fn merge_emerging_docs(deltas: &[WindowDelta]) -> Vec<EmergingDoc> {
     let mut docs: Vec<EmergingDoc> = deltas
         .iter()
         .flat_map(|d| d.emerging_docs.iter().cloned())
@@ -487,8 +485,8 @@ impl StreamingGovernor {
 
     /// Makes this governor a shard below a merge point whose channels
     /// are configured as `streaming`: it forwards exactly the inputs
-    /// that merge point's closer consumes from its deltas, however the
-    /// caller built the governor. This is what keeps N-shard output
+    /// that merge point consumes from its deltas, however the caller
+    /// built the governor. This is what keeps N-shard output
     /// byte-identical to 1-shard. The QoA channel's samples are
     /// forwarded; the emerging channel's documents are not, because a
     /// shard queue records them as it queues the alerts and hands them
@@ -752,8 +750,6 @@ mod tests {
     };
     use alertops_qoa::OnlineQoaModel;
     use alertops_react::EmergingAlertDetector;
-
-    use crate::closer::WindowCloser;
 
     fn noisy_strategy(id: u64) -> AlertStrategy {
         AlertStrategy::builder(StrategyId(id))
@@ -1022,8 +1018,8 @@ mod tests {
 
     #[test]
     fn closed_single_delta_carries_both_reports_and_roundtrips() {
-        // The 1-shard path: one Forward governor, one closer with both
-        // channels. Only the closer puts reports into the snapshot.
+        // The 1-shard library path: one Forward governor, then the two
+        // bare passes over its delta fill in the reports.
         let window = transient_window(1_000, 2, 1, 150);
         let config = StreamingConfig {
             emerging: Channel {
@@ -1036,30 +1032,22 @@ mod tests {
             },
             ..StreamingConfig::default()
         };
-        let mut closer = WindowCloser::new(
-            config.storm,
-            config.emerging.unless_off(),
-            config.qoa.unless_off(),
-        );
+        let mut detector = EmergingAlertDetector::new(config.emerging.config.clone());
+        let mut model = OnlineQoaModel::new(config.qoa.config);
         let delta = StreamingGovernor::new(
             AlertGovernor::new(vec![noisy_strategy(2)], GovernorConfig::default()),
             config,
         )
         .ingest(&window, &[]);
         assert!(!delta.emerging_docs.is_empty() && !delta.qoa_samples.is_empty());
-        let closed = closer.close(std::slice::from_ref(&delta), &labels_for(&window, true));
-        let merged = GovernanceSnapshot::merge(&[delta], &StormConfig::default());
-        let snapshot = closed.snapshot;
-        assert!(snapshot.emerging.is_some() && snapshot.qoa.is_some());
-        assert_eq!(
-            GovernanceSnapshot {
-                emerging: None,
-                qoa: None,
-                ..snapshot.clone()
-            },
-            merged,
-            "the passes add the two reports and change nothing else"
-        );
+        let mut snapshot = GovernanceSnapshot::from_delta(&delta, &StormConfig::default());
+        assert!(snapshot.emerging.is_none() && snapshot.qoa.is_none());
+        let emerging = detector.observe_docs(&delta.emerging_docs);
+        assert_eq!(emerging.alert_count, window.len());
+        snapshot.emerging = Some(emerging);
+        let qoa = model.observe_window(&delta.qoa_samples, &labels_for(&window, true));
+        assert_eq!(qoa.absorbed, 1, "one labeled strategy alerted");
+        snapshot.qoa = Some(qoa);
         let json = serde_json::to_string(&snapshot).unwrap();
         let back: GovernanceSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(snapshot, back);
@@ -1105,29 +1093,23 @@ mod tests {
     #[test]
     fn one_closed_governor_equals_two_merged_shards_under_a_bare_detector() {
         let mut single = streaming_with_emerging(ChannelMode::Forward);
-        let mut closer = WindowCloser::new(
-            StormConfig::default(),
-            Some(EmergingConfig::default()),
-            None,
-        );
+        let mut detector = EmergingAlertDetector::new(EmergingConfig::default());
         let mut shard_a = streaming_with_emerging(ChannelMode::Forward);
         let mut shard_b = streaming_with_emerging(ChannelMode::Forward);
         let mut coordinator = EmergingAlertDetector::new(EmergingConfig::default());
         for hour in 0..3u64 {
             let window = transient_window(hour * 100, 1, hour, 6);
-            let closed_report = closer
-                .close(&[single.ingest(&window, &[])], &[])
-                .snapshot
-                .emerging
-                .expect("the closer embeds a report");
+            let delta = single.ingest(&window, &[]);
+            let single_report = detector.observe_docs(&delta.emerging_docs);
             // Partition the window across two "shards" by id parity.
             let (wa, wb): (Vec<Alert>, Vec<Alert>) =
                 window.iter().cloned().partition(|a| a.id().0 % 2 == 0);
             let da = shard_a.ingest(&wa, &[]);
             let db = shard_b.ingest(&wb, &[]);
-            let docs = merge_emerging_docs(&[da, db]);
+            let docs = WindowDelta::merge_all(&[da, db]).emerging_docs;
+            assert_eq!(delta.emerging_docs, docs, "window {hour}");
             let merged_report = coordinator.observe_docs(&docs);
-            assert_eq!(closed_report, merged_report);
+            assert_eq!(single_report, merged_report);
         }
     }
 
@@ -1196,17 +1178,8 @@ mod tests {
 
     #[test]
     fn one_closed_governor_equals_two_merged_shards_under_a_bare_model() {
-        let registry = alertops_obs::MetricsRegistry::new();
         let mut single = streaming_with_qoa(ChannelMode::Forward);
-        let mut closer = WindowCloser::new(
-            StormConfig::default(),
-            None,
-            Some(QoaFeedbackConfig::default()),
-        )
-        .with_metrics(
-            crate::EmergingMetrics::register(&registry),
-            crate::QoaMetrics::register(&registry),
-        );
+        let mut model = OnlineQoaModel::new(QoaFeedbackConfig::default());
         let mut shard_a = streaming_with_qoa(ChannelMode::Forward);
         let mut shard_b = streaming_with_qoa(ChannelMode::Forward);
         let mut coordinator = OnlineQoaModel::new(QoaFeedbackConfig::default());
@@ -1215,9 +1188,9 @@ mod tests {
             window.extend(transient_window(hour * 1_000 + 500, 2, hour, 4));
             window.sort_by_key(|a| (a.raised_at(), a.id()));
             let labels = labels_for(&window, hour % 2 == 0);
-            let closed = closer.close(&[single.ingest(&window, &[])], &labels);
-            let closed_report = closed.snapshot.qoa.expect("the closer embeds a report");
-            single.set_qoa_verdicts(closed.verdicts.expect("the closer ran the model"));
+            let delta = single.ingest(&window, &[]);
+            let single_report = model.observe_window(&delta.qoa_samples, &labels);
+            single.set_qoa_verdicts(model.verdicts());
             // Shard by strategy id — the daemon's partitioning.
             let (wa, wb): (Vec<Alert>, Vec<Alert>) = window
                 .iter()
@@ -1227,20 +1200,13 @@ mod tests {
             let db = shard_b.ingest(&wb, &[]);
             let merged = da.merged(&db);
             let merged_report = coordinator.observe_window(&merged.qoa_samples, &labels);
-            assert_eq!(closed_report, merged_report, "diverged at window {hour}");
+            assert_eq!(single_report, merged_report, "diverged at window {hour}");
             // Push the verdicts back down, as the daemon coordinator
             // does between closes.
             shard_a.set_qoa_verdicts(coordinator.verdicts());
             shard_b.set_qoa_verdicts(coordinator.verdicts());
         }
-        assert_eq!(
-            closer.qoa_model().expect("the closer's model").digest(),
-            coordinator.digest()
-        );
-        // One update span per window closed.
-        assert!(registry
-            .render()
-            .contains("alertops_qoa_update_micros_count 4\n"));
+        assert_eq!(model.digest(), coordinator.digest());
     }
 
     #[test]

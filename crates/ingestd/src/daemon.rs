@@ -5,8 +5,8 @@
 //! cascading panics (`unwrap_or_else(PoisonError::into_inner)` —
 //! counters and snapshots are monotonic data, so observing a value
 //! written just before a panic is safe) — except the merge lock: a
-//! close that panicked may have left its closer half updated, so once
-//! that lock is poisoned no close runs again. Ingress framing
+//! close that panicked may have left its merge point half updated, so
+//! once that lock is poisoned no close runs again. Ingress framing
 //! quarantines malformed bytes instead of trusting line iterators, and
 //! shard workers are supervised (see [`crate::worker`]'s module docs).
 
@@ -19,9 +19,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use std::{io, thread};
 
-use alertops_core::{
-    ClosedWindow, EmergingMetrics, GovernanceSnapshot, QoaMetrics, StreamingGovernor, WindowCloser,
-};
+use alertops_core::{EmergingMetrics, GovernanceSnapshot, QoaMetrics, StreamingGovernor};
 use alertops_model::{Alert, QoaLabel};
 use alertops_obs::Counter;
 use alertops_wire::wal::replay;
@@ -30,7 +28,7 @@ use alertops_wire::{AckFrame, ChaosCmd, Frame, WireDecoder, WireEncoder, WireErr
 use crate::codec::{ack_line, FrameDecoder, FrameError, QuarantineReason};
 use crate::config::IngestdConfig;
 use crate::counters::CounterSnapshot;
-use crate::merge::{MergeCounters, MergeHolder, MergePoint};
+use crate::merge::{ClosedWindow, MergeCounters, MergeHolder, MergePoint};
 use crate::metrics::IngestdMetrics;
 use crate::node::Node;
 use crate::pool::{elapsed_micros, ShardPool};
@@ -276,20 +274,11 @@ impl Ingestd {
         let node = Node::start(config, wal, &mut make_governor)?;
         let pool = shards(&node);
 
-        // The process's one closer runs every channel that is on; its
-        // handles live on the pool's registry (deduped by name + labels).
+        // The merge point's channel handles live on the pool's registry
+        // (deduped by name + labels).
         let streaming = &config.streaming;
-        let closer = WindowCloser::new(streaming.storm, streaming.emerging.unless_off(), None);
         let registry = pool.registry();
-        let closer = match pool.metrics() {
-            Some(m) => closer
-                .with_metrics(
-                    EmergingMetrics::register(registry),
-                    QoaMetrics::register(registry),
-                )
-                .with_merge_timer(Arc::clone(&m.merge_micros)),
-            None => closer,
-        };
+        let metrics = pool.metrics();
         let counters = MergeCounters {
             windows_closed: Arc::clone(&pool.counters().windows_closed),
             degraded_windows: Arc::clone(&pool.counters().degraded_windows),
@@ -302,11 +291,14 @@ impl Ingestd {
                 ),
                 None => Arc::default(),
             },
+            emerging: metrics.map(|_| EmergingMetrics::register(registry)),
+            qoa: metrics.map(|_| QoaMetrics::register(registry)),
+            merge_timer: metrics.map(|m| Arc::clone(&m.merge_micros)),
         };
         let mut router = Router {
             write_errors: Arc::clone(&counters.write_errors),
             closing: Mutex::new(Closing {
-                merge: MergePoint::new(closer, config, wal.map(Path::to_path_buf), counters),
+                merge: MergePoint::new(config, wal.map(Path::to_path_buf), counters),
                 last_close: Instant::now(),
                 stopped: false,
             }),
@@ -404,8 +396,8 @@ impl IngestdHandle {
     }
 
     /// [`flush_labeled`](Self::flush_labeled), but returns the full
-    /// [`ClosedWindow`]: the snapshot plus the verdicts the close
-    /// pushed down.
+    /// [`ClosedWindow`]: the snapshot plus the verdicts this close
+    /// computed, which the next close pushes down.
     pub fn flush_window_labeled(&self, labels: Vec<QoaLabel>) -> Option<ClosedWindow> {
         self.router.flush(&labels)
     }
@@ -832,7 +824,7 @@ fn read_status_request(stream: &TcpStream) -> StatusRequest {
 mod tests {
     use super::*;
     use crate::shard_catalog;
-    use alertops_core::{AlertGovernor, GovernorConfig, StreamingConfig};
+    use alertops_core::{AlertGovernor, ChannelMode, GovernorConfig, StreamingConfig};
     use alertops_sim::{scenarios, SimOutput};
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -902,6 +894,54 @@ mod tests {
         .expect("daemon starts")
     }
 
+    /// The merge point records one AO-LDA pass and one QoA model
+    /// update per close, on the pool's registry.
+    #[test]
+    fn each_close_observes_one_aolda_pass_and_one_qoa_update() {
+        let out = scenarios::quickstart(7).run();
+        let mut streaming = StreamingConfig::default();
+        streaming.emerging.mode = ChannelMode::Forward;
+        streaming.qoa.mode = ChannelMode::Forward;
+        let config = IngestdConfig {
+            shards: 2,
+            streaming,
+            ..IngestdConfig::default()
+        };
+        let handle = Ingestd::spawn(&config, |shard, shards| {
+            let catalog = shard_catalog(out.catalog.strategies(), shards, shard);
+            StreamingGovernor::new(
+                AlertGovernor::new(catalog, GovernorConfig::default()),
+                StreamingConfig::default(),
+            )
+        })
+        .expect("daemon starts");
+        let windows = 3;
+        for window in out.alerts.chunks(40).take(windows) {
+            window.iter().cloned().for_each(|alert| handle.route(alert));
+            let strategies: std::collections::BTreeSet<_> =
+                window.iter().map(Alert::strategy).collect();
+            let labels = strategies
+                .into_iter()
+                .map(|id| QoaLabel::new(id, [id.0 % 2 == 0; 3]))
+                .collect();
+            let closed = handle.flush_window_labeled(labels).expect("the close runs");
+            assert!(closed.snapshot.emerging.is_some() && closed.snapshot.qoa.is_some());
+            assert!(closed.verdicts.is_some());
+        }
+        let text = handle.render_metrics();
+        for family in [
+            "alertops_qoa_update_micros",
+            "alertops_emerging_window_micros",
+            "alertops_merge_micros",
+        ] {
+            assert!(
+                text.contains(&format!("{family}_count {windows}\n")),
+                "{family}"
+            );
+        }
+        handle.shutdown();
+    }
+
     /// Besides its shard workers the daemon starts a thread only for
     /// what it is configured with: a tick and each listener. Closes run
     /// on their callers.
@@ -924,10 +964,10 @@ mod tests {
         full.shutdown();
     }
 
-    /// A close that panicked may have left the closer half updated, so
-    /// a poisoned merge lock stops the daemon's closes. Shutdown cannot
-    /// set `stopped` under it, so its join of the tick thread returning
-    /// shows the tick read the poison as stopped too.
+    /// A close that panicked may have left the merge point half
+    /// updated, so a poisoned merge lock stops the daemon's closes.
+    /// Shutdown cannot set `stopped` under it, so its join of the tick
+    /// thread returning shows the tick read the poison as stopped too.
     #[test]
     fn a_poisoned_merge_lock_reads_as_stopped() {
         let handle = spawn_empty(&IngestdConfig {

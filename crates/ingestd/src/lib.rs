@@ -92,7 +92,7 @@ pub use codec::{
 pub use config::{IngestdConfig, OverflowPolicy};
 pub use counters::{CounterSnapshot, Counters};
 pub use daemon::{Ingestd, IngestdHandle, WalRecovery};
-pub use merge::{MergeCounters, MergeHolder, MergePoint};
+pub use merge::{ClosedWindow, MergeCounters, MergeHolder, MergePoint};
 pub use metrics::IngestdMetrics;
 pub use node::{Node, Restored};
 pub use pool::ShardPool;
@@ -101,5 +101,4 @@ pub use shard::{shard_catalog, shard_of};
 pub use status::{StatusReport, StatusRequest};
 pub use worker::CHAOS_PANIC_MSG;
 
-pub use alertops_core::ClosedWindow;
 pub use alertops_wire::WireFormat;

@@ -4,28 +4,41 @@
 //! a sick disk: a failed checkpoint or boundary write counts one write
 //! error and the close completes, published and counted as usual.
 //!
-//! A close overlaps its one sequential pass with its barrier: the
-//! shard queues hand over the window's emerging documents with
-//! `Close{seq}`, and AO-LDA runs over them on the closing thread while
-//! the workers close. The pass is speculative. It is committed when
-//! the deltas show every queued alert was delivered, and otherwise
-//! discarded, which truncates the detector back to where it was, and
-//! run again over the documents the deltas say were delivered.
+//! A close folds every shard's [`WindowDelta`] through the monoid,
+//! builds the [`GovernanceSnapshot`], then runs the two *sequential*
+//! passes over the merged window: R4's AO-LDA pass over its documents
+//! and the online QoA model's update against its labels. Both thread
+//! state from every earlier window (AO-LDA's adaptive prior, the
+//! model's weights), so each runs exactly once per window, here, for
+//! N-shard and N-node output to equal 1-shard output byte for byte. A
+//! shard governor runs neither; a library caller with one governor
+//! runs the two bare passes ([`EmergingAlertDetector::observe_docs`],
+//! [`OnlineQoaModel::observe_window`]) over its delta.
+//!
+//! The AO-LDA pass overlaps the barrier: the shard queues hand over
+//! the window's emerging documents with `Close{seq}`, and the pass runs
+//! over them on the closing thread while the workers close. It is
+//! speculative. It is committed when the deltas show every queued
+//! alert was delivered, and otherwise discarded, which truncates the
+//! detector back to where it was, and run again over the documents the
+//! deltas say were delivered. So the committed pass is always the one
+//! over the window's delivered documents.
 //!
 //! [`ShardPool`]: crate::ShardPool
 
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use alertops_core::{
-    ClosedWindow, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, QoaVerdicts, WindowCloser,
-    WindowDelta,
+    EmergingMetrics, GovernanceSnapshot, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig,
+    QoaMetrics, QoaVerdicts, WindowDelta,
 };
+use alertops_detect::StormConfig;
 use alertops_model::{Alert, QoaLabel};
-use alertops_obs::Counter;
-use alertops_react::EmergingDoc;
+use alertops_obs::{Counter, Histogram};
+use alertops_react::{EmergingAlertDetector, EmergingDoc};
 use alertops_wire::wal::{read_qoa_checkpoint, write_qoa_checkpoint};
 
 use crate::config::IngestdConfig;
@@ -33,7 +46,19 @@ use crate::node::Node;
 use crate::pool::elapsed_micros;
 use crate::queue::ShardDocs;
 
-/// The counters a merge point moves: handles on its holder's registry.
+/// Everything one window close produced.
+#[derive(Debug, Clone)]
+pub struct ClosedWindow {
+    /// The published governance picture of the window.
+    pub snapshot: GovernanceSnapshot,
+    /// The QoA verdicts as of this close, when the model ran. They
+    /// govern from the *next* window on: the next close pushes them
+    /// down to the shards with `Close{seq}`.
+    pub verdicts: Option<QoaVerdicts>,
+}
+
+/// The counters and metric handles a merge point moves: handles on its
+/// holder's registry. The optional ones are observer-only.
 #[derive(Debug)]
 pub struct MergeCounters {
     /// Windows closed and published.
@@ -44,21 +69,34 @@ pub struct MergeCounters {
     pub write_errors: Arc<Counter>,
     /// Checkpoint files found damaged at restart.
     pub checkpoints_discarded: Arc<Counter>,
+    /// AO-LDA wall time and emerging counters.
+    pub emerging: Option<EmergingMetrics>,
+    /// Model-update wall time and QoA gauges.
+    pub qoa: Option<QoaMetrics>,
+    /// Times the merge step (monoid fold + snapshot build, nothing
+    /// else) of every close.
+    pub merge_timer: Option<Arc<Histogram>>,
 }
 
-/// A process's one merge point: the [`WindowCloser`], the sequence
-/// number of the next close, and the QoA checkpoint's directory (`dir/`
-/// for a journaled daemon, `<wal_root>/coordinator/` for a cluster). A
-/// daemon holds it under its merge lock, a cluster behind the `&mut
-/// self` of its closes.
+/// A process's one merge point: the sequential state (emerging
+/// detector, online QoA model), the sequence number of the next close,
+/// and the QoA checkpoint's directory (`dir/` for a journaled daemon,
+/// `<wal_root>/coordinator/` for a cluster). A daemon holds it under
+/// its merge lock, a cluster behind the `&mut self` of its closes.
+/// Not `Clone`: a speculative pass is undone by truncation, never by
+/// keeping a copy of the detector.
 #[derive(Debug)]
 pub struct MergePoint {
-    closer: WindowCloser,
+    storm: StormConfig,
+    detector: Option<EmergingAlertDetector>,
+    qoa: Option<QoaFeedbackConfig>,
+    /// The online QoA model: parked (`None`) until
+    /// [`restart`](Self::restart) starts or restores it.
+    model: Option<OnlineQoaModel>,
     seq: u64,
     dir: Option<PathBuf>,
     /// Shards per node, for the flat degraded list.
     shards: usize,
-    qoa: Option<QoaFeedbackConfig>,
     /// The QoA verdicts the next close pushes down: computed by the
     /// last close's model update, or at restart from the resumed model.
     verdicts: Option<QoaVerdicts>,
@@ -78,21 +116,23 @@ pub trait MergeHolder {
 }
 
 impl MergePoint {
-    /// A merge point over nodes of `config.shards` shards; `closer`'s
-    /// QoA model is parked until [`restart`](Self::restart).
+    /// A merge point over nodes of `config.shards` shards, running every
+    /// channel of `config.streaming` that is on. The QoA model is parked
+    /// until [`restart`](Self::restart).
     #[must_use]
-    pub fn new(
-        closer: WindowCloser,
-        config: &IngestdConfig,
-        dir: Option<PathBuf>,
-        counters: MergeCounters,
-    ) -> Self {
+    pub fn new(config: &IngestdConfig, dir: Option<PathBuf>, counters: MergeCounters) -> Self {
+        let streaming = &config.streaming;
         Self {
-            closer,
+            storm: streaming.storm,
+            detector: streaming
+                .emerging
+                .unless_off()
+                .map(EmergingAlertDetector::new),
+            qoa: streaming.qoa.unless_off(),
+            model: None,
             seq: 0,
             dir,
             shards: config.shards,
-            qoa: config.streaming.qoa.unless_off(),
             verdicts: None,
             counters,
         }
@@ -107,24 +147,37 @@ impl MergePoint {
     /// The online QoA model, once resumed.
     #[must_use]
     pub fn qoa_model(&self) -> Option<&OnlineQoaModel> {
-        self.closer.qoa_model()
+        self.model.as_ref()
     }
 
     /// The one close, over each [`Node`]: its pool (`None` while dead)
-    /// and its log (`None` for a daemon without one). `Close{seq}`,
-    /// carrying the verdicts as of the last close, goes down every
-    /// alive pool before any is waited on, and each shard queue hands
-    /// back the window's emerging documents with it. AO-LDA then runs
-    /// over them on this thread while the shards close, and the closer
-    /// closes **once** over every shard's delta: the pass is committed
-    /// if the barrier shows every document's alert was delivered, and
-    /// redone over the delivered ones otherwise (see
-    /// [`delivered_docs`]). The QoA checkpoint is replaced before any
-    /// log is sealed; each node that delivered seals its log at `seq`.
-    /// The snapshot carries `window_index = seq` and the flat `node *
-    /// shards + shard` degraded list, a dead node's every shard
-    /// included. Also returns the nodes found dead (workers gone),
-    /// closed without.
+    /// and its log (`None` for a daemon without one). In order:
+    ///
+    /// 1. `Close{seq}`, carrying the verdicts as of the last close,
+    ///    goes down every alive pool before any is waited on, and each
+    ///    shard queue hands back the window's emerging documents;
+    /// 2. AO-LDA prepares its pass over them, on this thread, while
+    ///    the shards close;
+    /// 3. the barrier collects one delta per shard;
+    /// 4. the pass is discarded and prepared again over the delivered
+    ///    documents when the barrier shows they differ (see
+    ///    [`delivered_docs`]);
+    /// 5. the deltas merge and the snapshot is built, under the merge
+    ///    timer;
+    /// 6. the pass is committed, its report embedded;
+    /// 7. the QoA model updates against `labels`, its report embedded;
+    /// 8. the verdicts the next close pushes down are read off it;
+    /// 9. the QoA checkpoint is replaced, then each node that delivered
+    ///    seals its log at `seq`.
+    ///
+    /// The AO-LDA pass runs on every window, empty ones included — its
+    /// windowing counts them — and its wall time (prepare, any redo,
+    /// commit) is one observation. The model updates after the
+    /// window's governance, so window `N` is governed entirely by what
+    /// window `N - 1` taught. The snapshot carries `window_index = seq`
+    /// and the flat `node * shards + shard` degraded list, a dead
+    /// node's every shard included. Also returns the nodes found dead
+    /// (workers gone), closed without.
     pub fn close(&mut self, nodes: &[Node], labels: &[QoaLabel]) -> (ClosedWindow, Vec<usize>) {
         let seq = self.seq;
         self.seq += 1;
@@ -137,7 +190,8 @@ impl MergePoint {
             .collect();
         // AO-LDA runs here, over every queued document in alert id
         // order, while the workers close.
-        let mut pass = {
+        let mut took = Duration::ZERO;
+        let mut pass = self.detector.as_mut().map(|detector| {
             let mut docs: Vec<&EmergingDoc> = queued
                 .iter()
                 .flatten()
@@ -145,8 +199,11 @@ impl MergePoint {
                 .flat_map(ShardDocs::iter)
                 .collect();
             docs.sort_unstable_by_key(|d| d.alert);
-            self.closer.begin(&docs)
-        };
+            let began = Instant::now();
+            let prepared = detector.prepare_docs(&docs);
+            took = began.elapsed();
+            prepared
+        });
 
         let mut deltas = Vec::with_capacity(nodes.len() * self.shards);
         let mut degraded = Vec::new();
@@ -179,18 +236,58 @@ impl MergePoint {
                 }
             }
         }
-        if let Some(docs) = delivered_docs(&queued, &delivered, &deltas, &degraded, self.shards) {
-            self.closer.redo(&mut pass, &docs);
+        if let Some(detector) = self.detector.as_mut() {
+            if let Some(docs) = delivered_docs(&queued, &delivered, &deltas, &degraded, self.shards)
+            {
+                let began = Instant::now();
+                if let Some(wrong) = pass.take() {
+                    detector.discard(wrong);
+                }
+                pass = Some(detector.prepare_docs(&docs));
+                took += began.elapsed();
+            }
         }
         // The pass is settled: the window's documents go now, before
         // the merge and the QoA update allocate.
         drop(queued);
-        let mut closed = self.closer.finish(pass, &deltas, labels);
-        self.verdicts.clone_from(&closed.verdicts);
+        let (delta, mut snapshot) = {
+            let _span = self.counters.merge_timer.as_ref().map(|h| h.time());
+            let delta = WindowDelta::merge_all(&deltas);
+            let snapshot = GovernanceSnapshot::from_delta(&delta, &self.storm);
+            (delta, snapshot)
+        };
+        let metrics = &self.counters;
+        snapshot.emerging = self
+            .detector
+            .as_mut()
+            .zip(pass)
+            .map(|(detector, prepared)| {
+                let began = Instant::now();
+                let report = detector.commit(prepared);
+                if let Some(m) = &metrics.emerging {
+                    m.observe_window(took + began.elapsed());
+                    m.record_report(&report);
+                }
+                report
+            });
+        snapshot.qoa = self.model.as_mut().map(|model| {
+            let report = {
+                let _span = metrics.qoa.as_ref().map(QoaMetrics::update_timer);
+                model.observe_window(&delta.qoa_samples, labels)
+            };
+            if let Some(m) = &metrics.qoa {
+                m.record_report(&report);
+            }
+            report
+        });
+        // The merged window goes before the checkpoint is encoded.
+        drop(delta);
+        let verdicts = self.model.as_ref().map(OnlineQoaModel::verdicts);
+        self.verdicts.clone_from(&verdicts);
         // The model as of this close is durable before any log says
         // the window closed.
         let mut failed = 0;
-        if let (Some(dir), Some(model)) = (&self.dir, self.closer.qoa_model()) {
+        if let (Some(dir), Some(model)) = (&self.dir, &self.model) {
             failed += u64::from(write_qoa_checkpoint(dir, model.checkpoint().to_bytes()).is_err());
         }
         for (index, node) in nodes.iter().enumerate() {
@@ -199,20 +296,20 @@ impl MergePoint {
             }
         }
         self.counters.write_errors.add(failed);
-        closed.snapshot.window_index = seq;
-        closed.snapshot.degraded = degraded;
+        snapshot.window_index = seq;
+        snapshot.degraded = degraded;
         self.counters.windows_closed.inc();
-        if !closed.snapshot.degraded.is_empty() {
+        if !snapshot.degraded.is_empty() {
             self.counters.degraded_windows.inc();
         }
-        (closed, dead)
+        (ClosedWindow { snapshot, verdicts }, dead)
     }
 
     /// The one restart: each recovered `(seq, window)` re-routes and
     /// re-closes at its recorded sequence number through the holder's
     /// route and close, so counters, the published snapshot and the
     /// fresh logs move as live; the `tail` re-routes as the window in
-    /// flight. Only then does the QoA model resume (labels are never
+    /// flight. Only then does the QoA model start (labels are never
     /// journaled, so re-closes must not relearn it): from an intact
     /// checkpoint file, exact weights, else fresh — a file that does not
     /// restore counts one discarded, a missing one is a first start.
@@ -239,11 +336,13 @@ impl MergePoint {
             let file = file.transpose()?.flatten();
             let found = file.is_some();
             let checkpoint = file.flatten().and_then(|b| QoaCheckpoint::from_bytes(&b));
-            if !checkpoint.is_some_and(|ckpt| merge.closer.restore_qoa(config, &ckpt)) {
+            let restored = checkpoint.and_then(|c| OnlineQoaModel::from_checkpoint(config, &c));
+            if restored.is_none() {
                 merge.counters.checkpoints_discarded.add(u64::from(found));
-                merge.closer.start_qoa(config);
             }
-            merge.verdicts = merge.closer.qoa_model().map(OnlineQoaModel::verdicts);
+            let model = restored.unwrap_or_else(|| OnlineQoaModel::new(config));
+            merge.verdicts = Some(model.verdicts());
+            merge.model = Some(model);
         }
         Ok(())
     }

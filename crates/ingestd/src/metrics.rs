@@ -5,9 +5,9 @@
 //! [`crate::Counters`] always, and — when [`crate::IngestdConfig::metrics`]
 //! is on — everything richer than a conservation counter: the stage
 //! latency histograms registered here (window close, barrier wait,
-//! merge, per-shard close), frame decode counters, the merge point's
-//! [`alertops_core::WindowCloser`] channel handles (AO-LDA pass, QoA
-//! model update), and — via [`alertops_core::GovernorMetrics`]
+//! merge, per-shard close), frame decode counters, the
+//! [`crate::MergePoint`]'s channel handles (AO-LDA pass, QoA model
+//! update), and — via [`alertops_core::GovernorMetrics`]
 //! registered on the same registry — the detect/react instrumentation
 //! of each shard's governor. Shards share series by construction: the
 //! registry returns the same handle for the same name + labels.

@@ -84,7 +84,7 @@ impl ShardPool {
             let queue = Arc::new(ShardQueue::new(config.queue_capacity, documents));
             queues.push(Arc::clone(&queue));
             // Shards never run a sequential pass themselves — it
-            // belongs to the holder's closer — so each channel's input
+            // belongs to the merge point — so each channel's input
             // reaches it as the configuration says, regardless of how
             // the caller built the governor: QoA samples in the deltas,
             // emerging documents from the queues.
@@ -137,7 +137,8 @@ impl ShardPool {
     }
 
     /// The registry every series of the pool lives on; a holder
-    /// registers its own families (a closer's channels) here too.
+    /// registers its own families (the merge point's channels) here
+    /// too.
     #[must_use]
     pub(crate) fn registry(&self) -> &MetricsRegistry {
         &self.registry

@@ -61,7 +61,7 @@ pub(crate) enum WorkerMsg {
         /// that runs the online model, installed before this window is
         /// governed. Riding with `Close` makes the cadence exact: they
         /// apply to everything the shard governs in this window — the
-        /// cadence a library caller gets by installing its closer's
+        /// cadence a library caller gets by installing its model's
         /// verdicts on its one governor at each window boundary.
         verdicts: Option<QoaVerdicts>,
     },

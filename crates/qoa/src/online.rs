@@ -3,10 +3,10 @@
 //! The paper's Fig. 6 loop wants the QoA model "continuously updated so
 //! that it can automatically absorb the human knowledge" (§IV). This
 //! module is the streaming half of that loop: an [`OnlineQoaModel`]
-//! holds one [`LogisticRegression`] per [`Criterion`] and, once per
-//! window, absorbs the window's OCE labels via `partial_fit`, re-scores
-//! every strategy that alerted, and folds the scores into per-strategy
-//! EMAs that drive governance:
+//! holds one [`LogisticRegression`] per [`Criterion`](crate::Criterion)
+//! and, once per window, absorbs the window's OCE labels via
+//! `partial_fit`, re-scores every strategy that alerted, and folds the
+//! scores into per-strategy EMAs that drive governance:
 //!
 //! * strategies whose EMA sinks below `demote_below` are **demoted** —
 //!   the governor adds a blocking rule for them;
@@ -28,7 +28,6 @@ use alertops_model::{QoaLabel, StrategyId, QOA_CRITERIA};
 
 use crate::features::FEATURE_NAMES;
 use crate::logreg::LogisticRegression;
-use crate::model::Criterion;
 
 /// Hyperparameters of the streaming QoA loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -76,7 +75,7 @@ pub struct QoaSample {
 pub struct StrategyQoa {
     /// The scored strategy.
     pub strategy: StrategyId,
-    /// P(high quality) per criterion, in [`Criterion::ALL`] order.
+    /// P(high quality) per criterion, in [`Criterion::ALL`](crate::Criterion::ALL) order.
     pub scores: [f64; QOA_CRITERIA],
     /// The strategy's overall-quality EMA after this window.
     pub ema: f64,
@@ -146,28 +145,6 @@ impl OnlineQoaModel {
             emas: BTreeMap::new(),
             windows_absorbed: 0,
         }
-    }
-
-    /// The loop's hyperparameters.
-    #[must_use]
-    pub fn config(&self) -> &QoaFeedbackConfig {
-        &self.config
-    }
-
-    /// Windows absorbed so far.
-    #[must_use]
-    pub fn windows_absorbed(&self) -> u64 {
-        self.windows_absorbed
-    }
-
-    /// The classifier of one criterion (read-only).
-    #[must_use]
-    pub fn model(&self, criterion: Criterion) -> &LogisticRegression {
-        let index = Criterion::ALL
-            .iter()
-            .position(|c| *c == criterion)
-            .expect("criterion is in ALL");
-        &self.models[index]
     }
 
     /// Absorbs one window of feedback and re-scores its strategies.
@@ -302,25 +279,22 @@ impl OnlineQoaModel {
     /// over the standard feature set.
     #[must_use]
     pub fn from_checkpoint(config: QoaFeedbackConfig, checkpoint: &QoaCheckpoint) -> Option<Self> {
-        if checkpoint.models.len() != QOA_CRITERIA
-            || checkpoint
-                .models
-                .iter()
-                .any(|(w, _)| w.len() != FEATURE_NAMES.len())
+        if checkpoint
+            .models
+            .iter()
+            .any(|(w, _)| w.len() != FEATURE_NAMES.len())
         {
             return None;
         }
-        let mut models = checkpoint
+        let models: Vec<LogisticRegression> = checkpoint
             .models
             .iter()
-            .map(|(w, b)| LogisticRegression::from_parts(w.clone(), *b));
+            .map(|(w, b)| LogisticRegression::from_parts(w.clone(), *b))
+            .collect();
         Some(Self {
             config,
-            models: [
-                models.next().expect("three models"),
-                models.next().expect("three models"),
-                models.next().expect("three models"),
-            ],
+            // A checkpoint of any other model count is malformed.
+            models: models.try_into().ok()?,
             emas: checkpoint.emas.iter().copied().collect(),
             windows_absorbed: checkpoint.windows_absorbed,
         })
@@ -337,7 +311,7 @@ impl OnlineQoaModel {
 pub struct QoaCheckpoint {
     /// Windows absorbed when the checkpoint was taken.
     pub windows_absorbed: u64,
-    /// Per-criterion `(weights, bias)` in [`Criterion::ALL`] order.
+    /// Per-criterion `(weights, bias)` in [`Criterion::ALL`](crate::Criterion::ALL) order.
     pub models: Vec<(Vec<f64>, f64)>,
     /// Per-strategy quality EMAs, sorted by strategy id.
     pub emas: Vec<(StrategyId, f64)>,
@@ -353,6 +327,8 @@ impl QoaCheckpoint {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = vec![CHECKPOINT_VERSION];
         out.extend_from_slice(&self.windows_absorbed.to_le_bytes());
+        // `checkpoint()` holds QOA_CRITERIA (3) models, each of
+        // FEATURE_NAMES.len() weights, so both counts fit.
         out.push(u8::try_from(self.models.len()).expect("few criteria"));
         for (weights, bias) in &self.models {
             out.extend_from_slice(
@@ -365,6 +341,7 @@ impl QoaCheckpoint {
             }
             out.extend_from_slice(&bias.to_bits().to_le_bytes());
         }
+        // 2^32 EMA entries would first hold 64 GiB of (id, ema) pairs.
         out.extend_from_slice(
             &u32::try_from(self.emas.len())
                 .expect("strategy count fits u32")
@@ -384,38 +361,36 @@ impl QoaCheckpoint {
     /// of asking the allocator for it.
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if rest.len() < n {
-                return None;
-            }
-            let (head, tail) = rest.split_at(n);
+        /// The next `N` bytes, by value; `None` past the end.
+        fn take<const N: usize>(rest: &mut &[u8]) -> Option<[u8; N]> {
+            let (head, tail) = rest.split_first_chunk::<N>()?;
             *rest = tail;
-            Some(head)
+            Some(*head)
         }
-        let u64_at = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
-        let u32_at = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("four bytes"));
+        let u64_at = |rest: &mut &[u8]| take(rest).map(u64::from_le_bytes);
+        let u32_at = |rest: &mut &[u8]| take(rest).map(u32::from_le_bytes);
+        let f64_at = |rest: &mut &[u8]| u64_at(rest).map(f64::from_bits);
 
         let mut rest = bytes;
-        if *take(&mut rest, 1)?.first()? != CHECKPOINT_VERSION {
+        if take(&mut rest)? != [CHECKPOINT_VERSION] {
             return None;
         }
-        let windows_absorbed = u64_at(take(&mut rest, 8)?);
-        let model_count = usize::from(*take(&mut rest, 1)?.first()?);
-        let mut models = Vec::with_capacity(model_count);
+        let windows_absorbed = u64_at(&mut rest)?;
+        let [model_count] = take(&mut rest)?;
+        let mut models = Vec::with_capacity(usize::from(model_count));
         for _ in 0..model_count {
-            let dim = u32_at(take(&mut rest, 4)?) as usize;
+            let dim = u32_at(&mut rest)? as usize;
             let mut weights = Vec::with_capacity(dim.min(rest.len() / 8));
             for _ in 0..dim {
-                weights.push(f64::from_bits(u64_at(take(&mut rest, 8)?)));
+                weights.push(f64_at(&mut rest)?);
             }
-            let bias = f64::from_bits(u64_at(take(&mut rest, 8)?));
-            models.push((weights, bias));
+            models.push((weights, f64_at(&mut rest)?));
         }
-        let ema_count = u32_at(take(&mut rest, 4)?) as usize;
+        let ema_count = u32_at(&mut rest)? as usize;
         let mut emas = Vec::with_capacity(ema_count.min(rest.len() / 16));
         for _ in 0..ema_count {
-            let strategy = StrategyId(u64_at(take(&mut rest, 8)?));
-            emas.push((strategy, f64::from_bits(u64_at(take(&mut rest, 8)?))));
+            let strategy = StrategyId(u64_at(&mut rest)?);
+            emas.push((strategy, f64_at(&mut rest)?));
         }
         if !rest.is_empty() {
             return None;
@@ -481,7 +456,7 @@ mod tests {
         let report = model.observe_window(&samples, &labels);
         assert_eq!(report.scored.len(), 6);
         assert_eq!(report.absorbed, labels.len());
-        assert_eq!(model.windows_absorbed(), 1);
+        assert_eq!(model.checkpoint().windows_absorbed, 1);
         // Scores are probabilities and EMAs moved off the 0.5 prior.
         for s in &report.scored {
             for p in s.scores {
@@ -498,8 +473,9 @@ mod tests {
         let report = model.observe_window(&[], &labels);
         assert_eq!(report.absorbed, 0);
         assert!(report.scored.is_empty());
-        // No sample, no update: the model is still the fresh one.
-        assert_eq!(model.model(Criterion::Precision).bias(), 0.0);
+        // No sample, no update: the classifiers are still the fresh ones.
+        let fresh = OnlineQoaModel::new(QoaFeedbackConfig::default());
+        assert_eq!(model.checkpoint().models, fresh.checkpoint().models);
     }
 
     #[test]
@@ -531,9 +507,13 @@ mod tests {
         assert_eq!(model.digest(), restored.digest());
         assert_eq!(model, restored);
         // A checkpoint short one classifier is rejected, not padded.
-        let mut short = decoded;
+        let mut short = decoded.clone();
         short.models.pop();
         assert!(OnlineQoaModel::from_checkpoint(QoaFeedbackConfig::default(), &short).is_none());
+        // So is one with a classifier too many.
+        let mut long = decoded;
+        long.models.push(long.models[0].clone());
+        assert!(OnlineQoaModel::from_checkpoint(QoaFeedbackConfig::default(), &long).is_none());
     }
 
     #[test]

@@ -405,6 +405,7 @@ impl EmergingAlertDetector {
                 }
             }
         }
+        // The match above left a model in place.
         let aolda = self.aolda.as_mut().expect("model just ensured");
 
         let fit = aolda.prepare_window(&bags, &positions);
@@ -436,6 +437,7 @@ impl EmergingAlertDetector {
     ///
     /// Panics if another pass was committed since `pass` was prepared.
     pub fn commit(&mut self, pass: PreparedPass) -> EmergingReport {
+        // Preparing `pass` left a model; only discarding a pass drops one.
         let aolda = self.aolda.as_mut().expect("a prepared pass made the model");
         aolda.commit_window(pass.fit);
         self.windows_processed += 1;

@@ -495,6 +495,7 @@ impl AdaptiveOnlineLda {
             self.windows.drain(..excess);
         }
         self.windows_processed += 1;
+        // HISTORY >= 1, so the drain above kept the window just pushed.
         self.windows.last().expect("window just pushed")
     }
 }

@@ -347,6 +347,7 @@ impl WireDecoder {
         if avail.len() < total {
             return Ok(None);
         }
+        // `avail` holds `total` bytes, so this range is 4 bytes long.
         let expected = u32::from_le_bytes(
             avail[len_bytes..len_bytes + 4]
                 .try_into()

@@ -120,7 +120,7 @@ check_rss storm-paced <<'CEILINGS'
 rss_peak_mb 11.68
 CEILINGS
 
-# The window-close path has one owner (alertops_core::WindowCloser)
+# The window-close path has one owner (alertops_ingestd::MergePoint)
 # and the ingress protocol one dispatcher, one client and one writable
 # journal format; the options and forks that used to sit beside them
 # must not come back.
@@ -146,7 +146,7 @@ if grep -rnE 'run_soak|SoakConfig|SoakReport|soak_bench|BENCH_soak|ALERTOPS_SOAK
 fi
 
 # A governor only governs its partition: the sequential passes live in
-# WindowCloser::close, a WindowDelta carries inputs only, and recovery
+# MergePoint::close, a WindowDelta carries inputs only, and recovery
 # state is (seq, window) pairs. Node logs hold node state: the QoA
 # checkpoint is one coordinator file and a handoff is a function call,
 # not a frame. One merge point per process: a cluster node is a shard
@@ -171,28 +171,30 @@ fi
 # spawner, history replay or counted replay beside it. A close is one
 # push per shard: the QoA verdicts ride with Close{seq}, in no message
 # of their own, and the AO-LDA pass's wall time is one observation
-# over its halves, not a span around a single call.
+# over its halves, not a span around a single call. The close runs in
+# MergePoint::close itself: no closer type beside it, no pass handle,
+# and no QoA start, restore or merge-timer step of its own.
 # Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer' \
+if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type or a second push per shard per close reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close or a closer beside the merge point reappeared (see matches above)" >&2
     exit 1
 fi
 # AO-LDA runs speculatively at a merge point, over the documents the
 # shard queues hand over with each Close, and a pass the barrier shows
 # was over the wrong documents is discarded by truncating the
 # detector's vocabulary and model width, not by restoring a copy: no
-# detector, and no closer holding one, is cloned on the close path.
+# detector, and no merge point holding one, is cloned on the close path.
 # Scoped to the code above each file's first test module.
-for file in crates/core/src/closer.rs crates/ingestd/src/*.rs; do
+for file in crates/ingestd/src/*.rs; do
     if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' "$file" |
-        grep -E '(emerging|detector|closer)[A-Za-z_]*(\(\))?(\.as_(ref|mut)\(\))?\.(clone|to_owned)\(\)|(EmergingAlertDetector|WindowCloser)::clone|Clone::clone\('; then
+        grep -E '(emerging|detector)[A-Za-z_]*(\(\))?(\.as_(ref|mut)\(\))?\.(clone|to_owned)\(\)|(EmergingAlertDetector|MergePoint)::clone|Clone::clone\('; then
         echo "the emerging detector is cloned on the close path (see matches above)" >&2
         exit 1
     fi
 done
-if grep -B4 '^pub struct WindowCloser' crates/core/src/closer.rs | grep -E 'derive\(.*\bClone\b'; then
-    echo "WindowCloser is Clone again: a per-close copy of its detector can come back (see above)" >&2
+if grep -B4 '^pub struct MergePoint' crates/ingestd/src/merge.rs | grep -E 'derive\(.*\bClone\b'; then
+    echo "MergePoint is Clone again: a per-close copy of its detector can come back (see above)" >&2
     exit 1
 fi
 # The QoA checkpoint has one writer and one reader, the merge point:

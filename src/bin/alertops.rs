@@ -417,7 +417,7 @@ fn main() -> ExitCode {
 fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
     let mut streaming = StreamingConfig::default();
     if args.emerging {
-        // Shards forward documents and the merge point's WindowCloser
+        // Shard queues hand their documents to the merge point, which
         // runs the one sequential AO-LDA pass, so shard count cannot
         // change output.
         streaming.emerging.mode = ChannelMode::Forward;
@@ -426,9 +426,9 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
         }
     }
     if args.qoa {
-        // Same split: shards forward QoA samples, the merge point's
-        // closer runs the one sequential model update and pushes the
-        // verdicts back down.
+        // Same split: shards forward QoA samples, the merge point runs
+        // the one sequential model update and pushes the verdicts back
+        // down.
         streaming.qoa.mode = ChannelMode::Forward;
     }
     let config = IngestdConfig {
