@@ -904,6 +904,24 @@ mod tests {
     }
 
     #[test]
+    fn empty_strings_take_the_typed_path() {
+        let blank = Alert::builder(AlertId(3), StrategyId(4))
+            .title("")
+            .service("")
+            .location(Location::new("", "").with_instance(""))
+            .raised_at(SimTime::from_secs(5))
+            .build();
+        // The builder's own empty title, service, region and dc.
+        let unset = Alert::builder(AlertId(6), StrategyId(7)).build();
+        for alert in [blank, unset] {
+            let line = encode_alert(&alert);
+            assert_eq!(line, serde_json::to_string(&alert).unwrap());
+            assert_eq!(scan_alert(&line), Some(alert.clone()), "{line}");
+            assert_eq!(parse_frame(&line), Ok(Frame::Alert(Box::new(alert))));
+        }
+    }
+
+    #[test]
     fn the_classifying_path_keeps_the_deserializer_detail() {
         assert_eq!(
             parse_frame(r#"{"id":"not an alert"}"#),

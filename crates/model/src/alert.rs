@@ -81,18 +81,15 @@ impl Alert {
     #[must_use]
     pub fn builder(id: AlertId, strategy: StrategyId) -> AlertBuilder {
         AlertBuilder {
-            alert: Alert {
-                id,
-                strategy,
-                title: IStr::default(),
-                severity: Severity::Warning,
-                service_name: IStr::default(),
-                microservice: MicroserviceId(0),
-                location: Location::default(),
-                raised_at: SimTime::EPOCH,
-                state: AlertState::Active,
-                processing_time: None,
-            },
+            id,
+            strategy,
+            title: None,
+            severity: Severity::Warning,
+            service_name: None,
+            microservice: MicroserviceId(0),
+            location: None,
+            raised_at: SimTime::EPOCH,
+            processing_time: None,
         }
     }
 
@@ -274,9 +271,22 @@ impl fmt::Display for Alert {
 /// builder is infallible: alerts are produced in bulk by the monitoring
 /// system from already-validated strategies, so empty titles are allowed
 /// here (and are precisely what the A1 detector exists to flag).
+///
+/// Starting a builder touches no interner: a string field that is never
+/// set is filled at [`build`](Self::build) with the thread's cached
+/// [`IStr::empty`] handle, so a caller that sets every field (both
+/// decoders and the simulator do) builds its alert without one lookup.
 #[derive(Debug, Clone)]
 pub struct AlertBuilder {
-    alert: Alert,
+    id: AlertId,
+    strategy: StrategyId,
+    title: Option<IStr>,
+    severity: Severity,
+    service_name: Option<IStr>,
+    microservice: MicroserviceId,
+    location: Option<Location>,
+    raised_at: SimTime,
+    processing_time: Option<SimDuration>,
 }
 
 impl AlertBuilder {
@@ -284,42 +294,42 @@ impl AlertBuilder {
     /// strategy's cached template) to skip the intern lookup entirely.
     #[must_use]
     pub fn title(mut self, title: impl Into<IStr>) -> Self {
-        self.alert.title = title.into();
+        self.title = Some(title.into());
         self
     }
 
     /// Sets the severity.
     #[must_use]
     pub fn severity(mut self, severity: Severity) -> Self {
-        self.alert.severity = severity;
+        self.severity = severity;
         self
     }
 
     /// Sets the affected service name.
     #[must_use]
     pub fn service(mut self, name: impl Into<IStr>) -> Self {
-        self.alert.service_name = name.into();
+        self.service_name = Some(name.into());
         self
     }
 
     /// Sets the affected microservice id.
     #[must_use]
     pub fn microservice(mut self, id: impl Into<MicroserviceId>) -> Self {
-        self.alert.microservice = id.into();
+        self.microservice = id.into();
         self
     }
 
     /// Sets the location.
     #[must_use]
     pub fn location(mut self, location: Location) -> Self {
-        self.alert.location = location;
+        self.location = Some(location);
         self
     }
 
     /// Sets the raise time.
     #[must_use]
     pub fn raised_at(mut self, at: SimTime) -> Self {
-        self.alert.raised_at = at;
+        self.raised_at = at;
         self
     }
 
@@ -327,21 +337,35 @@ impl AlertBuilder {
     /// [`Alert::record_processing_time`]).
     #[must_use]
     pub fn processing_time(mut self, time: SimDuration) -> Self {
-        self.alert.processing_time = Some(time);
+        self.processing_time = Some(time);
         self
     }
 
-    /// Finishes building the alert (active, uncleared).
+    /// Finishes building the alert (active, uncleared). A title,
+    /// service or location that was never set reads as empty.
     #[must_use]
     pub fn build(self) -> Alert {
-        self.alert
+        Alert {
+            id: self.id,
+            strategy: self.strategy,
+            title: self.title.unwrap_or_else(IStr::empty),
+            severity: self.severity,
+            service_name: self.service_name.unwrap_or_else(IStr::empty),
+            microservice: self.microservice,
+            location: self
+                .location
+                .unwrap_or_else(|| Location::new(IStr::empty(), IStr::empty())),
+            raised_at: self.raised_at,
+            state: AlertState::Active,
+            processing_time: self.processing_time,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ModelError;
+    use crate::{ModelError, StrTable};
 
     fn sample() -> Alert {
         Alert::builder(AlertId(1), StrategyId(2))
@@ -445,6 +469,64 @@ mod tests {
         assert_eq!(b.title(), a.title());
         assert_eq!(b.cleared_at(), a.cleared_at());
         assert_eq!(b.clearance(), a.clearance());
+    }
+
+    #[test]
+    fn a_fully_set_builder_keeps_the_handles_it_is_given() {
+        // Handles from a private table, so sharing can only come from
+        // the builder passing them through.
+        let mut table = StrTable::new();
+        let title = table.intern("Failed to commit changes");
+        let service = table.intern("Database");
+        let region = table.intern("X");
+        let dc = table.intern("1");
+        let a = Alert::builder(AlertId(1), StrategyId(2))
+            .title(title.clone())
+            .service(service.clone())
+            .location(Location::new(region.clone(), dc.clone()))
+            .build();
+        assert!(a.title_interned().ptr_eq(&title));
+        assert!(a.service_name_interned().ptr_eq(&service));
+        assert!(a.location().region().0.ptr_eq(&region));
+        assert!(shares_allocation(a.location().dc(), &dc));
+    }
+
+    /// `Location` lends its dc out only as `&str`: equal data pointers
+    /// (and lengths) mean one shared allocation, as `IStr::ptr_eq` does.
+    fn shares_allocation(text: &str, handle: &IStr) -> bool {
+        std::ptr::eq(text, handle.as_str())
+    }
+
+    #[test]
+    fn unset_strings_are_the_threads_empty_handle() {
+        let a = Alert::builder(AlertId(1), StrategyId(2)).build();
+        let empty = IStr::empty();
+        for (field, text) in [
+            ("title", a.title()),
+            ("service", a.service_name()),
+            ("region", a.location().region().as_str()),
+            ("dc", a.location().dc()),
+        ] {
+            assert_eq!(text, "", "{field}");
+            assert!(shares_allocation(text, &empty), "{field}");
+        }
+        // An equal empty string from another table is told apart.
+        let other = StrTable::new().intern("");
+        assert!(!shares_allocation(&other, &empty));
+        assert_eq!(a.location().instance(), None);
+    }
+
+    #[test]
+    fn a_default_built_alert_serializes_as_before() {
+        let a = Alert::builder(AlertId(0), StrategyId(0)).build();
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            concat!(
+                r#"{"id":0,"strategy":0,"title":"","severity":"warning","service_name":"","#,
+                r#""microservice":0,"location":{"region":"","dc":"","instance":null},"#,
+                r#""raised_at":0,"state":"active","processing_time":null}"#,
+            )
+        );
     }
 
     #[test]

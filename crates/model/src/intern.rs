@@ -20,11 +20,17 @@
 //!   they just are not cached). `From<&str>` / serde deserialization
 //!   go through it, which is what makes JSON decode of a repeated
 //!   title allocate once per *distinct* title per thread, not once
-//!   per alert.
+//!   per alert. NDJSON ingress pays one lookup here per string field.
 //! * **Explicit [`StrTable`]s** with dense `u32` ids, owned by the
 //!   binary wire codec: first occurrence travels as a literal and
 //!   assigns the next id, later occurrences travel as a back-reference
-//!   to that id. See `alertops-wire`.
+//!   to that id, so binary ingress looks up first-sight literals only.
+//!   See `alertops-wire`.
+//!
+//! Building an [`Alert`](crate::Alert) interns nothing: the builder
+//! takes the handles it is given, and fills a field it was not given
+//! from [`IStr::empty`], the thread's `intern("")` handle cached on
+//! first use.
 //!
 //! `IStr` is serde-transparent: it serializes as a plain JSON string,
 //! so external JSON (NDJSON ingress, status snapshots, checkpoints) is
@@ -58,6 +64,7 @@ pub const DEFAULT_TABLE_BYTE_CAP: usize = 8 << 20;
 thread_local! {
     static DEFAULT_TABLE: RefCell<StrTable> =
         RefCell::new(StrTable::with_limits(DEFAULT_TABLE_CAP, DEFAULT_TABLE_BYTE_CAP));
+    static EMPTY: IStr = intern("");
 }
 
 /// Interns `s` through the thread-local default table.
@@ -75,10 +82,11 @@ pub fn intern(s: &str) -> IStr {
 pub struct IStr(Arc<str>);
 
 impl IStr {
-    /// The empty interned string.
+    /// The empty interned string: the thread's own `intern("")`
+    /// handle, looked up once per thread and cloned from then on.
     #[must_use]
     pub fn empty() -> Self {
-        intern("")
+        EMPTY.with(Self::clone)
     }
 
     /// The string contents.
@@ -463,6 +471,23 @@ mod tests {
         table.clear();
         assert!(table.is_empty());
         assert_eq!(table.insert("b"), Some((0, true)));
+    }
+
+    #[test]
+    fn the_empty_handle_is_the_threads_intern_of_empty() {
+        let empty = IStr::empty();
+        assert!(empty.ptr_eq(&IStr::default()));
+        assert!(empty.ptr_eq(&intern("")));
+        assert!(empty.ptr_eq(&IStr::empty()));
+        assert_eq!(empty.as_str(), "");
+        // The same holds when `intern("")` runs first on a thread.
+        std::thread::spawn(|| {
+            let interned = intern("");
+            assert!(interned.ptr_eq(&IStr::empty()));
+            assert!(interned.ptr_eq(&IStr::default()));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

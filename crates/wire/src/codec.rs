@@ -639,6 +639,50 @@ mod tests {
     }
 
     #[test]
+    fn empty_strings_register_once_then_travel_as_back_references() {
+        // Every string field empty, the instance present but empty.
+        let blank = Alert::builder(AlertId(3), StrategyId(4))
+            .title("")
+            .service("")
+            .location(Location::new("", "").with_instance(""))
+            .raised_at(SimTime::from_secs(5))
+            .build();
+        // The builder's own empty title, service, region and dc.
+        let unset = Alert::builder(AlertId(6), StrategyId(7)).build();
+        let frames = vec![Frame::Alert(Box::new(blank)), Frame::Alert(Box::new(unset))];
+        let mut encoder = WireEncoder::new();
+        let mut wire = encoder.encode(&frames[0]);
+        // `[len][crc32 LE][payload]`, the length one varint byte.
+        #[rustfmt::skip]
+        let payload = [
+            crate::frame::TAG_ALERT, 3, 4,
+            0x00, 0, // title: zero-length literal, registers id 0
+            0,       // severity rank: warning
+            0x01, 0, // service: back-reference to id 0
+            0,       // microservice
+            0x01, 0, // region
+            0x01, 0, // dc
+            1, 0x01, 0, // instance: present, back-reference
+            5,       // raised_at
+            0, 0,    // active, no processing time
+        ];
+        assert_eq!(wire[5..], payload);
+        assert_eq!(encoder.table_len(), 1);
+        let second = encoder.encode(&frames[1]);
+        assert_eq!(second[5..10], [crate::frame::TAG_ALERT, 6, 7, 0x01, 0]);
+        assert_eq!(encoder.table_len(), 1);
+        wire.extend_from_slice(&second);
+        let mut decoder = WireDecoder::new();
+        let decoded: Vec<Frame> = decoder
+            .feed(&wire)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(decoder.finish(), None);
+        assert_eq!(decoded, frames);
+    }
+
+    #[test]
     fn the_retired_tag_is_malformed() {
         // Tag 4 stays unassigned: an old producer's frame is rejected,
         // never misread as a newer kind.
@@ -663,14 +707,10 @@ mod proptests {
         at: u64,
         title: &str,
         service: &str,
-        instance: Option<&str>,
+        location: Location,
         severity: u8,
         cleared_after: Option<u64>,
     ) -> Alert {
-        let mut location = Location::new("region-p", format!("dc-{}", id % 3));
-        if let Some(instance) = instance {
-            location = location.with_instance(instance);
-        }
         let mut alert = Alert::builder(AlertId(id), StrategyId(strategy))
             .title(title)
             .severity(Severity::from_rank(severity % 4).unwrap())
@@ -690,14 +730,15 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Arbitrary alert corpora round-trip identically, however the
-        /// wire bytes are split across reads.
+        /// wire bytes are split across reads. Every string, the
+        /// location's included, may be empty.
         #[test]
         fn seeded_corpora_roundtrip_across_splits(
             specs in proptest::collection::vec(
                 (
                     0u64..10_000, 0u64..64, 0u64..1_000_000,
                     "[ -~]{0,24}", "[ -~]{0,12}",
-                    proptest::option::of("[ -~]{1,8}"),
+                    ("[ -~]{0,8}", "[ -~]{0,8}", proptest::option::of("[ -~]{0,8}")),
                     0u8..8,
                     proptest::option::of(0u64..10_000),
                 ),
@@ -707,10 +748,13 @@ mod proptests {
         ) {
             let frames: Vec<Frame> = specs
                 .iter()
-                .map(|(id, strat, at, title, service, instance, sev, cleared)| {
+                .map(|(id, strat, at, title, service, (region, dc, instance), sev, cleared)| {
+                    let mut location = Location::new(region.as_str(), dc.as_str());
+                    if let Some(instance) = instance {
+                        location = location.with_instance(instance.as_str());
+                    }
                     Frame::Alert(Box::new(build_alert(
-                        *id, *strat, *at, title, service,
-                        instance.as_deref(), *sev, *cleared,
+                        *id, *strat, *at, title, service, location, *sev, *cleared,
                     )))
                 })
                 .collect();
@@ -761,7 +805,8 @@ mod proptests {
         ) {
             let frames: Vec<Frame> = (0..count as u64)
                 .map(|id| Frame::Alert(Box::new(build_alert(
-                    id, id % 5, id * 60, "title", "svc", None, 0, None,
+                    id, id % 5, id * 60, "title", "svc",
+                    Location::new("region-p", format!("dc-{}", id % 3)), 0, None,
                 ))))
                 .collect();
             let mut encoder = WireEncoder::new();

@@ -297,6 +297,15 @@ if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 
     echo "the streaming close scores titles again instead of reading the catalog's cache (see matches above)" >&2
     exit 1
 fi
+# Building an alert interns nothing: the builder keeps the handles it
+# is given and fills an unset string from IStr::empty(), the thread's
+# cached handle, so no placeholder is looked up only to be overwritten.
+# Scoped to the code above the file's first test module.
+if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' crates/model/src/alert.rs |
+    grep -E 'IStr::default\(\)|Location::default\(\)|intern\('; then
+    echo "alert.rs looks up a string while building an alert; an alert is built without an interner lookup (see matches above)" >&2
+    exit 1
+fi
 
 # The codec crate builds from the data model alone (the model scores
 # each catalog row's title with alertops-text, a leaf crate).
