@@ -20,7 +20,8 @@
 //!   they just are not cached). `From<&str>` / serde deserialization
 //!   go through it, which is what makes JSON decode of a repeated
 //!   title allocate once per *distinct* title per thread, not once
-//!   per alert. NDJSON ingress pays one lookup here per string field.
+//!   per alert. NDJSON ingress pays one lookup here per non-empty
+//!   string field: `intern("")` returns [`IStr::empty`] without one.
 //! * **Explicit [`StrTable`]s** with dense `u32` ids, owned by the
 //!   binary wire codec: first occurrence travels as a literal and
 //!   assigns the next id, later occurrences travel as a back-reference
@@ -64,12 +65,17 @@ pub const DEFAULT_TABLE_BYTE_CAP: usize = 8 << 20;
 thread_local! {
     static DEFAULT_TABLE: RefCell<StrTable> =
         RefCell::new(StrTable::with_limits(DEFAULT_TABLE_CAP, DEFAULT_TABLE_BYTE_CAP));
-    static EMPTY: IStr = intern("");
+    static EMPTY: IStr = DEFAULT_TABLE.with(|table| table.borrow_mut().intern(""));
 }
 
-/// Interns `s` through the thread-local default table.
+/// Interns `s` through the thread-local default table. The empty
+/// string skips the lookup and returns [`IStr::empty`], the handle
+/// the table holds for it.
 #[must_use]
 pub fn intern(s: &str) -> IStr {
+    if s.is_empty() {
+        return IStr::empty();
+    }
     DEFAULT_TABLE.with(|table| table.borrow_mut().intern(s))
 }
 
@@ -488,6 +494,17 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn interning_empty_leaves_the_table_alone() {
+        let empty = IStr::empty();
+        // Any lookup would panic on the held borrow.
+        let interned = DEFAULT_TABLE.with(|table| {
+            let _held = table.borrow_mut();
+            intern("")
+        });
+        assert!(interned.ptr_eq(&empty));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::{ModelError, StrategyId};
+use crate::{IStr, ModelError, StrategyId};
 
 /// A predefined Standard Operating Procedure: what an OCE does upon
 /// receiving an alert.
@@ -18,7 +18,10 @@ use crate::{ModelError, StrategyId};
 /// share one immutable body, and cloning one costs a refcount bump.
 /// Every holder of a catalog's SOPs (the simulator's catalog, each
 /// shard's governor, a cluster's governor factory) points at the same
-/// bodies.
+/// bodies. The lines are shared too: every section, cause and step is
+/// an [`IStr`] interned through the building (or deserializing)
+/// thread's default table, so a line that many SOPs repeat, or that
+/// is also a strategy's title, is held once.
 ///
 /// # Example
 ///
@@ -48,27 +51,36 @@ pub struct Sop(Arc<SopBody>);
 /// [`SopBuilder::build`]. Serialized as the SOP itself.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct SopBody {
-    alert_name: String,
+    alert_name: IStr,
     strategy: StrategyId,
-    description: String,
-    generation_rule: String,
-    potential_impact: String,
-    possible_causes: Vec<String>,
-    steps: Vec<String>,
+    description: IStr,
+    generation_rule: IStr,
+    potential_impact: IStr,
+    possible_causes: Vec<IStr>,
+    steps: Vec<IStr>,
+}
+
+impl SopBody {
+    /// Wraps the finished body, its lists trimmed to their length.
+    fn seal(mut self) -> Sop {
+        self.possible_causes.shrink_to_fit();
+        self.steps.shrink_to_fit();
+        Sop(Arc::new(self))
+    }
 }
 
 impl Sop {
     /// Starts building a SOP for the alert named `alert_name`, produced by
     /// `strategy`.
     #[must_use]
-    pub fn builder(alert_name: impl Into<String>, strategy: StrategyId) -> SopBuilder {
+    pub fn builder(alert_name: impl Into<IStr>, strategy: StrategyId) -> SopBuilder {
         SopBuilder {
             body: SopBody {
                 alert_name: alert_name.into(),
                 strategy,
-                description: String::new(),
-                generation_rule: String::new(),
-                potential_impact: String::new(),
+                description: IStr::empty(),
+                generation_rule: IStr::empty(),
+                potential_impact: IStr::empty(),
                 possible_causes: Vec::new(),
                 steps: Vec::new(),
             },
@@ -107,13 +119,13 @@ impl Sop {
 
     /// Possible root causes, most likely first.
     #[must_use]
-    pub fn possible_causes(&self) -> &[String] {
+    pub fn possible_causes(&self) -> &[IStr] {
         &self.0.possible_causes
     }
 
     /// The diagnosis steps, in order.
     #[must_use]
-    pub fn steps(&self) -> &[String] {
+    pub fn steps(&self) -> &[IStr] {
         &self.0.steps
     }
 
@@ -193,7 +205,7 @@ impl Serialize for Sop {
 
 impl Deserialize for Sop {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        SopBody::from_value(value).map(|body| Sop(Arc::new(body)))
+        SopBody::from_value(value).map(SopBody::seal)
     }
 }
 
@@ -206,35 +218,35 @@ pub struct SopBuilder {
 impl SopBuilder {
     /// Sets the description section.
     #[must_use]
-    pub fn description(mut self, text: impl Into<String>) -> Self {
+    pub fn description(mut self, text: impl Into<IStr>) -> Self {
         self.body.description = text.into();
         self
     }
 
     /// Sets the generation-rule section.
     #[must_use]
-    pub fn generation_rule(mut self, text: impl Into<String>) -> Self {
+    pub fn generation_rule(mut self, text: impl Into<IStr>) -> Self {
         self.body.generation_rule = text.into();
         self
     }
 
     /// Sets the potential-impact section.
     #[must_use]
-    pub fn potential_impact(mut self, text: impl Into<String>) -> Self {
+    pub fn potential_impact(mut self, text: impl Into<IStr>) -> Self {
         self.body.potential_impact = text.into();
         self
     }
 
     /// Appends a possible cause.
     #[must_use]
-    pub fn possible_cause(mut self, text: impl Into<String>) -> Self {
+    pub fn possible_cause(mut self, text: impl Into<IStr>) -> Self {
         self.body.possible_causes.push(text.into());
         self
     }
 
     /// Appends a diagnosis step.
     #[must_use]
-    pub fn step(mut self, text: impl Into<String>) -> Self {
+    pub fn step(mut self, text: impl Into<IStr>) -> Self {
         self.body.steps.push(text.into());
         self
     }
@@ -250,7 +262,7 @@ impl SopBuilder {
         if self.body.alert_name.trim().is_empty() {
             return Err(ModelError::EmptyTitle);
         }
-        Ok(Sop(Arc::new(self.body)))
+        Ok(self.body.seal())
     }
 }
 
@@ -337,6 +349,33 @@ mod tests {
             .all(|label| label.bytes().all(|b| b.is_ascii_lowercase())));
         let distinct: std::collections::BTreeSet<_> = two_hundred.iter().collect();
         assert_eq!(distinct.len(), 200, "every label names one cause");
+    }
+
+    #[test]
+    fn a_round_trip_shares_the_originals_lines() {
+        for sop in [
+            full_sop(),
+            Sop::builder("x", StrategyId(2)).build().unwrap(),
+        ] {
+            let json = serde_json::to_string(&sop).unwrap();
+            let back: Sop = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, sop);
+            let (a, b) = (&*sop.0, &*back.0);
+            let sections = [
+                (&a.alert_name, &b.alert_name),
+                (&a.description, &b.description),
+                (&a.generation_rule, &b.generation_rule),
+                (&a.potential_impact, &b.potential_impact),
+            ];
+            let causes = a.possible_causes.iter().zip(&b.possible_causes);
+            let steps = a.steps.iter().zip(&b.steps);
+            for (line, copy) in sections.into_iter().chain(causes).chain(steps) {
+                assert!(line.ptr_eq(copy), "{line:?} is held twice");
+            }
+            assert_eq!(b.possible_causes.capacity(), b.possible_causes.len());
+            assert_eq!(b.steps.capacity(), b.steps.len());
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        }
     }
 
     #[test]

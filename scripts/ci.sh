@@ -98,26 +98,27 @@ CEILINGS
 # AO-LDA keeps no table beyond its largest window's scratch, so a
 # long-lived one coming back shows on `governed-close`, where that
 # scratch is most of the heap. An untraced 2-second run repeats
-# `rss_peak_mb` within 2–3 % (five runs read 29.42 – 29.69 MB on
-# `steady-wire`, 14.49 – 14.82 MB on `cluster-journal`, 8.27 –
-# 8.49 MB on `governed-close` and 11.35 – 11.44 MB on `storm-paced`),
+# `rss_peak_mb` within 2–3 % (five runs read 24.18 – 24.77 MB on
+# `steady-wire`, 12.80 – 13.10 MB on `cluster-journal`, 7.52 –
+# 7.72 MB on `governed-close` and 10.39 – 10.69 MB on `storm-paced`),
 # so the ceiling is the highest of five runs at the commit that last
-# moved it + 2 %. A deep copy of the SOPs
-# alone is ≈ 5 MB, the old ψ memo's table ≈ 2.2 MB, a shard's old
-# 8192-slot channel ring ≈ 0.46 MB. Lower a ceiling when a PR lowers
-# the peak.
+# moved it + 2 %. A SOP's lines are interned, so a deep copy of one
+# costs its body and two line vectors, ≈ 0.26 kB (≈ 2 MB for
+# `steady-wire`'s 8 000); a SOP owning its lines again ≈ 5 MB more;
+# the old ψ memo's table ≈ 2.2 MB, a shard's old 8192-slot channel
+# ring ≈ 0.46 MB. Lower a ceiling when a PR lowers the peak.
 check_rss() { check_run "$1" 0; }
 check_rss steady-wire <<'CEILINGS'
-rss_peak_mb 30.29
+rss_peak_mb 25.27
 CEILINGS
 check_rss cluster-journal <<'CEILINGS'
-rss_peak_mb 15.12
+rss_peak_mb 13.37
 CEILINGS
 check_rss governed-close <<'CEILINGS'
-rss_peak_mb 8.66
+rss_peak_mb 7.87
 CEILINGS
 check_rss storm-paced <<'CEILINGS'
-rss_peak_mb 11.68
+rss_peak_mb 10.90
 CEILINGS
 
 # The window-close path has one owner (alertops_ingestd::MergePoint)
