@@ -90,51 +90,66 @@ impl SeverityEvidence {
         }
         evidence
     }
+
+    /// The incident co-occurrence and auto-clear rates.
+    fn rates(&self) -> (f64, f64) {
+        let total = self.total as f64;
+        (
+            self.with_incident as f64 / total,
+            self.auto_cleared as f64 / total,
+        )
+    }
+
+    /// The severity the rates imply.
+    fn implied(&self) -> Severity {
+        let (incident_rate, auto_clear_rate) = self.rates();
+        MisleadingSeverityDetector::implied_severity(incident_rate, auto_clear_rate)
+    }
 }
 
 impl MisleadingSeverityDetector {
-    /// Evaluates one strategy from its [`SeverityEvidence`] aggregates —
-    /// the single scoring formula behind both detection paths.
-    pub(crate) fn evaluate_strategy(
-        strategy: &AlertStrategy,
-        evidence: &SeverityEvidence,
-    ) -> Option<StrategyFinding> {
+    /// Whether A2 flags `strategy` on its [`SeverityEvidence`]
+    /// aggregates: the verdict both detection paths share, read from
+    /// the counters alone.
+    pub(crate) fn flags(strategy: &AlertStrategy, evidence: &SeverityEvidence) -> bool {
         let total = evidence.total;
         if total < MIN_ALERTS {
-            return None;
+            return false;
         }
         // Transient-dominated strategies are A4's finding, not A2's:
         // their severity is moot until the flapping is fixed.
         if evidence.transients as f64 / total as f64 > 0.5 {
-            return None;
+            return false;
         }
-        let incident_rate = evidence.with_incident as f64 / total as f64;
-        let auto_clear_rate = evidence.auto_cleared as f64 / total as f64;
-        let implied = Self::implied_severity(incident_rate, auto_clear_rate);
+        let implied = evidence.implied();
         // Probe severities encode worst-case impact (host down). A
         // noisy probe with no observed impact has a *timing/threshold*
         // problem, not a severity one — don't flag Critical probes
         // down to noise levels.
         if matches!(strategy.kind(), StrategyKind::Probe(_)) && implied <= Severity::Minor {
-            return None;
+            return false;
         }
-        let distance = strategy.severity().distance(implied);
-        if distance < MIN_DISTANCE {
-            return None;
-        }
-        Some(StrategyFinding {
+        strategy.severity().distance(implied) >= MIN_DISTANCE
+    }
+
+    /// The finding for a strategy A2 [`flags`](Self::flags): its score
+    /// and evidence, rendered from the same aggregates.
+    pub(crate) fn render(strategy: &AlertStrategy, evidence: &SeverityEvidence) -> StrategyFinding {
+        let (incident_rate, auto_clear_rate) = evidence.rates();
+        let implied = Self::implied_severity(incident_rate, auto_clear_rate);
+        StrategyFinding {
             strategy: strategy.id(),
             pattern: AntiPattern::MisleadingSeverity,
-            score: f64::from(distance),
+            score: f64::from(strategy.severity().distance(implied)),
             evidence: format!(
                 "configured {} but evidence implies {} ({} alerts, {:.0}% incident co-occurrence, {:.0}% auto-cleared)",
                 strategy.severity(),
                 implied,
-                total,
+                evidence.total,
                 incident_rate * 100.0,
                 auto_clear_rate * 100.0,
             ),
-        })
+        }
     }
 
     /// The severity this detector's evidence implies for one strategy,
@@ -148,13 +163,7 @@ impl MisleadingSeverityDetector {
         strategy: &AlertStrategy,
     ) -> Option<Severity> {
         let evidence = SeverityEvidence::of(input, strategy);
-        let total = evidence.total as f64;
-        (evidence.total >= MIN_ALERTS).then(|| {
-            Self::implied_severity(
-                evidence.with_incident as f64 / total,
-                evidence.auto_cleared as f64 / total,
-            )
-        })
+        (evidence.total >= MIN_ALERTS).then(|| evidence.implied())
     }
 }
 
@@ -168,7 +177,8 @@ impl Detector for MisleadingSeverityDetector {
             .strategies()
             .iter()
             .filter_map(|strategy| {
-                Self::evaluate_strategy(strategy, &SeverityEvidence::of(input, strategy))
+                let evidence = SeverityEvidence::of(input, strategy);
+                Self::flags(strategy, &evidence).then(|| Self::render(strategy, &evidence))
             })
             .collect();
         // Scores are severity distances, small whole numbers: no NaN or

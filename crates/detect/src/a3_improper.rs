@@ -24,42 +24,46 @@ const MAX_INCIDENT_RATE: f64 = 0.12;
 pub struct ImproperRuleDetector;
 
 impl ImproperRuleDetector {
-    /// Evaluates one strategy from its rolling aggregates: `total`
-    /// in-scope alerts, of which `with_incident` indicated an incident
-    /// on the strategy's service. The single scoring formula shared by
-    /// the batch [`Detector`] pass and the incremental engine
-    /// ([`crate::IncrementalState`]). Returns `None` for strategies
-    /// that are not infrastructure-metric rules.
-    pub(crate) fn evaluate_strategy(
+    /// Whether A3 flags `strategy`, with `total` in-scope alerts of
+    /// which `with_incident` indicated an incident on its service: the
+    /// verdict both detection paths share. Only infrastructure-metric
+    /// rules can be "improper" in the paper's sense.
+    pub(crate) fn flags(strategy: &AlertStrategy, total: usize, with_incident: usize) -> bool {
+        matches!(strategy.kind(), StrategyKind::Metric(rule) if rule.metric.is_infrastructure())
+            && total >= MIN_ALERTS
+            && incident_rate(total, with_incident) <= MAX_INCIDENT_RATE
+    }
+
+    /// The finding for a strategy A3 [`flags`](Self::flags): its score
+    /// and evidence, rendered from the same aggregates.
+    pub(crate) fn render(
         strategy: &AlertStrategy,
         total: usize,
         with_incident: usize,
-    ) -> Option<StrategyFinding> {
-        // Only infrastructure-metric rules can be "improper" in the
-        // paper's sense.
-        let StrategyKind::Metric(rule) = strategy.kind() else {
-            return None;
+    ) -> StrategyFinding {
+        // What A3 flags is a metric rule; any other kind is named by
+        // its category.
+        let rule = match strategy.kind() {
+            StrategyKind::Metric(rule) => rule.metric.name(),
+            other => other.category(),
         };
-        if !rule.metric.is_infrastructure() || total < MIN_ALERTS {
-            return None;
-        }
-        let incident_rate = with_incident as f64 / total as f64;
-        if incident_rate > MAX_INCIDENT_RATE {
-            return None;
-        }
-        Some(StrategyFinding {
+        let incident_rate = incident_rate(total, with_incident);
+        StrategyFinding {
             strategy: strategy.id(),
             pattern: AntiPattern::ImproperRule,
             // More alerts with zero impact = worse.
             score: total as f64 * (1.0 - incident_rate),
             evidence: format!(
-                "infrastructure metric `{}` fired {} times with {:.0}% incident co-occurrence",
-                rule.metric,
-                total,
+                "infrastructure metric `{rule}` fired {total} times with {:.0}% incident co-occurrence",
                 incident_rate * 100.0,
             ),
-        })
+        }
     }
+}
+
+/// The share of `total` alerts that indicated an incident.
+fn incident_rate(total: usize, with_incident: usize) -> f64 {
+    with_incident as f64 / total as f64
 }
 
 impl Detector for ImproperRuleDetector {
@@ -77,8 +81,8 @@ impl Detector for ImproperRuleDetector {
                     indicates_incident(input.incidents(), strategy.service(), a.raised_at())
                 })
                 .count();
-            if let Some(finding) = Self::evaluate_strategy(strategy, total, with_incident) {
-                findings.push(finding);
+            if Self::flags(strategy, total, with_incident) {
+                findings.push(Self::render(strategy, total, with_incident));
             }
         }
         // Scores are alert counts times a rate in [0, 1], over at least

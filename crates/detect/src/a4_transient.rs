@@ -72,37 +72,31 @@ impl TransientTogglingDetector {
                 .is_some_and(|d| d < self.intermittent_threshold)
     }
 
-    /// Whether a strategy with `total` in-scope alerts, `transients` of
-    /// them transient, can be flagged at all — the counts-only gate
-    /// [`evaluate_strategy`](Self::evaluate_strategy) opens with. The
-    /// incremental engine checks it on its rolling counters before
-    /// gathering any raise time.
-    pub(crate) fn may_flag(total: usize, transients: usize) -> bool {
+    /// Whether A4 flags a strategy with `total` in-scope alerts,
+    /// `transients` of them transient: the verdict both detection paths
+    /// share, read from the counts alone. Oscillation shapes only the
+    /// score and the evidence.
+    pub(crate) fn flags(total: usize, transients: usize) -> bool {
         total > 0
             && transients >= MIN_TRANSIENTS
             && transients as f64 / total as f64 >= MIN_TRANSIENT_SHARE
     }
 
-    /// Evaluates one strategy: `total` in-scope alerts, of which those
-    /// raised at `transient_times` (sorted ascending, one entry per
-    /// alert) were transient. This is the single scoring formula shared
-    /// by the batch [`Detector`] pass and the incremental engine
-    /// ([`crate::IncrementalState`]) — both paths reduce a strategy's
-    /// evidence to exactly these inputs, so their findings agree byte
-    /// for byte.
-    pub(crate) fn evaluate_strategy(
+    /// The finding for a strategy A4 [`flags`](Self::flags): `total`
+    /// in-scope alerts, of which those raised at `transient_times`
+    /// (sorted ascending, one entry per alert) were transient. Both
+    /// detection paths reduce a strategy's evidence to exactly these
+    /// inputs, so their findings agree byte for byte.
+    pub(crate) fn render(
         &self,
         strategy: StrategyId,
         total: usize,
         transient_times: &[SimTime],
-    ) -> Option<StrategyFinding> {
+    ) -> StrategyFinding {
         let transients = transient_times.len();
-        if !Self::may_flag(total, transients) {
-            return None;
-        }
         let oscillation = max_oscillation(transient_times);
         let toggling = oscillation > OSCILLATION_THRESHOLD;
-        Some(StrategyFinding {
+        StrategyFinding {
             strategy,
             pattern: AntiPattern::TransientToggling,
             score: transients as f64 * if toggling { 2.0 } else { 1.0 },
@@ -113,7 +107,7 @@ impl TransientTogglingDetector {
                 OSCILLATION_WINDOW,
                 if toggling { " — TOGGLING" } else { "" },
             ),
-        })
+        }
     }
 }
 
@@ -132,8 +126,8 @@ impl Detector for TransientTogglingDetector {
                 .map(alertops_model::Alert::raised_at)
                 .collect();
             transient_times.sort_unstable();
-            if let Some(finding) = self.evaluate_strategy(strategy.id(), total, &transient_times) {
-                findings.push(finding);
+            if Self::flags(total, transient_times.len()) {
+                findings.push(self.render(strategy.id(), total, &transient_times));
             }
         }
         // Scores are transient counts, doubled when toggling: no NaN or

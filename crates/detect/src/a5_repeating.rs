@@ -40,7 +40,7 @@ pub struct RepeatingDetector;
 
 /// Appends the `(hour, count)` run-length encoding of `sorted_hours`
 /// (hour buckets, ascending, one per alert) to `runs` — the histogram
-/// shape [`RepeatingDetector::evaluate_strategy`] reads, built the same
+/// shape [`RepeatingDetector::flags`] reads, built the same
 /// way by the batch pass and the incremental engine.
 pub(crate) fn push_hour_runs(sorted_hours: &[u64], runs: &mut Vec<(u64, usize)>) {
     for bucket in sorted_hours.chunk_by(|a, b| a == b) {
@@ -48,35 +48,26 @@ pub(crate) fn push_hour_runs(sorted_hours: &[u64], runs: &mut Vec<(u64, usize)>)
     }
 }
 
-impl RepeatingDetector {
-    /// Whether a strategy with `total` in-scope alerts can be flagged
-    /// at all — the counts-only gate
-    /// [`evaluate_strategy`](Self::evaluate_strategy) opens with. The
-    /// incremental engine checks it on its rolling counters before
-    /// building any hour histogram.
-    pub(crate) fn may_flag(total: usize) -> bool {
-        total >= HOURLY_THRESHOLD || total >= MIN_SUSTAINED_TOTAL
-    }
+/// What a strategy's hour histogram shows: the two signatures A5 flags
+/// and the figures its finding reports.
+struct HourProfile {
+    /// Hours with at least [`HOURLY_THRESHOLD`] alerts.
+    repeat_hours: usize,
+    /// The most alerts in one hour.
+    peak: usize,
+    burst: bool,
+    sustained: bool,
+}
 
-    /// Evaluates one strategy: `total` in-scope alerts bucketed into the
-    /// `per_hour` histogram, as `(hour, count)` runs in ascending hour
-    /// order (see [`push_hour_runs`]). The single scoring formula shared
-    /// by the batch [`Detector`] pass and the incremental engine
-    /// ([`crate::IncrementalState`]).
-    pub(crate) fn evaluate_strategy(
-        strategy: StrategyId,
-        total: usize,
-        per_hour: &[(u64, usize)],
-    ) -> Option<StrategyFinding> {
-        if !Self::may_flag(total) {
-            return None;
-        }
+impl HourProfile {
+    /// Reads the `(hour, count)` runs of one strategy, in ascending
+    /// hour order.
+    fn of(per_hour: &[(u64, usize)]) -> Self {
         let repeat_hours = per_hour
             .iter()
             .filter(|&&(_, c)| c >= HOURLY_THRESHOLD)
             .count();
         let peak = per_hour.iter().map(|&(_, c)| c).max().unwrap_or(0);
-        let burst = repeat_hours >= MIN_REPEAT_HOURS;
         // Sustained: sliding 24h span over the sorted hour buckets.
         let sustained = {
             let mut best = false;
@@ -95,10 +86,50 @@ impl RepeatingDetector {
             }
             best
         };
-        if !(burst || sustained) {
-            return None;
+        Self {
+            repeat_hours,
+            peak,
+            burst: repeat_hours >= MIN_REPEAT_HOURS,
+            sustained,
         }
-        Some(StrategyFinding {
+    }
+}
+
+impl RepeatingDetector {
+    /// Whether a strategy with `total` in-scope alerts can be flagged
+    /// at all — the counts-only gate [`flags`](Self::flags) opens with.
+    /// The incremental engine checks it on its rolling counters before
+    /// building any hour histogram.
+    pub(crate) fn may_flag(total: usize) -> bool {
+        total >= HOURLY_THRESHOLD || total >= MIN_SUSTAINED_TOTAL
+    }
+
+    /// Whether A5 flags a strategy with `total` in-scope alerts bucketed
+    /// into the `per_hour` histogram, as `(hour, count)` runs in
+    /// ascending hour order (see [`push_hour_runs`]): the verdict both
+    /// detection paths share, and the only one of A2–A5 that reads
+    /// raise times.
+    pub(crate) fn flags(total: usize, per_hour: &[(u64, usize)]) -> bool {
+        Self::may_flag(total) && {
+            let profile = HourProfile::of(per_hour);
+            profile.burst || profile.sustained
+        }
+    }
+
+    /// The finding for a strategy A5 [`flags`](Self::flags): its score
+    /// and evidence, rendered from the same histogram.
+    pub(crate) fn render(
+        strategy: StrategyId,
+        total: usize,
+        per_hour: &[(u64, usize)],
+    ) -> StrategyFinding {
+        let HourProfile {
+            repeat_hours,
+            peak,
+            burst,
+            ..
+        } = HourProfile::of(per_hour);
+        StrategyFinding {
             strategy,
             pattern: AntiPattern::Repeating,
             score: peak as f64 + repeat_hours as f64 + per_hour.len() as f64 * 0.1,
@@ -114,7 +145,7 @@ impl RepeatingDetector {
                     peak,
                 )
             },
-        })
+        }
     }
 }
 
@@ -134,8 +165,8 @@ impl Detector for RepeatingDetector {
             hours.sort_unstable();
             let mut per_hour = Vec::new();
             push_hour_runs(&hours, &mut per_hour);
-            if let Some(finding) = Self::evaluate_strategy(strategy.id(), total, &per_hour) {
-                findings.push(finding);
+            if Self::flags(total, &per_hour) {
+                findings.push(Self::render(strategy.id(), total, &per_hour));
             }
         }
         // Scores are sums of hour counts and tenths of them: no NaN or

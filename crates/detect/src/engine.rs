@@ -16,28 +16,33 @@
 //!   oldest window's digest from every aggregate (the *eviction
 //!   algebra*: each aggregate is a count, so subtraction is exact and
 //!   order-independent);
-//! * [`evaluate`](IncrementalState::evaluate) — bring the cached
-//!   findings up to date, re-evaluating only strategies whose
-//!   aggregates changed, and hand back the `(pattern, strategy)` flags
-//!   that flipped as [`FlagTransitions`]. This is all a streaming close
-//!   reads, and it costs O(change): nothing per held finding or per
-//!   catalog row.
+//! * [`evaluate`](IncrementalState::evaluate) — bring the held
+//!   `(pattern, strategy)` flags up to date, re-judging only strategies
+//!   whose aggregates changed, and hand back the flags that flipped as
+//!   [`FlagTransitions`], rendering a finding only for a flag that
+//!   flips on. This is all a streaming close reads, and it costs
+//!   O(change): nothing per held flag or per catalog row, and no
+//!   evidence string for a flag that stays as it was.
 //!
 //! [`report`](IncrementalState::report) (and
 //! [`current_findings`](IncrementalState::current_findings), its form
 //! for a caller holding catalog rows rather than an
-//! `Arc<IndexedCatalog>`) evaluates and then renders everything held
+//! `Arc<IndexedCatalog>`) evaluates and then renders every flag held
 //! into an [`AntiPatternReport`] equal to running the batch detectors
 //! over the flattened surviving history — O(findings) more, for the
 //! batch callers.
 //!
 //! # Exactness
 //!
-//! Every detector's scoring was refactored into a per-strategy
-//! `evaluate_strategy` function of *aggregates* (counts, sorted
-//! transient times, `(hour, count)` runs); both the batch [`Detector`]
-//! passes and this engine reduce a strategy's evidence to exactly those
-//! inputs and call the same function, so findings agree byte for byte.
+//! Each of A2–A5 is two per-strategy functions of *aggregates*
+//! (counts, sorted transient times, `(hour, count)` runs): a verdict,
+//! `flags`, that says whether the strategy is flagged, and `render`,
+//! which builds its finding, score and evidence. A2, A3 and A4 judge
+//! on counters alone (A2/A3 with the incident co-occurrence count);
+//! only A5 reads raise times, as hour runs, to decide. Both the batch
+//! [`Detector`] passes and this engine reduce a strategy's evidence to
+//! exactly those inputs and call the same functions, so flags and
+//! findings agree byte for byte.
 //! The rolling counters are order-independent and support exact
 //! subtraction, with empty entries removed eagerly so a long-lived
 //! state is structurally identical to one freshly built from only the
@@ -47,24 +52,29 @@
 //! and re-derived only when the catalog changes — and then contributes
 //! transitions like any other pattern. A catalog is told apart from
 //! the last one by its allocation (`Arc::ptr_eq`), not by comparing
-//! rows; a new allocation also rescores every strategy in scope. A2/A3
-//! additionally depend on the incident list, so their cached findings
-//! are invalidated whenever the provided incidents differ from the
-//! previous evaluation.
+//! rows; a new allocation also rejudges every strategy in scope. A2/A3
+//! additionally depend on the incident list, so their flags are
+//! rejudged whenever the provided incidents differ from the previous
+//! evaluation.
 //!
-//! # Memory: each raise time held once, the catalog not at all
+//! # Memory: each raise time held once, a flag as four bits, the catalog not at all
 //!
 //! A window's raise times live in its digest and nowhere else: a digest
 //! is two exactly-sized vectors, one [`Slice`] of counters per strategy
 //! and every alert's raise time, both in strategy-id order. A
-//! strategy's rolling state is three counters. The times an evaluator
-//! reads — A2/A3's co-occurrence count, A4's sorted transient times,
-//! A5's hour runs — are gathered from the surviving digests when it
-//! runs, into buffers the engine reuses, and only where they can change
-//! the verdict: A2/A3 only when there are incidents, A4 and A5 only for
-//! a strategy whose counters say it `may_flag` at all. The
-//! `held_raise_times` probe states the bound and the property suite
-//! checks it after every operation.
+//! strategy's rolling state is three counters, and what A2–A5 say of
+//! it is four bits in a table that holds only flagged strategies; no
+//! finding or evidence string outlives the call that rendered it. The
+//! times the engine reads — A2/A3's co-occurrence count, A5's hour
+//! runs for its verdict, and A4's sorted transient times and A5's runs
+//! to render a finding — are gathered from the surviving digests one
+//! strategy at a time, into buffers the engine reuses, and only where
+//! they are read: A2/A3's count only when there are incidents, A5's
+//! runs only for a strategy whose counters say it `may_flag` at all,
+//! A4's times only for a finding being rendered. So the buffers never
+//! grow past the largest single strategy's alerts in scope. The
+//! `held_raise_times` and `evaluation_scratch` probes state the two
+//! bounds and the property suite checks them after every operation.
 //!
 //! The catalog is the caller's: the engine keeps a clone of the
 //! caller's `Arc<IndexedCatalog>`, so a streaming governor and its
@@ -101,12 +111,12 @@
 //! what was announced: the flags after a rollback must be the ones
 //! announced as of the commit (none before the first, though A1
 //! already has findings then). An evaluation keeps, until the next
-//! commit, what each strategy held as of the commit the first time one
-//! of its flags flips — O(flips), not a copy of the caches — and the
-//! catalog and A1 findings it replaces. Rollback puts those back,
-//! returns the flips that took as [`FlagTransitions`], and has the next
-//! evaluation rescore every strategy in scope or cached, so no other
-//! cached value is trusted.
+//! commit, each strategy's flags as of the commit the first time one
+//! of them flips — O(flips), not a copy of the table — and the catalog
+//! and A1 findings it replaces. Rollback puts those back, returns the
+//! flips that took as [`FlagTransitions`] (a flag back on with its
+//! finding rendered from the committed scope), and has the next
+//! evaluation rejudge every strategy in scope or flagged.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -115,7 +125,7 @@ use std::sync::Arc;
 
 use alertops_model::{
     indicates_incident, Alert, AlertId, AlertStrategy, Clearance, DependencyGraph, Incident,
-    IndexedCatalog, MicroserviceId, RegionId, SimTime, StrategyId,
+    IndexedCatalog, MicroserviceId, RegionId, ServiceId, SimTime, StrategyId,
 };
 
 use crate::a2_severity::SeverityEvidence;
@@ -188,11 +198,19 @@ impl WindowDigest {
 
     /// One step of a merge-walk over the id-ordered slices: moves
     /// `cursor` past every slice ordered before `id` and returns `id`'s
-    /// slice and its raise times, if the window has one.
+    /// slice and its raise times, if the window has one. The search
+    /// gallops, so a walk that skips most slices costs O(log) per step
+    /// and a dense one O(1).
     fn seek(&self, cursor: &mut usize, id: StrategyId) -> Option<(&Slice, &[SimTime])> {
-        while self.slices.get(*cursor).is_some_and(|s| s.strategy < id) {
-            *cursor += 1;
+        let rest = &self.slices[*cursor..];
+        let mut end = 1;
+        while end <= rest.len() && rest[end - 1].strategy < id {
+            end *= 2;
         }
+        // Every slice before `end / 2` is ordered before `id`.
+        let skipped = end / 2;
+        *cursor +=
+            skipped + rest[skipped..end.min(rest.len())].partition_point(|s| s.strategy < id);
         let slice = self.slices.get(*cursor).filter(|s| s.strategy == id)?;
         Some((slice, &self.times[self.range(*cursor)]))
     }
@@ -233,6 +251,17 @@ impl StrategyState {
         self.transients -= other.transients;
         self.auto_cleared -= other.auto_cleared;
     }
+
+    /// What A2 reads: these counters and the incident co-occurrence
+    /// count.
+    fn severity_evidence(&self, with_incident: usize) -> SeverityEvidence {
+        SeverityEvidence {
+            total: self.total,
+            with_incident,
+            auto_cleared: self.auto_cleared,
+            transients: self.transients,
+        }
+    }
 }
 
 /// Buffers the engine reuses across windows and evaluations, so that
@@ -242,124 +271,257 @@ impl StrategyState {
 struct Scratch {
     /// The window being digested, one row per alert, sorted.
     rows: Vec<DigestRow>,
-    /// Per surviving window, the evaluation's merge-walk position.
+    /// The raise-time evidence of one strategy at a time.
+    gather: Gather,
+}
+
+/// Gathers one strategy's raise-time evidence from the surviving
+/// digests into buffers that hold one strategy's at a time, so they
+/// never grow past the largest single strategy's alerts in scope.
+#[derive(Debug, Clone, Default)]
+struct Gather {
+    /// Per surviving window, the merge-walk position. A walk visits
+    /// strategies in ascending id order from [`start`](Self::start).
     cursors: Vec<usize>,
-    /// A4: the sorted transient times of every stale strategy A4
-    /// `may_flag`, back to back.
+    /// A4: one strategy's sorted transient times.
     transient_times: Vec<SimTime>,
     /// A5: one strategy's hour buckets, before they are run-length
     /// encoded into `hour_runs`.
     hours: Vec<u64>,
-    /// A5: the `(hour, count)` runs of every stale strategy A5
-    /// `may_flag`, back to back.
+    /// A5: one strategy's `(hour, count)` runs.
     hour_runs: Vec<(u64, usize)>,
+    /// The most entries one buffer held since the last evaluation
+    /// started.
+    peak: usize,
 }
 
-/// Cached per-strategy findings of the four history-driven detectors.
-#[derive(Debug, Clone, Default)]
-struct CachedFindings {
-    a2: Option<StrategyFinding>,
-    a3: Option<StrategyFinding>,
-    a4: Option<StrategyFinding>,
-    a5: Option<StrategyFinding>,
+impl Gather {
+    /// Starts a walk over `windows` surviving windows.
+    fn start(&mut self, windows: usize) {
+        self.cursors.clear();
+        self.cursors.resize(windows, 0);
+    }
+
+    /// Calls `f` with strategy `id`'s slice and raise times in every
+    /// surviving window that has one. `id` must not be below the last
+    /// one walked since [`start`](Self::start).
+    fn walk(
+        &mut self,
+        windows: &VecDeque<WindowDigest>,
+        id: StrategyId,
+        mut f: impl FnMut(&Slice, &[SimTime]),
+    ) {
+        for (digest, cursor) in windows.iter().zip(&mut self.cursors) {
+            if let Some((slice, times)) = digest.seek(cursor, id) {
+                f(slice, times);
+            }
+        }
+    }
+
+    /// How many of `id`'s alerts indicated an incident on `service`.
+    fn with_incident(
+        &mut self,
+        windows: &VecDeque<WindowDigest>,
+        id: StrategyId,
+        service: ServiceId,
+        incidents: &[Incident],
+    ) -> usize {
+        let mut count = 0;
+        self.walk(windows, id, |_, times| {
+            count += times
+                .iter()
+                .filter(|&&t| indicates_incident(incidents, service, t))
+                .count();
+        });
+        count
+    }
+
+    /// Calls `f` with `id`'s transient times, sorted — what A4 renders
+    /// from — and empties the buffer again.
+    fn with_transient_times<R>(
+        &mut self,
+        windows: &VecDeque<WindowDigest>,
+        id: StrategyId,
+        f: impl FnOnce(&[SimTime]) -> R,
+    ) -> R {
+        let mut times = std::mem::take(&mut self.transient_times);
+        self.walk(windows, id, |slice, all| {
+            times.extend_from_slice(&all[..slice.transients as usize]);
+        });
+        times.sort_unstable();
+        self.peak = self.peak.max(times.len());
+        let result = f(&times);
+        times.clear();
+        self.transient_times = times;
+        result
+    }
+
+    /// Calls `f` with `id`'s `(hour, count)` runs — what A5 judges and
+    /// renders from — and empties the buffers again.
+    fn with_hour_runs<R>(
+        &mut self,
+        windows: &VecDeque<WindowDigest>,
+        id: StrategyId,
+        f: impl FnOnce(&[(u64, usize)]) -> R,
+    ) -> R {
+        let mut hours = std::mem::take(&mut self.hours);
+        self.walk(windows, id, |_, times| {
+            hours.extend(times.iter().map(|t| t.hour_bucket()));
+        });
+        hours.sort_unstable();
+        push_hour_runs(&hours, &mut self.hour_runs);
+        self.peak = self.peak.max(hours.len());
+        hours.clear();
+        self.hours = hours;
+        let result = f(&self.hour_runs);
+        self.hour_runs.clear();
+        result
+    }
+
+    /// Renders the findings `flags` holds for `strategy` from its
+    /// rolling counters `state`, gathering only the raise times those
+    /// findings read, and hands them to `out` in A2–A5 order.
+    fn render(
+        &mut self,
+        windows: &VecDeque<WindowDigest>,
+        incidents: &[Incident],
+        strategy: &AlertStrategy,
+        state: &StrategyState,
+        flags: Flags,
+        mut out: impl FnMut(StrategyFinding),
+    ) {
+        let id = strategy.id();
+        let total = state.total;
+        let with_incident = if (flags.has(A2) || flags.has(A3)) && !incidents.is_empty() {
+            self.with_incident(windows, id, strategy.service(), incidents)
+        } else {
+            0
+        };
+        if flags.has(A2) {
+            out(MisleadingSeverityDetector::render(
+                strategy,
+                &state.severity_evidence(with_incident),
+            ));
+        }
+        if flags.has(A3) {
+            out(ImproperRuleDetector::render(strategy, total, with_incident));
+        }
+        if flags.has(A4) {
+            out(self.with_transient_times(windows, id, |times| {
+                TransientTogglingDetector::default().render(id, total, times)
+            }));
+        }
+        if flags.has(A5) {
+            out(self.with_hour_runs(windows, id, |runs| {
+                RepeatingDetector::render(id, total, runs)
+            }));
+        }
+    }
 }
 
-impl CachedFindings {
-    /// No detector flagged the strategy.
-    fn is_empty(&self) -> bool {
-        self.a2.is_none() && self.a3.is_none() && self.a4.is_none() && self.a5.is_none()
-    }
-
-    /// The findings, in [`CACHED`] order.
-    fn findings(&self) -> [Option<&StrategyFinding>; 4] {
-        [
-            self.a2.as_ref(),
-            self.a3.as_ref(),
-            self.a4.as_ref(),
-            self.a5.as_ref(),
-        ]
-    }
-
-    /// Which of A2–A5 flag the strategy.
-    fn flags(&self) -> [bool; 4] {
-        self.findings().map(|finding| finding.is_some())
-    }
-}
-
-/// The patterns a [`CachedFindings`] holds, in field order.
-const CACHED: [AntiPattern; 4] = [
+/// The patterns a [`Flags`] holds, by bit.
+const FLAGGED: [AntiPattern; 4] = [
     AntiPattern::MisleadingSeverity,
     AntiPattern::ImproperRule,
     AntiPattern::TransientToggling,
     AntiPattern::Repeating,
 ];
 
-/// The cached A2–A5 findings: an entry per in-scope strategy that holds
-/// at least one — a strategy with none has no entry — and how many
-/// entries hold each pattern's.
-#[derive(Debug, Clone, Default)]
-struct FindingsCache {
-    entries: BTreeMap<StrategyId, CachedFindings>,
-    /// Flags held per pattern, A2–A5.
-    counts: [usize; 4],
-}
+/// Bits of [`Flags`], indices into [`FLAGGED`].
+const A2: usize = 0;
+const A3: usize = 1;
+const A4: usize = 2;
+const A5: usize = 3;
 
-impl FindingsCache {
-    /// Replaces `id`'s findings, recording every flag that flips into
-    /// `transitions`. Returns what it held when a flag flipped.
-    fn put(
-        &mut self,
-        id: StrategyId,
-        findings: CachedFindings,
-        transitions: &mut FlagTransitions,
-    ) -> Option<CachedFindings> {
-        let entry = self.entries.entry(id);
-        let before = match &entry {
-            Entry::Occupied(held) => held.get().flags(),
-            Entry::Vacant(_) => [false; 4],
-        };
-        let after = findings.flags();
-        for ((pattern, finding), was) in CACHED.into_iter().zip(findings.findings()).zip(before) {
-            transitions.flip(pattern, id, was, finding);
+/// Which of A2–A5 flag one strategy: bit `i` for `FLAGGED[i]`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Flags(u8);
+
+impl Flags {
+    fn has(self, bit: usize) -> bool {
+        self.0 & (1 << bit) != 0
+    }
+
+    fn set(&mut self, bit: usize, on: bool) {
+        if on {
+            self.0 |= 1 << bit;
+        } else {
+            self.0 &= !(1 << bit);
         }
-        for (count, (was, is)) in self.counts.iter_mut().zip(before.into_iter().zip(after)) {
-            *count = *count + usize::from(is) - usize::from(was);
-        }
-        let held = match entry {
-            Entry::Occupied(mut held) if !findings.is_empty() => {
-                std::mem::replace(held.get_mut(), findings)
-            }
-            Entry::Occupied(held) => held.remove(),
-            Entry::Vacant(slot) => {
-                if !findings.is_empty() {
-                    slot.insert(findings);
-                }
-                CachedFindings::default()
-            }
-        };
-        (before != after).then_some(held)
+    }
+
+    fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The flags set here and not in `other`.
+    fn without(self, other: Self) -> Self {
+        Self(self.0 & !other.0)
+    }
+
+    /// The patterns flagged, in [`FLAGGED`] order.
+    fn patterns(self) -> impl Iterator<Item = AntiPattern> {
+        (0..FLAGGED.len())
+            .filter(move |&bit| self.has(bit))
+            .map(|bit| FLAGGED[bit])
     }
 }
 
-/// What the caches reported as of the last commit, kept only for what
-/// an evaluation has changed since — what
+/// The A2–A5 flags: an entry per strategy that holds at least one — a
+/// strategy with none has no entry — and how many entries hold each
+/// pattern's.
+#[derive(Debug, Clone, Default)]
+struct FlagTable {
+    entries: BTreeMap<StrategyId, Flags>,
+    /// Flags held per pattern, in [`FLAGGED`] order.
+    counts: [usize; 4],
+}
+
+impl FlagTable {
+    fn get(&self, id: StrategyId) -> Flags {
+        self.entries.get(&id).copied().unwrap_or_default()
+    }
+
+    /// Replaces `id`'s flags, recording the ones that clear into
+    /// `transitions` (the caller records the raised ones with their
+    /// findings). Returns what it held.
+    fn put(&mut self, id: StrategyId, flags: Flags, transitions: &mut FlagTransitions) -> Flags {
+        let held = if flags.is_empty() {
+            self.entries.remove(&id)
+        } else {
+            self.entries.insert(id, flags)
+        }
+        .unwrap_or_default();
+        for bit in 0..FLAGGED.len() {
+            self.counts[bit] =
+                self.counts[bit] + usize::from(flags.has(bit)) - usize::from(held.has(bit));
+        }
+        transitions
+            .cleared
+            .extend(held.without(flags).patterns().map(|pattern| (pattern, id)));
+        held
+    }
+}
+
+/// What the flags were as of the last commit, kept only for what an
+/// evaluation has changed since — what
 /// [`rollback`](IncrementalState::rollback) puts back.
 #[derive(Debug, Clone, Default)]
 struct Undo {
-    /// Each strategy an evaluation flipped a flag of, with its findings
+    /// Each strategy an evaluation flipped a flag of, with its flags
     /// as of the commit.
-    findings: BTreeMap<StrategyId, CachedFindings>,
+    flags: BTreeMap<StrategyId, Flags>,
     /// The catalog and its A1 findings as of the commit, once an
     /// evaluation replaced them.
     a1: Option<(Option<Arc<IndexedCatalog>>, Vec<StrategyFinding>)>,
 }
 
 impl Undo {
-    /// Keeps what a strategy `held` before a flip of its flags, if this
-    /// is the first since the commit.
-    fn keep(&mut self, id: StrategyId, held: Option<CachedFindings>) {
-        if let Some(held) = held {
-            self.findings.entry(id).or_insert(held);
+    /// Keeps what a strategy `held` before its flags changed, if this
+    /// is the first change since the commit.
+    fn keep(&mut self, id: StrategyId, held: Flags, now: Flags) {
+        if held != now {
+            self.flags.entry(id).or_insert(held);
         }
     }
 }
@@ -380,22 +542,6 @@ pub struct FlagTransitions {
 }
 
 impl FlagTransitions {
-    /// Records the flip, if any, of one flag that was (`before`) or was
-    /// not set and now holds `after`.
-    fn flip(
-        &mut self,
-        pattern: AntiPattern,
-        strategy: StrategyId,
-        before: bool,
-        after: Option<&StrategyFinding>,
-    ) {
-        match (before, after) {
-            (false, Some(finding)) => self.raised.push(finding.clone()),
-            (true, None) => self.cleared.push((pattern, strategy)),
-            _ => {}
-        }
-    }
-
     /// Records the A1 flips from the findings `before` to `after`, in
     /// the order the A1 detector put `after` in.
     fn flip_a1(&mut self, before: &[StrategyFinding], after: &[StrategyFinding]) {
@@ -427,8 +573,7 @@ impl FlagTransitions {
 }
 
 /// One stale strategy, resolved for an evaluation: the catalog row, the
-/// rolling counters, the raise-time evidence gathered for it, and what
-/// the evaluators make of them.
+/// rolling counters, and its flags before and after.
 struct Stale<'a> {
     strategy: &'a AlertStrategy,
     state: &'a StrategyState,
@@ -439,14 +584,10 @@ struct Stale<'a> {
     /// Alerts that indicated an incident on the strategy's service, the
     /// count A2 and A3 share (0 without incidents).
     with_incident: usize,
-    /// Its sorted transient times in [`Scratch::transient_times`];
-    /// `None` unless A4 is stale and `may_flag` on the counters.
-    transient_times: Option<Range<usize>>,
-    /// Its hour runs in [`Scratch::hour_runs`]; `None` unless A5 is
-    /// stale and `may_flag` on the counters.
-    hour_runs: Option<Range<usize>>,
-    /// The evaluators' verdicts, held here until the one cache write.
-    rescored: CachedFindings,
+    /// The flags it held.
+    was: Flags,
+    /// The verdicts, held here until the one table write.
+    now: Flags,
 }
 
 /// The incremental detection engine. See the [module docs](self) for
@@ -480,8 +621,9 @@ pub struct IncrementalState {
     incidents_seen: Option<Vec<Incident>>,
     /// A1 findings for `catalog` (valid while the catalog is unchanged).
     a1_cache: Vec<StrategyFinding>,
-    /// Cached A2–A5 findings.
-    findings_cache: FindingsCache,
+    /// The A2–A5 flags; findings are rendered only when one flips on
+    /// or a report is asked for.
+    flags: FlagTable,
     /// The flags as of the last commit, where an evaluation has
     /// changed them since.
     undo: Undo,
@@ -499,8 +641,8 @@ pub struct IncrementalState {
 
 impl PartialEq for IncrementalState {
     /// Compares only the *rolling state* (window digests, per-strategy
-    /// counters, histogram, cascade edges) — not evaluation caches,
-    /// which legitimately differ between a long-lived state and a fresh
+    /// counters, histogram, cascade edges) — not the evaluation state
+    /// (flags, A1 findings), which legitimately differs between a long-lived state and a fresh
     /// rebuild until the next `current_findings` call, and not the
     /// rollback bookkeeping, which says where the last commit was, not
     /// what is in scope.
@@ -692,21 +834,19 @@ impl IncrementalState {
     /// O(history). `graph` is the one the windows were observed with;
     /// cascade edges are rebuilt against it.
     ///
-    /// Of the evaluation caches only the flags are kept: every one an
+    /// Of the evaluation state only the flags are kept: every one an
     /// evaluation flipped since the commit is put back, with the
     /// catalog and A1 findings, so the flags are the ones last
-    /// committed — none at all before the first commit. The next
-    /// evaluation then rescores every strategy in scope or cached
-    /// against them, so nothing else the caches held is trusted.
+    /// committed — none at all before the first commit. A flag that
+    /// comes back on is raised with its finding rendered from the
+    /// committed scope. The next evaluation then rejudges every
+    /// strategy in scope or flagged against them.
     pub fn rollback(&mut self, graph: Option<&DependencyGraph>) -> FlagTransitions {
         let mut scope = std::mem::take(&mut self.evicted);
         let committed = self.windows.len() - self.uncommitted;
         scope.extend(self.windows.drain(..committed));
         let mut restored = FlagTransitions::default();
-        let Undo { findings, a1 } = std::mem::take(&mut self.undo);
-        for (id, committed) in findings {
-            self.findings_cache.put(id, committed, &mut restored);
-        }
+        let Undo { flags, a1 } = std::mem::take(&mut self.undo);
         if let Some((catalog, a1)) = a1 {
             restored.flip_a1(&self.a1_cache, &a1);
             (self.catalog, self.a1_cache) = (catalog, a1);
@@ -717,16 +857,45 @@ impl IncrementalState {
             catalog: self.catalog.take(),
             incidents_seen: self.incidents_seen.take(),
             a1_cache: std::mem::take(&mut self.a1_cache),
-            findings_cache: std::mem::take(&mut self.findings_cache),
+            flags: std::mem::take(&mut self.flags),
+            scratch: std::mem::take(&mut self.scratch),
             ..Self::default()
         };
         for digest in scope {
             self.apply(&digest, graph);
             self.windows.push_back(digest);
         }
+        let Self {
+            windows,
+            per_strategy,
+            catalog,
+            incidents_seen,
+            flags: table,
+            scratch,
+            ..
+        } = self;
+        let incidents = incidents_seen.as_deref().unwrap_or_default();
+        scratch.gather.start(windows.len());
+        for (id, committed) in flags {
+            let raised = committed.without(table.put(id, committed, &mut restored));
+            if raised.is_empty() {
+                continue;
+            }
+            // A flag is only ever set for a strategy with a row in the
+            // catalog it was evaluated against, which is the one put
+            // back; its counters are those of the committed scope.
+            let Some(strategy) = catalog.as_ref().and_then(|c| c.get(id)) else {
+                continue;
+            };
+            let state = per_strategy.get(&id).copied().unwrap_or_default();
+            scratch
+                .gather
+                .render(windows, incidents, strategy, &state, raised, |finding| {
+                    restored.raised.push(finding);
+                });
+        }
         // `apply` marked every strategy in scope dirty.
-        self.dirty
-            .extend(self.findings_cache.entries.keys().copied());
+        self.dirty.extend(self.flags.entries.keys().copied());
         restored.sorted()
     }
 
@@ -759,14 +928,25 @@ impl IncrementalState {
             catalog: _,
             incidents_seen: _,
             a1_cache: _,
-            findings_cache: _,
-            undo: _, // findings only
+            flags: _,
+            undo: _, // flags only
             evicted,
             uncommitted: _,
             scratch,
         } = self;
         let digests: usize = windows.iter().chain(evicted).map(|d| d.times.len()).sum();
-        digests + scratch.rows.len() + scratch.transient_times.len()
+        digests + scratch.rows.len() + scratch.gather.transient_times.len()
+    }
+
+    /// The most entries one evaluation buffer held since the last
+    /// [`evaluate`](Self::evaluate) started (through what
+    /// [`report`](Self::report) renders after it): raise times or hour
+    /// runs, gathered one strategy at a time, so never more than the
+    /// largest single strategy's alerts in scope.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn evaluation_scratch(&self) -> usize {
+        self.scratch.gather.peak
     }
 
     /// The catalog of the last evaluation: the allocation the caller
@@ -782,35 +962,33 @@ impl IncrementalState {
     pub fn flags(&self) -> impl Iterator<Item = (AntiPattern, StrategyId)> + '_ {
         let a1 = self.a1_cache.iter().map(|f| (f.pattern, f.strategy));
         let rest = self
-            .findings_cache
+            .flags
             .entries
             .iter()
-            .flat_map(|(&id, cached)| {
-                CACHED
-                    .into_iter()
-                    .zip(cached.flags())
-                    .filter(|&(_, flagged)| flagged)
-                    .map(move |(pattern, _)| (pattern, id))
-            });
+            .flat_map(|(&id, flags)| flags.patterns().map(move |pattern| (pattern, id)));
         a1.chain(rest)
     }
 
     /// Evaluates the current scope against `catalog` and `incidents`
     /// and returns the flags that flipped since the last evaluation —
     /// O(stale strategies + flips), whatever the catalog's size and
-    /// however many findings are held.
+    /// however many flags are held.
     ///
     /// Only strategies whose aggregates changed since the last
-    /// evaluation are re-scored. A new `catalog` — told apart from the
-    /// last one by identity, not by content — re-runs A1 and rescores
-    /// every strategy in scope; a changed incident list rescores A2/A3.
-    /// A strategy is scored against the catalog row with its id (the
+    /// evaluation are re-judged. A new `catalog` — told apart from the
+    /// last one by identity, not by content — re-runs A1 and rejudges
+    /// every strategy in scope; a changed incident list rejudges A2/A3.
+    /// A strategy is judged against the catalog row with its id (the
     /// first, should the catalog repeat one); one with alerts in scope
-    /// but no row has no findings. Per-pattern wall time and finding
-    /// counts are recorded into `metrics` as the batch
+    /// but no row is flagged by nothing. A verdict reads the rolling
+    /// counters (A2/A3 also the incident co-occurrence count, gathered
+    /// only when there are incidents), and A5's the strategy's hour
+    /// runs; a finding is rendered only for a flag that flips on.
+    /// Per-pattern verdict wall time and flag counts are recorded into
+    /// `metrics` as the batch
     /// [`run_instrumented`](AntiPatternReport::run_instrumented) does;
-    /// gathering the stale strategies' raise times from the digests is
-    /// one pass before the evaluators and timed under none of them.
+    /// the co-occurrence gather and the rendering are timed under none
+    /// of them.
     pub fn evaluate(
         &mut self,
         catalog: &Arc<IndexedCatalog>,
@@ -830,7 +1008,7 @@ impl IncrementalState {
         {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::UnclearTitle));
             // Strategy attributes (severity, kind, service) feed every
-            // evaluator: invalidate everything.
+            // verdict: invalidate everything.
             self.dirty.extend(self.per_strategy.keys().copied());
             let a1 = UnclearTitleDetector.detect(&DetectionInput::new(catalog.rows()));
             transitions.flip_a1(&self.a1_cache, &a1);
@@ -844,33 +1022,38 @@ impl IncrementalState {
             windows,
             per_strategy,
             dirty,
-            findings_cache,
+            flags,
             undo,
             scratch,
             ..
         } = self;
+        let gather = &mut scratch.gather;
+        gather.peak = 0;
 
         // Resolve every stale strategy once — its rolling state and its
-        // catalog row — so the four evaluators below share one lookup
-        // of each. One no longer in scope, or in scope but missing from
-        // the catalog (nothing to score it against), has no findings.
+        // catalog row — so the four verdicts below share one lookup of
+        // each. One no longer in scope, or in scope but missing from
+        // the catalog (nothing to judge it against), is flagged by
+        // nothing.
         let mut stale: Vec<Stale<'_>> = Vec::with_capacity(dirty.len());
         let mut resolve = |id: StrategyId, aggregates_changed: bool| match per_strategy
             .get(&id)
             .zip(catalog.get(id))
         {
-            Some((state, strategy)) => stale.push(Stale {
-                strategy,
-                state,
-                aggregates_changed,
-                with_incident: 0,
-                transient_times: None,
-                hour_runs: None,
-                rescored: CachedFindings::default(),
-            }),
+            Some((state, strategy)) => {
+                let was = flags.get(id);
+                stale.push(Stale {
+                    strategy,
+                    state,
+                    aggregates_changed,
+                    with_incident: 0,
+                    was,
+                    now: was,
+                });
+            }
             None => {
-                let held = findings_cache.put(id, CachedFindings::default(), &mut transitions);
-                undo.keep(id, held);
+                let held = flags.put(id, Flags::default(), &mut transitions);
+                undo.keep(id, held, Flags::default());
             }
         };
         if incidents_changed {
@@ -886,56 +1069,13 @@ impl IncrementalState {
         }
         stale.sort_unstable_by_key(|s| s.strategy.id());
 
-        // Gather the raise times the evaluators read, with one
-        // merge-walk per surviving window over the id-ordered stale
-        // list, and only where they can change a verdict.
-        let Scratch {
-            cursors,
-            transient_times,
-            hours,
-            hour_runs,
-            ..
-        } = scratch;
-        cursors.clear();
-        cursors.resize(windows.len(), 0);
-        let co_occurrence = !incidents.is_empty();
-        for s in &mut stale {
-            let a4 = s.aggregates_changed
-                && TransientTogglingDetector::may_flag(s.state.total, s.state.transients);
-            let a5 = s.aggregates_changed && RepeatingDetector::may_flag(s.state.total);
-            if !(co_occurrence || a4 || a5) {
-                continue;
-            }
-            let id = s.strategy.id();
-            let transients_from = transient_times.len();
-            for (digest, cursor) in windows.iter().zip(cursors.iter_mut()) {
-                let Some((slice, times)) = digest.seek(cursor, id) else {
-                    continue;
-                };
-                if co_occurrence {
-                    let service = s.strategy.service();
-                    s.with_incident += times
-                        .iter()
-                        .filter(|&&t| indicates_incident(incidents, service, t))
-                        .count();
-                }
-                if a4 {
-                    transient_times.extend_from_slice(&times[..slice.transients as usize]);
-                }
-                if a5 {
-                    hours.extend(times.iter().map(|t| t.hour_bucket()));
-                }
-            }
-            if a4 {
-                transient_times[transients_from..].sort_unstable();
-                s.transient_times = Some(transients_from..transient_times.len());
-            }
-            if a5 {
-                hours.sort_unstable();
-                let runs_from = hour_runs.len();
-                push_hour_runs(hours, hour_runs);
-                hours.clear();
-                s.hour_runs = Some(runs_from..hour_runs.len());
+        // A2 and A3 share the co-occurrence count: one merge-walk per
+        // surviving window over the id-ordered stale list.
+        if !incidents.is_empty() {
+            gather.start(windows.len());
+            for s in &mut stale {
+                s.with_incident =
+                    gather.with_incident(windows, s.strategy.id(), s.strategy.service(), incidents);
             }
         }
 
@@ -943,14 +1083,9 @@ impl IncrementalState {
         {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::MisleadingSeverity));
             for s in &mut stale {
-                let evidence = SeverityEvidence {
-                    total: s.state.total,
-                    with_incident: s.with_incident,
-                    auto_cleared: s.state.auto_cleared,
-                    transients: s.state.transients,
-                };
-                s.rescored.a2 =
-                    MisleadingSeverityDetector::evaluate_strategy(s.strategy, &evidence);
+                let evidence = s.state.severity_evidence(s.with_incident);
+                s.now
+                    .set(A2, MisleadingSeverityDetector::flags(s.strategy, &evidence));
             }
         }
 
@@ -958,60 +1093,54 @@ impl IncrementalState {
         {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::ImproperRule));
             for s in &mut stale {
-                s.rescored.a3 = ImproperRuleDetector::evaluate_strategy(
-                    s.strategy,
-                    s.state.total,
-                    s.with_incident,
-                );
+                let on = ImproperRuleDetector::flags(s.strategy, s.state.total, s.with_incident);
+                s.now.set(A3, on);
             }
         }
 
         // A4 — transient/toggling — and A5 — repeating — read the
         // aggregates alone: a strategy stale through the incident list
-        // only keeps what it has. One the gather skipped because the
-        // evaluator may not flag it has no evidence, and the evaluator
-        // would say `None` on the same counts.
+        // only keeps its flags. A4's verdict is its counters'; A5
+        // gathers the hour runs of a strategy its counters do not rule
+        // out, one strategy at a time.
         {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::TransientToggling));
-            let a4 = TransientTogglingDetector::default();
             for s in stale.iter_mut().filter(|s| s.aggregates_changed) {
-                s.rescored.a4 = s.transient_times.clone().and_then(|range| {
-                    a4.evaluate_strategy(s.strategy.id(), s.state.total, &transient_times[range])
-                });
+                let on = TransientTogglingDetector::flags(s.state.total, s.state.transients);
+                s.now.set(A4, on);
             }
         }
         {
             let _span = metrics.map(|m| m.detector_timer(AntiPattern::Repeating));
+            gather.start(windows.len());
             for s in stale.iter_mut().filter(|s| s.aggregates_changed) {
-                s.rescored.a5 = s.hour_runs.clone().and_then(|range| {
-                    RepeatingDetector::evaluate_strategy(
-                        s.strategy.id(),
-                        s.state.total,
-                        &hour_runs[range],
-                    )
+                let total = s.state.total;
+                let on = RepeatingDetector::may_flag(total)
+                    && gather.with_hour_runs(windows, s.strategy.id(), |runs| {
+                        RepeatingDetector::flags(total, runs)
+                    });
+                s.now.set(A5, on);
+            }
+        }
+
+        // One table write per strategy whose flags flipped, in id
+        // order, and a finding rendered for each flag that flips on.
+        gather.start(windows.len());
+        for s in stale.iter().filter(|s| s.now != s.was) {
+            let id = s.strategy.id();
+            flags.put(id, s.now, &mut transitions);
+            undo.keep(id, s.was, s.now);
+            let raised = s.now.without(s.was);
+            if !raised.is_empty() {
+                gather.render(windows, incidents, s.strategy, s.state, raised, |finding| {
+                    transitions.raised.push(finding);
                 });
             }
         }
 
-        // One cache write per stale strategy, in id order. A strategy
-        // stale through the incident list only keeps its A4/A5.
-        for s in stale {
-            let id = s.strategy.id();
-            let mut findings = s.rescored;
-            if !s.aggregates_changed {
-                if let Some(kept) = findings_cache.entries.get(&id) {
-                    (findings.a4, findings.a5) = (kept.a4.clone(), kept.a5.clone());
-                }
-            }
-            let held = findings_cache.put(id, findings, &mut transitions);
-            undo.keep(id, held);
-        }
-        transient_times.clear();
-        hour_runs.clear();
-
         if let Some(m) = metrics {
             m.record_findings(AntiPattern::UnclearTitle, self.a1_cache.len() as u64);
-            for (pattern, count) in CACHED.into_iter().zip(self.findings_cache.counts) {
+            for (pattern, count) in FLAGGED.into_iter().zip(self.flags.counts) {
                 m.record_findings(pattern, count as u64);
             }
         }
@@ -1023,11 +1152,13 @@ impl IncrementalState {
     }
 
     /// [`evaluate`](Self::evaluate)s the current scope, then renders
-    /// everything held into an [`AntiPatternReport`] equal to running
+    /// every flag held into an [`AntiPatternReport`] equal to running
     /// the batch detectors over the flattened surviving history with
     /// `catalog`, `incidents` and `graph` attached: O(findings) on top
     /// of the evaluation, for the callers that want the whole picture.
-    /// Cascade groups (A6) are reported only when `graph` is given.
+    /// Each finding is rendered from the aggregates by the function the
+    /// batch detector renders it with. Cascade groups (A6) are reported
+    /// only when `graph` is given.
     pub fn report(
         &mut self,
         catalog: &Arc<IndexedCatalog>,
@@ -1037,22 +1168,38 @@ impl IncrementalState {
     ) -> AntiPatternReport {
         self.evaluate(catalog, incidents, metrics);
         let mut findings = BTreeMap::from([(AntiPattern::UnclearTitle, self.a1_cache.clone())]);
-        for (slot, pattern) in CACHED.into_iter().enumerate() {
-            let mut found: Vec<StrategyFinding> = self
-                .findings_cache
-                .entries
-                .values()
-                .filter_map(|cached| cached.findings()[slot].cloned())
-                .collect();
+        findings.extend(FLAGGED.map(|pattern| (pattern, Vec::new())));
+        let Self {
+            windows,
+            per_strategy,
+            flags,
+            scratch,
+            ..
+        } = self;
+        scratch.gather.start(windows.len());
+        for (&id, &held) in &flags.entries {
+            // An evaluation leaves flags only on strategies in scope
+            // with a row.
+            let Some((state, strategy)) = per_strategy.get(&id).zip(catalog.get(id)) else {
+                continue;
+            };
+            scratch
+                .gather
+                .render(windows, incidents, strategy, state, held, |finding| {
+                    findings.entry(finding.pattern).or_default().push(finding);
+                });
+        }
+        for pattern in FLAGGED {
             // The detectors' shared comparator: score descending, then
             // strategy. A2–A5 scores are finite and never -0.0, so
             // `total_cmp` is the `partial_cmp` order.
-            found.sort_by(|a, b| {
-                b.score
-                    .total_cmp(&a.score)
-                    .then(a.strategy.cmp(&b.strategy))
-            });
-            findings.insert(pattern, found);
+            if let Some(found) = findings.get_mut(&pattern) {
+                found.sort_by(|a, b| {
+                    b.score
+                        .total_cmp(&a.score)
+                        .then(a.strategy.cmp(&b.strategy))
+                });
+            }
         }
 
         // A6 — cascades come straight off the maintained edge set.
@@ -1178,7 +1325,7 @@ mod tests {
     }
 
     #[test]
-    fn findings_cache_tracks_evictions() {
+    fn findings_clear_with_their_evidence() {
         let strategies = vec![strategy(1), strategy(2)];
         let ws = windows();
         let mut engine = IncrementalState::default();
@@ -1281,7 +1428,7 @@ mod tests {
     }
 
     #[test]
-    fn findings_cache_holds_findings_only() {
+    fn the_flag_table_holds_flagged_strategies_only() {
         // Strategy 4 fires once in each of the first four hours and
         // never flags; strategy 9 fires every hour but has no catalog
         // row.
@@ -1300,14 +1447,10 @@ mod tests {
             }
             window.push(alert(hour * 1_000 + 501, 9, base + 2_400));
         }
-        let assert_findings_only = |engine: &IncrementalState, step: &str| {
+        let assert_flagged_only = |engine: &IncrementalState, step: &str| {
             assert!(
-                engine
-                    .findings_cache
-                    .entries
-                    .values()
-                    .all(|c| !c.is_empty()),
-                "{step}: an entry without a finding"
+                engine.flags.entries.values().all(|f| !f.is_empty()),
+                "{step}: an entry without a flag"
             );
         };
 
@@ -1324,15 +1467,15 @@ mod tests {
                 .all(|f| f.strategy != StrategyId(4)),
             "strategy 4 is quiet: {full}"
         );
-        assert_findings_only(&engine, "observe");
+        assert_flagged_only(&engine, "observe");
         for k in 1..=3 {
             engine.evict_window(None);
             engine.current_findings(&strategies, &[], None, None);
-            assert_findings_only(&engine, &format!("evict {k}"));
+            assert_flagged_only(&engine, &format!("evict {k}"));
         }
         engine.rollback(None);
         assert_eq!(engine.current_findings(&strategies, &[], None, None), full);
-        assert_findings_only(&engine, "rollback");
+        assert_flagged_only(&engine, "rollback");
     }
 
     #[test]
@@ -1481,7 +1624,7 @@ mod tests {
             engine.evaluate(&catalog, &[], None);
         }
         let moved = flags(&engine);
-        assert!(!engine.undo.findings.is_empty());
+        assert!(!engine.undo.flags.is_empty());
         let (raised, cleared) = raised_and_cleared(&engine.rollback(None));
         assert_eq!(raised, &committed - &moved);
         assert_eq!(cleared, &moved - &committed);
@@ -1492,6 +1635,6 @@ mod tests {
             FlagTransitions::default()
         );
         engine.commit();
-        assert!(engine.undo.findings.is_empty() && engine.undo.a1.is_none());
+        assert!(engine.undo.flags.is_empty() && engine.undo.a1.is_none());
     }
 }

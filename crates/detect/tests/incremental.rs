@@ -8,8 +8,12 @@
 //! batch recomputation — and, because the state is a pure function of
 //! the window digests, what lets `rollback` return to the last `commit`
 //! by rebuilding instead of keeping a copy. Along the way every test
-//! checks the memory bound: the engine holds each raise time once, in
-//! the digest of its window (`held_raise_times`).
+//! checks the memory bounds: the engine holds each raise time once, in
+//! the digest of its window (`held_raise_times`), and an evaluation
+//! gathers one strategy's raise times at a time
+//! (`evaluation_scratch`).
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -174,6 +178,27 @@ fn holds_each_time_once(engine: &IncrementalState, kept: usize) -> Result<(), Te
     Ok(())
 }
 
+/// The scratch bound: since its last evaluation started, `engine` has
+/// gathered the raise times of one strategy at a time, so no buffer
+/// held more than the largest single strategy's alerts in `scope`.
+fn gathers_one_strategy_at_a_time(
+    engine: &IncrementalState,
+    scope: &[Vec<Alert>],
+) -> Result<(), TestCaseError> {
+    let mut per_strategy: BTreeMap<StrategyId, usize> = BTreeMap::new();
+    for alert in scope.iter().flatten() {
+        *per_strategy.entry(alert.strategy()).or_default() += 1;
+    }
+    let largest = per_strategy.values().copied().max().unwrap_or(0);
+    prop_assert!(
+        engine.evaluation_scratch() <= largest,
+        "an evaluation buffer held {} entries; the largest strategy in scope has {}",
+        engine.evaluation_scratch(),
+        largest
+    );
+    Ok(())
+}
+
 /// Rolling back a copy of `engine` must land on a fresh engine fed
 /// `scope`, stay there on a second rollback, and report that engine's
 /// findings next.
@@ -195,6 +220,7 @@ fn rolls_back_to(
         expected.current_findings(&catalog(), &incidents(), Some(graph), None),
         "findings diverged after the rollback"
     );
+    gathers_one_strategy_at_a_time(&rolled, scope)?;
     Ok(())
 }
 
@@ -242,6 +268,8 @@ proptest! {
                 rebuilt.current_findings(&strategies, &incidents, Some(&graph), None);
             prop_assert_eq!(from_evicted, from_rebuilt, "findings diverged at k={}", k);
             holds_each_time_once(&evicted, 0)?;
+            gathers_one_strategy_at_a_time(&evicted, &windows[k..])?;
+            gathers_one_strategy_at_a_time(&rebuilt, &windows[k..])?;
         }
     }
 
@@ -274,6 +302,7 @@ proptest! {
                 "findings diverged at window {}", i
             );
             holds_each_time_once(&rolling, 0)?;
+            gathers_one_strategy_at_a_time(&rolling, &windows[start..=i])?;
         }
     }
 
@@ -313,6 +342,8 @@ proptest! {
             }
             let _ = rolling.current_findings(&strategies, &incidents, Some(&graph), None);
             holds_each_time_once(&rolling, kept)?;
+            let in_scope = &windows[i + 1 - rolling.window_count()..=i];
+            gathers_one_strategy_at_a_time(&rolling, in_scope)?;
             rolls_back_to(&rolling, &windows[committed.clone()], &graph)?;
             if commit_mask >> (i % 64) & 1 == 1 {
                 rolling.commit();
@@ -370,6 +401,7 @@ proptest! {
                     "findings diverged from batch at window {}", i
                 );
                 holds_each_time_once(&rolling, 0)?;
+                gathers_one_strategy_at_a_time(&rolling, in_scope)?;
             }
         }
     }

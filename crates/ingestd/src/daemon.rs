@@ -165,9 +165,6 @@ impl Router {
         self.pool().counters().last_window_micros.set(window_micros);
         if let Some(m) = self.pool().metrics() {
             m.window_close_micros.observe(window_micros);
-            // Per-window RSS sample: an operator gauge on the status
-            // socket. Observer-only, one procfs read per window close.
-            m.sample_rss();
         }
         *self.snapshot.write().unwrap_or_else(|e| e.into_inner()) = Some(closed.snapshot.clone());
         closing.last_close = Instant::now();
@@ -892,6 +889,23 @@ mod tests {
             )
         })
         .expect("daemon starts")
+    }
+
+    /// The RSS gauge is sampled by the scrape, not by a window close:
+    /// a scrape before any close already carries it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_scrape_before_any_close_carries_the_rss() {
+        let handle = spawn_empty(&IngestdConfig::default());
+        let text = handle.render_metrics();
+        let rss: u64 = text
+            .lines()
+            .find_map(|line| line.strip_prefix("alertops_process_rss_bytes "))
+            .expect("the gauge is exposed")
+            .parse()
+            .expect("a whole number of bytes");
+        assert!(rss > 0, "{text}");
+        handle.shutdown();
     }
 
     /// The merge point records one AO-LDA pass and one QoA model

@@ -35,7 +35,7 @@ pub struct IngestdMetrics {
     pub(crate) merge_micros: Arc<Histogram>,
     /// Per-shard window close (sort + detection + commit).
     shard_close_micros: Vec<Arc<Histogram>>,
-    /// Process resident set size, sampled at each window close (0 on
+    /// Process resident set size, sampled at each scrape (0 on
     /// platforms without a procfs).
     rss_bytes: Arc<Gauge>,
 }

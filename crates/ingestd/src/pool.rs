@@ -152,10 +152,14 @@ impl ShardPool {
     }
 
     /// The Prometheus exposition of every series on the pool's
-    /// registry, queue depths read from the queues.
+    /// registry, queue depths read from the queues and the process RSS
+    /// sampled now, so no window close pays for the procfs read.
     #[must_use]
     pub(crate) fn render_metrics(&self) -> String {
         self.refresh_queue_depths();
+        if let Some(m) = &self.metrics {
+            m.sample_rss();
+        }
         self.registry.render()
     }
 

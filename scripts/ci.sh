@@ -75,22 +75,22 @@ check_run() {
 }
 check_counts() { check_run "$1" 1; }
 check_counts cluster-journal <<'CEILINGS'
-proc.allocs_per_alert 3.9699
-proc.alloc_bytes_per_alert 907.61
+proc.allocs_per_alert 3.3153
+proc.alloc_bytes_per_alert 652.81
 proc.write_syscalls_per_kalert 1006.85
 proc.ctx_switches_per_kalert 34.29
 CEILINGS
 check_counts governed-close <<'CEILINGS'
-proc.allocs_per_alert 4.6735
-proc.alloc_bytes_per_alert 1043.07
+proc.allocs_per_alert 4.1833
+proc.alloc_bytes_per_alert 776.24
 CEILINGS
 check_counts steady-wire <<'CEILINGS'
-proc.allocs_per_alert 3.5036
-proc.alloc_bytes_per_alert 929.16
+proc.allocs_per_alert 2.8285
+proc.alloc_bytes_per_alert 672.63
 CEILINGS
 check_counts storm-paced <<'CEILINGS'
-proc.allocs_per_alert 4.1789
-proc.alloc_bytes_per_alert 1092.83
+proc.allocs_per_alert 3.7753
+proc.alloc_bytes_per_alert 916.42
 CEILINGS
 
 # Peak RSS, ratcheted: reference data (SOPs, strategy rows) is held once
@@ -98,27 +98,29 @@ CEILINGS
 # AO-LDA keeps no table beyond its largest window's scratch, so a
 # long-lived one coming back shows on `governed-close`, where that
 # scratch is most of the heap. An untraced 2-second run repeats
-# `rss_peak_mb` within 2–3 % (five runs read 24.18 – 24.77 MB on
-# `steady-wire`, 12.80 – 13.10 MB on `cluster-journal`, 7.52 –
-# 7.72 MB on `governed-close` and 10.39 – 10.69 MB on `storm-paced`),
+# `rss_peak_mb` within 2–5 % (five runs read 22.22 – 22.50 MB on
+# `steady-wire`, 12.33 – 12.53 MB on `cluster-journal`, 7.39 –
+# 7.74 MB on `governed-close` and 10.22 – 10.39 MB on `storm-paced`),
 # so the ceiling is the highest of five runs at the commit that last
 # moved it + 2 %. A SOP's lines are interned, so a deep copy of one
 # costs its body and two line vectors, ≈ 0.26 kB (≈ 2 MB for
 # `steady-wire`'s 8 000); a SOP owning its lines again ≈ 5 MB more;
 # the old ψ memo's table ≈ 2.2 MB, a shard's old 8192-slot channel
-# ring ≈ 0.46 MB. Lower a ceiling when a PR lowers the peak.
+# ring ≈ 0.46 MB; the detection engine holding its A2–A5 findings
+# rendered instead of as flags ≈ 2.6 MB on `steady-wire`. Lower a
+# ceiling when a PR lowers the peak.
 check_rss() { check_run "$1" 0; }
 check_rss steady-wire <<'CEILINGS'
-rss_peak_mb 25.27
+rss_peak_mb 22.95
 CEILINGS
 check_rss cluster-journal <<'CEILINGS'
-rss_peak_mb 13.37
+rss_peak_mb 12.78
 CEILINGS
 check_rss governed-close <<'CEILINGS'
 rss_peak_mb 7.87
 CEILINGS
 check_rss storm-paced <<'CEILINGS'
-rss_peak_mb 10.90
+rss_peak_mb 10.60
 CEILINGS
 
 # The window-close path has one owner (alertops_ingestd::MergePoint)
