@@ -1,15 +1,12 @@
 //! Shared plumbing for the figure-regeneration harnesses and benches.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! DSN'22 paper and prints `paper → measured` rows; `experiments`
-//! runs them all and emits the dataset recorded in `EXPERIMENTS.md`.
+//! DSN'22 paper and prints `paper → measured` rows;
+//! `scripts/run_experiments.sh` runs them all and emits the dataset
+//! recorded in `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::collections::HashMap;
-
-use alertops_model::{Alert, StrategyId};
 
 /// Prints a section header.
 pub fn header(title: &str) {
@@ -19,16 +16,6 @@ pub fn header(title: &str) {
 /// Prints a `paper → measured` comparison row.
 pub fn compare(label: &str, paper: &str, measured: &str) {
     println!("  {label:<44} paper: {paper:<22} measured: {measured}");
-}
-
-/// Counts alerts per strategy.
-#[must_use]
-pub fn per_strategy_counts(alerts: &[Alert]) -> HashMap<StrategyId, usize> {
-    let mut counts = HashMap::new();
-    for alert in alerts {
-        *counts.entry(alert.strategy()).or_insert(0) += 1;
-    }
-    counts
 }
 
 /// Formats a fraction as a percentage string.

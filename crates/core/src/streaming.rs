@@ -724,8 +724,8 @@ impl StreamingGovernor {
     /// ([`IncrementalState::rollback`], O(history); there are no
     /// cascade edges to re-derive, since the engine was never given the
     /// graph) and goes back to the flags announced as of the commit —
-    /// none before the first window, though A1 already has findings
-    /// then. R1 moves back by the flags that restored, and the window
+    /// none before the first window, though the catalog's unclear
+    /// titles are already flagged then. R1 moves back by the flags that restored, and the window
     /// index is put back. The next delta is the one the governor would
     /// have emitted had the undone ingest never started, however far it
     /// got. Exact when the stream carried no incidents

@@ -6,6 +6,7 @@
 //! template with [`title_report`] and flags those below
 //! [`UNCLEAR_TITLE_THRESHOLD`].
 
+use alertops_model::AlertStrategy;
 use alertops_text::title_report;
 
 use crate::input::DetectionInput;
@@ -22,6 +23,35 @@ pub const UNCLEAR_TITLE_THRESHOLD: f64 = 0.45;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnclearTitleDetector;
 
+impl UnclearTitleDetector {
+    /// Whether A1 flags `strategy`: the verdict both detection paths
+    /// share, read from the title alone.
+    pub(crate) fn flags(strategy: &AlertStrategy) -> bool {
+        title_report(strategy.title_template()).score < UNCLEAR_TITLE_THRESHOLD
+    }
+
+    /// The finding for a strategy A1 [`flags`](Self::flags): its score
+    /// and evidence, rendered from the same title report.
+    pub(crate) fn render(strategy: &AlertStrategy) -> StrategyFinding {
+        let report = title_report(strategy.title_template());
+        StrategyFinding {
+            strategy: strategy.id(),
+            pattern: AntiPattern::UnclearTitle,
+            // Higher score = worse: invert informativeness.
+            score: 1.0 - report.score,
+            evidence: format!(
+                "title {:?} scored {:.2} (vague {}/{} tokens, manifestation: {}, concrete subject: {})",
+                strategy.title_template(),
+                report.score,
+                report.vague_count,
+                report.token_count,
+                report.has_manifestation,
+                report.has_concrete_subject,
+            ),
+        }
+    }
+}
+
 impl Detector for UnclearTitleDetector {
     fn pattern(&self) -> AntiPattern {
         AntiPattern::UnclearTitle
@@ -31,28 +61,11 @@ impl Detector for UnclearTitleDetector {
         let mut findings: Vec<StrategyFinding> = input
             .strategies()
             .iter()
-            .filter_map(|strategy| {
-                let report = title_report(strategy.title_template());
-                (report.score < UNCLEAR_TITLE_THRESHOLD).then(|| StrategyFinding {
-                    strategy: strategy.id(),
-                    pattern: AntiPattern::UnclearTitle,
-                    // Higher score = worse: invert informativeness.
-                    score: 1.0 - report.score,
-                    evidence: format!(
-                        "title {:?} scored {:.2} (vague {}/{} tokens, manifestation: {}, concrete subject: {})",
-                        strategy.title_template(),
-                        report.score,
-                        report.vague_count,
-                        report.token_count,
-                        report.has_manifestation,
-                        report.has_concrete_subject,
-                    ),
-                })
-            })
+            .filter(|strategy| Self::flags(strategy))
+            .map(Self::render)
             .collect();
-        // Scores lie in (0, 1]: no NaN or -0.0, so this is the
-        // `partial_cmp` order.
-        findings.sort_by(|a, b| b.score.total_cmp(&a.score));
+        // A stable sort: equal scores stay in catalog row order.
+        findings.sort_by(|a, b| a.report_order(b, |_| ()));
         findings
     }
 }

@@ -181,13 +181,7 @@ impl Detector for MisleadingSeverityDetector {
                 Self::flags(strategy, &evidence).then(|| Self::render(strategy, &evidence))
             })
             .collect();
-        // Scores are severity distances, small whole numbers: no NaN or
-        // -0.0, so this is the `partial_cmp` order.
-        findings.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.strategy.cmp(&b.strategy))
-        });
+        findings.sort_by(|a, b| a.report_order(b, |f| f.strategy));
         findings
     }
 }

@@ -85,13 +85,7 @@ impl Detector for ImproperRuleDetector {
                 findings.push(Self::render(strategy, total, with_incident));
             }
         }
-        // Scores are alert counts times a rate in [0, 1], over at least
-        // one alert: no NaN or -0.0, so this is the `partial_cmp` order.
-        findings.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.strategy.cmp(&b.strategy))
-        });
+        findings.sort_by(|a, b| a.report_order(b, |f| f.strategy));
         findings
     }
 }

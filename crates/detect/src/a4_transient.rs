@@ -130,13 +130,7 @@ impl Detector for TransientTogglingDetector {
                 findings.push(self.render(strategy.id(), total, &transient_times));
             }
         }
-        // Scores are transient counts, doubled when toggling: no NaN or
-        // -0.0, so this is the `partial_cmp` order.
-        findings.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.strategy.cmp(&b.strategy))
-        });
+        findings.sort_by(|a, b| a.report_order(b, |f| f.strategy));
         findings
     }
 }

@@ -169,13 +169,7 @@ impl Detector for RepeatingDetector {
                 findings.push(Self::render(strategy.id(), total, &per_hour));
             }
         }
-        // Scores are sums of hour counts and tenths of them: no NaN or
-        // -0.0, so this is the `partial_cmp` order.
-        findings.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.strategy.cmp(&b.strategy))
-        });
+        findings.sort_by(|a, b| a.report_order(b, |f| f.strategy));
         findings
     }
 }

@@ -34,36 +34,36 @@
 //!
 //! # Exactness
 //!
-//! Each of A2–A5 is two per-strategy functions of *aggregates*
-//! (counts, sorted transient times, `(hour, count)` runs): a verdict,
-//! `flags`, that says whether the strategy is flagged, and `render`,
-//! which builds its finding, score and evidence. A2, A3 and A4 judge
-//! on counters alone (A2/A3 with the incident co-occurrence count);
-//! only A5 reads raise times, as hour runs, to decide. Both the batch
-//! [`Detector`] passes and this engine reduce a strategy's evidence to
-//! exactly those inputs and call the same functions, so flags and
-//! findings agree byte for byte.
+//! Each of A1–A5 is two per-strategy functions: a verdict, `flags`,
+//! that says whether the strategy is flagged, and `render`, which
+//! builds its finding, score and evidence. A1 reads the catalog row
+//! alone; A2–A5 read *aggregates* (counts, sorted transient times,
+//! `(hour, count)` runs): A2, A3 and A4 judge on counters alone (A2/A3
+//! with the incident co-occurrence count), and A5 on hour runs. Both
+//! the batch [`Detector`](crate::Detector) passes and this engine
+//! reduce a strategy's evidence to exactly those inputs and call the
+//! same functions, so flags and findings agree byte for byte.
 //! The rolling counters are order-independent and support exact
 //! subtraction, with empty entries removed eagerly so a long-lived
 //! state is structurally identical to one freshly built from only the
 //! surviving windows (the property suite asserts this).
 //!
-//! A1 (unclear title) depends only on the catalog; it is computed once
-//! and re-derived only when the catalog changes — and then contributes
-//! transitions like any other pattern. A catalog is told apart from
-//! the last one by its allocation (`Arc::ptr_eq`), not by comparing
-//! rows; a new allocation also rejudges every strategy in scope. A2/A3
-//! additionally depend on the incident list, so their flags are
-//! rejudged whenever the provided incidents differ from the previous
-//! evaluation.
+//! A1 (unclear title) depends only on the catalog row, so its flag is
+//! rejudged, once per row, only when the catalog changes, and flips
+//! like any other; a strategy keeps it whether or not it has alerts in
+//! scope. A catalog is told apart from the last one by its allocation
+//! (`Arc::ptr_eq`), not by comparing rows; a new allocation also
+//! rejudges every strategy in scope. A2/A3 additionally depend on the
+//! incident list, so their flags are rejudged whenever the provided
+//! incidents differ from the previous evaluation.
 //!
-//! # Memory: each raise time held once, a flag as four bits, the catalog not at all
+//! # Memory: each raise time held once, a flag as five bits, the catalog not at all
 //!
 //! A window's raise times live in its digest and nowhere else: a digest
 //! is two exactly-sized vectors, one [`Slice`] of counters per strategy
 //! and every alert's raise time, both in strategy-id order. A
-//! strategy's rolling state is three counters, and what A2–A5 say of
-//! it is four bits in a table that holds only flagged strategies; no
+//! strategy's rolling state is three counters, and what A1–A5 say of
+//! it is five bits in a table that holds only flagged strategies; no
 //! finding or evidence string outlives the call that rendered it. The
 //! times the engine reads — A2/A3's co-occurrence count, A5's hour
 //! runs for its verdict, and A4's sorted transient times and A5's runs
@@ -109,14 +109,14 @@
 //!
 //! The flags need the same care, since transitions are relative to
 //! what was announced: the flags after a rollback must be the ones
-//! announced as of the commit (none before the first, though A1
-//! already has findings then). An evaluation keeps, until the next
-//! commit, each strategy's flags as of the commit the first time one
-//! of them flips — O(flips), not a copy of the table — and the catalog
-//! and A1 findings it replaces. Rollback puts those back, returns the
-//! flips that took as [`FlagTransitions`] (a flag back on with its
-//! finding rendered from the committed scope), and has the next
-//! evaluation rejudge every strategy in scope or flagged.
+//! announced as of the commit (none before the first, though the
+//! catalog already has unclear titles then). An evaluation keeps, until
+//! the next commit, each strategy's flags as of the commit the first
+//! time one of them flips — O(flips), not a copy of the table, A1's
+//! included — and the catalog it replaces. Rollback puts those back,
+//! returns the flips that took as [`FlagTransitions`] (a flag back on
+//! with its finding rendered from the committed scope and catalog), and
+//! has the next evaluation rejudge every strategy in scope or flagged.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -131,10 +131,9 @@ use alertops_model::{
 use crate::a2_severity::SeverityEvidence;
 use crate::a5_repeating::push_hour_runs;
 use crate::a6_cascading::{CascadeGroup, CascadeState};
-use crate::input::DetectionInput;
 use crate::metrics::DetectMetrics;
 use crate::report::AntiPatternReport;
-use crate::types::{AntiPattern, Detector, StrategyFinding};
+use crate::types::{AntiPattern, StrategyFinding};
 use crate::{
     CascadingDetector, ImproperRuleDetector, MisleadingSeverityDetector, RepeatingDetector,
     TransientTogglingDetector, UnclearTitleDetector,
@@ -380,7 +379,7 @@ impl Gather {
 
     /// Renders the findings `flags` holds for `strategy` from its
     /// rolling counters `state`, gathering only the raise times those
-    /// findings read, and hands them to `out` in A2–A5 order.
+    /// findings read, and hands them to `out` in A1–A5 order.
     fn render(
         &mut self,
         windows: &VecDeque<WindowDigest>,
@@ -392,6 +391,9 @@ impl Gather {
     ) {
         let id = strategy.id();
         let total = state.total;
+        if flags.has(A1) {
+            out(UnclearTitleDetector::render(strategy));
+        }
         let with_incident = if (flags.has(A2) || flags.has(A3)) && !incidents.is_empty() {
             self.with_incident(windows, id, strategy.service(), incidents)
         } else {
@@ -420,7 +422,8 @@ impl Gather {
 }
 
 /// The patterns a [`Flags`] holds, by bit.
-const FLAGGED: [AntiPattern; 4] = [
+const FLAGGED: [AntiPattern; 5] = [
+    AntiPattern::UnclearTitle,
     AntiPattern::MisleadingSeverity,
     AntiPattern::ImproperRule,
     AntiPattern::TransientToggling,
@@ -428,12 +431,13 @@ const FLAGGED: [AntiPattern; 4] = [
 ];
 
 /// Bits of [`Flags`], indices into [`FLAGGED`].
-const A2: usize = 0;
-const A3: usize = 1;
-const A4: usize = 2;
-const A5: usize = 3;
+const A1: usize = 0;
+const A2: usize = 1;
+const A3: usize = 2;
+const A4: usize = 3;
+const A5: usize = 4;
 
-/// Which of A2–A5 flag one strategy: bit `i` for `FLAGGED[i]`.
+/// Which of A1–A5 flag one strategy: bit `i` for `FLAGGED[i]`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Flags(u8);
 
@@ -467,14 +471,14 @@ impl Flags {
     }
 }
 
-/// The A2–A5 flags: an entry per strategy that holds at least one — a
+/// The A1–A5 flags: an entry per strategy that holds at least one — a
 /// strategy with none has no entry — and how many entries hold each
 /// pattern's.
 #[derive(Debug, Clone, Default)]
 struct FlagTable {
     entries: BTreeMap<StrategyId, Flags>,
     /// Flags held per pattern, in [`FLAGGED`] order.
-    counts: [usize; 4],
+    counts: [usize; FLAGGED.len()],
 }
 
 impl FlagTable {
@@ -511,9 +515,9 @@ struct Undo {
     /// Each strategy an evaluation flipped a flag of, with its flags
     /// as of the commit.
     flags: BTreeMap<StrategyId, Flags>,
-    /// The catalog and its A1 findings as of the commit, once an
-    /// evaluation replaced them.
-    a1: Option<(Option<Arc<IndexedCatalog>>, Vec<StrategyFinding>)>,
+    /// The catalog as of the commit, once an evaluation replaced it.
+    /// Its A1 flags come back through `flags`.
+    catalog: Option<Option<Arc<IndexedCatalog>>>,
 }
 
 impl Undo {
@@ -542,34 +546,25 @@ pub struct FlagTransitions {
 }
 
 impl FlagTransitions {
-    /// Records the A1 flips from the findings `before` to `after`, in
-    /// the order the A1 detector put `after` in.
-    fn flip_a1(&mut self, before: &[StrategyFinding], after: &[StrategyFinding]) {
-        let ids = |findings: &[StrategyFinding]| -> BTreeSet<StrategyId> {
-            findings.iter().map(|f| f.strategy).collect()
-        };
-        let (was, is) = (ids(before), ids(after));
-        self.raised
-            .extend(after.iter().filter(|f| !was.contains(&f.strategy)).cloned());
-        self.cleared.extend(
-            was.difference(&is)
-                .map(|&id| (AntiPattern::UnclearTitle, id)),
-        );
-    }
-
-    /// Puts both lists in their documented order. Each pattern's raised
-    /// findings were recorded in strategy-id order (A2–A5) or in the A1
-    /// detector's order, so a stable sort on score keeps the detectors'
-    /// tie order.
-    fn sorted(mut self) -> Self {
-        // A1–A5 scores are finite and never -0.0 (see each detector's
-        // sort), so this is the `partial_cmp` order.
-        self.raised
-            .sort_by(|a, b| a.pattern.cmp(&b.pattern).then(b.score.total_cmp(&a.score)));
+    /// Puts both lists in their documented order; `catalog` is the one
+    /// the raised findings were flagged against.
+    fn sorted(mut self, catalog: Option<&IndexedCatalog>) -> Self {
+        self.raised.sort_unstable_by(|a, b| {
+            a.pattern
+                .cmp(&b.pattern)
+                .then_with(|| a.report_order(b, |f| rank(catalog, f)))
+        });
         self.cleared.sort_unstable();
         self.cleared.dedup();
         self
     }
+}
+
+/// What breaks a score tie in report order, as the batch detectors
+/// break it: an A1 finding's row in `catalog`, else the strategy id.
+fn rank(catalog: Option<&IndexedCatalog>, f: &StrategyFinding) -> (Option<usize>, StrategyId) {
+    let row = catalog.filter(|_| f.pattern == AntiPattern::UnclearTitle);
+    (row.and_then(|c| c.position(f.strategy)), f.strategy)
 }
 
 /// One stale strategy, resolved for an evaluation: the catalog row, the
@@ -619,9 +614,7 @@ pub struct IncrementalState {
     catalog: Option<Arc<IndexedCatalog>>,
     /// The incident list seen by the last evaluation.
     incidents_seen: Option<Vec<Incident>>,
-    /// A1 findings for `catalog` (valid while the catalog is unchanged).
-    a1_cache: Vec<StrategyFinding>,
-    /// The A2–A5 flags; findings are rendered only when one flips on
+    /// The A1–A5 flags; findings are rendered only when one flips on
     /// or a report is asked for.
     flags: FlagTable,
     /// The flags as of the last commit, where an evaluation has
@@ -642,10 +635,10 @@ pub struct IncrementalState {
 impl PartialEq for IncrementalState {
     /// Compares only the *rolling state* (window digests, per-strategy
     /// counters, histogram, cascade edges) — not the evaluation state
-    /// (flags, A1 findings), which legitimately differs between a long-lived state and a fresh
-    /// rebuild until the next `current_findings` call, and not the
-    /// rollback bookkeeping, which says where the last commit was, not
-    /// what is in scope.
+    /// (the flags), which legitimately differs between a long-lived
+    /// state and a fresh rebuild until the next `current_findings`
+    /// call, and not the rollback bookkeeping, which says where the
+    /// last commit was, not what is in scope.
     fn eq(&self, other: &Self) -> bool {
         self.windows == other.windows
             && self.alerts_in_scope == other.alerts_in_scope
@@ -835,9 +828,9 @@ impl IncrementalState {
     /// cascade edges are rebuilt against it.
     ///
     /// Of the evaluation state only the flags are kept: every one an
-    /// evaluation flipped since the commit is put back, with the
-    /// catalog and A1 findings, so the flags are the ones last
-    /// committed — none at all before the first commit. A flag that
+    /// evaluation flipped since the commit is put back, A1's included,
+    /// with the catalog, so the flags are the ones last committed —
+    /// none at all before the first commit. A flag that
     /// comes back on is raised with its finding rendered from the
     /// committed scope. The next evaluation then rejudges every
     /// strategy in scope or flagged against them.
@@ -846,17 +839,15 @@ impl IncrementalState {
         let committed = self.windows.len() - self.uncommitted;
         scope.extend(self.windows.drain(..committed));
         let mut restored = FlagTransitions::default();
-        let Undo { flags, a1 } = std::mem::take(&mut self.undo);
-        if let Some((catalog, a1)) = a1 {
-            restored.flip_a1(&self.a1_cache, &a1);
-            (self.catalog, self.a1_cache) = (catalog, a1);
+        let Undo { flags, catalog } = std::mem::take(&mut self.undo);
+        if let Some(catalog) = catalog {
+            self.catalog = catalog;
         }
         // Drop the old aggregates first: the rebuild never holds two
         // copies of the state.
         *self = Self {
             catalog: self.catalog.take(),
             incidents_seen: self.incidents_seen.take(),
-            a1_cache: std::mem::take(&mut self.a1_cache),
             flags: std::mem::take(&mut self.flags),
             scratch: std::mem::take(&mut self.scratch),
             ..Self::default()
@@ -878,9 +869,6 @@ impl IncrementalState {
         scratch.gather.start(windows.len());
         for (id, committed) in flags {
             let raised = committed.without(table.put(id, committed, &mut restored));
-            if raised.is_empty() {
-                continue;
-            }
             // A flag is only ever set for a strategy with a row in the
             // catalog it was evaluated against, which is the one put
             // back; its counters are those of the committed scope.
@@ -896,7 +884,7 @@ impl IncrementalState {
         }
         // `apply` marked every strategy in scope dirty.
         self.dirty.extend(self.flags.entries.keys().copied());
-        restored.sorted()
+        restored.sorted(self.catalog.as_deref())
     }
 
     /// How many evicted digests are being kept for a rollback; zero
@@ -927,7 +915,6 @@ impl IncrementalState {
             dirty: _,
             catalog: _,
             incidents_seen: _,
-            a1_cache: _,
             flags: _,
             undo: _, // flags only
             evicted,
@@ -958,15 +945,12 @@ impl IncrementalState {
 
     /// Every `(pattern, strategy)` flag reported so far — by the last
     /// evaluation, or after a [`rollback`](Self::rollback) as of the
-    /// last commit — A1's first, then by strategy.
+    /// last commit — by strategy, and a strategy's by pattern.
     pub fn flags(&self) -> impl Iterator<Item = (AntiPattern, StrategyId)> + '_ {
-        let a1 = self.a1_cache.iter().map(|f| (f.pattern, f.strategy));
-        let rest = self
-            .flags
+        self.flags
             .entries
             .iter()
-            .flat_map(|(&id, flags)| flags.patterns().map(move |pattern| (pattern, id)));
-        a1.chain(rest)
+            .flat_map(|(&id, flags)| flags.patterns().map(move |pattern| (pattern, id)))
     }
 
     /// Evaluates the current scope against `catalog` and `incidents`
@@ -976,14 +960,16 @@ impl IncrementalState {
     ///
     /// Only strategies whose aggregates changed since the last
     /// evaluation are re-judged. A new `catalog` — told apart from the
-    /// last one by identity, not by content — re-runs A1 and rejudges
-    /// every strategy in scope; a changed incident list rejudges A2/A3.
-    /// A strategy is judged against the catalog row with its id (the
-    /// first, should the catalog repeat one); one with alerts in scope
-    /// but no row is flagged by nothing. A verdict reads the rolling
-    /// counters (A2/A3 also the incident co-occurrence count, gathered
-    /// only when there are incidents), and A5's the strategy's hour
-    /// runs; a finding is rendered only for a flag that flips on.
+    /// last one by identity, not by content — rejudges A1 on every row
+    /// and everything else on every strategy in scope; a changed
+    /// incident list rejudges A2/A3. A strategy is judged against the
+    /// catalog row with its id (the first, should the catalog repeat
+    /// one); one with alerts in scope but no row is flagged by nothing,
+    /// and one with a row but no alerts in scope by A1 at most. A
+    /// verdict reads the row (A1) or the rolling counters (A2/A3 also
+    /// the incident co-occurrence count, gathered only when there are
+    /// incidents), and A5's the strategy's hour runs; a finding is
+    /// rendered only for a flag that flips on.
     /// Per-pattern verdict wall time and flag counts are recorded into
     /// `metrics` as the batch
     /// [`run_instrumented`](AntiPatternReport::run_instrumented) does;
@@ -999,29 +985,12 @@ impl IncrementalState {
             m.record_run(self.alerts_in_scope as u64);
         }
         let mut transitions = FlagTransitions::default();
-
-        // A1 — pure function of the catalog.
-        if !self
-            .catalog
-            .as_ref()
-            .is_some_and(|held| Arc::ptr_eq(held, catalog))
-        {
-            let _span = metrics.map(|m| m.detector_timer(AntiPattern::UnclearTitle));
-            // Strategy attributes (severity, kind, service) feed every
-            // verdict: invalidate everything.
-            self.dirty.extend(self.per_strategy.keys().copied());
-            let a1 = UnclearTitleDetector.detect(&DetectionInput::new(catalog.rows()));
-            transitions.flip_a1(&self.a1_cache, &a1);
-            let held = self.catalog.replace(Arc::clone(catalog));
-            let before = std::mem::replace(&mut self.a1_cache, a1);
-            self.undo.a1.get_or_insert((held, before));
-        }
         let incidents_changed = self.incidents_seen.as_deref() != Some(incidents);
-
         let Self {
             windows,
             per_strategy,
             dirty,
+            catalog: held,
             flags,
             undo,
             scratch,
@@ -1030,11 +999,40 @@ impl IncrementalState {
         let gather = &mut scratch.gather;
         gather.peak = 0;
 
+        // A1 — a property of the catalog row, rejudged on every row
+        // (a repeated id on its first) only when the catalog is new.
+        // A flag whose row is gone clears.
+        if !held.as_ref().is_some_and(|held| Arc::ptr_eq(held, catalog)) {
+            let _span = metrics.map(|m| m.detector_timer(AntiPattern::UnclearTitle));
+            // Strategy attributes (severity, kind, service) feed every
+            // verdict: invalidate everything.
+            dirty.extend(per_strategy.keys().copied());
+            let replaced = held.replace(Arc::clone(catalog));
+            undo.catalog.get_or_insert(replaced);
+            let held_a1 = flags.entries.iter().filter(|(_, f)| f.has(A1));
+            let gone: Vec<StrategyId> = held_a1
+                .map(|(&id, _)| id)
+                .filter(|&id| catalog.get(id).is_none())
+                .collect();
+            let rows = catalog.rows().iter().map(AlertStrategy::id);
+            for id in gone.into_iter().chain(rows) {
+                let row = catalog.get(id);
+                let mut now = flags.get(id);
+                now.set(A1, row.is_some_and(UnclearTitleDetector::flags));
+                let was = flags.put(id, now, &mut transitions);
+                undo.keep(id, was, now);
+                if let Some(strategy) = row.filter(|_| now.without(was).has(A1)) {
+                    let raised = &mut transitions.raised;
+                    raised.push(UnclearTitleDetector::render(strategy));
+                }
+            }
+        }
+
         // Resolve every stale strategy once — its rolling state and its
         // catalog row — so the four verdicts below share one lookup of
         // each. One no longer in scope, or in scope but missing from
-        // the catalog (nothing to judge it against), is flagged by
-        // nothing.
+        // the catalog (nothing to judge it against), is flagged by none
+        // of A2–A5; its A1 flag is its row's and stays.
         let mut stale: Vec<Stale<'_>> = Vec::with_capacity(dirty.len());
         let mut resolve = |id: StrategyId, aggregates_changed: bool| match per_strategy
             .get(&id)
@@ -1052,8 +1050,10 @@ impl IncrementalState {
                 });
             }
             None => {
-                let held = flags.put(id, Flags::default(), &mut transitions);
-                undo.keep(id, held, Flags::default());
+                let mut now = Flags::default();
+                now.set(A1, flags.get(id).has(A1));
+                let held = flags.put(id, now, &mut transitions);
+                undo.keep(id, held, now);
             }
         };
         if incidents_changed {
@@ -1139,7 +1139,6 @@ impl IncrementalState {
         }
 
         if let Some(m) = metrics {
-            m.record_findings(AntiPattern::UnclearTitle, self.a1_cache.len() as u64);
             for (pattern, count) in FLAGGED.into_iter().zip(self.flags.counts) {
                 m.record_findings(pattern, count as u64);
             }
@@ -1148,7 +1147,7 @@ impl IncrementalState {
         if incidents_changed {
             self.incidents_seen = Some(incidents.to_vec());
         }
-        transitions.sorted()
+        transitions.sorted(Some(catalog))
     }
 
     /// [`evaluate`](Self::evaluate)s the current scope, then renders
@@ -1167,8 +1166,7 @@ impl IncrementalState {
         metrics: Option<&DetectMetrics>,
     ) -> AntiPatternReport {
         self.evaluate(catalog, incidents, metrics);
-        let mut findings = BTreeMap::from([(AntiPattern::UnclearTitle, self.a1_cache.clone())]);
-        findings.extend(FLAGGED.map(|pattern| (pattern, Vec::new())));
+        let mut findings = BTreeMap::from(FLAGGED.map(|pattern| (pattern, Vec::new())));
         let Self {
             windows,
             per_strategy,
@@ -1178,28 +1176,20 @@ impl IncrementalState {
         } = self;
         scratch.gather.start(windows.len());
         for (&id, &held) in &flags.entries {
-            // An evaluation leaves flags only on strategies in scope
-            // with a row.
-            let Some((state, strategy)) = per_strategy.get(&id).zip(catalog.get(id)) else {
+            // An evaluation leaves flags only on strategies with a row,
+            // and A2–A5 flags only on those in scope too.
+            let Some(strategy) = catalog.get(id) else {
                 continue;
             };
+            let state = per_strategy.get(&id).copied().unwrap_or_default();
             scratch
                 .gather
-                .render(windows, incidents, strategy, state, held, |finding| {
+                .render(windows, incidents, strategy, &state, held, |finding| {
                     findings.entry(finding.pattern).or_default().push(finding);
                 });
         }
-        for pattern in FLAGGED {
-            // The detectors' shared comparator: score descending, then
-            // strategy. A2–A5 scores are finite and never -0.0, so
-            // `total_cmp` is the `partial_cmp` order.
-            if let Some(found) = findings.get_mut(&pattern) {
-                found.sort_by(|a, b| {
-                    b.score
-                        .total_cmp(&a.score)
-                        .then(a.strategy.cmp(&b.strategy))
-                });
-            }
+        for found in findings.values_mut() {
+            found.sort_unstable_by(|a, b| a.report_order(b, |f| rank(Some(catalog), f)));
         }
 
         // A6 — cascades come straight off the maintained edge set.
@@ -1245,6 +1235,7 @@ fn to_u32(n: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::input::DetectionInput;
     use alertops_model::{LogRule, Severity, SimDuration, StrategyKind};
 
     fn strategy(id: u64) -> AlertStrategy {
@@ -1587,6 +1578,83 @@ mod tests {
         );
     }
 
+    /// A rollback across a catalog change raises A1's flags again from
+    /// the table, in id order, yet hands them back the way the report
+    /// lists them: equal scores in catalog row order.
+    #[test]
+    fn rollback_keeps_a1_in_catalog_row_order() {
+        let rows = vec![vague(3), vague(1), strategy(2), vague(5)];
+        let old = Arc::new(IndexedCatalog::new(rows.clone()));
+        let clear = Arc::new(IndexedCatalog::new(
+            rows.iter().map(|s| strategy(s.id().0)).collect(),
+        ));
+        let mut engine = IncrementalState::default();
+        for w in &a4_a5_windows()[..3] {
+            engine.observe_window(w, None, None);
+        }
+        engine.evaluate(&old, &[], None);
+        engine.commit();
+        let (_, cleared) = raised_and_cleared(&engine.evaluate(&clear, &[], None));
+        let a1 = |id: u64| (AntiPattern::UnclearTitle, StrategyId(id));
+        assert_eq!(cleared, FlagSet::from([a1(1), a1(3), a1(5)]));
+
+        let restored = engine.rollback(None);
+        assert!(Arc::ptr_eq(engine.catalog().expect("restored"), &old));
+        let raised_a1: Vec<StrategyFinding> = restored
+            .raised
+            .into_iter()
+            .filter(|f| f.pattern == AntiPattern::UnclearTitle)
+            .collect();
+        let order: Vec<StrategyId> = raised_a1.iter().map(|f| f.strategy).collect();
+        assert_eq!(order, [StrategyId(3), StrategyId(1), StrategyId(5)]);
+        let report = engine.report(&old, &[], None, None);
+        assert_eq!(raised_a1, report.findings[&AntiPattern::UnclearTitle]);
+    }
+
+    /// A1 is a property of the row, not of the alerts in scope: a vague
+    /// strategy whose alerts are all evicted keeps its A1 flag and
+    /// loses the rest, and a vague row that never alerted is raised at
+    /// the first evaluation and never cleared.
+    #[test]
+    fn a1_outlives_scope() {
+        let catalog = Arc::new(IndexedCatalog::new(vec![
+            strategy(1),
+            vague(2),
+            strategy(3),
+            vague(7),
+        ]));
+        let a1 = |id: u64| (AntiPattern::UnclearTitle, StrategyId(id));
+        let mut engine = IncrementalState::default();
+        for w in &a4_a5_windows()[..3] {
+            engine.observe_window(w, None, None);
+        }
+        let (raised, _) = raised_and_cleared(&engine.evaluate(&catalog, &[], None));
+        assert!(raised.contains(&a1(2)) && raised.contains(&a1(7)));
+        let of_2 = |engine: &IncrementalState| -> FlagSet {
+            engine
+                .flags()
+                .filter(|&(_, id)| id == StrategyId(2))
+                .collect()
+        };
+        assert!(
+            of_2(&engine).len() > 1,
+            "strategy 2 bursts: {:?}",
+            of_2(&engine)
+        );
+
+        while engine.window_count() > 0 {
+            engine.evict_window(None);
+            let (_, cleared) = raised_and_cleared(&engine.evaluate(&catalog, &[], None));
+            assert!(!cleared.contains(&a1(2)) && !cleared.contains(&a1(7)));
+        }
+        assert_eq!(engine.alert_count(), 0);
+        assert_eq!(of_2(&engine), FlagSet::from([a1(2)]));
+        assert_eq!(
+            engine.flags().collect::<FlagSet>(),
+            FlagSet::from([a1(2), a1(7)])
+        );
+    }
+
     /// What `rollback` reports is exactly the way back to the last
     /// commit's flags — to none at all before the first commit, A1's
     /// included. Afterwards the engine reports those flags, the next
@@ -1635,6 +1703,6 @@ mod tests {
             FlagTransitions::default()
         );
         engine.commit();
-        assert!(engine.undo.flags.is_empty() && engine.undo.a1.is_none());
+        assert!(engine.undo.flags.is_empty() && engine.undo.catalog.is_none());
     }
 }

@@ -1,5 +1,6 @@
 //! Shared detector types.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -95,6 +96,19 @@ pub struct StrategyFinding {
     pub score: f64,
     /// Human-readable evidence ("title scored 0.12; vague words: ...").
     pub evidence: String,
+}
+
+impl StrategyFinding {
+    /// Report order within one pattern: score descending, then `rank`
+    /// ascending. Every detector's score is a count, a distance or a
+    /// product of them with rates, so finite and never -0.0, and
+    /// `total_cmp` is the `partial_cmp` order.
+    pub(crate) fn report_order<K: Ord>(&self, other: &Self, rank: impl Fn(&Self) -> K) -> Ordering {
+        other
+            .score
+            .total_cmp(&self.score)
+            .then_with(|| rank(self).cmp(&rank(other)))
+    }
 }
 
 impl fmt::Display for StrategyFinding {

@@ -516,7 +516,7 @@ impl IndexedCatalog {
     /// The strategy with the given id, if the catalog has one.
     #[must_use]
     pub fn get(&self, id: StrategyId) -> Option<&AlertStrategy> {
-        self.row(id).map(|row| &self.rows[row])
+        self.position(id).map(|row| &self.rows[row])
     }
 
     /// The informativeness score of the title of the strategy
@@ -525,7 +525,7 @@ impl IndexedCatalog {
     /// every row, O(rows); every call after it is one row lookup.
     #[must_use]
     pub fn title_score(&self, id: StrategyId) -> Option<f64> {
-        let row = self.row(id)?;
+        let row = self.position(id)?;
         let scores = self.title_scores.get_or_init(|| {
             self.rows
                 .iter()
@@ -535,7 +535,10 @@ impl IndexedCatalog {
         Some(scores[row])
     }
 
-    fn row(&self, id: StrategyId) -> Option<usize> {
+    /// The index in [`rows`](Self::rows) of the strategy
+    /// [`get`](Self::get) returns for `id`.
+    #[must_use]
+    pub fn position(&self, id: StrategyId) -> Option<usize> {
         match &self.by_id {
             None => self.rows.binary_search_by_key(&id, AlertStrategy::id).ok(),
             Some(by_id) => by_id.get(&id).copied(),

@@ -98,29 +98,29 @@ CEILINGS
 # AO-LDA keeps no table beyond its largest window's scratch, so a
 # long-lived one coming back shows on `governed-close`, where that
 # scratch is most of the heap. An untraced 2-second run repeats
-# `rss_peak_mb` within 2–5 % (five runs read 22.22 – 22.50 MB on
-# `steady-wire`, 12.33 – 12.53 MB on `cluster-journal`, 7.39 –
-# 7.74 MB on `governed-close` and 10.22 – 10.39 MB on `storm-paced`),
+# `rss_peak_mb` within 2–5 % (five runs read 22.08 – 22.34 MB on
+# `steady-wire`, 12.21 – 12.52 MB on `cluster-journal`, 7.27 –
+# 7.61 MB on `governed-close` and 10.07 – 10.36 MB on `storm-paced`),
 # so the ceiling is the highest of five runs at the commit that last
 # moved it + 2 %. A SOP's lines are interned, so a deep copy of one
 # costs its body and two line vectors, ≈ 0.26 kB (≈ 2 MB for
 # `steady-wire`'s 8 000); a SOP owning its lines again ≈ 5 MB more;
 # the old ψ memo's table ≈ 2.2 MB, a shard's old 8192-slot channel
-# ring ≈ 0.46 MB; the detection engine holding its A2–A5 findings
-# rendered instead of as flags ≈ 2.6 MB on `steady-wire`. Lower a
-# ceiling when a PR lowers the peak.
+# ring ≈ 0.46 MB; the detection engine holding its findings rendered
+# instead of as flags ≈ 2.8 MB on `steady-wire` (A2–A5's ≈ 2.6 MB,
+# A1's ≈ 0.18 MB). Lower a ceiling when a PR lowers the peak.
 check_rss() { check_run "$1" 0; }
 check_rss steady-wire <<'CEILINGS'
-rss_peak_mb 22.95
+rss_peak_mb 22.79
 CEILINGS
 check_rss cluster-journal <<'CEILINGS'
-rss_peak_mb 12.78
+rss_peak_mb 12.77
 CEILINGS
 check_rss governed-close <<'CEILINGS'
-rss_peak_mb 7.87
+rss_peak_mb 7.77
 CEILINGS
 check_rss storm-paced <<'CEILINGS'
-rss_peak_mb 10.60
+rss_peak_mb 10.57
 CEILINGS
 
 # The window-close path has one owner (alertops_ingestd::MergePoint)
@@ -176,11 +176,13 @@ fi
 # of their own, and the AO-LDA pass's wall time is one observation
 # over its halves, not a span around a single call. The close runs in
 # MergePoint::close itself: no closer type beside it, no pass handle,
-# and no QoA start, restore or merge-timer step of its own.
+# and no QoA start, restore or merge-timer step of its own. The
+# engine holds A1 as a bit in its flag table like A2-A5: no rendered A1
+# list beside it and no diff of its own.
 # Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer' \
+if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer|a1_cache|flip_a1' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close or a closer beside the merge point reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close, a closer beside the merge point or a rendered A1 list beside the flag table reappeared (see matches above)" >&2
     exit 1
 fi
 # AO-LDA runs speculatively at a merge point, over the documents the
