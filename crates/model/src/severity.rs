@@ -82,12 +82,6 @@ impl Severity {
         self.rank().abs_diff(other.rank())
     }
 
-    /// Whether this severity is `Major` or `Critical`.
-    #[must_use]
-    pub const fn is_high(self) -> bool {
-        matches!(self, Severity::Major | Severity::Critical)
-    }
-
     /// The canonical uppercase label, e.g. `"CRITICAL"`.
     #[must_use]
     pub const fn label(self) -> &'static str {
@@ -161,14 +155,6 @@ mod tests {
         assert_eq!("CRITICAL".parse::<Severity>().unwrap(), Severity::Critical);
         assert_eq!("Minor".parse::<Severity>().unwrap(), Severity::Minor);
         assert!("fatal".parse::<Severity>().is_err());
-    }
-
-    #[test]
-    fn high_severity_partition() {
-        assert!(!Severity::Warning.is_high());
-        assert!(!Severity::Minor.is_high());
-        assert!(Severity::Major.is_high());
-        assert!(Severity::Critical.is_high());
     }
 
     #[test]

@@ -8,19 +8,17 @@ use crate::histogram::Histogram;
 /// wall-clock microseconds into its histogram when dropped.
 ///
 /// Spans are observers — they read the clock and bump two atomics, and
-/// never influence the code they wrap. Use [`Span::cancel`] to abandon
-/// a measurement (e.g. on an error path that should not pollute a
-/// latency distribution).
+/// never influence the code they wrap.
 #[derive(Debug)]
 pub struct Span<'h> {
-    histogram: Option<&'h Histogram>,
+    histogram: &'h Histogram,
     started: Instant,
 }
 
 impl<'h> Span<'h> {
     pub(crate) fn new(histogram: &'h Histogram) -> Self {
         Self {
-            histogram: Some(histogram),
+            histogram,
             started: Instant::now(),
         }
     }
@@ -30,31 +28,17 @@ impl<'h> Span<'h> {
     pub fn elapsed_micros(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
-
-    /// Drops the span without recording anything.
-    pub fn cancel(mut self) {
-        self.histogram = None;
-    }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some(histogram) = self.histogram {
-            histogram.observe(self.elapsed_micros());
-        }
+        self.histogram.observe(self.elapsed_micros());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cancelled_span_records_nothing() {
-        let h = Histogram::new();
-        h.time().cancel();
-        assert_eq!(h.snapshot().count(), 0);
-    }
 
     #[test]
     fn span_observes_elapsed_time() {

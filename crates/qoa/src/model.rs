@@ -1,10 +1,8 @@
 //! The learned QoA model: one classifier per criterion.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
-use alertops_model::{Alert, AlertStrategy, Incident, Sop, StrategyId};
+use alertops_model::{Alert, AlertStrategy, Incident, Sop, StrategyId, QOA_CRITERIA};
 use alertops_text::title_report;
 
 use crate::features::{extract_features, FEATURE_NAMES};
@@ -36,7 +34,9 @@ impl Criterion {
 /// quality on that criterion).
 #[derive(Debug)]
 pub struct QoaModel {
-    classifiers: HashMap<Criterion, LogisticRegression>,
+    /// One classifier per criterion, indexed by `criterion as usize`
+    /// (the declaration order, which is [`Criterion::ALL`]'s).
+    classifiers: [LogisticRegression; QOA_CRITERIA],
 }
 
 impl Default for QoaModel {
@@ -49,11 +49,9 @@ impl QoaModel {
     /// Creates an untrained model.
     #[must_use]
     pub fn new() -> Self {
-        let classifiers = Criterion::ALL
-            .into_iter()
-            .map(|c| (c, LogisticRegression::new(FEATURE_NAMES.len())))
-            .collect();
-        Self { classifiers }
+        Self {
+            classifiers: Criterion::ALL.map(|_| LogisticRegression::new(FEATURE_NAMES.len())),
+        }
     }
 
     /// Extracts the model's feature vector for one strategy.
@@ -78,10 +76,7 @@ impl QoaModel {
         labels: &[bool],
         config: &TrainConfig,
     ) {
-        self.classifiers
-            .get_mut(&criterion)
-            .expect("all criteria are initialized")
-            .fit(x, labels, config);
+        self.classifiers[criterion as usize].fit(x, labels, config);
     }
 
     /// Continual update from a fresh batch of labels (Fig. 6 loop).
@@ -92,19 +87,13 @@ impl QoaModel {
         labels: &[bool],
         learning_rate: f64,
     ) {
-        self.classifiers
-            .get_mut(&criterion)
-            .expect("all criteria are initialized")
-            .partial_fit(x, labels, learning_rate, 1e-4);
+        self.classifiers[criterion as usize].partial_fit(x, labels, learning_rate, 1e-4);
     }
 
     /// P(high quality) on one criterion for a feature vector.
     #[must_use]
     pub fn predict_proba(&self, criterion: Criterion, x: &[f64]) -> f64 {
-        self.classifiers
-            .get(&criterion)
-            .expect("all criteria are initialized")
-            .predict_proba(x)
+        self.classifiers[criterion as usize].predict_proba(x)
     }
 
     /// Ranks strategies by predicted quality on a criterion, worst

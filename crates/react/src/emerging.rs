@@ -19,24 +19,22 @@
 //! AO-LDA fits the distinct bags plus one bag index per alert, with
 //! every float what a per-alert pass would compute.
 //!
-//! Two driving modes share one window-processing core:
-//!
-//! * **offline** — [`run`](EmergingAlertDetector::run) fits the
-//!   vocabulary on the whole stream, freezes it, buckets the stream
-//!   into wall-clock windows (empty ones included, so the JS-divergence
-//!   history only ever compares time-adjacent windows), and processes
-//!   them in order;
-//! * **streaming** — [`observe_window`](EmergingAlertDetector::observe_window)
-//!   is fit-free: unseen words are interned online (stable-id growth)
-//!   and the topic-word matrix widens via
-//!   [`AdaptiveOnlineLda::grow_vocab`] as the vocabulary grows.
+//! The detector has one driver, the online one:
+//! [`observe_window`](EmergingAlertDetector::observe_window) interns
+//! unseen words as they arrive (stable-id growth) and widens the
+//! topic-word matrix via [`AdaptiveOnlineLda::grow_vocab`] as the
+//! vocabulary grows. [`run`](EmergingAlertDetector::run) is that driver
+//! run once over a whole stream: it interns the stream's words first, so
+//! the model is built at full width on the first window, then observes
+//! every wall-clock window in order, empty ones included, so the
+//! JS-divergence history only ever compares time-adjacent windows.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use alertops_model::{Alert, AlertId, IStr, SimDuration, SimTime};
-use alertops_text::{BagOfWords, OovPolicy, Tokenizer, Vocabulary};
+use alertops_text::{BagOfWords, Tokenizer, Vocabulary};
 use alertops_topics::{AdaptiveOnlineLda, AoldaConfig, LdaConfig, PreparedWindow};
 
 /// An opt-in per-window token budget for the emerging channel.
@@ -248,16 +246,13 @@ pub struct PreparedPass {
 
 /// Emerging-alert detection over consecutive time windows.
 ///
-/// Fit-free streaming use needs no setup: construct and call
-/// [`observe_window`](Self::observe_window) per wall-clock window.
-/// Offline analysis goes through [`run`](Self::run), which fits and
-/// freezes the vocabulary on the full stream first.
+/// Construct and call [`observe_window`](Self::observe_window) per
+/// wall-clock window; [`run`](Self::run) does so over a whole stream.
 #[derive(Debug, Clone)]
 pub struct EmergingAlertDetector {
     config: EmergingConfig,
     tokenizer: Tokenizer,
     vocab: Vocabulary,
-    oov: OovPolicy,
     aolda: Option<AdaptiveOnlineLda>,
     windows_processed: usize,
     /// Where the next window starts if it turns out to be empty —
@@ -267,24 +262,23 @@ pub struct EmergingAlertDetector {
 }
 
 impl EmergingAlertDetector {
-    /// Creates a fit-free detector: the vocabulary starts empty and
-    /// grows online as windows arrive ([`OovPolicy::Intern`]).
+    /// Creates a detector whose vocabulary starts empty and grows
+    /// online as windows arrive.
     #[must_use]
     pub fn new(config: EmergingConfig) -> Self {
         Self::with_vocabulary(config, Vocabulary::new())
     }
 
     /// Creates a detector pre-seeded with `vocab` (word ids are reused
-    /// as-is; unseen words still intern online). Pass a vocabulary
-    /// fitted elsewhere to make a streaming detector reproduce an
-    /// offline run exactly.
+    /// as-is; unseen words still intern online). Pass the vocabulary an
+    /// offline [`run`](Self::run) ended with to make a streaming
+    /// detector reproduce that run exactly.
     #[must_use]
     pub fn with_vocabulary(config: EmergingConfig, vocab: Vocabulary) -> Self {
         Self {
             config,
             tokenizer: Tokenizer::new().drop_numbers(),
             vocab,
-            oov: OovPolicy::Intern,
             aolda: None,
             windows_processed: 0,
             next_window_start: None,
@@ -297,45 +291,8 @@ impl EmergingAlertDetector {
         &self.vocab
     }
 
-    /// Fits the vocabulary over a corpus of alerts, *freezes* it
-    /// (out-of-vocabulary words are dropped from then on), and
-    /// initializes the topic model. Any previous state — vocabulary,
-    /// model, window counters — is discarded, so refitting on a new
-    /// corpus behaves exactly like a fresh detector.
-    pub fn fit(&mut self, alerts: &[Alert]) {
-        self.vocab.clear();
-        let mut scratch = String::new();
-        for alert in alerts {
-            let vocab = &mut self.vocab;
-            for_each_text_token(
-                &self.tokenizer,
-                alert.title(),
-                alert.service_name(),
-                &mut scratch,
-                |token| {
-                    vocab.intern(token);
-                },
-            );
-        }
-        // Guard against a degenerate empty vocabulary.
-        if self.vocab.is_empty() {
-            self.vocab.intern("alert");
-        }
-        self.oov = OovPolicy::Drop;
-        self.aolda = Some(self.build_aolda(self.vocab.len()));
-        self.windows_processed = 0;
-        self.next_window_start = None;
-    }
-
-    /// Whether [`fit`](Self::fit) has been called (or a model already
-    /// exists from streaming observation).
-    #[must_use]
-    pub fn is_fitted(&self) -> bool {
-        self.aolda.is_some()
-    }
-
-    /// Processes one wall-clock window of alerts, fit-free: unseen
-    /// words are interned and the topic model's vocabulary widens in
+    /// Processes one wall-clock window of alerts: unseen words are
+    /// interned and the topic model's vocabulary widens in
     /// place. Feed windows in stream order, **including empty ones** —
     /// the adaptive prior and the emergence baseline assume adjacent
     /// windows are adjacent in time.
@@ -397,16 +354,21 @@ impl EmergingAlertDetector {
         // Lazily create the model, or widen it if interning grew the
         // vocabulary. Ids only ever append, so widening is sound.
         let vocab_size = self.vocab.len().max(1);
-        match self.aolda.as_mut() {
-            None => self.aolda = Some(self.build_aolda(vocab_size)),
-            Some(aolda) => {
-                if vocab_size > aolda.config().lda.vocab_size {
-                    aolda.grow_vocab(vocab_size);
-                }
-            }
+        let config = &self.config;
+        let aolda = self.aolda.get_or_insert_with(|| {
+            AdaptiveOnlineLda::new(AoldaConfig {
+                lda: LdaConfig {
+                    num_topics: config.num_topics,
+                    vocab_size,
+                    seed: config.seed,
+                },
+                adaptation_weight: config.adaptation_weight,
+                passes_per_window: config.passes_per_window,
+            })
+        });
+        if vocab_size > aolda.config().lda.vocab_size {
+            aolda.grow_vocab(vocab_size);
         }
-        // The match above left a model in place.
-        let aolda = self.aolda.as_mut().expect("model just ensured");
 
         let fit = aolda.prepare_window(&bags, &positions);
         let emerging_alerts = fit
@@ -461,29 +423,30 @@ impl EmergingAlertDetector {
         }
     }
 
-    /// Processes one window of alerts against the *fitted* model (the
-    /// caller buckets them; see [`run`](Self::run) for the offline
-    /// driver).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the detector is not fitted.
-    pub fn process_window(&mut self, alerts: &[&Alert]) -> EmergingReport {
-        assert!(
-            self.aolda.is_some(),
-            "EmergingAlertDetector::fit must be called first"
-        );
-        self.observe_window(alerts)
-    }
-
-    /// Offline driver: fits the vocabulary on the whole stream, buckets
-    /// it into wall-clock windows of the configured length, and
-    /// processes **every** window from the first alert to the last —
+    /// Offline driver: the streaming detector run once over a whole
+    /// stream, from a fresh start (any previous state is discarded). It
+    /// interns the stream's words in first-seen order, buckets the
+    /// stream into wall-clock windows of the configured length, and
+    /// observes **every** window from the first alert to the last —
     /// empty windows included, so the topic history never compares
     /// windows that are not adjacent in time, and `window_index` counts
-    /// wall-clock buckets.
+    /// wall-clock buckets. With every word interned up front, the model
+    /// is built at full width on the first window and never widens.
     pub fn run(&mut self, alerts: &[Alert]) -> Vec<EmergingReport> {
-        self.fit(alerts);
+        let mut vocab = Vocabulary::new();
+        let mut scratch = String::new();
+        for alert in alerts {
+            for_each_text_token(
+                &self.tokenizer,
+                alert.title(),
+                alert.service_name(),
+                &mut scratch,
+                |token| {
+                    vocab.intern(token);
+                },
+            );
+        }
+        *self = Self::with_vocabulary(self.config.clone(), vocab);
         if alerts.is_empty() {
             return Vec::new();
         }
@@ -505,20 +468,8 @@ impl EmergingAlertDetector {
         }
         buckets
             .iter()
-            .map(|bucket| self.process_window(bucket))
+            .map(|bucket| self.observe_window(bucket))
             .collect()
-    }
-
-    fn build_aolda(&self, vocab_size: usize) -> AdaptiveOnlineLda {
-        AdaptiveOnlineLda::new(AoldaConfig {
-            lda: LdaConfig {
-                num_topics: self.config.num_topics,
-                vocab_size,
-                seed: self.config.seed,
-            },
-            adaptation_weight: self.config.adaptation_weight,
-            passes_per_window: self.config.passes_per_window,
-        })
     }
 
     fn align_down(&self, t: SimTime) -> SimTime {
@@ -559,7 +510,6 @@ impl EmergingAlertDetector {
         }
         let mut bags: Vec<BagOfWords> = Vec::new();
         let mut scratch = String::new();
-        let oov = self.oov;
         for pos in 0..docs.len() {
             let first = bag_of[pos] as usize;
             bag_of[pos] = if first == pos {
@@ -571,7 +521,7 @@ impl EmergingAlertDetector {
                     &doc.title,
                     &doc.service,
                     &mut scratch,
-                    |token| vocab.count_token(token, oov, &mut bag),
+                    |token| vocab.count_token(token, &mut bag),
                 );
                 bag.sort_unstable_by_key(|&(id, _)| id);
                 bags.push(bag);
@@ -691,14 +641,32 @@ mod tests {
         let mut detector = EmergingAlertDetector::new(EmergingConfig::default());
         let reports = detector.run(&[]);
         assert!(reports.is_empty());
-        assert!(detector.is_fitted());
     }
 
+    /// A stream whose every title and service tokenizes to nothing
+    /// (numbers are dropped) still gets one report per wall-clock
+    /// bucket, and nothing in it is emerging.
     #[test]
-    #[should_panic(expected = "fit must be called")]
-    fn process_without_fit_panics() {
+    fn stream_without_words_reports_every_window_quietly() {
+        let alerts: Vec<Alert> = (0..6u64)
+            .map(|i| {
+                Alert::builder(AlertId(i), StrategyId(i % 2))
+                    .title("42 7")
+                    .service("--")
+                    .raised_at(SimTime::from_secs(i / 2 * 3_600 + i % 2 * 600))
+                    .build()
+            })
+            .collect();
         let mut detector = EmergingAlertDetector::new(EmergingConfig::default());
-        let _ = detector.process_window(&[]);
+        let reports = detector.run(&alerts);
+        assert_eq!(reports.len(), 3, "one report per wall-clock hour");
+        for (i, r) in reports.iter().enumerate() {
+            assert_eq!(r.window_index, i);
+            assert_eq!(r.window_start, SimTime::from_secs(i as u64 * 3_600));
+            assert_eq!(r.alert_count, 2);
+            assert_eq!(r.emerging_topics, 0);
+            assert!(r.emerging_alerts.is_empty());
+        }
     }
 
     #[test]
@@ -741,9 +709,10 @@ mod tests {
         assert!(silent.emerging_alerts.is_empty());
     }
 
-    /// Regression (refit bug): `fit` used to keep the previous corpus's
-    /// vocabulary, so a reused detector silently grew its vocabulary
-    /// and diverged from a fresh one. Refit now equals fresh.
+    /// Regression (refit bug): a reused detector's `run` used to keep
+    /// the previous corpus's vocabulary, so it silently grew its
+    /// vocabulary and diverged from a fresh one. A rerun now equals a
+    /// fresh run.
     #[test]
     fn refit_matches_fresh_detector() {
         let first_corpus = stream();
@@ -774,9 +743,9 @@ mod tests {
         );
     }
 
-    /// The streaming API needs no fit: the vocabulary is interned
-    /// online and the model widens as new words arrive, yet a genuinely
-    /// novel window is still flagged.
+    /// The streaming API needs no vocabulary pass: the vocabulary is
+    /// interned online and the model widens as new words arrive, yet a
+    /// genuinely novel window is still flagged.
     #[test]
     fn observe_window_is_fit_free() {
         let alerts = stream();
@@ -856,6 +825,28 @@ mod tests {
         let words =
             |v: &Vocabulary| -> Vec<String> { v.iter().map(|(_, w)| w.to_owned()).collect() };
         assert_eq!(words(&vocab), words(detector.vocabulary()));
+    }
+
+    /// Discarding a pass puts the model back as it was: dropped when
+    /// the pass made it, cut back to its old width when it widened it.
+    #[test]
+    fn a_discarded_pass_restores_the_model() {
+        let width = |d: &EmergingAlertDetector| d.aolda.as_ref().map(|a| a.config().lda.vocab_size);
+        let first = mixed_window();
+        let novel = [doc(9, "certificate rotation deadlock", "Security")];
+        let mut detector = EmergingAlertDetector::new(EmergingConfig::default());
+        for window in [&first[..], &novel[..]] {
+            let before = width(&detector);
+            let pass = detector.prepare_docs(&window.iter().collect::<Vec<_>>());
+            assert_ne!(
+                width(&detector),
+                before,
+                "the pass made or widened the model"
+            );
+            detector.discard(pass);
+            assert_eq!(width(&detector), before);
+            detector.observe_docs(&first);
+        }
     }
 
     /// An unengaged budget expands the window to one bag per document
@@ -979,8 +970,8 @@ mod tests {
         assert_eq!(a.run(&alerts), b.run(&alerts));
     }
 
-    /// A streaming detector seeded with the offline fit's vocabulary
-    /// reproduces the offline run byte-for-byte, gaps included.
+    /// A streaming detector seeded with the vocabulary an offline run
+    /// ended with reproduces that run byte-for-byte, gaps included.
     #[test]
     fn streaming_with_preagreed_vocabulary_matches_offline_run() {
         let mut alerts = stream();
@@ -991,10 +982,8 @@ mod tests {
         let mut offline = EmergingAlertDetector::new(config.clone());
         let offline_reports = offline.run(&alerts);
 
-        let mut fitted = EmergingAlertDetector::new(config.clone());
-        fitted.fit(&alerts);
         let mut streaming =
-            EmergingAlertDetector::with_vocabulary(config, fitted.vocabulary().clone());
+            EmergingAlertDetector::with_vocabulary(config, offline.vocabulary().clone());
         let streaming_reports: Vec<EmergingReport> = (0..4u64)
             .map(|hour| {
                 let bucket: Vec<&Alert> = alerts

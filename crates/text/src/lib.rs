@@ -9,8 +9,8 @@
 //!   handleability criterion and the guideline linter score how
 //!   informative a title is with one stateless function,
 //!   [`title_report`] ([`lexicon`]);
-//! * **alert aggregation (R2)** and **repeating-alert detection (A5)**
-//!   group alerts by title template ([`template`]);
+//! * **alert aggregation (R2)** groups alerts by title template
+//!   ([`template`]);
 //! * **emerging alert detection (R4)** feeds bag-of-words documents into
 //!   an online LDA ([`Tokenizer`], [`Vocabulary`]).
 //!
@@ -47,4 +47,4 @@ pub use hash::{FxBuildHasher, FxHasher};
 pub use lexicon::{title_report, InformativenessReport};
 pub use template::extract_template;
 pub use token::Tokenizer;
-pub use vocab::{BagOfWords, OovPolicy, Vocabulary};
+pub use vocab::{BagOfWords, Vocabulary};

@@ -10,29 +10,14 @@ use crate::hash::FxBuildHasher;
 /// word id, with strictly positive counts and no duplicate ids.
 pub type BagOfWords = Vec<(usize, u32)>;
 
-/// What to do with a token the vocabulary has never seen.
-///
-/// Offline pipelines freeze the vocabulary after a corpus-wide fit and
-/// [`Drop`](OovPolicy::Drop) anything outside it; streaming pipelines
-/// have no corpus to fit on, so they [`Intern`](OovPolicy::Intern)
-/// unseen words as they arrive. Interning only ever *appends* ids
-/// (first-seen order, dense), so every id handed out earlier stays
-/// valid — the stable-id growth path online topic models rely on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum OovPolicy {
-    /// Silently drop out-of-vocabulary tokens (frozen vocabulary).
-    #[default]
-    Drop,
-    /// Intern out-of-vocabulary tokens, growing the vocabulary in
-    /// place with stable ids (online vocabulary).
-    Intern,
-}
-
-/// A bidirectional word ↔ id mapping shared by TF-IDF and LDA.
+/// A bidirectional word ↔ id mapping: R4's topic model reads alert text
+/// through it.
 ///
 /// Ids are assigned densely in first-seen order, so a vocabulary built
 /// from the same token stream is always identical — a requirement for
-/// reproducible topic models.
+/// reproducible topic models. Interning only ever *appends* ids, so
+/// every id handed out earlier stays valid: the stable-id growth an
+/// online topic model relies on when unseen words arrive mid-stream.
 ///
 /// # Example
 ///
@@ -110,59 +95,22 @@ impl Vocabulary {
         doc
     }
 
-    /// Encodes `tokens` against the *frozen* vocabulary: unseen words are
-    /// silently dropped. Use for inference against a trained model.
-    #[must_use]
-    pub fn encode_frozen<S: AsRef<str>>(&self, tokens: &[S]) -> BagOfWords {
-        let mut counts: HashMap<usize, u32> = HashMap::new();
-        for token in tokens {
-            if let Some(id) = self.id(token.as_ref()) {
-                *counts.entry(id).or_insert(0) += 1;
-            }
-        }
-        let mut doc: BagOfWords = counts.into_iter().collect();
-        doc.sort_unstable_by_key(|&(id, _)| id);
-        doc
-    }
-
-    /// Encodes `tokens` under an explicit out-of-vocabulary policy:
-    /// [`OovPolicy::Drop`] behaves like [`encode_frozen`](Self::encode_frozen),
-    /// [`OovPolicy::Intern`] like [`encode_and_update`](Self::encode_and_update).
-    pub fn encode(&mut self, tokens: &[impl AsRef<str>], oov: OovPolicy) -> BagOfWords {
-        match oov {
-            OovPolicy::Drop => self.encode_frozen(tokens),
-            OovPolicy::Intern => self.encode_and_update(tokens),
-        }
-    }
-
-    /// Counts one token into an under-construction document, the
-    /// streaming counterpart of [`encode`](Self::encode): calling this
-    /// for each token of a document and then sorting `doc` by id (e.g.
+    /// Counts one token into an under-construction document, interning
+    /// it if unseen: the streaming counterpart of
+    /// [`encode_and_update`](Self::encode_and_update). Calling this for
+    /// each token of a document and then sorting `doc` by id (e.g.
     /// `doc.sort_unstable_by_key(|&(id, _)| id)`) produces a bag of
-    /// words byte-identical to the batch encoders — same interning
+    /// words byte-identical to the batch encoder — same interning
     /// order, same counts — without materializing a `Vec<String>` of
     /// tokens or a per-document counting map. Documents here are alert
     /// titles (a handful of distinct words), so the linear scan beats a
     /// hash map on both allocation and lookup cost.
-    pub fn count_token(&mut self, token: &str, oov: OovPolicy, doc: &mut BagOfWords) {
-        let id = match oov {
-            OovPolicy::Intern => self.intern(token),
-            OovPolicy::Drop => match self.id(token) {
-                Some(id) => id,
-                None => return,
-            },
-        };
+    pub fn count_token(&mut self, token: &str, doc: &mut BagOfWords) {
+        let id = self.intern(token);
         match doc.iter_mut().find(|entry| entry.0 == id) {
             Some(entry) => entry.1 += 1,
             None => doc.push((id, 1)),
         }
-    }
-
-    /// Clears every word, returning the vocabulary to its freshly
-    /// constructed state. Previously issued ids become meaningless.
-    pub fn clear(&mut self) {
-        self.word_to_id.clear();
-        self.id_to_word.clear();
     }
 
     /// Forgets every word with an id of `len` or more, returning the
@@ -228,14 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_frozen_drops_unknown() {
-        let mut v = Vocabulary::new();
-        v.encode_and_update(&["disk", "full"]);
-        let doc = v.encode_frozen(&["disk", "new_word", "disk"]);
-        assert_eq!(doc, vec![(v.id("disk").unwrap(), 2)]);
-    }
-
-    #[test]
     fn empty_inputs() {
         let mut v = Vocabulary::new();
         let doc = v.encode_and_update::<&str>(&[]);
@@ -251,21 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn encode_policy_dispatches() {
-        let mut v: Vocabulary = ["disk"].into_iter().collect();
-        let dropped = v.encode(&["disk", "quota"], OovPolicy::Drop);
-        assert_eq!(dropped, vec![(0, 1)]);
-        assert_eq!(v.len(), 1, "Drop must not grow the vocabulary");
-        let interned = v.encode(&["disk", "quota"], OovPolicy::Intern);
-        assert_eq!(interned, vec![(0, 1), (1, 1)]);
-        assert_eq!(v.id("quota"), Some(1));
-    }
-
-    #[test]
     fn interning_only_appends_ids() {
         let mut v: Vocabulary = ["a", "b"].into_iter().collect();
         let before: Vec<usize> = ["a", "b"].iter().filter_map(|w| v.id(w)).collect();
-        v.encode(&["c", "a", "d"], OovPolicy::Intern);
+        v.encode_and_update(&["c", "a", "d"]);
         let after: Vec<usize> = ["a", "b"].iter().filter_map(|w| v.id(w)).collect();
         assert_eq!(before, after, "existing ids must survive growth");
         assert_eq!(v.id("c"), Some(2));
@@ -280,20 +209,18 @@ mod tests {
             &[],
             &["quota", "disk", "quota", "new"],
         ];
-        for oov in [OovPolicy::Intern, OovPolicy::Drop] {
-            let mut batch_vocab: Vocabulary = ["disk", "full"].into_iter().collect();
-            let mut stream_vocab = batch_vocab.clone();
-            for tokens in docs {
-                let expected = batch_vocab.encode(tokens, oov);
-                let mut doc = BagOfWords::new();
-                for token in *tokens {
-                    stream_vocab.count_token(token, oov, &mut doc);
-                }
-                doc.sort_unstable_by_key(|&(id, _)| id);
-                assert_eq!(doc, expected, "oov {oov:?}, tokens {tokens:?}");
+        let mut batch_vocab: Vocabulary = ["disk", "full"].into_iter().collect();
+        let mut stream_vocab = batch_vocab.clone();
+        for tokens in docs {
+            let expected = batch_vocab.encode_and_update(tokens);
+            let mut doc = BagOfWords::new();
+            for token in *tokens {
+                stream_vocab.count_token(token, &mut doc);
             }
-            assert_eq!(stream_vocab.len(), batch_vocab.len());
+            doc.sort_unstable_by_key(|&(id, _)| id);
+            assert_eq!(doc, expected, "tokens {tokens:?}");
         }
+        assert_eq!(stream_vocab.len(), batch_vocab.len());
     }
 
     #[test]
@@ -306,15 +233,5 @@ mod tests {
         assert_eq!(v.intern("e"), 2);
         v.truncate(9);
         assert_eq!(v.len(), 3, "truncating past the end changes nothing");
-    }
-
-    #[test]
-    fn clear_resets_to_empty() {
-        let mut v: Vocabulary = ["a", "b"].into_iter().collect();
-        v.clear();
-        assert!(v.is_empty());
-        assert_eq!(v.id("a"), None);
-        // Ids restart from zero after a clear.
-        assert_eq!(v.intern("z"), 0);
     }
 }

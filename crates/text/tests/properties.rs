@@ -76,7 +76,10 @@ proptest! {
         for w in doc.windows(2) {
             prop_assert!(w[0].0 < w[1].0);
         }
-        // Frozen re-encoding of the same tokens matches.
-        prop_assert_eq!(vocab.encode_frozen(&tokens), doc);
+        // Re-encoding known tokens gives the same bag and interns
+        // nothing.
+        let len = vocab.len();
+        prop_assert_eq!(vocab.encode_and_update(&tokens), doc);
+        prop_assert_eq!(vocab.len(), len);
     }
 }

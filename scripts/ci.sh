@@ -178,11 +178,13 @@ fi
 # MergePoint::close itself: no closer type beside it, no pass handle,
 # and no QoA start, restore or merge-timer step of its own. The
 # engine holds A1 as a bit in its flag table like A2-A5: no rendered A1
-# list beside it and no diff of its own.
+# list beside it and no diff of its own. R4 has one driver, the online
+# one, which the offline run calls: no fitted, frozen vocabulary and no
+# out-of-vocabulary policy beside it.
 # Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer|a1_cache|flip_a1' \
+if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer|a1_cache|flip_a1|OovPolicy|encode_frozen|is_fitted|fit must be called' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close, a closer beside the merge point or a rendered A1 list beside the flag table reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close, a closer beside the merge point, a rendered A1 list beside the flag table or a second, frozen-vocabulary R4 driver reappeared (see matches above)" >&2
     exit 1
 fi
 # AO-LDA runs speculatively at a merge point, over the documents the

@@ -2,8 +2,8 @@
 //!
 //! * `golden_emerging_reports` folds every field of every
 //!   `EmergingReport` the detector gives over `mini_study(2022)`, once
-//!   fit-free window by window (`observe_docs`) and once offline (`run`),
-//!   both at `EmergingConfig::default()`;
+//!   window by window (`observe_docs`) and once over the whole stream
+//!   (`run`), both at `EmergingConfig::default()`;
 //! * `golden_aolda_windows` folds the bits of every topic's novelty,
 //!   weight and distribution and of every document's mixture that
 //!   `AdaptiveOnlineLda` gives at `AoldaConfig::default()` over the same
@@ -113,7 +113,7 @@ fn golden_aolda_windows() {
         let positions: Vec<u32> = window
             .iter()
             .map(|alert| {
-                let bag = vocab.encode_frozen(&text(alert));
+                let bag = vocab.encode_and_update(&text(alert));
                 *index.entry(bag.clone()).or_insert_with(|| {
                     bags.push(bag);
                     bags.len() as u32 - 1

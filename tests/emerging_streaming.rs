@@ -1,8 +1,8 @@
 //! Differential tests for the streaming emerging-alert (R4) channel:
-//! the fit-free streaming path against the fixed offline run, the
-//! 1-shard-equals-N-shards guarantee under the ingestd coordinator
-//! merge, and byte-identical emerging output with metrics on and off —
-//! including under an injected worker crash.
+//! the streaming path against the offline run, the
+//! 1-shard-equals-N-shards guarantee under the ingestd merge point, and
+//! byte-identical emerging output with metrics on and off — including
+//! under an injected worker crash.
 
 use std::io::Read;
 use std::net::TcpStream;
@@ -137,10 +137,10 @@ fn shard_governor(strategies: &[AlertStrategy], shards: usize, shard: usize) -> 
 }
 
 /// The streaming path reproduces the fixed offline run byte-for-byte
-/// once both agree on the vocabulary: a fit-free detector seeded with
-/// the offline fit's vocabulary, fed the same wall-clock windows (gap
-/// included) as id-sorted document batches — the exact form the ingestd
-/// coordinator feeds it — emits the same reports as
+/// once both agree on the vocabulary: a detector seeded with the
+/// vocabulary the offline run ended with, fed the same wall-clock
+/// windows (gap included) as id-sorted document batches — the exact
+/// form the ingestd merge point feeds it — emits the same reports as
 /// [`EmergingAlertDetector::run`] over the whole stream.
 #[test]
 fn streaming_with_preagreed_vocab_reproduces_the_offline_run() {
@@ -151,10 +151,8 @@ fn streaming_with_preagreed_vocab_reproduces_the_offline_run() {
     let offline_reports = offline.run(&trace);
     assert_eq!(offline_reports.len(), 5, "one report per wall-clock hour");
 
-    let mut fitted = EmergingAlertDetector::new(emerging_config());
-    fitted.fit(&trace);
     let mut streaming =
-        EmergingAlertDetector::with_vocabulary(emerging_config(), fitted.vocabulary().clone());
+        EmergingAlertDetector::with_vocabulary(emerging_config(), offline.vocabulary().clone());
     let streaming_reports: Vec<EmergingReport> = chunks
         .iter()
         .map(|chunk| {
