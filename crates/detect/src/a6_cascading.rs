@@ -11,16 +11,20 @@
 //! The detector replays exactly the inference an experienced OCE makes:
 //! alert *b* is **derived from** alert *a* when (1) *b* occurred within a
 //! time window after *a*, and (2) *b*'s microservice transitively
-//! depends on *a*'s. Derivation edges are grouped into connected
+//! depends on *a*'s — the one relation R3's topology link also reads,
+//! [`Closures::derives`]. Derivation edges are grouped into connected
 //! components; components spanning at least [`MIN_GROUP`] alerts and two
 //! microservices are reported as cascades, rooted at their earliest
 //! bottom-most alert.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-use alertops_model::{AlertId, DependencyGraph, MicroserviceId, SimDuration, SimTime, TimeRange};
+use alertops_model::{
+    AlertId, Closures, DependencyGraph, MicroserviceId, SimDuration, SimTime, TimeRange,
+    DERIVATION_WINDOW,
+};
 
 use crate::input::DetectionInput;
 
@@ -69,14 +73,14 @@ const MIN_GROUP: usize = 3;
 #[derive(Debug, Clone)]
 pub struct CascadingDetector {
     /// Maximum delay between a cause alert and a derived alert. The
-    /// incremental engine uses the default, 10 minutes.
+    /// incremental engine uses the default, [`DERIVATION_WINDOW`].
     pub window: SimDuration,
 }
 
 impl Default for CascadingDetector {
     fn default() -> Self {
         Self {
-            window: SimDuration::from_mins(10),
+            window: DERIVATION_WINDOW,
         }
     }
 }
@@ -117,9 +121,8 @@ impl CascadingDetector {
 /// and the derivation edges among them.
 ///
 /// The edge set is a *pure function of the alive alert set* — an edge
-/// `a — b` exists iff the two alerts are within the detector window,
-/// sit on different microservices, and the later one's microservice
-/// transitively depends on the earlier one's. Because no edge depends
+/// `a — b` exists iff the later alert [derives](Closures::derives) from
+/// the earlier one within the detector window. Because no edge depends
 /// on arrival order, [`insert`](Self::insert) and
 /// [`remove`](Self::remove) are exact: any interleaving of inserts and
 /// removes that leaves the same alive set leaves the same state.
@@ -135,7 +138,7 @@ pub(crate) struct CascadeState {
     adj: BTreeMap<(SimTime, AlertId), BTreeSet<(SimTime, AlertId)>>,
     /// Memoized dependency closures (cache only — excluded from
     /// equality).
-    closures: HashMap<MicroserviceId, BTreeSet<MicroserviceId>>,
+    closures: Closures,
 }
 
 impl PartialEq for CascadeState {
@@ -145,14 +148,6 @@ impl PartialEq for CascadeState {
 }
 
 impl CascadeState {
-    /// Whether microservice `a` transitively depends on (calls) `b`.
-    fn depends(&mut self, a: MicroserviceId, b: MicroserviceId, graph: &DependencyGraph) -> bool {
-        self.closures
-            .entry(a)
-            .or_insert_with(|| graph.dependency_closure(a))
-            .contains(&b)
-    }
-
     /// Adds one alive alert, discovering derivation edges against the
     /// alerts already alive within `window` of it (`O(w)` per insert).
     pub(crate) fn insert(
@@ -168,23 +163,19 @@ impl CascadeState {
             .checked_sub(window)
             .unwrap_or_else(|| SimTime::from_secs(0));
         let hi = raised_at.saturating_add(window);
-        let neighbours: Vec<((SimTime, AlertId), MicroserviceId)> = self
-            .alive
-            .range((lo, AlertId(0))..=(hi, AlertId(u64::MAX)))
-            .map(|(&k, &m)| (k, m))
-            .collect();
-        for (other, other_ms) in neighbours {
-            if other == key || other_ms == ms {
-                continue; // same box: repeating, not cascading
+        let neighbours = self.alive.range((lo, AlertId(0))..=(hi, AlertId(u64::MAX)));
+        for (&other, &other_ms) in neighbours {
+            if other == key {
+                continue;
             }
-            // Later derived from earlier: the later alert's microservice
-            // calls the earlier one's (failure flows callee → caller).
-            let (later_ms, earlier_ms) = if other < key {
-                (ms, other_ms)
+            // Key order decides which of two same-second alerts is the
+            // earlier one.
+            let (earlier, later) = if other < key {
+                ((other.0, other_ms), (raised_at, ms))
             } else {
-                (other_ms, ms)
+                ((raised_at, ms), (other.0, other_ms))
             };
-            if self.depends(later_ms, earlier_ms, graph) {
+            if self.closures.derives(graph, earlier, later, window) {
                 self.adj.entry(key).or_default().insert(other);
                 self.adj.entry(other).or_default().insert(key);
             }
@@ -217,17 +208,19 @@ impl CascadeState {
     pub(crate) fn groups(&mut self, graph: &DependencyGraph) -> Vec<CascadeGroup> {
         let mut visited: BTreeSet<(SimTime, AlertId)> = BTreeSet::new();
         let mut groups = Vec::new();
-        let nodes: Vec<(SimTime, AlertId)> = self.adj.keys().copied().collect();
-        for start in nodes {
+        for &start in self.adj.keys() {
             if visited.contains(&start) {
                 continue;
             }
-            // BFS over the component.
+            // BFS over the component. `start` is the least node not yet
+            // visited, so it is the component's first member.
             let mut members: BTreeSet<(SimTime, AlertId)> = BTreeSet::new();
-            let mut queue = std::collections::VecDeque::from([start]);
+            let mut last = start;
+            let mut queue = VecDeque::from([start]);
             visited.insert(start);
             while let Some(node) = queue.pop_front() {
                 members.insert(node);
+                last = last.max(node);
                 if let Some(neighbours) = self.adj.get(&node) {
                     for &n in neighbours {
                         if visited.insert(n) {
@@ -246,28 +239,22 @@ impl CascadeState {
             }
             // Root: the earliest alert on a microservice that no other
             // group member's microservice is below — i.e. the bottom of
-            // the dependency chain within the group.
+            // the dependency chain within the group — else the first.
             let member_ms: Vec<MicroserviceId> = members.iter().filter_map(ms_of).collect();
-            let mut root = None;
-            for &k in &members {
-                let Some(ms) = self.alive.get(&k).copied() else {
-                    continue;
-                };
-                if !member_ms
-                    .iter()
-                    .any(|&other| self.depends(ms, other, graph))
-                {
-                    root = Some(k);
-                    break;
-                }
-            }
-            let root = root.unwrap_or_else(|| *members.first().expect("nonempty component"));
-            let first = members.first().expect("nonempty").0;
-            let last = members.last().expect("nonempty").0;
+            let root = members
+                .iter()
+                .find(|&k| {
+                    ms_of(k).is_some_and(|ms| {
+                        !member_ms
+                            .iter()
+                            .any(|&other| self.closures.depends(graph, ms, other))
+                    })
+                })
+                .map_or(start.1, |&(_, id)| id);
             groups.push(CascadeGroup {
-                root: root.1,
+                root,
                 members: members.iter().map(|&(_, id)| id).collect(),
-                window: TimeRange::new(first, last.saturating_add(SimDuration::from_secs(1))),
+                window: TimeRange::new(start.0, last.0.saturating_add(SimDuration::from_secs(1))),
             });
         }
         groups.sort_by_key(|g| g.window.start());

@@ -125,7 +125,7 @@ use std::sync::Arc;
 
 use alertops_model::{
     indicates_incident, Alert, AlertId, AlertStrategy, Clearance, DependencyGraph, Incident,
-    IndexedCatalog, MicroserviceId, RegionId, ServiceId, SimTime, StrategyId,
+    IndexedCatalog, MicroserviceId, RegionId, ServiceId, SimTime, StrategyId, DERIVATION_WINDOW,
 };
 
 use crate::a2_severity::SeverityEvidence;
@@ -135,8 +135,8 @@ use crate::metrics::DetectMetrics;
 use crate::report::AntiPatternReport;
 use crate::types::{AntiPattern, StrategyFinding};
 use crate::{
-    CascadingDetector, ImproperRuleDetector, MisleadingSeverityDetector, RepeatingDetector,
-    TransientTogglingDetector, UnclearTitleDetector,
+    ImproperRuleDetector, MisleadingSeverityDetector, RepeatingDetector, TransientTogglingDetector,
+    UnclearTitleDetector,
 };
 
 /// One strategy's run of a [`WindowDigest`]: its raise times are
@@ -755,9 +755,8 @@ impl IncrementalState {
             *self.histogram.entry((region.clone(), *hour)).or_insert(0) += count;
         }
         if let Some(graph) = graph {
-            let window = CascadingDetector::default().window;
             for &(t, id, ms) in &digest.cascade {
-                self.cascade.insert(t, id, ms, window, graph);
+                self.cascade.insert(t, id, ms, DERIVATION_WINDOW, graph);
             }
         }
     }

@@ -1,4 +1,5 @@
-//! A plain dependency graph between microservices.
+//! A plain dependency graph between microservices, and the one
+//! derivation relation read off it.
 //!
 //! Anti-pattern detection (cascading alerts, A6) and alert correlation
 //! (R3) both need to ask "does microservice *a* depend on *b*?" without
@@ -6,12 +7,23 @@
 //! service-mesh export, or hand-written rules. [`DependencyGraph`] is the
 //! neutral data type they share: a set of directed `caller → callee`
 //! edges with closure queries.
+//!
+//! Both also ask the same question of two alerts: is the later one
+//! derived from the earlier one? A6 links such alerts into cascades
+//! ("the cascading effect of one single failure", §III-A2) and R3
+//! associates them with their source ("the topology of cloud services",
+//! §III-C). [`Closures::derives`] is that one predicate, over one
+//! window, [`DERIVATION_WINDOW`].
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-use crate::MicroserviceId;
+use crate::{MicroserviceId, SimDuration, SimTime};
+
+/// How long after an alert another can still be derived from it: the
+/// default window of A6's cascade edge and R3's topology link.
+pub const DERIVATION_WINDOW: SimDuration = SimDuration::from_mins(10);
 
 /// A directed dependency graph: an edge `a → b` means "`a` calls `b`"
 /// (so a failure of `b` can cascade *up* to `a`).
@@ -106,7 +118,7 @@ impl DependencyGraph {
     }
 
     /// Everything `caller` transitively depends on (downstream closure),
-    /// excluding `caller` itself. Detectors precompute this per
+    /// excluding `caller` itself. [`Closures`] memoizes it per
     /// microservice to answer bulk `depends_transitively` queries in
     /// O(log n) instead of a BFS per pair.
     #[must_use]
@@ -141,13 +153,6 @@ impl DependencyGraph {
             }
         }
         out
-    }
-
-    /// Whether two microservices are dependency-related in either
-    /// direction (one transitively calls the other).
-    #[must_use]
-    pub fn related(&self, a: MicroserviceId, b: MicroserviceId) -> bool {
-        self.depends_transitively(a, b) || self.depends_transitively(b, a)
     }
 
     /// Total number of edges.
@@ -185,6 +190,50 @@ impl Extend<(MicroserviceId, MicroserviceId)> for DependencyGraph {
         for (caller, callee) in iter {
             self.add_edge(caller, callee);
         }
+    }
+}
+
+/// Memoized dependency closures of one graph, and the derivation
+/// relation they answer. The memo is a cache: it holds each queried
+/// microservice's [`dependency_closure`](DependencyGraph::dependency_closure)
+/// and must only be asked about the graph it was filled from.
+#[derive(Debug, Clone, Default)]
+pub struct Closures {
+    memo: HashMap<MicroserviceId, BTreeSet<MicroserviceId>>,
+}
+
+impl Closures {
+    /// Whether `caller` transitively depends on `callee` in `graph`.
+    #[must_use]
+    pub fn depends(
+        &mut self,
+        graph: &DependencyGraph,
+        caller: MicroserviceId,
+        callee: MicroserviceId,
+    ) -> bool {
+        self.memo
+            .entry(caller)
+            .or_insert_with(|| graph.dependency_closure(caller))
+            .contains(&callee)
+    }
+
+    /// Whether an alert raised at `later.0` on microservice `later.1` is
+    /// derived from one raised at `earlier.0` on `earlier.1`: it follows
+    /// within `window` (inclusive), sits on a different microservice, and
+    /// its microservice transitively calls the earlier one's — a failure
+    /// flows from callee up to caller.
+    #[must_use]
+    pub fn derives(
+        &mut self,
+        graph: &DependencyGraph,
+        earlier: (SimTime, MicroserviceId),
+        later: (SimTime, MicroserviceId),
+        window: SimDuration,
+    ) -> bool {
+        later.0 >= earlier.0
+            && later.0.duration_since(earlier.0) <= window
+            && later.1 != earlier.1
+            && self.depends(graph, later.1, earlier.1)
     }
 }
 
@@ -257,14 +306,6 @@ mod tests {
         let affected = g.affected_by(ms(1));
         assert_eq!(affected, [ms(2), ms(3), ms(4)].into_iter().collect());
         assert!(g.affected_by(ms(3)).is_empty());
-    }
-
-    #[test]
-    fn related_is_symmetric() {
-        let g = chain();
-        assert!(g.related(ms(3), ms(1)));
-        assert!(g.related(ms(1), ms(3)));
-        assert!(!g.related(ms(3), ms(4)));
     }
 
     #[test]

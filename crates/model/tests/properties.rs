@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use alertops_model::{
-    Alert, AlertId, Clearance, DependencyGraph, MicroserviceId, Severity, SimDuration, SimTime,
-    StrategyId, TimeRange,
+    Alert, AlertId, Clearance, Closures, DependencyGraph, MicroserviceId, Severity, SimDuration,
+    SimTime, StrategyId, TimeRange,
 };
 
 proptest! {
@@ -103,6 +103,9 @@ proptest! {
     #[test]
     fn graph_closure_consistent_with_pairwise(
         edges in prop::collection::vec((0u64..12, 0u64..12), 0..40),
+        shuffle in prop::collection::vec(0u64..u64::MAX, 144),
+        raised in prop::collection::vec(0u64..1_500, 12),
+        window in 0u64..900,
     ) {
         let graph: DependencyGraph = edges
             .into_iter()
@@ -117,6 +120,42 @@ proptest! {
                     "closure/pairwise mismatch for {} -> {}", a, b
                 );
             }
+        }
+        // One memo, reused across every query in shuffled order: a
+        // closure cached for one microservice never answers for another.
+        let mut order: Vec<u64> = (0..144).collect();
+        order.sort_by_key(|&pair| shuffle[pair as usize]);
+        let mut closures = Closures::default();
+        for &pair in &order {
+            let (a, b) = (MicroserviceId(pair / 12), MicroserviceId(pair % 12));
+            prop_assert_eq!(
+                closures.depends(&graph, a, b),
+                graph.depends_transitively(a, b),
+                "memo/pairwise mismatch for {:?} -> {:?}", a, b
+            );
+        }
+        // `derives` is its definition: the later alert follows within the
+        // window (inclusive), on a different microservice that calls the
+        // earlier one's.
+        let window = SimDuration::from_secs(window);
+        for &pair in &order {
+            let (e, l) = ((pair / 12) as usize, (pair % 12) as usize);
+            let (te, tl) = (raised[e], raised[l]);
+            let (me, ml) = (MicroserviceId(e as u64), MicroserviceId(l as u64));
+            let expected = tl >= te
+                && tl - te <= window.as_secs()
+                && me != ml
+                && graph.depends_transitively(ml, me);
+            prop_assert_eq!(
+                closures.derives(
+                    &graph,
+                    (SimTime::from_secs(te), me),
+                    (SimTime::from_secs(tl), ml),
+                    window,
+                ),
+                expected,
+                "derives mismatch for {:?}@{} -> {:?}@{}", me, te, ml, tl
+            );
         }
     }
 

@@ -6,16 +6,16 @@
 //! source alerts only. Another exogenous information is the topology of
 //! cloud services" (§III-C). Both sources are supported: explicit
 //! [`StrategyDependencies`] rules ("strategy A triggers strategy B") and
-//! the microservice [`DependencyGraph`].
+//! the microservice [`DependencyGraph`]. The topology link is the one
+//! derivation relation A6's cascade edge also reads,
+//! [`Closures::derives`], over its one window, [`DERIVATION_WINDOW`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-use alertops_model::MicroserviceId;
 
 use serde::{Deserialize, Serialize};
 
-use alertops_model::{Alert, AlertId, DependencyGraph, SimDuration, StrategyId};
+use alertops_model::{Alert, AlertId, Closures, DependencyGraph, StrategyId, DERIVATION_WINDOW};
 
 /// Manually configured dependencies between alert strategies: an edge
 /// `source → derived` means "an alert of `source` can trigger an alert
@@ -98,31 +98,20 @@ impl CorrelatedCluster {
     }
 }
 
-/// The correlation engine.
+/// The correlation engine. It associates an alert with an earlier one
+/// at most [`DERIVATION_WINDOW`] before it.
 #[derive(Debug, Clone, Default)]
 pub struct AlertCorrelator {
     strategy_deps: StrategyDependencies,
     topology: Option<Arc<DependencyGraph>>,
-    window: SimDuration,
 }
 
 impl AlertCorrelator {
-    /// Creates a correlator with a 10-minute association window and no
-    /// exogenous knowledge (every alert becomes its own cluster).
+    /// Creates a correlator with no exogenous knowledge (every alert
+    /// becomes its own cluster).
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            strategy_deps: StrategyDependencies::new(),
-            topology: None,
-            window: SimDuration::from_mins(10),
-        }
-    }
-
-    /// Sets the association window.
-    #[must_use]
-    pub fn with_window(mut self, window: SimDuration) -> Self {
-        self.window = window;
-        self
+        Self::default()
     }
 
     /// Attaches strategy-dependency rules.
@@ -141,37 +130,22 @@ impl AlertCorrelator {
     }
 
     /// Whether alert `derived` can be attributed to alert `source`.
-    fn is_derived_from(
-        &self,
-        source: &Alert,
-        derived: &Alert,
-        closures: &mut HashMap<MicroserviceId, BTreeSet<MicroserviceId>>,
-    ) -> bool {
+    fn is_derived_from(&self, source: &Alert, derived: &Alert, closures: &mut Closures) -> bool {
         if derived.raised_at() < source.raised_at()
-            || derived.raised_at().duration_since(source.raised_at()) > self.window
+            || derived.raised_at().duration_since(source.raised_at()) > DERIVATION_WINDOW
         {
             return false;
         }
-        if self
-            .strategy_deps
+        self.strategy_deps
             .is_trigger(source.strategy(), derived.strategy())
-        {
-            return true;
-        }
-        if let Some(graph) = &self.topology {
-            // A failure in source's microservice propagates up to its
-            // callers: derived's microservice must (transitively) call
-            // source's. Closures are cached per microservice.
-            if derived.microservice() != source.microservice()
-                && closures
-                    .entry(derived.microservice())
-                    .or_insert_with(|| graph.dependency_closure(derived.microservice()))
-                    .contains(&source.microservice())
-            {
-                return true;
-            }
-        }
-        false
+            || self.topology.as_deref().is_some_and(|graph| {
+                closures.derives(
+                    graph,
+                    (source.raised_at(), source.microservice()),
+                    (derived.raised_at(), derived.microservice()),
+                    DERIVATION_WINDOW,
+                )
+            })
     }
 
     /// Correlates a time-sorted alert stream into clusters. Every alert
@@ -186,13 +160,13 @@ impl AlertCorrelator {
         let n = alerts.len();
         // source_of[i] = index of the cluster source alert i belongs to.
         let mut source_of: Vec<usize> = (0..n).collect();
-        let mut closures: HashMap<MicroserviceId, BTreeSet<MicroserviceId>> = HashMap::new();
+        let mut closures = Closures::default();
         let mut lo = 0usize;
         for hi in 0..n {
             while alerts[hi]
                 .raised_at()
                 .duration_since(alerts[lo].raised_at())
-                > self.window
+                > DERIVATION_WINDOW
             {
                 lo += 1;
             }
@@ -276,14 +250,35 @@ mod tests {
     }
 
     #[test]
+    fn default_correlator_uses_the_derivation_window() {
+        let graph: DependencyGraph = [
+            (MicroserviceId(2), MicroserviceId(1)),
+            (MicroserviceId(3), MicroserviceId(1)),
+        ]
+        .into_iter()
+        .collect();
+        // Table II, 120 s apart: `default()` and `new()` agree.
+        let alerts = vec![
+            alert(0, 10, 1, 0),
+            alert(1, 20, 2, 120),
+            alert(2, 21, 3, 120),
+        ];
+        let clusters = AlertCorrelator::default()
+            .with_topology(graph)
+            .correlate(&alerts);
+        assert_eq!(clusters.len(), 1);
+        assert_eq!(clusters[0].derived, vec![AlertId(1), AlertId(2)]);
+    }
+
+    #[test]
     fn window_limits_attribution() {
         let deps: StrategyDependencies = [(StrategyId(1), StrategyId(2))].into_iter().collect();
-        let correlator = AlertCorrelator::new()
-            .with_strategy_dependencies(deps)
-            .with_window(SimDuration::from_mins(5));
-        let alerts = vec![alert(0, 1, 1, 0), alert(1, 2, 2, 600)]; // 10 min later
-        let clusters = correlator.correlate(&alerts);
-        assert_eq!(clusters.len(), 2);
+        let correlator = AlertCorrelator::new().with_strategy_dependencies(deps);
+        let window = DERIVATION_WINDOW.as_secs();
+        let at_edge = vec![alert(0, 1, 1, 0), alert(1, 2, 2, window)];
+        assert_eq!(correlator.correlate(&at_edge).len(), 1);
+        let beyond = vec![alert(0, 1, 1, 0), alert(1, 2, 2, window + 1)];
+        assert_eq!(correlator.correlate(&beyond).len(), 2);
     }
 
     #[test]

@@ -296,6 +296,19 @@ for file in $(find crates/*/src src examples -name '*.rs'); do
         exit 1
     fi
 done
+# A6's cascade edge and R3's topology link are one derivation relation,
+# alertops_model::Closures::derives, over one closure memo: only the
+# model's graph module (which defines both) calls `dependency_closure`.
+# Scoped to the program code above each file's first test module; test
+# files may call it.
+for file in $(find crates/*/src src examples -name '*.rs'); do
+    [[ "$file" == crates/model/src/graph.rs ]] && continue
+    if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' "$file" |
+        grep -F 'dependency_closure('; then
+        echo "a dependency closure is computed outside alertops_model::Closures (see matches above)" >&2
+        exit 1
+    fi
+done
 # A shard close reads each title's score from its IndexedCatalog, which
 # scored every row once: the per-close path does not tokenize titles.
 # Scoped to the code above the file's first test module.

@@ -408,6 +408,25 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The shard configuration of `ingestd` and `cluster`, from `--emerging`,
+/// `--emerging-budget` and `--qoa`. Shards forward their documents and
+/// QoA samples and run no pass of their own: the merge point runs the one
+/// sequential AO-LDA pass and the one model update (pushing the verdicts
+/// back down), so shard and node counts cannot change output.
+fn forwarding_streaming(args: &Args) -> StreamingConfig {
+    let mut streaming = StreamingConfig::default();
+    if args.emerging {
+        streaming.emerging.mode = ChannelMode::Forward;
+        if let Some(cap) = args.emerging_budget {
+            streaming.emerging.config.budget = Some(EmergingBudget::new(cap, args.seed));
+        }
+    }
+    if args.qoa {
+        streaming.qoa.mode = ChannelMode::Forward;
+    }
+    streaming
+}
+
 /// Runs the sharded ingestion daemon until a connection sends
 /// `{"ctrl":"shutdown"}` (or the process is killed).
 ///
@@ -415,28 +434,12 @@ fn main() -> ExitCode {
 /// `DIR` through `Ingestd::spawn_with_wal`: lossless after a clean exit
 /// or a `kill -9`, QoA model included.
 fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
-    let mut streaming = StreamingConfig::default();
-    if args.emerging {
-        // Shard queues hand their documents to the merge point, which
-        // runs the one sequential AO-LDA pass, so shard count cannot
-        // change output.
-        streaming.emerging.mode = ChannelMode::Forward;
-        if let Some(cap) = args.emerging_budget {
-            streaming.emerging.config.budget = Some(EmergingBudget::new(cap, args.seed));
-        }
-    }
-    if args.qoa {
-        // Same split: shards forward QoA samples, the merge point runs
-        // the one sequential model update and pushes the verdicts back
-        // down.
-        streaming.qoa.mode = ChannelMode::Forward;
-    }
     let config = IngestdConfig {
         shards: args.shards,
         queue_capacity: args.queue,
         tick: args.tick_ms.map(Duration::from_millis),
         overflow: args.overflow,
-        streaming,
+        streaming: forwarding_streaming(args),
         listen: Some(args.listen.clone()),
         wire: args.wire,
         status: Some(args.status.clone()),
@@ -528,24 +531,11 @@ fn run_ingestd(args: &Args, out: &SimOutput) -> ExitCode {
 fn run_cluster(args: &Args, out: &SimOutput) -> ExitCode {
     use alertops::cluster::{AlertCluster, ClusterConfig};
 
-    let mut streaming = StreamingConfig::default();
-    if args.emerging {
-        streaming.emerging.mode = ChannelMode::Forward;
-        if let Some(cap) = args.emerging_budget {
-            streaming.emerging.config.budget = Some(EmergingBudget::new(cap, args.seed));
-        }
-    }
-    if args.qoa {
-        // Every node's shards forward samples and run no pass; the
-        // cluster's merge point owns the one model, and labels
-        // come from the simulator's seeded feedback oracle below.
-        streaming.qoa.mode = ChannelMode::Forward;
-    }
     let node = IngestdConfig {
         shards: args.shards,
         queue_capacity: args.queue,
         overflow: args.overflow,
-        streaming,
+        streaming: forwarding_streaming(args),
         metrics: false,
         ..IngestdConfig::default()
     };

@@ -126,3 +126,26 @@ fn govern_prints_report_and_shortlist() {
     assert!(stdout.contains("review shortlist:"));
     assert!(stdout.contains("QoA"));
 }
+
+#[test]
+fn cluster_with_emerging_and_qoa_prints_its_snapshot() {
+    let out = alertops(&[
+        "cluster",
+        "--scenario",
+        "quickstart",
+        "--nodes",
+        "2",
+        "--emerging",
+        "--qoa",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("cluster up: 2 node(s)"), "{stdout}");
+    assert!(stdout.contains("final window"), "{stdout}");
+    assert!(stdout.contains("  qoa: "), "{stdout}");
+    assert!(stdout.contains("(exact)"), "{stdout}");
+}
