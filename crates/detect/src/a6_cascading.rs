@@ -92,7 +92,7 @@ impl CascadingDetector {
     /// the time window — each alert only checks dependency edges against
     /// its time-window neighbours. Both this batch entry point and the
     /// incremental engine ([`crate::IncrementalState`]) drive the same
-    /// [`CascadeState`], so their groups agree exactly; the output is a
+    /// `CascadeState`, so their groups agree exactly; the output is a
     /// pure function of the alert *set* (ordered internally by raise
     /// time then id), independent of arrival order.
     #[must_use]

@@ -585,8 +585,8 @@ struct Stale<'a> {
     now: Flags,
 }
 
-/// The incremental detection engine. See the [module docs](self) for
-/// the design; see `StreamingGovernor` in `alertops-core` for the
+/// The incremental detection engine. See the docs of its module,
+/// `engine`, for the design; see `StreamingGovernor` in `alertops-core` for the
 /// production driver.
 ///
 /// Cloning the state clones the full rolling aggregates. Crash recovery

@@ -161,7 +161,7 @@ impl MergePoint {
     /// 3. the barrier collects one delta per shard;
     /// 4. the pass is discarded and prepared again over the delivered
     ///    documents when the barrier shows they differ (see
-    ///    [`delivered_docs`]);
+    ///    `delivered_docs`);
     /// 5. the deltas merge and the snapshot is built, under the merge
     ///    timer;
     /// 6. the pass is committed, its report embedded;

@@ -181,7 +181,7 @@ impl ShardPool {
     /// policy when the bounded queue is full. Every alert entering
     /// here counts as ingested — including ones the overflow policy
     /// then sheds — so `ingested == delivered + dropped + quarantined`
-    /// stays exact. Routing wakes no worker (see [`ShardQueue`]).
+    /// stays exact. Routing wakes no worker (see `ShardQueue`).
     pub fn route(&self, alert: Alert) {
         self.counters.ingested.inc();
         let shard = shard_of(alert.strategy(), self.queues.len());

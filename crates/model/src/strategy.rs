@@ -195,8 +195,11 @@ impl StrategyKind {
 /// Construct with [`AlertStrategy::builder`].
 ///
 /// A strategy is catalog reference data, copied into every shard and
-/// node that governs it, so its strings are interned: cloning a row is
-/// a few refcount bumps and allocates nothing.
+/// node that governs it, so a row is one shared allocation: an
+/// `AlertStrategy` is a handle on it, one pointer wide, and cloning a
+/// row is one refcount bump. The `with_*` edits copy the row on write,
+/// so an edited copy never changes the row it was cloned from. The
+/// row's strings are interned, so even that copy shares its text.
 ///
 /// # Example
 ///
@@ -224,20 +227,52 @@ impl StrategyKind {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AlertStrategy {
-    id: StrategyId,
-    title_template: IStr,
-    severity: Severity,
-    service: ServiceId,
-    microservice: MicroserviceId,
-    kind: StrategyKind,
-    cooldown: SimDuration,
-    notify: NotifyTargets,
+#[derive(Clone, PartialEq)]
+pub struct AlertStrategy(Arc<row::AlertStrategy>);
+
+mod row {
+    use serde::{Deserialize, Serialize};
+
+    use super::{NotifyTargets, StrategyKind};
+    use crate::{IStr, MicroserviceId, ServiceId, Severity, SimDuration, StrategyId};
+
+    /// The fields of one strategy row, shared by every handle on it.
+    /// Named as the public type, so the derived `Debug` prints the
+    /// same text a row printed when it was held by value.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub(super) struct AlertStrategy {
+        pub(super) id: StrategyId,
+        pub(super) title_template: IStr,
+        pub(super) severity: Severity,
+        pub(super) service: ServiceId,
+        pub(super) microservice: MicroserviceId,
+        pub(super) kind: StrategyKind,
+        pub(super) cooldown: SimDuration,
+        pub(super) notify: NotifyTargets,
+    }
 }
 
-/// A strategy's notification targets: one shared, immutable list, so a
-/// cloned row shares it. Serialized as a plain JSON array of strings.
+impl fmt::Debug for AlertStrategy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl Serialize for AlertStrategy {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for AlertStrategy {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        row::AlertStrategy::from_value(value).map(|row| AlertStrategy(Arc::new(row)))
+    }
+}
+
+/// A strategy's notification targets: one immutable list in one
+/// allocation trimmed to its length, which a row copied on write by a
+/// `with_*` edit shares. Serialized as a plain JSON array of strings.
 #[derive(Clone, PartialEq)]
 struct NotifyTargets(Arc<[IStr]>);
 
@@ -278,13 +313,13 @@ impl AlertStrategy {
     /// The strategy id.
     #[must_use]
     pub fn id(&self) -> StrategyId {
-        self.id
+        self.0.id
     }
 
     /// The free-text title template used for alerts of this strategy.
     #[must_use]
     pub fn title_template(&self) -> &str {
-        &self.title_template
+        &self.0.title_template
     }
 
     /// The title template as its interned handle. Alert producers
@@ -292,31 +327,31 @@ impl AlertStrategy {
     /// refcount bump per alert instead of a fresh `String`.
     #[must_use]
     pub fn title_template_interned(&self) -> &IStr {
-        &self.title_template
+        &self.0.title_template
     }
 
     /// The configured severity of alerts from this strategy.
     #[must_use]
     pub fn severity(&self) -> Severity {
-        self.severity
+        self.0.severity
     }
 
     /// The owning cloud service.
     #[must_use]
     pub fn service(&self) -> ServiceId {
-        self.service
+        self.0.service
     }
 
     /// The owning microservice.
     #[must_use]
     pub fn microservice(&self) -> MicroserviceId {
-        self.microservice
+        self.0.microservice
     }
 
     /// The generation rule.
     #[must_use]
     pub fn kind(&self) -> &StrategyKind {
-        &self.kind
+        &self.0.kind
     }
 
     /// The minimum spacing between two alerts of this strategy.
@@ -325,13 +360,13 @@ impl AlertStrategy {
     /// the *repeating alerts* anti-pattern (A5).
     #[must_use]
     pub fn cooldown(&self) -> SimDuration {
-        self.cooldown
+        self.0.cooldown
     }
 
     /// Notification targets (e-mail addresses, pager groups, ...).
     #[must_use]
     pub fn notify(&self) -> &[IStr] {
-        &self.notify.0
+        &self.0.notify.0
     }
 
     /// Replaces the configured severity, returning the updated strategy.
@@ -340,7 +375,7 @@ impl AlertStrategy {
     /// the severity is misleading.
     #[must_use]
     pub fn with_severity(mut self, severity: Severity) -> Self {
-        self.severity = severity;
+        Arc::make_mut(&mut self.0).severity = severity;
         self
     }
 
@@ -350,14 +385,14 @@ impl AlertStrategy {
     /// unclear title.
     #[must_use]
     pub fn with_title_template(mut self, template: impl Into<IStr>) -> Self {
-        self.title_template = template.into();
+        Arc::make_mut(&mut self.0).title_template = template.into();
         self
     }
 
     /// Replaces the cooldown, returning the updated strategy.
     #[must_use]
     pub fn with_cooldown(mut self, cooldown: SimDuration) -> Self {
-        self.cooldown = cooldown;
+        Arc::make_mut(&mut self.0).cooldown = cooldown;
         self
     }
 
@@ -367,7 +402,7 @@ impl AlertStrategy {
     /// re-tunes debounce or thresholds.
     #[must_use]
     pub fn with_kind(mut self, kind: StrategyKind) -> Self {
-        self.kind = kind;
+        Arc::make_mut(&mut self.0).kind = kind;
         self
     }
 }
@@ -450,7 +485,7 @@ impl AlertStrategyBuilder {
             return Err(ModelError::EmptyTitle);
         }
         let kind = self.kind.ok_or(ModelError::MissingField("kind"))?;
-        Ok(AlertStrategy {
+        Ok(AlertStrategy(Arc::new(row::AlertStrategy {
             id: self.id,
             title_template,
             severity: self.severity,
@@ -459,7 +494,7 @@ impl AlertStrategyBuilder {
             kind,
             cooldown: self.cooldown,
             notify: NotifyTargets(self.notify.into()),
-        })
+        })))
     }
 }
 

@@ -18,8 +18,6 @@
 //! The injected truth ([`InjectedProfile`]) is kept per strategy so the
 //! detectors in `alertops-detect` can be scored with precision/recall.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use alertops_model::{
@@ -102,11 +100,20 @@ impl Default for StrategyCatalogConfig {
 
 /// The generated strategy catalog: strategies, their SOPs, and the
 /// injected ground truth.
+///
+/// Ids are dense from zero (`generate` numbers the rows that way and
+/// [`push`](Self::push) asserts it), so a strategy's id is its row, and
+/// its profile and SOP sit at the same index of two row-aligned
+/// vectors: a lookup is one index, with no hash table beside the rows.
+/// A row is one pointer (see [`AlertStrategy`]), so a holder's copy of
+/// [`strategies`](Self::strategies) costs 8 B a row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StrategyCatalog {
     strategies: Vec<AlertStrategy>,
-    profiles: HashMap<StrategyId, InjectedProfile>,
-    sops: HashMap<StrategyId, Sop>,
+    /// `profiles[i]` is the ground truth of `strategies[i]`.
+    profiles: Vec<InjectedProfile>,
+    /// `sops[i]` is the SOP of `strategies[i]`.
+    sops: Vec<Sop>,
 }
 
 /// The metric kinds cycled through when generating metric strategies.
@@ -137,8 +144,8 @@ impl StrategyCatalog {
     pub fn empty() -> Self {
         Self {
             strategies: Vec::new(),
-            profiles: HashMap::new(),
-            sops: HashMap::new(),
+            profiles: Vec::new(),
+            sops: Vec::new(),
         }
     }
 
@@ -178,8 +185,8 @@ impl StrategyCatalog {
         let seed = config.seed;
         let n_ms = topology.microservices().len();
         let mut strategies = Vec::with_capacity(config.total_strategies);
-        let mut profiles = HashMap::new();
-        let mut sops = HashMap::new();
+        let mut profiles = Vec::with_capacity(config.total_strategies);
+        let mut sops = Vec::with_capacity(config.total_strategies);
 
         for i in 0..config.total_strategies {
             let id = StrategyId(i as u64);
@@ -341,8 +348,8 @@ impl StrategyCatalog {
             }
             .expect("generated SOP is structurally valid");
 
-            profiles.insert(id, profile);
-            sops.insert(id, sop);
+            profiles.push(profile);
+            sops.push(sop);
             strategies.push(strategy);
         }
 
@@ -369,13 +376,16 @@ impl StrategyCatalog {
     /// is unknown).
     #[must_use]
     pub fn profile(&self, id: StrategyId) -> InjectedProfile {
-        self.profiles.get(&id).copied().unwrap_or_default()
+        self.profiles
+            .get(id.0 as usize)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// The SOP of a strategy.
     #[must_use]
     pub fn sop(&self, id: StrategyId) -> Option<&Sop> {
-        self.sops.get(&id)
+        self.sops.get(id.0 as usize)
     }
 
     /// Number of strategies.
@@ -390,17 +400,16 @@ impl StrategyCatalog {
         self.strategies.is_empty()
     }
 
-    /// Ids of strategies with at least one injected anti-pattern.
+    /// Ids of strategies with at least one injected anti-pattern, in
+    /// ascending order.
     #[must_use]
     pub fn injected_ids(&self) -> Vec<StrategyId> {
-        let mut ids: Vec<StrategyId> = self
-            .profiles
+        self.strategies
             .iter()
-            .filter(|(_, p)| p.any())
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids
+            .zip(&self.profiles)
+            .filter(|(_, profile)| profile.any())
+            .map(|(strategy, _)| strategy.id())
+            .collect()
     }
 
     /// Appends a hand-crafted strategy (with its ground truth and SOP)
@@ -417,8 +426,8 @@ impl StrategyCatalog {
             self.strategies.len(),
             "catalog ids must stay dense"
         );
-        self.profiles.insert(strategy.id(), profile);
-        self.sops.insert(strategy.id(), sop);
+        self.profiles.push(profile);
+        self.sops.push(sop);
         self.strategies.push(strategy);
     }
 

@@ -24,7 +24,7 @@
 //!   `sort_by_key((raised_at, strategy))` + dense-id pass exactly.
 //!
 //! Everything is keyed off the scenario seed through the stateless
-//! [`rng`](crate::rng) hashes, so any hour of any scenario is
+//! `rng` hashes, so any hour of any scenario is
 //! replayable in isolation.
 
 use std::collections::HashSet;

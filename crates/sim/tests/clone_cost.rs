@@ -2,21 +2,26 @@
 //! outside.
 //!
 //! A catalog's SOPs and strategy rows are copied into every shard and
-//! node that governs them, so a copy must not deep-clone: a `Sop` is a
-//! handle on one shared body, and a row's strings and a SOP's lines are
-//! interned, so a line many SOPs repeat, or a row's title, is held once.
-//! This binary installs its own counting allocator to pin that, and pins the
-//! serde JSON, `Debug` and `Display` of those types to the strings they
-//! printed when each `Sop` and row still owned its own `String`s.
+//! node that governs them, so a copy must not deep-clone: a `Sop` and an
+//! `AlertStrategy` are each a handle on one shared body, and a row's
+//! strings and a SOP's lines are interned, so a line many SOPs repeat,
+//! or a row's title, is held once. This binary installs its own counting
+//! allocator to pin that, and pins the serde JSON, `Debug` and `Display`
+//! of those types to the strings they printed when each `Sop` and row
+//! still owned its own `String`s and a row was held by value.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
 
 use alertops_model::{
     AlertStrategy, LogRule, MicroserviceId, ServiceId, Severity, SimDuration, Sop, StrategyId,
     StrategyKind,
 };
-use alertops_sim::{StrategyCatalog, StrategyCatalogConfig, Topology, TopologyConfig};
+use alertops_sim::{
+    InjectedProfile, StrategyCatalog, StrategyCatalogConfig, Topology, TopologyConfig,
+};
+use serde::Deserialize;
 
 thread_local! {
     // Const-initialised and without destructors, so reading them inside
@@ -24,16 +29,18 @@ thread_local! {
     // parallel do not count each other.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting the allocations of a thread that has
-/// counting on.
+/// counting on, and the bytes each asks for.
 struct CountingAlloc;
 
 impl CountingAlloc {
-    fn count() {
+    fn count(bytes: usize) {
         if COUNTING.try_with(Cell::get).unwrap_or(false) {
             let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
         }
     }
 }
@@ -43,7 +50,7 @@ impl CountingAlloc {
 // allocator state and cannot allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: the caller's `layout` obligations are passed through.
         unsafe { System.alloc(layout) }
     }
@@ -55,13 +62,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size);
         // SAFETY: `ptr`/`layout` came from `System` through this type;
         // `new_size` obligations are the caller's, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -71,14 +78,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Runs `f`, returning its result and the allocations it made on this
-/// thread. The result is dropped by the caller, outside the count.
-fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+/// Runs `f`, returning its result, the allocations it made on this
+/// thread and the bytes they asked for (a `realloc` counts its new
+/// size). The result is dropped by the caller, outside the count.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     ALLOCS.with(|n| n.set(0));
+    BYTES.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
     let result = f();
     COUNTING.with(|c| c.set(false));
-    (result, ALLOCS.with(Cell::get))
+    (result, ALLOCS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// Runs `f`, returning its result and the allocations it made on this
+/// thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let (result, allocs, _) = counted(f);
+    (result, allocs)
 }
 
 fn full_sop() -> Sop {
@@ -178,6 +194,104 @@ fn copying_a_catalog_allocates_only_the_outer_vec() {
 }
 
 #[test]
+fn a_row_is_one_pointer() {
+    assert_eq!(size_of::<AlertStrategy>(), size_of::<usize>());
+    // So a holder's copy of the rows is one pointer a row, and no row
+    // is copied by value.
+    let catalog = catalog();
+    let rows = catalog.strategies();
+    let (copy, allocs, bytes) = counted(|| rows.to_vec());
+    assert_eq!(allocs, 1);
+    assert_eq!(bytes, (800 * size_of::<AlertStrategy>()) as u64);
+    assert_eq!(copy, rows);
+}
+
+#[test]
+fn editing_a_copied_row_leaves_the_original() {
+    let original = log_strategy();
+    let before = format!("{original:?}");
+    let edits: [fn(AlertStrategy) -> AlertStrategy; 4] = [
+        |row| row.with_severity(Severity::Critical),
+        |row| row.with_title_template("haproxy process count above 40"),
+        |row| row.with_cooldown(SimDuration::from_mins(30)),
+        |row| {
+            row.with_kind(StrategyKind::Log(LogRule {
+                keyword: "ERROR".into(),
+                min_count: 5,
+                window: SimDuration::from_mins(2),
+            }))
+        },
+    ];
+    for edit in edits {
+        let edited = edit(original.clone());
+        assert_ne!(edited, original);
+        assert_eq!(format!("{original:?}"), before);
+        assert_eq!(original, log_strategy());
+    }
+    // An edit of the only handle on a row edits it in place.
+    let (edited, allocs) = allocations(|| log_strategy().with_severity(Severity::Minor));
+    assert_eq!(edited.severity(), Severity::Minor);
+    let (_, build_allocs) = allocations(log_strategy);
+    assert_eq!(allocs, build_allocs);
+}
+
+/// A catalog's serde form: its rows, and its ground truth and SOPs as
+/// row-aligned arrays.
+#[derive(Deserialize)]
+struct CatalogParts {
+    strategies: Vec<AlertStrategy>,
+    profiles: Vec<InjectedProfile>,
+    sops: Vec<Sop>,
+}
+
+#[test]
+fn catalog_side_tables_follow_the_rows() {
+    let catalog = catalog();
+    let json = serde_json::to_string(&catalog).unwrap();
+    let parts: CatalogParts = serde_json::from_str(&json).unwrap();
+    assert_eq!(parts.strategies, catalog.strategies());
+    assert_eq!(parts.profiles.len(), 800);
+    // The by-id lookups the catalog kept before: each profile keyed by
+    // its row's id, each SOP by the strategy id it carries itself.
+    let profiles: HashMap<StrategyId, InjectedProfile> = parts
+        .strategies
+        .iter()
+        .map(AlertStrategy::id)
+        .zip(parts.profiles)
+        .collect();
+    let sops: HashMap<StrategyId, Sop> = parts
+        .sops
+        .into_iter()
+        .map(|sop| (sop.strategy(), sop))
+        .collect();
+    assert_eq!(sops.len(), 800);
+    assert!(profiles.values().any(InjectedProfile::any));
+    let mut injected: Vec<StrategyId> = profiles
+        .iter()
+        .filter(|(_, profile)| profile.any())
+        .map(|(&id, _)| id)
+        .collect();
+    injected.sort_unstable();
+    assert_eq!(catalog.injected_ids(), injected);
+    // 800 and up are unknown: a clean profile and no SOP.
+    for id in (0..805).map(StrategyId) {
+        let profile = profiles.get(&id).copied().unwrap_or_default();
+        assert_eq!(catalog.profile(id), profile, "profile of {id}");
+        assert_eq!(catalog.sop(id), sops.get(&id), "SOP of {id}");
+    }
+    assert!(catalog.profile(StrategyId(800)).is_clean());
+    assert_eq!(catalog.sop(StrategyId(800)), None);
+
+    let copy: StrategyCatalog = serde_json::from_str(&json).unwrap();
+    assert_eq!(copy.strategies(), catalog.strategies());
+    for id in (0..805).map(StrategyId) {
+        assert_eq!(copy.profile(id), catalog.profile(id));
+        assert_eq!(copy.sop(id), catalog.sop(id));
+    }
+    assert_eq!(copy.injected_ids(), catalog.injected_ids());
+}
+
+#[test]
 fn catalog_sops_share_their_lines() {
     let catalog = catalog();
     let sops = catalog_sops(&catalog);
@@ -215,8 +329,12 @@ fn generating_the_catalog_allocates_at_most_its_pinned_count() {
     assert_eq!(catalog.strategies().len(), 800);
     // With each SOP owning its `String`s the same build made 15 506:
     // a constant line now costs nothing, a distinct one its `String`
-    // plus the interned copy.
-    assert!(allocs <= 14_841, "generating 800 rows allocated {allocs}");
+    // plus the interned copy, 14 841. A row is one shared allocation,
+    // +800, and the ground truth and SOPs sit in two row-aligned
+    // vectors allocated once each instead of two hash tables grown to
+    // 800 entries in nine steps each, −16: 14 841 + 800 − 16 = 15 625.
+    // Exact, so a SOP line that stops being interned trips it.
+    assert!(allocs <= 15_625, "generating 800 rows allocated {allocs}");
 }
 
 #[test]

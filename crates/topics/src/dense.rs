@@ -4,7 +4,7 @@
 //! operation (order included) is exactly what `OnlineLda` computed before
 //! the sparse rewrite. It exists so the differential property tests in
 //! `tests/properties.rs` can assert that the sparse window fit in
-//! [`crate::lda`] is **bit-identical** — same λ, same pass count, same
+//! `lda` is **bit-identical** — same λ, same pass count, same
 //! mixtures — across seeded corpora. It is not meant for production
 //! use: every pass pays dense `[topics × vocab]` digamma sweeps.
 

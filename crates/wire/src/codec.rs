@@ -39,7 +39,7 @@ pub const WIRE_TABLE_CAP: usize = 1 << 16;
 /// zlib/PNG variant, implemented here because the workspace is
 /// std-only.
 ///
-/// Slicing-by-8: eight bytes per step through [`CRC_TABLES`], the tail
+/// Slicing-by-8: eight bytes per step through `CRC_TABLES`, the tail
 /// byte by byte through its first table. Same polynomial, same output
 /// as the bit-at-a-time form (a property test holds the two together).
 #[must_use]

@@ -1,7 +1,7 @@
 //! Frame types and their payload bodies.
 //!
 //! A payload is `[tag: u8][body]`; this module owns the tag space and
-//! the per-tag body layouts. Bodies use [`varint`](crate::varint)
+//! the per-tag body layouts. Bodies use [`varint`]
 //! integers and table-backed strings (see [`codec`](crate::codec) for
 //! the marker bytes). [`codec::WireEncoder`](crate::WireEncoder) and
 //! [`codec::WireDecoder`](crate::WireDecoder) add the outer

@@ -18,6 +18,19 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Every public doc link resolves to a public item, in every crate.
+echo "==> cargo doc --workspace (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --keep-going
+
+# Every script runs as its docs say, `scripts/NAME.sh`.
+echo "==> every scripts/*.sh is executable"
+for script in scripts/*.sh; do
+    if [[ ! -x "$script" || "$(git ls-files -s "$script" | cut -c1-6)" == 100644 ]]; then
+        echo "$script is not executable (chmod +x it and git update-index --chmod=+x it)" >&2
+        exit 1
+    fi
+done
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -98,9 +111,9 @@ CEILINGS
 # AO-LDA keeps no table beyond its largest window's scratch, so a
 # long-lived one coming back shows on `governed-close`, where that
 # scratch is most of the heap. An untraced 2-second run repeats
-# `rss_peak_mb` within 2–5 % (five runs read 22.08 – 22.34 MB on
-# `steady-wire`, 12.21 – 12.52 MB on `cluster-journal`, 7.27 –
-# 7.61 MB on `governed-close` and 10.07 – 10.36 MB on `storm-paced`),
+# `rss_peak_mb` within 2–5 % (five runs read 20.50 – 20.61 MB on
+# `steady-wire`, 11.23 – 11.42 MB on `cluster-journal`, 7.25 –
+# 7.43 MB on `governed-close` and 10.05 – 10.34 MB on `storm-paced`),
 # so the ceiling is the highest of five runs at the commit that last
 # moved it + 2 %. A SOP's lines are interned, so a deep copy of one
 # costs its body and two line vectors, ≈ 0.26 kB (≈ 2 MB for
@@ -108,19 +121,23 @@ CEILINGS
 # the old ψ memo's table ≈ 2.2 MB, a shard's old 8192-slot channel
 # ring ≈ 0.46 MB; the detection engine holding its findings rendered
 # instead of as flags ≈ 2.8 MB on `steady-wire` (A2–A5's ≈ 2.6 MB,
-# A1's ≈ 0.18 MB). Lower a ceiling when a PR lowers the peak.
+# A1's ≈ 0.18 MB); a row vector copied by value (112 B a row) instead
+# of as pointers to shared rows (8 B a row) ≈ 0.9 MB per 8 000-row
+# holder on `steady-wire` (the stream, the bench's world copy, the two
+# shard governors' halves together). Lower a ceiling when a PR lowers
+# the peak.
 check_rss() { check_run "$1" 0; }
 check_rss steady-wire <<'CEILINGS'
-rss_peak_mb 22.79
+rss_peak_mb 21.02
 CEILINGS
 check_rss cluster-journal <<'CEILINGS'
-rss_peak_mb 12.77
+rss_peak_mb 11.65
 CEILINGS
 check_rss governed-close <<'CEILINGS'
-rss_peak_mb 7.77
+rss_peak_mb 7.58
 CEILINGS
 check_rss storm-paced <<'CEILINGS'
-rss_peak_mb 10.57
+rss_peak_mb 10.55
 CEILINGS
 
 # The window-close path has one owner (alertops_ingestd::MergePoint)
