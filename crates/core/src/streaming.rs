@@ -866,9 +866,12 @@ mod tests {
 
         // m0 calls m1 calls m2; a fault in m2 surfaces as one alert per
         // tier, a minute apart, each from its own strategy.
-        let mut graph = DependencyGraph::new();
-        graph.add_edge(MicroserviceId(0), MicroserviceId(1));
-        graph.add_edge(MicroserviceId(1), MicroserviceId(2));
+        let graph: DependencyGraph = [
+            (MicroserviceId(0), MicroserviceId(1)),
+            (MicroserviceId(1), MicroserviceId(2)),
+        ]
+        .into_iter()
+        .collect();
         let catalog = vec![noisy_strategy(1), noisy_strategy(2), noisy_strategy(3)];
         let windows: Vec<Vec<Alert>> = (0..3u64)
             .map(|hour| {

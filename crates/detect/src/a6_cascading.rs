@@ -12,7 +12,7 @@
 //! alert *b* is **derived from** alert *a* when (1) *b* occurred within a
 //! time window after *a*, and (2) *b*'s microservice transitively
 //! depends on *a*'s — the one relation R3's topology link also reads,
-//! [`Closures::derives`]. Derivation edges are grouped into connected
+//! [`DependencyGraph::derives`]. Derivation edges are grouped into connected
 //! components; components spanning at least [`MIN_GROUP`] alerts and two
 //! microservices are reported as cascades, rooted at their earliest
 //! bottom-most alert.
@@ -22,8 +22,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use serde::{Deserialize, Serialize};
 
 use alertops_model::{
-    AlertId, Closures, DependencyGraph, MicroserviceId, SimDuration, SimTime, TimeRange,
-    DERIVATION_WINDOW,
+    AlertId, DependencyGraph, MicroserviceId, SimDuration, SimTime, TimeRange, DERIVATION_WINDOW,
 };
 
 use crate::input::DetectionInput;
@@ -121,14 +120,14 @@ impl CascadingDetector {
 /// and the derivation edges among them.
 ///
 /// The edge set is a *pure function of the alive alert set* — an edge
-/// `a — b` exists iff the later alert [derives](Closures::derives) from
+/// `a — b` exists iff the later alert [derives](DependencyGraph::derives) from
 /// the earlier one within the detector window. Because no edge depends
 /// on arrival order, [`insert`](Self::insert) and
 /// [`remove`](Self::remove) are exact: any interleaving of inserts and
 /// removes that leaves the same alive set leaves the same state.
 /// [`groups`](Self::groups) then reads connected components off the
 /// adjacency map.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct CascadeState {
     /// Alive alerts, keyed by (raise time, id) → microservice. The key
     /// order fixes member order, root tie-breaks, and group order.
@@ -136,15 +135,6 @@ pub(crate) struct CascadeState {
     /// Undirected derivation edges; nodes without edges carry no entry,
     /// so two states over the same alive set compare equal.
     adj: BTreeMap<(SimTime, AlertId), BTreeSet<(SimTime, AlertId)>>,
-    /// Memoized dependency closures (cache only — excluded from
-    /// equality).
-    closures: Closures,
-}
-
-impl PartialEq for CascadeState {
-    fn eq(&self, other: &Self) -> bool {
-        self.alive == other.alive && self.adj == other.adj
-    }
 }
 
 impl CascadeState {
@@ -175,7 +165,7 @@ impl CascadeState {
             } else {
                 ((raised_at, ms), (other.0, other_ms))
             };
-            if self.closures.derives(graph, earlier, later, window) {
+            if graph.derives(earlier, later, window) {
                 self.adj.entry(key).or_default().insert(other);
                 self.adj.entry(other).or_default().insert(key);
             }
@@ -205,7 +195,7 @@ impl CascadeState {
     /// rooted exactly as the paper describes: at least [`MIN_GROUP`]
     /// alerts spanning ≥ 2 microservices, rooted at the earliest alert
     /// whose microservice depends on no other member's.
-    pub(crate) fn groups(&mut self, graph: &DependencyGraph) -> Vec<CascadeGroup> {
+    pub(crate) fn groups(&self, graph: &DependencyGraph) -> Vec<CascadeGroup> {
         let mut visited: BTreeSet<(SimTime, AlertId)> = BTreeSet::new();
         let mut groups = Vec::new();
         for &start in self.adj.keys() {
@@ -247,7 +237,7 @@ impl CascadeState {
                     ms_of(k).is_some_and(|ms| {
                         !member_ms
                             .iter()
-                            .any(|&other| self.closures.depends(graph, ms, other))
+                            .any(|&other| graph.depends_transitively(ms, other))
                     })
                 })
                 .map_or(start.1, |&(_, id)| id);

@@ -18,6 +18,8 @@ use serde::{Deserialize, Serialize};
 
 use alertops_model::{Alert, RegionId, StrategyId};
 
+use crate::storm::region_hour_histogram;
+
 /// A strategy selected as an individual anti-pattern candidate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IndividualCandidate {
@@ -87,13 +89,7 @@ pub fn individual_candidates(alerts: &[Alert], fraction: f64) -> Vec<IndividualC
 /// as collective anti-pattern candidates, sorted by descending count.
 #[must_use]
 pub fn collective_candidates(alerts: &[Alert], threshold: usize) -> Vec<CollectiveCandidate> {
-    let mut counts: BTreeMap<(RegionId, u64), usize> = BTreeMap::new();
-    for alert in alerts {
-        *counts
-            .entry((alert.location().region().clone(), alert.hour_bucket()))
-            .or_insert(0) += 1;
-    }
-    let mut candidates: Vec<CollectiveCandidate> = counts
+    let mut candidates: Vec<CollectiveCandidate> = region_hour_histogram(alerts)
         .into_iter()
         .filter(|&(_, count)| count > threshold)
         .map(|((region, hour), alert_count)| CollectiveCandidate {

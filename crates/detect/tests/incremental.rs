@@ -63,11 +63,10 @@ fn catalog() -> Vec<AlertStrategy> {
 
 /// A small call chain `m0 → m1 → m2 → m3` so cascade edges appear.
 fn graph() -> DependencyGraph {
-    let mut g = DependencyGraph::new();
-    for (caller, callee) in [(0u64, 1u64), (1, 2), (2, 3)] {
-        g.add_edge(MicroserviceId(caller), MicroserviceId(callee));
-    }
-    g
+    [(0u64, 1u64), (1, 2), (2, 3)]
+        .into_iter()
+        .map(|(caller, callee)| (MicroserviceId(caller), MicroserviceId(callee)))
+        .collect()
 }
 
 /// A couple of incidents so the A2/A3 co-occurrence paths execute.

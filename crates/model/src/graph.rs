@@ -1,23 +1,21 @@
-//! A plain dependency graph between microservices, and the one
-//! derivation relation read off it.
+//! A dependency graph between microservices, and the one derivation
+//! relation read off it.
 //!
 //! Anti-pattern detection (cascading alerts, A6) and alert correlation
 //! (R3) both need to ask "does microservice *a* depend on *b*?" without
 //! caring where that knowledge came from — a simulator topology, a
 //! service-mesh export, or hand-written rules. [`DependencyGraph`] is the
 //! neutral data type they share: a set of directed `caller → callee`
-//! edges with closure queries.
+//! edges, built once, that holds each caller's transitive closure.
 //!
 //! Both also ask the same question of two alerts: is the later one
 //! derived from the earlier one? A6 links such alerts into cascades
 //! ("the cascading effect of one single failure", §III-A2) and R3
 //! associates them with their source ("the topology of cloud services",
-//! §III-C). [`Closures::derives`] is that one predicate, over one
+//! §III-C). [`DependencyGraph::derives`] is that one predicate, over one
 //! window, [`DERIVATION_WINDOW`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-
-use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::{MicroserviceId, SimDuration, SimTime};
 
@@ -28,193 +26,42 @@ pub const DERIVATION_WINDOW: SimDuration = SimDuration::from_mins(10);
 /// A directed dependency graph: an edge `a → b` means "`a` calls `b`"
 /// (so a failure of `b` can cascade *up* to `a`).
 ///
+/// A graph is collected once from its edges and never changes after
+/// that. Collecting drops duplicate edges and self-edges, and computes
+/// every caller's transitive closure, so a query is a lookup.
+///
 /// # Example
 ///
 /// ```
 /// use alertops_model::{DependencyGraph, MicroserviceId};
 ///
 /// let graph: DependencyGraph = [
+///     (MicroserviceId(3), MicroserviceId(2)), // frontend calls db-api
 ///     (MicroserviceId(2), MicroserviceId(1)), // db-api calls storage
-///     (MicroserviceId(3), MicroserviceId(1)), // db-sync calls storage
 /// ]
 /// .into_iter()
 /// .collect();
 ///
-/// assert!(graph.depends_on(MicroserviceId(2), MicroserviceId(1)));
-/// assert_eq!(graph.dependents_of(MicroserviceId(1)).len(), 2);
+/// assert!(graph.depends_transitively(MicroserviceId(3), MicroserviceId(1)));
+/// assert!(!graph.depends_transitively(MicroserviceId(1), MicroserviceId(3)));
+/// assert_eq!(graph.edge_count(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DependencyGraph {
-    /// callee → callers.
-    dependents: BTreeMap<MicroserviceId, BTreeSet<MicroserviceId>>,
-    /// caller → callees.
-    dependencies: BTreeMap<MicroserviceId, BTreeSet<MicroserviceId>>,
+    /// caller → its direct callees, ascending.
+    callees: BTreeMap<MicroserviceId, Box<[MicroserviceId]>>,
+    /// caller → every microservice it transitively calls, ascending,
+    /// leaving out the caller itself.
+    closures: BTreeMap<MicroserviceId, Box<[MicroserviceId]>>,
 }
 
 impl DependencyGraph {
-    /// Creates an empty graph.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds the edge `caller → callee`. Duplicate edges are ignored;
-    /// self-edges are rejected (returns `false`).
-    pub fn add_edge(&mut self, caller: MicroserviceId, callee: MicroserviceId) -> bool {
-        if caller == callee {
-            return false;
-        }
-        self.dependencies.entry(caller).or_default().insert(callee);
-        self.dependents.entry(callee).or_default().insert(caller)
-    }
-
-    /// Whether the direct edge `caller → callee` exists.
-    #[must_use]
-    pub fn depends_on(&self, caller: MicroserviceId, callee: MicroserviceId) -> bool {
-        self.dependencies
-            .get(&caller)
-            .is_some_and(|set| set.contains(&callee))
-    }
-
-    /// Direct callers of `callee` (who is affected if `callee` fails).
-    #[must_use]
-    pub fn dependents_of(&self, callee: MicroserviceId) -> Vec<MicroserviceId> {
-        self.dependents
-            .get(&callee)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Direct callees of `caller`.
-    #[must_use]
-    pub fn dependencies_of(&self, caller: MicroserviceId) -> Vec<MicroserviceId> {
-        self.dependencies
-            .get(&caller)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Whether `caller` transitively depends on `callee`.
     #[must_use]
     pub fn depends_transitively(&self, caller: MicroserviceId, callee: MicroserviceId) -> bool {
-        if caller == callee {
-            return false;
-        }
-        let mut seen = BTreeSet::new();
-        let mut queue = VecDeque::from([caller]);
-        while let Some(cur) = queue.pop_front() {
-            if let Some(next) = self.dependencies.get(&cur) {
-                for &n in next {
-                    if n == callee {
-                        return true;
-                    }
-                    if seen.insert(n) {
-                        queue.push_back(n);
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Everything `caller` transitively depends on (downstream closure),
-    /// excluding `caller` itself. [`Closures`] memoizes it per
-    /// microservice to answer bulk `depends_transitively` queries in
-    /// O(log n) instead of a BFS per pair.
-    #[must_use]
-    pub fn dependency_closure(&self, caller: MicroserviceId) -> BTreeSet<MicroserviceId> {
-        let mut out = BTreeSet::new();
-        let mut queue = VecDeque::from([caller]);
-        while let Some(cur) = queue.pop_front() {
-            if let Some(callees) = self.dependencies.get(&cur) {
-                for &c in callees {
-                    if c != caller && out.insert(c) {
-                        queue.push_back(c);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Everything transitively affected by a failure of `callee`
-    /// (upstream closure), excluding `callee` itself.
-    #[must_use]
-    pub fn affected_by(&self, callee: MicroserviceId) -> BTreeSet<MicroserviceId> {
-        let mut out = BTreeSet::new();
-        let mut queue = VecDeque::from([callee]);
-        while let Some(cur) = queue.pop_front() {
-            if let Some(callers) = self.dependents.get(&cur) {
-                for &c in callers {
-                    if c != callee && out.insert(c) {
-                        queue.push_back(c);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Total number of edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.dependencies.values().map(BTreeSet::len).sum()
-    }
-
-    /// Whether the graph has no edges.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.edge_count() == 0
-    }
-
-    /// Iterates over all `(caller, callee)` edges in sorted order.
-    pub fn edges(&self) -> impl Iterator<Item = (MicroserviceId, MicroserviceId)> + '_ {
-        self.dependencies
-            .iter()
-            .flat_map(|(&caller, callees)| callees.iter().map(move |&callee| (caller, callee)))
-    }
-}
-
-impl FromIterator<(MicroserviceId, MicroserviceId)> for DependencyGraph {
-    fn from_iter<I: IntoIterator<Item = (MicroserviceId, MicroserviceId)>>(iter: I) -> Self {
-        let mut graph = DependencyGraph::new();
-        for (caller, callee) in iter {
-            graph.add_edge(caller, callee);
-        }
-        graph
-    }
-}
-
-impl Extend<(MicroserviceId, MicroserviceId)> for DependencyGraph {
-    fn extend<I: IntoIterator<Item = (MicroserviceId, MicroserviceId)>>(&mut self, iter: I) {
-        for (caller, callee) in iter {
-            self.add_edge(caller, callee);
-        }
-    }
-}
-
-/// Memoized dependency closures of one graph, and the derivation
-/// relation they answer. The memo is a cache: it holds each queried
-/// microservice's [`dependency_closure`](DependencyGraph::dependency_closure)
-/// and must only be asked about the graph it was filled from.
-#[derive(Debug, Clone, Default)]
-pub struct Closures {
-    memo: HashMap<MicroserviceId, BTreeSet<MicroserviceId>>,
-}
-
-impl Closures {
-    /// Whether `caller` transitively depends on `callee` in `graph`.
-    #[must_use]
-    pub fn depends(
-        &mut self,
-        graph: &DependencyGraph,
-        caller: MicroserviceId,
-        callee: MicroserviceId,
-    ) -> bool {
-        self.memo
-            .entry(caller)
-            .or_insert_with(|| graph.dependency_closure(caller))
-            .contains(&callee)
+        self.closures
+            .get(&caller)
+            .is_some_and(|closure| closure.binary_search(&callee).is_ok())
     }
 
     /// Whether an alert raised at `later.0` on microservice `later.1` is
@@ -224,8 +71,7 @@ impl Closures {
     /// flows from callee up to caller.
     #[must_use]
     pub fn derives(
-        &mut self,
-        graph: &DependencyGraph,
+        &self,
         earlier: (SimTime, MicroserviceId),
         later: (SimTime, MicroserviceId),
         window: SimDuration,
@@ -233,8 +79,68 @@ impl Closures {
         later.0 >= earlier.0
             && later.0.duration_since(earlier.0) <= window
             && later.1 != earlier.1
-            && self.depends(graph, later.1, earlier.1)
+            && self.depends_transitively(later.1, earlier.1)
     }
+
+    /// Total number of edges.
+    #[must_use]
+    pub fn edge_count(&self) -> usize {
+        self.callees.values().map(|callees| callees.len()).sum()
+    }
+
+    /// Whether the graph has no edges.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.callees.is_empty()
+    }
+
+    /// Iterates over all `(caller, callee)` edges in sorted order.
+    pub fn edges(&self) -> impl Iterator<Item = (MicroserviceId, MicroserviceId)> + '_ {
+        self.callees
+            .iter()
+            .flat_map(|(&caller, callees)| callees.iter().map(move |&callee| (caller, callee)))
+    }
+}
+
+impl FromIterator<(MicroserviceId, MicroserviceId)> for DependencyGraph {
+    /// Collects `(caller, callee)` edges, dropping duplicates and
+    /// self-edges.
+    fn from_iter<I: IntoIterator<Item = (MicroserviceId, MicroserviceId)>>(iter: I) -> Self {
+        let mut edges: BTreeMap<MicroserviceId, BTreeSet<MicroserviceId>> = BTreeMap::new();
+        for (caller, callee) in iter {
+            if caller != callee {
+                edges.entry(caller).or_default().insert(callee);
+            }
+        }
+        let closures = edges
+            .keys()
+            .map(|&caller| (caller, reachable(&edges, caller)))
+            .collect();
+        let callees = edges
+            .into_iter()
+            .map(|(caller, callees)| (caller, callees.into_iter().collect()))
+            .collect();
+        Self { callees, closures }
+    }
+}
+
+/// Everything `caller` reaches over `edges`, leaving out `caller`
+/// itself, ascending. Breadth-first; each microservice is queued once,
+/// so a cycle ends the search.
+fn reachable(
+    edges: &BTreeMap<MicroserviceId, BTreeSet<MicroserviceId>>,
+    caller: MicroserviceId,
+) -> Box<[MicroserviceId]> {
+    let mut out = BTreeSet::new();
+    let mut queue = VecDeque::from([caller]);
+    while let Some(cur) = queue.pop_front() {
+        for &callee in edges.get(&cur).into_iter().flatten() {
+            if callee != caller && out.insert(callee) {
+                queue.push_back(callee);
+            }
+        }
+    }
+    out.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -253,22 +159,12 @@ mod tests {
     }
 
     #[test]
-    fn add_edge_dedups_and_rejects_self_loops() {
-        let mut g = DependencyGraph::new();
-        assert!(g.add_edge(ms(1), ms(2)));
-        assert!(!g.add_edge(ms(1), ms(2)));
-        assert!(!g.add_edge(ms(1), ms(1)));
+    fn collect_dedups_and_drops_self_loops() {
+        let g: DependencyGraph = [(ms(1), ms(2)), (ms(1), ms(2)), (ms(1), ms(1))]
+            .into_iter()
+            .collect();
+        assert_eq!(g.edges().collect::<Vec<_>>(), vec![(ms(1), ms(2))]);
         assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    fn direct_queries() {
-        let g = chain();
-        assert!(g.depends_on(ms(3), ms(2)));
-        assert!(!g.depends_on(ms(2), ms(3)));
-        assert_eq!(g.dependents_of(ms(1)), vec![ms(2), ms(4)]);
-        assert_eq!(g.dependencies_of(ms(3)), vec![ms(2)]);
-        assert!(g.dependencies_of(ms(1)).is_empty());
     }
 
     #[test]
@@ -281,31 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn dependency_closure_is_downstream() {
+    fn closure_is_downstream() {
         let g = chain();
-        assert_eq!(
-            g.dependency_closure(ms(3)),
-            [ms(2), ms(1)].into_iter().collect()
-        );
-        assert_eq!(g.dependency_closure(ms(4)), [ms(1)].into_iter().collect());
-        assert!(g.dependency_closure(ms(1)).is_empty());
-        // Consistent with the pairwise query.
-        for a in [ms(1), ms(2), ms(3), ms(4)] {
-            for b in [ms(1), ms(2), ms(3), ms(4)] {
-                assert_eq!(
-                    g.dependency_closure(a).contains(&b),
-                    g.depends_transitively(a, b)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn affected_by_is_upstream_closure() {
-        let g = chain();
-        let affected = g.affected_by(ms(1));
-        assert_eq!(affected, [ms(2), ms(3), ms(4)].into_iter().collect());
-        assert!(g.affected_by(ms(3)).is_empty());
+        assert_eq!(&*g.closures[&ms(3)], &[ms(1), ms(2)]);
+        assert_eq!(&*g.closures[&ms(4)], &[ms(1)]);
+        assert!(!g.closures.contains_key(&ms(1)));
     }
 
     #[test]
@@ -318,21 +194,20 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = DependencyGraph::new();
+        let g = DependencyGraph::default();
         assert!(g.is_empty());
-        assert!(!g.depends_on(ms(1), ms(2)));
-        assert!(g.affected_by(ms(1)).is_empty());
+        assert!(!g.depends_transitively(ms(1), ms(2)));
     }
 
     #[test]
     fn handles_cycles_without_hanging() {
-        // Data from external sources may contain cycles; closure queries
-        // must terminate.
+        // Data from external sources may contain cycles; building the
+        // closures must terminate.
         let g: DependencyGraph = [(ms(1), ms(2)), (ms(2), ms(3)), (ms(3), ms(1))]
             .into_iter()
             .collect();
         assert!(g.depends_transitively(ms(1), ms(3)));
         assert!(g.depends_transitively(ms(3), ms(2)));
-        assert_eq!(g.affected_by(ms(1)).len(), 2);
+        assert!(!g.depends_transitively(ms(1), ms(1)));
     }
 }

@@ -67,7 +67,7 @@ mod time;
 pub use alert::{Alert, AlertBuilder, AlertState, Clearance, INTERMITTENT_THRESHOLD};
 pub use error::ModelError;
 pub use feedback::{QoaLabel, QOA_CRITERIA};
-pub use graph::{Closures, DependencyGraph, DERIVATION_WINDOW};
+pub use graph::{DependencyGraph, DERIVATION_WINDOW};
 pub use ids::{AlertId, IncidentId, MicroserviceId, OceId, RegionId, ServiceId, StrategyId};
 pub use incident::{indicates_incident, Incident, IncidentStatus, INCIDENT_LOOKAHEAD};
 pub use intern::{intern, IStr, StrTable, DEFAULT_TABLE_BYTE_CAP, DEFAULT_TABLE_CAP};

@@ -8,11 +8,11 @@
 //! fixed tumbling windows; each group keeps a representative, the count,
 //! and the maximum severity.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use serde::{Deserialize, Serialize};
 
-use alertops_model::{Alert, AlertId, Severity, SimDuration, StrategyId, TimeRange};
+use alertops_model::{Alert, AlertId, Severity, SimDuration, SimTime, StrategyId, TimeRange};
 use alertops_text::extract_template;
 
 /// How alerts are keyed into groups.
@@ -74,6 +74,18 @@ pub struct AlertGroup {
 /// Panics if the configured window is zero.
 #[must_use]
 pub fn aggregate(alerts: &[Alert], config: &AggregationConfig) -> Vec<AlertGroup> {
+    grouped(alerts, config)
+        .into_iter()
+        .map(|(_, group)| group)
+        .collect()
+}
+
+/// [`aggregate`]'s groups, each with its representative alert, ordered
+/// by the representative's (raise time, id).
+pub(crate) fn grouped<'a>(
+    alerts: impl IntoIterator<Item = &'a Alert>,
+    config: &AggregationConfig,
+) -> Vec<(&'a Alert, AlertGroup)> {
     assert!(
         !config.window.is_zero(),
         "aggregation window must be positive"
@@ -89,59 +101,75 @@ pub fn aggregate(alerts: &[Alert], config: &AggregationConfig) -> Vec<AlertGroup
             |template| template,
         ),
     };
-    groups.sort_by_key(|g| (g.window.start(), g.representative));
+    groups.sort_by_key(|(_, g)| (g.window.start(), g.representative));
     groups
 }
 
+/// One bucket as the grouping pass fills it: opened by the first alert
+/// that lands in it, with each later member folded in.
+struct Bucket<'a> {
+    /// The earliest member by (raise time, id): the representative.
+    first: &'a Alert,
+    last_raise: SimTime,
+    members: Vec<AlertId>,
+    max_severity: Severity,
+}
+
+impl<'a> Bucket<'a> {
+    fn open(alert: &'a Alert) -> Self {
+        Self {
+            first: alert,
+            last_raise: alert.raised_at(),
+            members: vec![alert.id()],
+            max_severity: alert.severity(),
+        }
+    }
+
+    fn fold(&mut self, alert: &'a Alert) {
+        if (alert.raised_at(), alert.id()) < (self.first.raised_at(), self.first.id()) {
+            self.first = alert;
+        }
+        self.last_raise = self.last_raise.max(alert.raised_at());
+        self.members.push(alert.id());
+        self.max_severity = self.max_severity.max(alert.severity());
+    }
+}
+
 /// One group per `(tumbling window, key_of(alert))`, in bucket order.
-fn group_by<K: Ord>(
-    alerts: &[Alert],
+fn group_by<'a, K: Ord>(
+    alerts: impl IntoIterator<Item = &'a Alert>,
     window: SimDuration,
     key_of: impl Fn(&Alert) -> K,
     render: impl Fn(K) -> String,
-) -> Vec<AlertGroup> {
-    // (window index, key) → member indices.
-    let mut buckets: BTreeMap<(u64, K), Vec<usize>> = BTreeMap::new();
-    for (ix, alert) in alerts.iter().enumerate() {
+) -> Vec<(&'a Alert, AlertGroup)> {
+    let mut buckets: BTreeMap<(u64, K), Bucket<'a>> = BTreeMap::new();
+    for alert in alerts {
         let window_ix = alert.raised_at().as_secs() / window.as_secs();
-        buckets
-            .entry((window_ix, key_of(alert)))
-            .or_default()
-            .push(ix);
+        match buckets.entry((window_ix, key_of(alert))) {
+            Entry::Vacant(slot) => {
+                slot.insert(Bucket::open(alert));
+            }
+            Entry::Occupied(slot) => slot.into_mut().fold(alert),
+        }
     }
     buckets
         .into_iter()
-        .map(|((_, key), ixs)| {
-            let members: Vec<&Alert> = ixs.iter().map(|&i| &alerts[i]).collect();
-            let first = members
-                .iter()
-                .min_by_key(|a| (a.raised_at(), a.id()))
-                .expect("bucket is nonempty");
-            let last_raise = members
-                .iter()
-                .map(|a| a.raised_at())
-                .max()
-                .expect("bucket is nonempty");
-            AlertGroup {
+        .map(|((_, key), mut bucket)| {
+            let first = bucket.first;
+            bucket.members.sort_unstable();
+            let group = AlertGroup {
                 key: render(key),
                 strategy: first.strategy(),
                 representative: first.id(),
-                count: members.len(),
-                members: {
-                    let mut ids: Vec<AlertId> = members.iter().map(|a| a.id()).collect();
-                    ids.sort_unstable();
-                    ids
-                },
+                count: bucket.members.len(),
+                members: bucket.members,
                 window: TimeRange::new(
                     first.raised_at(),
-                    last_raise.saturating_add(SimDuration::from_secs(1)),
+                    bucket.last_raise.saturating_add(SimDuration::from_secs(1)),
                 ),
-                max_severity: members
-                    .iter()
-                    .map(|a| a.severity())
-                    .max()
-                    .expect("bucket is nonempty"),
-            }
+                max_severity: bucket.max_severity,
+            };
+            (first, group)
         })
         .collect()
 }

@@ -8,14 +8,14 @@
 //! [`StrategyDependencies`] rules ("strategy A triggers strategy B") and
 //! the microservice [`DependencyGraph`]. The topology link is the one
 //! derivation relation A6's cascade edge also reads,
-//! [`Closures::derives`], over its one window, [`DERIVATION_WINDOW`].
+//! [`DependencyGraph::derives`], over its one window, [`DERIVATION_WINDOW`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use alertops_model::{Alert, AlertId, Closures, DependencyGraph, StrategyId, DERIVATION_WINDOW};
+use alertops_model::{Alert, AlertId, DependencyGraph, StrategyId, DERIVATION_WINDOW};
 
 /// Manually configured dependencies between alert strategies: an edge
 /// `source → derived` means "an alert of `source` can trigger an alert
@@ -130,7 +130,7 @@ impl AlertCorrelator {
     }
 
     /// Whether alert `derived` can be attributed to alert `source`.
-    fn is_derived_from(&self, source: &Alert, derived: &Alert, closures: &mut Closures) -> bool {
+    fn is_derived_from(&self, source: &Alert, derived: &Alert) -> bool {
         if derived.raised_at() < source.raised_at()
             || derived.raised_at().duration_since(source.raised_at()) > DERIVATION_WINDOW
         {
@@ -139,8 +139,7 @@ impl AlertCorrelator {
         self.strategy_deps
             .is_trigger(source.strategy(), derived.strategy())
             || self.topology.as_deref().is_some_and(|graph| {
-                closures.derives(
-                    graph,
+                graph.derives(
                     (source.raised_at(), source.microservice()),
                     (derived.raised_at(), derived.microservice()),
                     DERIVATION_WINDOW,
@@ -160,7 +159,6 @@ impl AlertCorrelator {
         let n = alerts.len();
         // source_of[i] = index of the cluster source alert i belongs to.
         let mut source_of: Vec<usize> = (0..n).collect();
-        let mut closures = Closures::default();
         let mut lo = 0usize;
         for hi in 0..n {
             while alerts[hi]
@@ -171,7 +169,7 @@ impl AlertCorrelator {
                 lo += 1;
             }
             for earlier in lo..hi {
-                if self.is_derived_from(&alerts[earlier], &alerts[hi], &mut closures) {
+                if self.is_derived_from(&alerts[earlier], &alerts[hi]) {
                     // Collapse to the chain's source.
                     source_of[hi] = source_of[earlier];
                     break; // earliest explanation wins

@@ -71,9 +71,9 @@ pub fn propose_incidents(
             .chain(cluster.derived.iter().copied())
             .filter_map(lookup)
             .collect();
-        if members.is_empty() {
+        let Some((first, rest)) = members.split_first() else {
             continue;
-        }
+        };
         let severe = members.iter().any(|a| a.severity() >= SEVERITY_FLOOR);
         let voluminous = members.len() >= MIN_CLUSTER_SIZE;
         let reason = match (severe, voluminous) {
@@ -90,17 +90,15 @@ pub fn propose_incidents(
         services.dedup();
         proposals.push(IncidentProposal {
             source: cluster.source,
-            severity: members
+            severity: rest
                 .iter()
                 .map(|a| a.severity())
-                .max()
-                .expect("members nonempty"),
+                .fold(first.severity(), Ord::max),
             services,
-            started_at: members
+            started_at: rest
                 .iter()
                 .map(|a| a.raised_at())
-                .min()
-                .expect("members nonempty"),
+                .fold(first.raised_at(), Ord::min),
             alerts: members.iter().map(|a| a.id()).collect(),
             reason,
         });

@@ -7,13 +7,11 @@
 //! a volume reducer; run it separately via
 //! [`EmergingAlertDetector`](crate::EmergingAlertDetector).)
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use alertops_model::{Alert, AlertId};
 
-use crate::aggregation::{aggregate, AggregationConfig};
+use crate::aggregation::{grouped, AggregationConfig};
 use crate::blocking::AlertBlocker;
 use crate::correlation::AlertCorrelator;
 use crate::metrics::ReactMetrics;
@@ -119,16 +117,15 @@ impl ReactionPipeline {
             let _span = self.metrics.as_ref().map(|m| m.stage_timer(0));
             blocker.apply(alerts)
         };
-        let passed: Vec<Alert> = outcome.passed.iter().map(|&a| a.clone()).collect();
         stages.push(StageStat {
             stage: "blocking".to_owned(),
-            remaining: passed.len(),
+            remaining: outcome.passed.len(),
         });
 
         // R2 — aggregation.
         let groups = {
             let _span = self.metrics.as_ref().map(|m| m.stage_timer(1));
-            aggregate(&passed, &self.aggregation)
+            grouped(outcome.passed.iter().copied(), &self.aggregation)
         };
         stages.push(StageStat {
             stage: "aggregation".to_owned(),
@@ -137,26 +134,8 @@ impl ReactionPipeline {
 
         // R3 — correlation over group representatives.
         let _span = self.metrics.as_ref().map(|m| m.stage_timer(2));
-        let representatives: Vec<Alert> = {
-            // One id→index map over the passed set instead of a linear
-            // scan per group (was O(groups × passed)).
-            let index_of: HashMap<AlertId, usize> = passed
-                .iter()
-                .enumerate()
-                .map(|(ix, a)| (a.id(), ix))
-                .collect();
-            let mut reps: Vec<Alert> = groups
-                .iter()
-                .map(|g| {
-                    let ix = *index_of
-                        .get(&g.representative)
-                        .expect("representative comes from the passed set");
-                    passed[ix].clone()
-                })
-                .collect();
-            reps.sort_by_key(|a| (a.raised_at(), a.id()));
-            reps
-        };
+        // Groups come ordered by their representative's (raise time, id).
+        let representatives: Vec<Alert> = groups.iter().map(|&(alert, _)| alert.clone()).collect();
         let clusters = self.correlator.correlate(&representatives);
         drop(_span);
         stages.push(StageStat {
@@ -166,7 +145,7 @@ impl ReactionPipeline {
         if let Some(m) = &self.metrics {
             m.record_volumes(
                 input as u64,
-                (input - passed.len()) as u64,
+                (input - outcome.passed.len()) as u64,
                 groups.len() as u64,
                 clusters.len() as u64,
             );

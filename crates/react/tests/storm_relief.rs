@@ -32,7 +32,11 @@ fn configured_pipeline(out: &alertops_sim::SimOutput) -> ReactionPipeline {
             continue;
         }
         for derived in out.catalog.strategies() {
-            if graph.depends_on(derived.microservice(), source.microservice()) {
+            if out
+                .topology
+                .dependencies_of(derived.microservice())
+                .contains(&source.microservice())
+            {
                 deps.add_trigger(source.id(), derived.id());
             }
         }

@@ -38,6 +38,22 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test --workspace -q
 
+# The paper's tables and figures as a byte gate: experiments/<bin>.txt
+# holds each bin's section of scripts/run_experiments.sh's output (its
+# `### <bin>` header dropped), so a change that moves a paper number
+# fails here until the file is regenerated and the move is explained.
+echo "==> scripts/run_experiments.sh prints the committed experiments/"
+exp_dir=$(mktemp -d)
+mkdir "$exp_dir/out"
+scripts/run_experiments.sh "$exp_dir/all.txt" >/dev/null
+awk -v dir="$exp_dir/out" '/^### / { file = dir "/" $2 ".txt"; next } { print > file }' "$exp_dir/all.txt"
+if ! diff -r experiments "$exp_dir/out"; then
+    echo "a paper artifact moved; regenerate experiments/ and say why in CHANGES.md (diff above)" >&2
+    rm -rf "$exp_dir"
+    exit 1
+fi
+rm -rf "$exp_dir"
+
 # Every workload's verdict, plus the counts half of the bench ledger as
 # a ratchet. A traced 2-second slice takes a few seconds per workload
 # and fails unless it prints `"correct": true`: the first published
@@ -88,22 +104,22 @@ check_run() {
 }
 check_counts() { check_run "$1" 1; }
 check_counts cluster-journal <<'CEILINGS'
-proc.allocs_per_alert 3.3153
-proc.alloc_bytes_per_alert 652.81
+proc.allocs_per_alert 2.2715
+proc.alloc_bytes_per_alert 523.23
 proc.write_syscalls_per_kalert 1006.85
 proc.ctx_switches_per_kalert 34.29
 CEILINGS
 check_counts governed-close <<'CEILINGS'
-proc.allocs_per_alert 4.1833
-proc.alloc_bytes_per_alert 776.24
+proc.allocs_per_alert 3.1393
+proc.alloc_bytes_per_alert 610.60
 CEILINGS
 check_counts steady-wire <<'CEILINGS'
-proc.allocs_per_alert 2.8285
-proc.alloc_bytes_per_alert 672.63
+proc.allocs_per_alert 2.3229
+proc.alloc_bytes_per_alert 586.38
 CEILINGS
 check_counts storm-paced <<'CEILINGS'
-proc.allocs_per_alert 3.7753
-proc.alloc_bytes_per_alert 916.42
+proc.allocs_per_alert 3.4294
+proc.alloc_bytes_per_alert 778.12
 CEILINGS
 
 # Peak RSS, ratcheted: reference data (SOPs, strategy rows) is held once
@@ -113,9 +129,10 @@ CEILINGS
 # scratch is most of the heap. An untraced 2-second run repeats
 # `rss_peak_mb` within 2–5 % (five runs read 20.50 – 20.61 MB on
 # `steady-wire`, 11.23 – 11.42 MB on `cluster-journal`, 7.25 –
-# 7.43 MB on `governed-close` and 10.05 – 10.34 MB on `storm-paced`),
+# 7.43 MB on `governed-close` and 9.91 – 9.99 MB on `storm-paced`),
 # so the ceiling is the highest of five runs at the commit that last
-# moved it + 2 %. A SOP's lines are interned, so a deep copy of one
+# moved it + 2 %. A shard close that copies every alert R1 passes
+# before grouping them costs ≈ 0.28 MB on `storm-paced`. A SOP's lines are interned, so a deep copy of one
 # costs its body and two line vectors, ≈ 0.26 kB (≈ 2 MB for
 # `steady-wire`'s 8 000); a SOP owning its lines again ≈ 5 MB more;
 # the old ψ memo's table ≈ 2.2 MB, a shard's old 8192-slot channel
@@ -137,7 +154,7 @@ check_rss governed-close <<'CEILINGS'
 rss_peak_mb 7.58
 CEILINGS
 check_rss storm-paced <<'CEILINGS'
-rss_peak_mb 10.55
+rss_peak_mb 10.19
 CEILINGS
 
 # The window-close path has one owner (alertops_ingestd::MergePoint)
@@ -197,11 +214,14 @@ fi
 # engine holds A1 as a bit in its flag table like A2-A5: no rendered A1
 # list beside it and no diff of its own. R4 has one driver, the online
 # one, which the offline run calls: no fitted, frozen vocabulary and no
-# out-of-vocabulary policy beside it.
+# out-of-vocabulary policy beside it. A dependency graph holds its own
+# closures, computed once when it is collected: no closure memo beside
+# it that a holder fills and threads through, and no upstream query
+# nothing calls.
 # Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer|a1_cache|flip_a1|OovPolicy|encode_frozen|is_fitted|fit must be called' \
+if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer|a1_cache|flip_a1|OovPolicy|encode_frozen|is_fitted|fit must be called|\bClosures\b|affected_by' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close, a closer beside the merge point, a rendered A1 list beside the flag table or a second, frozen-vocabulary R4 driver reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close, a closer beside the merge point, a rendered A1 list beside the flag table, a second, frozen-vocabulary R4 driver or a closure memo beside the dependency graph reappeared (see matches above)" >&2
     exit 1
 fi
 # AO-LDA runs speculatively at a merge point, over the documents the
@@ -314,15 +334,16 @@ for file in $(find crates/*/src src examples -name '*.rs'); do
     fi
 done
 # A6's cascade edge and R3's topology link are one derivation relation,
-# alertops_model::Closures::derives, over one closure memo: only the
-# model's graph module (which defines both) calls `dependency_closure`.
+# alertops_model::DependencyGraph::derives, over the closures a graph
+# computes once when it is collected: only the model's graph module
+# computes a closure, so no `dependency_closure` appears anywhere else.
 # Scoped to the program code above each file's first test module; test
 # files may call it.
 for file in $(find crates/*/src src examples -name '*.rs'); do
     [[ "$file" == crates/model/src/graph.rs ]] && continue
     if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' "$file" |
         grep -F 'dependency_closure('; then
-        echo "a dependency closure is computed outside alertops_model::Closures (see matches above)" >&2
+        echo "a dependency closure is computed outside alertops_model::DependencyGraph (see matches above)" >&2
         exit 1
     fi
 done
