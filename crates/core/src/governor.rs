@@ -1,5 +1,6 @@
 //! The alert governor: detect → derive reactions → react → evaluate.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -10,17 +11,16 @@ use alertops_model::{
 use alertops_qoa::{QoaScorer, QoaVerdicts};
 use alertops_react::blocking::{AlertBlocker, BlockRule};
 use alertops_react::correlation::AlertCorrelator;
-use alertops_react::{AggregationConfig, ReactionPipeline};
+use alertops_react::ReactionPipeline;
 
 use crate::guidelines::{GuidelineContext, GuidelineLinter};
 use crate::metrics::GovernorMetrics;
 use crate::reports::GovernanceReport;
 
-/// Configuration for [`AlertGovernor`].
+/// Configuration for [`AlertGovernor`]. The reaction pipeline takes
+/// none: R2 always groups by strategy over 30 minutes.
 #[derive(Debug, Clone, Default)]
 pub struct GovernorConfig {
-    /// Aggregation settings for the reaction pipeline (R2).
-    pub aggregation: AggregationConfig,
     /// Context for the preventative-guideline linter.
     pub guideline_context: GuidelineContext,
 }
@@ -201,31 +201,23 @@ impl AlertGovernor {
     }
 
     /// Stage 2 (React): runs the reaction pipeline with the given
-    /// blocker.
+    /// blocker, owned or borrowed — a streaming governor lends the R1
+    /// rules it keeps across windows.
     #[must_use]
-    pub fn react(&self, alerts: &[Alert], blocker: AlertBlocker) -> alertops_react::PipelineReport {
-        self.react_with(alerts, &blocker)
-    }
-
-    /// [`react`](Self::react) with a borrowed blocker — how a streaming
-    /// governor runs the R1 rules it keeps across windows.
-    #[must_use]
-    pub fn react_with(
+    pub fn react(
         &self,
         alerts: &[Alert],
-        blocker: &AlertBlocker,
+        blocker: impl Borrow<AlertBlocker>,
     ) -> alertops_react::PipelineReport {
         let mut correlator = AlertCorrelator::new();
         if let Some(graph) = &self.graph {
             correlator = correlator.with_topology(Arc::clone(graph));
         }
-        let mut pipeline = ReactionPipeline::new()
-            .with_aggregation(self.config.aggregation.clone())
-            .with_correlator(correlator);
+        let mut pipeline = ReactionPipeline::new().with_correlator(correlator);
         if let Some(metrics) = &self.metrics {
             pipeline = pipeline.with_metrics(metrics.react.clone());
         }
-        pipeline.run_with_blocker(alerts, blocker)
+        pipeline.run(alerts, blocker.borrow())
     }
 
     /// Evidence-based QoA scores for every strategy, worst overall

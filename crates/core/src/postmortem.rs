@@ -179,7 +179,7 @@ mod tests {
     use alertops_detect::storm::detect_storms;
     use alertops_detect::{DetectionInput, StormConfig};
     use alertops_model::{AlertId, Location, Severity, SimTime};
-    use alertops_react::ReactionPipeline;
+    use alertops_react::{AlertBlocker, ReactionPipeline};
 
     fn storm_world() -> (Vec<Alert>, AlertStorm) {
         let mut alerts = Vec::new();
@@ -222,7 +222,7 @@ mod tests {
             .collect();
         let input = DetectionInput::new(&strategies).with_alerts(&alerts);
         let report = AntiPatternReport::run_default(&input);
-        let pipeline = ReactionPipeline::new().run(&alerts);
+        let pipeline = ReactionPipeline::new().run(&alerts, &AlertBlocker::new());
         let text = render_postmortem(&PostmortemInput {
             storm: &storm,
             alerts: &alerts,
@@ -254,7 +254,7 @@ mod tests {
     fn postmortem_handles_no_cascades() {
         let (alerts, storm) = storm_world();
         let report = AntiPatternReport::default();
-        let pipeline = ReactionPipeline::new().run(&alerts);
+        let pipeline = ReactionPipeline::new().run(&alerts, &AlertBlocker::new());
         let text = render_postmortem(&PostmortemInput {
             storm: &storm,
             alerts: &alerts,

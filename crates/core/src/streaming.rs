@@ -578,7 +578,7 @@ impl StreamingGovernor {
         // The engine never gets the governor's dependency graph, here
         // or in `rollback`: cascade groups (A6) have no reader on this
         // path — deltas and snapshots carry no cascade field, R1 reads
-        // A4/A5, and R3 takes the graph inside `react_with` — and under
+        // A4/A5, and R3 takes the graph inside `react` — and under
         // strategy sharding a shard would group fragments of every
         // cascade. Publishing them online would take a post-merge
         // channel, not per-shard state.
@@ -625,7 +625,7 @@ impl StreamingGovernor {
             .into_iter()
             .collect();
 
-        let pipeline = self.governor.react_with(window, self.rules.blocker());
+        let pipeline = self.governor.react(window, self.rules.blocker());
 
         // The escalation lane: alerts of QoA-promoted strategies that
         // the reaction pipeline did NOT surface in triage ride past

@@ -7,6 +7,10 @@
 //! normalized title template for cross-strategy duplicates) within
 //! fixed tumbling windows; each group keeps a representative, the count,
 //! and the maximum severity.
+//!
+//! [`aggregate`] renders every group under a chosen window and key. The
+//! reaction pipeline groups by strategy over 30 minutes through the
+//! same pass and reads only each group's representative.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -26,6 +30,9 @@ pub enum GroupKey {
     TitleTemplate,
 }
 
+/// R2's window in the reaction pipeline, and [`AggregationConfig`]'s default.
+const AGGREGATION_WINDOW: SimDuration = SimDuration::from_mins(30);
+
 /// Configuration for [`aggregate`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AggregationConfig {
@@ -38,7 +45,7 @@ pub struct AggregationConfig {
 impl Default for AggregationConfig {
     fn default() -> Self {
         Self {
-            window: SimDuration::from_mins(30),
+            window: AGGREGATION_WINDOW,
             key: GroupKey::Strategy,
         }
     }
@@ -64,7 +71,8 @@ pub struct AlertGroup {
 }
 
 /// Aggregates `alerts` (assumed sorted by raise time, as produced by the
-/// simulator and monitor) into groups per `(key, tumbling window)`.
+/// simulator and monitor) into groups per `(key, tumbling window)`,
+/// ordered by their representative's (raise time, id).
 ///
 /// Count preservation holds: the sum of group counts equals the input
 /// length, and every input alert appears in exactly one group.
@@ -74,35 +82,32 @@ pub struct AlertGroup {
 /// Panics if the configured window is zero.
 #[must_use]
 pub fn aggregate(alerts: &[Alert], config: &AggregationConfig) -> Vec<AlertGroup> {
-    grouped(alerts, config)
-        .into_iter()
-        .map(|(_, group)| group)
-        .collect()
-}
-
-/// [`aggregate`]'s groups, each with its representative alert, ordered
-/// by the representative's (raise time, id).
-pub(crate) fn grouped<'a>(
-    alerts: impl IntoIterator<Item = &'a Alert>,
-    config: &AggregationConfig,
-) -> Vec<(&'a Alert, AlertGroup)> {
     assert!(
         !config.window.is_zero(),
         "aggregation window must be positive"
     );
     // Bucket by the key itself and render it as text once per group,
     // not once per alert.
-    let mut groups = match config.key {
-        GroupKey::Strategy => group_by(alerts, config.window, Alert::strategy, |id| id.to_string()),
-        GroupKey::TitleTemplate => group_by(
-            alerts,
-            config.window,
-            |alert| extract_template(alert.title()),
+    match config.key {
+        GroupKey::Strategy => render(group_by(alerts, config.window, Alert::strategy), |id| {
+            id.to_string()
+        }),
+        GroupKey::TitleTemplate => render(
+            group_by(alerts, config.window, |alert| {
+                extract_template(alert.title())
+            }),
             |template| template,
         ),
-    };
-    groups.sort_by_key(|(_, g)| (g.window.start(), g.representative));
-    groups
+    }
+}
+
+/// The representatives of [`aggregate`]'s groups under the default
+/// configuration, unrendered: R2 as the reaction pipeline runs it.
+pub(crate) fn representatives<'a>(alerts: impl IntoIterator<Item = &'a Alert>) -> Vec<&'a Alert> {
+    group_by(alerts, AGGREGATION_WINDOW, Alert::strategy)
+        .into_iter()
+        .map(|(_, bucket)| bucket.first)
+        .collect()
 }
 
 /// One bucket as the grouping pass fills it: opened by the first alert
@@ -135,13 +140,13 @@ impl<'a> Bucket<'a> {
     }
 }
 
-/// One group per `(tumbling window, key_of(alert))`, in bucket order.
+/// The one grouping pass: a bucket per `(tumbling window,
+/// key_of(alert))`, ordered by the representative's (raise time, id).
 fn group_by<'a, K: Ord>(
     alerts: impl IntoIterator<Item = &'a Alert>,
     window: SimDuration,
     key_of: impl Fn(&Alert) -> K,
-    render: impl Fn(K) -> String,
-) -> Vec<(&'a Alert, AlertGroup)> {
+) -> Vec<((u64, K), Bucket<'a>)> {
     let mut buckets: BTreeMap<(u64, K), Bucket<'a>> = BTreeMap::new();
     for alert in alerts {
         let window_ix = alert.raised_at().as_secs() / window.as_secs();
@@ -152,13 +157,24 @@ fn group_by<'a, K: Ord>(
             Entry::Occupied(slot) => slot.into_mut().fold(alert),
         }
     }
-    buckets
+    // No two buckets share a representative, so the order is total.
+    let mut groups: Vec<_> = buckets.into_iter().collect();
+    groups.sort_unstable_by_key(|(_, bucket)| (bucket.first.raised_at(), bucket.first.id()));
+    groups
+}
+
+/// Renders each bucket as the [`AlertGroup`] [`aggregate`] reports.
+fn render<K>(
+    groups: Vec<((u64, K), Bucket<'_>)>,
+    key_text: impl Fn(K) -> String,
+) -> Vec<AlertGroup> {
+    groups
         .into_iter()
         .map(|((_, key), mut bucket)| {
             let first = bucket.first;
             bucket.members.sort_unstable();
-            let group = AlertGroup {
-                key: render(key),
+            AlertGroup {
+                key: key_text(key),
                 strategy: first.strategy(),
                 representative: first.id(),
                 count: bucket.members.len(),
@@ -168,8 +184,7 @@ fn group_by<'a, K: Ord>(
                     bucket.last_raise.saturating_add(SimDuration::from_secs(1)),
                 ),
                 max_severity: bucket.max_severity,
-            };
-            (first, group)
+            }
         })
         .collect()
 }

@@ -6,6 +6,9 @@
 //! measurable: per-rule hit rates over daily windows, staleness (a rule
 //! that stopped matching — its noise source was fixed), and harm (a rule
 //! that suppressed alerts coinciding with incidents).
+//!
+//! Each blocked alert counts for the first rule that matches it, as the
+//! blocker's own index finds it: R1's credit has that one definition.
 
 use serde::{Deserialize, Serialize};
 
@@ -118,8 +121,8 @@ pub fn audit_blocker_with(
         .collect();
 
     for alert in alerts {
-        // First matching rule gets the credit, mirroring apply().
-        let Some(ix) = blocker.rules().iter().position(|r| r.blocks(alert)) else {
+        // The first matching rule gets the credit, found as R1 finds it.
+        let Some(ix) = blocker.first_match(alert) else {
             continue;
         };
         let audit = &mut audits[ix];

@@ -7,6 +7,10 @@
 //! limited to a time window (the paper notes rules must be re-examined
 //! after service updates — windows make stale rules expire instead of
 //! silently eating real alerts).
+//!
+//! An alert is blocked when some rule matches it, and the first such
+//! rule takes the credit, which [`audit_blocker`](crate::audit_blocker)
+//! counts; the reaction pipeline keeps only the alerts that pass.
 
 use std::collections::BTreeSet;
 
@@ -100,8 +104,6 @@ pub struct BlockOutcome<'a> {
     pub passed: Vec<&'a Alert>,
     /// Alerts suppressed by some rule.
     pub blocked: Vec<&'a Alert>,
-    /// Per-rule hit counts, parallel to the blocker's rule list.
-    pub rule_hits: Vec<usize>,
 }
 
 impl BlockOutcome<'_> {
@@ -212,8 +214,10 @@ impl AlertBlocker {
             .map(|&(_, ix)| ix)
     }
 
-    /// The position of the first rule that blocks `alert`.
-    fn first_match(&self, alert: &Alert) -> Option<usize> {
+    /// The position of the first rule that blocks `alert`: the rule
+    /// credited with the hit. The one definition of R1's credit; an
+    /// alert passes when this is `None`.
+    pub(crate) fn first_match(&self, alert: &Alert) -> Option<usize> {
         let unconditional = self.unconditional(alert.strategy()).next();
         // Only a scanned rule listed before the unconditional one can
         // take the credit from it.
@@ -224,27 +228,14 @@ impl AlertBlocker {
             .or(unconditional)
     }
 
-    /// Partitions `alerts` into passed and blocked. The first matching
-    /// rule is credited with the hit.
+    /// Partitions `alerts` into passed and blocked, each in input
+    /// order.
     #[must_use]
     pub fn apply<'a>(&self, alerts: &'a [Alert]) -> BlockOutcome<'a> {
-        let mut passed = Vec::new();
-        let mut blocked = Vec::new();
-        let mut rule_hits = vec![0usize; self.rules.len()];
-        for alert in alerts {
-            match self.first_match(alert) {
-                Some(ix) => {
-                    rule_hits[ix] += 1;
-                    blocked.push(alert);
-                }
-                None => passed.push(alert),
-            }
-        }
-        BlockOutcome {
-            passed,
-            blocked,
-            rule_hits,
-        }
+        let (blocked, passed) = alerts
+            .iter()
+            .partition(|alert| self.first_match(alert).is_some());
+        BlockOutcome { passed, blocked }
     }
 }
 
@@ -327,7 +318,6 @@ mod tests {
         let outcome = blocker.apply(&alerts);
         assert_eq!(outcome.passed.len() + outcome.blocked.len(), alerts.len());
         assert_eq!(outcome.blocked.len(), 2);
-        assert_eq!(outcome.rule_hits, vec![2]);
         assert!((outcome.reduction() - 0.5).abs() < 1e-12);
     }
 
@@ -418,8 +408,19 @@ mod tests {
         ]
         .into_iter()
         .collect();
+        // The reference scan: try every rule in order on every alert.
+        let mut credit = vec![0usize; blocker.rules().len()];
+        for alert in &alerts {
+            if let Some(ix) = blocker.rules().iter().position(|r| r.blocks(alert)) {
+                credit[ix] += 1;
+            }
+        }
+        assert_eq!(credit, vec![2, 0]);
+        let audits = crate::audit_blocker(&blocker, &alerts, &[]);
+        let total_hits: Vec<usize> = audits.iter().map(|a| a.total_hits).collect();
+        assert_eq!(total_hits, credit);
         let outcome = blocker.apply(&alerts);
-        assert_eq!(outcome.rule_hits, vec![2, 0]);
+        assert_eq!(outcome.blocked.len(), 2);
     }
 
     #[test]

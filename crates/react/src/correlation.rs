@@ -10,6 +10,7 @@
 //! derivation relation A6's cascade edge also reads,
 //! [`DependencyGraph::derives`], over its one window, [`DERIVATION_WINDOW`].
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -149,27 +150,26 @@ impl AlertCorrelator {
 
     /// Correlates a time-sorted alert stream into clusters. Every alert
     /// lands in exactly one cluster; alerts with no source of their own
-    /// become cluster sources.
+    /// become cluster sources. The alerts may be owned or borrowed: the
+    /// reaction pipeline hands over the group representatives it
+    /// borrows from its input.
     ///
     /// Attribution is greedy-to-earliest: each alert is attached to the
     /// earliest alert in the window that can explain it, and attribution
     /// chains collapse to the chain's source.
     #[must_use]
-    pub fn correlate(&self, alerts: &[Alert]) -> Vec<CorrelatedCluster> {
+    pub fn correlate<A: Borrow<Alert>>(&self, alerts: &[A]) -> Vec<CorrelatedCluster> {
+        let alert = |ix: usize| -> &Alert { alerts[ix].borrow() };
         let n = alerts.len();
         // source_of[i] = index of the cluster source alert i belongs to.
         let mut source_of: Vec<usize> = (0..n).collect();
         let mut lo = 0usize;
         for hi in 0..n {
-            while alerts[hi]
-                .raised_at()
-                .duration_since(alerts[lo].raised_at())
-                > DERIVATION_WINDOW
-            {
+            while alert(hi).raised_at().duration_since(alert(lo).raised_at()) > DERIVATION_WINDOW {
                 lo += 1;
             }
             for earlier in lo..hi {
-                if self.is_derived_from(&alerts[earlier], &alerts[hi]) {
+                if self.is_derived_from(alert(earlier), alert(hi)) {
                     // Collapse to the chain's source.
                     source_of[hi] = source_of[earlier];
                     break; // earliest explanation wins
@@ -183,11 +183,11 @@ impl AlertCorrelator {
         clusters
             .into_iter()
             .map(|(src, members)| CorrelatedCluster {
-                source: alerts[src].id(),
+                source: alert(src).id(),
                 derived: members
                     .into_iter()
                     .filter(|&m| m != src)
-                    .map(|m| alerts[m].id())
+                    .map(|m| alert(m).id())
                     .collect(),
             })
             .collect()
@@ -343,6 +343,6 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        assert!(AlertCorrelator::new().correlate(&[]).is_empty());
+        assert!(AlertCorrelator::new().correlate::<Alert>(&[]).is_empty());
     }
 }

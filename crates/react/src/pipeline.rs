@@ -6,12 +6,16 @@
 //! alert detection, is an orthogonal *early-warning* channel rather than
 //! a volume reducer; run it separately via
 //! [`EmergingAlertDetector`](crate::EmergingAlertDetector).)
+//!
+//! [`ReactionPipeline::run`] is the one entry. It borrows the alerts and
+//! the blocker and copies no alert: R2 groups the alerts R1 passes by
+//! strategy over 30 minutes and hands R3 each group's representative.
 
 use serde::{Deserialize, Serialize};
 
 use alertops_model::{Alert, AlertId};
 
-use crate::aggregation::{grouped, AggregationConfig};
+use crate::aggregation;
 use crate::blocking::AlertBlocker;
 use crate::correlation::AlertCorrelator;
 use crate::metrics::ReactMetrics;
@@ -51,32 +55,15 @@ impl PipelineReport {
 /// The composed reaction pipeline.
 #[derive(Debug, Default)]
 pub struct ReactionPipeline {
-    blocker: AlertBlocker,
-    aggregation: AggregationConfig,
     correlator: AlertCorrelator,
     metrics: Option<ReactMetrics>,
 }
 
 impl ReactionPipeline {
-    /// A pipeline with no blocking rules, default aggregation, and no
-    /// correlation knowledge.
+    /// A pipeline with no correlation knowledge.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the blocker (R1).
-    #[must_use]
-    pub fn with_blocker(mut self, blocker: AlertBlocker) -> Self {
-        self.blocker = blocker;
-        self
-    }
-
-    /// Sets the aggregation configuration (R2).
-    #[must_use]
-    pub fn with_aggregation(mut self, config: AggregationConfig) -> Self {
-        self.aggregation = config;
-        self
     }
 
     /// Sets the correlator (R3).
@@ -95,17 +82,11 @@ impl ReactionPipeline {
         self
     }
 
-    /// Runs the pipeline over a time-sorted alert stream.
+    /// Runs the pipeline over a time-sorted alert stream, with R1's
+    /// rules borrowed from `blocker` (a holder keeps one blocker current
+    /// across many runs).
     #[must_use]
-    pub fn run(&self, alerts: &[Alert]) -> PipelineReport {
-        self.run_with_blocker(alerts, &self.blocker)
-    }
-
-    /// [`run`](Self::run) with R1's rules borrowed from `blocker`
-    /// instead of the pipeline's own — for a holder that keeps one
-    /// blocker current across many runs.
-    #[must_use]
-    pub fn run_with_blocker(&self, alerts: &[Alert], blocker: &AlertBlocker) -> PipelineReport {
+    pub fn run(&self, alerts: &[Alert], blocker: &AlertBlocker) -> PipelineReport {
         let input = alerts.len();
         let mut stages = vec![StageStat {
             stage: "input".to_owned(),
@@ -113,29 +94,31 @@ impl ReactionPipeline {
         }];
 
         // R1 — blocking.
-        let outcome = {
+        let passed: Vec<&Alert> = {
             let _span = self.metrics.as_ref().map(|m| m.stage_timer(0));
-            blocker.apply(alerts)
+            alerts
+                .iter()
+                .filter(|alert| blocker.first_match(alert).is_none())
+                .collect()
         };
         stages.push(StageStat {
             stage: "blocking".to_owned(),
-            remaining: outcome.passed.len(),
+            remaining: passed.len(),
         });
 
-        // R2 — aggregation.
-        let groups = {
+        // R2 — aggregation, by strategy over 30 minutes.
+        let representatives = {
             let _span = self.metrics.as_ref().map(|m| m.stage_timer(1));
-            grouped(outcome.passed.iter().copied(), &self.aggregation)
+            aggregation::representatives(passed.iter().copied())
         };
         stages.push(StageStat {
             stage: "aggregation".to_owned(),
-            remaining: groups.len(),
+            remaining: representatives.len(),
         });
 
-        // R3 — correlation over group representatives.
+        // R3 — correlation over the group representatives, which come
+        // in (raise time, id) order.
         let _span = self.metrics.as_ref().map(|m| m.stage_timer(2));
-        // Groups come ordered by their representative's (raise time, id).
-        let representatives: Vec<Alert> = groups.iter().map(|&(alert, _)| alert.clone()).collect();
         let clusters = self.correlator.correlate(&representatives);
         drop(_span);
         stages.push(StageStat {
@@ -145,8 +128,8 @@ impl ReactionPipeline {
         if let Some(m) = &self.metrics {
             m.record_volumes(
                 input as u64,
-                (input - outcome.passed.len()) as u64,
-                groups.len() as u64,
+                (input - passed.len()) as u64,
+                representatives.len() as u64,
                 clusters.len() as u64,
             );
         }
@@ -194,19 +177,21 @@ mod tests {
         alerts
     }
 
-    fn pipeline() -> ReactionPipeline {
-        let blocker: AlertBlocker = [BlockRule::for_strategy("mute haproxy", StrategyId(9))]
+    fn blocker() -> AlertBlocker {
+        [BlockRule::for_strategy("mute haproxy", StrategyId(9))]
             .into_iter()
-            .collect();
+            .collect()
+    }
+
+    fn pipeline() -> ReactionPipeline {
         let deps: StrategyDependencies = [(StrategyId(1), StrategyId(2))].into_iter().collect();
         ReactionPipeline::new()
-            .with_blocker(blocker)
             .with_correlator(AlertCorrelator::new().with_strategy_dependencies(deps))
     }
 
     #[test]
     fn stages_shrink_monotonically() {
-        let report = pipeline().run(&flood());
+        let report = pipeline().run(&flood(), &blocker());
         let volumes: Vec<usize> = report.stages.iter().map(|s| s.remaining).collect();
         for w in volumes.windows(2) {
             assert!(w[1] <= w[0], "stage increased volume: {volumes:?}");
@@ -215,7 +200,7 @@ mod tests {
 
     #[test]
     fn flood_collapses_to_one_triage_item() {
-        let report = pipeline().run(&flood());
+        let report = pipeline().run(&flood(), &blocker());
         // 24 input → block 20 → 4 remain → aggregate disk-full dupes →
         // 2 groups → correlation attaches commit-failed to disk-full →
         // 1 triage item.
@@ -229,14 +214,14 @@ mod tests {
 
     #[test]
     fn empty_pipeline_on_empty_input() {
-        let report = ReactionPipeline::new().run(&[]);
+        let report = ReactionPipeline::new().run(&[], &AlertBlocker::new());
         assert_eq!(report.triage.len(), 0);
         assert_eq!(report.reduction, 0.0);
     }
 
     #[test]
     fn noop_pipeline_still_aggregates_duplicates() {
-        let report = ReactionPipeline::new().run(&flood());
+        let report = ReactionPipeline::new().run(&flood(), &AlertBlocker::new());
         // No blocking, no correlation knowledge: aggregation still folds
         // the 20 haproxy alerts within windows.
         let aggregated = report.remaining_after("aggregation").unwrap();
@@ -250,7 +235,7 @@ mod tests {
     #[test]
     fn triage_sources_exist_in_input() {
         let alerts = flood();
-        let report = pipeline().run(&alerts);
+        let report = pipeline().run(&alerts, &blocker());
         for id in &report.triage {
             assert!(alerts.iter().any(|a| a.id() == *id));
         }

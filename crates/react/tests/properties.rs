@@ -92,6 +92,15 @@ fn arb_mixed_rules() -> impl Strategy<Value = Vec<BlockRule>> {
     )
 }
 
+/// Each rule's credit as the audit counts it: the alerts it blocked as
+/// the first matching rule.
+fn total_hits(blocker: &AlertBlocker, alerts: &[Alert]) -> Vec<usize> {
+    audit_blocker(blocker, alerts, &[])
+        .iter()
+        .map(|audit| audit.total_hits)
+        .collect()
+}
+
 /// Deep sweep under `ALERTOPS_TEST_FULL=1`; a faster default keeps the
 /// tier-1 wall clock flat.
 fn cases(full: u32, quick: u32) -> u32 {
@@ -110,7 +119,8 @@ proptest! {
         let blocker: AlertBlocker = rules.into_iter().collect();
         let outcome = blocker.apply(&alerts);
         prop_assert_eq!(outcome.passed.len() + outcome.blocked.len(), alerts.len());
-        prop_assert_eq!(outcome.rule_hits.iter().sum::<usize>(), outcome.blocked.len());
+        let credited: usize = audit_blocker(&blocker, &alerts, &[]).iter().map(|a| a.total_hits).sum();
+        prop_assert_eq!(credited, outcome.blocked.len());
         // Idempotent: re-filtering the passed set blocks nothing.
         let passed: Vec<Alert> = outcome.passed.iter().map(|&a| a.clone()).collect();
         prop_assert!(blocker.apply(&passed).blocked.is_empty());
@@ -140,11 +150,11 @@ proptest! {
         // credit the first that blocks.
         let mut passed = Vec::new();
         let mut blocked = Vec::new();
-        let mut rule_hits = vec![0usize; rules.len()];
+        let mut credit = vec![0usize; rules.len()];
         for alert in &alerts {
             match rules.iter().position(|r| r.blocks(alert)) {
                 Some(ix) => {
-                    rule_hits[ix] += 1;
+                    credit[ix] += 1;
                     blocked.push(alert.id());
                 }
                 None => passed.push(alert.id()),
@@ -155,7 +165,7 @@ proptest! {
         let ids = |side: &[&Alert]| side.iter().map(|a| a.id()).collect::<Vec<AlertId>>();
         prop_assert_eq!(ids(&outcome.passed), passed);
         prop_assert_eq!(ids(&outcome.blocked), blocked);
-        prop_assert_eq!(outcome.rule_hits, rule_hits);
+        prop_assert_eq!(total_hits(&blocker, &alerts), credit);
     }
 
     #[test]
@@ -178,17 +188,17 @@ proptest! {
         }
         prop_assert_eq!(blocker.rules(), expected.as_slice());
         prop_assert_eq!(&blocker, &expected.iter().cloned().collect::<AlertBlocker>());
-        let mut rule_hits = vec![0usize; expected.len()];
+        let mut credit = vec![0usize; expected.len()];
         let mut blocked = Vec::new();
         for alert in &alerts {
             if let Some(ix) = expected.iter().position(|r| r.blocks(alert)) {
-                rule_hits[ix] += 1;
+                credit[ix] += 1;
                 blocked.push(alert.id());
             }
         }
         let outcome = blocker.apply(&alerts);
         prop_assert_eq!(outcome.blocked.iter().map(|a| a.id()).collect::<Vec<_>>(), blocked);
-        prop_assert_eq!(outcome.rule_hits, rule_hits);
+        prop_assert_eq!(total_hits(&blocker, &alerts), credit);
         // A strategy's unconditional rule is found by its name.
         for strategy in (0..4).map(StrategyId) {
             let first = expected.iter().position(|r| {
@@ -207,15 +217,13 @@ proptest! {
     ) {
         // The alertops-obs guarantee: attaching ReactMetrics must never
         // change the pipeline report, only record its volumes.
-        let blocker: AlertBlocker = rules.iter().cloned().collect();
-        let baseline = ReactionPipeline::new().with_blocker(blocker).run(&alerts);
+        let blocker: AlertBlocker = rules.into_iter().collect();
+        let baseline = ReactionPipeline::new().run(&alerts, &blocker);
 
         let registry = MetricsRegistry::new();
-        let blocker: AlertBlocker = rules.into_iter().collect();
         let instrumented = ReactionPipeline::new()
-            .with_blocker(blocker)
             .with_metrics(ReactMetrics::register(&registry))
-            .run(&alerts);
+            .run(&alerts, &blocker);
         prop_assert_eq!(&instrumented, &baseline);
 
         // The volume counters agree with the report's own accounting.
@@ -237,6 +245,43 @@ proptest! {
             text
         );
         prop_assert!(alertops_obs::lint_exposition(&text).is_ok());
+    }
+
+    #[test]
+    fn pipeline_triage_equals_block_aggregate_correlate(
+        alerts in arb_alerts(150),
+        rules in arb_mixed_rules(),
+        edges in prop::collection::vec((0u64..10, 0u64..10), 0..20),
+        with_topology in any::<bool>(),
+    ) {
+        // The reference: R1's partition, R2's rendered groups under the
+        // default configuration, an owned copy of each representative in
+        // group order, then R3 over those copies.
+        let blocker: AlertBlocker = rules.into_iter().collect();
+        let mut correlator = AlertCorrelator::new();
+        if with_topology {
+            let graph: DependencyGraph = edges
+                .into_iter()
+                .map(|(a, b)| (MicroserviceId(a), MicroserviceId(b)))
+                .collect();
+            correlator = correlator.with_topology(graph);
+        }
+        let passed: Vec<Alert> = blocker.apply(&alerts).passed.into_iter().cloned().collect();
+        let groups = aggregate(&passed, &AggregationConfig::default());
+        let representatives: Vec<Alert> = groups
+            .iter()
+            .map(|g| passed.iter().find(|a| a.id() == g.representative).unwrap().clone())
+            .collect();
+        let triage: Vec<AlertId> = correlator
+            .correlate(&representatives)
+            .iter()
+            .map(|c| c.source)
+            .collect();
+
+        let report = ReactionPipeline::new().with_correlator(correlator).run(&alerts, &blocker);
+        prop_assert_eq!(&report.triage, &triage);
+        prop_assert_eq!(report.remaining_after("blocking"), Some(passed.len()));
+        prop_assert_eq!(report.remaining_after("aggregation"), Some(groups.len()));
     }
 
     #[test]

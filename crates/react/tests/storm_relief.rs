@@ -6,12 +6,13 @@
 use alertops_model::{Severity, StrategyKind};
 use alertops_react::blocking::{AlertBlocker, BlockRule};
 use alertops_react::correlation::{AlertCorrelator, StrategyDependencies};
-use alertops_react::{AggregationConfig, EmergingAlertDetector, EmergingConfig, ReactionPipeline};
+use alertops_react::{EmergingAlertDetector, EmergingConfig, ReactionPipeline};
 use alertops_sim::scenarios;
 
-/// Builds the pipeline an OCE team would configure from the catalog:
-/// block the known-noisy strategies, aggregate, correlate by topology.
-fn configured_pipeline(out: &alertops_sim::SimOutput) -> ReactionPipeline {
+/// Builds the pipeline and blocker an OCE team would configure from the
+/// catalog: block the known-noisy strategies, aggregate, correlate by
+/// topology.
+fn configured_pipeline(out: &alertops_sim::SimOutput) -> (ReactionPipeline, AlertBlocker) {
     let mut blocker = AlertBlocker::new();
     for strategy in out.catalog.strategies() {
         let profile = out.catalog.profile(strategy.id());
@@ -41,20 +42,19 @@ fn configured_pipeline(out: &alertops_sim::SimOutput) -> ReactionPipeline {
             }
         }
     }
-    ReactionPipeline::new()
-        .with_blocker(blocker)
-        .with_aggregation(AggregationConfig::default())
-        .with_correlator(
-            AlertCorrelator::new()
-                .with_strategy_dependencies(deps)
-                .with_topology(graph),
-        )
+    let pipeline = ReactionPipeline::new().with_correlator(
+        AlertCorrelator::new()
+            .with_strategy_dependencies(deps)
+            .with_topology(graph),
+    );
+    (pipeline, blocker)
 }
 
 #[test]
 fn pipeline_reduces_storm_volume_substantially() {
     let out = scenarios::mini_study(21).run();
-    let report = configured_pipeline(&out).run(&out.alerts);
+    let (pipeline, blocker) = configured_pipeline(&out);
+    let report = pipeline.run(&out.alerts, &blocker);
     assert!(
         report.reduction > 0.6,
         "pipeline reduced only {:.0}%",

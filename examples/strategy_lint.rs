@@ -27,7 +27,6 @@ fn main() {
         out.catalog.strategies().to_vec(),
         GovernorConfig {
             guideline_context: GuidelineContext { fault_tolerant },
-            ..GovernorConfig::default()
         },
     )
     .with_sops(

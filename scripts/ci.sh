@@ -104,22 +104,22 @@ check_run() {
 }
 check_counts() { check_run "$1" 1; }
 check_counts cluster-journal <<'CEILINGS'
-proc.allocs_per_alert 2.2715
-proc.alloc_bytes_per_alert 523.23
+proc.allocs_per_alert 1.7413
+proc.alloc_bytes_per_alert 416.91
 proc.write_syscalls_per_kalert 1006.85
 proc.ctx_switches_per_kalert 34.29
 CEILINGS
 check_counts governed-close <<'CEILINGS'
-proc.allocs_per_alert 3.1393
-proc.alloc_bytes_per_alert 610.60
+proc.allocs_per_alert 2.4441
+proc.alloc_bytes_per_alert 506.86
 CEILINGS
 check_counts steady-wire <<'CEILINGS'
-proc.allocs_per_alert 2.3229
-proc.alloc_bytes_per_alert 586.38
+proc.allocs_per_alert 1.7993
+proc.alloc_bytes_per_alert 480.84
 CEILINGS
 check_counts storm-paced <<'CEILINGS'
-proc.allocs_per_alert 3.4294
-proc.alloc_bytes_per_alert 778.12
+proc.allocs_per_alert 2.9640
+proc.alloc_bytes_per_alert 696.56
 CEILINGS
 
 # Peak RSS, ratcheted: reference data (SOPs, strategy rows) is held once
@@ -217,11 +217,13 @@ fi
 # out-of-vocabulary policy beside it. A dependency graph holds its own
 # closures, computed once when it is collected: no closure memo beside
 # it that a holder fills and threads through, and no upstream query
-# nothing calls.
+# nothing calls. R1-R3 run one way: one pipeline entry and one governor
+# react over a borrowed blocker, no R2 setting on the governor path,
+# and no per-rule credit beside the audit's.
 # Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer|a1_cache|flip_a1|OovPolicy|encode_frozen|is_fitted|fit must be called|\bClosures\b|affected_by' \
+if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer|a1_cache|flip_a1|OovPolicy|encode_frozen|is_fitted|fit must be called|\bClosures\b|affected_by|run_with_blocker|react_with|rule_hits|with_aggregation|with_blocker' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close, a closer beside the merge point, a rendered A1 list beside the flag table, a second, frozen-vocabulary R4 driver or a closure memo beside the dependency graph reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close, a closer beside the merge point, a rendered A1 list beside the flag table, a second, frozen-vocabulary R4 driver, a closure memo beside the dependency graph or a second reaction entry, R2 knob or rule-credit list reappeared (see matches above)" >&2
     exit 1
 fi
 # AO-LDA runs speculatively at a merge point, over the documents the
@@ -335,15 +337,16 @@ for file in $(find crates/*/src src examples -name '*.rs'); do
 done
 # A6's cascade edge and R3's topology link are one derivation relation,
 # alertops_model::DependencyGraph::derives, over the closures a graph
-# computes once when it is collected: only the model's graph module
-# computes a closure, so no `dependency_closure` appears anywhere else.
-# Scoped to the program code above each file's first test module; test
-# files may call it.
+# computes once when it is collected. Reading a graph's edges is the
+# only way to rebuild a closure outside it, so no program code outside
+# the model's graph module calls `DependencyGraph::edges`. Scoped to the
+# program code above each file's first test module; tests may read the
+# edges.
 for file in $(find crates/*/src src examples -name '*.rs'); do
     [[ "$file" == crates/model/src/graph.rs ]] && continue
     if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' "$file" |
-        grep -F 'dependency_closure('; then
-        echo "a dependency closure is computed outside alertops_model::DependencyGraph (see matches above)" >&2
+        grep -E '\.edges\(\)|DependencyGraph::edges'; then
+        echo "a dependency graph's edges are read outside alertops_model::DependencyGraph (see matches above)" >&2
         exit 1
     fi
 done

@@ -248,7 +248,6 @@ impl GovernorParts {
             strategies,
             GovernorConfig {
                 guideline_context: self.guideline_context.clone(),
-                ..GovernorConfig::default()
             },
         )
         .with_sops(sops)
