@@ -1,7 +1,7 @@
 //! Metric registration and naming.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::encode;
 use crate::histogram::Histogram;
@@ -125,7 +125,7 @@ impl MetricsRegistry {
             .iter()
             .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
             .collect();
-        let mut families = self.families.lock().expect("metrics registry poisoned");
+        let mut families = self.families();
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             help: help.to_string(),
             kind,
@@ -150,8 +150,21 @@ impl MetricsRegistry {
     /// series.
     #[must_use]
     pub fn render(&self) -> String {
-        let families = self.families.lock().expect("metrics registry poisoned");
-        encode::render_families(&families)
+        encode::render_families(&self.families())
+    }
+
+    /// Locks the family map, taking it back from a poisoned lock.
+    ///
+    /// Sound because a panic under the lock leaves the map as some
+    /// sequence of completed registrations. The map is mutated only by a
+    /// completed `or_insert_with` (one whole family) and a completed
+    /// `push` (one whole series), and the one panic point under the lock,
+    /// the kind-mismatch `assert!` in `register`, runs after the first and
+    /// before the second: it cannot fire for a family the insert just made
+    /// (that family has the kind it checks), and when it fires for an
+    /// existing family nothing has been changed yet. `render` only reads.
+    fn families(&self) -> MutexGuard<'_, BTreeMap<String, Family>> {
+        self.families.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -193,6 +206,27 @@ mod tests {
         let r = MetricsRegistry::new();
         let _c = r.counter("x_total", "X.", &[]);
         let _h = r.histogram("x_total", "X.", &[]);
+    }
+
+    #[test]
+    fn a_panicked_registration_leaves_scrapes_and_registrations_working() {
+        let r = Arc::new(MetricsRegistry::new());
+        r.counter("kept_total", "Kept.", &[]).inc();
+        let clashing = Arc::clone(&r);
+        let joined = std::thread::spawn(move || {
+            let _c = clashing.counter("x_total", "X.", &[]);
+            let _g = clashing.gauge("x_total", "X.", &[]);
+        })
+        .join();
+        assert!(joined.is_err(), "the kind mismatch panics its thread");
+        assert!(r.families.is_poisoned(), "the panic held the lock");
+
+        let text = r.render();
+        assert!(text.contains("kept_total 1"), "{text}");
+        assert!(text.contains("# TYPE x_total counter"), "{text}");
+        r.gauge("after_poison", "Registered after the panic.", &[])
+            .set(3);
+        assert!(r.render().contains("after_poison 3"));
     }
 
     #[test]

@@ -100,12 +100,6 @@ impl LogisticRegression {
         sigmoid(z)
     }
 
-    /// Hard prediction at threshold 0.5.
-    #[must_use]
-    pub fn predict(&self, x: &[f64]) -> bool {
-        self.predict_proba(x) >= 0.5
-    }
-
     /// Mean log-loss over a dataset (lower is better).
     ///
     /// # Panics
@@ -209,7 +203,7 @@ mod tests {
         let correct = x
             .iter()
             .zip(&y)
-            .filter(|(xi, &yi)| model.predict(xi) == yi)
+            .filter(|(xi, &yi)| (model.predict_proba(xi) >= 0.5) == yi)
             .count();
         assert!(
             correct as f64 / x.len() as f64 > 0.95,

@@ -39,14 +39,26 @@ impl BlockCriterion {
     pub fn matches(&self, alert: &Alert) -> bool {
         match self {
             BlockCriterion::Strategy(id) => alert.strategy() == *id,
-            BlockCriterion::TitleContains(needle) => alert
-                .title()
-                .to_ascii_lowercase()
-                .contains(&needle.to_ascii_lowercase()),
+            BlockCriterion::TitleContains(needle) => {
+                contains_ignore_ascii_case(alert.title(), needle)
+            }
             BlockCriterion::SeverityAtMost(max) => alert.severity() <= *max,
             BlockCriterion::Region(region) => alert.location().region() == region,
         }
     }
+}
+
+/// Whether `haystack` contains `needle`, ASCII letters compared
+/// case-insensitively, without allocating. A byte window of valid UTF-8
+/// that equals a valid UTF-8 needle starts on a character boundary, so
+/// this is `str::contains` over both strings ASCII-lowercased.
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    let (haystack, needle) = (haystack.as_bytes(), needle.as_bytes());
+    // `windows(0)` panics, and every string contains the empty one.
+    needle.is_empty()
+        || haystack
+            .windows(needle.len())
+            .any(|window| window.eq_ignore_ascii_case(needle))
 }
 
 /// A blocking rule: every criterion must match (conjunction), within the

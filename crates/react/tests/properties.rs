@@ -111,6 +111,47 @@ fn cases(full: u32, quick: u32) -> u32 {
     }
 }
 
+/// Title and needle characters: ASCII letters of both cases, a space,
+/// and non-ASCII letters whose Unicode lowercase differs (`É`, `İ`, the
+/// Kelvin sign `K`), which an ASCII-only fold must leave alone.
+const TITLE_CHARS: &str = "[aAbBkK \u{e9}\u{c9}\u{130}\u{212a}]{0,12}";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(256, 96)))]
+
+    /// `TitleContains` matches exactly where the title, ASCII-lowercased,
+    /// contains the needle, ASCII-lowercased: drawn needles (the empty
+    /// one among them) and case-swapped slices of the title itself.
+    #[test]
+    fn title_contains_is_ascii_case_insensitive_substring(
+        title in TITLE_CHARS,
+        drawn in "[aAbBkK \u{e9}\u{c9}\u{130}\u{212a}]{0,4}",
+        start in 0usize..12,
+        len in 0usize..5,
+        cut in any::<bool>(),
+    ) {
+        let needle: String = if cut {
+            title
+                .chars()
+                .skip(start)
+                .take(len)
+                .map(|c| if c.is_ascii_lowercase() { c.to_ascii_uppercase() } else { c.to_ascii_lowercase() })
+                .collect()
+        } else {
+            drawn
+        };
+        let alert = Alert::builder(AlertId(0), StrategyId(0)).title(title.as_str()).build();
+        let expected = title.to_ascii_lowercase().contains(&needle.to_ascii_lowercase());
+        prop_assert_eq!(
+            BlockCriterion::TitleContains(needle.clone()).matches(&alert),
+            expected,
+            "title {:?}, needle {:?}",
+            title,
+            needle
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(64, 24)))]
 

@@ -29,18 +29,6 @@ pub struct MonitorConfig {
     pub seed: u64,
 }
 
-impl MonitorConfig {
-    /// A config monitoring `[0, hours)` with the default 60 s tick.
-    #[must_use]
-    pub fn for_hours(hours: u64) -> Self {
-        Self {
-            tick: SimDuration::from_secs(60),
-            range: TimeRange::new(SimTime::EPOCH, SimTime::from_hours(hours)),
-            seed: 3,
-        }
-    }
-}
-
 /// Per-strategy evaluation state carried across ticks.
 #[derive(Debug, Clone, Default)]
 struct StrategyState {
@@ -225,6 +213,18 @@ mod tests {
     use crate::strategies::StrategyCatalogConfig;
     use crate::topology::{Topology, TopologyConfig};
     use alertops_model::{AlertState, MicroserviceId};
+
+    impl MonitorConfig {
+        /// A config monitoring `[0, hours)` with a 60 s tick; the tests
+        /// here and in `ocesim` use it.
+        pub(crate) fn for_hours(hours: u64) -> Self {
+            Self {
+                tick: SimDuration::from_secs(60),
+                range: TimeRange::new(SimTime::EPOCH, SimTime::from_hours(hours)),
+                seed: 3,
+            }
+        }
+    }
 
     fn small_world() -> (Topology, StrategyCatalog) {
         let topo = Topology::generate(&TopologyConfig {

@@ -21,8 +21,8 @@
 use serde::{Deserialize, Serialize};
 
 use alertops_model::{
-    AlertStrategy, LogRule, MetricKind, MetricRule, MicroserviceId, ProbeRule, Severity,
-    SimDuration, Sop, StrategyId, StrategyKind, ThresholdOp,
+    AlertStrategy, LogRule, MetricKind, MetricRule, ProbeRule, Severity, SimDuration, Sop,
+    StrategyId, StrategyKind, ThresholdOp,
 };
 
 use crate::rng;
@@ -430,13 +430,6 @@ impl StrategyCatalog {
         self.sops.push(sop);
         self.strategies.push(strategy);
     }
-
-    /// Strategies owned by `ms`.
-    pub fn by_microservice(&self, ms: MicroserviceId) -> impl Iterator<Item = &AlertStrategy> {
-        self.strategies
-            .iter()
-            .filter(move |s| s.microservice() == ms)
-    }
 }
 
 /// Pushes a severity at least two ranks away from `appropriate`.
@@ -642,7 +635,11 @@ mod tests {
         let (topo, cat) = catalog();
         for ms in topo.microservices() {
             assert!(
-                cat.by_microservice(ms.id).count() >= 10,
+                cat.strategies()
+                    .iter()
+                    .filter(|s| s.microservice() == ms.id)
+                    .count()
+                    >= 10,
                 "{} has too few strategies",
                 ms.name
             );

@@ -404,19 +404,6 @@ impl StatisticalStream {
         Some(self.emit(batch))
     }
 
-    /// Drains up to `hours` hour-batches into one window, or `None`
-    /// once the range is exhausted.
-    pub fn next_window(&mut self, hours: u64) -> Option<Vec<Alert>> {
-        let mut window: Option<Vec<Alert>> = None;
-        for _ in 0..hours.max(1) {
-            match self.next_hour() {
-                Some(batch) => window.get_or_insert_with(Vec::new).extend(batch),
-                None => break,
-            }
-        }
-        window
-    }
-
     /// Sorts a complete bucket and stamps dense ids, preserving the
     /// batch engine's global order (stable sort over insertion order
     /// within non-overlapping key ranges).
@@ -681,6 +668,19 @@ mod tests {
     use super::*;
     use crate::scenarios::{mini_study, soak, soak_smoke};
 
+    /// Drains up to `hours` hour-batches of `stream` into one window, or
+    /// `None` once its range is exhausted.
+    fn next_window(stream: &mut StatisticalStream, hours: u64) -> Option<Vec<Alert>> {
+        let mut window: Option<Vec<Alert>> = None;
+        for _ in 0..hours.max(1) {
+            match stream.next_hour() {
+                Some(batch) => window.get_or_insert_with(Vec::new).extend(batch),
+                None => break,
+            }
+        }
+        window
+    }
+
     fn fnv(h: &mut u64, bytes: &[u8]) {
         for &b in bytes {
             *h ^= u64::from(b);
@@ -750,7 +750,7 @@ mod tests {
         }
         let mut by_window = StatisticalStream::new(&scenario);
         let mut b = Vec::new();
-        while let Some(window) = by_window.next_window(5) {
+        while let Some(window) = next_window(&mut by_window, 5) {
             b.extend(window);
         }
         assert_eq!(a, b);
@@ -760,12 +760,11 @@ mod tests {
     fn soak_scenarios_are_seed_replayable() {
         let mut a = StatisticalStream::new(&soak_smoke(11));
         let mut b = StatisticalStream::new(&soak_smoke(11));
-        let wa = a.next_window(8).expect("smoke generates alerts");
-        let wb = b.next_window(8).expect("smoke generates alerts");
+        let wa = next_window(&mut a, 8).expect("smoke generates alerts");
+        let wb = next_window(&mut b, 8).expect("smoke generates alerts");
         assert_eq!(wa, wb);
         assert!(wa.len() > 50, "too few alerts: {}", wa.len());
-        let wc = StatisticalStream::new(&soak_smoke(12))
-            .next_window(8)
+        let wc = next_window(&mut StatisticalStream::new(&soak_smoke(12)), 8)
             .expect("smoke generates alerts");
         assert_ne!(wa, wc, "different seeds should diverge");
     }
@@ -797,7 +796,7 @@ mod tests {
         let scenario = soak_smoke(5);
         assert!(scenario.load.tenants > 1);
         let mut stream = StatisticalStream::new(&scenario);
-        let window = stream.next_window(6).expect("smoke generates alerts");
+        let window = next_window(&mut stream, 6).expect("smoke generates alerts");
         let mut tenants_seen = HashSet::new();
         for a in &window {
             let instance = a.location().instance().expect("instance label");

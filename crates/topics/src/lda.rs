@@ -159,8 +159,9 @@ impl LdaWorkspace {
         Self::default()
     }
 
-    /// Bytes of heap the workspace holds, counted by capacity — a probe
-    /// for memory-bound tests.
+    /// Bytes of heap the workspace holds, counted by capacity. A test
+    /// seam: `workspace_holds_a_linear_bound_of_its_largest_window`, in
+    /// this file's tests, bounds it; no program code reads it.
     #[doc(hidden)]
     #[must_use]
     pub fn retained_bytes(&self) -> usize {

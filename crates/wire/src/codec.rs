@@ -254,7 +254,11 @@ impl WireDecoder {
         }
     }
 
-    /// Whether a previous error ended this stream.
+    /// Whether a previous error ended this stream. A test seam:
+    /// `a_flipped_bit_fails_the_crc_and_poisons_the_stream` and
+    /// `error_position_is_terminal`, in this file's tests, read it; the
+    /// daemon learns of the end from the error frame itself.
+    #[doc(hidden)]
     #[must_use]
     pub fn is_poisoned(&self) -> bool {
         self.poisoned

@@ -368,6 +368,22 @@ if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 
     exit 1
 fi
 
+# The differential scaffolding lives once, in tests/common: the batch
+# oracle, the cases, the topology runners and the one comparison, the
+# only code that may leave triage (cross-partition) or `degraded`
+# (faulted runs) out of a snapshot. A test file that grows its own copy
+# of a helper or of a snapshot strip fails here. `tests/*.rs` does not
+# reach into tests/common.
+echo "==> the differential scaffolding stays in tests/common"
+if grep -nE 'fn (comparable|repeater_strategy|shard_governor|windowed_trace|full_catalog)\b' tests/*.rs ||
+    awk '/GovernanceSnapshot \{ *(triage|degraded): Vec::new\(\)/ ||
+         (FNR == open + 1 && /^ *(triage|degraded): Vec::new\(\)/) { print FILENAME ":" FNR ": " $0; found = 1 }
+         { open = /GovernanceSnapshot \{ *$/ ? FNR : -1 }
+         END { exit !found }' tests/*.rs; then
+    echo "a test outside tests/common defines its own differential helper or snapshot strip (see matches above)" >&2
+    exit 1
+fi
+
 # The codec crate builds from the data model alone (the model scores
 # each catalog row's title with alertops-text, a leaf crate).
 echo "==> alertops-wire depends on alertops-model only"

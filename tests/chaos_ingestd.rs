@@ -7,11 +7,14 @@
 //! alerts the daemon must still acknowledge, which are lost at the
 //! transport (quarantined) or to a crashed worker (dropped), and which
 //! shards must appear in `GovernanceSnapshot::degraded`. After every
-//! window the merged snapshot must equal a fault-free single-shard
-//! governor fed exactly the modeled survivors, and at the end of every
+//! window the merged snapshot must equal the fault-free batch oracle
+//! fed exactly the modeled survivors, over the whole catalog and split
+//! as the daemon splits it (triage included), and at the end of every
 //! cell `ingested == delivered + dropped + quarantined` must hold to
 //! the unit. Every assertion names the seed that replays it; export
 //! `CHAOS_SEED=<seed>` to pin a run.
+
+mod common;
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
@@ -23,16 +26,17 @@ use alertops::chaos::{
     ChaosRng, ChaosSchedule,
 };
 use alertops::core::prelude::*;
-use alertops::detect::StormConfig;
 use alertops::ingestd::codec::{ack_line, encode_alert};
 use alertops::ingestd::{
-    shard_catalog, shard_of, Ingestd, IngestdConfig, IngestdHandle, IngressClient, OverflowPolicy,
-    WireFormat, CHAOS_PANIC_MSG, SYNC_FRAME,
+    shard_of, IngestdConfig, IngestdHandle, IngressClient, OverflowPolicy, WireFormat,
+    CHAOS_PANIC_MSG, SYNC_FRAME,
 };
-use alertops::model::LogRule;
 use alertops::sim::scenarios;
-use alertops::sim::SimOutput;
 use alertops::wire::{AckFrame, Frame, WireDecoder, WireEncoder};
+
+use common::{
+    full_catalog, repeater_alerts, repeater_strategy, BatchSides, Case, Faults, Topology, REPEATER,
+};
 
 /// Default base seed; `CHAOS_SEED` overrides it (see `seed_from_env`).
 const BASE_SEED: u64 = 0xA1E7_0005_C4A0_05ED;
@@ -42,52 +46,6 @@ const OVERFLOW_QUEUE: usize = 8;
 const BURST_LEN: usize = 24;
 /// Trace length per cell: three windows of 120.
 const TRACE_LEN: usize = 360;
-
-/// The injected A5 strategy: not part of any scenario catalog.
-const REPEATER: StrategyId = StrategyId(9001);
-
-fn repeater_strategy() -> AlertStrategy {
-    AlertStrategy::builder(REPEATER)
-        .title_template("haproxy process number warning")
-        .kind(StrategyKind::Log(LogRule {
-            keyword: "WARN".into(),
-            min_count: 1,
-            window: SimDuration::from_mins(5),
-        }))
-        .build()
-        .expect("repeater strategy is well-formed")
-}
-
-/// 22 alerts/hour for three consecutive hours: trips the A5 burst rule
-/// deterministically, so chaos windows carry real findings.
-fn repeater_alerts() -> Vec<Alert> {
-    let mut alerts = Vec::new();
-    for hour in 0..3u64 {
-        for i in 0..22u64 {
-            alerts.push(
-                Alert::builder(AlertId(1_000_000 + hour * 100 + i), REPEATER)
-                    .title("haproxy process number warning")
-                    .raised_at(SimTime::from_secs(hour * 3_600 + i * 163))
-                    .build(),
-            );
-        }
-    }
-    alerts
-}
-
-fn shard_governor(strategies: &[AlertStrategy], shards: usize, shard: usize) -> StreamingGovernor {
-    let catalog = shard_catalog(strategies, shards, shard);
-    StreamingGovernor::new(
-        AlertGovernor::new(catalog, GovernorConfig::default()),
-        StreamingConfig::default(),
-    )
-}
-
-fn full_catalog(out: &SimOutput) -> Vec<AlertStrategy> {
-    let mut strategies = out.catalog.strategies().to_vec();
-    strategies.push(repeater_strategy());
-    strategies
-}
 
 /// The scenario trace every cell replays: the quickstart simulation
 /// plus the injected repeater, time-sorted, capped at [`TRACE_LEN`].
@@ -104,18 +62,6 @@ fn chaos_trace() -> (Vec<AlertStrategy>, Vec<Alert>) {
         "quickstart trace shorter than expected"
     );
     (strategies, trace)
-}
-
-/// Strips the fields sharding and chaos are *not* exact for: triage
-/// (cross-strategy correlation runs within each shard only) and the
-/// degraded list (the fault-free oracle never degrades — the driver
-/// asserts `degraded` separately against the model).
-fn comparable(snapshot: &GovernanceSnapshot) -> GovernanceSnapshot {
-    GovernanceSnapshot {
-        triage: Vec::new(),
-        degraded: Vec::new(),
-        ..snapshot.clone()
-    }
 }
 
 /// One NDJSON producer connection (write frames, read acks).
@@ -202,6 +148,15 @@ impl Model {
     }
 }
 
+/// The fault-free batch side a `shards`-shard daemon over `strategies`
+/// is compared with window by window, fed the modelled survivors.
+fn batch(strategies: &[AlertStrategy], shards: usize) -> BatchSides {
+    BatchSides::new(
+        &Case::new(strategies.to_vec()),
+        Topology::Daemon { shards }.partition(),
+    )
+}
+
 fn poll_until(what: &str, ctx: &str, mut ok: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !ok() {
@@ -214,14 +169,14 @@ fn poll_until(what: &str, ctx: &str, mut ok: impl FnMut() -> bool) {
 }
 
 /// One matrix cell: a live daemon, a producer connection, the model,
-/// and the fault-free oracle it is compared against.
+/// and the fault-free batch side it is compared against.
 struct CellDriver {
     ctx: String,
     addr: SocketAddr,
     conn: Conn,
     handle: IngestdHandle,
     model: Model,
-    oracle: StreamingGovernor,
+    batch: BatchSides,
     rng: ChaosRng,
     overflow: OverflowPolicy,
 }
@@ -361,7 +316,7 @@ impl CellDriver {
     }
 
     /// Closes the window on the daemon and checks it against the
-    /// fault-free oracle fed the modeled survivors.
+    /// fault-free batch side fed the modeled survivors.
     fn close_window(&mut self) {
         self.conn.sync();
         // Armed close-poisons fire inside this close: the poisoned
@@ -382,10 +337,7 @@ impl CellDriver {
         });
 
         let snapshot = self.handle.flush().expect("flush yields a snapshot");
-        let mut window = std::mem::take(&mut self.model.pending);
-        window.sort_by_key(|a| (a.raised_at(), a.id()));
-        let delta = self.oracle.ingest(&window, &[]);
-        let want = GovernanceSnapshot::merge(&[delta], &StormConfig::default());
+        let window = std::mem::take(&mut self.model.pending);
 
         let degraded: Vec<usize> = self.model.degraded.iter().copied().collect();
         assert_eq!(snapshot.degraded, degraded, "{}: degraded shards", self.ctx);
@@ -395,11 +347,14 @@ impl CellDriver {
             "{}: window alert count",
             self.ctx
         );
-        assert_eq!(
-            comparable(&snapshot),
-            comparable(&want),
-            "{}: merged snapshot diverged from the fault-free oracle",
-            self.ctx
+        self.batch.assert_window(
+            &format!(
+                "{}: merged snapshot against the fault-free batch side",
+                self.ctx
+            ),
+            &window,
+            &snapshot,
+            Faults::Injected,
         );
 
         self.model.delivered += window.len() as u64;
@@ -531,10 +486,7 @@ fn run_cell(
         listen: Some("127.0.0.1:0".to_owned()),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = Case::new(strategies.to_vec()).daemon(config, None);
     let addr = handle.ingest_addr().expect("ingress bound");
     let mut driver = CellDriver {
         ctx,
@@ -542,7 +494,7 @@ fn run_cell(
         conn: Conn::open(addr),
         handle,
         model: Model::new(shards),
-        oracle: shard_governor(strategies, 1, 0),
+        batch: batch(strategies, shards),
         rng: ChaosRng::new(seed ^ 0xC0FF_EE00_D15E_A5ED),
         overflow,
     };
@@ -626,7 +578,6 @@ fn chaos_matrix_queue_overflow() {
 #[test]
 fn mid_window_panic_degrades_one_window_then_recovers() {
     silence_panics_containing(CHAOS_PANIC_MSG);
-    let strategies = vec![repeater_strategy()];
     let shards = 4;
     let target = shard_of(REPEATER, shards);
     let config = IngestdConfig {
@@ -635,10 +586,7 @@ fn mid_window_panic_degrades_one_window_then_recovers() {
         listen: Some("127.0.0.1:0".to_owned()),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = Case::new(vec![repeater_strategy()]).daemon(config, None);
     let mut conn = Conn::open(handle.ingest_addr().expect("ingress bound"));
     let alerts = repeater_alerts();
 
@@ -710,10 +658,7 @@ fn consecutive_close_panics_roll_back_to_the_same_commit() {
         listen: Some("127.0.0.1:0".to_owned()),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = Case::new(strategies.to_vec()).daemon(config, None);
     let addr = handle.ingest_addr().expect("ingress bound");
     let mut driver = CellDriver {
         ctx: format!("two close panics on shard {target}"),
@@ -721,7 +666,7 @@ fn consecutive_close_panics_roll_back_to_the_same_commit() {
         conn: Conn::open(addr),
         handle,
         model: Model::new(shards),
-        oracle: shard_governor(&strategies, 1, 0),
+        batch: batch(&strategies, shards),
         rng: ChaosRng::new(0),
         overflow: OverflowPolicy::Block,
     };
@@ -761,16 +706,12 @@ fn consecutive_close_panics_roll_back_to_the_same_commit() {
 /// quarantined as unknown controls and the daemon keeps serving.
 #[test]
 fn chaos_frames_are_quarantined_when_chaos_mode_is_off() {
-    let strategies = vec![repeater_strategy()];
     let config = IngestdConfig {
         shards: 2,
         listen: Some("127.0.0.1:0".to_owned()),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = Case::new(vec![repeater_strategy()]).daemon(config, None);
     let mut conn = Conn::open(handle.ingest_addr().expect("ingress bound"));
 
     conn.send(br#"{"ctrl":"panic","shard":0}"#);
@@ -800,7 +741,7 @@ fn chaos_frames_are_quarantined_when_chaos_mode_is_off() {
 /// could poison the merge lock; instead each stream's good prefix is
 /// routed, its first bad frame quarantined, no worker restarts, every
 /// alert is accounted, and the windows after equal the socketless
-/// 1-shard oracle.
+/// batch side.
 #[test]
 fn hostile_binary_bytes_leave_a_live_daemon_exact() {
     const CONNECTIONS: usize = 12;
@@ -816,10 +757,7 @@ fn hostile_binary_bytes_leave_a_live_daemon_exact() {
         listen: Some("127.0.0.1:0".to_owned()),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = Case::new(strategies.to_vec()).daemon(config, None);
     let addr = handle.ingest_addr().expect("ingress bound");
 
     let (hostile, rest) = trace.split_at(CONNECTIONS * FRAMES);
@@ -872,18 +810,11 @@ fn hostile_binary_bytes_leave_a_live_daemon_exact() {
 
     // The hostile streams' good prefixes close as one window, then a
     // clean connection sends one window and its flush.
-    let mut oracle = shard_governor(&strategies, 1, 0);
-    let mut expect = |window: &[Alert]| {
-        let mut window = window.to_vec();
-        window.sort_by_key(|a| (a.raised_at(), a.id()));
-        let delta = oracle.ingest(&window, &[]);
-        comparable(&GovernanceSnapshot::merge(
-            &[delta],
-            &StormConfig::default(),
-        ))
-    };
+    // No worker restarts here, so `degraded` is compared too.
+    let mut batch = batch(&strategies, 2);
     let hostile_window = handle.flush().expect("hostile window closes");
-    assert_eq!(comparable(&hostile_window), expect(&routed), "{ctx}");
+    let what = format!("{ctx}: hostile window");
+    batch.assert_window(&what, &routed, &hostile_window, Faults::None);
     let mut client = IngressClient::connect(addr, WireFormat::Binary).expect("connect");
     client.send_alerts(clean).expect("send the clean window");
     assert_eq!(
@@ -895,7 +826,12 @@ fn hostile_binary_bytes_leave_a_live_daemon_exact() {
         "{ctx}"
     );
     let snapshot = handle.latest_snapshot().expect("clean window published");
-    assert_eq!(comparable(&snapshot), expect(clean), "{ctx}: clean window");
+    batch.assert_window(
+        &format!("{ctx}: clean window"),
+        clean,
+        &snapshot,
+        Faults::None,
+    );
 
     let counters = handle.counters();
     assert!(counters.is_conserved(), "{ctx}: {counters:?}");

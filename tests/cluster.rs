@@ -2,8 +2,9 @@
 //! topology is an execution strategy, not a semantics change, and that
 //! the write-ahead log makes every fault accountable.
 //!
-//! - N-node clusters (1, 2, 4) publish snapshots equal to the single
-//!   full-catalog streaming governor over the same windowed trace.
+//! - Clusters of 1 to 4 nodes publish the batch oracle's snapshots over
+//!   the same windowed trace, as every other topology of the harness
+//!   in `tests/common` does.
 //! - A mid-window node kill + rejoin is byte-invisible: the WAL replay
 //!   rebuilds exactly the state `kill -9` destroyed.
 //! - A close across a dead node lists its shards `degraded` (flat
@@ -24,142 +25,32 @@
 //!   log cannot hold with exact accounting (in
 //!   `a_daemon_sheds_what_its_log_cannot_hold`).
 
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+mod common;
+
+use std::path::Path;
 
 use alertops::chaos::{seed_from_env, ChaosConfig, ChaosKind, ChaosSchedule};
-use alertops::cluster::{replay, AlertCluster, ClusterConfig, GovernorFactory, WalFormat};
+use alertops::cluster::{replay, AlertCluster};
 use alertops::core::prelude::*;
-use alertops::detect::StormConfig;
-use alertops::ingestd::IngestdConfig;
-use alertops::sim::scenarios;
 
-/// Rolling history depth for every governor in this suite — small, so
-/// the differentials cross eviction boundaries and WAL pruning.
-const HISTORY: usize = 3;
+use common::{route_all, wal_root, Case, Faults, Partition, Topology};
 
-fn streaming_config() -> StreamingConfig {
-    StreamingConfig {
-        history_windows: HISTORY,
-        storm: StormConfig::default(),
-        ..StreamingConfig::default()
-    }
+/// The quickstart trace of seed 7 in windows of `len`, with a trailing
+/// empty window, under a rolling history of 3 — small, so the
+/// differentials cross eviction boundaries and WAL pruning.
+fn cluster_case(len: usize) -> Case {
+    Case::quickstart(7, len, 1).history(3)
 }
 
-/// The per-shard governor factory every cluster in this suite uses.
-fn factory() -> GovernorFactory {
-    Arc::new(|catalog: &[AlertStrategy]| {
-        StreamingGovernor::new(
-            AlertGovernor::new(catalog.to_vec(), GovernorConfig::default()),
-            streaming_config(),
-        )
-    })
-}
-
-/// A unique, per-process WAL root so parallel test binaries never
-/// collide.
-fn wal_root(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "alertops-cluster-test-{tag}-{}",
-        std::process::id()
-    ))
-}
-
-fn cluster_config(nodes: usize, shards: usize, wal_root: PathBuf) -> ClusterConfig {
-    ClusterConfig {
-        nodes,
-        node: IngestdConfig {
-            shards,
-            queue_capacity: 8192,
-            streaming: streaming_config(),
-            ..IngestdConfig::default()
-        },
-        wal_root,
-        wal_format: WalFormat::default(),
-    }
-}
-
-fn spawn(nodes: usize, shards: usize, root: &Path, catalog: &[AlertStrategy]) -> AlertCluster {
-    AlertCluster::spawn(
-        cluster_config(nodes, shards, root.to_path_buf()),
-        catalog.to_vec(),
-        factory(),
-    )
-    .expect("cluster spawns")
-}
-
-/// The quickstart trace chopped into fixed-size, time-sorted windows,
-/// with a trailing empty window so the differentials also cover
-/// detection over a draining history.
-fn windowed_trace(seed: u64, window_len: usize) -> (Vec<AlertStrategy>, Vec<Vec<Alert>>) {
-    let out = scenarios::quickstart(seed).run();
-    let mut trace = out.alerts.clone();
-    trace.sort_by_key(|a| (a.raised_at(), a.id()));
-    let mut windows: Vec<Vec<Alert>> = trace.chunks(window_len).map(<[Alert]>::to_vec).collect();
-    windows.push(Vec::new());
-    (out.catalog.strategies().to_vec(), windows)
-}
-
-fn json(snapshot: &GovernanceSnapshot) -> String {
-    serde_json::to_string(snapshot).expect("snapshot serializes")
-}
-
-/// Strips the fields different partitions are *not* exact for: triage
-/// (cross-strategy correlation runs within each shard only, and node
-/// count changes the sharding) and the degraded list (asserted
-/// separately, in `a_close_across_a_dead_node_lists_its_shards_degraded`).
-/// Same-topology comparisons
-/// skip this and demand full byte equality.
-fn comparable(snapshot: &GovernanceSnapshot) -> GovernanceSnapshot {
-    GovernanceSnapshot {
-        triage: Vec::new(),
-        degraded: Vec::new(),
-        ..snapshot.clone()
-    }
-}
-
-/// Runs `windows` through a fresh fault-free cluster and returns every
-/// published snapshot, asserting conservation on the way out.
-fn run_cluster(
-    nodes: usize,
-    shards: usize,
-    tag: &str,
-    catalog: &[AlertStrategy],
-    windows: &[Vec<Alert>],
-) -> Vec<GovernanceSnapshot> {
-    let root = wal_root(tag);
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = spawn(nodes, shards, &root, catalog);
-    let mut snapshots = Vec::with_capacity(windows.len());
-    for window in windows {
-        for alert in window {
-            cluster.route(alert.clone()).expect("route succeeds");
-        }
-        snapshots.push(cluster.close_window().expect("window closes"));
-    }
-    let counters = cluster.counters();
-    assert!(counters.is_conserved(), "{counters:?}");
-    assert_eq!(counters.dropped, 0, "fault-free run must drop nothing");
-    cluster.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
-    snapshots
-}
-
-/// Every value of the named family in a Prometheus text exposition.
-fn exposition_values(text: &str, name: &str) -> Vec<u64> {
-    text.lines()
-        .filter(|line| !line.starts_with('#'))
-        .filter_map(|line| {
-            let (series, value) = line.rsplit_once(' ')?;
-            let base = series.split('{').next()?;
-            (base == name).then(|| value.parse().expect("metric values are integers"))
-        })
-        .collect()
-}
+/// The reference the fault tests compare against.
+const THREE_BY_TWO: Topology = Topology::Cluster {
+    nodes: 3,
+    shards: 2,
+};
 
 /// The single value of an unlabelled family.
 fn exposition_value(text: &str, name: &str) -> u64 {
-    let values = exposition_values(text, name);
+    let values = common::exposition_values(text, name);
     assert_eq!(values.len(), 1, "{name} should be a single series");
     values[0]
 }
@@ -180,45 +71,14 @@ fn assert_scrape_conserved(cluster: &AlertCluster) {
     );
 }
 
-/// The tentpole differential: a 4-node cluster, a 2-node cluster, a
-/// 1-node cluster, and the single full-catalog streaming governor (the
-/// batch-equivalent oracle pinned in `incremental_equivalence.rs`) all
-/// publish the same governance stream. The 1-node × 1-shard cluster is
-/// compared *unstripped* — triage included, byte for byte.
+/// The tentpole differential: every cluster size (1 × 1, 2 × 2, 3 × 2,
+/// 4 × 1, 4 × 2) publishes the batch oracle's governance stream, and
+/// so does every other topology. Each run is compared whole against
+/// the full-catalog oracle (triage included at 1 × 1) and, triage
+/// included, against the oracle at its own partition.
 #[test]
 fn cluster_sizes_agree_with_each_other_and_the_batch_oracle() {
-    let (catalog, windows) = windowed_trace(7, 48);
-
-    let mut oracle = StreamingGovernor::new(
-        AlertGovernor::new(catalog.clone(), GovernorConfig::default()),
-        streaming_config(),
-    );
-    let storm = streaming_config().storm;
-    let oracle_snapshots: Vec<GovernanceSnapshot> = windows
-        .iter()
-        .map(|window| GovernanceSnapshot::from_delta(&oracle.ingest(window, &[]), &storm))
-        .collect();
-
-    let single = run_cluster(1, 1, "diff-1", &catalog, &windows);
-    for (index, (got, want)) in single.iter().zip(&oracle_snapshots).enumerate() {
-        assert_eq!(
-            json(got),
-            json(want),
-            "1-node cluster diverged from the batch oracle at window {index}"
-        );
-    }
-
-    for nodes in [2usize, 4] {
-        let sharded = run_cluster(nodes, 2, &format!("diff-{nodes}"), &catalog, &windows);
-        assert_eq!(sharded.len(), oracle_snapshots.len());
-        for (index, (got, want)) in sharded.iter().zip(&oracle_snapshots).enumerate() {
-            assert_eq!(
-                json(&comparable(got)),
-                json(&comparable(want)),
-                "{nodes}-node cluster diverged from the oracle at window {index}"
-            );
-        }
-    }
+    common::assert_topologies_agree(&cluster_case(48));
 }
 
 /// Mid-window `kill -9` + rejoin: the killed node's daemon memory is
@@ -229,31 +89,24 @@ fn cluster_sizes_agree_with_each_other_and_the_batch_oracle() {
 /// close, so not even `degraded` may differ).
 #[test]
 fn mid_window_kill_and_rejoin_is_byte_invisible() {
-    let (catalog, windows) = windowed_trace(7, 48);
-    let reference = run_cluster(3, 2, "kill-ref", &catalog, &windows);
+    let case = cluster_case(48);
+    let reference = common::run(&case, THREE_BY_TWO);
 
     let root = wal_root("kill-live");
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = spawn(3, 2, &root, &catalog);
-    let fault_window = windows.len() / 2;
-    let mut snapshots = Vec::with_capacity(windows.len());
-    for (index, window) in windows.iter().enumerate() {
+    let mut cluster = case.cluster(3, 2, &root);
+    let fault_window = case.windows.len() / 2;
+    let mut snapshots = Vec::with_capacity(case.windows.len());
+    for (index, window) in case.windows.iter().enumerate() {
         if index == fault_window {
-            let (routed, rest) = window.split_at(window.len() / 2);
-            for alert in routed {
-                cluster.route(alert.clone()).expect("route succeeds");
-            }
+            let (routed, rest) = window.alerts.split_at(window.alerts.len() / 2);
+            route_all(&cluster, routed);
             cluster.kill(1);
             assert_eq!(cluster.alive_nodes(), 2);
             cluster.rejoin(1).expect("rejoin replays the WAL");
             assert_eq!(cluster.alive_nodes(), 3);
-            for alert in rest {
-                cluster.route(alert.clone()).expect("route succeeds");
-            }
+            route_all(&cluster, rest);
         } else {
-            for alert in window {
-                cluster.route(alert.clone()).expect("route succeeds");
-            }
+            route_all(&cluster, &window.alerts);
         }
         snapshots.push(cluster.close_window().expect("window closes"));
     }
@@ -268,13 +121,14 @@ fn mid_window_kill_and_rejoin_is_byte_invisible() {
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 
-    for (index, (got, want)) in snapshots.iter().zip(&reference).enumerate() {
-        assert_eq!(
-            json(got),
-            json(want),
-            "kill+rejoin run diverged from the fault-free run at window {index}"
-        );
-    }
+    // Byte-invisible: compared as if nothing had been injected.
+    let partition = THREE_BY_TWO.partition();
+    common::assert_agree(
+        "kill+rejoin run against the fault-free run",
+        (partition, &reference),
+        (partition, &snapshots),
+        Faults::None,
+    );
 }
 
 /// A window closed *across* a dead node says so, in the flat
@@ -284,15 +138,13 @@ fn mid_window_kill_and_rejoin_is_byte_invisible() {
 /// rejoin lists none and delivers them. Conservation holds at both.
 #[test]
 fn a_close_across_a_dead_node_lists_its_shards_degraded() {
-    let (catalog, windows) = windowed_trace(7, 48);
+    let case = cluster_case(48);
+    let windows = &case.windows;
     let root = wal_root("degraded-flat");
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = spawn(3, 2, &root, &catalog);
+    let mut cluster = case.cluster(3, 2, &root);
 
     cluster.kill(1);
-    for alert in &windows[0] {
-        cluster.route(alert.clone()).expect("route succeeds");
-    }
+    route_all(&cluster, &windows[0].alerts);
     let across = cluster.close_window().expect("window closes");
     assert_eq!(across.degraded, vec![2, 3]);
     let counters = cluster.counters();
@@ -300,14 +152,12 @@ fn a_close_across_a_dead_node_lists_its_shards_degraded() {
     assert!(counters.in_flight > 0, "node 1 owns part of the window");
     assert_eq!(
         across.alert_count as u64 + counters.in_flight,
-        windows[0].len() as u64
+        windows[0].alerts.len() as u64
     );
     assert_scrape_conserved(&cluster);
 
     cluster.rejoin(1).expect("rejoin replays the WAL");
-    for alert in &windows[1] {
-        cluster.route(alert.clone()).expect("route succeeds");
-    }
+    route_all(&cluster, &windows[1].alerts);
     let after = cluster.close_window().expect("window closes");
     assert_eq!(after.degraded, Vec::<usize>::new());
     let counters = cluster.counters();
@@ -315,7 +165,7 @@ fn a_close_across_a_dead_node_lists_its_shards_degraded() {
     assert_eq!((counters.in_flight, counters.dropped), (0, 0));
     assert_eq!(
         counters.delivered,
-        (windows[0].len() + windows[1].len()) as u64
+        (windows[0].alerts.len() + windows[1].alerts.len()) as u64
     );
     assert_scrape_conserved(&cluster);
     cluster.shutdown();
@@ -329,21 +179,18 @@ fn a_close_across_a_dead_node_lists_its_shards_degraded() {
 /// Triage is stripped (the partition changed); nothing else may move.
 #[test]
 fn live_range_handoff_neither_drops_nor_double_counts() {
-    let (catalog, windows) = windowed_trace(7, 48);
-    let reference = run_cluster(3, 2, "handoff-ref", &catalog, &windows);
+    let case = cluster_case(48);
+    let reference = common::run(&case, THREE_BY_TWO);
 
     let root = wal_root("handoff-live");
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = spawn(3, 2, &root, &catalog);
-    let fault_window = windows.len() / 2;
-    let mut snapshots = Vec::with_capacity(windows.len());
+    let mut cluster = case.cluster(3, 2, &root);
+    let fault_window = case.windows.len() / 2;
+    let mut snapshots = Vec::with_capacity(case.windows.len());
     let mut report = None;
-    for (index, window) in windows.iter().enumerate() {
+    for (index, window) in case.windows.iter().enumerate() {
         if index == fault_window {
-            let (routed, rest) = window.split_at(window.len() / 2);
-            for alert in routed {
-                cluster.route(alert.clone()).expect("route succeeds");
-            }
+            let (routed, rest) = window.alerts.split_at(window.alerts.len() / 2);
+            route_all(&cluster, routed);
             let range = cluster.range_map().ranges_of(0)[0];
             let moved = cluster.handoff(range, 2).expect("handoff completes");
             assert_eq!((moved.from, moved.to), (0, 2));
@@ -354,13 +201,9 @@ fn live_range_handoff_neither_drops_nor_double_counts() {
             assert_eq!(cluster.range_map().node_of(StrategyId(range.start)), 2);
             assert_eq!(cluster.range_map().node_of(StrategyId(range.end)), 2);
             report = Some(moved);
-            for alert in rest {
-                cluster.route(alert.clone()).expect("route succeeds");
-            }
+            route_all(&cluster, rest);
         } else {
-            for alert in window {
-                cluster.route(alert.clone()).expect("route succeeds");
-            }
+            route_all(&cluster, &window.alerts);
         }
         snapshots.push(cluster.close_window().expect("window closes"));
     }
@@ -380,13 +223,12 @@ fn live_range_handoff_neither_drops_nor_double_counts() {
 
     let report = report.expect("handoff ran");
     assert!(report.micros < 60_000_000, "handoff latency is sane");
-    for (index, (got, want)) in snapshots.iter().zip(&reference).enumerate() {
-        assert_eq!(
-            json(&comparable(got)),
-            json(&comparable(want)),
-            "handoff run diverged from the never-rebalanced run at window {index}"
-        );
-    }
+    common::assert_agree(
+        "handoff run against the never-rebalanced run",
+        (THREE_BY_TWO.partition(), &reference),
+        (Partition::Moved, &snapshots),
+        Faults::None,
+    );
 }
 
 /// WAL truncation while a node is dead: the chopped tail records are
@@ -395,19 +237,15 @@ fn live_range_handoff_neither_drops_nor_double_counts() {
 /// in-process and from the scraped exposition.
 #[test]
 fn wal_truncation_is_counted_dropped_never_leaked() {
-    let (catalog, windows) = windowed_trace(7, 48);
+    let case = cluster_case(48);
+    let windows = &case.windows;
     let root = wal_root("truncate");
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = spawn(2, 2, &root, &catalog);
+    let mut cluster = case.cluster(2, 2, &root);
 
-    for alert in &windows[0] {
-        cluster.route(alert.clone()).expect("route succeeds");
-    }
+    route_all(&cluster, &windows[0].alerts);
     cluster.close_window().expect("window closes");
 
-    for alert in &windows[1] {
-        cluster.route(alert.clone()).expect("route succeeds");
-    }
+    route_all(&cluster, &windows[1].alerts);
     let in_flight_before = cluster.counters().in_flight;
     assert!(in_flight_before > 0);
     cluster.kill(0);
@@ -428,9 +266,7 @@ fn wal_truncation_is_counted_dropped_never_leaked() {
     assert!(counters.is_conserved(), "{counters:?}");
 
     for window in &windows[2..] {
-        for alert in window {
-            cluster.route(alert.clone()).expect("route succeeds");
-        }
+        route_all(&cluster, &window.alerts);
         cluster.close_window().expect("window closes");
     }
     let counters = cluster.counters();
@@ -449,10 +285,8 @@ fn wal_truncation_is_counted_dropped_never_leaked() {
 /// plus the final accounting, so equality across runs is equality of
 /// the entire observable history.
 fn chaos_cluster_run(seed: u64, tag: &str) -> Vec<String> {
-    let out = scenarios::quickstart(7).run();
-    let catalog = out.catalog.strategies().to_vec();
-    let mut trace = out.alerts.clone();
-    trace.sort_by_key(|a| (a.raised_at(), a.id()));
+    let case = cluster_case(48);
+    let trace: Vec<Alert> = case.windows.iter().flat_map(|w| w.alerts.clone()).collect();
 
     let schedule = ChaosSchedule::generate(
         seed,
@@ -478,8 +312,7 @@ fn chaos_cluster_run(seed: u64, tag: &str) -> Vec<String> {
     );
 
     let root = wal_root(tag);
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = spawn(3, 2, &root, &catalog);
+    let mut cluster = case.cluster(3, 2, &root);
     let mut outputs = Vec::new();
     for (index, alert) in trace.iter().enumerate() {
         for event in schedule.events_at(index) {
@@ -501,7 +334,9 @@ fn chaos_cluster_run(seed: u64, tag: &str) -> Vec<String> {
         }
         cluster.route(alert.clone()).expect("route succeeds");
         if (index + 1) % 60 == 0 {
-            outputs.push(json(&cluster.close_window().expect("window closes")));
+            outputs.push(common::json(
+                &cluster.close_window().expect("window closes"),
+            ));
         }
     }
     // Settle: bring every node back (dead ones replay their logs) and
@@ -509,7 +344,9 @@ fn chaos_cluster_run(seed: u64, tag: &str) -> Vec<String> {
     for node in 0..3 {
         cluster.rejoin(node).expect("rejoin replays the WAL");
     }
-    outputs.push(json(&cluster.close_window().expect("window closes")));
+    outputs.push(common::json(
+        &cluster.close_window().expect("window closes"),
+    ));
 
     let counters = cluster.counters();
     assert!(counters.is_conserved(), "seed {seed}: {counters:?}");
@@ -542,30 +379,28 @@ fn chaos_node_faults_are_replayable_from_the_seed() {
 /// never restarted.
 #[test]
 fn whole_cluster_restart_from_wal_is_lossless() {
-    let (catalog, windows) = windowed_trace(7, 48);
-    let reference = run_cluster(3, 2, "restart-ref", &catalog, &windows);
+    let case = cluster_case(48);
+    let windows = &case.windows;
+    let reference = common::run(&case, THREE_BY_TWO);
 
     let root = wal_root("restart-live");
-    let _ = std::fs::remove_dir_all(&root);
     let split = windows.len() / 2;
-    let mut cluster = spawn(3, 2, &root, &catalog);
+    let mut cluster = case.cluster(3, 2, &root);
     let mut snapshots = Vec::with_capacity(windows.len());
     for window in &windows[..split] {
-        for alert in window {
-            cluster.route(alert.clone()).expect("route succeeds");
-        }
+        route_all(&cluster, &window.alerts);
         snapshots.push(cluster.close_window().expect("window closes"));
     }
-    let (routed, rest) = windows[split].split_at(windows[split].len() / 2);
-    for alert in routed {
-        cluster.route(alert.clone()).expect("route succeeds");
-    }
+    let (routed, rest) = windows[split]
+        .alerts
+        .split_at(windows[split].alerts.len() / 2);
+    route_all(&cluster, routed);
     cluster.shutdown(); // every daemon's memory is gone; the logs remain
 
-    let mut cluster = spawn(3, 2, &root, &catalog);
+    let mut cluster = case.cluster(3, 2, &root);
     assert_eq!(
-        json(&cluster.latest_snapshot().expect("replay re-publishes")),
-        json(&snapshots[split - 1]),
+        common::json(&cluster.latest_snapshot().expect("replay re-publishes")),
+        common::json(&snapshots[split - 1]),
         "restart must restore the last published snapshot"
     );
     assert_eq!(
@@ -573,14 +408,10 @@ fn whole_cluster_restart_from_wal_is_lossless() {
         routed.len() as u64,
         "the in-flight tail must come back as pending work"
     );
-    for alert in rest {
-        cluster.route(alert.clone()).expect("route succeeds");
-    }
+    route_all(&cluster, rest);
     snapshots.push(cluster.close_window().expect("window closes"));
     for window in &windows[split + 1..] {
-        for alert in window {
-            cluster.route(alert.clone()).expect("route succeeds");
-        }
+        route_all(&cluster, &window.alerts);
         snapshots.push(cluster.close_window().expect("window closes"));
     }
     let counters = cluster.counters();
@@ -588,14 +419,13 @@ fn whole_cluster_restart_from_wal_is_lossless() {
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 
-    assert_eq!(snapshots.len(), reference.len());
-    for (index, (got, want)) in snapshots.iter().zip(&reference).enumerate() {
-        assert_eq!(
-            json(got),
-            json(want),
-            "restarted cluster diverged from the uninterrupted run at window {index}"
-        );
-    }
+    let partition = THREE_BY_TWO.partition();
+    common::assert_agree(
+        "restarted cluster against the uninterrupted run",
+        (partition, &reference),
+        (partition, &snapshots),
+        Faults::None,
+    );
 }
 
 /// One failed-write policy: a close whose QoA checkpoint write fails
@@ -607,29 +437,25 @@ fn whole_cluster_restart_from_wal_is_lossless() {
 /// the next one.
 #[test]
 fn a_failed_log_write_is_counted_and_the_close_completes() {
-    let (catalog, windows) = windowed_trace(7, 64);
+    let case = cluster_case(64);
     for (tag, qoa, victim) in [
         ("ckpt-fails", true, "coordinator"),
         ("seal-fails", false, "node-0"),
     ] {
         let root = wal_root(tag);
-        let _ = std::fs::remove_dir_all(&root);
-        let mut config = cluster_config(2, 2, root.clone());
+        let mut case = case.clone();
         if qoa {
-            config.node.streaming.qoa.mode = ChannelMode::Forward;
+            case.streaming.qoa.mode = ChannelMode::Forward;
         }
-        let mut cluster =
-            AlertCluster::spawn(config, catalog.clone(), factory()).expect("cluster spawns");
-        for (seq, window) in windows[..3].iter().enumerate() {
+        let mut cluster = case.cluster(2, 2, &root);
+        for (seq, window) in case.windows[..3].iter().enumerate() {
             if seq == 1 {
                 std::fs::remove_dir_all(root.join(victim)).unwrap();
             }
-            for alert in window {
-                cluster.route(alert.clone()).expect("route succeeds");
-            }
+            route_all(&cluster, &window.alerts);
             let snapshot = cluster.close_window().expect("the close completes");
             assert_eq!(snapshot.window_index, seq as u64, "{tag}");
-            assert_eq!(snapshot.alert_count, window.len(), "{tag}");
+            assert_eq!(snapshot.alert_count, window.alerts.len(), "{tag}");
             assert_eq!(cluster.wal_write_errors(), seq as u64, "{tag}");
             let text = cluster.render_metrics();
             let errors = exposition_value(&text, "alertops_cluster_wal_write_errors_total");
@@ -650,17 +476,13 @@ fn a_failed_log_write_is_counted_and_the_close_completes() {
 /// second spawn recovers every alert.
 #[test]
 fn spawn_reads_every_log_before_wiping_any() {
-    let (catalog, windows) = windowed_trace(7, 64);
+    let case = cluster_case(64);
+    let windows = &case.windows;
     let root = wal_root("read-before-wipe");
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = spawn(2, 2, &root, &catalog);
-    for alert in &windows[0] {
-        cluster.route(alert.clone()).expect("route succeeds");
-    }
+    let mut cluster = case.cluster(2, 2, &root);
+    route_all(&cluster, &windows[0].alerts);
     cluster.close_window().expect("window closes");
-    for alert in &windows[1] {
-        cluster.route(alert.clone()).expect("route succeeds");
-    }
+    route_all(&cluster, &windows[1].alerts);
     cluster.shutdown();
 
     let (node0, node1) = (root.join("node-0"), root.join("node-1"));
@@ -670,9 +492,9 @@ fn spawn_reads_every_log_before_wiping_any() {
     std::fs::rename(&node1, &aside).unwrap();
     std::fs::write(&node1, b"not a log directory").unwrap();
     AlertCluster::spawn(
-        cluster_config(2, 2, root.clone()),
-        catalog.clone(),
-        factory(),
+        case.cluster_config(2, 2, &root),
+        case.catalog.clone(),
+        case.factory(),
     )
     .expect_err("a log that cannot be read fails the spawn");
     assert_eq!(
@@ -683,15 +505,15 @@ fn spawn_reads_every_log_before_wiping_any() {
 
     std::fs::remove_file(&node1).unwrap();
     std::fs::rename(&aside, &node1).unwrap();
-    let cluster = spawn(2, 2, &root, &catalog);
-    let recovered = (windows[0].len() + windows[1].len()) as u64;
+    let cluster = case.cluster(2, 2, &root);
+    let recovered = (windows[0].alerts.len() + windows[1].alerts.len()) as u64;
     assert_eq!(cluster.metrics().wal_replayed_alerts.get(), recovered);
     let snapshot = cluster
         .latest_snapshot()
         .expect("the sealed window re-publishes");
-    assert_eq!(snapshot.alert_count, windows[0].len());
+    assert_eq!(snapshot.alert_count, windows[0].alerts.len());
     let counters = cluster.counters();
-    assert_eq!(counters.in_flight, windows[1].len() as u64);
+    assert_eq!(counters.in_flight, windows[1].alerts.len() as u64);
     assert!(counters.is_conserved(), "{counters:?}");
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&root);
@@ -715,7 +537,6 @@ fn a_handoff_sheds_what_its_target_log_cannot_hold() {
         return handoff_past_the_cap(Path::new(&root));
     }
     let root = wal_root("capped-handoff");
-    let _ = std::fs::remove_dir_all(&root);
     let out = std::process::Command::new("sh")
         .args(["-c", r#"trap '' XFSZ; ulimit -f 1; exec "$0" "$@""#])
         .arg(std::env::current_exe().expect("the test binary's path"))
@@ -738,11 +559,14 @@ fn a_handoff_sheds_what_its_target_log_cannot_hold() {
 /// append; node 0's range then moves to node 1, whose restart
 /// re-journals the merged window and both tails past the cap.
 fn handoff_past_the_cap(root: &Path) {
-    let (catalog, windows) = windowed_trace(7, 64);
-    let mut cluster = spawn(2, 1, root, &catalog);
+    let case = cluster_case(64);
+    let mut cluster = case.cluster(2, 1, root);
     let owner = |alert: &Alert| cluster.range_map().node_of(alert.strategy());
-    let (to_0, to_1): (Vec<Alert>, Vec<Alert>) =
-        windows.concat().into_iter().partition(|a| owner(a) == 0);
+    let (to_0, to_1): (Vec<Alert>, Vec<Alert>) = case
+        .windows
+        .iter()
+        .flat_map(|w| w.alerts.clone())
+        .partition(|a| owner(a) == 0);
     let (mut to_0, mut to_1) = (to_0.into_iter(), to_1.into_iter());
     // Each node's window fills its log past 384 of the 512 bytes.
     let journaled = |node: usize| {
@@ -785,20 +609,17 @@ fn handoff_past_the_cap(root: &Path) {
 /// still accounted by the conservation law.
 #[test]
 fn unknown_strategies_quarantine_at_the_edge() {
-    let (catalog, windows) = windowed_trace(7, 64);
+    let case = cluster_case(64);
     let root = wal_root("quarantine");
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = spawn(2, 2, &root, &catalog);
-    for alert in &windows[0] {
-        cluster.route(alert.clone()).expect("route succeeds");
-    }
+    let mut cluster = case.cluster(2, 2, &root);
+    route_all(&cluster, &case.windows[0].alerts);
     let stray = Alert::builder(AlertId(999_999), StrategyId(u64::MAX - 1))
         .title("stray alert from an unregistered strategy")
         .raised_at(SimTime::from_secs(60))
         .build();
     cluster.route(stray).expect("quarantine is not an error");
     let snapshot = cluster.close_window().expect("window closes");
-    assert_eq!(snapshot.alert_count, windows[0].len());
+    assert_eq!(snapshot.alert_count, case.windows[0].alerts.len());
     let counters = cluster.counters();
     assert_eq!(counters.quarantined, 1);
     assert!(counters.is_conserved(), "{counters:?}");

@@ -2,15 +2,18 @@
 //! results through every layer — the property that makes the paper's
 //! figures regenerable.
 
+mod common;
+
 use alertops::chaos::{silence_panics_containing, ChaosConfig, ChaosKind, ChaosSchedule};
 use alertops::core::prelude::*;
 use alertops::ingestd::{
-    shard_catalog, shard_of, CounterSnapshot, Ingestd, IngestdConfig, OverflowPolicy,
-    QuarantineReason, CHAOS_PANIC_MSG,
+    shard_catalog, shard_of, CounterSnapshot, IngestdConfig, OverflowPolicy, QuarantineReason,
+    CHAOS_PANIC_MSG,
 };
-use alertops::model::LogRule;
 use alertops::react::{EmergingAlertDetector, EmergingConfig};
 use alertops::sim::scenarios;
+
+use common::{exposition_values, Case};
 
 #[test]
 fn identical_seeds_identical_governance() {
@@ -65,104 +68,23 @@ fn statistical_engine_is_replayable_at_scale() {
     assert_eq!(a.faults.events().len(), b.faults.events().len());
 }
 
-/// Differential: the same trace governed three ways — the pure-batch
-/// [`AlertGovernor`], a 1-shard daemon, and N-shard daemons — must
-/// agree exactly. This is the streaming layer's correctness contract:
+/// Differential: the same trace governed as one window — by the batch
+/// oracle (one `AlertGovernor` detect and react pass over everything),
+/// 1-shard and N-shard daemons and every other topology — must agree
+/// exactly. This is the streaming layer's correctness contract:
 /// sharding and windowing are an execution strategy, not a semantics
 /// change.
 #[test]
 fn batch_one_shard_and_n_shard_governance_agree() {
     let out = scenarios::quickstart(7).run();
-    let strategies = out.catalog.strategies().to_vec();
-    let mut trace = out.alerts.clone();
-    trace.sort_by_key(|a| (a.raised_at(), a.id()));
-
-    // Pure batch baseline: one governor, one pass over everything.
-    let governor = AlertGovernor::new(strategies.clone(), GovernorConfig::default());
-    let report = governor.detect(&trace, &[]);
-    let blocker = governor.derive_blocker(&report);
-    let pipeline = governor.react(&trace, blocker);
-    let mut batch_findings: Vec<StrategyFinding> =
-        report.findings.values().flatten().cloned().collect();
-    batch_findings
-        .sort_by(|a, b| (a.pattern.code(), a.strategy).cmp(&(b.pattern.code(), b.strategy)));
-    let mut batch_triage = pipeline.triage.clone();
-    batch_triage.sort_unstable();
-
-    // Daemon runs: the whole trace as one window.
-    let run = |shards: usize| {
-        let config = IngestdConfig {
-            shards,
-            queue_capacity: 8192,
-            ..IngestdConfig::default()
-        };
-        let handle = Ingestd::spawn(&config, |shard, shards| {
-            StreamingGovernor::new(
-                AlertGovernor::new(
-                    shard_catalog(&strategies, shards, shard),
-                    GovernorConfig::default(),
-                ),
-                StreamingConfig::default(),
-            )
-        })
-        .expect("daemon starts");
-        for alert in &trace {
-            handle.route(alert.clone());
-        }
-        let snapshot = handle.flush().expect("flush yields a snapshot");
-        assert!(handle.counters().is_conserved());
-        handle.shutdown();
-        snapshot
-    };
-
-    let single = run(1);
-    assert_eq!(single.alert_count, trace.len());
-    assert_eq!(
-        single.new_findings, batch_findings,
-        "1-shard daemon diverged from batch detection"
-    );
-    let mut single_triage = single.triage.clone();
-    single_triage.sort_unstable();
-    assert_eq!(
-        single_triage, batch_triage,
-        "1-shard daemon triage diverged from the batch pipeline"
-    );
-
-    for shards in [2usize, 4] {
-        let sharded = run(shards);
-        // Triage correlates within shards only; everything else —
-        // findings, resolutions, storms, counts — must be exact.
-        let strip = |s: &GovernanceSnapshot| GovernanceSnapshot {
-            triage: Vec::new(),
-            ..s.clone()
-        };
-        assert_eq!(
-            strip(&sharded),
-            strip(&single),
-            "{shards}-shard snapshot diverged from the 1-shard baseline"
-        );
-    }
+    let batch = common::assert_topologies_agree(&Case::from_sim(&out, out.alerts.len(), 0));
+    assert_eq!(batch.len(), 1);
+    assert_eq!(batch[0].alert_count, out.alerts.len());
 }
 
 const CHAOS_SHARDS: usize = 4;
 const CHAOS_QUEUE: usize = 8;
 const CHAOS_TRACE: usize = 240;
-
-fn chaos_catalog() -> Vec<AlertStrategy> {
-    (0..8u64)
-        .map(|id| {
-            AlertStrategy::builder(StrategyId(id))
-                .title_template("service latency is abnormal")
-                .kind(StrategyKind::Log(LogRule {
-                    keyword: "ERROR".into(),
-                    min_count: 1,
-                    window: SimDuration::from_mins(5),
-                }))
-                .build()
-                .expect("catalog strategy is well-formed")
-        })
-        .collect()
-}
 
 fn chaos_alert_trace() -> Vec<Alert> {
     let mut alerts: Vec<Alert> = (0..CHAOS_TRACE as u64)
@@ -200,7 +122,6 @@ fn chaos_fault_config() -> ChaosConfig {
 /// toggles the observability layer — the returned outputs must not
 /// depend on it.
 fn chaos_run(seed: u64, metrics: bool) -> Vec<String> {
-    let strategies = chaos_catalog();
     let trace = chaos_alert_trace();
     let schedule = ChaosSchedule::generate(seed, &chaos_fault_config());
     let config = IngestdConfig {
@@ -210,16 +131,7 @@ fn chaos_run(seed: u64, metrics: bool) -> Vec<String> {
         metrics,
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        StreamingGovernor::new(
-            AlertGovernor::new(
-                shard_catalog(&strategies, shards, shard),
-                GovernorConfig::default(),
-            ),
-            StreamingConfig::default(),
-        )
-    })
-    .expect("daemon starts");
+    let handle = Case::new(common::dense_catalog(8)).daemon(config, None);
 
     let mut outputs = Vec::new();
     for (i, alert) in trace.iter().enumerate() {
@@ -297,19 +209,6 @@ fn chaos_run(seed: u64, metrics: bool) -> Vec<String> {
     outputs
 }
 
-/// Every value of the named family in a Prometheus text exposition
-/// (one entry per labelled series).
-fn exposition_values(text: &str, name: &str) -> Vec<u64> {
-    text.lines()
-        .filter(|line| !line.starts_with('#'))
-        .filter_map(|line| {
-            let (series, value) = line.rsplit_once(' ')?;
-            let base = series.split('{').next()?;
-            (base == name).then(|| value.parse().expect("metric values are integers"))
-        })
-        .collect()
-}
-
 /// The value of one series, named with its labels as the exposition
 /// prints them.
 fn series_value(text: &str, series: &str) -> u64 {
@@ -372,22 +271,6 @@ mod merge_monoid {
     use super::*;
     use proptest::prelude::*;
 
-    fn catalog(strategies: u64) -> Vec<AlertStrategy> {
-        (0..strategies)
-            .map(|id| {
-                AlertStrategy::builder(StrategyId(id))
-                    .title_template("service latency is abnormal")
-                    .kind(StrategyKind::Log(LogRule {
-                        keyword: "ERROR".into(),
-                        min_count: 1,
-                        window: SimDuration::from_mins(5),
-                    }))
-                    .build()
-                    .expect("catalog strategy is well-formed")
-            })
-            .collect()
-    }
-
     /// One same-window delta per shard: each shard's governor over its
     /// own slice of the catalog, fed its own slice of the trace. Every
     /// trace starts from a fixed floor — two alerts per strategy inside
@@ -396,19 +279,22 @@ mod merge_monoid {
     /// `emerging_docs`, `qoa_samples` and `escalated` are populated on
     /// every shard, whatever the random picks add.
     fn shard_deltas(picks: &[(u64, u64, u64)], shards: usize) -> Vec<WindowDelta> {
-        let strategies = catalog(6);
         let floor = (0..12u64).map(|i| (i % 6, 0, i));
-        let mut trace: Vec<Alert> = floor
-            .chain(picks.iter().copied())
-            .enumerate()
-            .map(|(i, (strategy, hour, offset))| {
-                Alert::builder(AlertId(i as u64), StrategyId(strategy))
-                    .title("service latency is abnormal")
-                    .raised_at(SimTime::from_secs(hour * 3_600 + offset % 3_600))
-                    .build()
-            })
-            .collect();
-        trace.sort_by_key(|a| (a.raised_at(), a.id()));
+        let trace = common::trace_of(floor.chain(picks.iter().copied()));
+        let case = Case {
+            streaming: StreamingConfig {
+                emerging: Channel {
+                    mode: ChannelMode::Forward,
+                    ..Channel::default()
+                },
+                qoa: Channel {
+                    mode: ChannelMode::Forward,
+                    ..Channel::default()
+                },
+                ..StreamingConfig::default()
+            },
+            ..Case::new(common::dense_catalog(6))
+        };
         (0..shards)
             .map(|shard| {
                 let window: Vec<Alert> = trace
@@ -416,26 +302,10 @@ mod merge_monoid {
                     .filter(|a| shard_of(a.strategy(), shards) == shard)
                     .cloned()
                     .collect();
-                let mut governor = StreamingGovernor::new(
-                    AlertGovernor::new(
-                        shard_catalog(&strategies, shards, shard),
-                        GovernorConfig::default(),
-                    ),
-                    StreamingConfig {
-                        emerging: Channel {
-                            mode: ChannelMode::Forward,
-                            ..Channel::default()
-                        },
-                        qoa: Channel {
-                            mode: ChannelMode::Forward,
-                            ..Channel::default()
-                        },
-                        ..StreamingConfig::default()
-                    },
-                );
+                let mut governor = case.governor(&shard_catalog(&case.catalog, shards, shard));
                 governor.set_qoa_verdicts(QoaVerdicts {
                     demoted: Vec::new(),
-                    promoted: strategies.iter().map(AlertStrategy::id).collect(),
+                    promoted: case.catalog.iter().map(AlertStrategy::id).collect(),
                 });
                 governor.ingest(&window, &[])
             })
@@ -503,6 +373,44 @@ mod merge_monoid {
                 json(&WindowDelta::merge_all(&[])),
                 json(&WindowDelta::identity())
             );
+        }
+    }
+}
+
+/// The harness's own property: a topology drawn from up to 3 nodes ×
+/// 4 shards, fed in process or over NDJSON or binary TCP, with the
+/// dependency graph or without, publishes the batch side's stream.
+/// The case carries no QoA labels: a graph plus QoA promotion is
+/// ROADMAP item 3's case, whose `escalated` is not yet exact under
+/// sharding.
+mod topologies {
+    use super::*;
+    use alertops::ingestd::WireFormat;
+    use common::Topology;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn every_topology_publishes_the_batch_stream(
+            shards in 1usize..5,
+            nodes in 1usize..4,
+            transport in 0usize..3,
+            graph in any::<bool>(),
+        ) {
+            let out = scenarios::quickstart(7).run();
+            let mut case = Case::from_sim(&out, 48, 1).history(3);
+            if graph {
+                case = case.graph(out.topology.dependency_graph());
+            }
+            let fed = match transport {
+                0 => Topology::Daemon { shards },
+                1 => Topology::Wire { shards, wire: WireFormat::Ndjson },
+                _ => Topology::Wire { shards, wire: WireFormat::Binary },
+            };
+            common::assert_agrees_with_batch(&case, fed);
+            common::assert_agrees_with_batch(&case, Topology::Cluster { nodes, shards });
         }
     }
 }

@@ -4,16 +4,18 @@
 //! byte-identical emerging output with metrics on and off — including
 //! under an injected worker crash.
 
+mod common;
+
 use std::io::Read;
 use std::net::TcpStream;
 
 use alertops::chaos::silence_panics_containing;
-use alertops::cluster::{AlertCluster, ClusterConfig, RangeMap, WalFormat};
+use alertops::cluster::RangeMap;
 use alertops::core::prelude::*;
-use alertops::ingestd::{
-    shard_catalog, shard_of, Ingestd, IngestdConfig, StatusReport, CHAOS_PANIC_MSG,
-};
+use alertops::ingestd::{shard_of, IngestdConfig, StatusReport, CHAOS_PANIC_MSG};
 use alertops::model::LogRule;
+
+use common::Case;
 
 const THEMES: [&str; 3] = [
     "disk usage of storage node over threshold",
@@ -126,14 +128,12 @@ fn catalog() -> Vec<AlertStrategy> {
         .collect()
 }
 
-fn shard_governor(strategies: &[AlertStrategy], shards: usize, shard: usize) -> StreamingGovernor {
-    StreamingGovernor::new(
-        AlertGovernor::new(
-            shard_catalog(strategies, shards, shard),
-            GovernorConfig::default(),
-        ),
-        forward_streaming(),
-    )
+/// The catalog under the forwarding config, for daemons and clusters.
+fn forward_case() -> Case {
+    Case {
+        streaming: forward_streaming(),
+        ..Case::new(catalog())
+    }
 }
 
 /// The streaming path reproduces the fixed offline run byte-for-byte
@@ -256,10 +256,7 @@ fn emerging_budget_is_seed_replayable_and_exact_under_the_cap() {
     }
 
     // Same budgeted config over a streaming governor's forwards.
-    let mut governor = StreamingGovernor::new(
-        AlertGovernor::new(catalog(), GovernorConfig::default()),
-        forward_streaming(),
-    );
+    let mut governor = forward_case().governor(&catalog());
     let mut detector = EmergingAlertDetector::new(EmergingConfig {
         budget: tight,
         ..emerging_config()
@@ -285,17 +282,12 @@ fn windows_with_shards(
     metrics: bool,
     panic_shard: Option<usize>,
 ) -> Vec<(Option<EmergingReport>, Vec<usize>)> {
-    let strategies = catalog();
     let config = IngestdConfig {
         shards,
         metrics,
-        streaming: forward_streaming(),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = forward_case().daemon(config, None);
     let mut windows = Vec::new();
     for (hour, chunk) in hourly_chunks().into_iter().enumerate() {
         let half = chunk.len() / 2;
@@ -355,28 +347,8 @@ fn one_shard_equals_many_shards_under_the_ingestd_merge() {
     // One level up: a 2-node × 2-shard cluster forwards the documents
     // twice and its coordinator runs the one pass — same reports, and
     // the pass is observed (one span per window closed).
-    let root = std::env::temp_dir().join(format!("alertops-emerging-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = AlertCluster::spawn(
-        ClusterConfig {
-            nodes: 2,
-            node: IngestdConfig {
-                shards: 2,
-                streaming: forward_streaming(),
-                ..IngestdConfig::default()
-            },
-            wal_root: root.clone(),
-            wal_format: WalFormat::default(),
-        },
-        catalog(),
-        std::sync::Arc::new(|catalog: &[AlertStrategy]| {
-            StreamingGovernor::new(
-                AlertGovernor::new(catalog.to_vec(), GovernorConfig::default()),
-                forward_streaming(),
-            )
-        }),
-    )
-    .expect("cluster spawns");
+    let root = common::wal_root("emerging");
+    let mut cluster = forward_case().cluster(2, 2, &root);
     for (chunk, (want, _)) in hourly_chunks().into_iter().zip(&baseline) {
         for alert in chunk {
             cluster.route(alert).expect("route succeeds");
@@ -431,17 +403,12 @@ fn chaos_run_emerging_output_is_identical_with_metrics_on_and_off() {
 /// snapshot carries the channel's verdict.
 #[test]
 fn status_socket_exposes_the_emerging_report() {
-    let strategies = catalog();
     let config = IngestdConfig {
         shards: 2,
-        streaming: forward_streaming(),
         status: Some("127.0.0.1:0".to_owned()),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = forward_case().daemon(config, None);
     for alert in hourly_chunks().remove(0) {
         handle.route(alert);
     }
@@ -481,16 +448,11 @@ fn faulted_daemon_run(
     chunks: Vec<Vec<Alert>>,
     faults: &[Option<Fault>],
 ) -> (Vec<(Option<EmergingReport>, Vec<usize>)>, Vec<Vec<Alert>>) {
-    let strategies = catalog();
     let config = IngestdConfig {
         shards,
-        streaming: forward_streaming(),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = forward_case().daemon(config, None);
     let (mut windows, mut survivors) = (Vec::new(), Vec::new());
     for (hour, chunk) in chunks.into_iter().enumerate() {
         let fault = faults.get(hour).copied().flatten();
@@ -615,29 +577,8 @@ fn cluster_emerging_run(
     kill_at: Option<usize>,
     name: &str,
 ) -> Vec<Option<EmergingReport>> {
-    let root =
-        std::env::temp_dir().join(format!("alertops-emerging-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = AlertCluster::spawn(
-        ClusterConfig {
-            nodes,
-            node: IngestdConfig {
-                shards: 2,
-                streaming: forward_streaming(),
-                ..IngestdConfig::default()
-            },
-            wal_root: root.clone(),
-            wal_format: WalFormat::default(),
-        },
-        catalog(),
-        std::sync::Arc::new(|catalog: &[AlertStrategy]| {
-            StreamingGovernor::new(
-                AlertGovernor::new(catalog.to_vec(), GovernorConfig::default()),
-                forward_streaming(),
-            )
-        }),
-    )
-    .expect("cluster spawns");
+    let root = common::wal_root(&format!("emerging-{name}"));
+    let mut cluster = forward_case().cluster(nodes, 2, &root);
     let mut reports = Vec::new();
     for (index, window) in windows.iter().enumerate() {
         if index > 0 && kill_at == Some(index - 1) {

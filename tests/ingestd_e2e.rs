@@ -1,7 +1,9 @@
 //! End-to-end tests for the `alertops-ingestd` daemon: a real TCP
 //! round-trip over the NDJSON protocol, and the sharding-equivalence
-//! guarantee (N shards merged == 1 shard) both on a fixed trace and as
-//! a property over random traces.
+//! guarantee (N shards merged == 1 shard == the batch oracle) both on a
+//! fixed trace and as a property over random traces.
+
+mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -9,71 +11,19 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use alertops::core::prelude::*;
-use alertops::detect::StormConfig;
 use alertops::ingestd::codec::encode_alert;
 use alertops::ingestd::{
-    shard_catalog, Ingestd, IngestdConfig, IngressClient, StatusReport, WireFormat, FLUSH_FRAME,
-    SHUTDOWN_FRAME,
+    IngestdConfig, IngressClient, StatusReport, WireFormat, FLUSH_FRAME, SHUTDOWN_FRAME,
 };
-use alertops::model::LogRule;
 use alertops::sim::scenarios;
-use alertops::sim::SimOutput;
 use alertops::wire::{AckFrame, Frame};
 
-/// The injected A5 strategy: not part of any scenario catalog.
-const REPEATER: StrategyId = StrategyId(9001);
-
-fn repeater_strategy() -> AlertStrategy {
-    AlertStrategy::builder(REPEATER)
-        .title_template("haproxy process number warning")
-        .kind(StrategyKind::Log(LogRule {
-            keyword: "WARN".into(),
-            min_count: 1,
-            window: SimDuration::from_mins(5),
-        }))
-        .build()
-        .expect("repeater strategy is well-formed")
-}
-
-/// 22 alerts/hour for three consecutive hours: trips the A5 burst rule
-/// (`hourly_threshold` 18 in ≥ 2 hours) deterministically.
-fn repeater_alerts() -> Vec<Alert> {
-    let mut alerts = Vec::new();
-    for hour in 0..3u64 {
-        for i in 0..22u64 {
-            alerts.push(
-                Alert::builder(AlertId(1_000_000 + hour * 100 + i), REPEATER)
-                    .title("haproxy process number warning")
-                    .raised_at(SimTime::from_secs(hour * 3_600 + i * 163))
-                    .build(),
-            );
-        }
-    }
-    alerts
-}
-
-/// Per-shard governor factory over `strategies`, mirroring what the
-/// CLI builds (minus scenario-specific context, which the A5 check
-/// does not need).
-fn shard_governor(strategies: &[AlertStrategy], shards: usize, shard: usize) -> StreamingGovernor {
-    let catalog = shard_catalog(strategies, shards, shard);
-    StreamingGovernor::new(
-        AlertGovernor::new(catalog, GovernorConfig::default()),
-        StreamingConfig::default(),
-    )
-}
-
-fn full_catalog(out: &SimOutput) -> Vec<AlertStrategy> {
-    let mut strategies = out.catalog.strategies().to_vec();
-    strategies.push(repeater_strategy());
-    strategies
-}
+use common::{full_catalog, repeater_alerts, repeater_strategy, Case, Window, REPEATER};
 
 #[test]
 fn daemon_flags_injected_repeater_through_the_sockets() {
     let out = scenarios::quickstart(7).run();
     let strategies = full_catalog(&out);
-
     let config = IngestdConfig {
         shards: 4,
         queue_capacity: 4096,
@@ -81,10 +31,7 @@ fn daemon_flags_injected_repeater_through_the_sockets() {
         status: Some("127.0.0.1:0".to_owned()),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = Case::new(strategies).daemon(config, None);
 
     // Stream the scenario trace plus the injected repeater over TCP.
     let ingest_addr = handle.ingest_addr().expect("ingress listener bound");
@@ -138,67 +85,27 @@ fn daemon_flags_injected_repeater_through_the_sockets() {
     handle.shutdown();
 }
 
-/// Routes `trace` through an in-process daemon with `shards` workers,
-/// closing a window after each chunk; returns the merged snapshots.
-fn snapshots_with_shards(
-    strategies: &[AlertStrategy],
-    chunks: &[&[Alert]],
-    shards: usize,
-) -> Vec<GovernanceSnapshot> {
-    let config = IngestdConfig {
-        shards,
-        queue_capacity: 8192,
-        ..IngestdConfig::default()
-    };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(strategies, shards, shard)
-    })
-    .expect("daemon starts");
-    let mut snapshots = Vec::new();
-    for chunk in chunks {
-        for alert in *chunk {
-            handle.route(alert.clone());
-        }
-        snapshots.push(handle.flush().expect("flush yields a snapshot"));
-    }
-    assert_eq!(handle.counters().dropped, 0);
-    handle.shutdown();
-    snapshots
-}
-
-/// Strips the field sharding is *not* exact for: triage (cross-strategy
-/// correlation runs within each shard only).
-fn comparable(snapshot: &GovernanceSnapshot) -> GovernanceSnapshot {
-    GovernanceSnapshot {
-        triage: Vec::new(),
-        ..snapshot.clone()
-    }
-}
-
+/// The quickstart trace of seed 7 plus the injected repeater, as three
+/// uneven windows, on every topology against the batch oracle.
 #[test]
 fn sharded_snapshots_match_single_shard_on_a_scenario_trace() {
     let out = scenarios::quickstart(7).run();
-    let strategies = full_catalog(&out);
     let mut trace = out.alerts.clone();
     trace.extend(repeater_alerts());
     trace.sort_by_key(|a| (a.raised_at(), a.id()));
     // Three windows, uneven on purpose.
     let (a, rest) = trace.split_at(trace.len() / 3);
     let (b, c) = rest.split_at(rest.len() / 2);
-    let chunks = [a, b, c];
-
-    let baseline = snapshots_with_shards(&strategies, &chunks, 1);
-    for shards in [2usize, 4, 8] {
-        let sharded = snapshots_with_shards(&strategies, &chunks, shards);
-        assert_eq!(sharded.len(), baseline.len());
-        for (window, (got, want)) in sharded.iter().zip(baseline.iter()).enumerate() {
-            assert_eq!(
-                comparable(got),
-                comparable(want),
-                "{shards}-shard window {window} diverged from the 1-shard baseline"
-            );
-        }
-    }
+    let case = Case {
+        windows: [a, b, c]
+            .map(|alerts| Window {
+                alerts: alerts.to_vec(),
+                incidents: Vec::new(),
+            })
+            .into(),
+        ..Case::new(full_catalog(&out))
+    };
+    common::assert_topologies_agree(&case);
 }
 
 /// Scrapes one document from the status socket, optionally sending a
@@ -232,10 +139,7 @@ fn metrics_exposition_covers_every_instrumented_stage() {
         status: Some("127.0.0.1:0".to_owned()),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = Case::new(strategies).daemon(config, None);
 
     let ingest_addr = handle.ingest_addr().expect("ingress listener bound");
     let stream = TcpStream::connect(ingest_addr).expect("connect to ingress");
@@ -329,10 +233,7 @@ fn metrics_status_socket_versioning_keeps_legacy_clients() {
         status: Some("127.0.0.1:0".to_owned()),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = Case::new(strategies).daemon(config, None);
     for alert in out.alerts.iter().take(50) {
         handle.route(alert.clone());
     }
@@ -373,10 +274,7 @@ fn healthz_answers_one_cheap_liveness_line() {
         status: Some("127.0.0.1:0".to_owned()),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = Case::new(strategies).daemon(config, None);
     let addr = handle.status_addr().expect("status listener bound");
 
     assert_eq!(scrape(addr, Some("healthz")), "ok windows=0 ingested=0\n");
@@ -409,10 +307,7 @@ fn concurrent_flushes_take_consecutive_windows() {
         listen: Some("127.0.0.1:0".to_owned()),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&strategies, shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = Case::new(strategies).daemon(config, None);
     let addr = handle.ingest_addr().expect("ingress bound");
     // Six callers, each with its own slice of the trace to route.
     let slices: Vec<&[Alert]> = out.alerts.chunks(out.alerts.len().div_ceil(6)).collect();
@@ -486,10 +381,7 @@ fn shutdown_does_not_wait_out_the_tick() {
         tick: Some(Duration::from_secs(3_600)),
         ..IngestdConfig::default()
     };
-    let handle = Ingestd::spawn(&config, |shard, shards| {
-        shard_governor(&[repeater_strategy()], shards, shard)
-    })
-    .expect("daemon starts");
+    let handle = Case::new(vec![repeater_strategy()]).daemon(config, None);
     for alert in repeater_alerts() {
         handle.route(alert);
     }
@@ -514,40 +406,8 @@ fn shutdown_does_not_wait_out_the_tick() {
 mod properties {
     use super::*;
     use alertops::ingestd::shard_of;
+    use common::Topology;
     use proptest::prelude::*;
-
-    /// A small catalog of dense-id strategies for random traces.
-    fn catalog(strategies: u64) -> Vec<AlertStrategy> {
-        (0..strategies)
-            .map(|id| {
-                AlertStrategy::builder(StrategyId(id))
-                    .title_template("service latency is abnormal")
-                    .kind(StrategyKind::Log(LogRule {
-                        keyword: "ERROR".into(),
-                        min_count: 1,
-                        window: SimDuration::from_mins(5),
-                    }))
-                    .build()
-                    .expect("catalog strategy is well-formed")
-            })
-            .collect()
-    }
-
-    /// Builds a time-sorted trace from `(strategy, hour, offset)` triples.
-    fn trace_from(picks: &[(u64, u64, u64)]) -> Vec<Alert> {
-        let mut alerts: Vec<Alert> = picks
-            .iter()
-            .enumerate()
-            .map(|(i, &(strategy, hour, offset))| {
-                Alert::builder(AlertId(i as u64), StrategyId(strategy))
-                    .title("service latency is abnormal")
-                    .raised_at(SimTime::from_secs(hour * 3_600 + offset % 3_600))
-                    .build()
-            })
-            .collect();
-        alerts.sort_by_key(|a| (a.raised_at(), a.id()));
-        alerts
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -559,34 +419,24 @@ mod properties {
             prop_assert_eq!(shard, shard_of(StrategyId(id), shards));
         }
 
+        /// One governor over the full catalog and one per shard, each fed
+        /// exactly its own strategies' alerts and merged, reproduce the
+        /// batch oracle's snapshot of a random trace.
         #[test]
         fn merged_sharded_deltas_equal_the_single_shard_snapshot(
             picks in proptest::collection::vec((0u64..6, 0u64..48, 0u64..3_600), 1..250),
             shards in 2usize..6,
         ) {
-            let strategies = catalog(6);
-            let trace = trace_from(&picks);
-
-            // Single governor over the full catalog: the baseline.
-            let mut single = shard_governor(&strategies, 1, 0);
-            let baseline =
-                GovernanceSnapshot::merge(&[single.ingest(&trace, &[])], &StormConfig::default());
-
-            // One governor per shard, fed exactly its own strategies'
-            // alerts, merged — must reproduce the baseline exactly.
-            let deltas: Vec<WindowDelta> = (0..shards)
-                .map(|shard| {
-                    let window: Vec<Alert> = trace
-                        .iter()
-                        .filter(|a| shard_of(a.strategy(), shards) == shard)
-                        .cloned()
-                        .collect();
-                    shard_governor(&strategies, shards, shard).ingest(&window, &[])
-                })
-                .collect();
-            let merged = GovernanceSnapshot::merge(&deltas, &StormConfig::default());
-
-            prop_assert_eq!(comparable(&merged), comparable(&baseline));
+            let case = Case {
+                windows: vec![Window {
+                    alerts: common::trace_of(picks),
+                    incidents: Vec::new(),
+                }],
+                ..Case::new(common::dense_catalog(6))
+            };
+            for shards in [1, shards] {
+                common::assert_agrees_with_batch(&case, Topology::Shards { shards });
+            }
         }
     }
 }

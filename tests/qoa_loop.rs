@@ -2,11 +2,13 @@
 //! oracle's label stream drives one online model to the same bits no
 //! matter how the pipeline is partitioned.
 //!
-//! - One governor under a bare `OnlineQoaModel`, a 1-shard daemon, a
-//!   4-shard daemon and a 2-node cluster fed the same windows and
-//!   labels publish byte-identical QoA reports (weights, scores, EMAs,
-//!   verdicts via `model_digest`), and a journaled daemon and the
-//!   cluster leave byte-identical checkpoint files.
+//! - One governor under a bare `OnlineQoaModel` and every topology of
+//!   the harness in `tests/common` (daemons of 1 to 8 shards, in
+//!   process and over both wires, clusters of 1 to 4 nodes) fed the
+//!   same windows and labels publish byte-identical QoA reports
+//!   (weights, scores, EMAs, verdicts via `model_digest`), and a
+//!   journaled daemon and the cluster leave byte-identical checkpoint
+//!   files.
 //! - The verdicts actually govern: low-quality strategies demote into
 //!   the blocker, high-quality strategies' alerts ride the escalation
 //!   lane, and escalated alerts stay a subset of the delivered window
@@ -21,14 +23,17 @@
 //!   ticking restart re-publishes its last window before the first
 //!   tick.
 
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+mod common;
+
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use alertops::cluster::{AlertCluster, ClusterConfig, GovernorFactory, WalFormat};
+use alertops::cluster::AlertCluster;
 use alertops::core::prelude::*;
-use alertops::ingestd::{shard_catalog, Ingestd, IngestdConfig, IngestdHandle};
+use alertops::ingestd::{IngestdConfig, IngestdHandle};
 use alertops::sim::{scenarios, FeedbackOracle, SimOutput};
+
+use common::{wal_root, Case, Faults, Topology, Window, BATCH};
 
 const ORACLE_SEED: u64 = 7;
 const WINDOW_LEN: usize = 300;
@@ -58,174 +63,68 @@ fn streaming() -> StreamingConfig {
     }
 }
 
-/// The mini-study trace chopped into fixed, time-sorted windows, plus
+/// The mini-study trace of seed 7 in fixed, time-sorted windows, plus
 /// a trailing empty window (a close with no samples must not move the
-/// model). Mini-study (not quickstart) because its anti-pattern mix
+/// model), with the QoA loop on and the seeded oracle's labels at
+/// `noise`. Mini-study (not quickstart) because its anti-pattern mix
 /// spans enough windows for bad strategies' EMAs to actually sink.
-fn windowed_trace(seed: u64) -> (SimOutput, Vec<Vec<Alert>>) {
-    let out = scenarios::mini_study(seed).run();
-    let mut trace = out.alerts.clone();
-    trace.sort_by_key(|a| (a.raised_at(), a.id()));
-    let mut windows: Vec<Vec<Alert>> = trace.chunks(WINDOW_LEN).map(<[Alert]>::to_vec).collect();
-    windows.push(Vec::new());
-    (out, windows)
+fn qoa_case(noise: f64) -> (SimOutput, Case) {
+    let out = scenarios::mini_study(7).run();
+    let mut case = Case::from_sim(&out, WINDOW_LEN, 1);
+    case.streaming = streaming();
+    case.labels = Some(label_stream(&out, &case, noise));
+    (out, case)
 }
 
 /// The label stream every topology in a test replays: one sorted
 /// `QoaLabel` batch per window, a pure function of the oracle seed.
-fn label_stream(out: &SimOutput, windows: &[Vec<Alert>], noise: f64) -> Vec<Vec<QoaLabel>> {
+fn label_stream(out: &SimOutput, case: &Case, noise: f64) -> Vec<Vec<QoaLabel>> {
     let oracle = FeedbackOracle::new(ORACLE_SEED, noise);
-    windows
+    case.windows
         .iter()
         .enumerate()
-        .map(|(seq, window)| oracle.label_window(seq as u64, &out.catalog, window, &out.incidents))
-        .collect()
-}
-
-/// What the differentials compare per window: the published QoA report
-/// (its `model_digest` pins every weight bit) and the escalation lane.
-type QoaWindow = (Option<QoaWindowReport>, Vec<AlertId>);
-
-fn wire(windows: &[QoaWindow]) -> String {
-    serde_json::to_string(&windows).expect("qoa windows serialize")
-}
-
-/// The batch baseline, written from the primitives so it shares no
-/// close path with the daemons it is compared against: one
-/// full-catalog governor forwards its samples, a bare model absorbs
-/// them with the window's labels, and its verdicts are installed
-/// before the next window.
-fn reference_loop(
-    out: &SimOutput,
-    windows: &[Vec<Alert>],
-    labels: &[Vec<QoaLabel>],
-) -> Vec<(WindowDelta, QoaWindowReport)> {
-    let mut governor = StreamingGovernor::new(
-        AlertGovernor::new(out.catalog.strategies().to_vec(), GovernorConfig::default()),
-        streaming(),
-    );
-    let mut model = OnlineQoaModel::new(qoa_feedback_config());
-    windows
-        .iter()
-        .zip(labels)
-        .map(|(window, labels)| {
-            let delta = governor.ingest(window, &[]);
-            let report = model.observe_window(&delta.qoa_samples, labels);
-            governor.set_qoa_verdicts(model.verdicts());
-            (delta, report)
+        .map(|(seq, window)| {
+            oracle.label_window(seq as u64, &out.catalog, &window.alerts, &out.incidents)
         })
         .collect()
 }
 
-fn reference_windows(
-    out: &SimOutput,
-    windows: &[Vec<Alert>],
-    labels: &[Vec<QoaLabel>],
-) -> Vec<QoaWindow> {
-    reference_loop(out, windows, labels)
-        .into_iter()
-        .map(|(delta, report)| (Some(report), delta.escalated))
-        .collect()
+fn jsons(snapshots: &[GovernanceSnapshot]) -> Vec<String> {
+    snapshots.iter().map(common::json).collect()
 }
 
-/// An N-shard daemon in the standalone role, journaling into `wal`
-/// when given one: shards forward samples, the merge point joins them
-/// with the labels handed to each flush and runs the one sequential
-/// model update.
-fn daemon_windows(
-    out: &SimOutput,
-    windows: &[Vec<Alert>],
-    labels: &[Vec<QoaLabel>],
-    shards: usize,
-    wal: Option<&Path>,
-) -> Vec<QoaWindow> {
-    let strategies = out.catalog.strategies().to_vec();
-    let config = IngestdConfig {
-        shards,
-        streaming: streaming(),
-        ..IngestdConfig::default()
-    };
-    let make_governor = |shard, shards| {
-        StreamingGovernor::new(
-            AlertGovernor::new(
-                shard_catalog(&strategies, shards, shard),
-                GovernorConfig::default(),
-            ),
-            streaming(),
-        )
-    };
-    let handle = Ingestd::spawn_with_wal(&config, make_governor, wal).expect("daemon starts");
-    let mut published = Vec::with_capacity(windows.len());
-    for (window, labels) in windows.iter().zip(labels) {
-        for alert in window {
-            handle.route(alert.clone());
-        }
-        let snapshot = handle
-            .flush_labeled(labels.clone())
-            .expect("flush yields a snapshot");
-        published.push((snapshot.qoa, snapshot.escalated));
-    }
-    handle.shutdown();
-    published
-}
-
-/// A 2-node journaled cluster over the same windows and labels.
-fn cluster_windows(
-    out: &SimOutput,
-    windows: &[Vec<Alert>],
-    labels: &[Vec<QoaLabel>],
-    root: PathBuf,
-) -> Vec<QoaWindow> {
-    let mut cluster = spawn_cluster(2, root, out);
-    let mut published = Vec::with_capacity(windows.len());
-    for (window, labels) in windows.iter().zip(labels) {
-        for alert in window {
-            cluster.route(alert.clone()).expect("route succeeds");
-        }
-        let snapshot = cluster
-            .close_window_labeled(labels.clone())
-            .expect("window closes");
-        published.push((snapshot.qoa, snapshot.escalated));
-    }
-    cluster.shutdown();
-    published
-}
-
-/// The tentpole differential: batch == 1 shard == 4 shards == 2 nodes,
-/// byte for byte, on every published QoA report and every escalation
-/// lane — one merge point, one QoA stream, down to the checkpoint file
-/// a journaled daemon and the cluster leave behind — and the loop is
-/// *live*, not decorative: the model moves, strategies demote, and
-/// alerts escalate within the trace.
+/// The tentpole differential: the bare-model loop (one full-catalog
+/// governor forwarding its samples to a bare `OnlineQoaModel`, sharing
+/// no close path with the daemons) == 1 shard == 4 shards == 2 nodes ==
+/// every other topology, byte for byte, on every published QoA report
+/// and every escalation lane — one merge point, one QoA stream, down to
+/// the checkpoint file a journaled daemon and the cluster leave behind
+/// — and the loop is *live*, not decorative: the model moves,
+/// strategies demote, and alerts escalate within the trace.
 #[test]
 fn batch_one_shard_and_many_shards_publish_identical_qoa_streams() {
-    let (out, windows) = windowed_trace(7);
-    let labels = label_stream(&out, &windows, 0.0);
+    let (_, case) = qoa_case(0.0);
+    let reference = common::assert_topologies_agree(&case);
+
     let (daemon_wal, cluster_root) = (wal_root("stream-daemon"), wal_root("stream-cluster"));
-    for dir in [&daemon_wal, &cluster_root] {
-        let _ = std::fs::remove_dir_all(dir);
+    for (topology, dir) in [
+        (Topology::Daemon { shards: 1 }, &daemon_wal),
+        (
+            Topology::Cluster {
+                nodes: 2,
+                shards: 2,
+            },
+            &cluster_root,
+        ),
+    ] {
+        let journaled = common::run_journaled(&case, topology, dir);
+        common::assert_agree(
+            &format!("journaled {topology:?}"),
+            (BATCH.partition(), &reference),
+            (topology.partition(), &journaled),
+            Faults::None,
+        );
     }
-
-    let reference = reference_windows(&out, &windows, &labels);
-    let single = daemon_windows(&out, &windows, &labels, 1, Some(&daemon_wal));
-    let sharded = daemon_windows(&out, &windows, &labels, 4, None);
-    let cluster = cluster_windows(&out, &windows, &labels, cluster_root.clone());
-
-    assert_eq!(
-        wire(&reference),
-        wire(&single),
-        "1-shard daemon diverged from the bare-model baseline"
-    );
-    assert_eq!(
-        wire(&single),
-        wire(&sharded),
-        "4-shard daemon diverged from the 1-shard daemon"
-    );
-    assert_eq!(
-        wire(&single),
-        wire(&cluster),
-        "2-node cluster diverged from the 1-shard daemon"
-    );
     let checkpoint = |dir: &Path| std::fs::read(dir.join("qoa.ckpt")).expect("checkpoint written");
     assert_eq!(
         checkpoint(&daemon_wal),
@@ -238,13 +137,10 @@ fn batch_one_shard_and_many_shards_publish_identical_qoa_streams() {
 
     // The loop actually closed: labels were absorbed, the model left
     // its initial state, and both governance lanes engaged somewhere.
-    let reports: Vec<&QoaWindowReport> = reference
-        .iter()
-        .filter_map(|(report, _)| report.as_ref())
-        .collect();
+    let reports: Vec<&QoaWindowReport> = reference.iter().filter_map(|s| s.qoa.as_ref()).collect();
     assert_eq!(
         reports.len(),
-        windows.len(),
+        case.windows.len(),
         "every close publishes a report"
     );
     assert!(
@@ -262,7 +158,7 @@ fn batch_one_shard_and_many_shards_publish_identical_qoa_streams() {
         "no strategy ever demoted — the loop is decorative"
     );
     assert!(
-        reference.iter().any(|(_, escalated)| !escalated.is_empty()),
+        reference.iter().any(|s| !s.escalated.is_empty()),
         "no alert ever escalated — the loop is decorative"
     );
 
@@ -284,19 +180,25 @@ fn batch_one_shard_and_many_shards_publish_identical_qoa_streams() {
 /// noisy stream replays to identical bits, a different seed diverges.
 #[test]
 fn noisy_label_streams_are_seed_replayable() {
-    let (out, windows) = windowed_trace(7);
-    let noisy = label_stream(&out, &windows, 0.25);
-    let replay = label_stream(&out, &windows, 0.25);
-    assert_eq!(noisy, replay, "same (seed, noise) must replay identically");
+    let (out, noisy) = qoa_case(0.25);
+    let replay = label_stream(&out, &noisy, 0.25);
+    assert_eq!(
+        noisy.labels.as_ref(),
+        Some(&replay),
+        "same (seed, noise) must replay identically"
+    );
 
-    let a = reference_windows(&out, &windows, &noisy);
-    let b = reference_windows(&out, &windows, &replay);
-    assert_eq!(wire(&a), wire(&b), "noisy runs with one seed must agree");
+    let a = common::run(&noisy, BATCH);
+    let b = common::run(&noisy, BATCH);
+    assert_eq!(jsons(&a), jsons(&b), "noisy runs with one seed must agree");
 
-    let clean = reference_windows(&out, &windows, &label_stream(&out, &windows, 0.0));
+    let clean = Case {
+        labels: Some(label_stream(&out, &noisy, 0.0)),
+        ..noisy
+    };
     assert_ne!(
-        wire(&a),
-        wire(&clean),
+        jsons(&a),
+        jsons(&common::run(&clean, BATCH)),
         "25% label noise must actually perturb the model"
     );
 }
@@ -306,24 +208,23 @@ fn noisy_label_streams_are_seed_replayable() {
 /// only carry strategies the previous window's verdicts promoted.
 #[test]
 fn escalated_alerts_are_a_subset_of_the_delivered_window() {
-    let (out, windows) = windowed_trace(7);
-    let labels = label_stream(&out, &windows, 0.0);
+    let (_, case) = qoa_case(0.0);
 
     let mut escalated_total = 0usize;
-    for (window, (delta, _)) in windows.iter().zip(reference_loop(&out, &windows, &labels)) {
+    for (window, snapshot) in case.windows.iter().zip(common::run(&case, BATCH)) {
         let window_ids: std::collections::BTreeSet<AlertId> =
-            window.iter().map(Alert::id).collect();
-        for id in &delta.escalated {
+            window.alerts.iter().map(Alert::id).collect();
+        for id in &snapshot.escalated {
             assert!(
                 window_ids.contains(id),
                 "escalated alert {id:?} is not in this window"
             );
             assert!(
-                !delta.triage.contains(id),
+                !snapshot.triage.contains(id),
                 "escalated alert {id:?} was already triaged"
             );
         }
-        escalated_total += delta.escalated.len();
+        escalated_total += snapshot.escalated.len();
     }
     assert!(escalated_total > 0, "the escalation lane never engaged");
 }
@@ -332,44 +233,17 @@ fn escalated_alerts_are_a_subset_of_the_delivered_window() {
 // Cluster: the model is checkpointed state, not relearned state.
 // ---------------------------------------------------------------------
 
-fn wal_root(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("alertops-qoa-test-{tag}-{}", std::process::id()))
-}
-
-fn spawn_cluster(nodes: usize, root: PathBuf, out: &SimOutput) -> AlertCluster {
-    let config = ClusterConfig {
-        nodes,
-        node: IngestdConfig {
-            shards: 2,
-            queue_capacity: 8192,
-            streaming: streaming(),
-            ..IngestdConfig::default()
-        },
-        wal_root: root,
-        wal_format: WalFormat::default(),
-    };
-    let factory: GovernorFactory = Arc::new(|catalog: &[AlertStrategy]| {
-        StreamingGovernor::new(
-            AlertGovernor::new(catalog.to_vec(), GovernorConfig::default()),
-            streaming(),
-        )
-    });
-    AlertCluster::spawn(config, out.catalog.strategies().to_vec(), factory).expect("cluster spawns")
-}
-
 fn close_labeled(
     cluster: &mut AlertCluster,
     out: &SimOutput,
-    window: &[Alert],
+    window: &Window,
     noise: f64,
 ) -> GovernanceSnapshot {
-    for alert in window {
-        cluster.route(alert.clone()).expect("route succeeds");
-    }
+    common::route_all(cluster, &window.alerts);
     let labels = FeedbackOracle::new(ORACLE_SEED, noise).label_window(
         cluster.next_window_seq(),
         &out.catalog,
-        window,
+        &window.alerts,
         &out.incidents,
     );
     cluster.close_window_labeled(labels).expect("window closes")
@@ -382,13 +256,13 @@ fn close_labeled(
 /// for byte.
 #[test]
 fn cluster_restart_restores_the_model_from_its_checkpoint() {
-    let (out, windows) = windowed_trace(7);
+    let (out, case) = qoa_case(0.0);
+    let windows = &case.windows;
     let split = windows.len() / 2;
 
     // The uninterrupted control run.
     let control_root = wal_root("qoa-control");
-    let _ = std::fs::remove_dir_all(&control_root);
-    let mut control = spawn_cluster(2, control_root.clone(), &out);
+    let mut control = case.cluster(2, 2, &control_root);
     let control_snapshots: Vec<GovernanceSnapshot> = windows
         .iter()
         .map(|window| close_labeled(&mut control, &out, window, 0.0))
@@ -400,15 +274,14 @@ fn cluster_restart_restores_the_model_from_its_checkpoint() {
 
     // The faulted run: same stream, torn down mid-way.
     let root = wal_root("qoa-restart");
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = spawn_cluster(2, root.clone(), &out);
+    let mut cluster = case.cluster(2, 2, &root);
     for window in &windows[..split] {
         close_labeled(&mut cluster, &out, window, 0.0);
     }
     let pre_restart = cluster.qoa_model_digest().expect("qoa loop is on");
     cluster.shutdown();
 
-    let mut cluster = spawn_cluster(2, root.clone(), &out);
+    let mut cluster = case.cluster(2, 2, &root);
     assert_eq!(
         cluster.qoa_model_digest(),
         Some(pre_restart),
@@ -423,13 +296,17 @@ fn cluster_restart_restores_the_model_from_its_checkpoint() {
         .iter()
         .map(|window| close_labeled(&mut cluster, &out, window, 0.0))
         .collect();
-    for (snapshot, want) in resumed.iter().zip(&control_snapshots[split..]) {
-        assert_eq!(
-            serde_json::to_string(snapshot).expect("snapshot serializes"),
-            serde_json::to_string(want).expect("snapshot serializes"),
-            "post-restart window diverged from the uninterrupted run"
-        );
+    let partition = Topology::Cluster {
+        nodes: 2,
+        shards: 2,
     }
+    .partition();
+    common::assert_agree(
+        "post-restart windows against the uninterrupted run",
+        (partition, &control_snapshots[split..]),
+        (partition, &resumed),
+        Faults::None,
+    );
     assert_eq!(
         cluster.qoa_model_digest(),
         Some(control_digest),
@@ -444,10 +321,10 @@ fn cluster_restart_restores_the_model_from_its_checkpoint() {
 /// it still moves the model, so it must still checkpoint it.
 #[test]
 fn a_close_with_every_node_dead_still_checkpoints_the_model() {
-    let (out, windows) = windowed_trace(7);
+    let (out, case) = qoa_case(0.0);
+    let windows = &case.windows;
     let root = wal_root("qoa-all-dead");
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cluster = spawn_cluster(2, root.clone(), &out);
+    let mut cluster = case.cluster(2, 2, &root);
     for window in &windows[..3] {
         close_labeled(&mut cluster, &out, window, 0.0);
     }
@@ -462,7 +339,7 @@ fn a_close_with_every_node_dead_still_checkpoints_the_model() {
     assert!(cluster.counters().is_conserved());
     cluster.shutdown();
 
-    let cluster = spawn_cluster(2, root.clone(), &out);
+    let cluster = case.cluster(2, 2, &root);
     assert_eq!(
         cluster.qoa_model_digest(),
         Some(all_dead),
@@ -479,10 +356,10 @@ fn a_close_with_every_node_dead_still_checkpoints_the_model() {
 /// close puts a good file back.
 #[test]
 fn a_damaged_checkpoint_file_means_a_fresh_model_not_an_error() {
-    let (out, windows) = windowed_trace(7);
+    let (out, case) = qoa_case(0.0);
+    let windows = &case.windows;
     let fresh_root = wal_root("qoa-fresh");
-    let _ = std::fs::remove_dir_all(&fresh_root);
-    let fresh = spawn_cluster(2, fresh_root.clone(), &out);
+    let fresh = case.cluster(2, 2, &fresh_root);
     let fresh_digest = fresh.qoa_model_digest().expect("qoa loop is on");
     let discarded = |cluster: &AlertCluster| cluster.metrics().qoa_checkpoints_discarded.get();
     assert_eq!(discarded(&fresh), 0, "a missing file is a first start");
@@ -499,8 +376,7 @@ fn a_damaged_checkpoint_file_means_a_fresh_model_not_an_error() {
     }
     let restart_over = |tag: &str, damage: fn(&Path), counted: u64| {
         let root = wal_root(&format!("qoa-damaged-{tag}"));
-        let _ = std::fs::remove_dir_all(&root);
-        let mut cluster = spawn_cluster(2, root.clone(), &out);
+        let mut cluster = case.cluster(2, 2, &root);
         for window in &windows[..2] {
             close_labeled(&mut cluster, &out, window, 0.0);
         }
@@ -509,7 +385,7 @@ fn a_damaged_checkpoint_file_means_a_fresh_model_not_an_error() {
 
         let coordinator = root.join("coordinator");
         damage(&coordinator.join("qoa.ckpt"));
-        let mut cluster = spawn_cluster(2, root.clone(), &out);
+        let mut cluster = case.cluster(2, 2, &root);
         assert_eq!(cluster.qoa_model_digest(), Some(fresh_digest), "{tag}");
         assert_eq!(discarded(&cluster), counted, "{tag}");
         assert_eq!(cluster.next_window_seq(), 2, "{tag}: the logs still replay");
@@ -518,7 +394,7 @@ fn a_damaged_checkpoint_file_means_a_fresh_model_not_an_error() {
         let relearned = cluster.qoa_model_digest();
         cluster.shutdown();
         assert!(!coordinator.join("qoa.ckpt.tmp").exists(), "{tag}");
-        let cluster = spawn_cluster(2, root.clone(), &out);
+        let cluster = case.cluster(2, 2, &root);
         assert_eq!(cluster.qoa_model_digest(), relearned, "{tag}");
         assert_eq!(discarded(&cluster), 0, "{tag}: the file was put back");
         cluster.shutdown();
@@ -545,51 +421,27 @@ fn flip_a_crc_byte(ckpt: &Path) {
 // Daemon: the same restart protocol, standalone.
 // ---------------------------------------------------------------------
 
-/// A 2-shard daemon journaling into `wal`.
-fn spawn_journaled(
-    out: &SimOutput,
-    wal: &Path,
-    streaming: &StreamingConfig,
-    tick: Option<Duration>,
-) -> IngestdHandle {
-    let strategies = out.catalog.strategies().to_vec();
+/// A 2-shard daemon over `case`, journaling into `wal`.
+fn journaled(case: &Case, wal: &Path, tick: Option<Duration>) -> IngestdHandle {
     let config = IngestdConfig {
         shards: 2,
         tick,
-        streaming: streaming.clone(),
         ..IngestdConfig::default()
     };
-    Ingestd::spawn_with_wal(
-        &config,
-        |shard, shards| {
-            StreamingGovernor::new(
-                AlertGovernor::new(
-                    shard_catalog(&strategies, shards, shard),
-                    GovernorConfig::default(),
-                ),
-                streaming.clone(),
-            )
-        },
-        Some(wal),
-    )
-    .expect("daemon spawns")
+    case.daemon(config, Some(wal))
 }
 
 fn deliver_window(
     handle: &IngestdHandle,
-    window: &[Alert],
+    window: &Window,
     labels: &[QoaLabel],
 ) -> GovernanceSnapshot {
-    for alert in window {
+    for alert in &window.alerts {
         handle.route(alert.clone());
     }
     handle
         .flush_labeled(labels.to_vec())
         .expect("window closes")
-}
-
-fn json(snapshot: &GovernanceSnapshot) -> String {
-    serde_json::to_string(snapshot).expect("snapshot serializes")
 }
 
 /// The daemon twin of `cluster_restart_restores_the_model_from_its_checkpoint`:
@@ -600,31 +452,29 @@ fn json(snapshot: &GovernanceSnapshot) -> String {
 /// checkpoint and the window sequence resumed where it stopped.
 #[test]
 fn daemon_restart_restores_the_model_and_the_window_sequence() {
-    let (out, windows) = windowed_trace(7);
-    let labels = label_stream(&out, &windows, 0.0);
+    let (_, case) = qoa_case(0.0);
+    let (windows, labels) = (&case.windows, case.labels.as_ref().expect("labelled"));
     let split = windows.len() / 2;
 
     let control_dir = wal_root("daemon-control");
-    let _ = std::fs::remove_dir_all(&control_dir);
-    let control = spawn_journaled(&out, &control_dir, &streaming(), None);
+    let control = journaled(&case, &control_dir, None);
     let control_snapshots: Vec<GovernanceSnapshot> = windows
         .iter()
-        .zip(&labels)
+        .zip(labels)
         .map(|(window, labels)| deliver_window(&control, window, labels))
         .collect();
     control.shutdown();
     let _ = std::fs::remove_dir_all(&control_dir);
 
     let dir = wal_root("daemon-restart");
-    let _ = std::fs::remove_dir_all(&dir);
-    let daemon = spawn_journaled(&out, &dir, &streaming(), None);
-    for (window, labels) in windows[..split].iter().zip(&labels) {
+    let daemon = journaled(&case, &dir, None);
+    for (window, labels) in windows[..split].iter().zip(labels) {
         deliver_window(&daemon, window, labels);
     }
     assert_eq!(daemon.wal_write_errors(), 0);
     daemon.shutdown();
 
-    let daemon = spawn_journaled(&out, &dir, &streaming(), None);
+    let daemon = journaled(&case, &dir, None);
     let recovery = daemon.wal_recovery().expect("spawned over a log");
     assert_eq!(recovery.torn_records, 0);
     assert_eq!(
@@ -640,8 +490,8 @@ fn daemon_restart_restores_the_model_and_the_window_sequence() {
         let got = deliver_window(&daemon, window, labels);
         assert!(got.qoa.is_some(), "the loop is on after the restart");
         assert_eq!(
-            json(&got),
-            json(want),
+            common::json(&got),
+            common::json(want),
             "post-restart window diverged from the uninterrupted daemon"
         );
     }
@@ -657,15 +507,15 @@ fn daemon_restart_restores_the_model_and_the_window_sequence() {
 /// for byte — but counts the discarded file on its scrape.
 #[test]
 fn a_damaged_daemon_checkpoint_means_a_fresh_model_and_a_count() {
-    let (out, windows) = windowed_trace(7);
-    let labels = label_stream(&out, &windows, 0.0);
+    let (_, case) = qoa_case(0.0);
+    let (windows, labels) = (&case.windows, case.labels.as_ref().expect("labelled"));
     let damaged = wal_root("daemon-damaged");
     let missing = wal_root("daemon-missing");
     for dir in [&damaged, &missing] {
         let _ = std::fs::remove_dir_all(dir);
     }
-    let daemon = spawn_journaled(&out, &damaged, &streaming(), None);
-    for (window, labels) in windows[..2].iter().zip(&labels) {
+    let daemon = journaled(&case, &damaged, None);
+    for (window, labels) in windows[..2].iter().zip(labels) {
         deliver_window(&daemon, window, labels);
     }
     daemon.shutdown();
@@ -680,7 +530,7 @@ fn a_damaged_daemon_checkpoint_means_a_fresh_model_and_a_count() {
     let next: Vec<String> = [(&damaged, 1), (&missing, 0)]
         .into_iter()
         .map(|(dir, counted)| {
-            let daemon = spawn_journaled(&out, dir, &streaming(), None);
+            let daemon = journaled(&case, dir, None);
             let recovery = daemon.wal_recovery().expect("spawned over a log");
             assert_eq!(recovery.windows, 2, "the log still replays");
             let discarded = checkpoints_discarded(&daemon.render_metrics());
@@ -689,7 +539,7 @@ fn a_damaged_daemon_checkpoint_means_a_fresh_model_and_a_count() {
             assert!(snapshot.qoa.is_some(), "the loop is on after the restart");
             daemon.shutdown();
             let _ = std::fs::remove_dir_all(dir);
-            json(&snapshot)
+            common::json(&snapshot)
         })
         .collect();
     assert_eq!(next[0], next[1], "a damaged checkpoint is a fresh start");
@@ -712,15 +562,17 @@ fn checkpoints_discarded(exposition: &str) -> u64 {
 /// ticks then close empty windows numbered on from there.
 #[test]
 fn a_ticking_restart_republishes_the_last_window_before_any_tick() {
-    let (out, windows) = windowed_trace(7);
-    let plain = StreamingConfig {
-        history_windows: 2,
-        ..StreamingConfig::default()
-    };
+    let (_, case) = qoa_case(0.0);
+    let windows = &case.windows;
+    let plain = Case {
+        streaming: StreamingConfig::default(),
+        labels: None,
+        ..case.clone()
+    }
+    .history(2);
     let sealed = 6;
     let dir = wal_root("daemon-tick");
-    let _ = std::fs::remove_dir_all(&dir);
-    let daemon = spawn_journaled(&out, &dir, &plain, None);
+    let daemon = journaled(&plain, &dir, None);
     let mut last = None;
     for window in &windows[..sealed] {
         last = Some(deliver_window(&daemon, window, &[]));
@@ -728,14 +580,14 @@ fn a_ticking_restart_republishes_the_last_window_before_any_tick() {
     let last = last.expect("windows closed");
     daemon.shutdown();
 
-    let daemon = spawn_journaled(&out, &dir, &plain, Some(Duration::from_millis(1)));
+    let daemon = journaled(&plain, &dir, Some(Duration::from_millis(1)));
     let recovery = daemon.wal_recovery().expect("spawned over a log");
-    let retained = plain.history_windows as u64 + 1;
+    let retained = plain.streaming.history_windows as u64 + 1;
     assert_eq!(recovery.windows, retained, "the log keeps history + 1");
     assert_eq!(recovery.in_flight, 0);
     assert_eq!(
-        recovery.snapshot.as_ref().map(json),
-        Some(json(&last)),
+        recovery.snapshot.as_ref().map(common::json),
+        Some(common::json(&last)),
         "the last re-published window must equal the pre-restart one"
     );
 
