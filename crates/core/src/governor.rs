@@ -99,8 +99,10 @@ impl AlertGovernor {
     /// [`detect`](Self::detect) reports A6 cascade groups with it, and
     /// [`react`](Self::react) correlates by topology (R3). A
     /// [`StreamingGovernor`](crate::StreamingGovernor) over this
-    /// governor uses it for the second only — it tracks no cascade
-    /// state.
+    /// governor uses it for neither: whoever closes its windows
+    /// correlates by it ([`GovernanceSnapshot::fill_triage`]).
+    ///
+    /// [`GovernanceSnapshot::fill_triage`]: crate::GovernanceSnapshot::fill_triage
     #[must_use]
     pub fn with_dependency_graph(mut self, graph: impl Into<Arc<DependencyGraph>>) -> Self {
         self.graph = Some(graph.into());
@@ -130,6 +132,11 @@ impl AlertGovernor {
     #[must_use]
     pub fn dependency_graph(&self) -> Option<&DependencyGraph> {
         self.graph.as_deref()
+    }
+
+    /// Detaches the graph, for a shard whose merge point correlates.
+    pub(crate) fn take_dependency_graph(&mut self) -> Option<Arc<DependencyGraph>> {
+        self.graph.take()
     }
 
     /// The SOP of one strategy, if registered.
@@ -209,15 +216,22 @@ impl AlertGovernor {
         alerts: &[Alert],
         blocker: impl Borrow<AlertBlocker>,
     ) -> alertops_react::PipelineReport {
+        self.pipeline().run(alerts, blocker.borrow())
+    }
+
+    /// The reaction pipeline [`react`](Self::react) runs: R3 over the
+    /// graph, and the metric handles. A streaming governor runs its R1
+    /// and R2 alone.
+    pub(crate) fn pipeline(&self) -> ReactionPipeline {
         let mut correlator = AlertCorrelator::new();
         if let Some(graph) = &self.graph {
             correlator = correlator.with_topology(Arc::clone(graph));
         }
-        let mut pipeline = ReactionPipeline::new().with_correlator(correlator);
-        if let Some(metrics) = &self.metrics {
-            pipeline = pipeline.with_metrics(metrics.react.clone());
+        let pipeline = ReactionPipeline::new().with_correlator(correlator);
+        match &self.metrics {
+            Some(metrics) => pipeline.with_metrics(metrics.react.clone()),
+            None => pipeline,
         }
-        pipeline.run(alerts, blocker.borrow())
     }
 
     /// Evidence-based QoA scores for every strategy, worst overall

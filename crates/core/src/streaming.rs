@@ -12,9 +12,9 @@
 //! scope — so per-window cost is O(window), not O(history), while the
 //! emitted deltas stay byte-identical to batch recomputation. The
 //! engine tracks no cascade (A6) state here: the governor's dependency
-//! graph serves topology correlation (R3) inside
-//! [`AlertGovernor::react`] and is never handed to the engine (see
-//! [`StreamingGovernor::ingest_uncommitted`]).
+//! graph is never handed to the engine (see
+//! [`StreamingGovernor::ingest_uncommitted`]). It serves topology
+//! correlation (R3), which runs where a window's deltas merge.
 //!
 //! A close reads only what changed. The engine hands over the
 //! `(pattern, strategy)` flags that flipped
@@ -27,21 +27,28 @@
 //! `Arc<IndexedCatalog>`: a shard holds its catalog once.
 //!
 //! A governor governs one partition of the stream and nothing more: a
-//! [`WindowDelta`] carries mergeable *inputs* only. The two sequential
-//! passes over the whole stream (AO-LDA, the online QoA model) belong
-//! to whoever closes the window: a daemon's or cluster's merge point
-//! (`alertops_ingestd::MergePoint`), or a library caller running the
-//! two bare passes over its one governor's delta.
+//! [`WindowDelta`] carries mergeable *inputs* only. What reads the whole
+//! window belongs to whoever closes it: R3, which links alerts across
+//! strategies ([`GovernanceSnapshot::fill_triage`]), and the two
+//! sequential passes over the whole stream (AO-LDA, the online QoA
+//! model). A daemon's or cluster's merge point
+//! (`alertops_ingestd::MergePoint`) runs all three; a library caller
+//! with one governor runs them over its delta: `fill_triage` with the
+//! governor's graph, then the two bare passes.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use alertops_detect::storm::storms_from_histogram;
 use alertops_detect::{AlertStorm, AntiPattern, IncrementalState, StormConfig, StrategyFinding};
-use alertops_model::{Alert, AlertId, Incident, RegionId, StrategyId};
+use alertops_model::{Alert, AlertId, DependencyGraph, Incident, RegionId, StrategyId};
 use alertops_qoa::{extract_features, QoaFeedbackConfig, QoaSample, QoaVerdicts, QoaWindowReport};
-use alertops_react::{AlertBlocker, EmergingConfig, EmergingDoc, EmergingReport};
+use alertops_react::{
+    correlate_by_topology, AlertBlocker, EmergingConfig, EmergingDoc, EmergingReport,
+    Representative,
+};
 
 use crate::governor::{AlertGovernor, BlockingRules};
 
@@ -144,16 +151,19 @@ pub struct WindowDelta {
     /// `(region, hour, count)` histogram over the *rolling history*
     /// scope this delta was computed from. Histograms from shards that
     /// partition the stream sum key-wise to the unsharded histogram,
-    /// which is how [`GovernanceSnapshot::merge`] recovers exact global
-    /// storm state (see `alertops_detect::storms_from_histogram`).
+    /// which is how [`GovernanceSnapshot::from_delta`] over the merged
+    /// delta recovers exact global storm state (see
+    /// `alertops_detect::storms_from_histogram`).
     pub region_hours: Vec<(RegionId, u64, usize)>,
     /// Hour buckets present in the ingested window itself, ascending
     /// and deduplicated — the hours that count as "now" for the storm
     /// flag.
     pub window_hours: Vec<u64>,
-    /// The reaction pipeline's triage list for this window's alerts,
-    /// using blocking rules derived from the *current* findings.
-    pub triage: Vec<AlertId>,
+    /// What R3 reads of each R2 group's representative (R1's rules
+    /// derived from the *current* findings), sorted by (`raised_at`,
+    /// id): the input of the one correlation over the merged window,
+    /// [`GovernanceSnapshot::fill_triage`].
+    pub representatives: Vec<Representative>,
     /// Emerging-channel documents extracted from this window's alerts,
     /// sorted by alert id, when the governor runs in
     /// [`ChannelMode::Forward`]. Empty otherwise. Alert ids are unique,
@@ -166,11 +176,11 @@ pub struct WindowDelta {
     /// disjointly, so merged forwards sort back to one canonical
     /// sample list with unique keys.
     pub qoa_samples: Vec<QoaSample>,
-    /// Alerts of QoA-promoted strategies escalated past storm
-    /// suppression this window, sorted by alert id. The explicit lane
-    /// keeps the conservation law balanced: escalated alerts are a
-    /// subset of the delivered ones, never an extra count.
-    pub escalated: Vec<AlertId>,
+    /// This window's alerts of QoA-promoted strategies, sorted by alert
+    /// id: the escalation lane's input. Promotion is per strategy, so
+    /// the merged forwards list exactly the promoted alerts of the
+    /// window.
+    pub promoted: Vec<AlertId>,
 }
 
 impl WindowDelta {
@@ -188,10 +198,10 @@ impl WindowDelta {
             resolved: Vec::new(),
             region_hours: Vec::new(),
             window_hours: Vec::new(),
-            triage: Vec::new(),
+            representatives: Vec::new(),
             emerging_docs: Vec::new(),
             qoa_samples: Vec::new(),
-            escalated: Vec::new(),
+            promoted: Vec::new(),
         }
     }
 
@@ -252,11 +262,13 @@ impl WindowDelta {
             .into_iter()
             .collect();
 
-        let mut triage: Vec<AlertId> = deltas
+        // (raise time, id) order, the order R3 takes; the record's
+        // remaining fields make the sort total for any input.
+        let mut representatives: Vec<Representative> = deltas
             .iter()
-            .flat_map(|d| d.triage.iter().copied())
+            .flat_map(|d| d.representatives.iter().copied())
             .collect();
-        triage.sort_unstable();
+        representatives.sort_unstable();
 
         let emerging_docs = merge_emerging_docs(deltas);
 
@@ -277,11 +289,11 @@ impl WindowDelta {
             })
         });
 
-        let mut escalated: Vec<AlertId> = deltas
+        let mut promoted: Vec<AlertId> = deltas
             .iter()
-            .flat_map(|d| d.escalated.iter().copied())
+            .flat_map(|d| d.promoted.iter().copied())
             .collect();
-        escalated.sort_unstable();
+        promoted.sort_unstable();
 
         WindowDelta {
             window_index,
@@ -290,10 +302,10 @@ impl WindowDelta {
             resolved,
             region_hours,
             window_hours,
-            triage,
+            representatives,
             emerging_docs,
             qoa_samples,
-            escalated,
+            promoted,
         }
     }
 }
@@ -305,9 +317,10 @@ impl WindowDelta {
 /// Merging is exact for everything computed per strategy or per region:
 /// alerts are sharded by `StrategyId`, so each `(pattern, strategy)`
 /// flag lives on exactly one shard, and the summed region-hour
-/// histograms reproduce the unsharded storm detector's input. The
-/// triage list is the concatenation of per-shard triage (cross-strategy
-/// correlation is evaluated within each shard only).
+/// histograms reproduce the unsharded storm detector's input. Triage
+/// and the escalation lane link alerts across strategies, so they are
+/// computed once over the merged delta
+/// ([`fill_triage`](Self::fill_triage)) and are as exact as the rest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GovernanceSnapshot {
     /// Index of the merged window.
@@ -324,14 +337,16 @@ pub struct GovernanceSnapshot {
     /// Whether any detected storm touches an hour present in this
     /// window.
     pub storm_active: bool,
-    /// Concatenated per-shard triage lists, sorted by alert id.
+    /// The source alert of each R3 cluster of the window's merged
+    /// representatives, sorted by alert id. Empty until
+    /// [`fill_triage`](Self::fill_triage).
     pub triage: Vec<AlertId>,
     /// Shards whose contribution to this window is degraded: their
     /// worker was restarted after a panic during the window, so alerts
     /// that were buffered (or mid-detection) at the time of the crash
     /// are missing from this window's picture. Empty in healthy
-    /// windows; [`GovernanceSnapshot::merge`] always starts empty and
-    /// the merge point fills it in.
+    /// windows; [`GovernanceSnapshot::from_delta`] always starts empty
+    /// and the merge point fills it in.
     pub degraded: Vec<usize>,
     /// The emerging-channel (R4) report for this window, when the
     /// channel is enabled. [`GovernanceSnapshot::from_delta`] leaves
@@ -341,8 +356,11 @@ pub struct GovernanceSnapshot {
     /// keeping 1-shard and N-shard output byte-identical.
     pub emerging: Option<EmergingReport>,
     /// Alerts escalated past storm suppression because their strategy
-    /// is QoA-promoted, sorted by alert id. Exact under sharding:
-    /// promotion is per strategy and each strategy lives on one shard.
+    /// is QoA-promoted and R3 did not surface them in `triage`, sorted
+    /// by alert id. The explicit lane keeps the conservation law
+    /// balanced: escalated alerts are a subset of the delivered ones,
+    /// never an extra count. Empty until
+    /// [`fill_triage`](Self::fill_triage).
     pub escalated: Vec<AlertId>,
     /// The QoA window report, when the feedback loop is enabled —
     /// same contract as `emerging`: filled in by the topmost merge
@@ -366,22 +384,12 @@ fn merge_emerging_docs(deltas: &[WindowDelta]) -> Vec<EmergingDoc> {
 }
 
 impl GovernanceSnapshot {
-    /// Merges one closed window's per-shard deltas into the global
-    /// picture. Deltas must come from the same window index (the
-    /// merge point's barrier guarantees this); with a single delta this
-    /// is the identity on its fields plus full storm reconstruction.
-    #[must_use]
-    pub fn merge(deltas: &[WindowDelta], storm: &StormConfig) -> Self {
-        Self::from_delta(&WindowDelta::merge_all(deltas), storm)
-    }
-
     /// Builds the snapshot of one (already merged, or single-source)
     /// delta: sorts the per-window lists into their canonical orders
     /// and reconstructs exact global storm state from the delta's
-    /// region-hour histogram. `merge` is exactly
-    /// `from_delta(&WindowDelta::merge_all(deltas), storm)`; a merge
-    /// point that folds node deltas through the
-    /// [`WindowDelta`] monoid calls this on the fold's result.
+    /// region-hour histogram. A merge point folds its deltas through
+    /// the [`WindowDelta`] monoid and calls this on the fold's result,
+    /// then [`fill_triage`](Self::fill_triage).
     #[must_use]
     pub fn from_delta(delta: &WindowDelta, storm: &StormConfig) -> Self {
         let mut histogram: BTreeMap<(RegionId, u64), usize> = BTreeMap::new();
@@ -401,10 +409,6 @@ impl GovernanceSnapshot {
         });
         let mut resolved = delta.resolved.clone();
         resolved.sort_unstable();
-        let mut triage = delta.triage.clone();
-        triage.sort_unstable();
-        let mut escalated = delta.escalated.clone();
-        escalated.sort_unstable();
 
         Self {
             window_index: delta.window_index,
@@ -413,12 +417,29 @@ impl GovernanceSnapshot {
             resolved,
             storms,
             storm_active,
-            triage,
+            triage: Vec::new(),
             degraded: Vec::new(),
             emerging: None,
-            escalated,
+            escalated: Vec::new(),
             qoa: None,
         }
+    }
+
+    /// R3 and the escalation lane, once over a window's whole `delta`
+    /// (merged, or a single governor's): correlates its
+    /// representatives by the service topology `graph` into
+    /// [`triage`](Self::triage), and escalates each promoted alert that
+    /// triage does not list. R3 links alerts of different strategies,
+    /// so run over the merged delta it is what one governor over the
+    /// whole window publishes, whatever the partition.
+    pub fn fill_triage(&mut self, delta: &WindowDelta, graph: Option<&DependencyGraph>) {
+        let clusters = correlate_by_topology(&delta.representatives, graph);
+        self.triage = clusters.iter().map(|cluster| cluster.source).collect();
+        self.triage.sort_unstable();
+        let promoted = delta.promoted.iter().copied();
+        self.escalated = promoted
+            .filter(|id| self.triage.binary_search(id).is_err())
+            .collect();
     }
 }
 
@@ -490,12 +511,18 @@ impl StreamingGovernor {
     /// byte-identical to 1-shard. The QoA channel's samples are
     /// forwarded; the emerging channel's documents are not, because a
     /// shard queue records them as it queues the alerts and hands them
-    /// to the merge point with the close.
+    /// to the merge point with the close. The dependency graph is
+    /// handed back for the merge point's R3
+    /// ([`GovernanceSnapshot::fill_triage`]): the shard holds none.
     #[must_use]
-    pub fn into_shard(mut self, streaming: &StreamingConfig) -> Self {
+    pub fn into_shard(
+        mut self,
+        streaming: &StreamingConfig,
+    ) -> (Self, Option<Arc<DependencyGraph>>) {
         self.config.emerging.mode = ChannelMode::Off;
         self.config.qoa.mode = streaming.qoa.mode;
-        self
+        let graph = self.governor.take_dependency_graph();
+        (self, graph)
     }
 
     /// Installs QoA verdicts on the wrapped governor — how whoever
@@ -578,9 +605,9 @@ impl StreamingGovernor {
         // The engine never gets the governor's dependency graph, here
         // or in `rollback`: cascade groups (A6) have no reader on this
         // path — deltas and snapshots carry no cascade field, R1 reads
-        // A4/A5, and R3 takes the graph inside `react` — and under
-        // strategy sharding a shard would group fragments of every
-        // cascade. Publishing them online would take a post-merge
+        // A4/A5, and R3 runs where the window's deltas merge — and
+        // under strategy sharding a shard would group fragments of
+        // every cascade. Publishing them online would take a post-merge
         // channel, not per-shard state.
         self.engine.observe_window(window, None, detect_metrics);
         while self.engine.window_count() > self.config.history_windows {
@@ -625,30 +652,24 @@ impl StreamingGovernor {
             .into_iter()
             .collect();
 
-        let pipeline = self.governor.react(window, self.rules.blocker());
+        // R1 and R2; R3 runs over the merged window.
+        let representatives = self
+            .governor
+            .pipeline()
+            .representatives(window, self.rules.blocker());
 
-        // The escalation lane: alerts of QoA-promoted strategies that
-        // the reaction pipeline did NOT surface in triage ride past
-        // storm suppression explicitly. Uses the verdicts installed at
-        // the previous window boundary — like R1 above, so
-        // window N is governed entirely by what window N-1 taught the
-        // model. Escalated alerts are a subset of this window's
-        // delivered alerts, so the conservation law is untouched.
+        // The escalation lane's input: this window's alerts of
+        // QoA-promoted strategies, by the verdicts installed at the
+        // previous window boundary — like R1 above, so window N is
+        // governed entirely by what window N-1 taught the model.
         let promoted = &self.governor.qoa_verdicts().promoted;
-        let escalated: Vec<AlertId> = if promoted.is_empty() {
-            Vec::new()
-        } else {
-            let triaged: BTreeSet<AlertId> = pipeline.triage.iter().copied().collect();
-            let mut escalated: Vec<AlertId> = window
-                .iter()
-                .filter(|a| promoted.binary_search(&a.strategy()).is_ok())
-                .map(Alert::id)
-                .filter(|id| !triaged.contains(id))
-                .collect();
-            escalated.sort_unstable();
-            escalated.dedup();
-            escalated
-        };
+        let mut promoted: Vec<AlertId> = window
+            .iter()
+            .filter(|a| promoted.binary_search(&a.strategy()).is_ok())
+            .map(Alert::id)
+            .collect();
+        promoted.sort_unstable();
+        promoted.dedup();
 
         // The QoA channel's input: one feature vector per strategy
         // that alerted, canonically sorted by strategy id. The title
@@ -701,10 +722,10 @@ impl StreamingGovernor {
             resolved: transitions.cleared,
             region_hours,
             window_hours,
-            triage: pipeline.triage,
+            representatives,
             emerging_docs,
             qoa_samples,
-            escalated,
+            promoted,
         };
         self.windows_ingested += 1;
         delta
@@ -778,6 +799,14 @@ mod tests {
                 a
             })
             .collect()
+    }
+
+    /// The snapshot a window's close publishes from `delta`, triage
+    /// filled in by `graph`.
+    fn closed(delta: &WindowDelta, graph: Option<&DependencyGraph>) -> GovernanceSnapshot {
+        let mut snapshot = GovernanceSnapshot::from_delta(delta, &StormConfig::default());
+        snapshot.fill_triage(delta, graph);
+        snapshot
     }
 
     fn streaming(history_windows: usize) -> StreamingGovernor {
@@ -862,7 +891,7 @@ mod tests {
     #[test]
     fn the_graph_reaches_react_but_never_the_engine() {
         use alertops_detect::{CascadingDetector, DetectionInput};
-        use alertops_model::{DependencyGraph, MicroserviceId};
+        use alertops_model::MicroserviceId;
 
         // m0 calls m1 calls m2; a fault in m2 surfaces as one alert per
         // tier, a minute apart, each from its own strategy.
@@ -906,10 +935,11 @@ mod tests {
         let mut no_graph = IncrementalState::default();
         let mut with_graph = IncrementalState::default();
         for window in &windows {
-            // R3 still correlates by topology: the two upstream alerts
-            // fold into the one at the faulty tier.
+            // R3 still correlates by topology where the window closes:
+            // the two upstream alerts fold into the one at the faulty
+            // tier.
             let delta = s.ingest_uncommitted(window, &[]);
-            assert_eq!(delta.triage, vec![window[0].id()]);
+            assert_eq!(closed(&delta, Some(&graph)).triage, vec![window[0].id()]);
             for (engine, graph) in [(&mut no_graph, None), (&mut with_graph, Some(&graph))] {
                 engine.observe_window(window, graph, None);
                 while engine.window_count() > 2 {
@@ -933,7 +963,12 @@ mod tests {
         let mut s = streaming(24);
         let window = transient_window(0, 2, 0, 6);
         let delta = s.ingest(&window, &[]);
-        for id in &delta.triage {
+        let snapshot = closed(&delta, None);
+        for id in snapshot
+            .triage
+            .iter()
+            .chain(delta.representatives.iter().map(|r| &r.id))
+        {
             assert!(window.iter().any(|a| a.id() == *id));
         }
     }
@@ -985,7 +1020,8 @@ mod tests {
         let mut s = streaming(4);
         let d = s.ingest(&[], &[]);
         assert_eq!(d.alert_count, 0);
-        assert!(d.triage.is_empty());
+        assert!(d.representatives.is_empty());
+        assert!(closed(&d, None).triage.is_empty());
         assert!(d.region_hours.is_empty() && d.window_hours.is_empty());
     }
 
@@ -1002,14 +1038,20 @@ mod tests {
 
     #[test]
     fn snapshot_merge_of_single_delta_preserves_fields() {
-        let delta = streaming(24).ingest(&transient_window(1_000, 2, 1, 150), &[]);
-        let snapshot =
-            GovernanceSnapshot::merge(std::slice::from_ref(&delta), &StormConfig::default());
+        let mut s = streaming(24);
+        let window = transient_window(1_000, 2, 1, 150);
+        let delta = s.ingest(&window, &[]);
+        let mut snapshot = GovernanceSnapshot::from_delta(
+            &WindowDelta::merge_all(std::slice::from_ref(&delta)),
+            &StormConfig::default(),
+        );
+        snapshot.fill_triage(&delta, None);
         assert_eq!(snapshot.window_index, delta.window_index);
         assert_eq!(snapshot.alert_count, delta.alert_count);
         assert!(snapshot.storm_active, "150 alerts/hour is a storm");
         assert_eq!(snapshot.storms.len(), 1);
-        let mut triage = delta.triage.clone();
+        // The filled triage is the batch pipeline's over the window.
+        let mut triage = s.governor().react(&window, s.blocker()).triage;
         triage.sort_unstable();
         assert_eq!(snapshot.triage, triage);
         assert!(snapshot.degraded.is_empty(), "merge never marks degraded");
@@ -1159,7 +1201,8 @@ mod tests {
         assert_eq!(s.config.qoa.mode, ChannelMode::Off);
         let d = s.ingest(&transient_window(0, 1, 0, 5), &[]);
         assert!(d.qoa_samples.is_empty());
-        assert!(d.escalated.is_empty());
+        assert!(d.promoted.is_empty());
+        assert!(closed(&d, None).escalated.is_empty());
     }
 
     #[test]
@@ -1223,9 +1266,10 @@ mod tests {
         window.extend(transient_window(100, 2, 0, 4));
         window.sort_by_key(|a| (a.raised_at(), a.id()));
         let d = s.ingest(&window, &[]);
-        assert!(!d.escalated.is_empty());
-        let triaged: BTreeSet<AlertId> = d.triage.iter().copied().collect();
-        for id in &d.escalated {
+        let snapshot = closed(&d, None);
+        assert!(!snapshot.escalated.is_empty());
+        let triaged: BTreeSet<AlertId> = snapshot.triage.iter().copied().collect();
+        for id in &snapshot.escalated {
             let alert = window.iter().find(|a| a.id() == *id).expect("window alert");
             assert_eq!(alert.strategy(), StrategyId(2));
             assert!(!triaged.contains(id), "escalated lane excludes triage");
@@ -1244,10 +1288,60 @@ mod tests {
             let alone = GovernanceSnapshot::from_delta(alone, &StormConfig::default());
             assert!(!alone.storm_active, "80 alerts/hour is below the bar");
         }
-        let merged = GovernanceSnapshot::merge(&[da, db], &StormConfig::default());
+        let merged = GovernanceSnapshot::from_delta(
+            &WindowDelta::merge_all(&[da, db]),
+            &StormConfig::default(),
+        );
         assert!(merged.storm_active, "shards must sum to a global storm");
         assert_eq!(merged.alert_count, 160);
         assert_eq!(merged.storms[0].total_alerts, 160);
+    }
+
+    /// Two promoted strategies on microservices A and B, where B calls
+    /// A; one alert on A at 0 s and one on B at 60 s. One governor over
+    /// both, and two governors of one alert each merged, publish the
+    /// same triage and escalation lane: R3 links across the partition.
+    #[test]
+    fn one_governor_and_two_merged_governors_triage_alike() {
+        use alertops_model::MicroserviceId;
+
+        let graph: DependencyGraph = [(MicroserviceId(1), MicroserviceId(0))]
+            .into_iter()
+            .collect();
+        let alerts: Vec<Alert> = (0..2u64)
+            .map(|i| {
+                Alert::builder(AlertId(i), StrategyId(1 + i))
+                    .title("haproxy process number warning")
+                    .microservice(MicroserviceId(i))
+                    .raised_at(SimTime::from_secs(60 * i))
+                    .build()
+            })
+            .collect();
+        let governor = |catalog: Vec<AlertStrategy>| {
+            let mut s = StreamingGovernor::new(
+                AlertGovernor::new(catalog, GovernorConfig::default())
+                    .with_dependency_graph(graph.clone()),
+                StreamingConfig::default(),
+            );
+            s.set_qoa_verdicts(QoaVerdicts {
+                demoted: Vec::new(),
+                promoted: vec![StrategyId(1), StrategyId(2)],
+            });
+            s
+        };
+        let publish = |delta: &WindowDelta| {
+            let mut snapshot = GovernanceSnapshot::from_delta(delta, &StormConfig::default());
+            snapshot.fill_triage(delta, Some(&graph));
+            (snapshot.triage, snapshot.escalated)
+        };
+        let one = governor(vec![noisy_strategy(1), noisy_strategy(2)]).ingest(&alerts, &[]);
+        let two = WindowDelta::merge_all(&[
+            governor(vec![noisy_strategy(1)]).ingest(&alerts[..1], &[]),
+            governor(vec![noisy_strategy(2)]).ingest(&alerts[1..], &[]),
+        ]);
+        let want = (vec![AlertId(0)], vec![AlertId(1)]);
+        assert_eq!(publish(&one), want);
+        assert_eq!(publish(&two), want);
     }
 
     /// A shard holds its catalog once: the engine evaluates against the

@@ -22,6 +22,7 @@ use std::{io, thread};
 use alertops_core::{EmergingMetrics, GovernanceSnapshot, QoaMetrics, StreamingGovernor};
 use alertops_model::{Alert, QoaLabel};
 use alertops_obs::Counter;
+use alertops_react::ReactMetrics;
 use alertops_wire::wal::replay;
 use alertops_wire::{AckFrame, ChaosCmd, Frame, WireDecoder, WireEncoder, WireError, WireFormat};
 
@@ -290,6 +291,7 @@ impl Ingestd {
             },
             emerging: metrics.map(|_| EmergingMetrics::register(registry)),
             qoa: metrics.map(|_| QoaMetrics::register(registry)),
+            correlation: metrics.map(|_| ReactMetrics::register(registry)),
             merge_timer: metrics.map(|m| Arc::clone(&m.merge_micros)),
         };
         let mut router = Router {

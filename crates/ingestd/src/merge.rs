@@ -5,15 +5,19 @@
 //! error and the close completes, published and counted as usual.
 //!
 //! A close folds every shard's [`WindowDelta`] through the monoid,
-//! builds the [`GovernanceSnapshot`], then runs the two *sequential*
-//! passes over the merged window: R4's AO-LDA pass over its documents
-//! and the online QoA model's update against its labels. Both thread
-//! state from every earlier window (AO-LDA's adaptive prior, the
-//! model's weights), so each runs exactly once per window, here, for
-//! N-shard and N-node output to equal 1-shard output byte for byte. A
-//! shard governor runs neither; a library caller with one governor
-//! runs the two bare passes ([`EmergingAlertDetector::observe_docs`],
-//! [`OnlineQoaModel::observe_window`]) over its delta.
+//! builds the [`GovernanceSnapshot`], fills in its triage and
+//! escalation lane by R3 over the merged representatives, then runs
+//! the two *sequential* passes over the merged window: R4's AO-LDA pass
+//! over its documents and the online QoA model's update against its
+//! labels. R3 links alerts across strategies, and so across shards and
+//! nodes; the two passes thread state from every earlier window
+//! (AO-LDA's adaptive prior, the model's weights). So each runs exactly
+//! once per window, here, for N-shard and N-node output to equal
+//! 1-shard output byte for byte. A shard governor runs none of them; a
+//! library caller with one governor runs them over its delta
+//! ([`GovernanceSnapshot::fill_triage`],
+//! [`EmergingAlertDetector::observe_docs`],
+//! [`OnlineQoaModel::observe_window`]).
 //!
 //! The AO-LDA pass overlaps the barrier: the shard queues hand over
 //! the window's emerging documents with `Close{seq}`, and the pass runs
@@ -38,12 +42,12 @@ use alertops_core::{
 use alertops_detect::StormConfig;
 use alertops_model::{Alert, QoaLabel};
 use alertops_obs::{Counter, Histogram};
-use alertops_react::{EmergingAlertDetector, EmergingDoc};
+use alertops_react::{EmergingAlertDetector, EmergingDoc, ReactMetrics};
 use alertops_wire::wal::{read_qoa_checkpoint, write_qoa_checkpoint};
 
 use crate::config::IngestdConfig;
 use crate::node::Node;
-use crate::pool::elapsed_micros;
+use crate::pool::{elapsed_micros, ShardPool};
 use crate::queue::ShardDocs;
 
 /// Everything one window close produced.
@@ -73,6 +77,9 @@ pub struct MergeCounters {
     pub emerging: Option<EmergingMetrics>,
     /// Model-update wall time and QoA gauges.
     pub qoa: Option<QoaMetrics>,
+    /// R3's wall time and cluster count, recorded once per window here
+    /// (shards record R1's and R2's).
+    pub correlation: Option<ReactMetrics>,
     /// Times the merge step (monoid fold + snapshot build, nothing
     /// else) of every close.
     pub merge_timer: Option<Arc<Histogram>>,
@@ -164,11 +171,15 @@ impl MergePoint {
     ///    `delivered_docs`);
     /// 5. the deltas merge and the snapshot is built, under the merge
     ///    timer;
-    /// 6. the pass is committed, its report embedded;
-    /// 7. the QoA model updates against `labels`, its report embedded;
-    /// 8. the verdicts the next close pushes down are read off it;
-    /// 9. the QoA checkpoint is replaced, then each node that delivered
-    ///    seals its log at `seq`.
+    /// 6. R3 correlates the merged representatives by the first alive
+    ///    pool's dependency graph into the snapshot's triage, and the
+    ///    escalation lane is read off it
+    ///    ([`GovernanceSnapshot::fill_triage`]);
+    /// 7. the pass is committed, its report embedded;
+    /// 8. the QoA model updates against `labels`, its report embedded;
+    /// 9. the verdicts the next close pushes down are read off it;
+    /// 10. the QoA checkpoint is replaced, then each node that delivered
+    ///     seals its log at `seq`.
     ///
     /// The AO-LDA pass runs on every window, empty ones included — its
     /// windowing counts them — and its wall time (prepare, any redo,
@@ -257,6 +268,13 @@ impl MergePoint {
             (delta, snapshot)
         };
         let metrics = &self.counters;
+        let pool = nodes.iter().find_map(Node::pool);
+        let span = metrics.correlation.as_ref().map(|m| m.correlation_timer());
+        snapshot.fill_triage(&delta, pool.and_then(ShardPool::dependency_graph));
+        drop(span);
+        if let Some(m) = &metrics.correlation {
+            m.record_clusters(snapshot.triage.len() as u64);
+        }
         snapshot.emerging = self
             .detector
             .as_mut()

@@ -21,7 +21,7 @@ use std::time::Instant;
 use std::{io, thread};
 
 use alertops_core::{ChannelMode, GovernorMetrics, QoaVerdicts, StreamingGovernor, WindowDelta};
-use alertops_model::Alert;
+use alertops_model::{Alert, DependencyGraph};
 use alertops_obs::MetricsRegistry;
 
 use crate::config::{IngestdConfig, OverflowPolicy};
@@ -49,6 +49,9 @@ pub struct ShardPool {
     /// stall (see [`ShardPool::stall`]).
     resume_slots: Vec<Mutex<Option<Sender<()>>>>,
     metrics: Option<Arc<IngestdMetrics>>,
+    /// The dependency graph the shard governors were built with, taken
+    /// off them: the holder's merge point correlates by it.
+    graph: Option<Arc<DependencyGraph>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -80,15 +83,20 @@ impl ShardPool {
         let documents = config.streaming.emerging.mode != ChannelMode::Off;
         let mut queues = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
+        let mut graph = None;
         for shard in 0..config.shards {
             let queue = Arc::new(ShardQueue::new(config.queue_capacity, documents));
             queues.push(Arc::clone(&queue));
-            // Shards never run a sequential pass themselves — it
-            // belongs to the merge point — so each channel's input
-            // reaches it as the configuration says, regardless of how
-            // the caller built the governor: QoA samples in the deltas,
-            // emerging documents from the queues.
-            let mut governor = make_governor(shard, config.shards).into_shard(&config.streaming);
+            // Shards never run R3 or a sequential pass themselves — they
+            // belong to the merge point — so each input reaches it as
+            // the configuration says, regardless of how the caller built
+            // the governor: representatives and QoA samples in the
+            // deltas, emerging documents from the queues, and the graph
+            // through the pool. Every shard's governor comes from one
+            // factory, so the first shard's graph is the pool's.
+            let (mut governor, shard_graph) =
+                make_governor(shard, config.shards).into_shard(&config.streaming);
+            graph = graph.or(shard_graph);
             if metrics.is_some() {
                 // Shards share detect/react series: the registry hands
                 // every shard the same aggregate instruments.
@@ -120,8 +128,16 @@ impl ShardPool {
             overflow: config.overflow,
             resume_slots: (0..config.shards).map(|_| Mutex::new(None)).collect(),
             metrics,
+            graph,
             workers,
         })
+    }
+
+    /// The dependency graph the merge point's R3 correlates by: the one
+    /// the shard governors were built with.
+    #[must_use]
+    pub fn dependency_graph(&self) -> Option<&DependencyGraph> {
+        self.graph.as_deref()
     }
 
     /// Number of shards.

@@ -10,14 +10,15 @@
 //!
 //! [`aggregate`] renders every group under a chosen window and key. The
 //! reaction pipeline groups by strategy over 30 minutes through the
-//! same pass and reads only each group's representative.
-
-use std::collections::btree_map::{BTreeMap, Entry};
+//! same pass, keeps no member list, and reads only each group's
+//! representative.
 
 use serde::{Deserialize, Serialize};
 
-use alertops_model::{Alert, AlertId, Severity, SimDuration, SimTime, StrategyId, TimeRange};
+use alertops_model::{Alert, AlertId, Severity, SimDuration, StrategyId, TimeRange};
 use alertops_text::extract_template;
+
+use crate::correlation::Representative;
 
 /// How alerts are keyed into groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,104 +90,84 @@ pub fn aggregate(alerts: &[Alert], config: &AggregationConfig) -> Vec<AlertGroup
     // Bucket by the key itself and render it as text once per group,
     // not once per alert.
     match config.key {
-        GroupKey::Strategy => render(group_by(alerts, config.window, Alert::strategy), |id| {
-            id.to_string()
-        }),
+        GroupKey::Strategy => render(
+            &group_by(alerts, config.window, Alert::strategy),
+            StrategyId::to_string,
+        ),
         GroupKey::TitleTemplate => render(
-            group_by(alerts, config.window, |alert| {
+            &group_by(alerts, config.window, |alert| {
                 extract_template(alert.title())
             }),
-            |template| template,
+            String::clone,
         ),
     }
 }
 
 /// The representatives of [`aggregate`]'s groups under the default
-/// configuration, unrendered: R2 as the reaction pipeline runs it.
-pub(crate) fn representatives<'a>(alerts: impl IntoIterator<Item = &'a Alert>) -> Vec<&'a Alert> {
-    group_by(alerts, AGGREGATION_WINDOW, Alert::strategy)
-        .into_iter()
-        .map(|(_, bucket)| bucket.first)
-        .collect()
+/// configuration, unrendered and in (raise time, id) order: R2 as the
+/// reaction pipeline runs it, which keeps no member list.
+pub(crate) fn representatives<'a>(
+    alerts: impl IntoIterator<Item = &'a Alert>,
+) -> Vec<Representative> {
+    let keyed = group_by(alerts, AGGREGATION_WINDOW, Alert::strategy);
+    let groups = || keyed.chunk_by(|a, b| a.0 == b.0);
+    let mut representatives = Vec::with_capacity(groups().count());
+    representatives.extend(groups().map(|group| Representative::from(group[0].1)));
+    representatives.sort_unstable();
+    representatives
 }
 
-/// One bucket as the grouping pass fills it: opened by the first alert
-/// that lands in it, with each later member folded in.
-struct Bucket<'a> {
-    /// The earliest member by (raise time, id): the representative.
-    first: &'a Alert,
-    last_raise: SimTime,
-    members: Vec<AlertId>,
-    max_severity: Severity,
-}
-
-impl<'a> Bucket<'a> {
-    fn open(alert: &'a Alert) -> Self {
-        Self {
-            first: alert,
-            last_raise: alert.raised_at(),
-            members: vec![alert.id()],
-            max_severity: alert.severity(),
-        }
-    }
-
-    fn fold(&mut self, alert: &'a Alert) {
-        if (alert.raised_at(), alert.id()) < (self.first.raised_at(), self.first.id()) {
-            self.first = alert;
-        }
-        self.last_raise = self.last_raise.max(alert.raised_at());
-        self.members.push(alert.id());
-        self.max_severity = self.max_severity.max(alert.severity());
-    }
-}
-
-/// The one grouping pass: a bucket per `(tumbling window,
-/// key_of(alert))`, ordered by the representative's (raise time, id).
+/// The one grouping pass: each alert under its `(tumbling window,
+/// key_of(alert))`, sorted so that a group is a run of equal keys
+/// with its representative, the earliest member by (raise time, id),
+/// first.
 fn group_by<'a, K: Ord>(
     alerts: impl IntoIterator<Item = &'a Alert>,
     window: SimDuration,
     key_of: impl Fn(&Alert) -> K,
-) -> Vec<((u64, K), Bucket<'a>)> {
-    let mut buckets: BTreeMap<(u64, K), Bucket<'a>> = BTreeMap::new();
-    for alert in alerts {
-        let window_ix = alert.raised_at().as_secs() / window.as_secs();
-        match buckets.entry((window_ix, key_of(alert))) {
-            Entry::Vacant(slot) => {
-                slot.insert(Bucket::open(alert));
-            }
-            Entry::Occupied(slot) => slot.into_mut().fold(alert),
-        }
-    }
-    // No two buckets share a representative, so the order is total.
-    let mut groups: Vec<_> = buckets.into_iter().collect();
-    groups.sort_unstable_by_key(|(_, bucket)| (bucket.first.raised_at(), bucket.first.id()));
-    groups
+) -> Vec<((u64, K), &'a Alert)> {
+    let mut keyed: Vec<_> = alerts
+        .into_iter()
+        .map(|alert| {
+            let window_ix = alert.raised_at().as_secs() / window.as_secs();
+            ((window_ix, key_of(alert)), alert)
+        })
+        .collect();
+    keyed.sort_unstable_by(|(a_key, a), (b_key, b)| {
+        (a_key, a.raised_at(), a.id()).cmp(&(b_key, b.raised_at(), b.id()))
+    });
+    keyed
 }
 
-/// Renders each bucket as the [`AlertGroup`] [`aggregate`] reports.
-fn render<K>(
-    groups: Vec<((u64, K), Bucket<'_>)>,
-    key_text: impl Fn(K) -> String,
-) -> Vec<AlertGroup> {
-    groups
-        .into_iter()
-        .map(|((_, key), mut bucket)| {
-            let first = bucket.first;
-            bucket.members.sort_unstable();
+/// Renders each group as the [`AlertGroup`] [`aggregate`] reports,
+/// ordered by representative.
+fn render<K: Eq>(keyed: &[((u64, K), &Alert)], key_text: impl Fn(&K) -> String) -> Vec<AlertGroup> {
+    let mut groups: Vec<AlertGroup> = keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|group| {
+            let ((_, key), first) = &group[0];
+            let mut members: Vec<AlertId> = group.iter().map(|(_, alert)| alert.id()).collect();
+            members.sort_unstable();
+            let last_raise = group[group.len() - 1].1.raised_at();
             AlertGroup {
                 key: key_text(key),
                 strategy: first.strategy(),
                 representative: first.id(),
-                count: bucket.members.len(),
-                members: bucket.members,
+                count: members.len(),
+                members,
                 window: TimeRange::new(
                     first.raised_at(),
-                    bucket.last_raise.saturating_add(SimDuration::from_secs(1)),
+                    last_raise.saturating_add(SimDuration::from_secs(1)),
                 ),
-                max_severity: bucket.max_severity,
+                max_severity: group.iter().fold(first.severity(), |max, (_, alert)| {
+                    max.max(alert.severity())
+                }),
             }
         })
-        .collect()
+        .collect();
+    // No two groups share a representative, so the order is total.
+    groups.sort_unstable_by_key(|group| (group.window.start(), group.representative));
+    groups
 }
 
 /// The volume reduction achieved: `1 - groups/alerts` (0 for empty

@@ -9,14 +9,21 @@
 //! the microservice [`DependencyGraph`]. The topology link is the one
 //! derivation relation A6's cascade edge also reads,
 //! [`DependencyGraph::derives`], over its one window, [`DERIVATION_WINDOW`].
+//!
+//! R3 reads four fields of an alert, held as one `Copy` [`Representative`].
+//! The batch pipeline correlates its R2 groups' representatives with an
+//! [`AlertCorrelator`]; a streaming shard forwards them instead, and the
+//! merge point correlates a window's merged list once, by topology
+//! ([`correlate_by_topology`]).
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use alertops_model::{Alert, AlertId, DependencyGraph, StrategyId, DERIVATION_WINDOW};
+use alertops_model::{
+    Alert, AlertId, DependencyGraph, MicroserviceId, SimTime, StrategyId, DERIVATION_WINDOW,
+};
 
 /// Manually configured dependencies between alert strategies: an edge
 /// `source → derived` means "an alert of `source` can trigger an alert
@@ -71,6 +78,37 @@ impl FromIterator<(StrategyId, StrategyId)> for StrategyDependencies {
             deps.add_trigger(source, derived);
         }
         deps
+    }
+}
+
+/// What R3 reads of an alert. Ordered by (`raised_at`, `id`), the order
+/// R3 takes its input in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct Representative {
+    /// When the alert was raised.
+    pub raised_at: SimTime,
+    /// The alert.
+    pub id: AlertId,
+    /// Its strategy, for strategy-dependency rules.
+    pub strategy: StrategyId,
+    /// Its microservice, for the topology.
+    pub microservice: MicroserviceId,
+}
+
+impl From<&Alert> for Representative {
+    fn from(alert: &Alert) -> Self {
+        Self {
+            raised_at: alert.raised_at(),
+            id: alert.id(),
+            strategy: alert.strategy(),
+            microservice: alert.microservice(),
+        }
+    }
+}
+
+impl From<&Representative> for Representative {
+    fn from(representative: &Representative) -> Self {
+        *representative
     }
 }
 
@@ -130,68 +168,93 @@ impl AlertCorrelator {
         self
     }
 
-    /// Whether alert `derived` can be attributed to alert `source`.
-    fn is_derived_from(&self, source: &Alert, derived: &Alert) -> bool {
-        if derived.raised_at() < source.raised_at()
-            || derived.raised_at().duration_since(source.raised_at()) > DERIVATION_WINDOW
-        {
-            return false;
-        }
-        self.strategy_deps
-            .is_trigger(source.strategy(), derived.strategy())
-            || self.topology.as_deref().is_some_and(|graph| {
-                graph.derives(
-                    (source.raised_at(), source.microservice()),
-                    (derived.raised_at(), derived.microservice()),
-                    DERIVATION_WINDOW,
-                )
-            })
-    }
-
     /// Correlates a time-sorted alert stream into clusters. Every alert
     /// lands in exactly one cluster; alerts with no source of their own
-    /// become cluster sources. The alerts may be owned or borrowed: the
-    /// reaction pipeline hands over the group representatives it
-    /// borrows from its input.
+    /// become cluster sources. The input may be alerts or their
+    /// [`Representative`]s.
     ///
     /// Attribution is greedy-to-earliest: each alert is attached to the
     /// earliest alert in the window that can explain it, and attribution
     /// chains collapse to the chain's source.
     #[must_use]
-    pub fn correlate<A: Borrow<Alert>>(&self, alerts: &[A]) -> Vec<CorrelatedCluster> {
-        let alert = |ix: usize| -> &Alert { alerts[ix].borrow() };
-        let n = alerts.len();
-        // source_of[i] = index of the cluster source alert i belongs to.
-        let mut source_of: Vec<usize> = (0..n).collect();
-        let mut lo = 0usize;
-        for hi in 0..n {
-            while alert(hi).raised_at().duration_since(alert(lo).raised_at()) > DERIVATION_WINDOW {
-                lo += 1;
-            }
-            for earlier in lo..hi {
-                if self.is_derived_from(alert(earlier), alert(hi)) {
-                    // Collapse to the chain's source.
-                    source_of[hi] = source_of[earlier];
-                    break; // earliest explanation wins
-                }
-            }
-        }
-        let mut clusters: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (ix, &src) in source_of.iter().enumerate() {
-            clusters.entry(src).or_default().push(ix);
-        }
-        clusters
-            .into_iter()
-            .map(|(src, members)| CorrelatedCluster {
-                source: alert(src).id(),
-                derived: members
-                    .into_iter()
-                    .filter(|&m| m != src)
-                    .map(|m| alert(m).id())
-                    .collect(),
-            })
-            .collect()
+    pub fn correlate<A>(&self, alerts: &[A]) -> Vec<CorrelatedCluster>
+    where
+        for<'a> &'a A: Into<Representative>,
+    {
+        clusters(alerts, &self.strategy_deps, self.topology.as_deref())
     }
+}
+
+/// R3 with the service topology as its one source of knowledge, over a
+/// borrowed graph (none: every alert is its own cluster). Equal to an
+/// [`AlertCorrelator`] given only `topology`; this is what the merge
+/// point runs once per window over the representatives its shards
+/// forward.
+#[must_use]
+pub fn correlate_by_topology(
+    alerts: &[Representative],
+    topology: Option<&DependencyGraph>,
+) -> Vec<CorrelatedCluster> {
+    clusters(alerts, &StrategyDependencies::new(), topology)
+}
+
+/// The one correlation pass, over either source of knowledge.
+fn clusters<A>(
+    alerts: &[A],
+    strategy_deps: &StrategyDependencies,
+    topology: Option<&DependencyGraph>,
+) -> Vec<CorrelatedCluster>
+where
+    for<'a> &'a A: Into<Representative>,
+{
+    let alert = |ix: usize| -> Representative { (&alerts[ix]).into() };
+    let is_derived_from = |source: &Representative, derived: &Representative| {
+        derived.raised_at >= source.raised_at
+            && derived.raised_at.duration_since(source.raised_at) <= DERIVATION_WINDOW
+            && (strategy_deps.is_trigger(source.strategy, derived.strategy)
+                || topology.is_some_and(|graph| {
+                    graph.derives(
+                        (source.raised_at, source.microservice),
+                        (derived.raised_at, derived.microservice),
+                        DERIVATION_WINDOW,
+                    )
+                }))
+    };
+    let n = alerts.len();
+    // source_of[i] = index of the cluster source alert i belongs to.
+    let mut source_of: Vec<usize> = (0..n).collect();
+    let mut lo = 0usize;
+    for hi in 0..n {
+        let derived = alert(hi);
+        while derived.raised_at.duration_since(alert(lo).raised_at) > DERIVATION_WINDOW {
+            lo += 1;
+        }
+        for earlier in lo..hi {
+            if is_derived_from(&alert(earlier), &derived) {
+                // Collapse to the chain's source.
+                source_of[hi] = source_of[earlier];
+                break; // earliest explanation wins
+            }
+        }
+    }
+    // Sources come in index order and precede the alerts derived from
+    // them, so one in-order pass opens each cluster and appends to its
+    // list. A source's slot then holds its cluster's index.
+    let sources = source_of.iter().enumerate().filter(|&(ix, &src)| ix == src);
+    let mut clusters = Vec::with_capacity(sources.count());
+    for ix in 0..n {
+        let src = source_of[ix];
+        if src == ix {
+            source_of[ix] = clusters.len();
+            clusters.push(CorrelatedCluster {
+                source: alert(ix).id,
+                derived: Vec::new(),
+            });
+        } else {
+            clusters[source_of[src]].derived.push(alert(ix).id);
+        }
+    }
+    clusters
 }
 
 #[cfg(test)]
@@ -344,5 +407,101 @@ mod tests {
     #[test]
     fn empty_stream() {
         assert!(AlertCorrelator::new().correlate::<Alert>(&[]).is_empty());
+        assert!(correlate_by_topology(&[], None).is_empty());
+    }
+
+    /// The construction the in-order pass replaced, whole: the same
+    /// attribution loop, then a map from each source's index to its
+    /// members, one `Vec` per cluster.
+    fn correlate_by_map(
+        alerts: &[Alert],
+        deps: &StrategyDependencies,
+        graph: &DependencyGraph,
+    ) -> Vec<CorrelatedCluster> {
+        let is_derived_from = |source: &Alert, derived: &Alert| {
+            if derived.raised_at() < source.raised_at()
+                || derived.raised_at().duration_since(source.raised_at()) > DERIVATION_WINDOW
+            {
+                return false;
+            }
+            deps.is_trigger(source.strategy(), derived.strategy())
+                || graph.derives(
+                    (source.raised_at(), source.microservice()),
+                    (derived.raised_at(), derived.microservice()),
+                    DERIVATION_WINDOW,
+                )
+        };
+        let n = alerts.len();
+        let mut source_of: Vec<usize> = (0..n).collect();
+        let mut lo = 0usize;
+        for hi in 0..n {
+            while alerts[hi]
+                .raised_at()
+                .duration_since(alerts[lo].raised_at())
+                > DERIVATION_WINDOW
+            {
+                lo += 1;
+            }
+            for earlier in lo..hi {
+                if is_derived_from(&alerts[earlier], &alerts[hi]) {
+                    source_of[hi] = source_of[earlier];
+                    break;
+                }
+            }
+        }
+        let mut clusters: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (ix, &src) in source_of.iter().enumerate() {
+            clusters.entry(src).or_default().push(ix);
+        }
+        clusters
+            .into_iter()
+            .map(|(src, members)| CorrelatedCluster {
+                source: alerts[src].id(),
+                derived: members
+                    .into_iter()
+                    .filter(|&m| m != src)
+                    .map(|m| alerts[m].id())
+                    .collect(),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The in-order pass builds the clusters the map did, on random
+        /// streams under random strategy rules and topologies, and the
+        /// topology-only entry agrees with a correlator given only the
+        /// topology.
+        #[test]
+        fn the_in_order_pass_equals_the_map(
+            picks in proptest::collection::vec((0u64..6, 0u64..6, 0u64..1_200), 0..60),
+            rules in proptest::collection::vec((0u64..6, 0u64..6), 0..8),
+            edges in proptest::collection::vec((0u64..6, 0u64..6), 0..10),
+        ) {
+            let mut alerts: Vec<Alert> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &(strategy, ms, t))| alert(i as u64, strategy, ms, t))
+                .collect();
+            alerts.sort_by_key(|a| (a.raised_at(), a.id()));
+            let graph: DependencyGraph = edges
+                .into_iter()
+                .map(|(a, b)| (MicroserviceId(a), MicroserviceId(b)))
+                .collect();
+            let deps: StrategyDependencies =
+                rules.into_iter().map(|(a, b)| (StrategyId(a), StrategyId(b))).collect();
+            let correlator = AlertCorrelator::new()
+                .with_strategy_dependencies(deps.clone())
+                .with_topology(graph.clone());
+            proptest::prop_assert_eq!(
+                correlator.correlate(&alerts),
+                correlate_by_map(&alerts, &deps, &graph)
+            );
+            let representatives: Vec<Representative> =
+                alerts.iter().map(Representative::from).collect();
+            proptest::prop_assert_eq!(
+                correlate_by_topology(&representatives, Some(&graph)),
+                correlate_by_map(&alerts, &StrategyDependencies::new(), &graph)
+            );
+        }
     }
 }

@@ -54,7 +54,9 @@ pub mod pipeline;
 pub use aggregation::{aggregate, reduction_ratio, AggregationConfig, AlertGroup, GroupKey};
 pub use audit::{audit_blocker, audit_blocker_with, review_queue, RuleAudit, STALE_AFTER_DAYS};
 pub use blocking::{AlertBlocker, BlockCriterion, BlockOutcome, BlockRule};
-pub use correlation::{AlertCorrelator, CorrelatedCluster, StrategyDependencies};
+pub use correlation::{
+    correlate_by_topology, AlertCorrelator, CorrelatedCluster, Representative, StrategyDependencies,
+};
 pub use emerging::{
     apply_budget, EmergingAlertDetector, EmergingBudget, EmergingConfig, EmergingDoc,
     EmergingReport, PreparedPass,

@@ -69,10 +69,23 @@ impl ReactMetrics {
         self.stage_micros[stage].time()
     }
 
-    pub(crate) fn record_volumes(&self, input: u64, blocked: u64, groups: u64, clusters: u64) {
+    /// Starts a wall-time span for R3, which runs where a window's
+    /// representatives are all in hand: in the batch pipeline, or once
+    /// per window at a merge point.
+    #[must_use]
+    pub fn correlation_timer(&self) -> Span<'_> {
+        self.stage_timer(2)
+    }
+
+    /// Counts R1's and R2's volumes.
+    pub(crate) fn record_grouping(&self, input: u64, blocked: u64, groups: u64) {
         self.input.add(input);
         self.blocked.add(blocked);
         self.groups.add(groups);
+    }
+
+    /// Counts R3's clusters: the triage items.
+    pub fn record_clusters(&self, clusters: u64) {
         self.clusters.add(clusters);
     }
 }
@@ -88,7 +101,8 @@ mod tests {
         for stage in 0..STAGES.len() {
             drop(metrics.stage_timer(stage));
         }
-        metrics.record_volumes(24, 20, 2, 1);
+        metrics.record_grouping(24, 20, 2);
+        metrics.record_clusters(1);
         let text = registry.render();
         for stage in STAGES {
             assert!(

@@ -7,9 +7,13 @@
 //! a volume reducer; run it separately via
 //! [`EmergingAlertDetector`](crate::EmergingAlertDetector).)
 //!
-//! [`ReactionPipeline::run`] is the one entry. It borrows the alerts and
-//! the blocker and copies no alert: R2 groups the alerts R1 passes by
-//! strategy over 30 minutes and hands R3 each group's representative.
+//! [`ReactionPipeline::run`] is the batch entry. It borrows the alerts
+//! and the blocker and copies no alert: R2 groups the alerts R1 passes
+//! by strategy over 30 minutes and hands R3 each group's
+//! [`Representative`]. A streaming shard runs only the first half,
+//! [`ReactionPipeline::representatives`], and forwards what it returns:
+//! R3 links alerts across strategies, so it runs once per window where
+//! the shards' forwards merge.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,7 +21,7 @@ use alertops_model::{Alert, AlertId};
 
 use crate::aggregation;
 use crate::blocking::AlertBlocker;
-use crate::correlation::AlertCorrelator;
+use crate::correlation::{AlertCorrelator, Representative};
 use crate::metrics::ReactMetrics;
 
 /// One stage's contribution to volume reduction.
@@ -88,52 +92,28 @@ impl ReactionPipeline {
     #[must_use]
     pub fn run(&self, alerts: &[Alert], blocker: &AlertBlocker) -> PipelineReport {
         let input = alerts.len();
-        let mut stages = vec![StageStat {
-            stage: "input".to_owned(),
-            remaining: input,
-        }];
-
-        // R1 — blocking.
-        let passed: Vec<&Alert> = {
-            let _span = self.metrics.as_ref().map(|m| m.stage_timer(0));
-            alerts
-                .iter()
-                .filter(|alert| blocker.first_match(alert).is_none())
-                .collect()
-        };
-        stages.push(StageStat {
-            stage: "blocking".to_owned(),
-            remaining: passed.len(),
-        });
-
-        // R2 — aggregation, by strategy over 30 minutes.
-        let representatives = {
-            let _span = self.metrics.as_ref().map(|m| m.stage_timer(1));
-            aggregation::representatives(passed.iter().copied())
-        };
-        stages.push(StageStat {
-            stage: "aggregation".to_owned(),
-            remaining: representatives.len(),
-        });
+        let (passed, representatives) = self.group(alerts, blocker);
 
         // R3 — correlation over the group representatives, which come
         // in (raise time, id) order.
-        let _span = self.metrics.as_ref().map(|m| m.stage_timer(2));
+        let _span = self.metrics.as_ref().map(ReactMetrics::correlation_timer);
         let clusters = self.correlator.correlate(&representatives);
         drop(_span);
-        stages.push(StageStat {
-            stage: "correlation".to_owned(),
-            remaining: clusters.len(),
-        });
         if let Some(m) = &self.metrics {
-            m.record_volumes(
-                input as u64,
-                (input - passed.len()) as u64,
-                representatives.len() as u64,
-                clusters.len() as u64,
-            );
+            m.record_clusters(clusters.len() as u64);
         }
 
+        let stages = [
+            ("input", input),
+            ("blocking", passed),
+            ("aggregation", representatives.len()),
+            ("correlation", clusters.len()),
+        ]
+        .map(|(stage, remaining)| StageStat {
+            stage: stage.to_owned(),
+            remaining,
+        })
+        .into();
         let triage: Vec<AlertId> = clusters.iter().map(|c| c.source).collect();
         let reduction = if input == 0 {
             0.0
@@ -145,6 +125,39 @@ impl ReactionPipeline {
             triage,
             reduction,
         }
+    }
+
+    /// R1 and R2 alone: the representative of each group of the alerts
+    /// no rule in `blocker` blocks, in (raise time, id) order. What R3
+    /// correlates, and what a streaming shard forwards for it.
+    #[must_use]
+    pub fn representatives(&self, alerts: &[Alert], blocker: &AlertBlocker) -> Vec<Representative> {
+        self.group(alerts, blocker).1
+    }
+
+    /// R1 then R2: how many alerts pass, and the groups' representatives.
+    fn group(&self, alerts: &[Alert], blocker: &AlertBlocker) -> (usize, Vec<Representative>) {
+        // R1 — blocking.
+        let passed: Vec<&Alert> = {
+            let _span = self.metrics.as_ref().map(|m| m.stage_timer(0));
+            let mut passed = Vec::with_capacity(alerts.len());
+            passed.extend(alerts.iter().filter(|a| blocker.first_match(a).is_none()));
+            passed
+        };
+
+        // R2 — aggregation, by strategy over 30 minutes.
+        let representatives = {
+            let _span = self.metrics.as_ref().map(|m| m.stage_timer(1));
+            aggregation::representatives(passed.iter().copied())
+        };
+        if let Some(m) = &self.metrics {
+            m.record_grouping(
+                alerts.len() as u64,
+                (alerts.len() - passed.len()) as u64,
+                representatives.len() as u64,
+            );
+        }
+        (passed.len(), representatives)
     }
 }
 

@@ -1,17 +1,18 @@
-//! What an R1 audit allocates per alert.
+//! What an R1 audit allocates per alert, and the pipeline per group.
 //!
 //! A `TitleContains` rule compares the title and the needle case-
 //! insensitively in place, so testing an alert against it allocates
-//! nothing. This binary installs its own counting allocator and pins
-//! that: auditing twice the alerts over the same days allocates exactly
-//! as much.
+//! nothing. R2 keeps no member list for the pipeline and R3 allocates
+//! only the derived lists it fills, so R1 → R2 → R3 over any number of
+//! groups allocates the same. This binary installs its own counting
+//! allocator and pins both.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use alertops_model::{Alert, AlertId, SimTime, StrategyId};
-use alertops_react::audit_blocker;
 use alertops_react::blocking::{AlertBlocker, BlockCriterion, BlockRule};
+use alertops_react::{audit_blocker, ReactionPipeline};
 
 thread_local! {
     // Const-initialised and without destructors, so reading them inside
@@ -112,6 +113,41 @@ fn a_title_contains_audit_allocates_nothing_per_alert() {
         few_allocs,
         many_allocs,
         "200 more alerts cost {} more allocations",
+        many_allocs.abs_diff(few_allocs)
+    );
+}
+
+/// `groups` strategies alerting twice each inside one 30-minute window.
+fn pairs(groups: u64) -> Vec<Alert> {
+    (0..2 * groups)
+        .map(|i| {
+            Alert::builder(AlertId(i), StrategyId(i % groups))
+                .title("cpu utilization high on compute worker")
+                .raised_at(SimTime::from_secs(i))
+                .build()
+        })
+        .collect()
+}
+
+#[test]
+fn the_pipeline_allocates_the_same_for_any_number_of_groups() {
+    let pipeline = ReactionPipeline::new();
+    let blocker = AlertBlocker::new();
+    let (few, many) = (pairs(50), pairs(500));
+
+    let (report, few_allocs) = allocations(|| pipeline.run(&few, &blocker));
+    assert_eq!(report.remaining_after("aggregation"), Some(50));
+    let (report, many_allocs) = allocations(|| pipeline.run(&many, &blocker));
+    assert_eq!(report.remaining_after("aggregation"), Some(500));
+    assert_eq!(
+        report.triage.len(),
+        500,
+        "no knowledge: a cluster per group"
+    );
+    assert_eq!(
+        few_allocs,
+        many_allocs,
+        "450 more groups cost {} more allocations",
         many_allocs.abs_diff(few_allocs)
     );
 }

@@ -8,8 +8,8 @@
 //! transport (quarantined) or to a crashed worker (dropped), and which
 //! shards must appear in `GovernanceSnapshot::degraded`. After every
 //! window the merged snapshot must equal the fault-free batch oracle
-//! fed exactly the modeled survivors, over the whole catalog and split
-//! as the daemon splits it (triage included), and at the end of every
+//! fed exactly the modeled survivors over the whole catalog, triage
+//! included, and at the end of every
 //! cell `ingested == delivered + dropped + quarantined` must hold to
 //! the unit. Every assertion names the seed that replays it; export
 //! `CHAOS_SEED=<seed>` to pin a run.
@@ -34,9 +34,7 @@ use alertops::ingestd::{
 use alertops::sim::scenarios;
 use alertops::wire::{AckFrame, Frame, WireDecoder, WireEncoder};
 
-use common::{
-    full_catalog, repeater_alerts, repeater_strategy, BatchSides, Case, Faults, Topology, REPEATER,
-};
+use common::{full_catalog, repeater_alerts, repeater_strategy, BatchSide, Case, Faults, REPEATER};
 
 /// Default base seed; `CHAOS_SEED` overrides it (see `seed_from_env`).
 const BASE_SEED: u64 = 0xA1E7_0005_C4A0_05ED;
@@ -148,15 +146,6 @@ impl Model {
     }
 }
 
-/// The fault-free batch side a `shards`-shard daemon over `strategies`
-/// is compared with window by window, fed the modelled survivors.
-fn batch(strategies: &[AlertStrategy], shards: usize) -> BatchSides {
-    BatchSides::new(
-        &Case::new(strategies.to_vec()),
-        Topology::Daemon { shards }.partition(),
-    )
-}
-
 fn poll_until(what: &str, ctx: &str, mut ok: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !ok() {
@@ -176,7 +165,7 @@ struct CellDriver {
     conn: Conn,
     handle: IngestdHandle,
     model: Model,
-    batch: BatchSides,
+    batch: BatchSide,
     rng: ChaosRng,
     overflow: OverflowPolicy,
 }
@@ -494,7 +483,7 @@ fn run_cell(
         conn: Conn::open(addr),
         handle,
         model: Model::new(shards),
-        batch: batch(strategies, shards),
+        batch: BatchSide::new(&Case::new(strategies.to_vec())),
         rng: ChaosRng::new(seed ^ 0xC0FF_EE00_D15E_A5ED),
         overflow,
     };
@@ -666,7 +655,7 @@ fn consecutive_close_panics_roll_back_to_the_same_commit() {
         conn: Conn::open(addr),
         handle,
         model: Model::new(shards),
-        batch: batch(&strategies, shards),
+        batch: BatchSide::new(&Case::new(strategies.clone())),
         rng: ChaosRng::new(0),
         overflow: OverflowPolicy::Block,
     };
@@ -811,7 +800,7 @@ fn hostile_binary_bytes_leave_a_live_daemon_exact() {
     // The hostile streams' good prefixes close as one window, then a
     // clean connection sends one window and its flush.
     // No worker restarts here, so `degraded` is compared too.
-    let mut batch = batch(&strategies, 2);
+    let mut batch = BatchSide::new(&Case::new(strategies.clone()));
     let hostile_window = handle.flush().expect("hostile window closes");
     let what = format!("{ctx}: hostile window");
     batch.assert_window(&what, &routed, &hostile_window, Faults::None);

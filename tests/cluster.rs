@@ -33,7 +33,7 @@ use alertops::chaos::{seed_from_env, ChaosConfig, ChaosKind, ChaosSchedule};
 use alertops::cluster::{replay, AlertCluster};
 use alertops::core::prelude::*;
 
-use common::{route_all, wal_root, Case, Faults, Partition, Topology};
+use common::{route_all, wal_root, Case, Faults, Topology};
 
 /// The quickstart trace of seed 7 in windows of `len`, with a trailing
 /// empty window, under a rolling history of 3 — small, so the
@@ -41,12 +41,6 @@ use common::{route_all, wal_root, Case, Faults, Partition, Topology};
 fn cluster_case(len: usize) -> Case {
     Case::quickstart(7, len, 1).history(3)
 }
-
-/// The reference the fault tests compare against.
-const THREE_BY_TWO: Topology = Topology::Cluster {
-    nodes: 3,
-    shards: 2,
-};
 
 /// The single value of an unlabelled family.
 fn exposition_value(text: &str, name: &str) -> u64 {
@@ -73,9 +67,8 @@ fn assert_scrape_conserved(cluster: &AlertCluster) {
 
 /// The tentpole differential: every cluster size (1 × 1, 2 × 2, 3 × 2,
 /// 4 × 1, 4 × 2) publishes the batch oracle's governance stream, and
-/// so does every other topology. Each run is compared whole against
-/// the full-catalog oracle (triage included at 1 × 1) and, triage
-/// included, against the oracle at its own partition.
+/// so does every other topology, each compared whole, triage included,
+/// with the full-catalog oracle.
 #[test]
 fn cluster_sizes_agree_with_each_other_and_the_batch_oracle() {
     common::assert_topologies_agree(&cluster_case(48));
@@ -83,14 +76,14 @@ fn cluster_sizes_agree_with_each_other_and_the_batch_oracle() {
 
 /// Mid-window `kill -9` + rejoin: the killed node's daemon memory is
 /// gone, but its WAL holds the sealed history and the in-flight tail,
-/// so after replay the faulted run is **byte-identical** to a run that
-/// never faulted — same topology, so nothing is stripped, and the
+/// so after replay the faulted run is **byte-identical** to the batch
+/// side, as a run that never faulted is — nothing is stripped, and the
 /// fault window itself must close clean (the node is back before the
 /// close, so not even `degraded` may differ).
 #[test]
 fn mid_window_kill_and_rejoin_is_byte_invisible() {
     let case = cluster_case(48);
-    let reference = common::run(&case, THREE_BY_TWO);
+    let reference = common::run(&case, Topology::Batch);
 
     let root = wal_root("kill-live");
     let mut cluster = case.cluster(3, 2, &root);
@@ -122,11 +115,10 @@ fn mid_window_kill_and_rejoin_is_byte_invisible() {
     let _ = std::fs::remove_dir_all(&root);
 
     // Byte-invisible: compared as if nothing had been injected.
-    let partition = THREE_BY_TWO.partition();
     common::assert_agree(
-        "kill+rejoin run against the fault-free run",
-        (partition, &reference),
-        (partition, &snapshots),
+        "kill+rejoin run against the batch side",
+        &reference,
+        &snapshots,
         Faults::None,
     );
 }
@@ -175,12 +167,13 @@ fn a_close_across_a_dead_node_lists_its_shards_degraded() {
 /// A live range handoff in the middle of a window: the moved range's
 /// sealed history and in-flight alerts travel with it (through the
 /// JSON wire format), ownership changes, and the stream — including
-/// the handoff window itself — matches a run that never rebalanced.
-/// Triage is stripped (the partition changed); nothing else may move.
+/// the handoff window itself — matches the batch side, as a run that
+/// never rebalanced does. Triage included: R3 runs at the merge point,
+/// so moving a range between nodes moves nothing.
 #[test]
 fn live_range_handoff_neither_drops_nor_double_counts() {
     let case = cluster_case(48);
-    let reference = common::run(&case, THREE_BY_TWO);
+    let reference = common::run(&case, Topology::Batch);
 
     let root = wal_root("handoff-live");
     let mut cluster = case.cluster(3, 2, &root);
@@ -224,9 +217,9 @@ fn live_range_handoff_neither_drops_nor_double_counts() {
     let report = report.expect("handoff ran");
     assert!(report.micros < 60_000_000, "handoff latency is sane");
     common::assert_agree(
-        "handoff run against the never-rebalanced run",
-        (THREE_BY_TWO.partition(), &reference),
-        (Partition::Moved, &snapshots),
+        "handoff run against the batch side",
+        &reference,
+        &snapshots,
         Faults::None,
     );
 }
@@ -375,13 +368,13 @@ fn chaos_node_faults_are_replayable_from_the_seed() {
 /// Pulling the plug on the *whole* cluster mid-window and respawning
 /// over the same WAL root resumes byte-identically: sealed windows are
 /// re-published at their original sequence numbers, the in-flight tail
-/// comes back as pending, and the continuation matches a run that
-/// never restarted.
+/// comes back as pending, and the continuation matches the batch side,
+/// as a run that never restarted does.
 #[test]
 fn whole_cluster_restart_from_wal_is_lossless() {
     let case = cluster_case(48);
     let windows = &case.windows;
-    let reference = common::run(&case, THREE_BY_TWO);
+    let reference = common::run(&case, Topology::Batch);
 
     let root = wal_root("restart-live");
     let split = windows.len() / 2;
@@ -419,11 +412,10 @@ fn whole_cluster_restart_from_wal_is_lossless() {
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 
-    let partition = THREE_BY_TWO.partition();
     common::assert_agree(
-        "restarted cluster against the uninterrupted run",
-        (partition, &reference),
-        (partition, &snapshots),
+        "restarted cluster against the batch side",
+        &reference,
+        &snapshots,
         Faults::None,
     );
 }

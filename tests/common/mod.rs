@@ -3,20 +3,19 @@
 //!
 //! A [`Case`] is a catalog, windows with their incidents, an optional
 //! dependency graph, optional QoA labels and a [`StreamingConfig`].
-//! [`run`] plays it on one [`Topology`]: the batch reference
-//! ([`BatchOracle`] per partition bucket, or the bare-model QoA loop
-//! when the case carries labels), in-process shard governors, an
-//! in-process daemon, a daemon over NDJSON or binary TCP, or an N-node
-//! cluster. A run through a daemon or a cluster asserts conservation,
-//! zero drops and zero decode errors on its way out.
+//! [`run`] plays it on one [`Topology`]: the batch reference (one
+//! [`BatchOracle`] over the whole catalog, or with labels one governor
+//! under the bare-model QoA loop, its triage from the batch pipeline
+//! either way), in-process shard governors, an in-process daemon, a
+//! daemon over NDJSON or binary TCP, or an N-node cluster. A run
+//! through a daemon or a cluster asserts conservation, zero drops and
+//! zero decode errors on its way out.
 //!
 //! [`assert_agree`] is the one comparison, and the one place a
-//! snapshot field is left out: triage when the two sides partition the
-//! catalog differently (R3 correlates within a shard, ROADMAP item 3),
-//! `degraded` when faults were injected. [`assert_topologies_agree`]
-//! runs a case on every topology in [`TOPOLOGIES`] and compares each
-//! run against the batch side twice: whole (triage left out where the
-//! partitions differ) and at the run's own partition (triage in).
+//! snapshot field is left out: `degraded`, when faults were injected.
+//! [`assert_topologies_agree`] runs a case on every topology in
+//! [`TOPOLOGIES`] and compares each run with the batch side whole,
+//! triage and the escalation lane included.
 #![allow(dead_code)] // each test binary uses part of the harness
 
 use std::collections::{BTreeSet, VecDeque};
@@ -27,9 +26,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use alertops::cluster::{
-    node_catalog, AlertCluster, ClusterConfig, GovernorFactory, RangeMap, WalFormat,
-};
+use alertops::cluster::{AlertCluster, ClusterConfig, GovernorFactory, WalFormat};
 use alertops::core::prelude::*;
 use alertops::detect::storm::{region_hour_histogram, storms_from_histogram};
 use alertops::detect::StormConfig;
@@ -39,6 +36,7 @@ use alertops::ingestd::{
     WireFormat, SYNC_FRAME,
 };
 use alertops::model::{IncidentStatus, LogRule};
+use alertops::react::Representative;
 use alertops::sim::{scenarios, SimOutput};
 use alertops::wire::{AckFrame, Frame};
 
@@ -47,6 +45,8 @@ use alertops::wire::{AckFrame, Frame};
 /// the incident-pruning rule matches the *fixed* semantics (with no
 /// alerts in scope, closed incidents are pruned rather than retained
 /// forever — they cannot influence detection without alert evidence).
+/// R2's representatives come from the rendered batch `aggregate`, and
+/// triage from the batch pipeline, R3 included.
 pub struct BatchOracle {
     governor: AlertGovernor,
     config: StreamingConfig,
@@ -58,6 +58,9 @@ pub struct BatchOracle {
     /// from the histogram directly — what the merge point must read
     /// back out of a delta.
     pub storm_active: bool,
+    /// The batch pipeline's triage of the last window, sorted by alert
+    /// id.
+    pub triage: Vec<AlertId>,
 }
 
 impl BatchOracle {
@@ -70,6 +73,7 @@ impl BatchOracle {
             previous_flags: BTreeSet::new(),
             windows_ingested: 0,
             storm_active: false,
+            triage: Vec::new(),
         }
     }
 
@@ -137,7 +141,18 @@ impl BatchOracle {
             });
 
         let blocker = self.governor.derive_blocker(&report);
-        let pipeline = self.governor.react(window, blocker);
+        let passed: Vec<Alert> = blocker.apply(window).passed.into_iter().cloned().collect();
+        let mut representatives: Vec<Representative> =
+            aggregate(&passed, &AggregationConfig::default())
+                .iter()
+                .map(|group| {
+                    let first = passed.iter().find(|a| a.id() == group.representative);
+                    Representative::from(first.expect("a representative passed R1"))
+                })
+                .collect();
+        representatives.sort_unstable();
+        self.triage = self.governor.react(window, blocker).triage;
+        self.triage.sort_unstable();
 
         self.previous_flags = current_flags;
         let delta = WindowDelta {
@@ -147,10 +162,10 @@ impl BatchOracle {
             resolved,
             region_hours,
             window_hours,
-            triage: pipeline.triage,
+            representatives,
             emerging_docs: Vec::new(),
             qoa_samples: Vec::new(),
-            escalated: Vec::new(),
+            promoted: Vec::new(),
         };
         self.windows_ingested += 1;
         delta
@@ -334,25 +349,13 @@ fn alert_governor(catalog: &[AlertStrategy], graph: Option<&DependencyGraph>) ->
     }
 }
 
-/// How a topology splits the catalog: `shards` hash shards on each of
-/// `nodes` contiguous strategy ranges (one node: a daemon's split).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Partition {
-    Grid {
-        nodes: usize,
-        shards: usize,
-    },
-    /// A split a live handoff changed mid-run: equal to no other.
-    Moved,
-}
-
 /// Where a case runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
-    /// The batch reference: one [`BatchOracle`] per bucket of the
-    /// partition (the full catalog at 1 × 1), or with labels the
-    /// bare-model QoA loop over streaming governors.
-    Batch { nodes: usize, shards: usize },
+    /// The batch reference over the whole catalog: a [`BatchOracle`],
+    /// or with labels one streaming governor under the bare-model QoA
+    /// loop, triaged by the batch pipeline.
+    Batch,
     /// `shards` streaming governors fed in-process and merged, with no
     /// daemon: the engine every daemon shard runs, and the one
     /// non-batch topology that carries incidents.
@@ -365,12 +368,6 @@ pub enum Topology {
     /// A journaled cluster.
     Cluster { nodes: usize, shards: usize },
 }
-
-/// The batch side every run is compared against whole.
-pub const BATCH: Topology = Topology::Batch {
-    nodes: 1,
-    shards: 1,
-};
 
 /// Every topology the differentials run each case on.
 pub const TOPOLOGIES: [Topology; 15] = [
@@ -419,21 +416,10 @@ pub const TOPOLOGIES: [Topology; 15] = [
 ];
 
 impl Topology {
-    pub fn partition(self) -> Partition {
-        match self {
-            Topology::Batch { nodes, shards } | Topology::Cluster { nodes, shards } => {
-                Partition::Grid { nodes, shards }
-            }
-            Topology::Shards { shards }
-            | Topology::Daemon { shards }
-            | Topology::Wire { shards, .. } => Partition::Grid { nodes: 1, shards },
-        }
-    }
-
     /// Whether `case` can run here: a daemon or a cluster takes no
     /// incidents.
     pub fn carries(self, case: &Case) -> bool {
-        matches!(self, Topology::Batch { .. } | Topology::Shards { .. })
+        matches!(self, Topology::Batch | Topology::Shards { .. })
             || case.windows.iter().all(|w| w.incidents.is_empty())
     }
 }
@@ -463,16 +449,16 @@ fn run_in(case: &Case, topology: Topology, journal: Option<&Path>) -> Vec<Govern
         "{topology:?} takes no incidents, and the case has some"
     );
     match topology {
-        Topology::Batch { .. } if case.labels.is_none() => {
+        Topology::Batch if case.labels.is_none() => {
             assert!(journal.is_none(), "the batch side keeps no log");
-            let mut batch = BatchStream::new(case, topology.partition());
+            let mut batch = BatchSide::new(case);
             case.windows
                 .iter()
                 .map(|window| batch.close(&window.alerts, &window.incidents))
                 .collect()
         }
-        Topology::Batch { nodes, shards } => run_governors(case, nodes, shards),
-        Topology::Shards { shards } => run_governors(case, 1, shards),
+        Topology::Batch => run_governors(case, None),
+        Topology::Shards { shards } => run_governors(case, Some(shards)),
         Topology::Daemon { shards } => run_daemon(case, shards, journal),
         Topology::Wire { shards, wire } => run_wire(case, shards, wire, journal),
         Topology::Cluster { nodes, shards } => {
@@ -481,115 +467,38 @@ fn run_in(case: &Case, topology: Topology, journal: Option<&Path>) -> Vec<Govern
     }
 }
 
-/// A partition's buckets, flat in `node * shards + shard` order: each
-/// bucket's sub-catalog, and the bucket each strategy's alerts go to.
-struct Buckets {
-    catalogs: Vec<Vec<AlertStrategy>>,
-    map: RangeMap,
-    shards: usize,
-}
-
-impl Buckets {
-    fn new(catalog: &[AlertStrategy], nodes: usize, shards: usize) -> Self {
-        let map = RangeMap::partition(catalog, nodes);
-        let catalogs = (0..nodes)
-            .flat_map(|node| {
-                let node_catalog = node_catalog(catalog, &map, node);
-                (0..shards).map(move |shard| shard_catalog(&node_catalog, shards, shard))
-            })
-            .collect();
-        Self {
-            catalogs,
-            map,
-            shards,
-        }
-    }
-
-    fn split(&self, alerts: &[Alert]) -> Vec<Vec<Alert>> {
-        let mut buckets = vec![Vec::new(); self.catalogs.len()];
-        for alert in alerts {
-            let node = self.map.node_of(alert.strategy());
-            buckets[node * self.shards + shard_of(alert.strategy(), self.shards)]
-                .push(alert.clone());
-        }
-        buckets
-    }
-}
-
-/// One window's bucket deltas as one: a single bucket's delta as it
-/// is, so a 1 × 1 batch side never passes through the monoid it checks.
-fn merged(mut deltas: Vec<WindowDelta>) -> WindowDelta {
-    if deltas.len() == 1 {
-        deltas.pop().expect("one delta")
-    } else {
-        WindowDelta::merge_all(&deltas)
-    }
-}
-
-/// The batch side fed one window at a time: one [`BatchOracle`] per
-/// bucket of a partition. [`run`] feeds it a case's windows; a fault
-/// test feeds it the alerts its model says survived.
-struct BatchStream {
-    buckets: Buckets,
-    oracles: Vec<BatchOracle>,
+/// The batch side fed one window at a time: one [`BatchOracle`] over
+/// the whole catalog. [`run`] feeds it a case's windows; a fault test
+/// feeds it the alerts its model says survived and compares each of its
+/// windows with it ([`assert_window`](Self::assert_window)).
+pub struct BatchSide {
+    oracle: BatchOracle,
     storm: StormConfig,
 }
 
-impl BatchStream {
-    fn new(case: &Case, partition: Partition) -> Self {
+impl BatchSide {
+    pub fn new(case: &Case) -> Self {
         assert!(
             case.streaming.emerging.unless_off().is_none() && case.labels.is_none(),
             "the batch oracle runs neither the AO-LDA pass nor the QoA loop"
         );
-        let Partition::Grid { nodes, shards } = partition else {
-            panic!("no batch side for a moved partition")
-        };
-        let buckets = Buckets::new(&case.catalog, nodes, shards);
-        let oracles = buckets
-            .catalogs
-            .iter()
-            .map(|catalog| BatchOracle::new(case.alert_governor(catalog), case.streaming.clone()))
-            .collect();
         Self {
-            buckets,
-            oracles,
+            oracle: BatchOracle::new(case.alert_governor(&case.catalog), case.streaming.clone()),
             storm: case.streaming.storm,
         }
     }
 
     /// The snapshot of the next window: `alerts`, time-sorted, arriving
-    /// with `incidents`.
+    /// with `incidents`. No strategy is promoted, so nothing escalates.
     fn close(&mut self, alerts: &[Alert], incidents: &[Incident]) -> GovernanceSnapshot {
-        let deltas = self
-            .oracles
-            .iter_mut()
-            .zip(self.buckets.split(alerts))
-            .map(|(oracle, alerts)| oracle.ingest(&alerts, incidents))
-            .collect();
-        GovernanceSnapshot::from_delta(&merged(deltas), &self.storm)
-    }
-}
-
-/// The batch side a fault test checks each of its windows against, as
-/// [`assert_topologies_agree`] checks a run: whole, and at the faulted
-/// daemon's own partition, triage in.
-pub struct BatchSides {
-    own: Partition,
-    sides: Vec<(Partition, BatchStream)>,
-}
-
-impl BatchSides {
-    pub fn new(case: &Case, own: Partition) -> Self {
-        let whole = BATCH.partition();
-        let mut sides = vec![(whole, BatchStream::new(case, whole))];
-        if own != whole {
-            sides.push((own, BatchStream::new(case, own)));
-        }
-        Self { own, sides }
+        let delta = self.oracle.ingest(alerts, incidents);
+        let mut snapshot = GovernanceSnapshot::from_delta(&delta, &self.storm);
+        snapshot.triage.clone_from(&self.oracle.triage);
+        snapshot
     }
 
     /// Closes the next window, of the alerts the test's model says
-    /// survived, on every side and compares `got` with each.
+    /// survived, and compares `got` with it.
     pub fn assert_window(
         &mut self,
         ctx: &str,
@@ -599,30 +508,33 @@ impl BatchSides {
     ) {
         let mut survivors = survivors.to_vec();
         survivors.sort_by_key(|a| (a.raised_at(), a.id()));
-        for (partition, side) in &mut self.sides {
-            let want = side.close(&survivors, &[]);
-            assert_agree(
-                ctx,
-                (*partition, std::slice::from_ref(&want)),
-                (self.own, std::slice::from_ref(got)),
-                faults,
-            );
-        }
+        let want = self.close(&survivors, &[]);
+        assert_agree(
+            ctx,
+            std::slice::from_ref(&want),
+            std::slice::from_ref(got),
+            faults,
+        );
     }
 }
 
-/// Streaming governors per bucket, merged per window. With labels this
-/// is the bare-model QoA loop: a bare model absorbs the merged samples
-/// with the window's labels, and its verdicts are installed on every
-/// governor before the next window.
-fn run_governors(case: &Case, nodes: usize, shards: usize) -> Vec<GovernanceSnapshot> {
+/// `shards` streaming governors, each over its shard of the catalog,
+/// merged per window, triage filled in by R3 over the merged delta.
+/// With labels a bare model absorbs the merged samples with the
+/// window's labels, and its verdicts are installed on every governor
+/// before the next window. `None` is the labelled batch side: one
+/// governor over the whole catalog, whose triage is the batch
+/// pipeline's over the window with the rules R1 ran with, the promoted
+/// alerts it leaves out escalated.
+fn run_governors(case: &Case, shards: Option<usize>) -> Vec<GovernanceSnapshot> {
     assert!(
         case.streaming.emerging.unless_off().is_none(),
         "in-process governors run no AO-LDA pass"
     );
-    let buckets = Buckets::new(&case.catalog, nodes, shards);
-    let mut governors: Vec<StreamingGovernor> =
-        buckets.catalogs.iter().map(|c| case.governor(c)).collect();
+    let count = shards.unwrap_or(1);
+    let mut governors: Vec<StreamingGovernor> = (0..count)
+        .map(|shard| case.governor(&shard_catalog(&case.catalog, count, shard)))
+        .collect();
     let mut model = case
         .labels
         .as_ref()
@@ -631,13 +543,34 @@ fn run_governors(case: &Case, nodes: usize, shards: usize) -> Vec<GovernanceSnap
         .iter()
         .enumerate()
         .map(|(index, window)| {
-            let deltas = governors
+            let deltas: Vec<WindowDelta> = governors
                 .iter_mut()
-                .zip(buckets.split(&window.alerts))
-                .map(|(governor, alerts)| governor.ingest(&alerts, &window.incidents))
+                .enumerate()
+                .map(|(shard, governor)| {
+                    let alerts: Vec<Alert> = window
+                        .alerts
+                        .iter()
+                        .filter(|a| shard_of(a.strategy(), count) == shard)
+                        .cloned()
+                        .collect();
+                    governor.ingest(&alerts, &window.incidents)
+                })
                 .collect();
-            let delta = merged(deltas);
+            let delta = WindowDelta::merge_all(&deltas);
             let mut snapshot = GovernanceSnapshot::from_delta(&delta, &case.streaming.storm);
+            if shards.is_some() {
+                snapshot.fill_triage(&delta, case.graph.as_ref());
+            } else {
+                let batch = governors[0]
+                    .governor()
+                    .react(&window.alerts, governors[0].blocker());
+                snapshot.triage = batch.triage;
+                snapshot.triage.sort_unstable();
+                let promoted = delta.promoted.iter().copied();
+                snapshot.escalated = promoted
+                    .filter(|id| !snapshot.triage.contains(id))
+                    .collect();
+            }
             if let Some(model) = &mut model {
                 snapshot.qoa =
                     Some(model.observe_window(&delta.qoa_samples, case.labels_of(index)));
@@ -858,102 +791,53 @@ pub enum Faults {
     Injected,
 }
 
-/// `snapshot` without the fields a comparison is not exact for.
-fn comparable(snapshot: &GovernanceSnapshot, triage: bool, degraded: bool) -> GovernanceSnapshot {
+/// `snapshot` without `degraded`, which a comparison of a run with
+/// injected faults leaves to the caller.
+fn comparable(snapshot: &GovernanceSnapshot, faults: Faults) -> GovernanceSnapshot {
     GovernanceSnapshot {
-        triage: if triage {
-            snapshot.triage.clone()
-        } else {
-            Vec::new()
-        },
-        degraded: if degraded {
-            snapshot.degraded.clone()
-        } else {
-            Vec::new()
+        degraded: match faults {
+            Faults::None => snapshot.degraded.clone(),
+            Faults::Injected => Vec::new(),
         },
         ..snapshot.clone()
     }
 }
 
 /// The one comparison: `got` publishes what `want` does, window by
-/// window, byte for byte. Triage is left out only when the sides
-/// partition the catalog differently, `degraded` only when faults were
+/// window, byte for byte; `degraded` is left out only when faults were
 /// injected.
 pub fn assert_agree(
     ctx: &str,
-    want: (Partition, &[GovernanceSnapshot]),
-    got: (Partition, &[GovernanceSnapshot]),
+    want: &[GovernanceSnapshot],
+    got: &[GovernanceSnapshot],
     faults: Faults,
 ) {
-    let triage = want.0 == got.0 && want.0 != Partition::Moved;
-    let degraded = faults == Faults::None;
-    assert_eq!(want.1.len(), got.1.len(), "{ctx}: window count");
-    for (index, (want, got)) in want.1.iter().zip(got.1).enumerate() {
-        let (want, got) = (
-            comparable(want, triage, degraded),
-            comparable(got, triage, degraded),
-        );
+    assert_eq!(want.len(), got.len(), "{ctx}: window count");
+    for (index, (want, got)) in want.iter().zip(got).enumerate() {
+        let (want, got) = (comparable(want, faults), comparable(got, faults));
         assert_eq!(json(&got), json(&want), "{ctx}: window {index} diverged");
     }
 }
 
-/// The batch side of one case, run once per partition asked for.
-#[derive(Default)]
-struct BatchRuns(Vec<(Partition, Vec<GovernanceSnapshot>)>);
-
-impl BatchRuns {
-    fn at(&mut self, case: &Case, partition: Partition) -> &[GovernanceSnapshot] {
-        let Partition::Grid { nodes, shards } = partition else {
-            panic!("no batch side for a moved partition")
-        };
-        let index = match self.0.iter().position(|(p, _)| *p == partition) {
-            Some(index) => index,
-            None => {
-                self.0
-                    .push((partition, run(case, Topology::Batch { nodes, shards })));
-                self.0.len() - 1
-            }
-        };
-        &self.0[index].1
-    }
-}
-
-fn agree_with_batch(
-    case: &Case,
-    topology: Topology,
-    batch: &mut BatchRuns,
-) -> Vec<GovernanceSnapshot> {
-    let got = run(case, topology);
-    let (whole, own) = (BATCH.partition(), topology.partition());
-    let ctx = format!("{topology:?}");
-    assert_agree(
-        &ctx,
-        (whole, batch.at(case, whole)),
-        (own, &got),
-        Faults::None,
-    );
-    if own != whole {
-        let ctx = format!("{ctx} against the batch side at its partition");
-        assert_agree(&ctx, (own, batch.at(case, own)), (own, &got), Faults::None);
-    }
-    got
-}
-
-/// Runs `case` on `topology` and compares it with the batch side, whole
-/// and at the topology's partition; returns the topology's snapshots.
+/// Runs `case` on `topology` and compares it with the batch side;
+/// returns the topology's snapshots.
 pub fn assert_agrees_with_batch(case: &Case, topology: Topology) -> Vec<GovernanceSnapshot> {
-    agree_with_batch(case, topology, &mut BatchRuns::default())
+    let got = run(case, topology);
+    let want = run(case, Topology::Batch);
+    assert_agree(&format!("{topology:?}"), &want, &got, Faults::None);
+    got
 }
 
 /// Runs `case` on every topology in [`TOPOLOGIES`] that carries it and
 /// compares each with the batch side; returns the batch side's
 /// snapshots.
 pub fn assert_topologies_agree(case: &Case) -> Vec<GovernanceSnapshot> {
-    let mut batch = BatchRuns::default();
+    let batch = run(case, Topology::Batch);
     for topology in TOPOLOGIES.into_iter().filter(|t| t.carries(case)) {
-        agree_with_batch(case, topology, &mut batch);
+        let got = run(case, topology);
+        assert_agree(&format!("{topology:?}"), &batch, &got, Faults::None);
     }
-    batch.at(case, BATCH.partition()).to_vec()
+    batch
 }
 
 pub fn json(snapshot: &GovernanceSnapshot) -> String {

@@ -82,6 +82,39 @@ fn batch_one_shard_and_n_shard_governance_agree() {
     assert_eq!(batch[0].alert_count, out.alerts.len());
 }
 
+/// R3 runs once per window where the shards' deltas merge, so
+/// `alertops_react_clusters_total` counts the published triage items
+/// whatever the shard count: daemons of 1 and of 4 shards over one
+/// stream with the fleet's dependency graph read the same count.
+#[test]
+fn the_cluster_count_does_not_depend_on_the_shard_count() {
+    let out = scenarios::quickstart(7).run();
+    let case = Case::from_sim(&out, 48, 1)
+        .history(3)
+        .graph(out.topology.dependency_graph());
+    let count = |shards| {
+        let config = IngestdConfig {
+            shards,
+            queue_capacity: 8192,
+            ..IngestdConfig::default()
+        };
+        let handle = case.daemon(config, None);
+        let mut triaged = 0;
+        for window in &case.windows {
+            for alert in &window.alerts {
+                handle.route(alert.clone());
+            }
+            triaged += handle.flush().expect("flush publishes").triage.len() as u64;
+        }
+        let text = handle.render_metrics();
+        handle.shutdown();
+        let clusters = exposition_values(&text, "alertops_react_clusters_total");
+        assert_eq!(clusters, [triaged], "{shards} shard(s):\n{text}");
+        triaged
+    };
+    assert_eq!(count(1), count(4));
+}
+
 const CHAOS_SHARDS: usize = 4;
 const CHAOS_QUEUE: usize = 8;
 const CHAOS_TRACE: usize = 240;
@@ -265,8 +298,9 @@ fn counters_from_exposition(text: &str, shards: usize) -> CounterSnapshot {
 /// unit (an empty shard contributes nothing). Checked as properties
 /// over governor-produced deltas from random disjoint-catalog traces —
 /// the actual domain the merge runs on — with both sequential channels
-/// forwarding and the escalation lane engaged, so the laws are
-/// exercised on every field of the delta, none of them vacuously.
+/// forwarding and every strategy promoted, so the laws are exercised on
+/// every field of the delta, R3's representatives and the escalation
+/// lane's promoted alerts included, none of them vacuously.
 mod merge_monoid {
     use super::*;
     use proptest::prelude::*;
@@ -274,10 +308,9 @@ mod merge_monoid {
     /// One same-window delta per shard: each shard's governor over its
     /// own slice of the catalog, fed its own slice of the trace. Every
     /// trace starts from a fixed floor — two alerts per strategy inside
-    /// one aggregation window — and every strategy is promoted, so one
-    /// alert of each pair is folded out of triage and escalates:
-    /// `emerging_docs`, `qoa_samples` and `escalated` are populated on
-    /// every shard, whatever the random picks add.
+    /// one aggregation window — and every strategy is promoted:
+    /// `representatives`, `emerging_docs`, `qoa_samples` and `promoted`
+    /// are populated on every shard, whatever the random picks add.
     fn shard_deltas(picks: &[(u64, u64, u64)], shards: usize) -> Vec<WindowDelta> {
         let floor = (0..12u64).map(|i| (i % 6, 0, i));
         let trace = common::trace_of(floor.chain(picks.iter().copied()));
@@ -312,11 +345,14 @@ mod merge_monoid {
             .collect()
     }
 
-    /// Whether the channel inputs and the escalation lane are all
-    /// non-empty in every operand.
+    /// Whether R3's and the escalation lane's forwards and the channel
+    /// inputs are all non-empty in every operand.
     fn populated(deltas: &[WindowDelta]) -> bool {
         deltas.iter().all(|d| {
-            !d.emerging_docs.is_empty() && !d.qoa_samples.is_empty() && !d.escalated.is_empty()
+            !d.representatives.is_empty()
+                && !d.promoted.is_empty()
+                && !d.emerging_docs.is_empty()
+                && !d.qoa_samples.is_empty()
         })
     }
 
@@ -380,9 +416,8 @@ mod merge_monoid {
 /// The harness's own property: a topology drawn from up to 3 nodes ×
 /// 4 shards, fed in process or over NDJSON or binary TCP, with the
 /// dependency graph or without, publishes the batch side's stream.
-/// The case carries no QoA labels: a graph plus QoA promotion is
-/// ROADMAP item 3's case, whose `escalated` is not yet exact under
-/// sharding.
+/// The case carries no QoA labels; a graph plus QoA promotion runs on
+/// every topology in `tests/qoa_loop.rs`.
 mod topologies {
     use super::*;
     use alertops::ingestd::WireFormat;

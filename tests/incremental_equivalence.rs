@@ -38,7 +38,8 @@ fn json_delta(value: &WindowDelta) -> String {
 }
 
 /// Window by window, the incremental streaming governor's deltas are
-/// byte-identical to full batch recomputation — with and without a
+/// byte-identical to full batch recomputation, and the triage R3 fills
+/// in from them is the batch pipeline's — with and without a
 /// dependency graph, across eviction boundaries and short histories.
 #[test]
 fn incremental_streaming_matches_batch_recompute() {
@@ -59,10 +60,15 @@ fn incremental_streaming_matches_batch_recompute() {
                 json_delta(&slow),
                 "delta diverged at window {index} (history_windows={history_windows}, graph={with_graph})"
             );
+            let mut snapshot = GovernanceSnapshot::from_delta(&fast, &case.streaming.storm);
             assert_eq!(
-                GovernanceSnapshot::from_delta(&fast, &case.streaming.storm).storm_active,
-                oracle.storm_active,
+                snapshot.storm_active, oracle.storm_active,
                 "storm flag diverged at window {index}"
+            );
+            snapshot.fill_triage(&fast, case.graph.as_ref());
+            assert_eq!(
+                snapshot.triage, oracle.triage,
+                "triage diverged at window {index} (history_windows={history_windows}, graph={with_graph})"
             );
             assert_eq!(
                 incremental.history_len(),
@@ -75,11 +81,10 @@ fn incremental_streaming_matches_batch_recompute() {
 
 /// Sharded differential: the incremental governors, one per shard
 /// (catalog sharded by `StrategyId`, exactly like the daemon), merge to
-/// snapshots byte-identical to the batch oracle's — at 1 and 3 shards,
-/// against the oracle at the same partition with triage included — on
-/// a trace with incidents and a dependency graph. Incidents reach no
-/// daemon or cluster, so the same trace without them runs on every
-/// other topology as well.
+/// snapshots byte-identical to the batch oracle's, triage included — at
+/// 1 and 3 shards — on a trace with incidents and a dependency graph.
+/// Incidents reach no daemon or cluster, so the same trace without
+/// them runs on every other topology as well.
 #[test]
 fn n_shard_merges_are_byte_identical_to_the_batch_oracle() {
     let case = incremental_case(48).history(3);
@@ -182,12 +187,7 @@ fn worker_restart_without_loss_is_governance_invisible() {
     crashy.shutdown();
     assert_eq!(counters.dropped, 0, "empty-buffer panic must drop nothing");
     assert!(counters.shard_restarts >= 1, "panic must restart the shard");
-    common::assert_agree(
-        "lossless restart",
-        (topology.partition(), &clean),
-        (topology.partition(), &crashy_snaps),
-        Faults::Injected,
-    );
+    common::assert_agree("lossless restart", &clean, &crashy_snaps, Faults::Injected);
     for (index, snapshot) in crashy_snaps.iter().enumerate() {
         if index == crash_after + 1 {
             assert_eq!(

@@ -33,7 +33,7 @@ use alertops::core::prelude::*;
 use alertops::ingestd::{IngestdConfig, IngestdHandle};
 use alertops::sim::{scenarios, FeedbackOracle, SimOutput};
 
-use common::{wal_root, Case, Faults, Topology, Window, BATCH};
+use common::{wal_root, Case, Faults, Topology, Window};
 
 const ORACLE_SEED: u64 = 7;
 const WINDOW_LEN: usize = 300;
@@ -120,8 +120,8 @@ fn batch_one_shard_and_many_shards_publish_identical_qoa_streams() {
         let journaled = common::run_journaled(&case, topology, dir);
         common::assert_agree(
             &format!("journaled {topology:?}"),
-            (BATCH.partition(), &reference),
-            (topology.partition(), &journaled),
+            &reference,
+            &journaled,
             Faults::None,
         );
     }
@@ -176,6 +176,29 @@ fn batch_one_shard_and_many_shards_publish_identical_qoa_streams() {
     );
 }
 
+/// The QoA case with the fleet's dependency graph: R3 links alerts of
+/// strategies on different shards and nodes, promoted alerts it leaves
+/// out escalate, and every topology publishes the batch side's triage
+/// and escalation lane, byte for byte.
+#[test]
+fn a_graph_with_promotion_triages_alike_on_every_topology() {
+    let (out, case) = qoa_case(0.0);
+    let graphless = common::run(&case, Topology::Batch);
+    let case = case.graph(out.topology.dependency_graph());
+    let reference = common::assert_topologies_agree(&case);
+    assert!(
+        reference
+            .iter()
+            .zip(&graphless)
+            .any(|(with, without)| with.triage.len() < without.triage.len()),
+        "the graph never linked two alerts"
+    );
+    assert!(
+        reference.iter().any(|s| !s.escalated.is_empty()),
+        "no alert ever escalated"
+    );
+}
+
 /// Label noise is seeded per `(oracle seed, window index)`: the same
 /// noisy stream replays to identical bits, a different seed diverges.
 #[test]
@@ -188,8 +211,8 @@ fn noisy_label_streams_are_seed_replayable() {
         "same (seed, noise) must replay identically"
     );
 
-    let a = common::run(&noisy, BATCH);
-    let b = common::run(&noisy, BATCH);
+    let a = common::run(&noisy, Topology::Batch);
+    let b = common::run(&noisy, Topology::Batch);
     assert_eq!(jsons(&a), jsons(&b), "noisy runs with one seed must agree");
 
     let clean = Case {
@@ -198,7 +221,7 @@ fn noisy_label_streams_are_seed_replayable() {
     };
     assert_ne!(
         jsons(&a),
-        jsons(&common::run(&clean, BATCH)),
+        jsons(&common::run(&clean, Topology::Batch)),
         "25% label noise must actually perturb the model"
     );
 }
@@ -211,7 +234,7 @@ fn escalated_alerts_are_a_subset_of_the_delivered_window() {
     let (_, case) = qoa_case(0.0);
 
     let mut escalated_total = 0usize;
-    for (window, snapshot) in case.windows.iter().zip(common::run(&case, BATCH)) {
+    for (window, snapshot) in case.windows.iter().zip(common::run(&case, Topology::Batch)) {
         let window_ids: std::collections::BTreeSet<AlertId> =
             window.alerts.iter().map(Alert::id).collect();
         for id in &snapshot.escalated {
@@ -296,15 +319,10 @@ fn cluster_restart_restores_the_model_from_its_checkpoint() {
         .iter()
         .map(|window| close_labeled(&mut cluster, &out, window, 0.0))
         .collect();
-    let partition = Topology::Cluster {
-        nodes: 2,
-        shards: 2,
-    }
-    .partition();
     common::assert_agree(
         "post-restart windows against the uninterrupted run",
-        (partition, &control_snapshots[split..]),
-        (partition, &resumed),
+        &control_snapshots[split..],
+        &resumed,
         Faults::None,
     );
     assert_eq!(

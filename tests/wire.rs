@@ -3,9 +3,8 @@
 //! same windowed trace through the batch oracle, in-process daemons,
 //! daemons fed over real TCP in NDJSON and in binary frames at 1 and 4
 //! shards, and clusters journaling binary WAL segments, and every
-//! published `GovernanceSnapshot` stream must agree — byte for byte
-//! where the partitioning is the same, modulo per-shard triage where
-//! it is not. A corrupt binary frame must be quarantined and counted,
+//! published `GovernanceSnapshot` stream must agree byte for byte,
+//! triage included. A corrupt binary frame must be quarantined and counted,
 //! not parsed. (The journal-side twin — a rotted, cut or headerless
 //! WAL segment is torn, never parsed — lives in
 //! `crates/cluster/tests/wal_negative.rs`.)
