@@ -18,8 +18,8 @@ pub use alertops_model::{
     StrategyKind, TimeRange,
 };
 pub use alertops_qoa::{
-    Criterion, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, QoaModel, QoaReport, QoaSample,
-    QoaScorer, QoaScores, QoaVerdicts, QoaWindowReport, StrategyQoa,
+    Criterion, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, QoaReport, QoaSample, QoaScorer,
+    QoaScores, QoaVerdicts, QoaWindowReport, StrategyQoa,
 };
 pub use alertops_react::{
     aggregate, AggregationConfig, AlertBlocker, AlertCorrelator, BlockRule, EmergingAlertDetector,
@@ -36,7 +36,7 @@ mod tests {
         assert_type::<AlertGovernor>();
         assert_type::<Alert>();
         assert_type::<AntiPattern>();
-        assert_type::<QoaModel>();
+        assert_type::<OnlineQoaModel>();
         assert_type::<ReactionPipeline>();
     }
 }

@@ -452,16 +452,9 @@ impl IngestdHandle {
         self.router.pool().render_metrics()
     }
 
-    /// Blocks until some connection sends `{"ctrl":"shutdown"}` (or
-    /// [`IngestdHandle::request_shutdown`] is called).
+    /// Blocks until some connection sends `{"ctrl":"shutdown"}`.
     pub fn wait_for_shutdown_request(&self) {
         self.router.shutdown.wait();
-    }
-
-    /// Raises the shutdown request flag (as the shutdown control frame
-    /// does), unblocking [`IngestdHandle::wait_for_shutdown_request`].
-    pub fn request_shutdown(&self) {
-        self.router.shutdown.request();
     }
 
     /// Stops the daemon: closes first, then the tick and the

@@ -7,10 +7,12 @@
 //! per-strategy verdict per window, carrying one boolean per
 //! criterion.
 //!
-//! The criteria order is fixed by `alertops-qoa`'s `Criterion::ALL`
-//! (indicativeness, precision, handleability); this crate only
-//! defines the carrier so the simulator can produce labels without
-//! depending on the scoring crate.
+//! The criteria order is fixed by `alertops_qoa::Criterion::ALL`
+//! (`crates/qoa/src/online.rs`: indicativeness, precision,
+//! handleability); this crate only defines the carrier so the
+//! simulator can produce labels without depending on the scoring
+//! crate. The one rule that fills a label is the simulator's
+//! `FeedbackOracle::label_window`.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,68 +1,4 @@
-//! Evaluation metrics for learned QoA models.
-
-use serde::{Deserialize, Serialize};
-
-/// Standard binary-classification metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BinaryMetrics {
-    /// Fraction correct.
-    pub accuracy: f64,
-    /// TP / (TP + FP); 1 when nothing was predicted positive.
-    pub precision: f64,
-    /// TP / (TP + FN); 1 when nothing is actually positive.
-    pub recall: f64,
-    /// Harmonic mean of precision and recall.
-    pub f1: f64,
-}
-
-impl BinaryMetrics {
-    /// Computes metrics from parallel prediction / truth slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch or empty input.
-    #[must_use]
-    pub fn compute(predicted: &[bool], truth: &[bool]) -> Self {
-        assert_eq!(predicted.len(), truth.len(), "length mismatch");
-        assert!(!predicted.is_empty(), "cannot evaluate an empty set");
-        let mut tp = 0usize;
-        let mut fp = 0usize;
-        let mut fn_ = 0usize;
-        let mut correct = 0usize;
-        for (&p, &t) in predicted.iter().zip(truth) {
-            if p == t {
-                correct += 1;
-            }
-            match (p, t) {
-                (true, true) => tp += 1,
-                (true, false) => fp += 1,
-                (false, true) => fn_ += 1,
-                (false, false) => {}
-            }
-        }
-        let precision = if tp + fp == 0 {
-            1.0
-        } else {
-            tp as f64 / (tp + fp) as f64
-        };
-        let recall = if tp + fn_ == 0 {
-            1.0
-        } else {
-            tp as f64 / (tp + fn_) as f64
-        };
-        let f1 = if precision + recall == 0.0 {
-            0.0
-        } else {
-            2.0 * precision * recall / (precision + recall)
-        };
-        Self {
-            accuracy: correct as f64 / predicted.len() as f64,
-            precision,
-            recall,
-            f1,
-        }
-    }
-}
+//! Evaluation metric for learned QoA models.
 
 /// Area under the ROC curve, computed via the rank-sum (Mann–Whitney)
 /// formulation with midrank tie handling. Returns `None` when either
@@ -110,30 +46,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metrics_perfect() {
-        let m = BinaryMetrics::compute(&[true, false, true], &[true, false, true]);
-        assert_eq!(m.accuracy, 1.0);
-        assert_eq!(m.f1, 1.0);
-    }
-
-    #[test]
-    fn metrics_mixed() {
-        // predictions: TP, FP, FN, TN
-        let m = BinaryMetrics::compute(&[true, true, false, false], &[true, false, true, false]);
-        assert_eq!(m.accuracy, 0.5);
-        assert_eq!(m.precision, 0.5);
-        assert_eq!(m.recall, 0.5);
-        assert_eq!(m.f1, 0.5);
-    }
-
-    #[test]
-    fn metrics_degenerate_classes() {
-        let m = BinaryMetrics::compute(&[false, false], &[false, false]);
-        assert_eq!(m.precision, 1.0);
-        assert_eq!(m.recall, 1.0);
-    }
-
-    #[test]
     fn auc_perfect_separation() {
         let scores = [0.1, 0.2, 0.8, 0.9];
         let truth = [false, false, true, true];
@@ -175,11 +87,5 @@ mod tests {
         let truth = [false, true, false, true];
         let a = auc(&scores, &truth).unwrap();
         assert!((a - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn metrics_reject_empty() {
-        let _ = BinaryMetrics::compute(&[], &[]);
     }
 }

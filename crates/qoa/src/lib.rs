@@ -14,12 +14,13 @@
 //!
 //! * [`QoaScorer`] — direct, evidence-based scoring of each criterion
 //!   from alert/incident history (the "human knowledge" rules of Fig. 6);
-//! * [`QoaModel`] — the machine-learning path the paper sketches: OCEs
-//!   label alerts high/low per criterion, a model is trained on
-//!   [`features`] and "continuously updated so that it can automatically
-//!   absorb the human knowledge" — implemented as from-scratch logistic
-//!   regression ([`LogisticRegression`]) with a `partial_fit` for
-//!   continual updates.
+//! * [`OnlineQoaModel`] — the machine-learning path the paper sketches:
+//!   OCEs label alerts high/low per criterion, and one logistic
+//!   classifier per [`Criterion`] over [`features`] is "continuously
+//!   updated so that it can automatically absorb the human knowledge",
+//!   one `partial_fit` per window of labels. The labels come from one
+//!   rule, the simulator's `FeedbackOracle`; the offline `qoa_eval`
+//!   harness fits a [`LogisticRegression`] on the same labels.
 //!
 //! # Example
 //!
@@ -41,19 +42,14 @@
 pub mod criteria;
 pub mod eval;
 pub mod features;
-pub mod labels;
 pub mod logreg;
 pub mod online;
 
-mod model;
-
 pub use criteria::{QoaReport, QoaScorer, QoaScores};
-pub use eval::{auc, BinaryMetrics};
+pub use eval::auc;
 pub use features::{extract_features, FEATURE_NAMES};
-pub use labels::flip_labels;
 pub use logreg::{LogisticRegression, TrainConfig};
-pub use model::{Criterion, QoaModel};
 pub use online::{
-    OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, QoaSample, QoaVerdicts, QoaWindowReport,
-    StrategyQoa,
+    Criterion, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, QoaSample, QoaVerdicts,
+    QoaWindowReport, StrategyQoa,
 };

@@ -3,7 +3,7 @@
 //! The paper's Fig. 6 loop wants the QoA model "continuously updated so
 //! that it can automatically absorb the human knowledge" (§IV). This
 //! module is the streaming half of that loop: an [`OnlineQoaModel`]
-//! holds one [`LogisticRegression`] per [`Criterion`](crate::Criterion)
+//! holds one [`LogisticRegression`] per [`Criterion`]
 //! and, once per window, absorbs the window's OCE labels via
 //! `partial_fit`, re-scores every strategy that alerted, and folds the
 //! scores into per-strategy EMAs that drive governance:
@@ -28,6 +28,29 @@ use alertops_model::{QoaLabel, StrategyId, QOA_CRITERIA};
 
 use crate::features::FEATURE_NAMES;
 use crate::logreg::LogisticRegression;
+
+/// The three QoA criteria, in slot order: `criterion as usize` indexes
+/// [`QoaLabel::labels`], [`StrategyQoa::scores`] and the model's
+/// classifiers, and [`Criterion::ALL`] lists them in that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum Criterion {
+    /// Indicates user-visible failures.
+    Indicativeness,
+    /// Severity reflects the anomaly.
+    Precision,
+    /// Quickly handleable.
+    Handleability,
+}
+
+impl Criterion {
+    /// All criteria, in slot order.
+    pub const ALL: [Criterion; QOA_CRITERIA] = [
+        Criterion::Indicativeness,
+        Criterion::Precision,
+        Criterion::Handleability,
+    ];
+}
 
 /// Hyperparameters of the streaming QoA loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -75,7 +98,7 @@ pub struct QoaSample {
 pub struct StrategyQoa {
     /// The scored strategy.
     pub strategy: StrategyId,
-    /// P(high quality) per criterion, in [`Criterion::ALL`](crate::Criterion::ALL) order.
+    /// P(high quality) per criterion, in [`Criterion::ALL`] order.
     pub scores: [f64; QOA_CRITERIA],
     /// The strategy's overall-quality EMA after this window.
     pub ema: f64,
@@ -311,7 +334,7 @@ impl OnlineQoaModel {
 pub struct QoaCheckpoint {
     /// Windows absorbed when the checkpoint was taken.
     pub windows_absorbed: u64,
-    /// Per-criterion `(weights, bias)` in [`Criterion::ALL`](crate::Criterion::ALL) order.
+    /// Per-criterion `(weights, bias)` in [`Criterion::ALL`] order.
     pub models: Vec<(Vec<f64>, f64)>,
     /// Per-strategy quality EMAs, sorted by strategy id.
     pub emas: Vec<(StrategyId, f64)>,

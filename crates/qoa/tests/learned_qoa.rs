@@ -1,78 +1,91 @@
-//! End-to-end QoA learning on simulated data: derive oracle labels from
-//! injected ground truth, add label noise (imperfect OCEs), train on
-//! half the strategies, and verify the model generalizes to the other
-//! half — the §IV proposal made measurable.
+//! End-to-end QoA learning on simulated data: label every strategy that
+//! alerted through the OCE oracle (`FeedbackOracle::label_window`, the
+//! online loop's one label rule, over the whole trace as window 0), add
+//! the oracle's label noise (imperfect OCEs), train on half the
+//! strategies, and verify the model generalizes to the other half — the
+//! §IV proposal made measurable.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use alertops_model::{Alert, AlertStrategy, StrategyId};
-use alertops_qoa::{auc, flip_labels, Criterion, QoaModel, QoaScorer, TrainConfig};
-use alertops_sim::scenarios;
+use alertops_model::{Alert, QoaLabel, StrategyId};
+use alertops_qoa::{
+    auc, extract_features, Criterion, LogisticRegression, OnlineQoaModel, QoaFeedbackConfig,
+    QoaSample, QoaScorer, TrainConfig, FEATURE_NAMES,
+};
+use alertops_sim::{scenarios, FeedbackOracle, SimOutput};
+use alertops_text::title_report;
 
-struct Prepared {
-    features: Vec<(StrategyId, Vec<f64>)>,
-    /// Oracle "handleability is high" labels (clean strategies with full
-    /// SOPs handle fast).
-    handleable: Vec<bool>,
-}
+const HANDLEABILITY: usize = Criterion::Handleability as usize;
 
-fn prepare(out: &alertops_sim::SimOutput) -> Prepared {
-    let mut by_strategy: HashMap<StrategyId, Vec<&Alert>> = HashMap::new();
+/// One feature sample per strategy that alerted, sorted by strategy id.
+fn samples(out: &SimOutput) -> Vec<QoaSample> {
+    let mut by_strategy: BTreeMap<StrategyId, Vec<&Alert>> = BTreeMap::new();
     for alert in &out.alerts {
         by_strategy.entry(alert.strategy()).or_default().push(alert);
     }
-    let model = QoaModel::new();
-    let mut features = Vec::new();
-    let mut handleable = Vec::new();
-    for strategy in out.catalog.strategies() {
-        let alerts = by_strategy
-            .get(&strategy.id())
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        let sop = out.catalog.sop(strategy.id());
-        features.push((
-            strategy.id(),
-            model.features(strategy, sop, alerts, &out.incidents),
-        ));
-        let profile = out.catalog.profile(strategy.id());
-        let sop_ok = sop.is_some_and(|s| s.completeness() > 0.8);
-        handleable.push(!profile.vague_title && sop_ok);
-    }
-    Prepared {
-        features,
-        handleable,
-    }
+    by_strategy
+        .into_iter()
+        .map(|(id, alerts)| {
+            let strategy = out.catalog.strategy(id).expect("catalog row");
+            let title_score = title_report(strategy.title_template()).score;
+            QoaSample {
+                strategy: id,
+                features: extract_features(
+                    strategy,
+                    title_score,
+                    out.catalog.sop(id),
+                    &alerts,
+                    &out.incidents,
+                ),
+            }
+        })
+        .collect()
+}
+
+/// The oracle's labels of the whole trace as window 0, one per sample.
+fn labels(out: &SimOutput, samples: &[QoaSample], seed: u64, noise: f64) -> Vec<QoaLabel> {
+    let labels =
+        FeedbackOracle::new(seed, noise).label_window(0, &out.catalog, &out.alerts, &out.incidents);
+    assert!(
+        labels
+            .iter()
+            .map(|l| l.strategy)
+            .eq(samples.iter().map(|s| s.strategy)),
+        "one label per alerting strategy"
+    );
+    labels
+}
+
+fn handleable(labels: &[QoaLabel]) -> Vec<bool> {
+    labels.iter().map(|l| l.labels[HANDLEABILITY]).collect()
 }
 
 #[test]
 fn learned_handleability_generalizes() {
     let out = scenarios::mini_study(31).run();
-    let prepared = prepare(&out);
-    let n = prepared.features.len();
-    let split = n / 2;
-
+    let samples = samples(&out);
+    let clean = labels(&out, &samples, 99, 0.0);
     // Noisy OCE labels on the training half.
-    let noisy = flip_labels(&prepared.handleable[..split], 0.1, 99);
-    let train_x: Vec<Vec<f64>> = prepared.features[..split]
-        .iter()
-        .map(|(_, x)| x.clone())
-        .collect();
+    let noisy = labels(&out, &samples, 99, 0.1);
+    let split = samples.len() / 2;
 
-    let mut model = QoaModel::new();
+    let train_x: Vec<Vec<f64>> = samples[..split]
+        .iter()
+        .map(|s| s.features.clone())
+        .collect();
+    let mut model = LogisticRegression::new(FEATURE_NAMES.len());
     model.fit(
-        Criterion::Handleability,
         &train_x,
-        &noisy,
+        &handleable(&noisy[..split]),
         &TrainConfig::default(),
     );
 
     // Evaluate on the held-out half against the *clean* oracle.
-    let scores: Vec<f64> = prepared.features[split..]
+    let scores: Vec<f64> = samples[split..]
         .iter()
-        .map(|(_, x)| model.predict_proba(Criterion::Handleability, x))
+        .map(|s| model.predict_proba(&s.features))
         .collect();
-    let truth = &prepared.handleable[split..];
-    let a = auc(&scores, truth).expect("both classes present");
+    let a = auc(&scores, &handleable(&clean[split..])).expect("both classes present");
     assert!(a > 0.8, "held-out AUC {a:.3}");
 }
 
@@ -113,36 +126,35 @@ fn evidence_scorer_separates_injected_quality() {
     );
 }
 
+/// The online loop's model, fed the oracle's labels in 4 streaming
+/// batches as OCEs would produce them, learns handleability.
 #[test]
 fn continual_absorption_tracks_new_labels() {
     let out = scenarios::mini_study(31).run();
-    let prepared = prepare(&out);
-    let x: Vec<Vec<f64>> = prepared.features.iter().map(|(_, v)| v.clone()).collect();
-    let mut model = QoaModel::new();
-    // Feed labels in 4 streaming batches, as OCEs would produce them.
-    let batch = x.len() / 4;
-    for epoch in 0..30 {
-        let _ = epoch;
+    let samples = samples(&out);
+    let clean = labels(&out, &samples, 0, 0.0);
+    let mut model = OnlineQoaModel::new(QoaFeedbackConfig::default());
+    let batch = samples.len() / 4;
+    for _epoch in 0..30 {
         for b in 0..4 {
             let lo = b * batch;
-            let hi = if b == 3 { x.len() } else { (b + 1) * batch };
-            model.absorb(
-                Criterion::Handleability,
-                &x[lo..hi],
-                &prepared.handleable[lo..hi],
-                0.05,
-            );
+            let hi = if b == 3 {
+                samples.len()
+            } else {
+                (b + 1) * batch
+            };
+            model.observe_window(&samples[lo..hi], &clean[lo..hi]);
         }
     }
-    let scores: Vec<f64> = x
+    // A window with no labels updates nothing: it scores every
+    // strategy with the final model.
+    let report = model.observe_window(&samples, &[]);
+    assert_eq!(report.absorbed, 0);
+    let scores: Vec<f64> = report
+        .scored
         .iter()
-        .map(|v| model.predict_proba(Criterion::Handleability, v))
+        .map(|s| s.scores[HANDLEABILITY])
         .collect();
-    let a = auc(&scores, &prepared.handleable).expect("both classes present");
+    let a = auc(&scores, &handleable(&clean)).expect("both classes present");
     assert!(a > 0.8, "absorbed AUC {a:.3}");
-}
-
-#[allow(dead_code)]
-fn silence_unused(strategy: &AlertStrategy) -> StrategyId {
-    strategy.id()
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use alertops_qoa::{auc, BinaryMetrics, LogisticRegression, TrainConfig};
+use alertops_qoa::{auc, LogisticRegression, TrainConfig};
 
 /// Deep sweep under `ALERTOPS_TEST_FULL=1`; a faster default keeps the
 /// tier-1 wall clock flat.
@@ -75,22 +75,5 @@ proptest! {
             let b = auc(&inverted, &truth).unwrap();
             prop_assert!((a + b - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn binary_metrics_are_bounded_and_consistent(
-        pairs in prop::collection::vec((any::<bool>(), any::<bool>()), 1..60),
-    ) {
-        let predicted: Vec<bool> = pairs.iter().map(|&(p, _)| p).collect();
-        let truth: Vec<bool> = pairs.iter().map(|&(_, t)| t).collect();
-        let m = BinaryMetrics::compute(&predicted, &truth);
-        for v in [m.accuracy, m.precision, m.recall, m.f1] {
-            prop_assert!((0.0..=1.0).contains(&v));
-        }
-        // F1 is the harmonic mean: bounded by its components.
-        let lo = m.precision.min(m.recall);
-        let hi = m.precision.max(m.recall);
-        prop_assert!(m.f1 + 1e-12 >= lo || (m.precision + m.recall == 0.0));
-        prop_assert!(m.f1 <= hi + 1e-12);
     }
 }

@@ -1,8 +1,13 @@
 //! The seeded OCE-feedback oracle: replayable QoA labels per window.
 //!
-//! The streaming QoA loop needs a feedback source — in production that
-//! is on-call engineers labelling alerts high/low per criterion; here
-//! it is derived from the simulator's *ground truth*:
+//! The QoA loop needs a feedback source — in production that is
+//! on-call engineers labelling alerts high/low per criterion; here it
+//! is derived from the simulator's *ground truth*.
+//! [`FeedbackOracle::label_window`] is the one QoA label rule: the
+//! online loop learns from it window by window, and the offline
+//! `qoa_eval` harness, the `qoa_training` example and the learned-QoA
+//! tests label a whole trace through it as window 0. It reads §IV's
+//! three criteria as:
 //!
 //! * **indicativeness** — at least one of the strategy's alerts in the
 //!   window indicates an incident of its service
@@ -11,13 +16,14 @@
 //! * **precision** — the strategy was injected without severity-
 //!   corrupting anti-patterns (no misleading severity, over-sensitive
 //!   threshold, or chatty rule);
-//! * **handleability** — the strategy has an SOP and its title is not
-//!   vague.
+//! * **handleability** — the strategy's title is not vague (every
+//!   catalog row carries a SOP).
 //!
 //! Real OCEs mislabel; a `noise` probability flips each verdict,
 //! seeded per window so the label stream is a pure function of
 //! `(seed, window_index, window contents)` — replay it anywhere and
-//! the continually-updated model lands on identical weights.
+//! the continually-updated model lands on identical weights. That
+//! per-window flip is the one label-noise model.
 
 use std::collections::BTreeSet;
 
@@ -54,8 +60,8 @@ impl FeedbackOracle {
     /// in `window`, sorted by strategy id.
     ///
     /// `incidents` is the full ground-truth incident history of the
-    /// run; `catalog` supplies the injected anti-pattern profiles and
-    /// SOPs the verdicts are derived from.
+    /// run; `catalog` supplies the injected anti-pattern profiles the
+    /// verdicts are derived from.
     #[must_use]
     pub fn label_window(
         &self,
@@ -67,7 +73,7 @@ impl FeedbackOracle {
         let alerted: BTreeSet<StrategyId> = window.iter().map(Alert::strategy).collect();
         let mut labels = Vec::with_capacity(alerted.len());
         for id in alerted {
-            let Some(strategy) = catalog.strategies().iter().find(|s| s.id() == id) else {
+            let Some(strategy) = catalog.strategy(id) else {
                 // Unknown strategy: no ground truth, no feedback.
                 continue;
             };
@@ -77,7 +83,7 @@ impl FeedbackOracle {
                     && indicates_incident(incidents, strategy.service(), alert.raised_at())
             });
             let precise = !(profile.misleading_severity || profile.oversensitive || profile.chatty);
-            let handleable = catalog.sop(id).is_some() && !profile.vague_title;
+            let handleable = !profile.vague_title;
             labels.push(QoaLabel::new(id, [indicative, precise, handleable]));
         }
         self.flip(window_index, labels)
@@ -140,17 +146,38 @@ mod tests {
 
     #[test]
     fn clean_strategies_score_high_on_ground_truth() {
-        let out = scenarios::quickstart(5).run();
+        let out = scenarios::mini_study(5).run();
         let oracle = FeedbackOracle::new(0, 0.0);
         let labels = oracle.label_window(0, &out.catalog, &out.alerts, &out.incidents);
+        assert_eq!(
+            labels.len(),
+            out.alerts
+                .iter()
+                .map(Alert::strategy)
+                .collect::<BTreeSet<_>>()
+                .len(),
+            "one label per alerting strategy"
+        );
+        let mut seen = [[false; 2]; QOA_CRITERIA];
         for label in &labels {
-            let profile = out.catalog.profile(label.strategy);
-            if profile.misleading_severity || profile.oversensitive || profile.chatty {
-                assert!(!label.labels[1], "corrupted strategy labelled precise");
-            } else {
-                assert!(label.labels[1]);
+            let id = label.strategy;
+            let service = out.catalog.strategy(id).expect("catalog row").service();
+            let profile = out.catalog.profile(id);
+            let indicative = out.alerts.iter().any(|alert| {
+                alert.strategy() == id
+                    && indicates_incident(&out.incidents, service, alert.raised_at())
+            });
+            let precise = !(profile.misleading_severity || profile.oversensitive || profile.chatty);
+            let handleable = !profile.vague_title;
+            assert_eq!(label.labels, [indicative, precise, handleable], "{id}");
+            for (slot, &verdict) in label.labels.iter().enumerate() {
+                seen[slot][usize::from(verdict)] = true;
             }
         }
+        assert_eq!(
+            seen, [[true; 2]; QOA_CRITERIA],
+            "each column takes both values"
+        );
     }
 
     #[test]

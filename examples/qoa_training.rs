@@ -3,105 +3,110 @@
 //! a machine learning model could be trained and continuously updated so
 //! that it can automatically absorb the human knowledge."
 //!
-//! Simulates that loop: oracle labels (with 10% labelling noise) train a
-//! logistic model per criterion; held-out AUC shows the knowledge
-//! transferred; a final `absorb` pass shows continual updating.
+//! Simulates that loop: the OCE oracle (`FeedbackOracle`, the labels the
+//! online loop learns from) labels the whole trace as one window with
+//! 10% of its verdicts flipped; a logistic model per criterion trains on
+//! half of the strategies that alerted, and held-out AUC shows the
+//! knowledge transferred; a `partial_fit` pass over a second noisy draw
+//! shows continual updating.
 //!
 //! Run with: `cargo run --example qoa_training`
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use alertops::core::prelude::*;
-use alertops::qoa::{auc, flip_labels, TrainConfig, FEATURE_NAMES};
-use alertops::sim::scenarios;
+use alertops::qoa::{auc, extract_features, LogisticRegression, TrainConfig, FEATURE_NAMES};
+use alertops::sim::{scenarios, FeedbackOracle};
+use alertops::text::title_report;
 
 fn main() {
     let out = scenarios::mini_study(5).run();
-    let mut by_strategy: HashMap<StrategyId, Vec<&Alert>> = HashMap::new();
+    let mut by_strategy: BTreeMap<StrategyId, Vec<&Alert>> = BTreeMap::new();
     for alert in &out.alerts {
         by_strategy.entry(alert.strategy()).or_default().push(alert);
     }
 
-    // Features + oracle labels per strategy.
-    let model_tmp = QoaModel::new();
-    let mut features = Vec::new();
-    let mut labels_handleable = Vec::new();
-    let mut labels_indicative = Vec::new();
-    for strategy in out.catalog.strategies() {
-        let alerts = by_strategy
-            .get(&strategy.id())
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        features.push(model_tmp.features(
-            strategy,
-            out.catalog.sop(strategy.id()),
-            alerts,
-            &out.incidents,
-        ));
-        let profile = out.catalog.profile(strategy.id());
-        let sop_ok = out
-            .catalog
-            .sop(strategy.id())
-            .is_some_and(|s| s.completeness() > 0.8);
-        labels_handleable.push(!profile.vague_title && sop_ok);
-        labels_indicative.push(profile.is_clean());
-    }
+    // Features per strategy that alerted, in id order: the oracle's
+    // label order.
+    let ids: Vec<StrategyId> = by_strategy.keys().copied().collect();
+    let features: Vec<Vec<f64>> = by_strategy
+        .iter()
+        .map(|(&id, alerts)| {
+            let strategy = out.catalog.strategy(id).expect("catalog strategy");
+            let title_score = title_report(strategy.title_template()).score;
+            extract_features(
+                strategy,
+                title_score,
+                out.catalog.sop(id),
+                alerts,
+                &out.incidents,
+            )
+        })
+        .collect();
+    // OCEs are imperfect raters: the oracle flips 10% of its verdicts.
+    let label = |seed: u64, noise: f64| {
+        FeedbackOracle::new(seed, noise).label_window(0, &out.catalog, &out.alerts, &out.incidents)
+    };
+    let clean = label(42, 0.0);
+    let noisy = label(42, 0.10);
+    assert!(clean.iter().map(|l| l.strategy).eq(ids.iter().copied()));
+    let column = |labels: &[QoaLabel], criterion: Criterion| -> Vec<bool> {
+        labels
+            .iter()
+            .map(|l| l.labels[criterion as usize])
+            .collect()
+    };
+
     let n = features.len();
     let split = n / 2;
     println!(
-        "{} strategies, {} features each, 50/50 train/test split",
-        n,
+        "{n} strategies alerted, {} features each, 50/50 train/test split",
         FEATURE_NAMES.len()
     );
-
-    let mut model = QoaModel::new();
-    for (criterion, labels) in [
-        (Criterion::Handleability, &labels_handleable),
-        (Criterion::Indicativeness, &labels_indicative),
-    ] {
-        // OCEs are imperfect raters: 10% of training labels are flipped.
-        let noisy = flip_labels(&labels[..split], 0.10, 42);
-        let train_x: Vec<Vec<f64>> = features[..split].to_vec();
-        model.fit(criterion, &train_x, &noisy, &TrainConfig::default());
+    let mut models = Criterion::ALL.map(|_| LogisticRegression::new(FEATURE_NAMES.len()));
+    for (criterion, model) in Criterion::ALL.into_iter().zip(&mut models) {
+        model.fit(
+            &features[..split],
+            &column(&noisy[..split], criterion),
+            &TrainConfig::default(),
+        );
         let scores: Vec<f64> = features[split..]
             .iter()
-            .map(|x| model.predict_proba(criterion, x))
+            .map(|x| model.predict_proba(x))
             .collect();
-        match auc(&scores, &labels[split..]) {
+        match auc(&scores, &column(&clean[split..], criterion)) {
             Some(a) => println!("{criterion:?}: held-out AUC {a:.3} (trained on noisy labels)"),
             None => println!("{criterion:?}: degenerate test split"),
         }
     }
 
-    // Continual absorption: a fresh batch of labels arrives; the model
-    // updates without retraining from scratch.
-    let fresh_x: Vec<Vec<f64>> = features[split..].to_vec();
-    let fresh_y = flip_labels(&labels_handleable[split..], 0.10, 43);
+    // Continual absorption: a fresh batch of labels (a second noisy
+    // draw) arrives; the model updates without retraining from scratch,
+    // at the online loop's learning rate and L2.
+    let config = QoaFeedbackConfig::default();
+    let fresh = label(43, 0.10);
+    let handleability = &mut models[Criterion::Handleability as usize];
     for _ in 0..10 {
-        model.absorb(Criterion::Handleability, &fresh_x, &fresh_y, 0.05);
+        handleability.partial_fit(
+            &features[split..],
+            &column(&fresh[split..], Criterion::Handleability),
+            config.learning_rate,
+            config.l2,
+        );
     }
     let scores: Vec<f64> = features
         .iter()
-        .map(|x| model.predict_proba(Criterion::Handleability, x))
+        .map(|x| handleability.predict_proba(x))
         .collect();
-    if let Some(a) = auc(&scores, &labels_handleable) {
+    if let Some(a) = auc(&scores, &column(&clean, Criterion::Handleability)) {
         println!("Handleability after absorbing the second batch: full-set AUC {a:.3}");
     }
 
-    // Worst-first ranking = the automatic anti-pattern shortlist.
-    let items: Vec<(StrategyId, Vec<f64>)> = out
-        .catalog
-        .strategies()
-        .iter()
-        .zip(&features)
-        .map(|(s, f)| (s.id(), f.clone()))
-        .collect();
+    // Worst first = the automatic anti-pattern shortlist.
+    let mut ranked: Vec<(StrategyId, f64)> = ids.into_iter().zip(scores).collect();
+    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
     println!("\npredicted lowest-handleability strategies:");
-    for (id, p) in model
-        .rank_worst_first(Criterion::Handleability, &items)
-        .iter()
-        .take(5)
-    {
+    for (id, p) in ranked.iter().take(5) {
         let strategy = out.catalog.strategy(*id).expect("catalog strategy");
         println!("  {id} p(high)={p:.2}  {:?}", strategy.title_template());
     }

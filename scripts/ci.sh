@@ -228,11 +228,14 @@ fi
 # and no per-rule credit beside the audit's. Triage means one thing: a
 # snapshot is built from a merged delta and triaged once, so there is no
 # snapshot merge beside the delta monoid, and the differential harness
-# models no partition and keeps no batch side per partition.
+# models no partition and keeps no batch side per partition. QoA
+# learns one way: the online model over the oracle's labels, with no
+# batch model, second noise draw, unused metric set or ranking beside
+# it, and the daemon keeps no shutdown request nothing calls.
 # Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer|a1_cache|flip_a1|OovPolicy|encode_frozen|is_fitted|fit must be called|\bClosures\b|affected_by|run_with_blocker|react_with|rule_hits|with_aggregation|with_blocker|GovernanceSnapshot::merge\(|Partition::(Moved|Grid)|BatchRuns|BatchSides' \
+if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer|a1_cache|flip_a1|OovPolicy|encode_frozen|is_fitted|fit must be called|\bClosures\b|affected_by|run_with_blocker|react_with|rule_hits|with_aggregation|with_blocker|GovernanceSnapshot::merge\(|Partition::(Moved|Grid)|BatchRuns|BatchSides|\bQoaModel\b|flip_labels|BinaryMetrics|rank_worst_first|request_shutdown' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close, a closer beside the merge point, a rendered A1 list beside the flag table, a second, frozen-vocabulary R4 driver, a closure memo beside the dependency graph, a second reaction entry, R2 knob or rule-credit list, a snapshot merge or a partitioned batch side reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close, a closer beside the merge point, a rendered A1 list beside the flag table, a second, frozen-vocabulary R4 driver, a closure memo beside the dependency graph, a second reaction entry, R2 knob or rule-credit list, a snapshot merge, a partitioned batch side, a batch QoA model, a second label-noise draw, the unused binary metrics, the worst-first ranking or the uncalled shutdown request reappeared (see matches above)" >&2
     exit 1
 fi
 # AO-LDA runs speculatively at a merge point, over the documents the
@@ -344,6 +347,20 @@ for file in $(find crates/*/src src examples -name '*.rs'); do
         exit 1
     fi
 done
+# A QoA label is built by one rule, FeedbackOracle::label_window
+# (crates/sim/src/feedback.rs): the online loop, the qoa_eval harness
+# and the examples all label through it, so no other program code, paper
+# bin or example builds a `QoaLabel`. Scoped to the code above each
+# file's first test module; tests may build labels.
+echo "==> QoA labels are built by FeedbackOracle::label_window only"
+for file in $(find crates/*/src src examples -name '*.rs'); do
+    [[ "$file" == crates/sim/src/feedback.rs ]] && continue
+    if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' "$file" |
+        grep -F 'QoaLabel::new('; then
+        echo "a QoA label is built outside FeedbackOracle::label_window (see matches above)" >&2
+        exit 1
+    fi
+done
 # A6's cascade edge and R3's topology link are one derivation relation,
 # alertops_model::DependencyGraph::derives, over the closures a graph
 # computes once when it is collected. Reading a graph's edges is the
@@ -386,13 +403,13 @@ done
 # example or the frozen bench alone calls, and what ROADMAP item 14
 # still has to decide. Take a name off when it gains a caller or goes.
 echo "==> every pub fn has a caller in the program code, or is listed"
-uncalled_allowed='absorb adjudicate_batch collective_candidates compute current_findings
+uncalled_allowed='adjudicate_batch collective_candidates current_findings
 dependencies_of doc_mixture edge_count encode_and_update evaluation_scratch events_at
 finding_count fit_window flush_labeled flush_window_labeled from_strategies
 held_raise_times histogram_quantile history_len identity individual_candidates
 injected_ids is_clean is_poisoned js_divergence kept_digests log_loss open_with_format
-process_window qoa_model_digest quantile ranges_of rank_worst_first remaining_after
-request_shutdown resume_shard retained_bytes run_default share_where
+process_window qoa_model_digest quantile ranges_of remaining_after
+resume_shard retained_bytes run_default share_where
 silence_panics_containing soak_smoke stall_shard storm_fatigued tokenize
 truncate_wal_tail vocabulary with_alerts with_graph with_incidents with_min_evidence
 with_strategy_dependencies with_title_template'

@@ -5,12 +5,13 @@
 //!   arithmetic shows up as a checksum mismatch;
 //! * `streaming_qoa_samples_equal_batch_features` checks that the shard
 //!   path, which reads the title score from the indexed catalog, builds
-//!   the same QoA samples, bit for bit, as the batch `QoaModel::features`.
+//!   the same QoA samples, bit for bit, as `extract_features` over the
+//!   title's `title_report` score.
 
 use std::collections::BTreeMap;
 
 use alertops::core::prelude::*;
-use alertops::qoa::QoaModel;
+use alertops::qoa::extract_features;
 use alertops::sim::{scenarios, StrategyCatalog, Topology};
 use alertops::text::title_report;
 
@@ -41,8 +42,8 @@ fn golden_study_title_reports() {
     assert_eq!(hash, 0x466b_1dbb_04eb_ba7b, "golden checksum {hash:#018x}");
 }
 
-/// Every window's samples equal `QoaModel::features` over the same
-/// strategy, SOP, alerts and incidents. The governor sees every
+/// Every window's samples equal `extract_features` over the same
+/// strategy, title score, SOP, alerts and incidents. The governor sees every
 /// incident at window 0; the ones it prunes ended before its oldest
 /// alert, so they touch no feature. The catalog is given ascending
 /// (binary-searched) and reversed (indexed by id).
@@ -57,7 +58,6 @@ fn streaming_qoa_samples_equal_batch_features() {
         .iter()
         .filter_map(|s| out.catalog.sop(s.id()).cloned())
         .collect();
-    let model = QoaModel::new();
     let streaming = StreamingConfig {
         qoa: Channel {
             mode: ChannelMode::Forward,
@@ -82,7 +82,14 @@ fn streaming_qoa_samples_equal_batch_features() {
             for (sample, (&id, alerts)) in delta.qoa_samples.iter().zip(&by_strategy) {
                 assert_eq!(sample.strategy, id);
                 let strategy = out.catalog.strategy(id).expect("alerting strategy");
-                let batch = model.features(strategy, out.catalog.sop(id), alerts, &out.incidents);
+                let title_score = title_report(strategy.title_template()).score;
+                let batch = extract_features(
+                    strategy,
+                    title_score,
+                    out.catalog.sop(id),
+                    alerts,
+                    &out.incidents,
+                );
                 let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&sample.features), bits(&batch), "window {index}, {id}");
             }
