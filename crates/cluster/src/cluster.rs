@@ -260,7 +260,7 @@ impl AlertCluster {
             checkpoints_discarded: Arc::clone(&metrics.qoa_checkpoints_discarded),
             emerging: Some(metrics.emerging.clone()),
             qoa: Some(metrics.qoa.clone()),
-            correlation: None,
+            correlation: Some(metrics.react.clone()),
             merge_timer: None,
         };
         let merge = MergePoint::new(&config.node, Some(coordinator_dir), counters);

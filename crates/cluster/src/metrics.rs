@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use alertops_core::{EmergingMetrics, QoaMetrics};
 use alertops_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use alertops_react::ReactMetrics;
 
 /// Per-node WAL depth gauges.
 #[derive(Debug)]
@@ -71,6 +72,9 @@ pub struct ClusterMetrics {
     /// loop is on — the same `alertops_qoa_*` families a standalone
     /// daemon records into.
     pub qoa: QoaMetrics,
+    /// The merge point's R3 pass, once per closed window — the same
+    /// `alertops_react_*` families a standalone daemon records into.
+    pub react: ReactMetrics,
     pub(crate) wal: Vec<NodeWalGauges>,
 }
 
@@ -159,6 +163,7 @@ impl ClusterMetrics {
             ),
             emerging: EmergingMetrics::register(&registry),
             qoa: QoaMetrics::register(&registry),
+            react: ReactMetrics::register(&registry),
             wal,
             registry,
         }

@@ -14,7 +14,9 @@
 //! The bound counts alerts, not messages: control messages are never
 //! refused for capacity, and a run of a thousand alerts weighs a
 //! thousand. The worker hands each emptied run back as the next run's
-//! storage ([`ShardQueue::recycle`]), so a steady stream of windows
+//! storage ([`ShardQueue::recycle`]), and its window buffer after each
+//! close; the queue keeps the larger and drops the other, so a shard
+//! holds one window-sized buffer and a steady stream of windows
 //! allocates no run buffers.
 //!
 //! With the emerging channel on, the queue also records each queued
@@ -278,8 +280,9 @@ impl ShardQueue {
         self.lock().alerts
     }
 
-    /// Hands an emptied run buffer back as the next run's storage,
-    /// keeping whichever of it and the current spare holds more.
+    /// Hands an emptied run or window buffer back as the next run's
+    /// storage, keeping whichever of it and the current spare holds
+    /// more and dropping the other.
     pub(crate) fn recycle(&self, buf: Vec<Alert>) {
         debug_assert!(buf.is_empty(), "only emptied runs come back");
         let mut state = self.lock();

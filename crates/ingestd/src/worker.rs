@@ -219,7 +219,8 @@ fn close_window(
         delta.emerging_docs.sort_by_key(|d| d.alert);
     }
     counters.delivered.add(state.window.len() as u64);
-    // Keep the buffer's capacity for the next window.
+    // Emptied, not freed: the drain loop hands the buffer back to the
+    // queue as the next window's storage.
     state.window.clear();
     state.pending_close = None;
     let _ = deltas.send(ShardDelta {
@@ -262,6 +263,11 @@ fn drain(
                     state.governor.set_qoa_verdicts(verdicts);
                 }
                 close_window(shard, state, seq, deltas, counters, metrics);
+                // One window-sized buffer per shard: the queue keeps the
+                // larger of this one and its spare, so the next window's
+                // first run arrives in it instead of in a second buffer
+                // this shard holds.
+                ingest.recycle(std::mem::take(&mut state.window));
             }
             WorkerMsg::Sync(ack) => {
                 let _ = ack.send(());

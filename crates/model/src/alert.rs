@@ -488,32 +488,42 @@ mod tests {
         assert!(a.title_interned().ptr_eq(&title));
         assert!(a.service_name_interned().ptr_eq(&service));
         assert!(a.location().region().0.ptr_eq(&region));
-        assert!(shares_allocation(a.location().dc(), &dc));
-    }
-
-    /// `Location` lends its dc out only as `&str`: equal data pointers
-    /// (and lengths) mean one shared allocation, as `IStr::ptr_eq` does.
-    fn shares_allocation(text: &str, handle: &IStr) -> bool {
-        std::ptr::eq(text, handle.as_str())
+        assert!(a.location().dc_interned().ptr_eq(&dc));
     }
 
     #[test]
     fn unset_strings_are_the_threads_empty_handle() {
         let a = Alert::builder(AlertId(1), StrategyId(2)).build();
         let empty = IStr::empty();
-        for (field, text) in [
-            ("title", a.title()),
-            ("service", a.service_name()),
-            ("region", a.location().region().as_str()),
-            ("dc", a.location().dc()),
+        // Compared as handles: every empty `Box<str>` shares one
+        // dangling address, so `&str` addresses cannot tell the
+        // thread's empty handle from another table's.
+        for (field, handle) in [
+            ("title", a.title_interned()),
+            ("service", a.service_name_interned()),
+            ("region", &a.location().region().0),
+            ("dc", a.location().dc_interned()),
         ] {
-            assert_eq!(text, "", "{field}");
-            assert!(shares_allocation(text, &empty), "{field}");
+            assert_eq!(handle.as_str(), "", "{field}");
+            assert!(handle.ptr_eq(&empty), "{field}");
         }
         // An equal empty string from another table is told apart.
         let other = StrTable::new().intern("");
-        assert!(!shares_allocation(&other, &empty));
+        assert!(!other.ptr_eq(&empty));
         assert_eq!(a.location().instance(), None);
+    }
+
+    /// The layout guard: a string handle is one word (`Option` of one
+    /// too, through the niche), so a fat handle coming back fails here
+    /// before it shows as peak RSS.
+    #[test]
+    fn handles_are_one_word_and_an_alert_fits_112_bytes() {
+        use std::mem::size_of;
+        let word = size_of::<usize>();
+        assert_eq!(size_of::<IStr>(), word);
+        assert_eq!(size_of::<Option<IStr>>(), word);
+        assert_eq!(size_of::<Location>(), 3 * word);
+        assert!(size_of::<Alert>() <= 112, "{} B", size_of::<Alert>());
     }
 
     #[test]

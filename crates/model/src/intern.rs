@@ -7,9 +7,17 @@
 //! set. Representing each occurrence as its own `String` makes every
 //! clone of an [`Alert`](crate::Alert) (shard hand-over, checkpoint,
 //! WAL replay, `WindowDelta` merge) a fresh round of heap traffic.
-//! [`IStr`] replaces those fields with an `Arc<str>`: cloning is a
-//! refcount bump, equality starts with a pointer compare, and a
+//! [`IStr`] replaces those fields with an `Arc<Box<str>>`: cloning is
+//! a refcount bump, equality starts with a pointer compare, and a
 //! [`StrTable`] deduplicates so the steady state allocates nothing.
+//!
+//! The handle is one word, not the two of an `Arc<str>`: an
+//! [`Alert`](crate::Alert) holds five of them, and every strategy row,
+//! SOP line and emerging document holds one per field, so the handle's
+//! width is paid per alert while the extra indirection is paid once
+//! per *distinct* string. A distinct string costs two allocations: the
+//! `Arc`'s 32-byte control block (two counts and the box's fat
+//! pointer) and the string's own bytes.
 //!
 //! Two interning scopes exist:
 //!
@@ -83,11 +91,17 @@ pub fn intern(s: &str) -> IStr {
 ///
 /// Dereferences to `&str`; equality, ordering, and hashing are all
 /// content-based (equality takes a pointer-identity fast path first,
-/// which interned strings hit almost always).
+/// which interned strings hit almost always). One word wide, and so is
+/// `Option<IStr>`.
 #[derive(Clone)]
-pub struct IStr(Arc<str>);
+pub struct IStr(Arc<Box<str>>);
 
 impl IStr {
+    /// A fresh, unshared handle holding a copy of `s`.
+    fn new(s: &str) -> Self {
+        Self(Arc::new(Box::from(s)))
+    }
+
     /// The empty interned string: the thread's own `intern("")`
     /// handle, looked up once per thread and cloned from then on.
     #[must_use]
@@ -138,7 +152,7 @@ impl Borrow<str> for IStr {
 
 impl PartialEq for IStr {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        Arc::ptr_eq(&self.0, &other.0) || self.as_str() == other.as_str()
     }
 }
 
@@ -158,7 +172,7 @@ impl PartialEq<&str> for IStr {
 
 impl Hash for IStr {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+        self.as_str().hash(state);
     }
 }
 
@@ -173,7 +187,7 @@ impl Ord for IStr {
         if Arc::ptr_eq(&self.0, &other.0) {
             Ordering::Equal
         } else {
-            self.0.cmp(&other.0)
+            self.as_str().cmp(other.as_str())
         }
     }
 }
@@ -306,7 +320,7 @@ impl StrTable {
         if let Some(id) = self.ids.get(s) {
             return self.by_id[*id as usize].clone();
         }
-        let interned = IStr(Arc::from(s));
+        let interned = IStr::new(s);
         self.remember(interned.clone());
         interned
     }
@@ -324,7 +338,7 @@ impl StrTable {
             return None;
         }
         let id = u32::try_from(self.by_id.len()).ok()?;
-        let interned = IStr(Arc::from(s));
+        let interned = IStr::new(s);
         self.push(interned, id);
         Some((id, true))
     }

@@ -57,6 +57,13 @@ impl Location {
         &self.dc
     }
 
+    /// The data center's handle, for tests that check which allocation
+    /// it shares.
+    #[cfg(test)]
+    pub(crate) fn dc_interned(&self) -> &IStr {
+        &self.dc
+    }
+
     /// The instance, if one was recorded.
     #[must_use]
     pub fn instance(&self) -> Option<&str> {

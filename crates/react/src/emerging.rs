@@ -577,6 +577,17 @@ mod tests {
         alerts
     }
 
+    /// The layout guard for the record a shard queue keeps per queued
+    /// alert: an id, a raise time and two one-word handles.
+    #[test]
+    fn a_document_is_four_words() {
+        assert!(
+            std::mem::size_of::<EmergingDoc>() <= 32,
+            "{} B",
+            std::mem::size_of::<EmergingDoc>()
+        );
+    }
+
     #[test]
     fn run_produces_one_report_per_nonempty_window() {
         let alerts = stream();

@@ -25,7 +25,7 @@
 //! the continually-updated model lands on identical weights. That
 //! per-window flip is the one label-noise model.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,18 +70,25 @@ impl FeedbackOracle {
         window: &[Alert],
         incidents: &[Incident],
     ) -> Vec<QoaLabel> {
-        let alerted: BTreeSet<StrategyId> = window.iter().map(Alert::strategy).collect();
-        let mut labels = Vec::with_capacity(alerted.len());
-        for id in alerted {
-            let Some(strategy) = catalog.strategy(id) else {
+        // One pass over the window: each alerting strategy's
+        // indicativeness verdict, looked up only until one of its alerts
+        // indicates an incident.
+        let mut indicative: BTreeMap<StrategyId, bool> = BTreeMap::new();
+        for alert in window {
+            let verdict = indicative.entry(alert.strategy()).or_insert(false);
+            if !*verdict {
+                if let Some(strategy) = catalog.strategy(alert.strategy()) {
+                    *verdict = indicates_incident(incidents, strategy.service(), alert.raised_at());
+                }
+            }
+        }
+        let mut labels = Vec::with_capacity(indicative.len());
+        for (id, indicative) in indicative {
+            if catalog.strategy(id).is_none() {
                 // Unknown strategy: no ground truth, no feedback.
                 continue;
-            };
+            }
             let profile = catalog.profile(id);
-            let indicative = window.iter().any(|alert| {
-                alert.strategy() == id
-                    && indicates_incident(incidents, strategy.service(), alert.raised_at())
-            });
             let precise = !(profile.misleading_severity || profile.oversensitive || profile.chatty);
             let handleable = !profile.vague_title;
             labels.push(QoaLabel::new(id, [indicative, precise, handleable]));
@@ -111,8 +118,62 @@ impl FeedbackOracle {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::scenarios;
+
+    /// The rule as first written, kept as the reference: one scan of
+    /// the whole window per alerting strategy, before the noise.
+    fn per_strategy_labels(
+        catalog: &StrategyCatalog,
+        window: &[Alert],
+        incidents: &[Incident],
+    ) -> Vec<QoaLabel> {
+        let alerted: BTreeSet<StrategyId> = window.iter().map(Alert::strategy).collect();
+        let mut labels = Vec::new();
+        for id in alerted {
+            let Some(strategy) = catalog.strategy(id) else {
+                continue;
+            };
+            let profile = catalog.profile(id);
+            let indicative = window.iter().any(|alert| {
+                alert.strategy() == id
+                    && indicates_incident(incidents, strategy.service(), alert.raised_at())
+            });
+            let precise = !(profile.misleading_severity || profile.oversensitive || profile.chatty);
+            let handleable = !profile.vague_title;
+            labels.push(QoaLabel::new(id, [indicative, precise, handleable]));
+        }
+        labels
+    }
+
+    #[test]
+    fn one_pass_labels_match_the_per_strategy_rule() {
+        let out = scenarios::mini_study(5).run();
+        // Six-hour windows, plus the whole trace as window 0, with and
+        // without noise: every verdict and every flip is the reference's.
+        let mut windows: Vec<&[Alert]> = out
+            .alerts
+            .chunk_by(|a, b| a.raised_at().as_secs() / 21_600 == b.raised_at().as_secs() / 21_600)
+            .collect();
+        windows.push(&out.alerts);
+        assert!(windows.len() > 8, "{} windows", windows.len());
+        let mut indicative = 0;
+        for noise in [0.0, 0.1] {
+            let oracle = FeedbackOracle::new(7, noise);
+            for (index, window) in (0u64..).zip(&windows) {
+                let reference = oracle.flip(
+                    index,
+                    per_strategy_labels(&out.catalog, window, &out.incidents),
+                );
+                let labels = oracle.label_window(index, &out.catalog, window, &out.incidents);
+                assert_eq!(labels, reference, "window {index}, noise {noise}");
+                indicative += labels.iter().filter(|l| l.labels[0]).count();
+            }
+        }
+        assert!(indicative > 0, "some window indicates an incident");
+    }
 
     #[test]
     fn labels_are_sorted_deduped_and_deterministic() {
@@ -158,18 +219,12 @@ mod tests {
                 .len(),
             "one label per alerting strategy"
         );
+        assert_eq!(
+            labels,
+            per_strategy_labels(&out.catalog, &out.alerts, &out.incidents)
+        );
         let mut seen = [[false; 2]; QOA_CRITERIA];
         for label in &labels {
-            let id = label.strategy;
-            let service = out.catalog.strategy(id).expect("catalog row").service();
-            let profile = out.catalog.profile(id);
-            let indicative = out.alerts.iter().any(|alert| {
-                alert.strategy() == id
-                    && indicates_incident(&out.incidents, service, alert.raised_at())
-            });
-            let precise = !(profile.misleading_severity || profile.oversensitive || profile.chatty);
-            let handleable = !profile.vague_title;
-            assert_eq!(label.labels, [indicative, precise, handleable], "{id}");
             for (slot, &verdict) in label.labels.iter().enumerate() {
                 seen[slot][usize::from(verdict)] = true;
             }

@@ -406,9 +406,10 @@ impl StatisticalStream {
 
     /// Sorts a complete bucket and stamps dense ids, preserving the
     /// batch engine's global order (stable sort over insertion order
-    /// within non-overlapping key ranges).
+    /// within non-overlapping key ranges). The cached-key sort is
+    /// stable too, and moves `(key, index)` pairs instead of alerts.
     fn emit(&mut self, mut batch: Vec<Alert>) -> Vec<Alert> {
-        batch.sort_by_key(|a| (a.raised_at(), a.strategy()));
+        batch.sort_by_cached_key(|a| (a.raised_at(), a.strategy()));
         batch
             .into_iter()
             .map(|a| {

@@ -86,6 +86,11 @@ rm -rf "$exp_dir"
 # `cluster-journal` close on the bench's main thread, which is not
 # counted, so part of their fall is R3's allocations leaving the
 # counted shard workers rather than going away.
+# The bytes ceilings fell again when a string handle became one word
+# (an alert carries five) and a shard kept one window buffer instead of
+# two. A distinct string now costs two allocations, the `Arc` and its
+# boxed bytes, so `steady-wire`'s allocations per alert rose 1.1843 →
+# 1.1851, inside its ceiling; the other three did not move.
 #
 # check_run WORKLOAD TRACE reads `name ceiling` lines on stdin and
 # fails unless the run verifies and every named metric is at or below
@@ -111,21 +116,21 @@ check_run() {
 check_counts() { check_run "$1" 1; }
 check_counts cluster-journal <<'CEILINGS'
 proc.allocs_per_alert 1.1911
-proc.alloc_bytes_per_alert 362.44
+proc.alloc_bytes_per_alert 321.23
 proc.write_syscalls_per_kalert 1006.85
 proc.ctx_switches_per_kalert 34.29
 CEILINGS
 check_counts governed-close <<'CEILINGS'
 proc.allocs_per_alert 1.4738
-proc.alloc_bytes_per_alert 418.03
+proc.alloc_bytes_per_alert 367.40
 CEILINGS
 check_counts steady-wire <<'CEILINGS'
 proc.allocs_per_alert 1.1855
-proc.alloc_bytes_per_alert 436.91
+proc.alloc_bytes_per_alert 356.02
 CEILINGS
 check_counts storm-paced <<'CEILINGS'
 proc.allocs_per_alert 2.2694
-proc.alloc_bytes_per_alert 651.00
+proc.alloc_bytes_per_alert 544.43
 CEILINGS
 
 # Peak RSS, ratcheted: reference data (SOPs, strategy rows) is held once
@@ -133,9 +138,9 @@ CEILINGS
 # AO-LDA keeps no table beyond its largest window's scratch, so a
 # long-lived one coming back shows on `governed-close`, where that
 # scratch is most of the heap. An untraced 2-second run repeats
-# `rss_peak_mb` within 2–5 % (five runs read 20.50 – 20.61 MB on
-# `steady-wire`, 11.23 – 11.42 MB on `cluster-journal`, 7.25 –
-# 7.43 MB on `governed-close` and 9.91 – 9.99 MB on `storm-paced`),
+# `rss_peak_mb` within 2–5 % (five runs read 18.19 – 18.79 MB on
+# `steady-wire`, 10.43 – 10.75 MB on `cluster-journal`, 6.83 –
+# 6.98 MB on `governed-close` and 8.83 – 8.98 MB on `storm-paced`),
 # so the ceiling is the highest of five runs at the commit that last
 # moved it + 2 %. A shard close that copies every alert R1 passes
 # before grouping them costs ≈ 0.28 MB on `storm-paced`. A SOP's lines are interned, so a deep copy of one
@@ -147,20 +152,22 @@ CEILINGS
 # A1's ≈ 0.18 MB); a row vector copied by value (112 B a row) instead
 # of as pointers to shared rows (8 B a row) ≈ 0.9 MB per 8 000-row
 # holder on `steady-wire` (the stream, the bench's world copy, the two
-# shard governors' halves together). Lower a ceiling when a PR lowers
-# the peak.
+# shard governors' halves together); a fat two-word string handle
+# instead of a one-word one ≈ 1.3 MB on `steady-wire`, and a shard
+# holding a second window-sized alert buffer ≈ 0.5–0.7 MB. Lower a
+# ceiling when a PR lowers the peak.
 check_rss() { check_run "$1" 0; }
 check_rss steady-wire <<'CEILINGS'
-rss_peak_mb 21.02
+rss_peak_mb 19.17
 CEILINGS
 check_rss cluster-journal <<'CEILINGS'
-rss_peak_mb 11.65
+rss_peak_mb 10.97
 CEILINGS
 check_rss governed-close <<'CEILINGS'
-rss_peak_mb 7.58
+rss_peak_mb 7.13
 CEILINGS
 check_rss storm-paced <<'CEILINGS'
-rss_peak_mb 10.19
+rss_peak_mb 9.17
 CEILINGS
 
 # The window-close path has one owner (alertops_ingestd::MergePoint)

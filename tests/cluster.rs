@@ -17,6 +17,7 @@
 //! - A whole-cluster restart from the logs resumes byte-identically.
 //! - A close whose checkpoint or boundary write fails is counted and
 //!   completes; the conservation law holds after it.
+//! - The cluster's scrape carries R3's stage timer, one span per close.
 //! - A spawn reads every node's log before it wipes any, so a log it
 //!   cannot read costs no other node its journal; a handoff whose
 //!   target's log refuses part of the moved tail sheds it, counted.
@@ -418,6 +419,42 @@ fn whole_cluster_restart_from_wal_is_lossless() {
         &snapshots,
         Faults::None,
     );
+}
+
+/// The cluster's merge point runs R3 once per closed window, and its
+/// scrape shows it: the correlation stage's timer counts every close
+/// and the clusters counter sums the published triage lists.
+#[test]
+fn a_cluster_scrape_times_r3_once_per_closed_window() {
+    let case = cluster_case(64);
+    let root = wal_root("r3-scrape");
+    let mut cluster = case.cluster(2, 2, &root);
+    let mut triage = 0;
+    for (closed, window) in (1u64..).zip(&case.windows[..4]) {
+        route_all(&cluster, &window.alerts);
+        triage += cluster.close_window().expect("window closes").triage.len() as u64;
+        let text = cluster.render_metrics();
+        alertops::obs::lint_exposition(&text).expect("cluster exposition lints");
+        let timed: Vec<u64> = text
+            .lines()
+            .filter_map(|line| {
+                line.strip_prefix(r#"alertops_react_stage_micros_count{stage="correlation"} "#)
+            })
+            .map(|value| value.parse().expect("an integer count"))
+            .collect();
+        assert_eq!(timed, [closed], "one R3 span per close:\n{text}");
+        assert_eq!(
+            exposition_value(&text, "alertops_cluster_windows_closed_total"),
+            closed
+        );
+        assert_eq!(
+            exposition_value(&text, "alertops_react_clusters_total"),
+            triage
+        );
+    }
+    assert!(triage > 0, "the trace triages something");
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// One failed-write policy: a close whose QoA checkpoint write fails
