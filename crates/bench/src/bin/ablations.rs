@@ -15,7 +15,7 @@ use alertops_detect::{
 };
 use alertops_model::{Alert, SimDuration, StrategyId};
 use alertops_qoa::QoaScorer;
-use alertops_react::{aggregate, AggregationConfig, EmergingAlertDetector, EmergingConfig};
+use alertops_react::{aggregate, EmergingAlertDetector, EmergingConfig};
 use alertops_sim::scenarios;
 use std::collections::{BTreeSet, HashMap};
 
@@ -83,13 +83,7 @@ fn main() {
     header("ablation 3: R2 aggregation window");
     println!("  {:<12} {:>10} {:>12}", "window", "groups", "reduction");
     for mins in [5, 15, 30, 60, 180] {
-        let groups = aggregate(
-            &out.alerts,
-            &AggregationConfig {
-                window: SimDuration::from_mins(mins),
-                ..AggregationConfig::default()
-            },
-        );
+        let groups = aggregate(&out.alerts, SimDuration::from_mins(mins));
         println!(
             "  {:<12} {:>10} {:>12}",
             format!("{mins} min"),

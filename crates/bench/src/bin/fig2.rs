@@ -8,7 +8,7 @@
 use alertops_bench::{compare, header, pct, HARNESS_SEED};
 use alertops_react::blocking::{AlertBlocker, BlockRule};
 use alertops_react::correlation::AlertCorrelator;
-use alertops_react::{aggregate, AggregationConfig, EmergingAlertDetector, EmergingConfig};
+use alertops_react::{aggregate, EmergingAlertDetector, EmergingConfig, AGGREGATION_WINDOW};
 use alertops_sim::scenarios;
 use alertops_survey::{
     fig2a, fig2b, fig2c, render_bar, Helpfulness, Impact, Question, SurveyDataset,
@@ -113,7 +113,7 @@ fn main() {
         "relatively high",
         &pct(blocked.reduction()),
     );
-    let groups = aggregate(&out.alerts, &AggregationConfig::default());
+    let groups = aggregate(&out.alerts, AGGREGATION_WINDOW);
     compare(
         "R2 alert aggregation (dedup reduction)",
         "relatively high",

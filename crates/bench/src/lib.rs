@@ -1,4 +1,4 @@
-//! Shared plumbing for the figure-regeneration harnesses and benches.
+//! Shared plumbing for the figure-regeneration harnesses.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! DSN'22 paper and prints `paper → measured` rows;

@@ -303,7 +303,10 @@ impl ChaosSchedule {
         Self { seed, events }
     }
 
-    /// The events scheduled exactly at trace position `index`.
+    /// The events scheduled exactly at trace position `index`. Serves
+    /// the fault replays of `tests/chaos_ingestd.rs::chaos_matrix_*`,
+    /// `tests/determinism.rs` and `tests/cluster.rs`.
+    #[doc(hidden)]
     pub fn events_at(&self, index: usize) -> impl Iterator<Item = &ChaosEvent> {
         // At most one per position by construction, but iterate anyway
         // so hand-built schedules with duplicates still work.

@@ -534,6 +534,9 @@ impl AlertCluster {
     /// # Errors
     ///
     /// Filesystem errors pass through; no segment is a no-op.
+    ///
+    /// Serves `tests/cluster.rs::wal_truncation_is_counted_dropped_never_leaked`.
+    #[doc(hidden)]
     pub fn truncate_wal_tail(&mut self, node: usize, bytes: u64) -> io::Result<()> {
         let dir = log(&self.nodes[node]).dir();
         let mut newest: Option<PathBuf> = None;

@@ -73,7 +73,8 @@ pub struct ClusterMetrics {
     /// daemon records into.
     pub qoa: QoaMetrics,
     /// The merge point's R3 pass, once per closed window — the same
-    /// `alertops_react_*` families a standalone daemon records into.
+    /// R3 series a standalone daemon records into, and none of R1's or
+    /// R2's, which run on the nodes.
     pub react: ReactMetrics,
     pub(crate) wal: Vec<NodeWalGauges>,
 }
@@ -163,7 +164,7 @@ impl ClusterMetrics {
             ),
             emerging: EmergingMetrics::register(&registry),
             qoa: QoaMetrics::register(&registry),
-            react: ReactMetrics::register(&registry),
+            react: ReactMetrics::register_correlation(&registry),
             wal,
             registry,
         }

@@ -22,9 +22,9 @@ pub use alertops_qoa::{
     QoaScores, QoaVerdicts, QoaWindowReport, StrategyQoa,
 };
 pub use alertops_react::{
-    aggregate, AggregationConfig, AlertBlocker, AlertCorrelator, BlockRule, EmergingAlertDetector,
-    EmergingBudget, EmergingConfig, EmergingDoc, EmergingReport, ReactionPipeline,
-    StrategyDependencies,
+    aggregate, AlertBlocker, AlertCorrelator, BlockRule, EmergingAlertDetector, EmergingBudget,
+    EmergingConfig, EmergingDoc, EmergingReport, ReactionPipeline, StrategyDependencies,
+    AGGREGATION_WINDOW,
 };
 
 #[cfg(test)]

@@ -571,7 +571,9 @@ impl StreamingGovernor {
     }
 
     /// Alerts currently inside the rolling history. O(1): the engine
-    /// tracks the count as windows are observed and evicted.
+    /// tracks the count as windows are observed and evicted. Serves
+    /// `tests/incremental_equivalence.rs::incremental_streaming_matches_batch_recompute`.
+    #[doc(hidden)]
     #[must_use]
     pub fn history_len(&self) -> usize {
         self.engine.alert_count()

@@ -887,7 +887,8 @@ impl IncrementalState {
     }
 
     /// How many evicted digests are being kept for a rollback; zero
-    /// right after every [`commit`](Self::commit).
+    /// right after every [`commit`](Self::commit). Serves
+    /// `crates/detect/tests/incremental.rs::rollback_equals_fresh_rebuild_of_the_committed_scope`.
     #[doc(hidden)]
     #[must_use]
     pub fn kept_digests(&self) -> usize {
@@ -899,7 +900,8 @@ impl IncrementalState {
     /// [`alert_count`](Self::alert_count) plus the alerts of the
     /// [kept digests](Self::kept_digests). A6's cascade tuples, recorded
     /// only for windows observed with a graph, are that detector's own
-    /// state and not counted.
+    /// state and not counted. Serves the memory bound of
+    /// `crates/detect/tests/incremental.rs::eviction_equals_fresh_rebuild_of_survivors`.
     #[doc(hidden)]
     #[must_use]
     pub fn held_raise_times(&self) -> usize {
@@ -928,7 +930,8 @@ impl IncrementalState {
     /// [`evaluate`](Self::evaluate) started (through what
     /// [`report`](Self::report) renders after it): raise times or hour
     /// runs, gathered one strategy at a time, so never more than the
-    /// largest single strategy's alerts in scope.
+    /// largest single strategy's alerts in scope. Serves the scratch
+    /// bound of `crates/detect/tests/incremental.rs::eviction_equals_fresh_rebuild_of_survivors`.
     #[doc(hidden)]
     #[must_use]
     pub fn evaluation_scratch(&self) -> usize {
@@ -970,10 +973,8 @@ impl IncrementalState {
     /// incidents), and A5's the strategy's hour runs; a finding is
     /// rendered only for a flag that flips on.
     /// Per-pattern verdict wall time and flag counts are recorded into
-    /// `metrics` as the batch
-    /// [`run_instrumented`](AntiPatternReport::run_instrumented) does;
-    /// the co-occurrence gather and the rendering are timed under none
-    /// of them.
+    /// `metrics`; the co-occurrence gather and the rendering are timed
+    /// under none of them.
     pub fn evaluate(
         &mut self,
         catalog: &Arc<IndexedCatalog>,

@@ -4,9 +4,12 @@
 //! [`alertops_obs::MetricsRegistry`]: one wall-time histogram and one
 //! findings counter per anti-pattern, plus run/scan totals. Handles are
 //! registered once and cached, so recording from
-//! [`AntiPatternReport::run_instrumented`](crate::AntiPatternReport::run_instrumented)
-//! is pure relaxed-atomic work — detection output is identical with or
-//! without metrics attached (the property suite asserts this).
+//! [`IncrementalState::evaluate`](crate::IncrementalState::evaluate) is
+//! pure relaxed-atomic work — detection output is identical with or
+//! without metrics attached (the metrics-on/off byte-identity tests
+//! assert this). The batch
+//! [`AntiPatternReport::run_default`](crate::AntiPatternReport::run_default)
+//! records nothing.
 //!
 //! The `pattern="A6"` series describe whoever asks the engine for a
 //! whole report — the batch `AlertGovernor::detect`. A streaming
@@ -85,22 +88,15 @@ impl DetectMetrics {
         }
     }
 
-    fn index(pattern: AntiPattern) -> usize {
-        AntiPattern::ALL
-            .iter()
-            .position(|p| *p == pattern)
-            .expect("ALL contains every pattern")
-    }
-
     /// Starts a wall-time span for one detector pass.
     #[must_use]
     pub fn detector_timer(&self, pattern: AntiPattern) -> Span<'_> {
-        self.detector_micros[Self::index(pattern)].time()
+        self.detector_micros[pattern as usize].time()
     }
 
     /// Records the number of findings a detector emitted.
     pub fn record_findings(&self, pattern: AntiPattern, count: u64) {
-        self.detector_findings[Self::index(pattern)].add(count);
+        self.detector_findings[pattern as usize].add(count);
     }
 
     /// Records the start of a detection run over `alerts` alerts.
@@ -151,6 +147,13 @@ mod tests {
         assert!(text.contains("alertops_engine_apply_micros"));
         assert!(text.contains("alertops_engine_evict_micros"));
         alertops_obs::lint_exposition(&text).unwrap();
+    }
+
+    #[test]
+    fn a_pattern_indexes_its_own_slot() {
+        for pattern in AntiPattern::ALL {
+            assert_eq!(AntiPattern::ALL[pattern as usize], pattern);
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@ use alertops_model::StrategyId;
 
 use crate::a6_cascading::CascadeGroup;
 use crate::input::DetectionInput;
-use crate::metrics::DetectMetrics;
 use crate::types::{AntiPattern, Detector, StrategyFinding};
 use crate::{
     CascadingDetector, ImproperRuleDetector, MisleadingSeverityDetector, RepeatingDetector,
@@ -27,22 +26,13 @@ pub struct AntiPatternReport {
 }
 
 impl AntiPatternReport {
-    /// Runs all six detectors, A4 and A6 at their default settings.
+    /// Runs all six detectors, A4 and A6 at their default settings: the
+    /// batch reference the incremental engine is tested against. It
+    /// records no metrics; the live engine's
+    /// [`IncrementalState::evaluate`](crate::IncrementalState::evaluate)
+    /// does.
     #[must_use]
     pub fn run_default(input: &DetectionInput<'_>) -> Self {
-        Self::run_instrumented(input, None)
-    }
-
-    /// Runs all six detectors, optionally recording per-detector wall
-    /// time and finding counts into `metrics`.
-    ///
-    /// Metrics are observer-only: the returned report is identical
-    /// whether `metrics` is `Some` or `None`.
-    #[must_use]
-    pub fn run_instrumented(input: &DetectionInput<'_>, metrics: Option<&DetectMetrics>) -> Self {
-        if let Some(m) = metrics {
-            m.record_run(input.alerts().len() as u64);
-        }
         let detectors: Vec<Box<dyn Detector>> = vec![
             Box::new(UnclearTitleDetector),
             Box::new(MisleadingSeverityDetector),
@@ -52,23 +42,9 @@ impl AntiPatternReport {
         ];
         let mut findings: BTreeMap<AntiPattern, Vec<StrategyFinding>> = BTreeMap::new();
         for detector in detectors {
-            let pattern = detector.pattern();
-            let found = {
-                let _span = metrics.map(|m| m.detector_timer(pattern));
-                detector.detect(input)
-            };
-            if let Some(m) = metrics {
-                m.record_findings(pattern, found.len() as u64);
-            }
-            findings.insert(pattern, found);
+            findings.insert(detector.pattern(), detector.detect(input));
         }
-        let cascades = {
-            let _span = metrics.map(|m| m.detector_timer(AntiPattern::Cascading));
-            CascadingDetector::default().detect_groups(input)
-        };
-        if let Some(m) = metrics {
-            m.record_findings(AntiPattern::Cascading, cascades.len() as u64);
-        }
+        let cascades = CascadingDetector::default().detect_groups(input);
         Self { findings, cascades }
     }
 

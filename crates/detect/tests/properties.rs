@@ -3,29 +3,8 @@
 use proptest::prelude::*;
 
 use alertops_detect::storm::detect_storms;
-use alertops_detect::{candidates, AntiPatternReport, DetectMetrics, DetectionInput, StormConfig};
-use alertops_model::{
-    Alert, AlertId, AlertStrategy, Location, LogRule, SimDuration, SimTime, StrategyId,
-    StrategyKind,
-};
-use alertops_obs::MetricsRegistry;
-
-/// A dense-id log catalog covering every strategy `arb_alerts` emits.
-fn catalog() -> Vec<AlertStrategy> {
-    (0..8u64)
-        .map(|id| {
-            AlertStrategy::builder(StrategyId(id))
-                .title_template("service latency is abnormal")
-                .kind(StrategyKind::Log(LogRule {
-                    keyword: "ERROR".into(),
-                    min_count: 1,
-                    window: SimDuration::from_mins(5),
-                }))
-                .build()
-                .expect("catalog strategy is well-formed")
-        })
-        .collect()
-}
+use alertops_detect::{candidates, StormConfig};
+use alertops_model::{Alert, AlertId, Location, SimDuration, SimTime, StrategyId};
 
 /// Strategy for generating random alert streams.
 fn arb_alerts(max: usize) -> impl Strategy<Value = Vec<Alert>> {
@@ -134,32 +113,6 @@ proptest! {
             prop_assert_eq!(again.len(), 1, "storm evidence re-detects to one storm");
             prop_assert_eq!(&again[0], &storm);
         }
-    }
-
-    #[test]
-    fn instrumented_detection_is_observer_only(alerts in arb_alerts(250)) {
-        // The alertops-obs guarantee: attaching metrics must never
-        // change detection output, only record it.
-        let strategies = catalog();
-        let input = DetectionInput::new(&strategies).with_alerts(&alerts);
-        let baseline = AntiPatternReport::run_default(&input);
-
-        let registry = MetricsRegistry::new();
-        let metrics = DetectMetrics::register(&registry);
-        let instrumented = AntiPatternReport::run_instrumented(&input, Some(&metrics));
-        prop_assert_eq!(instrumented, baseline);
-
-        let text = registry.render();
-        prop_assert!(text.contains("alertops_detect_runs_total 1"), "{}", text);
-        prop_assert!(
-            text.contains(&format!(
-                "alertops_detect_alerts_scanned_total {}",
-                alerts.len()
-            )),
-            "{}",
-            text
-        );
-        prop_assert!(alertops_obs::lint_exposition(&text).is_ok());
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub struct IngestdConfig {
     /// its merge: AO-LDA into
     /// [`alertops_core::GovernanceSnapshot::emerging`], the online QoA
     /// model update (against the labels handed to
-    /// [`crate::IngestdHandle::flush_labeled`]) into
+    /// [`crate::IngestdHandle::flush_window_labeled`]) into
     /// [`alertops_core::GovernanceSnapshot::qoa`], its verdicts pushed
     /// back down every shard queue ahead of the next close.
     pub streaming: StreamingConfig,

@@ -389,12 +389,7 @@ impl IngestdHandle {
 
     /// [`flush`](Self::flush) with the window's OCE feedback labels:
     /// the merge point joins them with the merged per-strategy feature
-    /// samples and updates the online QoA model.
-    pub fn flush_labeled(&self, labels: Vec<QoaLabel>) -> Option<GovernanceSnapshot> {
-        self.router.flush(&labels).map(|closed| closed.snapshot)
-    }
-
-    /// [`flush_labeled`](Self::flush_labeled), but returns the full
+    /// samples and updates the online QoA model. Returns the full
     /// [`ClosedWindow`]: the snapshot plus the verdicts this close
     /// computed, which the next close pushes down.
     pub fn flush_window_labeled(&self, labels: Vec<QoaLabel>) -> Option<ClosedWindow> {
@@ -414,12 +409,16 @@ impl IngestdHandle {
 
     /// Chaos instrumentation: [`ShardPool::stall`]. Pair with
     /// [`resume_shard`](Self::resume_shard); a flush while stalled
-    /// blocks until resumed.
+    /// blocks until resumed. Serves
+    /// `tests/determinism.rs::chaos_runs_with_identical_seeds_are_identical`.
+    #[doc(hidden)]
     pub fn stall_shard(&self, shard: usize) {
         self.router.pool().stall(shard);
     }
 
-    /// Chaos instrumentation: [`ShardPool::resume`].
+    /// Chaos instrumentation: [`ShardPool::resume`]. Serves
+    /// `tests/chaos_ingestd.rs::chaos_matrix_queue_overflow`.
+    #[doc(hidden)]
     pub fn resume_shard(&self, shard: usize) {
         self.router.pool().resume(shard);
     }

@@ -44,7 +44,7 @@ pub const DERIVATION_WINDOW: SimDuration = SimDuration::from_mins(10);
 ///
 /// assert!(graph.depends_transitively(MicroserviceId(3), MicroserviceId(1)));
 /// assert!(!graph.depends_transitively(MicroserviceId(1), MicroserviceId(3)));
-/// assert_eq!(graph.edge_count(), 2);
+/// assert_eq!(graph.edges().count(), 2);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DependencyGraph {
@@ -80,12 +80,6 @@ impl DependencyGraph {
             && later.0.duration_since(earlier.0) <= window
             && later.1 != earlier.1
             && self.depends_transitively(later.1, earlier.1)
-    }
-
-    /// Total number of edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.callees.values().map(|callees| callees.len()).sum()
     }
 
     /// Whether the graph has no edges.
@@ -164,7 +158,7 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(g.edges().collect::<Vec<_>>(), vec![(ms(1), ms(2))]);
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.edges().count(), 1);
     }
 
     #[test]

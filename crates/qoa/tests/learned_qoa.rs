@@ -111,7 +111,7 @@ fn evidence_scorer_separates_injected_quality() {
             &out.incidents,
         );
         let profile = out.catalog.profile(strategy.id());
-        if profile.is_clean() {
+        if !profile.any() {
             clean_overall.push(report.scores.overall());
         } else if profile.vague_title || profile.misleading_severity {
             dirty_overall.push(report.scores.overall());

@@ -51,7 +51,7 @@ pub mod escalation;
 pub mod metrics;
 pub mod pipeline;
 
-pub use aggregation::{aggregate, reduction_ratio, AggregationConfig, AlertGroup, GroupKey};
+pub use aggregation::{aggregate, reduction_ratio, AlertGroup, AGGREGATION_WINDOW};
 pub use audit::{audit_blocker, audit_blocker_with, review_queue, RuleAudit, STALE_AFTER_DAYS};
 pub use blocking::{AlertBlocker, BlockCriterion, BlockOutcome, BlockRule};
 pub use correlation::{

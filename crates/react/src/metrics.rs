@@ -32,29 +32,51 @@ impl ReactMetrics {
     /// Registers (or re-attaches to) the react metric families.
     #[must_use]
     pub fn register(registry: &MetricsRegistry) -> Self {
+        Self::registered(registry, true)
+    }
+
+    /// Registers R3's series alone, its stage timer and its cluster
+    /// count, for a merge point that sees no R1 or R2 run: a cluster's,
+    /// whose nodes block and group on their own registries. The R1 and
+    /// R2 handles record into nothing, so the scrape carries no series
+    /// that would read zero.
+    #[must_use]
+    pub fn register_correlation(registry: &MetricsRegistry) -> Self {
+        Self::registered(registry, false)
+    }
+
+    fn registered(registry: &MetricsRegistry, grouping: bool) -> Self {
+        let counter = |name, help| {
+            if grouping {
+                registry.counter(name, help, &[])
+            } else {
+                Arc::default()
+            }
+        };
         let stage_micros = STAGES.map(|stage| {
-            registry.histogram(
-                "alertops_react_stage_micros",
-                "Wall time of one reaction-pipeline stage.",
-                &[("stage", stage)],
-            )
+            if grouping || stage == "correlation" {
+                registry.histogram(
+                    "alertops_react_stage_micros",
+                    "Wall time of one reaction-pipeline stage.",
+                    &[("stage", stage)],
+                )
+            } else {
+                Arc::default()
+            }
         });
         Self {
             stage_micros,
-            input: registry.counter(
+            input: counter(
                 "alertops_react_input_total",
                 "Alerts entering the reaction pipeline.",
-                &[],
             ),
-            blocked: registry.counter(
+            blocked: counter(
                 "alertops_react_blocked_total",
                 "Alerts removed by blocking rules (R1).",
-                &[],
             ),
-            groups: registry.counter(
+            groups: counter(
                 "alertops_react_groups_total",
                 "Aggregation groups produced (R2).",
-                &[],
             ),
             clusters: registry.counter(
                 "alertops_react_clusters_total",

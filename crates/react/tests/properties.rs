@@ -12,8 +12,9 @@ use alertops_obs::MetricsRegistry;
 use alertops_react::blocking::{AlertBlocker, BlockCriterion, BlockRule};
 use alertops_react::correlation::AlertCorrelator;
 use alertops_react::{
-    aggregate, audit_blocker, propose_incidents, AggregationConfig, EmergingAlertDetector,
-    EmergingConfig, EmergingDoc, EmergingReport, ReactMetrics, ReactionPipeline, STALE_AFTER_DAYS,
+    aggregate, audit_blocker, propose_incidents, EmergingAlertDetector, EmergingConfig,
+    EmergingDoc, EmergingReport, ReactMetrics, ReactionPipeline, AGGREGATION_WINDOW,
+    STALE_AFTER_DAYS,
 };
 
 fn arb_alerts(max: usize) -> impl Strategy<Value = Vec<Alert>> {
@@ -295,8 +296,8 @@ proptest! {
         edges in prop::collection::vec((0u64..10, 0u64..10), 0..20),
         with_topology in any::<bool>(),
     ) {
-        // The reference: R1's partition, R2's rendered groups under the
-        // default configuration, an owned copy of each representative in
+        // The reference: R1's partition, R2's rendered groups over its
+        // pipeline window, an owned copy of each representative in
         // group order, then R3 over those copies.
         let blocker: AlertBlocker = rules.into_iter().collect();
         let mut correlator = AlertCorrelator::new();
@@ -308,7 +309,7 @@ proptest! {
             correlator = correlator.with_topology(graph);
         }
         let passed: Vec<Alert> = blocker.apply(&alerts).passed.into_iter().cloned().collect();
-        let groups = aggregate(&passed, &AggregationConfig::default());
+        let groups = aggregate(&passed, AGGREGATION_WINDOW);
         let representatives: Vec<Alert> = groups
             .iter()
             .map(|g| passed.iter().find(|a| a.id() == g.representative).unwrap().clone())
@@ -330,11 +331,7 @@ proptest! {
         alerts in arb_alerts(150),
         window_mins in 1u64..120,
     ) {
-        let config = AggregationConfig {
-            window: SimDuration::from_mins(window_mins),
-            ..AggregationConfig::default()
-        };
-        let groups = aggregate(&alerts, &config);
+        let groups = aggregate(&alerts, SimDuration::from_mins(window_mins));
         let total: usize = groups.iter().map(|g| g.count).sum();
         prop_assert_eq!(total, alerts.len());
         let mut seen: Vec<AlertId> = groups.iter().flat_map(|g| g.members.clone()).collect();

@@ -310,7 +310,7 @@ mod tests {
             (!sel.is_empty()).then(|| sel.iter().sum::<f64>() / sel.len() as f64)
         };
         let vague = mean(&|a| catalog.profile(a.strategy()).vague_title);
-        let clean = mean(&|a| catalog.profile(a.strategy()).is_clean());
+        let clean = mean(&|a| !catalog.profile(a.strategy()).any());
         if let (Some(vague), Some(clean)) = (vague, clean) {
             assert!(
                 vague > clean,

@@ -56,12 +56,6 @@ impl InjectedProfile {
             || self.oversensitive
             || self.chatty
     }
-
-    /// Whether the strategy is clean (no injected anti-pattern).
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        !self.any()
-    }
 }
 
 /// Configuration for [`StrategyCatalog::generate`].
@@ -530,7 +524,7 @@ mod tests {
             "improper fraction {improper}"
         );
         // Most strategies remain clean.
-        let clean = count(InjectedProfile::is_clean) / n;
+        let clean = count(|p| !p.any()) / n;
         assert!(clean > 0.5, "clean fraction {clean}");
     }
 

@@ -483,7 +483,7 @@ mod graph_export_tests {
             .iter()
             .map(|ms| topo.dependencies_of(ms.id).len())
             .sum();
-        assert_eq!(graph.edge_count(), edge_total);
+        assert_eq!(graph.edges().count(), edge_total);
         let edges: std::collections::BTreeSet<_> = graph.edges().collect();
         for ms in topo.microservices().iter().take(30) {
             for &dep in topo.dependencies_of(ms.id) {

@@ -279,7 +279,7 @@ fn catalog_side_tables_follow_the_rows() {
         assert_eq!(catalog.profile(id), profile, "profile of {id}");
         assert_eq!(catalog.sop(id), sops.get(&id), "SOP of {id}");
     }
-    assert!(catalog.profile(StrategyId(800)).is_clean());
+    assert!(!catalog.profile(StrategyId(800)).any());
     assert_eq!(catalog.sop(StrategyId(800)), None);
 
     let copy: StrategyCatalog = serde_json::from_str(&json).unwrap();

@@ -180,7 +180,7 @@ fn from_strategies_defaults_are_clean() {
         10,
     )]);
     assert_eq!(catalog.len(), 1);
-    assert!(catalog.profile(StrategyId(0)).is_clean());
+    assert!(!catalog.profile(StrategyId(0)).any());
     assert!(catalog.sop(StrategyId(0)).is_some());
     assert!(catalog.injected_ids().is_empty());
     assert!(StrategyCatalog::empty().is_empty());

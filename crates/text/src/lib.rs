@@ -9,8 +9,6 @@
 //!   handleability criterion and the guideline linter score how
 //!   informative a title is with one stateless function,
 //!   [`title_report`] ([`lexicon`]);
-//! * **alert aggregation (R2)** groups alerts by title template
-//!   ([`template`]);
 //! * **emerging alert detection (R4)** feeds bag-of-words documents into
 //!   an online LDA ([`Tokenizer`], [`Vocabulary`]).
 //!
@@ -38,13 +36,11 @@
 
 pub mod hash;
 pub mod lexicon;
-pub mod template;
 
 mod token;
 mod vocab;
 
 pub use hash::{FxBuildHasher, FxHasher};
 pub use lexicon::{title_report, InformativenessReport};
-pub use template::extract_template;
 pub use token::Tokenizer;
 pub use vocab::{BagOfWords, Vocabulary};

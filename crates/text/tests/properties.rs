@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use alertops_text::{extract_template, title_report, Tokenizer, Vocabulary};
+use alertops_text::{title_report, Tokenizer, Vocabulary};
 
 /// Alert-like text: arbitrary Unicode, camelCase and acronym runs,
 /// digits glued to letters, and punctuation at either end.
@@ -50,12 +50,6 @@ proptest! {
             t.for_each_token(side, &mut scratch, |tok| separate.push(tok.to_owned()));
         }
         prop_assert_eq!(joined, separate);
-    }
-
-    #[test]
-    fn template_extraction_is_idempotent(s in "[a-zA-Z0-9 .:%\\-]{0,80}") {
-        let once = extract_template(&s);
-        prop_assert_eq!(extract_template(&once), once.clone());
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub struct TopicWindow {
     /// Per-topic summaries.
     pub topics: Vec<WindowTopic>,
     /// One topic mixture per bag of the fitted window, parallel to the
-    /// `bags` slice [`AdaptiveOnlineLda::process_window`] was given.
+    /// `bags` slice [`AdaptiveOnlineLda::prepare_window`] was given.
     /// Emptied once a newer window is processed: only the newest
     /// window's documents are ever asked for.
     pub doc_mixtures: Vec<Vec<f64>>,
@@ -190,7 +190,8 @@ fn dominant_topic(mixture: &[f64]) -> Option<usize> {
 /// });
 /// // Three documents, the first and the last with the same text.
 /// let bags = vec![vec![(0, 2), (1, 1)], vec![(0, 1), (2, 2)]];
-/// let summary = aolda.process_window(&bags, &[0, 1, 0]);
+/// let prepared = aolda.prepare_window(&bags, &[0, 1, 0]);
+/// let summary = aolda.commit_window(prepared);
 /// assert_eq!(summary.index, 0);
 /// assert_eq!(summary.doc_count, 3);
 /// assert_eq!(summary.topics.len(), 2);
@@ -318,9 +319,10 @@ impl AdaptiveOnlineLda {
     }
 
     /// Fits the next window — whose `i`-th document is
-    /// `bags[positions[i]]` — and returns its summary: exactly
-    /// [`prepare_window`](Self::prepare_window) then
-    /// [`commit_window`](Self::commit_window).
+    /// `bags[positions[i]]` — without making it part of the history: the
+    /// returned [`PreparedWindow`] holds its summary and its λ, and the
+    /// model is unchanged until [`commit_window`](Self::commit_window)
+    /// takes it. Dropping it instead leaves no trace.
     ///
     /// A caller with one bag per document passes the identity index
     /// `0..n`; one that holds each distinct text once passes it with
@@ -328,19 +330,6 @@ impl AdaptiveOnlineLda {
     /// (see [`OnlineLda::fit_window_with`]). Either way the summary is
     /// bit-identical to fitting the window expanded to one bag per
     /// position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a position names a bag past the end of `bags`.
-    pub fn process_window(&mut self, bags: &[BagOfWords], positions: &[u32]) -> &TopicWindow {
-        let prepared = self.prepare_window(bags, positions);
-        self.commit_window(prepared)
-    }
-
-    /// Fits the next window without making it part of the history: the
-    /// returned [`PreparedWindow`] holds its summary and its λ, and the
-    /// model is unchanged until [`commit_window`](Self::commit_window)
-    /// takes it. Dropping it instead leaves no trace.
     ///
     /// The window's model is seeded from a blend of a fresh prior and the
     /// mean λ of the last three windows, weighted by
@@ -519,7 +508,8 @@ mod tests {
     /// Processes a window that holds one bag per document.
     fn fit<'a>(aolda: &'a mut AdaptiveOnlineLda, docs: &[BagOfWords]) -> &'a TopicWindow {
         let identity: Vec<u32> = (0..docs.len() as u32).collect();
-        aolda.process_window(docs, &identity)
+        let prepared = aolda.prepare_window(docs, &identity);
+        aolda.commit_window(prepared)
     }
 
     fn config(k: usize) -> AoldaConfig {
@@ -653,7 +643,8 @@ mod tests {
         let mut indexed = AdaptiveOnlineLda::new(config(2));
         let mut flat = AdaptiveOnlineLda::new(config(2));
         for _ in 0..3 {
-            let a = indexed.process_window(&bags, &positions).clone();
+            let prepared = indexed.prepare_window(&bags, &positions);
+            let a = indexed.commit_window(prepared).clone();
             let b = fit(&mut flat, &expanded).clone();
             assert_eq!(a.topics, b.topics);
             assert_eq!(a.doc_count, b.doc_count);

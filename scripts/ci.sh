@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-# --all-targets also compiles the criterion benches and every bin.
+# --all-targets also compiles every test, example and bin.
 echo "==> cargo clippy --workspace (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -194,6 +194,15 @@ if grep -rnE 'run_soak|SoakConfig|SoakReport|soak_bench|BENCH_soak|ALERTOPS_SOAK
     echo "a second harness for the steady-wire path reappeared (see matches above)" >&2
     exit 1
 fi
+# For the same reason no micro-bench harness sits beside it: no
+# manifest names criterion or a [[bench]] target, and no crate has a
+# benches/ directory.
+if grep -rnE 'criterion|^\[\[bench\]\]' --include=Cargo.toml \
+    --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build . ||
+    compgen -G 'crates/*/benches' >/dev/null; then
+    echo "a second performance harness reappeared: criterion, a [[bench]] target or a crates/*/benches/ directory (see matches above)" >&2
+    exit 1
+fi
 
 # A governor only governs its partition: the sequential passes live in
 # MergePoint::close, a WindowDelta carries inputs only, and recovery
@@ -238,11 +247,16 @@ fi
 # models no partition and keeps no batch side per partition. QoA
 # learns one way: the online model over the oracle's labels, with no
 # batch model, second noise draw, unused metric set or ranking beside
-# it, and the daemon keeps no shutdown request nothing calls.
+# it, and the daemon keeps no shutdown request nothing calls. R2 keys
+# by strategy alone, over a window it is passed: no group-key choice,
+# no configuration struct and no title-template extractor. No test-only
+# fork sits beside a program entry point: a labeled flush returns the
+# closed window, an AO-LDA window is prepared then committed, and the
+# batch detection reference records no metrics.
 # Scoped to *.rs so the docs may name what was removed.
-if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer|a1_cache|flip_a1|OovPolicy|encode_frozen|is_fitted|fit must be called|\bClosures\b|affected_by|run_with_blocker|react_with|rule_hits|with_aggregation|with_blocker|GovernanceSnapshot::merge\(|Partition::(Moved|Grid)|BatchRuns|BatchSides|\bQoaModel\b|flip_labels|BinaryMetrics|rank_worst_first|request_shutdown' \
+if grep -rnE 'struct Coordinator\b|struct Journal\b|pub fn resume_qoa|pub fn close_window\(\s*pools|pub fn close_window\($|ShardPool::close_window|mod coordinator;|COORDINATOR_DIR|Mode::Local|StreamingCheckpoint|ingest_labeled|if_local|shard_role|window_seqs|HandoffFrame|HandoffShipment|TAG_HANDOFF|tail_qoa|qoa_states|spawn_node|flush_window\(\)|TimeMultiset|multiset_add|multiset_sub|StrategyWindowDigest|wal_v1|WalRecord|replay_v1_segment|WindowJournal|WalJournal|spawn_with_journal|DigammaCache|digamma_stats|train_memo|infer_memo|WorkerMsg::Alert\(|QUEUE_ENQUEUED|sync_channel::<WorkerMsg>|render_counter_snapshot|push_family|fn enqueued|fn dequeued|queue_depths: Vec<AtomicI64>|CoordMsg|coord_tx|ingestd-coordinator|RecvTimeoutError|struct NodeSlot|fn spawn_pool|fn restore_node|fn replay_counted|WorkerMsg::Qoa|push_qoa_verdicts|fn window_timer|WindowCloser|EmergingPass|start_qoa|restore_qoa|with_merge_timer|mod closer|a1_cache|flip_a1|OovPolicy|encode_frozen|is_fitted|fit must be called|\bClosures\b|affected_by|run_with_blocker|react_with|rule_hits|with_aggregation|with_blocker|GovernanceSnapshot::merge\(|Partition::(Moved|Grid)|BatchRuns|BatchSides|\bQoaModel\b|flip_labels|BinaryMetrics|rank_worst_first|request_shutdown|GroupKey|AggregationConfig|extract_template|TitleTemplate|flush_labeled|process_window|run_instrumented' \
     --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build .; then
-    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close, a closer beside the merge point, a rendered A1 list beside the flag table, a second, frozen-vocabulary R4 driver, a closure memo beside the dependency graph, a second reaction entry, R2 knob or rule-credit list, a snapshot merge, a partitioned batch side, a batch QoA model, a second label-noise draw, the unused binary metrics, the worst-first ranking or the uncalled shutdown request reappeared (see matches above)" >&2
+    echo "a governor-local pass, a second recovery spelling, a node-log copy of coordinator state, the node-role daemon, a second copy of the engine's raise times, a second journal reader, a second daemon restart path, an AO-LDA hash memo, a per-alert shard message, a second exposition encoder, a mirrored queue depth, a coordinator thread, a second merge point, a second node type, a second push per shard per close, a closer beside the merge point, a rendered A1 list beside the flag table, a second, frozen-vocabulary R4 driver, a closure memo beside the dependency graph, a second reaction entry, R2 knob or rule-credit list, a snapshot merge, a partitioned batch side, a batch QoA model, a second label-noise draw, the unused binary metrics, the worst-first ranking, the uncalled shutdown request, an R2 key or configuration, the title-template extractor or a test-only fork of a labeled flush, an AO-LDA window fit or a detection run reappeared (see matches above)" >&2
     exit 1
 fi
 # AO-LDA runs speculatively at a merge point, over the documents the
@@ -405,21 +419,27 @@ done
 # The public surface is what the program uses: every `pub fn` in the
 # program code (above each file's first test module in crates/*/src and
 # src/, comment lines and both bench crates left out) is named on some
-# line besides its own definition, or is on this list. The list is the
-# set kept on purpose: chaos hooks, test seams, what a paper bin, an
-# example or the frozen bench alone calls, and what ROADMAP item 14
-# still has to decide. Take a name off when it gains a caller or goes.
+# line besides its own definition, or is on one of these lists, the set
+# kept on purpose. Take a name off when it gains a caller or goes.
 echo "==> every pub fn has a caller in the program code, or is listed"
-uncalled_allowed='adjudicate_batch collective_candidates current_findings
-dependencies_of doc_mixture edge_count encode_and_update evaluation_scratch events_at
-finding_count fit_window flush_labeled flush_window_labeled from_strategies
-held_raise_times histogram_quantile history_len identity individual_candidates
-injected_ids is_clean is_poisoned js_divergence kept_digests log_loss open_with_format
-process_window qoa_model_digest quantile ranges_of remaining_after
-resume_shard retained_bytes run_default share_where
-silence_panics_containing soak_smoke stall_shard storm_fatigued tokenize
-truncate_wal_tail vocabulary with_alerts with_graph with_incidents with_min_evidence
-with_strategy_dependencies with_title_template'
+# What the frozen pipeline-bench alone calls.
+uncalled_frozen_bench='current_findings flush_window_labeled histogram_quantile
+open_with_format qoa_model_digest soak_smoke'
+# What a paper bin (crates/bench/src/bin) or an example alone calls.
+uncalled_paper_bins='adjudicate_batch collective_candidates finding_count
+individual_candidates share_where with_alerts with_graph with_incidents
+with_min_evidence with_title_template'
+# The plain references that tests compare the fast paths against.
+uncalled_references='encode_and_update fit_window identity js_divergence
+quantile run_default tokenize'
+# Test seams: chaos hooks and probes of internal state, each marked
+# #[doc(hidden)] or documented with the test it serves.
+uncalled_test_seams='dependencies_of doc_mixture evaluation_scratch events_at
+from_strategies held_raise_times history_len injected_ids is_poisoned
+kept_digests log_loss ranges_of remaining_after resume_shard retained_bytes
+silence_panics_containing stall_shard storm_fatigued truncate_wal_tail
+vocabulary with_strategy_dependencies'
+uncalled_allowed="$uncalled_frozen_bench $uncalled_paper_bins $uncalled_references $uncalled_test_seams"
 program=$(for file in $(find crates/*/src src -name '*.rs' -not -path 'crates/bench/*' -not -path 'crates/pipeline-bench/*' | sort); do
     awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print }' "$file"
 done)

@@ -443,6 +443,20 @@ fn a_cluster_scrape_times_r3_once_per_closed_window() {
             .map(|value| value.parse().expect("an integer count"))
             .collect();
         assert_eq!(timed, [closed], "one R3 span per close:\n{text}");
+        // R1 and R2 run on the nodes, so the cluster's scrape carries
+        // no series of theirs that would read zero.
+        for absent in [
+            "alertops_react_input_total",
+            "alertops_react_blocked_total",
+            "alertops_react_groups_total",
+            r#"stage="blocking""#,
+            r#"stage="aggregation""#,
+        ] {
+            assert!(
+                !text.contains(absent),
+                "{absent} on the cluster scrape:\n{text}"
+            );
+        }
         assert_eq!(
             exposition_value(&text, "alertops_cluster_windows_closed_total"),
             closed

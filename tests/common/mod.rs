@@ -142,14 +142,13 @@ impl BatchOracle {
 
         let blocker = self.governor.derive_blocker(&report);
         let passed: Vec<Alert> = blocker.apply(window).passed.into_iter().cloned().collect();
-        let mut representatives: Vec<Representative> =
-            aggregate(&passed, &AggregationConfig::default())
-                .iter()
-                .map(|group| {
-                    let first = passed.iter().find(|a| a.id() == group.representative);
-                    Representative::from(first.expect("a representative passed R1"))
-                })
-                .collect();
+        let mut representatives: Vec<Representative> = aggregate(&passed, AGGREGATION_WINDOW)
+            .iter()
+            .map(|group| {
+                let first = passed.iter().find(|a| a.id() == group.representative);
+                Representative::from(first.expect("a representative passed R1"))
+            })
+            .collect();
         representatives.sort_unstable();
         self.triage = self.governor.react(window, blocker).triage;
         self.triage.sort_unstable();
@@ -605,8 +604,9 @@ fn run_daemon(case: &Case, shards: usize, wal: Option<&Path>) -> Vec<GovernanceS
                 handle.route(alert.clone());
             }
             handle
-                .flush_labeled(case.labels_of(index).to_vec())
+                .flush_window_labeled(case.labels_of(index).to_vec())
                 .expect("flush publishes")
+                .snapshot
         })
         .collect();
     assert_clean(&handle.counters());
@@ -725,8 +725,9 @@ fn run_wire(
                     AckFrame::Sync
                 );
                 let snapshot = handle
-                    .flush_labeled(labels[seq].clone())
-                    .expect("flush publishes");
+                    .flush_window_labeled(labels[seq].clone())
+                    .expect("flush publishes")
+                    .snapshot;
                 AckFrame::Flush {
                     window: snapshot.window_index,
                     alerts: snapshot.alert_count as u64,

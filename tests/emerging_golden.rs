@@ -120,7 +120,8 @@ fn golden_aolda_windows() {
                 })
             })
             .collect();
-        let fitted = aolda.process_window(&bags, &positions);
+        let prepared = aolda.prepare_window(&bags, &positions);
+        let fitted = aolda.commit_window(prepared);
         fold(&mut hash, fitted.doc_count as u64);
         for topic in &fitted.topics {
             fold(&mut hash, u64::from(topic.emerging));

@@ -106,7 +106,7 @@ fn anti_pattern_processing_time_premise_holds() {
         // the premise concerns diagnosis-hindering patterns (A1–A3).
         let slot = if profile.vague_title || profile.misleading_severity || profile.improper_rule {
             &mut dirty
-        } else if profile.is_clean() {
+        } else if !profile.any() {
             &mut clean
         } else {
             continue;

@@ -458,8 +458,9 @@ fn deliver_window(
         handle.route(alert.clone());
     }
     handle
-        .flush_labeled(labels.to_vec())
+        .flush_window_labeled(labels.to_vec())
         .expect("window closes")
+        .snapshot
 }
 
 /// The daemon twin of `cluster_restart_restores_the_model_from_its_checkpoint`:
