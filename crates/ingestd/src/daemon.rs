@@ -534,10 +534,9 @@ enum IngressCodec {
     Ndjson(FrameDecoder),
     /// Length+CRC `alertops-wire` frames. The write half gets its own
     /// encoder: the ack stream's string table is independent of the
-    /// ingress stream's. The decoder is boxed so an NDJSON connection
-    /// does not carry room for two string tables.
+    /// ingress stream's.
     Binary {
-        decoder: Box<WireDecoder>,
+        decoder: WireDecoder,
         ack_encoder: WireEncoder,
     },
 }
@@ -551,7 +550,7 @@ impl IngressCodec {
         match wire {
             WireFormat::Ndjson => IngressCodec::Ndjson(FrameDecoder::new()),
             WireFormat::Binary => IngressCodec::Binary {
-                decoder: Box::new(WireDecoder::new()),
+                decoder: WireDecoder::new(),
                 ack_encoder: WireEncoder::new(),
             },
         }

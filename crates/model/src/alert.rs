@@ -365,7 +365,7 @@ impl AlertBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ModelError, StrTable};
+    use crate::ModelError;
 
     fn sample() -> Alert {
         Alert::builder(AlertId(1), StrategyId(2))
@@ -473,13 +473,12 @@ mod tests {
 
     #[test]
     fn a_fully_set_builder_keeps_the_handles_it_is_given() {
-        // Handles from a private table, so sharing can only come from
+        // Fresh handles no set holds, so sharing can only come from
         // the builder passing them through.
-        let mut table = StrTable::new();
-        let title = table.intern("Failed to commit changes");
-        let service = table.intern("Database");
-        let region = table.intern("X");
-        let dc = table.intern("1");
+        let title = IStr::new("Failed to commit changes");
+        let service = IStr::new("Database");
+        let region = IStr::new("X");
+        let dc = IStr::new("1");
         let a = Alert::builder(AlertId(1), StrategyId(2))
             .title(title.clone())
             .service(service.clone())
@@ -497,7 +496,7 @@ mod tests {
         let empty = IStr::empty();
         // Compared as handles: every empty `Box<str>` shares one
         // dangling address, so `&str` addresses cannot tell the
-        // thread's empty handle from another table's.
+        // thread's empty handle from a fresh one.
         for (field, handle) in [
             ("title", a.title_interned()),
             ("service", a.service_name_interned()),
@@ -507,8 +506,8 @@ mod tests {
             assert_eq!(handle.as_str(), "", "{field}");
             assert!(handle.ptr_eq(&empty), "{field}");
         }
-        // An equal empty string from another table is told apart.
-        let other = StrTable::new().intern("");
+        // An equal empty string from a fresh handle is told apart.
+        let other = IStr::new("");
         assert!(!other.ptr_eq(&empty));
         assert_eq!(a.location().instance(), None);
     }

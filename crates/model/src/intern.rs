@@ -8,8 +8,8 @@
 //! clone of an [`Alert`](crate::Alert) (shard hand-over, checkpoint,
 //! WAL replay, `WindowDelta` merge) a fresh round of heap traffic.
 //! [`IStr`] replaces those fields with an `Arc<Box<str>>`: cloning is
-//! a refcount bump, equality starts with a pointer compare, and a
-//! [`StrTable`] deduplicates so the steady state allocates nothing.
+//! a refcount bump, equality starts with a pointer compare, and
+//! [`intern`] deduplicates so the steady state allocates nothing.
 //!
 //! The handle is one word, not the two of an `Arc<str>`: an
 //! [`Alert`](crate::Alert) holds five of them, and every strategy row,
@@ -19,22 +19,21 @@
 //! `Arc`'s 32-byte control block (two counts and the box's fat
 //! pointer) and the string's own bytes.
 //!
-//! Two interning scopes exist:
+//! One interning scope lives here: the **thread-local set** behind
+//! [`intern`], a set of handles and nothing else. It is bounded at
+//! [`DEFAULT_TABLE_CAP`] distinct strings and [`DEFAULT_TABLE_BYTE_CAP`]
+//! bytes of them, so adversarial ingress cannot grow it without bound
+//! — over-cap strings still intern, they just are not cached.
+//! `From<&str>` / serde deserialization go through it, which is what
+//! makes JSON decode of a repeated title allocate once per *distinct*
+//! title per thread, not once per alert. NDJSON ingress pays one
+//! lookup here per non-empty string field: `intern("")` returns
+//! [`IStr::empty`] without one.
 //!
-//! * The **thread-local default table** behind [`intern`] (bounded at
-//!   [`DEFAULT_TABLE_CAP`] distinct strings and
-//!   [`DEFAULT_TABLE_BYTE_CAP`] bytes of them, so adversarial ingress
-//!   cannot grow it without bound — over-cap strings still intern,
-//!   they just are not cached). `From<&str>` / serde deserialization
-//!   go through it, which is what makes JSON decode of a repeated
-//!   title allocate once per *distinct* title per thread, not once
-//!   per alert. NDJSON ingress pays one lookup here per non-empty
-//!   string field: `intern("")` returns [`IStr::empty`] without one.
-//! * **Explicit [`StrTable`]s** with dense `u32` ids, owned by the
-//!   binary wire codec: first occurrence travels as a literal and
-//!   assigns the next id, later occurrences travel as a back-reference
-//!   to that id, so binary ingress looks up first-sight literals only.
-//!   See `alertops-wire`.
+//! The binary wire codec keeps its own per-stream tables, with dense
+//! ids, in `alertops-wire`, the one crate that reads ids: its encoder
+//! maps the caller's handles to ids and its decoder keeps an
+//! id-indexed list of handles it made with [`IStr::new`].
 //!
 //! Building an [`Alert`](crate::Alert) interns nothing: the builder
 //! takes the handles it is given, and fills a field it was not given
@@ -48,7 +47,7 @@
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
@@ -56,35 +55,35 @@ use std::sync::Arc;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Distinct strings the thread-local default table caches before it
-/// stops growing. Interning stays correct beyond the cap — lookups
-/// that miss simply allocate like a plain `String` would.
+/// Distinct strings the thread-local set caches before it stops
+/// growing. Interning stays correct beyond the cap — lookups that miss
+/// simply allocate like a plain `String` would.
 pub const DEFAULT_TABLE_CAP: usize = 1 << 16;
 
-/// String bytes the thread-local default table caches before it stops
-/// growing. The count cap alone would let one thread pin
-/// [`DEFAULT_TABLE_CAP`] strings of up to a frame's length each; this
-/// bounds the sum. Honest catalogs stay far below it: the alerts of
-/// the 60-day `study` scenario carry 1 731 distinct strings of 94 005
-/// bytes in all, none longer than 74, where this cap allows 128 bytes
-/// per entry at the count cap.
+/// String bytes the thread-local set caches before it stops growing.
+/// The count cap alone would let one thread pin [`DEFAULT_TABLE_CAP`]
+/// strings of up to a frame's length each; this bounds the sum. Honest
+/// catalogs stay far below it: the alerts of the 60-day `study`
+/// scenario carry 1 731 distinct strings of 94 005 bytes in all, none
+/// longer than 74, where this cap allows 128 bytes per entry at the
+/// count cap.
 pub const DEFAULT_TABLE_BYTE_CAP: usize = 8 << 20;
 
 thread_local! {
-    static DEFAULT_TABLE: RefCell<StrTable> =
-        RefCell::new(StrTable::with_limits(DEFAULT_TABLE_CAP, DEFAULT_TABLE_BYTE_CAP));
-    static EMPTY: IStr = DEFAULT_TABLE.with(|table| table.borrow_mut().intern(""));
+    static DEFAULT_SET: RefCell<Interner> =
+        RefCell::new(Interner::with_limits(DEFAULT_TABLE_CAP, DEFAULT_TABLE_BYTE_CAP));
+    static EMPTY: IStr = DEFAULT_SET.with(|set| set.borrow_mut().intern(""));
 }
 
-/// Interns `s` through the thread-local default table. The empty
-/// string skips the lookup and returns [`IStr::empty`], the handle
-/// the table holds for it.
+/// Interns `s` through the thread-local set. The empty string skips
+/// the lookup and returns [`IStr::empty`], the handle the set holds
+/// for it.
 #[must_use]
 pub fn intern(s: &str) -> IStr {
     if s.is_empty() {
         return IStr::empty();
     }
-    DEFAULT_TABLE.with(|table| table.borrow_mut().intern(s))
+    DEFAULT_SET.with(|set| set.borrow_mut().intern(s))
 }
 
 /// An immutable, interned, cheaply clonable string.
@@ -97,8 +96,11 @@ pub fn intern(s: &str) -> IStr {
 pub struct IStr(Arc<Box<str>>);
 
 impl IStr {
-    /// A fresh, unshared handle holding a copy of `s`.
-    fn new(s: &str) -> Self {
+    /// A fresh, unshared handle holding a copy of `s`. For a holder
+    /// that deduplicates on its own terms, as the wire decoder's
+    /// per-stream table does; everything else goes through [`intern`].
+    #[must_use]
+    pub fn new(s: &str) -> Self {
         Self(Arc::new(Box::from(s)))
     }
 
@@ -116,8 +118,9 @@ impl IStr {
     }
 
     /// Whether `self` and `other` share one allocation. Two equal
-    /// strings interned through different tables may compare unequal
-    /// here — this is an optimization probe, not equality.
+    /// strings from different scopes (two threads' sets, or a fresh
+    /// [`IStr::new`]) may compare unequal here — this is an
+    /// optimization probe, not equality.
     #[must_use]
     pub fn ptr_eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
@@ -249,133 +252,41 @@ impl Deserialize for IStr {
     }
 }
 
-/// A deduplicating table of [`IStr`]s with dense `u32` ids in
-/// first-insertion order.
-///
-/// The ids are what the binary wire codec's string back-references
-/// index into: encoder and decoder each run one table per stream (or
-/// per WAL segment) and assign ids in the same order by construction,
-/// so an id on the wire is meaningful without ever shipping the table.
-#[derive(Debug, Clone, Default)]
-pub struct StrTable {
-    by_id: Vec<IStr>,
-    ids: HashMap<IStr, u32>,
+/// A capped set of handles: the thread-local scope behind [`intern`].
+/// It holds each cached string once and assigns no ids.
+#[derive(Debug)]
+struct Interner {
+    handles: HashSet<IStr>,
     cap: usize,
     byte_cap: usize,
     bytes: usize,
 }
 
-impl StrTable {
-    /// An unbounded table (grows with every distinct string).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
-
-    /// A table that stops caching after `cap` distinct strings.
-    /// Interning past the cap still works — misses allocate without
-    /// being remembered, and [`insert`](Self::insert) reports the
-    /// string as unassigned.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_limits(cap, usize::MAX)
-    }
-
-    /// A table that stops caching once a string would take it past
-    /// `cap` distinct strings or `byte_cap` bytes of string content,
-    /// with the same over-cap behaviour as
-    /// [`with_capacity`](Self::with_capacity).
+impl Interner {
+    /// A set that stops caching once a string would take it past
+    /// `cap` distinct strings or `byte_cap` bytes of string content.
     fn with_limits(cap: usize, byte_cap: usize) -> Self {
         Self {
-            by_id: Vec::new(),
-            ids: HashMap::new(),
+            handles: HashSet::new(),
             cap,
             byte_cap,
             bytes: 0,
         }
     }
 
-    /// Distinct strings currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.by_id.len()
-    }
-
-    /// Whether the table holds nothing yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
-
-    /// Drops every entry (ids restart from 0).
-    pub fn clear(&mut self) {
-        self.by_id.clear();
-        self.ids.clear();
-        self.bytes = 0;
-    }
-
     /// Returns the shared copy of `s`, allocating only on first sight
-    /// (or when the table is at capacity).
-    pub fn intern(&mut self, s: &str) -> IStr {
-        if let Some(id) = self.ids.get(s) {
-            return self.by_id[*id as usize].clone();
+    /// or when the set is at a cap (then the fresh handle is not
+    /// remembered).
+    fn intern(&mut self, s: &str) -> IStr {
+        if let Some(held) = self.handles.get(s) {
+            return held.clone();
         }
-        let interned = IStr::new(s);
-        self.remember(interned.clone());
-        interned
-    }
-
-    /// Interns `s` and reports its id assignment: `(id, true)` when
-    /// this call inserted it (the wire codec emits a literal), the
-    /// existing `(id, false)` when it was already present (the codec
-    /// emits a back-reference), or `None` when the table is full and
-    /// `s` is unknown (the codec emits an unregistered literal).
-    pub fn insert(&mut self, s: &str) -> Option<(u32, bool)> {
-        if let Some(id) = self.ids.get(s) {
-            return Some((*id, false));
+        let fresh = IStr::new(s);
+        if self.handles.len() < self.cap && s.len() <= self.byte_cap - self.bytes {
+            self.bytes += s.len();
+            self.handles.insert(fresh.clone());
         }
-        if !self.has_room(s) {
-            return None;
-        }
-        let id = u32::try_from(self.by_id.len()).ok()?;
-        let interned = IStr::new(s);
-        self.push(interned, id);
-        Some((id, true))
-    }
-
-    /// The string assigned `id`, if any.
-    #[must_use]
-    pub fn resolve(&self, id: u32) -> Option<&IStr> {
-        self.by_id.get(id as usize)
-    }
-
-    /// Forgets every string assigned an id of `len` or more, so ids
-    /// resume at `len`: how an encoder takes back the strings of a
-    /// frame its reader never got.
-    pub fn truncate(&mut self, len: usize) {
-        for s in self.by_id.drain(len.min(self.by_id.len())..) {
-            self.bytes -= s.len();
-            self.ids.remove(&s);
-        }
-    }
-
-    fn remember(&mut self, interned: IStr) {
-        if !self.has_room(&interned) {
-            return;
-        }
-        if let Ok(id) = u32::try_from(self.by_id.len()) {
-            self.push(interned, id);
-        }
-    }
-
-    fn has_room(&self, s: &str) -> bool {
-        self.by_id.len() < self.cap && s.len() <= self.byte_cap - self.bytes
-    }
-
-    fn push(&mut self, interned: IStr, id: u32) {
-        self.bytes += interned.len();
-        self.by_id.push(interned.clone());
-        self.ids.insert(interned, id);
+        fresh
     }
 }
 
@@ -387,18 +298,16 @@ mod tests {
     fn interning_dedups_to_one_allocation() {
         let a = intern("haproxy process number warning");
         let b = intern("haproxy process number warning");
-        assert!(a.ptr_eq(&b), "same thread, same table, same Arc");
+        assert!(a.ptr_eq(&b), "same thread, same set, same Arc");
         assert_eq!(a, b);
         assert_eq!(a.as_str(), "haproxy process number warning");
     }
 
     #[test]
-    fn content_semantics_hold_across_tables() {
-        let mut t1 = StrTable::new();
-        let mut t2 = StrTable::new();
-        let a = t1.intern("dc-1");
-        let b = t2.intern("dc-1");
-        assert!(!a.ptr_eq(&b), "different tables, different Arcs");
+    fn content_semantics_hold_across_handles() {
+        let a = intern("dc-1");
+        let b = IStr::new("dc-1");
+        assert!(!a.ptr_eq(&b), "a fresh handle shares nothing");
         assert_eq!(a, b, "but equal by content");
         assert_eq!(a.cmp(&b), Ordering::Equal);
         use std::collections::hash_map::DefaultHasher;
@@ -419,78 +328,37 @@ mod tests {
     }
 
     #[test]
-    fn table_ids_are_dense_and_first_use_ordered() {
-        let mut table = StrTable::new();
-        assert_eq!(table.insert("region-x"), Some((0, true)));
-        assert_eq!(table.insert("dc-1"), Some((1, true)));
-        assert_eq!(table.insert("region-x"), Some((0, false)));
-        assert_eq!(table.resolve(0).unwrap().as_str(), "region-x");
-        assert_eq!(table.resolve(1).unwrap().as_str(), "dc-1");
-        assert_eq!(table.resolve(2), None);
-        assert_eq!(table.len(), 2);
-    }
-
-    #[test]
-    fn capped_table_stops_caching_but_keeps_interning() {
-        let mut table = StrTable::with_capacity(1);
-        let a = table.intern("only");
-        assert_eq!(table.insert("overflow"), None);
-        let b = table.intern("overflow");
-        let c = table.intern("overflow");
+    fn a_capped_set_stops_caching_but_keeps_interning() {
+        let mut set = Interner::with_limits(1, usize::MAX);
+        let a = set.intern("only");
+        let b = set.intern("overflow");
+        let c = set.intern("overflow");
         assert_eq!(b, c);
         assert!(!b.ptr_eq(&c), "over-cap strings are not cached");
-        assert!(a.ptr_eq(&table.intern("only")));
-        assert_eq!(table.len(), 1);
+        assert!(a.ptr_eq(&set.intern("only")));
+        assert_eq!(set.handles.len(), 1);
     }
 
     #[test]
-    fn byte_capped_table_holds_no_more_than_its_cap() {
-        let mut table = StrTable::with_limits(usize::MAX, 100);
+    fn a_byte_capped_set_holds_no_more_than_its_cap() {
+        let mut set = Interner::with_limits(usize::MAX, 100);
         for i in 0..64 {
             let s = format!("{i:02}-{}", "x".repeat(i));
-            let interned = table.intern(&s);
+            let interned = set.intern(&s);
             assert_eq!(interned.as_str(), s);
-            assert!(table.bytes <= 100, "{} bytes held", table.bytes);
+            assert!(set.bytes <= 100, "{} bytes held", set.bytes);
         }
         // Fed far more than 100 bytes, it still caches what fits.
-        assert!(table.len() > 1);
-        let held: usize = (0..table.len())
-            .map(|id| table.resolve(u32::try_from(id).unwrap()).unwrap().len())
-            .sum();
-        assert_eq!(held, table.bytes);
+        assert!(set.handles.len() > 1);
+        let held: usize = set.handles.iter().map(|s| s.len()).sum();
+        assert_eq!(held, set.bytes);
         // Over the cap a string still interns, it is just not cached.
         let long = "y".repeat(101);
-        let a = table.intern(&long);
-        let b = table.intern(&long);
+        let a = set.intern(&long);
+        let b = set.intern(&long);
         assert_eq!(a, b);
         assert_eq!(a.as_str(), long);
         assert!(!a.ptr_eq(&b));
-        assert_eq!(table.insert(&long), None);
-        table.clear();
-        assert_eq!(table.bytes, 0);
-    }
-
-    #[test]
-    fn truncate_takes_back_the_newest_ids() {
-        let mut t = StrTable::new();
-        t.insert("a");
-        t.insert("b");
-        t.insert("c");
-        t.truncate(1);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.insert("a"), Some((0, false)));
-        assert_eq!(t.insert("c"), Some((1, true)), "ids resume at the cut");
-        t.truncate(9);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn clear_resets_ids() {
-        let mut table = StrTable::new();
-        table.insert("a");
-        table.clear();
-        assert!(table.is_empty());
-        assert_eq!(table.insert("b"), Some((0, true)));
     }
 
     #[test]
@@ -511,11 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn interning_empty_leaves_the_table_alone() {
+    fn interning_empty_leaves_the_set_alone() {
         let empty = IStr::empty();
         // Any lookup would panic on the held borrow.
-        let interned = DEFAULT_TABLE.with(|table| {
-            let _held = table.borrow_mut();
+        let interned = DEFAULT_SET.with(|set| {
+            let _held = set.borrow_mut();
             intern("")
         });
         assert!(interned.ptr_eq(&empty));

@@ -70,7 +70,7 @@ pub use feedback::{QoaLabel, QOA_CRITERIA};
 pub use graph::{DependencyGraph, DERIVATION_WINDOW};
 pub use ids::{AlertId, IncidentId, MicroserviceId, OceId, RegionId, ServiceId, StrategyId};
 pub use incident::{indicates_incident, Incident, IncidentStatus, INCIDENT_LOOKAHEAD};
-pub use intern::{intern, IStr, StrTable, DEFAULT_TABLE_BYTE_CAP, DEFAULT_TABLE_CAP};
+pub use intern::{intern, IStr, DEFAULT_TABLE_BYTE_CAP, DEFAULT_TABLE_CAP};
 pub use location::Location;
 pub use oce::{ExperienceBand, Oce};
 pub use severity::Severity;

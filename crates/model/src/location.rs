@@ -57,10 +57,9 @@ impl Location {
         &self.dc
     }
 
-    /// The data center's handle, for tests that check which allocation
-    /// it shares.
-    #[cfg(test)]
-    pub(crate) fn dc_interned(&self) -> &IStr {
+    /// The data center as its interned handle.
+    #[must_use]
+    pub fn dc_interned(&self) -> &IStr {
         &self.dc
     }
 
@@ -68,6 +67,12 @@ impl Location {
     #[must_use]
     pub fn instance(&self) -> Option<&str> {
         self.instance.as_deref()
+    }
+
+    /// The instance as its interned handle, if one was recorded.
+    #[must_use]
+    pub fn instance_interned(&self) -> Option<&IStr> {
+        self.instance.as_ref()
     }
 
     /// Whether this location pins down an instance.

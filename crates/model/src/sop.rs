@@ -20,7 +20,7 @@ use crate::{IStr, ModelError, StrategyId};
 /// shard's governor, a cluster's governor factory) points at the same
 /// bodies. The lines are shared too: every section, cause and step is
 /// an [`IStr`] interned through the building (or deserializing)
-/// thread's default table, so a line that many SOPs repeat, or that
+/// thread's interning set, so a line that many SOPs repeat, or that
 /// is also a strategy's title, is held once.
 ///
 /// # Example

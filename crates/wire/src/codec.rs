@@ -4,8 +4,12 @@
 //! One [`WireEncoder`] and one [`WireDecoder`] per stream (a TCP
 //! connection, or one WAL segment): the pair share string-table state
 //! implicitly — ids are assigned in encode order on one end and in
-//! decode order on the other, so they agree by construction and the
-//! table is never shipped.
+//! decode order on the other, under one registration rule
+//! ([`WIRE_TABLE_CAP`](crate::WIRE_TABLE_CAP) strings,
+//! [`WIRE_TABLE_BYTE_CAP`](crate::WIRE_TABLE_BYTE_CAP) bytes), so they
+//! agree by construction and the table is never shipped. Each end keeps
+//! only what it reads: the encoder maps the caller's handles to ids,
+//! the decoder keeps its strings in id order.
 //!
 //! # Corruption semantics
 //!
@@ -19,9 +23,8 @@
 //! Callers quarantine the error and close the connection (ingress) or
 //! stop trusting the segment (WAL replay).
 
-use alertops_model::StrTable;
-
 use crate::frame::{decode_payload, encode_payload, Frame};
+use crate::table::{DecodeTable, EncodeTable};
 use crate::varint;
 
 /// Hard ceiling on one frame's payload length in bytes. A length
@@ -29,11 +32,6 @@ use crate::varint;
 /// producer cannot balloon daemon memory with one declared-huge frame.
 /// The NDJSON decoder bounds its lines with this same constant.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
-
-/// Distinct strings a stream's table registers before falling back to
-/// unregistered literals. Bounds decoder memory against adversarial
-/// streams; matches the interner's default-table cap.
-pub const WIRE_TABLE_CAP: usize = 1 << 16;
 
 /// IEEE CRC-32 (reflected, polynomial `0xEDB8_8320`) — the ubiquitous
 /// zlib/PNG variant, implemented here because the workspace is
@@ -160,22 +158,21 @@ impl std::error::Error for WireError {}
 
 /// The encoding half of a stream: owns the string table assigning
 /// back-reference ids and a reusable payload scratch buffer, so
-/// steady-state encoding allocates nothing.
+/// steady-state encoding allocates nothing. The table keys on the
+/// encoded alerts' own handles, so registering a string copies none.
 #[derive(Debug, Default)]
 pub struct WireEncoder {
-    table: StrTable,
+    table: EncodeTable,
     payload: Vec<u8>,
 }
 
 impl WireEncoder {
     /// A fresh encoder with an empty string table (capped at
-    /// [`WIRE_TABLE_CAP`]).
+    /// [`WIRE_TABLE_CAP`](crate::WIRE_TABLE_CAP) strings and
+    /// [`WIRE_TABLE_BYTE_CAP`](crate::WIRE_TABLE_BYTE_CAP) bytes).
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            table: StrTable::with_capacity(WIRE_TABLE_CAP),
-            payload: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Appends `frame`, fully framed (`len` varint, CRC, payload), to
@@ -229,17 +226,11 @@ impl WireEncoder {
 /// — frames split across reads are carried over. The first error
 /// poisons the decoder (see the module docs): the error is returned
 /// once and all further input is discarded.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WireDecoder {
     buf: Vec<u8>,
-    table: StrTable,
+    table: DecodeTable,
     poisoned: bool,
-}
-
-impl Default for WireDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl WireDecoder {
@@ -247,11 +238,7 @@ impl WireDecoder {
     /// at [`MAX_FRAME_LEN`].
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            buf: Vec::new(),
-            table: StrTable::with_capacity(WIRE_TABLE_CAP),
-            poisoned: false,
-        }
+        Self::default()
     }
 
     /// Whether a previous error ended this stream. A test seam:
@@ -347,17 +334,14 @@ impl WireDecoder {
             });
         }
         let len = len as usize;
-        let total = len_bytes + 4 + len;
-        if avail.len() < total {
+        let Some((crc, rest)) = avail[len_bytes..].split_first_chunk::<4>() else {
             return Ok(None);
-        }
-        // `avail` holds `total` bytes, so this range is 4 bytes long.
-        let expected = u32::from_le_bytes(
-            avail[len_bytes..len_bytes + 4]
-                .try_into()
-                .expect("4 bytes checked"),
-        );
-        let payload = &avail[len_bytes + 4..total];
+        };
+        let Some(payload) = rest.get(..len) else {
+            return Ok(None);
+        };
+        let expected = u32::from_le_bytes(*crc);
+        let total = len_bytes + 4 + len;
         let found = crc32(payload);
         if found != expected {
             return Err(WireError::Crc { expected, found });
@@ -372,7 +356,7 @@ mod tests {
     use super::*;
     use crate::frame::{AckFrame, ChaosCmd};
     use alertops_model::{
-        Alert, AlertId, Clearance, Location, Severity, SimDuration, SimTime, StrategyId,
+        Alert, AlertId, Clearance, IStr, Location, Severity, SimDuration, SimTime, StrategyId,
     };
 
     fn alert(id: u64) -> Alert {
@@ -695,6 +679,101 @@ mod tests {
             matches!(got.as_slice(), [Err(WireError::Malformed(_))]),
             "got {got:?}"
         );
+    }
+
+    #[test]
+    fn an_encoder_registers_the_callers_allocation() {
+        let sent = alert(1);
+        let mut encoder = WireEncoder::new();
+        encoder.encode_alert_into(&sent, &mut Vec::new());
+        let held = encoder.table.held(sent.title()).expect("title registered");
+        assert!(held.ptr_eq(sent.title_interned()), "a copy was registered");
+        let service = encoder.table.held(sent.service_name()).unwrap();
+        assert!(service.ptr_eq(sent.service_name_interned()));
+    }
+
+    #[test]
+    fn a_literal_always_takes_the_next_id() {
+        // The same text registered twice takes ids 0 and 1; the decoder
+        // keeps no content map that could fold the two.
+        let mut payload = vec![crate::frame::TAG_ALERT, 9, 1];
+        #[rustfmt::skip]
+        payload.extend_from_slice(&[
+            0x00, 1, b'a', // title: registers id 0
+            0,             // severity rank
+            0x00, 1, b'a', // service: the same text, registers id 1
+            0,             // microservice
+            0x01, 1,       // region: back-reference to id 1
+            0x01, 0,       // dc: back-reference to id 0
+            0,             // no instance
+            5,             // raised_at
+            0, 0,          // active, no processing time
+        ]);
+        let mut decoder = WireDecoder::new();
+        let got = decoder.feed(&framed(&payload));
+        let [Ok(Frame::Alert(alert))] = got.as_slice() else {
+            panic!("got {got:?}");
+        };
+        assert_eq!(alert.title(), "a");
+        assert_eq!(alert.location().region().as_str(), "a");
+        assert_eq!(decoder.table.len(), 2);
+        assert!(alert
+            .location()
+            .region()
+            .0
+            .ptr_eq(alert.service_name_interned()));
+        assert!(alert
+            .location()
+            .dc_interned()
+            .ptr_eq(alert.title_interned()));
+    }
+
+    #[test]
+    fn strings_past_the_byte_cap_travel_uncached_and_round_trip() {
+        // Titles of 0.6 MiB each: the table fills after 13 of them and
+        // every later one, first sight or repeat, travels as a literal.
+        let titles: Vec<IStr> = (0..16)
+            .map(|i| IStr::new(&format!("{i:02}{}", "t".repeat(600 << 10))))
+            .collect();
+        let frames: Vec<Frame> = (0..32u64)
+            .map(|id| {
+                let title = titles[id as usize % titles.len()].clone();
+                Frame::Alert(Box::new(
+                    Alert::builder(AlertId(id), StrategyId(id))
+                        .title(title)
+                        .service("Block Storage")
+                        .location(Location::new("region-x", "dc-1"))
+                        .build(),
+                ))
+            })
+            .collect();
+        let mut encoder = WireEncoder::new();
+        let mut decoder = WireDecoder::new();
+        let mut decoded = Vec::new();
+        for frame in &frames {
+            let wire = encoder.encode(frame);
+            assert!(wire.len() <= MAX_FRAME_LEN + 16);
+            for item in decoder.feed(&wire) {
+                decoded.push(item.expect("valid stream"));
+            }
+            assert!(decoder.table.bytes() <= crate::WIRE_TABLE_BYTE_CAP);
+            assert_eq!(decoder.table.bytes(), encoder.table.bytes());
+            assert_eq!(decoder.table.len(), encoder.table_len());
+        }
+        assert_eq!(decoder.finish(), None);
+        assert_eq!(decoded, frames);
+        let registered = crate::WIRE_TABLE_BYTE_CAP / titles[0].len();
+        // The titles that fit, then the three short strings.
+        assert_eq!(encoder.table_len(), registered + 3);
+        // A title past the cap is spelled out again each time.
+        let late = Frame::Alert(Box::new(
+            Alert::builder(AlertId(99), StrategyId(99))
+                .title(titles[15].clone())
+                .build(),
+        ));
+        let payload_len = titles[15].len() + 16;
+        assert!(encoder.encode(&late).len() > payload_len);
+        assert!(encoder.encode(&late).len() > payload_len);
     }
 }
 

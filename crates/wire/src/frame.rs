@@ -8,11 +8,12 @@
 //! length+CRC framing around what is encoded here.
 
 use alertops_model::{
-    Alert, AlertId, AlertState, Clearance, Location, MicroserviceId, Severity, SimDuration,
-    SimTime, StrTable, StrategyId,
+    Alert, AlertId, AlertState, Clearance, IStr, Location, MicroserviceId, Severity, SimDuration,
+    SimTime, StrategyId,
 };
 
 use crate::codec::WireError;
+use crate::table::{DecodeTable, EncodeTable, Slot};
 use crate::varint;
 
 /// Payload tag: an alert record.
@@ -41,7 +42,7 @@ const STR_LITERAL: u8 = 0x00;
 /// String marker: back-reference to a previously assigned id.
 const STR_BACKREF: u8 = 0x01;
 /// String marker: literal that did *not* register (the encoder's
-/// table was at capacity), so it assigns no id.
+/// table was at a cap), so it assigns no id.
 const STR_UNCACHED: u8 = 0x02;
 
 /// One decoded binary frame. The superset of the NDJSON protocol's
@@ -175,8 +176,8 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Decodes one table-backed string into its interned handle.
-    fn str(&mut self, table: &mut StrTable) -> Result<alertops_model::IStr, WireError> {
+    /// Decodes one table-backed string into its handle.
+    fn str(&mut self, table: &mut DecodeTable) -> Result<IStr, WireError> {
         match self.u8()? {
             STR_BACKREF => {
                 let id = u32::try_from(self.varint()?)
@@ -192,9 +193,9 @@ impl<'a> Cursor<'a> {
                 let text = std::str::from_utf8(bytes)
                     .map_err(|_| WireError::malformed("string literal is not UTF-8"))?;
                 if marker == STR_LITERAL {
-                    // Registers (mirroring the encoder's id assignment)
-                    // unless the table is at capacity.
-                    Ok(table.intern(text))
+                    // Takes the next id, mirroring the encoder's
+                    // assignment.
+                    Ok(table.register(text))
                 } else {
                     Ok(alertops_model::intern(text))
                 }
@@ -208,37 +209,33 @@ impl<'a> Cursor<'a> {
 
 /// Appends one table-backed string: a back-reference when the table
 /// already assigned `s` an id, a registering literal on first sight,
-/// an unregistered literal when the table is full.
-fn encode_str(s: &str, table: &mut StrTable, out: &mut Vec<u8>) {
-    match table.insert(s) {
-        Some((id, false)) => {
+/// an unregistered literal when the table is at a cap.
+fn encode_str(s: &IStr, table: &mut EncodeTable, out: &mut Vec<u8>) {
+    let marker = match table.slot(s) {
+        Slot::Known(id) => {
             out.push(STR_BACKREF);
             varint::encode(u64::from(id), out);
+            return;
         }
-        Some((_, true)) => {
-            out.push(STR_LITERAL);
-            varint::encode(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        None => {
-            out.push(STR_UNCACHED);
-            varint::encode(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
+        Slot::Registered => STR_LITERAL,
+        Slot::Uncached => STR_UNCACHED,
+    };
+    out.push(marker);
+    varint::encode(s.len() as u64, out);
+    out.extend_from_slice(s.as_bytes());
 }
 
-fn encode_alert_body(alert: &Alert, table: &mut StrTable, out: &mut Vec<u8>) {
+fn encode_alert_body(alert: &Alert, table: &mut EncodeTable, out: &mut Vec<u8>) {
     varint::encode(alert.id().value(), out);
     varint::encode(alert.strategy().value(), out);
-    encode_str(alert.title(), table, out);
+    encode_str(alert.title_interned(), table, out);
     out.push(alert.severity().rank());
-    encode_str(alert.service_name(), table, out);
+    encode_str(alert.service_name_interned(), table, out);
     varint::encode(alert.microservice().value(), out);
     let location = alert.location();
-    encode_str(location.region().as_str(), table, out);
-    encode_str(location.dc(), table, out);
-    match location.instance() {
+    encode_str(&location.region().0, table, out);
+    encode_str(location.dc_interned(), table, out);
+    match location.instance_interned() {
         Some(instance) => {
             out.push(1);
             encode_str(instance, table, out);
@@ -266,7 +263,7 @@ fn encode_alert_body(alert: &Alert, table: &mut StrTable, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_alert_body(cursor: &mut Cursor<'_>, table: &mut StrTable) -> Result<Alert, WireError> {
+fn decode_alert_body(cursor: &mut Cursor<'_>, table: &mut DecodeTable) -> Result<Alert, WireError> {
     let id = AlertId(cursor.varint()?);
     let strategy = StrategyId(cursor.varint()?);
     let title = cursor.str(table)?;
@@ -380,14 +377,14 @@ fn decode_chaos_body(cursor: &mut Cursor<'_>) -> Result<ChaosCmd, WireError> {
 /// Appends an alert payload (`[TAG_ALERT][body]`) without requiring
 /// the alert to be boxed into a [`Frame`] first — the WAL's
 /// per-append hot path.
-pub(crate) fn encode_alert_payload(alert: &Alert, table: &mut StrTable, out: &mut Vec<u8>) {
+pub(crate) fn encode_alert_payload(alert: &Alert, table: &mut EncodeTable, out: &mut Vec<u8>) {
     out.push(TAG_ALERT);
     encode_alert_body(alert, table, out);
 }
 
 /// Appends `frame`'s payload (`[tag][body]`, no outer framing) to
 /// `out`, assigning string ids through `table`.
-pub(crate) fn encode_payload(frame: &Frame, table: &mut StrTable, out: &mut Vec<u8>) {
+pub(crate) fn encode_payload(frame: &Frame, table: &mut EncodeTable, out: &mut Vec<u8>) {
     match frame {
         Frame::Alert(alert) => {
             out.push(TAG_ALERT);
@@ -418,7 +415,7 @@ pub(crate) fn encode_payload(frame: &Frame, table: &mut StrTable, out: &mut Vec<
 
 /// Decodes one payload back into its frame. The whole payload must be
 /// consumed — trailing bytes mean a layout mismatch, not padding.
-pub(crate) fn decode_payload(bytes: &[u8], table: &mut StrTable) -> Result<Frame, WireError> {
+pub(crate) fn decode_payload(bytes: &[u8], table: &mut DecodeTable) -> Result<Frame, WireError> {
     let mut cursor = Cursor::new(bytes);
     let frame = match cursor.u8()? {
         TAG_ALERT => Frame::Alert(Box::new(decode_alert_body(&mut cursor, table)?)),

@@ -42,10 +42,12 @@
 //! | 9   | [`Frame::QoaState`] (opaque checkpoint)   |
 //!
 //! Integers are LEB128 varints ([`varint`]). Strings ride the
-//! stream's [`StrTable`](alertops_model::StrTable): the first
-//! occurrence travels as a literal and implicitly assigns the next
-//! dense id on both ends, later occurrences travel as a varint
-//! back-reference — the table itself is never shipped. See
+//! stream's string table: the first occurrence travels as a literal
+//! and implicitly assigns the next dense id on both ends, later
+//! occurrences travel as a varint back-reference — the table itself is
+//! never shipped. A table registers at most [`WIRE_TABLE_CAP`] strings
+//! of [`WIRE_TABLE_BYTE_CAP`] bytes in all; past either cap a string
+//! travels as a literal that assigns no id. See
 //! [`codec`] for the exact string marker bytes and the decoder's
 //! corruption semantics (a bad frame poisons the stream: the length
 //! prefix can no longer be trusted, so there is no resync).
@@ -59,11 +61,13 @@
 
 pub mod codec;
 pub mod frame;
+mod table;
 pub mod varint;
 pub mod wal;
 
-pub use codec::{crc32, WireDecoder, WireEncoder, WireError, MAX_FRAME_LEN, WIRE_TABLE_CAP};
+pub use codec::{crc32, WireDecoder, WireEncoder, WireError, MAX_FRAME_LEN};
 pub use frame::{AckFrame, ChaosCmd, Frame};
+pub use table::{WIRE_TABLE_BYTE_CAP, WIRE_TABLE_CAP};
 
 /// Magic prefix of a binary (v2) WAL segment.
 pub const WAL_MAGIC: [u8; 4] = *b"AOWL";

@@ -138,7 +138,7 @@ CEILINGS
 # AO-LDA keeps no table beyond its largest window's scratch, so a
 # long-lived one coming back shows on `governed-close`, where that
 # scratch is most of the heap. An untraced 2-second run repeats
-# `rss_peak_mb` within 2–5 % (five runs read 18.19 – 18.79 MB on
+# `rss_peak_mb` within 2–5 % (five runs read 16.82 – 17.00 MB on
 # `steady-wire`, 10.43 – 10.75 MB on `cluster-journal`, 6.83 –
 # 6.98 MB on `governed-close` and 8.83 – 8.98 MB on `storm-paced`),
 # so the ceiling is the highest of five runs at the commit that last
@@ -154,11 +154,13 @@ CEILINGS
 # holder on `steady-wire` (the stream, the bench's world copy, the two
 # shard governors' halves together); a fat two-word string handle
 # instead of a one-word one ≈ 1.3 MB on `steady-wire`, and a shard
-# holding a second window-sized alert buffer ≈ 0.5–0.7 MB. Lower a
-# ceiling when a PR lowers the peak.
+# holding a second window-sized alert buffer ≈ 0.5–0.7 MB; an encoder
+# copying each string it registers ≈ 0.7 MB, a decoder keeping a
+# content map ≈ 0.2–0.3 MB on `steady-wire`. Lower a ceiling when a PR
+# lowers the peak.
 check_rss() { check_run "$1" 0; }
 check_rss steady-wire <<'CEILINGS'
-rss_peak_mb 19.17
+rss_peak_mb 17.34
 CEILINGS
 check_rss cluster-journal <<'CEILINGS'
 rss_peak_mb 10.97
@@ -322,6 +324,14 @@ if awk '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 
 fi
 if grep -rn IngestdHandle crates/cluster/src; then
     echo "the cluster holds a daemon again; a node is a ShardPool (see matches above)" >&2
+    exit 1
+fi
+# String ids belong to the wire codec's per-stream tables
+# (crates/wire/src/table.rs); the interner is a set of handles, and no
+# other crate keeps a table of ids. Scoped to *.rs outside crates/wire.
+if grep -rn StrTable --include='*.rs' --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build . |
+    grep -v '^\./crates/wire/'; then
+    echo "a string table with ids reappeared outside the wire codec (see matches above)" >&2
     exit 1
 fi
 # A title is scored by one stateless function, alertops_text::title_report,
